@@ -86,7 +86,7 @@ func runS9Config(name string, batch, elements int) (ingestConfigResult, error) {
 	start := time.Now()
 	if batch <= 1 {
 		for i := 0; i < elements; i++ {
-			if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+			if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 				return out, err
 			}
 		}

@@ -103,7 +103,7 @@ func runS8Config(name string, writers, perWriter int, policy wal.SyncPolicy, on 
 			defer wg.Done()
 			e := entries[g]
 			for i := 0; i < perWriter; i++ {
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+				if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 					errc <- fmt.Errorf("writer %d insert %d: %w", g, i, err)
 					return
 				}
@@ -153,7 +153,7 @@ func buildScrubCorpus(dir string, rels, perRel int) (*catalog.Catalog, int, erro
 			return nil, 0, err
 		}
 		for i := 0; i < perRel; i++ {
-			if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * (i + 1)))}); err != nil {
+			if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * (i + 1)))}, ""); err != nil {
 				return nil, 0, err
 			}
 		}

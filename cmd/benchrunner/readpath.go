@@ -1,8 +1,8 @@
 package main
 
-// S4 — the read path at scale: epoch-stamped snapshot reads vs the
-// shared-lock read path under a steady writer, and the plan-keyed result
-// cache's hit latency vs executing every query. Both phases run at the
+// S4 — the read path at scale: epoch-stamped snapshot reads under a
+// steady writer, and the plan-keyed result cache's hit latency vs
+// executing every query. Both phases run at the
 // catalog level (in-process, WAL off) so the numbers isolate the read
 // path itself from HTTP and durability costs. Results are printed and
 // written to BENCH_readpath.json.
@@ -12,18 +12,15 @@ package main
 // and 1/2/4/8 readers cycling over a small hot set of time-slices (the
 // dashboard shape: the same few queries re-asked continuously while
 // writes trickle in). Pacing the writer keeps data growth identical
-// across modes (an unpaced writer starves under the lock but runs free
-// under snapshots, which would compare scans over different
-// extensions). Three read paths are measured: the pre-epoch shared-lock
-// baseline (Config.LockedReads — scans, and fences behind every
-// exclusive acquisition), bare snapshot reads (scans against the pinned
-// view, no lock), and the full read path with the result cache (hot
-// queries are answered from the (relation, fingerprint, epoch) entry
-// until the writer's next epoch bump). On a multi-core host the
-// snapshot column additionally scales with readers, since scans
-// parallelize; on a single-CPU host scans are compute-bound, so the
-// bare-snapshot and locked columns converge and the throughput win
-// comes from the cache doing less work per query.
+// across modes. Two read paths are measured: bare snapshot reads (scans
+// against the pinned view, no lock) and the full read path with the
+// result cache (hot queries are answered from the (relation,
+// fingerprint, epoch) entry until the writer's next epoch bump). On a
+// multi-core host the snapshot column additionally scales with readers,
+// since scans parallelize; on a single-CPU host scans are compute-bound
+// and the throughput win comes from the cache doing less work per query.
+// The pre-epoch shared-lock baseline was retired after it measured
+// parity with bare snapshots (EXPERIMENTS S4 keeps its last numbers).
 //
 // Phase 2 (cache): a larger relation, no writer, one query repeated.
 // With the cache off every repetition re-executes the scan; with it on,
@@ -47,12 +44,9 @@ import (
 // readpathRow is one reader-count measurement of phase 1.
 type readpathRow struct {
 	Readers       int     `json:"readers"`
-	LockedQPS     float64 `json:"locked_qps"`
 	SnapshotQPS   float64 `json:"snapshot_qps"`
 	SnapCacheQPS  float64 `json:"snapshot_cache_qps"`
-	SnapSpeedup   float64 `json:"snapshot_over_locked"`
-	CacheSpeedup  float64 `json:"cached_over_locked"`
-	LockedWrites  float64 `json:"locked_writes_per_sec"`
+	CacheSpeedup  float64 `json:"cached_over_snapshot"`
 	SnapshotWrite float64 `json:"snapshot_writes_per_sec"`
 }
 
@@ -73,7 +67,7 @@ type readpathResult struct {
 	Elements   int           `json:"elements"`
 	MeasureMS  int64         `json:"measure_ms"`
 	Throughput []readpathRow `json:"throughput"`
-	SpeedupAt8 float64       `json:"readpath_speedup_at_8_readers"` // full read path (snapshot+cache) over the locked baseline
+	SpeedupAt8 float64       `json:"readpath_speedup_at_8_readers"` // full read path (snapshot+cache) over bare snapshot reads
 	Cache      cacheResult   `json:"cache"`
 }
 
@@ -95,7 +89,7 @@ func buildRelation(cfg catalog.Config, name string, elements int) (*catalog.Cata
 		return nil, nil, nil, err
 	}
 	for vt := 0; vt < elements; vt++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}, ""); err != nil {
 			cleanup()
 			return nil, nil, nil, err
 		}
@@ -121,7 +115,7 @@ func hammer(e *catalog.Entry, elements, readers int, window time.Duration) (qps,
 		defer wg.Done()
 		vt := int64(elements)
 		for !stop.Load() {
-			if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}); err != nil {
+			if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}, ""); err != nil {
 				fail(fmt.Errorf("writer: %w", err))
 				return
 			}
@@ -174,13 +168,12 @@ func runS4(n int) error {
 		name string
 		cfg  catalog.Config
 	}{
-		{"locked", catalog.Config{LockedReads: true}},
 		{"snapshot", catalog.Config{}},
 		{"snapshot+cache", catalog.Config{CacheBytes: 64 << 20}},
 	}
 
 	fmt.Printf("phase 1: %d-element relation, steady writer, %v per cell\n", elements, window)
-	fmt.Printf("%-8s %14s %14s %16s %13s\n", "readers", "locked q/s", "snapshot q/s", "snap+cache q/s", "cached/locked")
+	fmt.Printf("%-8s %14s %16s %15s\n", "readers", "snapshot q/s", "snap+cache q/s", "cached/snapshot")
 	var rows []readpathRow
 	for _, readers := range []int{1, 2, 4, 8} {
 		row := readpathRow{Readers: readers}
@@ -195,19 +188,16 @@ func runS4(n int) error {
 				return fmt.Errorf("%s/%d readers: %w", m.name, readers, err)
 			}
 			switch m.name {
-			case "locked":
-				row.LockedQPS, row.LockedWrites = qps, wps
 			case "snapshot":
 				row.SnapshotQPS, row.SnapshotWrite = qps, wps
 			case "snapshot+cache":
 				row.SnapCacheQPS = qps
 			}
 		}
-		row.SnapSpeedup = row.SnapshotQPS / row.LockedQPS
-		row.CacheSpeedup = row.SnapCacheQPS / row.LockedQPS
+		row.CacheSpeedup = row.SnapCacheQPS / row.SnapshotQPS
 		rows = append(rows, row)
-		fmt.Printf("%-8d %14.0f %14.0f %16.0f %8.1fx\n",
-			readers, row.LockedQPS, row.SnapshotQPS, row.SnapCacheQPS, row.CacheSpeedup)
+		fmt.Printf("%-8d %14.0f %16.0f %10.1fx\n",
+			readers, row.SnapshotQPS, row.SnapCacheQPS, row.CacheSpeedup)
 	}
 
 	// Phase 2: repeated time-slice against an idle relation, cache off vs on.

@@ -28,7 +28,7 @@ func autoSpecEntry(b *testing.B, n int, specialize bool) (*Catalog, *Entry) {
 		b.Fatalf("Create: %v", err)
 	}
 	for i := 1; i <= n; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * i))}); err != nil {
+		if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * i))}); err != nil {
 			b.Fatalf("Insert: %v", err)
 		}
 	}

@@ -1,37 +1,22 @@
 package catalog
 
 // Batched ingest: one WAL frame, one group-commit entry, one Merkle
-// leaf, and one published epoch for N insertions (DESIGN §14).
-//
-// The commit protocol follows ISSUE's three beats under a single
-// exclusive-lock acquisition: stage every element (validation, guard
-// checks, and transaction stamping against the relation as of the
-// batch's start), journal ONE walInsertBatch frame carrying all staged
-// records with their per-element idempotency keys, then apply — commit,
-// tracker, dedup window, physical store — and publish a single new
-// readView. The durability wait happens outside the lock, so concurrent
-// batches on other relations share the group fsync exactly as single
-// inserts do.
+// leaf, and one published epoch for N insertions. A batch is the
+// mutation pipeline (mutation.go) with N insert units instead of one;
+// this file is its public result shape.
 //
 // Partial failure is per-element: a guard rejection or a key-reuse
 // conflict marks that index rejected and the rest of the batch
 // proceeds. With atomic set, the first rejection aborts the whole batch
-// before anything is journaled — all-or-nothing. Either way the frame
-// on disk only ever carries elements that were accepted, so replay (boot
-// recovery and follower apply share the decoder) is all-or-nothing per
-// frame: the CRC either admits the whole record or the torn tail drops
-// it whole. A batch can never replay as a prefix of itself.
+// before anything is journaled — all-or-nothing.
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"repro/internal/backlog"
 	"repro/internal/element"
 	"repro/internal/relation"
-	"repro/internal/wal"
 )
 
 // ErrBatchRejected types an all-or-nothing batch aborted by one
@@ -99,213 +84,35 @@ func (e *Entry) IngestStats() IngestStats {
 // the whole batch (ErrBatchRejected) before anything is journaled;
 // otherwise rejected indexes are reported and the rest commit.
 func (e *Entry) InsertBatch(ctx context.Context, ins []relation.Insertion, keys []string, atomic bool) (BatchResult, error) {
-	if len(keys) != 0 && len(keys) != len(ins) {
+	if len(keys) == 0 {
+		keys = make([]string, len(ins))
+	}
+	if len(keys) != len(ins) {
 		return BatchResult{}, fmt.Errorf("catalog: batch carries %d keys for %d elements", len(keys), len(ins))
 	}
-	for i, k := range keys {
-		if len(k) > maxIdemKeyLen {
-			return BatchResult{}, fmt.Errorf("catalog: batch item %d: idempotency key exceeds %d bytes", i, maxIdemKeyLen)
-		}
-	}
-	if err := e.mutationGate(ctx, ""); err != nil {
-		return BatchResult{}, err
-	}
-	res := BatchResult{Items: make([]BatchItemResult, len(ins))}
-	var lsn uint64
-	wrote := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		type staged struct {
-			idx int
-			key string
-			el  *element.Element
-		}
-		var acc []staged
-		// seen guards against one key appearing twice inside the same
-		// batch: the window only remembers keys at apply time, so without
-		// it both occurrences would stage and mint two events.
-		var seen map[string]bool
-		reject := func(i int, cause error) error {
-			if atomic {
-				return fmt.Errorf("%w: item %d: %w", ErrBatchRejected, i, cause)
-			}
-			res.Items[i] = BatchItemResult{Status: BatchRejected, Err: cause.Error()}
-			return nil
-		}
-		for i := range ins {
-			key := ""
-			if len(keys) > 0 {
-				key = keys[i]
-			}
-			if key != "" {
-				if hit, ok := e.dedup.lookup(key); ok {
-					if hit.op != dedupInsert {
-						if err := reject(i, fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)); err != nil {
-							return err
-						}
-						continue
-					}
-					res.Items[i] = BatchItemResult{Status: BatchDeduped, Elem: hit.elem}
-					res.Deduped++
-					continue
-				}
-				if seen[key] {
-					if err := reject(i, fmt.Errorf("%w: %q repeated within the batch", ErrIdemReuse, key)); err != nil {
-						return err
-					}
-					continue
-				}
-				if seen == nil {
-					seen = make(map[string]bool)
-				}
-				seen[key] = true
-			}
-			el, serr := r.StageInsert(ins[i])
-			if serr != nil {
-				if err := reject(i, serr); err != nil {
-					return err
-				}
-				continue
-			}
-			acc = append(acc, staged{idx: i, key: key, el: el})
-		}
-		if len(acc) == 0 {
-			// Nothing accepted: no frame, no epoch bump. Deduped hits are
-			// already answered by their original acknowledgments.
-			res.Epoch = e.Epoch()
-			return nil
-		}
-		if e.wal != nil {
-			bkeys := make([]string, len(acc))
-			recs := make([]relation.LogRecord, len(acc))
-			for j, s := range acc {
-				bkeys[j] = s.key
-				recs[j] = relation.LogRecord{Op: relation.OpInsert, TT: s.el.TTStart, Elem: s.el}
-			}
-			payload, perr := encodeInsertBatch(bkeys, recs)
-			if perr != nil {
-				return perr
-			}
-			l, werr := e.wal.Write(walInsertBatch, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn, wrote = l, true
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, walInsertBatch, payload)
-		}
-		for _, s := range acc {
-			r.CommitInsert(s.el)
-			e.tracker.Observe(s.el)
-			if s.key != "" {
-				e.dedup.remember(s.key, dedupInsert, s.el)
-			}
-			res.Items[s.idx] = BatchItemResult{Status: BatchStored, Elem: s.el}
-			res.Stored++
-			if serr := e.engine.Store().Insert(s.el); serr != nil {
-				// An intra-batch ordering violation the pre-batch guards
-				// could not see lands here: degrade to the general
-				// organization rather than lose a journaled element.
-				e.decls2general(r, serr)
-			}
-		}
-		e.publish()
-		e.dirty.Store(true)
-		e.ingBatches.Add(1)
-		e.ingElems.Add(int64(len(acc)))
-		res.Epoch = e.Epoch()
-		return nil
-	})
+	items, epoch, err := e.commit(ctx, walInsertBatch, keys, atomic, stageInserts(ins))
 	if err != nil {
+		for i, it := range items {
+			if atomic && it.Status == BatchRejected {
+				return BatchResult{}, fmt.Errorf("%w: item %d: %w", ErrBatchRejected, i, err)
+			}
+		}
 		return BatchResult{}, err
 	}
-	for i := range res.Items {
-		if res.Items[i].Status == BatchRejected {
+	res := BatchResult{Items: items, Epoch: epoch}
+	for _, it := range items {
+		switch it.Status {
+		case BatchStored:
+			res.Stored++
+		case BatchDeduped:
+			res.Deduped++
+		case BatchRejected:
 			res.Rejected++
 		}
 	}
-	if wrote {
-		if err := e.waitDurable(lsn); err != nil {
-			return BatchResult{}, err
-		}
+	if res.Stored > 0 {
+		e.ingBatches.Add(1)
+		e.ingElems.Add(int64(res.Stored))
 	}
 	return res, nil
-}
-
-// encodeInsertBatch frames N keyed insert records into one WAL payload:
-//
-//	u32 count, then per element: u16 keyLen | key | u32 recLen | record
-//
-// The per-element key span is what lets follower and boot replay rebuild
-// the dedup window from the single frame, and the whole payload rides
-// one CRC frame so replay is all-or-nothing per batch.
-func encodeInsertBatch(keys []string, recs []relation.LogRecord) ([]byte, error) {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
-	for i, rec := range recs {
-		rb := backlog.EncodeRecord(rec)
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(keys[i])))
-		out = append(out, keys[i]...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(rb)))
-		out = append(out, rb...)
-	}
-	if len(out) > wal.MaxFrameBytes-64 {
-		return nil, fmt.Errorf("catalog: batch payload %d bytes exceeds the WAL frame bound; split the batch", len(out))
-	}
-	return out, nil
-}
-
-// batchEntry is one decoded element of a batch frame.
-type batchEntry struct {
-	key string
-	rec relation.LogRecord
-}
-
-// decodeInsertBatch parses a walInsertBatch payload. It never trusts
-// the count ahead of the bytes backing it (fuzzed frames carry absurd
-// counts), and rejects trailing garbage so a bit flip past the last
-// record cannot hide.
-func decodeInsertBatch(b []byte) ([]batchEntry, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("catalog: short batch payload")
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	// Each element needs at least its two length prefixes; cap the
-	// allocation by what the bytes can actually hold.
-	if count < 0 || count > len(b)/6+1 {
-		return nil, fmt.Errorf("catalog: batch count %d exceeds payload", count)
-	}
-	out := make([]batchEntry, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("catalog: batch item %d: truncated key length", i)
-		}
-		kn := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if kn > maxIdemKeyLen {
-			return nil, fmt.Errorf("catalog: batch item %d: key length %d exceeds %d", i, kn, maxIdemKeyLen)
-		}
-		if kn > len(b) {
-			return nil, fmt.Errorf("catalog: batch item %d: truncated key", i)
-		}
-		key := string(b[:kn])
-		b = b[kn:]
-		if len(b) < 4 {
-			return nil, fmt.Errorf("catalog: batch item %d: truncated record length", i)
-		}
-		rn := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if rn < 0 || rn > len(b) {
-			return nil, fmt.Errorf("catalog: batch item %d: record length %d exceeds payload", i, rn)
-		}
-		rec, err := backlog.DecodeRecord(b[:rn])
-		if err != nil {
-			return nil, fmt.Errorf("catalog: batch item %d: %w", i, err)
-		}
-		b = b[rn:]
-		out = append(out, batchEntry{key: key, rec: rec})
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("catalog: trailing batch payload bytes")
-	}
-	return out, nil
 }

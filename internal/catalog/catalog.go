@@ -40,7 +40,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
-	"repro/internal/surrogate"
 	"repro/internal/tsql"
 	"repro/internal/tx"
 	"repro/internal/wal"
@@ -93,11 +92,6 @@ type Config struct {
 	// it. Results are keyed by (relation, fingerprint, mutation epoch), so
 	// any mutation invalidates a relation's cached results for free.
 	CacheBytes int64
-	// LockedReads restores the pre-epoch read path: queries run under the
-	// relation's shared lock against the live engine, with no published
-	// snapshots and no result cache. It exists so the read-scaling
-	// benchmark has an honest baseline; production has no reason to set it.
-	LockedReads bool
 	// Follower marks the catalog as a read-only replica: the only writer
 	// is ApplyReplicated (replaying WAL frames shipped from a primary),
 	// and every client mutation fails typed with ErrReadOnly — the same
@@ -116,16 +110,16 @@ type Config struct {
 }
 
 // WAL record kinds. These values are replayed from disk, so they must
-// stay stable across releases. The keyed kinds frame an idempotency key
-// ahead of the same payload their unkeyed counterpart carries
-// (encodeKeyed); unkeyed kinds remain written for keyless mutations, so
-// logs from either era replay on either side of this change.
+// stay stable across releases. Kinds 3/4/5 are read-only legacy: the
+// writer frames every insert, delete and modify as the keyed kind (an
+// empty key when the mutation carries none), and the decoder still reads
+// logs written before that (mutation.go; DESIGN §6 has the frame table).
 const (
 	walCreate      wal.Kind = 1
 	walDeclare     wal.Kind = 2
-	walInsert      wal.Kind = 3
-	walDelete      wal.Kind = 4
-	walModify      wal.Kind = 5
+	walInsert      wal.Kind = 3 // legacy, decoded only
+	walDelete      wal.Kind = 4 // legacy, decoded only
+	walModify      wal.Kind = 5 // legacy, decoded only
 	walInsertKeyed wal.Kind = 6
 	walDeleteKeyed wal.Kind = 7
 	walModifyKeyed wal.Kind = 8
@@ -135,8 +129,8 @@ const (
 	// the migrated organization survives a crash and ships to replicas.
 	walRespecialize wal.Kind = 9
 	// walInsertBatch journals N insertions as one frame: u32 count, then
-	// per element a keyed record span (batch.go). One group-commit entry
-	// and one Merkle leaf per batch; replay is all-or-nothing per frame.
+	// per element a keyed record span. One group-commit entry and one
+	// Merkle leaf per batch; replay is all-or-nothing per frame.
 	walInsertBatch wal.Kind = 10
 )
 
@@ -240,7 +234,6 @@ func (c *Catalog) Open() error {
 				return fmt.Errorf("catalog: %s holds relation %q, want %q", path, r.Schema().Name, name)
 			}
 			e := c.newEntry(name, relation.NewLocked(r), decls, phys)
-			e.wal = c.cfg.WAL
 			e.walLSN.Store(walLSN)
 			e.seedIntegrity(ig)
 			sh := c.shardFor(name)
@@ -255,38 +248,49 @@ func (c *Catalog) Open() error {
 	}
 	if w := c.cfg.WAL; w != nil {
 		start := time.Now()
-		touched := make(map[*Entry]bool)
-		for _, rec := range w.TakeRecovered() {
-			e, err := c.applyWALRecord(rec)
-			if err != nil {
-				return fmt.Errorf("catalog: wal replay, lsn %d: %w", rec.LSN, err)
-			}
-			if e != nil {
-				touched[e] = true
-			}
-		}
-		// One engine rebuild per touched relation, after all its records
-		// landed — the store reload is O(versions), not O(versions²). The
-		// publish bumps the epoch past the construction-time view, so any
-		// result cached against a pre-replay epoch is dead on arrival.
-		for e := range touched {
-			_ = e.locked.Exclusive(func(r *relation.Relation) error {
-				_ = e.rebuildEngine(r)
-				e.publish()
-				return nil
-			})
-			e.dirty.Store(true)
+		if err := c.replay(w.TakeRecovered()); err != nil {
+			return fmt.Errorf("catalog: wal replay, %w", err)
 		}
 		w.AddReplayDuration(time.Since(start))
 	}
 	return nil
 }
 
-// applyWALRecord redoes one recovered log record. Records a snapshot
-// already covers (LSN at or below the relation's persisted watermark) are
-// skipped, which is what makes replay idempotent across partially
-// truncated logs. Returns the touched entry, or nil when skipped.
-func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
+// replay redoes journaled frames in LSN order — the one driver behind
+// boot recovery (the log's recovered records over the snapshots) and
+// follower apply (records shipped from the primary). Each frame goes
+// through the apply the live path ran when it was written. Relations
+// publish once per call, not per frame — including those touched before
+// a failing frame: what was applied is what readers see — and the publish
+// bumps the epoch past every view a reader may have cached against.
+func (c *Catalog) replay(recs []wal.Record) error {
+	touched := make(map[*Entry]bool)
+	var failed error
+	for _, rec := range recs {
+		e, err := c.redo(rec)
+		if err != nil {
+			failed = fmt.Errorf("lsn %d: %w", rec.LSN, err)
+			break
+		}
+		if e != nil {
+			touched[e] = true
+		}
+	}
+	for e := range touched {
+		_ = e.locked.Exclusive(func(*relation.Relation) error {
+			e.publish()
+			return nil
+		})
+		e.dirty.Store(true)
+	}
+	return failed
+}
+
+// redo applies one journaled frame. Frames a snapshot already covers
+// (LSN at or below the relation's persisted watermark) are skipped, which
+// is what makes replay idempotent across partially truncated logs and
+// re-shipped feeds. Returns the touched entry, or nil when skipped.
+func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
 	if rec.Kind == walCreate {
 		schema, err := backlog.DecodeSchema(rec.Payload)
 		if err != nil {
@@ -302,10 +306,7 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 			return nil, nil // the snapshot file already restored it
 		}
 		e := c.newEntry(rec.Rel, relation.NewLocked(relation.New(schema, c.newClock())), nil, backlog.Physical{})
-		e.wal = c.cfg.WAL
-		e.walLSN.Store(rec.LSN)
-		e.appendLeaf(rec.LSN, rec.Kind, rec.Payload)
-		e.dirty.Store(true)
+		e.logged(rec.LSN, rec.Kind, rec.Payload)
 		sh.entries[rec.Rel] = e
 		return e, nil
 	}
@@ -316,172 +317,46 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 	if rec.LSN <= e.walLSN.Load() {
 		return nil, nil
 	}
-	// Keyed records carry "u16 keyLen, key, payload"; strip the frame and
-	// fall through to the shared apply path, remembering the key so the
-	// rebuilt dedup window covers retries that straddle a crash.
-	kind, payload, key := rec.Kind, rec.Payload, ""
-	switch rec.Kind {
-	case walInsertKeyed, walDeleteKeyed, walModifyKeyed:
-		var err error
-		if key, payload, err = decodeKeyed(rec.Payload); err != nil {
-			return nil, err
-		}
-		kind -= walInsertKeyed - walInsert
-	}
-	var applyErr error
-	_ = e.locked.Exclusive(func(r *relation.Relation) error {
-		remember := func(op dedupOp, el *element.Element) {
-			if key != "" {
-				e.dedup.remember(key, op, el)
-			}
-		}
-		switch kind {
-		case walInsert, walDelete:
-			lrec, err := backlog.DecodeRecord(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			if applyErr = r.ApplyLog(lrec); applyErr != nil {
-				return nil
-			}
-			if lrec.Op == relation.OpInsert {
-				el, _ := r.ByES(lrec.Elem.ES)
-				remember(dedupInsert, el)
-			} else {
-				remember(dedupDelete, nil)
-			}
-		case walInsertBatch:
-			// One frame, N insertions: the CRC admitted the whole record,
-			// so replay applies every element or (on a decode error) none —
-			// a torn prefix of a batch cannot exist.
-			entries, err := decodeInsertBatch(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			for _, be := range entries {
-				if be.rec.Op != relation.OpInsert {
-					applyErr = fmt.Errorf("batch frame carries op %d", be.rec.Op)
-					return nil
-				}
-				if applyErr = r.ApplyLog(be.rec); applyErr != nil {
-					return nil
-				}
-				if be.key != "" {
-					el, _ := r.ByES(be.rec.Elem.ES)
-					e.dedup.remember(be.key, dedupInsert, el)
-				}
-			}
-		case walModify:
-			del, ins, err := decodeModify(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			if applyErr = r.ApplyLog(del); applyErr != nil {
-				return nil
-			}
-			if applyErr = r.ApplyLog(ins); applyErr != nil {
-				return nil
-			}
-			el, _ := r.ByES(ins.Elem.ES)
-			remember(dedupModify, el)
+	err = e.locked.Exclusive(func(r *relation.Relation) error {
+		switch rec.Kind {
 		case walDeclare:
 			descs, err := backlog.DecodeDeclarations(rec.Payload)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			byScope, err := constraint.BuildAll(descs)
+			enforcers, err := warmEnforcers(r, descs, false)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			for scope, cs := range byScope {
-				en := constraint.NewEnforcer(scope, cs...)
-				// The history was validated when the declaration was first
-				// accepted; warm the enforcer without re-checking.
-				for _, brec := range r.Backlog() {
-					en.Applied(r, brec.Op, brec.Elem, brec.TT)
-				}
-				r.AddGuard(en)
-			}
-			e.decls = append(e.decls, descs...)
+			// A bounds error leaves the declaration standing, as it did live.
+			_ = e.attach(r, descs, enforcers)
+			return nil
 		case walRespecialize:
-			org, source, adopted, err := decodeRespecialize(rec.Payload)
+			// The frame's organization and source are re-derived from the
+			// adopted classes and the replayed history.
+			_, _, adopted, err := decodeRespecialize(rec.Payload)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			// Restore the adoption; the caller's per-touched-relation
-			// rebuild re-derives the organization from it (and from the
-			// replayed history), so primaries and followers land on the
-			// same physical design as the journaling process.
-			e.adopted = adopted
-			e.migrations++
-			e.history = append(e.history, Migration{
-				Epoch: e.Epoch(), From: e.advice.Store, To: org, Source: source,
-			})
-		default:
-			applyErr = fmt.Errorf("unknown record kind %d", rec.Kind)
+			e.adopt(r, adopted)
+			return nil
 		}
-		return nil
+		m, err := decodeMutation(rec.Kind, rec.Payload)
+		if err != nil {
+			return err
+		}
+		return e.apply(r, &m, rec.LSN)
 	})
-	if applyErr != nil {
-		return nil, applyErr
+	if err != nil {
+		return nil, err
 	}
-	e.walLSN.Store(rec.LSN)
-	// The leaf hashes the frame exactly as logged — the keyed kind and
-	// payload, not the stripped form applied above — so primaries,
-	// boot-time replay, and follower apply agree on every leaf.
-	e.appendLeaf(rec.LSN, rec.Kind, rec.Payload)
+	e.logged(rec.LSN, rec.Kind, rec.Payload)
 	return e, nil
-}
-
-// encodeModify frames a modification's delete and insert records (one
-// transaction time) into a single WAL payload, so the pair replays
-// atomically: recovery never sees the delete without the insert.
-func encodeModify(del, ins relation.LogRecord) []byte {
-	db := backlog.EncodeRecord(del)
-	ib := backlog.EncodeRecord(ins)
-	out := make([]byte, 0, 8+len(db)+len(ib))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(db)))
-	out = append(out, db...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ib)))
-	return append(out, ib...)
-}
-
-func decodeModify(b []byte) (del, ins relation.LogRecord, err error) {
-	next := func() (relation.LogRecord, error) {
-		if len(b) < 4 {
-			return relation.LogRecord{}, fmt.Errorf("short modify payload")
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if n < 0 || n > len(b) {
-			return relation.LogRecord{}, fmt.Errorf("bad modify payload framing")
-		}
-		rec, err := backlog.DecodeRecord(b[:n])
-		b = b[n:]
-		return rec, err
-	}
-	if del, err = next(); err != nil {
-		return del, ins, err
-	}
-	if ins, err = next(); err != nil {
-		return del, ins, err
-	}
-	if len(b) != 0 {
-		return del, ins, fmt.Errorf("trailing modify payload bytes")
-	}
-	return del, ins, nil
 }
 
 // Migration records one physical-design change of a relation: the epoch it
 // happened at, the organizations involved, the advice's provenance, and
-// the advisor's reasons. Live migrations carry full detail; replayed ones
-// carry what the WAL frame preserved.
+// the advisor's reasons.
 type Migration struct {
 	Epoch    uint64
 	From, To storage.Kind
@@ -549,7 +424,6 @@ func (c *Catalog) Create(schema relation.Schema) (*Entry, error) {
 	}
 	r := relation.New(schema, c.newClock())
 	e := c.newEntry(name, relation.NewLocked(r), nil, backlog.Physical{})
-	e.wal = c.cfg.WAL
 	e.dirty.Store(true) // persist even if never written to
 	sh := c.shardFor(name)
 	sh.mu.Lock()
@@ -557,27 +431,17 @@ func (c *Catalog) Create(schema relation.Schema) (*Entry, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	var lsn uint64
-	if w := c.cfg.WAL; w != nil {
-		var werr error
-		// Logged under the shard lock so the create's WAL position matches
-		// its catalog visibility order; creates are rare.
-		payload := backlog.EncodeSchema(schema)
-		lsn, werr = w.Write(walCreate, name, payload)
-		if werr != nil {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("catalog: wal: %w", werr)
-		}
-		e.walLSN.Store(lsn)
-		e.appendLeaf(lsn, walCreate, payload)
+	// Journaled under the shard lock so the create's WAL position matches
+	// its catalog visibility order; creates are rare.
+	lsn, err := e.journal(walCreate, backlog.EncodeSchema(schema))
+	if err != nil {
+		sh.mu.Unlock()
+		return nil, err
 	}
 	sh.entries[name] = e
 	sh.mu.Unlock()
-	if w := c.cfg.WAL; w != nil {
-		if err := w.WaitDurable(lsn); err != nil {
-			return nil, fmt.Errorf("catalog: wal: %w", err)
-		}
-		e.sealRoot()
+	if err := e.waitDurable(lsn); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -797,13 +661,11 @@ type Entry struct {
 	// nil after newEntry.
 	view atomic.Pointer[readView]
 
-	// cache is the catalog-wide result cache (nil-safe when disabled),
-	// lockedReads the benchmarking compat mode, and follower the
-	// read-only-replica gate; all copied from the catalog at entry
-	// construction.
-	cache       *qcache.Cache
-	lockedReads bool
-	follower    bool
+	// cache is the catalog-wide result cache (nil-safe when disabled) and
+	// follower the read-only-replica gate; both copied from the catalog at
+	// entry construction.
+	cache    *qcache.Cache
+	follower bool
 
 	// Integrity state. tree is the relation's Merkle tree over committed
 	// WAL frames, nil when integrity is off; it has its own mutex because
@@ -883,7 +745,7 @@ func classesFromU8(bs []uint8) []core.Class {
 func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.Descriptor, phys backlog.Physical) *Entry {
 	e := &Entry{
 		name: name, locked: l, decls: decls, dedup: newDedupWindow(),
-		cache: c.cache, lockedReads: c.cfg.LockedReads, follower: c.cfg.Follower,
+		wal: c.cfg.WAL, cache: c.cache, follower: c.cfg.Follower,
 		adopted: classesFromU8(phys.Adopted), migrations: phys.Migrations,
 	}
 	if c.integrityEnabled() {
@@ -1022,103 +884,6 @@ func fillStore(st storage.Store, r *relation.Relation) error {
 	return nil
 }
 
-// Insert stores a new element as one transaction and feeds it to the
-// physical store, atomically with respect to queries.
-func (e *Entry) Insert(ins relation.Insertion) (*element.Element, error) {
-	return e.InsertKeyed(context.Background(), ins, "")
-}
-
-// InsertKeyed is Insert with resilience hooks: the context aborts before
-// any work when the caller has already given up, and a non-empty
-// idempotency key makes the transaction retry-safe — a key the relation's
-// dedup window remembers returns the originally stored element with no
-// new WAL record and no new event.
-//
-// With a WAL attached the transaction is write-ahead logged: it is staged
-// (validated and transaction-stamped), framed into the log (keyed frame
-// when an idempotency key rides along), and only then applied to memory,
-// all under the relation's exclusive lock so the log's per-relation order
-// is the commit order. The acknowledgment then waits for the record to be
-// durable per the log's sync policy; a failed wait surfaces as an error
-// and the log's fail-stop poisoning keeps the not-yet-durable tail out of
-// every future snapshot.
-func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return nil, err
-	}
-	var out *element.Element
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupInsert {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				out, deduped = hit.elem, true
-				return nil
-			}
-		}
-		el, err := r.StageInsert(ins)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			rec := relation.LogRecord{Op: relation.OpInsert, TT: el.TTStart, Elem: el}
-			kind, payload := walInsert, backlog.EncodeRecord(rec)
-			if key != "" {
-				kind, payload = walInsertKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		r.CommitInsert(el)
-		e.tracker.Observe(el)
-		if key != "" {
-			e.dedup.remember(key, dedupInsert, el)
-		}
-		out = el
-		if serr := e.engine.Store().Insert(el); serr != nil {
-			// Ordering promise broken despite enforcement (e.g. constraint
-			// declared on a different endpoint); degrade to the general
-			// organization rather than lose the committed element.
-			e.decls2general(r, serr)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if deduped {
-		// The original acknowledgment already waited for durability.
-		return out, nil
-	}
-	if err := e.waitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mutationGate is every mutation's entry check: refuse in read-only
-// degraded mode, refuse oversized idempotency keys before they reach the
-// WAL frame, and stop before any work when the caller's context is done.
-func (e *Entry) mutationGate(ctx context.Context, key string) error {
-	if err := e.writable(); err != nil {
-		return err
-	}
-	if len(key) > maxIdemKeyLen {
-		return fmt.Errorf("catalog: idempotency key exceeds %d bytes", maxIdemKeyLen)
-	}
-	return ctx.Err()
-}
-
 // walErr classifies a WAL append/wait failure: once the log has poisoned
 // the catalog is read-only, so the typed ErrReadOnly (with the cause)
 // tells clients not to retry against this process.
@@ -1129,8 +894,8 @@ func (e *Entry) walErr(err error) error {
 	return fmt.Errorf("catalog: wal: %w", err)
 }
 
-// waitDurable blocks until the entry's latest logged mutation is durable.
-// Called outside the relation lock, so concurrent committers on other
+// waitDurable blocks until the frame at lsn is durable. Called outside
+// the relation lock, so concurrent committers on other
 // relations (and later ones on this relation) share the group fsync.
 // Durability is also the integrity epoch boundary: the tree root covering
 // everything committed so far is sealed (signed) here, batching one seal
@@ -1155,149 +920,6 @@ func (e *Entry) decls2general(r *relation.Relation, cause error) {
 		fmt.Sprintf("fell back: committed element violates the store order (%v)", cause))
 }
 
-// Delete logically removes an element. The physical stores share element
-// pointers with the relation, so the tt⊣ update is visible to them without
-// restructuring. Write-ahead logged like Insert.
-func (e *Entry) Delete(es surrogate.Surrogate) error {
-	return e.DeleteKeyed(context.Background(), es, "")
-}
-
-// DeleteKeyed is Delete with the resilience hooks of InsertKeyed. A
-// remembered key means the logical delete already happened; the retry
-// succeeds without a second tt⊣ update (which would fail as
-// already-deleted and make retries look like conflicts).
-func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return err
-	}
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupDelete {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				deduped = true
-				return nil
-			}
-		}
-		el, tt, err := r.StageDelete(es)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			// The element still carries tt⊣ = forever here; replay only needs
-			// its surrogate and the record's transaction time.
-			rec := relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: el}
-			kind, payload := walDelete, backlog.EncodeRecord(rec)
-			if key != "" {
-				kind, payload = walDeleteKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		// The close lands on a clone (copy-on-close); swap it into the
-		// physical store so the live engine sees the finalized tt⊣ while
-		// pinned read views keep the open original.
-		closed := r.CommitDelete(el, tt)
-		e.engine.Store().Replace(el, closed)
-		if key != "" {
-			e.dedup.remember(key, dedupDelete, nil)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if deduped {
-		return nil
-	}
-	return e.waitDurable(lsn)
-}
-
-// Modify replaces an element's valid time and varying values (a logical
-// delete plus an insert at one transaction time). The pair is logged as a
-// single WAL record so recovery applies both or neither.
-func (e *Entry) Modify(es surrogate.Surrogate, vt element.Timestamp, varying []element.Value) (*element.Element, error) {
-	return e.ModifyKeyed(context.Background(), es, vt, varying, "")
-}
-
-// ModifyKeyed is Modify with the resilience hooks of InsertKeyed: a
-// remembered key returns the replacement element the original transaction
-// produced instead of chaining a second delete+insert onto it.
-func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return nil, err
-	}
-	var out *element.Element
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupModify {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				out, deduped = hit.elem, true
-				return nil
-			}
-		}
-		old, repl, tt, err := r.StageModify(es, vt, varying)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			payload := encodeModify(
-				relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: old},
-				relation.LogRecord{Op: relation.OpInsert, TT: tt, Elem: repl},
-			)
-			kind := walModify
-			if key != "" {
-				kind, payload = walModifyKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		closed := r.CommitDelete(old, tt)
-		e.engine.Store().Replace(old, closed)
-		r.CommitInsert(repl)
-		e.tracker.Observe(repl)
-		if key != "" {
-			e.dedup.remember(key, dedupModify, repl)
-		}
-		out = repl
-		if serr := e.engine.Store().Insert(repl); serr != nil {
-			e.decls2general(r, serr)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if deduped {
-		return out, nil
-	}
-	if err := e.waitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Declare attaches the descriptors' constraints as enforcers, one per
 // scope. The existing extension is validated first: a declaration the
 // stored history already violates is rejected whole, leaving the relation
@@ -1311,63 +933,72 @@ func (e *Entry) Declare(descs []constraint.Descriptor) error {
 	if err := e.writable(); err != nil {
 		return err
 	}
-	byScope, err := constraint.BuildAll(descs)
-	if err != nil {
-		return err
-	}
 	var lsn uint64
-	err = e.locked.Exclusive(func(r *relation.Relation) error {
-		var enforcers []*constraint.Enforcer
-		for scope, cs := range byScope {
-			en := constraint.NewEnforcer(scope, cs...)
-			// Replay the backlog through the fresh enforcer, checking each
-			// operation as if it were arriving now; the incremental
-			// checkers end warm for the next live transaction.
-			for _, rec := range r.Backlog() {
-				switch rec.Op {
-				case relation.OpInsert:
-					if err := en.CheckInsert(r, rec.Elem); err != nil {
-						return fmt.Errorf("catalog: existing extension violates declaration: %w", err)
-					}
-				case relation.OpDelete:
-					if err := en.CheckDelete(r, rec.Elem, rec.TT); err != nil {
-						return fmt.Errorf("catalog: existing extension violates declaration: %w", err)
-					}
-				}
-				en.Applied(r, rec.Op, rec.Elem, rec.TT)
-			}
-			enforcers = append(enforcers, en)
-		}
-		if e.wal != nil {
-			// Validation passed; log the declaration before attaching it.
-			payload := backlog.EncodeDeclarations(descs)
-			l, werr := e.wal.Write(walDeclare, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, walDeclare, payload)
-		}
-		for _, en := range enforcers {
-			r.AddGuard(en)
-		}
-		e.decls = append(e.decls, descs...)
-		if err := e.rebuildEngine(r); err != nil {
-			// The declaration stands (its enforcer is sound) but its bounds
-			// cannot drive the pushdown; surface the bug to the caller.
-			e.publish()
-			e.dirty.Store(true)
+	err := e.locked.Exclusive(func(r *relation.Relation) error {
+		enforcers, err := warmEnforcers(r, descs, true)
+		if err != nil {
 			return err
 		}
+		// Validation passed; journal the declaration before attaching it.
+		if lsn, err = e.journal(walDeclare, backlog.EncodeDeclarations(descs)); err != nil {
+			return err
+		}
+		// A bounds error leaves the declaration standing (its enforcer is
+		// sound) but its bounds cannot drive the pushdown; surface the bug
+		// to the caller.
+		err = e.attach(r, descs, enforcers)
 		e.publish()
 		e.dirty.Store(true)
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	return e.waitDurable(lsn)
+}
+
+// warmEnforcers builds one enforcer per scope and replays the backlog
+// through each, so the incremental checkers end warm for the next live
+// transaction. With check set (a live declaration) every operation is
+// checked as if it were arriving now; replay skips that — the history was
+// validated when the declaration was first accepted.
+func warmEnforcers(r *relation.Relation, descs []constraint.Descriptor, check bool) ([]*constraint.Enforcer, error) {
+	byScope, err := constraint.BuildAll(descs)
+	if err != nil {
+		return nil, err
+	}
+	var enforcers []*constraint.Enforcer
+	for scope, cs := range byScope {
+		en := constraint.NewEnforcer(scope, cs...)
+		for _, rec := range r.Backlog() {
+			if check {
+				var err error
+				switch rec.Op {
+				case relation.OpInsert:
+					err = en.CheckInsert(r, rec.Elem)
+				case relation.OpDelete:
+					err = en.CheckDelete(r, rec.Elem, rec.TT)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("catalog: existing extension violates declaration: %w", err)
+				}
+			}
+			en.Applied(r, rec.Op, rec.Elem, rec.TT)
+		}
+		enforcers = append(enforcers, en)
+	}
+	return enforcers, nil
+}
+
+// attach installs a declaration's warmed enforcers, grows the declaration
+// catalog, and re-advises the physical design. Caller holds the exclusive
+// lock. The error reports only unusable offset bounds (see rebuildEngine).
+func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enforcers []*constraint.Enforcer) error {
+	for _, en := range enforcers {
+		r.AddGuard(en)
+	}
+	e.decls = append(e.decls, descs...)
+	return e.rebuildEngine(r)
 }
 
 // QueryResult is a catalog query answer with its access-path accounting.
@@ -1382,78 +1013,32 @@ type QueryResult struct {
 	Epoch uint64
 }
 
-func (e *Entry) toResult(res query.Result) QueryResult {
-	if res.Node != nil {
-		e.plans.Record(res.Node.Leaf().Kind, res.Touched)
-	}
-	return QueryResult{Elements: res.Elements, Plan: res.Plan, Node: res.Node, Touched: res.Touched}
-}
-
-// Current answers the conventional query.
-func (e *Entry) Current() QueryResult {
-	out, _ := e.CurrentCtx(context.Background())
-	return out
-}
-
-// CurrentCtx is Current with caller cancellation.
+// CurrentCtx answers the conventional query.
 func (e *Entry) CurrentCtx(ctx context.Context) (QueryResult, error) {
-	return e.readCtx(ctx, "current", func(en *query.Engine) query.Result { return en.Current() })
+	return e.readCtx(ctx, "current", func(v *readView) (query.Result, error) { return v.engine.Current(), nil })
 }
 
-// Timeslice answers the historical query at vt.
-func (e *Entry) Timeslice(vt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceCtx(context.Background(), vt)
-	return out
-}
-
-// TimesliceCtx is Timeslice with caller cancellation.
+// TimesliceCtx answers the historical query at vt.
 func (e *Entry) TimesliceCtx(ctx context.Context, vt chronon.Chronon) (QueryResult, error) {
 	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10),
-		func(en *query.Engine) query.Result { return en.Timeslice(vt) })
+		func(v *readView) (query.Result, error) { return v.engine.Timeslice(vt), nil })
 }
 
-// Rollback answers the rollback query at tt.
-func (e *Entry) Rollback(tt chronon.Chronon) QueryResult {
-	out, _ := e.RollbackCtx(context.Background(), tt)
-	return out
-}
-
-// RollbackCtx is Rollback with caller cancellation.
+// RollbackCtx answers the rollback query at tt.
 func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResult, error) {
 	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10),
-		func(en *query.Engine) query.Result { return en.Rollback(tt) })
+		func(v *readView) (query.Result, error) { return v.engine.Rollback(tt), nil })
 }
 
-// readCtx runs one engine query against the published read view: readers
+// readCtx runs one query against the published read view: readers
 // pin the view with a single atomic load and never touch the relation
 // lock, so a steady writer cannot convoy them. Results are memoized in
 // the catalog's cache under (relation, fingerprint, epoch); a hit is
 // returned without any engine work and still counts on the per-plan-kind
 // metrics (with zero touched — nothing was scanned).
-//
-// Compat: with Config.LockedReads the query runs under the shared lock
-// against the live engine — the pre-epoch behavior, kept as the
-// read-scaling baseline — checking the context both before queueing for
-// the lock and after acquiring it (lock waits can outlast deadlines).
-func (e *Entry) readCtx(ctx context.Context, fp string, run func(en *query.Engine) query.Result) (QueryResult, error) {
+func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (query.Result, error)) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
-	}
-	if e.lockedReads {
-		var res query.Result
-		err := e.locked.View(func(*relation.Relation) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res = run(e.engine)
-			return nil
-		})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		out := e.toResult(res)
-		out.Epoch = e.Epoch()
-		return out, nil
 	}
 	v := e.view.Load()
 	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
@@ -1462,8 +1047,14 @@ func (e *Entry) readCtx(ctx context.Context, fp string, run func(en *query.Engin
 		e.plans.Record(qr.Node.Leaf().Kind, 0)
 		return qr, nil
 	}
-	out := e.toResult(run(v.engine))
-	out.Epoch = v.epoch
+	res, err := run(v)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	if res.Node != nil {
+		e.plans.Record(res.Node.Leaf().Kind, res.Touched)
+	}
+	out := QueryResult{Elements: res.Elements, Plan: res.Plan, Node: res.Node, Touched: res.Touched, Epoch: v.epoch}
 	e.cache.Put(key, out, resultSize(out))
 	return out, nil
 }
@@ -1480,67 +1071,20 @@ func resultSize(qr QueryResult) int64 {
 	return n
 }
 
-// TimesliceAsOf answers the bitemporal query: elements valid at vt as
-// stored at tt. No physical organization indexes both dimensions — the
-// planner prices it as the bitemporal full scan — so this scans the
-// relation.
-func (e *Entry) TimesliceAsOf(vt, tt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceAsOfCtx(context.Background(), vt, tt)
-	return out
-}
-
-// TimesliceAsOfCtx is TimesliceAsOf with caller cancellation. The
-// bitemporal scan is the catalog's most expensive read, so the scan
+// TimesliceAsOfCtx answers the bitemporal query: elements valid at vt as
+// stored at tt. It is the catalog's most expensive read, so the scan
 // itself is cooperative: it re-checks the context periodically and stops
 // mid-scan when the caller is gone. Like the other reads it runs against
 // the pinned view — no physical organization indexes both time
 // dimensions, so it scans the view's elements — and memoizes in the
 // result cache, where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResult{}, err
-	}
-	if e.lockedReads {
-		var out QueryResult
-		err := e.locked.View(func(r *relation.Relation) error {
-			node := e.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-			els, err := r.TimesliceAsOfCtx(ctx, vt, tt)
-			if err != nil {
-				return err
-			}
-			out.Elements = els
-			out.Plan = node.String()
-			out.Node = node
-			out.Touched = r.Len()
-			return nil
-		})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		out.Epoch = e.Epoch()
-		e.plans.Record(out.Node.Leaf().Kind, out.Touched)
-		return out, nil
-	}
-	v := e.view.Load()
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
-	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
-		qr := hit.(QueryResult)
-		e.plans.Record(qr.Node.Leaf().Kind, 0)
-		return qr, nil
-	}
-	node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-	els, err := asOfScan(ctx, v.elems, vt, tt)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	out := QueryResult{
-		Elements: els, Plan: node.String(), Node: node,
-		Touched: len(v.elems), Epoch: v.epoch,
-	}
-	e.plans.Record(node.Leaf().Kind, out.Touched)
-	e.cache.Put(key, out, resultSize(out))
-	return out, nil
+	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
+		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
+		els, err := asOfScan(ctx, v.elems, vt, tt)
+		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: len(v.elems)}, err
+	})
 }
 
 // asOfCheckEvery matches the relation layer's cooperative-scan cadence.
@@ -1563,17 +1107,6 @@ func asOfScan(ctx context.Context, elems []*element.Element, vt, tt chronon.Chro
 	return out, nil
 }
 
-// Select evaluates a parsed tsql query against the relation under the
-// shared lock. The query's Rel must name this entry. The statement is
-// compiled onto the engine's planned access path: when the plan's leaf is
-// a specialized strategy (vt binary search, tt-window pushdown, index
-// seek), the engine produces the candidate set and only it is evaluated;
-// otherwise the relation's backlog is scanned as before. The returned
-// node is the executed plan; touched is its access-path cost.
-func (e *Entry) Select(q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	return e.SelectCtx(context.Background(), q)
-}
-
 // selectScratch pools candidate slices for SELECTs that must re-sort an
 // index seek's output into insertion order, so the hot path stops
 // allocating a fresh slice per query.
@@ -1592,10 +1125,14 @@ func esOrdered(els []*element.Element) bool {
 	return true
 }
 
-// SelectCtx is Select with caller cancellation; the full-scan evaluation
-// path is cooperative, re-checking the context periodically mid-scan.
-// Like the engine reads it evaluates against the pinned view, lock-free
-// (LockedReads restores the shared-lock path).
+// SelectCtx evaluates a parsed tsql query against the pinned view,
+// lock-free like the engine reads. The query's Rel must name this entry.
+// The statement is compiled onto the engine's planned access path: when
+// the plan's leaf is a specialized strategy (vt binary search, tt-window
+// pushdown, index seek), the engine produces the candidate set and only
+// it is evaluated; otherwise the view's elements are scanned — that path
+// is cooperative, re-checking the context periodically mid-scan. The
+// returned node is the executed plan; touched is its access-path cost.
 func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
@@ -1603,49 +1140,33 @@ func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *pl
 	if q.Group != nil {
 		return e.selectAggregate(ctx, q)
 	}
+	v := e.view.Load()
+	node := tsql.Compile(q, v.engine.Access())
 	var res *tsql.Result
-	var node *plan.Node
-	touched := 0
-	eval := func(en *query.Engine, schema relation.Schema, versions []*element.Element) error {
-		node = tsql.Compile(q, en.Access())
-		var err error
-		switch node.Leaf().Kind {
-		case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
-			pq := tsql.PlanQuery(q)
-			qres := en.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
-			touched = qres.Touched
-			if esOrdered(qres.Elements) {
-				// Already the backlog scan's row order; evaluate in place.
-				res, err = tsql.EvalOnCtx(ctx, q, schema, qres.Elements)
-				return err
-			}
-			// An ES sort restores the backlog scan's row order exactly;
-			// sort a pooled scratch copy, never the store's slice.
-			sp := selectScratch.Get().(*[]*element.Element)
-			cands := append((*sp)[:0], qres.Elements...)
-			sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
-			res, err = tsql.EvalOnCtx(ctx, q, schema, cands)
-			clear(cands) // drop element references before pooling
-			*sp = cands[:0]
-			selectScratch.Put(sp)
-			return err
-		default:
-			res, err = tsql.EvalOnCtx(ctx, q, schema, versions)
-			touched = len(versions)
-			return err
-		}
-	}
 	var err error
-	if e.lockedReads {
-		err = e.locked.View(func(r *relation.Relation) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return eval(e.engine, r.Schema(), r.Versions())
-		})
-	} else {
-		v := e.view.Load()
-		err = eval(v.engine, v.schema, v.elems)
+	touched := 0
+	switch node.Leaf().Kind {
+	case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
+		pq := tsql.PlanQuery(q)
+		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
+		touched = qres.Touched
+		if esOrdered(qres.Elements) {
+			// Already the backlog scan's row order; evaluate in place.
+			res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
+			break
+		}
+		// An ES sort restores the backlog scan's row order exactly;
+		// sort a pooled scratch copy, never the store's slice.
+		sp := selectScratch.Get().(*[]*element.Element)
+		cands := append((*sp)[:0], qres.Elements...)
+		sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
+		res, err = tsql.EvalOnCtx(ctx, q, v.schema, cands)
+		clear(cands) // drop element references before pooling
+		*sp = cands[:0]
+		selectScratch.Put(sp)
+	default:
+		res, err = tsql.EvalOnCtx(ctx, q, v.schema, v.elems)
+		touched = len(v.elems)
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -1717,28 +1238,11 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 		if cand.Store == e.advice.Store {
 			return nil // the live organization is already the advised one
 		}
-		if e.wal != nil {
-			payload := encodeRespecialize(cand.Store, cand.Source, observed)
-			l, werr := e.wal.Write(walRespecialize, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, walRespecialize, payload)
+		var err error
+		if lsn, err = e.journal(walRespecialize, encodeRespecialize(cand.Store, cand.Source, observed)); err != nil {
+			return err
 		}
-		from := e.advice.Store
-		e.adopted = observed
-		_ = e.rebuildEngine(r) // bounds errors only; the engine is valid
-		e.migrations++
-		mig = Migration{
-			Epoch:   e.Epoch() + 1, // the epoch publish is about to stamp
-			From:    from,
-			To:      e.advice.Store,
-			Source:  e.advice.Source,
-			Reasons: append([]string(nil), e.advice.Reasons...),
-		}
-		e.history = append(e.history, mig)
+		mig = e.adopt(r, observed)
 		e.publish()
 		e.dirty.Store(true)
 		migrated = true
@@ -1748,6 +1252,25 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 		return mig, migrated, err
 	}
 	return mig, true, e.waitDurable(lsn)
+}
+
+// adopt commits the entry to a set of observed classes and migrates the
+// store to the organization they license: the apply half of a
+// respecialize frame, live or replayed. Caller holds the exclusive lock.
+func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
+	from := e.advice.Store
+	e.adopted = classes
+	_ = e.rebuildEngine(r) // bounds errors only; the engine is valid
+	e.migrations++
+	mig := Migration{
+		Epoch:   e.Epoch() + 1, // the epoch publish is about to stamp
+		From:    from,
+		To:      e.advice.Store,
+		Source:  e.advice.Source,
+		Reasons: append([]string(nil), e.advice.Reasons...),
+	}
+	e.history = append(e.history, mig)
+	return mig
 }
 
 // Compact seals frozen runs over the live store's stable prefix when the

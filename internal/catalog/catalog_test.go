@@ -73,7 +73,7 @@ func TestCatalogDeclareValidatesHistory(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	// tt=10 vt=50: a predictive (future-dated) event.
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(50)}); err != nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(50)}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	retro := mustDescribe(t, constraint.Event{Spec: core.RetroactiveSpec()}, constraint.PerRelation)
@@ -88,7 +88,7 @@ func TestCatalogDeclareValidatesHistory(t *testing.T) {
 	if err := e.Declare([]constraint.Descriptor{pred}); err != nil {
 		t.Fatalf("Declare(predictive): %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(3)}); err == nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(3)}); err == nil {
 		t.Fatal("retroactive insert accepted despite predictive declaration")
 	}
 }
@@ -104,7 +104,7 @@ func TestCatalogSnapshotAndReload(t *testing.T) {
 	if err := e.Declare([]constraint.Descriptor{retro}); err != nil {
 		t.Fatalf("Declare: %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(5)}); err != nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(5)}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	n, err := c.Snapshot()
@@ -129,7 +129,7 @@ func TestCatalogSnapshotAndReload(t *testing.T) {
 		t.Fatalf("reloaded info = %+v", info)
 	}
 	// The persisted declaration is enforced again.
-	if _, err := e2.Insert(relation.Insertion{VT: element.EventAt(10_000)}); err == nil {
+	if _, err := insert(e2, relation.Insertion{VT: element.EventAt(10_000)}); err == nil {
 		t.Fatal("future-dated insert accepted after reload of retroactive relation")
 	}
 }
@@ -141,7 +141,7 @@ func TestCatalogOpenRejectsMismatchedName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(5)}); err != nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(5)}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if _, err := c.Snapshot(); err != nil {
@@ -163,22 +163,22 @@ func TestCatalogQueryAccounting(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+		if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	res := e.Timeslice(2)
+	res := timeslice(e, 2)
 	if len(res.Elements) != 1 || res.Plan == "" || res.Touched == 0 {
 		t.Fatalf("Timeslice = %+v", res)
 	}
-	res = e.TimesliceAsOf(2, 30)
+	res = timesliceAsOf(e, 2, 30)
 	if len(res.Elements) != 1 || res.Touched != 5 {
 		t.Fatalf("TimesliceAsOf = %d elements, touched %d", len(res.Elements), res.Touched)
 	}
-	if res := e.Current(); len(res.Elements) != 5 {
+	if res := current(e); len(res.Elements) != 5 {
 		t.Fatalf("Current = %d elements", len(res.Elements))
 	}
-	if res := e.Rollback(25); len(res.Elements) != 2 {
+	if res := rollback(e, 25); len(res.Elements) != 2 {
 		t.Fatalf("Rollback(25) = %d elements", len(res.Elements))
 	}
 }
@@ -213,8 +213,8 @@ func ExampleCatalog() {
 	e, _ := c.Create(relation.Schema{
 		Name: "temps", ValidTime: element.EventStamp, Granularity: chronon.Second,
 	})
-	e.Insert(relation.Insertion{VT: element.EventAt(5)})
-	res := e.Timeslice(5)
+	insert(e, relation.Insertion{VT: element.EventAt(5)})
+	res := timeslice(e, 5)
 	fmt.Println(len(res.Elements))
 	// Output: 1
 }

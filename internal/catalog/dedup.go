@@ -7,8 +7,8 @@ package catalog
 // idempotency key; the key is framed into the mutation's WAL record, and
 // each relation remembers a bounded window of recently applied keys with
 // the element the original transaction produced. A retry bearing a known
-// key returns that element without logging or applying anything — the
-// original acknowledgment already covered durability.
+// key returns that element without logging or applying anything, after
+// waiting for the original frame to be durable.
 //
 // The window is rebuilt from the WAL on boot (keyed records repopulate it
 // during replay), so retries survive a crash between the original ack and
@@ -18,12 +18,7 @@ package catalog
 // recoverability for the truncated prefix. Clients whose retry horizon is
 // seconds sit comfortably inside both bounds.
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"repro/internal/element"
-)
+import "repro/internal/element"
 
 // dedupWindowCap bounds remembered keys per relation.
 const dedupWindowCap = 4096
@@ -50,11 +45,14 @@ func (o dedupOp) String() string {
 	return "unknown"
 }
 
-// dedupHit is what the window remembers per key: the operation kind and
-// the element the original transaction returned (nil for deletes).
+// dedupHit is what the window remembers per key: the operation kind,
+// the element the original transaction returned (nil for deletes), and
+// the LSN of the frame that carried it — a retry waits on that LSN, so
+// it never acknowledges ahead of the original's fsync.
 type dedupHit struct {
 	op   dedupOp
 	elem *element.Element
+	lsn  uint64
 }
 
 // dedupWindow is a FIFO-bounded key → original-result map. It is
@@ -74,7 +72,7 @@ func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
 	return h, ok
 }
 
-func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element) {
+func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element, lsn uint64) {
 	if _, dup := w.m[key]; !dup {
 		w.order = append(w.order, key)
 		if len(w.order) > dedupWindowCap {
@@ -82,36 +80,9 @@ func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element) {
 			w.order = w.order[1:]
 		}
 	}
-	w.m[key] = dedupHit{op: op, elem: el}
+	w.m[key] = dedupHit{op: op, elem: el, lsn: lsn}
 }
 
 // maxIdemKeyLen bounds a key at the protocol level; longer keys are
 // rejected before they reach the WAL frame.
 const maxIdemKeyLen = 255
-
-// encodeKeyed frames an idempotency key ahead of a mutation's WAL
-// payload: u16 key length, key bytes, then the original payload
-// unchanged. Replay strips the frame and delegates to the unkeyed
-// decoder, so keyed and legacy records share one apply path.
-func encodeKeyed(key string, payload []byte) []byte {
-	out := make([]byte, 0, 2+len(key)+len(payload))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
-	out = append(out, key...)
-	return append(out, payload...)
-}
-
-// decodeKeyed splits a keyed WAL payload back into key and inner payload.
-func decodeKeyed(b []byte) (key string, payload []byte, err error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("catalog: short keyed payload")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if n > maxIdemKeyLen {
-		return "", nil, fmt.Errorf("catalog: keyed payload key length %d exceeds %d", n, maxIdemKeyLen)
-	}
-	if n > len(b) {
-		return "", nil, fmt.Errorf("catalog: keyed payload truncated key")
-	}
-	return string(b[:n]), b[n:], nil
-}

@@ -6,11 +6,11 @@ package catalog
 // routes every client mutation into the same typed ErrReadOnly gate a
 // poisoned WAL trips, and the only writer is ApplyReplicated, which
 // replays batches of WAL records shipped from the primary through the
-// exact code path boot-time recovery uses. That reuse is the correctness
+// exact code path boot-time recovery uses — which is the apply the
+// primary itself ran when it wrote them. That reuse is the correctness
 // argument: replay is idempotent (records at or below a relation's
 // persisted watermark are skipped per-relation), keyed frames rebuild the
-// idempotency dedup window, and the per-batch engine rebuild publishes a
-// fresh epoch — so a timeslice at epoch E on the follower is the same
+// idempotency dedup window, and each batch publishes a fresh epoch — so a timeslice at epoch E on the follower is the same
 // relation state the primary published at its epoch E' covering the same
 // log prefix (transaction time is append-only; see DESIGN §9).
 
@@ -32,33 +32,17 @@ func errFollowerReadOnly() error {
 func (c *Catalog) Follower() bool { return c.cfg.Follower }
 
 // ApplyReplicated replays a batch of WAL records shipped from the
-// primary, in LSN order, through the recovery apply path. Records a
-// relation has already applied (LSN at or below its watermark) are
-// skipped, which makes re-shipment after a reconnect or restart safe.
-// Engines are rebuilt and fresh epochs published once per touched
-// relation per batch, not per record, so catch-up cost is O(versions)
-// per relation, not O(versions x records).
+// primary, in LSN order, through the driver boot recovery uses
+// (Catalog.replay). Records a relation has already applied (LSN at or
+// below its watermark) are skipped, which makes re-shipment after a
+// reconnect or restart safe; fresh epochs are published once per touched
+// relation per batch, not per record.
 func (c *Catalog) ApplyReplicated(recs []wal.Record) error {
 	if !c.cfg.Follower {
 		return fmt.Errorf("catalog: ApplyReplicated on a non-follower catalog")
 	}
-	touched := make(map[*Entry]bool)
-	for _, rec := range recs {
-		e, err := c.applyWALRecord(rec)
-		if err != nil {
-			return fmt.Errorf("catalog: replicated apply, lsn %d: %w", rec.LSN, err)
-		}
-		if e != nil {
-			touched[e] = true
-		}
-	}
-	for e := range touched {
-		_ = e.locked.Exclusive(func(r *relation.Relation) error {
-			_ = e.rebuildEngine(r)
-			e.publish()
-			return nil
-		})
-		e.dirty.Store(true)
+	if err := c.replay(recs); err != nil {
+		return fmt.Errorf("catalog: replicated apply, %w", err)
 	}
 	return nil
 }

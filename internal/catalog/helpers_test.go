@@ -1,0 +1,45 @@
+package catalog
+
+import (
+	"context"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/surrogate"
+)
+
+// Unkeyed, uncancellable forms of the Entry API, for tests that exercise
+// something other than idempotency keys and deadlines.
+
+func insert(e *Entry, ins relation.Insertion) (*element.Element, error) {
+	return e.InsertKeyed(context.Background(), ins, "")
+}
+
+func remove(e *Entry, es surrogate.Surrogate) error {
+	return e.DeleteKeyed(context.Background(), es, "")
+}
+
+func modify(e *Entry, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value) (*element.Element, error) {
+	return e.ModifyKeyed(context.Background(), es, vt, varying, "")
+}
+
+func current(e *Entry) QueryResult {
+	out, _ := e.CurrentCtx(context.Background())
+	return out
+}
+
+func timeslice(e *Entry, vt chronon.Chronon) QueryResult {
+	out, _ := e.TimesliceCtx(context.Background(), vt)
+	return out
+}
+
+func rollback(e *Entry, tt chronon.Chronon) QueryResult {
+	out, _ := e.RollbackCtx(context.Background(), tt)
+	return out
+}
+
+func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) QueryResult {
+	out, _ := e.TimesliceAsOfCtx(context.Background(), vt, tt)
+	return out
+}

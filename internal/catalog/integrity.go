@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the catalog's integrity layer. Every committed WAL frame
-// appends one leaf to its relation's Merkle tree (appendLeaf, called at
-// each wal.Write site and during replay), group commits seal signed
+// appends one leaf to its relation's Merkle tree (appendLeaf, called as
+// each frame is journaled or replayed), group commits seal signed
 // epoch roots (sealRoot), snapshots persist the tree alongside walLSN,
 // and proofs are served from the same tree the write path maintains. The
 // scrubber walks the on-disk artifacts — sealed WAL segments, snapshot
@@ -35,9 +35,8 @@ func (c *Catalog) integrityEnabled() bool {
 func (c *Catalog) IntegrityEnabled() bool { return c.integrityEnabled() }
 
 // appendLeaf hashes the frame exactly as the WAL framed it and appends
-// the leaf to the relation's tree. Call it immediately after the
-// walLSN.Store of a logged mutation, while still holding the lock that
-// serialized the write, so leaf order is commit order.
+// the leaf to the relation's tree. Its one caller (logged) still holds
+// the lock that serialized the write, so leaf order is commit order.
 func (e *Entry) appendLeaf(lsn uint64, kind wal.Kind, payload []byte) {
 	if e.tree == nil {
 		return

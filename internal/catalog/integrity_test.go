@@ -42,7 +42,7 @@ func integOpen(t *testing.T, root string) (*wal.Log, *Catalog) {
 func integInsert(t *testing.T, e *Entry, n, base int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(base + i))}); err != nil {
+		if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(base + i))}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -148,17 +148,17 @@ func TestIntegrityQuarantineScoping(t *testing.T) {
 	integInsert(t, a, 3, 100)
 
 	a.Quarantine("test damage")
-	if _, err := a.Insert(relation.Insertion{VT: element.EventAt(500)}); !errors.Is(err, ErrReadOnly) {
+	if _, err := insert(a, relation.Insertion{VT: element.EventAt(500)}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("quarantined insert err = %v, want ErrReadOnly", err)
 	}
-	if got := len(a.Current().Elements); got != 3 {
+	if got := len(current(a).Elements); got != 3 {
 		t.Fatalf("quarantined reads broke: %d elements, want 3", got)
 	}
-	if _, err := b.Insert(relation.Insertion{VT: element.EventAt(500)}); err != nil {
+	if _, err := insert(b, relation.Insertion{VT: element.EventAt(500)}); err != nil {
 		t.Fatalf("unaffected relation refused a write: %v", err)
 	}
 	a.Unquarantine()
-	if _, err := a.Insert(relation.Insertion{VT: element.EventAt(501)}); err != nil {
+	if _, err := insert(a, relation.Insertion{VT: element.EventAt(501)}); err != nil {
 		t.Fatalf("unquarantined insert: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestIntegrityRepairRuns(t *testing.T) {
 	if e.Compact() == 0 {
 		t.Fatal("nothing sealed; test needs frozen runs")
 	}
-	before := len(e.Current().Elements)
+	before := len(current(e).Elements)
 
 	corrupted := false
 	_ = e.locked.Exclusive(func(*relation.Relation) error {
@@ -203,7 +203,7 @@ func TestIntegrityRepairRuns(t *testing.T) {
 	if cause := e.QuarantineCause(); cause != "" {
 		t.Fatalf("quarantine not lifted after repair: %q", cause)
 	}
-	if got := len(e.Current().Elements); got != before {
+	if got := len(current(e).Elements); got != before {
 		t.Fatalf("post-repair answers diverged: %d elements, want %d", got, before)
 	}
 	st := c.IntegrityStats()
@@ -265,7 +265,7 @@ func TestIntegrityRepairSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e2.Current().Elements); got != 8 {
+	if got := len(current(e2).Elements); got != 8 {
 		t.Fatalf("boot from repaired shard lost data: %d elements, want 8", got)
 	}
 }
@@ -314,7 +314,7 @@ func TestIntegrityRepairSegment(t *testing.T) {
 	if w.Stats().VerifyFailures == 0 {
 		t.Fatal("wal verify-failure counter did not move")
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(900)}); err != nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(900)}); err != nil {
 		t.Fatalf("post-repair insert: %v", err)
 	}
 	_ = w.Close()
@@ -325,7 +325,7 @@ func TestIntegrityRepairSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e2.Current().Elements); got != 31 {
+	if got := len(current(e2).Elements); got != 31 {
 		t.Fatalf("boot after segment repair lost data: %d elements, want 31", got)
 	}
 }

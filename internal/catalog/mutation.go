@@ -1,0 +1,444 @@
+package catalog
+
+// The mutation pipeline (DESIGN §6). The paper models a relation as its
+// backlog: transaction-stamped insert/delete records, a modification
+// being a delete plus an insert at one transaction time. A mutation is
+// exactly that, and the WAL frame is its encoding, so the live write
+// path, boot recovery and follower apply are one codec and one apply:
+//
+//	live:   gate → dedup → stage → encode → journal → apply → publish → waitDurable   (commit)
+//	replay: decode → watermark skip → apply → leaf, one publish per touched relation  (Catalog.replay)
+//
+// The frame on disk only ever carries records that were accepted, and the
+// CRC admits a frame whole or drops it whole, so a batch can never replay
+// as a prefix of itself.
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+
+	"repro/internal/backlog"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/surrogate"
+	"repro/internal/wal"
+)
+
+// mutation is one journaled change to a relation. kind is the frame
+// kind the writer emits for it (walInsertKeyed, walDeleteKeyed,
+// walModifyKeyed or walInsertBatch). The records form len(keys) units of
+// equal size — one record per unit, except a modify's delete+insert pair
+// — and keys[j] is unit j's idempotency key ("" when unkeyed).
+type mutation struct {
+	kind wal.Kind
+	keys []string
+	recs []relation.LogRecord
+	// staged marks records produced by relation.Stage* under the lock
+	// now held: already validated and stamped, their elements are the
+	// relation's own. Decoded records came off disk or the wire and are
+	// re-validated (relation.ApplyLog) as they apply.
+	staged bool
+}
+
+// frameShapes describes each mutation kind: the operation its keys are
+// remembered under, and the record ops of one keyed unit.
+var frameShapes = [...]struct {
+	op   dedupOp
+	unit []relation.Op
+}{
+	walInsertKeyed: {dedupInsert, []relation.Op{relation.OpInsert}},
+	walDeleteKeyed: {dedupDelete, []relation.Op{relation.OpDelete}},
+	walModifyKeyed: {dedupModify, []relation.Op{relation.OpDelete, relation.OpInsert}},
+	walInsertBatch: {dedupInsert, []relation.Op{relation.OpInsert}},
+}
+
+// appendKey and appendRecord are the codec's two length-prefixed spans:
+// u16 keyLen | key, and u32 recLen | backlog record.
+func appendKey(out []byte, key string) []byte {
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
+	return append(out, key...)
+}
+
+func appendRecord(out []byte, rec relation.LogRecord) []byte {
+	rb := backlog.EncodeRecord(rec)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rb)))
+	return append(out, rb...)
+}
+
+// encode frames the mutation for the WAL:
+//
+//	insert, delete  u16 keyLen | key | record
+//	modify          u16 keyLen | key | u32 len | delete | u32 len | insert
+//	batch           u32 count, then per element u16 keyLen | key | u32 len | record
+//
+// The per-element key span is what lets replay rebuild the dedup window
+// from a single batch frame. The unkeyed kinds 3/4/5 (the same payloads
+// without the key span) are decoded but never written: an unkeyed
+// mutation is a keyed frame with an empty key.
+func (m *mutation) encode() (wal.Kind, []byte, error) {
+	var out []byte
+	switch m.kind {
+	case walInsertKeyed, walDeleteKeyed:
+		out = append(appendKey(nil, m.keys[0]), backlog.EncodeRecord(m.recs[0])...)
+	case walModifyKeyed:
+		out = appendRecord(appendRecord(appendKey(nil, m.keys[0]), m.recs[0]), m.recs[1])
+	case walInsertBatch:
+		out = binary.LittleEndian.AppendUint32(nil, uint32(len(m.recs)))
+		for i, rec := range m.recs {
+			out = appendRecord(appendKey(out, m.keys[i]), rec)
+		}
+	default:
+		return 0, nil, fmt.Errorf("catalog: mutation kind %d has no frame", m.kind)
+	}
+	if len(out) > wal.MaxFrameBytes-64 {
+		return 0, nil, fmt.Errorf("catalog: mutation payload %d bytes exceeds the WAL frame bound; split the batch", len(out))
+	}
+	return m.kind, out, nil
+}
+
+// takeKey and takeRecord split one span off the front of b. Frames come
+// from disk or the wire, so no length is trusted ahead of the bytes
+// backing it.
+func takeKey(b []byte) (key string, rest []byte, err error) {
+	if len(b) < 2 {
+		return "", nil, fmt.Errorf("truncated key length")
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	b = b[2:]
+	if n > maxIdemKeyLen {
+		return "", nil, fmt.Errorf("key length %d exceeds %d", n, maxIdemKeyLen)
+	}
+	if n > len(b) {
+		return "", nil, fmt.Errorf("truncated key")
+	}
+	return string(b[:n]), b[n:], nil
+}
+
+func takeRecord(b []byte) (rec relation.LogRecord, rest []byte, err error) {
+	if len(b) < 4 {
+		return rec, nil, fmt.Errorf("truncated record length")
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n < 0 || n > len(b) {
+		return rec, nil, fmt.Errorf("record length %d exceeds payload", n)
+	}
+	rec, err = backlog.DecodeRecord(b[:n])
+	return rec, b[n:], err
+}
+
+// decodeMutation parses any mutation frame, legacy unkeyed kinds
+// included, into the form the writer would produce today. It rejects
+// trailing bytes (a bit flip past the last record cannot hide) and
+// records whose op contradicts the frame kind.
+func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
+	m := mutation{kind: kind, keys: []string{""}}
+	var err error
+	fail := func(err error) (mutation, error) {
+		return mutation{}, fmt.Errorf("catalog: frame kind %d: %w", kind, err)
+	}
+	switch kind {
+	case walInsert, walDelete, walModify:
+		m.kind += walInsertKeyed - walInsert
+	case walInsertKeyed, walDeleteKeyed, walModifyKeyed:
+		if m.keys[0], b, err = takeKey(b); err != nil {
+			return fail(err)
+		}
+	case walInsertBatch:
+		if len(b) < 4 {
+			return fail(fmt.Errorf("short batch payload"))
+		}
+		count := int(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		// Each element needs at least its two length prefixes; cap the
+		// allocation by what the bytes can actually hold.
+		if count < 0 || count > len(b)/6+1 {
+			return fail(fmt.Errorf("batch count %d exceeds payload", count))
+		}
+		m.keys = make([]string, count)
+		m.recs = make([]relation.LogRecord, count)
+		for i := range m.recs {
+			if m.keys[i], b, err = takeKey(b); err == nil {
+				m.recs[i], b, err = takeRecord(b)
+			}
+			if err != nil {
+				return fail(fmt.Errorf("batch item %d: %w", i, err))
+			}
+		}
+	default:
+		return fail(fmt.Errorf("not a mutation"))
+	}
+	switch m.kind {
+	case walInsertKeyed, walDeleteKeyed:
+		m.recs = make([]relation.LogRecord, 1)
+		m.recs[0], err = backlog.DecodeRecord(b)
+		b = nil
+	case walModifyKeyed:
+		m.recs = make([]relation.LogRecord, 2)
+		if m.recs[0], b, err = takeRecord(b); err == nil {
+			m.recs[1], b, err = takeRecord(b)
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if len(b) != 0 {
+		return fail(fmt.Errorf("trailing payload bytes"))
+	}
+	unit := frameShapes[m.kind].unit
+	for i, rec := range m.recs {
+		if rec.Op != unit[i%len(unit)] {
+			return fail(fmt.Errorf("record %d carries op %d", i, rec.Op))
+		}
+	}
+	return m, nil
+}
+
+// apply commits a mutation's records to the relation and everything
+// derived from it — extension tracker, physical store, dedup window —
+// under the exclusive lock. It is the only path by which a version
+// enters or closes in memory. lsn is the frame's log position, kept with
+// each remembered key so a retry can wait for the original's durability.
+// apply never publishes: the live path publishes once per mutation,
+// replay once per touched relation. A staged mutation cannot fail; a
+// decoded one fails on the first record the relation refuses.
+func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
+	shape := frameShapes[m.kind]
+	per := len(shape.unit)
+	for i, rec := range m.recs {
+		var stored *element.Element // what the unit's key answers retries with
+		if rec.Op == relation.OpInsert {
+			el := rec.Elem
+			if m.staged {
+				r.CommitInsert(el)
+			} else {
+				if err := r.ApplyLog(rec); err != nil {
+					return err
+				}
+				el, _ = r.ByES(el.ES)
+			}
+			e.tracker.Observe(el)
+			if serr := e.engine.Store().Insert(el); serr != nil {
+				// Ordering promise broken despite enforcement (a constraint
+				// declared on a different endpoint, an intra-batch violation
+				// the pre-batch guards could not see); degrade to the
+				// general organization rather than lose a journaled element.
+				e.decls2general(r, serr)
+			}
+			stored = el
+		} else {
+			// The close lands on a clone (copy-on-close); swap it into the
+			// physical store so the live engine sees the finalized tt⊣
+			// while pinned read views keep the open original.
+			old, closed := rec.Elem, (*element.Element)(nil)
+			if m.staged {
+				closed = r.CommitDelete(old, rec.TT)
+			} else {
+				old, _ = r.ByES(old.ES)
+				if err := r.ApplyLog(rec); err != nil {
+					return err
+				}
+				closed, _ = r.ByES(old.ES)
+			}
+			e.engine.Store().Replace(old, closed)
+		}
+		if key := m.keys[i/per]; key != "" && (i+1)%per == 0 {
+			e.dedup.remember(key, shape.op, stored, lsn)
+		}
+	}
+	return nil
+}
+
+// journal is the only place a frame is written. The caller holds the
+// lock that serializes the relation's writes (the shard lock for a
+// create, the exclusive lock otherwise), so log order, watermark order
+// and leaf order are all commit order. Without a WAL it is a no-op.
+func (e *Entry) journal(kind wal.Kind, payload []byte) (uint64, error) {
+	if e.wal == nil {
+		return 0, nil
+	}
+	lsn, err := e.wal.Write(kind, e.name, payload)
+	if err != nil {
+		return 0, e.walErr(err)
+	}
+	e.logged(lsn, kind, payload)
+	return lsn, nil
+}
+
+// logged advances the relation's watermark past a frame and appends its
+// Merkle leaf. The leaf hashes the frame exactly as logged, so the
+// primary, boot replay and follower apply agree on every leaf.
+func (e *Entry) logged(lsn uint64, kind wal.Kind, payload []byte) {
+	e.walLSN.Store(lsn)
+	e.appendLeaf(lsn, kind, payload)
+}
+
+// commit is the live write path of every mutation: one unit per key,
+// staged by stage(r, i) — validated against the relation as of the
+// mutation's start and transaction-stamped — then journaled as ONE
+// frame, applied, and published as one epoch, all under a single
+// exclusive-lock acquisition so the log's per-relation order is the
+// commit order. The acknowledgment waits, outside the lock, for the
+// frame to be durable per the log's sync policy (concurrent committers
+// share the group fsync); a failed wait surfaces as an error, and the
+// log's fail-stop poisoning keeps the not-yet-durable tail out of every
+// future snapshot.
+//
+// A unit whose key the dedup window remembers is answered with the
+// original result: no new record, no new event — but the same wait, on
+// the original frame's LSN, because under group commit the original
+// request may itself still be waiting for its fsync.
+//
+// A rejected unit (guard, validation, key reuse) is skipped and reported
+// in its item; with atomic set the first rejection aborts the whole
+// mutation before anything is journaled and is returned as the error.
+// A single operation is an atomic batch of one. epoch is the relation's
+// epoch after the call.
+func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic bool,
+	stage func(r *relation.Relation, i int) ([]relation.LogRecord, error)) (items []BatchItemResult, epoch uint64, err error) {
+	// Gate: refuse in read-only degraded mode, refuse oversized keys before
+	// they reach the WAL frame, and stop before any work when the caller
+	// has already given up.
+	if err := e.writable(); err != nil {
+		return nil, 0, err
+	}
+	for i, key := range keys {
+		if len(key) > maxIdemKeyLen {
+			return nil, 0, fmt.Errorf("catalog: idempotency key %d exceeds %d bytes", i, maxIdemKeyLen)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	items = make([]BatchItemResult, len(keys))
+	var lsn uint64 // the newest frame this acknowledgment depends on
+	err = e.locked.Exclusive(func(r *relation.Relation) error {
+		m := mutation{kind: kind, staged: true, keys: make([]string, 0, len(keys))}
+		// seen guards against one key appearing twice inside the same
+		// mutation: the window only remembers keys at apply time, so
+		// without it both occurrences would stage and mint two events.
+		var seen map[string]bool
+		for i, key := range keys {
+			var recs []relation.LogRecord
+			var cause error
+			switch hit, ok := e.dedup.lookup(key); {
+			case ok && hit.op == frameShapes[kind].op:
+				items[i] = BatchItemResult{Status: BatchDeduped, Elem: hit.elem}
+				lsn = max(lsn, hit.lsn)
+				continue
+			case ok:
+				cause = fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
+			case seen[key]:
+				cause = fmt.Errorf("%w: %q repeated within the batch", ErrIdemReuse, key)
+			default:
+				if key != "" && len(keys) > 1 {
+					if seen == nil {
+						seen = make(map[string]bool)
+					}
+					seen[key] = true
+				}
+				recs, cause = stage(r, i)
+			}
+			if cause != nil {
+				items[i] = BatchItemResult{Status: BatchRejected, Err: cause.Error()}
+				if atomic {
+					return cause
+				}
+				continue
+			}
+			if last := recs[len(recs)-1]; last.Op == relation.OpInsert {
+				items[i].Elem = last.Elem // Status is BatchStored, the zero value
+			}
+			m.keys = append(m.keys, key)
+			m.recs = append(m.recs, recs...)
+		}
+		if len(m.recs) > 0 { // else nothing accepted: no frame, no epoch bump
+			if e.wal != nil {
+				k, payload, err := m.encode()
+				if err != nil {
+					return err
+				}
+				if lsn, err = e.journal(k, payload); err != nil {
+					return err
+				}
+			}
+			if err := e.apply(r, &m, lsn); err != nil {
+				return err
+			}
+			e.publish()
+			e.dirty.Store(true)
+		}
+		epoch = e.Epoch()
+		return nil
+	})
+	if err != nil {
+		return items, 0, err
+	}
+	return items, epoch, e.waitDurable(lsn)
+}
+
+// InsertKeyed stores a new element as one transaction and feeds it to
+// the physical store, atomically with respect to queries. The context
+// aborts before any work when the caller has already given up, and a
+// non-empty idempotency key makes the transaction retry-safe: a key the
+// relation's dedup window remembers returns the originally stored
+// element with no new WAL record and no new event.
+func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
+	items, _, err := e.commit(ctx, walInsertKeyed, []string{key}, true, stageInserts([]relation.Insertion{ins}))
+	if err != nil {
+		return nil, err
+	}
+	return items[0].Elem, nil
+}
+
+// stageInserts is the stage function of an insert mutation, single or
+// batched: unit i stages ins[i].
+func stageInserts(ins []relation.Insertion) func(*relation.Relation, int) ([]relation.LogRecord, error) {
+	return func(r *relation.Relation, i int) ([]relation.LogRecord, error) {
+		el, err := r.StageInsert(ins[i])
+		if err != nil {
+			return nil, err
+		}
+		return []relation.LogRecord{{Op: relation.OpInsert, TT: el.TTStart, Elem: el}}, nil
+	}
+}
+
+// DeleteKeyed logically removes an element. A remembered key means the
+// logical delete already happened; the retry succeeds without a second
+// tt⊣ update (which would fail as already-deleted and make retries look
+// like conflicts).
+func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
+	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, true, func(r *relation.Relation, _ int) ([]relation.LogRecord, error) {
+		// The element still carries tt⊣ = forever here; replay only needs
+		// its surrogate and the record's transaction time.
+		el, tt, err := r.StageDelete(es)
+		if err != nil {
+			return nil, err
+		}
+		return []relation.LogRecord{{Op: relation.OpDelete, TT: tt, Elem: el}}, nil
+	})
+	return err
+}
+
+// ModifyKeyed replaces an element's valid time and varying values: a
+// logical delete plus an insert at one transaction time, journaled as a
+// single frame so recovery applies both or neither. A remembered key
+// returns the replacement the original transaction produced instead of
+// chaining a second delete+insert onto it.
+func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
+	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, true, func(r *relation.Relation, _ int) ([]relation.LogRecord, error) {
+		old, repl, tt, err := r.StageModify(es, vt, varying)
+		if err != nil {
+			return nil, err
+		}
+		return []relation.LogRecord{
+			{Op: relation.OpDelete, TT: tt, Elem: old},
+			{Op: relation.OpInsert, TT: tt, Elem: repl},
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return items[0].Elem, nil
+}

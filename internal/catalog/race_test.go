@@ -62,7 +62,7 @@ func TestCatalogConcurrentLifecycle(t *testing.T) {
 					t.Errorf("Get: %v", err)
 					return
 				}
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i % 5))}); err != nil {
+				if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(i % 5))}); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -81,11 +81,11 @@ func TestCatalogConcurrentLifecycle(t *testing.T) {
 				}
 				switch i % 4 {
 				case 0:
-					e.Current()
+					current(e)
 				case 1:
-					e.Timeslice(chronon.Chronon(i % 5))
+					timeslice(e, chronon.Chronon(i%5))
 				case 2:
-					e.Rollback(chronon.Chronon(i))
+					rollback(e, chronon.Chronon(i))
 				case 3:
 					e.Info()
 				}

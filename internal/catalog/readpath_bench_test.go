@@ -1,7 +1,7 @@
 package catalog
 
-// Microbenchmarks for the three read paths: the shared-lock baseline,
-// epoch-stamped snapshot reads, and a cache hit. `make bench-smoke` runs
+// Microbenchmarks for the two read paths: epoch-stamped snapshot reads
+// and a cache hit. `make bench-smoke` runs
 // these at -benchtime=100ms as a cheap regression tripwire; the full
 // S4 experiment (cmd/benchrunner -exp S4) measures the concurrent story.
 
@@ -25,7 +25,7 @@ func benchEntry(b *testing.B, cfg Config, elements int) *Entry {
 		b.Fatalf("Create: %v", err)
 	}
 	for vt := 0; vt < elements; vt++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}); err != nil {
+		if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}); err != nil {
 			b.Fatalf("Insert: %v", err)
 		}
 	}
@@ -45,12 +45,6 @@ func benchTimeslices(b *testing.B, e *Entry, elements int) {
 			b.Fatalf("timeslice at %d found nothing", vt)
 		}
 	}
-}
-
-func BenchmarkReadPathLocked(b *testing.B) {
-	const elements = 4096
-	e := benchEntry(b, Config{LockedReads: true}, elements)
-	benchTimeslices(b, e, elements)
 }
 
 func BenchmarkReadPathSnapshot(b *testing.B) {

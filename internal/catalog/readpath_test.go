@@ -27,7 +27,7 @@ func cachedConfig(dir string) Config {
 
 func mustInsert(t *testing.T, e *Entry, vt int64) *element.Element {
 	t.Helper()
-	el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))})
+	el, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))})
 	if err != nil {
 		t.Fatalf("insert: %v", err)
 	}
@@ -57,13 +57,13 @@ func TestEpochAdvancesOnEveryMutationKind(t *testing.T) {
 	bump("insert")
 	mustInsert(t, e, 2)
 	bump("insert")
-	if _, err := e.Modify(el.ES, element.EventAt(3), nil); err != nil {
+	if _, err := modify(e, el.ES, element.EventAt(3), nil); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
 	bump("modify")
 	el3 := mustInsert(t, e, 4)
 	bump("insert")
-	if err := e.Delete(el3.ES); err != nil {
+	if err := remove(e, el3.ES); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	bump("delete")
@@ -150,7 +150,7 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 		}},
 		{"vacuum", func() error {
 			el := mustInsert(t, e, 4)
-			if err := e.Delete(el.ES); err != nil {
+			if err := remove(e, el.ES); err != nil {
 				return err
 			}
 			_, err := e.Vacuum(chronon.Forever - 1)
@@ -187,7 +187,7 @@ func TestWALReplayPublishesFreshView(t *testing.T) {
 	}
 	mustInsert(t, e, 1)
 	el := mustInsert(t, e, 2)
-	if err := e.Delete(el.ES); err != nil {
+	if err := remove(e, el.ES); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if err := wlog.Close(); err != nil {
@@ -227,55 +227,6 @@ func TestWALReplayPublishesFreshView(t *testing.T) {
 	}
 }
 
-func TestLockedReadsCompatMatchesSnapshotReads(t *testing.T) {
-	build := func(cfg Config) *Entry {
-		c := New(cfg)
-		e, err := c.Create(eventSchema("emp"))
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		for vt := int64(1); vt <= 5; vt++ {
-			el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))})
-			if err != nil {
-				t.Fatalf("insert: %v", err)
-			}
-			if vt == 3 {
-				if err := e.Delete(el.ES); err != nil {
-					t.Fatalf("delete: %v", err)
-				}
-			}
-		}
-		return e
-	}
-	locked := testConfig(t.TempDir())
-	locked.LockedReads = true
-	a := build(locked)
-	b := build(cachedConfig(t.TempDir()))
-
-	ctx := context.Background()
-	for _, q := range []func(*Entry) (QueryResult, error){
-		func(e *Entry) (QueryResult, error) { return e.CurrentCtx(ctx) },
-		func(e *Entry) (QueryResult, error) { return e.TimesliceCtx(ctx, 2) },
-		func(e *Entry) (QueryResult, error) { return e.RollbackCtx(ctx, 30) },
-		func(e *Entry) (QueryResult, error) { return e.TimesliceAsOfCtx(ctx, 2, 30) },
-	} {
-		ra, err := q(a)
-		if err != nil {
-			t.Fatalf("locked query: %v", err)
-		}
-		rb, err := q(b)
-		if err != nil {
-			t.Fatalf("snapshot query: %v", err)
-		}
-		if len(ra.Elements) != len(rb.Elements) {
-			t.Fatalf("locked %d elements, snapshot %d", len(ra.Elements), len(rb.Elements))
-		}
-		if ra.Plan != rb.Plan {
-			t.Fatalf("locked plan %q, snapshot plan %q", ra.Plan, rb.Plan)
-		}
-	}
-}
-
 // TestSnapshotReadStress interleaves every mutation kind with every read
 // kind. Run under -race; the assertions pin view consistency — a Current
 // result from a pinned snapshot contains only elements open in that
@@ -310,7 +261,7 @@ func TestSnapshotReadStress(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 4 {
 				case 0, 1:
-					el, err := e.Insert(relation.Insertion{
+					el, err := insert(e, relation.Insertion{
 						VT:      element.EventAt(chronon.Chronon(i % 7)),
 						Varying: []element.Value{element.Int(int64(i))},
 					})
@@ -323,14 +274,14 @@ func TestSnapshotReadStress(t *testing.T) {
 					if len(mine) > 0 {
 						el := mine[0]
 						mine = mine[1:]
-						if err := e.Delete(el.ES); err != nil {
+						if err := remove(e, el.ES); err != nil {
 							t.Errorf("delete: %v", err)
 							return
 						}
 					}
 				case 3:
 					if len(mine) > 0 {
-						if _, err := e.Modify(mine[0].ES, element.EventAt(chronon.Chronon(i%7)),
+						if _, err := modify(e, mine[0].ES, element.EventAt(chronon.Chronon(i%7)),
 							[]element.Value{element.Int(int64(-i))}); err != nil {
 							t.Errorf("modify: %v", err)
 							return

@@ -9,7 +9,9 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/element"
 	"repro/internal/relation"
@@ -39,7 +41,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	el, err := e.Insert(relation.Insertion{VT: element.EventAt(100)})
+	el, err := insert(e, relation.Insertion{VT: element.EventAt(100)})
 	if err != nil {
 		t.Fatalf("healthy insert: %v", err)
 	}
@@ -47,7 +49,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	// Fail the next file op: the insert's WAL append errors and the log
 	// poisons fail-stop.
 	fs.FailAt(1, wal.FaultError)
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(200)}); err == nil {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(200)}); err == nil {
 		t.Fatal("insert over injected fault succeeded")
 	}
 	if w.Err() == nil {
@@ -55,13 +57,13 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	}
 
 	// Every mutation path now fails typed ErrReadOnly.
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(300)}); !errors.Is(err, ErrReadOnly) {
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(300)}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("insert on poisoned log = %v, want ErrReadOnly", err)
 	}
-	if err := e.Delete(el.ES); !errors.Is(err, ErrReadOnly) {
+	if err := remove(e, el.ES); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("delete on poisoned log = %v, want ErrReadOnly", err)
 	}
-	if _, err := e.Modify(el.ES, element.EventAt(150), nil); !errors.Is(err, ErrReadOnly) {
+	if _, err := modify(e, el.ES, element.EventAt(150), nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("modify on poisoned log = %v, want ErrReadOnly", err)
 	}
 	if _, err := c.Create(eventSchema("dept")); !errors.Is(err, ErrReadOnly) {
@@ -75,7 +77,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	}
 
 	// Reads keep serving the pre-poison state.
-	if got := len(e.Current().Elements); got != 1 {
+	if got := len(current(e).Elements); got != 1 {
 		t.Fatalf("degraded Current has %d elements, want 1", got)
 	}
 
@@ -170,6 +172,121 @@ func TestIdempotencyKeyDedupsAndSurvivesReplay(t *testing.T) {
 	}
 }
 
+// gatedFS is a wal.FS whose next Sync, once armed, announces itself and
+// then blocks until the test delivers its verdict.
+type gatedFS struct {
+	wal.FS
+	mu      sync.Mutex
+	entered chan struct{}
+	verdict chan error
+}
+
+type gatedFile struct {
+	wal.File
+	fs *gatedFS
+}
+
+func (g *gatedFS) Create(name string) (wal.File, error) {
+	f, err := g.FS.Create(name)
+	return &gatedFile{File: f, fs: g}, err
+}
+
+func (g *gatedFS) OpenAppend(name string, size int64) (wal.File, error) {
+	f, err := g.FS.OpenAppend(name, size)
+	return &gatedFile{File: f, fs: g}, err
+}
+
+// arm gates the next Sync: entered closes when it starts, and it returns
+// (failing with the verdict, if non-nil) only once one is sent.
+func (g *gatedFS) arm() (entered <-chan struct{}, verdict chan<- error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.entered, g.verdict = make(chan struct{}), make(chan error, 1)
+	return g.entered, g.verdict
+}
+
+func (f *gatedFile) Sync() error {
+	f.fs.mu.Lock()
+	entered, verdict := f.fs.entered, f.fs.verdict
+	f.fs.entered, f.fs.verdict = nil, nil
+	f.fs.mu.Unlock()
+	if verdict != nil {
+		close(entered)
+		if err := <-verdict; err != nil {
+			return err
+		}
+	}
+	return f.File.Sync()
+}
+
+// TestDedupHitWaitsForOriginalDurability pins the acknowledgment rule for
+// keyed retries under group commit: while the original request is still
+// parked on its fsync, a retry that finds the key in the dedup window
+// must park on the same fsync — otherwise a crash before it completes
+// loses a write the retry acknowledged. If the fsync fails, the retry
+// fails typed like the original.
+func TestDedupHitWaitsForOriginalDurability(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		syncErr error
+	}{
+		{"sync succeeds", nil},
+		{"sync fails", errors.New("injected fsync failure")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := &gatedFS{FS: wal.NewErrFS()}
+			w, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncGroup})
+			if err != nil {
+				t.Fatalf("wal.Open: %v", err)
+			}
+			t.Cleanup(func() { _ = w.Close() }) // a poisoned log reports its poison; nothing to check
+			c := New(Config{NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }, WAL: w})
+			e, err := c.Create(eventSchema("emp"))
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+
+			type ack struct {
+				el  *element.Element
+				err error
+			}
+			send := func() <-chan ack {
+				done := make(chan ack, 1)
+				go func() {
+					el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(100)}, "k")
+					done <- ack{el, err}
+				}()
+				return done
+			}
+			entered, verdict := fs.arm()
+			original := send()
+			<-entered // the original is applied, remembered, and parked in its fsync
+			retry := send()
+			select {
+			case a := <-retry:
+				verdict <- nil // unpark the original so the log can close
+				t.Fatalf("retry acknowledged (%v, %v) while the original's fsync was still in flight", a.el, a.err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			verdict <- tc.syncErr
+
+			first, second := <-original, <-retry
+			if tc.syncErr != nil {
+				if !errors.Is(first.err, ErrReadOnly) || !errors.Is(second.err, ErrReadOnly) {
+					t.Fatalf("after a failed fsync: original = %v, retry = %v; want both ErrReadOnly", first.err, second.err)
+				}
+				return
+			}
+			if first.err != nil || second.err != nil {
+				t.Fatalf("original = %v, retry = %v; want both acknowledged", first.err, second.err)
+			}
+			if first.el.ES != second.el.ES || lenOf(t, e) != 1 {
+				t.Fatalf("retry stored a second event: ES %v vs %v, %d versions", first.el.ES, second.el.ES, lenOf(t, e))
+			}
+		})
+	}
+}
+
 func TestIdempotencyKeyLimits(t *testing.T) {
 	fs := wal.NewErrFS()
 	_, c := bootErrFS(t, fs)
@@ -186,7 +303,7 @@ func TestIdempotencyKeyLimits(t *testing.T) {
 	// dedups (the retry window has passed), but never errors.
 	w := newDedupWindow()
 	for i := 0; i < dedupWindowCap+10; i++ {
-		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil)
+		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil, 0)
 	}
 	if len(w.m) != dedupWindowCap || len(w.order) != dedupWindowCap {
 		t.Fatalf("window holds %d/%d entries, want %d", len(w.m), len(w.order), dedupWindowCap)

@@ -55,20 +55,20 @@ func FuzzRespecializeReplay(f *testing.F) {
 			switch op % 5 {
 			case 0: // degenerate insert: vt equals the tt the clock will issue
 				vt := chronon.Chronon(10 * (ticks + 1))
-				el, err := e.Insert(relation.Insertion{VT: element.EventAt(vt)})
+				el, err := insert(e, relation.Insertion{VT: element.EventAt(vt)})
 				if err == nil {
 					last = el
 					ticks++
 				}
 			case 1: // retroactive insert: breaks any adopted ordering
-				el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(op))})
+				el, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(op))})
 				if err == nil {
 					last = el
 					ticks++
 				}
 			case 2: // delete the most recent survivor
 				if last != nil {
-					if e.Delete(last.ES) == nil {
+					if remove(e, last.ES) == nil {
 						ticks++
 					}
 					last = nil

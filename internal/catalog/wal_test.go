@@ -61,7 +61,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Steps 2-4: three inserts (tt = 10, 20, 30; all predictive).
 	for _, vt := range []chronon.Chronon{50, 60, 70} {
-		el, err := emp().Insert(relation.Insertion{VT: element.EventAt(vt)})
+		el, err := insert(emp(), relation.Insertion{VT: element.EventAt(vt)})
 		if err != nil {
 			return steps, err
 		}
@@ -71,7 +71,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Step 5: delete the first element.
 	first := m.rel("emp").inserted[0]
-	if err := emp().Delete(first); err != nil {
+	if err := remove(emp(), first); err != nil {
 		return steps, err
 	}
 	m.rel("emp").deleted[first] = true
@@ -79,7 +79,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Step 6: modify the second element (logical delete + fresh insert).
 	second := m.rel("emp").inserted[1]
-	repl, err := emp().Modify(second, element.EventAt(80), nil)
+	repl, err := modify(emp(), second, element.EventAt(80), nil)
 	if err != nil {
 		return steps, err
 	}
@@ -129,7 +129,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 	if err != nil {
 		t.Fatalf("Get(dept): %v", err)
 	}
-	el, err := dept.Insert(relation.Insertion{VT: element.EventAt(5)})
+	el, err := insert(dept, relation.Insertion{VT: element.EventAt(5)})
 	if err != nil {
 		return steps, err
 	}
@@ -200,7 +200,7 @@ func TestCatalogWALSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 	var acked []surrogate.Surrogate
 	for i := 0; i < 30; i++ {
-		el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
+		el, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -217,13 +217,13 @@ func TestCatalogWALSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 	// Post-snapshot mutations live only in the log.
 	for i := 30; i < 40; i++ {
-		el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
+		el, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		acked = append(acked, el.ES)
 	}
-	if err := e.Delete(acked[0]); err != nil {
+	if err := remove(e, acked[0]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	// Abrupt stop: no Snapshot, no Close — the kill -9 path. The group
@@ -339,7 +339,7 @@ func TestCatalogWALCrashPointMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d: Get(%s): %v", k, name, err)
 				}
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(10_000)}); err != nil {
+				if _, err := insert(e, relation.Insertion{VT: element.EventAt(10_000)}); err != nil {
 					t.Fatalf("k=%d: post-recovery insert: %v", k, err)
 				}
 			}

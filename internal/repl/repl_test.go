@@ -202,7 +202,7 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}); err != nil {
+			if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}, ""); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 		}
@@ -240,10 +240,10 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 		t.Fatalf("follower Get: %v", err)
 	}
 	pe, _ := pcat.Get("emp")
-	want := pe.Current().Elements
-	got := fe.Current().Elements
-	if len(got) != len(want) {
-		t.Fatalf("follower holds %d current elements, want %d", len(got), len(want))
+	want, _ := pe.CurrentCtx(context.Background())
+	got, _ := fe.CurrentCtx(context.Background())
+	if len(got.Elements) != len(want.Elements) {
+		t.Fatalf("follower holds %d current elements, want %d", len(got.Elements), len(want.Elements))
 	}
 	if !fe.HasIdemKey(idemKey) {
 		t.Fatal("follower dedup window is missing the shipped idempotency key")
@@ -253,7 +253,7 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 	}
 
 	// The replica is read-only: every mutation path fails typed.
-	if _, err := fe.Insert(relation.Insertion{VT: element.EventAt(900)}); !errors.Is(err, catalog.ErrReadOnly) {
+	if _, err := fe.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(900)}, ""); !errors.Is(err, catalog.ErrReadOnly) {
 		t.Fatalf("follower insert = %v, want ErrReadOnly", err)
 	}
 	if _, err := fcat.Create(eventSchema("dept")); !errors.Is(err, catalog.ErrReadOnly) {

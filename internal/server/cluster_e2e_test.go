@@ -66,6 +66,9 @@ type follower struct {
 	cat  *catalog.Catalog
 	fol  *repl.Follower
 	stop func()
+	// resume is the catalog's ResumeLSN as booted, read before the tail
+	// loop starts moving it.
+	resume uint64
 }
 
 // bootFollower starts a read-only replica rooted at dir, tailing
@@ -81,6 +84,7 @@ func bootFollower(t *testing.T, dir, primary string) *follower {
 	if err := cat.Open(); err != nil {
 		t.Fatalf("follower catalog.Open: %v", err)
 	}
+	resume := cat.ResumeLSN()
 	fol := repl.NewFollower(repl.FollowerConfig{
 		Primary: primary, Catalog: cat,
 		Wait: 25 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
@@ -105,7 +109,7 @@ func bootFollower(t *testing.T, dir, primary string) *follower {
 			t.Errorf("follower catalog.Close: %v", err)
 		}
 	}
-	return &follower{url: "http://" + ln.Addr().String(), cat: cat, fol: fol, stop: stop}
+	return &follower{url: "http://" + ln.Addr().String(), cat: cat, fol: fol, stop: stop, resume: resume}
 }
 
 func namedSchema(name string) client.Schema {
@@ -305,8 +309,8 @@ func TestChaosFollowerCatchUp(t *testing.T) {
 	// persisted watermarks, not from zero.
 	f = bootFollower(t, fdir, purl)
 	defer f.stop()
-	if resume := f.cat.ResumeLSN(); resume == 0 || resume > applied {
-		t.Fatalf("restarted follower resume lsn = %d, want in (0, %d]", resume, applied)
+	if f.resume == 0 || f.resume > applied {
+		t.Fatalf("restarted follower resume lsn = %d, want in (0, %d]", f.resume, applied)
 	}
 	waitUntil(t, "catch-up after restart", func() bool {
 		return f.fol.Stats().AppliedLSN >= durable
