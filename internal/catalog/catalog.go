@@ -262,13 +262,16 @@ func (c *Catalog) Open() error {
 // through the apply the live path ran when it was written. Relations
 // publish once per call, not per frame — including those touched before
 // a failing frame: what was applied is what readers see — and the publish
-// bumps the epoch past every view a reader may have cached against.
+// bumps the epoch past every view a reader may have cached against. The
+// relation whose frame failed is the exception: the frame may have half
+// applied (a modify's delete without its insert), so it is not published.
 func (c *Catalog) replay(recs []wal.Record) error {
 	touched := make(map[*Entry]bool)
 	var failed error
 	for _, rec := range recs {
 		e, err := c.redo(rec)
 		if err != nil {
+			delete(touched, e)
 			failed = fmt.Errorf("lsn %d: %w", rec.LSN, err)
 			break
 		}
@@ -289,7 +292,8 @@ func (c *Catalog) replay(recs []wal.Record) error {
 // redo applies one journaled frame. Frames a snapshot already covers
 // (LSN at or below the relation's persisted watermark) are skipped, which
 // is what makes replay idempotent across partially truncated logs and
-// re-shipped feeds. Returns the touched entry, or nil when skipped.
+// re-shipped feeds. Returns the touched entry — with the error when its
+// frame failed to apply — or nil when skipped.
 func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
 	if rec.Kind == walCreate {
 		schema, err := backlog.DecodeSchema(rec.Payload)
@@ -348,7 +352,7 @@ func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
 		return e.apply(r, &m, rec.LSN)
 	})
 	if err != nil {
-		return nil, err
+		return e, err
 	}
 	e.logged(rec.LSN, rec.Kind, rec.Payload)
 	return e, nil
@@ -374,10 +378,7 @@ func encodeRespecialize(org storage.Kind, source string, adopted []core.Class) [
 	out = append(out, uint8(len(source)))
 	out = append(out, source...)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(adopted)))
-	for _, c := range adopted {
-		out = append(out, uint8(c))
-	}
-	return out
+	return append(out, classesToU8(adopted)...)
 }
 
 func decodeRespecialize(b []byte) (org storage.Kind, source string, adopted []core.Class, err error) {
@@ -400,10 +401,7 @@ func decodeRespecialize(b []byte) (org storage.Kind, source string, adopted []co
 	if len(b) != n {
 		return fail("bad framing in")
 	}
-	for _, c := range b {
-		adopted = append(adopted, core.Class(c))
-	}
-	return org, source, adopted, nil
+	return org, source, classesFromU8(b), nil
 }
 
 // Create adds an empty relation under schema.Name. The name must satisfy

@@ -248,12 +248,12 @@ func TestGoldenFramesReencode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lsn %d: %v", rec.LSN, err)
 		}
-		kind, payload, err := m.encode()
+		payload, err := m.encode()
 		if err != nil {
 			t.Fatalf("lsn %d: %v", rec.LSN, err)
 		}
-		if wantKind, want := today(rec); kind != wantKind || !bytes.Equal(payload, want) {
-			t.Errorf("lsn %d (kind %d) re-encoded as kind %d:\n got  %x\n want %x", rec.LSN, rec.Kind, kind, payload, want)
+		if wantKind, want := today(rec); m.kind != wantKind || !bytes.Equal(payload, want) {
+			t.Errorf("lsn %d (kind %d) re-encoded as kind %d:\n got  %x\n want %x", rec.LSN, rec.Kind, m.kind, payload, want)
 		}
 	}
 

@@ -76,11 +76,12 @@ func appendRecord(out []byte, rec relation.LogRecord) []byte {
 // from a single batch frame. The unkeyed kinds 3/4/5 (the same payloads
 // without the key span) are decoded but never written: an unkeyed
 // mutation is a keyed frame with an empty key.
-func (m *mutation) encode() (wal.Kind, []byte, error) {
+func (m *mutation) encode() ([]byte, error) {
 	var out []byte
 	switch m.kind {
 	case walInsertKeyed, walDeleteKeyed:
-		out = append(appendKey(nil, m.keys[0]), backlog.EncodeRecord(m.recs[0])...)
+		rb := backlog.EncodeRecord(m.recs[0])
+		out = append(appendKey(make([]byte, 0, 2+len(m.keys[0])+len(rb)), m.keys[0]), rb...)
 	case walModifyKeyed:
 		out = appendRecord(appendRecord(appendKey(nil, m.keys[0]), m.recs[0]), m.recs[1])
 	case walInsertBatch:
@@ -89,12 +90,12 @@ func (m *mutation) encode() (wal.Kind, []byte, error) {
 			out = appendRecord(appendKey(out, m.keys[i]), rec)
 		}
 	default:
-		return 0, nil, fmt.Errorf("catalog: mutation kind %d has no frame", m.kind)
+		return nil, fmt.Errorf("catalog: mutation kind %d has no frame", m.kind)
 	}
 	if len(out) > wal.MaxFrameBytes-64 {
-		return 0, nil, fmt.Errorf("catalog: mutation payload %d bytes exceeds the WAL frame bound; split the batch", len(out))
+		return nil, fmt.Errorf("catalog: mutation payload %d bytes exceeds the WAL frame bound; split the batch", len(out))
 	}
-	return m.kind, out, nil
+	return out, nil
 }
 
 // takeKey and takeRecord split one span off the front of b. Frames come
@@ -296,7 +297,7 @@ func (e *Entry) logged(lsn uint64, kind wal.Kind, payload []byte) {
 // A single operation is an atomic batch of one. epoch is the relation's
 // epoch after the call.
 func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic bool,
-	stage func(r *relation.Relation, i int) ([]relation.LogRecord, error)) (items []BatchItemResult, epoch uint64, err error) {
+	stage func(r *relation.Relation, i int, recs []relation.LogRecord) ([]relation.LogRecord, error)) (items []BatchItemResult, epoch uint64, err error) {
 	// Gate: refuse in read-only degraded mode, refuse oversized keys before
 	// they reach the WAL frame, and stop before any work when the caller
 	// has already given up.
@@ -314,13 +315,14 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 	items = make([]BatchItemResult, len(keys))
 	var lsn uint64 // the newest frame this acknowledgment depends on
 	err = e.locked.Exclusive(func(r *relation.Relation) error {
-		m := mutation{kind: kind, staged: true, keys: make([]string, 0, len(keys))}
+		m := mutation{kind: kind, staged: true, keys: make([]string, 0, len(keys)),
+			recs: make([]relation.LogRecord, 0, len(keys)*len(frameShapes[kind].unit))}
 		// seen guards against one key appearing twice inside the same
 		// mutation: the window only remembers keys at apply time, so
 		// without it both occurrences would stage and mint two events.
 		var seen map[string]bool
 		for i, key := range keys {
-			var recs []relation.LogRecord
+			recs := m.recs // unit i's records are appended by stage
 			var cause error
 			switch hit, ok := e.dedup.lookup(key); {
 			case ok && hit.op == frameShapes[kind].op:
@@ -338,7 +340,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 					}
 					seen[key] = true
 				}
-				recs, cause = stage(r, i)
+				recs, cause = stage(r, i, recs)
 			}
 			if cause != nil {
 				items[i] = BatchItemResult{Status: BatchRejected, Err: cause.Error()}
@@ -350,16 +352,15 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 			if last := recs[len(recs)-1]; last.Op == relation.OpInsert {
 				items[i].Elem = last.Elem // Status is BatchStored, the zero value
 			}
-			m.keys = append(m.keys, key)
-			m.recs = append(m.recs, recs...)
+			m.keys, m.recs = append(m.keys, key), recs
 		}
 		if len(m.recs) > 0 { // else nothing accepted: no frame, no epoch bump
 			if e.wal != nil {
-				k, payload, err := m.encode()
+				payload, err := m.encode()
 				if err != nil {
 					return err
 				}
-				if lsn, err = e.journal(k, payload); err != nil {
+				if lsn, err = e.journal(kind, payload); err != nil {
 					return err
 				}
 			}
@@ -394,13 +395,13 @@ func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key str
 
 // stageInserts is the stage function of an insert mutation, single or
 // batched: unit i stages ins[i].
-func stageInserts(ins []relation.Insertion) func(*relation.Relation, int) ([]relation.LogRecord, error) {
-	return func(r *relation.Relation, i int) ([]relation.LogRecord, error) {
+func stageInserts(ins []relation.Insertion) func(*relation.Relation, int, []relation.LogRecord) ([]relation.LogRecord, error) {
+	return func(r *relation.Relation, i int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		el, err := r.StageInsert(ins[i])
 		if err != nil {
 			return nil, err
 		}
-		return []relation.LogRecord{{Op: relation.OpInsert, TT: el.TTStart, Elem: el}}, nil
+		return append(recs, relation.LogRecord{Op: relation.OpInsert, TT: el.TTStart, Elem: el}), nil
 	}
 }
 
@@ -409,14 +410,14 @@ func stageInserts(ins []relation.Insertion) func(*relation.Relation, int) ([]rel
 // tt⊣ update (which would fail as already-deleted and make retries look
 // like conflicts).
 func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
-	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, true, func(r *relation.Relation, _ int) ([]relation.LogRecord, error) {
+	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		// The element still carries tt⊣ = forever here; replay only needs
 		// its surrogate and the record's transaction time.
 		el, tt, err := r.StageDelete(es)
 		if err != nil {
 			return nil, err
 		}
-		return []relation.LogRecord{{Op: relation.OpDelete, TT: tt, Elem: el}}, nil
+		return append(recs, relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: el}), nil
 	})
 	return err
 }
@@ -427,15 +428,14 @@ func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key str
 // returns the replacement the original transaction produced instead of
 // chaining a second delete+insert onto it.
 func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
-	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, true, func(r *relation.Relation, _ int) ([]relation.LogRecord, error) {
+	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		old, repl, tt, err := r.StageModify(es, vt, varying)
 		if err != nil {
 			return nil, err
 		}
-		return []relation.LogRecord{
-			{Op: relation.OpDelete, TT: tt, Elem: old},
-			{Op: relation.OpInsert, TT: tt, Elem: repl},
-		}, nil
+		return append(recs,
+			relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: old},
+			relation.LogRecord{Op: relation.OpInsert, TT: tt, Elem: repl}), nil
 	})
 	if err != nil {
 		return nil, err

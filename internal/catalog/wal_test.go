@@ -346,3 +346,66 @@ func TestCatalogWALCrashPointMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayFailureKeepsHalfAppliedFrameFromReaders: a modify frame whose
+// delete applies and whose insert the relation refuses stops replay
+// mid-frame. Relations touched earlier in the same call still publish what
+// they applied, but the relation the failing frame belongs to must not —
+// its readers would see a close whose replacement never arrived.
+func TestReplayFailureKeepsHalfAppliedFrameFromReaders(t *testing.T) {
+	fs := wal.NewErrFS()
+	_, primary := bootErrFS(t, fs)
+	mk := func(name string) *Entry {
+		e, err := primary.Create(eventSchema(name))
+		if err != nil {
+			t.Fatalf("Create %s: %v", name, err)
+		}
+		return e
+	}
+	put := func(e *Entry, vt int64) *element.Element {
+		el, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))})
+		if err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		return el
+	}
+	a, b := mk("a"), mk("b")
+	e1, e2 := put(a, 1), put(a, 2)
+	follower := New(Config{Follower: true, NewClock: logicalClock})
+	shipped := recordsOf(t, fs)
+	if err := follower.ApplyReplicated(shipped); err != nil {
+		t.Fatalf("follower apply: %v", err)
+	}
+
+	put(b, 1)
+	e3 := put(a, 3)
+	next := recordsOf(t, fs)[len(shipped):]
+	// The replacement reuses e2's surrogate, which ApplyLog refuses — after
+	// the frame's delete of e1 has already applied.
+	tt := e3.TTStart + 10
+	_, payload := mustEncode(t, mutation{kind: walModifyKeyed, keys: []string{""}, recs: []relation.LogRecord{
+		{Op: relation.OpDelete, TT: tt, Elem: e1},
+		{Op: relation.OpInsert, TT: tt, Elem: e2},
+	}})
+	badLSN := next[len(next)-1].LSN + 1
+	next = append(next, wal.Record{LSN: badLSN, Kind: walModifyKeyed, Rel: "a", Payload: payload})
+	if err := follower.ApplyReplicated(next); err == nil {
+		t.Fatal("a frame the relation refuses applied without error")
+	}
+
+	fb, _ := follower.Get("b")
+	if got := len(current(fb).Elements); got != 1 {
+		t.Errorf("b, touched before the failing frame, shows %d elements, want 1", got)
+	}
+	fa, _ := follower.Get("a")
+	if fa.AppliedLSN() >= badLSN {
+		t.Errorf("a's watermark %d covers the failed frame %d", fa.AppliedLSN(), badLSN)
+	}
+	open := false
+	for _, el := range current(fa).Elements {
+		open = open || el.ES == e1.ES
+	}
+	if !open {
+		t.Error("readers of a see the failed frame's delete without its insert")
+	}
+}

@@ -121,3 +121,34 @@ func TestElementsReturnsBacking(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaceFindsByPointerNotPosition: Replace locates old by binary
+// search on tt⊢, so it must pick the right element out of a run sharing one
+// TTStart (a batch commits under one transaction time), and must still find
+// it in a heap whose tt order broke — the one store that admits that.
+func TestReplaceFindsByPointerNotPosition(t *testing.T) {
+	swap := func(name string, s Store, old *element.Element, all []*element.Element) {
+		closed := old.Clone()
+		closed.TTEnd = chronon.Chronon(99)
+		s.Replace(old, closed)
+		got := scanAll(s)
+		for i, e := range all {
+			want := e
+			if e == old {
+				want = closed
+			}
+			if got[i] != want {
+				t.Errorf("%s: slot %d holds %v, want %v", name, i, got[i].ES, want.ES)
+			}
+		}
+	}
+	for name, s := range allStores() {
+		run := []*element.Element{ev(10, 1), ev(20, 2), ev(20, 3), ev(20, 4), ev(30, 5)}
+		fill(t, s, run...)
+		swap(name, s, run[3], run)
+	}
+	heap := NewHeap()
+	broken := []*element.Element{ev(30, 1), ev(10, 2), ev(20, 3)}
+	fill(t, heap, broken...)
+	swap("heap out of tt order", heap, broken[1], broken)
+}

@@ -125,7 +125,11 @@ func snapTail(elems []*element.Element) []*element.Element {
 
 // replaceShared performs the copy-when-shared pointer swap common to the
 // slice-backed stores. Replacing inside a frozen snapshot is a bug in the
-// caller (snapshots are immutable), so it trips loudly.
+// caller (snapshots are immutable), so it trips loudly. Elements arrive in
+// tt⊢ order, so old is found by binary search plus a walk over the run
+// sharing its TTStart — replaying a log of closes stays O(n log n). Only
+// the heap can hold a history whose tt order broke; that falls through to
+// the scan.
 func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, repl *element.Element) []*element.Element {
 	if frozen {
 		panic("storage: replace in a frozen snapshot")
@@ -133,6 +137,13 @@ func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, rep
 	if *shared {
 		elems = append([]*element.Element(nil), elems...)
 		*shared = false
+	}
+	i := sort.Search(len(elems), func(j int) bool { return elems[j].TTStart >= old.TTStart })
+	for ; i < len(elems) && elems[i].TTStart == old.TTStart; i++ {
+		if elems[i] == old {
+			elems[i] = repl
+			return elems
+		}
 	}
 	for i, e := range elems {
 		if e == old {
