@@ -88,13 +88,14 @@ bench:
 
 # A trimmed benchmark pass: snapshot vs cache-hit time-slices,
 # the auto-specialization before/after pair, boot replay over a log with
-# closes, and the columnar batch scan/aggregate microbenchmarks, at
-# -benchtime=100ms. Fast enough for
+# closes, the aggregate-after-append pair (run partials warm against the
+# cache-off direct fold), and the columnar batch scan/aggregate
+# microbenchmarks, at -benchtime=100ms. Fast enough for
 # ci; the full concurrent-reader experiment is
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 
 # The benchmark is its own module with a replace directive onto this

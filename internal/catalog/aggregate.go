@@ -6,6 +6,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/qcache"
+	"repro/internal/query"
 	"repro/internal/tsql"
 	"repro/internal/vec"
 )
@@ -27,27 +28,58 @@ type aggCacheEntry struct {
 // the epoch, so cached windows can never serve stale aggregates.
 func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	v := e.view.Load()
-	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + q.Fingerprint(), Epoch: v.epoch}
+	resultFP, partialFP := q.Fingerprints()
+	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + resultFP, Epoch: v.epoch}
 	if hit, ok := e.cache.Get(key); ok {
 		ce := hit.(aggCacheEntry)
 		e.plans.Record(ce.node.Leaf().Kind, 0)
 		return ce.res, ce.node, ce.touched, nil
 	}
-	node := tsql.Compile(q, v.engine.Access())
-	spec, err := tsql.BuildAggSpec(q, v.schema)
+	res, node, stats, err := e.executeAggregate(ctx, v, q, partialFP)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	event := v.schema.ValidTime == element.EventStamp
-	agg, stats, err := v.engine.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	e.recordBatch(node.Leaf().Kind, stats)
-	res, touched := tsql.AggToResult(q, agg), int(stats.Rows)
+	touched := int(stats.Rows)
 	e.plans.Record(node.Leaf().Kind, touched)
 	e.cache.Put(key, aggCacheEntry{res: res, node: node, touched: touched}, aggResultSize(res))
 	return res, node, touched, nil
+}
+
+// executeAggregate runs the statement against one pinned view, below the
+// result cache. A columnar execution over sealed runs goes in with the
+// run partials memoized under (relation, "part:"+partial fingerprint,
+// store generation) — the key has no epoch in it, which is the point: an
+// append leaves it valid — and whatever the execution learned is stored
+// back under the same key. The value is derived state and lives only in
+// the cache; with the cache off every run is folded.
+func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query, partialFP string) (*tsql.Result, *plan.Node, vec.ExecStats, error) {
+	access := v.engine.Access()
+	node := tsql.Compile(q, access)
+	spec, err := tsql.BuildAggSpec(q, v.schema)
+	if err != nil {
+		return nil, nil, vec.ExecStats{}, err
+	}
+	var memo *query.PartialMemo
+	pkey := qcache.Key{Rel: e.name, Fingerprint: "part:" + partialFP, Epoch: v.gen}
+	if budget := e.cache.MaxEntry(); budget > 0 && access.Runs > 0 && !q.HasAsOf && node.Leaf().Kind == plan.ColumnarScan {
+		memo = &query.PartialMemo{Budget: budget}
+		if hit, ok := e.cache.Peek(pkey); ok {
+			memo.Partials = hit.(*query.RunPartials)
+			e.partialHits.Add(1)
+		} else {
+			e.partialMisses.Add(1)
+		}
+	}
+	event := v.schema.ValidTime == element.EventStamp
+	agg, stats, err := v.engine.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event, memo)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	if memo != nil && memo.Grew {
+		e.cache.Put(pkey, memo.Partials, memo.Partials.Size())
+	}
+	e.recordBatch(node.Leaf().Kind, stats)
+	return tsql.AggToResult(q, agg), node, stats, nil
 }
 
 // aggResultSize approximates a cached aggregate's resident bytes, same
@@ -70,19 +102,29 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 		e.colPicks.Add(1)
 		e.batches.Add(st.Batches)
 		e.batchRows.Add(st.Rows)
+		e.runsMerged.Add(st.RunsMerged)
+		e.runsFolded.Add(st.RunsFolded)
 	} else {
 		e.rowPicks.Add(1)
 	}
 }
 
 // BatchStats reports the entry's lifetime batch-operator counters:
-// batches and rows consumed by the columnar engine, and how often the
-// planner picked each engine for an executed aggregate.
+// batches and rows the columnar engine actually visited, how often the
+// planner picked each engine for an executed aggregate, how many sealed
+// runs were answered from a memoized partial against decoded and folded,
+// and how often an execution found its run partials in the cache. The
+// partial lookups are kept out of the query cache's own hit and miss
+// counters, which count whole results.
 type BatchStats struct {
 	Batches       int64
 	Rows          int64
 	ColumnarPicks int64
 	RowPicks      int64
+	RunsMerged    int64
+	RunsFolded    int64
+	PartialHits   int64
+	PartialMisses int64
 }
 
 // BatchStats snapshots the entry's batch-operator counters.
@@ -92,5 +134,9 @@ func (e *Entry) BatchStats() BatchStats {
 		Rows:          e.batchRows.Load(),
 		ColumnarPicks: e.colPicks.Load(),
 		RowPicks:      e.rowPicks.Load(),
+		RunsMerged:    e.runsMerged.Load(),
+		RunsFolded:    e.runsFolded.Load(),
+		PartialHits:   e.partialHits.Load(),
+		PartialMisses: e.partialMisses.Load(),
 	}
 }

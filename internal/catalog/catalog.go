@@ -144,6 +144,9 @@ type Catalog struct {
 	cfg    Config
 	shards [shardCount]shard
 	cache  *qcache.Cache
+	// storeGens numbers the physical stores the catalog's relations have
+	// lived in (see Entry.gen); catalog-wide because the cache it keys is.
+	storeGens atomic.Uint64
 
 	// Integrity journal: a bounded ring of recent detection/repair events
 	// (igMu also serializes appends to the on-disk journal) plus lifetime
@@ -588,6 +591,13 @@ type Entry struct {
 	decls  []constraint.Descriptor
 	engine *query.Engine
 	advice storage.Advice
+	// gen is the generation of the live store: a fresh number from the
+	// catalog's storeGens whenever its sealed runs stop being the ones
+	// sealed before — every rebuildEngine (declare, respecialize, a
+	// removing vacuum, a degrade) and every run repair. Per-run partial
+	// aggregates are valid within one generation only (aggregate.go).
+	gen       uint64
+	storeGens *atomic.Uint64
 
 	// dirty marks unsaved changes; atomic so snapshots (shared lock) can
 	// clear it while other readers run.
@@ -644,6 +654,13 @@ type Entry struct {
 	batchRows atomic.Int64
 	colPicks  atomic.Int64
 	rowPicks  atomic.Int64
+	// Run-partial counters (aggregate.go): sealed runs merged from a memo
+	// against decoded and folded, and executions that found their partials
+	// in the cache against those that did not.
+	runsMerged    atomic.Int64
+	runsFolded    atomic.Int64
+	partialHits   atomic.Int64
+	partialMisses atomic.Int64
 
 	// Batched-ingest counters (batch.go): InsertBatch calls that wrote a
 	// frame, and the elements those frames carried. Atomic so /metrics can
@@ -688,6 +705,7 @@ type Entry struct {
 // writers commit meanwhile.
 type readView struct {
 	epoch  uint64
+	gen    uint64 // Entry.gen of the store the snapshot was taken from
 	engine *query.Engine
 	elems  []*element.Element
 	schema relation.Schema
@@ -704,6 +722,7 @@ func (e *Entry) publish() {
 	en := e.engine.Snapshot()
 	e.view.Store(&readView{
 		epoch:  ep,
+		gen:    e.gen,
 		engine: en,
 		elems:  storage.Elements(en.Store()),
 		schema: e.locked.Schema(),
@@ -744,7 +763,8 @@ func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.D
 	e := &Entry{
 		name: name, locked: l, decls: decls, dedup: newDedupWindow(),
 		wal: c.cfg.WAL, cache: c.cache, follower: c.cfg.Follower,
-		adopted: classesFromU8(phys.Adopted), migrations: phys.Migrations,
+		storeGens: &c.storeGens,
+		adopted:   classesFromU8(phys.Adopted), migrations: phys.Migrations,
 	}
 	if c.integrityEnabled() {
 		e.tree = integrity.NewTree()
@@ -842,7 +862,7 @@ func (e *Entry) rebuildEngine(r *relation.Relation) error {
 		}
 	}
 	en := query.New(st, classes)
-	e.engine, e.advice = en, advice
+	e.engine, e.advice, e.gen = en, advice, e.storeGens.Add(1)
 	// A declared two-sided fixed bound turns valid-time predicates into
 	// transaction-time windows over the tt-ordered log (§3.1's query
 	// strategies); enable the pushdown when a per-relation event

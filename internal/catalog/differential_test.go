@@ -1,16 +1,21 @@
 package catalog
 
 // Differential equivalence harness for the window-aggregate engines: every
-// generated (history, query) pair is evaluated twice through the public
-// read path — once forced onto the row reference engine (USING ROW), once
-// onto the columnar batch engine (USING COLUMNAR) — and the two results
+// generated (history, query) pair is evaluated through the public read path
+// — once forced onto the row reference engine (USING ROW), once onto the
+// columnar batch engine (USING COLUMNAR), whose run partials are then in
+// whatever state the earlier statements left them — and twice more below
+// the result cache on the pinned view: columnar cold (nothing memoized under
+// its key) and columnar warm (merging what the cold run learned). All four
 // must be identical, errors included. Histories cover the temporal classes
 // the specializer distinguishes (degenerate, sequential, vt-regular,
 // violation-degraded, random), are reshaped by deletes and modifies, and
 // are respecialized + compacted mid-build so queries cross sealed runs and
-// unsealed tails. A -race companion repeats the comparison on pinned
-// snapshot views while inserts, vacuum, compaction and respecialization
-// churn the live entry.
+// unsealed tails; between rounds of statements the sweep closes elements
+// inside sealed runs, appends and seals, vacuums, and corrupts and repairs a
+// run, so partials are invalidated every way they can be. A -race companion
+// repeats the comparison on pinned snapshot views while inserts, vacuum,
+// compaction and respecialization churn the live entry.
 
 import (
 	"context"
@@ -19,6 +24,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +32,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tsql"
 )
@@ -84,69 +91,107 @@ func classVT(class string, rng *rand.Rand, i int, cur *int64) int64 {
 	}
 }
 
+// diffBuildN is how many elements buildDiffRelation inserts before sealing:
+// more than three sealable runs of 256.
+const diffBuildN = 800
+
+// diffRel is one relation of the sweep with the valid-time high-water mark
+// its appends continue from.
+type diffRel struct {
+	c     *Catalog
+	e     *Entry
+	stamp element.TimestampKind
+	vtHi  int64
+	rng   *rand.Rand
+}
+
+// stampAt builds the relation's kind of valid time-stamp starting at lo.
+func (d *diffRel) stampAt(lo, length int64) element.Timestamp {
+	if lo+length > d.vtHi {
+		d.vtHi = lo + length
+	}
+	if d.stamp == element.EventStamp {
+		return element.EventAt(chronon.Chronon(lo))
+	}
+	return element.SpanOf(chronon.Chronon(lo), chronon.Chronon(lo+length))
+}
+
+// appendOrdered inserts n elements past every stored valid time, so no
+// inferred or adopted order is broken and the organization keeps its runs.
+func (d *diffRel) appendOrdered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		vt := d.stampAt(d.vtHi+d.rng.Int63n(12), 1+d.rng.Int63n(9))
+		if _, err := insert(d.e, relation.Insertion{VT: vt, Varying: diffValues(d.rng)}); err != nil {
+			t.Fatalf("%s append: %v", d.e.Name(), err)
+		}
+	}
+}
+
+// seal runs an advisor pass (respecialize to what the history licenses,
+// compact the vt-ordered log) and then compacts whatever organization the
+// relation is on — the tt-ordered log seals too when asked directly — so
+// every class of history is queried across sealed runs.
+func (d *diffRel) seal(t *testing.T) {
+	t.Helper()
+	if _, err := d.c.AdvisePass(AdvisorConfig{}); err != nil { // zero thresholds: examine everything
+		t.Fatalf("AdvisePass: %v", err)
+	}
+	d.e.Compact()
+}
+
+// closeSome deletes or, every third time, modifies n random current
+// elements. A modify closes the old version where it sits and appends the
+// new one; with ordered set it lands past the high-water mark, otherwise
+// anywhere — which a vt-ordered log answers by degrading to the general
+// organization, a new store.
+func (d *diffRel) closeSome(n int, ordered bool) {
+	els := current(d.e).Elements
+	for i := 0; i < n && len(els) > 0; i++ {
+		el := els[d.rng.Intn(len(els))]
+		if i%3 != 2 {
+			_ = remove(d.e, el.ES) // a repeat fails: itself a legal history
+			continue
+		}
+		lo := d.rng.Int63n(d.vtHi)
+		if ordered {
+			lo = d.vtHi + d.rng.Int63n(12)
+		}
+		_, _ = modify(d.e, el.ES, d.stampAt(lo, 5), diffValues(d.rng))
+	}
+}
+
 // buildDiffRelation grows one relation through a class-shaped history:
-// bulk inserts, a sprinkle of deletes and modifies, an advisor pass that
-// respecializes and seals what the inferred class licenses, then a fresh
-// tail past the sealed prefix. Returns the entry and the observed
-// valid-time high-water mark.
-func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp element.TimestampKind, rng *rand.Rand) (*Entry, int64) {
+// bulk inserts, a sprinkle of deletes, an advisor pass that respecializes
+// to what the inferred class licenses and a compaction that seals three
+// runs, then a fresh tail past the sealed prefix.
+func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp element.TimestampKind, rng *rand.Rand) *diffRel {
 	t.Helper()
 	e, err := c.Create(diffSchema(name, stamp))
 	if err != nil {
 		t.Fatalf("Create(%s): %v", name, err)
 	}
+	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng}
 	var cur int64
-	vtHi := int64(1)
 	var esList []surrogate.Surrogate
-	insert := func(i int) {
+	for i := 0; i < diffBuildN; i++ {
 		lo := classVT(class, rng, i, &cur)
-		var vt element.Timestamp
-		if stamp == element.EventStamp {
-			vt = element.EventAt(chronon.Chronon(lo))
-			if lo+1 > vtHi {
-				vtHi = lo + 1
-			}
-		} else {
-			hi := lo + 1 + rng.Int63n(30)
-			vt = element.SpanOf(chronon.Chronon(lo), chronon.Chronon(hi))
-			if hi > vtHi {
-				vtHi = hi
-			}
-		}
-		el, err := insert(e, relation.Insertion{VT: vt, Varying: diffValues(rng)})
+		el, err := insert(e, relation.Insertion{VT: d.stampAt(lo, 1+rng.Int63n(30)), Varying: diffValues(rng)})
 		if err != nil {
 			t.Fatalf("%s insert %d: %v", name, i, err)
 		}
 		esList = append(esList, el.ES)
 	}
-	const n = 520 // more than two sealable runs of 256
-	for i := 0; i < n; i++ {
-		insert(i)
+	// Deletes before sealing: runs seal with closed elements in them.
+	for i := 0; i < diffBuildN/32; i++ {
+		_ = remove(e, esList[rng.Intn(len(esList))])
 	}
-	// Deletes and history rewrites: repeats may hit already-closed
-	// elements and fail — that is itself a legal history, so errors are
-	// ignored; the surviving extension is what both engines must agree on.
-	for i := 0; i < n/16; i++ {
-		es := esList[rng.Intn(len(esList))]
-		if rng.Intn(2) == 0 {
-			_ = remove(e, es)
-		} else {
-			lo := rng.Int63n(vtHi)
-			vt := element.EventAt(chronon.Chronon(lo))
-			if stamp == element.IntervalStamp {
-				vt = element.SpanOf(chronon.Chronon(lo), chronon.Chronon(lo+5))
-			}
-			_, _ = modify(e, es, vt, diffValues(rng))
-		}
+	d.seal(t)
+	if got := e.Physical().Compaction.Runs; got != diffBuildN/256 {
+		t.Fatalf("%s: %d sealed runs after the build, want %d", name, got, diffBuildN/256)
 	}
-	// Zero thresholds: examine (and respecialize + compact) everything.
-	if _, err := c.AdvisePass(AdvisorConfig{}); err != nil {
-		t.Fatalf("AdvisePass: %v", err)
-	}
-	for i := n; i < n+24; i++ { // unsealed tail past the compacted prefix
-		insert(i)
-	}
-	return e, vtHi
+	d.appendOrdered(t, 24) // unsealed tail past the compacted prefix
+	return d
 }
 
 // genAggQuery emits one random aggregate statement (without USING or
@@ -205,10 +250,21 @@ func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (b
 	return b.String(), lim
 }
 
-// runDiff evaluates one statement under both engine hints through the
-// public read path and requires identical results (or identical errors).
-// Returns whether the statement evaluated successfully.
-func runDiff(t *testing.T, e *Entry, base, lim string) bool {
+// diffTally sums what the cold and warm executions of a sweep did.
+type diffTally struct {
+	statements, failed     int
+	coldFolded, warmFolded int64
+	warmMerged             int64
+}
+
+// diffColdKeys makes every statement's cold execution a key of its own.
+var diffColdKeys atomic.Int64
+
+// runDiff evaluates one statement four ways — row and columnar through the
+// public read path, then columnar cold and columnar warm on the pinned view
+// — and requires identical results (or identical errors). Returns whether
+// the statement evaluated successfully.
+func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	t.Helper()
 	ctx := context.Background()
 	parse := func(src string) *tsql.Query {
@@ -222,13 +278,24 @@ func runDiff(t *testing.T, e *Entry, base, lim string) bool {
 	qCol := parse(base + " using columnar" + lim)
 	rRes, rNode, _, rErr := e.SelectCtx(ctx, qRow)
 	cRes, cNode, _, cErr := e.SelectCtx(ctx, qCol)
-	if (rErr != nil) != (cErr != nil) {
-		t.Fatalf("%q: engines disagree on failure: row err %v, columnar err %v", base+lim, rErr, cErr)
+
+	// Below the result cache, under a partial key nothing else uses: the
+	// first execution finds nothing memoized, the second what the first
+	// learned.
+	v := e.view.Load()
+	_, partialFP := qCol.Fingerprints()
+	key := fmt.Sprintf("%s#cold%d", partialFP, diffColdKeys.Add(1))
+	coldRes, _, cold, coldErr := e.executeAggregate(ctx, v, qCol, key)
+	warmRes, _, warm, warmErr := e.executeAggregate(ctx, v, qCol, key)
+
+	tally.statements++
+	for name, err := range map[string]error{"columnar": cErr, "columnar cold": coldErr, "columnar warm": warmErr} {
+		if (rErr != nil) != (err != nil) || (rErr != nil && rErr.Error() != err.Error()) {
+			t.Fatalf("%q: divergent errors:\n  row:      %v\n  %s: %v", base+lim, rErr, name, err)
+		}
 	}
 	if rErr != nil {
-		if rErr.Error() != cErr.Error() {
-			t.Fatalf("%q: divergent errors:\n  row:      %v\n  columnar: %v", base+lim, rErr, cErr)
-		}
+		tally.failed++
 		return false
 	}
 	if cNode.Leaf().Kind != plan.ColumnarScan {
@@ -237,15 +304,84 @@ func runDiff(t *testing.T, e *Entry, base, lim string) bool {
 	if rNode.Leaf().Kind == plan.ColumnarScan {
 		t.Fatalf("%q: USING ROW compiled to a columnar scan", base+lim)
 	}
-	if !reflect.DeepEqual(rRes, cRes) {
-		t.Fatalf("%q: engines diverge\nrow:      %+v\ncolumnar: %+v\nrow plan:\n%s\ncolumnar plan:\n%s",
-			base+lim, rRes, cRes, rNode.Render(), cNode.Render())
+	for name, res := range map[string]*tsql.Result{"columnar": cRes, "columnar cold": coldRes, "columnar warm": warmRes} {
+		if !reflect.DeepEqual(rRes, res) {
+			t.Fatalf("%q: %s diverges from row\nrow:      %+v\n%s: %+v\nrow plan:\n%s\ncolumnar plan:\n%s",
+				base+lim, name, rRes, name, res, rNode.Render(), cNode.Render())
+		}
 	}
+	// The warm execution sees the same runs and visits no more rows.
+	if cold.RunsMerged != 0 || warm.RunsMerged+warm.RunsFolded != cold.RunsFolded || warm.Rows > cold.Rows {
+		t.Fatalf("%q: cold %+v, warm %+v", base+lim, cold, warm)
+	}
+	tally.coldFolded += cold.RunsFolded
+	tally.warmFolded += warm.RunsFolded
+	tally.warmMerged += warm.RunsMerged
 	return true
 }
 
+// diffLifecycle is what happens to a relation between rounds of
+// statements: every way a run partial stops being valid, and the append
+// that leaves them all valid.
+var diffLifecycle = []struct {
+	name string
+	do   func(t *testing.T, d *diffRel)
+}{
+	{"built", func(*testing.T, *diffRel) {}},
+	// Each close bumps one sealed run's close count; the rest stay valid.
+	{"closes-in-sealed-runs", func(t *testing.T, d *diffRel) { d.closeSome(12, true) }},
+	{"append", func(t *testing.T, d *diffRel) { d.appendOrdered(t, 40) }},
+	{"append-and-seal", func(t *testing.T, d *diffRel) {
+		d.appendOrdered(t, 300)
+		d.seal(t)
+	}},
+	{"vacuum", func(t *testing.T, d *diffRel) {
+		// Everything closed so far is dead at this horizon: a removing
+		// vacuum rebuilds the store, and with it the run ordinals.
+		gen := d.e.view.Load().gen
+		n, err := d.e.Vacuum(chronon.Chronon(1 << 40))
+		if err != nil {
+			t.Fatalf("Vacuum: %v", err)
+		}
+		if n == 0 || d.e.view.Load().gen == gen {
+			t.Fatalf("vacuum removed %d versions and kept the store generation", n)
+		}
+		d.seal(t)
+	}},
+	{"closes-then-reseal", func(t *testing.T, d *diffRel) {
+		// Close into run 0, damage its image, and let the repair reseal it:
+		// the run's close count starts over, so a partial memoized at the
+		// old count must not be taken for the new run's.
+		els := current(d.e).Elements
+		for i := 0; i < 3; i++ {
+			_ = remove(d.e, els[i].ES)
+		}
+		gen := d.e.view.Load().gen
+		_ = d.e.locked.Exclusive(func(*relation.Relation) error {
+			if !storage.CorruptRun(d.e.engine.Store(), 0, 9, 4) {
+				t.Fatalf("%s has no sealed run to corrupt", d.e.Name())
+			}
+			return nil
+		})
+		rep, err := d.c.VerifyRelation(d.e.Name())
+		if err != nil || rep.Repaired == 0 {
+			t.Fatalf("VerifyRelation: %+v, %v", rep, err)
+		}
+		if d.e.view.Load().gen == gen {
+			t.Fatal("a run repair kept the store generation")
+		}
+	}},
+	{"disorder-and-respecialize", func(t *testing.T, d *diffRel) {
+		// Out-of-order rewrites: the vt-ordered logs degrade to the general
+		// organization mid-step (a new store); then seal whatever is left.
+		d.closeSome(12, false)
+		d.seal(t)
+	}},
+}
+
 // TestDifferentialRowColumnar is the seeded sweep: every history class ×
-// both valid-time kinds × a random query mix, row vs columnar.
+// both valid-time kinds × every lifecycle step × a random query mix; row
+// against columnar (as found, cold and warm).
 func TestDifferentialRowColumnar(t *testing.T) {
 	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random"}
 	stamps := []struct {
@@ -260,22 +396,41 @@ func TestDifferentialRowColumnar(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			c := New(cachedConfig(t.TempDir()))
 			rng := rand.New(rand.NewSource(seed))
+			var tally diffTally
 			for _, st := range stamps {
 				for _, class := range classes {
 					name := fmt.Sprintf("d_%s_%s", class, st.name)
-					e, vtHi := buildDiffRelation(t, c, name, class, st.kind, rng)
-					ttHi := int64(10 * (520 + 60)) // logical clock: step 10 per transaction
+					d := buildDiffRelation(t, c, name, class, st.kind, rng)
+					ttHi := int64(10 * (diffBuildN + 500)) // logical clock: step 10 per transaction
 					ok := 0
-					for i := 0; i < 30; i++ {
-						base, lim := genAggQuery(rng, name, st.kind == element.IntervalStamp, vtHi, ttHi)
-						if runDiff(t, e, base, lim) {
-							ok++
+					for _, step := range diffLifecycle {
+						step.do(t, d)
+						e, vtHi := d.e, d.vtHi
+						for i := 0; i < 10; i++ {
+							base, lim := genAggQuery(rng, name, st.kind == element.IntervalStamp, vtHi, ttHi)
+							if runDiff(t, e, base, lim, &tally) {
+								ok++
+							}
+						}
+						// The statements a random draw rarely lines up: one
+						// partial key under three window modes and a clamp
+						// that contains some runs and cuts others.
+						for _, tail := range []string{
+							"group by window(100)", "group by window(100, rolling 3)", "group by window(100, cumulative)",
+							fmt.Sprintf("when valid during [%d, %d) group by window(100)", vtHi/5, vtHi),
+						} {
+							runDiff(t, e, "select count(*), sum(v_int), max(v_str) from "+name+" "+tail, "", &tally)
 						}
 					}
 					if ok == 0 {
 						t.Fatalf("%s: no generated query evaluated successfully", name)
 					}
 				}
+			}
+			t.Logf("%d statements (%d failing alike): cold folded %d runs; warm merged %d, folded %d",
+				tally.statements, tally.failed, tally.coldFolded, tally.warmMerged, tally.warmFolded)
+			if tally.warmMerged == 0 || tally.warmFolded == 0 {
+				t.Fatalf("sweep exercised only one side of the memo: %+v", tally)
 			}
 		})
 	}
@@ -397,8 +552,8 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		}
 		nodeRow := tsql.Compile(qRow, v.engine.Access())
 		nodeCol := tsql.Compile(qCol, v.engine.Access())
-		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, tsql.PlanQuery(qRow), specRow, event)
-		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, tsql.PlanQuery(qCol), specCol, event)
+		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, tsql.PlanQuery(qRow), specRow, event, nil)
+		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, tsql.PlanQuery(qCol), specCol, event, nil)
 		if (rErr != nil) != (cErr != nil) || (rErr != nil && rErr.Error() != cErr.Error()) {
 			t.Fatalf("iteration %d %q: row err %v, columnar err %v", i, base, rErr, cErr)
 		}

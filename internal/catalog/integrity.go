@@ -471,6 +471,7 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 			idx[i] = b.Run
 		}
 		resealed = storage.ResealRuns(st, idx)
+		e.gen = e.storeGens.Add(1) // resealed runs count their closes afresh
 		repaired = len(storage.VerifyRuns(st)) == 0
 		if repaired {
 			e.publish()

@@ -71,20 +71,41 @@ func New(capacity int64) *Cache {
 }
 
 // Get returns the cached value for k, marking it most recently used.
-func (c *Cache) Get(k Key) (any, bool) {
+func (c *Cache) Get(k Key) (any, bool) { return c.get(k, true) }
+
+// Peek is Get outside the hit and miss counters, for callers that keep
+// derived state in the cache beside whole results — the aggregate path's
+// per-run partials, looked up on exactly the queries that already counted
+// as a result miss. Stats' ratio so stays hits over whole-result lookups.
+func (c *Cache) Peek(k Key) (any, bool) { return c.get(k, false) }
+
+func (c *Cache) get(k Key, count bool) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	le, ok := c.items[k]
+	if count {
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+		}
+	}
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(le)
 	return le.Value.(*entry).val, true
+}
+
+// MaxEntry reports the largest size Put admits; 0 for a nil cache.
+func (c *Cache) MaxEntry() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.maxEntry
 }
 
 // Put stores v under k with the given approximate size, evicting from the

@@ -22,43 +22,15 @@ const batchCheckEvery = 8
 // bit-identical across the two engines — the invariant the differential
 // harness asserts. pq is the planner's view of the query (for access-
 // path entry on the row side), event whether the relation is
-// event-stamped, and the returned stats feed the batch counters.
-func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Query, spec *vec.Spec, event bool) (*vec.AggResult, vec.ExecStats, error) {
+// event-stamped, and the returned stats feed the batch counters. memo,
+// when not nil, lets the columnar engine merge the partials of sealed
+// runs it has folded before instead of decoding them again (partials.go);
+// nil folds every run.
+func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Query, spec *vec.Spec, event bool, memo *PartialMemo) (*vec.AggResult, vec.ExecStats, error) {
 	var stats vec.ExecStats
 	leaf := node.Leaf()
 	if leaf.Kind == plan.ColumnarScan {
-		r := storage.NewBatchReader(en.store, event)
-		if spec.Filter.HasVT {
-			r.SetVTWindow(chronon.Chronon(spec.Filter.VTLo), chronon.Chronon(spec.Filter.VTHi))
-		}
-		if spec.Filter.AsOf {
-			r.SetAsOf(chronon.Chronon(spec.Filter.TT))
-		} else {
-			r.SetCurrentOnly()
-		}
-		agg, err := vec.NewColAgg(spec)
-		if err != nil {
-			return nil, stats, err
-		}
-		var b vec.Batch
-		for {
-			ok, err := r.Next(&b)
-			if err != nil {
-				return nil, stats, err
-			}
-			if !ok {
-				break
-			}
-			if err := agg.Consume(&b, &stats); err != nil {
-				return nil, stats, err
-			}
-			if stats.Batches%batchCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, stats, err
-				}
-			}
-		}
-		res, err := agg.Result()
+		res, err := en.aggregateColumnar(ctx, spec, event, memo, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -73,6 +45,64 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Que
 	}
 	en.record(node, touched)
 	return res, stats, nil
+}
+
+// aggregateColumnar is the batch engine's loop: one unit of the reader at
+// a time, in arrival order. A stable sealed run whose partial is memoized
+// at its current close count is merged; every other unit is decoded and
+// consumed — a stable run with no valid partial by way of PartialMemo.learn,
+// the one place a partial comes to exist. Whenever a partial cannot stand
+// in for consuming the run into the running state, the decoded batch is
+// consumed after all, so values and errors are those of the plain fold.
+func (en *Engine) aggregateColumnar(ctx context.Context, spec *vec.Spec, event bool, memo *PartialMemo, stats *vec.ExecStats) (*vec.AggResult, error) {
+	r := storage.NewBatchReader(en.store, event)
+	if spec.Filter.HasVT {
+		r.SetVTWindow(chronon.Chronon(spec.Filter.VTLo), chronon.Chronon(spec.Filter.VTHi))
+	}
+	if spec.Filter.AsOf {
+		r.SetAsOf(chronon.Chronon(spec.Filter.TT))
+	} else {
+		r.SetCurrentOnly()
+	}
+	agg, err := vec.NewColAgg(spec)
+	if err != nil {
+		return nil, err
+	}
+	var b vec.Batch
+	for units := 1; ; units++ {
+		if units%batchCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		u, ok := r.Advance()
+		if !ok {
+			break
+		}
+		learn := false
+		if memo != nil && u.Stable {
+			var known *runPartial
+			if known, learn = memo.lookup(u); known != nil && known.part != nil && agg.Merge(known.part) {
+				stats.RunsMerged++
+				continue
+			}
+		}
+		if err := r.Load(&b); err != nil {
+			return nil, err
+		}
+		if u.Run >= 0 {
+			stats.RunsFolded++
+		}
+		if learn && memo.learn(spec, u, &b, agg) {
+			stats.Batches++
+			stats.Rows += int64(b.N)
+			continue
+		}
+		if err := agg.Consume(&b, stats); err != nil {
+			return nil, err
+		}
+	}
+	return agg.Result()
 }
 
 // aggregateCandidates materializes the row engine's input through the

@@ -570,6 +570,10 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.Rows += bs.Rows
 		batch.ColumnarPicks += bs.ColumnarPicks
 		batch.RowPicks += bs.RowPicks
+		batch.RunsMerged += bs.RunsMerged
+		batch.RunsFolded += bs.RunsFolded
+		batch.PartialHits += bs.PartialHits
+		batch.PartialMisses += bs.PartialMisses
 		is := e.IngestStats()
 		ing.Batches += is.Batches
 		ing.BatchedElements += is.Elements

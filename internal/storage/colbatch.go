@@ -70,6 +70,26 @@ type BatchReader struct {
 
 	ri, pos int
 	skipped int
+
+	// What Advance stopped at, for Load: a sealed run, or the flat chunk
+	// elems[flatLo:flatHi] when cur is nil.
+	cur            *runMeta
+	flatLo, flatHi int
+}
+
+// Unit is what Advance stopped at: one sealed run or one chunk of unsealed
+// elements — exactly what the next Load decodes into a batch.
+type Unit struct {
+	// Run is the sealed run's ordinal in the store, -1 for a flat chunk.
+	Run int
+	// Closed is how many of the run's elements closed since it was sealed.
+	Closed int
+	// Stable marks a sealed run read current-only and lying wholly inside
+	// the valid-time window (or read with none): what it contributes to a
+	// fold over valid time is then a function of (Run, Closed) alone, for
+	// as long as the store keeps its runs — the clamp cannot cut it and
+	// closes are monotone.
+	Stable bool
 }
 
 // NewBatchReader builds a reader over st. event marks an event-stamped
@@ -93,8 +113,9 @@ func (r *BatchReader) SetVTWindow(lo, hi chronon.Chronon) {
 	r.hasVT, r.vtLo, r.vtHi = true, lo, hi
 }
 
-// SetCurrentOnly prunes runs sealed with every element already closed —
-// closed elements never reopen, so no row in them can be current.
+// SetCurrentOnly prunes runs whose every element has closed, whether
+// before sealing or since — closed elements never reopen, so no row in
+// them can be current.
 func (r *BatchReader) SetCurrentOnly() { r.currentOnly = true }
 
 // SetAsOf prunes runs whose existence-interval envelope misses tt. The
@@ -109,7 +130,7 @@ func (r *BatchReader) skipRun(run *runMeta) bool {
 	if r.hasVT && (run.vtLo >= r.vtHi || run.vtHi <= r.vtLo) {
 		return true
 	}
-	if r.currentOnly && !run.anyOpen {
+	if r.currentOnly && !run.live() {
 		return true
 	}
 	if r.asOf && (run.ttLo > r.tt || run.maxTTEnd <= r.tt) {
@@ -120,8 +141,8 @@ func (r *BatchReader) skipRun(run *runMeta) bool {
 
 // decodeRun fills b from a sealed run's packed columns. tt⊣ is the one
 // column that can go stale after sealing (copy-on-close deletes swap in
-// closed clones), so runs sealed with open elements re-gather it from
-// the live rows; fully-closed runs are immutable and decode as sealed.
+// closed clones), so a run that has seen a close since re-gathers it from
+// the live rows; every other run decodes exactly as sealed.
 func (r *BatchReader) decodeRun(run *runMeta, b *vec.Batch) error {
 	n := run.n
 	if err := DecodeRunColumns(run.packed, n,
@@ -135,7 +156,7 @@ func (r *BatchReader) decodeRun(run *runMeta, b *vec.Batch) error {
 			b.VTEnd[i] = b.VTStart[i] + 1
 		}
 	}
-	if run.anyOpen {
+	if run.closed > 0 {
 		for i, e := range els {
 			b.TTEnd[i] = int64(e.TTEnd)
 		}
@@ -160,8 +181,11 @@ func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 	}
 }
 
-// Next fills b with the next batch, reporting whether one was produced.
-func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
+// Advance moves to the next unit the zone maps did not prune, without
+// decoding it, and reports whether there was one. A caller that already
+// knows a sealed run's contribution (Unit.Stable) advances past it for the
+// price of this metadata probe; otherwise Load produces the batch.
+func (r *BatchReader) Advance() (Unit, bool) {
 	for r.pos < len(r.elems) {
 		if r.ri < len(r.runs) && r.pos == r.runs[r.ri].start {
 			run := &r.runs[r.ri]
@@ -171,10 +195,11 @@ func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
 				r.skipped++
 				continue
 			}
-			if err := r.decodeRun(run, b); err != nil {
-				return false, err
-			}
-			return true, nil
+			r.cur = run
+			return Unit{
+				Run: r.ri - 1, Closed: run.closed,
+				Stable: r.currentOnly && !r.asOf && (!r.hasVT || (r.vtLo <= run.vtLo && run.vtHi <= r.vtHi)),
+			}, true
 		}
 		// Flat region: up to the next sealed run (there is none once ri
 		// is exhausted — runs cover a prefix), in BatchSize chunks.
@@ -186,11 +211,28 @@ func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
 		if n > vec.BatchSize {
 			n = vec.BatchSize
 		}
-		fillBatch(b, r.elems[r.pos:r.pos+n], r.event)
+		r.cur, r.flatLo, r.flatHi = nil, r.pos, r.pos+n
 		r.pos += n
-		return true, nil
+		return Unit{Run: -1}, true
 	}
-	return false, nil
+	return Unit{}, false
+}
+
+// Load fills b with the unit the last Advance stopped at.
+func (r *BatchReader) Load(b *vec.Batch) error {
+	if r.cur != nil {
+		return r.decodeRun(r.cur, b)
+	}
+	fillBatch(b, r.elems[r.flatLo:r.flatHi], r.event)
+	return nil
+}
+
+// Next fills b with the next batch, reporting whether one was produced.
+func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
+	if _, ok := r.Advance(); !ok {
+		return false, nil
+	}
+	return true, r.Load(b)
 }
 
 // SealedInfo reports how many leading elements sit in sealed runs and

@@ -387,3 +387,180 @@ func benchAggregate(b *testing.B, columnar bool) {
 		}
 	}
 }
+
+// sealedEventLog builds a vt-ordered log of n open events (vt = tt = 10·i)
+// and seals every full run.
+func sealedEventLog(t *testing.T, n int) *VTLogStore {
+	t.Helper()
+	st := &VTLogStore{}
+	for i := 0; i < n; i++ {
+		if err := st.Insert(&element.Element{
+			ES: surrogate.Surrogate(i + 1), OS: 1,
+			TTStart: chronon.Chronon(10 * (i + 1)), TTEnd: chronon.Forever,
+			VT: element.EventAt(chronon.Chronon(10 * (i + 1))),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Compact()
+	return st
+}
+
+func closeAt(st *VTLogStore, i int, tt chronon.Chronon) {
+	orig := st.elems[i]
+	closed := *orig
+	closed.TTEnd = tt
+	st.Replace(orig, &closed)
+}
+
+// TestRunCloseCounts pins the bookkeeping the aggregate memo is valid by:
+// a close inside a sealed run bumps that run's count and no other, a close
+// in the unsealed tail bumps none, and a snapshot keeps the counts (and the
+// elements) it was taken with whichever of the two came first.
+func TestRunCloseCounts(t *testing.T) {
+	st := sealedEventLog(t, 2*runSize+40)
+	counts := func(s *VTLogStore) []int {
+		var out []int
+		for _, r := range s.runs {
+			out = append(out, r.closed)
+		}
+		return out
+	}
+	if got := counts(st); !reflect.DeepEqual(got, []int{0, 0}) {
+		t.Fatalf("fresh seal: close counts %v", got)
+	}
+	before := st.Snapshot().(*VTLogStore)
+	closeAt(st, 2*runSize+7, 99_000) // the tail: unshares the arrays, books nothing
+	closeAt(st, runSize+3, 99_001)   // run 1, after the arrays were already unshared
+	mid := st.Snapshot().(*VTLogStore)
+	closeAt(st, runSize+4, 99_002)
+	closeAt(st, 5, 99_003)
+
+	if got := counts(st); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("live close counts %v, want [1 2]", got)
+	}
+	if got := counts(mid); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatalf("mid snapshot close counts %v, want [0 1]", got)
+	}
+	if got := counts(before); !reflect.DeepEqual(got, []int{0, 0}) {
+		t.Fatalf("first snapshot close counts %v, want [0 0]", got)
+	}
+	if !before.elems[runSize+3].Current() || mid.elems[runSize+3].Current() || !mid.elems[5].Current() {
+		t.Fatal("a snapshot's elements moved with the live store")
+	}
+	// Replacing a closed element again (not a close) books nothing.
+	again := *st.elems[5]
+	st.Replace(st.elems[5], &again)
+	if got := counts(st); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("non-close replace moved the counts: %v", got)
+	}
+}
+
+// TestDecodeRunSkipsRegatherUntilAClose: a run nothing has closed in since
+// sealing decodes from its packed image alone — no walk over its 256 live
+// rows — and the first close turns the tt⊣ re-gather on for that run.
+func TestDecodeRunSkipsRegatherUntilAClose(t *testing.T) {
+	st := sealedEventLog(t, runSize)
+	// Swap a closed clone in behind the store's back: a reader that still
+	// walked the live rows would pick its tt⊣ up.
+	behind := *st.elems[9]
+	behind.TTEnd = 77_777
+	st.elems[9] = &behind
+
+	var b vec.Batch
+	r := NewBatchReader(st, true)
+	if ok, err := r.Next(&b); !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if b.TTEnd[9] != int64(chronon.Forever) {
+		t.Fatalf("row 9 tt⊣ = %d: the untouched run was re-gathered from its elements", b.TTEnd[9])
+	}
+
+	closeAt(st, 20, 88_888)
+	r = NewBatchReader(st, true)
+	if ok, err := r.Next(&b); !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if b.TTEnd[20] != 88_888 || b.TTEnd[9] != 77_777 {
+		t.Fatalf("after a close tt⊣[20] = %d, tt⊣[9] = %d: the run was not re-gathered", b.TTEnd[20], b.TTEnd[9])
+	}
+}
+
+// TestCurrentOnlyPrunesRunsClosedAfterSealing: seal-time anyOpen kept a
+// run in play forever once it had one open element; the close count says
+// when the last of them has gone.
+func TestCurrentOnlyPrunesRunsClosedAfterSealing(t *testing.T) {
+	st := sealedEventLog(t, 2*runSize)
+	for i := 0; i < runSize-1; i++ {
+		closeAt(st, i, 50_000)
+	}
+	r := NewBatchReader(st, true)
+	r.SetCurrentOnly()
+	if got := batchElems(t, r, true); len(got) != 2*runSize || r.Skipped() != 0 {
+		t.Fatalf("one element still open: read %d elements, skipped %d runs", len(got), r.Skipped())
+	}
+	closeAt(st, runSize-1, 50_001)
+	r = NewBatchReader(st, true)
+	r.SetCurrentOnly()
+	got := batchElems(t, r, true)
+	if r.Skipped() != 1 || len(got) != runSize || got[0] != st.elems[runSize] {
+		t.Fatalf("run closed after sealing: read %d elements, skipped %d runs, want %d and 1", len(got), r.Skipped(), runSize)
+	}
+	// Without the current-only rule the run is still read.
+	if got := batchElems(t, NewBatchReader(st, true), true); len(got) != 2*runSize {
+		t.Fatalf("unfiltered read returned %d elements", len(got))
+	}
+}
+
+// TestAdvanceReportsStableRuns: the run-granular step visits exactly the
+// units Next does, and marks stable the sealed runs a current-only read
+// sees whole — not the ones a clamp cuts, nothing under AS OF, never the
+// tail.
+func TestAdvanceReportsStableRuns(t *testing.T) {
+	st := sealedEventLog(t, 3*runSize+10) // vt 10 … 7780, runs of 2560 chronons
+	closeAt(st, runSize+1, 90_000)
+	type unit struct {
+		run, closed int
+		stable      bool
+	}
+	walk := func(set func(*BatchReader)) []unit {
+		r := NewBatchReader(st, true)
+		set(r)
+		var out []unit
+		var b vec.Batch
+		for {
+			u, ok := r.Advance()
+			if !ok {
+				return out
+			}
+			if err := r.Load(&b); err != nil {
+				t.Fatal(err)
+			}
+			if want := runSize; u.Run >= 0 && b.N != want {
+				t.Fatalf("run %d loaded %d rows", u.Run, b.N)
+			}
+			out = append(out, unit{u.Run, u.Closed, u.Stable})
+		}
+	}
+	cases := []struct {
+		name string
+		set  func(*BatchReader)
+		want []unit
+	}{
+		{"current", func(r *BatchReader) { r.SetCurrentOnly() },
+			[]unit{{0, 0, true}, {1, 1, true}, {2, 0, true}, {-1, 0, false}}},
+		{"clamp", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2000, 7681) },
+			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {-1, 0, false}}},
+		{"clamp-cuts-last-run", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2570, 7680) },
+			[]unit{{1, 1, true}, {2, 0, false}, {-1, 0, false}}},
+		{"as-of", func(r *BatchReader) { r.SetAsOf(80_000) },
+			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {-1, 0, false}}},
+		{"unfiltered", func(*BatchReader) {},
+			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {-1, 0, false}}},
+	}
+	for _, tc := range cases {
+		if got := walk(tc.set); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: units %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -30,9 +30,12 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // pointer-identical results; only the touched accounting changes. Envelope
 // staleness is one-directional by construction: after sealing, an element
 // can only move from open to closed (the copy-on-close Replace), which makes
-// a recorded maxTTEnd of Forever or anyCurrent of true conservative — a
-// stale run is scanned, never wrongly skipped. Valid times and tt⊢ are
-// immutable, so those bounds stay exact.
+// a recorded maxTTEnd of Forever or a seal-time open count above zero
+// conservative — a stale run is scanned, never wrongly skipped. Valid times
+// and tt⊢ are immutable, so those bounds stay exact. Each run also counts the
+// closes that landed in it since sealing, which is what lets the batch reader
+// tell a stale envelope from a fresh one (colbatch.go) and lets the aggregate
+// path reuse a run's contribution across writes that did not touch it.
 //
 // Compaction is scheduled by class: the catalog's advisor loop seals runs
 // only on relations whose live organization is the vt-ordered log — the
@@ -52,9 +55,28 @@ type runMeta struct {
 	maxTTEnd chronon.Chronon // max tt⊣ at seal time (Forever while any open)
 	vtLo     chronon.Chronon // min valid-time start
 	vtHi     chronon.Chronon // max exclusive valid-time end
-	anyOpen  bool            // any element still current at seal time
-	packed   []byte          // delta-encoded timestamp columns
-	sum      uint32          // CRC32C of packed, fixed at seal time
+	open     int             // elements still current at seal time
+	// closed counts the elements closed since sealing (noteClose). Closes
+	// are monotone — open to closed, never back — and arrive in one
+	// sequence, so within one sealing of the run, closed alone identifies
+	// which of its elements are current: two views that agree on it see
+	// the same current-state content.
+	closed int
+	packed []byte // delta-encoded timestamp columns
+	sum    uint32 // CRC32C of packed, fixed at seal time
+}
+
+// live reports whether any element of the run can still be current.
+func (r *runMeta) live() bool { return r.closed < r.open }
+
+// noteClose books the close of elems[i] (old replaced by its closed
+// clone) against the sealed run covering it, if any. compactLog seals
+// back to back from index 0 in runSize steps, so run i/runSize covers i.
+// The caller has already unshared runs from any snapshot.
+func noteClose(runs []runMeta, i int, old, repl *element.Element) {
+	if i >= 0 && i < covered(runs) && old.Current() && !repl.Current() {
+		runs[i/runSize].closed++
+	}
 }
 
 // snapRuns full-caps the sealed-run slice for a snapshot, so a later Compact
@@ -88,7 +110,7 @@ func sealRun(elems []*element.Element, start, n int) runMeta {
 		r.vtLo = chronon.Min(r.vtLo, e.VT.Start())
 		r.vtHi = chronon.Max(r.vtHi, exclusiveEnd(e))
 		if e.Current() {
-			r.anyOpen = true
+			r.open++
 		}
 	}
 	r.packed = packColumns(elems[start : start+n])
@@ -215,7 +237,7 @@ func vtRangeZoneMap(elems []*element.Element, runs []runMeta, lo, hi chronon.Chr
 	var out []*element.Element
 	touched := 0
 	for _, r := range runs {
-		if !r.anyOpen || r.vtLo >= hi || r.vtHi <= lo {
+		if r.open == 0 || r.vtLo >= hi || r.vtHi <= lo {
 			touched++
 			continue
 		}
@@ -255,7 +277,7 @@ func vtRangeOrderedRuns(elems []*element.Element, runs []runMeta, lo, hi chronon
 			if r.vtLo >= hi {
 				return out, touched
 			}
-			if !r.anyOpen {
+			if r.open == 0 {
 				touched++
 				i = r.start + r.n
 				continue

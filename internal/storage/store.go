@@ -124,13 +124,14 @@ func snapTail(elems []*element.Element) []*element.Element {
 }
 
 // replaceShared performs the copy-when-shared pointer swap common to the
-// slice-backed stores. Replacing inside a frozen snapshot is a bug in the
-// caller (snapshots are immutable), so it trips loudly. Elements arrive in
-// tt⊢ order, so old is found by binary search plus a walk over the run
-// sharing its TTStart — replaying a log of closes stays O(n log n). Only
+// slice-backed stores, returning the elements and the index the swap landed
+// on (-1 when old is not stored). Replacing inside a frozen snapshot is a
+// bug in the caller (snapshots are immutable), so it trips loudly. Elements
+// arrive in tt⊢ order, so old is found by binary search plus a walk over the
+// run sharing its TTStart — replaying a log of closes stays O(n log n). Only
 // the heap can hold a history whose tt order broke; that falls through to
 // the scan.
-func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, repl *element.Element) []*element.Element {
+func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, repl *element.Element) ([]*element.Element, int) {
 	if frozen {
 		panic("storage: replace in a frozen snapshot")
 	}
@@ -142,16 +143,29 @@ func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, rep
 	for ; i < len(elems) && elems[i].TTStart == old.TTStart; i++ {
 		if elems[i] == old {
 			elems[i] = repl
-			return elems
+			return elems, i
 		}
 	}
 	for i, e := range elems {
 		if e == old {
 			elems[i] = repl
-			break
+			return elems, i
 		}
 	}
-	return elems
+	return elems, -1
+}
+
+// replaceInLog is Replace for the two log organizations: the pointer swap,
+// plus the close booked against the sealed run it landed in. The run
+// metadata follows the same copy-when-shared rule as the elements, so a
+// snapshot keeps the close counts it was taken with.
+func replaceInLog(elems []*element.Element, runs []runMeta, shared *bool, frozen bool, old, repl *element.Element) ([]*element.Element, []runMeta) {
+	if *shared {
+		runs = append([]runMeta(nil), runs...)
+	}
+	elems, i := replaceShared(elems, shared, frozen, old, repl)
+	noteClose(runs, i, old, repl)
+	return elems, runs
 }
 
 // Elements returns the store's elements in arrival order. For the
@@ -226,7 +240,7 @@ func (s *HeapStore) Snapshot() Store {
 // Replace swaps repl for old by pointer identity, copying the backing
 // array first if a snapshot shares it.
 func (s *HeapStore) Replace(old, repl *element.Element) {
-	s.elems = replaceShared(s.elems, &s.shared, s.frozen, old, repl)
+	s.elems, _ = replaceShared(s.elems, &s.shared, s.frozen, old, repl)
 }
 
 // Scan visits every element.
@@ -311,7 +325,7 @@ func (s *TTLogStore) Snapshot() Store {
 // Replace swaps repl for old by pointer identity; tt⊢ order is unchanged
 // because a closed clone keeps its TTStart.
 func (s *TTLogStore) Replace(old, repl *element.Element) {
-	s.elems = replaceShared(s.elems, &s.shared, s.frozen, old, repl)
+	s.elems, s.runs = replaceInLog(s.elems, s.runs, &s.shared, s.frozen, old, repl)
 }
 
 // Scan visits every element.
@@ -413,7 +427,7 @@ func (s *VTLogStore) Snapshot() Store {
 // Replace swaps repl for old by pointer identity; both orders are
 // unchanged because a closed clone keeps its TTStart and valid time.
 func (s *VTLogStore) Replace(old, repl *element.Element) {
-	s.elems = replaceShared(s.elems, &s.shared, s.frozen, old, repl)
+	s.elems, s.runs = replaceInLog(s.elems, s.runs, &s.shared, s.frozen, old, repl)
 }
 
 // Insert appends the element, verifying both orders.

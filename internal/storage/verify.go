@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/chronon"
 	"repro/internal/element"
 )
 
@@ -70,6 +71,11 @@ func verifyRun(r runMeta, elems []*element.Element) string {
 	}
 	for j, e := range elems[r.start : r.start+r.n] {
 		got := cols[j]
+		if r.closed > 0 && got[1] == int64(chronon.Forever) {
+			// Sealed open, closed since: the one staleness the image is
+			// allowed (compact.go), not damage.
+			got[1] = int64(e.TTEnd)
+		}
 		if got[0] != int64(e.TTStart) || got[1] != int64(e.TTEnd) ||
 			got[2] != int64(e.VT.Start()) || got[3] != int64(e.VT.End()) {
 			return fmt.Sprintf("row %d decodes to different timestamps", j)
@@ -81,12 +87,16 @@ func verifyRun(r runMeta, elems []*element.Element) string {
 // ResealRuns rebuilds the given runs (by index) from the elements they
 // cover — the elements are the ground truth, the packed image is a
 // derived representation — and returns how many were rebuilt. Indexes
-// out of range are ignored.
+// out of range are ignored. The run slice is copied first: published
+// snapshots share it and read it without a lock. A resealed run counts
+// its open elements and closes afresh, so whoever memoizes per-run state
+// against (ordinal, close count) must treat the store as a new one.
 func ResealRuns(st Store, bad []int) int {
 	runsp := storeRuns(st)
 	if runsp == nil || len(bad) == 0 {
 		return 0
 	}
+	*runsp = append([]runMeta(nil), *runsp...)
 	elems := Elements(st)
 	rebuilt := 0
 	for _, i := range bad {

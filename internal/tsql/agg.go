@@ -174,14 +174,41 @@ func aggNote(q *Query) string {
 // and every semantically distinct clause (including the USING hint,
 // which changes the plan the entry records) lands in the key.
 func (q *Query) Fingerprint() string {
+	result, _ := q.Fingerprints()
+	return result
+}
+
+// Fingerprints canonicalizes the statement once for both levels of the
+// aggregate memo. result is Fingerprint's key for the whole answer.
+// partial keys what one sealed run contributes to a window aggregate, so
+// it holds only what decides a run's accumulator cells — the aggregate
+// list, the window width, and the residual predicate (Allen WHEN, WHERE).
+// It leaves out what is applied around the cells: the window mode and its
+// extent (tumbling, rolling and cumulative differ only in how cells are
+// emitted), the valid-time clamp (a partial is only used for runs the
+// clamp does not cut), AS OF (never memoized), the engine hint, ORDER BY
+// and LIMIT. partial is empty for statements that are not aggregates.
+func (q *Query) Fingerprints() (result, partial string) {
+	var aggs, where strings.Builder
+	for _, a := range q.Aggs {
+		fmt.Fprintf(&aggs, ";agg=%s(%s)", a.Func, a.Col)
+	}
+	for _, p := range q.Where {
+		fmt.Fprintf(&where, ";where=%s %s %d,%v,%d,%v,%q,%v",
+			p.Col, p.Op, p.Lit.Kind, p.Lit.Number, p.Lit.Int, p.Lit.IsInt, p.Lit.Str, p.Lit.Bool)
+	}
+	when := ""
+	if w := q.When; w != nil {
+		when = fmt.Sprintf(";when=%d,%d,%d,%d,%v",
+			w.Kind, int64(w.At), int64(w.Window.Start), int64(w.Window.End), w.Rel)
+	}
+
 	var b strings.Builder
 	fmt.Fprintf(&b, "rel=%s", q.Rel)
 	for _, c := range q.Columns {
 		fmt.Fprintf(&b, ";col=%s", c)
 	}
-	for _, a := range q.Aggs {
-		fmt.Fprintf(&b, ";agg=%s(%s)", a.Func, a.Col)
-	}
+	b.WriteString(aggs.String())
 	if q.Group != nil {
 		fmt.Fprintf(&b, ";win=%d,%v,%d", q.Group.Width, q.Group.Kind, q.Group.K)
 	}
@@ -189,19 +216,22 @@ func (q *Query) Fingerprint() string {
 	if q.HasAsOf {
 		fmt.Fprintf(&b, ";asof=%d", int64(q.AsOf))
 	}
-	if w := q.When; w != nil {
-		fmt.Fprintf(&b, ";when=%d,%d,%d,%d,%v",
-			w.Kind, int64(w.At), int64(w.Window.Start), int64(w.Window.End), w.Rel)
-	}
-	for _, p := range q.Where {
-		fmt.Fprintf(&b, ";where=%s %s %d,%v,%d,%v,%q,%v",
-			p.Col, p.Op, p.Lit.Kind, p.Lit.Number, p.Lit.Int, p.Lit.IsInt, p.Lit.Str, p.Lit.Bool)
-	}
+	b.WriteString(when)
+	b.WriteString(where.String())
 	if q.OrderBy != "" {
 		fmt.Fprintf(&b, ";order=%s,%v", q.OrderBy, q.OrderDesc)
 	}
 	if q.HasLimit {
 		fmt.Fprintf(&b, ";limit=%d", q.Limit)
 	}
-	return b.String()
+	result = b.String()
+
+	if q.Group == nil {
+		return result, ""
+	}
+	partial = fmt.Sprintf("width=%d", q.Group.Width) + aggs.String()
+	if q.When != nil && q.When.Kind == WhenAllen {
+		partial += when
+	}
+	return result, partial + where.String()
 }

@@ -112,6 +112,63 @@ func TestAggregateFingerprint(t *testing.T) {
 	}
 }
 
+// TestPartialFingerprint: the two memo levels are keyed from one
+// canonicalization. Everything applied around a run's accumulator cells —
+// window mode and extent, the valid-time clamp, the engine hint, LIMIT —
+// changes the result key and leaves the partial key alone; everything that
+// decides the cells changes both.
+func TestPartialFingerprint(t *testing.T) {
+	fps := func(src string) (string, string) { return mustParse(t, src).Fingerprints() }
+	const base = "select count(*), max(salary) from emp group by window(100)"
+	baseRes, basePart := fps(base)
+	if baseRes != mustParse(t, base).Fingerprint() {
+		t.Fatal("Fingerprint is not Fingerprints' result key")
+	}
+	// The result key is an on-the-wire-free but cache-visible format other
+	// code prefixes ("agg:"); pin it so the refactor cannot drift it.
+	if want := "rel=emp;agg=count();agg=max(salary);win=100,tumbling,0;pick=auto"; baseRes != want {
+		t.Fatalf("result fingerprint %q, want %q", baseRes, want)
+	}
+	shared := []string{
+		"select count(*), max(salary) from emp group by window(100, rolling 8)",
+		"select count(*), max(salary) from emp group by window(100, rolling 3)",
+		"select count(*), max(salary) from emp group by window(100, cumulative)",
+		"select count(*), max(salary) from emp when valid during [0, 5000) group by window(100)",
+		"select count(*), max(salary) from emp when valid at 7 group by window(100)",
+		"select count(*), max(salary) from emp group by window(100) using columnar",
+		"select count(*), max(salary) from emp group by window(100) limit 2",
+	}
+	for _, src := range shared {
+		res, part := fps(src)
+		if part != basePart {
+			t.Errorf("%q: partial fingerprint %q, want the base's %q", src, part, basePart)
+		}
+		if res == baseRes {
+			t.Errorf("%q: result fingerprint equals the base's", src)
+		}
+	}
+	distinct := []string{
+		"select count(*), max(salary) from emp group by window(200)",
+		"select max(salary), count(*) from emp group by window(100)",
+		"select count(*), min(salary) from emp group by window(100)",
+		"select count(*), max(salary) from emp where salary > 1 group by window(100)",
+		"select count(*), max(salary) from emp where salary > 2 group by window(100)",
+		"select count(*), max(salary) from emp when overlaps [0, 50) group by window(100)",
+		"select count(*), max(salary) from emp when overlaps [0, 60) group by window(100)",
+	}
+	seen := map[string]string{basePart: base}
+	for _, src := range distinct {
+		_, part := fps(src)
+		if prev, dup := seen[part]; dup {
+			t.Errorf("%q shares a partial fingerprint with %q", src, prev)
+		}
+		seen[part] = src
+	}
+	if _, part := fps("select * from emp"); part != "" {
+		t.Errorf("a non-aggregate statement has partial fingerprint %q", part)
+	}
+}
+
 func TestCompileAggregatePlanShape(t *testing.T) {
 	a := plan.Access{
 		Org: plan.OrgVTLog, N: 10000, Sealed: 9984, Runs: 39,

@@ -3,6 +3,7 @@ package vec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/chronon"
@@ -188,36 +189,53 @@ func updateCells(cells []cell, aggs []AggCall, e *element.Element) error {
 	return nil
 }
 
+// laneConflict reports what keeps src from merging into dst: sums of
+// different modes (sum), extremes of different kinds (ext).
+func laneConflict(d, s *cell) (sum, ext bool) {
+	sum = s.mode != sumNone && d.mode != sumNone && d.mode != s.mode
+	ext = s.has && d.has && s.ext.Kind() != d.ext.Kind()
+	return sum, ext
+}
+
 // mergeCells folds src into dst (same AggCall layout); used by the
-// rolling and cumulative emitters.
+// rolling and cumulative emitters and by ColAgg.Merge.
 func mergeCells(dst, src []cell, aggs []AggCall) error {
 	for ai := range aggs {
 		a := &aggs[ai]
 		d, s := &dst[ai], &src[ai]
+		sumMixed, extMixed := laneConflict(d, s)
 		d.n += s.n
+		if sumMixed {
+			return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
+		}
 		if s.mode != sumNone {
-			if d.mode != sumNone && d.mode != s.mode {
-				return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
-			}
 			d.mode = s.mode
 			d.si += s.si
 			d.sf += s.sf
 		}
+		if extMixed {
+			return fmt.Errorf("vec: %s(%s) over mixed %v and %v values",
+				a.Kind, a.Col, d.ext.Kind(), s.ext.Kind())
+		}
 		if s.has {
 			if !d.has {
 				d.ext, d.has = s.ext, true
-			} else {
-				if s.ext.Kind() != d.ext.Kind() {
-					return fmt.Errorf("vec: %s(%s) over mixed %v and %v values",
-						a.Kind, a.Col, d.ext.Kind(), s.ext.Kind())
-				}
-				if c := s.ext.Compare(d.ext); (a.Kind == AggMin && c < 0) || (a.Kind == AggMax && c > 0) {
-					d.ext = s.ext
-				}
+			} else if c := s.ext.Compare(d.ext); (a.Kind == AggMin && c < 0) || (a.Kind == AggMax && c > 0) {
+				d.ext = s.ext
 			}
 		}
 	}
 	return nil
+}
+
+// mergeable reports whether mergeCells(dst, src) would succeed.
+func mergeable(dst, src []cell) bool {
+	for ai := range src {
+		if sum, ext := laneConflict(&dst[ai], &src[ai]); sum || ext {
+			return false
+		}
+	}
+	return true
 }
 
 // finalize converts an accumulator row into output values. Empty sums
@@ -552,6 +570,78 @@ func (a *ColAgg) consumeCounts(b *Batch) error {
 
 // Result emits the aggregated windows.
 func (a *ColAgg) Result() (*AggResult, error) { return a.ac.emit() }
+
+// Partial is what a stretch of the input contributed to a fold: the
+// accumulator cells of every window it populated, before any window mode
+// is applied — so tumbling, rolling and cumulative queries over the same
+// width, aggregates and predicate share it. It is immutable once exported
+// and may be merged into any number of later folds.
+type Partial struct {
+	idx   []int64 // populated window indices
+	cells []cell  // len(idx) rows of len(Aggs) cells, row-major
+}
+
+// partialCellBytes is the resident size of one exported cell.
+const partialCellBytes = 80
+
+// Bytes approximates the partial's resident size, for cache budgeting.
+func (p *Partial) Bytes() int64 {
+	return 64 + 8*int64(len(p.idx)) + partialCellBytes*int64(len(p.cells))
+}
+
+// Reset empties the accumulation state, keeping the spec.
+func (a *ColAgg) Reset() {
+	clear(a.ac.cells)
+	a.ac.haveLast = false
+}
+
+// Export copies the accumulated cells out as a Partial. It reports false
+// when merging them later could differ from folding the same rows in
+// arrival order, the order both engines fix: a float sum lane (float
+// addition is not associative) or a NaN extreme (NaN compares equal to
+// everything, so which value survives depends on what it met first).
+// Integer sums, counts and strictly compared extremes merge exactly.
+func (a *ColAgg) Export() (*Partial, bool) {
+	na := len(a.spec.Aggs)
+	p := &Partial{
+		idx:   make([]int64, 0, len(a.ac.cells)),
+		cells: make([]cell, 0, len(a.ac.cells)*na),
+	}
+	for wi, row := range a.ac.cells {
+		for ci := range row {
+			c := &row[ci]
+			if c.mode == sumFloat {
+				return nil, false
+			}
+			if f, ok := c.ext.FloatVal(); ok && math.IsNaN(f) {
+				return nil, false
+			}
+		}
+		p.idx = append(p.idx, wi)
+		p.cells = append(p.cells, row...)
+	}
+	return p, true
+}
+
+// Merge folds p into the state exactly as consuming the rows behind it at
+// this point would have. It reports false, having changed nothing, when
+// some lane of p cannot combine with what is accumulated (an integer sum
+// meeting a float one, extremes of different kinds): the caller then
+// consumes those rows itself, which fails on the same row with the same
+// text as the row engine.
+func (a *ColAgg) Merge(p *Partial) bool {
+	na := len(a.spec.Aggs)
+	for i, wi := range p.idx {
+		if row, ok := a.ac.cells[wi]; ok && !mergeable(row, p.cells[i*na:(i+1)*na]) {
+			return false
+		}
+	}
+	for i, wi := range p.idx {
+		// Cannot fail: mergeable just held for every row.
+		_ = mergeCells(a.ac.row(wi), p.cells[i*na:(i+1)*na], a.spec.Aggs)
+	}
+	return true
+}
 
 // validSpan is the element's half-open valid extent: events are the
 // single chronon [vt, vt+1), intervals their own [start, end).

@@ -79,4 +79,8 @@ func (f Filter) Apply(b *Batch, sel []int32) []int32 {
 type ExecStats struct {
 	Batches int64 // batches consumed
 	Rows    int64 // rows delivered across those batches
+	// Of the sealed runs the zone maps let through: how many were answered
+	// by merging a memoized partial, and how many were decoded and folded.
+	RunsMerged int64
+	RunsFolded int64
 }

@@ -916,14 +916,22 @@ type QueryCacheMetrics struct {
 }
 
 // BatchMetrics reports the batch-execution counters summed over the
-// catalog: batches and rows the columnar engine consumed, and how often
-// the planner picked each engine for an executed window aggregate.
+// catalog: batches and rows the columnar engine actually visited, how
+// often the planner picked each engine for an executed window aggregate,
+// how many sealed runs were answered by merging a memoized partial
+// against decoded and folded, and how often an execution found its run
+// partials in the query cache. The partial lookups are not part of
+// query_cache's hits and misses, which count whole results only.
 type BatchMetrics struct {
 	Batches          int64   `json:"batches"`
 	Rows             int64   `json:"rows"`
 	MeanRowsPerBatch float64 `json:"mean_rows_per_batch"`
 	ColumnarPicks    int64   `json:"columnar_picks"`
 	RowPicks         int64   `json:"row_picks"`
+	RunsMerged       int64   `json:"runs_merged"`
+	RunsFolded       int64   `json:"runs_folded"`
+	PartialHits      int64   `json:"partial_hits"`
+	PartialMisses    int64   `json:"partial_misses"`
 }
 
 // IngestMetrics reports the batched-ingest counters summed over the
