@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages whose tests exercise shared mutable state across goroutines;
 # these run a second time under the race detector in `make ci`.
-RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./client
+RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./internal/wire ./client
 
 .PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module clean
 
@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeProof$$' -fuzztime=5s ./internal/integrity
 	$(GO) test -run=NONE -fuzz='^FuzzMerkleConsistency$$' -fuzztime=5s ./internal/integrity
 	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s ./internal/server
+	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s ./internal/wire
 
 # Regenerate every figure/claim table plus the serving, durability, and
 # overload benchmarks (writes BENCH_*.json in the working directory).
@@ -89,14 +90,16 @@ bench:
 # A trimmed benchmark pass: snapshot vs cache-hit time-slices,
 # the auto-specialization before/after pair, boot replay over a log with
 # closes, the aggregate-after-append pair (run partials warm against the
-# cache-off direct fold), and the columnar batch scan/aggregate
-# microbenchmarks, at -benchtime=100ms. Fast enough for
+# cache-off direct fold), the columnar batch scan/aggregate
+# microbenchmarks, and the hand-written wire codec beside encoding/json
+# on the same result sets, at -benchtime=100ms. Fast enough for
 # ci; the full concurrent-reader experiment is
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
 	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
+	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 
 # The benchmark is its own module with a replace directive onto this
 # one, so tier-1's `./...` never builds it; an internal API change can

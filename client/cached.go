@@ -2,13 +2,10 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -127,33 +124,16 @@ func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSel
 		return CachedSelectResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: reading response: %w", err)
-	}
-
-	switch {
-	case resp.StatusCode == http.StatusNotModified && haveCached:
+	if resp.StatusCode == http.StatusNotModified && haveCached {
 		return CachedSelectResponse{
 			SelectResponse: cached.resp,
 			ETag:           resp.Header.Get(wire.HeaderETag),
 			NotModified:    true,
 		}, nil
-	case resp.StatusCode >= 300:
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return CachedSelectResponse{}, &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
-		}
-		return CachedSelectResponse{}, &APIError{
-			Status:  resp.StatusCode,
-			Code:    CodeInternal,
-			Message: strings.TrimSpace(string(payload)),
-		}
 	}
-
 	var out SelectResponse
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: decoding response: %w", err)
+	if err := readResponse(resp, &out); err != nil {
+		return CachedSelectResponse{}, err
 	}
 	etag := resp.Header.Get(wire.HeaderETag)
 	if etag != "" {
@@ -192,33 +172,16 @@ func (c *Client) QueryCached(ctx context.Context, name string, req QueryRequest)
 		return CachedResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: reading response: %w", err)
-	}
-
-	switch {
-	case resp.StatusCode == http.StatusNotModified && haveCached:
+	if resp.StatusCode == http.StatusNotModified && haveCached {
 		return CachedResponse{
 			QueryResponse: cached.resp,
 			ETag:          resp.Header.Get(wire.HeaderETag),
 			NotModified:   true,
 		}, nil
-	case resp.StatusCode >= 300:
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return CachedResponse{}, &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
-		}
-		return CachedResponse{}, &APIError{
-			Status:  resp.StatusCode,
-			Code:    CodeInternal,
-			Message: strings.TrimSpace(string(payload)),
-		}
 	}
-
 	var out QueryResponse
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: decoding response: %w", err)
+	if err := readResponse(resp, &out); err != nil {
+		return CachedResponse{}, err
 	}
 	etag := resp.Header.Get(wire.HeaderETag)
 	if etag != "" {

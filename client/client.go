@@ -295,7 +295,12 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any, o c
 	var body []byte
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if ap, ok := in.(wire.Appender); ok {
+			body, err = ap.AppendJSON(nil)
+		} else {
+			body, err = json.Marshal(in)
+		}
+		if err != nil {
 			return fmt.Errorf("tsdbd: encoding request: %w", err)
 		}
 	}
@@ -393,35 +398,72 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if o.hdr != nil {
 		*o.hdr = resp.Header.Clone()
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	return readResponse(resp, out)
+}
+
+// maxResponseBytes caps the response body the client will buffer.
+const maxResponseBytes = 16 << 20
+
+// readPayload reads a response body whole into buf, with room reserved
+// from its Content-Length. A body past maxResponseBytes is refused with
+// a typed too_large error naming the limit — never cut short and handed
+// to the decoder, which could only report it as a JSON syntax error.
+func readPayload(buf *bytes.Buffer, resp *http.Response) ([]byte, error) {
+	err := wire.ReadBody(buf, io.LimitReader(resp.Body, maxResponseBytes+1), resp.ContentLength, maxResponseBytes)
 	if err != nil {
-		return fmt.Errorf("tsdbd: reading response: %w", err)
+		return nil, fmt.Errorf("tsdbd: reading response: %w", err)
 	}
-	if resp.StatusCode >= 300 {
-		var ra time.Duration
-		if s := resp.Header.Get(wire.HeaderRetryAfter); s != "" {
-			if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message, RetryAfter: ra}
-		}
-		return &APIError{
-			Status:     resp.StatusCode,
-			Code:       CodeInternal,
-			Message:    strings.TrimSpace(string(payload)),
-			RetryAfter: ra,
-		}
+	if buf.Len() > maxResponseBytes {
+		return nil, &APIError{Status: resp.StatusCode, Code: CodeTooLarge,
+			Message: fmt.Sprintf("response body exceeds the client's %d-byte limit", maxResponseBytes)}
 	}
-	if out == nil {
+	return buf.Bytes(), nil
+}
+
+// decodePayload decodes a response body into out: through out's own
+// parser when it has one (the shapes that carry elements or rows), and
+// through encoding/json otherwise or when that parser meets a spelling
+// it does not own — unknown fields are skipped there as they always were.
+func decodePayload(payload []byte, out any) error {
+	if p, ok := out.(wire.Parser); ok && p.ParseJSON(payload) == nil {
 		return nil
 	}
 	if err := json.Unmarshal(payload, out); err != nil {
 		return fmt.Errorf("tsdbd: decoding response: %w", err)
 	}
 	return nil
+}
+
+// readResponse is the one reader of response bodies: it buffers the
+// body (in a pooled buffer — a decoded body is dead, both decoders copy
+// what they keep), turns a non-2xx status into an *APIError (the
+// server's error envelope when the body is one, the raw text otherwise,
+// with any Retry-After hint), and decodes a success into out when out is
+// non-nil.
+func readResponse(resp *http.Response, out any) error {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	payload, err := readPayload(buf, resp)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode >= 300 {
+		ae := &APIError{Status: resp.StatusCode, Code: CodeInternal, Message: strings.TrimSpace(string(payload))}
+		if s := resp.Header.Get(wire.HeaderRetryAfter); s != "" {
+			if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
+				ae.RetryAfter = time.Duration(secs) * time.Second
+			}
+		}
+		var eb wire.ErrorBody
+		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
+			ae.Code, ae.Message = eb.Error.Code, eb.Error.Message
+		}
+		return ae
+	}
+	if out == nil {
+		return nil
+	}
+	return decodePayload(payload, out)
 }
 
 // Health probes the server.
@@ -447,14 +489,14 @@ func (c *Client) Ready(ctx context.Context) (ReadyResponse, error) {
 		return out, fmt.Errorf("tsdbd: GET /readyz: %w", err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	// A 503 here is an answer, not an error: skip readResponse's status check.
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	payload, err := readPayload(buf, resp)
 	if err != nil {
-		return out, fmt.Errorf("tsdbd: reading response: %w", err)
+		return out, err
 	}
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return out, fmt.Errorf("tsdbd: decoding /readyz: %w", err)
-	}
-	return out, nil
+	return out, decodePayload(payload, &out)
 }
 
 // Metrics fetches the server's request metrics.
@@ -562,21 +604,7 @@ func (c *Client) IngestCSV(ctx context.Context, name string, r io.Reader) (Inges
 		return out, fmt.Errorf("tsdbd: POST /v1/ingest/csv: %w", err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return out, fmt.Errorf("tsdbd: reading response: %w", err)
-	}
-	if resp.StatusCode >= 300 {
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return out, &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
-		}
-		return out, &APIError{Status: resp.StatusCode, Code: CodeInternal, Message: strings.TrimSpace(string(payload))}
-	}
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return out, fmt.Errorf("tsdbd: decoding response: %w", err)
-	}
-	return out, nil
+	return out, readResponse(resp, &out)
 }
 
 // Delete runs one logical-delete transaction against the element.

@@ -1,9 +1,15 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/client"
@@ -112,4 +118,40 @@ func asAPIError(err error, into **client.APIError) bool {
 		*into = ae
 	}
 	return ok
+}
+
+// TestResponseOverTheLimitIsTypedNotTruncated: a body one byte past the
+// client's buffer limit is a too_large error that names the limit — it
+// used to be cut at the limit and surface as a JSON syntax error — and
+// a body exactly at the limit still decodes.
+func TestResponseOverTheLimitIsTypedNotTruncated(t *testing.T) {
+	const limit = 16 << 20
+	var size atomic.Int64
+	size.Store(limit + 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// {"elements":[],"plan":"xxx…"} padded to exactly size bytes.
+		const head, tail = `{"elements":[],"plan":"`, `"}`
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path != "/v1/relations/chunked/query" {
+			w.Header().Set("Content-Length", strconv.FormatInt(size.Load(), 10))
+		}
+		io.WriteString(w, head)
+		w.Write(bytes.Repeat([]byte{'x'}, int(size.Load())-len(head)-len(tail)))
+		io.WriteString(w, tail)
+	}))
+	defer hs.Close()
+	cli := client.New(hs.URL)
+
+	for _, rel := range []string{"sized", "chunked"} {
+		_, err := cli.Current(context.Background(), rel)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Code != client.CodeTooLarge || !strings.Contains(ae.Message, strconv.Itoa(limit)) {
+			t.Fatalf("%s body of limit+1 bytes: %v, want too_large naming %d", rel, err, limit)
+		}
+	}
+	size.Store(limit)
+	q, err := cli.Current(context.Background(), "sized")
+	if err != nil || len(q.Plan) < limit-64 {
+		t.Fatalf("body of exactly the limit: %d plan bytes, %v", len(q.Plan), err)
+	}
 }

@@ -1,0 +1,111 @@
+package server
+
+// The fast request parser must not move the protocol's edges: whatever
+// the strict json.Decoder accepted, refused, and said about a body
+// before, decode still accepts, refuses and says. A defined type drops
+// the wire types' ParseJSON, so decoding into it is the old path, and
+// the two are compared body by body.
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+type (
+	plainInsert wire.InsertRequest
+	plainBatch  wire.BatchInsertRequest
+)
+
+// decodeBody runs decode over body under a size cap; the plain types'
+// names are spelled back so that error texts compare.
+func decodeBody(body io.Reader, limit int64, into any) *apiError {
+	r := httptest.NewRequest("POST", "/", body)
+	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
+	aerr := decode(r, into)
+	if aerr != nil {
+		aerr.message = strings.NewReplacer("server.plainInsert", "wire.InsertRequest", "server.plainBatch", "wire.BatchInsertRequest",
+			"plainInsert", "InsertRequest", "plainBatch", "BatchInsertRequest").Replace(aerr.message)
+	}
+	return aerr
+}
+
+func TestDecodeKeepsTheAcceptSet(t *testing.T) {
+	const element = `{"vt":{"event":5},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":1}]}`
+	bodies := []string{
+		element,
+		`{"object":3,"vt":{"start":1,"end":9},"user_times":[4]}`,
+		" {\n \"vt\" : { \"event\" : 5 } }\n",
+		element + ` {"trailing":"value"}`,
+		element + `]`,
+		`{"vt":{"event":5},"VT":{"event":6}}`,
+		`{"vt":{"event":5},"vt":{"event":6}}`,
+		`{"vt":{"event":5},"color":"red"}`,
+		`{"vt":{"ev\u0065nt":5}}`,
+		`{"vt":{"event":5.0}}`,
+		`{"vt":{"event":"5"}}`,
+		`{"vt":{"event":99999999999999999999}}`,
+		`{"vt":null,"invariant":null}`,
+		`{"object":-1,"vt":{"event":5}}`,
+		`{"vt":{"event":5},"invariant":[{"kind":"string","str":"\ud800x\'"}]}`,
+		`{"vt":{"event":5}`,
+		`null`, `[]`, `7`, ``, ` `, `{`,
+		`{"elements":[` + element + `,` + element + `],"keys":["a","b"],"atomic":true}`,
+		`{"elements":[` + element + `],"keys":["a"],"atomic":1}`,
+		`{"elements":[` + element + `],"Keys":["a"]}`,
+		`{"elements":null}`,
+		`{"elements":[null]}`,
+		`{"elements":[{}],"keys":[null]}`,
+		element + strings.Repeat(" ", 4096), // past the cap, after a complete value
+		`{"vt":{"event":5},"invariant":[` + strings.Repeat(`{"kind":"int"},`, 400) + `{"kind":"int"}]}`, // past the cap, mid-value
+	}
+	const limit = 2048
+	for _, body := range bodies {
+		var fastI wire.InsertRequest
+		var slowI plainInsert
+		fe, se := decodeBody(strings.NewReader(body), limit, &fastI), decodeBody(strings.NewReader(body), limit, &slowI)
+		if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fastI, wire.InsertRequest(slowI)) {
+			t.Errorf("insert body %.80q:\n fast %+v %+v\n slow %+v %+v", body, fe, fastI, se, slowI)
+		}
+		var fastB wire.BatchInsertRequest
+		var slowB plainBatch
+		fe, se = decodeBody(strings.NewReader(body), limit, &fastB), decodeBody(strings.NewReader(body), limit, &slowB)
+		if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fastB, wire.BatchInsertRequest(slowB)) {
+			t.Errorf("batch body %.80q:\n fast %+v %+v\n slow %+v %+v", body, fe, fastB, se, slowB)
+		}
+	}
+
+	// A body whose read fails midway reports the failure, not the prefix.
+	var req wire.InsertRequest
+	if aerr := decodeBody(io.MultiReader(strings.NewReader(`{"vt":`), brokenReader{}), limit, &req); aerr == nil || aerr.status != http.StatusBadRequest {
+		t.Errorf("broken body decoded as %+v, %+v", req, aerr)
+	}
+}
+
+type brokenReader struct{}
+
+func (brokenReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// TestWriteJSONBothEncoders: a body with its own encoder and the same
+// body without it leave writeJSON as the same bytes under the same
+// Content-Length.
+func TestWriteJSONBothEncoders(t *testing.T) {
+	rec := httptest.NewRecorder()
+	n, _, err := writeJSON(rec, http.StatusOK, wire.InsertRequest{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}})
+	if err != nil || n != rec.Body.Len() {
+		t.Fatalf("writeJSON = %d bytes, %v; body has %d", n, err, rec.Body.Len())
+	}
+	ref := httptest.NewRecorder()
+	if _, _, err := writeJSON(ref, http.StatusOK, plainInsert{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) || rec.Header().Get("Content-Length") != ref.Header().Get("Content-Length") {
+		t.Fatalf("hand-written %q (%s) against encoding/json %q (%s)", rec.Body, rec.Header().Get("Content-Length"), ref.Body, ref.Header().Get("Content-Length"))
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -80,21 +81,16 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 	}, nil
 }
 
-func batchBody(res catalog.BatchResult) wire.BatchInsertResponse {
-	out := wire.BatchInsertResponse{
-		Items:    make([]wire.BatchItem, len(res.Items)),
+func batchBody(res catalog.BatchResult) wire.BatchBody {
+	out := wire.BatchBody{
+		Items:    make([]wire.BatchBodyItem, len(res.Items)),
 		Stored:   res.Stored,
 		Deduped:  res.Deduped,
 		Rejected: res.Rejected,
 		Epoch:    res.Epoch,
 	}
 	for i, it := range res.Items {
-		wi := wire.BatchItem{Status: it.Status.String(), Error: it.Err}
-		if it.Elem != nil {
-			el := wire.FromElement(it.Elem)
-			wi.Element = &el
-		}
-		out.Items[i] = wi
+		out.Items[i] = wire.BatchBodyItem{Status: it.Status.String(), Error: it.Err, Element: it.Elem}
 	}
 	return out
 }
@@ -380,8 +376,10 @@ func parseCSVValue(f string, typ element.ValueKind) (element.Value, error) {
 		}
 		return element.Int(n), nil
 	case element.KindFloat:
+		// ParseFloat also reads NaN and ±Inf, which JSON cannot spell: one
+		// stored, every query returning it would fail to encode, forever.
 		x, err := strconv.ParseFloat(f, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
 			return element.Value{}, fmt.Errorf("bad float %q", f)
 		}
 		return element.Float(x), nil

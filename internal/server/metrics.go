@@ -31,6 +31,11 @@ type endpointStats struct {
 	latTotal time.Duration
 	latMin   time.Duration
 	latMax   time.Duration
+	// respBytes and encTotal are the response bodies written and the time
+	// spent rendering them: encTotal against latTotal is the share of the
+	// endpoint that is encoding.
+	respBytes uint64
+	encTotal  time.Duration
 }
 
 // NewMetrics returns an empty registry anchored at now.
@@ -58,8 +63,9 @@ func (m *Metrics) RecordPlan(kind string, touched int) {
 	}
 }
 
-// Record accounts one request against the named endpoint.
-func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bool) {
+// Record accounts one request against the named endpoint: its latency,
+// the elements it touched, and the size and encoding time of its body.
+func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bool, respBytes int, enc time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ep, ok := m.eps[endpoint]
@@ -74,6 +80,8 @@ func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bo
 	if touched > 0 {
 		ep.touched += uint64(touched)
 	}
+	ep.respBytes += uint64(respBytes)
+	ep.encTotal += enc
 	ep.latTotal += d
 	if d < ep.latMin {
 		ep.latMin = d
@@ -99,6 +107,8 @@ func (m *Metrics) Report() wire.MetricsResponse {
 			LatencyUS: ep.latTotal.Microseconds(),
 			MinUS:     ep.latMin.Microseconds(),
 			MaxUS:     ep.latMax.Microseconds(),
+			RespBytes: ep.respBytes,
+			EncodeUS:  ep.encTotal.Microseconds(),
 		}
 		if ep.requests > 0 {
 			em.MeanUS = (ep.latTotal / time.Duration(ep.requests)).Microseconds()

@@ -34,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -350,12 +351,15 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 				w.Header().Set(wire.HeaderStaleness, strconv.FormatInt(ms, 10))
 			}
 		}
+		var sent int
+		var enc time.Duration
+		failed := aerr != nil
 		if aerr != nil {
 			// Shed and degraded responses are retryable after a pause; say so.
 			if aerr.status == http.StatusTooManyRequests || aerr.status == http.StatusServiceUnavailable {
 				w.Header().Set(wire.HeaderRetryAfter, "1")
 			}
-			writeJSON(w, aerr.status, wire.ErrorBody{Error: wire.ErrorDetail{
+			sent, enc, _ = writeJSON(w, aerr.status, wire.ErrorBody{Error: wire.ErrorDetail{
 				Code: aerr.code, Message: aerr.message,
 			}})
 		} else {
@@ -369,10 +373,12 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 			if status == http.StatusNotModified {
 				w.WriteHeader(status)
 			} else {
-				writeJSON(w, status, res.body)
+				var err error
+				sent, enc, err = writeJSON(w, status, res.body)
+				failed = err != nil
 			}
 		}
-		s.metrics.Record(name, time.Since(start), touched, aerr != nil)
+		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc)
 	})
 }
 
@@ -394,21 +400,46 @@ func idemKey(r *http.Request) string {
 	return r.Header.Get(wire.HeaderIdempotencyKey)
 }
 
-// writeJSON renders the body through a pooled buffer, so the hot read path
+// writeJSON renders the body into a pooled buffer, so the hot read path
 // allocates no per-request encoder scratch and every response carries an
-// exact Content-Length.
-func writeJSON(w http.ResponseWriter, status int, body any) {
+// exact Content-Length. A body with its own encoder (wire.Appender: the
+// shapes that carry elements or rows) appends straight into the buffer's
+// array; everything else goes through encoding/json. Both produce the
+// same bytes, newline included. It reports the body bytes written and
+// the time spent encoding them, for the endpoint's metrics.
+//
+// The one encoding error there is — a non-finite float already in a
+// store, which JSON cannot spell — answers a typed 500 and is returned.
+func writeJSON(w http.ResponseWriter, status int, body any) (int, time.Duration, error) {
+	start := time.Now()
 	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	if err := json.NewEncoder(buf).Encode(body); err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"response encoding failed"}}`,
-			http.StatusInternalServerError)
-		return
+	var out []byte
+	var err error
+	if ap, ok := body.(wire.Appender); ok {
+		out, err = ap.AppendJSON(buf.AvailableBuffer())
+		out = append(out, '\n')
+		if cap(out) > buf.Cap() {
+			// The codec outgrew the pooled array and moved to its own;
+			// pool that one, so the next large response finds room.
+			buf = bytes.NewBuffer(out[:0])
+		}
+	} else {
+		err = json.NewEncoder(buf).Encode(body)
+		out = buf.Bytes()
 	}
+	defer wire.PutBuffer(buf)
+	if err != nil {
+		n, enc, _ := writeJSON(w, http.StatusInternalServerError, wire.ErrorBody{Error: wire.ErrorDetail{
+			Code: wire.CodeInternal, Message: "response encoding failed",
+		}})
+		return n, enc, err
+	}
+	enc := time.Since(start)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(out)
+	return len(out), enc, nil
 }
 
 // queryETag renders a relation's mutation epoch as an HTTP validator.
@@ -433,8 +464,27 @@ func etagMatch(header, etag string) bool {
 // decode reads a JSON request body, mapping oversized bodies to 413 and
 // malformed ones to 400. Unknown fields are rejected so client typos fail
 // loudly instead of silently dropping options.
+//
+// A request with its own parser (wire.Parser: the insert and batch
+// bodies) is read whole and offered to it first. That parser takes the
+// canonical spelling only; on anything else the bytes it saw — then
+// whatever the body still holds, including the error that ended the
+// read — are replayed to the strict json.Decoder, so what is accepted,
+// what is refused, the status and the message are the decoder's in
+// every case the fast path does not own.
 func decode(r *http.Request, into any) *apiError {
-	dec := json.NewDecoder(r.Body)
+	var body io.Reader = r.Body
+	if p, ok := into.(wire.Parser); ok {
+		buf := wire.GetBuffer()
+		defer wire.PutBuffer(buf)
+		// On the Content-Length's word alone, no more than the default
+		// body cap is reserved; MaxBytesReader polices the real one.
+		if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil && p.ParseJSON(buf.Bytes()) == nil {
+			return nil
+		}
+		body = io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		var maxErr *http.MaxBytesError
@@ -764,7 +814,7 @@ func (s *Server) handleInsert(r *http.Request) (*response, *apiError) {
 	}
 	return &response{
 		status:  http.StatusCreated,
-		body:    wire.ElementResponse{Element: wire.FromElement(el)},
+		body:    wire.ElementBody{Element: el},
 		touched: 1,
 	}, nil
 }
@@ -837,7 +887,7 @@ func (s *Server) handleModify(r *http.Request) (*response, *apiError) {
 	if err != nil {
 		return nil, mapError(err)
 	}
-	return &response{body: wire.ElementResponse{Element: wire.FromElement(el)}, touched: 2}, nil
+	return &response{body: wire.ElementBody{Element: el}, touched: 2}, nil
 }
 
 // runQueryKind dispatches one of the engine's query kinds against an entry.
@@ -866,9 +916,9 @@ func (s *Server) runQueryKind(ctx context.Context, e *catalog.Entry, kind string
 	return res, nil
 }
 
-func queryResponseBody(res catalog.QueryResult) wire.QueryResponse {
-	return wire.QueryResponse{
-		Elements: wire.FromElements(res.Elements),
+func queryResponseBody(res catalog.QueryResult) wire.QueryBody {
+	return wire.QueryBody{
+		Elements: res.Elements,
 		Plan:     res.Plan,
 		PlanNode: wire.FromPlanNode(res.Node),
 		Touched:  res.Touched,
@@ -1074,14 +1124,10 @@ func (s *Server) handleSelect(r *http.Request) (*response, *apiError) {
 // selectBody renders a SELECT result for the wire. Aggregate statements
 // also report which engine executed (the plan's leaf tells: a
 // ColumnarScan leaf ran batch-at-a-time, anything else ran the row fold).
-func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) wire.SelectResponse {
-	rows := make([][]wire.Value, len(res.Rows))
-	for i, row := range res.Rows {
-		rows[i] = wire.FromValues(row)
-	}
-	out := wire.SelectResponse{
+func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) wire.SelectBody {
+	out := wire.SelectBody{
 		Columns: res.Columns,
-		Rows:    rows,
+		Rows:    res.Rows,
 		Plan:    wire.FromPlanNode(node),
 		Touched: touched,
 	}

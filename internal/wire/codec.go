@@ -1,0 +1,512 @@
+package wire
+
+// The hand-written half of the protocol (DESIGN §15). The shapes that
+// carry elements or rows — a query result, a stored element, a batch
+// report, a SELECT table, and the insert requests that feed them — are
+// encoded and parsed here without reflection; everything cold (metrics,
+// health, explain, schema, errors) stays on encoding/json. There is one
+// protocol: every byte appended here is the byte encoding/json would
+// have written for the struct of the same name, and the struct tags
+// stay, so either side may use either codec. The differential tests and
+// FuzzWireCodec hold the two to each other.
+
+import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+)
+
+// Appender is a body that writes its own JSON: the encoding encoding/json
+// would produce for it, without the trailing newline, appended to dst.
+// The error is the one encoding/json would return (a non-finite float is
+// the only way to earn it).
+type Appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// Parser is a body that reads its own JSON. ParseJSON understands the
+// canonical spelling only — exact-case known keys, each at most once,
+// no trailing data — and returns an error on anything else, having left
+// the receiver untouched; the caller then hands the same bytes to
+// encoding/json, which stays the authority on what is accepted, what is
+// rejected, and with which message. On success the receiver is replaced,
+// which for the zero receivers every caller passes is what
+// json.Unmarshal would have produced.
+type Parser interface {
+	ParseJSON(src []byte) error
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes encoding/json's HTML-escaping encoder
+// copies through unchanged: everything from space up except the quote,
+// the backslash, and the three characters it escapes for <script>
+// embedding.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendString quotes s exactly as json.Encoder does with its default
+// HTML escaping: two-character escapes for quote, backslash and \b \f
+// \n \r \t, \u00XX for the other control bytes and for < > &, U+2028
+// and U+2029 escaped, and each byte of invalid UTF-8 replaced by the six
+// characters \ufffd.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendFloat writes f in encoding/json's ES6 form: shortest digits,
+// exponent notation below 1e-6 and from 1e21, exponents unpadded.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// AppendJSON writes the tagged union with Value's omitempty rules: kind
+// always, every other field only when non-zero — whatever the kind says.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
+	dst = appendString(append(dst, `{"kind":`...), v.Kind)
+	if v.Str != "" {
+		dst = appendString(append(dst, `,"str":`...), v.Str)
+	}
+	if v.Int != 0 {
+		dst = strconv.AppendInt(append(dst, `,"int":`...), v.Int, 10)
+	}
+	if v.Float != 0 {
+		var err error
+		if dst, err = appendFloat(append(dst, `,"float":`...), v.Float); err != nil {
+			return dst, err
+		}
+	}
+	if v.Bool {
+		dst = append(dst, `,"bool":true`...)
+	}
+	if v.Time != 0 {
+		dst = strconv.AppendInt(append(dst, `,"time":`...), v.Time, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+func appendValues(dst []byte, vs []Value) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = v.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendEngineValues is appendValues over engine values: what
+// Value.AppendJSON writes for FromValue(v), without building it — an
+// engine value has one payload, named by its kind.
+func appendEngineValues(dst []byte, vs []element.Value) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind() {
+		case element.KindString:
+			dst = append(dst, `{"kind":"string"`...)
+			if s, _ := v.Str(); s != "" {
+				dst = appendString(append(dst, `,"str":`...), s)
+			}
+		case element.KindInt:
+			dst = append(dst, `{"kind":"int"`...)
+			if x, _ := v.IntVal(); x != 0 {
+				dst = strconv.AppendInt(append(dst, `,"int":`...), x, 10)
+			}
+		case element.KindFloat:
+			dst = append(dst, `{"kind":"float"`...)
+			if f, _ := v.FloatVal(); f != 0 {
+				var err error
+				if dst, err = appendFloat(append(dst, `,"float":`...), f); err != nil {
+					return dst, err
+				}
+			}
+		case element.KindBool:
+			dst = append(dst, `{"kind":"bool"`...)
+			if b, _ := v.BoolVal(); b {
+				dst = append(dst, `,"bool":true`...)
+			}
+		case element.KindTime:
+			dst = append(dst, `{"kind":"time"`...)
+			if c, _ := v.TimeVal(); c != 0 {
+				dst = strconv.AppendInt(append(dst, `,"time":`...), int64(c), 10)
+			}
+		default:
+			dst = append(dst, `{"kind":"null"`...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), nil
+}
+
+func appendInt64s[T ~int64](dst []byte, xs []T) []byte {
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
+}
+
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// AppendJSON writes whichever of event, start and end are set. Every
+// field goes out with a leading comma; the first one becomes the brace.
+func (t Timestamp) AppendJSON(dst []byte) ([]byte, error) {
+	n := len(dst)
+	if t.Event != nil {
+		dst = strconv.AppendInt(append(dst, `,"event":`...), *t.Event, 10)
+	}
+	if t.Start != nil {
+		dst = strconv.AppendInt(append(dst, `,"start":`...), *t.Start, 10)
+	}
+	if t.End != nil {
+		dst = strconv.AppendInt(append(dst, `,"end":`...), *t.End, 10)
+	}
+	if len(dst) == n {
+		return append(dst, "{}"...), nil
+	}
+	dst[n] = '{'
+	return append(dst, '}'), nil
+}
+
+// currentElement is the tt_end and current of every element that has not
+// been closed — most of most results — with the 19-digit sentinel
+// already formatted.
+var currentElement = `,"tt_end":` + strconv.FormatInt(int64(chronon.Forever), 10) + `,"current":true`
+
+// AppendElement is the element encoder: the bytes encoding/json writes
+// for FromElement(e), produced straight from the engine's element — no
+// intermediate wire struct, no pointer per time-stamp.
+func AppendElement(dst []byte, e *element.Element) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"es":`...), uint64(e.ES), 10)
+	dst = strconv.AppendUint(append(dst, `,"os":`...), uint64(e.OS), 10)
+	dst = strconv.AppendInt(append(dst, `,"tt_start":`...), int64(e.TTStart), 10)
+	if e.Current() {
+		dst = append(dst, currentElement...)
+	} else {
+		dst = strconv.AppendInt(append(dst, `,"tt_end":`...), int64(e.TTEnd), 10)
+		dst = append(dst, `,"current":false`...)
+	}
+	if c, ok := e.VT.Event(); ok {
+		dst = strconv.AppendInt(append(dst, `,"vt":{"event":`...), int64(c), 10)
+	} else {
+		iv, _ := e.VT.Interval()
+		dst = strconv.AppendInt(append(dst, `,"vt":{"start":`...), int64(iv.Start), 10)
+		dst = strconv.AppendInt(append(dst, `,"end":`...), int64(iv.End), 10)
+	}
+	dst = append(dst, '}')
+	var err error
+	if len(e.Invariant) > 0 {
+		if dst, err = appendEngineValues(append(dst, `,"invariant":`...), e.Invariant); err != nil {
+			return dst, err
+		}
+	}
+	if len(e.Varying) > 0 {
+		if dst, err = appendEngineValues(append(dst, `,"varying":`...), e.Varying); err != nil {
+			return dst, err
+		}
+	}
+	if len(e.UserTimes) > 0 {
+		dst = appendInt64s(append(dst, `,"user_times":`...), e.UserTimes)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendPlanNode writes the plan tree, innermost node last.
+func appendPlanNode(dst []byte, n *PlanNode) []byte {
+	dst = appendString(append(dst, `{"kind":`...), n.Kind)
+	if n.Org != "" {
+		dst = appendString(append(dst, `,"org":`...), n.Org)
+	}
+	if n.WinLo != nil {
+		dst = strconv.AppendInt(append(dst, `,"win_lo":`...), *n.WinLo, 10)
+	}
+	if n.WinHi != nil {
+		dst = strconv.AppendInt(append(dst, `,"win_hi":`...), *n.WinHi, 10)
+	}
+	if n.Note != "" {
+		dst = appendString(append(dst, `,"note":`...), n.Note)
+	}
+	if n.Count != 0 {
+		dst = strconv.AppendInt(append(dst, `,"count":`...), int64(n.Count), 10)
+	}
+	dst = strconv.AppendInt(append(dst, `,"est":`...), int64(n.Est), 10)
+	if n.Input != nil {
+		dst = appendPlanNode(append(dst, `,"input":`...), n.Input)
+	}
+	return append(dst, '}')
+}
+
+// The serving-side bodies. Each is the response struct of the matching
+// name with engine values where that struct has wire copies, so a
+// handler hands its result over as it got it from the catalog and the
+// encoder reads it in place. They append; the client parses into the
+// *Response structs.
+
+// QueryBody encodes as QueryResponse.
+type QueryBody struct {
+	Elements []*element.Element
+	Plan     string
+	PlanNode *PlanNode
+	Touched  int
+	Epoch    uint64
+}
+
+func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
+	// An element of two attributes is ~200 bytes: on a cold buffer, one
+	// allocation up front instead of a dozen doublings.
+	dst = slices.Grow(dst, 256+224*len(b.Elements))
+	dst = append(dst, `{"elements":[`...)
+	var err error
+	for i, e := range b.Elements {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = AppendElement(dst, e); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, ']')
+	if b.Plan != "" {
+		dst = appendString(append(dst, `,"plan":`...), b.Plan)
+	}
+	if b.PlanNode != nil {
+		dst = appendPlanNode(append(dst, `,"plan_node":`...), b.PlanNode)
+	}
+	dst = strconv.AppendInt(append(dst, `,"touched":`...), int64(b.Touched), 10)
+	if b.Epoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"epoch":`...), b.Epoch, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// ElementBody encodes as ElementResponse.
+type ElementBody struct {
+	Element *element.Element
+}
+
+func (b ElementBody) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := AppendElement(append(dst, `{"element":`...), b.Element)
+	return append(dst, '}'), err
+}
+
+// BatchBodyItem encodes as BatchItem; Element is nil for a rejection.
+type BatchBodyItem struct {
+	Status  string
+	Error   string
+	Element *element.Element
+}
+
+// BatchBody encodes as BatchInsertResponse.
+type BatchBody struct {
+	Items    []BatchBodyItem
+	Stored   int
+	Deduped  int
+	Rejected int
+	Epoch    uint64
+}
+
+func (b BatchBody) AppendJSON(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, 128+256*len(b.Items))
+	dst = append(dst, `{"items":[`...)
+	var err error
+	for i, it := range b.Items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(append(dst, `{"status":`...), it.Status)
+		if it.Error != "" {
+			dst = appendString(append(dst, `,"error":`...), it.Error)
+		}
+		if it.Element != nil {
+			if dst, err = AppendElement(append(dst, `,"element":`...), it.Element); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	dst = strconv.AppendInt(append(dst, `],"stored":`...), int64(b.Stored), 10)
+	dst = strconv.AppendInt(append(dst, `,"deduped":`...), int64(b.Deduped), 10)
+	dst = strconv.AppendInt(append(dst, `,"rejected":`...), int64(b.Rejected), 10)
+	if b.Epoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"epoch":`...), b.Epoch, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// SelectBody encodes as SelectResponse. A row without columns is nil on
+// the wire struct (FromValues) and therefore null here.
+type SelectBody struct {
+	Columns []string
+	Rows    [][]element.Value
+	Plan    *PlanNode
+	Touched int
+	Engine  string
+}
+
+func (b SelectBody) AppendJSON(dst []byte) ([]byte, error) {
+	dst = appendStrings(append(dst, `{"columns":`...), b.Columns)
+	dst = append(dst, `,"rows":[`...)
+	var err error
+	for i, row := range b.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if len(row) == 0 {
+			dst = append(dst, "null"...)
+			continue
+		}
+		if dst, err = appendEngineValues(dst, row); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, ']')
+	if b.Plan != nil {
+		dst = appendPlanNode(append(dst, `,"plan":`...), b.Plan)
+	}
+	dst = strconv.AppendInt(append(dst, `,"touched":`...), int64(b.Touched), 10)
+	if b.Engine != "" {
+		dst = appendString(append(dst, `,"engine":`...), b.Engine)
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON writes the insert request the client sends.
+func (r InsertRequest) AppendJSON(dst []byte) ([]byte, error) {
+	n := len(dst) // the first field's comma, which becomes the brace
+	if r.Object != 0 {
+		dst = strconv.AppendUint(append(dst, `,"object":`...), r.Object, 10)
+	}
+	dst, err := r.VT.AppendJSON(append(dst, `,"vt":`...))
+	dst[n] = '{'
+	if len(r.Invariant) > 0 {
+		if dst, err = appendValues(append(dst, `,"invariant":`...), r.Invariant); err != nil {
+			return dst, err
+		}
+	}
+	if len(r.Varying) > 0 {
+		if dst, err = appendValues(append(dst, `,"varying":`...), r.Varying); err != nil {
+			return dst, err
+		}
+	}
+	if len(r.UserTimes) > 0 {
+		dst = appendInt64s(append(dst, `,"user_times":`...), r.UserTimes)
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON writes the batch request the client sends.
+func (r BatchInsertRequest) AppendJSON(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, 64+192*len(r.Elements))
+	if r.Elements == nil {
+		dst = append(dst, `{"elements":null`...)
+	} else {
+		dst = append(dst, `{"elements":[`...)
+		for i, e := range r.Elements {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = e.AppendJSON(dst); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Keys) > 0 {
+		dst = appendStrings(append(dst, `,"keys":`...), r.Keys)
+	}
+	if r.Atomic {
+		dst = append(dst, `,"atomic":true`...)
+	}
+	return append(dst, '}'), nil
+}

@@ -1,0 +1,508 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/surrogate"
+)
+
+// viaJSON is the reference encoding: json.Encoder, as the server wrote
+// every response before the hand-written codec.
+func viaJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// sameBytes holds an Appender to the reference encoding of the wire
+// struct it stands for: the same bytes, or an error on both sides.
+func sameBytes(t *testing.T, what string, a Appender, ref any) []byte {
+	t.Helper()
+	got, gerr := a.AppendJSON(nil)
+	want, werr := viaJSON(ref)
+	if (gerr != nil) != (werr != nil) {
+		t.Fatalf("%s: AppendJSON error %v, encoding/json error %v", what, gerr, werr)
+	}
+	if gerr != nil {
+		if gerr.Error() != werr.Error() {
+			t.Fatalf("%s: AppendJSON error %q, encoding/json error %q", what, gerr, werr)
+		}
+		return nil
+	}
+	got = append(got, '\n')
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: bytes diverge\n hand: %s\n json: %s", what, got, want)
+	}
+	return got
+}
+
+// sameValue holds a Parser to json.Unmarshal on bytes the codec wrote:
+// canonical input must take the fast path and decode to the same value.
+func sameValue[T any, P interface {
+	*T
+	Parser
+}](t *testing.T, what string, src []byte) {
+	t.Helper()
+	var got, want T
+	if err := P(&got).ParseJSON(src); err != nil {
+		t.Fatalf("%s: ParseJSON refused canonical bytes: %v\n%s", what, err, src)
+	}
+	if err := json.Unmarshal(src, &want); err != nil {
+		t.Fatalf("%s: json.Unmarshal: %v", what, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: values diverge\n hand: %+v\n json: %+v\n from: %s", what, got, want, src)
+	}
+}
+
+// checkBodies runs the four response bodies and the two requests built
+// from one set of engine elements through both codecs.
+func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word string) {
+	t.Helper()
+	if b := sameBytes(t, "query", QueryBody{Elements: els, Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))},
+		QueryResponse{Elements: FromElements(els), Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))}); b != nil {
+		sameValue[QueryResponse](t, "query", b)
+	}
+
+	batch := BatchBody{Items: make([]BatchBodyItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
+	ref := BatchInsertResponse{Items: make([]BatchItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
+	rows := make([][]element.Value, 0, 2*len(els))
+	wrows := make([][]Value, 0, 2*len(els))
+	reqs := make([]InsertRequest, len(els))
+	for i, e := range els {
+		we := FromElement(e)
+		if b := sameBytes(t, "element", ElementBody{Element: e}, ElementResponse{Element: we}); b != nil {
+			sameValue[ElementResponse](t, "element", b)
+		}
+		if i%3 == 2 {
+			batch.Items[i] = BatchBodyItem{Status: "rejected", Error: word}
+			ref.Items[i] = BatchItem{Status: "rejected", Error: word}
+		} else {
+			batch.Items[i] = BatchBodyItem{Status: "stored", Element: e}
+			ref.Items[i] = BatchItem{Status: "stored", Element: &we}
+		}
+		rows = append(rows, e.Invariant, e.Varying)
+		wrows = append(wrows, we.Invariant, we.Varying)
+		reqs[i] = InsertRequest{Object: we.OS, VT: we.VT, Invariant: we.Invariant, Varying: we.Varying, UserTimes: we.UserTimes}
+		if b := sameBytes(t, "insert request", reqs[i], reqs[i]); b != nil {
+			sameValue[InsertRequest](t, "insert request", b)
+		}
+	}
+	if b := sameBytes(t, "batch", batch, ref); b != nil {
+		sameValue[BatchInsertResponse](t, "batch", b)
+	}
+	cols := []string{word, "c"}
+	if len(els) == 0 {
+		cols = nil
+	}
+	if b := sameBytes(t, "select", SelectBody{Columns: cols, Rows: rows, Plan: plan, Touched: 3, Engine: word},
+		SelectResponse{Columns: cols, Rows: wrows, Plan: plan, Touched: 3, Engine: word}); b != nil {
+		sameValue[SelectResponse](t, "select", b)
+	}
+	br := BatchInsertRequest{Elements: reqs, Keys: cols, Atomic: len(els)%2 == 1}
+	if b := sameBytes(t, "batch request", br, br); b != nil {
+		sameValue[BatchInsertRequest](t, "batch request", b)
+	}
+}
+
+// gen draws values from fuzz input, so the mutation engine steers the
+// generator; an exhausted input yields zeros.
+type gen struct{ b []byte }
+
+func (g *gen) byte() byte {
+	if len(g.b) == 0 {
+		return 0
+	}
+	c := g.b[0]
+	g.b = g.b[1:]
+	return c
+}
+
+func (g *gen) u64() uint64 {
+	var raw [8]byte
+	g.b = g.b[copy(raw[:], g.b):]
+	return binary.LittleEndian.Uint64(raw[:])
+}
+
+// str is raw input bytes: quotes, control bytes, HTML characters and
+// invalid UTF-8 all reach the encoder as the fuzzer finds them.
+func (g *gen) str() string {
+	n := int(g.byte() % 24)
+	if n > len(g.b) {
+		n = len(g.b)
+	}
+	s := string(g.b[:n])
+	g.b = g.b[n:]
+	return s
+}
+
+func (g *gen) value() element.Value {
+	switch g.byte() % 7 {
+	case 0:
+		return element.Null()
+	case 1:
+		return element.String_(g.str())
+	case 2:
+		return element.Int(int64(g.u64()))
+	case 3:
+		return element.Float(math.Float64frombits(g.u64())) // NaN, ±Inf, subnormals, -0
+	case 4:
+		return element.Bool(g.byte()%2 == 1)
+	case 5:
+		return element.Time(chronon.Chronon(g.u64()))
+	}
+	return element.Float(float64(int8(g.byte())) * math.Pow(10, float64(int8(g.byte())/4)))
+}
+
+func (g *gen) values() []element.Value {
+	n := int(g.byte() % 4)
+	if n == 3 {
+		return []element.Value{} // empty, not nil
+	}
+	var vs []element.Value
+	for i := 0; i < n; i++ {
+		vs = append(vs, g.value())
+	}
+	return vs
+}
+
+func (g *gen) element() *element.Element {
+	e := &element.Element{
+		ES:      surrogate.Surrogate(g.u64()),
+		OS:      surrogate.Surrogate(g.byte()),
+		TTStart: chronon.Chronon(g.u64()),
+		TTEnd:   chronon.Forever,
+	}
+	if g.byte()%2 == 1 {
+		e.TTEnd = chronon.Chronon(g.u64())
+	}
+	if g.byte()%2 == 1 {
+		e.VT = element.EventAt(chronon.Chronon(g.u64()))
+	} else {
+		// The engine admits no empty interval; the width is drawn instead.
+		start := int64(g.u64()>>2) - 1<<61
+		e.VT = element.SpanOf(chronon.Chronon(start), chronon.Chronon(start+1+int64(g.u64()>>3)))
+	}
+	e.Invariant, e.Varying = g.values(), g.values()
+	for n := g.byte() % 3; n > 0; n-- {
+		e.UserTimes = append(e.UserTimes, chronon.Chronon(g.u64()))
+	}
+	return e
+}
+
+func (g *gen) plan() *PlanNode {
+	var root *PlanNode
+	for n := g.byte() % 4; n > 0; n-- {
+		node := &PlanNode{Kind: g.str(), Org: g.str(), Note: g.str(), Count: int(g.byte()), Est: int(int8(g.byte())), Input: root}
+		if g.byte()%2 == 1 {
+			lo, hi := int64(g.u64()), int64(g.u64())
+			node.WinLo, node.WinHi = &lo, &hi
+		}
+		root = node
+	}
+	return root
+}
+
+func checkGenerated(t *testing.T, data []byte) {
+	g := &gen{b: data}
+	els := make([]*element.Element, g.byte()%4)
+	for i := range els {
+		els[i] = g.element()
+	}
+	checkBodies(t, els, g.plan(), g.str())
+
+	// A wire value is freer than an engine value: any kind string, any
+	// combination of payload fields, any subset of stamp pointers.
+	v := Value{Kind: g.str(), Str: g.str(), Int: int64(g.u64()), Float: math.Float64frombits(g.u64()), Bool: g.byte()%2 == 1, Time: int64(g.u64())}
+	if b := sameBytes(t, "value", v, v); b != nil {
+		sameValue[Value](t, "value", b)
+	}
+	var ts Timestamp
+	for i, p := range []**int64{&ts.Event, &ts.Start, &ts.End} {
+		if g.byte()%2 == 1 {
+			x := int64(g.u64()) >> (8 * i)
+			*p = &x
+		}
+	}
+	if b := sameBytes(t, "timestamp", ts, ts); b != nil {
+		sameValue[Timestamp](t, "timestamp", b)
+	}
+}
+
+// agree holds the fast parser to its oracle on arbitrary bytes: what it
+// accepts, the oracle accepts, with the same value; what it refuses it
+// leaves untouched for the fallback — which is the oracle itself, so
+// accept/reject and error text are the oracle's by construction.
+func agree[T any, P interface {
+	*T
+	Parser
+}](t *testing.T, data []byte, oracle func([]byte, any) error) {
+	t.Helper()
+	var got, want, zero T
+	if err := P(&got).ParseJSON(data); err != nil {
+		if !reflect.DeepEqual(got, zero) {
+			t.Fatalf("%T: refused input left its mark: %+v\n%q", got, got, data)
+		}
+		return
+	}
+	if err := oracle(data, &want); err != nil {
+		t.Fatalf("%T: fast path accepted what encoding/json refuses (%v)\n%q", got, err, data)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: values diverge\n hand: %+v\n json: %+v\n from: %q", got, got, want, data)
+	}
+}
+
+func lenient(data []byte, into any) error { return json.Unmarshal(data, into) }
+
+// strict is the server's request decoder: the first JSON value of the
+// stream, unknown fields refused.
+func strict(data []byte, into any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(into)
+}
+
+func checkArbitrary(t *testing.T, data []byte) {
+	agree[Value](t, data, lenient)
+	agree[Timestamp](t, data, lenient)
+	agree[Element](t, data, lenient)
+	agree[QueryResponse](t, data, lenient)
+	agree[ElementResponse](t, data, lenient)
+	agree[BatchInsertResponse](t, data, lenient)
+	agree[SelectResponse](t, data, lenient)
+	agree[InsertRequest](t, data, strict)
+	agree[BatchInsertRequest](t, data, strict)
+}
+
+// codecSeeds are canonical documents of every shape plus the spellings
+// the fast path must hand back: the mutation engine starts next to both.
+var codecSeeds = []string{
+	`{"elements":[{"es":1,"os":1,"tt_start":10,"tt_end":4611686018427387903,"current":true,"vt":{"event":5},"invariant":[{"kind":"string","str":"merrie"}],"varying":[{"kind":"int","int":27000}]},{"es":2,"os":2,"tt_start":20,"tt_end":50,"current":false,"vt":{"start":1,"end":9},"user_times":[3,-4]}],"plan":"full scan (heap)","plan_node":{"kind":"current-state","est":5,"input":{"kind":"tt-window-pushdown","org":"heap","win_lo":-1,"win_hi":7,"note":"n","count":2,"est":5}},"touched":5,"epoch":5}`,
+	`{"element":{"es":4,"os":4,"tt_start":40,"tt_end":4611686018427387903,"current":true,"vt":{"event":21},"invariant":[{"kind":"string","str":"<a href=\"x\">&\u2028é\t😀\ud800"}],"varying":[{"kind":"float","float":1e-7},{"kind":"bool","bool":true},{"kind":"time","time":-1},{"kind":"null"}]}}`,
+	`{"items":[{"status":"stored","element":{"es":1,"os":1,"tt_start":10,"tt_end":4611686018427387903,"current":true,"vt":{"event":5}}},{"status":"rejected","error":"violates declaration"},{"status":"deduped","element":null}],"stored":1,"deduped":1,"rejected":1,"epoch":2}`,
+	`{"columns":["win_start","count"],"rows":[[{"kind":"time"},{"kind":"int","int":1}],[{"kind":"time","time":10},{"kind":"float","float":-1.5E+3}],null,[]],"plan":{"kind":"window-aggregate","est":5},"touched":5,"engine":"row"}`,
+	`{"elements":[{"object":7,"vt":{"start":1,"end":2},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":-0}],"user_times":[0]},{"vt":{"event":5}}],"keys":["k1","k2"],"atomic":true}`,
+	`{"vt":{"event":5},"invariant":[],"varying":null}`,
+	` { "kind" : "int" , "int" : 12 } `,
+	`{"kind":"int","int":12} trailing`,
+	`{"kind":"int","Int":12}`,
+	`{"kind":"int","kind":"float"}`,
+	`{"kind":"int","kind":"float"}`,
+	`{"kind":"int","int":1.0}`,
+	`{"kind":"int","int":01}`,
+	`{"kind":"float","float":1e999}`,
+	`{"kind":"string","str":"\'"}`,
+	`{"kind":"string","str":"` + "\xff\xc0\xaf" + `"}`,
+	`{"event":9223372036854775807,"start":-9223372036854775808,"end":9223372036854775808}`,
+	`{"es":18446744073709551615,"os":-0}`,
+	`{"elements":[],"unknown":{"a":[1,2,{"b":null}]}}`,
+	`null`, `[]`, `{}`, `{`, ``, `{"elements":[{}]}`, `{"elements":[{},{},{},{},{},{},{},{},{}]}`,
+}
+
+func FuzzWireCodec(f *testing.F) {
+	for _, s := range codecSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkGenerated(t, data)
+		checkArbitrary(t, data)
+	})
+}
+
+// TestByteIdentityEdges pins, one by one, the places where "the bytes
+// encoding/json writes" has a sharp edge.
+func TestByteIdentityEdges(t *testing.T) {
+	for _, s := range []string{
+		"", "plain", `q"uote`, `back\slash`, "<script>&amp;</script>", "line\u2028sep\u2029", "\b\f\n\r\t", "\x00\x01\x1f\x7f",
+		"é世界😀", "bad\xffutf\xc0\xaf8", "\xed\xa0\x80", strings.Repeat("x", 300) + "<",
+	} {
+		want, _ := json.Marshal(s)
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
+		}
+	}
+	for _, f := range []float64{
+		0, 1, -1, 0.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 9.999999999999999e20, 123456789012345678901234, -1e-9, 1e-10, 1e100,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 0.1 + 0.2, 1 << 53, math.Copysign(0, -1),
+	} {
+		want, _ := json.Marshal(f)
+		if got, err := appendFloat(nil, f); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("appendFloat(%v) = %s, %v; want %s", f, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal(f)
+		_, got := appendFloat(nil, f)
+		if _, ok := got.(*json.UnsupportedValueError); !ok || got.Error() != want.Error() {
+			t.Errorf("appendFloat(%v) error = %v, want %v", f, got, want)
+		}
+	}
+
+	// omitempty: int 0, bool false, empty str, -0 float, nil and empty
+	// attribute lists, no user times, zero epoch, no plan node.
+	e := &element.Element{ES: 1, OS: 1, TTEnd: chronon.Forever, VT: element.EventAt(0),
+		Invariant: []element.Value{element.Int(0), element.Bool(false), element.String_(""), element.Float(math.Copysign(0, -1)), element.Time(0), element.Null()},
+		Varying:   []element.Value{}}
+	b := sameBytes(t, "zero values", QueryBody{Elements: []*element.Element{e}}, QueryResponse{Elements: FromElements([]*element.Element{e})})
+	const want = `{"elements":[{"es":1,"os":1,"tt_start":0,"tt_end":4611686018427387903,"current":true,"vt":{"event":0},` +
+		`"invariant":[{"kind":"int"},{"kind":"bool"},{"kind":"string"},{"kind":"float"},{"kind":"time"},{"kind":"null"}]}],"touched":0}` + "\n"
+	if string(b) != want {
+		t.Errorf("zero values encode as\n%s want\n%s", b, want)
+	}
+	sameBytes(t, "no rows", SelectBody{Rows: [][]element.Value{}}, SelectResponse{Rows: [][]Value{}})
+	sameBytes(t, "empty row", SelectBody{Columns: []string{}, Rows: [][]element.Value{{}, nil}}, SelectResponse{Columns: []string{}, Rows: [][]Value{nil, nil}})
+	sameBytes(t, "nil elements", BatchInsertRequest{}, BatchInsertRequest{})
+	sameBytes(t, "no stamp", InsertRequest{}, InsertRequest{})
+}
+
+func TestCodecSeeds(t *testing.T) {
+	for _, s := range codecSeeds {
+		checkGenerated(t, []byte(s))
+		checkArbitrary(t, []byte(s))
+	}
+	// A response large enough to leave the first slab chunks.
+	for _, interval := range []bool{false, true} {
+		checkBodies(t, benchElements(700, interval), &PlanNode{Kind: "full-scan", Org: "heap", Est: 700}, "full scan (heap)")
+	}
+}
+
+// TestParserFallsBack spells out what the fast path must refuse, so the
+// oracle keeps deciding it.
+func TestParserFallsBack(t *testing.T) {
+	for _, s := range []string{
+		`{"kind":"int","Int":12}`, `{"kind":"int","kind":"float"}`, `{"kind":"int","kind":"x"}`, `{"kind":"int"} x`,
+		`{"kind":"int","extra":1}`, `{"kind":"int","int":1.0}`, `{"kind":"int","int":01}`, `{"kind":"int","int":"1"}`,
+		`{"kind":"string","str":"\'"}`, `{"kind":"string","str":"` + "\x01" + `"}`, `{"kind":"float","float":1e999}`, `{"kind":"float","float":.5}`,
+		`{"kind":"float","float":1.}`, `{"kind":"float","float":-}`, `{"kind":1}`, `[]`, `{`, ``, `{"kind"}`, `{"kind":"int",}`,
+	} {
+		var v Value
+		if err := v.ParseJSON([]byte(s)); err == nil {
+			t.Errorf("fast path accepted %s as %+v", s, v)
+		}
+	}
+	deep := strings.Repeat(`{"kind":"k","est":0,"input":`, 5000) + `null` + strings.Repeat(`}`, 5000)
+	var q QueryResponse
+	if err := q.ParseJSON([]byte(`{"elements":[],"plan_node":` + deep + `,"touched":0}`)); err == nil {
+		t.Error("fast path recursed into a 5000-deep plan")
+	}
+}
+
+func benchElements(n int, interval bool) []*element.Element {
+	els := make([]*element.Element, n)
+	for i := range els {
+		e := &element.Element{
+			ES: surrogate.Surrogate(i + 1), OS: surrogate.Surrogate(i + 1),
+			TTStart: chronon.Chronon(1700000000 + i), TTEnd: chronon.Forever,
+			Invariant: []element.Value{element.String_("s1")},
+			Varying:   []element.Value{element.Int(int64(i) * 37)},
+		}
+		if interval {
+			e.VT = element.SpanOf(chronon.Chronon(1700000000+i), chronon.Chronon(1700003600+i))
+		} else {
+			e.VT = element.EventAt(chronon.Chronon(1700000000 + i))
+		}
+		els[i] = e
+	}
+	return els
+}
+
+func benchPlan() *PlanNode {
+	return &PlanNode{Kind: "current-state", Est: 4096, Input: &PlanNode{Kind: "full-scan", Org: "heap", Est: 4096}}
+}
+
+// TestCodecAllocationBudget is the tripwire on the two properties that
+// make the codec worth having: encoding a result set into a warm buffer
+// allocates nothing, and parsing one allocates per response, not per
+// element.
+func TestCodecAllocationBudget(t *testing.T) {
+	body := QueryBody{Elements: benchElements(4096, true), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: 4096, Epoch: 9}
+	buf, err := body.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { buf, _ = body.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("encoding 4096 elements into a warm buffer: %v allocations, want 0", n)
+	}
+	var out QueryResponse
+	if n := testing.AllocsPerRun(10, func() {
+		if err := out.ParseJSON(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("parsing 4096 elements: %v allocations, want at most 8 in total", n)
+	}
+	if len(out.Elements) != 4096 || *out.Elements[4095].VT.End != 1700003600+4095 || out.Elements[7].Invariant[0].Str != "s1" {
+		t.Errorf("parsed result is wrong: %d elements, last %+v", len(out.Elements), out.Elements[len(out.Elements)-1])
+	}
+}
+
+var benchSink int
+
+// BenchmarkWireCodec puts each direction of the codec beside
+// encoding/json on the same result set: hand/ against json/, encode and
+// parse, event and interval stamps, 1 to 4096 elements.
+func BenchmarkWireCodec(b *testing.B) {
+	for _, stamp := range []string{"event", "interval"} {
+		for _, n := range []int{1, 256, 4096} {
+			els := benchElements(n, stamp == "interval")
+			body := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
+			ref := QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9}
+			doc, err := body.AppendJSON(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/n=%d", stamp, n)
+			b.Run("encode/hand/"+name, func(b *testing.B) {
+				buf := make([]byte, 0, len(doc)+1)
+				b.SetBytes(int64(len(doc)))
+				for i := 0; i < b.N; i++ {
+					buf, _ = body.AppendJSON(buf[:0])
+				}
+				benchSink += len(buf)
+			})
+			b.Run("encode/json/"+name, func(b *testing.B) {
+				var buf bytes.Buffer
+				b.SetBytes(int64(len(doc)))
+				for i := 0; i < b.N; i++ {
+					buf.Reset()
+					if err := json.NewEncoder(&buf).Encode(ref); err != nil {
+						b.Fatal(err)
+					}
+				}
+				benchSink += buf.Len()
+			})
+			b.Run("parse/hand/"+name, func(b *testing.B) {
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var out QueryResponse
+					if err := out.ParseJSON(doc); err != nil {
+						b.Fatal(err)
+					}
+					benchSink += len(out.Elements)
+				}
+			})
+			b.Run("parse/json/"+name, func(b *testing.B) {
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var out QueryResponse
+					if err := json.Unmarshal(doc, &out); err != nil {
+						b.Fatal(err)
+					}
+					benchSink += len(out.Elements)
+				}
+			})
+		}
+	}
+}

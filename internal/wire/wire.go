@@ -860,6 +860,11 @@ type EndpointMetrics struct {
 	MaxUS     int64  `json:"latency_max_us"`
 	MeanUS    int64  `json:"latency_mean_us"`
 	Touched   uint64 `json:"elements_touched"`
+	// RespBytes and EncodeUS total the response bodies written and the
+	// time spent encoding them (socket writes excluded), so encode_total_us
+	// over latency_total_us is the share of the endpoint that is encoding.
+	RespBytes uint64 `json:"response_bytes,omitempty"`
+	EncodeUS  int64  `json:"encode_total_us,omitempty"`
 }
 
 // PlanMetrics aggregates one plan kind's query accounting.
