@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages whose tests exercise shared mutable state across goroutines;
 # these run a second time under the race detector in `make ci`.
-RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./internal/wire ./client
+RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/query ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./internal/wire ./client
 
 .PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module clean
 
@@ -89,7 +89,8 @@ bench:
 
 # A trimmed benchmark pass: snapshot vs cache-hit time-slices,
 # the auto-specialization before/after pair, boot replay over a log with
-# closes, the aggregate-after-append pair (run partials warm against the
+# closes, a close after a publish at 8 k and 128 k elements (ns/op and B/op
+# must not follow the size), the aggregate-after-append pair (run partials warm against the
 # cache-off direct fold), the columnar batch scan/aggregate
 # microbenchmarks, and the hand-written wire codec beside encoding/json
 # on the same result sets, at -benchtime=100ms. Fast enough for
@@ -97,7 +98,7 @@ bench:
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 

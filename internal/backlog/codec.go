@@ -504,8 +504,11 @@ func decodeSchema(b []byte) (relation.Schema, error) {
 
 // --- record encoding ---
 
-func encodeRecord(rec relation.LogRecord) []byte {
-	var e enc
+func encodeRecord(rec relation.LogRecord) []byte { return appendRecord(nil, rec) }
+
+// appendRecord appends rec's encoding to dst.
+func appendRecord(dst []byte, rec relation.LogRecord) []byte {
+	e := enc{b: dst}
 	e.u8(uint8(rec.Op))
 	e.i64(int64(rec.TT))
 	if rec.Op == relation.OpDelete {

@@ -12,6 +12,10 @@ import (
 // EncodeRecord serializes one backlog record (the WAL payload format).
 func EncodeRecord(rec relation.LogRecord) []byte { return encodeRecord(rec) }
 
+// AppendRecord appends the same encoding to dst, so a frame of many records
+// is built in one buffer.
+func AppendRecord(dst []byte, rec relation.LogRecord) []byte { return appendRecord(dst, rec) }
+
 // DecodeRecord deserializes one backlog record.
 func DecodeRecord(b []byte) (relation.LogRecord, error) {
 	return decodeRecord(b, relation.Schema{})

@@ -216,7 +216,7 @@ func TestRunPartialsPinnedView(t *testing.T) {
 	}
 
 	for _, i := range []int{7, 300, 301} { // runs 0 and 1
-		if err := remove(e, pinned.elems[i].ES); err != nil {
+		if err := remove(e, pinned.elems()[i].ES); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 				return
 			}
 			n += 64
-			els := e.view.Load().elems
+			els := e.view.Load().elems()
 			_ = remove(e, els[(round*131)%len(els)].ES) // repeats fail, legitimately
 			if round%4 == 3 {
 				e.Compact()

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -699,15 +700,14 @@ type Entry struct {
 }
 
 // readView is one published epoch of a relation: a frozen store snapshot
-// wrapped in its own engine, the elements in arrival (tt⊢) order for the
-// scan paths, and the schema. A reader that pinned a view observes the
+// wrapped in its own engine — the scan paths read its runs in arrival
+// (tt⊢) order — and the schema. A reader that pinned a view observes the
 // relation exactly as of the epoch's publication no matter how many
 // writers commit meanwhile.
 type readView struct {
 	epoch  uint64
 	gen    uint64 // Entry.gen of the store the snapshot was taken from
 	engine *query.Engine
-	elems  []*element.Element
 	schema relation.Schema
 }
 
@@ -719,12 +719,10 @@ func (e *Entry) publish() {
 	if old := e.view.Load(); old != nil {
 		ep = old.epoch + 1
 	}
-	en := e.engine.Snapshot()
 	e.view.Store(&readView{
 		epoch:  ep,
 		gen:    e.gen,
-		engine: en,
-		elems:  storage.Elements(en.Store()),
+		engine: e.engine.Snapshot(),
 		schema: e.locked.Schema(),
 	})
 	phys := e.physicalLocked()
@@ -1100,29 +1098,36 @@ func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (Q
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
 	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
 		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-		els, err := asOfScan(ctx, v.elems, vt, tt)
-		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: len(v.elems)}, err
+		st := v.engine.Store()
+		els, err := asOfScan(ctx, storage.Runs(st), vt, tt)
+		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: st.Len()}, err
 	})
 }
 
-// asOfCheckEvery matches the relation layer's cooperative-scan cadence.
-const asOfCheckEvery = 1024
-
-// asOfScan is the bitemporal full scan over a pinned view's elements,
-// cooperative like relation.TimesliceAsOfCtx.
-func asOfScan(ctx context.Context, elems []*element.Element, vt, tt chronon.Chronon) ([]*element.Element, error) {
+// asOfScan is the bitemporal full scan over a pinned view's runs,
+// cooperative like relation.TimesliceAsOfCtx: it polls between runs.
+func asOfScan(ctx context.Context, runs element.Runs, vt, tt chronon.Chronon) ([]*element.Element, error) {
 	var out []*element.Element
-	for i, el := range elems {
-		if i%asOfCheckEvery == asOfCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+	err := runs.Do(ctx, func(run []*element.Element) error {
+		out = appendAsOf(out, run, vt, tt)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendAsOf appends the elements of run present at tt and valid at vt. A
+// function of its own, not the closure's body: the compiler inlines the two
+// predicates here and does not there, which is 15% of the scan.
+func appendAsOf(out, run []*element.Element, vt, tt chronon.Chronon) []*element.Element {
+	for _, el := range run {
 		if el.PresentAt(tt) && el.ValidAt(vt) {
 			out = append(out, el)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // selectScratch pools candidate slices for SELECTs that must re-sort an
@@ -1183,8 +1188,9 @@ func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *pl
 		*sp = cands[:0]
 		selectScratch.Put(sp)
 	default:
-		res, err = tsql.EvalOnCtx(ctx, q, v.schema, v.elems)
-		touched = len(v.elems)
+		st := v.engine.Store()
+		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.Runs(st))
+		touched = st.Len()
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -1338,17 +1344,22 @@ func (e *Entry) Physical() Physical {
 	return *e.physical.Load()
 }
 
-// physicalLocked builds the Physical snapshot; caller holds the lock.
+// physicalLocked builds the Physical snapshot; caller holds the lock. It
+// runs on every publish, so it copies nothing that grows: the reasons, the
+// adopted classes and the history are only ever appended to or replaced
+// whole, so a published prefix of them never changes under its readers
+// (clipped, so a reader's append cannot reach the entry's array either),
+// and the store keeps its sealing totals current.
 func (e *Entry) physicalLocked() Physical {
 	return Physical{
 		Org:        e.advice.Store,
 		Source:     e.advice.Source,
-		Reasons:    append([]string(nil), e.advice.Reasons...),
+		Reasons:    slices.Clip(e.advice.Reasons),
 		Declared:   perRelationClasses(e.decls),
 		Inferred:   e.tracker.Classes(),
-		Adopted:    append([]core.Class(nil), e.adopted...),
+		Adopted:    slices.Clip(e.adopted),
 		Migrations: e.migrations,
-		History:    append([]Migration(nil), e.history...),
+		History:    slices.Clip(e.history),
 		Compaction: storage.Compaction(e.engine.Store()),
 		StoreBytes: storage.StoreBytes(e.engine.Store()),
 		Tracker:    e.tracker.Stats(),

@@ -1,0 +1,123 @@
+package catalog
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/surrogate"
+)
+
+// closeCostEntry builds a sealed sensor relation of n elements and returns
+// it with its surrogates in arrival order.
+func closeCostEntry(t testing.TB, n int) (*Entry, []surrogate.Surrogate) {
+	t.Helper()
+	c := New(testConfig(t.TempDir()))
+	e := sealedSensor(t, c, "s", n)
+	ess := make([]surrogate.Surrogate, 0, n)
+	for _, el := range current(e).Elements {
+		ess = append(ess, el.ES)
+	}
+	return e, ess
+}
+
+// allocatedBy reports the bytes and objects allocated per call of op over
+// runs calls.
+func allocatedBy(runs int, op func(i int)) (bytes, objects float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestCloseCostIsIndependentOfHistory: a logical delete or a modification
+// publishes a view, and the close that follows must copy one run and the
+// spine, not the relation — the bytes it allocates at 128 k elements exceed
+// those at 8 k by no more than the longer spine (and its size-class slack).
+func TestCloseCostIsIndependentOfHistory(t *testing.T) {
+	const small, large, ops = 8 << 10, 128 << 10, 64
+	spine := float64(large / 256 * 8)
+	ctx := context.Background()
+	measure := func(n int) (del, mod float64) {
+		e, ess := closeCostEntry(t, n)
+		stride := n / (2 * ops) // spread over the sealed runs
+		del, _ = allocatedBy(ops, func(i int) {
+			if err := e.DeleteKeyed(ctx, ess[i*stride], ""); err != nil {
+				t.Fatalf("DeleteKeyed: %v", err)
+			}
+		})
+		mod, _ = allocatedBy(ops, func(i int) {
+			vt := element.EventAt(chronon.Chronon(10 * (n + i)))
+			if _, err := e.ModifyKeyed(ctx, ess[n/2+i*stride], vt, []element.Value{element.Int(1)}, ""); err != nil {
+				t.Fatalf("ModifyKeyed: %v", err)
+			}
+		})
+		return del, mod
+	}
+	delS, modS := measure(small)
+	delL, modL := measure(large)
+	t.Logf("DeleteKeyed %.0f B/op at %d, %.0f B/op at %d; ModifyKeyed %.0f and %.0f", delS, small, delL, large, modS, modL)
+	if delL-delS > 1.5*spine || modL-modS > 1.5*spine {
+		t.Fatalf("a close grows with the relation: delete %.0f → %.0f B/op, modify %.0f → %.0f B/op (spine %.0f B)",
+			delS, delL, modS, modL, spine)
+	}
+	if delL > 16<<10 {
+		t.Fatalf("DeleteKeyed at %d elements allocates %.0f B/op, want at most 16 KiB", large, delL)
+	}
+}
+
+// TestKeyedInsertAllocationBudget pins what one single-element insert
+// allocates in the catalog pipeline, publish included, so per-write
+// bookkeeping cannot creep back. No WAL here: its group-commit goroutine
+// would make the count depend on timing (the served path with WAL, Merkle
+// leaf and signer measured 20 before this budget existed; this
+// configuration measured 14 then and 11 with publish O(1) in runs).
+func TestKeyedInsertAllocationBudget(t *testing.T) {
+	e, _ := closeCostEntry(t, 4<<10)
+	ctx := context.Background()
+	vt := int64(10 * (4 << 10))
+	got := testing.AllocsPerRun(200, func() {
+		vt += 10
+		if _, err := e.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(chronon.Chronon(vt)), Varying: []element.Value{element.Int(1)}}, ""); err != nil {
+			t.Fatalf("InsertKeyed: %v", err)
+		}
+	})
+	t.Logf("InsertKeyed: %.1f allocations", got)
+	if got > 12 {
+		t.Fatalf("InsertKeyed allocates %.1f objects per call, budget 12", got)
+	}
+}
+
+// BenchmarkCloseAfterPublish times a logical delete on a sealed relation
+// where every write publishes a read view, so each close finds its run
+// shared with a snapshot. ns/op and B/op must not follow the relation's
+// size. `make bench-smoke` runs it next to BenchmarkReplayCloses.
+func BenchmarkCloseAfterPublish(b *testing.B) {
+	for _, n := range []int{8 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("%dk", n>>10), func(b *testing.B) {
+			ctx := context.Background()
+			var e *Entry
+			var ess []surrogate.Surrogate
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 { // every element closed: start over on a fresh relation
+					b.StopTimer()
+					e, ess = closeCostEntry(b, n)
+					b.StartTimer()
+				}
+				// A stride coprime to n visits every element once, hopping runs.
+				if err := e.DeleteKeyed(ctx, ess[(i%n)*7919%n], ""); err != nil {
+					b.Fatalf("DeleteKeyed: %v", err)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
@@ -43,3 +44,7 @@ func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) QueryResult {
 	out, _ := e.TimesliceAsOfCtx(context.Background(), vt, tt)
 	return out
 }
+
+// elems flattens a pinned view's store, for tests that pick elements by
+// arrival position.
+func (v *readView) elems() []*element.Element { return storage.Elements(v.engine.Store()) }

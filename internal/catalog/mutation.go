@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/backlog"
 	"repro/internal/element"
@@ -53,6 +54,10 @@ var frameShapes = [...]struct {
 	walInsertBatch: {dedupInsert, []relation.Op{relation.OpInsert}},
 }
 
+// frameUnitHint is the capacity a single-unit frame starts with: key span,
+// length prefix and a record of a few attributes fit without growing.
+const frameUnitHint = 128
+
 // appendKey and appendRecord are the codec's two length-prefixed spans:
 // u16 keyLen | key, and u32 recLen | backlog record.
 func appendKey(out []byte, key string) []byte {
@@ -61,9 +66,10 @@ func appendKey(out []byte, key string) []byte {
 }
 
 func appendRecord(out []byte, rec relation.LogRecord) []byte {
-	rb := backlog.EncodeRecord(rec)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(rb)))
-	return append(out, rb...)
+	at := len(out)
+	out = backlog.AppendRecord(append(out, 0, 0, 0, 0), rec)
+	binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4)) // back-patch the length
+	return out
 }
 
 // encode frames the mutation for the WAL:
@@ -80,14 +86,20 @@ func (m *mutation) encode() ([]byte, error) {
 	var out []byte
 	switch m.kind {
 	case walInsertKeyed, walDeleteKeyed:
-		rb := backlog.EncodeRecord(m.recs[0])
-		out = append(appendKey(make([]byte, 0, 2+len(m.keys[0])+len(rb)), m.keys[0]), rb...)
+		out = backlog.AppendRecord(appendKey(make([]byte, 0, frameUnitHint), m.keys[0]), m.recs[0])
 	case walModifyKeyed:
-		out = appendRecord(appendRecord(appendKey(nil, m.keys[0]), m.recs[0]), m.recs[1])
+		out = appendRecord(appendRecord(appendKey(make([]byte, 0, 2*frameUnitHint), m.keys[0]), m.recs[0]), m.recs[1])
 	case walInsertBatch:
 		out = binary.LittleEndian.AppendUint32(nil, uint32(len(m.recs)))
 		for i, rec := range m.recs {
 			out = appendRecord(appendKey(out, m.keys[i]), rec)
+			if i == 0 {
+				// Size the frame once, from its first unit: a batch's
+				// elements share a schema, so its units are about as long,
+				// and append absorbs whatever the margin does not.
+				unit := len(out) - 4
+				out = slices.Grow(out, (len(m.recs)-1)*(unit+unit/4))
+			}
 		}
 	default:
 		return nil, fmt.Errorf("catalog: mutation kind %d has no frame", m.kind)

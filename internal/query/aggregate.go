@@ -37,9 +37,9 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Que
 		en.record(node, int(stats.Rows))
 		return res, stats, nil
 	}
-	elems, touched := en.aggregateCandidates(leaf, pq)
+	runs, touched := en.aggregateCandidates(leaf, pq)
 	stats.Rows = int64(touched)
-	res, err := vec.RowAggregate(ctx, spec, elems)
+	res, err := vec.RowAggregateRuns(ctx, spec, runs)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -111,16 +111,16 @@ func (en *Engine) aggregateColumnar(ctx context.Context, spec *vec.Spec, event b
 // the log-backed paths yield naturally and the vt-index path restores
 // by sorting — float sums must accumulate in the same order as the
 // columnar engine's batch stream.
-func (en *Engine) aggregateCandidates(leaf *plan.Node, pq plan.Query) ([]*element.Element, int) {
+func (en *Engine) aggregateCandidates(leaf *plan.Node, pq plan.Query) (element.Runs, int) {
 	switch leaf.Kind {
 	case plan.TTWindowPushdown, plan.VTBinarySearch:
-		return en.execute(leaf, pq)
+		els, touched := en.execute(leaf, pq)
+		return element.Slice(els), touched
 	case plan.BTreeIndexSeek:
 		els, touched := en.execute(leaf, pq)
 		sorted := append([]*element.Element(nil), els...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ES < sorted[j].ES })
-		return sorted, touched
+		return element.Slice(sorted), touched
 	}
-	els := storage.Elements(en.store)
-	return els, len(els)
+	return storage.Runs(en.store), en.store.Len()
 }

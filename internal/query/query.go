@@ -138,8 +138,7 @@ func (en *Engine) Access() plan.Access {
 		// The vt-ordered log's first and last elements bound its observed
 		// valid-time extent (starts are sorted; the last end is an
 		// estimate), which the aggregate costing uses for clamp coverage.
-		els := storage.Elements(en.store)
-		first, last := els[0], els[len(els)-1]
+		first, last := storage.Ends(en.store)
 		a.VTMin = int64(first.VT.Start())
 		if c, ok := last.VT.Event(); ok {
 			a.VTMax = int64(c) + 1

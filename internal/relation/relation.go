@@ -243,33 +243,41 @@ func (r *Relation) applyDelete(e *element.Element, tt chronon.Chronon) *element.
 }
 
 // swapVersion rewires every live structure that references old to repl.
-// versions and log are tt⊢-sorted, so both lookups binary-search to the
-// run sharing old's TTStart and walk it for pointer identity. The backlog
-// insert record must be repointed too: Vacuum decides liveness from
-// rec.Elem.TTEnd, and Declare's warm replay must observe the close.
+// versions, the object's life-line and log are all appended in tt⊢ order, so
+// each lookup binary-searches to the stretch sharing old's TTStart and walks
+// it for pointer identity: a close costs the same on a one-object relation
+// with a long life-line as on any other. The backlog insert record must be
+// repointed too: Vacuum decides liveness from rec.Elem.TTEnd, and Declare's
+// warm replay must observe the close.
 func (r *Relation) swapVersion(old, repl *element.Element) {
 	r.byES[old.ES] = repl
-	line := r.byOS[old.OS]
-	for i, e := range line {
-		if e == old {
-			line[i] = repl
-			break
-		}
-	}
-	i := sort.Search(len(r.versions), func(j int) bool {
-		return r.versions[j].TTStart >= old.TTStart
-	})
-	for ; i < len(r.versions) && r.versions[i].TTStart == old.TTStart; i++ {
-		if r.versions[i] == old {
-			r.versions[i] = repl
-			break
-		}
-	}
+	swapByTT(r.byOS[old.OS], old, repl)
+	swapByTT(r.versions, old, repl)
 	j := sort.Search(len(r.log), func(k int) bool { return r.log[k].TT >= old.TTStart })
 	for ; j < len(r.log) && r.log[j].TT == old.TTStart; j++ {
 		if rec := &r.log[j]; rec.Op == OpInsert && rec.Elem == old {
 			rec.Elem = repl
 			break
+		}
+	}
+}
+
+// swapByTT replaces old with repl in a slice appended in tt⊢ order: binary
+// search to the elements sharing old's TTStart, then pointer identity. A
+// clock that restarted behind its own stamps can break the order; the scan
+// is the fallback, as in the store's Replace.
+func swapByTT(line []*element.Element, old, repl *element.Element) {
+	i := sort.Search(len(line), func(j int) bool { return line[j].TTStart >= old.TTStart })
+	for ; i < len(line) && line[i].TTStart == old.TTStart; i++ {
+		if line[i] == old {
+			line[i] = repl
+			return
+		}
+	}
+	for i, e := range line {
+		if e == old {
+			line[i] = repl
+			return
 		}
 	}
 }

@@ -236,21 +236,18 @@ func (s *IndexedEventStore) Rollback(tt chronon.Chronon) ([]*element.Element, in
 	return s.heap.Rollback(tt)
 }
 
-// Snapshot shares the heap's backing array O(1) and rebuilds a private
-// B-tree over it. The rebuild is O(n log n), acceptable because the
-// advisor never selects this organization (it exists to price the
+// Snapshot shares the heap's chunks O(1) and rebuilds a private B-tree
+// over them. The rebuild is O(n log n), acceptable because the advisor
+// never selects this organization (it exists to price the
 // general-relation alternative); only explicit engine overrides pay it.
 func (s *IndexedEventStore) Snapshot() Store {
-	s.heap.shared = true
-	cp := &IndexedEventStore{
-		heap:  HeapStore{elems: snapTail(s.heap.elems), frozen: true},
-		index: newBtree(),
-	}
-	for _, e := range cp.heap.elems {
+	cp := &IndexedEventStore{heap: HeapStore{s.heap.snapshot()}, index: newBtree()}
+	cp.heap.Scan(func(e *element.Element) bool {
 		if vt, ok := e.VT.Event(); ok {
 			cp.index.insert(vt, e)
 		}
-	}
+		return true
+	})
 	return cp
 }
 

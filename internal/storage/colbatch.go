@@ -5,8 +5,8 @@ package storage
 // delta-encoded runs (compact.go) decode straight into the batch's
 // int64 columns — one run is exactly one batch — and the run envelopes
 // double as zone maps, so whole batches are skipped before a single
-// varint is read. The unsealed tail and non-log stores fall back to
-// gathering the columns from the elements in BatchSize chunks.
+// varint is read. Unsealed chunks — the tail, and every chunk of a store
+// that does not seal — gather the columns from their elements.
 
 import (
 	"encoding/binary"
@@ -57,8 +57,7 @@ func DecodeRunColumns(packed []byte, n int, tts, tte, vts, vte []int64) error {
 // NewBatchReader, optionally narrow with the Set* methods, then call
 // Next until it reports false.
 type BatchReader struct {
-	elems []*element.Element
-	runs  []runMeta
+	s     seq
 	event bool
 
 	// Zone-map pruning knobs.
@@ -68,13 +67,8 @@ type BatchReader struct {
 	asOf        bool
 	tt          chronon.Chronon
 
-	ri, pos int
+	next    int // the chunk the next Advance looks at
 	skipped int
-
-	// What Advance stopped at, for Load: a sealed run, or the flat chunk
-	// elems[flatLo:flatHi] when cur is nil.
-	cur            *runMeta
-	flatLo, flatHi int
 }
 
 // Unit is what Advance stopped at: one sealed run or one chunk of unsealed
@@ -96,16 +90,7 @@ type Unit struct {
 // relation: packed runs store vt⊣ = vt⊢ for events, so the reader
 // rewrites the column to the exclusive vt⊢+1 every operator expects.
 func NewBatchReader(st Store, event bool) *BatchReader {
-	r := &BatchReader{event: event}
-	switch s := st.(type) {
-	case *TTLogStore:
-		r.elems, r.runs = s.elems, s.runs
-	case *VTLogStore:
-		r.elems, r.runs = s.elems, s.runs
-	default:
-		r.elems = Elements(st)
-	}
-	return r
+	return &BatchReader{s: *seqOf(st), event: event}
 }
 
 // SetVTWindow prunes runs whose valid-time envelope misses [lo, hi).
@@ -143,29 +128,27 @@ func (r *BatchReader) skipRun(run *runMeta) bool {
 // column that can go stale after sealing (copy-on-close deletes swap in
 // closed clones), so a run that has seen a close since re-gathers it from
 // the live rows; every other run decodes exactly as sealed.
-func (r *BatchReader) decodeRun(run *runMeta, b *vec.Batch) error {
-	n := run.n
-	if err := DecodeRunColumns(run.packed, n,
-		b.TTStart[:n], b.TTEnd[:n], b.VTStart[:n], b.VTEnd[:n]); err != nil {
+func (r *BatchReader) decodeRun(c *chunk, b *vec.Batch) error {
+	const n = runSize
+	if err := DecodeRunColumns(c.run.packed, n,
+		b.TTStart[:], b.TTEnd[:], b.VTStart[:], b.VTEnd[:]); err != nil {
 		return err
 	}
-	els := r.elems[run.start : run.start+n]
-	b.N, b.Elems = n, els
+	b.N, b.Elems = n, c.elems[:]
 	if r.event {
 		for i := 0; i < n; i++ {
 			b.VTEnd[i] = b.VTStart[i] + 1
 		}
 	}
-	if run.closed > 0 {
-		for i, e := range els {
+	if c.run.closed > 0 {
+		for i, e := range c.elems {
 			b.TTEnd[i] = int64(e.TTEnd)
 		}
 	}
 	return nil
 }
 
-// fillBatch gathers columns from materialized elements (unsealed tail,
-// heap and tt-log tails, indexed stores).
+// fillBatch gathers columns from the elements of an unsealed chunk.
 func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 	b.N, b.Elems = len(els), els
 	for i, e := range els {
@@ -186,44 +169,32 @@ func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 // knows a sealed run's contribution (Unit.Stable) advances past it for the
 // price of this metadata probe; otherwise Load produces the batch.
 func (r *BatchReader) Advance() (Unit, bool) {
-	for r.pos < len(r.elems) {
-		if r.ri < len(r.runs) && r.pos == r.runs[r.ri].start {
-			run := &r.runs[r.ri]
-			r.ri++
-			r.pos = run.start + run.n
-			if r.skipRun(run) {
-				r.skipped++
-				continue
-			}
-			r.cur = run
-			return Unit{
-				Run: r.ri - 1, Closed: run.closed,
-				Stable: r.currentOnly && !r.asOf && (!r.hasVT || (r.vtLo <= run.vtLo && run.vtHi <= r.vtHi)),
-			}, true
+	for r.next < len(r.s.spine) {
+		k := r.next
+		r.next++
+		if k >= r.s.sealed {
+			return Unit{Run: -1}, true
 		}
-		// Flat region: up to the next sealed run (there is none once ri
-		// is exhausted — runs cover a prefix), in BatchSize chunks.
-		end := len(r.elems)
-		if r.ri < len(r.runs) && r.runs[r.ri].start < end {
-			end = r.runs[r.ri].start
+		run := &r.s.spine[k].run
+		if r.skipRun(run) {
+			r.skipped++
+			continue
 		}
-		n := end - r.pos
-		if n > vec.BatchSize {
-			n = vec.BatchSize
-		}
-		r.cur, r.flatLo, r.flatHi = nil, r.pos, r.pos+n
-		r.pos += n
-		return Unit{Run: -1}, true
+		return Unit{
+			Run: k, Closed: run.closed,
+			Stable: r.currentOnly && !r.asOf && (!r.hasVT || (r.vtLo <= run.vtLo && run.vtHi <= r.vtHi)),
+		}, true
 	}
 	return Unit{}, false
 }
 
 // Load fills b with the unit the last Advance stopped at.
 func (r *BatchReader) Load(b *vec.Batch) error {
-	if r.cur != nil {
-		return r.decodeRun(r.cur, b)
+	k := r.next - 1
+	if k < r.s.sealed {
+		return r.decodeRun(r.s.spine[k], b)
 	}
-	fillBatch(b, r.elems[r.flatLo:r.flatHi], r.event)
+	fillBatch(b, r.s.run(k), r.event)
 	return nil
 }
 
@@ -238,11 +209,6 @@ func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
 // SealedInfo reports how many leading elements sit in sealed runs and
 // how many runs hold them, without walking the runs' payloads. O(1).
 func SealedInfo(st Store) (sealed, runs int) {
-	switch s := st.(type) {
-	case *TTLogStore:
-		return covered(s.runs), len(s.runs)
-	case *VTLogStore:
-		return covered(s.runs), len(s.runs)
-	}
-	return 0, 0
+	s := seqOf(st)
+	return s.sealed * runSize, s.sealed
 }

@@ -126,7 +126,7 @@ func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
 	// Close some elements inside sealed runs: the packed tt⊣ goes stale
 	// and the reader must re-gather it from the live rows.
 	for _, i := range []int{3, runSize + 9, 2*runSize + 100} {
-		orig := st.elems[i]
+		orig := st.at(i)
 		closed := *orig
 		closed.TTEnd = chronon.Chronon(1_000_000)
 		st.Replace(orig, &closed)
@@ -156,7 +156,7 @@ func TestBatchReaderZoneMapSkips(t *testing.T) {
 	}
 	// Fully close the second run so current-only can prune it.
 	for i := runSize; i < 2*runSize; i++ {
-		orig := st.elems[i]
+		orig := st.at(i)
 		closed := *orig
 		closed.TTEnd = chronon.Chronon(999_999)
 		st.Replace(orig, &closed)
@@ -377,7 +377,7 @@ func benchAggregate(b *testing.B, columnar bool) {
 			}
 			res, err = agg.Result()
 		} else {
-			res, err = vec.RowAggregate(context.Background(), spec, Elements(st))
+			res, err = vec.RowAggregateRuns(context.Background(), spec, Runs(st))
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -407,7 +407,7 @@ func sealedEventLog(t *testing.T, n int) *VTLogStore {
 }
 
 func closeAt(st *VTLogStore, i int, tt chronon.Chronon) {
-	orig := st.elems[i]
+	orig := st.at(i)
 	closed := *orig
 	closed.TTEnd = tt
 	st.Replace(orig, &closed)
@@ -421,8 +421,8 @@ func TestRunCloseCounts(t *testing.T) {
 	st := sealedEventLog(t, 2*runSize+40)
 	counts := func(s *VTLogStore) []int {
 		var out []int
-		for _, r := range s.runs {
-			out = append(out, r.closed)
+		for _, c := range s.spine[:s.sealed] {
+			out = append(out, c.run.closed)
 		}
 		return out
 	}
@@ -430,8 +430,8 @@ func TestRunCloseCounts(t *testing.T) {
 		t.Fatalf("fresh seal: close counts %v", got)
 	}
 	before := st.Snapshot().(*VTLogStore)
-	closeAt(st, 2*runSize+7, 99_000) // the tail: unshares the arrays, books nothing
-	closeAt(st, runSize+3, 99_001)   // run 1, after the arrays were already unshared
+	closeAt(st, 2*runSize+7, 99_000) // the tail: copies its chunk and the spine, books nothing
+	closeAt(st, runSize+3, 99_001)   // run 1, after the spine was already copied
 	mid := st.Snapshot().(*VTLogStore)
 	closeAt(st, runSize+4, 99_002)
 	closeAt(st, 5, 99_003)
@@ -445,12 +445,12 @@ func TestRunCloseCounts(t *testing.T) {
 	if got := counts(before); !reflect.DeepEqual(got, []int{0, 0}) {
 		t.Fatalf("first snapshot close counts %v, want [0 0]", got)
 	}
-	if !before.elems[runSize+3].Current() || mid.elems[runSize+3].Current() || !mid.elems[5].Current() {
+	if !before.at(runSize+3).Current() || mid.at(runSize+3).Current() || !mid.at(5).Current() {
 		t.Fatal("a snapshot's elements moved with the live store")
 	}
 	// Replacing a closed element again (not a close) books nothing.
-	again := *st.elems[5]
-	st.Replace(st.elems[5], &again)
+	again := *st.at(5)
+	st.Replace(st.at(5), &again)
 	if got := counts(st); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("non-close replace moved the counts: %v", got)
 	}
@@ -463,9 +463,9 @@ func TestDecodeRunSkipsRegatherUntilAClose(t *testing.T) {
 	st := sealedEventLog(t, runSize)
 	// Swap a closed clone in behind the store's back: a reader that still
 	// walked the live rows would pick its tt⊣ up.
-	behind := *st.elems[9]
+	behind := *st.at(9)
 	behind.TTEnd = 77_777
-	st.elems[9] = &behind
+	st.spine[0].elems[9] = &behind
 
 	var b vec.Batch
 	r := NewBatchReader(st, true)
@@ -503,7 +503,7 @@ func TestCurrentOnlyPrunesRunsClosedAfterSealing(t *testing.T) {
 	r = NewBatchReader(st, true)
 	r.SetCurrentOnly()
 	got := batchElems(t, r, true)
-	if r.Skipped() != 1 || len(got) != runSize || got[0] != st.elems[runSize] {
+	if r.Skipped() != 1 || len(got) != runSize || got[0] != st.at(runSize) {
 		t.Fatalf("run closed after sealing: read %d elements, skipped %d runs, want %d and 1", len(got), r.Skipped(), runSize)
 	}
 	// Without the current-only rule the run is still read.

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -42,21 +41,16 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // append-only designs of §3.1/§3.2, where the prefix is stable by promise.
 // General relations keep today's behavior (no runs unless a caller opts in).
 
-// runSize is how many elements a sealed run covers. Large enough that the
-// per-run metadata is amortized, small enough that a zone-map miss wastes
-// little work.
-const runSize = 256
-
-// runMeta is one sealed run: elements [start, start+n) of the backing log.
+// runMeta describes one sealed run — the runSize elements of the chunk it
+// hangs off (seq.go).
 type runMeta struct {
-	start, n int
 	ttLo     chronon.Chronon // min tt⊢ (first element; logs are tt-ordered)
 	ttHi     chronon.Chronon // max tt⊢ (last element)
 	maxTTEnd chronon.Chronon // max tt⊣ at seal time (Forever while any open)
 	vtLo     chronon.Chronon // min valid-time start
 	vtHi     chronon.Chronon // max exclusive valid-time end
 	open     int             // elements still current at seal time
-	// closed counts the elements closed since sealing (noteClose). Closes
+	// closed counts the elements closed since sealing (seq.Replace). Closes
 	// are monotone — open to closed, never back — and arrive in one
 	// sequence, so within one sealing of the run, closed alone identifies
 	// which of its elements are current: two views that agree on it see
@@ -69,43 +63,16 @@ type runMeta struct {
 // live reports whether any element of the run can still be current.
 func (r *runMeta) live() bool { return r.closed < r.open }
 
-// noteClose books the close of elems[i] (old replaced by its closed
-// clone) against the sealed run covering it, if any. compactLog seals
-// back to back from index 0 in runSize steps, so run i/runSize covers i.
-// The caller has already unshared runs from any snapshot.
-func noteClose(runs []runMeta, i int, old, repl *element.Element) {
-	if i >= 0 && i < covered(runs) && old.Current() && !repl.Current() {
-		runs[i/runSize].closed++
-	}
-}
-
-// snapRuns full-caps the sealed-run slice for a snapshot, so a later Compact
-// on the live store appends outside the snapshot's view.
-func snapRuns(runs []runMeta) []runMeta {
-	n := len(runs)
-	return runs[:n:n]
-}
-
-// covered reports how many leading elements the sealed runs account for.
-func covered(runs []runMeta) int {
-	if len(runs) == 0 {
-		return 0
-	}
-	last := runs[len(runs)-1]
-	return last.start + last.n
-}
-
-// sealRun builds the metadata and packed image for elems[start : start+n].
-func sealRun(elems []*element.Element, start, n int) runMeta {
+// sealRun builds the metadata and packed image for one full run.
+func sealRun(run []*element.Element) runMeta {
 	r := runMeta{
-		start: start, n: n,
-		ttLo:     elems[start].TTStart,
-		ttHi:     elems[start+n-1].TTStart,
+		ttLo:     run[0].TTStart,
+		ttHi:     run[len(run)-1].TTStart,
 		maxTTEnd: chronon.MinChronon,
 		vtLo:     chronon.MaxChronon,
 		vtHi:     chronon.MinChronon,
 	}
-	for _, e := range elems[start : start+n] {
+	for _, e := range run {
 		r.maxTTEnd = chronon.Max(r.maxTTEnd, e.TTEnd)
 		r.vtLo = chronon.Min(r.vtLo, e.VT.Start())
 		r.vtHi = chronon.Max(r.vtHi, exclusiveEnd(e))
@@ -113,7 +80,7 @@ func sealRun(elems []*element.Element, start, n int) runMeta {
 			r.open++
 		}
 	}
-	r.packed = packColumns(elems[start : start+n])
+	r.packed = packColumns(run)
 	r.sum = crc32.Checksum(r.packed, runCastagnoli)
 	return r
 }
@@ -163,63 +130,49 @@ func unpackColumns(packed []byte, n int) ([][4]int64, error) {
 	return out, nil
 }
 
-// compactLog seals as many full runs as the uncovered prefix allows,
-// returning how many elements were newly sealed. The tail shorter than
-// runSize stays unsealed — it is still growing.
-func compactLog(elems []*element.Element, runs *[]runMeta) int {
-	sealed := 0
-	for start := covered(*runs); len(elems)-start >= runSize; start += runSize {
-		*runs = append(*runs, sealRun(elems, start, runSize))
-		sealed += runSize
-	}
-	return sealed
-}
-
-// Compact seals full runs over the stable prefix. Frozen snapshots refuse:
-// they inherit the live store's runs instead.
-func (s *TTLogStore) Compact() int {
+// seal seals as many full chunks as the unsealed stretch allows, returning
+// how many elements were newly sealed. The tail shorter than runSize stays
+// unsealed — it is still growing. No snapshot reads the metadata of a chunk
+// past its own sealed bound, so the run is written in place; the chunk
+// keeps its stamp, and the first close into it copies it. Frozen snapshots
+// refuse: they carry the runs they were taken with.
+func (s *seq) seal() int {
 	if s.frozen {
 		return 0
 	}
-	return compactLog(s.elems, &s.runs)
+	was := s.sealed
+	for ; (s.sealed+1)*runSize <= s.n; s.sealed++ {
+		c := s.spine[s.sealed]
+		c.run = sealRun(c.elems[:])
+		s.packedBytes += int64(len(c.run.packed))
+	}
+	return (s.sealed - was) * runSize
 }
 
 // Compact seals full runs over the stable prefix.
-func (s *VTLogStore) Compact() int {
-	if s.frozen {
-		return 0
-	}
-	return compactLog(s.elems, &s.runs)
-}
+func (s *TTLogStore) Compact() int { return s.seal() }
 
-// rollbackWithRuns is the run-aware shared rollback path: n is the length of
-// the tt⊢ ≤ tt prefix (found by the caller's binary search). A sealed run
-// whose recorded maximum tt⊣ is ≤ tt held only elements already closed by
-// tt — nothing in it is present — so it is skipped for one probe.
-func rollbackWithRuns(elems []*element.Element, runs []runMeta, tt chronon.Chronon, n int) ([]*element.Element, int) {
+// Compact seals full runs over the stable prefix.
+func (s *VTLogStore) Compact() int { return s.seal() }
+
+// rollback is the log organizations' rollback: binary search for the prefix
+// with tt⊢ ≤ tt, then a run-by-run filter of it. A sealed run whose
+// recorded maximum tt⊣ is ≤ tt held only elements already closed by tt —
+// nothing in it is present — so it is skipped for one probe.
+func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, int) {
+	n := s.search(func(e *element.Element) bool { return e.TTStart > tt })
 	var out []*element.Element
 	touched := 0
-	for _, r := range runs {
-		if r.start >= n {
-			return out, touched
-		}
-		if r.maxTTEnd <= tt {
+	for k := 0; k*runSize < n; k++ {
+		if k < s.sealed && s.spine[k].run.maxTTEnd <= tt {
 			touched++
 			continue
 		}
-		end := r.start + r.n
-		if end > n {
-			end = n
+		run := s.run(k)
+		if end := n - k*runSize; end < len(run) {
+			run = run[:end]
 		}
-		for _, e := range elems[r.start:end] {
-			touched++
-			if e.PresentAt(tt) {
-				out = append(out, e)
-			}
-		}
-	}
-	if tail := covered(runs); tail < n {
-		for _, e := range elems[tail:n] {
+		for _, e := range run {
 			touched++
 			if e.PresentAt(tt) {
 				out = append(out, e)
@@ -229,80 +182,63 @@ func rollbackWithRuns(elems []*element.Element, runs []runMeta, tt chronon.Chron
 	return out, touched
 }
 
-// vtRangeZoneMap is the run-aware valid-time scan for stores with no useful
-// vt order (the tt log): runs whose valid-time envelope misses [lo, hi), or
-// that held no open element when sealed, are skipped; everything else is
-// scanned exactly as the flat path would.
-func vtRangeZoneMap(elems []*element.Element, runs []runMeta, lo, hi chronon.Chronon) ([]*element.Element, int) {
+// vtScan is the valid-time scan for stores with no useful vt order (the
+// heap and the tt log): sealed runs whose valid-time envelope misses
+// [lo, hi), or that held no open element when sealed, are skipped for one
+// probe; everything else is visited.
+func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
 	touched := 0
-	for _, r := range runs {
-		if r.open == 0 || r.vtLo >= hi || r.vtHi <= lo {
+	for k, c := range s.spine {
+		if r := &c.run; k < s.sealed && (r.open == 0 || r.vtLo >= hi || r.vtHi <= lo) {
 			touched++
 			continue
 		}
-		for _, e := range elems[r.start : r.start+r.n] {
+		for _, e := range s.run(k) {
 			touched++
 			if e.Current() && validAtRange(e, lo, hi) {
 				out = append(out, e)
 			}
 		}
 	}
-	for _, e := range elems[covered(runs):] {
-		touched++
-		if e.Current() && validAtRange(e, lo, hi) {
-			out = append(out, e)
-		}
-	}
 	return out, touched
 }
 
-// vtRangeOrderedRuns is the run-aware valid-time search for the vt-ordered
-// log. It binary-searches the elements for the start position exactly like
-// the flat path (so the probe cost is unchanged), then during the forward
-// walk skips any sealed run that held no open element when sealed, and
-// stops early when a run's minimum start already passes hi.
-func vtRangeOrderedRuns(elems []*element.Element, runs []runMeta, lo, hi chronon.Chronon) ([]*element.Element, int) {
-	n := len(elems)
-	start := sort.Search(n, func(i int) bool { return exclusiveEnd(elems[i]) > lo })
+// vtRangeOrdered is the valid-time search of the vt-ordered log. It
+// binary-searches for the first element whose valid time may reach past lo
+// — an event at c covers [c, c+1), an interval's end is already exclusive,
+// and for sequential intervals ends are non-decreasing, so the predicate is
+// monotone — then walks forward until starts pass hi, skipping any sealed
+// run that held no open element when sealed and stopping early when a run's
+// minimum start already passes hi. The probe counts as one touch.
+func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
+	start := s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
 	var out []*element.Element
-	touched := 1 // the binary-search probe
-	cov := covered(runs)
-	ri := sort.Search(len(runs), func(i int) bool { return runs[i].start+runs[i].n > start })
-	i := start
-	for i < n {
-		if i < cov {
-			r := runs[ri]
-			ri++
+	touched := 1
+	for k := start / runSize; k < len(s.spine); k++ {
+		if k < s.sealed {
+			r := &s.spine[k].run
 			if r.vtLo >= hi {
 				return out, touched
 			}
 			if r.open == 0 {
 				touched++
-				i = r.start + r.n
 				continue
 			}
-			for end := r.start + r.n; i < end; i++ {
-				e := elems[i]
-				touched++
-				if e.VT.Start() >= hi {
-					return out, touched
-				}
-				if e.Current() && validAtRange(e, lo, hi) {
-					out = append(out, e)
-				}
+		}
+		run := s.run(k)
+		if from := start - k*runSize; from > 0 {
+			run = run[from:]
+		}
+		for _, e := range run {
+			touched++
+			if e.VT.Start() >= hi {
+				return out, touched
 			}
-			continue
+			if e.Current() && validAtRange(e, lo, hi) {
+				out = append(out, e)
+			}
 		}
-		e := elems[i]
-		touched++
-		if e.VT.Start() >= hi {
-			break
-		}
-		if e.Current() && validAtRange(e, lo, hi) {
-			out = append(out, e)
-		}
-		i++
 	}
 	return out, touched
 }
@@ -322,22 +258,10 @@ type CompactionStats struct {
 }
 
 // Compaction reports the sealing state of st (zero for organizations that
-// do not seal).
+// do not seal). O(1): the sequence keeps the totals.
 func Compaction(st Store) CompactionStats {
-	var runs []runMeta
-	switch s := st.(type) {
-	case *TTLogStore:
-		runs = s.runs
-	case *VTLogStore:
-		runs = s.runs
-	default:
-		return CompactionStats{}
-	}
-	cs := CompactionStats{Runs: len(runs), Sealed: covered(runs)}
-	for _, r := range runs {
-		cs.PackedBytes += int64(len(r.packed))
-	}
-	return cs
+	s := seqOf(st)
+	return CompactionStats{Runs: s.sealed, Sealed: s.sealed * runSize, PackedBytes: s.packedBytes}
 }
 
 // flatStampBytes is the uncompacted width of one element's four timestamps.

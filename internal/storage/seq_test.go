@@ -1,0 +1,270 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/surrogate"
+	"repro/internal/vec"
+)
+
+// seqModel is the naive reference the sequence is held to: a flat copy of
+// the pointers, and per sealed run the number of closes booked since it was
+// (re)sealed.
+type seqModel struct {
+	elems  []*element.Element
+	closed []int
+}
+
+func (m seqModel) clone() seqModel {
+	return seqModel{
+		elems:  append([]*element.Element(nil), m.elems...),
+		closed: append([]int(nil), m.closed...),
+	}
+}
+
+// check holds one store, live or frozen, to a model: the same pointers in
+// the same order through every way of reading them, the same sealed runs
+// with the same close counts, totals that agree with a walk, and packed
+// images that still verify.
+func (m seqModel) check(t *testing.T, what string, st Store) {
+	t.Helper()
+	s := seqOf(st)
+	if st.Len() != len(m.elems) || s.sealed != len(m.closed) {
+		t.Fatalf("%s: %d elements in %d sealed runs, model has %d in %d", what, st.Len(), s.sealed, len(m.elems), len(m.closed))
+	}
+	flat := Elements(st)
+	i := 0
+	st.Scan(func(e *element.Element) bool {
+		if e != m.elems[i] || flat[i] != e || s.at(i) != e {
+			t.Fatalf("%s: slot %d holds ES %v (flattened ES %v), model ES %v", what, i, e.ES, flat[i].ES, m.elems[i].ES)
+		}
+		i++
+		return true
+	})
+	if i != len(m.elems) {
+		t.Fatalf("%s: Scan visited %d of %d", what, i, len(m.elems))
+	}
+	var packed int64
+	for k, want := range m.closed {
+		r := &s.spine[k].run
+		if r.closed != want {
+			t.Fatalf("%s: run %d counts %d closes, model %d", what, k, r.closed, want)
+		}
+		packed += int64(len(r.packed))
+	}
+	if cs := Compaction(st); cs.PackedBytes != packed || cs.Sealed != len(m.closed)*runSize || StoreBytes(st) != packed+int64(len(m.elems)-cs.Sealed)*flatStampBytes {
+		t.Fatalf("%s: running totals %+v / %d bytes disagree with a walk (%d packed)", what, cs, StoreBytes(st), packed)
+	}
+	if bad := VerifyRuns(st); len(bad) != 0 {
+		t.Fatalf("%s: %v", what, bad)
+	}
+}
+
+// TestSeqAgainstFlatModel drives random interleavings of insert, close,
+// re-replace, snapshot, compact, corrupt+repair and reseal against the
+// model. Every snapshot, however old, must keep yielding exactly the
+// pointers and run close counts it was taken with, and the live store must
+// equal the model after every step.
+func TestSeqAgainstFlatModel(t *testing.T) {
+	type pinned struct {
+		st    Store
+		model seqModel
+		step  int
+	}
+	for _, kind := range []Kind{Heap, TTOrdered, VTOrdered} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				st := Advice{Store: kind}.New()
+				var m seqModel
+				var pins []pinned
+				tt := chronon.Chronon(0)
+				for step := 0; step < 6000; step++ {
+					switch op := rng.Intn(100); {
+					case op < 55 || len(m.elems) == 0: // insert; tt⊢ repeats now and then
+						if rng.Intn(4) > 0 {
+							tt++
+						}
+						e := &element.Element{
+							ES: surrogate.Surrogate(len(m.elems) + 1), OS: 1,
+							TTStart: tt, TTEnd: chronon.Forever,
+							VT: element.EventAt(chronon.Chronon(10 * len(m.elems))),
+						}
+						if err := st.Insert(e); err != nil {
+							t.Fatal(err)
+						}
+						m.elems = append(m.elems, e)
+					case op < 80: // replace: a close when the element is open, a plain swap otherwise
+						i := rng.Intn(len(m.elems))
+						old := m.elems[i]
+						repl := *old
+						if old.Current() {
+							repl.TTEnd = tt + 1
+						}
+						st.Replace(old, &repl)
+						if k := i / runSize; k < len(m.closed) && old.Current() {
+							m.closed[k]++
+						}
+						m.elems[i] = &repl
+					case op < 90:
+						pins = append(pins, pinned{st.Snapshot(), m.clone(), step})
+					case op < 94:
+						if c, ok := st.(Compacter); ok {
+							sealed := c.Compact()
+							if want := len(m.elems)/runSize - len(m.closed); sealed != want*runSize {
+								t.Fatalf("step %d: Compact sealed %d elements, want %d runs", step, sealed, want)
+							}
+							for len(m.closed) < len(m.elems)/runSize {
+								m.closed = append(m.closed, 0)
+							}
+						}
+					case op < 97: // bit rot in a sealed image, detected and repaired
+						if len(m.closed) > 0 {
+							k := rng.Intn(len(m.closed))
+							if !CorruptRun(st, k, rng.Intn(1<<16), uint8(rng.Intn(8))) {
+								t.Fatalf("step %d: run %d not corrupted", step, k)
+							}
+							bad := VerifyRuns(st)
+							if len(bad) != 1 || bad[0].Run != k || ResealRuns(st, []int{k}) != 1 {
+								t.Fatalf("step %d: corrupting run %d reported %v", step, k, bad)
+							}
+							m.closed[k] = 0
+						}
+					default: // reseal a healthy run: its close count starts over
+						if len(m.closed) > 0 {
+							k := rng.Intn(len(m.closed))
+							ResealRuns(st, []int{k})
+							m.closed[k] = 0
+						}
+					}
+					if step%97 == 0 {
+						m.check(t, fmt.Sprintf("live store at step %d", step), st)
+					}
+				}
+				m.check(t, "live store", st)
+				for _, p := range pins {
+					p.model.check(t, fmt.Sprintf("snapshot of step %d", p.step), p.st)
+				}
+			})
+		}
+	}
+}
+
+// TestSeqLockFreeReaders pins views from goroutines that take no lock while
+// one writer closes elements inside sealed runs and in the unsealed tail,
+// appends, seals and publishes. Run under -race it is the proof that a
+// write never lands where a published snapshot reads; each reader also
+// checks that the view it pinned is the one that was published — the number
+// of closed elements and every sealed run's close count match what the
+// writer recorded at that publish, by scan, by rollback and by batch.
+func TestSeqLockFreeReaders(t *testing.T) {
+	type view struct {
+		st     *VTLogStore
+		closed int
+		tt     chronon.Chronon
+	}
+	st := NewVTLog()
+	var open []*element.Element
+	tt := chronon.Chronon(0)
+	insert := func() {
+		tt++
+		e := &element.Element{ES: surrogate.Surrogate(tt), OS: 1, TTStart: tt, TTEnd: chronon.Forever, VT: element.EventAt(10 * tt)}
+		if err := st.Insert(e); err != nil {
+			t.Error(err)
+		}
+		open = append(open, e)
+	}
+	for i := 0; i < 5*runSize+40; i++ {
+		insert()
+	}
+	st.Compact()
+	closed := 0
+	var published atomic.Pointer[view]
+	publish := func() { published.Store(&view{st.Snapshot().(*VTLogStore), closed, tt}) }
+	publish()
+
+	var wg sync.WaitGroup
+	var checks atomic.Int64 // views the readers have verified
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b vec.Batch
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := published.Load()
+				scanned := 0
+				v.st.Scan(func(e *element.Element) bool {
+					if !e.Current() {
+						scanned++
+					}
+					return true
+				})
+				present, _ := v.st.Rollback(v.tt)
+				inRuns, batched := 0, 0
+				for _, c := range v.st.spine[:v.st.sealed] {
+					inRuns += c.run.closed
+				}
+				br := NewBatchReader(v.st, true)
+				for {
+					ok, err := br.Next(&b)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !ok {
+						break
+					}
+					for i := 0; i < b.N; i++ {
+						if b.TTEnd[i] != int64(chronon.Forever) {
+							batched++
+						}
+					}
+				}
+				// Every close in this test lands after sealing except those in
+				// the tail, so the run counts bound the total from below.
+				if scanned != v.closed || batched != v.closed || len(present) != v.st.Len()-v.closed || inRuns > v.closed {
+					t.Errorf("pinned view moved: %d closed at publish, scan %d, batches %d, rollback %d of %d present, runs %d",
+						v.closed, scanned, batched, len(present), v.st.Len(), inRuns)
+					return
+				}
+				checks.Add(1)
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 4000 || (checks.Load() < 100 && !t.Failed()); step++ {
+		switch op := rng.Intn(10); {
+		case op < 5 && len(open) > 0: // close: most land in sealed runs, some in the tail
+			i := rng.Intn(len(open))
+			if rng.Intn(4) == 0 {
+				i = len(open) - 1 - rng.Intn(min(len(open), 30))
+			}
+			old := open[i]
+			repl := *old
+			tt++
+			repl.TTEnd = tt
+			st.Replace(old, &repl)
+			open = append(open[:i], open[i+1:]...)
+			closed++
+		case op < 9:
+			insert()
+		default:
+			st.Compact()
+		}
+		publish()
+	}
+	close(stop)
+	wg.Wait()
+}

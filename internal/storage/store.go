@@ -20,7 +20,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -98,95 +97,24 @@ type Store interface {
 	// Rollback returns the elements present at transaction time tt and the
 	// number touched.
 	Rollback(tt chronon.Chronon) ([]*element.Element, int)
-	// Snapshot returns an immutable view of the store's current contents.
-	// The snapshot shares the backing array with the live store (O(1) for
-	// the log organizations); subsequent Inserts on the live store append
-	// past the snapshot's bound and subsequent Replaces copy the backing
-	// first, so the snapshot never observes a mutation. Inserting into a
-	// snapshot is an error; Replacing in one panics.
+	// Snapshot returns an immutable view of the store's current contents
+	// in O(1): a copy of the sequence header, sharing every chunk with the
+	// live store (seq.go). Subsequent Inserts on the live store land past
+	// the snapshot's bounds and subsequent Replaces copy the one chunk they
+	// touch first, so the snapshot never observes a mutation. Inserting
+	// into a snapshot is an error; Replacing in one panics.
 	Snapshot() Store
-	// Replace substitutes repl for old (matched by pointer identity) in
-	// place. The engine uses it to publish copied-on-close elements: a
-	// logical delete clones the element, finalizes TTEnd on the clone, and
-	// swaps the clone in, leaving the original — still open — for any
-	// pinned snapshot. A missing old is a no-op.
+	// Replace substitutes repl for old (matched by pointer identity). The
+	// engine uses it to publish copied-on-close elements: a logical delete
+	// clones the element, finalizes TTEnd on the clone, and swaps the clone
+	// in, leaving the original — still open — for any pinned snapshot. Its
+	// cost does not grow with the store: one binary search, and after a
+	// Snapshot one copied chunk and the spine. A missing old is a no-op.
 	Replace(old, repl *element.Element)
 }
 
 // errFrozenInsert rejects appends to a snapshot.
 var errFrozenInsert = fmt.Errorf("storage: insert into a frozen snapshot")
-
-// snapTail full-caps the prefix so a live-side append can never land
-// inside the snapshot's view.
-func snapTail(elems []*element.Element) []*element.Element {
-	n := len(elems)
-	return elems[:n:n]
-}
-
-// replaceShared performs the copy-when-shared pointer swap common to the
-// slice-backed stores, returning the elements and the index the swap landed
-// on (-1 when old is not stored). Replacing inside a frozen snapshot is a
-// bug in the caller (snapshots are immutable), so it trips loudly. Elements
-// arrive in tt⊢ order, so old is found by binary search plus a walk over the
-// run sharing its TTStart — replaying a log of closes stays O(n log n). Only
-// the heap can hold a history whose tt order broke; that falls through to
-// the scan.
-func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, repl *element.Element) ([]*element.Element, int) {
-	if frozen {
-		panic("storage: replace in a frozen snapshot")
-	}
-	if *shared {
-		elems = append([]*element.Element(nil), elems...)
-		*shared = false
-	}
-	i := sort.Search(len(elems), func(j int) bool { return elems[j].TTStart >= old.TTStart })
-	for ; i < len(elems) && elems[i].TTStart == old.TTStart; i++ {
-		if elems[i] == old {
-			elems[i] = repl
-			return elems, i
-		}
-	}
-	for i, e := range elems {
-		if e == old {
-			elems[i] = repl
-			return elems, i
-		}
-	}
-	return elems, -1
-}
-
-// replaceInLog is Replace for the two log organizations: the pointer swap,
-// plus the close booked against the sealed run it landed in. The run
-// metadata follows the same copy-when-shared rule as the elements, so a
-// snapshot keeps the close counts it was taken with.
-func replaceInLog(elems []*element.Element, runs []runMeta, shared *bool, frozen bool, old, repl *element.Element) ([]*element.Element, []runMeta) {
-	if *shared {
-		runs = append([]runMeta(nil), runs...)
-	}
-	elems, i := replaceShared(elems, shared, frozen, old, repl)
-	noteClose(runs, i, old, repl)
-	return elems, runs
-}
-
-// Elements returns the store's elements in arrival order. For the
-// slice-backed organizations this is the backing slice itself — callers
-// must treat it as read-only, which is exactly the contract a Snapshot
-// provides. Unknown implementations fall back to a Scan copy.
-func Elements(st Store) []*element.Element {
-	switch s := st.(type) {
-	case *HeapStore:
-		return s.elems
-	case *TTLogStore:
-		return s.elems
-	case *VTLogStore:
-		return s.elems
-	case *IndexedEventStore:
-		return s.heap.elems
-	}
-	out := make([]*element.Element, 0, st.Len())
-	st.Scan(func(e *element.Element) bool { out = append(out, e); return true })
-	return out
-}
 
 // exclusiveEnd returns the first chronon after the element's valid time:
 // end for intervals, the event chronon plus one for events.
@@ -207,11 +135,8 @@ func validAtRange(e *element.Element, lo, hi chronon.Chronon) bool {
 }
 
 // HeapStore is the general-purpose organization: arrival order, full scans.
-type HeapStore struct {
-	elems  []*element.Element
-	shared bool // backing array visible to a snapshot; copy before in-place edits
-	frozen bool // this store is a snapshot; mutation is a caller bug
-}
+// Len, Scan and Replace are the sequence's.
+type HeapStore struct{ seq }
 
 // NewHeap returns an empty heap store.
 func NewHeap() *HeapStore { return &HeapStore{} }
@@ -219,78 +144,45 @@ func NewHeap() *HeapStore { return &HeapStore{} }
 // Kind reports Heap.
 func (s *HeapStore) Kind() Kind { return Heap }
 
-// Len reports the number of stored elements.
-func (s *HeapStore) Len() int { return len(s.elems) }
-
 // Insert appends the element.
 func (s *HeapStore) Insert(e *element.Element) error {
 	if s.frozen {
 		return errFrozenInsert
 	}
-	s.elems = append(s.elems, e)
+	s.push(e)
 	return nil
 }
 
-// Snapshot shares the backing array, O(1).
-func (s *HeapStore) Snapshot() Store {
-	s.shared = true
-	return &HeapStore{elems: snapTail(s.elems), frozen: true}
-}
-
-// Replace swaps repl for old by pointer identity, copying the backing
-// array first if a snapshot shares it.
-func (s *HeapStore) Replace(old, repl *element.Element) {
-	s.elems, _ = replaceShared(s.elems, &s.shared, s.frozen, old, repl)
-}
-
-// Scan visits every element.
-func (s *HeapStore) Scan(visit func(*element.Element) bool) int {
-	for i, e := range s.elems {
-		if !visit(e) {
-			return i + 1
-		}
-	}
-	return len(s.elems)
-}
+// Snapshot shares every chunk, O(1).
+func (s *HeapStore) Snapshot() Store { return &HeapStore{s.snapshot()} }
 
 // Timeslice scans the whole store.
 func (s *HeapStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt.Add(1))
+	return s.vtScan(vt, vt.Add(1))
 }
 
 // VTRange scans the whole store.
 func (s *HeapStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	var out []*element.Element
-	for _, e := range s.elems {
-		if e.Current() && validAtRange(e, lo, hi) {
-			out = append(out, e)
-		}
-	}
-	return out, len(s.elems)
+	return s.vtScan(lo, hi)
 }
 
-// Rollback scans the whole store.
+// Rollback scans the whole store: the heap does not assume tt order.
 func (s *HeapStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
-	for _, e := range s.elems {
+	touched := s.Scan(func(e *element.Element) bool {
 		if e.PresentAt(tt) {
 			out = append(out, e)
 		}
-	}
-	return out, len(s.elems)
+		return true
+	})
+	return out, touched
 }
 
 // TTLogStore keeps elements in tt⊢ order (the engine's arrival order) and
 // exploits it for rollback: the candidates are exactly the prefix with
-// tt⊢ ≤ tt, found by binary search.
-type TTLogStore struct {
-	elems  []*element.Element
-	shared bool
-	frozen bool
-	// runs are sealed, delta-encoded prefixes produced by Compact; their
-	// min/max metadata lets queries skip whole runs (see compact.go).
-	runs []runMeta
-}
+// tt⊢ ≤ tt, found by binary search. Compact seals its stable prefix into
+// runs whose min/max metadata lets queries skip them whole (compact.go).
+type TTLogStore struct{ seq }
 
 // NewTTLog returns an empty tt-ordered log store.
 func NewTTLog() *TTLogStore { return &TTLogStore{} }
@@ -298,65 +190,35 @@ func NewTTLog() *TTLogStore { return &TTLogStore{} }
 // Kind reports TTOrdered.
 func (s *TTLogStore) Kind() Kind { return TTOrdered }
 
-// Len reports the number of stored elements.
-func (s *TTLogStore) Len() int { return len(s.elems) }
-
 // Insert appends the element, verifying tt order.
 func (s *TTLogStore) Insert(e *element.Element) error {
 	if s.frozen {
 		return errFrozenInsert
 	}
-	if n := len(s.elems); n > 0 && e.TTStart < s.elems[n-1].TTStart {
-		return fmt.Errorf("storage: tt-ordered insert out of order (%v after %v)",
-			e.TTStart, s.elems[n-1].TTStart)
+	if s.n > 0 {
+		if last := s.at(s.n - 1); e.TTStart < last.TTStart {
+			return fmt.Errorf("storage: tt-ordered insert out of order (%v after %v)",
+				e.TTStart, last.TTStart)
+		}
 	}
-	s.elems = append(s.elems, e)
+	s.push(e)
 	return nil
 }
 
-// Snapshot shares the backing array, O(1). Sealed runs carry over (full-
-// capped, so a later Compact on the live store appends past the snapshot's
-// view): the published read path keeps the run-skipping benefit.
-func (s *TTLogStore) Snapshot() Store {
-	s.shared = true
-	return &TTLogStore{elems: snapTail(s.elems), frozen: true, runs: snapRuns(s.runs)}
-}
-
-// Replace swaps repl for old by pointer identity; tt⊢ order is unchanged
-// because a closed clone keeps its TTStart.
-func (s *TTLogStore) Replace(old, repl *element.Element) {
-	s.elems, s.runs = replaceInLog(s.elems, s.runs, &s.shared, s.frozen, old, repl)
-}
-
-// Scan visits every element.
-func (s *TTLogStore) Scan(visit func(*element.Element) bool) int {
-	for i, e := range s.elems {
-		if !visit(e) {
-			return i + 1
-		}
-	}
-	return len(s.elems)
-}
+// Snapshot shares every chunk, O(1). Sealed runs carry over: the published
+// read path keeps the run-skipping benefit.
+func (s *TTLogStore) Snapshot() Store { return &TTLogStore{s.snapshot()} }
 
 // Timeslice scans the whole store: tt order says nothing about vt.
 func (s *TTLogStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt.Add(1))
+	return s.vtScan(vt, vt.Add(1))
 }
 
 // VTRange scans the store; sealed runs act as zone maps — a run whose
 // recorded valid-time envelope misses [lo, hi), or that held no current
 // element when sealed, is skipped at the cost of one metadata probe.
 func (s *TTLogStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	if len(s.runs) == 0 {
-		var out []*element.Element
-		for _, e := range s.elems {
-			if e.Current() && validAtRange(e, lo, hi) {
-				out = append(out, e)
-			}
-		}
-		return out, len(s.elems)
-	}
-	return vtRangeZoneMap(s.elems, s.runs, lo, hi)
+	return s.vtScan(lo, hi)
 }
 
 // Rollback binary-searches for the prefix with tt⊢ ≤ tt and filters it for
@@ -364,17 +226,7 @@ func (s *TTLogStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // sealed runs whose every element was already closed by tt are skipped for
 // one metadata probe each.
 func (s *TTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	n := sort.Search(len(s.elems), func(i int) bool { return s.elems[i].TTStart > tt })
-	if len(s.runs) == 0 {
-		var out []*element.Element
-		for _, e := range s.elems[:n] {
-			if e.PresentAt(tt) {
-				out = append(out, e)
-			}
-		}
-		return out, n
-	}
-	return rollbackWithRuns(s.elems, s.runs, tt, n)
+	return s.rollback(tt)
 }
 
 // TTWindow returns the elements with lo ≤ tt⊢ ≤ hi, found by binary search
@@ -383,11 +235,10 @@ func (s *TTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
 // declared lo ≤ vt − tt ≤ hi turns a valid-time predicate into exactly
 // such a transaction-time window.
 func (s *TTLogStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	start := sort.Search(len(s.elems), func(i int) bool { return s.elems[i].TTStart >= lo })
 	var out []*element.Element
 	touched := 1
-	for i := start; i < len(s.elems) && s.elems[i].TTStart <= hi; i++ {
-		out = append(out, s.elems[i])
+	for i := s.search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n && s.at(i).TTStart <= hi; i++ {
+		out = append(out, s.at(i))
 		touched++
 	}
 	return out, touched
@@ -398,16 +249,10 @@ func (s *TTLogStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) 
 // structure serves transaction-time and valid-time queries alike — the
 // paper's append-only relation "that can support historical (as well as
 // transaction time) queries". Insert enforces the promised order and fails
-// loudly if the declaration was wrong.
-type VTLogStore struct {
-	elems  []*element.Element
-	shared bool
-	frozen bool
-	// runs are sealed, delta-encoded prefixes produced by Compact; both the
-	// tt and vt envelopes are valid binary-search keys here because the
-	// store enforces both orders (see compact.go).
-	runs []runMeta
-}
+// loudly if the declaration was wrong. Both the tt and vt envelopes of its
+// sealed runs are valid binary-search keys, because the store enforces both
+// orders (compact.go).
+type VTLogStore struct{ seq }
 
 // NewVTLog returns an empty vt-ordered log store.
 func NewVTLog() *VTLogStore { return &VTLogStore{} }
@@ -415,28 +260,16 @@ func NewVTLog() *VTLogStore { return &VTLogStore{} }
 // Kind reports VTOrdered.
 func (s *VTLogStore) Kind() Kind { return VTOrdered }
 
-// Len reports the number of stored elements.
-func (s *VTLogStore) Len() int { return len(s.elems) }
-
-// Snapshot shares the backing array, O(1); sealed runs carry over.
-func (s *VTLogStore) Snapshot() Store {
-	s.shared = true
-	return &VTLogStore{elems: snapTail(s.elems), frozen: true, runs: snapRuns(s.runs)}
-}
-
-// Replace swaps repl for old by pointer identity; both orders are
-// unchanged because a closed clone keeps its TTStart and valid time.
-func (s *VTLogStore) Replace(old, repl *element.Element) {
-	s.elems, s.runs = replaceInLog(s.elems, s.runs, &s.shared, s.frozen, old, repl)
-}
+// Snapshot shares every chunk, O(1); sealed runs carry over.
+func (s *VTLogStore) Snapshot() Store { return &VTLogStore{s.snapshot()} }
 
 // Insert appends the element, verifying both orders.
 func (s *VTLogStore) Insert(e *element.Element) error {
 	if s.frozen {
 		return errFrozenInsert
 	}
-	if n := len(s.elems); n > 0 {
-		last := s.elems[n-1]
+	if s.n > 0 {
+		last := s.at(s.n - 1)
 		if e.TTStart < last.TTStart {
 			return fmt.Errorf("storage: vt-ordered insert out of tt order (%v after %v)",
 				e.TTStart, last.TTStart)
@@ -446,23 +279,13 @@ func (s *VTLogStore) Insert(e *element.Element) error {
 				"the non-decreasing declaration is violated", e.VT.Start(), last.VT.Start())
 		}
 	}
-	s.elems = append(s.elems, e)
+	s.push(e)
 	return nil
-}
-
-// Scan visits every element.
-func (s *VTLogStore) Scan(visit func(*element.Element) bool) int {
-	for i, e := range s.elems {
-		if !visit(e) {
-			return i + 1
-		}
-	}
-	return len(s.elems)
 }
 
 // Timeslice binary-searches the valid-time order.
 func (s *VTLogStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt.Add(1))
+	return s.vtRangeOrdered(vt, vt.Add(1))
 }
 
 // VTRange binary-searches for the first element that could intersect
@@ -471,43 +294,11 @@ func (s *VTLogStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
 // cover lo; with a sequential (non-overlapping) relation that run has
 // length ≤ 1, keeping the touched count near the answer size.
 func (s *VTLogStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	if len(s.runs) > 0 {
-		return vtRangeOrderedRuns(s.elems, s.runs, lo, hi)
-	}
-	n := len(s.elems)
-	// First index whose valid time may reach past lo. An event at c covers
-	// the half-open [c, c+1), so its exclusive end is c+1; an interval's
-	// end is already exclusive. For sequential intervals ends are
-	// non-decreasing, so the predicate is monotone and binary search is
-	// sound.
-	start := sort.Search(n, func(i int) bool { return exclusiveEnd(s.elems[i]) > lo })
-	var out []*element.Element
-	touched := 0
-	for i := start; i < n; i++ {
-		e := s.elems[i]
-		touched++
-		if e.VT.Start() >= hi {
-			break
-		}
-		if e.Current() && validAtRange(e, lo, hi) {
-			out = append(out, e)
-		}
-	}
-	return out, touched + 1 // +1 accounts for the binary-search probe cost
+	return s.vtRangeOrdered(lo, hi)
 }
 
 // Rollback binary-searches the tt order (shared with arrival order),
 // skipping sealed runs that were wholly dead by tt.
 func (s *VTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	n := sort.Search(len(s.elems), func(i int) bool { return s.elems[i].TTStart > tt })
-	if len(s.runs) == 0 {
-		var out []*element.Element
-		for _, e := range s.elems[:n] {
-			if e.PresentAt(tt) {
-				out = append(out, e)
-			}
-		}
-		return out, n
-	}
-	return rollbackWithRuns(s.elems, s.runs, tt, n)
+	return s.rollback(tt)
 }

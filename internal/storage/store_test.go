@@ -80,15 +80,15 @@ func TestStoresAgreeOnResults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fill(t, ttlog, heap.elems...)
-	for _, e := range heap.elems {
+	fill(t, ttlog, Elements(heap)...)
+	for _, e := range Elements(heap) {
 		if err := vtlog.Insert(e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Mark a few deleted.
-	heap.elems[10].TTEnd = 500
-	heap.elems[50].TTEnd = 800
+	heap.at(10).TTEnd = 500
+	heap.at(50).TTEnd = 800
 
 	queries := []int64{0, 95, 95 + 37*10, 95 + 99*10, 5000}
 	for _, q := range queries {
@@ -133,7 +133,7 @@ func TestVTRangeOnOrderedStore(t *testing.T) {
 		t.Errorf("range touched %d, want near answer size", touched)
 	}
 	heap := NewHeap()
-	fill(t, heap, vtlog.elems...)
+	fill(t, heap, Elements(vtlog)...)
 	hGot, hTouched := heap.VTRange(100, 150)
 	if !sameElems(got, hGot) {
 		t.Error("heap and vt log disagree on range")

@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 
 	"repro/internal/chronon"
-	"repro/internal/element"
 )
 
 // Sealed-run verification and repair. A sealed run's packed image is
@@ -27,49 +26,32 @@ func (e RunVerifyError) Error() string {
 	return fmt.Sprintf("storage: sealed run %d: %s", e.Run, e.Reason)
 }
 
-// storeRuns exposes the sealed-run slice of the organizations that seal.
-func storeRuns(st Store) *[]runMeta {
-	switch s := st.(type) {
-	case *TTLogStore:
-		return &s.runs
-	case *VTLogStore:
-		return &s.runs
-	}
-	return nil
-}
-
 // VerifyRuns checks every sealed run of st: the packed image must match
 // its seal-time CRC, decode cleanly, and agree element-for-element with
 // the timestamps of the elements it covers. It returns one error per
 // damaged run (empty for stores that do not seal). RunBytes the scrubber
 // charges come from SealedBytes.
 func VerifyRuns(st Store) []RunVerifyError {
-	runsp := storeRuns(st)
-	if runsp == nil {
-		return nil
-	}
-	elems := Elements(st)
+	s := seqOf(st)
 	var bad []RunVerifyError
-	for i, r := range *runsp {
-		if reason := verifyRun(r, elems); reason != "" {
+	for i, c := range s.spine[:s.sealed] {
+		if reason := verifyRun(c); reason != "" {
 			bad = append(bad, RunVerifyError{Run: i, Reason: reason})
 		}
 	}
 	return bad
 }
 
-func verifyRun(r runMeta, elems []*element.Element) string {
+func verifyRun(c *chunk) string {
+	r := &c.run
 	if crc32.Checksum(r.packed, runCastagnoli) != r.sum {
 		return "packed image fails its checksum"
 	}
-	if r.start+r.n > len(elems) {
-		return fmt.Sprintf("covers [%d,%d) beyond %d elements", r.start, r.start+r.n, len(elems))
-	}
-	cols, err := unpackColumns(r.packed, r.n)
+	cols, err := unpackColumns(r.packed, runSize)
 	if err != nil {
 		return fmt.Sprintf("packed image undecodable: %v", err)
 	}
-	for j, e := range elems[r.start : r.start+r.n] {
+	for j, e := range c.elems {
 		got := cols[j]
 		if r.closed > 0 && got[1] == int64(chronon.Forever) {
 			// Sealed open, closed since: the one staleness the image is
@@ -87,27 +69,21 @@ func verifyRun(r runMeta, elems []*element.Element) string {
 // ResealRuns rebuilds the given runs (by index) from the elements they
 // cover — the elements are the ground truth, the packed image is a
 // derived representation — and returns how many were rebuilt. Indexes
-// out of range are ignored. The run slice is copied first: published
-// snapshots share it and read it without a lock. A resealed run counts
-// its open elements and closes afresh, so whoever memoizes per-run state
-// against (ordinal, close count) must treat the store as a new one.
+// out of range are ignored. Each run is rebuilt in a chunk the live store
+// owns: published snapshots read theirs without a lock. A resealed run
+// counts its open elements and closes afresh, so whoever memoizes per-run
+// state against (ordinal, close count) must treat the store as a new one.
 func ResealRuns(st Store, bad []int) int {
-	runsp := storeRuns(st)
-	if runsp == nil || len(bad) == 0 {
-		return 0
-	}
-	*runsp = append([]runMeta(nil), *runsp...)
-	elems := Elements(st)
+	s := seqOf(st)
 	rebuilt := 0
 	for _, i := range bad {
-		if i < 0 || i >= len(*runsp) {
+		if i < 0 || i >= s.sealed {
 			continue
 		}
-		r := (*runsp)[i]
-		if r.start+r.n > len(elems) {
-			continue
-		}
-		(*runsp)[i] = sealRun(elems, r.start, r.n)
+		c := s.own(i)
+		s.packedBytes -= int64(len(c.run.packed))
+		c.run = sealRun(c.elems[:])
+		s.packedBytes += int64(len(c.run.packed))
 		rebuilt++
 	}
 	return rebuilt
@@ -115,34 +91,22 @@ func ResealRuns(st Store, bad []int) int {
 
 // SealedBytes reports the packed-image byte size of st's sealed runs,
 // the cost basis the scrubber's rate limiter charges for verifying them.
-func SealedBytes(st Store) int64 {
-	runsp := storeRuns(st)
-	if runsp == nil {
-		return 0
-	}
-	var n int64
-	for _, r := range *runsp {
-		n += int64(len(r.packed))
-	}
-	return n
-}
+func SealedBytes(st Store) int64 { return seqOf(st).packedBytes }
 
 // CorruptRun flips one bit inside the packed image of run i — a test
 // hook for the corruption matrix and repair drills (the packed image is
 // unexported, so tests cannot reach it directly). It reports whether a
 // sealed run existed to corrupt.
 func CorruptRun(st Store, i int, byteOff int, bit uint8) bool {
-	runsp := storeRuns(st)
-	if runsp == nil || i < 0 || i >= len(*runsp) {
+	s := seqOf(st)
+	if i < 0 || i >= s.sealed {
 		return false
 	}
-	r := (*runsp)[i]
-	if len(r.packed) == 0 {
-		return false
-	}
-	// Copy-on-write: snapshots may share the slice with the live store.
-	p := append([]byte(nil), r.packed...)
+	// Copy-on-write twice over: the chunk may be a snapshot's, and the
+	// copied chunk still shares the image's bytes with it.
+	c := s.own(i)
+	p := append([]byte(nil), c.run.packed...)
 	p[byteOff%len(p)] ^= 1 << (bit % 8)
-	(*runsp)[i].packed = p
+	c.run.packed = p
 	return true
 }

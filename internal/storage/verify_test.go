@@ -94,27 +94,27 @@ func TestVerifyRunsNonSealingStores(t *testing.T) {
 	}
 }
 
-// TestResealRunsLeavesSnapshotsAlone: a published snapshot shares the run
-// slice and reads it without a lock, so a repair must not write into it;
+// TestResealRunsLeavesSnapshotsAlone: a published snapshot shares run 0's
+// chunk and reads it without a lock, so a repair must not write into it;
 // and the resealed run counts its open elements and closes afresh.
 func TestResealRunsLeavesSnapshotsAlone(t *testing.T) {
 	st := sealedTTLog(t, 2*runSize)
-	orig := st.elems[7]
+	orig := st.at(7)
 	closed := *orig
 	closed.TTEnd = 9_999_999
 	st.Replace(orig, &closed)
 	snap := st.Snapshot().(*TTLogStore)
-	if snap.runs[0].closed != 1 || snap.runs[0].open != runSize {
-		t.Fatalf("snapshot run 0: open %d closed %d", snap.runs[0].open, snap.runs[0].closed)
+	if snap.spine[0].run.closed != 1 || snap.spine[0].run.open != runSize {
+		t.Fatalf("snapshot run 0: open %d closed %d", snap.spine[0].run.open, snap.spine[0].run.closed)
 	}
 	if ResealRuns(st, []int{0}) != 1 {
 		t.Fatal("nothing resealed")
 	}
-	if snap.runs[0].closed != 1 || snap.runs[0].open != runSize {
-		t.Fatalf("reseal wrote into the snapshot: open %d closed %d", snap.runs[0].open, snap.runs[0].closed)
+	if snap.spine[0].run.closed != 1 || snap.spine[0].run.open != runSize {
+		t.Fatalf("reseal wrote into the snapshot: open %d closed %d", snap.spine[0].run.open, snap.spine[0].run.closed)
 	}
-	if st.runs[0].closed != 0 || st.runs[0].open != runSize-1 {
-		t.Fatalf("resealed run 0: open %d closed %d, want %d and 0", st.runs[0].open, st.runs[0].closed, runSize-1)
+	if st.spine[0].run.closed != 0 || st.spine[0].run.open != runSize-1 {
+		t.Fatalf("resealed run 0: open %d closed %d, want %d and 0", st.spine[0].run.open, st.spine[0].run.closed, runSize-1)
 	}
 }
 
@@ -124,16 +124,16 @@ func TestResealRunsLeavesSnapshotsAlone(t *testing.T) {
 // a changed tt⊣ the close count does not account for is still damage.
 func TestVerifyRunsToleratesClosesSinceSealing(t *testing.T) {
 	st := sealedTTLog(t, 2*runSize)
-	orig := st.elems[7]
+	orig := st.at(7)
 	closed := *orig
 	closed.TTEnd = 9_999_999
 	st.Replace(orig, &closed)
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("a close since sealing reported as damage: %v", bad)
 	}
-	behind := *st.elems[runSize+1]
+	behind := *st.at(runSize + 1)
 	behind.TTEnd = 9_999_999
-	st.elems[runSize+1] = &behind // not through Replace: run 1 counts no close
+	st.spine[1].elems[1] = &behind // not through Replace: run 1 counts no close
 	if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != 1 {
 		t.Fatalf("unaccounted tt⊣ change: %v", bad)
 	}

@@ -137,14 +137,14 @@ func AggToResult(q *Query, r *vec.AggResult) *Result {
 }
 
 // EvalAggregate is the standalone aggregate evaluation: the row
-// reference engine over a materialized version list (the shell's local
-// mode and EvalOn both land here).
-func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
+// reference engine over a version list (the shell's local mode and EvalOn
+// both land here).
+func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
 	spec, err := BuildAggSpec(q, schema)
 	if err != nil {
 		return nil, err
 	}
-	agg, err := vec.RowAggregate(ctx, spec, versions)
+	agg, err := vec.RowAggregateRuns(ctx, spec, versions)
 	if err != nil {
 		return nil, err
 	}

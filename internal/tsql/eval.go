@@ -36,15 +36,17 @@ func EvalOn(q *Query, schema relation.Schema, versions []*element.Element) (*Res
 	return EvalOnCtx(context.Background(), q, schema, versions)
 }
 
-// cancelCheckEvery is how many versions the evaluation loop examines
-// between context checks; see EvalOnCtx.
-const cancelCheckEvery = 1024
-
 // EvalOnCtx is EvalOn with cooperative cancellation: the version loop
-// re-checks ctx every cancelCheckEvery elements, so a caller that has
-// timed out or hung up stops consuming CPU mid-scan instead of computing
-// a result no one will read.
+// re-checks ctx between runs of at most element.MaxRun versions, so a
+// caller that has timed out or hung up stops consuming CPU mid-scan
+// instead of computing a result no one will read.
 func EvalOnCtx(ctx context.Context, q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
+	return EvalRunsCtx(ctx, q, schema, element.Slice(versions))
+}
+
+// EvalRunsCtx is EvalOnCtx over versions taken a run at a time, so a full
+// scan reads a store's runs where they lie instead of a flattened copy.
+func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
 	if q.Group != nil {
 		return EvalAggregate(ctx, q, schema, versions)
 	}
@@ -95,53 +97,52 @@ func EvalOnCtx(ctx context.Context, q *Query, schema relation.Schema, versions [
 
 	res := &Result{Columns: cols}
 	var keys []element.Value
-	for i, e := range versions {
-		if i%cancelCheckEvery == cancelCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+	// selects applies the three selections to one version.
+	selects := func(e *element.Element) (bool, error) {
 		// Transaction-time selection: AS OF tt, else the current state.
 		if q.HasAsOf {
 			if !e.PresentAt(q.AsOf) {
-				continue
+				return false, nil
 			}
 		} else if !e.Current() {
-			continue
+			return false, nil
 		}
 		// Valid-time selection.
 		if q.When != nil {
-			ok, err := matchWhen(q.When, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
+			if ok, err := matchWhen(q.When, e); err != nil || !ok {
+				return false, err
 			}
 		}
 		// Attribute selection.
-		keep := true
 		for _, p := range preds {
-			ok, err := p(e)
+			if ok, err := p(e); err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	}
+	err := versions.Do(ctx, func(run []*element.Element) error {
+		for _, e := range run {
+			keep, err := selects(e)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if !ok {
-				keep = false
-				break
+			if !keep {
+				continue
+			}
+			row := make([]element.Value, len(getters))
+			for i, g := range getters {
+				row[i] = g(e)
+			}
+			res.Rows = append(res.Rows, row)
+			if orderKey != nil {
+				keys = append(keys, orderKey(e))
 			}
 		}
-		if !keep {
-			continue
-		}
-		row := make([]element.Value, len(getters))
-		for i, g := range getters {
-			row[i] = g(e)
-		}
-		res.Rows = append(res.Rows, row)
-		if orderKey != nil {
-			keys = append(keys, orderKey(e))
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if orderKey != nil {
 		// Sort rows and their keys together; keys are computed from the

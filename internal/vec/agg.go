@@ -397,24 +397,32 @@ func (ac *accum) emit() (*AggResult, error) {
 	return res, nil
 }
 
-// rowCheckEvery is how often the row engine polls for cancellation.
-const rowCheckEvery = 1024
-
-// RowAggregate is the reference engine: row-at-a-time over materialized
-// elements in arrival order, using the elements' own predicate methods.
-// The differential harness holds the columnar engine to its answers.
+// RowAggregate is the reference engine over one materialized slice of
+// elements in arrival order; see RowAggregateRuns.
 func RowAggregate(ctx context.Context, spec *Spec, elems []*element.Element) (*AggResult, error) {
+	return RowAggregateRuns(ctx, spec, element.Slice(elems))
+}
+
+// RowAggregateRuns is the reference engine: row-at-a-time over elements in
+// arrival order, taken a run at a time so a store is folded where it lies,
+// using the elements' own predicate methods; it polls for cancellation
+// between runs. The differential harness holds the columnar engine to its
+// answers.
+func RowAggregateRuns(ctx context.Context, spec *Spec, runs element.Runs) (*AggResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	ac := newAccum(spec)
-	f := spec.Filter
-	for i, e := range elems {
-		if i%rowCheckEvery == rowCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+	if err := runs.Do(ctx, ac.addRows); err != nil {
+		return nil, err
+	}
+	return ac.emit()
+}
+
+// addRows filters one run of elements and folds the survivors in.
+func (ac *accum) addRows(run []*element.Element) error {
+	spec, f := ac.spec, ac.spec.Filter
+	for _, e := range run {
 		if f.AsOf {
 			if !e.PresentAt(chronon.Chronon(f.TT)) {
 				continue
@@ -429,17 +437,17 @@ func RowAggregate(ctx context.Context, spec *Spec, elems []*element.Element) (*A
 		if spec.Residual != nil {
 			ok, err := spec.Residual(e)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
 		}
 		if err := ac.addUnmemoized(vts, vte, e); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ac.emit()
+	return nil
 }
 
 // addUnmemoized is add without the hot-window memo, keeping the row
