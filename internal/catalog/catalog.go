@@ -1339,17 +1339,22 @@ type Physical struct {
 
 // Physical reports the entry's current physical design. It reads the
 // atomically published snapshot — one load, no relation lock — so probe
-// traffic (the metrics endpoint) never queues behind writers.
+// traffic (the metrics endpoint) never queues behind writers. The published
+// snapshot shares the entry's reasons, adopted classes and history
+// (physicalLocked); the caller gets copies, so nothing it does to them
+// reaches the entry.
 func (e *Entry) Physical() Physical {
-	return *e.physical.Load()
+	p := *e.physical.Load()
+	p.Reasons, p.Adopted, p.History = slices.Clone(p.Reasons), slices.Clone(p.Adopted), slices.Clone(p.History)
+	return p
 }
 
 // physicalLocked builds the Physical snapshot; caller holds the lock. It
 // runs on every publish, so it copies nothing that grows: the reasons, the
 // adopted classes and the history are only ever appended to or replaced
-// whole, so a published prefix of them never changes under its readers
-// (clipped, so a reader's append cannot reach the entry's array either),
-// and the store keeps its sealing totals current.
+// whole, so a published prefix of them never changes under Physical, its
+// one reader (clipped, so not even an append could reach the entry's
+// array), and the store keeps its sealing totals current.
 func (e *Entry) physicalLocked() Physical {
 	return Physical{
 		Org:        e.advice.Store,

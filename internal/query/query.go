@@ -193,13 +193,15 @@ func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, in
 	switch q.Kind {
 	case plan.QCurrent:
 		var out []*element.Element
-		touched := en.store.Scan(func(e *element.Element) bool {
-			if e.Current() {
-				out = append(out, e)
+		storage.Runs(en.store)(func(run []*element.Element) bool {
+			for _, e := range run {
+				if e.Current() {
+					out = append(out, e)
+				}
 			}
 			return true
 		})
-		return out, touched
+		return out, en.store.Len()
 	case plan.QRollback:
 		return en.store.Rollback(chronon.Chronon(q.TT))
 	default:

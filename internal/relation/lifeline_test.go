@@ -10,12 +10,16 @@ import (
 )
 
 // TestCloseOnALongLifeLine is the paper's one-sensor monitoring relation:
-// a single object with 50 k versions. Closing a version must find it in the
-// life-line by its tt⊢, not by walking the line — closes at the far end of
-// the line cost what closes at its head do — and every structure that held
-// the open version must hold the closed clone afterwards.
+// a single object with 200 k versions. Closing a version must find it in the
+// life-line by its tt⊢, not by walking the line, and every structure that
+// held the open version must hold the closed clone afterwards. The lookup is
+// held to that twice: the ordered search finds every version of the line, so
+// none falls to the scan; and the closes at the far end of the line are timed
+// against those at its head with a margin no scheduler hiccup fills — equal
+// within milliseconds when found by tt⊢, over a second against tens of
+// milliseconds when the line is walked.
 func TestCloseOnALongLifeLine(t *testing.T) {
-	const n, batch = 50_000, 5_000
+	const n, batch = 200_000, 20_000
 	r := newEventRelation()
 	first := insertReading(t, r, 0, "s1", 0)
 	ess := []surrogate.Surrogate{first.ES}
@@ -39,10 +43,15 @@ func TestCloseOnALongLifeLine(t *testing.T) {
 	tail := closeAll(ess[n-batch:])
 	head := closeAll(ess[:batch])
 	t.Logf("%d closes at the tail of the life-line %v, at its head %v", batch, tail, head)
-	if tail > 3*head+10*time.Millisecond {
+	if tail > 4*head+300*time.Millisecond {
 		t.Errorf("closes at the tail of a %d-version life-line took %v against %v at its head: the lookup walks the line", n, tail, head)
 	}
 	line, versions := r.History(first.OS), r.Versions()
+	for i, e := range line {
+		if !swapByTT(line, e, e) || !swapByTT(versions, e, e) {
+			t.Fatalf("version %d of %d (tt⊢ %v) is not found by its tt⊢: the close walked the line for it", i, n, e.TTStart)
+		}
+	}
 	for i, es := range ess {
 		closed := i < batch || i >= n-batch
 		live, _ := r.ByES(es)

@@ -265,21 +265,23 @@ func (r *Relation) swapVersion(old, repl *element.Element) {
 // swapByTT replaces old with repl in a slice appended in tt⊢ order: binary
 // search to the elements sharing old's TTStart, then pointer identity. A
 // clock that restarted behind its own stamps can break the order; the scan
-// is the fallback, as in the store's Replace.
-func swapByTT(line []*element.Element, old, repl *element.Element) {
+// is the fallback, as in the store's Replace. It reports whether the order
+// found old — false when it took the scan to, or old is not there.
+func swapByTT(line []*element.Element, old, repl *element.Element) bool {
 	i := sort.Search(len(line), func(j int) bool { return line[j].TTStart >= old.TTStart })
 	for ; i < len(line) && line[i].TTStart == old.TTStart; i++ {
 		if line[i] == old {
 			line[i] = repl
-			return
+			return true
 		}
 	}
 	for i, e := range line {
 		if e == old {
 			line[i] = repl
-			return
+			break
 		}
 	}
+	return false
 }
 
 // Len reports the number of stored element versions (including logically

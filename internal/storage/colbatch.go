@@ -169,13 +169,13 @@ func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 // knows a sealed run's contribution (Unit.Stable) advances past it for the
 // price of this metadata probe; otherwise Load produces the batch.
 func (r *BatchReader) Advance() (Unit, bool) {
-	for r.next < len(r.s.spine) {
+	for r.next < r.s.chunks() {
 		k := r.next
 		r.next++
 		if k >= r.s.sealed {
 			return Unit{Run: -1}, true
 		}
-		run := &r.s.spine[k].run
+		run := &r.s.chunk(k).run
 		if r.skipRun(run) {
 			r.skipped++
 			continue
@@ -192,7 +192,7 @@ func (r *BatchReader) Advance() (Unit, bool) {
 func (r *BatchReader) Load(b *vec.Batch) error {
 	k := r.next - 1
 	if k < r.s.sealed {
-		return r.decodeRun(r.s.spine[k], b)
+		return r.decodeRun(r.s.chunk(k), b)
 	}
 	fillBatch(b, r.s.run(k), r.event)
 	return nil

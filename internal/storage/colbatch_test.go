@@ -421,8 +421,8 @@ func TestRunCloseCounts(t *testing.T) {
 	st := sealedEventLog(t, 2*runSize+40)
 	counts := func(s *VTLogStore) []int {
 		var out []int
-		for _, c := range s.spine[:s.sealed] {
-			out = append(out, c.run.closed)
+		for k := range s.sealed {
+			out = append(out, s.chunk(k).run.closed)
 		}
 		return out
 	}
@@ -465,7 +465,7 @@ func TestDecodeRunSkipsRegatherUntilAClose(t *testing.T) {
 	// walked the live rows would pick its tt⊣ up.
 	behind := *st.at(9)
 	behind.TTEnd = 77_777
-	st.spine[0].elems[9] = &behind
+	st.chunk(0).elems[9] = &behind
 
 	var b vec.Batch
 	r := NewBatchReader(st, true)

@@ -142,7 +142,7 @@ func (s *seq) seal() int {
 	}
 	was := s.sealed
 	for ; (s.sealed+1)*runSize <= s.n; s.sealed++ {
-		c := s.spine[s.sealed]
+		c := s.chunk(s.sealed)
 		c.run = sealRun(c.elems[:])
 		s.packedBytes += int64(len(c.run.packed))
 	}
@@ -156,15 +156,20 @@ func (s *TTLogStore) Compact() int { return s.seal() }
 func (s *VTLogStore) Compact() int { return s.seal() }
 
 // rollback is the log organizations' rollback: binary search for the prefix
-// with tt⊢ ≤ tt, then a run-by-run filter of it. A sealed run whose
-// recorded maximum tt⊣ is ≤ tt held only elements already closed by tt —
-// nothing in it is present — so it is skipped for one probe.
+// with tt⊢ ≤ tt, then a filter of it.
 func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	n := s.search(func(e *element.Element) bool { return e.TTStart > tt })
+	return s.presentIn(s.search(func(e *element.Element) bool { return e.TTStart > tt }), tt)
+}
+
+// presentIn filters the first n elements, run by run, for those present at
+// tt. A sealed run whose recorded maximum tt⊣ is ≤ tt held only elements
+// already closed by tt — nothing in it is present — so it is skipped for one
+// probe.
+func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
 	touched := 0
 	for k := 0; k*runSize < n; k++ {
-		if k < s.sealed && s.spine[k].run.maxTTEnd <= tt {
+		if k < s.sealed && s.chunk(k).run.maxTTEnd <= tt {
 			touched++
 			continue
 		}
@@ -172,8 +177,8 @@ func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, int) {
 		if end := n - k*runSize; end < len(run) {
 			run = run[:end]
 		}
+		touched += len(run)
 		for _, e := range run {
-			touched++
 			if e.PresentAt(tt) {
 				out = append(out, e)
 			}
@@ -189,13 +194,14 @@ func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, int) {
 func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
 	touched := 0
-	for k, c := range s.spine {
-		if r := &c.run; k < s.sealed && (r.open == 0 || r.vtLo >= hi || r.vtHi <= lo) {
+	for k := range s.chunks() {
+		if r := &s.chunk(k).run; k < s.sealed && (r.open == 0 || r.vtLo >= hi || r.vtHi <= lo) {
 			touched++
 			continue
 		}
-		for _, e := range s.run(k) {
-			touched++
+		run := s.run(k)
+		touched += len(run)
+		for _, e := range run {
 			if e.Current() && validAtRange(e, lo, hi) {
 				out = append(out, e)
 			}
@@ -215,9 +221,9 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	start := s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
 	var out []*element.Element
 	touched := 1
-	for k := start / runSize; k < len(s.spine); k++ {
+	for k := start / runSize; k < s.chunks(); k++ {
 		if k < s.sealed {
-			r := &s.spine[k].run
+			r := &s.chunk(k).run
 			if r.vtLo >= hi {
 				return out, touched
 			}

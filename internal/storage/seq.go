@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+
 	"repro/internal/element"
 	"repro/internal/vec"
 )
@@ -12,33 +14,43 @@ import (
 // exactly one batch.
 const runSize = vec.BatchSize
 
+// blockSize is how many chunks hang off one block of the spine.
+const blockSize = 64
+
 // seq is the persistent element sequence under every organization: arrival
-// order, cut into fixed chunks hanging off a spine. Chunk k holds elements
-// [k·runSize, (k+1)·runSize) and, once Compact has sealed it, *is* sealed
-// run k — the run's envelope and packed image live in the chunk. Sealed
-// chunks form a prefix.
+// order, cut into fixed chunks that hang, blockSize at a time, off the blocks
+// of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize) and, once
+// Compact has sealed it, *is* sealed run k — the run's envelope and packed
+// image live in the chunk. Sealed chunks form a prefix.
 //
 // The copy-on-write contract: a snapshot is a copy of this header with the
 // spine capped at its length, and reads only elems[:n] and the run
 // metadata of chunks [:sealed]. Whatever lies past those two bounds belongs
-// to the live side, so an insert fills the tail chunk (or appends a chunk
-// to the spine) and a seal writes run metadata in place, neither touching
-// anything a snapshot can see. Everything inside the bounds is written only
-// through own, which copies the touched chunk — and the spine, once — when
-// a snapshot has been taken since they were last copied. A close after a
-// publish therefore costs one chunk plus n/runSize spine pointers, not the
-// relation.
+// to the live side, so an insert fills the tail chunk (or hangs a new chunk
+// in the next slot of the last block, or appends a block to the spine) and a
+// seal writes run metadata in place, none of it touching anything a snapshot
+// can see. Everything inside the bounds is written only through own, which
+// copies the touched chunk, the block it hangs off and the spine — each at
+// most once per snapshot — when a snapshot has been taken since they were
+// last copied. A close after a publish therefore costs one chunk, one block
+// and n/(runSize·blockSize) spine pointers, not the relation.
 type seq struct {
-	spine  []*chunk
+	spine  []*block
 	n      int
 	sealed int // leading chunks that are sealed runs
 	// packedBytes totals the sealed runs' packed images, kept current by
 	// seal and reseal so the footprint reports are O(1) in runs.
 	packedBytes int64
-	// edit is the ownership stamp: Snapshot bumps it, and a chunk (or the
-	// spine) stamped with an older value may be visible to a snapshot.
+	// edit is the ownership stamp: Snapshot bumps it, and a chunk, a block
+	// or the spine stamped with an older value may be visible to a snapshot.
 	edit, spineEdit uint64
 	frozen          bool // this sequence is a snapshot; mutation is a caller bug
+}
+
+// block is one stretch of the spine: blockSize chunk pointers.
+type block struct {
+	edit   uint64
+	chunks [blockSize]*chunk
 }
 
 // chunk is runSize element slots and the run metadata that describes them
@@ -52,26 +64,38 @@ type chunk struct {
 // Len reports the number of stored elements.
 func (s *seq) Len() int { return s.n }
 
+// chunks reports how many chunks hold the n elements.
+func (s *seq) chunks() int { return (s.n + runSize - 1) / runSize }
+
+func (s *seq) chunk(k int) *chunk {
+	return s.spine[uint(k)/blockSize].chunks[uint(k)%blockSize]
+}
+
 func (s *seq) at(i int) *element.Element {
-	return s.spine[uint(i)/runSize].elems[uint(i)%runSize]
+	return s.chunk(i / runSize).elems[uint(i)%runSize]
 }
 
 // run returns chunk k's elements, the tail chunk cut at n.
 func (s *seq) run(k int) []*element.Element {
-	c := s.spine[k]
+	c := s.chunk(k)
 	if end := s.n - k*runSize; end < runSize {
 		return c.elems[:end]
 	}
 	return c.elems[:]
 }
 
-// push appends e. The slot lies past every snapshot's n, and a new chunk
-// lands past every snapshot's capped spine.
+// push appends e. The slot lies past every snapshot's n; a new chunk hangs
+// in a block slot no snapshot's n reaches, and a new block lands past every
+// snapshot's capped spine.
 func (s *seq) push(e *element.Element) {
-	if s.n == len(s.spine)*runSize {
-		s.spine = append(s.spine, &chunk{edit: s.edit})
+	k := s.n / runSize
+	if s.n%runSize == 0 {
+		if k%blockSize == 0 {
+			s.spine = append(s.spine, &block{edit: s.edit})
+		}
+		s.spine[k/blockSize].chunks[k%blockSize] = &chunk{edit: s.edit}
 	}
-	s.spine[s.n/runSize].elems[s.n%runSize] = e
+	s.chunk(k).elems[s.n%runSize] = e
 	s.n++
 }
 
@@ -87,40 +111,63 @@ func (s *seq) snapshot() seq {
 }
 
 // own returns chunk k ready for a write inside the snapshot-visible bounds,
-// copying it (and first the spine it must be rehung on) if a snapshot may
-// share it. Writing to a snapshot itself is a bug in the caller.
+// copying it — and first the block it must be rehung in, and the spine that
+// block must be rehung on — if a snapshot may share it. Writing to a
+// snapshot itself is a bug in the caller.
 func (s *seq) own(k int) *chunk {
 	if s.frozen {
 		panic("storage: write to a frozen snapshot")
 	}
-	c := s.spine[k]
+	b := s.spine[k/blockSize]
+	c := b.chunks[k%blockSize]
 	if c.edit == s.edit {
 		return c
 	}
-	if s.spineEdit != s.edit {
-		s.spine = append([]*chunk(nil), s.spine...)
-		s.spineEdit = s.edit
+	if b.edit != s.edit {
+		if s.spineEdit != s.edit {
+			s.spine = append([]*block(nil), s.spine...)
+			s.spineEdit = s.edit
+		}
+		cp := *b
+		cp.edit = s.edit
+		b = &cp
+		s.spine[k/blockSize] = b
 	}
 	cp := *c
 	cp.edit = s.edit
-	s.spine[k] = &cp
+	b.chunks[k%blockSize] = &cp
 	return &cp
 }
 
 // search returns the first index whose element satisfies pred, n when none
-// does; pred must be monotone over the sequence. It is sort.Search with the
-// element looked up here, which spares a closure call per probe.
+// does; pred must be monotone over the sequence. Two binary searches: over
+// the chunks by their first element — the answer lies in the last chunk
+// whose first element fails pred — then inside that one chunk, so no probe
+// pays an index split and the second half probes one array.
 func (s *seq) search(pred func(*element.Element) bool) int {
-	lo, hi := 0, s.n
+	lo, hi := 0, s.chunks()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pred(s.at(mid)) {
+		if pred(s.chunk(mid).elems[0]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo
+	if lo == 0 {
+		return 0
+	}
+	run := s.run(lo - 1)
+	a, b := 1, len(run) // run[0] fails pred
+	for a < b {
+		mid := int(uint(a+b) >> 1)
+		if pred(run[mid]) {
+			b = mid
+		} else {
+			a = mid + 1
+		}
+	}
+	return (lo-1)*runSize + a
 }
 
 // index finds old by pointer identity, -1 when it is not stored. Elements
@@ -130,12 +177,14 @@ func (s *seq) search(pred func(*element.Element) bool) int {
 // the scan.
 func (s *seq) index(old *element.Element) int {
 	i := s.search(func(e *element.Element) bool { return e.TTStart >= old.TTStart })
-	for ; i < s.n && s.at(i).TTStart == old.TTStart; i++ {
-		if s.at(i) == old {
+	for ; i < s.n; i++ {
+		if e := s.at(i); e == old {
 			return i
+		} else if e.TTStart != old.TTStart {
+			break
 		}
 	}
-	for k := range s.spine {
+	for k := range s.chunks() {
 		for j, e := range s.run(k) {
 			if e == old {
 				return k*runSize + j
@@ -167,21 +216,17 @@ func (s *seq) Replace(old, repl *element.Element) {
 
 // Scan visits every element in arrival order; it returns the number touched.
 func (s *seq) Scan(visit func(*element.Element) bool) int {
-	touched := 0
-	for k := range s.spine {
-		for _, e := range s.run(k) {
-			touched++
+	for k := range s.chunks() {
+		for i, e := range s.run(k) {
 			if !visit(e) {
-				return touched
+				return k*runSize + i + 1
 			}
 		}
 	}
-	return touched
+	return s.n
 }
 
-// seqOf exposes the sequence under st. An implementation this package does
-// not know is copied into a fresh one, so every reader has one shape to
-// walk.
+// seqOf exposes the sequence under st; every Store in this package has one.
 func seqOf(st Store) *seq {
 	switch s := st.(type) {
 	case *HeapStore:
@@ -193,9 +238,7 @@ func seqOf(st Store) *seq {
 	case *IndexedEventStore:
 		return &s.heap.seq
 	}
-	cp := &seq{}
-	st.Scan(func(e *element.Element) bool { cp.push(e); return true })
-	return cp
+	panic(fmt.Sprintf("storage: %T is not a sequence-backed store", st))
 }
 
 // Runs yields st's elements in arrival order one run at a time: runSize
@@ -205,7 +248,7 @@ func seqOf(st Store) *seq {
 func Runs(st Store) element.Runs {
 	s := seqOf(st)
 	return func(yield func([]*element.Element) bool) {
-		for k := range s.spine {
+		for k := range s.chunks() {
 			if !yield(s.run(k)) {
 				return
 			}

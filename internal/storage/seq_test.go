@@ -52,7 +52,7 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 	}
 	var packed int64
 	for k, want := range m.closed {
-		r := &s.spine[k].run
+		r := &s.chunk(k).run
 		if r.closed != want {
 			t.Fatalf("%s: run %d counts %d closes, model %d", what, k, r.closed, want)
 		}
@@ -85,21 +85,31 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 				var m seqModel
 				var pins []pinned
 				tt := chronon.Chronon(0)
+				insert := func() { // tt⊢ repeats now and then
+					if rng.Intn(4) > 0 {
+						tt++
+					}
+					e := &element.Element{
+						ES: surrogate.Surrogate(len(m.elems) + 1), OS: 1,
+						TTStart: tt, TTEnd: chronon.Forever,
+						VT: element.EventAt(chronon.Chronon(10 * len(m.elems))),
+					}
+					if err := st.Insert(e); err != nil {
+						t.Fatal(err)
+					}
+					m.elems = append(m.elems, e)
+				}
+				if seed == 4 {
+					// Start just short of a full spine block, so the steps
+					// below hang chunks in a second block and close into both.
+					for len(m.elems) < blockSize*runSize-1000 {
+						insert()
+					}
+				}
 				for step := 0; step < 6000; step++ {
 					switch op := rng.Intn(100); {
-					case op < 55 || len(m.elems) == 0: // insert; tt⊢ repeats now and then
-						if rng.Intn(4) > 0 {
-							tt++
-						}
-						e := &element.Element{
-							ES: surrogate.Surrogate(len(m.elems) + 1), OS: 1,
-							TTStart: tt, TTEnd: chronon.Forever,
-							VT: element.EventAt(chronon.Chronon(10 * len(m.elems))),
-						}
-						if err := st.Insert(e); err != nil {
-							t.Fatal(err)
-						}
-						m.elems = append(m.elems, e)
+					case op < 55 || len(m.elems) == 0:
+						insert()
 					case op < 80: // replace: a close when the element is open, a plain swap otherwise
 						i := rng.Intn(len(m.elems))
 						old := m.elems[i]
@@ -213,8 +223,8 @@ func TestSeqLockFreeReaders(t *testing.T) {
 				})
 				present, _ := v.st.Rollback(v.tt)
 				inRuns, batched := 0, 0
-				for _, c := range v.st.spine[:v.st.sealed] {
-					inRuns += c.run.closed
+				for k := range v.st.sealed {
+					inRuns += v.st.chunk(k).run.closed
 				}
 				br := NewBatchReader(v.st, true)
 				for {

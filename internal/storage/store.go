@@ -109,7 +109,8 @@ type Store interface {
 	// clones the element, finalizes TTEnd on the clone, and swaps the clone
 	// in, leaving the original — still open — for any pinned snapshot. Its
 	// cost does not grow with the store: one binary search, and after a
-	// Snapshot one copied chunk and the spine. A missing old is a no-op.
+	// Snapshot one copied chunk and the spine block it hangs off. A missing
+	// old is a no-op.
 	Replace(old, repl *element.Element)
 }
 
@@ -166,16 +167,9 @@ func (s *HeapStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	return s.vtScan(lo, hi)
 }
 
-// Rollback scans the whole store: the heap does not assume tt order.
+// Rollback filters the whole store: the heap does not assume tt order.
 func (s *HeapStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	var out []*element.Element
-	touched := s.Scan(func(e *element.Element) bool {
-		if e.PresentAt(tt) {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out, touched
+	return s.presentIn(s.n, tt)
 }
 
 // TTLogStore keeps elements in tt⊢ order (the engine's arrival order) and
@@ -237,8 +231,12 @@ func (s *TTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
 func (s *TTLogStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
 	touched := 1
-	for i := s.search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n && s.at(i).TTStart <= hi; i++ {
-		out = append(out, s.at(i))
+	for i := s.search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n; i++ {
+		e := s.at(i)
+		if e.TTStart > hi {
+			break
+		}
+		out = append(out, e)
 		touched++
 	}
 	return out, touched

@@ -34,8 +34,8 @@ func (e RunVerifyError) Error() string {
 func VerifyRuns(st Store) []RunVerifyError {
 	s := seqOf(st)
 	var bad []RunVerifyError
-	for i, c := range s.spine[:s.sealed] {
-		if reason := verifyRun(c); reason != "" {
+	for i := range s.sealed {
+		if reason := verifyRun(s.chunk(i)); reason != "" {
 			bad = append(bad, RunVerifyError{Run: i, Reason: reason})
 		}
 	}

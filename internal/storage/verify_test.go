@@ -104,17 +104,17 @@ func TestResealRunsLeavesSnapshotsAlone(t *testing.T) {
 	closed.TTEnd = 9_999_999
 	st.Replace(orig, &closed)
 	snap := st.Snapshot().(*TTLogStore)
-	if snap.spine[0].run.closed != 1 || snap.spine[0].run.open != runSize {
-		t.Fatalf("snapshot run 0: open %d closed %d", snap.spine[0].run.open, snap.spine[0].run.closed)
+	if snap.chunk(0).run.closed != 1 || snap.chunk(0).run.open != runSize {
+		t.Fatalf("snapshot run 0: open %d closed %d", snap.chunk(0).run.open, snap.chunk(0).run.closed)
 	}
 	if ResealRuns(st, []int{0}) != 1 {
 		t.Fatal("nothing resealed")
 	}
-	if snap.spine[0].run.closed != 1 || snap.spine[0].run.open != runSize {
-		t.Fatalf("reseal wrote into the snapshot: open %d closed %d", snap.spine[0].run.open, snap.spine[0].run.closed)
+	if snap.chunk(0).run.closed != 1 || snap.chunk(0).run.open != runSize {
+		t.Fatalf("reseal wrote into the snapshot: open %d closed %d", snap.chunk(0).run.open, snap.chunk(0).run.closed)
 	}
-	if st.spine[0].run.closed != 0 || st.spine[0].run.open != runSize-1 {
-		t.Fatalf("resealed run 0: open %d closed %d, want %d and 0", st.spine[0].run.open, st.spine[0].run.closed, runSize-1)
+	if st.chunk(0).run.closed != 0 || st.chunk(0).run.open != runSize-1 {
+		t.Fatalf("resealed run 0: open %d closed %d, want %d and 0", st.chunk(0).run.open, st.chunk(0).run.closed, runSize-1)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestVerifyRunsToleratesClosesSinceSealing(t *testing.T) {
 	}
 	behind := *st.at(runSize + 1)
 	behind.TTEnd = 9_999_999
-	st.spine[1].elems[1] = &behind // not through Replace: run 1 counts no close
+	st.chunk(1).elems[1] = &behind // not through Replace: run 1 counts no close
 	if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != 1 {
 		t.Fatalf("unaccounted tt⊣ change: %v", bad)
 	}

@@ -97,38 +97,32 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 
 	res := &Result{Columns: cols}
 	var keys []element.Value
-	// selects applies the three selections to one version.
-	selects := func(e *element.Element) (bool, error) {
-		// Transaction-time selection: AS OF tt, else the current state.
-		if q.HasAsOf {
-			if !e.PresentAt(q.AsOf) {
-				return false, nil
-			}
-		} else if !e.Current() {
-			return false, nil
-		}
-		// Valid-time selection.
-		if q.When != nil {
-			if ok, err := matchWhen(q.When, e); err != nil || !ok {
-				return false, err
-			}
-		}
-		// Attribute selection.
-		for _, p := range preds {
-			if ok, err := p(e); err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}
 	err := versions.Do(ctx, func(run []*element.Element) error {
+	next:
 		for _, e := range run {
-			keep, err := selects(e)
-			if err != nil {
-				return err
-			}
-			if !keep {
+			// Transaction-time selection: AS OF tt, else the current state.
+			if q.HasAsOf {
+				if !e.PresentAt(q.AsOf) {
+					continue
+				}
+			} else if !e.Current() {
 				continue
+			}
+			// Valid-time selection.
+			if q.When != nil {
+				if ok, err := matchWhen(q.When, e); err != nil {
+					return err
+				} else if !ok {
+					continue
+				}
+			}
+			// Attribute selection.
+			for _, p := range preds {
+				if ok, err := p(e); err != nil {
+					return err
+				} else if !ok {
+					continue next
+				}
 			}
 			row := make([]element.Value, len(getters))
 			for i, g := range getters {
