@@ -92,8 +92,10 @@ bench:
 # closes, a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
 # cache-off direct fold), the columnar batch scan/aggregate
-# microbenchmarks, and the hand-written wire codec beside encoding/json
-# on the same result sets, at -benchtime=100ms. Fast enough for
+# microbenchmarks, the hand-written wire codec beside encoding/json
+# on the same result sets, and whole requests over loopback through the
+# server's handler with a signer configured (point read, insert,
+# 1000-element read), at -benchtime=100ms. Fast enough for
 # ci; the full concurrent-reader experiment is
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
@@ -101,6 +103,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
+	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server
 
 # The benchmark is its own module with a replace directive onto this
 # one, so tier-1's `./...` never builds it; an internal API change can

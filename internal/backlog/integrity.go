@@ -14,7 +14,7 @@ import (
 
 // The integrity block persists a relation's Merkle state with its
 // snapshot: the full leaf sequence (32 bytes per committed WAL frame)
-// and the last signed epoch root. It is written at the same lock point
+// and a root signed over exactly those leaves. It is written at the same lock point
 // as the walLSN state block, so the persisted tree size always equals
 // the history the snapshot claims — replayed WAL records past walLSN
 // append their leaves exactly once.
@@ -40,8 +40,9 @@ type Integrity struct {
 	Tracked bool
 	// Leaves is the full leaf-hash sequence of the relation's tree.
 	Leaves []integrity.Hash
-	// Root is the last sealed signed root, nil when none was sealed yet
-	// (or the node is an unsigning follower and never sealed one).
+	// Root is the primary's signature over the root of Leaves, nil on a
+	// follower (it holds no key) and in shards written before a relation's
+	// first seal by older builds, which persisted the last per-commit seal.
 	Root *integrity.SignedRoot
 }
 

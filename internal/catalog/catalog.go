@@ -104,9 +104,9 @@ type Config struct {
 	// exist (a WAL is attached or the catalog is a follower); the knob
 	// exists for the write-path overhead baseline in benchmarks.
 	DisableIntegrity bool
-	// Signer signs sealed epoch roots (primaries). Nil — the follower
-	// posture — serves unsigned roots; clients verify those against the
-	// primary's key via consistency with a signed anchor.
+	// Signer signs the roots a primary serves and persists. Nil — the
+	// follower posture — serves unsigned roots; clients verify those
+	// against the primary's key via consistency with a signed anchor.
 	Signer *integrity.Signer
 }
 
@@ -688,14 +688,13 @@ type Entry struct {
 	// leaves are appended from paths holding different locks (the shard
 	// lock for creates, the relation's exclusive lock elsewhere) while
 	// proof serving reads it lock-free with respect to the relation.
-	// sealedRoot holds the last signed epoch root; sealing keeps seals
-	// from piling up behind one another; quarCause, when set, degrades
-	// the relation to read-only until its artifacts are repaired.
+	// lastSigned is the last signature signedAt made, reused while the
+	// tree has not grown; quarCause, when set, degrades the relation to
+	// read-only until its artifacts are repaired.
 	igMu       sync.Mutex
 	tree       *integrity.Tree
 	signer     *integrity.Signer
-	sealedRoot atomic.Pointer[integrity.SignedRoot]
-	sealing    atomic.Bool
+	lastSigned atomic.Pointer[integrity.SignedRoot]
 	quarCause  atomic.Pointer[string]
 }
 
@@ -913,9 +912,8 @@ func (e *Entry) walErr(err error) error {
 // waitDurable blocks until the frame at lsn is durable. Called outside
 // the relation lock, so concurrent committers on other
 // relations (and later ones on this relation) share the group fsync.
-// Durability is also the integrity epoch boundary: the tree root covering
-// everything committed so far is sealed (signed) here, batching one seal
-// per group commit rather than one per mutation.
+// Nothing is signed here: the frame's leaf is already in the tree, and a
+// root over it is signed when a reader or a snapshot asks (signedAt).
 func (e *Entry) waitDurable(lsn uint64) error {
 	if e.wal == nil {
 		return nil
@@ -923,7 +921,6 @@ func (e *Entry) waitDurable(lsn uint64) error {
 	if err := e.wal.WaitDurable(lsn); err != nil {
 		return e.walErr(err)
 	}
-	e.sealRoot()
 	return nil
 }
 

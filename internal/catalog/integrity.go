@@ -16,13 +16,14 @@ import (
 
 // This file is the catalog's integrity layer. Every committed WAL frame
 // appends one leaf to its relation's Merkle tree (appendLeaf, called as
-// each frame is journaled or replayed), group commits seal signed
-// epoch roots (sealRoot), snapshots persist the tree alongside walLSN,
-// and proofs are served from the same tree the write path maintains. The
-// scrubber walks the on-disk artifacts — sealed WAL segments, snapshot
-// shards, frozen delta runs — re-verifying each against its checksums;
-// a detection quarantines the affected relations (read-only, reads keep
-// serving) and kicks the matching repair.
+// each frame is journaled or replayed), a root is signed when someone
+// asks for one (signedAt: the integrity endpoints and the snapshot
+// writer, never the write path), snapshots persist the tree alongside
+// walLSN, and proofs are served from the same tree the write path
+// maintains. The scrubber walks the on-disk artifacts — sealed WAL
+// segments, snapshot shards, frozen delta runs — re-verifying each
+// against its checksums; a detection quarantines the affected relations
+// (read-only, reads keep serving) and kicks the matching repair.
 
 // integrityEnabled reports whether the catalog maintains Merkle trees:
 // on by default wherever committed frames exist (a WAL is attached or
@@ -47,31 +48,11 @@ func (e *Entry) appendLeaf(lsn uint64, kind wal.Kind, payload []byte) {
 	e.igMu.Unlock()
 }
 
-// sealRoot signs the tree root covering everything committed so far.
-// Called after a durable wait, so seals batch per group commit; the CAS
-// keeps concurrent committers from queueing on the signature. Followers
-// (no signer) never seal — they serve unsigned roots on demand.
-func (e *Entry) sealRoot() {
-	if e.tree == nil || e.signer == nil {
-		return
-	}
-	if !e.sealing.CompareAndSwap(false, true) {
-		return // a concurrent committer seals; the tail is signed on demand
-	}
-	defer e.sealing.Store(false)
-	e.igMu.Lock()
-	size, root := e.tree.Size(), e.tree.Root()
-	e.igMu.Unlock()
-	if cur := e.sealedRoot.Load(); cur != nil && cur.Size >= size {
-		return
-	}
-	sr := e.signer.Sign(e.name, size, root)
-	e.sealedRoot.Store(&sr)
-}
-
 // seedIntegrity restores the tree persisted with a snapshot shard. Boot
 // replay then appends the leaves of records past the shard's walLSN —
-// the same cut, so each leaf lands exactly once.
+// the same cut, so each leaf lands exactly once. The shard's signed root
+// is the scrubber's (verifySnapshotShard), not the server's: what is
+// served is signed afresh under the key this process holds.
 func (e *Entry) seedIntegrity(ig backlog.Integrity) {
 	if e.tree == nil || !ig.Tracked {
 		return
@@ -79,22 +60,26 @@ func (e *Entry) seedIntegrity(ig backlog.Integrity) {
 	e.igMu.Lock()
 	e.tree = integrity.NewTreeFromLeaves(ig.Leaves)
 	e.igMu.Unlock()
-	if ig.Root != nil {
-		e.sealedRoot.Store(ig.Root)
-	}
 }
 
-// integritySnapshot captures the tree for persistence. The caller holds
-// the relation's shared lock, which excludes every leaf-appending path,
-// so the leaves are consistent with the walLSN being saved.
+// integritySnapshot captures the tree for persistence, with a root
+// signed over exactly the leaves persisted (none on a follower, which
+// holds no key). The caller holds the relation's shared lock, which
+// excludes every leaf-appending path, so the leaves are consistent with
+// the walLSN being saved.
 func (e *Entry) integritySnapshot() backlog.Integrity {
 	if e.tree == nil {
 		return backlog.Integrity{}
 	}
 	e.igMu.Lock()
-	leaves := e.tree.Leaves()
+	leaves, root := e.tree.Leaves(), e.tree.Root()
 	e.igMu.Unlock()
-	return backlog.Integrity{Tracked: true, Leaves: leaves, Root: e.sealedRoot.Load()}
+	ig := backlog.Integrity{Tracked: true, Leaves: leaves}
+	if e.signer != nil {
+		sr := e.signedAt(uint64(len(leaves)), root)
+		ig.Root = &sr
+	}
+	return ig
 }
 
 // IntegrityState is a relation's integrity surface: the tree size and
@@ -110,28 +95,39 @@ type IntegrityState struct {
 
 // signedAt returns a SignedRoot over (size, root): signed by the
 // relation's signer when it has one, unsigned (the follower posture)
-// otherwise. Signing on demand covers the tail a group-commit seal has
-// not reached yet.
+// otherwise. It is the one place a signature is made. Ed25519 is
+// deterministic, so while the tree has not grown the last signature is
+// the answer and is returned as it stands.
 func (e *Entry) signedAt(size uint64, root integrity.Hash) integrity.SignedRoot {
-	if e.signer != nil {
-		sr := e.signer.Sign(e.name, size, root)
-		e.sealedRoot.Store(&sr)
-		return sr
+	if e.signer == nil {
+		return integrity.SignedRoot{Rel: e.name, Size: size, Root: root}
 	}
-	return integrity.SignedRoot{Rel: e.name, Size: size, Root: root}
+	if sr := e.lastSigned.Load(); sr != nil && sr.Size == size && sr.Root == root {
+		return *sr
+	}
+	sr := e.signer.Sign(e.name, size, root)
+	e.lastSigned.Store(&sr)
+	return sr
+}
+
+// MerkleHead reports the tree's size and root with no signature — what
+// /metrics and a relation's info print.
+func (e *Entry) MerkleHead() (size uint64, root integrity.Hash, tracked bool) {
+	if e.tree == nil {
+		return 0, integrity.Hash{}, false
+	}
+	e.igMu.Lock()
+	size, root = e.tree.Size(), e.tree.Root()
+	e.igMu.Unlock()
+	return size, root, true
 }
 
 // IntegrityState reports the relation's current integrity state.
 func (e *Entry) IntegrityState() IntegrityState {
 	out := IntegrityState{Quarantined: e.QuarantineCause()}
-	if e.tree == nil {
-		return out
+	if out.Size, out.Root, out.Tracked = e.MerkleHead(); out.Tracked {
+		out.Signed = e.signedAt(out.Size, out.Root)
 	}
-	e.igMu.Lock()
-	size, root := e.tree.Size(), e.tree.Root()
-	e.igMu.Unlock()
-	out.Tracked, out.Size, out.Root = true, size, root
-	out.Signed = e.signedAt(size, root)
 	return out
 }
 
@@ -280,6 +276,7 @@ type IntegrityStats struct {
 	Detected    uint64 // lifetime corruption detections
 	Repaired    uint64 // lifetime successful repairs
 	Quarantines uint64 // lifetime quarantine entries
+	Signatures  uint64 // lifetime root signatures (0 on a follower)
 	Quarantined []string
 }
 
@@ -291,16 +288,17 @@ func (c *Catalog) IntegrityStats() IntegrityStats {
 		Repaired:    c.igRepaired.Load(),
 		Quarantines: c.igQuarantines.Load(),
 	}
+	if c.cfg.Signer != nil {
+		st.Signatures = c.cfg.Signer.Signatures()
+	}
 	for _, name := range c.Names() {
 		e, err := c.Get(name)
 		if err != nil {
 			continue
 		}
-		if e.tree != nil {
+		if size, _, tracked := e.MerkleHead(); tracked {
 			st.Relations++
-			e.igMu.Lock()
-			st.Leaves += e.tree.Size()
-			e.igMu.Unlock()
+			st.Leaves += size
 		}
 		if cause := e.QuarantineCause(); cause != "" {
 			st.Quarantined = append(st.Quarantined, name)

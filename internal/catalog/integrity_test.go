@@ -1,12 +1,15 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/backlog"
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/integrity"
@@ -426,5 +429,70 @@ func TestIntegrityScrubCursorResume(t *testing.T) {
 	}
 	if _, err := os.Stat(cursor); !os.IsNotExist(err) {
 		t.Fatalf("cursor not cleared after a full pass: %v", err)
+	}
+}
+
+// TestIntegritySignsOnDemand pins where a signature is made: not on the
+// write path (concurrent committers included), once per served root
+// whose tree has grown, once per persisted shard — and the shard's root
+// covers every leaf the shard holds, so the scrubber's "leaves disagree
+// with the sealed root" check has no unsigned tail.
+func TestIntegritySignsOnDemand(t *testing.T) {
+	root := t.TempDir()
+	w, c := integOpen(t, root)
+	defer w.Close()
+	signed := func() uint64 { return c.IntegrityStats().Signatures }
+	e, err := c.Create(eventSchema("emp"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(100*g + i))}); err != nil {
+					t.Errorf("insert: %v", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := signed(); n != 0 {
+		t.Fatalf("41 acknowledged writes made %d signatures, want 0", n)
+	}
+
+	st := e.IntegrityState()
+	if signed() != 1 || st.Size != 41 || st.Signed.Size != 41 || st.Signed.Root != st.Root ||
+		!integrity.VerifyRoot(c.cfg.Signer.Public(), st.Signed) {
+		t.Fatalf("first read: %d signatures, state %+v; want one, over all 41 leaves", signed(), st)
+	}
+	again := e.IntegrityState()
+	if _, _, sr, err := e.InclusionProof(40); err != nil || signed() != 1 ||
+		!bytes.Equal(again.Signed.Sig, st.Signed.Sig) || !bytes.Equal(sr.Sig, st.Signed.Sig) {
+		t.Fatalf("re-reading an unchanged tree: %d signatures (err %v), want the first one reused", signed(), err)
+	}
+
+	integInsert(t, e, 3, 1000)
+	if _, err := c.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if n := signed(); n != 2 {
+		t.Fatalf("writes then a snapshot: %d signatures, want 2", n)
+	}
+	f, err := os.Open(filepath.Join(root, "data", "emp"+fileSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, _, _, _, _, ig, err := backlog.ReadWithIntegrity(f)
+	if err != nil {
+		t.Fatalf("reading the shard: %v", err)
+	}
+	if ig.Root == nil || len(ig.Leaves) != 44 || ig.Root.Size != 44 ||
+		ig.Root.Root != integrity.NewTreeFromLeaves(ig.Leaves).Root() ||
+		!integrity.VerifyRoot(c.cfg.Signer.Public(), *ig.Root) {
+		t.Fatalf("persisted root %+v over %d leaves: want a verifying root over all of them", ig.Root, len(ig.Leaves))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"os"
+	"sync/atomic"
 )
 
 // rootContext domain-separates root signatures from any other Ed25519
@@ -40,6 +41,9 @@ func rootMessage(rel string, size uint64, root Hash) []byte {
 type Signer struct {
 	priv ed25519.PrivateKey
 	pub  ed25519.PublicKey
+	// signed counts the signatures made, for /metrics: a signature costs
+	// tens of microseconds, so where they are made is worth watching.
+	signed atomic.Uint64
 }
 
 // NewSigner wraps an existing 32-byte seed.
@@ -77,8 +81,12 @@ func (s *Signer) Public() []byte {
 	return append([]byte(nil), s.pub...)
 }
 
+// Signatures reports how many roots this signer has signed.
+func (s *Signer) Signatures() uint64 { return s.signed.Load() }
+
 // Sign seals one root.
 func (s *Signer) Sign(rel string, size uint64, root Hash) SignedRoot {
+	s.signed.Add(1)
 	return SignedRoot{
 		Rel:  rel,
 		Size: size,

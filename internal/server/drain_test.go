@@ -124,7 +124,11 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("in-flight insert never completed")
 	}
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// 15 s, not 5: when the client's transport dialed a spare connection
+	// it never used (a busy machine makes the dial lose to a connection
+	// going idle), net/http counts that connection as active for its first
+	// 5 s, and Shutdown waits them out.
+	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -46,13 +46,11 @@ func signedRootInfo(sr integrity.SignedRoot) wire.SignedRootInfo {
 // physical-design report: how many committed frames the tree covers,
 // the current root, and the quarantine cause when degraded.
 func integrityProvenance(out *wire.PhysicalInfo, e *catalog.Entry) {
-	st := e.IntegrityState()
-	if st.Tracked {
-		root := st.Root
-		out.MerkleSize = st.Size
+	if size, root, tracked := e.MerkleHead(); tracked {
+		out.MerkleSize = size
 		out.MerkleRoot = root[:]
 	}
-	out.Quarantined = st.Quarantined
+	out.Quarantined = e.QuarantineCause()
 }
 
 // mapIntegrityErr classifies proof-endpoint failures: tracking disabled
@@ -188,6 +186,7 @@ func (s *Server) integrityMetrics() *wire.IntegrityMetrics {
 		Repaired:         st.Repaired,
 		Quarantines:      st.Quarantines,
 		Quarantined:      st.Quarantined,
+		Signatures:       st.Signatures,
 	}
 	if s.scrubber != nil {
 		ss := s.scrubber.Stats()

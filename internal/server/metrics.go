@@ -36,6 +36,9 @@ type endpointStats struct {
 	// endpoint that is encoding.
 	respBytes uint64
 	encTotal  time.Duration
+	// timeouts counts the requests the deadline answered (deadline.go)
+	// while their handler was still running.
+	timeouts uint64
 }
 
 // NewMetrics returns an empty registry anchored at now.
@@ -63,16 +66,31 @@ func (m *Metrics) RecordPlan(kind string, touched int) {
 	}
 }
 
+// endpoint returns the named endpoint's books, opening them on first use.
+// Caller holds m.mu.
+func (m *Metrics) endpoint(name string) *endpointStats {
+	ep, ok := m.eps[name]
+	if !ok {
+		ep = &endpointStats{}
+		m.eps[name] = ep
+	}
+	return ep
+}
+
+// RecordTimeout accounts one request the deadline answered. Its handler
+// is still running and books the request itself (Record) when it returns.
+func (m *Metrics) RecordTimeout(endpoint string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.endpoint(endpoint).timeouts++
+}
+
 // Record accounts one request against the named endpoint: its latency,
 // the elements it touched, and the size and encoding time of its body.
 func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bool, respBytes int, enc time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ep, ok := m.eps[endpoint]
-	if !ok {
-		ep = &endpointStats{latMin: d}
-		m.eps[endpoint] = ep
-	}
+	ep := m.endpoint(endpoint)
 	ep.requests++
 	if isErr {
 		ep.errors++
@@ -83,7 +101,7 @@ func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bo
 	ep.respBytes += uint64(respBytes)
 	ep.encTotal += enc
 	ep.latTotal += d
-	if d < ep.latMin {
+	if ep.requests == 1 || d < ep.latMin {
 		ep.latMin = d
 	}
 	if d > ep.latMax {
@@ -109,6 +127,7 @@ func (m *Metrics) Report() wire.MetricsResponse {
 			MaxUS:     ep.latMax.Microseconds(),
 			RespBytes: ep.respBytes,
 			EncodeUS:  ep.encTotal.Microseconds(),
+			Timeouts:  ep.timeouts,
 		}
 		if ep.requests > 0 {
 			em.MeanUS = (ep.latTotal / time.Duration(ep.requests)).Microseconds()

@@ -171,10 +171,7 @@ func New(cfg Config) *Server {
 		return nil, errNotFound("no such endpoint")
 	}))
 
-	timeoutBody, _ := json.Marshal(wire.ErrorBody{Error: wire.ErrorDetail{
-		Code: wire.CodeInternal, Message: "request timed out",
-	}})
-	s.handler = http.TimeoutHandler(mux, cfg.RequestTimeout, string(timeoutBody))
+	s.handler = mux
 	return s
 }
 
@@ -275,8 +272,8 @@ func batchWeight(r *http.Request) int {
 	return 1 + int(r.ContentLength/2048)
 }
 
-// wrap adds the per-endpoint envelope: the client's deadline budget, the
-// draining check, class admission, body size cap, JSON rendering, panic
+// wrap adds the per-endpoint envelope: the request deadline (deadline.go),
+// the draining check, class admission, body size cap, JSON rendering, panic
 // containment, and metrics accounting. Probe endpoints (class < 0) skip
 // draining and admission so the server can always describe its own state.
 func (s *Server) wrap(name string, class AdmissionClass, fn func(*http.Request) (*response, *apiError)) http.Handler {
@@ -285,21 +282,13 @@ func (s *Server) wrap(name string, class AdmissionClass, fn func(*http.Request) 
 
 // wrapOpts is wrap with per-endpoint overrides.
 func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn func(*http.Request) (*response, *apiError)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return s.bounded(name, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		bodyCap := s.cfg.MaxBodyBytes
 		if o.bodyCap > 0 {
 			bodyCap = o.bodyCap
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
-
-		// A client-sent deadline budget shrinks the request context, so
-		// catalog scans stop once the caller has given up waiting.
-		if ms, ok := deadlineBudget(r); ok {
-			ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 
 		var aerr *apiError
 		var res *response
@@ -379,7 +368,7 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 			}
 		}
 		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc)
-	})
+	}))
 }
 
 // deadlineBudget parses the client's remaining-budget header.
@@ -410,6 +399,10 @@ func idemKey(r *http.Request) string {
 //
 // The one encoding error there is — a non-finite float already in a
 // store, which JSON cannot spell — answers a typed 500 and is returned.
+// So is a failed write: http.ErrHandlerTimeout when the deadline has
+// already answered this request, or the socket's own error. The body is
+// encoded whole before the status is committed; the request deadline
+// (deadline.go) relies on nothing slow following a commit.
 func writeJSON(w http.ResponseWriter, status int, body any) (int, time.Duration, error) {
 	start := time.Now()
 	buf := wire.GetBuffer()
@@ -438,8 +431,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) (int, time.Duration,
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(status)
-	_, _ = w.Write(out)
-	return len(out), enc, nil
+	n, err := w.Write(out)
+	return n, enc, err
 }
 
 // queryETag renders a relation's mutation epoch as an HTTP validator.

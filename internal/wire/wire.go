@@ -865,6 +865,10 @@ type EndpointMetrics struct {
 	// over latency_total_us is the share of the endpoint that is encoding.
 	RespBytes uint64 `json:"response_bytes,omitempty"`
 	EncodeUS  int64  `json:"encode_total_us,omitempty"`
+	// Timeouts counts requests the server's deadline answered with the 503
+	// timeout envelope while their handler was still running; each is also
+	// a request (and an error) once its handler returns.
+	Timeouts uint64 `json:"request_timeouts,omitempty"`
 }
 
 // PlanMetrics aggregates one plan kind's query accounting.
@@ -1058,7 +1062,9 @@ type IntegrityEventInfo struct {
 
 // IntegrityMetrics is the /metrics integrity section: Merkle coverage,
 // lifetime detection/repair counters, current quarantines, scrubber
-// progress, and the recent event journal.
+// progress, and the recent event journal. Signatures counts the Ed25519
+// root signatures made since boot: one per served root whose tree had
+// grown, one per relation per snapshot, none per write.
 type IntegrityMetrics struct {
 	Enabled          bool                 `json:"enabled"`
 	TrackedRelations int                  `json:"tracked_relations"`
@@ -1067,6 +1073,7 @@ type IntegrityMetrics struct {
 	Repaired         uint64               `json:"repaired"`
 	Quarantines      uint64               `json:"quarantines"`
 	Quarantined      []string             `json:"quarantined,omitempty"`
+	Signatures       uint64               `json:"signatures"`
 	ScrubPasses      uint64               `json:"scrub_passes"`
 	ScrubArtifacts   uint64               `json:"scrub_artifacts"`
 	ScrubBytes       uint64               `json:"scrub_bytes"`
