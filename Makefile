@@ -89,7 +89,8 @@ bench:
 
 # A trimmed benchmark pass: snapshot vs cache-hit time-slices,
 # the auto-specialization before/after pair, boot replay over a log with
-# closes, a close after a publish at 8 k and 128 k elements (ns/op and B/op
+# closes and over an ingesting sensor's log of keyed batch frames
+# (versions/s), a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
 # cache-off direct fold), the columnar batch scan/aggregate
 # microbenchmarks, the hand-written wire codec beside encoding/json
@@ -100,7 +101,7 @@ bench:
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server

@@ -559,16 +559,20 @@ func decodeRecord(b []byte, schema relation.Schema) (relation.LogRecord, error) 
 	kind := element.TimestampKind(d.u8())
 	start := chronon.Chronon(d.i64())
 	end := chronon.Chronon(d.i64())
-	vals := func() []element.Value {
-		n := int(d.u16())
-		out := make([]element.Value, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			out = append(out, decodeValue(&d))
+	// Both value lists decode into one scratch slice — on the stack for the
+	// usual handful of attributes — and are packed into one array of exactly
+	// their size, so a count is never trusted ahead of the bytes backing it.
+	var scratch [8]element.Value
+	vals := scratch[:0]
+	list := func() {
+		for n := int(d.u16()); n > 0 && d.err == nil; n-- {
+			vals = append(vals, decodeValue(&d))
 		}
-		return out
 	}
-	el.Invariant = vals()
-	el.Varying = vals()
+	list()
+	invariants := len(vals)
+	list()
+	el.Invariant, el.Varying = element.PackValues(vals[:invariants], vals[invariants:])
 	n := int(d.u16())
 	for i := 0; i < n && d.err == nil; i++ {
 		el.UserTimes = append(el.UserTimes, chronon.Chronon(d.i64()))

@@ -59,8 +59,13 @@ type dedupHit struct {
 // accessed only under the owning relation's exclusive lock (mutations
 // and WAL replay both hold it), so it needs no lock of its own.
 type dedupWindow struct {
-	m     map[string]dedupHit
-	order []string // FIFO eviction order
+	m map[string]dedupHit
+	// ring holds the remembered keys in arrival order. It grows to
+	// dedupWindowCap and stays: from then on oldest is the slot the next
+	// key overwrites, so an evicted key is dropped at once and nothing
+	// reallocates.
+	ring   []string
+	oldest int
 }
 
 func newDedupWindow() *dedupWindow {
@@ -74,10 +79,12 @@ func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
 
 func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element, lsn uint64) {
 	if _, dup := w.m[key]; !dup {
-		w.order = append(w.order, key)
-		if len(w.order) > dedupWindowCap {
-			delete(w.m, w.order[0])
-			w.order = w.order[1:]
+		if len(w.ring) < dedupWindowCap {
+			w.ring = append(w.ring, key)
+		} else {
+			delete(w.m, w.ring[w.oldest])
+			w.ring[w.oldest] = key
+			w.oldest = (w.oldest + 1) % dedupWindowCap
 		}
 	}
 	w.m[key] = dedupHit{op: op, elem: el, lsn: lsn}

@@ -57,7 +57,7 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 		Migrations: p.Migrations, DedupLSN: map[string]uint64{}, Answers: map[string][]string{},
 	}
 	_ = e.locked.View(func(*relation.Relation) error {
-		s.DedupOrder = append(s.DedupOrder, e.dedup.order...)
+		s.DedupOrder = e.dedup.keys()
 		for k, h := range e.dedup.m {
 			s.DedupLSN[k] = h.lsn
 		}

@@ -48,3 +48,9 @@ func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) QueryResult {
 // elems flattens a pinned view's store, for tests that pick elements by
 // arrival position.
 func (v *readView) elems() []*element.Element { return storage.Elements(v.engine.Store()) }
+
+// keys lists the window's remembered keys, oldest first: the order they
+// will be evicted in.
+func (w *dedupWindow) keys() []string {
+	return append(append([]string(nil), w.ring[w.oldest:]...), w.ring[:w.oldest]...)
+}

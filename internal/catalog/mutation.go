@@ -38,7 +38,8 @@ type mutation struct {
 	// staged marks records produced by relation.Stage* under the lock
 	// now held: already validated and stamped, their elements are the
 	// relation's own. Decoded records came off disk or the wire and are
-	// re-validated (relation.ApplyLog) as they apply.
+	// re-validated (relation.ApplyLog) as they apply; their elements were
+	// allocated by the decode and pass to the relation with the apply.
 	staged bool
 }
 
@@ -222,14 +223,14 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 	for i, rec := range m.recs {
 		var stored *element.Element // what the unit's key answers retries with
 		if rec.Op == relation.OpInsert {
+			// A decoded element is adopted as the stored version (ApplyLog):
+			// decodeMutation allocated it for this apply and nobody else
+			// holds it. A staged one is the relation's own already.
 			el := rec.Elem
 			if m.staged {
 				r.CommitInsert(el)
-			} else {
-				if err := r.ApplyLog(rec); err != nil {
-					return err
-				}
-				el, _ = r.ByES(el.ES)
+			} else if _, _, err := r.ApplyLog(rec); err != nil {
+				return err
 			}
 			e.tracker.Observe(el)
 			if serr := e.engine.Store().Insert(el); serr != nil {
@@ -241,18 +242,17 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 			}
 			stored = el
 		} else {
-			// The close lands on a clone (copy-on-close); swap it into the
+			// The close lands on a copy (copy-on-close); swap it into the
 			// physical store so the live engine sees the finalized tt⊣
 			// while pinned read views keep the open original.
 			old, closed := rec.Elem, (*element.Element)(nil)
 			if m.staged {
 				closed = r.CommitDelete(old, rec.TT)
 			} else {
-				old, _ = r.ByES(old.ES)
-				if err := r.ApplyLog(rec); err != nil {
+				var err error
+				if old, closed, err = r.ApplyLog(rec); err != nil {
 					return err
 				}
-				closed, _ = r.ByES(old.ES)
 			}
 			e.engine.Store().Replace(old, closed)
 		}
@@ -348,7 +348,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 			default:
 				if key != "" && len(keys) > 1 {
 					if seen == nil {
-						seen = make(map[string]bool)
+						seen = make(map[string]bool, len(keys))
 					}
 					seen[key] = true
 				}

@@ -8,6 +8,7 @@ package catalog
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -305,11 +306,52 @@ func TestIdempotencyKeyLimits(t *testing.T) {
 	for i := 0; i < dedupWindowCap+10; i++ {
 		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil, 0)
 	}
-	if len(w.m) != dedupWindowCap || len(w.order) != dedupWindowCap {
-		t.Fatalf("window holds %d/%d entries, want %d", len(w.m), len(w.order), dedupWindowCap)
+	if len(w.m) != dedupWindowCap || len(w.ring) != dedupWindowCap {
+		t.Fatalf("window holds %d/%d entries, want %d", len(w.m), len(w.ring), dedupWindowCap)
 	}
 	if _, ok := w.lookup("a" + itoa(0)); ok {
 		t.Fatal("oldest key survived eviction")
+	}
+}
+
+// TestDedupWindowIsAFixedRing: remembering more keys than the window holds
+// leaves exactly the newest dedupWindowCap, oldest first; every further key
+// evicts the one that arrived earliest, a key remembered again keeps its
+// place in line, and once full the ring is never reallocated (re-slicing a
+// growing array kept evicted keys pinned and paid growslice on the write
+// path).
+func TestDedupWindowIsAFixedRing(t *testing.T) {
+	w := newDedupWindow()
+	key := func(i int) string { return fmt.Sprintf("k-%d", i) }
+	const total = 2*dedupWindowCap + dedupWindowCap/2 + 7
+	var ring *string
+	for i := 0; i < total; i++ {
+		w.remember(key(i), dedupInsert, nil, uint64(i))
+		if i >= dedupWindowCap {
+			if _, ok := w.lookup(key(i - dedupWindowCap)); ok {
+				t.Fatalf("key %d still remembered after %d newer ones", i-dedupWindowCap, dedupWindowCap)
+			}
+			if _, ok := w.lookup(key(i - dedupWindowCap + 1)); !ok {
+				t.Fatalf("key %d evicted ahead of its turn", i-dedupWindowCap+1)
+			}
+			// A retry of a remembered key updates its hit, not the order.
+			w.remember(key(i-1), dedupInsert, nil, uint64(i-1))
+		}
+		if i == dedupWindowCap-1 {
+			ring = &w.ring[0]
+		}
+	}
+	if &w.ring[0] != ring || len(w.ring) != dedupWindowCap || len(w.m) != dedupWindowCap {
+		t.Fatalf("ring moved or resized: %d slots, %d keys, want %d of each in place", len(w.ring), len(w.m), dedupWindowCap)
+	}
+	got := w.keys()
+	for i, k := range got {
+		if want := key(total - dedupWindowCap + i); k != want {
+			t.Fatalf("key %d of the window is %q, want %q", i, k, want)
+		}
+		if h, _ := w.lookup(k); h.lsn != uint64(total-dedupWindowCap+i) {
+			t.Fatalf("key %q remembers lsn %d", k, h.lsn)
+		}
 	}
 }
 

@@ -54,10 +54,28 @@ func (e *Element) ValidAt(vt chronon.Chronon) bool { return e.VT.Covers(vt) }
 // Clone returns a deep copy of the element.
 func (e *Element) Clone() *Element {
 	c := *e
-	c.Invariant = append([]Value(nil), e.Invariant...)
-	c.Varying = append([]Value(nil), e.Varying...)
+	c.Invariant, c.Varying = PackValues(e.Invariant, e.Varying)
 	c.UserTimes = append([]chronon.Chronon(nil), e.UserTimes...)
 	return &c
+}
+
+// PackValues copies an element's two value lists into one backing array,
+// so a stored element costs one allocation for its values. An empty list
+// comes back nil, and the invariant slice is capped at its length: an
+// append to it reallocates rather than reach into the varying values.
+func PackValues(invariant, varying []Value) (inv, vary []Value) {
+	n := len(invariant)
+	if n+len(varying) == 0 {
+		return nil, nil
+	}
+	all := append(append(make([]Value, 0, n+len(varying)), invariant...), varying...)
+	if n > 0 {
+		inv = all[:n:n]
+	}
+	if n < len(all) {
+		vary = all[n:]
+	}
+	return inv, vary
 }
 
 // String renders the element for logs and debugging.

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,14 +12,13 @@ import (
 )
 
 // TestCloseOnALongLifeLine is the paper's one-sensor monitoring relation:
-// a single object with 200 k versions. Closing a version must find it in the
-// life-line by its tt⊢, not by walking the line, and every structure that
-// held the open version must hold the closed clone afterwards. The lookup is
-// held to that twice: the ordered search finds every version of the line, so
-// none falls to the scan; and the closes at the far end of the line are timed
-// against those at its head with a margin no scheduler hiccup fills — equal
-// within milliseconds when found by tt⊢, over a second against tens of
-// milliseconds when the line is walked.
+// a single object with 200 k versions. The relation keeps no life-line: a
+// close finds its version by surrogate in the versions themselves, swaps
+// one pointer and allocates one object, so closes at the far end of the
+// line cost what those at its head cost (equal within milliseconds; over a
+// second against tens of milliseconds when a line was walked), and a
+// life-line read before the closes is the reader's own — it still holds
+// the open originals afterwards.
 func TestCloseOnALongLifeLine(t *testing.T) {
 	const n, batch = 200_000, 20_000
 	r := newEventRelation()
@@ -31,6 +32,7 @@ func TestCloseOnALongLifeLine(t *testing.T) {
 		}
 		ess = append(ess, e.ES)
 	}
+	before := r.History(first.OS)
 	closeAll := func(ess []surrogate.Surrogate) time.Duration {
 		start := time.Now()
 		for _, es := range ess {
@@ -46,18 +48,175 @@ func TestCloseOnALongLifeLine(t *testing.T) {
 	if tail > 4*head+300*time.Millisecond {
 		t.Errorf("closes at the tail of a %d-version life-line took %v against %v at its head: the lookup walks the line", n, tail, head)
 	}
+	if r.byES != nil {
+		t.Fatal("system-generated surrogates degraded the relation to a map")
+	}
 	line, versions := r.History(first.OS), r.Versions()
-	for i, e := range line {
-		if !swapByTT(line, e, e) || !swapByTT(versions, e, e) {
-			t.Fatalf("version %d of %d (tt⊢ %v) is not found by its tt⊢: the close walked the line for it", i, n, e.TTStart)
-		}
+	if len(line) != n || len(before) != n {
+		t.Fatalf("life-line has %d versions, had %d before the closes, want %d", len(line), len(before), n)
 	}
 	for i, es := range ess {
 		closed := i < batch || i >= n-batch
 		live, _ := r.ByES(es)
 		if line[i] != live || versions[i] != live || live.Current() == closed {
-			t.Fatalf("version %d: life-line %p, versions %p, byES %p (current %v, want closed %v)",
+			t.Fatalf("version %d: life-line %p, versions %p, ByES %p (current %v, want closed %v)",
 				i, line[i], versions[i], live, live.Current(), closed)
 		}
+		if !before[i].Current() || (before[i] == live) == closed {
+			t.Fatalf("version %d: the close reached a life-line read before it (%v, live %v)", i, before[i], live)
+		}
+	}
+	// One object per close: the copy. (The backlog's amortized growth
+	// rounds away; the clone used to bring two value arrays with it.)
+	next := batch
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := r.Delete(ess[next]); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+		next++
+	}); got != 1 {
+		t.Errorf("a close allocates %.0f objects, want 1", got)
+	}
+}
+
+// lifeLines is what the relation used to maintain beside its versions: a
+// life-line per object and the objects in first-seen order. The test keeps
+// it by hand and holds the derived accessors to it.
+type lifeLines struct {
+	lines map[surrogate.Surrogate][]*element.Element
+	order []surrogate.Surrogate
+}
+
+func (l *lifeLines) insert(e *element.Element) {
+	if _, seen := l.lines[e.OS]; !seen {
+		l.order = append(l.order, e.OS)
+	}
+	l.lines[e.OS] = append(l.lines[e.OS], e)
+}
+
+func (l *lifeLines) swap(old, repl *element.Element) {
+	for i, e := range l.lines[old.OS] {
+		if e == old {
+			l.lines[old.OS][i] = repl
+		}
+	}
+}
+
+// vacuum drops the dead versions and the objects left without one. The
+// maintained index kept the survivors in the order their objects were first
+// seen, vacuumed versions included; a reload of the vacuumed backlog has
+// always listed them by their first surviving version, and so does the
+// derived accessor — the order is re-sorted to that.
+func (l *lifeLines) vacuum(horizon chronon.Chronon) {
+	var order []surrogate.Surrogate
+	for _, os := range l.order {
+		var kept []*element.Element
+		for _, e := range l.lines[os] {
+			if e.TTEnd > horizon {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) == 0 {
+			delete(l.lines, os)
+			continue
+		}
+		l.lines[os] = kept
+		order = append(order, os)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return l.lines[order[i]][0].ES < l.lines[order[j]][0].ES })
+	l.order = order
+}
+
+func (l *lifeLines) check(t *testing.T, r *Relation, when string) {
+	t.Helper()
+	if got := r.Objects(); !reflect.DeepEqual(got, l.order) {
+		t.Fatalf("%s: Objects %v, want %v", when, got, l.order)
+	}
+	if got := r.LiveObjects(); !reflect.DeepEqual(got, l.order) {
+		t.Fatalf("%s: LiveObjects %v, want %v", when, got, l.order)
+	}
+	samePointers := func(what string, got, want []*element.Element) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s has %d versions, want %d", when, what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: %s version %d is %v, want %v", when, what, i, got[i], want[i])
+			}
+		}
+	}
+	parts := r.Partitions()
+	if len(parts) != len(l.lines) {
+		t.Fatalf("%s: %d partitions, want %d", when, len(parts), len(l.lines))
+	}
+	for os, want := range l.lines {
+		samePointers("History", r.History(os), want)
+		samePointers("partition", parts[os], want)
+	}
+	if got := r.History(surrogate.Surrogate(1 << 40)); got != nil {
+		t.Fatalf("%s: life-line of an unknown object: %v", when, got)
+	}
+}
+
+// TestLifeLinesAreDerivedFromVersions: History, Objects, Partitions and
+// LiveObjects return what the maintained indexes returned — same order,
+// same pointers after closes — through inserts, modifications, deletes and
+// two vacuums, the second of which empties whole life-lines.
+func TestLifeLinesAreDerivedFromVersions(t *testing.T) {
+	r := newEventRelation()
+	want := &lifeLines{lines: map[surrogate.Surrogate][]*element.Element{}}
+	want.check(t, r, "empty")
+
+	var live []*element.Element
+	closeOf := func(old *element.Element) {
+		closed, _ := r.ByES(old.ES)
+		want.swap(old, closed)
+	}
+	for i := 0; i < 400; i++ {
+		switch {
+		case i%7 == 3 && len(live) > 0: // modify the oldest live version
+			old := live[0]
+			repl, err := r.Modify(old.ES, element.EventAt(chronon.Chronon(i)), []element.Value{element.Float(float64(i))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeOf(old)
+			want.insert(repl)
+			live = append(live[1:], repl)
+		case i%5 == 4 && len(live) > 0: // delete one from the middle
+			k := len(live) / 2
+			if err := r.Delete(live[k].ES); err != nil {
+				t.Fatal(err)
+			}
+			closeOf(live[k])
+			live = append(live[:k], live[k+1:]...)
+		default: // a new version: every third one starts a new object
+			ins := Insertion{VT: element.EventAt(chronon.Chronon(i)),
+				Invariant: []element.Value{element.String_("s")}, Varying: []element.Value{element.Float(1)}}
+			if i%3 != 0 && len(live) > 0 {
+				ins.Object = live[i%len(live)].OS
+			}
+			e, err := r.Insert(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.insert(e)
+			live = append(live, e)
+		}
+		if i%50 == 49 {
+			want.check(t, r, "before vacuum")
+		}
+	}
+	now := r.Clock().Now()
+	for _, horizon := range []chronon.Chronon{now / 2, now} {
+		if _, err := r.Vacuum(horizon); err != nil {
+			t.Fatal(err)
+		}
+		want.vacuum(horizon)
+		want.check(t, r, "after vacuum")
+	}
+	if len(want.order) == 0 || len(want.order) == len(r.Versions()) {
+		t.Fatalf("degenerate run: %d objects over %d versions", len(want.order), len(r.Versions()))
 	}
 }

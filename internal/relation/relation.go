@@ -1,9 +1,11 @@
 package relation
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chronon"
@@ -76,12 +78,19 @@ type Relation struct {
 	esGen  *surrogate.Generator
 	osGen  *surrogate.Generator
 
-	log      []LogRecord                                // backlog, tt order
-	versions []*element.Element                         // all elements, tt⊢ order
-	byES     map[surrogate.Surrogate]*element.Element   // every stored element
-	byOS     map[surrogate.Surrogate][]*element.Element // life-lines, tt⊢ order
-	osOrder  []surrogate.Surrogate                      // object surrogates in first-seen order
+	log      []LogRecord        // backlog, tt order
+	versions []*element.Element // all elements, tt⊢ order
 	guards   []Guard
+
+	// Element surrogates are system-generated (§2), so versions ascends in
+	// ES as well: stage and commit share one exclusive lock, replay and
+	// follower apply run in log order, Vacuum keeps the order. That order is
+	// the relation's only index — an element is found by binary search, and
+	// life-lines are read off versions on demand. byES is the degrade for a
+	// broken promise (a hand-built Replay input): nil until the first
+	// surrogate that does not exceed its predecessor, then each surrogate's
+	// position in versions, carried from there on.
+	byES map[surrogate.Surrogate]int
 
 	vacuumedTo chronon.Chronon // see Vacuum; MinChronon when never vacuumed
 }
@@ -101,8 +110,6 @@ func New(schema Schema, clock tx.Clock) *Relation {
 		clock:      clock,
 		esGen:      surrogate.NewGenerator(),
 		osGen:      surrogate.NewGenerator(),
-		byES:       make(map[surrogate.Surrogate]*element.Element),
-		byOS:       make(map[surrogate.Surrogate][]*element.Element),
 		vacuumedTo: chronon.MinChronon,
 	}
 }
@@ -185,13 +192,13 @@ func (r *Relation) buildElement(ins Insertion) (*element.Element, error) {
 	if os.IsNone() {
 		os = r.osGen.Next()
 	}
-	vt := r.quantize(ins.VT)
+	inv, vary := element.PackValues(ins.Invariant, ins.Varying)
 	return &element.Element{
 		ES:        r.esGen.Next(),
 		OS:        os,
-		VT:        vt,
-		Invariant: append([]element.Value(nil), ins.Invariant...),
-		Varying:   append([]element.Value(nil), ins.Varying...),
+		VT:        r.quantize(ins.VT),
+		Invariant: inv,
+		Varying:   vary,
 		UserTimes: append([]chronon.Chronon(nil), ins.UserTimes...),
 	}, nil
 }
@@ -213,75 +220,74 @@ func (r *Relation) quantize(ts element.Timestamp) element.Timestamp {
 	return element.SpanOf(s, e)
 }
 
+// position finds the element with surrogate es in versions. A surrogate
+// past the last stored one — every insert that keeps the order — is known
+// absent without a search.
+func (r *Relation) position(es surrogate.Surrogate) (int, bool) {
+	if r.byES != nil {
+		i, ok := r.byES[es]
+		return i, ok
+	}
+	n := len(r.versions)
+	if n == 0 || es > r.versions[n-1].ES {
+		return n, false
+	}
+	return slices.BinarySearchFunc(r.versions, es, func(e *element.Element, es surrogate.Surrogate) int {
+		return cmp.Compare(e.ES, es)
+	})
+}
+
+// reindex rebuilds the degraded index from versions.
+func (r *Relation) reindex() {
+	r.byES = make(map[surrogate.Surrogate]int, len(r.versions))
+	for i, e := range r.versions {
+		r.byES[e.ES] = i
+	}
+}
+
+// applyInsert stores e itself: the relation owns it from here on and never
+// mutates it.
 func (r *Relation) applyInsert(e *element.Element) {
+	n := len(r.versions)
+	if r.byES == nil && n > 0 && e.ES <= r.versions[n-1].ES {
+		r.reindex() // the order is broken: degrade, once
+	}
+	if r.byES != nil {
+		r.byES[e.ES] = n
+	}
 	r.log = append(r.log, LogRecord{Op: OpInsert, TT: e.TTStart, Elem: e})
 	r.versions = append(r.versions, e)
-	r.byES[e.ES] = e
-	if _, seen := r.byOS[e.OS]; !seen {
-		r.osOrder = append(r.osOrder, e.OS)
-	}
-	r.byOS[e.OS] = append(r.byOS[e.OS], e)
 	for _, g := range r.guards {
 		g.Applied(r, OpInsert, e, e.TTStart)
 	}
 }
 
-// applyDelete closes the element's existence interval by copy-on-close:
-// the element itself is never mutated. A clone with TTEnd finalized is
-// swapped into every live structure and returned; the open original stays
+// applyDelete closes the existence interval of versions[i] by
+// copy-on-close: the element itself is never mutated. A copy with TTEnd
+// finalized takes its place and is returned; the open original stays
 // exactly as any previously published read snapshot saw it, which is what
-// lets the catalog serve lock-free epoch-stamped reads.
-func (r *Relation) applyDelete(e *element.Element, tt chronon.Chronon) *element.Element {
-	closed := e.Clone()
+// lets the catalog serve lock-free epoch-stamped reads. The copy is
+// shallow — stored elements are immutable, so the two may share their
+// values. The backlog insert record is repointed too (the backlog is in tt
+// order, the search is by tt⊢): Vacuum decides liveness from rec.Elem.TTEnd,
+// and Declare's warm replay must observe the close.
+func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
+	old := r.versions[i]
+	closed := *old
 	closed.TTEnd = tt
-	r.swapVersion(e, closed)
-	r.log = append(r.log, LogRecord{Op: OpDelete, TT: tt, Elem: closed})
-	for _, g := range r.guards {
-		g.Applied(r, OpDelete, closed, tt)
-	}
-	return closed
-}
-
-// swapVersion rewires every live structure that references old to repl.
-// versions, the object's life-line and log are all appended in tt⊢ order, so
-// each lookup binary-searches to the stretch sharing old's TTStart and walks
-// it for pointer identity: a close costs the same on a one-object relation
-// with a long life-line as on any other. The backlog insert record must be
-// repointed too: Vacuum decides liveness from rec.Elem.TTEnd, and Declare's
-// warm replay must observe the close.
-func (r *Relation) swapVersion(old, repl *element.Element) {
-	r.byES[old.ES] = repl
-	swapByTT(r.byOS[old.OS], old, repl)
-	swapByTT(r.versions, old, repl)
+	r.versions[i] = &closed
 	j := sort.Search(len(r.log), func(k int) bool { return r.log[k].TT >= old.TTStart })
 	for ; j < len(r.log) && r.log[j].TT == old.TTStart; j++ {
 		if rec := &r.log[j]; rec.Op == OpInsert && rec.Elem == old {
-			rec.Elem = repl
+			rec.Elem = &closed
 			break
 		}
 	}
-}
-
-// swapByTT replaces old with repl in a slice appended in tt⊢ order: binary
-// search to the elements sharing old's TTStart, then pointer identity. A
-// clock that restarted behind its own stamps can break the order; the scan
-// is the fallback, as in the store's Replace. It reports whether the order
-// found old — false when it took the scan to, or old is not there.
-func swapByTT(line []*element.Element, old, repl *element.Element) bool {
-	i := sort.Search(len(line), func(j int) bool { return line[j].TTStart >= old.TTStart })
-	for ; i < len(line) && line[i].TTStart == old.TTStart; i++ {
-		if line[i] == old {
-			line[i] = repl
-			return true
-		}
+	r.log = append(r.log, LogRecord{Op: OpDelete, TT: tt, Elem: &closed})
+	for _, g := range r.guards {
+		g.Applied(r, OpDelete, &closed, tt)
 	}
-	for i, e := range line {
-		if e == old {
-			line[i] = repl
-			break
-		}
-	}
-	return false
+	return &closed
 }
 
 // Len reports the number of stored element versions (including logically
@@ -298,8 +304,11 @@ func (r *Relation) Versions() []*element.Element { return r.versions }
 
 // ByES looks up an element by its element surrogate.
 func (r *Relation) ByES(es surrogate.Surrogate) (*element.Element, bool) {
-	e, ok := r.byES[es]
-	return e, ok
+	i, ok := r.position(es)
+	if !ok {
+		return nil, false
+	}
+	return r.versions[i], true
 }
 
 // Current returns the current historical state: all elements that have not
@@ -381,24 +390,42 @@ func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon)
 
 // History returns the life-line of an object: every element version with
 // the given object surrogate, in insertion order (c.f. the "time sequence"
-// of [SK86] cited in §2).
+// of [SK86] cited in §2). It is read off the versions on demand:
+// O(versions), and the slice is the caller's.
 func (r *Relation) History(os surrogate.Surrogate) []*element.Element {
-	return r.byOS[os]
+	var out []*element.Element
+	for _, e := range r.versions {
+		if e.OS == os {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Objects returns the object surrogates present in the relation, in
-// first-seen order.
+// first-seen order, derived from the versions on demand: O(versions).
+// After a Vacuum an object is first seen at its first surviving version,
+// which is also where a reload of the vacuumed backlog finds it.
 func (r *Relation) Objects() []surrogate.Surrogate {
-	return r.osOrder
+	var out []surrogate.Surrogate
+	seen := make(map[surrogate.Surrogate]bool)
+	for _, e := range r.versions {
+		if !seen[e.OS] {
+			seen[e.OS] = true
+			out = append(out, e.OS)
+		}
+	}
+	return out
 }
 
 // Partitions returns the per-surrogate partitioning of the relation (§2):
-// a map from object surrogate to that object's elements. Elements of
-// distinct partitions have distinct object surrogates.
+// a map from object surrogate to that object's elements in insertion
+// order. Elements of distinct partitions have distinct object surrogates.
+// It is derived from the versions on demand: O(versions).
 func (r *Relation) Partitions() map[surrogate.Surrogate][]*element.Element {
-	out := make(map[surrogate.Surrogate][]*element.Element, len(r.byOS))
-	for os, es := range r.byOS {
-		out[os] = es
+	out := make(map[surrogate.Surrogate][]*element.Element)
+	for _, e := range r.versions {
+		out[e.OS] = append(out[e.OS], e)
 	}
 	return out
 }

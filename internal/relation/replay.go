@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
+	"repro/internal/element"
 	"repro/internal/surrogate"
 	"repro/internal/tx"
 )
@@ -25,132 +26,101 @@ import (
 // it was first stored. Attach enforcers after replaying.
 func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, error) {
 	r := New(schema, clock)
-	lastTT := chronon.MinChronon
-	var maxES, maxOS uint64
 	for i, rec := range records {
-		if rec.TT < lastTT {
-			return nil, fmt.Errorf("relation: replay record %d: tt %v before %v", i, rec.TT, lastTT)
+		if rec.Op == OpInsert && rec.Elem != nil {
+			// The records may be a live relation's backlog (persist.go hands
+			// them through): this relation stores its own copy.
+			rec.Elem = rec.Elem.Clone()
 		}
-		lastTT = rec.TT
-		switch rec.Op {
-		case OpInsert:
-			e := rec.Elem
-			if e == nil {
-				return nil, fmt.Errorf("relation: replay record %d: insert without element", i)
-			}
-			if e.ES.IsNone() || e.OS.IsNone() {
-				return nil, fmt.Errorf("relation: replay record %d: missing surrogate", i)
-			}
-			if _, dup := r.byES[e.ES]; dup {
-				return nil, fmt.Errorf("relation: replay record %d: duplicate element surrogate %v", i, e.ES)
-			}
-			if e.VT.Kind() != schema.ValidTime {
-				return nil, fmt.Errorf("relation: replay record %d: %v stamp in %v relation", i, e.VT.Kind(), schema.ValidTime)
-			}
-			if err := checkValues(schema.Name, "time-invariant", schema.Invariant, e.Invariant); err != nil {
-				return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
-			}
-			if err := checkValues(schema.Name, "time-varying", schema.Varying, e.Varying); err != nil {
-				return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
-			}
-			cp := e.Clone()
-			cp.TTStart = rec.TT
-			cp.TTEnd = chronon.Forever
-			r.applyInsert(cp)
-			if u := uint64(cp.ES); u > maxES {
-				maxES = u
-			}
-			if u := uint64(cp.OS); u > maxOS {
-				maxOS = u
-			}
-		case OpDelete:
-			if rec.Elem == nil {
-				return nil, fmt.Errorf("relation: replay record %d: delete without element", i)
-			}
-			target, ok := r.byES[rec.Elem.ES]
-			if !ok {
-				return nil, fmt.Errorf("relation: replay record %d: delete of unknown element %v", i, rec.Elem.ES)
-			}
-			if !target.Current() {
-				return nil, fmt.Errorf("relation: replay record %d: delete of already-deleted element %v", i, rec.Elem.ES)
-			}
-			r.applyDelete(target, rec.TT)
-		default:
-			return nil, fmt.Errorf("relation: replay record %d: unknown op %d", i, rec.Op)
+		if _, _, err := r.redo(rec); err != nil {
+			return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
 		}
 	}
-	r.esGen.Reserve(maxES)
-	r.osGen.Reserve(maxOS)
-	if adv, ok := clock.(interface{ AdvanceTo(chronon.Chronon) }); ok && lastTT != chronon.MinChronon {
-		adv.AdvanceTo(lastTT)
+	if n := len(r.log); n > 0 {
+		r.advanceClock(r.log[n-1].TT)
 	}
 	return r, nil
 }
 
 // ApplyLog redoes one persisted backlog record against a live relation —
 // the incremental form of Replay, used for write-ahead-log recovery after
-// the snapshot has been replayed. The same validations apply per record:
-// non-decreasing transaction time, consistent surrogates, schema-typed
-// values. Surrogate generators are reserved past the record and an
-// AdvanceTo-capable clock is advanced, exactly as Replay does in bulk.
+// the snapshot has been replayed and for follower apply. The same
+// validations apply per record: non-decreasing transaction time, consistent
+// surrogates, schema-typed values. Surrogate generators are reserved past
+// the record and an AdvanceTo-capable clock is advanced, exactly as Replay
+// does in bulk.
+//
+// An inserted element is adopted, not copied: rec.Elem becomes the stored
+// version, so the caller must have just built it (decoded it off the log)
+// and must neither retain a writable reference nor apply it twice. now is
+// the version the relation holds after the record — rec.Elem for an insert,
+// the closed copy for a delete — and was the open version a delete closed.
 //
 // Guards are not re-checked (the history was validated when first stored)
 // but they do observe the application through Applied, so enforcers
 // attached before recovery end warm.
-func (r *Relation) ApplyLog(rec LogRecord) error {
-	lastTT := chronon.MinChronon
-	if n := len(r.log); n > 0 {
-		lastTT = r.log[n-1].TT
+func (r *Relation) ApplyLog(rec LogRecord) (was, now *element.Element, err error) {
+	if was, now, err = r.redo(rec); err != nil {
+		return nil, nil, fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
 	}
-	if rec.TT < lastTT {
-		return fmt.Errorf("relation %s: log apply: tt %v before %v", r.schema.Name, rec.TT, lastTT)
+	r.advanceClock(rec.TT)
+	return was, now, nil
+}
+
+// redo validates one backlog record against the relation and applies it,
+// storing an inserted rec.Elem itself.
+func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
+	if n := len(r.log); n > 0 && rec.TT < r.log[n-1].TT {
+		return nil, nil, fmt.Errorf("tt %v before %v", rec.TT, r.log[n-1].TT)
 	}
+	e := rec.Elem
 	switch rec.Op {
 	case OpInsert:
-		e := rec.Elem
 		if e == nil {
-			return fmt.Errorf("relation %s: log apply: insert without element", r.schema.Name)
+			return nil, nil, fmt.Errorf("insert without element")
 		}
 		if e.ES.IsNone() || e.OS.IsNone() {
-			return fmt.Errorf("relation %s: log apply: missing surrogate", r.schema.Name)
+			return nil, nil, fmt.Errorf("missing surrogate")
 		}
-		if _, dup := r.byES[e.ES]; dup {
-			return fmt.Errorf("relation %s: log apply: duplicate element surrogate %v", r.schema.Name, e.ES)
+		if _, dup := r.position(e.ES); dup {
+			return nil, nil, fmt.Errorf("duplicate element surrogate %v", e.ES)
 		}
 		if e.VT.Kind() != r.schema.ValidTime {
-			return fmt.Errorf("relation %s: log apply: %v stamp in %v relation", r.schema.Name, e.VT.Kind(), r.schema.ValidTime)
+			return nil, nil, fmt.Errorf("%v stamp in %v relation", e.VT.Kind(), r.schema.ValidTime)
 		}
 		if err := checkValues(r.schema.Name, "time-invariant", r.schema.Invariant, e.Invariant); err != nil {
-			return fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
+			return nil, nil, err
 		}
 		if err := checkValues(r.schema.Name, "time-varying", r.schema.Varying, e.Varying); err != nil {
-			return fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
+			return nil, nil, err
 		}
-		cp := e.Clone()
-		cp.TTStart = rec.TT
-		cp.TTEnd = chronon.Forever
-		r.applyInsert(cp)
-		r.esGen.Reserve(uint64(cp.ES))
-		r.osGen.Reserve(uint64(cp.OS))
+		e.TTStart, e.TTEnd = rec.TT, chronon.Forever
+		r.applyInsert(e)
+		r.esGen.Reserve(uint64(e.ES))
+		r.osGen.Reserve(uint64(e.OS))
+		return nil, e, nil
 	case OpDelete:
-		if rec.Elem == nil {
-			return fmt.Errorf("relation %s: log apply: delete without element", r.schema.Name)
+		if e == nil {
+			return nil, nil, fmt.Errorf("delete without element")
 		}
-		target, ok := r.byES[rec.Elem.ES]
+		i, ok := r.position(e.ES)
 		if !ok {
-			return fmt.Errorf("relation %s: log apply: delete of unknown element %v", r.schema.Name, rec.Elem.ES)
+			return nil, nil, fmt.Errorf("delete of unknown element %v", e.ES)
 		}
-		if !target.Current() {
-			return fmt.Errorf("relation %s: log apply: delete of already-deleted element %v", r.schema.Name, rec.Elem.ES)
+		if was = r.versions[i]; !was.Current() {
+			return nil, nil, fmt.Errorf("delete of already-deleted element %v", e.ES)
 		}
-		r.applyDelete(target, rec.TT)
-	default:
-		return fmt.Errorf("relation %s: log apply: unknown op %d", r.schema.Name, rec.Op)
+		return was, r.applyDelete(i, rec.TT), nil
 	}
+	return nil, nil, fmt.Errorf("unknown op %d", rec.Op)
+}
+
+// advanceClock moves an AdvanceTo-capable clock (tx.LogicalClock is one) to
+// a replayed transaction time, keeping future transaction times monotone.
+func (r *Relation) advanceClock(tt chronon.Chronon) {
 	if adv, ok := r.clock.(interface{ AdvanceTo(chronon.Chronon) }); ok {
-		adv.AdvanceTo(rec.TT)
+		adv.AdvanceTo(tt)
 	}
-	return nil
 }
 
 // ReservedSurrogates reports the highest element and object surrogates in

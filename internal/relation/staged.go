@@ -42,7 +42,7 @@ func (r *Relation) CommitInsert(e *element.Element) { r.applyInsert(e) }
 // StageDelete validates a logical deletion and stamps its transaction
 // time, without applying it.
 func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chronon.Chronon, error) {
-	e, ok := r.byES[es]
+	e, ok := r.ByES(es)
 	if !ok {
 		return nil, 0, fmt.Errorf("relation %s: delete %v: %w", r.schema.Name, es, ErrNoSuchElement)
 	}
@@ -59,11 +59,17 @@ func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chrono
 }
 
 // CommitDelete applies a staged deletion. The element is closed by
-// copy-on-close: the returned clone (TTEnd = tt) is what the live relation
+// copy-on-close: the returned copy (TTEnd = tt) is what the live relation
 // now holds; e itself is left open for any pinned read snapshot. Callers
-// that maintain a secondary store must Replace e with the clone there too.
+// that maintain a secondary store must Replace e with the copy there too.
+// e must be what StageDelete or StageModify returned under the lock still
+// held.
 func (r *Relation) CommitDelete(e *element.Element, tt chronon.Chronon) *element.Element {
-	return r.applyDelete(e, tt)
+	i, ok := r.position(e.ES)
+	if !ok {
+		panic(fmt.Sprintf("relation %s: commit of a delete that was not staged: %v", r.schema.Name, e.ES))
+	}
+	return r.applyDelete(i, tt)
 }
 
 // StageModify validates the paper's modification — a logical delete of
@@ -71,7 +77,7 @@ func (r *Relation) CommitDelete(e *element.Element, tt chronon.Chronon) *element
 // transaction time — without applying either. Commit with CommitDelete
 // then CommitInsert, in that order.
 func (r *Relation) StageModify(es surrogate.Surrogate, vt element.Timestamp, varying []element.Value) (old, repl *element.Element, tt chronon.Chronon, err error) {
-	old, ok := r.byES[es]
+	old, ok := r.ByES(es)
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("relation %s: modify %v: %w", r.schema.Name, es, ErrNoSuchElement)
 	}

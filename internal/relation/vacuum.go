@@ -40,7 +40,6 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	for _, e := range r.versions {
 		if dead(e) {
 			removed++
-			delete(r.byES, e.ES)
 			continue
 		}
 		keptVersions = append(keptVersions, e)
@@ -48,7 +47,10 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	if removed == 0 {
 		return 0, nil
 	}
-	r.versions = keptVersions
+	r.versions = keptVersions // still in surrogate order: a filter keeps it
+	if r.byES != nil {
+		r.reindex()
+	}
 
 	keptLog := r.log[:0]
 	for _, rec := range r.log {
@@ -58,24 +60,6 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 		keptLog = append(keptLog, rec)
 	}
 	r.log = keptLog
-
-	keptOrder := r.osOrder[:0]
-	for _, os := range r.osOrder {
-		line := r.byOS[os]
-		keptLine := line[:0]
-		for _, e := range line {
-			if !dead(e) {
-				keptLine = append(keptLine, e)
-			}
-		}
-		if len(keptLine) == 0 {
-			delete(r.byOS, os)
-			continue
-		}
-		r.byOS[os] = keptLine
-		keptOrder = append(keptOrder, os)
-	}
-	r.osOrder = keptOrder
 	return removed, nil
 }
 
@@ -91,5 +75,6 @@ func (r *Relation) CanRollbackTo(tt chronon.Chronon) bool {
 }
 
 // LiveObjects reports the object surrogates that still have versions after
-// vacuuming, in first-seen order.
-func (r *Relation) LiveObjects() []surrogate.Surrogate { return r.osOrder }
+// vacuuming, in first-seen order. Vacuum drops dead versions physically, so
+// this is Objects: derived on demand, O(versions).
+func (r *Relation) LiveObjects() []surrogate.Surrogate { return r.Objects() }
