@@ -92,7 +92,8 @@ bench:
 # closes and over an ingesting sensor's log of keyed batch frames
 # (versions/s), a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
-# cache-off direct fold), the columnar batch scan/aggregate
+# cache-off direct fold), the aggregate after a delete and an insert on a heap, a
+# tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the columnar batch scan/aggregate
 # microbenchmarks, the hand-written wire codec beside encoding/json
 # on the same result sets, and whole requests over loopback through the
 # server's handler with a signer configured (point read, insert,
@@ -101,7 +102,7 @@ bench:
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server

@@ -17,6 +17,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tsql"
+	"repro/internal/tx"
 )
 
 func mustAggSelect(t *testing.T, e *Entry, src string) *tsql.Result {
@@ -149,22 +150,36 @@ func appendSensorErr(e *Entry, from, n int) error {
 	return err
 }
 
+// mustDefine is the definition's answer on the entry's current view.
+func mustDefine(t *testing.T, e *Entry, src string) *tsql.Result {
+	t.Helper()
+	q, err := tsql.Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	res, err := e.view.Load().defined(q)
+	if err != nil {
+		t.Fatalf("definition of %q: %v", src, err)
+	}
+	return res
+}
+
 // TestRunPartialsSurviveAppends is the point of the second memo level: an
 // append empties the result cache but not the run partials, so the next
-// aggregate merges every sealed run and visits only the tail. The counters
-// say so, and the partial lookups stay out of the query cache's own.
+// aggregate merges every full chunk and visits only the tail — on either
+// engine, from one key, sealed or not. The counters say so, and the partial
+// lookups stay out of the query cache's own.
 func TestRunPartialsSurviveAppends(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e := sealedSensor(t, c, "s", 4*256+10)
 	const src = "select count(*), sum(v) from s group by window(3000)"
-	rowOf := func() *tsql.Result { return mustAggSelect(t, e, src+" using row") }
 
 	first := mustAggSelect(t, e, src+" using columnar")
 	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialMisses != 1 || st.PartialHits != 0 {
 		t.Fatalf("first execution: %+v", st)
 	}
-	if !reflect.DeepEqual(first.Rows, rowOf().Rows) {
-		t.Fatal("cold columnar diverges from row")
+	if !reflect.DeepEqual(first.Rows, mustDefine(t, e, src).Rows) {
+		t.Fatal("cold columnar diverges from the definition")
 	}
 	appendSensor(t, e, 4*256+10, 50)
 	cacheBefore := c.Cache().Stats()
@@ -177,20 +192,49 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	if cacheAfter.Hits != cacheBefore.Hits || cacheAfter.Misses != cacheBefore.Misses+1 {
 		t.Fatalf("query cache counted the partial lookup: %+v -> %+v", cacheBefore, cacheAfter)
 	}
-	if !reflect.DeepEqual(second.Rows, rowOf().Rows) {
-		t.Fatal("warm columnar diverges from row")
+	if !reflect.DeepEqual(second.Rows, mustDefine(t, e, src).Rows) {
+		t.Fatal("warm columnar diverges from the definition")
+	}
+	// The row engine merges what the columnar one learned — the key names
+	// the cells, not who folded them — and reports the 60 rows it visited;
+	// batches and rows under BatchStats stay the columnar engine's.
+	q, _ := tsql.Parse(src + " using row")
+	row, _, touched, err := e.SelectCtx(context.Background(), q)
+	if err != nil || !reflect.DeepEqual(row.Rows, second.Rows) || touched != 60 {
+		t.Fatalf("row over the columnar partials: touched %d, err %v", touched, err)
+	}
+	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 8 || st.RowPicks != 1 || st.Rows != 4*256+10+60 {
+		t.Fatalf("row over the columnar partials: %+v", st)
 	}
 	// Another window mode over the same cells reuses them.
 	mustAggSelect(t, e, "select count(*), sum(v) from s group by window(3000, cumulative) using columnar")
-	if st := e.BatchStats(); st.RunsMerged != 8 {
+	if st := e.BatchStats(); st.RunsMerged != 12 {
 		t.Fatalf("cumulative over the tumbling query's partials: %+v", st)
+	}
+	// A chunk that fills is a unit before anything seals it: folded once
+	// (by the row engine here), merged from then on (by the columnar one).
+	appendSensor(t, e, 4*256+60, 256)
+	if e.Physical().Compaction.Runs != 4 {
+		t.Fatal("the append sealed a run; the test means to leave chunk 4 unsealed")
+	}
+	filled := mustAggSelect(t, e, src+" using row")
+	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 16 {
+		t.Fatalf("after chunk 4 filled: %+v, want it alone folded", st)
+	}
+	if !reflect.DeepEqual(filled.Rows, mustDefine(t, e, src).Rows) {
+		t.Fatal("row over an unsealed full chunk diverges from the definition")
+	}
+	appendSensor(t, e, 5*256+60, 1)
+	mustAggSelect(t, e, src+" using columnar")
+	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 21 {
+		t.Fatalf("unsealed full chunk, warm: %+v", st)
 	}
 
 	// With the cache off nothing is memoized and nothing is looked up.
 	off := New(testConfig(t.TempDir()))
 	eo := sealedSensor(t, off, "s", 4*256+10)
-	for i := 0; i < 2; i++ {
-		mustAggSelect(t, eo, src+" using columnar")
+	for _, engine := range []string{" using columnar", " using row"} {
+		mustAggSelect(t, eo, src+engine)
 	}
 	if st := eo.BatchStats(); st.RunsFolded != 8 || st.RunsMerged != 0 || st.PartialHits+st.PartialMisses != 0 {
 		t.Fatalf("cache off: %+v", st)
@@ -249,8 +293,8 @@ func TestRunPartialsPinnedView(t *testing.T) {
 // TestRunPartialsConcurrentReadersAndWriter is the -race companion:
 // aggregating readers share run partials through the cache while a writer
 // appends batches, deletes inside sealed runs and seals new ones. Every
-// reader checks its columnar answer against the row engine on the view it
-// pinned.
+// reader checks both engines' answers — they share the partials — against
+// the definition on the view it pinned.
 func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	const n0 = 3*256 + 20
@@ -304,13 +348,18 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 					t.Errorf("columnar: %v", err)
 					return
 				}
-				want, _, _, err := e.executeAggregate(ctx, v, qRow, fp)
+				row, _, _, err := e.executeAggregate(ctx, v, qRow, fp)
 				if err != nil {
 					t.Errorf("row: %v", err)
 					return
 				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Errorf("%q on epoch %d: columnar diverges from row\nrow:      %+v\ncolumnar: %+v", src, v.epoch, want.Rows, got.Rows)
+				want, err := v.defined(qCol)
+				if err != nil {
+					t.Errorf("definition: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(row.Rows, want.Rows) {
+					t.Errorf("%q on epoch %d: engines diverge from the definition\ndefined:  %+v\nrow:      %+v\ncolumnar: %+v", src, v.epoch, want.Rows, row.Rows, got.Rows)
 					return
 				}
 			}
@@ -321,5 +370,130 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 	writer.Wait()
 	if st := e.BatchStats(); st.RunsMerged == 0 || st.PartialHits == 0 {
 		t.Fatalf("no partial was ever reused under concurrency: %+v", st)
+	}
+}
+
+// stepBackClock is a logical clock whose second stamp falls below its
+// first: the one history no ordered log accepts, so the relation that
+// commits it lands on the heap.
+type stepBackClock struct {
+	inner tx.Clock
+	n     int
+}
+
+func (c *stepBackClock) Now() chronon.Chronon { return c.inner.Now() }
+func (c *stepBackClock) Next() chronon.Chronon {
+	if c.n++; c.n == 1 {
+		return c.inner.Next() + 1000
+	}
+	return c.inner.Next()
+}
+
+// TestChunkPartialsOnTheGeneralOrganizations pins, in counters, what the
+// memo does where nothing is ever sealed: a heap and an undeclared tt-log of
+// 20 full chunks and a tail. Warm, a delete inside a full chunk costs the
+// next USING ROW aggregate that one chunk's fold and nineteen merges; a
+// write elsewhere costs nothing; and everything that rebuilds the store — a
+// removing vacuum, a respecialization, a degrade — renews the generation, so
+// the next aggregate folds every chunk once and the one after merges them.
+func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
+	const full, tail = 20, 37
+	const src = "select sum(v) from s group by window(32768, cumulative) using row"
+	for _, org := range []storage.Kind{storage.Heap, storage.TTOrdered} {
+		t.Run(org.String(), func(t *testing.T) {
+			cfg := cachedConfig(t.TempDir())
+			if org == storage.Heap {
+				cfg.NewClock = func() tx.Clock { return &stepBackClock{inner: tx.NewLogicalClock(0, 10)} }
+			}
+			c := New(cfg)
+			e, err := c.Create(relation.Schema{
+				Name: "s", ValidTime: element.EventStamp, Granularity: chronon.Second,
+				Varying: []relation.Column{{Name: "v", Type: element.KindInt}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			load := func(k int) {
+				appendSensor(t, e, n, k)
+				n += k
+			}
+			load(1)
+			load(1)
+			load(full*256 + tail - 2)
+			if got := e.Physical(); got.Org != org || got.Compaction.Runs != 0 {
+				t.Fatalf("set-up left %v with %d sealed runs", got.Org, got.Compaction.Runs)
+			}
+			// agg runs the statement, holds it to the definition, and
+			// returns what the execution folded, merged and visited.
+			agg := func(what string) (folded, merged int64, touched int) {
+				t.Helper()
+				q, err := tsql.Parse(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := e.BatchStats()
+				res, _, touched, err := e.SelectCtx(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !reflect.DeepEqual(res.Rows, mustDefine(t, e, src).Rows) {
+					t.Fatalf("%s: diverges from the definition", what)
+				}
+				after := e.BatchStats()
+				return after.RunsFolded - before.RunsFolded, after.RunsMerged - before.RunsMerged, touched
+			}
+			// foldsOnce: a new store folds all its full chunks, then merges them.
+			foldsOnce := func(what string) {
+				t.Helper()
+				chunks := int64(e.view.Load().engine.Store().Len() / 256)
+				if f, m, _ := agg(what + ", cold"); f != chunks || m != 0 {
+					t.Fatalf("%s, cold: folded %d, merged %d of %d chunks", what, f, m, chunks)
+				}
+				load(1) // the tail never fills in this test
+				if f, m, _ := agg(what + ", warm"); f != 0 || m != chunks {
+					t.Fatalf("%s, warm: folded %d, merged %d of %d chunks", what, f, m, chunks)
+				}
+			}
+			foldsOnce("as loaded")
+
+			els := e.view.Load().elems()
+			if err := remove(e, els[7*256+100].ES); err != nil {
+				t.Fatal(err)
+			}
+			if f, m, touched := agg("after a delete in chunk 7"); f != 1 || m != full-1 || touched != 256+tail+1 {
+				t.Fatalf("after a delete in chunk 7: folded %d, merged %d, touched %d; want that chunk alone and the tail", f, m, touched)
+			}
+			if err := remove(e, els[full*256+3].ES); err != nil { // the tail is not a run
+				t.Fatal(err)
+			}
+			if f, m, _ := agg("after a delete in the tail"); f != 0 || m != full {
+				t.Fatalf("after a delete in the tail: folded %d, merged %d", f, m)
+			}
+			mustAggSelect(t, e, "select sum(v) from s group by window(32768) using columnar")
+			if st := e.BatchStats(); st.ColumnarPicks != 1 || st.Batches != 1 {
+				t.Fatalf("columnar over the row engine's partials decoded more than the tail: %+v", st)
+			}
+
+			gen := e.view.Load().gen
+			if removed, err := e.Vacuum(chronon.Chronon(1 << 40)); err != nil || removed != 2 || e.view.Load().gen == gen {
+				t.Fatalf("Vacuum removed %d (%v) and kept generation %d", removed, err, gen)
+			}
+			foldsOnce("after a removing vacuum")
+			if org == storage.Heap {
+				return // the order this history broke is tt's: nothing to respecialize to
+			}
+			if _, migrated, err := e.Respecialize(); err != nil || !migrated || e.Physical().Org != storage.VTOrdered {
+				t.Fatalf("Respecialize: migrated %v to %v, %v", migrated, e.Physical().Org, err)
+			}
+			foldsOnce("after respecializing")
+			if _, err := insert(e, relation.Insertion{VT: element.EventAt(5), Varying: []element.Value{element.Int(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			if e.Physical().Org != storage.TTOrdered {
+				t.Fatalf("an out-of-order insert left the relation on %v", e.Physical().Org)
+			}
+			foldsOnce("after degrading")
+		})
 	}
 }

@@ -14,7 +14,14 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/storage"
+	"repro/internal/surrogate"
 	"repro/internal/tsql"
+	"repro/internal/tx"
+	"repro/internal/vec"
 )
 
 func BenchmarkAggregateAfterAppend(b *testing.B) {
@@ -69,6 +76,163 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 				b.ReportMetric(float64(st.RunsMerged)/float64(b.N+1), "merged/op")
 				b.ReportMetric(float64(st.RunsFolded)/float64(b.N+1), "folded/op")
 			})
+		}
+	}
+}
+
+// ledgerShaped builds an interval relation of n elements on org and returns
+// it with its surrogates. On the general organizations the elements are
+// ledger-shaped: starts 50 chronons apart, lengths 50–150, every tenth one
+// 400 k chronons long. The vt-ordered log admits only sequential intervals
+// — each over before the next is stored — so there element i is the ten
+// chronons from its own transaction time (the test clock's tick i+1), and
+// every full run is sealed.
+func ledgerShaped(t testing.TB, org storage.Kind, n int) (*Entry, []surrogate.Surrogate) {
+	t.Helper()
+	cfg := testConfig(t.TempDir())
+	cfg.CacheBytes = 32 << 20
+	if org == storage.Heap {
+		cfg.NewClock = func() tx.Clock { return &stepBackClock{inner: tx.NewLogicalClock(0, 10)} }
+	}
+	c := New(cfg)
+	e, err := c.Create(relation.Schema{
+		Name: "ledger", ValidTime: element.IntervalStamp, Granularity: chronon.Second,
+		Varying: []relation.Column{{Name: "v", Type: element.KindInt}},
+	})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	ess := make([]surrogate.Surrogate, 0, n)
+	for len(ess) < n {
+		ins := make([]relation.Insertion, min(256, n-len(ess), 1+len(ess))) // 1, 2, 4, …: the heap's clock steps back after the first
+		for j := range ins {
+			ins[j] = ledgerInsertion(org, len(ess)+j)
+		}
+		res, err := e.InsertBatch(context.Background(), ins, nil, false)
+		if err != nil || res.Stored != len(ins) {
+			t.Fatalf("InsertBatch stored %d of %d: %v", res.Stored, len(ins), err)
+		}
+		for _, it := range res.Items {
+			ess = append(ess, it.Elem.ES)
+		}
+	}
+	if org == storage.VTOrdered {
+		if _, err := c.AdvisePass(AdvisorConfig{}); err != nil {
+			t.Fatalf("AdvisePass: %v", err)
+		}
+	}
+	if got := e.Physical().Org; got != org {
+		t.Fatalf("set-up left the relation on %v, want %v", got, org)
+	}
+	return e, ess
+}
+
+func ledgerInsertion(org storage.Kind, i int) relation.Insertion {
+	lo, length := int64(50*i), int64(50+i*7919%101)
+	switch {
+	case org == storage.VTOrdered:
+		lo, length = int64(10*(i+1)), 10
+	case i%10 == 0:
+		length = 400_000
+	}
+	return relation.Insertion{
+		VT:      element.SpanOf(chronon.Chronon(lo), chronon.Chronon(lo+length)),
+		Varying: []element.Value{element.Int(int64(i * 7919 % 1000))},
+	}
+}
+
+// BenchmarkAggregateAfterWrite is the tripwire for chunk partials where
+// nothing is appended in order and little is sealed: 20 k interval elements,
+// and per iteration one delete somewhere in the history, one insert and the
+// ledger's aggregate (a cumulative SUM, 32 768 wide) — all three inside the
+// timer. The write empties the result cache; what the aggregate then folds
+// is the chunk the delete landed in and the tail, folded/op ≈ 1, whichever
+// organization holds the relation and whichever engine folds. `make
+// bench-smoke` runs it.
+func BenchmarkAggregateAfterWrite(b *testing.B) {
+	const n = 20_000
+	for _, bc := range []struct {
+		name   string
+		org    storage.Kind
+		engine string
+	}{
+		{"heap-row", storage.Heap, "row"},
+		{"ttlog-row", storage.TTOrdered, "row"},
+		{"vtlog-columnar", storage.VTOrdered, "columnar"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, live := ledgerShaped(b, bc.org, n)
+			ctx := context.Background()
+			q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative) using " + bc.engine)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := func() {
+				if res, _, _, err := e.SelectCtx(ctx, q); err != nil || len(res.Rows) == 0 {
+					b.Fatalf("aggregate: %d windows, %v", len(res.Rows), err)
+				}
+			}
+			run() // the first execution folds every chunk and memoizes
+			before := e.BatchStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i * 7919 % n
+				if err := e.DeleteKeyed(ctx, live[j], ""); err != nil {
+					b.Fatal(err)
+				}
+				at := n + i
+				if bc.org == storage.VTOrdered {
+					at = n + 2*i + 1 // the delete took a tick of the clock too
+				}
+				el, err := e.InsertKeyed(ctx, ledgerInsertion(bc.org, at), "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				live[j] = el.ES
+				run()
+			}
+			b.StopTimer()
+			if got := e.Physical().Org; got != bc.org {
+				b.Fatalf("the writes moved the relation to %v", got)
+			}
+			st := e.BatchStats()
+			b.ReportMetric(float64(st.RunsMerged-before.RunsMerged)/float64(b.N), "merged/op")
+			b.ReportMetric(float64(st.RunsFolded-before.RunsFolded)/float64(b.N), "folded/op")
+		})
+	}
+}
+
+// TestWarmAggregateAllocationBudget pins what a warm aggregate allocates
+// below the result cache — every full chunk merged, the tail folded, the
+// windows emitted — so the path cannot quietly grow back toward a fold of
+// the relation. 20 full chunks; the budget is per execution, not per chunk.
+func TestWarmAggregateAllocationBudget(t *testing.T) {
+	const warmAggregateAllocs = 130 // reads 119 (row) and 122 (columnar): ≈ 5 per emitted window, 21 windows, nothing per chunk
+	e, _ := ledgerShaped(t, storage.TTOrdered, 20*256+40)
+	ctx := context.Background()
+	for _, engine := range []string{"row", "columnar"} {
+		q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative) using " + engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp := q.Fingerprints()
+		v := e.view.Load()
+		exec := func() vec.ExecStats {
+			_, _, st, err := e.executeAggregate(ctx, v, q, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		exec()
+		if st := exec(); st.RunsMerged != 20 || st.RunsFolded != 0 {
+			t.Fatalf("using %s: not warm: %+v", engine, st)
+		}
+		got := testing.AllocsPerRun(20, func() { exec() })
+		t.Logf("using %s: %.0f allocations per warm aggregate", engine, got)
+		if got > warmAggregateAllocs {
+			t.Fatalf("using %s: a warm aggregate over 20 chunks allocates %.0f objects, budget %d", engine, got, warmAggregateAllocs)
 		}
 	}
 }

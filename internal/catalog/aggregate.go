@@ -46,22 +46,22 @@ func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Resul
 }
 
 // executeAggregate runs the statement against one pinned view, below the
-// result cache. A columnar execution over sealed runs goes in with the
-// run partials memoized under (relation, "part:"+partial fingerprint,
-// store generation) — the key has no epoch in it, which is the point: an
-// append leaves it valid — and whatever the execution learned is stored
-// back under the same key. The value is derived state and lives only in
-// the cache; with the cache off every run is folded.
+// result cache. A scan on either engine goes in with the run partials
+// memoized under (relation, "part:"+partial fingerprint, store
+// generation) — the key has no epoch in it, which is the point: a write
+// leaves every chunk it did not touch valid — and whatever the execution
+// learned is stored back under the same key. The value is derived state
+// and lives only in the cache; with the cache off every chunk is folded.
 func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query, partialFP string) (*tsql.Result, *plan.Node, vec.ExecStats, error) {
-	access := v.engine.Access()
-	node := tsql.Compile(q, access)
+	node := tsql.Compile(q, v.engine.Access())
 	spec, err := tsql.BuildAggSpec(q, v.schema)
 	if err != nil {
 		return nil, nil, vec.ExecStats{}, err
 	}
 	var memo *query.PartialMemo
 	pkey := qcache.Key{Rel: e.name, Fingerprint: "part:" + partialFP, Epoch: v.gen}
-	if budget := e.cache.MaxEntry(); budget > 0 && access.Runs > 0 && !q.HasAsOf && node.Leaf().Kind == plan.ColumnarScan {
+	leaf := node.Leaf().Kind
+	if budget := e.cache.MaxEntry(); budget > 0 && !q.HasAsOf && (leaf == plan.ColumnarScan || leaf == plan.FullScan) {
 		memo = &query.PartialMemo{Budget: budget}
 		if hit, ok := e.cache.Peek(pkey); ok {
 			memo.Partials = hit.(*query.RunPartials)
@@ -78,7 +78,7 @@ func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query
 	if memo != nil && memo.Grew {
 		e.cache.Put(pkey, memo.Partials, memo.Partials.Size())
 	}
-	e.recordBatch(node.Leaf().Kind, stats)
+	e.recordBatch(leaf, stats)
 	return tsql.AggToResult(q, agg), node, stats, nil
 }
 
@@ -102,17 +102,17 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 		e.colPicks.Add(1)
 		e.batches.Add(st.Batches)
 		e.batchRows.Add(st.Rows)
-		e.runsMerged.Add(st.RunsMerged)
-		e.runsFolded.Add(st.RunsFolded)
 	} else {
 		e.rowPicks.Add(1)
 	}
+	e.runsMerged.Add(st.RunsMerged)
+	e.runsFolded.Add(st.RunsFolded)
 }
 
 // BatchStats reports the entry's lifetime batch-operator counters:
 // batches and rows the columnar engine actually visited, how often the
-// planner picked each engine for an executed aggregate, how many sealed
-// runs were answered from a memoized partial against decoded and folded,
+// planner picked each engine for an executed aggregate, how many full
+// chunks either engine answered from a memoized partial against folded,
 // and how often an execution found its run partials in the cache. The
 // partial lookups are kept out of the query cache's own hit and miss
 // counters, which count whole results.

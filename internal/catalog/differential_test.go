@@ -1,13 +1,15 @@
 package catalog
 
 // Differential equivalence harness for the window-aggregate engines: every
-// generated (history, query) pair is evaluated through the public read path
-// — once forced onto the row reference engine (USING ROW), once onto the
-// columnar batch engine (USING COLUMNAR), whose run partials are then in
-// whatever state the earlier statements left them — and twice more below
-// the result cache on the pinned view: columnar cold (nothing memoized under
-// its key) and columnar warm (merging what the cold run learned). All four
-// must be identical, errors included. Histories cover the temporal classes
+// generated (history, query) pair is evaluated by the definition —
+// vec.RowAggregateRuns over the pinned view's elements, which no reader,
+// plan or partial ever touches — and on six legs: through the public read
+// path once forced onto the row engine (USING ROW) and once onto the
+// columnar batch engine (USING COLUMNAR), their shared run partials in
+// whatever state the earlier statements left them, and below the result
+// cache on the pinned view each engine cold (nothing memoized under its
+// key) and warm (merging what the cold run learned). All must be identical
+// to the definition, errors included. Histories cover the temporal classes
 // the specializer distinguishes (degenerate, sequential, vt-regular,
 // violation-degraded, random), are reshaped by deletes and modifies, and
 // are respecialized + compacted mid-build so queries cross sealed runs and
@@ -35,6 +37,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tsql"
+	"repro/internal/vec"
 )
 
 func diffSchema(name string, stamp element.TimestampKind) relation.Schema {
@@ -250,7 +253,8 @@ func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (b
 	return b.String(), lim
 }
 
-// diffTally sums what the cold and warm executions of a sweep did.
+// diffTally sums what the cold and warm executions of a sweep did, both
+// engines together.
 type diffTally struct {
 	statements, failed     int
 	coldFolded, warmFolded int64
@@ -260,10 +264,10 @@ type diffTally struct {
 // diffColdKeys makes every statement's cold execution a key of its own.
 var diffColdKeys atomic.Int64
 
-// runDiff evaluates one statement four ways — row and columnar through the
-// public read path, then columnar cold and columnar warm on the pinned view
-// — and requires identical results (or identical errors). Returns whether
-// the statement evaluated successfully.
+// runDiff evaluates one statement by the definition and on six legs — row
+// and columnar through the public read path, then each engine cold and warm
+// on the pinned view — and requires identical results (or identical errors).
+// Returns whether the statement evaluated successfully.
 func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	t.Helper()
 	ctx := context.Background()
@@ -279,22 +283,37 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	rRes, rNode, _, rErr := e.SelectCtx(ctx, qRow)
 	cRes, cNode, _, cErr := e.SelectCtx(ctx, qCol)
 
-	// Below the result cache, under a partial key nothing else uses: the
-	// first execution finds nothing memoized, the second what the first
-	// learned.
+	// The oracle never sees a reader, a plan or a partial.
 	v := e.view.Load()
-	_, partialFP := qCol.Fingerprints()
-	key := fmt.Sprintf("%s#cold%d", partialFP, diffColdKeys.Add(1))
-	coldRes, _, cold, coldErr := e.executeAggregate(ctx, v, qCol, key)
-	warmRes, _, warm, warmErr := e.executeAggregate(ctx, v, qCol, key)
+	want, wantErr := v.defined(qRow)
 
-	tally.statements++
-	for name, err := range map[string]error{"columnar": cErr, "columnar cold": coldErr, "columnar warm": warmErr} {
-		if (rErr != nil) != (err != nil) || (rErr != nil && rErr.Error() != err.Error()) {
-			t.Fatalf("%q: divergent errors:\n  row:      %v\n  %s: %v", base+lim, rErr, name, err)
+	type leg struct {
+		name string
+		res  *tsql.Result
+		err  error
+	}
+	legs := []leg{{"row", rRes, rErr}, {"columnar", cRes, cErr}}
+	// Below the result cache, under a partial key nothing else uses, one
+	// per engine: the first execution finds nothing memoized, the second
+	// what the first learned.
+	_, partialFP := qCol.Fingerprints()
+	var stats [2][2]vec.ExecStats // engine × {cold, warm}
+	for i, q := range []*tsql.Query{qRow, qCol} {
+		key := fmt.Sprintf("%s#cold%d", partialFP, diffColdKeys.Add(1))
+		for j, temp := range []string{"cold", "warm"} {
+			res, _, st, err := e.executeAggregate(ctx, v, q, key)
+			legs = append(legs, leg{legs[i].name + " " + temp, res, err})
+			stats[i][j] = st
 		}
 	}
-	if rErr != nil {
+
+	tally.statements++
+	for _, l := range legs {
+		if (wantErr != nil) != (l.err != nil) || (wantErr != nil && wantErr.Error() != l.err.Error()) {
+			t.Fatalf("%q: divergent errors:\n  definition: %v\n  %s: %v", base+lim, wantErr, l.name, l.err)
+		}
+	}
+	if wantErr != nil {
 		tally.failed++
 		return false
 	}
@@ -304,19 +323,22 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	if rNode.Leaf().Kind == plan.ColumnarScan {
 		t.Fatalf("%q: USING ROW compiled to a columnar scan", base+lim)
 	}
-	for name, res := range map[string]*tsql.Result{"columnar": cRes, "columnar cold": coldRes, "columnar warm": warmRes} {
-		if !reflect.DeepEqual(rRes, res) {
-			t.Fatalf("%q: %s diverges from row\nrow:      %+v\n%s: %+v\nrow plan:\n%s\ncolumnar plan:\n%s",
-				base+lim, name, rRes, name, res, rNode.Render(), cNode.Render())
+	for _, l := range legs {
+		if !reflect.DeepEqual(want, l.res) {
+			t.Fatalf("%q: %s diverges from the definition\ndefinition: %+v\n%s: %+v\nrow plan:\n%s\ncolumnar plan:\n%s",
+				base+lim, l.name, want, l.name, l.res, rNode.Render(), cNode.Render())
 		}
 	}
-	// The warm execution sees the same runs and visits no more rows.
-	if cold.RunsMerged != 0 || warm.RunsMerged+warm.RunsFolded != cold.RunsFolded || warm.Rows > cold.Rows {
-		t.Fatalf("%q: cold %+v, warm %+v", base+lim, cold, warm)
+	// A warm execution sees the same chunks and visits no more rows.
+	for i, engine := range []string{"row", "columnar"} {
+		cold, warm := stats[i][0], stats[i][1]
+		if cold.RunsMerged != 0 || warm.RunsMerged+warm.RunsFolded != cold.RunsFolded || warm.Rows > cold.Rows {
+			t.Fatalf("%q: %s cold %+v, warm %+v", base+lim, engine, cold, warm)
+		}
+		tally.coldFolded += cold.RunsFolded
+		tally.warmFolded += warm.RunsFolded
+		tally.warmMerged += warm.RunsMerged
 	}
-	tally.coldFolded += cold.RunsFolded
-	tally.warmFolded += warm.RunsFolded
-	tally.warmMerged += warm.RunsMerged
 	return true
 }
 
@@ -331,6 +353,12 @@ var diffLifecycle = []struct {
 	// Each close bumps one sealed run's close count; the rest stay valid.
 	{"closes-in-sealed-runs", func(t *testing.T, d *diffRel) { d.closeSome(12, true) }},
 	{"append", func(t *testing.T, d *diffRel) { d.appendOrdered(t, 40) }},
+	// A chunk fills and nothing seals it: a unit all the same, on every
+	// organization, with the closes it took as the tail counted.
+	{"append-a-chunk-unsealed", func(t *testing.T, d *diffRel) {
+		d.appendOrdered(t, 300)
+		d.closeSome(6, true)
+	}},
 	{"append-and-seal", func(t *testing.T, d *diffRel) {
 		d.appendOrdered(t, 300)
 		d.seal(t)
@@ -380,8 +408,8 @@ var diffLifecycle = []struct {
 }
 
 // TestDifferentialRowColumnar is the seeded sweep: every history class ×
-// both valid-time kinds × every lifecycle step × a random query mix; row
-// against columnar (as found, cold and warm).
+// both valid-time kinds × every lifecycle step × a random query mix; the
+// definition against row and columnar (each as found, cold and warm).
 func TestDifferentialRowColumnar(t *testing.T) {
 	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random"}
 	stamps := []struct {
@@ -436,7 +464,7 @@ func TestDifferentialRowColumnar(t *testing.T) {
 	}
 }
 
-// TestDifferentialUnderConcurrentMutation repeats the row/columnar
+// TestDifferentialUnderConcurrentMutation repeats the definition/row/columnar
 // comparison on pinned snapshot views while writers churn the live entry
 // with inserts, deletes, vacuum, compaction and respecialization. The
 // pinned view makes the comparison deterministic; the -race build asserts
@@ -528,6 +556,7 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		"select sum(v_float) from churn where v_int > 0 group by window(128, cumulative)",
 	}
 	ctx := context.Background()
+	var owed []func() // definition legs, below the catalog: no reader, no plan
 	for i := 0; i < 200; i++ {
 		base := bases[i%len(bases)]
 		qRow, err := tsql.Parse(base + " using row")
@@ -554,6 +583,18 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		nodeCol := tsql.Compile(qCol, v.engine.Access())
 		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, tsql.PlanQuery(qRow), specRow, event, nil)
 		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, tsql.PlanQuery(qCol), specCol, event, nil)
+		// The definition leg is owed on every 25th view and paid after the
+		// churn stops: this loop's running time grows steeply with what
+		// each iteration scans (the inserter never pauses).
+		if i%25 == 0 {
+			owed = append(owed, func() {
+				dRes, dErr := vec.RowAggregateRuns(ctx, specRow, storage.Runs(v.engine.Store()))
+				if (dErr != nil) != (rErr != nil) || (dErr != nil && dErr.Error() != rErr.Error()) || (dErr == nil && !reflect.DeepEqual(dRes, rRes)) {
+					t.Fatalf("iteration %d %q: the row engine diverged from the definition on a pinned view\ndefinition: %+v (%v)\nrow:        %+v (%v)",
+						i, base, dRes, dErr, rRes, rErr)
+				}
+			})
+		}
 		if (rErr != nil) != (cErr != nil) || (rErr != nil && rErr.Error() != cErr.Error()) {
 			t.Fatalf("iteration %d %q: row err %v, columnar err %v", i, base, rErr, cErr)
 		}
@@ -571,4 +612,7 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	for _, pay := range owed {
+		pay()
+	}
 }

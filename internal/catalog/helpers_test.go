@@ -8,6 +8,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
+	"repro/internal/tsql"
 )
 
 // Unkeyed, uncancellable forms of the Entry API, for tests that exercise
@@ -48,6 +49,14 @@ func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) QueryResult {
 // elems flattens a pinned view's store, for tests that pick elements by
 // arrival position.
 func (v *readView) elems() []*element.Element { return storage.Elements(v.engine.Store()) }
+
+// defined answers a window aggregate by the definition: vec.RowAggregateRuns
+// (inside tsql.EvalAggregate) over every element of the pinned view, below
+// the catalog — no planner, no reader, no cache, no partial. It is the
+// oracle both engines are held to.
+func (v *readView) defined(q *tsql.Query) (*tsql.Result, error) {
+	return tsql.EvalAggregate(context.Background(), q, v.schema, storage.Runs(v.engine.Store()))
+}
 
 // keys lists the window's remembered keys, oldest first: the order they
 // will be evicted in.

@@ -11,50 +11,51 @@ import (
 	"repro/internal/vec"
 )
 
-// batchCheckEvery is how many batches the columnar loop consumes between
+// batchCheckEvery is how many units the aggregate loop consumes between
 // cooperative cancellation checks.
 const batchCheckEvery = 8
 
-// AggregateCtx executes a compiled window-aggregate plan: the columnar
-// batch engine when the planner (or a USING hint) chose the ColumnarScan
-// leaf, the row reference engine otherwise. Both executions fold
-// elements in arrival (ES) order, so floating-point accumulation is
-// bit-identical across the two engines — the invariant the differential
-// harness asserts. pq is the planner's view of the query (for access-
-// path entry on the row side), event whether the relation is
-// event-stamped, and the returned stats feed the batch counters. memo,
-// when not nil, lets the columnar engine merge the partials of sealed
-// runs it has folded before instead of decoding them again (partials.go);
-// nil folds every run.
+// AggregateCtx executes a compiled window-aggregate plan. The scan leaves —
+// the ColumnarScan the planner (or a USING hint) chose, and the row
+// engine's FullScan — run the one unit loop below; the row engine's
+// candidate-slice leaves fold what their access path returns. Every
+// execution folds elements in arrival (ES) order, so floating-point
+// accumulation is bit-identical across the engines — the invariant the
+// differential harness asserts against vec.RowAggregateRuns, the
+// definition. pq is the planner's view of the query (for access-path entry
+// on the row side), event whether the relation is event-stamped, and the
+// returned stats feed the batch counters. memo, when not nil, lets the unit
+// loop merge the partials of full chunks folded before instead of folding
+// them again (partials.go); nil folds every chunk.
 func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Query, spec *vec.Spec, event bool, memo *PartialMemo) (*vec.AggResult, vec.ExecStats, error) {
 	var stats vec.ExecStats
-	leaf := node.Leaf()
-	if leaf.Kind == plan.ColumnarScan {
-		res, err := en.aggregateColumnar(ctx, spec, event, memo, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		en.record(node, int(stats.Rows))
-		return res, stats, nil
+	var res *vec.AggResult
+	var err error
+	switch leaf := node.Leaf(); leaf.Kind {
+	case plan.TTWindowPushdown, plan.VTBinarySearch, plan.BTreeIndexSeek:
+		runs, touched := en.aggregateCandidates(leaf, pq)
+		stats.Rows = int64(touched)
+		res, err = vec.RowAggregateRuns(ctx, spec, runs)
+	default:
+		res, err = en.aggregateUnits(ctx, spec, event, leaf.Kind == plan.ColumnarScan, memo, &stats)
 	}
-	runs, touched := en.aggregateCandidates(leaf, pq)
-	stats.Rows = int64(touched)
-	res, err := vec.RowAggregateRuns(ctx, spec, runs)
 	if err != nil {
 		return nil, stats, err
 	}
-	en.record(node, touched)
+	en.record(node, int(stats.Rows))
 	return res, stats, nil
 }
 
-// aggregateColumnar is the batch engine's loop: one unit of the reader at
-// a time, in arrival order. A stable sealed run whose partial is memoized
-// at its current close count is merged; every other unit is decoded and
-// consumed — a stable run with no valid partial by way of PartialMemo.learn,
-// the one place a partial comes to exist. Whenever a partial cannot stand
-// in for consuming the run into the running state, the decoded batch is
-// consumed after all, so values and errors are those of the plain fold.
-func (en *Engine) aggregateColumnar(ctx context.Context, spec *vec.Spec, event bool, memo *PartialMemo, stats *vec.ExecStats) (*vec.AggResult, error) {
+// aggregateUnits is both engines' loop: one unit of the reader at a time,
+// in arrival order. A stable chunk whose partial is memoized at its current
+// close count is merged; every other unit is folded — a stable chunk with
+// no valid partial by way of PartialMemo.learn, the one place a partial
+// comes to exist. The engine decides only how a unit is folded: decoded
+// into a batch and consumed by columns, or consumed row at a time where it
+// lies. Whenever a partial cannot stand in for folding the chunk into the
+// running state, the chunk is folded after all, so values and errors are
+// those of the plain fold.
+func (en *Engine) aggregateUnits(ctx context.Context, spec *vec.Spec, event, columnar bool, memo *PartialMemo, stats *vec.ExecStats) (*vec.AggResult, error) {
 	r := storage.NewBatchReader(en.store, event)
 	if spec.Filter.HasVT {
 		r.SetVTWindow(chronon.Chronon(spec.Filter.VTLo), chronon.Chronon(spec.Filter.VTHi))
@@ -68,7 +69,16 @@ func (en *Engine) aggregateColumnar(ctx context.Context, spec *vec.Spec, event b
 	if err != nil {
 		return nil, err
 	}
-	var b vec.Batch
+	var b *vec.Batch // what the columnar engine decodes the unit into
+	if columnar {
+		b = new(vec.Batch)
+	}
+	fold := func(into *vec.ColAgg, st *vec.ExecStats) error {
+		if columnar {
+			return into.Consume(b, st)
+		}
+		return into.ConsumeRows(r.Rows(), st)
+	}
 	for units := 1; ; units++ {
 		if units%batchCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -87,40 +97,35 @@ func (en *Engine) aggregateColumnar(ctx context.Context, spec *vec.Spec, event b
 				continue
 			}
 		}
-		if err := r.Load(&b); err != nil {
-			return nil, err
+		if columnar {
+			if err := r.Load(b); err != nil {
+				return nil, err
+			}
 		}
 		if u.Run >= 0 {
 			stats.RunsFolded++
 		}
-		if learn && memo.learn(spec, u, &b, agg) {
-			stats.Batches++
-			stats.Rows += int64(b.N)
+		if learn && memo.learn(spec, u, fold, agg, stats) {
 			continue
 		}
-		if err := agg.Consume(&b, stats); err != nil {
+		if err := fold(agg, stats); err != nil {
 			return nil, err
 		}
 	}
 	return agg.Result()
 }
 
-// aggregateCandidates materializes the row engine's input through the
-// planned access path. The spec re-applies every predicate, so a
-// superset is always sound; what matters is arrival (ES) order, which
-// the log-backed paths yield naturally and the vt-index path restores
-// by sorting — float sums must accumulate in the same order as the
-// columnar engine's batch stream.
+// aggregateCandidates materializes the row engine's input through one of
+// the planned candidate-slice access paths. The spec re-applies every
+// predicate, so a superset is always sound; what matters is arrival (ES)
+// order, which the log-backed paths yield naturally and the vt-index path
+// restores by sorting — float sums must accumulate in the same order as
+// the unit loop's chunk stream.
 func (en *Engine) aggregateCandidates(leaf *plan.Node, pq plan.Query) (element.Runs, int) {
-	switch leaf.Kind {
-	case plan.TTWindowPushdown, plan.VTBinarySearch:
-		els, touched := en.execute(leaf, pq)
-		return element.Slice(els), touched
-	case plan.BTreeIndexSeek:
-		els, touched := en.execute(leaf, pq)
-		sorted := append([]*element.Element(nil), els...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ES < sorted[j].ES })
-		return element.Slice(sorted), touched
+	els, touched := en.execute(leaf, pq)
+	if leaf.Kind == plan.BTreeIndexSeek {
+		els = append([]*element.Element(nil), els...)
+		sort.Slice(els, func(i, j int) bool { return els[i].ES < els[j].ES })
 	}
-	return storage.Runs(en.store), en.store.Len()
+	return element.Slice(els), touched
 }

@@ -7,19 +7,20 @@ import (
 
 // Run partials: the second level of memo under the aggregate result cache.
 // The result cache keys a whole answer by mutation epoch, so one write
-// empties it; but a write almost never changes what a sealed run
-// contributes to a fold over valid time. For a run the reader reports
-// Stable (sealed, read current-only, not cut by the clamp) that
+// empties it; but a write almost never changes what a full chunk of the
+// store contributes to a fold over valid time. For a chunk the reader
+// reports Stable (full, read current-only, not cut by the clamp) that
 // contribution — the accumulator cells of the windows it populates, before
 // the window mode is applied — depends only on which of its elements are
 // current, and closes are monotone and arrive in one sequence, so within
-// one generation of the store (run ordinal, close count) identifies it
-// exactly. A query therefore merges the partial of every run it has one for
-// and decodes and folds only the rest: the runs sealed or closed into since
-// the last query, the clamp-straddling ones, and the unsealed tail.
+// one generation of the store (chunk ordinal, lifetime close count)
+// identifies it exactly, on every organization, sealed or not, whichever
+// engine folded it. A query therefore merges the partial of every chunk it
+// has one for and folds only the rest: the chunks filled or closed into
+// since the last query, the ones a clamp may cut, and the partial tail.
 
 // RunPartials holds, for one (relation, partial fingerprint, store
-// generation), what each sealed run contributes. It is immutable once
+// generation), what each full chunk contributes. It is immutable once
 // handed out: an execution that learns more extends a copy, so concurrent
 // readers and the cache never see one change.
 type RunPartials struct {
@@ -76,7 +77,7 @@ type PartialMemo struct {
 	Grew   bool
 
 	full  bool
-	alone *vec.ColAgg // folds one run by itself, see learn
+	alone *vec.ColAgg // folds one chunk by itself, see learn
 }
 
 // lookup finds what is known about the unit's run at its close count.
@@ -92,19 +93,21 @@ func (m *PartialMemo) lookup(u storage.Unit) (known *runPartial, learn bool) {
 	return nil, !m.full && (rp == nil || rp.closed < u.Closed)
 }
 
-// learn folds the decoded run b on its own, records what it contributes
-// and merges that into agg in place of consuming b, reporting whether it
-// did. False leaves agg untouched and the caller consumes b: when the run
-// fails by itself (the plain fold then reports the first error in arrival
-// order, which may be an earlier one against the running state), when its
-// cells do not merge exactly, and when they conflict with what agg holds.
-func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, b *vec.Batch, agg *vec.ColAgg) bool {
+// learn folds the unit on its own (fold is the engine's kernel over the
+// unit the reader stands on), records what it contributes and merges that
+// into agg in place of folding it there, counting the visit in stats and
+// reporting whether it did. False leaves agg and stats untouched and the
+// caller folds the unit itself: when the chunk fails by itself (the plain
+// fold then reports the first error in arrival order, which may be an
+// earlier one against the running state), when its cells do not merge
+// exactly, and when they conflict with what agg holds.
+func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, fold func(*vec.ColAgg, *vec.ExecStats) error, agg *vec.ColAgg, stats *vec.ExecStats) bool {
 	if m.alone == nil {
 		m.alone, _ = vec.NewColAgg(spec) // the caller's NewColAgg validated spec
 	}
 	m.alone.Reset()
-	var uncounted vec.ExecStats // the caller counts the rows, once
-	if m.alone.Consume(b, &uncounted) != nil {
+	var visit vec.ExecStats
+	if fold(m.alone, &visit) != nil {
 		return false
 	}
 	part, exact := m.alone.Export()
@@ -116,6 +119,8 @@ func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, b *vec.Batch, agg *v
 		return false
 	}
 	m.record(u, part)
+	stats.Batches += visit.Batches
+	stats.Rows += visit.Rows
 	return true
 }
 

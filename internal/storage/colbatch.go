@@ -6,7 +6,9 @@ package storage
 // int64 columns — one run is exactly one batch — and the run envelopes
 // double as zone maps, so whole batches are skipped before a single
 // varint is read. Unsealed chunks — the tail, and every chunk of a store
-// that does not seal — gather the columns from their elements.
+// that does not seal — gather the columns from their elements. Every full
+// chunk, sealed or not, reports its lifetime close count, which is what lets
+// the aggregate path keep a chunk's contribution across writes elsewhere.
 
 import (
 	"encoding/binary"
@@ -71,18 +73,19 @@ type BatchReader struct {
 	skipped int
 }
 
-// Unit is what Advance stopped at: one sealed run or one chunk of unsealed
-// elements — exactly what the next Load decodes into a batch.
+// Unit is what Advance stopped at: one chunk of the sequence — a sealed run,
+// a full unsealed chunk, or the tail still filling — exactly what the next
+// Load decodes into a batch and Rows yields.
 type Unit struct {
-	// Run is the sealed run's ordinal in the store, -1 for a flat chunk.
+	// Run is the chunk's ordinal in the store, -1 for the partial tail.
 	Run int
-	// Closed is how many of the run's elements closed since it was sealed.
+	// Closed is how many of the chunk's elements have ever been closed.
 	Closed int
-	// Stable marks a sealed run read current-only and lying wholly inside
-	// the valid-time window (or read with none): what it contributes to a
-	// fold over valid time is then a function of (Run, Closed) alone, for
-	// as long as the store keeps its runs — the clamp cannot cut it and
-	// closes are monotone.
+	// Stable marks a full chunk read current-only that no clamp can cut —
+	// read with none, or sealed with its envelope inside the window: what it
+	// contributes to a fold over valid time is then a function of (Run,
+	// Closed) alone, for as long as the store keeps its positions — nothing
+	// is appended to it and closes are monotone.
 	Stable bool
 }
 
@@ -166,27 +169,31 @@ func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 
 // Advance moves to the next unit the zone maps did not prune, without
 // decoding it, and reports whether there was one. A caller that already
-// knows a sealed run's contribution (Unit.Stable) advances past it for the
-// price of this metadata probe; otherwise Load produces the batch.
+// knows a full chunk's contribution (Unit.Stable) advances past it for the
+// price of this metadata probe; otherwise Load or Rows produces its rows.
 func (r *BatchReader) Advance() (Unit, bool) {
 	for r.next < r.s.chunks() {
 		k := r.next
 		r.next++
-		if k >= r.s.sealed {
-			return Unit{Run: -1}, true
-		}
-		run := &r.s.chunk(k).run
-		if r.skipRun(run) {
+		c, sealed := r.s.chunk(k), k < r.s.sealed
+		if sealed && r.skipRun(&c.run) {
 			r.skipped++
 			continue
 		}
+		if (k+1)*runSize > r.s.n {
+			return Unit{Run: -1}, true
+		}
 		return Unit{
-			Run: k, Closed: run.closed,
-			Stable: r.currentOnly && !r.asOf && (!r.hasVT || (r.vtLo <= run.vtLo && run.vtHi <= r.vtHi)),
+			Run: k, Closed: c.closes,
+			Stable: r.currentOnly && !r.asOf && (!r.hasVT || (sealed && r.vtLo <= c.run.vtLo && c.run.vtHi <= r.vtHi)),
 		}, true
 	}
 	return Unit{}, false
 }
+
+// Rows returns the elements of the unit the last Advance stopped at, where
+// they lie: what a row-at-a-time consumer folds instead of a Load.
+func (r *BatchReader) Rows() []*element.Element { return r.s.run(r.next - 1) }
 
 // Load fills b with the unit the last Advance stopped at.
 func (r *BatchReader) Load(b *vec.Batch) error {

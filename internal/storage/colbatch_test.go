@@ -415,14 +415,22 @@ func closeAt(st *VTLogStore, i int, tt chronon.Chronon) {
 
 // TestRunCloseCounts pins the bookkeeping the aggregate memo is valid by:
 // a close inside a sealed run bumps that run's count and no other, a close
-// in the unsealed tail bumps none, and a snapshot keeps the counts (and the
-// elements) it was taken with whichever of the two came first.
+// in the unsealed tail bumps no run's but does bump its chunk's lifetime
+// count, and a snapshot keeps the counts (and the elements) it was taken
+// with whichever of the two came first.
 func TestRunCloseCounts(t *testing.T) {
 	st := sealedEventLog(t, 2*runSize+40)
 	counts := func(s *VTLogStore) []int {
 		var out []int
 		for k := range s.sealed {
 			out = append(out, s.chunk(k).run.closed)
+		}
+		return out
+	}
+	lifetime := func(s *VTLogStore) []int {
+		var out []int
+		for k := range s.chunks() {
+			out = append(out, s.chunk(k).closes)
 		}
 		return out
 	}
@@ -448,11 +456,27 @@ func TestRunCloseCounts(t *testing.T) {
 	if !before.at(runSize+3).Current() || mid.at(runSize+3).Current() || !mid.at(5).Current() {
 		t.Fatal("a snapshot's elements moved with the live store")
 	}
+	if l, m, b := lifetime(st), lifetime(mid), lifetime(before); !reflect.DeepEqual(l, []int{1, 2, 1}) ||
+		!reflect.DeepEqual(m, []int{0, 1, 1}) || !reflect.DeepEqual(b, []int{0, 0, 0}) {
+		t.Fatalf("lifetime close counts: live %v, mid %v, first %v", l, m, b)
+	}
+	// Sealing the tail's chunk starts its run count at zero and leaves the
+	// lifetime count where it was: the memo's key never goes backwards.
+	for st.Len() < 3*runSize {
+		n := chronon.Chronon(10 * (st.Len() + 1))
+		if err := st.Insert(&element.Element{ES: surrogate.Surrogate(n), OS: 1, TTStart: n, TTEnd: chronon.Forever, VT: element.EventAt(n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Compact()
+	if got, life := counts(st), lifetime(st); !reflect.DeepEqual(got, []int{1, 2, 0}) || !reflect.DeepEqual(life, []int{1, 2, 1}) {
+		t.Fatalf("after sealing the tail: run counts %v, lifetime %v", got, life)
+	}
 	// Replacing a closed element again (not a close) books nothing.
 	again := *st.at(5)
 	st.Replace(st.at(5), &again)
-	if got := counts(st); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("non-close replace moved the counts: %v", got)
+	if got, life := counts(st), lifetime(st); !reflect.DeepEqual(got, []int{1, 2, 0}) || !reflect.DeepEqual(life, []int{1, 2, 1}) {
+		t.Fatalf("non-close replace moved the counts: %v, lifetime %v", got, life)
 	}
 }
 
@@ -512,13 +536,22 @@ func TestCurrentOnlyPrunesRunsClosedAfterSealing(t *testing.T) {
 	}
 }
 
-// TestAdvanceReportsStableRuns: the run-granular step visits exactly the
-// units Next does, and marks stable the sealed runs a current-only read
-// sees whole — not the ones a clamp cuts, nothing under AS OF, never the
-// tail.
+// TestAdvanceReportsStableRuns: the chunk-granular step visits exactly the
+// units Next does, and marks stable the full chunks a current-only read
+// sees whole — sealed runs unless a clamp cuts them, unsealed full chunks
+// unless there is a clamp at all (they have no envelope to clear it),
+// nothing under AS OF, never the partial tail. Closed is the lifetime
+// count: the close that landed in chunk 3 while it was the tail counts.
 func TestAdvanceReportsStableRuns(t *testing.T) {
 	st := sealedEventLog(t, 3*runSize+10) // vt 10 … 7780, runs of 2560 chronons
 	closeAt(st, runSize+1, 90_000)
+	closeAt(st, 3*runSize+2, 90_001)
+	for st.Len() < 4*runSize+10 { // chunk 3 fills, unsealed; a new tail of 10
+		n := chronon.Chronon(10 * (st.Len() + 1))
+		if err := st.Insert(&element.Element{ES: surrogate.Surrogate(n), OS: 1, TTStart: n, TTEnd: chronon.Forever, VT: element.EventAt(n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	type unit struct {
 		run, closed int
 		stable      bool
@@ -536,8 +569,8 @@ func TestAdvanceReportsStableRuns(t *testing.T) {
 			if err := r.Load(&b); err != nil {
 				t.Fatal(err)
 			}
-			if want := runSize; u.Run >= 0 && b.N != want {
-				t.Fatalf("run %d loaded %d rows", u.Run, b.N)
+			if want := runSize; u.Run >= 0 && (b.N != want || len(r.Rows()) != want || r.Rows()[0] != st.at(u.Run*runSize)) {
+				t.Fatalf("run %d loaded %d rows, yields %d", u.Run, b.N, len(r.Rows()))
 			}
 			out = append(out, unit{u.Run, u.Closed, u.Stable})
 		}
@@ -548,15 +581,15 @@ func TestAdvanceReportsStableRuns(t *testing.T) {
 		want []unit
 	}{
 		{"current", func(r *BatchReader) { r.SetCurrentOnly() },
-			[]unit{{0, 0, true}, {1, 1, true}, {2, 0, true}, {-1, 0, false}}},
+			[]unit{{0, 0, true}, {1, 1, true}, {2, 0, true}, {3, 1, true}, {-1, 0, false}}},
 		{"clamp", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2000, 7681) },
-			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {-1, 0, false}}},
+			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {3, 1, false}, {-1, 0, false}}},
 		{"clamp-cuts-last-run", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2570, 7680) },
-			[]unit{{1, 1, true}, {2, 0, false}, {-1, 0, false}}},
+			[]unit{{1, 1, true}, {2, 0, false}, {3, 1, false}, {-1, 0, false}}},
 		{"as-of", func(r *BatchReader) { r.SetAsOf(80_000) },
-			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {-1, 0, false}}},
+			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {3, 1, false}, {-1, 0, false}}},
 		{"unfiltered", func(*BatchReader) {},
-			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {-1, 0, false}}},
+			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {3, 1, false}, {-1, 0, false}}},
 	}
 	for _, tc := range cases {
 		if got := walk(tc.set); !reflect.DeepEqual(got, tc.want) {

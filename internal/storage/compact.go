@@ -33,8 +33,9 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // conservative — a stale run is scanned, never wrongly skipped. Valid times
 // and tt⊢ are immutable, so those bounds stay exact. Each run also counts the
 // closes that landed in it since sealing, which is what lets the batch reader
-// tell a stale envelope from a fresh one (colbatch.go) and lets the aggregate
-// path reuse a run's contribution across writes that did not touch it.
+// tell a stale envelope from a fresh one (colbatch.go); what lets the
+// aggregate path reuse a chunk's contribution across writes that did not
+// touch it is the chunk's lifetime count (seq.go), which sealing leaves alone.
 //
 // Compaction is scheduled by class: the catalog's advisor loop seals runs
 // only on relations whose live organization is the vt-ordered log — the
@@ -50,11 +51,9 @@ type runMeta struct {
 	vtLo     chronon.Chronon // min valid-time start
 	vtHi     chronon.Chronon // max exclusive valid-time end
 	open     int             // elements still current at seal time
-	// closed counts the elements closed since sealing (seq.Replace). Closes
-	// are monotone — open to closed, never back — and arrive in one
-	// sequence, so within one sealing of the run, closed alone identifies
-	// which of its elements are current: two views that agree on it see
-	// the same current-state content.
+	// closed counts the elements closed since sealing (seq.Replace): zero
+	// means the packed tt⊣ column is still exact, open means nothing in the
+	// run is current any more.
 	closed int
 	packed []byte // delta-encoded timestamp columns
 	sum    uint32 // CRC32C of packed, fixed at seal time

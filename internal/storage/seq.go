@@ -24,16 +24,17 @@ const blockSize = 64
 // image live in the chunk. Sealed chunks form a prefix.
 //
 // The copy-on-write contract: a snapshot is a copy of this header with the
-// spine capped at its length, and reads only elems[:n] and the run
-// metadata of chunks [:sealed]. Whatever lies past those two bounds belongs
-// to the live side, so an insert fills the tail chunk (or hangs a new chunk
-// in the next slot of the last block, or appends a block to the spine) and a
-// seal writes run metadata in place, none of it touching anything a snapshot
-// can see. Everything inside the bounds is written only through own, which
-// copies the touched chunk, the block it hangs off and the spine — each at
-// most once per snapshot — when a snapshot has been taken since they were
-// last copied. A close after a publish therefore costs one chunk, one block
-// and n/(runSize·blockSize) spine pointers, not the relation.
+// spine capped at its length, and reads only elems[:n], the run metadata of
+// chunks [:sealed] and the lifetime close count of the full chunks inside n.
+// Whatever lies past those bounds belongs to the live side, so an insert
+// fills the tail chunk (or hangs a new chunk in the next slot of the last
+// block, or appends a block to the spine) and a seal writes run metadata in
+// place, none of it touching anything a snapshot can see. Everything inside
+// the bounds is written only through own, which copies the touched chunk,
+// the block it hangs off and the spine — each at most once per snapshot —
+// when a snapshot has been taken since they were last copied. A close after
+// a publish therefore costs one chunk, one block and n/(runSize·blockSize)
+// spine pointers, not the relation.
 type seq struct {
 	spine  []*block
 	n      int
@@ -56,9 +57,15 @@ type block struct {
 // chunk is runSize element slots and the run metadata that describes them
 // once sealed.
 type chunk struct {
-	edit  uint64
-	run   runMeta
-	elems [runSize]*element.Element
+	edit uint64
+	// closes counts every open→closed Replace that ever landed in the chunk,
+	// sealed or not. It lives outside run, which seal overwrites in place
+	// under snapshots that may be reading this: closes are monotone and
+	// arrive in one sequence, so among views of one store that see the chunk
+	// full, closes alone identifies which of its elements are current.
+	closes int
+	run    runMeta
+	elems  [runSize]*element.Element
 }
 
 // Len reports the number of stored elements.
@@ -195,9 +202,9 @@ func (s *seq) index(old *element.Element) int {
 }
 
 // Replace substitutes repl for old (matched by pointer identity) and books
-// the close against the sealed run it landed in, copying only that chunk.
-// Both orders are unchanged: a closed clone keeps its TTStart and valid
-// time. A missing old is a no-op; replacing in a snapshot panics.
+// a close against the chunk — and the sealed run — it landed in, copying only
+// that chunk. Both orders are unchanged: a closed clone keeps its TTStart and
+// valid time. A missing old is a no-op; replacing in a snapshot panics.
 func (s *seq) Replace(old, repl *element.Element) {
 	if s.frozen {
 		panic("storage: replace in a frozen snapshot")
@@ -209,8 +216,11 @@ func (s *seq) Replace(old, repl *element.Element) {
 	k := i / runSize
 	c := s.own(k)
 	c.elems[i%runSize] = repl
-	if k < s.sealed && old.Current() && !repl.Current() {
-		c.run.closed++
+	if old.Current() && !repl.Current() {
+		c.closes++
+		if k < s.sealed {
+			c.run.closed++
+		}
 	}
 }
 

@@ -14,17 +14,38 @@ import (
 )
 
 // seqModel is the naive reference the sequence is held to: a flat copy of
-// the pointers, and per sealed run the number of closes booked since it was
-// (re)sealed.
+// the pointers, per sealed run the number of closes booked since it was
+// (re)sealed, and per chunk the number of closes it has ever seen.
 type seqModel struct {
 	elems  []*element.Element
 	closed []int
+	closes []int
 }
 
 func (m seqModel) clone() seqModel {
 	return seqModel{
 		elems:  append([]*element.Element(nil), m.elems...),
 		closed: append([]int(nil), m.closed...),
+		closes: append([]int(nil), m.closes...),
+	}
+}
+
+// checkCounts holds both close counts to the model: since sealing for the
+// sealed runs, lifetime for the full chunks — the ones a snapshot may read
+// it for — which a seal, a reseal and a repair must all leave alone.
+func (m seqModel) checkCounts(t *testing.T, what string, s *seq) {
+	t.Helper()
+	if s.sealed != len(m.closed) {
+		t.Fatalf("%s: %d sealed runs, model has %d", what, s.sealed, len(m.closed))
+	}
+	for k := 0; k < len(m.elems)/runSize; k++ {
+		c := s.chunk(k)
+		if c.closes != m.closes[k] {
+			t.Fatalf("%s: chunk %d has seen %d closes, model %d", what, k, c.closes, m.closes[k])
+		}
+		if k < len(m.closed) && c.run.closed != m.closed[k] {
+			t.Fatalf("%s: run %d counts %d closes, model %d", what, k, c.run.closed, m.closed[k])
+		}
 	}
 }
 
@@ -50,13 +71,10 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 	if i != len(m.elems) {
 		t.Fatalf("%s: Scan visited %d of %d", what, i, len(m.elems))
 	}
+	m.checkCounts(t, what, s)
 	var packed int64
-	for k, want := range m.closed {
-		r := &s.chunk(k).run
-		if r.closed != want {
-			t.Fatalf("%s: run %d counts %d closes, model %d", what, k, r.closed, want)
-		}
-		packed += int64(len(r.packed))
+	for k := range m.closed {
+		packed += int64(len(s.chunk(k).run.packed))
 	}
 	if cs := Compaction(st); cs.PackedBytes != packed || cs.Sealed != len(m.closed)*runSize || StoreBytes(st) != packed+int64(len(m.elems)-cs.Sealed)*flatStampBytes {
 		t.Fatalf("%s: running totals %+v / %d bytes disagree with a walk (%d packed)", what, cs, StoreBytes(st), packed)
@@ -68,9 +86,10 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 
 // TestSeqAgainstFlatModel drives random interleavings of insert, close,
 // re-replace, snapshot, compact, corrupt+repair and reseal against the
-// model. Every snapshot, however old, must keep yielding exactly the
-// pointers and run close counts it was taken with, and the live store must
-// equal the model after every step.
+// model, on all three organizations (the heap never seals: its chunks have
+// lifetime counts only). Every snapshot, however old, must keep yielding
+// exactly the pointers and both close counts it was taken with, and the live
+// store must equal the model — both counts after every step.
 func TestSeqAgainstFlatModel(t *testing.T) {
 	type pinned struct {
 		st    Store
@@ -98,6 +117,9 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					m.elems = append(m.elems, e)
+					if len(m.elems)%runSize == 1 {
+						m.closes = append(m.closes, 0)
+					}
 				}
 				if seed == 4 {
 					// Start just short of a full spine block, so the steps
@@ -118,8 +140,11 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 							repl.TTEnd = tt + 1
 						}
 						st.Replace(old, &repl)
-						if k := i / runSize; k < len(m.closed) && old.Current() {
-							m.closed[k]++
+						if k := i / runSize; old.Current() {
+							m.closes[k]++
+							if k < len(m.closed) {
+								m.closed[k]++
+							}
 						}
 						m.elems[i] = &repl
 					case op < 90:
@@ -153,6 +178,7 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 							m.closed[k] = 0
 						}
 					}
+					m.checkCounts(t, fmt.Sprintf("live store at step %d", step), seqOf(st))
 					if step%97 == 0 {
 						m.check(t, fmt.Sprintf("live store at step %d", step), st)
 					}
@@ -167,12 +193,15 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 }
 
 // TestSeqLockFreeReaders pins views from goroutines that take no lock while
-// one writer closes elements inside sealed runs and in the unsealed tail,
-// appends, seals and publishes. Run under -race it is the proof that a
-// write never lands where a published snapshot reads; each reader also
-// checks that the view it pinned is the one that was published — the number
-// of closed elements and every sealed run's close count match what the
-// writer recorded at that publish, by scan, by rollback and by batch.
+// one writer closes elements inside sealed runs, in unsealed full chunks and
+// in the tail, appends, seals — in place, chunks a pinned view is reading as
+// unsealed — and publishes. Run under -race it is the proof that a write
+// never lands where a published snapshot reads; each reader also checks that
+// the view it pinned is the one that was published — the number of closed
+// elements and every sealed run's close count match what the writer
+// recorded at that publish, by scan, by rollback and by batch, and every
+// full chunk's lifetime close count (the Advance unit's) is the number of
+// closed elements the view holds in that chunk.
 func TestSeqLockFreeReaders(t *testing.T) {
 	type view struct {
 		st     *VTLogStore
@@ -200,7 +229,8 @@ func TestSeqLockFreeReaders(t *testing.T) {
 	publish()
 
 	var wg sync.WaitGroup
-	var checks atomic.Int64 // views the readers have verified
+	var checks atomic.Int64   // views the readers have verified
+	var unsealed atomic.Int64 // unsealed full chunks whose unit they have verified
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
@@ -242,8 +272,32 @@ func TestSeqLockFreeReaders(t *testing.T) {
 						}
 					}
 				}
-				// Every close in this test lands after sealing except those in
-				// the tail, so the run counts bound the total from below.
+				units := NewBatchReader(v.st, true)
+				units.SetCurrentOnly()
+				for {
+					u, ok := units.Advance()
+					if !ok {
+						break
+					}
+					if u.Run < 0 {
+						continue
+					}
+					n := 0
+					for _, e := range units.Rows() {
+						if !e.Current() {
+							n++
+						}
+					}
+					if n != u.Closed || !u.Stable {
+						t.Errorf("pinned view moved: chunk %d reports %d closes (stable %v), holds %d closed elements", u.Run, u.Closed, u.Stable, n)
+						return
+					}
+					if u.Run >= v.st.sealed {
+						unsealed.Add(1)
+					}
+				}
+				// Every close a run has seen since sealing is one of the view's,
+				// so the run counts bound the total from below.
 				if scanned != v.closed || batched != v.closed || len(present) != v.st.Len()-v.closed || inRuns > v.closed {
 					t.Errorf("pinned view moved: %d closed at publish, scan %d, batches %d, rollback %d of %d present, runs %d",
 						v.closed, scanned, batched, len(present), v.st.Len(), inRuns)
@@ -256,10 +310,13 @@ func TestSeqLockFreeReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 4000 || (checks.Load() < 100 && !t.Failed()); step++ {
 		switch op := rng.Intn(10); {
-		case op < 5 && len(open) > 0: // close: most land in sealed runs, some in the tail
+		case op < 5 && len(open) > 0: // close: most land in sealed runs, some in the newest chunks or the tail
 			i := rng.Intn(len(open))
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				i = len(open) - 1 - rng.Intn(min(len(open), 30))
+			case 1:
+				i = len(open) - 1 - rng.Intn(min(len(open), 2*runSize))
 			}
 			old := open[i]
 			repl := *old
@@ -268,7 +325,7 @@ func TestSeqLockFreeReaders(t *testing.T) {
 			st.Replace(old, &repl)
 			open = append(open[:i], open[i+1:]...)
 			closed++
-		case op < 9:
+		case op < 9 || rng.Intn(16) > 0: // seals are rare enough for full chunks to wait unsealed
 			insert()
 		default:
 			st.Compact()
@@ -277,4 +334,7 @@ func TestSeqLockFreeReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if unsealed.Load() == 0 && !t.Failed() {
+		t.Fatal("no reader ever saw an unsealed full chunk: the seal-under-a-reader case went unexercised")
+	}
 }

@@ -538,6 +538,14 @@ func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 	return nil
 }
 
+// ConsumeRows folds one chunk's elements into the same state row at a time,
+// with RowAggregateRuns' own kernel: what USING ROW means for a chunk the
+// caller has no partial for.
+func (a *ColAgg) ConsumeRows(rows []*element.Element, stats *ExecStats) error {
+	stats.Rows += int64(len(rows))
+	return a.ac.addRows(rows)
+}
+
 // consumeCounts is the vectorized COUNT(*) path: window indices come
 // straight from the batch's valid-time columns. Semantics are exactly the
 // generic path's — updateCells with a nil Get only increments each cell's

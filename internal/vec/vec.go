@@ -78,9 +78,9 @@ func (f Filter) Apply(b *Batch, sel []int32) []int32 {
 // observability counters.
 type ExecStats struct {
 	Batches int64 // batches consumed
-	Rows    int64 // rows delivered across those batches
-	// Of the sealed runs the zone maps let through: how many were answered
-	// by merging a memoized partial, and how many were decoded and folded.
+	Rows    int64 // rows visited, in batches or row at a time
+	// Of the full chunks the zone maps let through: how many were answered
+	// by merging a memoized partial, and how many were folded.
 	RunsMerged int64
 	RunsFolded int64
 }

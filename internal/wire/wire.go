@@ -927,9 +927,9 @@ type QueryCacheMetrics struct {
 // BatchMetrics reports the batch-execution counters summed over the
 // catalog: batches and rows the columnar engine actually visited, how
 // often the planner picked each engine for an executed window aggregate,
-// how many sealed runs were answered by merging a memoized partial
-// against decoded and folded, and how often an execution found its run
-// partials in the query cache. The partial lookups are not part of
+// how many full 256-element chunks either engine answered by merging a
+// memoized partial against folded, and how often an execution found its
+// run partials in the query cache. The partial lookups are not part of
 // query_cache's hits and misses, which count whole results only.
 type BatchMetrics struct {
 	Batches          int64   `json:"batches"`
