@@ -83,7 +83,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s ./internal/wire
 
 # Regenerate every figure/claim table plus the serving, durability, and
-# overload benchmarks (writes BENCH_*.json in the working directory).
+# overload benchmarks. It rewrites seven committed single-run BENCH_*.json
+# in place and leaves two that are not committed (SCRATCH_BENCH below).
 bench:
 	$(GO) run ./cmd/benchrunner
 
@@ -113,6 +114,10 @@ bench-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# clean removes only what `make bench` leaves untracked. The other
+# BENCH_*.json — the *_pairs.json series above all — are committed evidence.
+SCRATCH_BENCH = BENCH_serving.json BENCH_wal.json
+
 clean:
-	rm -f BENCH_*.json
+	rm -f $(SCRATCH_BENCH)
 	$(GO) clean ./...

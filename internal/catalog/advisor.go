@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -71,7 +70,7 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 		// append-only designs) seals runs; general relations keep today's
 		// behavior. Entry.Compact is a no-op on non-sealing stores, but
 		// gating here keeps the sweep from taking their exclusive locks.
-		if e.adviceStore() == storage.VTOrdered {
+		if e.physical.Load().Org == storage.VTOrdered {
 			rep.Sealed += e.Compact()
 		}
 	}
@@ -83,7 +82,7 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 // the current epoch and byte footprint as the new baseline.
 func (e *Entry) pastAdviseThresholds(cfg AdvisorConfig) bool {
 	epoch := e.Epoch()
-	bytes := e.storeBytes()
+	bytes := e.physical.Load().StoreBytes // published with the epoch
 	lastE, lastB := e.lastAdviseEpoch.Load(), e.lastAdviseBytes.Load()
 	if lastE != 0 {
 		dE := epoch - lastE
@@ -98,26 +97,6 @@ func (e *Entry) pastAdviseThresholds(cfg AdvisorConfig) bool {
 	e.lastAdviseEpoch.Store(epoch)
 	e.lastAdviseBytes.Store(bytes)
 	return true
-}
-
-// storeBytes reads the live store's timestamp-column footprint.
-func (e *Entry) storeBytes() int64 {
-	var n int64
-	_ = e.locked.View(func(*relation.Relation) error {
-		n = storage.StoreBytes(e.engine.Store())
-		return nil
-	})
-	return n
-}
-
-// adviceStore reads the live organization under the shared lock.
-func (e *Entry) adviceStore() storage.Kind {
-	var k storage.Kind
-	_ = e.locked.View(func(*relation.Relation) error {
-		k = e.advice.Store
-		return nil
-	})
-	return k
 }
 
 // RunAdvisor runs AdvisePass every interval until ctx is canceled. Pass

@@ -483,17 +483,41 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 			if org == storage.Heap {
 				return // the order this history broke is tt's: nothing to respecialize to
 			}
-			if _, migrated, err := e.Respecialize(); err != nil || !migrated || e.Physical().Org != storage.VTOrdered {
-				t.Fatalf("Respecialize: migrated %v to %v, %v", migrated, e.Physical().Org, err)
+			// A migration and a degrade re-label the store they find: same
+			// chunks, same close counts, same generation. The first aggregate
+			// after either therefore merges every full chunk from the partial
+			// it already has and folds none — the tail is not a run — and the
+			// chunks are the very arrays from before, so neither can cost what
+			// the relation holds.
+			gen = e.view.Load().gen
+			chunks := func() (arrays []**element.Element) {
+				storage.Runs(e.view.Load().engine.Store())(func(run []*element.Element) bool {
+					arrays = append(arrays, &run[0])
+					return true
+				})
+				return arrays
 			}
-			foldsOnce("after respecializing")
+			relabelled := func(what string, org storage.Kind, before []**element.Element) {
+				t.Helper()
+				if got := e.Physical().Org; got != org || e.view.Load().gen != gen {
+					t.Fatalf("%s: on %v at generation %d, want %v at %d", what, got, e.view.Load().gen, org, gen)
+				}
+				if after := chunks(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%s: the store's %d chunks are not the %d arrays it had", what, len(after), len(before))
+				}
+				if f, m, _ := agg(what); f != 0 || m != full {
+					t.Fatalf("%s: folded %d, merged %d of %d chunks; want every one merged", what, f, m, full)
+				}
+			}
+			before := chunks()
+			if _, migrated, err := e.Respecialize(); err != nil || !migrated {
+				t.Fatalf("Respecialize: migrated %v, %v", migrated, err)
+			}
+			relabelled("after respecializing", storage.VTOrdered, before)
 			if _, err := insert(e, relation.Insertion{VT: element.EventAt(5), Varying: []element.Value{element.Int(1)}}); err != nil {
 				t.Fatal(err)
 			}
-			if e.Physical().Org != storage.TTOrdered {
-				t.Fatalf("an out-of-order insert left the relation on %v", e.Physical().Org)
-			}
-			foldsOnce("after degrading")
+			relabelled("after degrading", storage.TTOrdered, before)
 		})
 	}
 }

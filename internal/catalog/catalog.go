@@ -375,7 +375,7 @@ type Migration struct {
 // encodeRespecialize frames a physical-design change for the WAL: the
 // target organization, the advice source, and the adopted observed
 // classes. The classes are what replay needs — the organization and source
-// are re-derived deterministically by rebuildEngine, but carrying them
+// are re-derived deterministically by relabel, but carrying them
 // makes the frame self-describing for the migration history.
 func encodeRespecialize(org storage.Kind, source string, adopted []core.Class) []byte {
 	out := []byte{uint8(org)}
@@ -589,14 +589,20 @@ type Entry struct {
 	locked *relation.Locked
 
 	// Guarded by locked's lock (mutated under Exclusive only):
-	decls  []constraint.Descriptor
+	decls []constraint.Descriptor
+	// store is the relation's one physical store for as long as its elements
+	// keep their identities; engine wraps it with what the current label
+	// licenses and advice says why. A declaration, a respecialize and a
+	// degrade re-label store in place (relabel) and replace only the other
+	// two.
+	store  *storage.RunStore
 	engine *query.Engine
 	advice storage.Advice
 	// gen is the generation of the live store: a fresh number from the
-	// catalog's storeGens whenever its sealed runs stop being the ones
-	// sealed before — every rebuildEngine (declare, respecialize, a
-	// removing vacuum, a degrade) and every run repair. Per-run partial
-	// aggregates are valid within one generation only (aggregate.go).
+	// catalog's storeGens whenever its chunks stop being the ones from
+	// before — every rebuildEngine (boot, a removing vacuum) and every run
+	// repair. Per-chunk partial aggregates are valid within one generation
+	// only (aggregate.go); a re-label keeps the generation and so keeps them.
 	gen       uint64
 	storeGens *atomic.Uint64
 
@@ -616,12 +622,13 @@ type Entry struct {
 
 	// tracker incrementally observes the extension's timestamps (guarded
 	// by locked's exclusive lock): the monotone class properties it still
-	// holds are what the advisor may adopt without a declaration. Rebuilt
-	// alongside the engine so it always reflects the live history.
+	// holds are what the advisor may adopt without a declaration. Fed by
+	// apply and rebuilt with the store, so it always reflects the live
+	// history.
 	tracker *core.Tracker
 
 	// adopted is the set of observed classes a journaled respecialize
-	// committed to (guarded by the exclusive lock). rebuildEngine
+	// committed to (guarded by the exclusive lock). relabel
 	// intersects it with the tracker's current classes, so an adoption the
 	// history later violates degrades back to the general organization
 	// instead of serving a broken promise.
@@ -822,50 +829,65 @@ func (e *Entry) activeAdopted() []core.Class {
 	return out
 }
 
-// rebuildEngine reloads the advisor-chosen store from the relation's
-// versions, rebuilding the extension tracker over the same walk. Caller
-// holds the exclusive lock. The returned error reports only unusable
-// declared offset bounds; the engine is valid either way (it just runs
-// without the pushdown).
+// rebuildEngine loads the relation's versions into a fresh store and a fresh
+// extension tracker, one walk for both, and labels the store (relabel). It
+// runs only where the stored elements' identities change — a relation enters
+// the catalog, a vacuum removed versions — and is the one event besides a run
+// repair that renews the store generation; every other change of physical
+// design re-labels the store it has. Caller holds the exclusive lock; the
+// error is relabel's.
 func (e *Entry) rebuildEngine(r *relation.Relation) error {
 	schema := r.Schema()
-	tr := core.NewTracker(schema.ValidTime, schema.Granularity)
+	e.tracker = core.NewTracker(schema.ValidTime, schema.Granularity)
+	e.store = storage.NewHeap()
 	for _, el := range r.Versions() {
-		tr.Observe(el)
+		e.tracker.Observe(el)
+		_ = e.store.Insert(el) // the heap assumes nothing and refuses nothing
 	}
-	e.tracker = tr
-	classes := perRelationClasses(e.decls)
+	e.gen = e.storeGens.Add(1)
+	return e.relabel(r, e.decls)
+}
+
+// relabel advises the physical design that decls and the adopted classes the
+// tracker still holds license, and re-labels the live store to it, falling
+// down the chain vt-ordered → tt-ordered → heap to the first organization
+// whose promise the stored history keeps. The store, its chunks, sealed runs
+// and close counts, the tracker and the generation are the ones from before,
+// so whatever is memoized per chunk stays valid; only the engine that wraps
+// the store is new, which is how a demotion loses the pushdown bounds. Caller
+// holds the exclusive lock. The returned error reports only unusable declared
+// offset bounds; the engine is valid either way (it just runs without the
+// pushdown).
+func (e *Entry) relabel(r *relation.Relation, decls []constraint.Descriptor) error {
+	schema := r.Schema()
+	classes := perRelationClasses(decls)
 	advice := storage.AdviseAuto(classes, e.activeAdopted(), schema.ValidTime)
-	st := advice.New()
-	if ferr := fillStore(st, r); ferr != nil {
+	if err := e.store.Retype(advice.Store); err != nil {
 		// The history predates the ordering promise (or the promise is
 		// unenforceable); fall back to the general organization, which
 		// only assumes tt order.
 		advice = storage.Advise(nil, schema.ValidTime)
 		advice.Reasons = append(advice.Reasons,
-			fmt.Sprintf("fell back: existing history violates the declared order (%v)", ferr))
-		st = advice.New()
-		if ferr := fillStore(st, r); ferr != nil {
+			fmt.Sprintf("fell back: existing history violates the declared order (%v)", err))
+		if err := e.store.Retype(advice.Store); err != nil {
 			// Even transaction-time order does not hold — a clock that
 			// restarted behind persisted stamps can commit tt out of order.
 			// The heap assumes nothing, so every committed element stays
-			// queryable; dropping one here would make an acknowledged write
-			// invisible to reads.
+			// queryable.
 			advice.Store, advice.Source = storage.Heap, storage.SourceDefault
 			advice.Reasons = append(advice.Reasons,
-				fmt.Sprintf("fell back: history violates transaction-time order (%v)", ferr))
-			st = advice.New()
-			_ = fillStore(st, r) // heap inserts cannot fail
+				fmt.Sprintf("fell back: history violates transaction-time order (%v)", err))
+			_ = e.store.Retype(storage.Heap) // dropping a promise cannot fail
 		}
 	}
-	en := query.New(st, classes)
-	e.engine, e.advice, e.gen = en, advice, e.storeGens.Add(1)
+	en := query.New(e.store, classes)
+	e.engine, e.advice = en, advice
 	// A declared two-sided fixed bound turns valid-time predicates into
 	// transaction-time windows over the tt-ordered log (§3.1's query
 	// strategies); enable the pushdown when a per-relation event
 	// declaration carries one.
-	if advice.Store == storage.TTOrdered && r.Schema().ValidTime == element.EventStamp {
-		for _, d := range e.decls {
+	if advice.Store == storage.TTOrdered && schema.ValidTime == element.EventStamp {
+		for _, d := range decls {
 			if d.Scope != constraint.PerRelation || d.Kind != constraint.DescEvent {
 				continue
 			}
@@ -883,17 +905,6 @@ func (e *Entry) rebuildEngine(r *relation.Relation) error {
 				}
 				break
 			}
-		}
-	}
-	return nil
-}
-
-// fillStore loads every version of r into st, stopping at the store's
-// first refusal.
-func fillStore(st storage.Store, r *relation.Relation) error {
-	for _, el := range r.Versions() {
-		if err := st.Insert(el); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -924,11 +935,19 @@ func (e *Entry) waitDurable(lsn uint64) error {
 	return nil
 }
 
-func (e *Entry) decls2general(r *relation.Relation, cause error) {
-	saved := e.decls
-	e.decls = nil
-	_ = e.rebuildEngine(r) // nil decls: no bounds to reject
-	e.decls = saved
+// degrade stores a committed element the live organization refused (cause):
+// it drops one promise at a time until the store admits the element — the
+// heap admits anything, so an acknowledged write is never invisible to reads
+// — and re-advises without the declarations, whose promise is the one that
+// just broke. Nothing is copied: the chunks, and so the cost, are those of an
+// accepted insert.
+func (e *Entry) degrade(r *relation.Relation, el *element.Element, cause error) {
+	k := e.store.Kind()
+	for err := cause; err != nil; err = e.store.Insert(el) {
+		k--
+		_ = e.store.Retype(k)
+	}
+	_ = e.relabel(r, nil) // no declarations: no bounds to reject
 	e.advice.Reasons = append(e.advice.Reasons,
 		fmt.Sprintf("fell back: committed element violates the store order (%v)", cause))
 }
@@ -1005,13 +1024,13 @@ func warmEnforcers(r *relation.Relation, descs []constraint.Descriptor, check bo
 
 // attach installs a declaration's warmed enforcers, grows the declaration
 // catalog, and re-advises the physical design. Caller holds the exclusive
-// lock. The error reports only unusable offset bounds (see rebuildEngine).
+// lock. The error reports only unusable offset bounds (see relabel).
 func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enforcers []*constraint.Enforcer) error {
 	for _, en := range enforcers {
 		r.AddGuard(en)
 	}
 	e.decls = append(e.decls, descs...)
-	return e.rebuildEngine(r)
+	return e.relabel(r, e.decls)
 }
 
 // QueryResult is a catalog query answer with its access-path accounting.
@@ -1281,7 +1300,7 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 	from := e.advice.Store
 	e.adopted = classes
-	_ = e.rebuildEngine(r) // bounds errors only; the engine is valid
+	_ = e.relabel(r, e.decls) // bounds errors only; the engine is valid
 	e.migrations++
 	mig := Migration{
 		Epoch:   e.Epoch() + 1, // the epoch publish is about to stamp
@@ -1302,11 +1321,7 @@ func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 func (e *Entry) Compact() int {
 	sealed := 0
 	_ = e.locked.Exclusive(func(r *relation.Relation) error {
-		c, ok := e.engine.Store().(storage.Compacter)
-		if !ok {
-			return nil
-		}
-		if sealed = c.Compact(); sealed > 0 {
+		if sealed = e.store.Compact(); sealed > 0 {
 			e.publish()
 		}
 		return nil
@@ -1362,8 +1377,8 @@ func (e *Entry) physicalLocked() Physical {
 		Adopted:    slices.Clip(e.adopted),
 		Migrations: e.migrations,
 		History:    slices.Clip(e.history),
-		Compaction: storage.Compaction(e.engine.Store()),
-		StoreBytes: storage.StoreBytes(e.engine.Store()),
+		Compaction: storage.Compaction(e.store),
+		StoreBytes: storage.StoreBytes(e.store),
 		Tracker:    e.tracker.Stats(),
 	}
 }

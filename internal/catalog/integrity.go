@@ -195,23 +195,12 @@ func (e *Entry) QuarantineCause() string {
 	return ""
 }
 
-// sealedBytes reports the store's frozen-run footprint (0 when the
-// organization doesn't seal runs).
-func (e *Entry) sealedBytes() int64 {
-	var n int64
-	_ = e.locked.View(func(*relation.Relation) error {
-		n = storage.SealedBytes(e.engine.Store())
-		return nil
-	})
-	return n
-}
-
 // verifyRuns checks every frozen run's checksum against its packed
 // image under the shared lock.
 func (e *Entry) verifyRuns() error {
 	var bad []storage.RunVerifyError
 	_ = e.locked.View(func(*relation.Relation) error {
-		bad = storage.VerifyRuns(e.engine.Store())
+		bad = storage.VerifyRuns(e.store)
 		return nil
 	})
 	if len(bad) == 0 {
@@ -335,7 +324,7 @@ func (c *Catalog) ScrubArtifacts() ([]integrity.Artifact, error) {
 		if err != nil {
 			continue
 		}
-		if n := e.sealedBytes(); n > 0 {
+		if n := e.physical.Load().Compaction.PackedBytes; n > 0 {
 			out = append(out, integrity.Artifact{Kind: "runs", Name: name, Rel: name, Bytes: n})
 		}
 	}
@@ -458,7 +447,7 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 	})
 	repaired, resealed := false, 0
 	_ = e.locked.Exclusive(func(*relation.Relation) error {
-		st := e.engine.Store()
+		st := e.store
 		bad := storage.VerifyRuns(st)
 		if len(bad) == 0 {
 			repaired = true // damage was in a run a concurrent compaction replaced

@@ -233,12 +233,12 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 				return err
 			}
 			e.tracker.Observe(el)
-			if serr := e.engine.Store().Insert(el); serr != nil {
+			if serr := e.store.Insert(el); serr != nil {
 				// Ordering promise broken despite enforcement (a constraint
 				// declared on a different endpoint, an intra-batch violation
 				// the pre-batch guards could not see); degrade to the
 				// general organization rather than lose a journaled element.
-				e.decls2general(r, serr)
+				e.degrade(r, el, serr)
 			}
 			stored = el
 		} else {
@@ -254,7 +254,7 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 					return err
 				}
 			}
-			e.engine.Store().Replace(old, closed)
+			e.store.Replace(old, closed)
 		}
 		if key := m.keys[i/per]; key != "" && (i+1)%per == 0 {
 			e.dedup.remember(key, shape.op, stored, lsn)

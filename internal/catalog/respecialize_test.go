@@ -16,8 +16,10 @@ import (
 	"testing"
 
 	"repro/internal/chronon"
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tx"
@@ -626,5 +628,84 @@ func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
 	}
 	if len(ts.Elements) != 1 {
 		t.Fatalf("timeslice at the new element's vt = %d elements, want 1", len(ts.Elements))
+	}
+}
+
+// The same restart under a declared two-sided bound: the relation reloads
+// onto the tt-ordered log with the tt-window pushdown on, and the first
+// insert — stamped behind the persisted ones, inside the bound — demotes the
+// store below the organization the pushdown needs. The engine must lose the
+// bounds with the label, the acknowledged element must answer, and every
+// valid-time answer must equal the definition evaluated over Versions.
+func TestBackwardClockUnderDeclaredBoundDropsThePushdown(t *testing.T) {
+	cfg := Config{
+		Dir:      t.TempDir(),
+		NewClock: func() tx.Clock { return noSeekClock{tx.NewLogicalClock(0, 10)} },
+	}
+	c := New(cfg)
+	e, err := c.Create(eventSchema("acct"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	spec, err := core.StronglyBoundedSpec(chronon.Seconds(100), chronon.Seconds(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Declare([]constraint.Descriptor{mustDescribe(t, constraint.Event{Spec: spec}, constraint.PerRelation)}); err != nil {
+		t.Fatalf("Declare: %v", err)
+	}
+	const n = 20
+	degenerateInserts(t, e, n)
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	c2 := New(cfg)
+	if err := c2.Open(); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	e2, err := c2.Get("acct")
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	slice := plan.Query{Kind: plan.QTimeslice, VTLo: 5, VTHi: 6}
+	if leaf := e2.PlanFor(slice).Leaf().Kind; e2.Physical().Org != storage.TTOrdered || leaf != plan.TTWindowPushdown {
+		t.Fatalf("reloaded on %v planning %v, want the bounded tt-ordered log", e2.Physical().Org, leaf)
+	}
+	el, err := insert(e2, relation.Insertion{VT: element.EventAt(5)}) // tt⊢ 10, the persisted maximum is 10n
+	if err != nil {
+		t.Fatalf("post-restart insert refused: %v", err)
+	}
+	if org := e2.Physical().Org; org != storage.Heap {
+		t.Fatalf("org after out-of-order tt = %v, want %v", org, storage.Heap)
+	}
+	v := e2.view.Load()
+	if a := v.engine.Access(); a.HasOffsetBounds || e2.PlanFor(slice).Leaf().Kind == plan.TTWindowPushdown {
+		t.Fatalf("the demoted engine still carries the pushdown bounds: %+v", a)
+	}
+	if ts := timeslice(e2, 5); len(ts.Elements) != 1 || ts.Elements[0].ES != el.ES {
+		t.Fatalf("timeslice at the acknowledged element's vt = %v", resultKey(ts))
+	}
+	var versions []*element.Element
+	_ = e2.Locked().View(func(r *relation.Relation) error {
+		versions = r.Versions()
+		return nil
+	})
+	for _, span := range [][2]chronon.Chronon{{5, 6}, {0, 11}, {10, 11}, {7, 8}, {0, 1 << 20}, {150, 190}, {200, 201}} {
+		var want []string
+		for _, el := range versions {
+			if c, _ := el.VT.Event(); el.Current() && span[0] <= c && c < span[1] {
+				want = append(want, fmt.Sprint(el.ES))
+			}
+		}
+		var got []string
+		for _, el := range v.engine.VTRange(span[0], span[1]).Elements {
+			got = append(got, fmt.Sprint(el.ES))
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("valid time [%v, %v): %v, brute force over Versions: %v", span[0], span[1], got, want)
+		}
 	}
 }

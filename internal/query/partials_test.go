@@ -17,7 +17,7 @@ const testRun = vec.BatchSize // one sealed run
 
 // partialsFixture is a vt-ordered log of runs·256 + tail events, vt = 10·i,
 // one varying value each from val, with every full run sealed.
-func partialsFixture(t *testing.T, runs, tail int, val func(i int) element.Value) *storage.VTLogStore {
+func partialsFixture(t *testing.T, runs, tail int, val func(i int) element.Value) *storage.RunStore {
 	t.Helper()
 	st := storage.NewVTLog()
 	for i := 0; i < runs*testRun+tail; i++ {

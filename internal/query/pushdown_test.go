@@ -14,7 +14,7 @@ import (
 
 // boundedFixture builds n event elements with vt − tt uniformly inside
 // [lo, hi], plus a heap for ground truth.
-func boundedFixture(t *testing.T, n int, lo, hi int64, seed int64) (*storage.TTLogStore, *storage.HeapStore) {
+func boundedFixture(t *testing.T, n int, lo, hi int64, seed int64) (*storage.RunStore, *storage.RunStore) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tlog := storage.NewTTLog()

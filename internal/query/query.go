@@ -118,15 +118,7 @@ func (en *Engine) PlanStats() map[string]plan.KindStats { return en.plans.Snapsh
 
 // Access describes the store's capabilities to the planner.
 func (en *Engine) Access() plan.Access {
-	a := plan.Access{N: en.store.Len()}
-	switch en.store.Kind() {
-	case storage.TTOrdered:
-		a.Org = plan.OrgTTLog
-	case storage.VTOrdered:
-		a.Org = plan.OrgVTLog
-	default:
-		a.Org = plan.OrgHeap
-	}
+	a := plan.Access{N: en.store.Len(), Org: en.store.Kind().PlanOrg()}
 	if _, ok := en.store.(*storage.IndexedEventStore); ok {
 		a.VTIndex = true
 	}
@@ -175,15 +167,17 @@ func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, in
 	leaf := node.Leaf()
 	switch leaf.Kind {
 	case plan.TTWindowPushdown:
-		tlog := en.store.(*storage.TTLogStore)
-		cands, touched := tlog.TTWindow(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi))
-		var out []*element.Element
-		for _, e := range cands {
-			if e.Current() && validInRange(e, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi)) {
-				out = append(out, e)
+		// Any other store answers the predicate itself, below.
+		if rs, ok := en.store.(*storage.RunStore); ok {
+			cands, touched := rs.TTWindow(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi))
+			var out []*element.Element
+			for _, e := range cands {
+				if e.Current() && storage.ValidDuring(e, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi)) {
+					out = append(out, e)
+				}
 			}
+			return out, touched
 		}
-		return out, touched
 	case plan.TTBinarySearch:
 		return en.store.Rollback(chronon.Chronon(q.TT))
 	case plan.VTBinarySearch, plan.BTreeIndexSeek:
@@ -218,16 +212,6 @@ func (en *Engine) Timeslice(vt chronon.Chronon) Result {
 // any part of [lo, hi).
 func (en *Engine) VTRange(lo, hi chronon.Chronon) Result {
 	return en.run(plan.Query{Kind: plan.QVTRange, VTLo: int64(lo), VTHi: int64(hi)})
-}
-
-// validInRange reports whether the element's valid time intersects
-// [lo, hi).
-func validInRange(e *element.Element, lo, hi chronon.Chronon) bool {
-	if c, ok := e.VT.Event(); ok {
-		return lo <= c && c < hi
-	}
-	iv, _ := e.VT.Interval()
-	return iv.Start < hi && lo < iv.End
 }
 
 // Rollback answers the rollback query: elements present at transaction

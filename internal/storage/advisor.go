@@ -28,10 +28,8 @@ const (
 // New instantiates the advised store.
 func (a Advice) New() Store {
 	switch a.Store {
-	case VTOrdered:
-		return NewVTLog()
-	case TTOrdered:
-		return NewTTLog()
+	case TTOrdered, VTOrdered:
+		return &RunStore{kind: a.Store}
 	}
 	return NewHeap()
 }

@@ -11,7 +11,7 @@ import (
 // the secondary valid-time index a *general* temporal relation must
 // maintain to answer historical queries in logarithmic time. Specialized
 // relations get the same access path for free from their arrival order
-// (see VTLogStore); the B-tree exists to price the alternative honestly:
+// (see RunStore); the B-tree exists to price the alternative honestly:
 // every insert pays tree maintenance, every query pays tree descent.
 type btree struct {
 	root *bnode
@@ -162,13 +162,16 @@ func (t *btree) scanRange(lo, hi chronon.Chronon, visit func(*element.Element) b
 	return touched
 }
 
-// IndexedEventStore is a heap store for *event* relations augmented with a
-// B-tree valid-time index — the physical design a general relation needs
-// to make historical queries fast. It answers time-slice and range queries
-// in O(log n + answer) like the specialized vt-ordered log, but pays index
-// maintenance on every insert and stores the index alongside the data.
+// IndexedEventStore is a heap for *event* relations augmented with a B-tree
+// valid-time index — the physical design a general relation needs to make
+// historical queries fast. It answers time-slice and range queries in
+// O(log n + answer) like the vt-ordered log, but pays index maintenance on
+// every insert and stores the index alongside the data. Everything the index
+// does not answer is the embedded store's, labelled Heap: logically the data
+// sits in a heap, and a rollback filters all of it (arrival order is tt order,
+// so the log's prefix trick would apply; the heap keeps this baseline honest).
 type IndexedEventStore struct {
-	heap  HeapStore
+	RunStore
 	index *btree
 }
 
@@ -176,13 +179,6 @@ type IndexedEventStore struct {
 func NewIndexedEvent() *IndexedEventStore {
 	return &IndexedEventStore{index: newBtree()}
 }
-
-// Kind reports Heap: logically the data sits in a heap; the index is an
-// auxiliary structure.
-func (s *IndexedEventStore) Kind() Kind { return Heap }
-
-// Len reports the number of stored elements.
-func (s *IndexedEventStore) Len() int { return s.heap.Len() }
 
 // Insert appends the element and maintains the index. Interval-stamped
 // elements are rejected: a start-keyed index cannot answer interval
@@ -193,7 +189,7 @@ func (s *IndexedEventStore) Insert(e *element.Element) error {
 	if !ok {
 		return errIntervalIndexed
 	}
-	if err := s.heap.Insert(e); err != nil {
+	if err := s.RunStore.Insert(e); err != nil {
 		return err
 	}
 	s.index.insert(vt, e)
@@ -206,11 +202,6 @@ type errInterval struct{}
 
 func (errInterval) Error() string {
 	return "storage: indexed event store cannot hold interval-stamped elements"
-}
-
-// Scan visits every element in arrival order.
-func (s *IndexedEventStore) Scan(visit func(*element.Element) bool) int {
-	return s.heap.Scan(visit)
 }
 
 // Timeslice answers via the index.
@@ -230,19 +221,13 @@ func (s *IndexedEventStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element,
 	return out, touched
 }
 
-// Rollback scans the heap (arrival order is tt order, so the prefix trick
-// of TTLogStore would apply; the heap keeps this store's baseline honest).
-func (s *IndexedEventStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	return s.heap.Rollback(tt)
-}
-
 // Snapshot shares the heap's chunks O(1) and rebuilds a private B-tree
 // over them. The rebuild is O(n log n), acceptable because the advisor
 // never selects this organization (it exists to price the
 // general-relation alternative); only explicit engine overrides pay it.
 func (s *IndexedEventStore) Snapshot() Store {
-	cp := &IndexedEventStore{heap: HeapStore{s.heap.snapshot()}, index: newBtree()}
-	cp.heap.Scan(func(e *element.Element) bool {
+	cp := &IndexedEventStore{RunStore: RunStore{seq: s.snapshot()}, index: newBtree()}
+	cp.Scan(func(e *element.Element) bool {
 		if vt, ok := e.VT.Event(); ok {
 			cp.index.insert(vt, e)
 		}
@@ -255,7 +240,7 @@ func (s *IndexedEventStore) Snapshot() Store {
 // place. Snapshots carry private B-trees, so the in-place index edit is
 // invisible to any pinned view.
 func (s *IndexedEventStore) Replace(old, repl *element.Element) {
-	s.heap.Replace(old, repl)
+	s.RunStore.Replace(old, repl)
 	if vt, ok := old.VT.Event(); ok {
 		s.index.replace(bkey{vt: vt, es: uint64(old.ES)}, repl)
 	}

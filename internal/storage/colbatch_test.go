@@ -109,7 +109,7 @@ func batchElems(t *testing.T, r *BatchReader, event bool) []*element.Element {
 // contract over a part-sealed, part-tail log, including after deletes
 // made a sealed run's tt⊣ column stale.
 func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
-	st := &TTLogStore{}
+	st := NewTTLog()
 	const n = 3*runSize + 57
 	for i := 0; i < n; i++ {
 		if err := st.Insert(&element.Element{
@@ -142,7 +142,7 @@ func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
 // that cannot contribute: the surviving element stream must equal the
 // filtered full stream.
 func TestBatchReaderZoneMapSkips(t *testing.T) {
-	st := &VTLogStore{}
+	st := NewVTLog()
 	const n = 4 * runSize
 	for i := 0; i < n; i++ {
 		e := &element.Element{
@@ -212,7 +212,7 @@ func TestBatchReaderZoneMapSkips(t *testing.T) {
 }
 
 func TestSealedInfo(t *testing.T) {
-	st := &TTLogStore{}
+	st := NewTTLog()
 	if s, r := SealedInfo(st); s != 0 || r != 0 {
 		t.Fatalf("empty store: %d/%d", s, r)
 	}
@@ -229,7 +229,7 @@ func TestSealedInfo(t *testing.T) {
 	if s, r := SealedInfo(st); s != runSize || r != 1 {
 		t.Fatalf("SealedInfo = %d/%d, want %d/1", s, r, runSize)
 	}
-	if s, r := SealedInfo(&HeapStore{}); s != 0 || r != 0 {
+	if s, r := SealedInfo(NewHeap()); s != 0 || r != 0 {
 		t.Fatalf("heap store: %d/%d", s, r)
 	}
 }
@@ -320,9 +320,9 @@ func benchColumnarScan(b *testing.B, compact bool) {
 	}
 }
 
-func benchStore(b *testing.B, n int) *VTLogStore {
+func benchStore(b *testing.B, n int) *RunStore {
 	b.Helper()
-	st := &VTLogStore{}
+	st := NewVTLog()
 	for i := 0; i < n; i++ {
 		if err := st.Insert(&element.Element{
 			ES: surrogate.Surrogate(i + 1), OS: 1,
@@ -390,9 +390,9 @@ func benchAggregate(b *testing.B, columnar bool) {
 
 // sealedEventLog builds a vt-ordered log of n open events (vt = tt = 10·i)
 // and seals every full run.
-func sealedEventLog(t *testing.T, n int) *VTLogStore {
+func sealedEventLog(t *testing.T, n int) *RunStore {
 	t.Helper()
-	st := &VTLogStore{}
+	st := NewVTLog()
 	for i := 0; i < n; i++ {
 		if err := st.Insert(&element.Element{
 			ES: surrogate.Surrogate(i + 1), OS: 1,
@@ -406,7 +406,7 @@ func sealedEventLog(t *testing.T, n int) *VTLogStore {
 	return st
 }
 
-func closeAt(st *VTLogStore, i int, tt chronon.Chronon) {
+func closeAt(st *RunStore, i int, tt chronon.Chronon) {
 	orig := st.at(i)
 	closed := *orig
 	closed.TTEnd = tt
@@ -420,14 +420,14 @@ func closeAt(st *VTLogStore, i int, tt chronon.Chronon) {
 // with whichever of the two came first.
 func TestRunCloseCounts(t *testing.T) {
 	st := sealedEventLog(t, 2*runSize+40)
-	counts := func(s *VTLogStore) []int {
+	counts := func(s *RunStore) []int {
 		var out []int
 		for k := range s.sealed {
 			out = append(out, s.chunk(k).run.closed)
 		}
 		return out
 	}
-	lifetime := func(s *VTLogStore) []int {
+	lifetime := func(s *RunStore) []int {
 		var out []int
 		for k := range s.chunks() {
 			out = append(out, s.chunk(k).closes)
@@ -437,10 +437,10 @@ func TestRunCloseCounts(t *testing.T) {
 	if got := counts(st); !reflect.DeepEqual(got, []int{0, 0}) {
 		t.Fatalf("fresh seal: close counts %v", got)
 	}
-	before := st.Snapshot().(*VTLogStore)
+	before := st.Snapshot().(*RunStore)
 	closeAt(st, 2*runSize+7, 99_000) // the tail: copies its chunk and the spine, books nothing
 	closeAt(st, runSize+3, 99_001)   // run 1, after the spine was already copied
-	mid := st.Snapshot().(*VTLogStore)
+	mid := st.Snapshot().(*RunStore)
 	closeAt(st, runSize+4, 99_002)
 	closeAt(st, 5, 99_003)
 

@@ -148,11 +148,16 @@ func (s *seq) seal() int {
 	return (s.sealed - was) * runSize
 }
 
-// Compact seals full runs over the stable prefix.
-func (s *TTLogStore) Compact() int { return s.seal() }
-
-// Compact seals full runs over the stable prefix.
-func (s *VTLogStore) Compact() int { return s.seal() }
+// Compact seals full runs over the stable prefix of a log. The heap seals
+// nothing: a run's tt⊢ envelope is its first and last element, bounds only
+// where arrival order is tt order. Runs sealed before a Retype dropped that
+// promise stay sealed — each was tt-ordered when it froze and never changes.
+func (s *RunStore) Compact() int {
+	if s.kind == Heap {
+		return 0
+	}
+	return s.seal()
+}
 
 // rollback is the log organizations' rollback: binary search for the prefix
 // with tt⊢ ≤ tt, then a filter of it.
@@ -201,7 +206,7 @@ func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
 		run := s.run(k)
 		touched += len(run)
 		for _, e := range run {
-			if e.Current() && validAtRange(e, lo, hi) {
+			if e.Current() && ValidDuring(e, lo, hi) {
 				out = append(out, e)
 			}
 		}
@@ -240,7 +245,7 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 			if e.VT.Start() >= hi {
 				return out, touched
 			}
-			if e.Current() && validAtRange(e, lo, hi) {
+			if e.Current() && ValidDuring(e, lo, hi) {
 				out = append(out, e)
 			}
 		}

@@ -239,14 +239,10 @@ func (s *seq) Scan(visit func(*element.Element) bool) int {
 // seqOf exposes the sequence under st; every Store in this package has one.
 func seqOf(st Store) *seq {
 	switch s := st.(type) {
-	case *HeapStore:
-		return &s.seq
-	case *TTLogStore:
-		return &s.seq
-	case *VTLogStore:
+	case *RunStore:
 		return &s.seq
 	case *IndexedEventStore:
-		return &s.heap.seq
+		return &s.seq
 	}
 	panic(fmt.Sprintf("storage: %T is not a sequence-backed store", st))
 }

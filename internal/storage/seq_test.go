@@ -84,27 +84,89 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 	}
 }
 
+// checkQueries holds every access method of the store — whichever its label
+// lets it take — to the definitions evaluated over the model's flat list, at
+// the stamps of a few stored elements. Every method walks forward, so the
+// answers must be the same pointers in the same order.
+func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
+	t.Helper()
+	same := func(query string, got, want []*element.Element) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s (%v): %s returned %d elements, the definition %d", what, st.Kind(), query, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s (%v): %s answer %d is ES %v, the definition ES %v", what, st.Kind(), query, i, got[i].ES, want[i].ES)
+			}
+		}
+	}
+	for _, i := range []int{0, len(m.elems) / 3, len(m.elems) - 1} {
+		if i < 0 {
+			break
+		}
+		vt, tt := m.elems[i].VT.Start(), m.elems[i].TTStart
+		hi, ttLo := vt.Add(970), tt-2
+		var slice, span, present, window []*element.Element
+		for _, e := range m.elems {
+			if e.Current() && e.ValidAt(vt) {
+				slice = append(slice, e)
+			}
+			if e.Current() && ValidDuring(e, vt, hi) {
+				span = append(span, e)
+			}
+			if e.PresentAt(tt) {
+				present = append(present, e)
+			}
+			if ttLo <= e.TTStart && e.TTStart <= tt {
+				window = append(window, e)
+			}
+		}
+		got, _ := st.Timeslice(vt)
+		same(fmt.Sprintf("Timeslice(%v)", vt), got, slice)
+		got, _ = st.VTRange(vt, hi)
+		same(fmt.Sprintf("VTRange(%v, %v)", vt, hi), got, span)
+		got, _ = st.Rollback(tt)
+		same(fmt.Sprintf("Rollback(%v)", tt), got, present)
+		if rs, ok := st.(*RunStore); ok {
+			got, _ = rs.TTWindow(ttLo, tt)
+			same(fmt.Sprintf("TTWindow(%v, %v)", ttLo, tt), got, window)
+		}
+	}
+}
+
 // TestSeqAgainstFlatModel drives random interleavings of insert, close,
-// re-replace, snapshot, compact, corrupt+repair and reseal against the
-// model, on all three organizations (the heap never seals: its chunks have
-// lifetime counts only). Every snapshot, however old, must keep yielding
-// exactly the pointers and both close counts it was taken with, and the live
-// store must equal the model — both counts after every step.
+// re-replace, snapshot, compact, corrupt+repair, reseal and retype against
+// the model, starting from each of the three organizations (the heap seals
+// nothing new, but keeps the runs a log sealed before it was demoted). Now
+// and then an insert carries a stamp out of valid-time or transaction-time
+// order: the store must refuse it exactly when its label promises that order,
+// and from then on refuse to be raised to such a label, with the error a
+// store that had carried the label all along gives. Every snapshot, however
+// old and whatever the live store has been re-labelled to since, must keep
+// its label, the pointers and both close counts it was taken with; the live
+// store must equal the model — both counts after every step — and every
+// store must answer every query as the definitions do over the model's list.
 func TestSeqAgainstFlatModel(t *testing.T) {
 	type pinned struct {
 		st    Store
 		model seqModel
 		step  int
+		kind  Kind
 	}
 	for _, kind := range []Kind{Heap, TTOrdered, VTOrdered} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				st := Advice{Store: kind}.New()
+				st := Advice{Store: kind}.New().(*RunStore)
 				var m seqModel
 				var pins []pinned
-				tt := chronon.Chronon(0)
-				insert := func() { // tt⊢ repeats now and then
+				tt := chronon.Chronon(5)
+				// insert appends in both orders (tt⊢ repeats now and then);
+				// with disorder ≥ 1, once in a while a retroactive stamp,
+				// with 2 also one from a clock that went back, which only
+				// some labels admit.
+				insert := func(disorder int) {
 					if rng.Intn(4) > 0 {
 						tt++
 					}
@@ -113,8 +175,22 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 						TTStart: tt, TTEnd: chronon.Forever,
 						VT: element.EventAt(chronon.Chronon(10 * len(m.elems))),
 					}
-					if err := st.Insert(e); err != nil {
-						t.Fatal(err)
+					admitted := true
+					if n := len(m.elems); n > 0 && disorder > 0 {
+						switch last, dice := m.elems[n-1], rng.Intn(300); {
+						case dice == 0:
+							e.VT = element.EventAt(chronon.Chronon(10 * rng.Intn(n)))
+							admitted = st.Kind() != VTOrdered || e.VT.Start() >= last.VT.Start()
+						case dice == 1 && disorder > 1:
+							e.TTStart = tt - chronon.Chronon(1+rng.Intn(3))
+							admitted = st.Kind() == Heap || e.TTStart >= last.TTStart
+						}
+					}
+					if err := st.Insert(e); (err == nil) != admitted {
+						t.Fatalf("insert of tt⊢ %v, vt %v into a %v: %v", e.TTStart, e.VT.Start(), st.Kind(), err)
+					}
+					if !admitted {
+						return // the checks below hold the store to the unchanged model
 					}
 					m.elems = append(m.elems, e)
 					if len(m.elems)%runSize == 1 {
@@ -125,13 +201,41 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 					// Start just short of a full spine block, so the steps
 					// below hang chunks in a second block and close into both.
 					for len(m.elems) < blockSize*runSize-1000 {
-						insert()
+						insert(0)
 					}
 				}
 				for step := 0; step < 6000; step++ {
 					switch op := rng.Intn(100); {
-					case op < 55 || len(m.elems) == 0:
-						insert()
+					case op < 52 || len(m.elems) == 0:
+						// Seed 1 keeps both orders throughout, seed 2 loses
+						// the valid-time one, seed 3 both, seed 4 both once
+						// the two-block store has been through every label.
+						if seed < 4 || step >= 3000 {
+							insert(min(int(seed)-1, 2))
+						} else {
+							insert(0)
+						}
+					case op < 55: // re-label: granted exactly when a store of that label holds the list
+						to, was := Kinds()[rng.Intn(3)], st.Kind()
+						var want error
+						ref := Advice{Store: to}.New()
+						for _, e := range m.elems {
+							if want = ref.Insert(e); want != nil {
+								break
+							}
+						}
+						err := st.Retype(to)
+						if (err == nil) != (want == nil) || err != nil && (err.Error() != want.Error() || st.Kind() != was) {
+							t.Fatalf("step %d: Retype %v → %v: %v, store now %v; filling a fresh %v: %v", step, was, to, err, st.Kind(), to, want)
+						}
+						if err == nil && st.Kind() != to || to < was && err != nil {
+							t.Fatalf("step %d: Retype %v → %v: %v, store now %v", step, was, to, err, st.Kind())
+						}
+						if err == nil && to > was && step%10 == 0 { // the measurement stops the world
+							if allocs := testing.AllocsPerRun(1, func() { _, _ = st.Retype(was), st.Retype(to) }); allocs != 0 {
+								t.Fatalf("step %d: lowering to %v and raising to %v again allocated %v times", step, was, to, allocs)
+							}
+						}
 					case op < 80: // replace: a close when the element is open, a plain swap otherwise
 						i := rng.Intn(len(m.elems))
 						old := m.elems[i]
@@ -148,16 +252,17 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 						}
 						m.elems[i] = &repl
 					case op < 90:
-						pins = append(pins, pinned{st.Snapshot(), m.clone(), step})
+						pins = append(pins, pinned{st.Snapshot(), m.clone(), step, st.Kind()})
 					case op < 94:
-						if c, ok := st.(Compacter); ok {
-							sealed := c.Compact()
-							if want := len(m.elems)/runSize - len(m.closed); sealed != want*runSize {
-								t.Fatalf("step %d: Compact sealed %d elements, want %d runs", step, sealed, want)
-							}
-							for len(m.closed) < len(m.elems)/runSize {
-								m.closed = append(m.closed, 0)
-							}
+						want := len(m.elems)/runSize - len(m.closed)
+						if st.Kind() == Heap {
+							want = 0
+						}
+						if sealed := st.Compact(); sealed != want*runSize {
+							t.Fatalf("step %d: Compact sealed %d elements, want %d runs", step, sealed, want)
+						}
+						for ; want > 0; want-- {
+							m.closed = append(m.closed, 0)
 						}
 					case op < 97: // bit rot in a sealed image, detected and repaired
 						if len(m.closed) > 0 {
@@ -181,11 +286,20 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 					m.checkCounts(t, fmt.Sprintf("live store at step %d", step), seqOf(st))
 					if step%97 == 0 {
 						m.check(t, fmt.Sprintf("live store at step %d", step), st)
+						m.checkQueries(t, fmt.Sprintf("live store at step %d", step), st)
 					}
 				}
 				m.check(t, "live store", st)
-				for _, p := range pins {
-					p.model.check(t, fmt.Sprintf("snapshot of step %d", p.step), p.st)
+				m.checkQueries(t, "live store", st)
+				for i, p := range pins {
+					what := fmt.Sprintf("snapshot of step %d", p.step)
+					if p.st.Kind() != p.kind || p.st.(*RunStore).Retype(Heap) == nil {
+						t.Fatalf("%s: taken of a %v, now a %v that lets itself be re-labelled", what, p.kind, p.st.Kind())
+					}
+					p.model.check(t, what, p.st)
+					if i%4 == 0 { // the answers are most of the list; a quarter of the pins keeps the test short
+						p.model.checkQueries(t, what, p.st)
+					}
 				}
 			})
 		}
@@ -204,7 +318,7 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 // closed elements the view holds in that chunk.
 func TestSeqLockFreeReaders(t *testing.T) {
 	type view struct {
-		st     *VTLogStore
+		st     *RunStore
 		closed int
 		tt     chronon.Chronon
 	}
@@ -225,7 +339,7 @@ func TestSeqLockFreeReaders(t *testing.T) {
 	st.Compact()
 	closed := 0
 	var published atomic.Pointer[view]
-	publish := func() { published.Store(&view{st.Snapshot().(*VTLogStore), closed, tt}) }
+	publish := func() { published.Store(&view{st.Snapshot().(*RunStore), closed, tt}) }
 	publish()
 
 	var wg sync.WaitGroup

@@ -25,7 +25,10 @@ import (
 	"repro/internal/element"
 )
 
-// Kind identifies a physical organization.
+// Kind identifies a physical organization. The constants are declared along
+// the chain general → tt-ordered → vt-ordered: each promises what the one
+// before it does and one order more, so k1 < k2 means k2 is the stricter label
+// (RunStore.Retype).
 type Kind uint8
 
 const (
@@ -126,8 +129,8 @@ func exclusiveEnd(e *element.Element) chronon.Chronon {
 	return e.VT.End()
 }
 
-// validAtRange reports whether the element's valid time intersects [lo, hi).
-func validAtRange(e *element.Element, lo, hi chronon.Chronon) bool {
+// ValidDuring reports whether the element's valid time intersects [lo, hi).
+func ValidDuring(e *element.Element, lo, hi chronon.Chronon) bool {
 	if c, ok := e.VT.Event(); ok {
 		return lo <= c && c < hi
 	}
@@ -135,101 +138,148 @@ func validAtRange(e *element.Element, lo, hi chronon.Chronon) bool {
 	return iv.Start < hi && lo < iv.End
 }
 
-// HeapStore is the general-purpose organization: arrival order, full scans.
-// Len, Scan and Replace are the sequence's.
-type HeapStore struct{ seq }
+// RunStore is the one sequence-backed store: the chunked element sequence
+// (seq.go) under a label. The kind says which orders every stored element is
+// known to keep — Heap none, TTOrdered arrival order = tt⊢ order, VTOrdered
+// additionally valid-time order, the paper's append-only relation "that can
+// support historical (as well as transaction time) queries" — and so which
+// promise Insert enforces and which access method a query may take: binary
+// search where an order holds, zone-map scan where it does not. A more
+// general organization is the same sequence with a promise dropped (§3.2),
+// which is what Retype does. Len, Scan and Replace are the sequence's.
+type RunStore struct {
+	seq
+	kind Kind
+}
 
-// NewHeap returns an empty heap store.
-func NewHeap() *HeapStore { return &HeapStore{} }
+// NewHeap returns an empty store that assumes nothing.
+func NewHeap() *RunStore { return &RunStore{kind: Heap} }
 
-// Kind reports Heap.
-func (s *HeapStore) Kind() Kind { return Heap }
+// NewTTLog returns an empty tt-ordered log store.
+func NewTTLog() *RunStore { return &RunStore{kind: TTOrdered} }
 
-// Insert appends the element.
-func (s *HeapStore) Insert(e *element.Element) error {
-	if s.frozen {
-		return errFrozenInsert
+// NewVTLog returns an empty vt-ordered log store.
+func NewVTLog() *RunStore { return &RunStore{kind: VTOrdered} }
+
+// Kind reports the organization.
+func (s *RunStore) Kind() Kind { return s.kind }
+
+// breaks reports the promise of organization k that e, stored right after
+// last, would break; nil when it keeps them all.
+func (k Kind) breaks(last, e *element.Element) error {
+	switch {
+	case k == TTOrdered && e.TTStart < last.TTStart:
+		return fmt.Errorf("storage: tt-ordered insert out of order (%v after %v)",
+			e.TTStart, last.TTStart)
+	case k == VTOrdered && e.TTStart < last.TTStart:
+		return fmt.Errorf("storage: vt-ordered insert out of tt order (%v after %v)",
+			e.TTStart, last.TTStart)
+	case k == VTOrdered && e.VT.Start() < last.VT.Start():
+		return fmt.Errorf("storage: vt-ordered insert out of vt order (%v after %v); "+
+			"the non-decreasing declaration is violated", e.VT.Start(), last.VT.Start())
 	}
-	s.push(e)
 	return nil
 }
 
-// Snapshot shares every chunk, O(1).
-func (s *HeapStore) Snapshot() Store { return &HeapStore{s.snapshot()} }
-
-// Timeslice scans the whole store.
-func (s *HeapStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.vtScan(vt, vt.Add(1))
-}
-
-// VTRange scans the whole store.
-func (s *HeapStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	return s.vtScan(lo, hi)
-}
-
-// Rollback filters the whole store: the heap does not assume tt order.
-func (s *HeapStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	return s.presentIn(s.n, tt)
-}
-
-// TTLogStore keeps elements in tt⊢ order (the engine's arrival order) and
-// exploits it for rollback: the candidates are exactly the prefix with
-// tt⊢ ≤ tt, found by binary search. Compact seals its stable prefix into
-// runs whose min/max metadata lets queries skip them whole (compact.go).
-type TTLogStore struct{ seq }
-
-// NewTTLog returns an empty tt-ordered log store.
-func NewTTLog() *TTLogStore { return &TTLogStore{} }
-
-// Kind reports TTOrdered.
-func (s *TTLogStore) Kind() Kind { return TTOrdered }
-
-// Insert appends the element, verifying tt order.
-func (s *TTLogStore) Insert(e *element.Element) error {
+// Insert appends the element, verifying the orders the kind promises and
+// failing loudly when a declaration was wrong.
+func (s *RunStore) Insert(e *element.Element) error {
 	if s.frozen {
 		return errFrozenInsert
 	}
-	if s.n > 0 {
-		if last := s.at(s.n - 1); e.TTStart < last.TTStart {
-			return fmt.Errorf("storage: tt-ordered insert out of order (%v after %v)",
-				e.TTStart, last.TTStart)
+	if s.kind != Heap && s.n > 0 {
+		if err := s.kind.breaks(s.at(s.n-1), e); err != nil {
+			return err
 		}
 	}
 	s.push(e)
 	return nil
 }
 
-// Snapshot shares every chunk, O(1). Sealed runs carry over: the published
-// read path keeps the run-skipping benefit.
-func (s *TTLogStore) Snapshot() Store { return &TTLogStore{s.snapshot()} }
+// errFrozenRetype rejects re-labelling a snapshot.
+var errFrozenRetype = fmt.Errorf("storage: retype of a frozen snapshot")
 
-// Timeslice scans the whole store: tt order says nothing about vt.
-func (s *TTLogStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.vtScan(vt, vt.Add(1))
+// Retype re-labels the store in place: same chunks, same sealed runs, same
+// close counts. Dropping a promise is O(1) and cannot fail. Adding one
+// verifies, in one pass that allocates nothing, exactly the order Insert
+// would have enforced had the store carried the label all along, and refuses
+// with the error that Insert would have returned — store unchanged — when the
+// history breaks it. A frozen snapshot refuses both: its label is part of the
+// header it copied.
+func (s *RunStore) Retype(k Kind) error {
+	if s.frozen {
+		return errFrozenRetype
+	}
+	if k > s.kind {
+		var last *element.Element
+		for c := range s.chunks() {
+			for _, e := range s.run(c) {
+				if last != nil {
+					if err := k.breaks(last, e); err != nil {
+						return err
+					}
+				}
+				last = e
+			}
+		}
+	}
+	s.kind = k
+	return nil
 }
 
-// VTRange scans the store; sealed runs act as zone maps — a run whose
+// Snapshot shares every chunk, O(1); the label and the sealed runs carry
+// over, so the published read path keeps every access method.
+func (s *RunStore) Snapshot() Store { return &RunStore{s.snapshot(), s.kind} }
+
+// Timeslice binary-searches the valid-time order where it holds and scans
+// otherwise.
+func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
+	return s.VTRange(vt, vt.Add(1))
+}
+
+// VTRange on the vt-ordered log binary-searches for the first element that
+// could intersect [lo, hi) and walks forward until starts pass hi. For
+// interval elements the walk starts at the beginning of the run of intervals
+// that may still cover lo; with a sequential (non-overlapping) relation that
+// run has length ≤ 1, keeping the touched count near the answer size. The
+// other organizations scan, with sealed runs as zone maps — a run whose
 // recorded valid-time envelope misses [lo, hi), or that held no current
 // element when sealed, is skipped at the cost of one metadata probe.
-func (s *TTLogStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
+func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
+	if s.kind == VTOrdered {
+		return s.vtRangeOrdered(lo, hi)
+	}
 	return s.vtScan(lo, hi)
 }
 
-// Rollback binary-searches for the prefix with tt⊢ ≤ tt and filters it for
-// elements still present at tt. Without runs, touched is the prefix length;
-// sealed runs whose every element was already closed by tt are skipped for
-// one metadata probe each.
-func (s *TTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
+// Rollback on the logs binary-searches for the prefix with tt⊢ ≤ tt and
+// filters it for elements still present at tt; the heap does not assume tt
+// order and filters everything. Sealed runs whose every element was already
+// closed by tt are skipped for one metadata probe each.
+func (s *RunStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
+	if s.kind == Heap {
+		return s.presentIn(s.n, tt)
+	}
 	return s.rollback(tt)
 }
 
-// TTWindow returns the elements with lo ≤ tt⊢ ≤ hi, found by binary search
-// on the insertion order. The touched count is the window size plus the
-// probe. This is the access path that bounded specializations unlock: a
-// declared lo ≤ vt − tt ≤ hi turns a valid-time predicate into exactly
-// such a transaction-time window.
-func (s *TTLogStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
+// TTWindow returns the elements with lo ≤ tt⊢ ≤ hi, found on the logs by
+// binary search on the insertion order — the touched count is the window
+// size plus the probe — and on the heap by filtering everything. This is the
+// access path that bounded specializations unlock: a declared
+// lo ≤ vt − tt ≤ hi turns a valid-time predicate into exactly such a
+// transaction-time window.
+func (s *RunStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
+	if s.kind == Heap {
+		s.Scan(func(e *element.Element) bool {
+			if lo <= e.TTStart && e.TTStart <= hi {
+				out = append(out, e)
+			}
+			return true
+		})
+		return out, s.n
+	}
 	touched := 1
 	for i := s.search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n; i++ {
 		e := s.at(i)
@@ -240,63 +290,4 @@ func (s *TTLogStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) 
 		touched++
 	}
 	return out, touched
-}
-
-// VTLogStore relies on a declared non-decreasing specialization: arrival
-// order is simultaneously tt order and valid-time order, so one append-only
-// structure serves transaction-time and valid-time queries alike — the
-// paper's append-only relation "that can support historical (as well as
-// transaction time) queries". Insert enforces the promised order and fails
-// loudly if the declaration was wrong. Both the tt and vt envelopes of its
-// sealed runs are valid binary-search keys, because the store enforces both
-// orders (compact.go).
-type VTLogStore struct{ seq }
-
-// NewVTLog returns an empty vt-ordered log store.
-func NewVTLog() *VTLogStore { return &VTLogStore{} }
-
-// Kind reports VTOrdered.
-func (s *VTLogStore) Kind() Kind { return VTOrdered }
-
-// Snapshot shares every chunk, O(1); sealed runs carry over.
-func (s *VTLogStore) Snapshot() Store { return &VTLogStore{s.snapshot()} }
-
-// Insert appends the element, verifying both orders.
-func (s *VTLogStore) Insert(e *element.Element) error {
-	if s.frozen {
-		return errFrozenInsert
-	}
-	if s.n > 0 {
-		last := s.at(s.n - 1)
-		if e.TTStart < last.TTStart {
-			return fmt.Errorf("storage: vt-ordered insert out of tt order (%v after %v)",
-				e.TTStart, last.TTStart)
-		}
-		if e.VT.Start() < last.VT.Start() {
-			return fmt.Errorf("storage: vt-ordered insert out of vt order (%v after %v); "+
-				"the non-decreasing declaration is violated", e.VT.Start(), last.VT.Start())
-		}
-	}
-	s.push(e)
-	return nil
-}
-
-// Timeslice binary-searches the valid-time order.
-func (s *VTLogStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.vtRangeOrdered(vt, vt.Add(1))
-}
-
-// VTRange binary-searches for the first element that could intersect
-// [lo, hi) and walks forward until starts pass hi. For interval elements
-// the walk starts at the beginning of the run of intervals that may still
-// cover lo; with a sequential (non-overlapping) relation that run has
-// length ≤ 1, keeping the touched count near the answer size.
-func (s *VTLogStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	return s.vtRangeOrdered(lo, hi)
-}
-
-// Rollback binary-searches the tt order (shared with arrival order),
-// skipping sealed runs that were wholly dead by tt.
-func (s *VTLogStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	return s.rollback(tt)
 }

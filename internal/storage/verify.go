@@ -30,7 +30,7 @@ func (e RunVerifyError) Error() string {
 // its seal-time CRC, decode cleanly, and agree element-for-element with
 // the timestamps of the elements it covers. It returns one error per
 // damaged run (empty for stores that do not seal). RunBytes the scrubber
-// charges come from SealedBytes.
+// charges come from Compaction.
 func VerifyRuns(st Store) []RunVerifyError {
 	s := seqOf(st)
 	var bad []RunVerifyError
@@ -88,10 +88,6 @@ func ResealRuns(st Store, bad []int) int {
 	}
 	return rebuilt
 }
-
-// SealedBytes reports the packed-image byte size of st's sealed runs,
-// the cost basis the scrubber's rate limiter charges for verifying them.
-func SealedBytes(st Store) int64 { return seqOf(st).packedBytes }
 
 // CorruptRun flips one bit inside the packed image of run i — a test
 // hook for the corruption matrix and repair drills (the packed image is

@@ -8,7 +8,7 @@ import (
 	"repro/internal/surrogate"
 )
 
-func sealedTTLog(t *testing.T, n int) *TTLogStore {
+func sealedTTLog(t *testing.T, n int) *RunStore {
 	t.Helper()
 	st := NewTTLog()
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func TestVerifyRunsCorruptionMatrix(t *testing.T) {
 		t.Fatalf("runs = %d", nruns)
 	}
 	for ri := 0; ri < nruns; ri++ {
-		size := int(SealedBytes(st)) / nruns
+		size := int(Compaction(st).PackedBytes) / nruns
 		for off := 0; off < size; off++ {
 			if !CorruptRun(st, ri, off, uint8(off%8)) {
 				t.Fatalf("corrupt run %d failed", ri)
@@ -86,7 +86,7 @@ func TestVerifyRunsPostRepairAnswers(t *testing.T) {
 
 func TestVerifyRunsNonSealingStores(t *testing.T) {
 	st := NewHeap()
-	if VerifyRuns(st) != nil || ResealRuns(st, []int{0}) != 0 || SealedBytes(st) != 0 {
+	if VerifyRuns(st) != nil || ResealRuns(st, []int{0}) != 0 || Compaction(st).PackedBytes != 0 {
 		t.Fatal("heap store reported sealed-run state")
 	}
 	if CorruptRun(st, 0, 0, 0) {
@@ -103,7 +103,7 @@ func TestResealRunsLeavesSnapshotsAlone(t *testing.T) {
 	closed := *orig
 	closed.TTEnd = 9_999_999
 	st.Replace(orig, &closed)
-	snap := st.Snapshot().(*TTLogStore)
+	snap := st.Snapshot().(*RunStore)
 	if snap.chunk(0).run.closed != 1 || snap.chunk(0).run.open != runSize {
 		t.Fatalf("snapshot run 0: open %d closed %d", snap.chunk(0).run.open, snap.chunk(0).run.closed)
 	}
