@@ -95,7 +95,9 @@ bench:
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
 # cache-off direct fold), the aggregate after a delete and an insert on a heap, a
 # tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the columnar batch scan/aggregate
-# microbenchmarks, the hand-written wire codec beside encoding/json
+# microbenchmarks, the general organizations' zone-map scans beside the unpruned filter (20 k and
+# 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the
+# zone map, the hand-written wire codec beside encoding/json
 # on the same result sets, and whole requests over loopback through the
 # server's handler with a signer configured (point read, insert,
 # 1000-element read), at -benchtime=100ms. Fast enough for
@@ -104,7 +106,7 @@ bench:
 # the batch-execution one -exp S7.
 bench-smoke:
 	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
-	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
+	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server
 

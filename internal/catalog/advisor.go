@@ -7,9 +7,11 @@ package catalog
 // (Entry.Respecialize — journaled, so the design survives restarts and
 // ships to followers), and seals frozen runs on relations whose adopted
 // organization is the append-only vt-ordered log (class-scheduled
-// compaction). Followers never run the loop: their physical design
-// arrives through the replicated walRespecialize frames, keeping replica
-// state a pure function of the primary's log.
+// compaction). General relations are not sealed and lose nothing by it:
+// the zone map their scans prune on is kept by every chunk as it fills
+// (storage/seq.go), no pass needed. Followers never run the loop: their
+// physical design arrives through the replicated walRespecialize frames,
+// keeping replica state a pure function of the primary's log.
 
 import (
 	"context"
@@ -67,9 +69,10 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 			rep.Migrations = append(rep.Migrations, mig)
 		}
 		// Class-scheduled compaction: only the vt-ordered log (the
-		// append-only designs) seals runs; general relations keep today's
-		// behavior. Entry.Compact is a no-op on non-sealing stores, but
-		// gating here keeps the sweep from taking their exclusive locks.
+		// append-only designs) seals runs. A general relation has no reader
+		// for a packed image, and its chunks carry their zone maps unsealed.
+		// Entry.Compact is a no-op on non-sealing stores, but gating here
+		// keeps the sweep from taking their exclusive locks.
 		if e.physical.Load().Org == storage.VTOrdered {
 			rep.Sealed += e.Compact()
 		}

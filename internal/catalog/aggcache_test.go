@@ -241,6 +241,50 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	}
 }
 
+// TestChunkPartialsUnderAClampWithoutSealing closes the gap PR 19 left: a
+// full chunk knows its valid-time envelope without being sealed, so on a
+// relation no advisor ever compacts a clamped aggregate prunes the chunks the
+// clamp misses, memoizes the ones it contains, and after an append merges
+// those and folds only what the clamp cuts. 4 chunks of 2560 chronons each
+// and a tail, on the tt-ordered log.
+func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
+	c := New(cachedConfig(t.TempDir()))
+	e, err := c.Create(relation.Schema{
+		Name: "s", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Varying: []relation.Column{{Name: "v", Type: element.KindInt}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSensor(t, e, 0, 4*256+10)
+	if got := e.Physical(); got.Org != storage.TTOrdered || got.Compaction.Runs != 0 {
+		t.Fatalf("set-up left %v with %d sealed runs", got.Org, got.Compaction.Runs)
+	}
+	n := 4*256 + 10
+	for _, tc := range []struct {
+		clamp          string
+		folded, merged int64 // warm, after an append
+	}{
+		{"[2560, 7680)", 0, 2}, // chunks 1 and 2 exactly; 0 and 3 pruned
+		{"[3000, 7680)", 1, 1}, // cuts chunk 1
+		{"[0, 20000)", 0, 4},   // every chunk inside
+	} {
+		src := "select count(*), sum(v) from s when valid during " + tc.clamp + " group by window(3000) using row"
+		mustAggSelect(t, e, src)
+		appendSensor(t, e, n, 1) // drops the result cache; every full chunk stays as it was
+		n++
+		before := e.BatchStats()
+		warm := mustAggSelect(t, e, src)
+		after := e.BatchStats()
+		if f, m := after.RunsFolded-before.RunsFolded, after.RunsMerged-before.RunsMerged; f != tc.folded || m != tc.merged {
+			t.Fatalf("clamp %s after an append: folded %d, merged %d; want %d, %d", tc.clamp, f, m, tc.folded, tc.merged)
+		}
+		if !reflect.DeepEqual(warm.Rows, mustDefine(t, e, src).Rows) {
+			t.Fatalf("clamp %s: warm rows diverge from the definition", tc.clamp)
+		}
+	}
+}
+
 // TestRunPartialsPinnedView: a reader still holding an old view after
 // later closes must not be answered from the partials those closes
 // produced — and must not put its own older ones in their place.

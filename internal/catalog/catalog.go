@@ -1104,46 +1104,19 @@ func resultSize(qr QueryResult) int64 {
 }
 
 // TimesliceAsOfCtx answers the bitemporal query: elements valid at vt as
-// stored at tt. It is the catalog's most expensive read, so the scan
-// itself is cooperative: it re-checks the context periodically and stops
-// mid-scan when the caller is gone. Like the other reads it runs against
-// the pinned view — no physical organization indexes both time
-// dimensions, so it scans the view's elements — and memoizes in the
-// result cache, where repeat bitemporal traffic benefits the most.
+// stored at tt. No physical organization indexes both time dimensions, so
+// it scans the pinned view — pruned by the chunks' valid-time envelopes and,
+// where arrival order is tt⊢ order, cut at tt (storage.AsOf) — and the scan
+// is cooperative: it re-checks the context as it goes and stops when the
+// caller is gone. Like the other reads it memoizes in the result cache,
+// where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
 	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
 		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-		st := v.engine.Store()
-		els, err := asOfScan(ctx, storage.Runs(st), vt, tt)
-		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: st.Len()}, err
+		els, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
+		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: touched}, err
 	})
-}
-
-// asOfScan is the bitemporal full scan over a pinned view's runs,
-// cooperative like relation.TimesliceAsOfCtx: it polls between runs.
-func asOfScan(ctx context.Context, runs element.Runs, vt, tt chronon.Chronon) ([]*element.Element, error) {
-	var out []*element.Element
-	err := runs.Do(ctx, func(run []*element.Element) error {
-		out = appendAsOf(out, run, vt, tt)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// appendAsOf appends the elements of run present at tt and valid at vt. A
-// function of its own, not the closure's body: the compiler inlines the two
-// predicates here and does not there, which is 15% of the scan.
-func appendAsOf(out, run []*element.Element, vt, tt chronon.Chronon) []*element.Element {
-	for _, el := range run {
-		if el.PresentAt(tt) && el.ValidAt(vt) {
-			out = append(out, el)
-		}
-	}
-	return out
 }
 
 // selectScratch pools candidate slices for SELECTs that must re-sort an

@@ -13,7 +13,10 @@ package catalog
 // the specializer distinguishes (degenerate, sequential, vt-regular,
 // violation-degraded, random), are reshaped by deletes and modifies, and
 // are respecialized + compacted mid-build so queries cross sealed runs and
-// unsealed tails; between rounds of statements the sweep closes elements
+// unsealed tails. One more class, ledger, is the general organization as
+// production runs it — long early stamps, short late ones, old valid times
+// re-landing in new chunks, and nothing ever sealed — so every clamp there is
+// answered off the chunks' own zone maps. Between rounds of statements the sweep closes elements
 // inside sealed runs, appends and seals, vacuums, and corrupts and repairs a
 // run, so partials are invalidated every way they can be. A -race companion
 // repeats the comparison on pinned snapshot views while inserts, vacuum,
@@ -89,6 +92,10 @@ func classVT(class string, rng *rand.Rand, i int, cur *int64) int64 {
 			return *cur - 40 - rng.Int63n(40) // rare order violation
 		}
 		return *cur
+	case "ledger":
+		// Starts wander around a slow drift: no order to infer, yet a late
+		// chunk's envelope is narrow.
+		return max(10*int64(i)+rng.Int63n(801)-400, 0)
 	default: // random
 		return rng.Int63n(4000)
 	}
@@ -106,6 +113,9 @@ type diffRel struct {
 	stamp element.TimestampKind
 	vtHi  int64
 	rng   *rand.Rand
+	// general marks the ledger class: only the advisor decides what is
+	// compacted, and on a general relation it compacts nothing.
+	general bool
 }
 
 // stampAt builds the relation's kind of valid time-stamp starting at lo.
@@ -140,7 +150,9 @@ func (d *diffRel) seal(t *testing.T) {
 	if _, err := d.c.AdvisePass(AdvisorConfig{}); err != nil { // zero thresholds: examine everything
 		t.Fatalf("AdvisePass: %v", err)
 	}
-	d.e.Compact()
+	if !d.general {
+		d.e.Compact()
+	}
 }
 
 // closeSome deletes or, every third time, modifies n random current
@@ -174,12 +186,15 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	if err != nil {
 		t.Fatalf("Create(%s): %v", name, err)
 	}
-	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng}
+	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng, general: class == "ledger"}
 	var cur int64
 	var esList []surrogate.Surrogate
 	for i := 0; i < diffBuildN; i++ {
-		lo := classVT(class, rng, i, &cur)
-		el, err := insert(e, relation.Insertion{VT: d.stampAt(lo, 1+rng.Int63n(30)), Varying: diffValues(rng)})
+		lo, length := classVT(class, rng, i, &cur), 1+rng.Int63n(30)
+		if d.general && i < 300 && i%2 == 0 {
+			length = 3000 // the ledger's long early intervals
+		}
+		el, err := insert(e, relation.Insertion{VT: d.stampAt(lo, length), Varying: diffValues(rng)})
 		if err != nil {
 			t.Fatalf("%s insert %d: %v", name, i, err)
 		}
@@ -190,8 +205,12 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 		_ = remove(e, esList[rng.Intn(len(esList))])
 	}
 	d.seal(t)
-	if got := e.Physical().Compaction.Runs; got != diffBuildN/256 {
-		t.Fatalf("%s: %d sealed runs after the build, want %d", name, got, diffBuildN/256)
+	want := diffBuildN / 256
+	if d.general {
+		want = 0
+	}
+	if got := e.Physical().Compaction.Runs; got != want {
+		t.Fatalf("%s: %d sealed runs after the build, want %d", name, got, want)
 	}
 	d.appendOrdered(t, 24) // unsealed tail past the compacted prefix
 	return d
@@ -377,17 +396,22 @@ var diffLifecycle = []struct {
 		d.seal(t)
 	}},
 	{"closes-then-reseal", func(t *testing.T, d *diffRel) {
-		// Close into run 0, damage its image, and let the repair reseal it:
-		// the run's close count starts over, so a partial memoized at the
-		// old count must not be taken for the new run's.
+		// Close into run 0, damage its image — on the general relation,
+		// which has none, its envelope — and let the repair reseal it: the
+		// run's close count starts over, so a partial memoized at the old
+		// count must not be taken for the new run's.
 		els := current(d.e).Elements
 		for i := 0; i < 3; i++ {
 			_ = remove(d.e, els[i].ES)
 		}
 		gen := d.e.view.Load().gen
 		_ = d.e.locked.Exclusive(func(*relation.Relation) error {
-			if !storage.CorruptRun(d.e.engine.Store(), 0, 9, 4) {
-				t.Fatalf("%s has no sealed run to corrupt", d.e.Name())
+			corrupted := storage.CorruptRun(d.e.engine.Store(), 0, 9, 4)
+			if d.general {
+				corrupted = storage.CorruptZone(d.e.engine.Store(), 0, false, 40)
+			}
+			if !corrupted {
+				t.Fatalf("%s has no run to corrupt", d.e.Name())
 			}
 			return nil
 		})
@@ -411,7 +435,7 @@ var diffLifecycle = []struct {
 // both valid-time kinds × every lifecycle step × a random query mix; the
 // definition against row and columnar (each as found, cold and warm).
 func TestDifferentialRowColumnar(t *testing.T) {
-	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random"}
+	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random", "ledger"}
 	stamps := []struct {
 		kind element.TimestampKind
 		name string
@@ -434,6 +458,9 @@ func TestDifferentialRowColumnar(t *testing.T) {
 					for _, step := range diffLifecycle {
 						step.do(t, d)
 						e, vtHi := d.e, d.vtHi
+						if p := e.Physical(); d.general && (p.Compaction.Runs != 0 || p.Org == storage.VTOrdered) {
+							t.Fatalf("%s after %s: on %v with %d sealed runs; the leg means the general organization, unsealed", name, step.name, p.Org, p.Compaction.Runs)
+						}
 						for i := 0; i < 10; i++ {
 							base, lim := genAggQuery(rng, name, st.kind == element.IntervalStamp, vtHi, ttHi)
 							if runDiff(t, e, base, lim, &tally) {

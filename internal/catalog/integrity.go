@@ -11,6 +11,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/vec"
 	"repro/internal/wal"
 )
 
@@ -195,8 +196,9 @@ func (e *Entry) QuarantineCause() string {
 	return ""
 }
 
-// verifyRuns checks every frozen run's checksum against its packed
-// image under the shared lock.
+// verifyRuns checks every full chunk's zone map against its elements and
+// every frozen run's checksum against its packed image, under the shared
+// lock.
 func (e *Entry) verifyRuns() error {
 	var bad []storage.RunVerifyError
 	_ = e.locked.View(func(*relation.Relation) error {
@@ -206,7 +208,7 @@ func (e *Entry) verifyRuns() error {
 	if len(bad) == 0 {
 		return nil
 	}
-	return fmt.Errorf("catalog: relation %q: %d corrupt frozen runs (first: run %d %s)",
+	return fmt.Errorf("catalog: relation %q: %d corrupt runs (first: run %d %s)",
 		e.name, len(bad), bad[0].Run, bad[0].Reason)
 }
 
@@ -324,8 +326,10 @@ func (c *Catalog) ScrubArtifacts() ([]integrity.Artifact, error) {
 		if err != nil {
 			continue
 		}
-		if n := e.physical.Load().Compaction.PackedBytes; n > 0 {
-			out = append(out, integrity.Artifact{Kind: "runs", Name: name, Rel: name, Bytes: n})
+		// A relation that has filled a chunk has derived state to verify,
+		// sealed or not: the zone map every scan prunes on.
+		if st := e.view.Load().engine.Store(); st.Len() >= vec.BatchSize {
+			out = append(out, integrity.Artifact{Kind: "runs", Name: name, Rel: name, Bytes: storage.StoreBytes(st)})
 		}
 	}
 	return out, nil
@@ -432,14 +436,14 @@ func (c *Catalog) preserveEvidence(name string, read func() ([]byte, error)) {
 	_ = os.WriteFile(filepath.Join(qdir, filepath.Base(name)), data, 0o644)
 }
 
-// repairRuns rebuilds a relation's corrupt frozen runs from the live
-// elements — runs are derived state, the elements are ground truth.
+// repairRuns rebuilds a relation's corrupt zone maps and frozen runs from
+// the live elements — both are derived state, the elements are ground truth.
 func (c *Catalog) repairRuns(a integrity.Artifact) {
 	e, err := c.Get(a.Rel)
 	if err != nil {
 		return
 	}
-	e.Quarantine(fmt.Sprintf("frozen runs of %q failed verification", a.Rel))
+	e.Quarantine(fmt.Sprintf("runs of %q failed verification", a.Rel))
 	c.igQuarantines.Add(1)
 	c.journalIntegrity(IntegrityEvent{
 		Kind: "quarantine", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -215,6 +216,73 @@ func TestIntegrityRepairRuns(t *testing.T) {
 	}
 	if evs := c.IntegrityEvents(); len(evs) < 3 { // detect, quarantine, repair
 		t.Fatalf("journal too short: %+v", evs)
+	}
+}
+
+// TestIntegrityRepairZoneMap flips a bit in a chunk's valid-time envelope on
+// a general relation that is never sealed — the derived state every
+// organization's scans prune on. Once published, the damage drops the chunk's
+// rows from the time-slice and the bitemporal read; the scrub path lists the
+// relation although it has no packed image, detects the chunk, quarantines,
+// rewrites the envelope from the elements and lifts the quarantine; and both
+// reads equal the brute-force filter over the view again.
+func TestIntegrityRepairZoneMap(t *testing.T) {
+	root := t.TempDir()
+	w, c := integOpen(t, root)
+	defer w.Close()
+	e, err := c.Create(eventSchema("emp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	integInsert(t, e, 700, 100)
+	if p := e.Physical(); p.Compaction.Runs != 0 {
+		t.Fatalf("set-up sealed %d runs; the test means none", p.Compaction.Runs)
+	}
+	const vt, tt = 100 + 256 + 40, 1 << 40 // an element of chunk 1, as stored now
+	answers := func(what string) {
+		t.Helper()
+		var slice, asOf []*element.Element
+		for _, el := range e.view.Load().elems() {
+			if el.ValidAt(vt) && el.Current() {
+				slice = append(slice, el)
+			}
+			if el.ValidAt(vt) && el.PresentAt(tt) {
+				asOf = append(asOf, el)
+			}
+		}
+		if got := timeslice(e, vt).Elements; len(slice) != 1 || !reflect.DeepEqual(got, slice) {
+			t.Fatalf("%s: time-slice returned %d elements, the filter %d", what, len(got), len(slice))
+		}
+		if got := timesliceAsOf(e, vt, tt).Elements; !reflect.DeepEqual(got, asOf) {
+			t.Fatalf("%s: as-of returned %d elements, the filter %d", what, len(got), len(asOf))
+		}
+	}
+	answers("before the damage")
+
+	_ = e.locked.Exclusive(func(*relation.Relation) error {
+		if !storage.CorruptZone(e.engine.Store(), 1, false, 40) {
+			t.Fatal("could not corrupt chunk 1's envelope")
+		}
+		return nil
+	})
+	integInsert(t, e, 1, 5000) // publishes a view that shares the damaged chunk
+	if got := timeslice(e, vt).Elements; len(got) != 0 {
+		t.Fatalf("the damaged envelope still admits vt %d (%d elements); the test means it to decide the answer", vt, len(got))
+	}
+
+	rep, err := c.VerifyRelation("emp")
+	if err != nil {
+		t.Fatalf("VerifyRelation: %v", err)
+	}
+	if len(rep.Failures) != 1 || rep.Repaired != 1 {
+		t.Fatalf("scrub of a relation with no sealed run: %+v, want one failure, repaired", rep)
+	}
+	if cause := e.QuarantineCause(); cause != "" {
+		t.Fatalf("quarantine not lifted after repair: %q", cause)
+	}
+	answers("after the repair")
+	if st := c.IntegrityStats(); st.Detected == 0 || st.Repaired == 0 {
+		t.Fatalf("stats did not count the repair: %+v", st)
 	}
 }
 

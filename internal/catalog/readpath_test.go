@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/tsql"
 	"repro/internal/wal"
 )
@@ -224,6 +225,54 @@ func TestWALReplayPublishesFreshView(t *testing.T) {
 	}
 	if res.Epoch != e2.Epoch() {
 		t.Fatalf("result epoch %d != entry epoch %d", res.Epoch, e2.Epoch())
+	}
+}
+
+// TestTimesliceAsOfReportsWhatItVisited: the bitemporal read's accounting is
+// elements visited plus one probe per pruned chunk, the time-slice scan's
+// rule, in the result, in the per-plan books and on a cache hit (nothing
+// scanned). 700 undeclared events on the tt-ordered log, 10 chronons of
+// transaction time apart: chunks 0 and 1 are full, 188 elements are the tail.
+func TestTimesliceAsOfReportsWhatItVisited(t *testing.T) {
+	c := New(cachedConfig(t.TempDir()))
+	e, err := c.Create(eventSchema("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 700; i++ {
+		mustInsert(t, e, int64(100+i))
+	}
+	if org := e.Physical().Org; org != storage.TTOrdered {
+		t.Fatalf("set-up left the relation on %v", org)
+	}
+	els := e.view.Load().elems()
+	at := els[256+40]
+	for _, tc := range []struct {
+		what    string
+		tt      chronon.Chronon
+		touched int
+		found   bool
+	}{
+		// Chunk 0's envelope misses: one probe; chunk 1 and the tail are visited.
+		{"as of now", 1 << 40, 1 + 256 + 188, true},
+		// The tail begins after tt: one probe there ends the scan.
+		{"as of the element's own insertion", at.TTStart, 1 + 256 + 1, true},
+		// Chunk 1 begins after tt: the scan ends on its probe, having pruned chunk 0.
+		{"as of before chunk 1", els[256].TTStart - 1, 1 + 1, false},
+	} {
+		before := e.PlanStats()["full-scan"]
+		res, err := e.TimesliceAsOfCtx(context.Background(), at.VT.Start(), tc.tt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if found := len(res.Elements) == 1 && res.Elements[0] == at; found != tc.found || len(res.Elements) > 1 || res.Touched != tc.touched {
+			t.Fatalf("%s: %d elements, touched %d; want found %v, touched %d", tc.what, len(res.Elements), res.Touched, tc.found, tc.touched)
+		}
+		again, _ := e.TimesliceAsOfCtx(context.Background(), at.VT.Start(), tc.tt)
+		after := e.PlanStats()["full-scan"]
+		if again.Touched != tc.touched || after.Queries != before.Queries+2 || after.Touched != before.Touched+int64(tc.touched) {
+			t.Fatalf("%s: books moved %+v -> %+v over a scan touching %d and a cache hit", tc.what, before, after, tc.touched)
+		}
 	}
 }
 

@@ -144,8 +144,8 @@ const (
 	// Limit truncates the result to the first Count rows.
 	Limit
 	// ColumnarScan is the batch leaf: it reads sealed delta-encoded runs
-	// column-at-a-time (and gathers the unsealed tail), pruning whole
-	// runs by their zone-map envelopes.
+	// column-at-a-time (and gathers the unsealed chunks), pruning whole
+	// chunks by their zone maps.
 	ColumnarScan
 	// WindowAggregate folds its input into temporal windows (GROUP BY
 	// WINDOW): tumbling, rolling, or cumulative over valid time.

@@ -3,12 +3,12 @@ package storage
 // Columnar batch reading: stream a store's extension as vec.Batch
 // struct-of-arrays without materializing elements row by row. Sealed
 // delta-encoded runs (compact.go) decode straight into the batch's
-// int64 columns — one run is exactly one batch — and the run envelopes
-// double as zone maps, so whole batches are skipped before a single
-// varint is read. Unsealed chunks — the tail, and every chunk of a store
-// that does not seal — gather the columns from their elements. Every full
-// chunk, sealed or not, reports its lifetime close count, which is what lets
-// the aggregate path keep a chunk's contribution across writes elsewhere.
+// int64 columns — one run is exactly one batch. Unsealed chunks — the
+// tail, and every chunk of a store that does not seal — gather the columns
+// from their elements. Every full chunk, sealed or not, is pruned on its
+// zone map (seq.go) before a varint is read or an element visited, and
+// reports its lifetime close count, which is what lets the aggregate path
+// keep a chunk's contribution across writes elsewhere.
 
 import (
 	"encoding/binary"
@@ -82,7 +82,7 @@ type Unit struct {
 	// Closed is how many of the chunk's elements have ever been closed.
 	Closed int
 	// Stable marks a full chunk read current-only that no clamp can cut —
-	// read with none, or sealed with its envelope inside the window: what it
+	// read with none, or with its envelope inside the window: what it
 	// contributes to a fold over valid time is then a function of (Run,
 	// Closed) alone, for as long as the store keeps its positions — nothing
 	// is appended to it and closes are monotone.
@@ -96,35 +96,32 @@ func NewBatchReader(st Store, event bool) *BatchReader {
 	return &BatchReader{s: *seqOf(st), event: event}
 }
 
-// SetVTWindow prunes runs whose valid-time envelope misses [lo, hi).
+// SetVTWindow prunes full chunks whose valid-time envelope misses [lo, hi).
 func (r *BatchReader) SetVTWindow(lo, hi chronon.Chronon) {
 	r.hasVT, r.vtLo, r.vtHi = true, lo, hi
 }
 
-// SetCurrentOnly prunes runs whose every element has closed, whether
-// before sealing or since — closed elements never reopen, so no row in
-// them can be current.
+// SetCurrentOnly prunes full chunks whose every element has closed — closed
+// elements never reopen, so no row in them can be current.
 func (r *BatchReader) SetCurrentOnly() { r.currentOnly = true }
 
-// SetAsOf prunes runs whose existence-interval envelope misses tt. The
-// envelope is safe: tt⊢ is immutable and a run with any open element
-// seals with maxTTEnd = Forever.
+// SetAsOf prunes sealed runs whose existence-interval envelope misses tt —
+// that envelope is computed by the seal. It is safe: tt⊢ is immutable and a
+// run with any open element seals with maxTTEnd = Forever.
 func (r *BatchReader) SetAsOf(tt chronon.Chronon) { r.asOf, r.tt = true, tt }
 
-// Skipped reports how many sealed runs the zone maps pruned.
+// Skipped reports how many chunks the zone maps pruned.
 func (r *BatchReader) Skipped() int { return r.skipped }
 
-func (r *BatchReader) skipRun(run *runMeta) bool {
-	if r.hasVT && (run.vtLo >= r.vtHi || run.vtHi <= r.vtLo) {
+// skipRun reports whether full chunk k holds no row the reader wants.
+func (r *BatchReader) skipRun(k int, c *chunk) bool {
+	if r.hasVT && c.vtMisses(r.vtLo, r.vtHi) {
 		return true
 	}
-	if r.currentOnly && !run.live() {
+	if r.currentOnly && !c.live() {
 		return true
 	}
-	if r.asOf && (run.ttLo > r.tt || run.maxTTEnd <= r.tt) {
-		return true
-	}
-	return false
+	return r.asOf && k < r.s.sealed && (c.run.ttLo > r.tt || c.run.maxTTEnd <= r.tt)
 }
 
 // decodeRun fills b from a sealed run's packed columns. tt⊣ is the one
@@ -175,17 +172,17 @@ func (r *BatchReader) Advance() (Unit, bool) {
 	for r.next < r.s.chunks() {
 		k := r.next
 		r.next++
-		c, sealed := r.s.chunk(k), k < r.s.sealed
-		if sealed && r.skipRun(&c.run) {
+		if !r.s.full(k) {
+			return Unit{Run: -1}, true
+		}
+		c := r.s.chunk(k)
+		if r.skipRun(k, c) {
 			r.skipped++
 			continue
 		}
-		if (k+1)*runSize > r.s.n {
-			return Unit{Run: -1}, true
-		}
 		return Unit{
 			Run: k, Closed: c.closes,
-			Stable: r.currentOnly && !r.asOf && (!r.hasVT || (sealed && r.vtLo <= c.run.vtLo && c.run.vtHi <= r.vtHi)),
+			Stable: r.currentOnly && !r.asOf && (!r.hasVT || c.vtWithin(r.vtLo, r.vtHi)),
 		}, true
 	}
 	return Unit{}, false

@@ -538,10 +538,10 @@ func TestCurrentOnlyPrunesRunsClosedAfterSealing(t *testing.T) {
 
 // TestAdvanceReportsStableRuns: the chunk-granular step visits exactly the
 // units Next does, and marks stable the full chunks a current-only read
-// sees whole — sealed runs unless a clamp cuts them, unsealed full chunks
-// unless there is a clamp at all (they have no envelope to clear it),
-// nothing under AS OF, never the partial tail. Closed is the lifetime
-// count: the close that landed in chunk 3 while it was the tail counts.
+// sees whole — sealed or not, unless a clamp cuts them (a clamp that misses
+// one prunes it, sealed or not) — nothing under AS OF, never the partial
+// tail. Closed is the lifetime count: the close that landed in chunk 3 while
+// it was the tail counts.
 func TestAdvanceReportsStableRuns(t *testing.T) {
 	st := sealedEventLog(t, 3*runSize+10) // vt 10 … 7780, runs of 2560 chronons
 	closeAt(st, runSize+1, 90_000)
@@ -583,9 +583,13 @@ func TestAdvanceReportsStableRuns(t *testing.T) {
 		{"current", func(r *BatchReader) { r.SetCurrentOnly() },
 			[]unit{{0, 0, true}, {1, 1, true}, {2, 0, true}, {3, 1, true}, {-1, 0, false}}},
 		{"clamp", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2000, 7681) },
-			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {3, 1, false}, {-1, 0, false}}},
+			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {-1, 0, false}}},
 		{"clamp-cuts-last-run", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2570, 7680) },
-			[]unit{{1, 1, true}, {2, 0, false}, {3, 1, false}, {-1, 0, false}}},
+			[]unit{{1, 1, true}, {2, 0, false}, {-1, 0, false}}},
+		{"clamp-covers-unsealed", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2000, 10241) },
+			[]unit{{0, 0, false}, {1, 1, true}, {2, 0, true}, {3, 1, true}, {-1, 0, false}}},
+		{"clamp-cuts-unsealed", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(2570, 10240) },
+			[]unit{{1, 1, true}, {2, 0, true}, {3, 1, false}, {-1, 0, false}}},
 		{"as-of", func(r *BatchReader) { r.SetAsOf(80_000) },
 			[]unit{{0, 0, false}, {1, 1, false}, {2, 0, false}, {3, 1, false}, {-1, 0, false}}},
 		{"unfiltered", func(*BatchReader) {},

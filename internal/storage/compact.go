@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 
@@ -14,10 +15,11 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Class-scheduled compaction: the log organizations can seal their stable
 // prefix into fixed-size runs. A sealed run carries
 //
-//   - min/max envelope metadata (tt⊢, tt⊣, valid time, liveness), which the
-//     query paths use as a zone map — a run provably disjoint from the
-//     query's window, or wholly dead at the rollback instant, costs one
-//     metadata probe instead of runSize element visits; and
+//   - the transaction-time envelope (min/max tt⊢, max tt⊣), which rollback
+//     and the as-of batch reader use as a zone map — a run wholly dead at the
+//     instant costs one metadata probe instead of runSize element visits
+//     (the valid-time envelope and the liveness count need no seal: every
+//     full chunk carries them from the moment it fills, seq.go); and
 //
 //   - a delta-encoded columnar image of the run's timestamps (packed), the
 //     representation a disk-resident layout would store. Its byte size is
@@ -29,9 +31,8 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // pointer-identical results; only the touched accounting changes. Envelope
 // staleness is one-directional by construction: after sealing, an element
 // can only move from open to closed (the copy-on-close Replace), which makes
-// a recorded maxTTEnd of Forever or a seal-time open count above zero
-// conservative — a stale run is scanned, never wrongly skipped. Valid times
-// and tt⊢ are immutable, so those bounds stay exact. Each run also counts the
+// a recorded maxTTEnd of Forever conservative — a stale run is scanned, never
+// wrongly skipped. tt⊢ is immutable, so those bounds stay exact. Each run also counts the
 // closes that landed in it since sealing, which is what lets the batch reader
 // tell a stale envelope from a fresh one (colbatch.go); what lets the
 // aggregate path reuse a chunk's contribution across writes that did not
@@ -40,7 +41,8 @@ var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Compaction is scheduled by class: the catalog's advisor loop seals runs
 // only on relations whose live organization is the vt-ordered log — the
 // append-only designs of §3.1/§3.2, where the prefix is stable by promise.
-// General relations keep today's behavior (no runs unless a caller opts in).
+// General relations are not sealed (no caller reads a packed image there);
+// their scans prune on the chunks' own zone maps instead.
 
 // runMeta describes one sealed run — the runSize elements of the chunk it
 // hangs off (seq.go).
@@ -48,19 +50,12 @@ type runMeta struct {
 	ttLo     chronon.Chronon // min tt⊢ (first element; logs are tt-ordered)
 	ttHi     chronon.Chronon // max tt⊢ (last element)
 	maxTTEnd chronon.Chronon // max tt⊣ at seal time (Forever while any open)
-	vtLo     chronon.Chronon // min valid-time start
-	vtHi     chronon.Chronon // max exclusive valid-time end
-	open     int             // elements still current at seal time
 	// closed counts the elements closed since sealing (seq.Replace): zero
-	// means the packed tt⊣ column is still exact, open means nothing in the
-	// run is current any more.
+	// means the packed tt⊣ column is still exact.
 	closed int
 	packed []byte // delta-encoded timestamp columns
 	sum    uint32 // CRC32C of packed, fixed at seal time
 }
-
-// live reports whether any element of the run can still be current.
-func (r *runMeta) live() bool { return r.closed < r.open }
 
 // sealRun builds the metadata and packed image for one full run.
 func sealRun(run []*element.Element) runMeta {
@@ -68,16 +63,9 @@ func sealRun(run []*element.Element) runMeta {
 		ttLo:     run[0].TTStart,
 		ttHi:     run[len(run)-1].TTStart,
 		maxTTEnd: chronon.MinChronon,
-		vtLo:     chronon.MaxChronon,
-		vtHi:     chronon.MinChronon,
 	}
 	for _, e := range run {
 		r.maxTTEnd = chronon.Max(r.maxTTEnd, e.TTEnd)
-		r.vtLo = chronon.Min(r.vtLo, e.VT.Start())
-		r.vtHi = chronon.Max(r.vtHi, exclusiveEnd(e))
-		if e.Current() {
-			r.open++
-		}
 	}
 	r.packed = packColumns(run)
 	r.sum = crc32.Checksum(r.packed, runCastagnoli)
@@ -192,14 +180,14 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, int) {
 }
 
 // vtScan is the valid-time scan for stores with no useful vt order (the
-// heap and the tt log): sealed runs whose valid-time envelope misses
-// [lo, hi), or that held no open element when sealed, are skipped for one
-// probe; everything else is visited.
+// heap and the tt log): full chunks whose valid-time envelope misses
+// [lo, hi), or that hold no current element, are skipped for one probe;
+// everything else is visited.
 func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	var out []*element.Element
 	touched := 0
 	for k := range s.chunks() {
-		if r := &s.chunk(k).run; k < s.sealed && (r.open == 0 || r.vtLo >= hi || r.vtHi <= lo) {
+		if c := s.chunk(k); s.full(k) && (!c.live() || c.vtMisses(lo, hi)) {
 			touched++
 			continue
 		}
@@ -218,20 +206,19 @@ func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // binary-searches for the first element whose valid time may reach past lo
 // — an event at c covers [c, c+1), an interval's end is already exclusive,
 // and for sequential intervals ends are non-decreasing, so the predicate is
-// monotone — then walks forward until starts pass hi, skipping any sealed
-// run that held no open element when sealed and stopping early when a run's
+// monotone — then walks forward until starts pass hi, skipping any full
+// chunk that holds no current element and stopping early when a chunk's
 // minimum start already passes hi. The probe counts as one touch.
 func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	start := s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
 	var out []*element.Element
 	touched := 1
 	for k := start / runSize; k < s.chunks(); k++ {
-		if k < s.sealed {
-			r := &s.chunk(k).run
-			if r.vtLo >= hi {
+		if c := s.chunk(k); s.full(k) {
+			if c.vtLo >= hi {
 				return out, touched
 			}
-			if r.open == 0 {
+			if !c.live() {
 				touched++
 				continue
 			}
@@ -251,6 +238,41 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 		}
 	}
 	return out, touched
+}
+
+// AsOf answers the bitemporal query over st: the elements present at tt and
+// valid at vt, in arrival order, with the number touched — elements visited
+// plus one probe per pruned chunk. No organization orders both dimensions,
+// so it scans, but only the chunks the query can touch: a full chunk whose
+// valid-time envelope misses vt is skipped on every organization, and where
+// arrival order is tt⊢ order the scan ends at the first chunk that begins
+// after tt. It is cooperative: it polls ctx once a chunk.
+func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, int, error) {
+	s, ttOrdered := seqOf(st), st.Kind() != Heap
+	var out []*element.Element
+	touched := 0
+	for k := range s.chunks() {
+		c := s.chunk(k)
+		if ttOrdered && c.elems[0].TTStart > tt {
+			touched++
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, touched, err
+		}
+		if s.full(k) && c.vtMissesAt(vt) {
+			touched++
+			continue
+		}
+		run := s.run(k)
+		touched += len(run)
+		for _, e := range run {
+			if e.PresentAt(tt) && e.ValidAt(vt) {
+				out = append(out, e)
+			}
+		}
+	}
+	return out, touched, nil
 }
 
 // Compacter is implemented by stores that can seal frozen runs.

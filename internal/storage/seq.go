@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/vec"
 )
@@ -20,16 +21,18 @@ const blockSize = 64
 // seq is the persistent element sequence under every organization: arrival
 // order, cut into fixed chunks that hang, blockSize at a time, off the blocks
 // of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize) and, once
-// Compact has sealed it, *is* sealed run k — the run's envelope and packed
+// Compact has sealed it, *is* sealed run k — the run's tt envelope and packed
 // image live in the chunk. Sealed chunks form a prefix.
 //
 // The copy-on-write contract: a snapshot is a copy of this header with the
 // spine capped at its length, and reads only elems[:n], the run metadata of
-// chunks [:sealed] and the lifetime close count of the full chunks inside n.
-// Whatever lies past those bounds belongs to the live side, so an insert
-// fills the tail chunk (or hangs a new chunk in the next slot of the last
-// block, or appends a block to the spine) and a seal writes run metadata in
-// place, none of it touching anything a snapshot can see. Everything inside
+// chunks [:sealed], and of the full chunks inside n the lifetime close count
+// and the zone map (valid-time envelope, opened count) — never the tail's,
+// which the live side is still widening. Whatever lies past those bounds
+// belongs to the live side, so an insert fills the tail chunk and widens its
+// zone map (or hangs a new chunk in the next slot of the last block, or
+// appends a block to the spine) and a seal writes run metadata in place,
+// none of it touching anything a snapshot can see. Everything inside
 // the bounds is written only through own, which copies the touched chunk,
 // the block it hangs off and the spine — each at most once per snapshot —
 // when a snapshot has been taken since they were last copied. A close after
@@ -54,8 +57,60 @@ type block struct {
 	chunks [blockSize]*chunk
 }
 
-// chunk is runSize element slots and the run metadata that describes them
-// once sealed.
+// zone is a chunk's zone map, kept by push and final the moment the chunk
+// fills: how many elements arrived current, and the valid-time envelope — the
+// least vt⊢ and the greatest last valid chronon (vt⊣ − 1; for an event, the
+// event). The high bound is inclusive so that no stamp, however close to the
+// end of the time line, needs a chronon past its own to describe it. The
+// zone map is a fact about the elements, not a promise about the ones to
+// come: valid times are immutable and a close swaps in a clone with the same
+// valid time, so on every organization, sealed or not, a full chunk whose
+// envelope misses a query holds nothing the query wants.
+type zone struct {
+	opened       int
+	vtLo, vtLast chronon.Chronon
+}
+
+// emptyZone is the zone map of no elements.
+func emptyZone() zone { return zone{vtLo: chronon.MaxChronon, vtLast: chronon.MinChronon} }
+
+// widen takes e into the zone map.
+func (z *zone) widen(e *element.Element) {
+	if lo := e.VT.Start(); lo < z.vtLo {
+		z.vtLo = lo
+	}
+	last := e.VT.End() // an event's End is the event
+	if !e.VT.IsEvent() {
+		last--
+	}
+	if last > z.vtLast {
+		z.vtLast = last
+	}
+	if e.Current() {
+		z.opened++
+	}
+}
+
+// zoneOf is the zone map push would have left over run had closed of its
+// elements closed since they arrived.
+func zoneOf(run []*element.Element, closed int) zone {
+	z := emptyZone()
+	z.opened = closed
+	for _, e := range run {
+		z.widen(e)
+	}
+	return z
+}
+
+// vtMisses reports whether no element is valid anywhere in [lo, hi),
+// vtMissesAt whether none is valid at vt, and vtWithin whether every element
+// has its whole valid time inside [lo, hi).
+func (z *zone) vtMisses(lo, hi chronon.Chronon) bool { return z.vtLo >= hi || z.vtLast < lo }
+func (z *zone) vtMissesAt(vt chronon.Chronon) bool   { return vt < z.vtLo || z.vtLast < vt }
+func (z *zone) vtWithin(lo, hi chronon.Chronon) bool { return lo <= z.vtLo && z.vtLast < hi }
+
+// chunk is runSize element slots, the zone map over them, and the run
+// metadata that describes them once sealed.
 type chunk struct {
 	edit uint64
 	// closes counts every open→closed Replace that ever landed in the chunk,
@@ -64,15 +119,23 @@ type chunk struct {
 	// arrive in one sequence, so among views of one store that see the chunk
 	// full, closes alone identifies which of its elements are current.
 	closes int
-	run    runMeta
-	elems  [runSize]*element.Element
+	zone
+	run   runMeta
+	elems [runSize]*element.Element
 }
+
+// live reports whether any element of the full chunk is still current.
+func (c *chunk) live() bool { return c.closes < c.opened }
 
 // Len reports the number of stored elements.
 func (s *seq) Len() int { return s.n }
 
 // chunks reports how many chunks hold the n elements.
 func (s *seq) chunks() int { return (s.n + runSize - 1) / runSize }
+
+// full reports whether chunk k lies wholly inside n: only then may its zone
+// map be read.
+func (s *seq) full(k int) bool { return (k+1)*runSize <= s.n }
 
 func (s *seq) chunk(k int) *chunk {
 	return s.spine[uint(k)/blockSize].chunks[uint(k)%blockSize]
@@ -91,18 +154,21 @@ func (s *seq) run(k int) []*element.Element {
 	return c.elems[:]
 }
 
-// push appends e. The slot lies past every snapshot's n; a new chunk hangs
-// in a block slot no snapshot's n reaches, and a new block lands past every
-// snapshot's capped spine.
+// push appends e and widens the tail chunk's zone map over it. The slot lies
+// past every snapshot's n, and no snapshot reads the zone map of a chunk its
+// n cuts; a new chunk hangs in a block slot no snapshot's n reaches, and a
+// new block lands past every snapshot's capped spine.
 func (s *seq) push(e *element.Element) {
 	k := s.n / runSize
 	if s.n%runSize == 0 {
 		if k%blockSize == 0 {
 			s.spine = append(s.spine, &block{edit: s.edit})
 		}
-		s.spine[k/blockSize].chunks[k%blockSize] = &chunk{edit: s.edit}
+		s.spine[k/blockSize].chunks[k%blockSize] = &chunk{edit: s.edit, zone: emptyZone()}
 	}
-	s.chunk(k).elems[s.n%runSize] = e
+	c := s.chunk(k)
+	c.elems[s.n%runSize] = e
+	c.widen(e)
 	s.n++
 }
 

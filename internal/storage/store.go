@@ -33,8 +33,9 @@ type Kind uint8
 
 const (
 	// Heap stores elements in arrival order and assumes nothing: every
-	// query scans the whole store. This is the only safe organization for
-	// a general temporal relation without auxiliary indexes.
+	// query scans, pruned only by what the chunks observed of themselves.
+	// This is the only safe organization for a general temporal relation
+	// without auxiliary indexes.
 	Heap Kind = iota
 	// TTOrdered keeps elements ordered by insertion transaction time
 	// (which the engine produces naturally): rollback queries binary-
@@ -242,9 +243,9 @@ func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
 // interval elements the walk starts at the beginning of the run of intervals
 // that may still cover lo; with a sequential (non-overlapping) relation that
 // run has length ≤ 1, keeping the touched count near the answer size. The
-// other organizations scan, with sealed runs as zone maps — a run whose
-// recorded valid-time envelope misses [lo, hi), or that held no current
-// element when sealed, is skipped at the cost of one metadata probe.
+// other organizations scan, with every full chunk's zone map to prune on — a
+// chunk whose valid-time envelope misses [lo, hi), or that holds no current
+// element, is skipped at the cost of one metadata probe.
 func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	if s.kind == VTOrdered {
 		return s.vtRangeOrdered(lo, hi)

@@ -7,39 +7,51 @@ import (
 	"repro/internal/chronon"
 )
 
-// Sealed-run verification and repair. A sealed run's packed image is
-// checksummed at seal time; VerifyRuns re-checks every run against its
-// recorded CRC and against a fresh decode, so bit rot in the packed
-// columns is detected instead of silently mis-sizing StoreBytes or (in
-// a future disk-resident layout) mis-answering queries. Because the
-// elements themselves remain the ground truth, a damaged run is
-// repairable in place: ResealRuns rebuilds it from the elements it
-// covers.
+// Chunk verification and repair. Two pieces of derived state decide what a
+// store answers or reports, and both are recomputable from the elements,
+// which remain the ground truth. Every full chunk carries a zone map (seq.go)
+// that every organization's scans prune on: a wrong envelope silently drops
+// rows from answers. A sealed run's packed image is checksummed at seal time:
+// bit rot in it would mis-size StoreBytes and feed the columnar engine wrong
+// timestamps. VerifyRuns re-derives both, so damage is detected, and
+// ResealRuns rebuilds a damaged chunk in place from the elements it covers.
 
-// RunVerifyError describes one damaged sealed run.
+// RunVerifyError describes one damaged chunk.
 type RunVerifyError struct {
-	Run    int // index into the store's sealed-run sequence
+	Run    int // the chunk's ordinal in the store
 	Reason string
 }
 
 func (e RunVerifyError) Error() string {
-	return fmt.Sprintf("storage: sealed run %d: %s", e.Run, e.Reason)
+	return fmt.Sprintf("storage: run %d: %s", e.Run, e.Reason)
 }
 
-// VerifyRuns checks every sealed run of st: the packed image must match
-// its seal-time CRC, decode cleanly, and agree element-for-element with
-// the timestamps of the elements it covers. It returns one error per
-// damaged run (empty for stores that do not seal). RunBytes the scrubber
-// charges come from Compaction.
+// VerifyRuns checks every full chunk of st: its zone map must be the one its
+// elements give, and once sealed its packed image must match its seal-time
+// CRC, decode cleanly, and agree element-for-element with the timestamps of
+// the elements it covers. It returns one error per damaged chunk. RunBytes
+// the scrubber charges come from StoreBytes.
 func VerifyRuns(st Store) []RunVerifyError {
 	s := seqOf(st)
 	var bad []RunVerifyError
-	for i := range s.sealed {
-		if reason := verifyRun(s.chunk(i)); reason != "" {
-			bad = append(bad, RunVerifyError{Run: i, Reason: reason})
+	for k := 0; s.full(k); k++ {
+		c := s.chunk(k)
+		reason := verifyZone(c)
+		if reason == "" && k < s.sealed {
+			reason = verifyRun(c)
+		}
+		if reason != "" {
+			bad = append(bad, RunVerifyError{Run: k, Reason: reason})
 		}
 	}
 	return bad
+}
+
+func verifyZone(c *chunk) string {
+	if want := zoneOf(c.elems[:], c.closes); c.zone != want {
+		return fmt.Sprintf("zone map reads %+v, the elements give %+v", c.zone, want)
+	}
+	return ""
 }
 
 func verifyRun(c *chunk) string {
@@ -66,24 +78,27 @@ func verifyRun(c *chunk) string {
 	return ""
 }
 
-// ResealRuns rebuilds the given runs (by index) from the elements they
-// cover — the elements are the ground truth, the packed image is a
-// derived representation — and returns how many were rebuilt. Indexes
-// out of range are ignored. Each run is rebuilt in a chunk the live store
-// owns: published snapshots read theirs without a lock. A resealed run
-// counts its open elements and closes afresh, so whoever memoizes per-run
-// state against (ordinal, close count) must treat the store as a new one.
+// ResealRuns rebuilds the given chunks (by ordinal) from the elements they
+// cover — the elements are the ground truth, the zone map and the packed
+// image are derived — and returns how many were rebuilt. Ordinals that name
+// no full chunk are ignored. Each is rebuilt in a chunk the live store owns:
+// published snapshots read theirs without a lock. A resealed run counts its
+// closes afresh, so whoever memoizes per-run state against (ordinal, close
+// count) must treat the store as a new one.
 func ResealRuns(st Store, bad []int) int {
 	s := seqOf(st)
 	rebuilt := 0
-	for _, i := range bad {
-		if i < 0 || i >= s.sealed {
+	for _, k := range bad {
+		if k < 0 || !s.full(k) {
 			continue
 		}
-		c := s.own(i)
-		s.packedBytes -= int64(len(c.run.packed))
-		c.run = sealRun(c.elems[:])
-		s.packedBytes += int64(len(c.run.packed))
+		c := s.own(k)
+		c.zone = zoneOf(c.elems[:], c.closes)
+		if k < s.sealed {
+			s.packedBytes -= int64(len(c.run.packed))
+			c.run = sealRun(c.elems[:])
+			s.packedBytes += int64(len(c.run.packed))
+		}
 		rebuilt++
 	}
 	return rebuilt
@@ -104,5 +119,23 @@ func CorruptRun(st Store, i int, byteOff int, bit uint8) bool {
 	p := append([]byte(nil), c.run.packed...)
 	p[byteOff%len(p)] ^= 1 << (bit % 8)
 	c.run.packed = p
+	return true
+}
+
+// CorruptZone flips one bit of the valid-time envelope of full chunk k — of
+// its high bound when hi, else of its low bound — the test hook for the zone
+// map's leg of the corruption matrix. It reports whether there was a full
+// chunk to corrupt.
+func CorruptZone(st Store, k int, hi bool, bit uint8) bool {
+	s := seqOf(st)
+	if k < 0 || !s.full(k) {
+		return false
+	}
+	c := s.own(k)
+	if hi {
+		c.vtLast ^= 1 << (bit % 63)
+	} else {
+		c.vtLo ^= 1 << (bit % 63)
+	}
 	return true
 }
