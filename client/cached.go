@@ -132,7 +132,7 @@ func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSel
 		}, nil
 	}
 	var out SelectResponse
-	if err := readResponse(resp, &out); err != nil {
+	if err := c.readResponse(resp, &out); err != nil {
 		return CachedSelectResponse{}, err
 	}
 	etag := resp.Header.Get(wire.HeaderETag)
@@ -180,7 +180,7 @@ func (c *Client) QueryCached(ctx context.Context, name string, req QueryRequest)
 		}, nil
 	}
 	var out QueryResponse
-	if err := readResponse(resp, &out); err != nil {
+	if err := c.readResponse(resp, &out); err != nil {
 		return CachedResponse{}, err
 	}
 	etag := resp.Header.Get(wire.HeaderETag)

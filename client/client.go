@@ -22,6 +22,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -214,6 +215,9 @@ type Client struct {
 	qcache queryCache
 	// scache does the same for SelectCached, per distinct statement.
 	scache selectCache
+	// slowDecodes counts the responses decodePayload handed to
+	// encoding/json after their own parser refused them.
+	slowDecodes atomic.Uint64
 }
 
 // Option customizes a Client.
@@ -247,6 +251,14 @@ func New(base string, opts ...Option) *Client {
 // BaseURL reports the server base URL the client was built with.
 func (c *Client) BaseURL() string { return c.base }
 
+// SlowDecodes reports how many response bodies this client decoded
+// through encoding/json because the fast parser refused their spelling —
+// the client-side twin of the server's per-endpoint slow_decodes. It
+// stays zero against a server that encodes with this repository's codec;
+// a proxy that re-serializes bodies makes it grow, and each count is a
+// response decoded several times slower.
+func (c *Client) SlowDecodes() uint64 { return c.slowDecodes.Load() }
+
 // callOpts classifies one call for the retry layer.
 type callOpts struct {
 	// idemKey, when non-empty, is sent as the Idempotency-Key header;
@@ -272,6 +284,21 @@ func newIdemKey() string {
 	var b [16]byte
 	crand.Read(b[:])
 	return hex.EncodeToString(b[:])
+}
+
+// newIdemKeys mints n keys of newIdemKey's form from one read of the
+// random source: the hex digits of 16·n random bytes as one string, cut
+// into n. A batch's keys cost three allocations, not two per element.
+func newIdemKeys(n int) []string {
+	buf := make([]byte, 48*n) // 32·n hex digits, then the 16·n bytes they spell
+	crand.Read(buf[32*n:])
+	hex.Encode(buf, buf[32*n:])
+	digits := string(buf[:32*n])
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = digits[32*i : 32*i+32]
+	}
+	return keys
 }
 
 // do issues a single-effect request (reads and probes) with the default
@@ -398,7 +425,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if o.hdr != nil {
 		*o.hdr = resp.Header.Clone()
 	}
-	return readResponse(resp, out)
+	return c.readResponse(resp, out)
 }
 
 // maxResponseBytes caps the response body the client will buffer.
@@ -423,10 +450,14 @@ func readPayload(buf *bytes.Buffer, resp *http.Response) ([]byte, error) {
 // decodePayload decodes a response body into out: through out's own
 // parser when it has one (the shapes that carry elements or rows), and
 // through encoding/json otherwise or when that parser meets a spelling
-// it does not own — unknown fields are skipped there as they always were.
-func decodePayload(payload []byte, out any) error {
-	if p, ok := out.(wire.Parser); ok && p.ParseJSON(payload) == nil {
-		return nil
+// it does not own — unknown fields are skipped there as they always were,
+// and the detour is counted (SlowDecodes).
+func (c *Client) decodePayload(payload []byte, out any) error {
+	if p, ok := out.(wire.Parser); ok {
+		if p.ParseJSON(payload) == nil {
+			return nil
+		}
+		c.slowDecodes.Add(1)
 	}
 	if err := json.Unmarshal(payload, out); err != nil {
 		return fmt.Errorf("tsdbd: decoding response: %w", err)
@@ -440,7 +471,7 @@ func decodePayload(payload []byte, out any) error {
 // server's error envelope when the body is one, the raw text otherwise,
 // with any Retry-After hint), and decodes a success into out when out is
 // non-nil.
-func readResponse(resp *http.Response, out any) error {
+func (c *Client) readResponse(resp *http.Response, out any) error {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	payload, err := readPayload(buf, resp)
@@ -463,7 +494,7 @@ func readResponse(resp *http.Response, out any) error {
 	if out == nil {
 		return nil
 	}
-	return decodePayload(payload, out)
+	return c.decodePayload(payload, out)
 }
 
 // Health probes the server.
@@ -496,7 +527,7 @@ func (c *Client) Ready(ctx context.Context) (ReadyResponse, error) {
 	if err != nil {
 		return out, err
 	}
-	return out, decodePayload(payload, &out)
+	return out, c.decodePayload(payload, &out)
 }
 
 // Metrics fetches the server's request metrics.
@@ -572,11 +603,7 @@ func (c *Client) Insert(ctx context.Context, name string, req InsertRequest) (El
 // double-inserting a prefix. With atomic set, any constraint rejection
 // fails the whole batch (code "rejected") and stores nothing.
 func (c *Client) InsertBatch(ctx context.Context, name string, reqs []InsertRequest, atomic bool) (BatchInsertResponse, error) {
-	keys := make([]string, len(reqs))
-	for i := range keys {
-		keys[i] = newIdemKey()
-	}
-	body := wire.BatchInsertRequest{Elements: reqs, Keys: keys, Atomic: atomic}
+	body := wire.BatchInsertRequest{Elements: reqs, Keys: newIdemKeys(len(reqs)), Atomic: atomic}
 	var out BatchInsertResponse
 	// The per-element keys in the body make replays idempotent; the
 	// header key just marks the call transport-retryable.
@@ -604,7 +631,7 @@ func (c *Client) IngestCSV(ctx context.Context, name string, r io.Reader) (Inges
 		return out, fmt.Errorf("tsdbd: POST /v1/ingest/csv: %w", err)
 	}
 	defer resp.Body.Close()
-	return out, readResponse(resp, &out)
+	return out, c.readResponse(resp, &out)
 }
 
 // Delete runs one logical-delete transaction against the element.

@@ -3,10 +3,12 @@ package client_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -153,5 +155,141 @@ func TestResponseOverTheLimitIsTypedNotTruncated(t *testing.T) {
 	q, err := cli.Current(context.Background(), "sized")
 	if err != nil || len(q.Plan) < limit-64 {
 		t.Fatalf("body of exactly the limit: %d plan bytes, %v", len(q.Plan), err)
+	}
+}
+
+// TestBatchKeysAreMintedTogether: InsertBatch's per-element keys are the
+// 128-bit keys they always were, for three allocations a batch instead
+// of two a key.
+func TestBatchKeysAreMintedTogether(t *testing.T) {
+	keys := client.NewIdemKeys(256)
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		if len(k) != 32 || strings.Trim(k, "0123456789abcdef") != "" || seen[k] {
+			t.Fatalf("key %q: want 32 lower-case hex digits, never twice", k)
+		}
+		seen[k] = true
+	}
+	if len(keys) != 256 || len(client.NewIdemKeys(0)) != 0 {
+		t.Fatalf("%d keys for 256 elements, %d for none", len(keys), len(client.NewIdemKeys(0)))
+	}
+	if n := testing.AllocsPerRun(50, func() { client.NewIdemKeys(256) }); n > 3 {
+		t.Errorf("minting 256 keys: %v allocations, want at most 3", n)
+	}
+}
+
+// TestClientKeepsTheAcceptSet is the client-side twin of the server's
+// TestDecodeKeepsTheAcceptSet: a response spelled as the fast parser does
+// not take it — by another server, or a proxy that re-serializes bodies —
+// decodes to the same value through encoding/json, and is counted.
+func TestClientKeepsTheAcceptSet(t *testing.T) {
+	const element = `{"es":1,"os":2,"tt_start":10,"tt_end":20,"current":false,"vt":{"start":1,"end":9},"varying":[{"kind":"int","int":7}]}`
+	const canonical = `{"elements":[` + element + `],"plan":"p","touched":1,"epoch":2}`
+	swap := func(a, b string) string { return strings.Replace(canonical, a+","+b, b+","+a, 1) }
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, []byte(canonical), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	bodies := []string{
+		canonical,
+		swap(`"es":1`, `"os":2`),
+		swap(`"tt_start":10`, `"tt_end":20`),
+		swap(`"touched":1`, `"epoch":2`),
+		strings.Replace(canonical, `"es":1`, `"es": 1`, 1),
+		pretty.String(),
+		strings.Replace(canonical, `"es":1`, `"es":9,"es":1`, 1),
+		strings.Replace(canonical, `"touched":1`, `"touched":1,"served_by":"proxy"`, 1),
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/relations/{i}/query", func(w http.ResponseWriter, r *http.Request) {
+		i, _ := strconv.Atoi(r.PathValue("i"))
+		io.WriteString(w, bodies[i]+"\n")
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	cli := client.New(hs.URL)
+
+	want, err := cli.Current(context.Background(), "0")
+	if err != nil || len(want.Elements) != 1 || cli.SlowDecodes() != 0 {
+		t.Fatalf("canonical body: %+v, %v, %d slow decodes", want, err, cli.SlowDecodes())
+	}
+	for i := 1; i < len(bodies); i++ {
+		got, err := cli.Current(context.Background(), strconv.Itoa(i))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("body %s:\n decoded %+v, %v\n want    %+v", bodies[i], got, err, want)
+		}
+		if n := cli.SlowDecodes(); n != uint64(i) {
+			t.Errorf("after %d refused spellings the client counts %d slow decodes", i, n)
+		}
+	}
+}
+
+// TestTypedClientNeverDecodesSlowly: through a session of every call that
+// carries elements or rows, no request of the typed client and no
+// response of the server misses the fast parser — the /metrics count the
+// benchmark's workloads keep at zero — and one hand-spelled request
+// shows up against its endpoint.
+func TestTypedClientNeverDecodesSlowly(t *testing.T) {
+	ctx := context.Background()
+	cli := newTestClient(t)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := cli.Create(ctx, client.Schema{Name: "led", ValidTime: "interval", Granularity: 1,
+		Invariant: []client.Column{{Name: "id", Type: "string"}}, Varying: []client.Column{{Name: "v", Type: "int"}},
+		UserTimes: []string{"seen"}})
+	must(err)
+	req := func(i int64) client.InsertRequest {
+		return client.InsertRequest{VT: client.SpanOf(10*i, 10*i+25), Invariant: []client.Value{client.String("a<b")},
+			Varying: []client.Value{client.Int(i)}, UserTimes: []int64{-i}}
+	}
+	el, err := cli.Insert(ctx, "led", req(1))
+	must(err)
+	batch, err := cli.InsertBatch(ctx, "led", []client.InsertRequest{req(2), req(3), req(4)}, true)
+	must(err)
+	if batch.Stored != 3 {
+		t.Fatalf("batch stored %d of 3", batch.Stored)
+	}
+	el, err = cli.Modify(ctx, "led", el.ES, client.SpanOf(5, 40), []client.Value{client.Int(-7)})
+	must(err)
+	must(cli.Delete(ctx, "led", batch.Items[0].Element.ES))
+	for _, q := range []client.QueryRequest{{Kind: client.QueryCurrent}, {Kind: client.QueryTimeslice, VT: 30},
+		{Kind: client.QueryRollback, TT: el.TTStart}, {Kind: client.QueryAsOf, VT: 30, TT: el.TTStart}} {
+		_, err := cli.Query(ctx, "led", q)
+		must(err)
+	}
+	_, err = cli.QueryCached(ctx, "led", client.QueryRequest{Kind: client.QueryCurrent})
+	must(err)
+	_, err = cli.Select(ctx, "SELECT count(*), sum(v) FROM led GROUP BY WINDOW(20)")
+	must(err)
+	_, err = cli.Select(ctx, "SELECT id, v FROM led")
+	must(err)
+
+	slow := func() map[string]uint64 {
+		m, err := cli.Metrics(ctx)
+		must(err)
+		out := map[string]uint64{}
+		for name, ep := range m.Endpoints {
+			if ep.SlowDecodes != 0 {
+				out[name] = ep.SlowDecodes
+			}
+		}
+		return out
+	}
+	if got := slow(); len(got) != 0 || cli.SlowDecodes() != 0 {
+		t.Fatalf("a typed-client session left slow decodes: server %v, client %d", got, cli.SlowDecodes())
+	}
+	resp, err := http.Post(cli.BaseURL()+"/v1/relations/led/insert", "application/json",
+		strings.NewReader(`{ "vt": {"start": 1, "end": 2}, "invariant": [{"kind":"string","str":"a"}], "varying": [{"kind":"int"}], "user_times": [0] }`))
+	must(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("hand-spelled insert: status %d", resp.StatusCode)
+	}
+	if got := slow(); len(got) != 1 || got["insert"] != 1 {
+		t.Fatalf("after one hand-spelled insert /metrics counts %v, want insert: 1", got)
 	}
 }

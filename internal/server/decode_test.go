@@ -62,7 +62,21 @@ func TestDecodeKeepsTheAcceptSet(t *testing.T) {
 		`{"elements":null}`,
 		`{"elements":[null]}`,
 		`{"elements":[{}],"keys":[null]}`,
-		element + strings.Repeat(" ", 4096), // past the cap, after a complete value
+		// Spellings encoding/json accepts and the fast path, which follows
+		// the encoder field by field, hands back: keys in another order, a
+		// space after a colon, a pretty-printed body, a duplicated key.
+		`{"invariant":[{"kind":"string","str":"a"}],"vt":{"event":5}}`,
+		`{"vt":{"end":9,"start":1},"object":3}`,
+		`{"vt":{"event":5},"varying":[{"int":1,"kind":"int"}]}`,
+		`{"vt": {"event":5}}`,
+		`{"vt":{"event":5}, "varying":[]}`,
+		"{\n  \"vt\": {\n    \"event\": 5\n  },\n  \"varying\": [\n    {\n      \"kind\": \"int\",\n      \"int\": 1\n    }\n  ]\n}\n",
+		`{"vt":{"event":5,"event":6}}`,
+		`{"keys":["a"],"elements":[` + element + `]}`,
+		`{"atomic":true,"keys":["a"],"elements":[` + element + `]}`,
+		`{"elements": [` + element + `], "keys": ["a"]}`,
+		`{"elements":[` + element + `],"atomic":true,"atomic":false}`,
+		element + strings.Repeat(" ", 4096),                                                             // past the cap, after a complete value
 		`{"vt":{"event":5},"invariant":[` + strings.Repeat(`{"kind":"int"},`, 400) + `{"kind":"int"}]}`, // past the cap, mid-value
 	}
 	const limit = 2048
@@ -85,6 +99,46 @@ func TestDecodeKeepsTheAcceptSet(t *testing.T) {
 	var req wire.InsertRequest
 	if aerr := decodeBody(io.MultiReader(strings.NewReader(`{"vt":`), brokenReader{}), limit, &req); aerr == nil || aerr.status != http.StatusBadRequest {
 		t.Errorf("broken body decoded as %+v, %+v", req, aerr)
+	}
+}
+
+// TestDecodeNotesTheSlowPath: a body its own parser refused is marked for
+// the endpoint's slow_decodes, whatever encoding/json then makes of it; a
+// canonical body, a body that never had a fast parser, and a body that
+// was not read whole — too large, or cut by a broken read: no parser saw
+// it — are not.
+func TestDecodeNotesTheSlowPath(t *testing.T) {
+	markedBody := func(body io.Reader, into any) (bool, *apiError) {
+		r := httptest.NewRequest("POST", "/", body)
+		r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, 1<<10)
+		aerr := decode(r, into)
+		_, slow := r.Body.(slowDecoded)
+		return slow, aerr
+	}
+	marked := func(body string, into any) bool {
+		slow, _ := markedBody(strings.NewReader(body), into)
+		return slow
+	}
+	for body, want := range map[string]bool{
+		`{"vt":{"event":5},"varying":[{"kind":"int","int":1}]}`: false,
+		`{"vt": {"event":5}}`:      true,
+		`{"varying":[],"vt":{}}`:   true,
+		`{"vt":{"event":5},"x":1}`: true,
+		`{"vt":`:                   true,
+	} {
+		if got := marked(body, &wire.InsertRequest{}); got != want {
+			t.Errorf("insert body %s: slow decode %v, want %v", body, got, want)
+		}
+	}
+	if marked(`{ "kind" : "current" }`, &wire.QueryRequest{}) {
+		t.Error("a query request has no fast parser to miss")
+	}
+	big := `{"vt":{"event":5},"invariant":[{"kind":"string","str":"` + strings.Repeat("x", 2<<10) + `"}]}`
+	if slow, aerr := markedBody(strings.NewReader(big), &wire.InsertRequest{}); slow || aerr == nil || aerr.status != http.StatusRequestEntityTooLarge {
+		t.Errorf("a body over the cap: slow decode %v, %+v; want a 413 that is not booked as a spelling", slow, aerr)
+	}
+	if slow, aerr := markedBody(io.MultiReader(strings.NewReader(`{"vt":`), brokenReader{}), &wire.InsertRequest{}); slow || aerr == nil {
+		t.Errorf("a broken read: slow decode %v, %+v; want an error that is not booked as a spelling", slow, aerr)
 	}
 }
 

@@ -6,6 +6,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/catalog"
 	"repro/internal/integrity"
 	"repro/internal/server"
@@ -22,11 +24,12 @@ import (
 )
 
 // roundTripServer is tsdbd's stack as the benchmark's server child wires
-// it — group-commit WAL, Merkle tree, signer, result cache — over an
-// in-memory log, so no disk is in the measurement.
-func roundTripServer(tb testing.TB) *server.Server {
+// it — group-commit WAL, Merkle tree, signer, result cache — over the log
+// file system and the transaction clock given; a nil clock is the
+// catalog's default, the system clock.
+func roundTripServer(tb testing.TB, fs wal.FS, clock func() tx.Clock) *server.Server {
 	tb.Helper()
-	w, err := wal.Open(wal.Options{FS: wal.NewErrFS(), Sync: wal.SyncGroup})
+	w, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncGroup})
 	if err != nil {
 		tb.Fatalf("wal.Open: %v", err)
 	}
@@ -35,7 +38,7 @@ func roundTripServer(tb testing.TB) *server.Server {
 		tb.Fatalf("NewSigner: %v", err)
 	}
 	cat := catalog.New(catalog.Config{
-		NewClock:   func() tx.Clock { return tx.NewLogicalClock(0, 1) },
+		NewClock:   clock,
 		WAL:        w,
 		CacheBytes: 32 << 20,
 		Signer:     signer,
@@ -48,6 +51,42 @@ func roundTripServer(tb testing.TB) *server.Server {
 		_ = w.Close()
 	})
 	return server.New(server.Config{Catalog: cat})
+}
+
+// memoryLog is the log most of these measurements want: no disk in them.
+func memoryLog(tb testing.TB) *server.Server {
+	return roundTripServer(tb, wal.NewErrFS(), func() tx.Clock { return tx.NewLogicalClock(0, 1) })
+}
+
+// noSyncFS is a log file system whose Sync does nothing: the real
+// directory's write path without the device's latency.
+type noSyncFS struct{ wal.FS }
+
+type noSyncFile struct{ wal.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (f noSyncFS) Create(name string) (wal.File, error) {
+	file, err := f.FS.Create(name)
+	return noSyncFile{file}, err
+}
+
+func (f noSyncFS) OpenAppend(name string, size int64) (wal.File, error) {
+	file, err := f.FS.OpenAppend(name, size)
+	return noSyncFile{file}, err
+}
+
+// listen serves h on a loopback port until the test ends.
+func listen(tb testing.TB, h http.Handler) (base string) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hs := &http.Server{Handler: h}
+	go hs.Serve(ln)
+	tb.Cleanup(func() { _ = hs.Close() })
+	return "http://" + ln.Addr().String()
 }
 
 func insertBody(vt int) string {
@@ -89,23 +128,20 @@ const createEvent = `{"schema":{"name":%q,"valid_time":"event","granularity":1,`
 // BenchmarkServeRoundTrip times whole requests over loopback through
 // srv.Handler(): a one-element time-slice (no cache hit: the vt moves), an
 // insert (acknowledged durable by the group commit, signer configured),
-// and a 1000-element read (≈ 90 KB body — what copying a body costs).
+// a 1000-element read (≈ 90 KB body — what copying a body costs), and a
+// 256-element InsertBatch through the typed client, keys and both parses
+// included. The batch runs on a log in a real directory with Sync elided
+// and on the system clock, as tsbench's server child does: the in-memory
+// log's Sync copies the segment, which under a 256-element frame hides
+// everything else.
 func BenchmarkServeRoundTrip(b *testing.B) {
-	h := roundTripServer(b).Handler()
+	h := memoryLog(b).Handler()
 	serveOnce(b, h, "/v1/relations", fmt.Sprintf(createEvent, "r"), http.StatusCreated)
 	serveOnce(b, h, "/v1/relations", fmt.Sprintf(createEvent, "w"), http.StatusCreated)
 	for i := 0; i < 1000; i++ {
 		serveOnce(b, h, "/v1/relations/r/insert", insertBody(i), http.StatusCreated)
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := &http.Server{Handler: h}
-	go hs.Serve(ln)
-	b.Cleanup(func() { _ = hs.Close() })
-	base := "http://" + ln.Addr().String()
+	base := listen(b, h)
 	cli := &http.Client{Timeout: 10 * time.Second}
 
 	do := func(b *testing.B, path, body string, want int) {
@@ -134,6 +170,25 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 			do(b, "/v1/relations/r/query", `{"kind":"current"}`, http.StatusOK)
 		}
 	})
+	b.Run("batch-256", func(b *testing.B) {
+		ctx := context.Background()
+		typed := client.New(listen(b, roundTripServer(b, noSyncFS{wal.DirFS(b.TempDir())}, nil).Handler()))
+		if _, err := typed.Create(ctx, client.Schema{Name: "led", ValidTime: "interval", Granularity: 1,
+			Invariant: []client.Column{{Name: "id", Type: "string"}}, Varying: []client.Column{{Name: "value", Type: "int"}}}); err != nil {
+			b.Fatal(err)
+		}
+		reqs := make([]client.InsertRequest, 256)
+		for i := range reqs {
+			reqs[i] = client.InsertRequest{VT: client.SpanOf(1700000000+int64(i), 1700003600+int64(i)),
+				Invariant: []client.Value{client.String("s1")}, Varying: []client.Value{client.Int(int64(i) * 37)}}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if out, err := typed.InsertBatch(ctx, "led", reqs, true); err != nil || out.Stored != len(reqs) {
+				b.Fatalf("InsertBatch stored %d of %d: %v", out.Stored, len(reqs), err)
+			}
+		}
+	})
 }
 
 // TestRequestAllocationBudget pins what the envelope around a handler
@@ -146,7 +201,7 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 // unpooled bytes.Buffer grown to the body — this read 31 (32–33 under
 // -race, where sync.Pool drops items); it reads 25 (26) now.
 func TestRequestAllocationBudget(t *testing.T) {
-	h := roundTripServer(t).Handler()
+	h := memoryLog(t).Handler()
 	serveOnce(t, h, "/v1/relations", fmt.Sprintf(createEvent, "r"), http.StatusCreated)
 	for i := 0; i < 64; i++ {
 		serveOnce(t, h, "/v1/relations/r/insert", insertBody(i), http.StatusCreated)

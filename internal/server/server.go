@@ -367,7 +367,8 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 				failed = err != nil
 			}
 		}
-		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc)
+		_, slow := r.Body.(slowDecoded)
+		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc, slow)
 	}))
 }
 
@@ -454,6 +455,13 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// slowDecoded is the note decode leaves for the endpoint's metrics, on
+// the one thing it shares with the envelope — the request: a body that
+// was read whole, refused by its own parser and decoded by encoding/json
+// is wrapped in it. A request the fast path takes, or one without a
+// parser, pays nothing for the count.
+type slowDecoded struct{ io.ReadCloser }
+
 // decode reads a JSON request body, mapping oversized bodies to 413 and
 // malformed ones to 400. Unknown fields are rejected so client typos fail
 // loudly instead of silently dropping options.
@@ -464,7 +472,10 @@ func etagMatch(header, etag string) bool {
 // whatever the body still holds, including the error that ended the
 // read — are replayed to the strict json.Decoder, so what is accepted,
 // what is refused, the status and the message are the decoder's in
-// every case the fast path does not own.
+// every case the fast path does not own. The replay is several times
+// slower, and a refused spelling — not a body too large or cut short,
+// which no parser was offered — is counted: /metrics shows it per
+// endpoint as slow_decodes.
 func decode(r *http.Request, into any) *apiError {
 	var body io.Reader = r.Body
 	if p, ok := into.(wire.Parser); ok {
@@ -472,8 +483,11 @@ func decode(r *http.Request, into any) *apiError {
 		defer wire.PutBuffer(buf)
 		// On the Content-Length's word alone, no more than the default
 		// body cap is reserved; MaxBytesReader polices the real one.
-		if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil && p.ParseJSON(buf.Bytes()) == nil {
-			return nil
+		if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil {
+			if p.ParseJSON(buf.Bytes()) == nil {
+				return nil
+			}
+			r.Body = slowDecoded{r.Body}
 		}
 		body = io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)
 	}

@@ -307,6 +307,17 @@ var codecSeeds = []string{
 	`{"es":18446744073709551615,"os":-0}`,
 	`{"elements":[],"unknown":{"a":[1,2,{"b":null}]}}`,
 	`null`, `[]`, `{}`, `{`, ``, `{"elements":[{}]}`, `{"elements":[{},{},{},{},{},{},{},{},{}]}`,
+	// Valid JSON the fast path refuses since it follows the encoder.
+	`{"os":2,"es":1,"tt_start":10,"tt_end":20,"current":false,"vt":{"event":5}}`,
+	`{"es":1,"os":2,"tt_end":20,"tt_start":10,"current":false,"vt":{"event":5}}`,
+	`{"es": 1,"os":2,"tt_start":10,"tt_end":20,"current":false,"vt":{"event":5}}`,
+	`{"es":1,"es":1,"os":2,"tt_start":10,"tt_end":20,"current":false,"vt":{"event":5}}`,
+	"{\n  \"elements\": [],\n  \"touched\": 0\n}",
+	`{"elements":[],"touched":0}` + "\n",
+	`{"int":12,"kind":"int"}`,
+	`{"end":9,"start":1}`,
+	`{"keys":["k"],"elements":[{"vt":{"event":5}}]}`,
+	`{"vt":{"event":5},"varying":[{"kind":"int","int":1}],"invariant":[]}`,
 }
 
 func FuzzWireCodec(f *testing.F) {
@@ -376,25 +387,114 @@ func TestCodecSeeds(t *testing.T) {
 	}
 }
 
+// refused holds a Parser to its contract on a spelling it must hand
+// back: an error, and the receiver as it was.
+func refused[T any, P interface {
+	*T
+	Parser
+}](t *testing.T, doc string) {
+	t.Helper()
+	var got, zero T
+	if err := P(&got).ParseJSON([]byte(doc)); err == nil {
+		t.Errorf("%T: fast path accepted %s as %+v", got, doc, got)
+	} else if !reflect.DeepEqual(got, zero) {
+		t.Errorf("%T: refusing %s left %+v behind", got, doc, got)
+	}
+}
+
+// sameAsCanonical is refused for a spelling encoding/json does accept: the
+// fallback must decode it to what the canonical document decodes to, on
+// the fast path.
+func sameAsCanonical[T any, P interface {
+	*T
+	Parser
+}](t *testing.T, doc, canonical string) {
+	t.Helper()
+	refused[T, P](t, doc)
+	var want, got T
+	if err := P(&want).ParseJSON([]byte(canonical)); err != nil {
+		t.Fatalf("%T: fast path refused canonical %s", want, canonical)
+	}
+	if err := json.Unmarshal([]byte(doc), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("%T: %s falls back to %+v, %v; canonical is %+v", got, doc, got, err, want)
+	}
+}
+
 // TestParserFallsBack spells out what the fast path must refuse, so the
-// oracle keeps deciding it.
+// oracle keeps deciding it: what encoding/json refuses too, and — the
+// accept set being the encoder's image — every other way to spell a
+// document the encoder would have written differently.
 func TestParserFallsBack(t *testing.T) {
 	for _, s := range []string{
 		`{"kind":"int","Int":12}`, `{"kind":"int","kind":"float"}`, `{"kind":"int","kind":"x"}`, `{"kind":"int"} x`,
-		`{"kind":"int","extra":1}`, `{"kind":"int","int":1.0}`, `{"kind":"int","int":01}`, `{"kind":"int","int":"1"}`,
+		`{"kind":"int","extra":1}`, `{"kind":"int","int":1.0}`, `{"kind":"int","int":1e3}`, `{"kind":"int","int":01}`, `{"kind":"int","int":"1"}`,
 		`{"kind":"string","str":"\'"}`, `{"kind":"string","str":"` + "\x01" + `"}`, `{"kind":"float","float":1e999}`, `{"kind":"float","float":.5}`,
 		`{"kind":"float","float":1.}`, `{"kind":"float","float":-}`, `{"kind":1}`, `[]`, `{`, ``, `{"kind"}`, `{"kind":"int",}`,
+		`{"kind":"int","int":9223372036854775808}`, `{"kind":"int","int":-9223372036854775809}`, `{"kind":"int","int":}`, `{"kind":"int","int":-}`,
 	} {
-		var v Value
-		if err := v.ParseJSON([]byte(s)); err == nil {
-			t.Errorf("fast path accepted %s as %+v", s, v)
-		}
+		refused[Value](t, s)
 	}
 	deep := strings.Repeat(`{"kind":"k","est":0,"input":`, 5000) + `null` + strings.Repeat(`}`, 5000)
-	var q QueryResponse
-	if err := q.ParseJSON([]byte(`{"elements":[],"plan_node":` + deep + `,"touched":0}`)); err == nil {
-		t.Error("fast path recursed into a 5000-deep plan")
+	refused[QueryResponse](t, `{"elements":[],"plan_node":`+deep+`,"touched":0}`)
+
+	const (
+		element = `{"es":1,"os":2,"tt_start":10,"tt_end":20,"current":false,"vt":{"start":1,"end":9},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":7}]}`
+		request = `{"object":3,"vt":{"start":1,"end":9},"invariant":[{"kind":"string","str":"a"}],"user_times":[4]}`
+		query   = `{"elements":[` + element + `],"plan":"p","touched":1,"epoch":2}`
+		batch   = `{"elements":[` + request + `],"keys":["k"],"atomic":true}`
+		report  = `{"items":[{"status":"stored","element":` + element + `}],"stored":1,"deduped":0,"rejected":0}`
+		table   = `{"columns":["c"],"rows":[[{"kind":"int","int":1}],null],"touched":2}`
+	)
+	pretty := func(doc string) string {
+		var buf bytes.Buffer
+		if err := json.Indent(&buf, []byte(doc), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
+	swap := func(doc, a, b string) string { // two neighbouring fields change places
+		if !strings.Contains(doc, a+","+b) {
+			t.Fatalf("%s does not hold %s,%s", doc, a, b)
+		}
+		return strings.Replace(doc, a+","+b, b+","+a, 1)
+	}
+	// Reordered keys, `"tt_end"` before `"tt_start"` among them.
+	sameAsCanonical[Element](t, swap(element, `"es":1`, `"os":2`), element)
+	sameAsCanonical[Element](t, swap(element, `"tt_start":10`, `"tt_end":20`), element)
+	sameAsCanonical[Element](t, swap(element, `"start":1`, `"end":9`), element)
+	sameAsCanonical[Value](t, `{"int":7,"kind":"int"}`, `{"kind":"int","int":7}`)
+	sameAsCanonical[InsertRequest](t, swap(request, `"object":3`, `"vt":{"start":1,"end":9}`), request)
+	sameAsCanonical[BatchInsertRequest](t, swap(batch, `"keys":["k"]`, `"atomic":true`), batch)
+	sameAsCanonical[QueryResponse](t, swap(query, `"touched":1`, `"epoch":2`), query)
+	sameAsCanonical[BatchInsertResponse](t, swap(report, `"stored":1`, `"deduped":0`), report)
+	sameAsCanonical[SelectResponse](t, swap(table, `"columns":["c"]`, `"rows":[[{"kind":"int","int":1}],null]`), table)
+	// Insignificant whitespace: after a colon, after a comma, around the
+	// document, a pretty-printed body. One trailing newline is the encoder's.
+	sameAsCanonical[Element](t, strings.Replace(element, `"es":1`, `"es": 1`, 1), element)
+	sameAsCanonical[Element](t, strings.Replace(element, `,"os"`, `, "os"`, 1), element)
+	sameAsCanonical[Element](t, " "+element, element)
+	sameAsCanonical[Element](t, element+"\n\n", element)
+	sameAsCanonical[Element](t, pretty(element), element)
+	sameAsCanonical[InsertRequest](t, pretty(request), request)
+	sameAsCanonical[QueryResponse](t, pretty(query), query)
+	sameAsCanonical[BatchInsertRequest](t, pretty(batch), batch)
+	sameAsCanonical[BatchInsertResponse](t, pretty(report), report)
+	sameAsCanonical[SelectResponse](t, pretty(table), table)
+	// A duplicated key (encoding/json keeps the last), null for a scalar
+	// or an object (encoding/json leaves the zero value).
+	sameAsCanonical[Element](t, strings.Replace(element, `"es":1`, `"es":9,"es":1`, 1), element)
+	sameAsCanonical[Element](t, strings.Replace(element, `"current":false`, `"current":null`, 1), element)
+	sameAsCanonical[BatchInsertResponse](t, strings.Replace(report, `"element":`+element, `"element":null`, 1), strings.Replace(report, `,"element":`+element, ``, 1))
+	sameAsCanonical[QueryResponse](t, `{"elements":[],"plan_node":null,"touched":0}`, `{"elements":[],"touched":0}`)
+
+	// What stays on the fast path: the encoder's own newline, a field the
+	// encoder would have omitted, null where encoding/json writes it.
+	sameValue[QueryResponse](t, "trailing newline", []byte(query+"\n"))
+	sameValue[QueryResponse](t, "nil elements", []byte(`{"elements":null,"touched":0}`))
+	sameValue[QueryResponse](t, "empty fields", []byte(`{"elements":[],"plan":"","touched":0,"epoch":0}`))
+	sameValue[BatchInsertResponse](t, "nil items", []byte(`{"items":null,"stored":0,"deduped":0,"rejected":0}`))
+	sameValue[SelectResponse](t, "nil columns and rows", []byte(`{"columns":null,"rows":null,"touched":0}`))
+	sameValue[BatchInsertRequest](t, "nil request elements", []byte(`{"elements":null}`))
 }
 
 func benchElements(n int, interval bool) []*element.Element {
@@ -418,6 +518,34 @@ func benchElements(n int, interval bool) []*element.Element {
 
 func benchPlan() *PlanNode {
 	return &PlanNode{Kind: "current-state", Est: 4096, Input: &PlanNode{Kind: "full-scan", Org: "heap", Est: 4096}}
+}
+
+// ledgerElements is the answer tsbench's ledger-general time-slice gets:
+// interval stamps, one invariant string, one varying int, and every
+// second element closed, so half of them miss the currentElement literal.
+func ledgerElements(n int) []*element.Element {
+	els := benchElements(n, true)
+	for i := 1; i < n; i += 2 {
+		els[i].TTEnd = els[i].TTStart + 900
+	}
+	return els
+}
+
+// benchBatch is a 256-element InsertBatch round trip as the typed client
+// and the server spell it: keyed, atomic, every item stored.
+func benchBatch(n int) (BatchInsertRequest, BatchBody, BatchInsertResponse) {
+	els := benchElements(n, true)
+	req := BatchInsertRequest{Elements: make([]InsertRequest, n), Keys: make([]string, n), Atomic: true}
+	body := BatchBody{Items: make([]BatchBodyItem, n), Stored: n, Epoch: 9}
+	ref := BatchInsertResponse{Items: make([]BatchItem, n), Stored: n, Epoch: 9}
+	for i, e := range els {
+		we := FromElement(e)
+		req.Elements[i] = InsertRequest{VT: we.VT, Invariant: we.Invariant, Varying: we.Varying}
+		req.Keys[i] = fmt.Sprintf("%032x", i+1)
+		body.Items[i] = BatchBodyItem{Status: "stored", Element: e}
+		ref.Items[i] = BatchItem{Status: "stored", Element: &we}
+	}
+	return req, body, ref
 }
 
 // TestCodecAllocationBudget is the tripwire on the two properties that
@@ -444,65 +572,107 @@ func TestCodecAllocationBudget(t *testing.T) {
 	if len(out.Elements) != 4096 || *out.Elements[4095].VT.End != 1700003600+4095 || out.Elements[7].Invariant[0].Str != "s1" {
 		t.Errorf("parsed result is wrong: %d elements, last %+v", len(out.Elements), out.Elements[len(out.Elements)-1])
 	}
+
+	// The batch round trip: the server parses the request under every
+	// batch, the client the report.
+	req, report, _ := benchBatch(256)
+	reqDoc, _ := req.AppendJSON(nil)
+	var gotReq BatchInsertRequest
+	if n := testing.AllocsPerRun(10, func() {
+		if err := gotReq.ParseJSON(reqDoc); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("parsing a 256-item batch request: %v allocations, want at most 8 in total", n)
+	}
+	if !reflect.DeepEqual(gotReq, req) {
+		t.Error("parsed batch request is not the one encoded")
+	}
+	reportDoc, _ := report.AppendJSON(nil)
+	var gotReport BatchInsertResponse
+	if n := testing.AllocsPerRun(10, func() {
+		if err := gotReport.ParseJSON(reportDoc); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("parsing a 256-item batch report: %v allocations, want at most 8 in total", n)
+	}
+	if len(gotReport.Items) != 256 || gotReport.Items[255].Element.ES != 256 || gotReport.Stored != 256 {
+		t.Errorf("parsed batch report is wrong: %d items, stored %d", len(gotReport.Items), gotReport.Stored)
+	}
 }
 
 var benchSink int
 
-// BenchmarkWireCodec puts each direction of the codec beside
-// encoding/json on the same result set: hand/ against json/, encode and
-// parse, event and interval stamps, 1 to 4096 elements.
-func BenchmarkWireCodec(b *testing.B) {
-	for _, stamp := range []string{"event", "interval"} {
-		for _, n := range []int{1, 256, 4096} {
-			els := benchElements(n, stamp == "interval")
-			body := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
-			ref := QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9}
-			doc, err := body.AppendJSON(nil)
-			if err != nil {
+// benchCodec puts each direction of the codec beside encoding/json on
+// one document: body is what the sender appends, ref the wire struct of
+// the same bytes, T what the receiver parses into.
+func benchCodec[T any, P interface {
+	*T
+	Parser
+}](b *testing.B, name string, body Appender, ref T) {
+	doc, err := body.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode/hand/"+name, func(b *testing.B) {
+		buf := make([]byte, 0, len(doc)+1)
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			buf, _ = body.AppendJSON(buf[:0])
+		}
+		benchSink += len(buf)
+	})
+	b.Run("encode/json/"+name, func(b *testing.B) {
+		var buf bytes.Buffer
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(ref); err != nil {
 				b.Fatal(err)
 			}
-			name := fmt.Sprintf("%s/n=%d", stamp, n)
-			b.Run("encode/hand/"+name, func(b *testing.B) {
-				buf := make([]byte, 0, len(doc)+1)
-				b.SetBytes(int64(len(doc)))
-				for i := 0; i < b.N; i++ {
-					buf, _ = body.AppendJSON(buf[:0])
-				}
-				benchSink += len(buf)
-			})
-			b.Run("encode/json/"+name, func(b *testing.B) {
-				var buf bytes.Buffer
-				b.SetBytes(int64(len(doc)))
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					if err := json.NewEncoder(&buf).Encode(ref); err != nil {
-						b.Fatal(err)
-					}
-				}
-				benchSink += buf.Len()
-			})
-			b.Run("parse/hand/"+name, func(b *testing.B) {
-				b.SetBytes(int64(len(doc)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var out QueryResponse
-					if err := out.ParseJSON(doc); err != nil {
-						b.Fatal(err)
-					}
-					benchSink += len(out.Elements)
-				}
-			})
-			b.Run("parse/json/"+name, func(b *testing.B) {
-				b.SetBytes(int64(len(doc)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var out QueryResponse
-					if err := json.Unmarshal(doc, &out); err != nil {
-						b.Fatal(err)
-					}
-					benchSink += len(out.Elements)
-				}
-			})
+		}
+		benchSink += buf.Len()
+	})
+	b.Run("parse/hand/"+name, func(b *testing.B) {
+		b.SetBytes(int64(len(doc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out T
+			if err := P(&out).ParseJSON(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parse/json/"+name, func(b *testing.B) {
+		b.SetBytes(int64(len(doc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out T
+			if err := json.Unmarshal(doc, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWireCodec is hand/ against json/, encode and parse: query
+// results with event and interval stamps, 1 to 4096 elements; the
+// ledger-shaped time-slice answer tsbench's worst cell reads; and the
+// two bodies of a 256-element batch round trip.
+func BenchmarkWireCodec(b *testing.B) {
+	query := func(name string, els []*element.Element) {
+		n := len(els)
+		body := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
+		benchCodec(b, name, body, QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9})
+	}
+	for _, stamp := range []string{"event", "interval"} {
+		for _, n := range []int{1, 256, 4096} {
+			query(fmt.Sprintf("%s/n=%d", stamp, n), benchElements(n, stamp == "interval"))
 		}
 	}
+	query("ledger/n=1000", ledgerElements(1000))
+	req, report, ref := benchBatch(256)
+	benchCodec(b, "batch-request/n=256", req, req)
+	benchCodec(b, "batch-response/n=256", report, ref)
 }

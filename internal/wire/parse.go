@@ -2,17 +2,23 @@ package wire
 
 // The parsing half of the hand-written codec: one pass over the bytes,
 // no validity pre-pass, and a handful of allocations per response
-// instead of a handful per element. See Parser for the contract — this
-// parser knows the canonical spelling and gives up on everything else.
+// instead of a handful per element. Each shape is read the way codec.go
+// writes it — the same literals in the same order — so the accept set is
+// the encoder's image and nothing else; see Parser for the contract.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/chronon"
 )
 
 // errNotCanonical is the parser's only error: the input is either not
@@ -40,8 +46,7 @@ func (s *slab[T]) grow(start, left int) int {
 		s.buf = append(make([]T, 0, len(run)+n), run...)
 		s.want, start = 0, 0
 	}
-	var zero T
-	s.buf = append(s.buf, zero)
+	s.buf = s.buf[:len(s.buf)+1] // no chunk is used twice: the item is zero as make left it
 	s.used++
 	return start
 }
@@ -80,6 +85,7 @@ func (a *arena) add(raw []byte, left int) string {
 type parser struct {
 	src     []byte
 	i       int
+	bad     bool // sticky: some byte was not the encoder's; parseTop checks it once
 	ints    slab[int64]
 	vals    slab[Value]
 	elems   slab[Element]
@@ -87,9 +93,8 @@ type parser struct {
 	scratch []byte // unescaping buffer
 	depth   int    // plan-node nesting
 
-	// The first chunks are part of the parser, which its callbacks put
-	// on the heap anyway: a one-element response — every insert's — and
-	// a two-node plan take no slab allocation at all.
+	// The first chunks are part of the parser: a one-element response —
+	// every insert's — and a two-node plan take no slab allocation at all.
 	ints0  [2]int64
 	vals0  [2]Value
 	plans0 [2]PlanNode
@@ -99,107 +104,49 @@ type parser struct {
 func newParser(src []byte) *parser {
 	p := &parser{src: src}
 	p.ints.buf, p.vals.buf = p.ints0[:0], p.vals0[:0]
-	// `1,` — `{"kind":""},` — `{"vt":{}},`
-	p.ints.per, p.vals.per, p.elems.per = 2, 12, 10
+	// `1,` — `{"kind":""},` — `{"es":0,"os":0,"tt_start":0,"tt_end":0,"current":true,"vt":{}},`
+	p.ints.per, p.vals.per, p.elems.per = 2, 12, 63
 	return p
 }
 
 func (p *parser) left() int { return len(p.src) - p.i }
 
-// ws skips JSON whitespace; the canonical spelling has none, so the
-// first comparison is the usual exit.
-func (p *parser) ws() {
-	for p.i < len(p.src) {
-		if c := p.src[p.i]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
-			return
-		}
-		p.i++
-	}
+// refuse marks the input as not the encoder's. Parsing goes on to the
+// end of the shape, straight-line, but no item loop below takes another
+// turn: a refused body costs no more than its accepted prefix did, and
+// parseTop throws away whatever was filled in.
+func (p *parser) refuse() string {
+	p.bad = true
+	return ""
 }
 
-// eat consumes c if it is the next token.
-func (p *parser) eat(c byte) bool {
-	p.ws()
-	if p.i < len(p.src) && p.src[p.i] == c {
-		p.i++
+// lit consumes s if the input goes on with exactly those bytes. The
+// first byte is looked at before the rest is compared: where an optional
+// `,"key":` is absent the input has a closing bracket, and the probe
+// costs no call.
+func (p *parser) lit(s string) bool {
+	if i := p.i; len(p.src)-i >= len(s) && p.src[i] == s[0] && string(p.src[i:i+len(s)]) == s {
+		p.i += len(s)
 		return true
 	}
 	return false
 }
 
-// more consumes the separator after an item: true after a comma, false
-// after the closing bracket, an error for anything else.
-func (p *parser) more(closing byte) (bool, error) {
-	p.ws()
-	if p.i < len(p.src) {
-		switch c := p.src[p.i]; c {
-		case ',', closing:
-			p.i++
-			return c == ',', nil
-		}
+// expect is lit for bytes the encoder writes unconditionally.
+func (p *parser) expect(s string) {
+	if !p.lit(s) {
+		p.bad = true
 	}
-	return false, errNotCanonical
 }
 
-// null consumes a null, which in every position means "leave the zero
-// value": the parser fills fresh values and refuses duplicate keys, so
-// there is never an earlier value for encoding/json's no-op to keep.
-func (p *parser) null() bool {
-	p.ws()
-	if p.left() >= 4 && p.src[p.i] == 'n' && string(p.src[p.i:p.i+4]) == "null" {
-		p.i += 4
-		return true
+// field is lit for an optional `,"key":` that may be the first of its
+// object, where the encoder turns the comma into the brace: open is the
+// position just past that brace.
+func (p *parser) field(open int, key string) bool {
+	if p.i == open {
+		return p.lit(key[1:])
 	}
-	return false
-}
-
-// object walks {"key":value,...}, calling field with each key and the
-// parser standing at its value. Keys must be spelled exactly as in
-// keys, without escapes, each at most once; canonical order is the fast
-// case (the search starts after the previous hit) but not required.
-func (p *parser) object(keys []string, field func(key string) error) error {
-	if p.null() {
-		return nil
-	}
-	if !p.eat('{') {
-		return errNotCanonical
-	}
-	if p.eat('}') {
-		return nil
-	}
-	var seen uint
-	next := 0
-	for {
-		if !p.eat('"') {
-			return errNotCanonical
-		}
-		rest, idx := p.src[p.i:], -1
-		for j := range keys {
-			c := next + j
-			if c >= len(keys) {
-				c -= len(keys)
-			}
-			if k := keys[c]; len(rest) > len(k) && rest[len(k)] == '"' && string(rest[:len(k)]) == k {
-				idx = c
-				break
-			}
-		}
-		if idx < 0 || seen&(1<<idx) != 0 {
-			return errNotCanonical
-		}
-		p.i += len(keys[idx]) + 1
-		if !p.eat(':') {
-			return errNotCanonical
-		}
-		seen |= 1 << idx
-		next = idx + 1
-		if err := field(keys[idx]); err != nil {
-			return err
-		}
-		if more, err := p.more('}'); !more {
-			return err
-		}
-	}
+	return p.lit(key)
 }
 
 // mark and extrapolate size a result set from its first item.
@@ -226,134 +173,156 @@ func (p *parser) extrapolate(m mark) int {
 	return n
 }
 
-// array parses [item,...] into a slice sized by extrapolate.
-func array[T any](p *parser, item func(*T) error) ([]T, error) {
-	if p.null() {
-		return nil, nil
-	}
-	if !p.eat('[') {
-		return nil, errNotCanonical
-	}
-	if p.eat(']') {
-		return []T{}, nil
-	}
-	m := p.mark()
-	var first T
-	if err := item(&first); err != nil {
-		return nil, err
-	}
-	out := make([]T, 1, 1+p.extrapolate(m))
-	out[0] = first
-	for {
-		more, err := p.more(']')
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			return out, nil
-		}
-		var zero T
-		out = append(out, zero)
-		if err := item(&out[len(out)-1]); err != nil {
-			return nil, err
-		}
+// item parses one array item in place. It is a type switch and not a
+// function value so that the calls stay direct: neither the parser nor
+// array's first item escapes to the heap.
+func item[T any](p *parser, v *T) {
+	switch v := any(v).(type) {
+	case *Element:
+		p.element(v)
+	case *BatchItem:
+		p.batchItem(v)
+	case *InsertRequest:
+		p.insertRequest(v)
+	case *[]Value:
+		*v = p.values()
+	case *string:
+		*v = p.str()
 	}
 }
 
-// integer parses -?(0|[1-9][0-9]*) that is not the head of a fraction
-// or an exponent, as sign and magnitude.
-func (p *parser) integer() (neg bool, mag uint64, err error) {
-	if p.null() {
-		return false, 0, nil
+// array parses [item,...] — or the null encoding/json writes for a nil
+// slice — into a slice sized by extrapolate.
+func array[T any](p *parser) []T {
+	if !p.lit("[") {
+		p.expect("null")
+		return nil
 	}
+	if p.lit("]") {
+		return []T{}
+	}
+	m := p.mark()
+	var first T
+	if item(p, &first); p.bad {
+		return nil
+	}
+	out := append(make([]T, 0, 1+p.extrapolate(m)), first)
+	for !p.bad && p.lit(",") {
+		out = slices.Grow(out, 1)[:len(out)+1]
+		item(p, &out[len(out)-1])
+	}
+	p.expect("]")
+	return out
+}
+
+const lanes = 0x0101010101010101 // times a byte: that byte in each of the eight
+
+var pow10 = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// eightDigits reads the run of ASCII digits at the low end of w — the
+// first character in the lowest byte, as a little-endian load leaves it —
+// and returns their value and how many there are before the first other
+// byte, eight at most. No lane carries into its neighbour: the digit
+// test adds 0x76 to seven bits, and the two folds multiply values that
+// stay under 100 and under 10 000.
+func eightDigits(w uint64) (val uint64, k int) {
+	t := w ^ 0x30*lanes // a digit becomes its value, 0–9
+	other := ((t&(0x7F*lanes) + 0x76*lanes) | t) & (0x80 * lanes)
+	k = bits.TrailingZeros64(other) >> 3
+	t <<= uint(8-k) * 8 // the k digits behind 8−k zeros; for k = 0 nothing is left
+	t = t*10 + t>>8     // even lanes: pairs of digits
+	const pair = 0x000000FF000000FF
+	t = (t&pair)*(100+1000000<<32) + (t>>16&pair)*(1+10000<<32)
+	return t >> 32, k
+}
+
+// load reads the eight bytes at i; short of them, at the end of the
+// input, the rest are bytes that are not digits.
+func (p *parser) load(i int) uint64 {
+	if len(p.src)-i >= 8 {
+		return binary.LittleEndian.Uint64(p.src[i:])
+	}
+	var w uint64
+	for j, c := range p.src[i:] {
+		w |= uint64(c) << (8 * j)
+	}
+	return w
+}
+
+// num parses -?(0|[1-9][0-9]*) as sign and magnitude, eight digits a
+// step, wrapping. Whether the magnitude fits is decided once, at the
+// end: nineteen digits cannot reach 2⁶⁴; twenty fit only if they start
+// with 1 — under 2·10¹⁹ < 2·2⁶⁴ the value wrapped once at most — and the
+// wrapped value still has twenty digits, since one wrap leaves less than
+// 2·10¹⁹ − 2⁶⁴ < 10¹⁹. A fraction or an exponent is not looked for: a
+// number is always followed by a literal, which refuses it.
+func (p *parser) num() (neg bool, mag uint64) {
 	s, i := p.src, p.i
 	if i < len(s) && s[i] == '-' {
 		neg = true
 		i++
 	}
-	if i >= len(s) || s[i]-'0' > 9 {
-		return false, 0, errNotCanonical
-	}
-	if s[i] == '0' {
-		i++
-	} else {
-		for ; i < len(s) && s[i]-'0' <= 9; i++ {
-			d := uint64(s[i] - '0')
-			if mag > (math.MaxUint64-d)/10 {
-				return false, 0, errNotCanonical
-			}
-			mag = mag*10 + d
+	start := i
+	for {
+		val, k := eightDigits(p.load(i))
+		mag = mag*pow10[k] + val
+		if i += k; k < 8 {
+			break
 		}
 	}
-	if i < len(s) && (s[i] == '.' || s[i] == 'e' || s[i] == 'E' || s[i]-'0' <= 9) {
-		return false, 0, errNotCanonical
+	switch n := i - start; {
+	case n == 0, n > 1 && s[start] == '0', n > 20, n == 20 && (s[start] != '1' || mag < 1e19):
+		p.bad = true
 	}
 	p.i = i
-	return neg, mag, nil
+	return neg, mag
 }
 
-func (p *parser) int64() (int64, error) {
-	neg, mag, err := p.integer()
-	switch {
-	case err != nil:
-		return 0, err
-	case neg && mag <= 1<<63:
-		return -int64(mag), nil
-	case !neg && mag <= math.MaxInt64:
-		return int64(mag), nil
-	}
-	return 0, errNotCanonical
-}
-
-func (p *parser) int() (int, error) {
-	x, err := p.int64()
-	return int(x), err
-}
-
-func (p *parser) uint64() (uint64, error) {
-	neg, mag, err := p.integer()
+func (p *parser) i64() int64 {
+	neg, mag := p.num()
 	if neg {
-		return 0, errNotCanonical
+		if mag > 1<<63 {
+			p.bad = true
+		}
+		return -int64(mag)
 	}
-	return mag, err
+	if mag > math.MaxInt64 {
+		p.bad = true
+	}
+	return int64(mag)
 }
 
-// int64p parses an optional integer into a slab-backed pointer.
-func (p *parser) int64p() (*int64, error) {
-	if p.null() {
-		return nil, nil
+// u64 refuses a sign, as strconv.ParseUint does "-0".
+func (p *parser) u64() uint64 {
+	neg, mag := p.num()
+	if neg {
+		p.bad = true
 	}
-	x, err := p.int64()
-	if err != nil {
-		return nil, err
-	}
+	return mag
+}
+
+// i64p parses an integer into a slab-backed pointer.
+func (p *parser) i64p() *int64 {
 	ptr := p.ints.one(p.left())
-	*ptr = x
-	return ptr, nil
+	*ptr = p.i64()
+	return ptr
 }
 
-func (p *parser) int64s() ([]int64, error) {
-	if p.null() {
-		return nil, nil
-	}
-	if !p.eat('[') {
-		return nil, errNotCanonical
-	}
-	if p.eat(']') {
-		return []int64{}, nil
+func (p *parser) i64s() []int64 {
+	p.expect("[")
+	if p.lit("]") {
+		return []int64{}
 	}
 	start := len(p.ints.buf)
 	for {
-		x, err := p.int64()
-		if err != nil {
-			return nil, err
-		}
 		start = p.ints.grow(start, p.left())
-		p.ints.buf[len(p.ints.buf)-1] = x
-		if more, err := p.more(']'); !more {
-			return p.ints.buf[start:len(p.ints.buf):len(p.ints.buf)], err
+		p.ints.buf[len(p.ints.buf)-1] = p.i64()
+		if p.bad || !p.lit(",") {
+			break
 		}
 	}
+	p.expect("]")
+	return p.ints.buf[start:len(p.ints.buf):len(p.ints.buf)]
 }
 
 func (p *parser) digits(i int) (int, bool) {
@@ -364,12 +333,9 @@ func (p *parser) digits(i int) (int, bool) {
 	return i, i > start
 }
 
-// float64 scans the JSON number grammar (strconv accepts more) and
-// converts it; a number float64 cannot hold is encoding/json's to refuse.
-func (p *parser) float64() (float64, error) {
-	if p.null() {
-		return 0, nil
-	}
+// f64 scans the JSON number grammar (strconv accepts more) and converts
+// it; a number float64 cannot hold is encoding/json's to refuse.
+func (p *parser) f64() float64 {
 	s, i := p.src, p.i
 	if i < len(s) && s[i] == '-' {
 		i++
@@ -390,40 +356,27 @@ func (p *parser) float64() (float64, error) {
 		}
 		i, ok = p.digits(i)
 	}
-	if !ok || (i < len(s) && s[i]-'0' <= 9) {
-		return 0, errNotCanonical
-	}
 	f, err := strconv.ParseFloat(string(s[p.i:i]), 64)
-	if err != nil {
-		return 0, errNotCanonical
+	if !ok || err != nil {
+		p.bad = true
 	}
 	p.i = i
-	return f, nil
+	return f
 }
 
-func (p *parser) bool() (bool, error) {
-	p.ws()
-	switch {
-	case p.left() >= 4 && string(p.src[p.i:p.i+4]) == "true":
-		p.i += 4
-		return true, nil
-	case p.left() >= 5 && string(p.src[p.i:p.i+5]) == "false":
-		p.i += 5
-		return false, nil
-	case p.null():
-		return false, nil
+func (p *parser) boolean() bool {
+	if p.lit("true") {
+		return true
 	}
-	return false, errNotCanonical
+	p.expect("false")
+	return false
 }
 
 // str parses a string into the arena. Printable ASCII up to the closing
 // quote is the fast case; an escape or a byte from 0x80 up takes unquote.
-func (p *parser) str() (string, error) {
-	if p.null() {
-		return "", nil
-	}
-	if !p.eat('"') {
-		return "", errNotCanonical
+func (p *parser) str() string {
+	if !p.lit(`"`) {
+		return p.refuse()
 	}
 	s := p.src
 	for i := p.i; i < len(s); i++ {
@@ -431,27 +384,26 @@ func (p *parser) str() (string, error) {
 		case c == '"':
 			raw := s[p.i:i]
 			p.i = i + 1
-			return p.strs.add(raw, p.left()), nil
+			return p.strs.add(raw, p.left())
 		case c == '\\' || c >= utf8.RuneSelf:
 			return p.unquote(i)
 		case c < ' ':
-			return "", errNotCanonical
+			return p.refuse()
 		}
 	}
-	return "", errNotCanonical
+	return p.refuse()
 }
 
 // words are the strings a response repeats per value or per item — the
 // value kinds and the batch statuses — returned as constants.
 var words = [...]string{"string", "int", "null", "float", "bool", "time", "stored", "deduped", "rejected"}
 
-func (p *parser) word() (string, error) {
-	p.ws()
+func (p *parser) word() string {
 	if s := p.src[p.i:]; len(s) > 0 && s[0] == '"' {
 		for _, w := range words {
-			if end := len(w) + 1; len(s) > end && s[end] == '"' && string(s[1:end]) == w {
+			if end := len(w) + 1; len(s) > end && s[1] == w[0] && s[end] == '"' && string(s[1:end]) == w {
 				p.i += end + 1
-				return w, nil
+				return w
 			}
 		}
 	}
@@ -484,17 +436,17 @@ func hex4(s []byte) rune {
 // scanned, with encoding/json's rules: the eight two-character escapes,
 // \uXXXX with surrogate pairs joined and a lone surrogate replaced by
 // U+FFFD, and invalid UTF-8 coerced to U+FFFD byte by byte.
-func (p *parser) unquote(i int) (string, error) {
+func (p *parser) unquote(i int) string {
 	s := p.src
 	b := append(p.scratch[:0], s[p.i:i]...)
 	for i < len(s) {
 		switch c := s[i]; {
 		case c == '"':
 			p.i, p.scratch = i+1, b
-			return p.strs.add(b, p.left()), nil
+			return p.strs.add(b, p.left())
 		case c == '\\':
 			if i+1 >= len(s) {
-				return "", errNotCanonical
+				return p.refuse()
 			}
 			switch e := s[i+1]; e {
 			case '"', '\\', '/':
@@ -512,7 +464,7 @@ func (p *parser) unquote(i int) (string, error) {
 			case 'u':
 				r := hex4(s[i:])
 				if r < 0 {
-					return "", errNotCanonical
+					return p.refuse()
 				}
 				if utf16.IsSurrogate(r) {
 					if pair := utf16.DecodeRune(r, hex4(s[i+6:])); pair != unicode.ReplacementChar {
@@ -525,11 +477,11 @@ func (p *parser) unquote(i int) (string, error) {
 				b = utf8.AppendRune(b, r)
 				i += 4
 			default:
-				return "", errNotCanonical
+				return p.refuse()
 			}
 			i += 2
 		case c < ' ':
-			return "", errNotCanonical
+			return p.refuse()
 		case c < utf8.RuneSelf:
 			b = append(b, c)
 			i++
@@ -539,118 +491,113 @@ func (p *parser) unquote(i int) (string, error) {
 			i += size
 		}
 	}
-	return "", errNotCanonical
+	return p.refuse()
 }
 
-func (p *parser) strings() ([]string, error) {
-	return array(p, func(s *string) (err error) {
-		*s, err = p.str()
-		return err
-	})
-}
+// The shapes, each in its encoder's order: expect for what the encoder
+// always writes, lit for what it writes when the field is not empty.
 
-var valueKeys = []string{"kind", "str", "int", "float", "bool", "time"}
-
-func (p *parser) value(v *Value) error {
-	return p.object(valueKeys, func(key string) (err error) {
-		switch key {
-		case "kind":
-			v.Kind, err = p.word()
-		case "str":
-			v.Str, err = p.str()
-		case "int":
-			v.Int, err = p.int64()
-		case "float":
-			v.Float, err = p.float64()
-		case "bool":
-			v.Bool, err = p.bool()
-		case "time":
-			v.Time, err = p.int64()
-		}
-		return err
-	})
-}
-
-// values parses an attribute list or a row as one run of the value slab.
-func (p *parser) values() ([]Value, error) {
-	if p.null() {
-		return nil, nil
+func (p *parser) value(v *Value) {
+	p.expect(`{"kind":`)
+	v.Kind = p.word()
+	if p.lit(`,"str":`) {
+		v.Str = p.str()
 	}
-	if !p.eat('[') {
-		return nil, errNotCanonical
+	if p.lit(`,"int":`) {
+		v.Int = p.i64()
 	}
-	if p.eat(']') {
-		return []Value{}, nil
+	if p.lit(`,"float":`) {
+		v.Float = p.f64()
+	}
+	if p.lit(`,"bool":`) {
+		v.Bool = p.boolean()
+	}
+	if p.lit(`,"time":`) {
+		v.Time = p.i64()
+	}
+	p.expect("}")
+}
+
+// values parses an attribute list or a row — null for a row without
+// columns — as one run of the value slab.
+func (p *parser) values() []Value {
+	if !p.lit("[") {
+		p.expect("null")
+		return nil
+	}
+	if p.lit("]") {
+		return []Value{}
 	}
 	start := len(p.vals.buf)
 	for {
 		start = p.vals.grow(start, p.left())
-		if err := p.value(&p.vals.buf[len(p.vals.buf)-1]); err != nil {
-			return nil, err
-		}
-		if more, err := p.more(']'); !more {
-			return p.vals.buf[start:len(p.vals.buf):len(p.vals.buf)], err
+		p.value(&p.vals.buf[len(p.vals.buf)-1])
+		if p.bad || !p.lit(",") {
+			break
 		}
 	}
+	p.expect("]")
+	return p.vals.buf[start:len(p.vals.buf):len(p.vals.buf)]
 }
 
-var timestampKeys = []string{"event", "start", "end"}
-
-func (p *parser) timestamp(t *Timestamp) error {
-	return p.object(timestampKeys, func(key string) (err error) {
-		switch key {
-		case "event":
-			t.Event, err = p.int64p()
-		case "start":
-			t.Start, err = p.int64p()
-		case "end":
-			t.End, err = p.int64p()
-		}
-		return err
-	})
+func (p *parser) timestamp(t *Timestamp) {
+	p.expect("{")
+	open := p.i
+	if p.field(open, `,"event":`) {
+		t.Event = p.i64p()
+	}
+	if p.field(open, `,"start":`) {
+		t.Start = p.i64p()
+	}
+	if p.field(open, `,"end":`) {
+		t.End = p.i64p()
+	}
+	p.expect("}")
 }
 
-var elementKeys = []string{"es", "os", "tt_start", "tt_end", "current", "vt", "invariant", "varying", "user_times"}
-
-func (p *parser) element(e *Element) error {
-	return p.object(elementKeys, func(key string) (err error) {
-		switch key {
-		case "es":
-			e.ES, err = p.uint64()
-		case "os":
-			e.OS, err = p.uint64()
-		case "tt_start":
-			e.TTStart, err = p.int64()
-		case "tt_end":
-			e.TTEnd, err = p.int64()
-		case "current":
-			e.Current, err = p.bool()
-		case "vt":
-			err = p.timestamp(&e.VT)
-		case "invariant":
-			e.Invariant, err = p.values()
-		case "varying":
-			e.Varying, err = p.values()
-		case "user_times":
-			e.UserTimes, err = p.int64s()
-		}
-		return err
-	})
+// attributes is the tail an element and an insert request share.
+func (p *parser) attributes(invariant, varying *[]Value, userTimes *[]int64) {
+	if p.lit(`,"invariant":`) {
+		*invariant = p.values()
+	}
+	if p.lit(`,"varying":`) {
+		*varying = p.values()
+	}
+	if p.lit(`,"user_times":`) {
+		*userTimes = p.i64s()
+	}
+	p.expect("}")
 }
 
-var planNodeKeys = []string{"kind", "org", "win_lo", "win_hi", "note", "count", "est", "input"}
+func (p *parser) element(e *Element) {
+	p.expect(`{"es":`)
+	e.ES = p.u64()
+	p.expect(`,"os":`)
+	e.OS = p.u64()
+	p.expect(`,"tt_start":`)
+	e.TTStart = p.i64()
+	if p.lit(currentElement) { // written whole, matched whole
+		e.TTEnd, e.Current = int64(chronon.Forever), true
+	} else {
+		p.expect(`,"tt_end":`)
+		e.TTEnd = p.i64()
+		p.expect(`,"current":`)
+		e.Current = p.boolean()
+	}
+	p.expect(`,"vt":`)
+	p.timestamp(&e.VT)
+	p.attributes(&e.Invariant, &e.Varying, &e.UserTimes)
+}
 
 // maxPlanDepth bounds the one recursive shape. Real plans nest a few
 // decorators; past this the input is encoding/json's, which has its own
 // limit and an error for it.
 const maxPlanDepth = 64
 
-func (p *parser) planNode() (*PlanNode, error) {
-	if p.null() {
-		return nil, nil
-	}
+func (p *parser) planNode() *PlanNode {
 	if p.depth >= maxPlanDepth {
-		return nil, errNotCanonical
+		p.bad = true
+		return nil
 	}
 	var n *PlanNode
 	if p.plans < len(p.plans0) {
@@ -660,163 +607,134 @@ func (p *parser) planNode() (*PlanNode, error) {
 		n = new(PlanNode)
 	}
 	p.depth++
-	err := p.object(planNodeKeys, func(key string) (err error) {
-		switch key {
-		case "kind":
-			n.Kind, err = p.str()
-		case "org":
-			n.Org, err = p.str()
-		case "win_lo":
-			n.WinLo, err = p.int64p()
-		case "win_hi":
-			n.WinHi, err = p.int64p()
-		case "note":
-			n.Note, err = p.str()
-		case "count":
-			n.Count, err = p.int()
-		case "est":
-			n.Est, err = p.int()
-		case "input":
-			n.Input, err = p.planNode()
-		}
-		return err
-	})
+	p.expect(`{"kind":`)
+	n.Kind = p.str()
+	if p.lit(`,"org":`) {
+		n.Org = p.str()
+	}
+	if p.lit(`,"win_lo":`) {
+		n.WinLo = p.i64p()
+	}
+	if p.lit(`,"win_hi":`) {
+		n.WinHi = p.i64p()
+	}
+	if p.lit(`,"note":`) {
+		n.Note = p.str()
+	}
+	if p.lit(`,"count":`) {
+		n.Count = int(p.i64())
+	}
+	p.expect(`,"est":`)
+	n.Est = int(p.i64())
+	if p.lit(`,"input":`) {
+		n.Input = p.planNode()
+	}
+	p.expect("}")
 	p.depth--
-	return n, err
+	return n
 }
 
-var queryResponseKeys = []string{"elements", "plan", "plan_node", "touched", "epoch"}
-
-func (p *parser) queryResponse(r *QueryResponse) error {
-	return p.object(queryResponseKeys, func(key string) (err error) {
-		switch key {
-		case "elements":
-			r.Elements, err = array(p, p.element)
-		case "plan":
-			r.Plan, err = p.str()
-		case "plan_node":
-			r.PlanNode, err = p.planNode()
-		case "touched":
-			r.Touched, err = p.int()
-		case "epoch":
-			r.Epoch, err = p.uint64()
-		}
-		return err
-	})
+func (p *parser) queryResponse(r *QueryResponse) {
+	p.expect(`{"elements":`)
+	r.Elements = array[Element](p)
+	if p.lit(`,"plan":`) {
+		r.Plan = p.str()
+	}
+	if p.lit(`,"plan_node":`) {
+		r.PlanNode = p.planNode()
+	}
+	p.expect(`,"touched":`)
+	r.Touched = int(p.i64())
+	if p.lit(`,"epoch":`) {
+		r.Epoch = p.u64()
+	}
+	p.expect("}")
 }
 
-var elementResponseKeys = []string{"element"}
-
-func (p *parser) elementResponse(r *ElementResponse) error {
-	return p.object(elementResponseKeys, func(string) error { return p.element(&r.Element) })
+func (p *parser) elementResponse(r *ElementResponse) {
+	p.expect(`{"element":`)
+	p.element(&r.Element)
+	p.expect("}")
 }
 
-var batchItemKeys = []string{"status", "error", "element"}
-
-func (p *parser) batchItem(it *BatchItem) error {
-	return p.object(batchItemKeys, func(key string) (err error) {
-		switch key {
-		case "status":
-			it.Status, err = p.word()
-		case "error":
-			it.Error, err = p.str()
-		case "element":
-			if !p.null() {
-				it.Element = p.elems.one(p.left())
-				err = p.element(it.Element)
-			}
-		}
-		return err
-	})
+func (p *parser) batchItem(it *BatchItem) {
+	p.expect(`{"status":`)
+	it.Status = p.word()
+	if p.lit(`,"error":`) {
+		it.Error = p.str()
+	}
+	if p.lit(`,"element":`) {
+		it.Element = p.elems.one(p.left())
+		p.element(it.Element)
+	}
+	p.expect("}")
 }
 
-var batchResponseKeys = []string{"items", "stored", "deduped", "rejected", "epoch"}
-
-func (p *parser) batchResponse(r *BatchInsertResponse) error {
-	return p.object(batchResponseKeys, func(key string) (err error) {
-		switch key {
-		case "items":
-			r.Items, err = array(p, p.batchItem)
-		case "stored":
-			r.Stored, err = p.int()
-		case "deduped":
-			r.Deduped, err = p.int()
-		case "rejected":
-			r.Rejected, err = p.int()
-		case "epoch":
-			r.Epoch, err = p.uint64()
-		}
-		return err
-	})
+func (p *parser) batchResponse(r *BatchInsertResponse) {
+	p.expect(`{"items":`)
+	r.Items = array[BatchItem](p)
+	p.expect(`,"stored":`)
+	r.Stored = int(p.i64())
+	p.expect(`,"deduped":`)
+	r.Deduped = int(p.i64())
+	p.expect(`,"rejected":`)
+	r.Rejected = int(p.i64())
+	if p.lit(`,"epoch":`) {
+		r.Epoch = p.u64()
+	}
+	p.expect("}")
 }
 
-var selectResponseKeys = []string{"columns", "rows", "plan", "touched", "engine"}
-
-func (p *parser) selectResponse(r *SelectResponse) error {
-	return p.object(selectResponseKeys, func(key string) (err error) {
-		switch key {
-		case "columns":
-			r.Columns, err = p.strings()
-		case "rows":
-			r.Rows, err = array(p, func(row *[]Value) (err error) {
-				*row, err = p.values()
-				return err
-			})
-		case "plan":
-			r.Plan, err = p.planNode()
-		case "touched":
-			r.Touched, err = p.int()
-		case "engine":
-			r.Engine, err = p.str()
-		}
-		return err
-	})
+func (p *parser) selectResponse(r *SelectResponse) {
+	p.expect(`{"columns":`)
+	r.Columns = array[string](p)
+	p.expect(`,"rows":`)
+	r.Rows = array[[]Value](p)
+	if p.lit(`,"plan":`) {
+		r.Plan = p.planNode()
+	}
+	p.expect(`,"touched":`)
+	r.Touched = int(p.i64())
+	if p.lit(`,"engine":`) {
+		r.Engine = p.str()
+	}
+	p.expect("}")
 }
 
-var insertRequestKeys = []string{"object", "vt", "invariant", "varying", "user_times"}
-
-func (p *parser) insertRequest(r *InsertRequest) error {
-	return p.object(insertRequestKeys, func(key string) (err error) {
-		switch key {
-		case "object":
-			r.Object, err = p.uint64()
-		case "vt":
-			err = p.timestamp(&r.VT)
-		case "invariant":
-			r.Invariant, err = p.values()
-		case "varying":
-			r.Varying, err = p.values()
-		case "user_times":
-			r.UserTimes, err = p.int64s()
-		}
-		return err
-	})
+func (p *parser) insertRequest(r *InsertRequest) {
+	p.expect("{")
+	if p.lit(`"object":`) {
+		r.Object = p.u64()
+		p.expect(",")
+	}
+	p.expect(`"vt":`)
+	p.timestamp(&r.VT)
+	p.attributes(&r.Invariant, &r.Varying, &r.UserTimes)
 }
 
-var batchRequestKeys = []string{"elements", "keys", "atomic"}
-
-func (p *parser) batchRequest(r *BatchInsertRequest) error {
-	return p.object(batchRequestKeys, func(key string) (err error) {
-		switch key {
-		case "elements":
-			r.Elements, err = array(p, p.insertRequest)
-		case "keys":
-			r.Keys, err = p.strings()
-		case "atomic":
-			r.Atomic, err = p.bool()
-		}
-		return err
-	})
+func (p *parser) batchRequest(r *BatchInsertRequest) {
+	p.expect(`{"elements":`)
+	r.Elements = array[InsertRequest](p)
+	if p.lit(`,"keys":`) {
+		r.Keys = array[string](p)
+	}
+	if p.lit(`,"atomic":`) {
+		r.Atomic = p.boolean()
+	}
+	p.expect("}")
 }
 
-// parseTop runs one type's parser over the whole of src, in place, and
-// puts *r back as it was unless every byte was canonical.
-func parseTop[T any](r *T, src []byte, parse func(*parser, *T) error) error {
+// parseTop runs one type's parser over the whole of src — and the
+// newline json.Encoder ends a document with, which the server keeps —
+// in place, and puts *r back as it was unless every byte was the
+// encoder's.
+func parseTop[T any](r *T, src []byte, parse func(*parser, *T)) error {
 	p := newParser(src)
 	old := *r
 	*r = *new(T)
-	err := parse(p, r)
-	if p.ws(); err != nil || p.i != len(src) {
+	parse(p, r)
+	p.lit("\n")
+	if p.bad || p.i != len(src) {
 		*r = old
 		return errNotCanonical
 	}

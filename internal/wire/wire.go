@@ -869,6 +869,10 @@ type EndpointMetrics struct {
 	// timeout envelope while their handler was still running; each is also
 	// a request (and an error) once its handler returns.
 	Timeouts uint64 `json:"request_timeouts,omitempty"`
+	// SlowDecodes counts request bodies whose spelling the fast parser
+	// refused (Parser), so that encoding/json decoded them — several times
+	// slower. A client that encodes with this package never adds to it.
+	SlowDecodes uint64 `json:"slow_decodes,omitempty"`
 }
 
 // PlanMetrics aggregates one plan kind's query accounting.
