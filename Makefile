@@ -4,15 +4,16 @@ GO ?= go
 # these run a second time under the race detector in `make ci`.
 RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/query ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./internal/wire ./client
 
-.PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module clean
+.PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module docs-check clean
 
 # ci is the tier-1 gate: everything must build, vet and gofmt clean, pass
 # tests, pass the race detector on the concurrency-bearing packages, keep
 # the read-path microbenchmarks compiling and running, keep the tsbench
 # module (bench/, which `./...` does not reach) building against the
-# internal APIs, boot a real 1-primary + 2-follower cluster end to end,
+# internal APIs, keep the prose citing only evidence files and experiment
+# ids that exist, boot a real 1-primary + 2-follower cluster end to end,
 # and prove the integrity subsystem over the wire.
-ci: vet fmt build test race bench-smoke bench-module e2e-cluster e2e-integrity
+ci: vet fmt build test race bench-smoke bench-module docs-check e2e-cluster e2e-integrity
 
 # fmt fails if any file needs gofmt (prints the offenders).
 fmt:
@@ -82,9 +83,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s ./internal/server
 	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s ./internal/wire
 
-# Regenerate every figure/claim table plus the serving, durability, and
-# overload benchmarks. It rewrites seven committed single-run BENCH_*.json
-# in place and leaves two that are not committed (SCRATCH_BENCH below).
+# Regenerate every figure/claim table, the two ablations, and the
+# durability, overload and cluster experiments (S2, S3, S5). It rewrites
+# two committed single-run files in place (BENCH_overload.json,
+# BENCH_cluster.json) and leaves one that is not committed (SCRATCH_BENCH
+# below). Everything else about the serving path is tsbench: bench/run.sh.
 bench:
 	$(GO) run ./cmd/benchrunner
 
@@ -101,9 +104,9 @@ bench:
 # on the same result sets, and whole requests over loopback through the
 # server's handler with a signer configured (point read, insert,
 # 1000-element read), at -benchtime=100ms. Fast enough for
-# ci; the full concurrent-reader experiment is
-# `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
-# the batch-execution one -exp S7.
+# ci; the end-to-end numbers for the same dimensions are tsbench's
+# (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
+# ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
 	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms ./internal/storage
@@ -116,9 +119,16 @@ bench-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# clean removes only what `make bench` leaves untracked. The other
-# BENCH_*.json — the *_pairs.json series above all — are committed evidence.
-SCRATCH_BENCH = BENCH_serving.json BENCH_wal.json
+# docs-check fails when README, DESIGN or EXPERIMENTS cites a BENCH_*.json
+# that is neither in the repository nor in SCRATCH_BENCH, or tells a
+# reader to run a `benchrunner -exp` id that is not registered.
+docs-check:
+	$(GO) test -run 'TestDocsCiteWhatExists' ./cmd/benchrunner
+
+# clean removes only what `make bench` leaves untracked (S2's table). The
+# other BENCH_*.json — the *_pairs.json series above all — are committed
+# evidence.
+SCRATCH_BENCH = BENCH_wal.json
 
 clean:
 	rm -f $(SCRATCH_BENCH)

@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -253,13 +252,5 @@ func runS5(n int) error {
 			nodes, top.ReadsPerS, top.Reads, top.FollowerServed, 100*top.PrimaryShare)
 	}
 
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_cluster.json", append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_cluster.json")
-	return nil
+	return writeBench("BENCH_cluster.json", res)
 }

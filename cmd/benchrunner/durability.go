@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -233,13 +232,5 @@ func runS2(n int) error {
 	fmt.Printf("replay: %d records (create + %d inserts) rebooted in %v (%.0f records/s)\n",
 		replayRecords, replayRecords-1, replayDur.Round(time.Millisecond), res.ReplayRecsPerSec)
 
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_wal.json", append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_wal.json")
-	return nil
+	return writeBench("BENCH_wal.json", res)
 }

@@ -1,7 +1,8 @@
 // Command benchrunner regenerates every figure and claim of the paper and
 // prints the results as tables — the harness behind EXPERIMENTS.md. Each
-// experiment is named by its DESIGN.md id (F1-F5 for the figures, C1-C6
-// for the formal claims).
+// experiment is named by its DESIGN.md id: F1-F5 the figures, C1-C6 the
+// formal claims, A1-A2 the ablations, and S2, S3, S5 the three serving
+// dimensions tsbench (bench/) has no workload knob for yet.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,45 +22,75 @@ import (
 	ts "repro"
 )
 
+type experiment struct {
+	id, name string
+	run      func(n int) error
+}
+
+var experiments = []experiment{
+	{"F1", "Figure 1 — isolated-event regions", runF1},
+	{"F2", "Figure 2 — event-based lattice & inference", runF2},
+	{"F3", "Figure 3 — inter-event orderings", runF3},
+	{"F4", "Figure 4 — inter-event regularity", runF4},
+	{"F5", "Figure 5 — inter-interval taxonomy", runF5},
+	{"C1", "Claim C1 — completeness (eleven types)", runC1},
+	{"C2", "Claim C2 — sequential ⇒ non-decreasing", runC2},
+	{"C3", "Claim C3 — regularity gcd composition", runC3},
+	{"C4", "Claim C4 — per-partition vs global", runC4},
+	{"C5", "Claim C5 — degenerate ⇒ sequential; orthogonality", runC5},
+	{"C6", "Claim C6 — specialization-driven physical design", runC6},
+	{"A1", "Ablation — order sharing vs a separate B-tree index", runA1},
+	{"A2", "Ablation — bounded-specialization pushdown (vt→tt window)", runA2},
+	{"S2", "Durability — WAL sync policies and replay", runS2},
+	{"S3", "Overload — admission shedding at 1x/4x/16x offered load", runS3},
+	{"S5", "Cluster — follower catch-up and routed read scaling 1→3 nodes", runS5},
+}
+
+// retired names, for each single-run runner this command used to have,
+// what measures its dimension now — with repeats and a noise floor, which
+// the runner never had. Commit 780c46b is the last tree holding them.
+var retired = map[string]string{
+	"S1": "every *_rel metric of tsbench (bash bench/run.sh --workload W) and BenchmarkServeRoundTrip in ./internal/server",
+	"S4": "read_p50_rel and read_p95_rel on dashboard-hot, and BenchmarkReadPath* in ./internal/catalog",
+	"S6": "sensor-append under the advisor (disk_bytes_per_element), and BenchmarkAutoSpecialize* in ./internal/catalog",
+	"S7": "agg_p50_rel on firehose-analytics, BenchmarkColumnarScan* and BenchmarkTemporalAggregate* in ./internal/storage, and TestDifferentialRowColumnar in ./internal/catalog",
+	"S8": "integrity.leaf_us_per_frame and integrity.root_us of a traced tsbench run (the tax settled at ≈ 2 %; EXPERIMENTS S14 priced the rest)",
+	"S9": "ingest_batch_p50_rel on all four workloads, and BenchmarkInsertBatch* and BenchmarkRecoverIngestLog in ./internal/catalog",
+	"P1": "TestBuildChoices in ./internal/plan and plan.build_ns of a traced tsbench run",
+}
+
+// selectExperiments resolves the -exp flag: everything for "", one
+// experiment for a registered id (any case), an error naming the
+// replacement for a retired id and the registered ids for anything else.
+func selectExperiments(id string) ([]experiment, error) {
+	if id == "" {
+		return experiments, nil
+	}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		if strings.EqualFold(id, e.id) {
+			return experiments[i : i+1], nil
+		}
+		ids[i] = e.id
+	}
+	if by, ok := retired[strings.ToUpper(id)]; ok {
+		return nil, fmt.Errorf("experiment %s was retired; its dimension is measured by %s", id, by)
+	}
+	return nil, fmt.Errorf("unknown experiment %q; the ids are %s", id, strings.Join(ids, " "))
+}
+
 func main() {
-	exp := flag.String("exp", "", "run only this experiment (F1-F5, C1-C6, A1-A2, S1-S9, P1)")
+	exp := flag.String("exp", "", "run only this experiment (F1-F5, C1-C6, A1-A2, S2, S3, S5)")
 	n := flag.Int("n", 20000, "workload size for quantitative experiments")
 	flag.Parse()
 
-	all := []struct {
-		id   string
-		name string
-		run  func(n int) error
-	}{
-		{"F1", "Figure 1 — isolated-event regions", runF1},
-		{"F2", "Figure 2 — event-based lattice & inference", runF2},
-		{"F3", "Figure 3 — inter-event orderings", runF3},
-		{"F4", "Figure 4 — inter-event regularity", runF4},
-		{"F5", "Figure 5 — inter-interval taxonomy", runF5},
-		{"C1", "Claim C1 — completeness (eleven types)", runC1},
-		{"C2", "Claim C2 — sequential ⇒ non-decreasing", runC2},
-		{"C3", "Claim C3 — regularity gcd composition", runC3},
-		{"C4", "Claim C4 — per-partition vs global", runC4},
-		{"C5", "Claim C5 — degenerate ⇒ sequential; orthogonality", runC5},
-		{"C6", "Claim C6 — specialization-driven physical design", runC6},
-		{"A1", "Ablation — order sharing vs a separate B-tree index", runA1},
-		{"A2", "Ablation — bounded-specialization pushdown (vt→tt window)", runA2},
-		{"S1", "Serving — concurrent clients vs tsdbd over loopback HTTP", runS1},
-		{"S2", "Durability — WAL sync policies and replay", runS2},
-		{"S3", "Overload — admission shedding at 1x/4x/16x offered load", runS3},
-		{"S4", "Read path — snapshot reads under a steady writer; cache-hit latency", runS4},
-		{"S5", "Cluster — follower catch-up and routed read scaling 1→3 nodes", runS5},
-		{"S6", "Physical design — inferred re-specialization and class-scheduled compaction", runS6},
-		{"S7", "Batch execution — columnar vs row window aggregation on frozen relations", runS7},
-		{"S8", "Integrity — Merkle accounting write tax and scrub throughput", runS8},
-		{"S9", "Ingest — batched WAL frames vs single inserts; replay and follower catch-up", runS9},
-		{"P1", "Planner — plan build/cost latency and choice stability", runP1},
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
 	}
 	failed := false
-	for _, e := range all {
-		if *exp != "" && !strings.EqualFold(*exp, e.id) {
-			continue
-		}
+	for _, e := range selected {
 		fmt.Printf("=== %s: %s ===\n", e.id, e.name)
 		if err := e.run(*n); err != nil {
 			fmt.Printf("FAILED: %v\n\n", err)
@@ -674,6 +706,19 @@ func runA2(n int) error {
 	return nil
 }
 
+// writeBench leaves an experiment's table as JSON in the working directory.
+func writeBench(name string, res any) error {
+	doc, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(name, append(doc, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote", name)
+	return nil
+}
+
 type timing struct {
 	dur     time.Duration
 	touched int
@@ -686,11 +731,4 @@ func timeQueries(run func(ts.Chronon) int, queries []ts.Chronon) timing {
 		touched += run(q)
 	}
 	return timing{dur: time.Since(start).Round(time.Microsecond), touched: touched}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,11 +19,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,15 +126,7 @@ func runS3(int) error {
 				cell.Multiplier, cell.Shedding, cell.AckedPerSec, cell.P50MS, cell.P99MS, cell.Shed)
 		}
 	}
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_overload.json", append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_overload.json")
-	return nil
+	return writeBench("BENCH_overload.json", res)
 }
 
 func runOverloadCell(mult int, shedding bool, limit, queue int,

@@ -89,7 +89,7 @@ func main() {
 	q := start.Add(120 * 360)
 	res := en.VTRange(q, q.Add(3600))
 	fmt.Printf("\nreadings valid in the hour after %v: %d, plan %q, touched %d of %d\n",
-		q, len(res.Elements), res.Plan, res.Touched, r.Len())
+		q, len(res.Elements), res.Node.String(), res.Touched, r.Len())
 
 	// The declared *bound* yields a second strategy that needs no ordering
 	// at all: delays in [30 s, 300 s] mean a reading valid at q was stored
@@ -108,5 +108,5 @@ func main() {
 	sample := r.Versions()[120].VT.Start()
 	res = pd.Timeslice(sample)
 	fmt.Printf("bounded pushdown at %v: %d reading(s), plan %q, touched %d of %d\n",
-		sample, len(res.Elements), res.Plan, res.Touched, r.Len())
+		sample, len(res.Elements), res.Node.String(), res.Touched, r.Len())
 }

@@ -62,7 +62,7 @@ func main() {
 
 	res := en.Timeslice(base.Add(30))
 	fmt.Printf("historical query at %v: %d element(s), plan %q\n",
-		base.Add(30), len(res.Elements), res.Plan)
+		base.Add(30), len(res.Elements), res.Node.String())
 
 	roll := en.Rollback(base.Add(90))
 	fmt.Printf("rollback to %v: %d element(s) were stored then\n",

@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/chronon"
 	"repro/internal/constraint"
@@ -59,23 +60,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // stream.
 var ErrCorrupt = errors.New("backlog: corrupt or truncated stream")
 
-// Write serializes the relation's schema and backlog to w, with no
-// declaration catalog.
-func Write(w io.Writer, r *relation.Relation) error {
-	return WriteWithDeclarations(w, r, nil)
+// Snapshot is everything one persisted stream holds: the relation's
+// schema and backlog, and the catalog state cut at the same instant.
+// Every field but Schema may be zero, and a block the stream's format
+// version predates (see formatVersion) reads as zero.
+type Snapshot struct {
+	Schema relation.Schema
+	// Declarations is the constraint catalog Load re-attaches as enforcers.
+	Declarations []constraint.Descriptor
+	// Records is the backlog, in transaction-time order.
+	Records []relation.LogRecord
+	// WALLSN is the applied write-ahead-log LSN: every WAL record at or
+	// below it is reflected in Records, so boot-time replay skips them.
+	// Zero claims no coverage.
+	WALLSN uint64
+	// Physical zero is the heap organization with nothing adopted: the
+	// catalog then re-advises from the declarations.
+	Physical Physical
+	// Integrity zero is "not tracked": the catalog then starts a fresh
+	// tree from the next commit.
+	Integrity Integrity
 }
 
-// WriteWithDeclarations serializes the relation's schema, its declared
-// specializations (the constraint catalog), and its backlog to w.
-func WriteWithDeclarations(w io.Writer, r *relation.Relation, decls []constraint.Descriptor) error {
-	return WriteWithState(w, r, decls, 0)
-}
-
-// WriteWithState is WriteWithDeclarations plus the relation's applied
-// write-ahead-log LSN: every WAL record at or below walLSN is reflected in
-// the stream, so boot-time replay can skip them.
-func WriteWithState(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64) error {
-	return WriteWithPhysical(w, r, decls, walLSN, Physical{})
+// Of is the snapshot of a bare relation: its schema and backlog, no
+// catalog state. The records are the relation's own slice, not a copy.
+func Of(r *relation.Relation) Snapshot {
+	return Snapshot{Schema: r.Schema(), Records: r.Backlog()}
 }
 
 // Physical is the journaled physical-design state of a relation: which
@@ -128,15 +138,8 @@ func decodePhysical(b []byte) (Physical, error) {
 	return p, nil
 }
 
-// WriteWithPhysical is WriteWithState plus the relation's physical-design
-// block.
-func WriteWithPhysical(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical) error {
-	return WriteWithIntegrity(w, r, decls, walLSN, phys, Integrity{})
-}
-
-// WriteWithIntegrity is WriteWithPhysical plus the relation's integrity
-// block (Merkle leaves and last signed root).
-func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical, ig Integrity) error {
+// Write serializes the snapshot to w in the current format version.
+func Write(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
@@ -144,30 +147,29 @@ func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.De
 	if err := binary.Write(bw, binary.LittleEndian, uint16(formatVersion)); err != nil {
 		return err
 	}
-	if err := writeBlock(bw, encodeSchema(r.Schema())); err != nil {
+	if err := writeBlock(bw, EncodeSchema(s.Schema)); err != nil {
 		return err
 	}
-	if err := writeBlock(bw, encodeDeclarations(decls)); err != nil {
+	if err := writeBlock(bw, EncodeDeclarations(s.Declarations)); err != nil {
 		return err
 	}
-	state := binary.LittleEndian.AppendUint64(nil, walLSN)
+	state := binary.LittleEndian.AppendUint64(nil, s.WALLSN)
 	if err := writeBlock(bw, state); err != nil {
 		return err
 	}
-	if err := writeBlock(bw, encodePhysical(phys)); err != nil {
+	if err := writeBlock(bw, encodePhysical(s.Physical)); err != nil {
 		return err
 	}
-	if err := writeIntegrity(bw, ig); err != nil {
+	if err := writeIntegrity(bw, s.Integrity); err != nil {
 		return err
 	}
-	records := r.Backlog()
-	for _, rec := range records {
-		if err := writeBlock(bw, encodeRecord(rec)); err != nil {
+	for _, rec := range s.Records {
+		if err := writeBlock(bw, AppendRecord(nil, rec)); err != nil {
 			return err
 		}
 	}
 	var trailer [12]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(records)))
+	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(s.Records)))
 	binary.LittleEndian.PutUint32(trailer[8:], crc32.Checksum(trailer[:8], castagnoli))
 	if _, err := bw.Write(trailer[:]); err != nil {
 		return err
@@ -175,166 +177,162 @@ func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.De
 	return bw.Flush()
 }
 
-// Read deserializes a schema and backlog from rd, discarding any
-// declaration catalog.
-func Read(rd io.Reader) (relation.Schema, []relation.LogRecord, error) {
-	schema, _, records, err := ReadWithDeclarations(rd)
-	return schema, records, err
-}
-
-// ReadWithDeclarations deserializes a schema, declaration catalog, and
-// backlog from rd. Version-1 streams yield an empty catalog.
-func ReadWithDeclarations(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, error) {
-	schema, decls, records, _, err := ReadWithState(rd)
-	return schema, decls, records, err
-}
-
-// ReadWithState is ReadWithDeclarations plus the applied write-ahead-log
-// LSN. Streams older than version 3 yield zero (no WAL coverage claimed).
-func ReadWithState(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, error) {
-	schema, decls, records, walLSN, _, err := ReadWithPhysical(rd)
-	return schema, decls, records, walLSN, err
-}
-
-// ReadWithPhysical is ReadWithState plus the physical-design block.
-// Streams older than version 4 yield the zero Physical (heap organization,
-// no adopted classes) — the catalog then re-advises from declarations as it
-// always did.
-func ReadWithPhysical(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, error) {
-	schema, decls, records, walLSN, phys, _, err := ReadWithIntegrity(rd)
-	return schema, decls, records, walLSN, phys, err
-}
-
-// ReadWithIntegrity is ReadWithPhysical plus the integrity block.
-// Streams older than version 5 yield the zero Integrity (not tracked) —
-// the catalog then starts a fresh tree from the next commit.
-func ReadWithIntegrity(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, Integrity, error) {
-	fail := func(err error) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, Integrity, error) {
-		return relation.Schema{}, nil, nil, 0, Physical{}, Integrity{}, err
-	}
+// Read deserializes a snapshot from rd, of any format version up to the
+// current one.
+func Read(rd io.Reader) (Snapshot, error) {
 	br := bufio.NewReader(rd)
 	head := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(br, head); err != nil {
-		return fail(fmt.Errorf("%w: missing header", ErrCorrupt))
+		return Snapshot{}, fmt.Errorf("%w: missing header", ErrCorrupt)
 	}
 	if string(head[:len(magic)]) != magic {
-		return fail(fmt.Errorf("%w: bad magic", ErrCorrupt))
+		return Snapshot{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := binary.LittleEndian.Uint16(head[len(magic):])
 	if version < 1 || version > formatVersion {
-		return fail(fmt.Errorf("backlog: unsupported format version %d", version))
+		return Snapshot{}, fmt.Errorf("backlog: unsupported format version %d", version)
 	}
+	var s Snapshot
 	schemaBody, err := readBlock(br)
 	if err != nil {
-		return fail(err)
+		return Snapshot{}, err
 	}
-	schema, err := decodeSchema(schemaBody)
-	if err != nil {
-		return fail(err)
+	if s.Schema, err = DecodeSchema(schemaBody); err != nil {
+		return Snapshot{}, err
 	}
-	var decls []constraint.Descriptor
 	if version >= 2 {
 		declBody, err := readBlock(br)
 		if err != nil {
-			return fail(err)
+			return Snapshot{}, err
 		}
-		decls, err = decodeDeclarations(declBody)
-		if err != nil {
-			return fail(err)
+		if s.Declarations, err = DecodeDeclarations(declBody); err != nil {
+			return Snapshot{}, err
 		}
 	}
-	var walLSN uint64
 	if version >= 3 {
 		stateBody, err := readBlock(br)
 		if err != nil {
-			return fail(err)
+			return Snapshot{}, err
 		}
 		if len(stateBody) != 8 {
-			return fail(fmt.Errorf("%w: bad state block", ErrCorrupt))
+			return Snapshot{}, fmt.Errorf("%w: bad state block", ErrCorrupt)
 		}
-		walLSN = binary.LittleEndian.Uint64(stateBody)
+		s.WALLSN = binary.LittleEndian.Uint64(stateBody)
 	}
-	var phys Physical
 	if version >= 4 {
 		physBody, err := readBlock(br)
 		if err != nil {
-			return fail(err)
+			return Snapshot{}, err
 		}
-		phys, err = decodePhysical(physBody)
-		if err != nil {
-			return fail(err)
+		if s.Physical, err = decodePhysical(physBody); err != nil {
+			return Snapshot{}, err
 		}
 	}
-	var ig Integrity
 	if version >= 5 {
-		ig, err = readIntegrity(br)
-		if err != nil {
-			return fail(err)
+		if s.Integrity, err = readIntegrity(br); err != nil {
+			return Snapshot{}, err
 		}
 	}
-	var records []relation.LogRecord
 	for {
 		// The trailer is exactly the last 12 bytes of the stream, so the
 		// next block is the trailer iff fewer than 13 bytes remain.
 		peek, err := br.Peek(13)
 		if err != nil {
 			if len(peek) != 12 {
-				return fail(fmt.Errorf("%w: truncated stream", ErrCorrupt))
+				return Snapshot{}, fmt.Errorf("%w: truncated stream", ErrCorrupt)
 			}
 			count := binary.LittleEndian.Uint64(peek[:8])
 			sum := binary.LittleEndian.Uint32(peek[8:])
 			if crc32.Checksum(peek[:8], castagnoli) != sum {
-				return fail(fmt.Errorf("%w: trailer checksum mismatch", ErrCorrupt))
+				return Snapshot{}, fmt.Errorf("%w: trailer checksum mismatch", ErrCorrupt)
 			}
-			if count != uint64(len(records)) {
-				return fail(fmt.Errorf("%w: trailer records %d, read %d", ErrCorrupt, count, len(records)))
+			if count != uint64(len(s.Records)) {
+				return Snapshot{}, fmt.Errorf("%w: trailer records %d, read %d", ErrCorrupt, count, len(s.Records))
 			}
-			return schema, decls, records, walLSN, phys, ig, nil
+			return s, nil
 		}
 		body, err := readBlock(br)
 		if err != nil {
-			return fail(err)
+			return Snapshot{}, err
 		}
-		rec, err := decodeRecord(body, schema)
+		rec, err := DecodeRecord(body)
 		if err != nil {
-			return fail(err)
+			return Snapshot{}, err
 		}
-		records = append(records, rec)
+		s.Records = append(s.Records, rec)
 	}
 }
 
-// Save writes the relation to a file, atomically via a temp-and-rename.
-func Save(path string, r *relation.Relation) error {
+// Save writes the snapshot to a file so that a crash at any point leaves
+// either the old file or the whole new one: temp file, fsync, rename,
+// then an fsync of the directory, because the rename is only a directory
+// entry until that lands. A caller may act on Save's return — the catalog
+// truncates the WAL segments the snapshot covers — so nothing a snapshot
+// claims is less durable than the log records it lets a boot skip.
+func Save(path string, s Snapshot) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, r); err != nil {
-		f.Close()
+	err = Write(f, s)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
-// Load reads a file written by Save and replays it into a fresh relation
-// using the given transaction clock.
-func Load(path string, clock tx.Clock) (*relation.Relation, error) {
+// syncDir flushes a directory's entry table; best effort, as the WAL's is
+// (not every platform lets a directory be fsynced). A variable so that a
+// test can see when it runs.
+var syncDir = func(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
+}
+
+// Load reads a file written by Save, replays the backlog into a fresh
+// relation on the given transaction clock, and re-attaches the persisted
+// declarations as enforcers (one per scope) warmed with the replayed
+// history, so the next transaction is validated against the full state.
+func Load(path string, clock tx.Clock) (*relation.Relation, Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, Snapshot{}, err
 	}
 	defer f.Close()
-	schema, records, err := Read(f)
+	s, err := Read(f)
 	if err != nil {
-		return nil, err
+		return nil, Snapshot{}, err
 	}
-	return relation.Replay(schema, clock, records)
+	r, err := relation.Replay(s.Schema, clock, s.Records)
+	if err != nil {
+		return nil, Snapshot{}, err
+	}
+	byScope, err := constraint.BuildAll(s.Declarations)
+	if err != nil {
+		return nil, Snapshot{}, err
+	}
+	for scope, cs := range byScope {
+		en := constraint.NewEnforcer(scope, cs...)
+		for _, rec := range r.Backlog() {
+			en.Applied(r, rec.Op, rec.Elem, rec.TT)
+		}
+		r.AddGuard(en)
+	}
+	return r, s, nil
 }
 
 // writeBlock writes a length-prefixed, checksummed body.
@@ -446,7 +444,8 @@ func (d *dec) str() string {
 	return s
 }
 
-func encodeSchema(s relation.Schema) []byte {
+// EncodeSchema serializes a relation schema (also the WAL create payload).
+func EncodeSchema(s relation.Schema) []byte {
 	var e enc
 	e.str(s.Name)
 	e.u8(uint8(s.ValidTime))
@@ -467,7 +466,8 @@ func encodeSchema(s relation.Schema) []byte {
 	return e.b
 }
 
-func decodeSchema(b []byte) (relation.Schema, error) {
+// DecodeSchema deserializes and validates a relation schema.
+func DecodeSchema(b []byte) (relation.Schema, error) {
 	d := dec{b: b}
 	var s relation.Schema
 	s.Name = d.str()
@@ -504,10 +504,11 @@ func decodeSchema(b []byte) (relation.Schema, error) {
 
 // --- record encoding ---
 
-func encodeRecord(rec relation.LogRecord) []byte { return appendRecord(nil, rec) }
-
-// appendRecord appends rec's encoding to dst.
-func appendRecord(dst []byte, rec relation.LogRecord) []byte {
+// AppendRecord appends rec's encoding to dst. The write-ahead log frames
+// its mutations with the same encoding, so a WAL payload and a snapshot
+// record are the same bytes for the same relation.LogRecord, and a frame
+// of many records is built in one buffer.
+func AppendRecord(dst []byte, rec relation.LogRecord) []byte {
 	e := enc{b: dst}
 	e.u8(uint8(rec.Op))
 	e.i64(int64(rec.TT))
@@ -536,7 +537,8 @@ func appendRecord(dst []byte, rec relation.LogRecord) []byte {
 	return e.b
 }
 
-func decodeRecord(b []byte, schema relation.Schema) (relation.LogRecord, error) {
+// DecodeRecord deserializes one backlog record.
+func DecodeRecord(b []byte) (relation.LogRecord, error) {
 	d := dec{b: b}
 	op := relation.Op(d.u8())
 	tt := chronon.Chronon(d.i64())

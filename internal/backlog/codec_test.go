@@ -105,13 +105,14 @@ func sameRelations(t *testing.T, a, b *relation.Relation) {
 func TestRoundTrip(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	schema, records := snap.Schema, snap.Records
 	if schema.Name != "mix" || len(schema.Invariant) != 2 || len(schema.Varying) != 3 || len(schema.UserTimes) != 1 {
 		t.Fatalf("schema mangled: %+v", schema)
 	}
@@ -136,13 +137,14 @@ func TestRoundTripEmptyRelation(t *testing.T) {
 		Name: "empty", ValidTime: element.EventStamp, Granularity: chronon.Second,
 	}, tx.NewLogicalClock(0, 1))
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	schema, records := snap.Schema, snap.Records
 	if len(records) != 0 || schema.Name != "empty" {
 		t.Fatalf("empty round trip: %d records", len(records))
 	}
@@ -154,13 +156,14 @@ func TestRoundTripIntervalRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	schema, records := snap.Schema, snap.Records
 	restored, err := relation.Replay(schema, tx.NewLogicalClock(0, 1), records)
 	if err != nil {
 		t.Fatal(err)
@@ -171,13 +174,14 @@ func TestRoundTripIntervalRelation(t *testing.T) {
 func TestReplayContinuesCleanly(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	schema, records := snap.Schema, snap.Records
 	clock := tx.NewLogicalClock(0, 10)
 	restored, err := relation.Replay(schema, clock, records)
 	if err != nil {
@@ -212,7 +216,7 @@ func TestReplayContinuesCleanly(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
 	pristine := buf.Bytes()
@@ -222,13 +226,12 @@ func TestCorruptionDetected(t *testing.T) {
 	for pos := 0; pos < len(pristine); pos++ {
 		mutated := append([]byte(nil), pristine...)
 		mutated[pos] ^= 0x40
-		_, records, err := Read(bytes.NewReader(mutated))
+		got, err := Read(bytes.NewReader(mutated))
 		if err == nil {
 			// A flip confined to framing could still parse; it must then
 			// fail replay or produce a different history, never silently
 			// match.
-			schema2, _, _ := Read(bytes.NewReader(pristine))
-			if _, rerr := relation.Replay(schema2, tx.NewLogicalClock(0, 10), records); rerr == nil {
+			if _, rerr := relation.Replay(r.Schema(), tx.NewLogicalClock(0, 10), got.Records); rerr == nil {
 				t.Fatalf("byte flip at %d went completely undetected", pos)
 			}
 		}
@@ -238,25 +241,25 @@ func TestCorruptionDetected(t *testing.T) {
 func TestTruncationDetected(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 7 {
-		if _, _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
 	}
-	if _, _, err := Read(bytes.NewReader(full[:len(full)-1])); err == nil {
+	if _, err := Read(bytes.NewReader(full[:len(full)-1])); err == nil {
 		t.Fatal("missing final byte undetected")
 	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
-	if _, _, err := Read(bytes.NewReader([]byte("NOPE\x01\x00"))); !errors.Is(err, ErrCorrupt) {
+	if _, err := Read(bytes.NewReader([]byte("NOPE\x01\x00"))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v", err)
 	}
-	if _, _, err := Read(bytes.NewReader([]byte("TSBL\xff\x00"))); err == nil {
+	if _, err := Read(bytes.NewReader([]byte("TSBL\xff\x00"))); err == nil {
 		t.Error("future version accepted")
 	}
 }
@@ -265,10 +268,10 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rel.tsbl")
 	r := buildRelation(t)
-	if err := Save(path, r); err != nil {
+	if err := Save(path, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(path, tx.NewLogicalClock(0, 10))
+	restored, _, err := Load(path, tx.NewLogicalClock(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +280,50 @@ func TestSaveLoadFile(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Error("temp file left behind")
 	}
-	if _, err := Load(filepath.Join(dir, "missing.tsbl"), tx.NewLogicalClock(0, 10)); err == nil {
+	if _, _, err := Load(filepath.Join(dir, "missing.tsbl"), tx.NewLogicalClock(0, 10)); err == nil {
 		t.Error("loading missing file succeeded")
+	}
+}
+
+// TestSaveSyncsTheDirectoryAfterTheRename pins what makes a snapshot
+// durable: the catalog deletes the WAL segments a snapshot covers as soon
+// as Save returns, and the WAL fsyncs its own directory when it does, so
+// the rename must have reached the disk by then — it is only a directory
+// entry until the parent is fsynced. Save is the one way a snapshot gets
+// written (the facade's SaveBacklog*, the catalog's snapshotTo), so the
+// order holds for every caller.
+func TestSaveSyncsTheDirectoryAfterTheRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rel.tsbl")
+	real := syncDir
+	defer func() { syncDir = real }()
+	var synced []string
+	syncDir = func(d string) {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Error("directory synced with the temp file still in it")
+		}
+		synced = append(synced, d)
+		real(d)
+	}
+	// A first write and an overwrite: one directory sync each, done by the
+	// time Save returns.
+	for i := 1; i <= 2; i++ {
+		if err := Save(path, Of(buildRelation(t))); err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != i || synced[i-1] != dir {
+			t.Fatalf("after save %d the directory syncs are %q, want %d of %q", i, synced, i, dir)
+		}
+	}
+	// A save that never renamed has nothing to make durable.
+	if err := Save(filepath.Join(dir, "missing", "rel.tsbl"), Of(buildRelation(t))); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if len(synced) != 2 {
+		t.Fatalf("a failed save synced a directory: %q", synced)
 	}
 }
 

@@ -2,17 +2,15 @@ package backlog
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/chronon"
 	"repro/internal/constraint"
 	"repro/internal/core"
-	"repro/internal/relation"
-	"repro/internal/tx"
 )
 
-// encodeDeclarations serializes the constraint catalog.
-func encodeDeclarations(decls []constraint.Descriptor) []byte {
+// EncodeDeclarations serializes the constraint catalog (also the WAL
+// declare payload).
+func EncodeDeclarations(decls []constraint.Descriptor) []byte {
 	var e enc
 	e.u16(uint16(len(decls)))
 	for _, d := range decls {
@@ -31,10 +29,10 @@ func encodeDeclarations(decls []constraint.Descriptor) []byte {
 	return e.b
 }
 
-// decodeDeclarations deserializes the constraint catalog and verifies each
+// DecodeDeclarations deserializes the constraint catalog and verifies each
 // descriptor reconstructs (so corrupt catalogs fail at load, not at first
 // transaction).
-func decodeDeclarations(b []byte) ([]constraint.Descriptor, error) {
+func DecodeDeclarations(b []byte) ([]constraint.Descriptor, error) {
 	d := dec{b: b}
 	n := int(d.u16())
 	out := make([]constraint.Descriptor, 0, n)
@@ -68,94 +66,4 @@ func decodeDeclarations(b []byte) ([]constraint.Descriptor, error) {
 		}
 	}
 	return out, nil
-}
-
-// SaveWithDeclarations writes the relation and its constraint catalog to a
-// file atomically.
-func SaveWithDeclarations(path string, r *relation.Relation, decls []constraint.Descriptor) error {
-	return SaveWithState(path, r, decls, 0)
-}
-
-// SaveWithState is SaveWithDeclarations plus the relation's applied
-// write-ahead-log LSN. The write is atomic (temp file + rename) and
-// fsynced before the rename, so a snapshot claiming WAL coverage is never
-// less durable than the log records it lets the catalog skip.
-func SaveWithState(path string, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64) error {
-	return SaveWithPhysical(path, r, decls, walLSN, Physical{})
-}
-
-// SaveWithPhysical is SaveWithState plus the relation's physical-design
-// block.
-func SaveWithPhysical(path string, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteWithPhysical(f, r, decls, walLSN, phys); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadWithDeclarations reads a file, replays the relation, and re-attaches
-// the persisted constraint catalog as enforcers (one per scope). New
-// transactions are validated against the restored declarations exactly as
-// they were against the originals.
-func LoadWithDeclarations(path string, clock tx.Clock) (*relation.Relation, []constraint.Descriptor, error) {
-	r, decls, _, err := LoadWithState(path, clock)
-	return r, decls, err
-}
-
-// LoadWithState is LoadWithDeclarations plus the applied write-ahead-log
-// LSN the snapshot recorded (zero for pre-WAL streams).
-func LoadWithState(path string, clock tx.Clock) (*relation.Relation, []constraint.Descriptor, uint64, error) {
-	r, decls, walLSN, _, err := LoadWithPhysical(path, clock)
-	return r, decls, walLSN, err
-}
-
-// LoadWithPhysical is LoadWithState plus the physical-design block (zero
-// for pre-v4 streams).
-func LoadWithPhysical(path string, clock tx.Clock) (*relation.Relation, []constraint.Descriptor, uint64, Physical, error) {
-	fail := func(err error) (*relation.Relation, []constraint.Descriptor, uint64, Physical, error) {
-		return nil, nil, 0, Physical{}, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fail(err)
-	}
-	defer f.Close()
-	schema, decls, records, walLSN, phys, err := ReadWithPhysical(f)
-	if err != nil {
-		return fail(err)
-	}
-	r, err := relation.Replay(schema, clock, records)
-	if err != nil {
-		return fail(err)
-	}
-	byScope, err := constraint.BuildAll(decls)
-	if err != nil {
-		return fail(err)
-	}
-	for scope, cs := range byScope {
-		en := constraint.NewEnforcer(scope, cs...)
-		// Warm the incremental checkers with the replayed history so the
-		// next transaction is validated against the full state.
-		for _, rec := range r.Backlog() {
-			en.Applied(r, rec.Op, rec.Elem, rec.TT)
-		}
-		r.AddGuard(en)
-	}
-	return r, decls, walLSN, phys, nil
 }

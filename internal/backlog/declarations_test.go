@@ -54,8 +54,8 @@ func sampleDescriptors(t *testing.T) []constraint.Descriptor {
 
 func TestDescriptorRoundTripThroughBytes(t *testing.T) {
 	descs := sampleDescriptors(t)
-	body := encodeDeclarations(descs)
-	got, err := decodeDeclarations(body)
+	body := EncodeDeclarations(descs)
+	got, err := DecodeDeclarations(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDescriptorRoundTripThroughBytes(t *testing.T) {
 }
 
 func TestDecodeDeclarationsRejectsGarbage(t *testing.T) {
-	if _, err := decodeDeclarations([]byte{0xff, 0xff, 0x01}); err == nil {
+	if _, err := DecodeDeclarations([]byte{0xff, 0xff, 0x01}); err == nil {
 		t.Error("short catalog accepted")
 	}
 	// A structurally valid descriptor with an impossible class fails the
@@ -94,7 +94,7 @@ func TestDecodeDeclarationsRejectsGarbage(t *testing.T) {
 	e.u8(0)
 	e.i64(0)
 	e.u16(0)
-	if _, err := decodeDeclarations(e.b); err == nil {
+	if _, err := DecodeDeclarations(e.b); err == nil {
 		t.Error("unbuildable descriptor accepted")
 	}
 }
@@ -117,15 +117,15 @@ func TestSaveLoadWithDeclarations(t *testing.T) {
 		t.Fatalf("DescribeEnforcer = %d descs, %d missing", len(descs), missing)
 	}
 	path := filepath.Join(t.TempDir(), "temps.tsbl")
-	if err := SaveWithDeclarations(path, r, descs); err != nil {
+	if err := Save(path, Snapshot{Schema: r.Schema(), Declarations: descs, Records: r.Backlog()}); err != nil {
 		t.Fatal(err)
 	}
-	restored, gotDescs, err := LoadWithDeclarations(path, tx.NewLogicalClock(1000, 10))
+	restored, snap, err := Load(path, tx.NewLogicalClock(1000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotDescs) != 2 {
-		t.Fatalf("restored %d declarations", len(gotDescs))
+	if len(snap.Declarations) != 2 {
+		t.Fatalf("restored %d declarations", len(snap.Declarations))
 	}
 	// The restored relation still enforces: a future event is rejected...
 	if _, err := restored.Insert(relation.Insertion{VT: element.EventAt(99999)}); err == nil {
@@ -167,11 +167,11 @@ func TestVersion1StreamStillReadable(t *testing.T) {
 	var v [2]byte
 	binary.LittleEndian.PutUint16(v[:], 1)
 	buf.Write(v[:])
-	if err := writeBlock(&buf, encodeSchema(r.Schema())); err != nil {
+	if err := writeBlock(&buf, EncodeSchema(r.Schema())); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range r.Backlog() {
-		if err := writeBlock(&buf, encodeRecord(rec)); err != nil {
+		if err := writeBlock(&buf, AppendRecord(nil, rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,12 +180,12 @@ func TestVersion1StreamStillReadable(t *testing.T) {
 	binary.LittleEndian.PutUint32(trailer[8:], crc32.Checksum(trailer[:8], castagnoli))
 	buf.Write(trailer[:])
 
-	schema, decls, records, err := ReadWithDeclarations(bytes.NewReader(buf.Bytes()))
+	snap, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
-	if schema.Name != "v1" || len(records) != 1 || len(decls) != 0 {
-		t.Errorf("v1 decode: schema %q, %d records, %d decls", schema.Name, len(records), len(decls))
+	if snap.Schema.Name != "v1" || len(snap.Records) != 1 || len(snap.Declarations) != 0 {
+		t.Errorf("v1 decode: schema %q, %d records, %d decls", snap.Schema.Name, len(snap.Records), len(snap.Declarations))
 	}
 }
 
@@ -228,10 +228,10 @@ func TestLoadWithPerPartitionDeclarations(t *testing.T) {
 
 	descs, _ := constraint.DescribeEnforcer(en)
 	path := filepath.Join(t.TempDir(), "rota.tsbl")
-	if err := SaveWithDeclarations(path, r, descs); err != nil {
+	if err := Save(path, Snapshot{Schema: r.Schema(), Declarations: descs, Records: r.Backlog()}); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := LoadWithDeclarations(path, tx.NewLogicalClock(0, 10))
+	restored, _, err := Load(path, tx.NewLogicalClock(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

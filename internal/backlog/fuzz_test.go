@@ -26,7 +26,7 @@ func FuzzRead(f *testing.F) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -41,12 +41,12 @@ func FuzzRead(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		schema, records, err := Read(bytes.NewReader(data))
+		snap, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Accepted input must replay without panicking; validation errors
 		// are fine.
-		_, _ = relation.Replay(schema, tx.NewLogicalClock(0, 10), records)
+		_, _ = relation.Replay(snap.Schema, tx.NewLogicalClock(0, 10), snap.Records)
 	})
 }

@@ -4,12 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 
-	"repro/internal/constraint"
 	"repro/internal/integrity"
-	"repro/internal/relation"
-	"repro/internal/tx"
 )
 
 // The integrity block persists a relation's Merkle state with its
@@ -166,62 +162,4 @@ func readIntegrity(r *bufio.Reader) (Integrity, error) {
 		}
 	}
 	return ig, nil
-}
-
-// SaveWithIntegrity is SaveWithPhysical plus the relation's integrity
-// block, with the same atomic temp-fsync-rename discipline.
-func SaveWithIntegrity(path string, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical, ig Integrity) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteWithIntegrity(f, r, decls, walLSN, phys, ig); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadWithIntegrity is LoadWithPhysical plus the integrity block (zero
-// for pre-v5 streams).
-func LoadWithIntegrity(path string, clock tx.Clock) (*relation.Relation, []constraint.Descriptor, uint64, Physical, Integrity, error) {
-	fail := func(err error) (*relation.Relation, []constraint.Descriptor, uint64, Physical, Integrity, error) {
-		return nil, nil, 0, Physical{}, Integrity{}, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fail(err)
-	}
-	defer f.Close()
-	schema, decls, records, walLSN, phys, ig, err := ReadWithIntegrity(f)
-	if err != nil {
-		return fail(err)
-	}
-	r, err := relation.Replay(schema, clock, records)
-	if err != nil {
-		return fail(err)
-	}
-	byScope, err := constraint.BuildAll(decls)
-	if err != nil {
-		return fail(err)
-	}
-	for scope, cs := range byScope {
-		en := constraint.NewEnforcer(scope, cs...)
-		for _, rec := range r.Backlog() {
-			en.Applied(r, rec.Op, rec.Elem, rec.TT)
-		}
-		r.AddGuard(en)
-	}
-	return r, decls, walLSN, phys, ig, nil
 }

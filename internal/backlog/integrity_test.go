@@ -47,13 +47,16 @@ func TestIntegrityBlockRoundTrip(t *testing.T) {
 	r := integRelation(t, 3)
 	ig := sampleIntegrity(t, 5)
 	path := filepath.Join(t.TempDir(), "ig.tsbl")
-	if err := SaveWithIntegrity(path, r, nil, 8, Physical{Org: 1, Source: "declared"}, ig); err != nil {
+	snap := Of(r)
+	snap.WALLSN, snap.Physical, snap.Integrity = 8, Physical{Org: 1, Source: "declared"}, ig
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	r2, _, walLSN, phys, got, err := LoadWithIntegrity(path, tx.NewSystemClock())
+	r2, loaded, err := Load(path, tx.NewSystemClock())
 	if err != nil {
 		t.Fatal(err)
 	}
+	walLSN, phys, got := loaded.WALLSN, loaded.Physical, loaded.Integrity
 	if walLSN != 8 || phys.Org != 1 || r2.Len() != 3 {
 		t.Fatalf("walLSN=%d phys=%+v count=%d", walLSN, phys, r2.Len())
 	}
@@ -80,13 +83,14 @@ func TestIntegrityBlockRoundTrip(t *testing.T) {
 func TestIntegrityBlockUntracked(t *testing.T) {
 	r := integRelation(t, 1)
 	var buf bytes.Buffer
-	if err := WriteWithIntegrity(&buf, r, nil, 0, Physical{}, Integrity{}); err != nil {
+	if err := Write(&buf, Of(r)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, _, ig, err := ReadWithIntegrity(bytes.NewReader(buf.Bytes()))
+	snap, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ig := snap.Integrity
 	if ig.Tracked || ig.Leaves != nil || ig.Root != nil {
 		t.Fatalf("zero integrity round-trip: %+v", ig)
 	}
@@ -100,25 +104,27 @@ func TestSnapshotShardCorruptionMatrix(t *testing.T) {
 	r := integRelation(t, 4)
 	ig := sampleIntegrity(t, 6)
 	var buf bytes.Buffer
-	if err := WriteWithIntegrity(&buf, r, nil, 4, Physical{Org: 2, Source: "inferred"}, ig); err != nil {
+	snap := Of(r)
+	snap.WALLSN, snap.Physical, snap.Integrity = 4, Physical{Org: 2, Source: "inferred"}, ig
+	if err := Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
-	if _, _, _, _, _, _, err := ReadWithIntegrity(bytes.NewReader(clean)); err != nil {
+	if _, err := Read(bytes.NewReader(clean)); err != nil {
 		t.Fatalf("false positive on clean shard: %v", err)
 	}
 	for off := 0; off < len(clean); off++ {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), clean...)
 			bad[off] ^= 1 << bit
-			if _, _, _, _, _, _, err := ReadWithIntegrity(bytes.NewReader(bad)); err == nil {
+			if _, err := Read(bytes.NewReader(bad)); err == nil {
 				t.Fatalf("bit %d of byte %d flipped undetected", bit, off)
 			}
 		}
 	}
 	// Truncations must fail too.
 	for _, cut := range []int{1, len(clean) / 2, len(clean) - 1} {
-		if _, _, _, _, _, _, err := ReadWithIntegrity(bytes.NewReader(clean[:cut])); err == nil {
+		if _, err := Read(bytes.NewReader(clean[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes undetected", cut)
 		}
 	}

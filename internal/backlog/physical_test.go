@@ -31,18 +31,20 @@ func TestPhysicalBlockRoundTrip(t *testing.T) {
 	r := physRelation(t)
 	phys := Physical{Org: 2, Source: "inferred", Adopted: []uint8{1, 4}, Migrations: 3}
 	var buf bytes.Buffer
-	if err := WriteWithPhysical(&buf, r, nil, 17, phys); err != nil {
+	snap := Of(r)
+	snap.WALLSN, snap.Physical = 17, phys
+	if err := Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	_, _, recs, walLSN, got, err := ReadWithPhysical(bytes.NewReader(buf.Bytes()))
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walLSN != 17 || len(recs) != 1 {
-		t.Fatalf("walLSN=%d recs=%d", walLSN, len(recs))
+	if got.WALLSN != 17 || len(got.Records) != 1 {
+		t.Fatalf("walLSN=%d recs=%d", got.WALLSN, len(got.Records))
 	}
-	if !reflect.DeepEqual(got, phys) {
-		t.Fatalf("physical round-trip: got %+v, want %+v", got, phys)
+	if !reflect.DeepEqual(got.Physical, phys) {
+		t.Fatalf("physical round-trip: got %+v, want %+v", got.Physical, phys)
 	}
 }
 
@@ -52,7 +54,9 @@ func TestPhysicalBlockRoundTrip(t *testing.T) {
 func TestPhysicalBlockBackCompat(t *testing.T) {
 	r := physRelation(t)
 	var buf bytes.Buffer
-	if err := WriteWithState(&buf, r, nil, 9); err != nil {
+	snap := Of(r)
+	snap.WALLSN = 9
+	if err := Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the version field to 3 and drop the physical and integrity
@@ -75,15 +79,15 @@ func TestPhysicalBlockBackCompat(t *testing.T) {
 	}
 	stream := append(append([]byte{}, v3[:off]...), v3[cut:]...)
 
-	_, _, recs, walLSN, phys, err := ReadWithPhysical(bytes.NewReader(stream))
+	got, err := Read(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walLSN != 9 || len(recs) != 1 {
-		t.Fatalf("walLSN=%d recs=%d", walLSN, len(recs))
+	if got.WALLSN != 9 || len(got.Records) != 1 {
+		t.Fatalf("walLSN=%d recs=%d", got.WALLSN, len(got.Records))
 	}
-	if !reflect.DeepEqual(phys, Physical{}) {
-		t.Fatalf("v3 stream yielded non-zero physical: %+v", phys)
+	if !reflect.DeepEqual(got.Physical, Physical{}) {
+		t.Fatalf("v3 stream yielded non-zero physical: %+v", got.Physical)
 	}
 }
 

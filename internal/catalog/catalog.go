@@ -99,11 +99,6 @@ type Config struct {
 	// degraded gate a poisoned WAL trips, so clients need one code path
 	// for "this process cannot accept writes". Reads serve normally.
 	Follower bool
-	// DisableIntegrity turns off the per-relation Merkle accounting and
-	// proof serving. Integrity is on by default wherever committed frames
-	// exist (a WAL is attached or the catalog is a follower); the knob
-	// exists for the write-path overhead baseline in benchmarks.
-	DisableIntegrity bool
 	// Signer signs the roots a primary serves and persists. Nil — the
 	// follower posture — serves unsigned roots; clients verify those
 	// against the primary's key via consistency with a signed anchor.
@@ -208,7 +203,7 @@ func (c *Catalog) Open() error {
 			}
 			name := strings.TrimSuffix(de.Name(), fileSuffix)
 			path := filepath.Join(c.cfg.Dir, de.Name())
-			r, decls, walLSN, phys, ig, err := backlog.LoadWithIntegrity(path, c.newClock())
+			r, snap, err := backlog.Load(path, c.newClock())
 			if err != nil {
 				if c.cfg.Follower {
 					// A follower's shard is derived state the primary's feed
@@ -237,9 +232,9 @@ func (c *Catalog) Open() error {
 			if r.Schema().Name != name {
 				return fmt.Errorf("catalog: %s holds relation %q, want %q", path, r.Schema().Name, name)
 			}
-			e := c.newEntry(name, relation.NewLocked(r), decls, phys)
-			e.walLSN.Store(walLSN)
-			e.seedIntegrity(ig)
+			e := c.newEntry(name, relation.NewLocked(r), snap.Declarations, snap.Physical)
+			e.walLSN.Store(snap.WALLSN)
+			e.seedIntegrity(snap.Integrity)
 			sh := c.shardFor(name)
 			sh.mu.Lock()
 			if _, dup := sh.entries[name]; dup {
@@ -770,7 +765,7 @@ func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.D
 		storeGens: &c.storeGens,
 		adopted:   classesFromU8(phys.Adopted), migrations: phys.Migrations,
 	}
-	if c.integrityEnabled() {
+	if c.IntegrityEnabled() {
 		e.tree = integrity.NewTree()
 		e.signer = c.cfg.Signer
 	}
@@ -1036,8 +1031,9 @@ func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enfo
 // QueryResult is a catalog query answer with its access-path accounting.
 type QueryResult struct {
 	Elements []*element.Element
-	Plan     string
-	// Node is the typed plan the engine executed; Plan is its rendering.
+	// Node is the typed plan the engine executed; Plan is its one-line
+	// rendering, made once per computed result (a cache hit reuses it).
+	Plan    string
 	Node    *plan.Node
 	Touched int
 	// Epoch is the mutation epoch the result was computed against — the
@@ -1083,10 +1079,8 @@ func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (q
 	if err != nil {
 		return QueryResult{}, err
 	}
-	if res.Node != nil {
-		e.plans.Record(res.Node.Leaf().Kind, res.Touched)
-	}
-	out := QueryResult{Elements: res.Elements, Plan: res.Plan, Node: res.Node, Touched: res.Touched, Epoch: v.epoch}
+	e.plans.Record(res.Node.Leaf().Kind, res.Touched)
+	out := QueryResult{Elements: res.Elements, Plan: res.Node.String(), Node: res.Node, Touched: res.Touched, Epoch: v.epoch}
 	e.cache.Put(key, out, resultSize(out))
 	return out, nil
 }
@@ -1115,7 +1109,7 @@ func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (Q
 	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
 		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
 		els, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
-		return query.Result{Elements: els, Plan: node.String(), Node: node, Touched: touched}, err
+		return query.Result{Elements: els, Node: node, Touched: touched}, err
 	})
 }
 
@@ -1412,7 +1406,9 @@ func (e *Entry) snapshotTo(path string) (bool, error) {
 		if !e.dirty.Swap(false) {
 			return nil
 		}
-		phys := backlog.Physical{
+		snap := backlog.Of(r)
+		snap.Declarations, snap.WALLSN = e.decls, e.walLSN.Load()
+		snap.Physical = backlog.Physical{
 			Org:        uint8(e.advice.Store),
 			Source:     e.advice.Source,
 			Adopted:    classesToU8(e.adopted),
@@ -1421,7 +1417,8 @@ func (e *Entry) snapshotTo(path string) (bool, error) {
 		// The shared lock excludes every leaf-appending path, so the tree
 		// snapshot is the same cut as walLSN: replay past the watermark
 		// appends each missing leaf exactly once.
-		if err := backlog.SaveWithIntegrity(path, r, e.decls, e.walLSN.Load(), phys, e.integritySnapshot()); err != nil {
+		snap.Integrity = e.integritySnapshot()
+		if err := backlog.Save(path, snap); err != nil {
 			e.dirty.Store(true) // retry on the next snapshot
 			return err
 		}

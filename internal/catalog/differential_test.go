@@ -509,9 +509,9 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 	insert := func(rng *rand.Rand) error {
 		mu.Lock()
 		vtCur += 7
-		// Wrap rather than grow forever: an unpaused inserter on a fast
-		// machine would otherwise push the vt extent past width*MaxWindows
-		// and the live window(50) query would trip the result-size guard.
+		// Wrap rather than grow forever: the vt extent must stay below
+		// width*MaxWindows or the live window(50) query would trip the
+		// result-size guard.
 		if vtCur > 1<<20 {
 			vtCur = 7
 		}
@@ -556,7 +556,18 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 			}
 		}()
 	}
-	spawn(11, 0, func(rng *rand.Rand) { _ = insert(rng) })
+	// The inserter spends what the reading loop grants it, one chunk an
+	// iteration, so the relation's size — and what every leg scans —
+	// follows the iteration count, not the machine's insert rate. Left
+	// free, it grows the relation during each scan and so lengthens the
+	// next one: the running time compounds.
+	var budget atomic.Int64
+	spent := int64(0)
+	spawn(11, time.Millisecond, func(rng *rand.Rand) {
+		for ; spent < budget.Load(); spent++ {
+			_ = insert(rng)
+		}
+	})
 	spawn(12, time.Millisecond, func(rng *rand.Rand) {
 		mu.Lock()
 		var es surrogate.Surrogate
@@ -585,6 +596,7 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 	ctx := context.Background()
 	var owed []func() // definition legs, below the catalog: no reader, no plan
 	for i := 0; i < 200; i++ {
+		budget.Add(256)
 		base := bases[i%len(bases)]
 		qRow, err := tsql.Parse(base + " using row")
 		if err != nil {
@@ -611,8 +623,7 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, tsql.PlanQuery(qRow), specRow, event, nil)
 		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, tsql.PlanQuery(qCol), specCol, event, nil)
 		// The definition leg is owed on every 25th view and paid after the
-		// churn stops: this loop's running time grows steeply with what
-		// each iteration scans (the inserter never pauses).
+		// churn stops, off the loop the mutators run beside.
 		if i%25 == 0 {
 			owed = append(owed, func() {
 				dRes, dErr := vec.RowAggregateRuns(ctx, specRow, storage.Runs(v.engine.Store()))

@@ -26,15 +26,12 @@ import (
 // against its checksums; a detection quarantines the affected relations
 // (read-only, reads keep serving) and kicks the matching repair.
 
-// integrityEnabled reports whether the catalog maintains Merkle trees:
-// on by default wherever committed frames exist (a WAL is attached or
-// the catalog is a follower replaying shipped frames).
-func (c *Catalog) integrityEnabled() bool {
-	return !c.cfg.DisableIntegrity && (c.cfg.WAL != nil || c.cfg.Follower)
+// IntegrityEnabled reports whether the catalog maintains Merkle trees:
+// wherever committed frames exist (a WAL is attached or the catalog is
+// a follower replaying shipped frames).
+func (c *Catalog) IntegrityEnabled() bool {
+	return c.cfg.WAL != nil || c.cfg.Follower
 }
-
-// IntegrityEnabled is integrityEnabled for the server's metrics.
-func (c *Catalog) IntegrityEnabled() bool { return c.integrityEnabled() }
 
 // appendLeaf hashes the frame exactly as the WAL framed it and appends
 // the leaf to the relation's tree. Its one caller (logged) still holds
@@ -274,7 +271,7 @@ type IntegrityStats struct {
 // IntegrityStats summarizes the catalog's integrity state.
 func (c *Catalog) IntegrityStats() IntegrityStats {
 	st := IntegrityStats{
-		Enabled:     c.integrityEnabled(),
+		Enabled:     c.IntegrityEnabled(),
 		Detected:    c.igDetected.Load(),
 		Repaired:    c.igRepaired.Load(),
 		Quarantines: c.igQuarantines.Load(),
@@ -385,10 +382,11 @@ func (c *Catalog) verifySnapshotShard(name string) error {
 		return fmt.Errorf("catalog: snapshot %s: %w", name, err)
 	}
 	defer f.Close()
-	_, _, _, _, _, ig, err := backlog.ReadWithIntegrity(f)
+	snap, err := backlog.Read(f)
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", name, err)
 	}
+	ig := snap.Integrity
 	if ig.Tracked && ig.Root != nil && ig.Root.Size <= uint64(len(ig.Leaves)) {
 		tr := integrity.NewTreeFromLeaves(ig.Leaves)
 		r, err := tr.RootAt(ig.Root.Size)

@@ -554,10 +554,11 @@ func TestIntegritySignsOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, _, _, _, _, ig, err := backlog.ReadWithIntegrity(f)
+	snap, err := backlog.Read(f)
 	if err != nil {
 		t.Fatalf("reading the shard: %v", err)
 	}
+	ig := snap.Integrity
 	if ig.Root == nil || len(ig.Leaves) != 44 || ig.Root.Size != 44 ||
 		ig.Root.Root != integrity.NewTreeFromLeaves(ig.Leaves).Root() ||
 		!integrity.VerifyRoot(c.cfg.Signer.Public(), *ig.Root) {

@@ -52,8 +52,8 @@ func TestBoundedPushdownCorrect(t *testing.T) {
 		if !sameSet(got.Elements, want) {
 			t.Fatalf("timeslice(%v): pushdown %d vs heap %d elements", q, len(got.Elements), len(want))
 		}
-		if !strings.Contains(got.Plan, "bounded specialization") {
-			t.Fatalf("plan = %q", got.Plan)
+		if !strings.Contains(got.Node.String(), "bounded specialization") {
+			t.Fatalf("plan = %q", got.Node.String())
 		}
 		if got.Touched > int(hi-lo)/10+3 {
 			t.Fatalf("touched %d exceeds the window size", got.Touched)
@@ -101,8 +101,8 @@ func TestBoundedPushdownOnlyOnTTLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := en.Timeslice(5)
-	if strings.Contains(res.Plan, "bounded") {
-		t.Errorf("pushdown used on a heap: %q", res.Plan)
+	if strings.Contains(res.Node.String(), "bounded") {
+		t.Errorf("pushdown used on a heap: %q", res.Node.String())
 	}
 	if len(res.Elements) != 1 {
 		t.Errorf("heap fallback lost the element")

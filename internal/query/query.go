@@ -25,10 +25,9 @@ import (
 // Result is a query answer together with its plan and cost.
 type Result struct {
 	Elements []*element.Element
-	// Plan names the strategy used, e.g. "binary search (vt-ordered log)".
-	// It is the one-line rendering of Node and is golden-pinned by tests.
-	Plan string
-	// Node is the typed plan tree the engine executed.
+	// Node is the typed plan tree the engine executed. Node.String() names
+	// the strategy on one line, e.g. "binary search (vt-ordered log)"; the
+	// rendering is golden-pinned by tests.
 	Node *plan.Node
 	// Touched is the number of stored elements examined.
 	Touched int
@@ -157,7 +156,7 @@ func (en *Engine) run(q plan.Query) Result {
 	node := plan.Build(en.Access(), q)
 	els, touched := en.execute(node, q)
 	en.record(node, touched)
-	return Result{Elements: els, Plan: node.String(), Node: node, Touched: touched}
+	return Result{Elements: els, Node: node, Touched: touched}
 }
 
 // execute runs the plan's access-path leaf against the store. The leaf's

@@ -67,11 +67,11 @@ func TestTimeslicePlansAndAgreement(t *testing.T) {
 			t.Errorf("timeslice(%d): specialized %d vs general %d elements",
 				vt, len(rs.Elements), len(rg.Elements))
 		}
-		if !strings.Contains(rs.Plan, "binary search") {
-			t.Errorf("specialized plan = %q", rs.Plan)
+		if !strings.Contains(rs.Node.String(), "binary search") {
+			t.Errorf("specialized plan = %q", rs.Node.String())
 		}
-		if !strings.Contains(rg.Plan, "full scan") {
-			t.Errorf("general plan = %q", rg.Plan)
+		if !strings.Contains(rg.Node.String(), "full scan") {
+			t.Errorf("general plan = %q", rg.Node.String())
 		}
 		if rs.Touched >= rg.Touched {
 			t.Errorf("timeslice(%d): specialized touched %d ≥ general %d",

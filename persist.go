@@ -26,17 +26,23 @@ var ErrCorruptBacklog = backlog.ErrCorrupt
 // WriteBacklog serializes the relation's schema and backlog to w in the
 // checksummed binary format (the [JMRS90] backlog representation §2
 // cites).
-func WriteBacklog(w io.Writer, r *Relation) error { return backlog.Write(w, r) }
+func WriteBacklog(w io.Writer, r *Relation) error { return backlog.Write(w, backlog.Of(r)) }
 
 // ReadBacklog deserializes a schema and backlog from rd.
-func ReadBacklog(rd io.Reader) (Schema, []LogRecord, error) { return backlog.Read(rd) }
+func ReadBacklog(rd io.Reader) (Schema, []LogRecord, error) {
+	s, err := backlog.Read(rd)
+	return s.Schema, s.Records, err
+}
 
 // SaveBacklog writes the relation to a file atomically.
-func SaveBacklog(path string, r *Relation) error { return backlog.Save(path, r) }
+func SaveBacklog(path string, r *Relation) error { return backlog.Save(path, backlog.Of(r)) }
 
 // LoadBacklog reads a file written by SaveBacklog and replays it into a
 // fresh relation using the given clock.
-func LoadBacklog(path string, clock Clock) (*Relation, error) { return backlog.Load(path, clock) }
+func LoadBacklog(path string, clock Clock) (*Relation, error) {
+	r, _, err := backlog.Load(path, clock)
+	return r, err
+}
 
 // ConstraintDescriptor is a serializable description of one declared
 // specialization — the catalog entry that lets declarations survive
@@ -58,14 +64,17 @@ func DescribeEnforcer(en *Enforcer) ([]ConstraintDescriptor, int) {
 // SaveBacklogWithDeclarations persists the relation together with its
 // constraint catalog.
 func SaveBacklogWithDeclarations(path string, r *Relation, decls []ConstraintDescriptor) error {
-	return backlog.SaveWithDeclarations(path, r, decls)
+	s := backlog.Of(r)
+	s.Declarations = decls
+	return backlog.Save(path, s)
 }
 
 // LoadBacklogWithDeclarations loads a relation and re-attaches its
 // persisted constraint catalog, warming the incremental checkers with the
 // replayed history.
 func LoadBacklogWithDeclarations(path string, clock Clock) (*Relation, []ConstraintDescriptor, error) {
-	return backlog.LoadWithDeclarations(path, clock)
+	r, s, err := backlog.Load(path, clock)
+	return r, s.Declarations, err
 }
 
 // Replay reconstructs a relation from a backlog. Guards are not consulted;

@@ -69,8 +69,8 @@ func TestEndToEndMonitoring(t *testing.T) {
 	if len(res.Elements) != 1 {
 		t.Fatalf("timeslice found %d elements", len(res.Elements))
 	}
-	if !strings.Contains(res.Plan, "binary search") {
-		t.Errorf("plan = %q", res.Plan)
+	if !strings.Contains(res.Node.String(), "binary search") {
+		t.Errorf("plan = %q", res.Node.String())
 	}
 }
 
