@@ -101,9 +101,12 @@ bench:
 # microbenchmarks, the general organizations' zone-map scans beside the unpruned filter (20 k and
 # 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the
 # zone map, the hand-written wire codec beside encoding/json
-# on the same result sets, and whole requests over loopback through the
-# server's handler with a signer configured (point read, insert,
-# 1000-element read), at -benchtime=100ms. Fast enough for
+# on the same result sets (and a 2,000-element answer copied out of chunk
+# images beside the same answer encoded), and whole requests over loopback
+# through the server's handler with a signer configured (point read, insert,
+# 1000-element read, a 256-element batch, and a 2,000-element time-slice of a
+# 20 k ledger with a write before each one — the read the result cache
+# cannot help), at -benchtime=100ms. Fast enough for
 # ci; the end-to-end numbers for the same dimensions are tsbench's
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).

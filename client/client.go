@@ -62,6 +62,7 @@ type (
 	BatchInsertResponse = wire.BatchInsertResponse
 	IngestResponse      = wire.IngestResponse
 	IngestMetrics       = wire.IngestMetrics
+	ImageMetrics        = wire.ImageMetrics
 )
 
 // Value constructors, re-exported for ergonomic insert payloads.
@@ -218,6 +219,10 @@ type Client struct {
 	// slowDecodes counts the responses decodePayload handed to
 	// encoding/json after their own parser refused them.
 	slowDecodes atomic.Uint64
+	// bodies holds the buffers response bodies are read into, on the client
+	// and not in wire's pool: the collector empties that between two large
+	// answers, and each ≈ 300 KB body was allocated and zeroed again.
+	bodies wire.BufferList
 }
 
 // Option customizes a Client.
@@ -239,8 +244,9 @@ func WithRetry(p RetryPolicy) Option {
 // New builds a client for the server at base, e.g. "http://127.0.0.1:7070".
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		base: strings.TrimRight(base, "/"),
-		http: &http.Client{Timeout: 30 * time.Second},
+		base:   strings.TrimRight(base, "/"),
+		http:   &http.Client{Timeout: 30 * time.Second},
+		bodies: wire.BufferList{Max: maxKeptBody},
 	}
 	for _, o := range opts {
 		o(c)
@@ -431,6 +437,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // maxResponseBytes caps the response body the client will buffer.
 const maxResponseBytes = 16 << 20
 
+// maxKeptBody is the largest body buffer the client keeps between requests
+// (two at most, wire.BufferList). It is past the 1 MB the shared pool and the
+// server keep, because a client cannot stream: it reads an answer whole before
+// it parses it, so one that gets a 4 MB current state every hundred requests
+// otherwise allocates, zeroes and faults in 4 MB each time, and the collections
+// that brings on land on the parses in between — keeping the buffer took
+// tsbench's ledger-general read_p95_rel from 3.8× to 2.6× and op_mean_rel from
+// 1.67× to 1.50× (EXPERIMENTS S21), for at most 8 MB held.
+const maxKeptBody = 4 << 20
+
 // readPayload reads a response body whole into buf, with room reserved
 // from its Content-Length. A body past maxResponseBytes is refused with
 // a typed too_large error naming the limit — never cut short and handed
@@ -466,14 +482,14 @@ func (c *Client) decodePayload(payload []byte, out any) error {
 }
 
 // readResponse is the one reader of response bodies: it buffers the
-// body (in a pooled buffer — a decoded body is dead, both decoders copy
-// what they keep), turns a non-2xx status into an *APIError (the
+// body (in one of the client's own buffers — a decoded body is dead, both
+// decoders copy what they keep), turns a non-2xx status into an *APIError (the
 // server's error envelope when the body is one, the raw text otherwise,
 // with any Retry-After hint), and decodes a success into out when out is
 // non-nil.
 func (c *Client) readResponse(resp *http.Response, out any) error {
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
+	buf := c.bodies.Get()
+	defer c.bodies.Put(buf)
 	payload, err := readPayload(buf, resp)
 	if err != nil {
 		return err
@@ -521,8 +537,8 @@ func (c *Client) Ready(ctx context.Context) (ReadyResponse, error) {
 	}
 	defer resp.Body.Close()
 	// A 503 here is an answer, not an error: skip readResponse's status check.
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
+	buf := c.bodies.Get()
+	defer c.bodies.Put(buf)
 	payload, err := readPayload(buf, resp)
 	if err != nil {
 		return out, err

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -155,6 +156,40 @@ func TestResponseOverTheLimitIsTypedNotTruncated(t *testing.T) {
 	q, err := cli.Current(context.Background(), "sized")
 	if err != nil || len(q.Plan) < limit-64 {
 		t.Fatalf("body of exactly the limit: %d plan bytes, %v", len(q.Plan), err)
+	}
+}
+
+// TestBodyBufferOutlivesTheCollector: the buffer a response body is read into
+// belongs to the client, not to a sync.Pool the collector empties — and a
+// collection is what parsing one large answer brings on. Ten 300 KB answers
+// in a row, a collection between any two, allocate one body buffer; out of
+// the pool they allocated, and zeroed, ten.
+func TestBodyBufferOutlivesTheCollector(t *testing.T) {
+	const size = 300 << 10
+	body := bytes.Repeat([]byte{'x'}, size)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+		w.Write(body)
+	}))
+	defer hs.Close()
+	cli := client.New(hs.URL)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		// A delete reads its answer whole and decodes none of it, so what
+		// the call allocates is the transport's share and the body's buffer.
+		if err := cli.Delete(ctx, "r", 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC() // twice: a pool keeps its victims for one more cycle
+	}
+	runtime.ReadMemStats(&after)
+	// Both ends of the connection live in this process and their own pools
+	// are emptied as well: ≈ 60 KB a call. Ten buffers would be 3 MB.
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > size+10*size/3 {
+		t.Fatalf("ten %d-byte answers allocated %d bytes: more than one body buffer", size, spent)
 	}
 }
 

@@ -89,8 +89,15 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 // every full run is sealed.
 func ledgerShaped(t testing.TB, org storage.Kind, n int) (*Entry, []surrogate.Surrogate) {
 	t.Helper()
+	return ledgerOf(t, org, n, 32<<20, ledgerInsertion)
+}
+
+// ledgerOf is ledgerShaped with the cache budget and the stamps of the
+// caller's choosing.
+func ledgerOf(t testing.TB, org storage.Kind, n int, cacheBytes int64, stamp func(storage.Kind, int) relation.Insertion) (*Entry, []surrogate.Surrogate) {
+	t.Helper()
 	cfg := testConfig(t.TempDir())
-	cfg.CacheBytes = 32 << 20
+	cfg.CacheBytes = cacheBytes
 	if org == storage.Heap {
 		cfg.NewClock = func() tx.Clock { return &stepBackClock{inner: tx.NewLogicalClock(0, 10)} }
 	}
@@ -106,7 +113,7 @@ func ledgerShaped(t testing.TB, org storage.Kind, n int) (*Entry, []surrogate.Su
 	for len(ess) < n {
 		ins := make([]relation.Insertion, min(256, n-len(ess), 1+len(ess))) // 1, 2, 4, …: the heap's clock steps back after the first
 		for j := range ins {
-			ins[j] = ledgerInsertion(org, len(ess)+j)
+			ins[j] = stamp(org, len(ess)+j)
 		}
 		res, err := e.InsertBatch(context.Background(), ins, nil, false)
 		if err != nil || res.Stored != len(ins) {

@@ -44,6 +44,7 @@ import (
 	"repro/internal/tsql"
 	"repro/internal/tx"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Catalog errors.
@@ -664,6 +665,12 @@ type Entry struct {
 	runsFolded    atomic.Int64
 	partialHits   atomic.Int64
 	partialMisses atomic.Int64
+	// Chunk-image counters (images.go): images built and rebuilt after
+	// closes, and dense spans copied from an image against encoded.
+	imagesBuilt   atomic.Int64
+	imagesRebuilt atomic.Int64
+	spansSpliced  atomic.Int64
+	spansEncoded  atomic.Int64
 
 	// Batched-ingest counters (batch.go): InsertBatch calls that wrote a
 	// frame, and the elements those frames carried. Atomic so /metrics can
@@ -1039,6 +1046,13 @@ type QueryResult struct {
 	// Epoch is the mutation epoch the result was computed against — the
 	// validator the server exposes as an ETag.
 	Epoch uint64
+	// spans names the full chunks that supplied dense stretches of Elements
+	// and Images the encoded form of those chunks, for the response's
+	// encoder to copy from (images.go). The spans are part of the computed
+	// result; Images is resolved for each call, a cache hit included, and is
+	// never cached with it.
+	spans  []storage.ChunkSpan
+	Images []wire.ImageSpan
 }
 
 // CurrentCtx answers the conventional query.
@@ -1073,6 +1087,7 @@ func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (q
 	if hit, ok := e.cache.Get(key); ok {
 		qr := hit.(QueryResult)
 		e.plans.Record(qr.Node.Leaf().Kind, 0)
+		qr.Images = e.images(v, qr.spans)
 		return qr, nil
 	}
 	res, err := run(v)
@@ -1080,8 +1095,11 @@ func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (q
 		return QueryResult{}, err
 	}
 	e.plans.Record(res.Node.Leaf().Kind, res.Touched)
-	out := QueryResult{Elements: res.Elements, Plan: res.Node.String(), Node: res.Node, Touched: res.Touched, Epoch: v.epoch}
-	e.cache.Put(key, out, resultSize(out))
+	out := QueryResult{Elements: res.Elements, Plan: res.Node.String(), Node: res.Node, Touched: res.Touched, Epoch: v.epoch, spans: res.Spans}
+	if e.cache != nil { // a disabled cache is spared the boxing of a value it would drop
+		e.cache.Put(key, out, resultSize(out))
+	}
+	out.Images = e.images(v, out.spans)
 	return out, nil
 }
 
@@ -1108,8 +1126,8 @@ func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (Q
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
 	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
 		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-		els, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
-		return query.Result{Elements: els, Node: node, Touched: touched}, err
+		els, spans, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
+		return query.Result{Elements: els, Node: node, Touched: touched, Spans: spans}, err
 	})
 }
 

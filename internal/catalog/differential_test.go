@@ -23,6 +23,7 @@ package catalog
 // compaction and respecialization churn the live entry.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -491,6 +492,13 @@ func TestDifferentialRowColumnar(t *testing.T) {
 	}
 }
 
+// horizonOf is a transaction time inside v's history: that of its middle
+// element.
+func horizonOf(v *readView) chronon.Chronon {
+	els := v.elems()
+	return els[len(els)/2].TTStart
+}
+
 // TestDifferentialUnderConcurrentMutation repeats the definition/row/columnar
 // comparison on pinned snapshot views while writers churn the live entry
 // with inserts, deletes, vacuum, compaction and respecialization. The
@@ -645,6 +653,16 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		if i%8 == 0 {
 			if _, _, _, err := e.SelectCtx(ctx, qRow); err != nil {
 				t.Fatalf("live SelectCtx: %v", err)
+			}
+			// The element reads' memo beside the writers: on the pinned view —
+			// by now several epochs old, perhaps a store generation old — what
+			// is copied out of the chunk images is what encoding gives.
+			res := v.engine.Current()
+			if i%16 == 0 {
+				res = v.engine.Rollback(horizonOf(v))
+			}
+			if spliced, plain := e.bothEncodings(t, v, res.Elements, res.Spans); !bytes.Equal(spliced, plain) {
+				t.Fatalf("iteration %d: the spliced answer of a pinned view is not its encoded scan", i)
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func (en *Engine) aggregateUnits(ctx context.Context, spec *vec.Spec, event, col
 // restores by sorting — float sums must accumulate in the same order as
 // the unit loop's chunk stream.
 func (en *Engine) aggregateCandidates(leaf *plan.Node, pq plan.Query) (element.Runs, int) {
-	els, touched := en.execute(leaf, pq)
+	els, _, touched := en.execute(leaf, pq)
 	if leaf.Kind == plan.BTreeIndexSeek {
 		els = append([]*element.Element(nil), els...)
 		sort.Slice(els, func(i, j int) bool { return els[i].ES < els[j].ES })

@@ -31,6 +31,9 @@ type Result struct {
 	Node *plan.Node
 	// Touched is the number of stored elements examined.
 	Touched int
+	// Spans names the full chunks that supplied dense stretches of Elements,
+	// for the reads a chunk walk answers (storage.ChunkSpan); nil otherwise.
+	Spans []storage.ChunkSpan
 }
 
 // Engine executes temporal queries over a store. Queries are safe to run
@@ -154,15 +157,17 @@ func (en *Engine) record(n *plan.Node, touched int) {
 // run plans the query, executes the chosen access path, and accounts it.
 func (en *Engine) run(q plan.Query) Result {
 	node := plan.Build(en.Access(), q)
-	els, touched := en.execute(node, q)
+	els, spans, touched := en.execute(node, q)
 	en.record(node, touched)
-	return Result{Elements: els, Node: node, Touched: touched}
+	return Result{Elements: els, Node: node, Touched: touched, Spans: spans}
 }
 
 // execute runs the plan's access-path leaf against the store. The leaf's
 // result already satisfies the query's temporal predicates (the stores
-// filter as they read), so decorators need no separate pass here.
-func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, int) {
+// filter as they read), so decorators need no separate pass here. The chunk
+// walks — every rollback, and the scans — also say which chunks the answer
+// came from; a search, a seek and a filtered candidate slice do not.
+func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, []storage.ChunkSpan, int) {
 	leaf := node.Leaf()
 	switch leaf.Kind {
 	case plan.TTWindowPushdown:
@@ -175,30 +180,22 @@ func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, in
 					out = append(out, e)
 				}
 			}
-			return out, touched
+			return out, nil, touched
 		}
 	case plan.TTBinarySearch:
-		return en.store.Rollback(chronon.Chronon(q.TT))
+		return storage.RollbackSpans(en.store, chronon.Chronon(q.TT))
 	case plan.VTBinarySearch, plan.BTreeIndexSeek:
-		return en.store.VTRange(chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
+		out, touched := en.store.VTRange(chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
+		return out, nil, touched
 	}
 	// Full scan, shaped by the query kind.
 	switch q.Kind {
 	case plan.QCurrent:
-		var out []*element.Element
-		storage.Runs(en.store)(func(run []*element.Element) bool {
-			for _, e := range run {
-				if e.Current() {
-					out = append(out, e)
-				}
-			}
-			return true
-		})
-		return out, en.store.Len()
+		return storage.Current(en.store)
 	case plan.QRollback:
-		return en.store.Rollback(chronon.Chronon(q.TT))
+		return storage.RollbackSpans(en.store, chronon.Chronon(q.TT))
 	default:
-		return en.store.VTRange(chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
+		return storage.VTRangeSpans(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
 	}
 }
 

@@ -151,12 +151,12 @@ func (brokenReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
 // Content-Length.
 func TestWriteJSONBothEncoders(t *testing.T) {
 	rec := httptest.NewRecorder()
-	n, _, err := writeJSON(rec, http.StatusOK, wire.InsertRequest{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}})
+	n, _, err := writeJSON(new(wire.BufferList), rec, http.StatusOK, wire.InsertRequest{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}})
 	if err != nil || n != rec.Body.Len() {
 		t.Fatalf("writeJSON = %d bytes, %v; body has %d", n, err, rec.Body.Len())
 	}
 	ref := httptest.NewRecorder()
-	if _, _, err := writeJSON(ref, http.StatusOK, plainInsert{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}}); err != nil {
+	if _, _, err := writeJSON(new(wire.BufferList), ref, http.StatusOK, plainInsert{VT: wire.EventAt(5), Varying: []wire.Value{wire.String("<x>")}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) || rec.Header().Get("Content-Length") != ref.Header().Get("Content-Length") {

@@ -1,0 +1,426 @@
+package server_test
+
+// The byte-identity contract of the chunk images, end to end: whatever the
+// encoder copies out of an image, the response is, byte for byte, the plain
+// AppendElement loop over the same result — duplicates and order kept —
+// under every query kind, on every organization the catalog can reach, on a
+// primary and on the follower replaying its log, with the images cold, warm,
+// closed into, re-labelled under and thrown away by a removing vacuum. (The
+// indexed store is not an organization the catalog chooses: its walks are the
+// embedded store's, and internal/query holds its spans to the same oracle.)
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/client"
+	"repro/internal/catalog"
+	"repro/internal/chronon"
+	"repro/internal/constraint"
+	"repro/internal/core"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/repl"
+	"repro/internal/server"
+	"repro/internal/storage"
+	"repro/internal/tx"
+	"repro/internal/wal"
+	"repro/internal/wire"
+)
+
+// backstepClock issues a logical clock's stamps, except that from the at-th
+// on they start over far behind: transaction times then arrive out of order,
+// which only the heap label accepts.
+type backstepClock struct {
+	inner *tx.LogicalClock
+	at, n int
+}
+
+func (c *backstepClock) Now() chronon.Chronon { return c.inner.Now() }
+func (c *backstepClock) Next() chronon.Chronon {
+	if c.n++; c.n == c.at {
+		c.inner = tx.NewLogicalClock(5, 10)
+	}
+	return c.inner.Next()
+}
+
+// imagesNode is one server of the pair with its catalog, cache on.
+type imagesNode struct {
+	name string
+	url  string
+	cat  *catalog.Catalog
+}
+
+// bootImagesNodes starts a primary on the given clock and, when replicated, a
+// follower tailing its log, each with a result cache — without one there is
+// nowhere to keep an image. Unreplicated, the primary keeps no log at all and
+// the follower is the zero node: a log whose transaction times go backward is
+// one replay refuses, so the heap's leg has no second node to read.
+func bootImagesNodes(t *testing.T, clock func() tx.Clock, replicated bool) (primary, follower imagesNode, caughtUp func()) {
+	t.Helper()
+	dir := t.TempDir()
+	serve := func(cfg server.Config) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		hs := &http.Server{Handler: server.New(cfg).Handler()}
+		go hs.Serve(ln)
+		t.Cleanup(func() { _ = hs.Close() })
+		return "http://" + ln.Addr().String()
+	}
+	var w *wal.Log
+	if replicated {
+		var err error
+		if w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncGroup}); err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+	}
+	pcat := catalog.New(catalog.Config{Dir: filepath.Join(dir, "primary"), NewClock: clock, WAL: w, CacheBytes: 32 << 20})
+	if err := pcat.Open(); err != nil {
+		t.Fatalf("primary Open: %v", err)
+	}
+	primary = imagesNode{"primary", serve(server.Config{Catalog: pcat}), pcat}
+	if !replicated {
+		t.Cleanup(func() { _ = pcat.Close() })
+		return primary, imagesNode{}, func() {}
+	}
+
+	fcat := catalog.New(catalog.Config{Dir: filepath.Join(dir, "follower"), NewClock: clock, Follower: true, CacheBytes: 32 << 20})
+	if err := fcat.Open(); err != nil {
+		t.Fatalf("follower Open: %v", err)
+	}
+	fol := repl.NewFollower(repl.FollowerConfig{Primary: primary.url, Catalog: fcat, Wait: 25 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+	follower = imagesNode{"follower", serve(server.Config{Catalog: fcat, Follower: fol}), fcat}
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		_ = fcat.Close()
+		_ = pcat.Close()
+		_ = w.Close()
+	})
+	return primary, follower, func() {
+		t.Helper()
+		waitUntil(t, "the follower to catch up", func() bool { return fol.Stats().AppliedLSN >= pcat.WAL().DurableLSN() })
+	}
+}
+
+// plainQueryBody is the oracle: the response res must go out as, with every
+// element written by AppendElement and the rest of the document by
+// encoding/json.
+func plainQueryBody(t *testing.T, res catalog.QueryResult) []byte {
+	t.Helper()
+	out := []byte(`{"elements":[`)
+	for i, e := range res.Elements {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var err error
+		if out, err = wire.AppendElement(out, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, err := json.Marshal(wire.QueryResponse{Elements: []wire.Element{}, Plan: res.Plan,
+		PlanNode: wire.FromPlanNode(res.Node), Touched: res.Touched, Epoch: res.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(out, tail[len(`{"elements":[`):]...), '\n')
+}
+
+// imagesQuery is one read of the matrix.
+type imagesQuery struct {
+	kind   string
+	vt, tt int64
+}
+
+func (q imagesQuery) run(ctx context.Context, e *catalog.Entry) (catalog.QueryResult, error) {
+	switch q.kind {
+	case wire.QueryCurrent:
+		return e.CurrentCtx(ctx)
+	case wire.QueryTimeslice:
+		return e.TimesliceCtx(ctx, chronon.Chronon(q.vt))
+	case wire.QueryRollback:
+		return e.RollbackCtx(ctx, chronon.Chronon(q.tt))
+	}
+	return e.TimesliceAsOfCtx(ctx, chronon.Chronon(q.vt), chronon.Chronon(q.tt))
+}
+
+// checkSplicedBytes asks node every query twice over HTTP — the second
+// answer comes from the result cache and resolves its images anew — and
+// holds both bodies to the oracle over the catalog's own result.
+func checkSplicedBytes(t *testing.T, state string, node imagesNode, queries []imagesQuery) {
+	t.Helper()
+	ctx := context.Background()
+	e, err := node.cat.Get("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		req := fmt.Sprintf(`{"kind":%q,"vt":%d,"tt":%d}`, q.kind, q.vt, q.tt)
+		var bodies [2][]byte
+		for i := range bodies {
+			resp, err := http.Post(node.url+"/v1/relations/r/query", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s, %s, %s: status %d, %v", state, node.name, req, resp.StatusCode, err)
+			}
+		}
+		res, err := q.run(ctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plainQueryBody(t, res)
+		for i, got := range bodies {
+			if !bytes.Equal(got, want) {
+				at := 0
+				for at < len(got) && at < len(want) && got[at] == want[at] {
+					at++
+				}
+				t.Fatalf("%s, %s, %s, answer %d: %d bytes against the plain encode's %d, first difference at %d:\n got …%s\nwant …%s",
+					state, node.name, req, i, len(got), len(want), at, got[max(at-60, 0):min(at+60, len(got))], want[max(at-60, 0):min(at+60, len(want))])
+			}
+		}
+	}
+}
+
+func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
+	const n = 3*256 + 40
+	ctx := context.Background()
+	logical := func() tx.Clock { return tx.NewLogicalClock(0, 10) }
+	intervalStamp := func(i int) element.Timestamp {
+		lo := chronon.Chronon(1000 + 50*i)
+		if i < 600 && i%2 == 0 {
+			return element.SpanOf(lo, lo+400_000) // all of them cover vt 200,000
+		}
+		return element.SpanOf(lo, lo+60)
+	}
+	for _, org := range []struct {
+		name     string
+		interval bool
+		clock    func() tx.Clock
+		want     storage.Kind
+	}{
+		{"heap", true, func() tx.Clock { return &backstepClock{inner: tx.NewLogicalClock(0, 10), at: 300} }, storage.Heap},
+		{"tt-ordered", true, logical, storage.TTOrdered},
+		{"vt-ordered", false, logical, storage.VTOrdered},
+	} {
+		t.Run(org.name, func(t *testing.T) {
+			primary, follower, caughtUp := bootImagesNodes(t, org.clock, org.want != storage.Heap)
+			schema := client.Schema{Name: "r", ValidTime: "event", Granularity: 1,
+				Invariant: []client.Column{{Name: "id", Type: "string"}}, Varying: []client.Column{{Name: "v", Type: "int"}}}
+			if org.interval {
+				schema.ValidTime = "interval"
+			}
+			if _, err := client.New(primary.url).Create(ctx, schema); err != nil {
+				t.Fatal(err)
+			}
+			e, err := primary.cat.Get("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stored []*element.Element
+			load := func(from, to int) {
+				t.Helper()
+				ins := make([]relation.Insertion, 0, to-from)
+				for i := from; i < to; i++ {
+					vt := element.EventAt(chronon.Chronon(1000 + 10*i))
+					if org.interval {
+						vt = intervalStamp(i)
+					}
+					ins = append(ins, relation.Insertion{VT: vt, Invariant: []element.Value{element.String_(fmt.Sprint("s", i%7))},
+						Varying: []element.Value{element.Int(int64(i) * 37)}})
+				}
+				res, err := e.InsertBatch(ctx, ins, nil, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, it := range res.Items {
+					stored = append(stored, it.Elem)
+				}
+			}
+			for from := 0; from < n; from += 200 {
+				load(from, min(from+200, n))
+			}
+			if org.name == "vt-ordered" {
+				// Arrived undeclared on the tt-ordered log; the advisor's
+				// re-label comes later, over warm images.
+				org.want = storage.TTOrdered
+			}
+			if got := e.Physical().Org; got != org.want {
+				t.Fatalf("loaded onto the %v, want the %v", got, org.want)
+			}
+
+			queries := []imagesQuery{
+				{kind: wire.QueryCurrent},
+				{kind: wire.QueryTimeslice, vt: 200_000},                       // dense on the first chunks of an interval relation
+				{kind: wire.QueryTimeslice, vt: int64(stored[700].VT.Start())}, // a handful of elements
+				{kind: wire.QueryRollback, tt: int64(stored[300].TTStart)},     // cut inside chunk 1
+				{kind: wire.QueryRollback, tt: int64(stored[n-1].TTStart) + 1_000_000},
+				{kind: wire.QueryAsOf, vt: 200_000, tt: int64(stored[500].TTStart)},
+				{kind: wire.QueryAsOf, vt: int64(stored[100].VT.Start()), tt: int64(stored[400].TTStart)},
+			}
+			check := func(state string) catalog.ImageStats {
+				t.Helper()
+				caughtUp()
+				checkSplicedBytes(t, state, primary, queries)
+				if follower.cat != nil {
+					checkSplicedBytes(t, state, follower, queries)
+				}
+				return e.ImageStats()
+			}
+
+			cold := check("cold")
+			if cold.Built < 3 || cold.SpansSpliced == 0 || cold.Bytes == 0 {
+				t.Fatalf("the first reads of three full chunks left %+v", cold)
+			}
+			warm := check("images warm")
+			if warm.Built != cold.Built || warm.Rebuilt != cold.Rebuilt || warm.SpansSpliced <= cold.SpansSpliced {
+				t.Fatalf("warm reads moved the counters %+v → %+v", cold, warm)
+			}
+
+			// One insert empties the result cache and touches no full chunk.
+			load(n, n+1)
+			if st := check("after an insert"); st.Built != warm.Built || st.Rebuilt != warm.Rebuilt {
+				t.Fatalf("an insert into the tail rebuilt images: %+v → %+v", warm, st)
+			}
+
+			// A delete and a modify inside chunk 1.
+			if err := e.DeleteKeyed(ctx, stored[300].ES, ""); err != nil {
+				t.Fatal(err)
+			}
+			moved := stored[310].VT // the new version lands in the tail
+			if !org.interval {
+				moved = element.EventAt(chronon.Chronon(1000 + 10*(n+5))) // and keeps the events in valid-time order
+			}
+			if _, err := e.ModifyKeyed(ctx, stored[310].ES, moved, []element.Value{element.Int(-1)}, ""); err != nil {
+				t.Fatal(err)
+			}
+			closed := check("after a delete and a modify inside an imaged chunk")
+			if closed.Built != warm.Built || closed.Rebuilt <= warm.Rebuilt {
+				t.Fatalf("two closes into chunk 1: %+v → %+v, want it rebuilt and nothing built", warm, closed)
+			}
+
+			// Re-labels keep the store, its generation and so every image.
+			if org.name == "vt-ordered" {
+				if _, migrated, err := e.Respecialize(); err != nil || !migrated || e.Physical().Org != storage.VTOrdered {
+					t.Fatalf("Respecialize: migrated %v onto the %v, %v", migrated, e.Physical().Org, err)
+				}
+				check("after the advisor's re-label to the vt-ordered log")
+				// A retroactive element breaks the adopted order: back down.
+				if _, err := e.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(5), Invariant: []element.Value{element.String_("late")},
+					Varying: []element.Value{element.Int(0)}}, ""); err != nil {
+					t.Fatal(err)
+				}
+				if got := e.Physical().Org; got != storage.TTOrdered {
+					t.Fatalf("degraded onto the %v, want the tt-ordered log", got)
+				}
+			} else {
+				d, ok := constraint.Describe(constraint.InterInterval{Spec: core.NonDecreasingIntervalsSpec()}, constraint.PerPartition)
+				if !ok {
+					t.Fatal("no descriptor for per-partition non-decreasing intervals")
+				}
+				if err := e.Declare([]constraint.Descriptor{d}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := check("after a re-label"); st.Built != closed.Built {
+				t.Fatalf("a re-label built images anew: %+v → %+v", closed, st)
+			}
+
+			// A removing vacuum rebuilds the store: a new generation, whose
+			// images are built from nothing. It is not replicated, so each
+			// node is held to its own catalog from here on.
+			if removed, err := e.Vacuum(chronon.Chronon(1) << 40); err != nil || removed == 0 {
+				t.Fatalf("Vacuum removed %d, %v", removed, err)
+			}
+			if st := check("after a removing vacuum"); st.Built <= closed.Built {
+				t.Fatalf("a new store generation reused images: %+v → %+v", closed, st)
+			}
+
+			m, err := client.New(primary.url).Metrics(ctx)
+			if err != nil || m.Images == nil || m.Images.Built == 0 || m.Images.SpansSpliced == 0 || m.Images.Bytes == 0 {
+				t.Fatalf("/metrics images = %+v, %v", m.Images, err)
+			}
+		})
+	}
+}
+
+// TestLargeSplicedAnswerIsStreamed: a `current` over 9,000 elements is 1.4 MB,
+// past what the server keeps a buffer for. With its chunks imaged — they are,
+// from the first read on — it is measured, its status committed and its
+// bytes copied to the connection through a 256 KB buffer: the body is the
+// encoded scan, the Content-Length is its length, and the request allocates
+// far less than the body's size, where assembling it took a buffer that big,
+// zeroed, every time.
+func TestLargeSplicedAnswerIsStreamed(t *testing.T) {
+	const n = 9000
+	cat := catalog.New(catalog.Config{NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }, CacheBytes: 32 << 20})
+	h := server.New(server.Config{Catalog: cat}).Handler()
+	serveOnce(t, h, "/v1/relations", `{"schema":{"name":"r","valid_time":"interval","granularity":1,"varying":[{"name":"v","type":"int"}]}}`, http.StatusCreated)
+	e, err := cat.Get("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := make([]relation.Insertion, n)
+	for i := range ins {
+		lo := chronon.Chronon(1000 + 50*i)
+		ins[i] = relation.Insertion{VT: element.SpanOf(lo, lo+60), Varying: []element.Value{element.Int(int64(i))}}
+	}
+	if res, err := e.InsertBatch(context.Background(), ins, nil, true); err != nil || res.Stored != n {
+		t.Fatalf("InsertBatch stored %d: %v", res.Stored, err)
+	}
+	read := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/relations/r/query", strings.NewReader(`{"kind":"current"}`)))
+		return rec
+	}
+	for round := 0; round < 3; round++ { // cold, from the result cache, and again
+		rec := read()
+		res, err := e.CurrentCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plainQueryBody(t, res)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != fmt.Sprint(len(want)) || len(want) < 1<<20 {
+			t.Fatalf("round %d: status %d, %d bytes under Content-Length %s; the encoded scan is %d bytes",
+				round, rec.Code, rec.Body.Len(), rec.Header().Get("Content-Length"), len(want))
+		}
+	}
+	var before, after runtime.MemStats
+	w := &sinkWriter{h: make(http.Header)}
+	req := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/relations/r/query", strings.NewReader(`{"kind":"current"}`))
+	}
+	h.ServeHTTP(w, req())
+	runtime.GC()
+	runtime.GC() // the server's pools are empty; its own buffer list is not
+	w.n = 0
+	r := req()
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	spent := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm %d-byte answer allocates %d bytes", w.n, spent)
+	if w.n < 1<<20 || spent > uint64(w.n)/4 {
+		t.Fatalf("a warm %d-byte answer allocated %d bytes: it was assembled, not streamed", w.n, spent)
+	}
+}

@@ -130,7 +130,12 @@ const createEvent = `{"schema":{"name":%q,"valid_time":"event","granularity":1,`
 // insert (acknowledged durable by the group commit, signer configured),
 // a 1000-element read (≈ 90 KB body — what copying a body costs), and a
 // 256-element InsertBatch through the typed client, keys and both parses
-// included. The batch runs on a log in a real directory with Sync elided
+// included, and the read the result cache cannot help: a 2,000-element
+// time-slice of a 20,000-element ledger-shaped interval relation through the
+// typed client, an insert before each one (inside the timer: ≈ a tenth of
+// it), so every answer is computed, and encoded, after a write — the chunk
+// images are what it finds warm. Those two run on a log in a real directory
+// with Sync elided
 // and on the system clock, as tsbench's server child does: the in-memory
 // log's Sync copies the segment, which under a 256-element frame hides
 // everything else.
@@ -186,6 +191,42 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if out, err := typed.InsertBatch(ctx, "led", reqs, true); err != nil || out.Stored != len(reqs) {
 				b.Fatalf("InsertBatch stored %d of %d: %v", out.Stored, len(reqs), err)
+			}
+		}
+	})
+	b.Run("read-2000-after-write", func(b *testing.B) {
+		ctx := context.Background()
+		typed := client.New(listen(b, roundTripServer(b, noSyncFS{wal.DirFS(b.TempDir())}, nil).Handler()))
+		if _, err := typed.Create(ctx, client.Schema{Name: "led", ValidTime: "interval", Granularity: 1,
+			Varying: []client.Column{{Name: "value", Type: "int"}}}); err != nil {
+			b.Fatal(err)
+		}
+		// tsbench's ledger: every second one of the first 4,000 intervals is
+		// long and covers vt 200,000.
+		ledger := func(i int) client.InsertRequest {
+			lo, length := int64(50*i), int64(50+i*7919%101)
+			if i < 4000 && i%2 == 0 {
+				length = 400_000
+			}
+			return client.InsertRequest{VT: client.SpanOf(lo, lo+length), Varying: []client.Value{client.Int(int64(i * 7919 % 1000))}}
+		}
+		const n = 20_000
+		for from := 0; from < n; from += 250 {
+			reqs := make([]client.InsertRequest, 250)
+			for i := range reqs {
+				reqs[i] = ledger(from + i)
+			}
+			if out, err := typed.InsertBatch(ctx, "led", reqs, true); err != nil || out.Stored != len(reqs) {
+				b.Fatalf("InsertBatch stored %d of %d: %v", out.Stored, len(reqs), err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := typed.Insert(ctx, "led", ledger(n+i)); err != nil {
+				b.Fatal(err)
+			}
+			if q, err := typed.Timeslice(ctx, "led", 200_000); err != nil || len(q.Elements) < 2000 || len(q.Elements) > 2010 { // the long ones and the few short ones at 200,000
+				b.Fatalf("time-slice: %d elements, %v", len(q.Elements), err)
 			}
 		}
 	})

@@ -107,6 +107,10 @@ type Server struct {
 	ingFlushSize atomic.Uint64
 	ingFlushTime atomic.Uint64
 	ingFlushEOF  atomic.Uint64
+	// bodies holds the buffers responses are encoded into, on the server and
+	// not in wire's pool: the collector empties that between two large
+	// answers, and a ≈ 300 KB reservation was allocated and zeroed for each.
+	bodies wire.BufferList
 }
 
 // New builds a server over the catalog.
@@ -348,7 +352,7 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 			if aerr.status == http.StatusTooManyRequests || aerr.status == http.StatusServiceUnavailable {
 				w.Header().Set(wire.HeaderRetryAfter, "1")
 			}
-			sent, enc, _ = writeJSON(w, aerr.status, wire.ErrorBody{Error: wire.ErrorDetail{
+			sent, enc, _ = writeJSON(&s.bodies, w, aerr.status, wire.ErrorBody{Error: wire.ErrorDetail{
 				Code: aerr.code, Message: aerr.message,
 			}})
 		} else {
@@ -363,7 +367,7 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 				w.WriteHeader(status)
 			} else {
 				var err error
-				sent, enc, err = writeJSON(w, status, res.body)
+				sent, enc, err = writeJSON(&s.bodies, w, status, res.body)
 				failed = err != nil
 			}
 		}
@@ -390,9 +394,9 @@ func idemKey(r *http.Request) string {
 	return r.Header.Get(wire.HeaderIdempotencyKey)
 }
 
-// writeJSON renders the body into a pooled buffer, so the hot read path
-// allocates no per-request encoder scratch and every response carries an
-// exact Content-Length. A body with its own encoder (wire.Appender: the
+// writeJSON renders the body into one of the server's buffers, so the hot
+// read path allocates no per-request encoder scratch and every response
+// carries an exact Content-Length. A body with its own encoder (wire.Appender: the
 // shapes that carry elements or rows) appends straight into the buffer's
 // array; everything else goes through encoding/json. Both produce the
 // same bytes, newline included. It reports the body bytes written and
@@ -404,26 +408,42 @@ func idemKey(r *http.Request) string {
 // already answered this request, or the socket's own error. The body is
 // encoded whole before the status is committed; the request deadline
 // (deadline.go) relies on nothing slow following a commit.
-func writeJSON(w http.ResponseWriter, status int, body any) (int, time.Duration, error) {
+func writeJSON(bufs *wire.BufferList, w http.ResponseWriter, status int, body any) (int, time.Duration, error) {
 	start := time.Now()
-	buf := wire.GetBuffer()
+	buf := bufs.Get()
 	var out []byte
 	var err error
+	if qb, ok := body.(wire.QueryBody); ok {
+		// A large answer made mostly of bytes that exist already is measured
+		// and then copied to the connection through the buffer, never
+		// assembled: see streamBuffer. A body that fails to measure fails to
+		// append the same way, below.
+		if n, stream, err := qb.StreamLen(buf.AvailableBuffer()); stream && err == nil {
+			defer bufs.Put(buf)
+			buf.Grow(streamBuffer)
+			enc := time.Since(start)
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+			w.WriteHeader(status)
+			n, err = qb.StreamJSON(w, buf.AvailableBuffer())
+			return n, enc, err
+		}
+	}
 	if ap, ok := body.(wire.Appender); ok {
 		out, err = ap.AppendJSON(buf.AvailableBuffer())
 		out = append(out, '\n')
 		if cap(out) > buf.Cap() {
-			// The codec outgrew the pooled array and moved to its own;
-			// pool that one, so the next large response finds room.
+			// The codec outgrew the buffer's array and moved to its own;
+			// keep that one, so the next large response finds room.
 			buf = bytes.NewBuffer(out[:0])
 		}
 	} else {
 		err = json.NewEncoder(buf).Encode(body)
 		out = buf.Bytes()
 	}
-	defer wire.PutBuffer(buf)
+	defer bufs.Put(buf)
 	if err != nil {
-		n, enc, _ := writeJSON(w, http.StatusInternalServerError, wire.ErrorBody{Error: wire.ErrorDetail{
+		n, enc, _ := writeJSON(bufs, w, http.StatusInternalServerError, wire.ErrorBody{Error: wire.ErrorDetail{
 			Code: wire.CodeInternal, Message: "response encoding failed",
 		}})
 		return n, enc, err
@@ -435,6 +455,19 @@ func writeJSON(w http.ResponseWriter, status int, body any) (int, time.Duration,
 	n, err := w.Write(out)
 	return n, enc, err
 }
+
+// streamBuffer is the buffer a streamed answer passes through. An answer of
+// megabytes that is seven eighths copies of chunk images (wire.StreamLen) —
+// a `current` over a relation of 20,000 elements is 4 MB, once every hundred
+// requests on tsbench's ledger — used to be assembled in a buffer of its own
+// size: too large to keep (the lists cap at 1 MB), so allocated, zeroed and
+// faulted in each time, which was a tenth of the server's CPU under that mix
+// and, kept, 4 MB of live heap. Its length is known to the byte before the
+// first one is written and nothing that can fail is left to do, so the status
+// is committed and the body copied to the connection in pieces this size:
+// the body is still encoded whole before the commit, in the sense deadline.go
+// needs — nothing slow or fallible follows it but the socket.
+const streamBuffer = 256 << 10
 
 // queryETag renders a relation's mutation epoch as an HTTP validator.
 func queryETag(name string, epoch uint64) string {
@@ -610,6 +643,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	rep.Replication = s.replicationMetrics()
 	rep.Integrity = s.integrityMetrics()
 	var batch wire.BatchMetrics
+	var img wire.ImageMetrics
 	var ing wire.IngestMetrics
 	for _, name := range s.cat.Names() {
 		e, err := s.cat.Get(name)
@@ -631,6 +665,12 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.RunsFolded += bs.RunsFolded
 		batch.PartialHits += bs.PartialHits
 		batch.PartialMisses += bs.PartialMisses
+		ims := e.ImageStats()
+		img.Built += ims.Built
+		img.Rebuilt += ims.Rebuilt
+		img.SpansSpliced += ims.SpansSpliced
+		img.SpansEncoded += ims.SpansEncoded
+		img.Bytes += ims.Bytes
 		is := e.IngestStats()
 		ing.Batches += is.Batches
 		ing.BatchedElements += is.Elements
@@ -640,6 +680,9 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 			batch.MeanRowsPerBatch = float64(batch.Rows) / float64(batch.Batches)
 		}
 		rep.Batch = &batch
+	}
+	if img != (wire.ImageMetrics{}) {
+		rep.Images = &img
 	}
 	ing.FlushSize = s.ingFlushSize.Load()
 	ing.FlushTime = s.ingFlushTime.Load()
@@ -926,6 +969,7 @@ func (s *Server) runQueryKind(ctx context.Context, e *catalog.Entry, kind string
 func queryResponseBody(res catalog.QueryResult) wire.QueryBody {
 	return wire.QueryBody{
 		Elements: res.Elements,
+		Images:   res.Images,
 		Plan:     res.Plan,
 		PlanNode: wire.FromPlanNode(res.Node),
 		Touched:  res.Touched,

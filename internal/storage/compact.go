@@ -149,16 +149,19 @@ func (s *RunStore) Compact() int {
 
 // rollback is the log organizations' rollback: binary search for the prefix
 // with tt⊢ ≤ tt, then a filter of it.
-func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, int) {
+func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
 	return s.presentIn(s.search(func(e *element.Element) bool { return e.TTStart > tt }), tt)
 }
 
 // presentIn filters the first n elements, run by run, for those present at
 // tt. A sealed run whose recorded maximum tt⊣ is ≤ tt held only elements
 // already closed by tt — nothing in it is present — so it is skipped for one
-// probe.
-func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, int) {
+// probe. Every full chunk that supplied a dense stretch of the answer is
+// reported as a span, also the one n cuts: a span names the chunk, not the
+// slots read.
+func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
 	var out []*element.Element
+	var spans []ChunkSpan
 	touched := 0
 	for k := 0; k*runSize < n; k++ {
 		if k < s.sealed && s.chunk(k).run.maxTTEnd <= tt {
@@ -170,36 +173,69 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, int) {
 			run = run[:end]
 		}
 		touched += len(run)
-		for _, e := range run {
-			if e.PresentAt(tt) {
-				out = append(out, e)
-			}
+		from := len(out)
+		out = appendPresent(out, run, tt)
+		if s.full(k) {
+			s.chunk(k).span(&spans, k, from, len(out))
 		}
 	}
-	return out, touched
+	return out, spans, touched
+}
+
+// appendPresent appends the elements of run present at tt. The four walks
+// (this, appendValid, appendAsOf, appendCurrent) keep their per-element loops
+// in functions of their own, called once a visited chunk and never inlined:
+// the loop then has a handful of live values whatever the walk around it
+// carries. Inlined into a walk that also records spans, the time-slice of a
+// 20 k-element relation read +14 % against the walk before spans; out of
+// line it reads −15 % (BenchmarkScanGeneral, alternated).
+//
+//go:noinline
+func appendPresent(out, run []*element.Element, tt chronon.Chronon) []*element.Element {
+	for _, e := range run {
+		if e.PresentAt(tt) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // vtScan is the valid-time scan for stores with no useful vt order (the
 // heap and the tt log): full chunks whose valid-time envelope misses
 // [lo, hi), or that hold no current element, are skipped for one probe;
-// everything else is visited.
-func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, int) {
+// everything else is visited, and a full chunk that supplied a dense stretch
+// of the answer is reported as a span.
+func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
 	var out []*element.Element
+	var spans []ChunkSpan
 	touched := 0
 	for k := range s.chunks() {
-		if c := s.chunk(k); s.full(k) && (!c.live() || c.vtMisses(lo, hi)) {
+		c, full := s.chunk(k), s.full(k)
+		if full && (!c.live() || c.vtMisses(lo, hi)) {
 			touched++
 			continue
 		}
 		run := s.run(k)
 		touched += len(run)
-		for _, e := range run {
-			if e.Current() && ValidDuring(e, lo, hi) {
-				out = append(out, e)
-			}
+		from := len(out)
+		out = appendValid(out, run, lo, hi)
+		if full {
+			c.span(&spans, k, from, len(out))
 		}
 	}
-	return out, touched
+	return out, spans, touched
+}
+
+// appendValid appends the current elements of run valid during [lo, hi).
+//
+//go:noinline
+func appendValid(out, run []*element.Element, lo, hi chronon.Chronon) []*element.Element {
+	for _, e := range run {
+		if e.Current() && ValidDuring(e, lo, hi) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // vtRangeOrdered is the valid-time search of the vt-ordered log. It
@@ -241,15 +277,17 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 }
 
 // AsOf answers the bitemporal query over st: the elements present at tt and
-// valid at vt, in arrival order, with the number touched — elements visited
-// plus one probe per pruned chunk. No organization orders both dimensions,
+// valid at vt, in arrival order, with the spans of the full chunks that
+// supplied them and the number touched — elements visited plus one probe per
+// pruned chunk. No organization orders both dimensions,
 // so it scans, but only the chunks the query can touch: a full chunk whose
 // valid-time envelope misses vt is skipped on every organization, and where
 // arrival order is tt⊢ order the scan ends at the first chunk that begins
 // after tt. It is cooperative: it polls ctx once a chunk.
-func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, int, error) {
+func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int, error) {
 	s, ttOrdered := seqOf(st), st.Kind() != Heap
 	var out []*element.Element
+	var spans []ChunkSpan
 	touched := 0
 	for k := range s.chunks() {
 		c := s.chunk(k)
@@ -258,7 +296,7 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Ele
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, touched, err
+			return nil, nil, touched, err
 		}
 		if s.full(k) && c.vtMissesAt(vt) {
 			touched++
@@ -266,13 +304,25 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Ele
 		}
 		run := s.run(k)
 		touched += len(run)
-		for _, e := range run {
-			if e.PresentAt(tt) && e.ValidAt(vt) {
-				out = append(out, e)
-			}
+		from := len(out)
+		out = appendAsOf(out, run, vt, tt)
+		if s.full(k) {
+			c.span(&spans, k, from, len(out))
 		}
 	}
-	return out, touched, nil
+	return out, spans, touched, nil
+}
+
+// appendAsOf appends the elements of run present at tt and valid at vt.
+//
+//go:noinline
+func appendAsOf(out, run []*element.Element, vt, tt chronon.Chronon) []*element.Element {
+	for _, e := range run {
+		if e.PresentAt(tt) && e.ValidAt(vt) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Compacter is implemented by stores that can seal frozen runs.

@@ -250,7 +250,8 @@ func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 	if s.kind == VTOrdered {
 		return s.vtRangeOrdered(lo, hi)
 	}
-	return s.vtScan(lo, hi)
+	out, _, touched := s.vtScan(lo, hi)
+	return out, touched
 }
 
 // Rollback on the logs binary-searches for the prefix with tt⊢ ≤ tt and
@@ -258,10 +259,8 @@ func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // order and filters everything. Sealed runs whose every element was already
 // closed by tt are skipped for one metadata probe each.
 func (s *RunStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	if s.kind == Heap {
-		return s.presentIn(s.n, tt)
-	}
-	return s.rollback(tt)
+	out, _, touched := RollbackSpans(s, tt)
+	return out, touched
 }
 
 // TTWindow returns the elements with lo ≤ tt⊢ ≤ hi, found on the logs by

@@ -108,7 +108,7 @@ func TestVerifyRunsZoneMapCorruption(t *testing.T) {
 				}
 			}
 			flat := Elements(st)
-			answers := func(s *RunStore) error { return checkZoneMaps(s, flat, rand.New(rand.NewSource(7))) }
+			answers := func(s *RunStore) error { return checkZoneMaps(s, flat, rand.New(rand.NewSource(7)), newSpanNames()) }
 			if bad := VerifyRuns(st); len(bad) != 0 || answers(st) != nil {
 				t.Fatalf("clean store: %v, %v", bad, answers(st))
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,12 +62,66 @@ func zoneDiff(query string, got, want []*element.Element) error {
 	return nil
 }
 
+// spanNames is the oracle for what a span claims (spans.go): over one store's
+// lifetime — live, re-labelled, and in every snapshot, read from several
+// goroutines — it remembers which 256 elements each (chunk, closes) named and
+// refuses a second sighting that names others.
+type spanNames struct {
+	mu   sync.Mutex
+	seen map[[2]int][]*element.Element
+}
+
+func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]*element.Element)} }
+
+// check holds the spans a walk of st reported for its answer got to the
+// definition: one span, in order, for every full chunk that supplied at least
+// spanMin of got — elements of one chunk are consecutive in an answer in
+// arrival order — carrying that chunk's close count, and naming the elements
+// that (chunk, closes) has always named.
+func (n *spanNames) check(query string, st *RunStore, got []*element.Element, spans []ChunkSpan) error {
+	chunkOf := make(map[*element.Element]int, st.Len())
+	for k := 0; k < st.chunks(); k++ {
+		for _, e := range st.run(k) {
+			chunkOf[e] = k
+		}
+	}
+	var want []ChunkSpan
+	for i := 0; i < len(got); {
+		k, j := chunkOf[got[i]], i+1
+		for j < len(got) && chunkOf[got[j]] == k {
+			j++
+		}
+		if st.full(k) && j-i >= spanMin {
+			want = append(want, ChunkSpan{At: i, N: j - i, Chunk: k, Closes: st.chunk(k).closes})
+		}
+		i = j
+	}
+	if len(spans) != len(want) {
+		return fmt.Errorf("%s reported %d spans %v, the definition gives %d %v", query, len(spans), spans, len(want), want)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i, sp := range spans {
+		if sp != want[i] {
+			return fmt.Errorf("%s span %d is %+v, the definition gives %+v", query, i, sp, want[i])
+		}
+		key, els := [2]int{sp.Chunk, sp.Closes}, ChunkElements(st, sp.Chunk)
+		if named, ok := n.seen[key]; !ok {
+			n.seen[key] = append([]*element.Element(nil), els...)
+		} else if !slices.Equal(named, els) {
+			return fmt.Errorf("%s: chunk %d at %d closes names other elements than it did before", query, sp.Chunk, sp.Closes)
+		}
+	}
+	return nil
+}
+
 // checkZoneMaps holds every scan of st that prunes on a chunk's zone map —
 // time-slice, valid-time range, as-of, and the batch reader under a window
 // with and without AS OF — to a filter over flat, at query points drawn from
 // the stored stamps (small windows, wide ones, and the far end of the time
-// line). It returns the first disagreement.
-func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand) error {
+// line), and the spans of every chunk walk (those, the current state and the
+// rollback) to names. It returns the first disagreement.
+func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names *spanNames) error {
 	filter := func(keep func(*element.Element) bool) (out []*element.Element) {
 		for _, e := range flat {
 			if keep(e) {
@@ -94,15 +149,42 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand) error 
 		if touched < len(got) || touched > len(flat)+1 {
 			return fmt.Errorf("Timeslice(%d) touched %d for %d results of %d elements", vt, touched, len(got), len(flat))
 		}
-		got, _ = st.VTRange(lo, hi)
+		got, spans, _ := VTRangeSpans(st, lo, hi)
 		current := filter(func(e *element.Element) bool { return e.Current() && ValidDuring(e, lo, hi) })
-		if err := zoneDiff(fmt.Sprintf("VTRange(%d, %d)", lo, hi), got, current); err != nil {
+		query := fmt.Sprintf("VTRange(%d, %d)", lo, hi)
+		if err := zoneDiff(query, got, current); err != nil {
 			return err
 		}
-		got, touched, err := AsOf(context.Background(), st, vt, tt)
+		if st.Kind() == VTOrdered {
+			if spans != nil {
+				return fmt.Errorf("%s on the vt-ordered log, a search, reported spans %v", query, spans)
+			}
+		} else if err := names.check(query, st, got, spans); err != nil {
+			return err
+		}
+		got, spans, _ = Current(st)
+		if err := zoneDiff("Current", got, filter((*element.Element).Current)); err != nil {
+			return err
+		}
+		if err := names.check("Current", st, got, spans); err != nil {
+			return err
+		}
+		got, spans, _ = RollbackSpans(st, tt)
+		query = fmt.Sprintf("Rollback(%d)", tt)
+		if err := zoneDiff(query, got, filter(func(e *element.Element) bool { return e.PresentAt(tt) })); err != nil {
+			return err
+		}
+		if err := names.check(query, st, got, spans); err != nil {
+			return err
+		}
+		got, spans, touched, err := AsOf(context.Background(), st, vt, tt)
 		want = filter(func(e *element.Element) bool { return e.PresentAt(tt) && e.ValidAt(vt) })
+		query = fmt.Sprintf("AsOf(%d, %d)", vt, tt)
 		if err == nil {
-			err = zoneDiff(fmt.Sprintf("AsOf(%d, %d)", vt, tt), got, want)
+			err = zoneDiff(query, got, want)
+		}
+		if err == nil {
+			err = names.check(query, st, got, spans)
 		}
 		if err != nil {
 			return err
@@ -211,6 +293,7 @@ func zoneMapModel(t *testing.T, kind Kind, interval bool, seed int64) {
 		}
 	}
 
+	names := newSpanNames()
 	var published atomic.Pointer[zonePin]
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -228,7 +311,7 @@ func zoneMapModel(t *testing.T, kind Kind, interval bool, seed int64) {
 				default:
 				}
 				if p := published.Load(); p != nil {
-					if err := checkZoneMaps(p.st, p.flat, rng); err != nil {
+					if err := checkZoneMaps(p.st, p.flat, rng, names); err != nil {
 						t.Errorf("snapshot of step %d (%v), read beside the writer: %v", p.step, p.st.Kind(), err)
 						return
 					}
@@ -291,7 +374,7 @@ func zoneMapModel(t *testing.T, kind Kind, interval bool, seed int64) {
 			published.Store(&pin)
 		}
 		if step%40 == 0 {
-			if err := checkZoneMaps(st, flat, rng); err != nil {
+			if err := checkZoneMaps(st, flat, rng, names); err != nil {
 				t.Fatalf("live store at step %d (%v): %v", step, st.Kind(), err)
 			}
 			if bad := VerifyRuns(st); len(bad) != 0 {
@@ -304,7 +387,7 @@ func zoneMapModel(t *testing.T, kind Kind, interval bool, seed int64) {
 		if p.st.Len()%runSize != 0 && p.st.Len()/runSize < st.Len()/runSize {
 			midChunk++
 		}
-		if err := checkZoneMaps(p.st, p.flat, rng); err != nil {
+		if err := checkZoneMaps(p.st, p.flat, rng, names); err != nil {
 			t.Fatalf("snapshot of step %d (%v), at the end: %v", p.step, p.st.Kind(), err)
 		}
 	}
@@ -338,11 +421,11 @@ func TestAsOfStopsWhenTheCallerIsGone(t *testing.T) {
 		}
 	}
 	// Every chunk holds vt 7, so none is pruned: three polls, three visits.
-	got, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 1<<40)
+	got, _, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 1<<40)
 	if err != context.Canceled || got != nil || touched != 3*runSize {
 		t.Fatalf("AsOf under a caller gone at the fourth poll: %d elements, touched %d, %v", len(got), touched, err)
 	}
-	if got, _, err := AsOf(context.Background(), st, 7, 1<<40); err != nil || len(got) != 6 {
+	if got, _, _, err := AsOf(context.Background(), st, 7, 1<<40); err != nil || len(got) != 6 {
 		t.Fatalf("AsOf with the caller waiting: %d elements, %v", len(got), err)
 	}
 }

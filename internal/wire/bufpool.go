@@ -31,6 +31,61 @@ func PutBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
+// BufferList is a two-slot free list of body buffers for one owner that
+// handles large bodies in a row — a client reading answers, a server encoding
+// them. The pool above is emptied by every collection, and a collection is
+// what one large body brings on, so whoever takes its buffer from the pool
+// allocates, and zeroes, the next body's worth again; what sits in a list
+// stays until its owner goes. Two slots serve an owner that overlaps two
+// requests; a third concurrent one falls back to the pool. The zero value is
+// ready and the methods are safe for concurrent use.
+type BufferList struct {
+	// Max is the largest buffer the list keeps, so it pins at most two of
+	// that size; zero means the pool's cap. Set before first use.
+	Max int
+
+	mu   sync.Mutex
+	free [2]*bytes.Buffer
+}
+
+// Get returns an empty buffer: one of the list's when it has one.
+func (l *BufferList) Get() *bytes.Buffer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, b := range l.free {
+		if b != nil {
+			l.free[i] = nil
+			return b
+		}
+	}
+	return GetBuffer()
+}
+
+// Put resets b and keeps it in a free slot, or hands it to the pool when
+// both are taken (oversized buffers are dropped). Callers must not touch b
+// afterwards.
+func (l *BufferList) Put(b *bytes.Buffer) {
+	if b == nil || b.Cap() > max(l.Max, maxPooledBuffer) {
+		return
+	}
+	if !l.keep(b) {
+		PutBuffer(b)
+	}
+}
+
+func (l *BufferList) keep(b *bytes.Buffer) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, held := range l.free {
+		if held == nil {
+			b.Reset()
+			l.free[i] = b
+			return true
+		}
+	}
+	return false
+}
+
 // ReadBody reads r to its end into b, reserving room first for the
 // declared length (a Content-Length; negative when unknown) instead of
 // growing there by doubling. The declaration is only a hint: no more than

@@ -12,6 +12,7 @@ package wire
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -341,41 +342,206 @@ func appendPlanNode(dst []byte, n *PlanNode) []byte {
 // encoder reads it in place. They append; the client parses into the
 // *Response structs.
 
-// QueryBody encodes as QueryResponse.
+// QueryBody encodes as QueryResponse. Images, in At order and without
+// overlap, names the stretches of Elements whose bytes some earlier answer
+// already made (image.go); they are copied, and every other element is
+// encoded. The body is the same bytes with or without them.
 type QueryBody struct {
 	Elements []*element.Element
+	Images   []ImageSpan
 	Plan     string
 	PlanNode *PlanNode
 	Touched  int
 	Epoch    uint64
 }
 
-func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
-	// An element of two attributes is ~200 bytes: on a cold buffer, one
-	// allocation up front instead of a dozen doublings.
-	dst = slices.Grow(dst, 256+224*len(b.Elements))
-	dst = append(dst, `{"elements":[`...)
-	var err error
-	for i, e := range b.Elements {
-		if i > 0 {
-			dst = append(dst, ',')
+// sink is where a QueryBody's bytes go, so that the body is walked by one
+// piece of code whatever becomes of them. With w nil they gather in buf,
+// which grows to hold the whole body (AppendJSON). With w set buf is emptied
+// into w whenever the next piece may not fit, so a body of any size passes
+// through the buffer at hand (StreamJSON). With count set nothing is kept or
+// written: buf is scratch for one element at a time and n ends up the body's
+// length (StreamLen).
+type sink struct {
+	buf   []byte
+	w     io.Writer
+	count bool
+	n     int   // bytes that have left buf: written, or counted
+	err   error // w's first error; nothing is written after it
+	lead  bool  // no element has gone out yet: the next one drops its comma
+}
+
+// elementRoom is the free space a streaming sink wants before it encodes an
+// element into its buffer; a larger element grows the buffer instead.
+const elementRoom = 4 << 10
+
+// drain empties buf into w, or into the count.
+func (s *sink) drain() {
+	if s.w != nil && s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.n += len(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// piece takes bytes that exist already — slots of an image, so p begins with
+// an element's comma. One larger than the whole buffer is written through.
+func (s *sink) piece(p []byte) {
+	if s.lead && len(p) > 0 {
+		p, s.lead = p[1:], false
+	}
+	switch {
+	case s.count:
+		s.n += len(p)
+	case s.w == nil:
+		s.buf = append(s.buf, p...)
+	default:
+		if len(p) > cap(s.buf)-len(s.buf) {
+			s.drain()
 		}
-		if dst, err = AppendElement(dst, e); err != nil {
-			return dst, err
+		if len(p) > cap(s.buf) {
+			if s.err == nil {
+				_, s.err = s.w.Write(p)
+			}
+			s.n += len(p)
+			return
+		}
+		s.buf = append(s.buf, p...)
+	}
+}
+
+// elements encodes els, each behind its comma. Gathering, it is the tight
+// loop the encoder always was, on a local; streaming or counting, it drains
+// before an element that may not fit (counting: before every one).
+func (s *sink) elements(els []*element.Element) (err error) {
+	if len(els) == 0 {
+		return nil
+	}
+	if s.w == nil && !s.count {
+		buf := s.buf
+		if s.lead {
+			s.lead = false
+			buf, err = AppendElement(buf, els[0])
+			els = els[1:]
+		}
+		for i := 0; i < len(els) && err == nil; i++ {
+			buf, err = AppendElement(append(buf, ','), els[i])
+		}
+		s.buf = buf
+		return err
+	}
+	for _, e := range els {
+		if s.count || cap(s.buf)-len(s.buf) < elementRoom {
+			s.drain()
+		}
+		if s.lead {
+			s.lead = false
+		} else {
+			s.buf = append(s.buf, ',')
+		}
+		if s.buf, err = AppendElement(s.buf, e); err != nil {
+			return err
 		}
 	}
-	dst = append(dst, ']')
+	return nil
+}
+
+// encode walks the body into s: the one place its shape is written down.
+func (b QueryBody) encode(s *sink) error {
+	s.buf = append(s.buf, `{"elements":[`...)
+	s.lead = true
+	i := 0
+	for _, sp := range b.Images {
+		if err := s.elements(b.Elements[i:sp.At]); err != nil {
+			return err
+		}
+		i = sp.At + sp.Image.splice(s, b.Elements[sp.At:sp.At+sp.N])
+	}
+	if err := s.elements(b.Elements[i:]); err != nil {
+		return err
+	}
+	s.buf = append(s.buf, ']')
 	if b.Plan != "" {
-		dst = appendString(append(dst, `,"plan":`...), b.Plan)
+		s.buf = appendString(append(s.buf, `,"plan":`...), b.Plan)
 	}
 	if b.PlanNode != nil {
-		dst = appendPlanNode(append(dst, `,"plan_node":`...), b.PlanNode)
+		s.buf = appendPlanNode(append(s.buf, `,"plan_node":`...), b.PlanNode)
 	}
-	dst = strconv.AppendInt(append(dst, `,"touched":`...), int64(b.Touched), 10)
+	s.buf = strconv.AppendInt(append(s.buf, `,"touched":`...), int64(b.Touched), 10)
 	if b.Epoch != 0 {
-		dst = strconv.AppendUint(append(dst, `,"epoch":`...), b.Epoch, 10)
+		s.buf = strconv.AppendUint(append(s.buf, `,"epoch":`...), b.Epoch, 10)
 	}
-	return append(dst, '}'), nil
+	s.buf = append(s.buf, '}')
+	return nil
+}
+
+// directBytes is what an element is taken to encode to when there are too
+// few of them to be worth measuring: two attributes come to about 200.
+const directBytes = 224
+
+// reserve grows dst once for the whole body: the spliced stretches to the
+// byte, and for the elements still to be encoded a figure measured on the
+// answer's first and last element — a result set is homogeneous but for its
+// integers' digits, and those grow in arrival order (the parser's
+// extrapolate makes the same bet). A short guess costs a later growth, a
+// long one slack; neither changes a byte.
+func (b QueryBody) reserve(dst []byte) []byte {
+	spliced, direct := sink{count: true}, len(b.Elements)
+	for _, sp := range b.Images {
+		direct -= sp.Image.splice(&spliced, b.Elements[sp.At:sp.At+sp.N])
+	}
+	per := directBytes
+	if direct >= 16 {
+		var scratch [512]byte
+		first, _ := AppendElement(scratch[:0], b.Elements[0])
+		last, _ := AppendElement(scratch[:0], b.Elements[len(b.Elements)-1])
+		per = max(len(first), len(last))
+		per += per/32 + 2
+	}
+	return slices.Grow(dst, 256+2*len(b.Plan)+spliced.n+direct*per)
+}
+
+func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
+	s := sink{buf: b.reserve(dst)}
+	err := b.encode(&s)
+	return s.buf, err
+}
+
+// StreamLen reports whether the body is one to stream — larger than a pooled
+// buffer may be, and at least seven eighths of it copied out of images, so
+// that measuring it encodes few elements — and then its exact length as
+// StreamJSON writes it, newline included. Every element that still has to be
+// encoded is encoded here once, into scratch, for its length: the error, if
+// any is AppendJSON's, and a body StreamLen has measured cannot fail later.
+func (b QueryBody) StreamLen(scratch []byte) (n int, ok bool, err error) {
+	covered := 0
+	for _, sp := range b.Images {
+		covered += sp.N
+	}
+	if covered == 0 || covered*8 < len(b.Elements)*7 {
+		return 0, false, nil
+	}
+	s := sink{buf: scratch[:0], count: true}
+	if err := b.encode(&s); err != nil {
+		return 0, false, err
+	}
+	s.drain()
+	return s.n + 1, s.n >= maxPooledBuffer, nil
+}
+
+// StreamJSON writes the body and the newline that ends a document to w in
+// pieces no larger than buf, and reports the bytes written: what AppendJSON
+// would have appended, without the buffer to hold it. For a body StreamLen
+// called one to stream the error can only be w's.
+func (b QueryBody) StreamJSON(w io.Writer, buf []byte) (int, error) {
+	s := sink{buf: buf[:0], w: w}
+	err := b.encode(&s)
+	s.buf = append(s.buf, '\n')
+	s.drain()
+	if err == nil {
+		err = s.err
+	}
+	return s.n, err
 }
 
 // ElementBody encodes as ElementResponse.

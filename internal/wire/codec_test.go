@@ -219,6 +219,7 @@ func checkGenerated(t *testing.T, data []byte) {
 		els[i] = g.element()
 	}
 	checkBodies(t, els, g.plan(), g.str())
+	checkSplice(t, g)
 
 	// A wire value is freer than an engine value: any kind string, any
 	// combination of payload fields, any subset of stamp pointers.
@@ -236,6 +237,49 @@ func checkGenerated(t *testing.T, data []byte) {
 	if b := sameBytes(t, "timestamp", ts, ts); b != nil {
 		sameValue[Timestamp](t, "timestamp", b)
 	}
+}
+
+// checkSplice draws a chunk, an answer out of it and a round of closes, and
+// holds the body that copies from the chunk's image to the body that encodes
+// — before the closes, after them with the refreshed image, and after them
+// with the stale one.
+func checkSplice(t *testing.T, g *gen) {
+	chunk := make([]*element.Element, 1+g.byte()%6)
+	for i := range chunk {
+		chunk[i] = g.element()
+	}
+	pick := g.byte()
+	answer := func(chunk []*element.Element) (els []*element.Element) {
+		for j, e := range chunk {
+			if pick>>j&1 == 1 {
+				els = append(els, e)
+			}
+		}
+		return els
+	}
+	body := func(els []*element.Element, img *ChunkImage) QueryBody {
+		return QueryBody{Elements: els, Images: []ImageSpan{{N: len(els), Image: img}}, Touched: len(els)}
+	}
+	img, err := BuildChunkImage(chunk, nil)
+	if err != nil {
+		if _, err := (QueryBody{Elements: chunk}).AppendJSON(nil); err == nil {
+			t.Fatal("a chunk that encodes was refused an image")
+		}
+		return
+	}
+	sameAsPlain(t, "generated chunk", body(answer(chunk), img))
+	closed := append([]*element.Element(nil), chunk...)
+	for j, bits := 0, g.byte(); j < len(closed); j++ {
+		if bits>>j&1 == 1 {
+			closed[j] = closeOf(closed[j], chronon.Chronon(g.u64()))
+		}
+	}
+	refreshed, err := BuildChunkImage(closed, img)
+	if scratch, _ := BuildChunkImage(closed, nil); err != nil || !bytes.Equal(refreshed.slab, scratch.slab) {
+		t.Fatalf("a refreshed image is not the image built from nothing (%v)", err)
+	}
+	sameAsPlain(t, "generated chunk after closes", body(answer(closed), refreshed))
+	sameAsPlain(t, "generated chunk after closes, stale image", body(answer(closed), img))
 }
 
 // agree holds the fast parser to its oracle on arbitrary bytes: what it
@@ -324,6 +368,7 @@ func FuzzWireCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))
 	}
+	f.Add(splicedSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkGenerated(t, data)
 		checkArbitrary(t, data)
@@ -376,11 +421,45 @@ func TestByteIdentityEdges(t *testing.T) {
 	sameBytes(t, "no stamp", InsertRequest{}, InsertRequest{})
 }
 
+// splicedSeed is generator input that reaches checkSplice — no elements, no
+// plan, an empty word before it — with a chunk of six elements, event and
+// interval stamps alternating, one int attribute each, the third one closed
+// on arrival; the answer takes four of them and two more are closed.
+var splicedSeed = func() []byte {
+	b := []byte{0, 0, 0, 5}
+	u64 := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
+	for i := uint64(0); i < 6; i++ {
+		u64(i + 1) // es, then os, tt⊢
+		b = append(b, byte(i+1))
+		u64(100 + i)
+		if i == 2 {
+			b = append(b, 1)
+			u64(500) // tt⊣
+		} else {
+			b = append(b, 0)
+		}
+		if b = append(b, byte(i%2)); i%2 == 1 {
+			u64(1000 + i) // an event
+		} else {
+			u64(1<<61 + 4*i) // an interval's start, offset as the generator undoes it, and width
+			u64(80)
+		}
+		b = append(b, 0, 1, 2) // no invariant, one varying value, an int
+		u64(37 * i)
+		b = append(b, 0) // no user times
+	}
+	b = append(b, 0b101101, 0b010010)
+	u64(900)
+	u64(901)
+	return b
+}()
+
 func TestCodecSeeds(t *testing.T) {
 	for _, s := range codecSeeds {
 		checkGenerated(t, []byte(s))
 		checkArbitrary(t, []byte(s))
 	}
+	checkGenerated(t, splicedSeed)
 	// A response large enough to leave the first slab chunks.
 	for _, interval := range []bool{false, true} {
 		checkBodies(t, benchElements(700, interval), &PlanNode{Kind: "full-scan", Org: "heap", Est: 700}, "full scan (heap)")
@@ -514,6 +593,29 @@ func benchElements(n int, interval bool) []*element.Element {
 		els[i] = e
 	}
 	return els
+}
+
+// splicedBody is the answer that takes every stride-th element of stored — a
+// store's elements in arrival order — with an image under every full
+// 256-element chunk of it, as the catalog hands one to the encoder.
+func splicedBody(tb testing.TB, stored []*element.Element, stride int) QueryBody {
+	body := QueryBody{Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9}
+	for k := 0; k*256 < len(stored); k++ {
+		chunk := stored[k*256 : min(k*256+256, len(stored))]
+		at := len(body.Elements)
+		for i := 0; i < len(chunk); i += stride {
+			body.Elements = append(body.Elements, chunk[i])
+		}
+		if len(chunk) < 256 {
+			break
+		}
+		img, err := BuildChunkImage(chunk, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		body.Images = append(body.Images, ImageSpan{At: at, N: len(body.Elements) - at, Image: img})
+	}
+	return body
 }
 
 func benchPlan() *PlanNode {
@@ -672,6 +774,22 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 	query("ledger/n=1000", ledgerElements(1000))
+	// The same answer with every chunk imaged beside it encoded: tsbench's
+	// large time-slice, every second slot of sixteen chunks.
+	sparse := splicedBody(b, benchElements(4000, true), 2)
+	for _, c := range []struct {
+		name string
+		body QueryBody
+	}{{"splice/n=2000", sparse}, {"encode/hand/sparse/n=2000", QueryBody{Elements: sparse.Elements, Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf, _ := c.body.AppendJSON(nil)
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				buf, _ = c.body.AppendJSON(buf[:0])
+			}
+			benchSink += len(buf)
+		})
+	}
 	req, report, ref := benchBatch(256)
 	benchCodec(b, "batch-request/n=256", req, req)
 	benchCodec(b, "batch-response/n=256", report, ref)

@@ -1,0 +1,250 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/element"
+)
+
+// chunksOf cuts stored into full 256-element chunks, as a store holds them.
+func chunksOf(stored []*element.Element) [][]*element.Element {
+	var out [][]*element.Element
+	for ; len(stored) >= 256; stored = stored[256:] {
+		out = append(out, stored[:256])
+	}
+	return out
+}
+
+// closeOf is the clone a logical delete swaps into an element's slot.
+func closeOf(e *element.Element, tt chronon.Chronon) *element.Element {
+	c := *e
+	c.TTEnd = tt
+	return &c
+}
+
+// sameAsPlain holds a body with images to the same body without, appended
+// whole and streamed through a buffer far smaller than it.
+func sameAsPlain(t *testing.T, name string, body QueryBody) {
+	t.Helper()
+	got, gotErr := body.AppendJSON(nil)
+	var streamed bytes.Buffer
+	sent, streamErr := body.StreamJSON(&streamed, make([]byte, 0, 700))
+	measured, _, measureErr := body.StreamLen(nil)
+	body.Images = nil
+	want, wantErr := body.AppendJSON(nil)
+	if (gotErr != nil) != (wantErr != nil) || (gotErr == nil && !bytes.Equal(got, want)) {
+		t.Fatalf("%s: the spliced body (%d bytes, %v) is not the encoded one (%d bytes, %v)", name, len(got), gotErr, len(want), wantErr)
+	}
+	if (streamErr != nil) != (wantErr != nil) || (measureErr != nil && wantErr == nil) {
+		t.Fatalf("%s: streaming fails with %v, measuring with %v, appending with %v", name, streamErr, measureErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if want = append(want, '\n'); !bytes.Equal(streamed.Bytes(), want) || sent != len(want) {
+		t.Fatalf("%s: the streamed body (%d bytes, %d reported) is not the encoded one (%d bytes)", name, streamed.Len(), sent, len(want))
+	}
+	if measured != 0 && measured != len(want) {
+		t.Fatalf("%s: StreamLen measured %d bytes of a %d-byte body", name, measured, len(want))
+	}
+}
+
+// TestSpliceIsTheEncode: whatever stretch of whichever chunks an answer
+// takes, dense, sparse or a single slot, copying it out of the chunks' images
+// gives the bytes of encoding it — also from an image refreshed after closes,
+// and also when a span names an image that is not its elements' (the encoder
+// goes by the elements' identity and encodes what it does not find).
+func TestSpliceIsTheEncode(t *testing.T) {
+	stored := benchElements(3*256+40, true)
+	for i := 0; i < len(stored); i += 7 {
+		stored[i] = closeOf(stored[i], stored[i].TTStart+900)
+	}
+	for _, stride := range []int{1, 2, 3, 40, 255, 256} {
+		sameAsPlain(t, "every "+string(rune('0'+stride%10))+"th", splicedBody(t, stored, stride))
+	}
+	empty := splicedBody(t, stored, 1)
+	empty.Elements, empty.Images = nil, nil
+	sameAsPlain(t, "no elements", empty)
+
+	// Closes land in chunk 1: the refreshed image is the image built from
+	// nothing, and the stale one still serves the elements it shares.
+	body := splicedBody(t, stored, 2)
+	chunks := chunksOf(stored)
+	fresh := append([]*element.Element(nil), chunks[1]...)
+	for _, j := range []int{0, 17, 18, 255} {
+		fresh[j] = closeOf(fresh[j], 1800000000)
+	}
+	refreshed, err := BuildChunkImage(fresh, body.Images[1].Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := BuildChunkImage(fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refreshed.slab, scratch.slab) || refreshed.Size() != scratch.Size() {
+		t.Fatal("an image refreshed from its predecessor is not the image built from nothing")
+	}
+	after := splicedBody(t, append(append(append([]*element.Element(nil), chunks[0]...), fresh...), chunks[2]...), 2)
+	after.Images[1].Image = refreshed
+	sameAsPlain(t, "after closes, refreshed image", after)
+	after.Images[1].Image = body.Images[1].Image
+	sameAsPlain(t, "after closes, stale image", after)
+	after.Images[0].Image, after.Images[2].Image = after.Images[2].Image, after.Images[0].Image
+	sameAsPlain(t, "images of other chunks", after)
+}
+
+// TestReservationFitsTheBody: the encoder reserves its buffer once and close
+// to what it fills — to the byte for what it copies, from the answer's first
+// and last element for what it encodes — where it used to take 224 bytes an
+// element whatever the schema: 4.5 MB, zeroed, for a 3 MB body.
+func TestReservationFitsTheBody(t *testing.T) {
+	stored := benchElements(20_000, true)
+	for name, body := range map[string]QueryBody{
+		"encoded":  {Elements: stored, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9},
+		"spliced":  splicedBody(t, stored, 1),
+		"halfway":  splicedBody(t, stored, 2),
+		"no plan":  {Elements: stored[:2000]},
+		"one only": {Elements: stored[:1]},
+	} {
+		out, err := body.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slack := cap(out) - len(out); len(body.Elements) > 1 && slack*10 > len(out) {
+			t.Errorf("%s: %d bytes in a buffer of %d: more than a tenth of it is slack", name, len(out), cap(out))
+		}
+		// One reservation; under -race the sampling scratch escapes as well.
+		if n := testing.AllocsPerRun(3, func() { _, _ = body.AppendJSON(nil) }); n > 2 {
+			t.Errorf("%s: encoding into no buffer allocates %v times, want the one reservation", name, n)
+		}
+	}
+}
+
+// TestNonFiniteChunkBuildsNoImage is the bound on the hostile shape: a chunk
+// of values JSON cannot spell yields no image and costs its error value to
+// refuse — what refusing the answer itself costs, and always has — and the
+// answer over such elements is refused for no more memory than the fixed
+// reservation it used to make.
+func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
+	stored := benchElements(20_000, true)
+	for i, e := range stored {
+		e.Varying = []element.Value{element.Float([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3])}
+	}
+	chunk := stored[:256]
+	if _, err := BuildChunkImage(chunk, nil); err == nil { // warms the pooled buffer too
+		t.Fatal("a chunk of non-finite floats was given an image")
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = BuildChunkImage(chunk, nil) }); n > 5 {
+		t.Errorf("refusing a chunk allocates %v times, want the four of its json.UnsupportedValueError (five under -race)", n)
+	}
+	// One bad slot late in the chunk is refused as well, whatever it cost.
+	late := benchElements(256, true)
+	late[200].Varying = []element.Value{element.Float(math.NaN())}
+	if _, err := BuildChunkImage(late, nil); err == nil {
+		t.Fatal("a chunk with one non-finite float was given an image")
+	}
+
+	out, err := QueryBody{Elements: stored, Touched: len(stored)}.AppendJSON(nil)
+	if err == nil {
+		t.Fatal("an answer of non-finite floats was encoded")
+	}
+	if was := 256 + 224*len(stored); cap(out) > was {
+		t.Errorf("the refused answer had reserved %d bytes; the fixed reservation was %d", cap(out), was)
+	}
+}
+
+// TestLargeSplicedBodiesStream: a body is streamed when it is past what a
+// pooled buffer may hold and at least seven eighths of its elements come out
+// of images — then StreamLen has its length to the byte for the price of
+// encoding the few that do not — and otherwise appended whole, as every body
+// was. A writer that fails gets its error back and nothing more is written.
+func TestLargeSplicedBodiesStream(t *testing.T) {
+	stored := benchElements(20_000, true)
+	dense := splicedBody(t, stored, 1)
+	for name, tc := range map[string]struct {
+		body   QueryBody
+		stream bool
+	}{
+		"20k, every chunk imaged":       {dense, true},
+		"20k, nothing imaged":           {QueryBody{Elements: stored, Touched: len(stored)}, false},
+		"20k, every second chunk":       {QueryBody{Elements: stored, Images: everyOther(dense.Images)}, false},
+		"2k of one chunk in two: small": {splicedBody(t, stored[:4000], 2), false},
+	} {
+		whole, err := tc.body.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, stream, err := tc.body.StreamLen(nil)
+		if err != nil || stream != tc.stream || (stream && n != len(whole)+1) {
+			t.Errorf("%s: StreamLen = %d, %v, %v; the body is %d bytes and should stream: %v", name, n, stream, err, len(whole)+1, tc.stream)
+		}
+	}
+	for _, size := range []int{4 << 10, 256 << 10, 8 << 20} {
+		var got bytes.Buffer
+		whole, _ := dense.AppendJSON(nil)
+		if n, err := dense.StreamJSON(&got, make([]byte, 0, size)); err != nil || n != got.Len() || !bytes.Equal(got.Bytes(), append(whole, '\n')) {
+			t.Errorf("streamed through %d bytes: %d reported, %d written, %v", size, n, got.Len(), err)
+		}
+	}
+	w := &failingWriter{after: 3}
+	if _, err := dense.StreamJSON(w, make([]byte, 0, 64<<10)); err != errWriterGone || w.calls != 4 {
+		t.Errorf("a writer that fails on its fourth call: %v after %d calls", err, w.calls)
+	}
+}
+
+func everyOther(spans []ImageSpan) (out []ImageSpan) {
+	for i := 0; i < len(spans); i += 2 {
+		out = append(out, spans[i])
+	}
+	return out
+}
+
+var errWriterGone = errors.New("writer gone")
+
+type failingWriter struct{ after, calls int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.calls++; w.calls > w.after {
+		return 0, errWriterGone
+	}
+	return len(p), nil
+}
+
+func TestBufferList(t *testing.T) {
+	for _, tc := range []struct {
+		list  *BufferList
+		large int // kept
+		giant int // dropped
+	}{
+		{&BufferList{}, 900 << 10, 3 << 20},
+		{&BufferList{Max: 4 << 20}, 3 << 20, 5 << 20},
+	} {
+		l := tc.list
+		a, b, c := l.Get(), l.Get(), l.Get()
+		a.Grow(300 << 10)
+		b.Grow(tc.large)
+		c.Grow(tc.giant)
+		l.Put(a)
+		l.Put(b)
+		l.Put(c)
+		l.Put(nil)
+		runtime.GC()
+		runtime.GC() // the pool is empty now; the list is not
+		x, y := l.Get(), l.Get()
+		if !(x == a && y == b) && !(x == b && y == a) {
+			t.Fatalf("max %d: the list did not hand back the two buffers it was given", l.Max)
+		}
+		if x.Len() != 0 || y.Len() != 0 {
+			t.Fatal("a listed buffer came back with content")
+		}
+		if z := l.Get(); z == a || z == b || z == c || z.Cap() > maxPooledBuffer {
+			t.Fatalf("max %d: an empty list handed out a buffer of %d bytes' capacity", l.Max, z.Cap())
+		}
+	}
+}

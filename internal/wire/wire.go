@@ -947,6 +947,22 @@ type BatchMetrics struct {
 	PartialMisses    int64   `json:"partial_misses"`
 }
 
+// ImageMetrics reports the chunk-image counters summed over the catalog —
+// the read-side twin of BatchMetrics' partials, for the queries that return
+// elements: encoded images of full 256-element chunks built for a chunk that
+// had none, rebuilt because the chunk had been closed into since, dense
+// stretches of an answer copied from an image (spans_spliced) against
+// encoded element by element for want of one (spans_encoded), and the bytes
+// of images the query cache holds now. A slow read that spliced nothing
+// encoded its whole answer.
+type ImageMetrics struct {
+	Built        int64 `json:"built"`
+	Rebuilt      int64 `json:"rebuilt"`
+	SpansSpliced int64 `json:"spans_spliced"`
+	SpansEncoded int64 `json:"spans_encoded"`
+	Bytes        int64 `json:"bytes"`
+}
+
 // IngestMetrics reports the batched-ingest counters summed over the
 // catalog — batches journaled, elements they carried, mean batch size —
 // plus the CSV streaming endpoint's flush-reason split: how many batches
@@ -982,6 +998,7 @@ type MetricsResponse struct {
 	Degraded      *DegradedMetrics                 `json:"degraded,omitempty"`
 	QueryCache    *QueryCacheMetrics               `json:"query_cache,omitempty"`
 	Batch         *BatchMetrics                    `json:"batch,omitempty"`
+	Images        *ImageMetrics                    `json:"images,omitempty"`
 	Ingest        *IngestMetrics                   `json:"ingest,omitempty"`
 	Replication   *ReplicationMetrics              `json:"replication,omitempty"`
 	// Physical reports each relation's live physical design: its
