@@ -96,7 +96,9 @@ bench:
 # closes and over an ingesting sensor's log of keyed batch frames
 # (versions/s), a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
-# cache-off direct fold), the aggregate after a delete and an insert on a heap, a
+# cache-off direct fold; with firehose-analytics' 65,536-chronon clamp on the planner's engine
+# and USING ROW, where the access path bounds the chunk loop: folded/op ≈ 2 warm, pruned/op
+# the chunks outside the clamp), the aggregate after a delete and an insert on a heap, a
 # tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the columnar batch scan/aggregate
 # microbenchmarks, the general organizations' zone-map scans beside the unpruned filter (20 k and
 # 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the

@@ -8,12 +8,14 @@ package catalog
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tsql"
@@ -282,6 +284,85 @@ func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 		if !reflect.DeepEqual(warm.Rows, mustDefine(t, e, src).Rows) {
 			t.Fatalf("clamp %s: warm rows diverge from the definition", tc.clamp)
 		}
+	}
+}
+
+// TestClampedRowAggregateMergesWhatTheSearchFinds pins what the bounded loop
+// costs the row engine's binary-search leaf: 40 sealed chunks (vt = 10·i, so
+// chunk k covers [2560k, 2560k + 2550]), partials warm, one append. A clamp
+// reaching the tail then merges every chunk it contains, folds the one it
+// cuts and the tail, and passes over everything before it unread: those
+// chunks' zone maps are corrupted to overlap the clamp, so a reader that so
+// much as probed one would fold it. And what the execution allocates does
+// not follow the clamp's width — a candidate slice would.
+func TestClampedRowAggregateMergesWhatTheSearchFinds(t *testing.T) {
+	const full, tail = 40, 10
+	c := New(cachedConfig(t.TempDir()))
+	e := sealedSensor(t, c, "s", full*256)
+	end := int64(10*(full*256+tail-1) + 1) // past the newest element after the append
+	sql := func(width int64) string {
+		return fmt.Sprintf("select count(*), sum(v) from s when valid during [%d, %d) group by window(131072) using row", end-width, end)
+	}
+	narrow, wide := sql(16384), sql(65536)
+	for _, src := range []string{narrow, wide} {
+		mustAggSelect(t, e, src) // learns the chunks each clamp contains
+	}
+	appendSensor(t, e, full*256, tail)
+	// Chunks 0–13 lie before the wide clamp, which cuts chunk 14.
+	const before = 14
+	if err := e.locked.Exclusive(func(*relation.Relation) error {
+		for k := range before {
+			if !storage.CorruptZone(e.engine.Store(), k, true, 20) {
+				t.Fatalf("no full chunk %d", k)
+			}
+		}
+		e.publish()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	b0 := e.BatchStats()
+	q, err := tsql.Parse(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, node, touched, err := e.SelectCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf := node.Leaf().Kind; leaf != plan.VTBinarySearch {
+		t.Fatalf("the clamp planned %v", leaf)
+	}
+	if !reflect.DeepEqual(res.Rows, mustDefine(t, e, wide).Rows) {
+		t.Fatal("diverges from the definition")
+	}
+	b1 := e.BatchStats()
+	folded, merged, pruned := b1.RunsFolded-b0.RunsFolded, b1.RunsMerged-b0.RunsMerged, b1.ChunksPruned-b0.ChunksPruned
+	if folded > 2 || merged != full-before-folded || pruned != before || touched > int(folded)*256+tail {
+		t.Fatalf("folded %d, merged %d, pruned %d, touched %d; want ≤ 2 folded and the tail, the rest of chunks %d–%d merged, the %d before them pruned unread",
+			folded, merged, pruned, touched, before, full-1, before)
+	}
+
+	// Below the result cache, warm: the 64 k clamp merges four times the
+	// chunks the 16 k one does, for the same allocations.
+	allocs := map[string]float64{}
+	for _, src := range []string{narrow, wide} {
+		q, err := tsql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp := q.Fingerprints()
+		v := e.view.Load()
+		allocs[src] = testing.AllocsPerRun(20, func() {
+			if _, _, _, err := e.executeAggregate(context.Background(), v, q, fp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("warm: %.0f allocations over 16 k chronons, %.0f over 64 k", allocs[narrow], allocs[wide])
+	if d := allocs[wide] - allocs[narrow]; d > 2 || d < -2 {
+		t.Fatalf("a warm clamped aggregate allocates %.0f over 16 k chronons and %.0f over 64 k: the cost follows the clamp", allocs[narrow], allocs[wide])
 	}
 }
 

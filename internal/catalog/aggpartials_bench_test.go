@@ -7,8 +7,11 @@ package catalog
 // runs with the query cache on (the partials live in it), "nocache" with
 // CacheBytes = 0, where every run is decoded and folded — the direct path,
 // which must stay where BenchmarkTemporalAggregateColumnar (internal/storage,
-// same per-element work) puts it. The batch append is outside the timer.
-// `make bench-smoke` runs it.
+// same per-element work) puts it. The clamped pair is the bounded loop's:
+// warm, each merges the ≈ 24 chunks its clamp contains and folds the two it
+// cuts, on the columnar scan and on the row engine's binary search alike;
+// pruned/op counts the chunks passed over unread. The batch append is
+// outside the timer. `make bench-smoke` runs it.
 
 import (
 	"context"
@@ -30,6 +33,10 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 		{"count", "select count(*) from bench group by window(16384)"},
 		{"sum", "select sum(v) from bench group by window(16384)"},
 		{"rollingmax", "select max(v) from bench group by window(16384, rolling 8)"},
+		// firehose-analytics' clamped window (the planner's pick) and its
+		// USING ROW twin: 65,536 chronons inside the sealed history.
+		{"clamp", "select sum(v) from bench when valid during [400000, 465536) group by window(4096)"},
+		{"clamp-row", "select sum(v) from bench when valid during [400000, 465536) group by window(4096) using row"},
 	}
 	for _, cache := range []struct {
 		name  string
@@ -75,6 +82,7 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 				st := e.BatchStats()
 				b.ReportMetric(float64(st.RunsMerged)/float64(b.N+1), "merged/op")
 				b.ReportMetric(float64(st.RunsFolded)/float64(b.N+1), "folded/op")
+				b.ReportMetric(float64(st.ChunksPruned)/float64(b.N+1), "pruned/op")
 			})
 		}
 	}

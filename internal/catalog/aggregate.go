@@ -46,12 +46,14 @@ func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Resul
 }
 
 // executeAggregate runs the statement against one pinned view, below the
-// result cache. A scan on either engine goes in with the run partials
+// result cache. Every plan on either engine goes in with the run partials
 // memoized under (relation, "part:"+partial fingerprint, store
 // generation) — the key has no epoch in it, which is the point: a write
 // leaves every chunk it did not touch valid — and whatever the execution
-// learned is stored back under the same key. The value is derived state
-// and lives only in the cache; with the cache off every chunk is folded.
+// learned is stored back under the same key; only AS OF, whose answer
+// depends on tt⊣ values rather than on which elements are current, goes
+// without. The value is derived state and lives only in the cache; with
+// the cache off every chunk is folded.
 func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query, partialFP string) (*tsql.Result, *plan.Node, vec.ExecStats, error) {
 	node := tsql.Compile(q, v.engine.Access())
 	spec, err := tsql.BuildAggSpec(q, v.schema)
@@ -60,8 +62,7 @@ func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query
 	}
 	var memo *query.PartialMemo
 	pkey := qcache.Key{Rel: e.name, Fingerprint: "part:" + partialFP, Epoch: v.gen}
-	leaf := node.Leaf().Kind
-	if budget := e.cache.MaxEntry(); budget > 0 && !q.HasAsOf && (leaf == plan.ColumnarScan || leaf == plan.FullScan) {
+	if budget := e.cache.MaxEntry(); budget > 0 && !q.HasAsOf {
 		memo = &query.PartialMemo{Budget: budget}
 		if hit, ok := e.cache.Peek(pkey); ok {
 			memo.Partials = hit.(*query.RunPartials)
@@ -71,14 +72,14 @@ func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query
 		}
 	}
 	event := v.schema.ValidTime == element.EventStamp
-	agg, stats, err := v.engine.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event, memo)
+	agg, stats, err := v.engine.AggregateCtx(ctx, node, spec, event, memo)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	if memo != nil && memo.Grew {
 		e.cache.Put(pkey, memo.Partials, memo.Partials.Size())
 	}
-	e.recordBatch(leaf, stats)
+	e.recordBatch(node.Leaf().Kind, stats)
 	return tsql.AggToResult(q, agg), node, stats, nil
 }
 
@@ -107,15 +108,17 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 	}
 	e.runsMerged.Add(st.RunsMerged)
 	e.runsFolded.Add(st.RunsFolded)
+	e.chunksPruned.Add(st.ChunksPruned)
 }
 
 // BatchStats reports the entry's lifetime batch-operator counters:
 // batches and rows the columnar engine actually visited, how often the
 // planner picked each engine for an executed aggregate, how many full
 // chunks either engine answered from a memoized partial against folded,
-// and how often an execution found its run partials in the cache. The
-// partial lookups are kept out of the query cache's own hit and miss
-// counters, which count whole results.
+// how many chunks either engine passed over unread — pruned on a zone map or
+// outside the access path's bounds — and how often an execution found its
+// run partials in the cache. The partial lookups are kept out of the query
+// cache's own hit and miss counters, which count whole results.
 type BatchStats struct {
 	Batches       int64
 	Rows          int64
@@ -123,6 +126,7 @@ type BatchStats struct {
 	RowPicks      int64
 	RunsMerged    int64
 	RunsFolded    int64
+	ChunksPruned  int64
 	PartialHits   int64
 	PartialMisses int64
 }
@@ -136,6 +140,7 @@ func (e *Entry) BatchStats() BatchStats {
 		RowPicks:      e.rowPicks.Load(),
 		RunsMerged:    e.runsMerged.Load(),
 		RunsFolded:    e.runsFolded.Load(),
+		ChunksPruned:  e.chunksPruned.Load(),
 		PartialHits:   e.partialHits.Load(),
 		PartialMisses: e.partialMisses.Load(),
 	}

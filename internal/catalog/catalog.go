@@ -659,10 +659,11 @@ type Entry struct {
 	colPicks  atomic.Int64
 	rowPicks  atomic.Int64
 	// Run-partial counters (aggregate.go): sealed runs merged from a memo
-	// against decoded and folded, and executions that found their partials
-	// in the cache against those that did not.
+	// against decoded and folded, chunks passed over unread, and executions
+	// that found their partials in the cache against those that did not.
 	runsMerged    atomic.Int64
 	runsFolded    atomic.Int64
+	chunksPruned  atomic.Int64
 	partialHits   atomic.Int64
 	partialMisses atomic.Int64
 	// Chunk-image counters (images.go): images built and rebuilt after

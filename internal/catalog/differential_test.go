@@ -35,6 +35,8 @@ import (
 	"time"
 
 	"repro/internal/chronon"
+	"repro/internal/constraint"
+	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -117,6 +119,35 @@ type diffRel struct {
 	// general marks the ledger class: only the advisor decides what is
 	// compacted, and on a general relation it compacts nothing.
 	general bool
+	// bounded marks the declared strongly-bounded class: every valid time
+	// stays within boundedOff of its transaction time.
+	bounded bool
+}
+
+// boundedOff is the bounded class's declared offset bound, |vt − tt| ≤
+// boundedOff: the planner turns its valid-time clamps into tt-windows.
+const boundedOff = 100
+
+// boundedVT draws a valid time within boundedOff of the transaction time
+// the relation's next write takes (the test clock steps by 10), so neither an
+// order nor a degenerate class is ever observed and the relation stays on the
+// tt-ordered log with the pushdown on. The last element of a chunk sits at
+// the bound's top and the first at its bottom: a clamp at one of their valid
+// times then puts the tt-window's end exactly on that element.
+func (d *diffRel) boundedVT() int64 {
+	var now chronon.Chronon
+	_ = d.e.Locked().View(func(r *relation.Relation) error {
+		now = r.Clock().Now()
+		return nil
+	})
+	off := d.rng.Int63n(2*boundedOff+1) - boundedOff
+	switch d.e.view.Load().engine.Store().Len() % vec.BatchSize {
+	case vec.BatchSize - 1:
+		off = boundedOff
+	case 0:
+		off = -boundedOff
+	}
+	return int64(now) + 10 + off
 }
 
 // stampAt builds the relation's kind of valid time-stamp starting at lo.
@@ -136,6 +167,9 @@ func (d *diffRel) appendOrdered(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		vt := d.stampAt(d.vtHi+d.rng.Int63n(12), 1+d.rng.Int63n(9))
+		if d.bounded {
+			vt = d.stampAt(d.boundedVT(), 1)
+		}
 		if _, err := insert(d.e, relation.Insertion{VT: vt, Varying: diffValues(d.rng)}); err != nil {
 			t.Fatalf("%s append: %v", d.e.Name(), err)
 		}
@@ -187,11 +221,23 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	if err != nil {
 		t.Fatalf("Create(%s): %v", name, err)
 	}
-	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng, general: class == "ledger"}
+	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng, general: class == "ledger", bounded: class == "bounded"}
+	if d.bounded {
+		spec, err := core.StronglyBoundedSpec(chronon.Seconds(boundedOff), chronon.Seconds(boundedOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Declare([]constraint.Descriptor{mustDescribe(t, constraint.Event{Spec: spec}, constraint.PerRelation)}); err != nil {
+			t.Fatalf("Declare(%s): %v", name, err)
+		}
+	}
 	var cur int64
 	var esList []surrogate.Surrogate
 	for i := 0; i < diffBuildN; i++ {
 		lo, length := classVT(class, rng, i, &cur), 1+rng.Int63n(30)
+		if d.bounded {
+			lo = d.boundedVT()
+		}
 		if d.general && i < 300 && i%2 == 0 {
 			length = 3000 // the ledger's long early intervals
 		}
@@ -340,8 +386,19 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	if cNode.Leaf().Kind != plan.ColumnarScan {
 		t.Fatalf("%q: USING COLUMNAR compiled to %v", base+lim, cNode.Leaf().Kind)
 	}
-	if rNode.Leaf().Kind == plan.ColumnarScan {
-		t.Fatalf("%q: USING ROW compiled to a columnar scan", base+lim)
+	// A clamp forces the row engine onto the access path its store's order
+	// licenses, which is what bounds its chunk loop.
+	rowLeaf := plan.FullScan
+	if pq := tsql.PlanQuery(qRow); pq.Kind == plan.QTimeslice || pq.Kind == plan.QVTRange {
+		switch a := v.engine.Access(); {
+		case a.Org == plan.OrgVTLog:
+			rowLeaf = plan.VTBinarySearch
+		case a.Org == plan.OrgTTLog && a.HasOffsetBounds:
+			rowLeaf = plan.TTWindowPushdown
+		}
+	}
+	if got := rNode.Leaf().Kind; got != rowLeaf {
+		t.Fatalf("%q: USING ROW compiled to %v, want %v", base+lim, got, rowLeaf)
 	}
 	for _, l := range legs {
 		if !reflect.DeepEqual(want, l.res) {
@@ -360,6 +417,81 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 		tally.warmMerged += warm.RunsMerged
 	}
 	return true
+}
+
+// clampEnds maps an element to the clamp ends that put the relation's access
+// path bound exactly at it: the clamp [lo(a), hi(b)) makes the bounded reader
+// start at a's chunk and stop before b's.
+type clampEnds func(*element.Element) (lo, hi int64)
+
+// vtStarts are the vt-ordered log's ends: its search is by valid time.
+func vtStarts(e *element.Element) (int64, int64) {
+	s := int64(e.VT.Start())
+	return s, s
+}
+
+// ttWindowEnds are the bounded class's ends: a clamp [lo, hi) is searched as
+// the tt-window [lo − boundedOff, hi − 1 + boundedOff].
+func ttWindowEnds(e *element.Element) (int64, int64) {
+	tt := int64(e.TTStart)
+	return tt + boundedOff, tt - boundedOff
+}
+
+// diffClamps lists the clamps a bounded chunk loop must get right on v: one
+// whose ends are chunk boundaries, one at the valid time of a chunk's last
+// element and one at its successor's, one inside one chunk, one before the
+// first element, one past the last (vtHi is the valid-time high-water mark),
+// and one that holds no element — a gap between two consecutive stored
+// elements, empty on the ordered classes (the parser refuses an empty
+// window). Windows that come out empty on a disordered history are left out.
+func diffClamps(v *readView, ends clampEnds, vtHi int64) []string {
+	els := v.elems()
+	var out []string
+	add := func(lo, hi int64) {
+		if lo < hi {
+			out = append(out, fmt.Sprintf("[%d, %d)", lo, hi))
+		}
+	}
+	if len(els) > 2*vec.BatchSize {
+		lo, _ := ends(els[vec.BatchSize])
+		_, hi := ends(els[2*vec.BatchSize])
+		add(lo, hi)
+		for _, e := range els[vec.BatchSize-1 : vec.BatchSize+1] {
+			at := int64(e.VT.Start())
+			add(at, at+1)
+		}
+		lo, _ = ends(els[vec.BatchSize+44])
+		add(lo, lo+20)
+	}
+	first := int64(els[0].VT.Start())
+	for _, e := range els {
+		first = min(first, int64(e.VT.Start()))
+	}
+	add(first-400, first)
+	add(vtHi+10, vtHi+400)
+	for i := 1; i+1 < len(els); i++ {
+		end := int64(els[i].VT.End())
+		if els[i].VT.IsEvent() {
+			end++
+		}
+		if next := int64(els[i+1].VT.Start()); next > end {
+			add(end, next)
+			break
+		}
+	}
+	return out
+}
+
+// runClamps runs each clamp through runDiff — both engines, through the read
+// path and cold and warm below it — current and under AS OF.
+func runClamps(t *testing.T, e *Entry, clamps []string, tally *diffTally) {
+	t.Helper()
+	asOf := horizonOf(e.view.Load())
+	for _, clamp := range clamps {
+		for _, from := range []string{e.Name(), fmt.Sprintf("%s as of %d", e.Name(), asOf)} {
+			runDiff(t, e, "select count(*), sum(v_int), max(v_str) from "+from+" when valid during "+clamp+" group by window(100)", "", tally)
+		}
+	}
 }
 
 // diffLifecycle is what happens to a relation between rounds of
@@ -436,7 +568,7 @@ var diffLifecycle = []struct {
 // both valid-time kinds × every lifecycle step × a random query mix; the
 // definition against row and columnar (each as found, cold and warm).
 func TestDifferentialRowColumnar(t *testing.T) {
-	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random", "ledger"}
+	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random", "ledger", "bounded"}
 	stamps := []struct {
 		kind element.TimestampKind
 		name string
@@ -452,6 +584,9 @@ func TestDifferentialRowColumnar(t *testing.T) {
 			var tally diffTally
 			for _, st := range stamps {
 				for _, class := range classes {
+					if class == "bounded" && st.kind != element.EventStamp {
+						continue // the offset bound is an event specialization
+					}
 					name := fmt.Sprintf("d_%s_%s", class, st.name)
 					d := buildDiffRelation(t, c, name, class, st.kind, rng)
 					ttHi := int64(10 * (diffBuildN + 500)) // logical clock: step 10 per transaction
@@ -461,6 +596,13 @@ func TestDifferentialRowColumnar(t *testing.T) {
 						e, vtHi := d.e, d.vtHi
 						if p := e.Physical(); d.general && (p.Compaction.Runs != 0 || p.Org == storage.VTOrdered) {
 							t.Fatalf("%s after %s: on %v with %d sealed runs; the leg means the general organization, unsealed", name, step.name, p.Org, p.Compaction.Runs)
+						}
+						ends := vtStarts
+						if d.bounded {
+							ends = ttWindowEnds
+							if a := e.view.Load().engine.Access(); a.Org != plan.OrgTTLog || !a.HasOffsetBounds {
+								t.Fatalf("%s after %s: on %v, bounds %v; the leg means the tt-ordered log with the pushdown", name, step.name, a.Org, a.HasOffsetBounds)
+							}
 						}
 						for i := 0; i < 10; i++ {
 							base, lim := genAggQuery(rng, name, st.kind == element.IntervalStamp, vtHi, ttHi)
@@ -477,6 +619,7 @@ func TestDifferentialRowColumnar(t *testing.T) {
 						} {
 							runDiff(t, e, "select count(*), sum(v_int), max(v_str) from "+name+" "+tail, "", &tally)
 						}
+						runClamps(t, e, diffClamps(e.view.Load(), ends, vtHi), &tally)
 					}
 					if ok == 0 {
 						t.Fatalf("%s: no generated query evaluated successfully", name)
@@ -600,6 +743,9 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		"select min(v_int), max(v_float) from churn when valid during [100, 2000) group by window(100)",
 		"select count(v_str) from churn as of 1500 group by window(64, rolling 3)",
 		"select sum(v_float) from churn where v_int > 0 group by window(128, cumulative)",
+		// The bounded reader under the churn: on the vt-ordered log the row
+		// leaf is the binary search, which starts and stops the chunk loop.
+		"select count(*), sum(v_int) from churn when valid during [2800, 9000) group by window(256)",
 	}
 	ctx := context.Background()
 	var owed []func() // definition legs, below the catalog: no reader, no plan
@@ -628,8 +774,8 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		}
 		nodeRow := tsql.Compile(qRow, v.engine.Access())
 		nodeCol := tsql.Compile(qCol, v.engine.Access())
-		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, tsql.PlanQuery(qRow), specRow, event, nil)
-		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, tsql.PlanQuery(qCol), specCol, event, nil)
+		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, specRow, event, nil)
+		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, specCol, event, nil)
 		// The definition leg is owed on every 25th view and paid after the
 		// churn stops, off the loop the mutators run beside.
 		if i%25 == 0 {

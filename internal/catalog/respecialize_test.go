@@ -11,6 +11,7 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -267,6 +268,63 @@ func TestRespecializeAdoptionRevokedByViolatingInsert(t *testing.T) {
 	for _, m := range rep.Migrations {
 		if m.To == storage.VTOrdered {
 			t.Fatalf("advisor migrated back to %v on a non-degenerate extension", m.To)
+		}
+	}
+}
+
+// TestOverlappingIntervalDegradesTheVTOrderedLabel is the interval half of
+// the revocation above, where the violation keeps the starts in order: a
+// relation on the vt-ordered log by inferred sequentiality takes a long
+// interval, then a short one that starts after it and ends inside it. The
+// valid-time search finds the first element reaching past a bound by its
+// end, so the label must go with the ends' order — before it did, the
+// search lost the long interval (a time-slice inside it answered without it,
+// and so did a clamped aggregate's bounded loop).
+func TestOverlappingIntervalDegradesTheVTOrderedLabel(t *testing.T) {
+	c := New(cachedConfig(t.TempDir()))
+	e, err := c.Create(relation.Schema{Name: "iv", ValidTime: element.IntervalStamp, Granularity: chronon.Second,
+		Varying: []relation.Column{{Name: "v", Type: element.KindInt}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := func(lo, hi chronon.Chronon) {
+		t.Helper()
+		if _, err := insert(e, relation.Insertion{VT: element.SpanOf(lo, hi), Varying: []element.Value{element.Int(1)}}); err != nil {
+			t.Fatalf("insert [%d, %d): %v", lo, hi, err)
+		}
+	}
+	for i := chronon.Chronon(1); i <= 600; i++ { // tt = 10·i: sequential, ends in order
+		span(10*i, 10*i+10)
+	}
+	if _, err := c.AdvisePass(AdvisorConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Physical().Org; got != storage.VTOrdered {
+		t.Fatalf("set-up left %v", got)
+	}
+	span(6010, 9000)
+	span(6020, 6025)
+	if got := e.Physical().Org; got == storage.VTOrdered {
+		t.Fatal("an interval ending before its predecessor left the vt-ordered label in place")
+	}
+	for i := chronon.Chronon(0); i < 300; i++ {
+		span(6030+10*i, 6035+10*i)
+	}
+	for _, at := range []chronon.Chronon{7000, 8999} {
+		want := 0
+		for _, el := range current(e).Elements {
+			if el.ValidAt(at) {
+				want++
+			}
+		}
+		if got := timeslice(e, at); len(got.Elements) != want || want == 0 {
+			t.Fatalf("timeslice at %d: %d elements, %d valid there", at, len(got.Elements), want)
+		}
+	}
+	src := "select count(*) from iv when valid during [8990, 8999) group by window(10)"
+	for _, engine := range []string{" using row", " using columnar"} {
+		if got, want := mustAggSelect(t, e, src+engine), mustDefine(t, e, src); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: %v, the definition %v", engine, got.Rows, want.Rows)
 		}
 	}
 }

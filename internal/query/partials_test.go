@@ -61,8 +61,9 @@ func testSpec(kind vec.WindowKind, k int64) *vec.Spec {
 }
 
 // threeWay runs spec on the row engine, the columnar engine with no memo,
-// and the columnar engine with memo, requires one answer (or one error
-// text) from all three, and returns the memoized execution's stats.
+// and the columnar engine with memo — all three through the plan's access
+// path — requires the definition's answer (or error text) from each, and
+// returns the memoized execution's stats.
 func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.ExecStats {
 	t.Helper()
 	ctx := context.Background()
@@ -70,18 +71,23 @@ func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.E
 	if spec.Filter.HasVT {
 		pq = plan.Query{Kind: plan.QVTRange, VTLo: spec.Filter.VTLo, VTHi: spec.Filter.VTHi}
 	}
+	want, wantErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(en.Store()))
 	acc := en.Access()
-	rowRes, _, rowErr := en.AggregateCtx(ctx, plan.BuildAggregate(acc, pq, plan.PickRow), pq, spec, true, nil)
+	rowRes, _, rowErr := en.AggregateCtx(ctx, plan.BuildAggregate(acc, pq, plan.PickRow), spec, true, nil)
 	col := plan.BuildAggregate(acc, pq, plan.PickColumnar)
-	dirRes, _, dirErr := en.AggregateCtx(ctx, col, pq, spec, true, nil)
-	memRes, stats, memErr := en.AggregateCtx(ctx, col, pq, spec, true, memo)
-	for name, err := range map[string]error{"direct": dirErr, "memoized": memErr} {
-		if (err == nil) != (rowErr == nil) || (err != nil && err.Error() != rowErr.Error()) {
-			t.Fatalf("%s columnar error %v, row error %v", name, err, rowErr)
+	dirRes, _, dirErr := en.AggregateCtx(ctx, col, spec, true, nil)
+	memRes, stats, memErr := en.AggregateCtx(ctx, col, spec, true, memo)
+	for _, leg := range []struct {
+		name string
+		res  *vec.AggResult
+		err  error
+	}{{"row", rowRes, rowErr}, {"direct columnar", dirRes, dirErr}, {"memoized columnar", memRes, memErr}} {
+		if (leg.err == nil) != (wantErr == nil) || (wantErr != nil && leg.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s error %v, definition's %v", leg.name, leg.err, wantErr)
 		}
-	}
-	if rowErr == nil && (!reflect.DeepEqual(dirRes, rowRes) || !reflect.DeepEqual(memRes, rowRes)) {
-		t.Fatalf("engines diverge\nrow:      %+v\ndirect:   %+v\nmemoized: %+v", rowRes, dirRes, memRes)
+		if wantErr == nil && !reflect.DeepEqual(leg.res, want) {
+			t.Fatalf("%s diverges from the definition\ndefinition: %+v\n%s: %+v", leg.name, want, leg.name, leg.res)
+		}
 	}
 	return stats
 }
@@ -240,7 +246,7 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 		threeWay(t, en, one, m) // fails in all three with one text
 		threeWay(t, en, one, next(m))
 		_, _, err := en.AggregateCtx(context.Background(),
-			plan.BuildAggregate(en.Access(), plan.Query{}, plan.PickColumnar), plan.Query{}, one, true, next(m))
+			plan.BuildAggregate(en.Access(), plan.Query{}, plan.PickColumnar), one, true, next(m))
 		if err == nil || err.Error() != "vec: sum(v) over mixed int and float values" {
 			t.Fatalf("%s: error %v", name, err)
 		}
@@ -265,10 +271,10 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	iv := New(st, nil)
 	ctx := context.Background()
 	col := plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickColumnar)
-	_, _, rowErr := iv.AggregateCtx(ctx, plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickRow), plan.Query{}, guard, false, nil)
+	_, _, rowErr := iv.AggregateCtx(ctx, plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickRow), guard, false, nil)
 	m := &PartialMemo{Budget: bigBudget}
 	for i := 0; i < 2; i++ {
-		_, _, err := iv.AggregateCtx(ctx, col, plan.Query{}, guard, false, m)
+		_, _, err := iv.AggregateCtx(ctx, col, guard, false, m)
 		if rowErr == nil || err == nil || err.Error() != rowErr.Error() {
 			t.Fatalf("span guard, pass %d: columnar %v, row %v", i, err, rowErr)
 		}

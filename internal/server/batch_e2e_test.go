@@ -11,6 +11,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/client"
+	"repro/internal/constraint"
+	"repro/internal/core"
 )
 
 func TestAggregateBatchOverTheWire(t *testing.T) {
@@ -122,5 +126,54 @@ func TestAggregateBatchOverTheWire(t *testing.T) {
 	}
 	if _, ok := m.Plans["columnar-scan"]; !ok {
 		t.Fatalf("plan metrics missing columnar-scan: %v", m.Plans)
+	}
+}
+
+// TestClampedAggregateReportsPrunedChunks: after a clamped USING ROW
+// aggregate on the vt-ordered log, /metrics batch.chunks_pruned counts the
+// chunks the binary search never reached. 750 events at vt = 5i: two full
+// chunks and a tail of 238; the clamp [2600, 3000) lies in the tail, so both
+// full chunks are skipped and only the tail is visited.
+func TestClampedAggregateReportsPrunedChunks(t *testing.T) {
+	ctx := context.Background()
+	cli, stop := bootServer(t, t.TempDir())
+	defer stop()
+	if _, err := cli.Create(ctx, empSchema()); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := cli.Declare(ctx, "emp", mustDescriptor(t, constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()})); err != nil {
+		t.Fatalf("Declare: %v", err)
+	}
+	for from := 0; from < 750; from += 250 {
+		reqs := make([]client.InsertRequest, 250)
+		for j := range reqs {
+			reqs[j] = insertReq(int64(5*(from+j)), "w", int64(from+j))
+		}
+		if _, err := cli.InsertBatch(ctx, "emp", reqs, true); err != nil {
+			t.Fatalf("InsertBatch: %v", err)
+		}
+	}
+	m, err := cli.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if m.Batch != nil {
+		t.Fatalf("batch counters before any aggregate: %+v", m.Batch)
+	}
+	sel, err := cli.Select(ctx, "select count(*), sum(salary) from emp when valid during [2600, 3000) group by window(100) using row")
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if sel.Plan == nil || sel.Plan.Leaf().Kind != "vt-binary-search" {
+		t.Fatalf("clamp planned %+v, want the vt-ordered log's binary search", sel.Plan)
+	}
+	if len(sel.Rows) != 4 || sel.Rows[0][2].Int != 20 || sel.Touched != 238 {
+		t.Fatalf("clamped aggregate: %d windows, first %+v, touched %d", len(sel.Rows), sel.Rows[0], sel.Touched)
+	}
+	if m, err = cli.Metrics(ctx); err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if m.Batch == nil || m.Batch.ChunksPruned != 2 || m.Batch.RunsFolded != 0 {
+		t.Fatalf("batch counters %+v, want the 2 full chunks before the clamp pruned and none folded", m.Batch)
 	}
 }

@@ -663,6 +663,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.RowPicks += bs.RowPicks
 		batch.RunsMerged += bs.RunsMerged
 		batch.RunsFolded += bs.RunsFolded
+		batch.ChunksPruned += bs.ChunksPruned
 		batch.PartialHits += bs.PartialHits
 		batch.PartialMisses += bs.PartialMisses
 		ims := e.ImageStats()

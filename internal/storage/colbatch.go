@@ -8,7 +8,10 @@ package storage
 // from their elements. Every full chunk, sealed or not, is pruned on its
 // zone map (seq.go) before a varint is read or an element visited, and
 // reports its lifetime close count, which is what lets the aggregate path
-// keep a chunk's contribution across writes elsewhere.
+// keep a chunk's contribution across writes elsewhere. Where the store's
+// order bounds a query (SeekVT, SeekTT), the reader starts at the chunk a
+// binary search finds and stops where the order says nothing further can
+// match, so the chunks outside cost not even a probe.
 
 import (
 	"encoding/binary"
@@ -60,6 +63,7 @@ func DecodeRunColumns(packed []byte, n int, tts, tte, vts, vte []int64) error {
 // Next until it reports false.
 type BatchReader struct {
 	s     seq
+	kind  Kind
 	event bool
 
 	// Zone-map pruning knobs.
@@ -70,6 +74,7 @@ type BatchReader struct {
 	tt          chronon.Chronon
 
 	next    int // the chunk the next Advance looks at
+	end     int // the chunk Advance stops before
 	skipped int
 }
 
@@ -93,7 +98,46 @@ type Unit struct {
 // relation: packed runs store vt⊣ = vt⊢ for events, so the reader
 // rewrites the column to the exclusive vt⊢+1 every operator expects.
 func NewBatchReader(st Store, event bool) *BatchReader {
-	return &BatchReader{s: *seqOf(st), event: event}
+	s := seqOf(st)
+	return &BatchReader{s: *s, kind: st.Kind(), event: event, end: s.chunks()}
+}
+
+// SeekVT bounds the reader by the vt-ordered log's order to the chunks that
+// can hold an element valid during [lo, hi): it starts at the chunk of the
+// first element whose valid time reaches past lo — vtRangeOrdered's search —
+// and stops before the first chunk that begins at or past hi, where every
+// element starts at or past hi. On the other organizations, which promise no
+// valid-time order, it does nothing. It narrows where the reader goes, not
+// what a chunk yields: pair it with SetVTWindow. Call it before Advance.
+func (r *BatchReader) SeekVT(lo, hi chronon.Chronon) {
+	if r.kind != VTOrdered {
+		return
+	}
+	r.bound(r.s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo }),
+		r.s.search(func(e *element.Element) bool { return e.VT.Start() >= hi }))
+}
+
+// SeekTT bounds the reader by the logs' transaction-time order to the chunks
+// that hold an element with lo ≤ tt⊢ ≤ hi — the window a tt-window pushdown
+// turns a valid-time clamp into. On the heap, which promises no order, it does
+// nothing. Call it before Advance.
+func (r *BatchReader) SeekTT(lo, hi chronon.Chronon) {
+	if r.kind == Heap {
+		return
+	}
+	r.bound(r.s.search(func(e *element.Element) bool { return e.TTStart >= lo }),
+		r.s.search(func(e *element.Element) bool { return e.TTStart > hi }))
+}
+
+// bound narrows the reader to the chunks that hold elements [from, to),
+// counting the chunks it gives up as skipped.
+func (r *BatchReader) bound(from, to int) {
+	next, end := max(r.next, from/runSize), min(r.end, (to+runSize-1)/runSize)
+	if to <= from || end < next {
+		end = next
+	}
+	r.skipped += (r.end - r.next) - (end - next)
+	r.next, r.end = next, end
 }
 
 // SetVTWindow prunes full chunks whose valid-time envelope misses [lo, hi).
@@ -110,7 +154,8 @@ func (r *BatchReader) SetCurrentOnly() { r.currentOnly = true }
 // run with any open element seals with maxTTEnd = Forever.
 func (r *BatchReader) SetAsOf(tt chronon.Chronon) { r.asOf, r.tt = true, tt }
 
-// Skipped reports how many chunks the zone maps pruned.
+// Skipped reports how many chunks the reader passes over without yielding
+// them: those the zone maps pruned, and those a seek's bounds leave out.
 func (r *BatchReader) Skipped() int { return r.skipped }
 
 // skipRun reports whether full chunk k holds no row the reader wants.
@@ -169,7 +214,7 @@ func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
 // knows a full chunk's contribution (Unit.Stable) advances past it for the
 // price of this metadata probe; otherwise Load or Rows produces its rows.
 func (r *BatchReader) Advance() (Unit, bool) {
-	for r.next < r.s.chunks() {
+	for r.next < r.end {
 		k := r.next
 		r.next++
 		if !r.s.full(k) {

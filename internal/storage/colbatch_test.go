@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -600,4 +601,158 @@ func TestAdvanceReportsStableRuns(t *testing.T) {
 			t.Errorf("%s: units %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestSeekBounds holds the reader's two bounds to brute force. On a
+// vt-ordered log of events (with repeated valid times and gaps), one of
+// sequential intervals, and a tt-ordered log, for windows on, beside and
+// between chunk boundaries, inside one chunk, before the first element, past
+// the last, empty and inverted, a seek yields one contiguous stretch of chunks
+// that holds every element the window can reach, begins with a chunk holding
+// the first of them and ends with one holding the last — and Skipped counts
+// the rest. Where the label promises no such order a seek changes nothing.
+func TestSeekBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 5*runSize + 37
+	events, intervals, ttlog, heap := NewVTLog(), NewVTLog(), NewTTLog(), NewHeap()
+	vt, tt := int64(0), int64(0)
+	for i := 0; i < n; i++ {
+		vt += 5 * rng.Int63n(3)
+		tt += 1 + rng.Int63n(3)
+		ev := &element.Element{ES: surrogate.Surrogate(i + 1), OS: 1, TTStart: chronon.Chronon(tt), TTEnd: chronon.Forever,
+			VT: element.EventAt(chronon.Chronon(vt))}
+		iv := *ev
+		iv.VT = element.SpanOf(chronon.Chronon(10*i), chronon.Chronon(int64(10*i)+1+rng.Int63n(9)))
+		for _, ins := range []struct {
+			st Store
+			e  *element.Element
+		}{{events, ev}, {intervals, &iv}, {ttlog, ev}, {heap, ev}} {
+			if err := ins.st.Insert(ins.e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// seek reports the stretch of chunks [a, b) a sought reader yields.
+	seek := func(st Store, how func(*BatchReader)) (a, b int) {
+		t.Helper()
+		r := NewBatchReader(st, true)
+		how(r)
+		a, b = -1, -1
+		for {
+			u, ok := r.Advance()
+			if !ok {
+				break
+			}
+			k := u.Run
+			if k < 0 {
+				k = seqOf(st).chunks() - 1
+			}
+			if a < 0 {
+				a = k
+			} else if k != b {
+				t.Fatalf("yielded chunk %d after %d", k, b-1)
+			}
+			b = k + 1
+		}
+		if a < 0 {
+			a, b = 0, 0
+		}
+		if want := seqOf(st).chunks() - (b - a); r.Skipped() != want {
+			t.Fatalf("skipped %d of %d chunks, yielded %d", r.Skipped(), seqOf(st).chunks(), b-a)
+		}
+		return a, b
+	}
+	// check holds [a, b) to the elements: reach says whether the window can
+	// reach one, past whether it lies wholly before the window's start,
+	// beyond wholly after its end. An empty stretch need only miss nothing.
+	check := func(what string, st Store, a, b int, reach, past, beyond func(*element.Element) bool) {
+		t.Helper()
+		s := seqOf(st)
+		for i := 0; i < s.n; i++ {
+			e, k := s.at(i), i/runSize
+			switch {
+			case reach(e) && (k < a || k >= b):
+				t.Fatalf("%s: element %d in chunk %d is outside the yielded chunks [%d, %d)", what, i, k, a, b)
+			case a < b && (k < a && !past(e) || k >= b && !beyond(e)):
+				t.Fatalf("%s: element %d in unyielded chunk %d may still meet the window", what, i, k)
+			}
+		}
+		if a < b && (allOf(s.run(a), past) || allOf(s.run(b-1), beyond)) {
+			t.Fatalf("%s: yielded [%d, %d) is wider than the elements the window can reach", what, a, b)
+		}
+	}
+	// edges lists the chronons key gives the first and last element of each
+	// chunk, and their neighbours: where an off-by-one in a bound shows.
+	edges := func(st Store, key func(*element.Element) chronon.Chronon) []int64 {
+		var out []int64
+		for k := range seqOf(st).chunks() {
+			run := seqOf(st).run(k)
+			for _, e := range []*element.Element{run[0], run[len(run)-1]} {
+				at := int64(key(e))
+				out = append(out, at-1, at, at+1)
+			}
+		}
+		return out
+	}
+	vtStart := func(e *element.Element) chronon.Chronon { return e.VT.Start() }
+	for _, c := range []struct {
+		name string
+		st   *RunStore
+	}{{"events", events}, {"intervals", intervals}} {
+		st, ends := c.st, edges(c.st, vtStart)
+		for i := 0; i < 400; i++ {
+			lo := ends[rng.Intn(len(ends))]
+			hi := lo + rng.Int63n(3000) - 20 // some empty and inverted
+			if i%5 == 0 {
+				hi = ends[rng.Intn(len(ends))]
+			}
+			switch i {
+			case 0:
+				lo, hi = -500, -100 // before the first element
+			case 1:
+				lo, hi = 1<<40, 1<<41 // past the last
+			}
+			a, b := seek(st, func(r *BatchReader) { r.SeekVT(chronon.Chronon(lo), chronon.Chronon(hi)) })
+			check(fmt.Sprintf("%s vt [%d, %d)", c.name, lo, hi), st, a, b,
+				func(e *element.Element) bool { return ValidDuring(e, chronon.Chronon(lo), chronon.Chronon(hi)) },
+				func(e *element.Element) bool { return int64(exclusiveEnd(e)) <= lo },
+				func(e *element.Element) bool { return int64(e.VT.Start()) >= hi })
+		}
+	}
+	ttEdges := edges(ttlog, func(e *element.Element) chronon.Chronon { return e.TTStart })
+	for i := 0; i < 400; i++ {
+		lo := ttEdges[rng.Intn(len(ttEdges))]
+		hi := lo + rng.Int63n(1500) - 10
+		if i%5 == 0 {
+			hi = ttEdges[rng.Intn(len(ttEdges))]
+		}
+		a, b := seek(ttlog, func(r *BatchReader) { r.SeekTT(chronon.Chronon(lo), chronon.Chronon(hi)) })
+		check(fmt.Sprintf("tt [%d, %d]", lo, hi), ttlog, a, b,
+			func(e *element.Element) bool { return lo <= int64(e.TTStart) && int64(e.TTStart) <= hi },
+			func(e *element.Element) bool { return int64(e.TTStart) < lo },
+			func(e *element.Element) bool { return int64(e.TTStart) > hi })
+	}
+	all := seqOf(heap).chunks()
+	for _, c := range []struct {
+		st  Store
+		how func(*BatchReader)
+	}{
+		{heap, func(r *BatchReader) { r.SeekVT(100, 200) }},
+		{heap, func(r *BatchReader) { r.SeekTT(100, 200) }},
+		{ttlog, func(r *BatchReader) { r.SeekVT(100, 200) }},
+	} {
+		if a, b := seek(c.st, c.how); a != 0 || b != all {
+			t.Fatalf("%v: a seek the label does not license yielded [%d, %d) of %d chunks", c.st.Kind(), a, b, all)
+		}
+	}
+}
+
+// allOf reports whether every element of run satisfies p.
+func allOf(run []*element.Element, p func(*element.Element) bool) bool {
+	for _, e := range run {
+		if !p(e) {
+			return false
+		}
+	}
+	return true
 }

@@ -422,7 +422,11 @@ func TestSeqLockFreeReaders(t *testing.T) {
 		}()
 	}
 	rng := rand.New(rand.NewSource(3))
-	for step := 0; step < 4000 || (checks.Load() < 100 && !t.Failed()); step++ {
+	// Past the first 4000 steps, keep writing until the readers have checked
+	// a hundred views and one of them with an unsealed full chunk: how far
+	// they get in 4000 steps is the scheduler's call (it left the second
+	// unmet in ≈ 2 runs of 100).
+	for step := 0; step < 4000 || (checks.Load() < 100 || unsealed.Load() == 0) && !t.Failed() && step < 100_000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5 && len(open) > 0: // close: most land in sealed runs, some in the newest chunks or the tail
 			i := rng.Intn(len(open))

@@ -45,7 +45,8 @@ const (
 	// specialization: elements arrive in valid-time order, so the store
 	// is simultaneously tt- and vt-ordered and valid-time queries
 	// binary-search. Interval relations additionally need sequentiality
-	// (non-overlap) for point lookups to be complete.
+	// (non-overlap) for point lookups to be complete; the label enforces
+	// its consequence the search relies on, non-decreasing ends.
 	VTOrdered
 )
 
@@ -178,6 +179,12 @@ func (k Kind) breaks(last, e *element.Element) error {
 	case k == VTOrdered && e.VT.Start() < last.VT.Start():
 		return fmt.Errorf("storage: vt-ordered insert out of vt order (%v after %v); "+
 			"the non-decreasing declaration is violated", e.VT.Start(), last.VT.Start())
+	case k == VTOrdered && exclusiveEnd(e) < exclusiveEnd(last):
+		// The valid-time search (vtRangeOrdered, BatchReader.SeekVT) finds the
+		// first element reaching past lo by its end, so ends must be ordered
+		// too: what sequential intervals promise and events keep by themselves.
+		return fmt.Errorf("storage: vt-ordered insert out of vt order (ends at %v after %v); "+
+			"the sequential declaration is violated", exclusiveEnd(e), exclusiveEnd(last))
 	}
 	return nil
 }

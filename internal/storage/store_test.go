@@ -178,6 +178,25 @@ func TestVTLogRejectsDisorder(t *testing.T) {
 	if err := vtlog.Insert(ev(90, 200)); err == nil {
 		t.Error("tt disorder accepted")
 	}
+	// Ordered starts are not enough for intervals: the valid-time search
+	// finds the first element reaching past a bound by its end. A history
+	// whose ends fall back cannot take the label either.
+	ivlog := NewVTLog()
+	if err := ivlog.Insert(iv(100, 10, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ivlog.Insert(iv(110, 20, 30)); err == nil {
+		t.Error("an interval ending before its predecessor accepted")
+	}
+	ttlog := NewTTLog()
+	for _, e := range []*element.Element{iv(100, 10, 500), iv(110, 20, 30)} {
+		if err := ttlog.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ttlog.Retype(VTOrdered); err == nil || ttlog.Kind() != TTOrdered {
+		t.Errorf("Retype to the vt-ordered label over falling ends: %v, now %v", err, ttlog.Kind())
+	}
 }
 
 func TestTTLogRejectsDisorder(t *testing.T) {

@@ -357,8 +357,8 @@ func zoneMapModel(t *testing.T, kind Kind, interval bool, seed int64) {
 				}
 			}
 		case op < 86:
-			// Up only to what the history keeps: Retype checks starts alone,
-			// and the vt-ordered search also needs the intervals sequential.
+			// Up only to what the history keeps: Retype refuses a vt-ordered
+			// label once starts or ends have left valid-time order.
 			to := Kinds()[rng.Intn(3)]
 			if to == VTOrdered && !ordered {
 				to = TTOrdered

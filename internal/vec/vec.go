@@ -83,4 +83,7 @@ type ExecStats struct {
 	// by merging a memoized partial, and how many were folded.
 	RunsMerged int64
 	RunsFolded int64
+	// ChunksPruned counts the chunks passed over unread: those a zone map
+	// pruned, and those the access path's bounds never reached.
+	ChunksPruned int64
 }

@@ -932,9 +932,11 @@ type QueryCacheMetrics struct {
 // catalog: batches and rows the columnar engine actually visited, how
 // often the planner picked each engine for an executed window aggregate,
 // how many full 256-element chunks either engine answered by merging a
-// memoized partial against folded, and how often an execution found its
-// run partials in the query cache. The partial lookups are not part of
-// query_cache's hits and misses, which count whole results only.
+// memoized partial against folded, how many chunks it passed over unread
+// (pruned on a zone map, or outside the bounds the store's order gave the
+// access path), and how often an execution found its run partials in the
+// query cache. The partial lookups are not part of query_cache's hits and
+// misses, which count whole results only.
 type BatchMetrics struct {
 	Batches          int64   `json:"batches"`
 	Rows             int64   `json:"rows"`
@@ -943,6 +945,7 @@ type BatchMetrics struct {
 	RowPicks         int64   `json:"row_picks"`
 	RunsMerged       int64   `json:"runs_merged"`
 	RunsFolded       int64   `json:"runs_folded"`
+	ChunksPruned     int64   `json:"chunks_pruned,omitempty"`
 	PartialHits      int64   `json:"partial_hits"`
 	PartialMisses    int64   `json:"partial_misses"`
 }
