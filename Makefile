@@ -92,7 +92,9 @@ bench:
 	$(GO) run ./cmd/benchrunner
 
 # A trimmed benchmark pass: snapshot vs cache-hit time-slices,
-# the auto-specialization before/after pair, boot replay over a log with
+# the auto-specialization before/after pair, the idempotency window's
+# lookup and remember per key on a full, churning window (0 allocs/op),
+# boot replay over a log with
 # closes and over an ingesting sensor's log of keyed batch frames
 # (versions/s), a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
@@ -113,7 +115,7 @@ bench:
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server

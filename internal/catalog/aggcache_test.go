@@ -19,7 +19,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tsql"
-	"repro/internal/tx"
 )
 
 func mustAggSelect(t *testing.T, e *Entry, src string) *tsql.Result {
@@ -498,22 +497,6 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
-// stepBackClock is a logical clock whose second stamp falls below its
-// first: the one history no ordered log accepts, so the relation that
-// commits it lands on the heap.
-type stepBackClock struct {
-	inner tx.Clock
-	n     int
-}
-
-func (c *stepBackClock) Now() chronon.Chronon { return c.inner.Now() }
-func (c *stepBackClock) Next() chronon.Chronon {
-	if c.n++; c.n == 1 {
-		return c.inner.Next() + 1000
-	}
-	return c.inner.Next()
-}
-
 // TestChunkPartialsOnTheGeneralOrganizations pins, in counters, what the
 // memo does where nothing is ever sealed: a heap and an undeclared tt-log of
 // 20 full chunks and a tail. Warm, a delete inside a full chunk costs the
@@ -526,17 +509,16 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 	const src = "select sum(v) from s group by window(32768, cumulative) using row"
 	for _, org := range []storage.Kind{storage.Heap, storage.TTOrdered} {
 		t.Run(org.String(), func(t *testing.T) {
-			cfg := cachedConfig(t.TempDir())
-			if org == storage.Heap {
-				cfg.NewClock = func() tx.Clock { return &stepBackClock{inner: tx.NewLogicalClock(0, 10)} }
-			}
-			c := New(cfg)
+			c := New(cachedConfig(t.TempDir()))
 			e, err := c.Create(relation.Schema{
 				Name: "s", ValidTime: element.EventStamp, Granularity: chronon.Second,
 				Varying: []relation.Column{{Name: "v", Type: element.KindInt}},
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if org == storage.Heap {
+				onTheHeap(t, e)
 			}
 			n := 0
 			load := func(k int) {
@@ -605,8 +587,10 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 				t.Fatalf("Vacuum removed %d (%v) and kept generation %d", removed, err, gen)
 			}
 			foldsOnce("after a removing vacuum")
-			if org == storage.Heap {
-				return // the order this history broke is tt's: nothing to respecialize to
+			// The vacuum's rebuild advised the store afresh: the heap's leg is
+			// on the tt-ordered log from here on, like the other.
+			if got := e.Physical().Org; got != storage.TTOrdered {
+				t.Fatalf("after a removing vacuum: on the %v", got)
 			}
 			// A migration and a degrade re-label the store they find: same
 			// chunks, same close counts, same generation. The first aggregate

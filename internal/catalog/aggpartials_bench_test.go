@@ -23,7 +23,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tsql"
-	"repro/internal/tx"
 	"repro/internal/vec"
 )
 
@@ -106,9 +105,6 @@ func ledgerOf(t testing.TB, org storage.Kind, n int, cacheBytes int64, stamp fun
 	t.Helper()
 	cfg := testConfig(t.TempDir())
 	cfg.CacheBytes = cacheBytes
-	if org == storage.Heap {
-		cfg.NewClock = func() tx.Clock { return &stepBackClock{inner: tx.NewLogicalClock(0, 10)} }
-	}
 	c := New(cfg)
 	e, err := c.Create(relation.Schema{
 		Name: "ledger", ValidTime: element.IntervalStamp, Granularity: chronon.Second,
@@ -117,9 +113,12 @@ func ledgerOf(t testing.TB, org storage.Kind, n int, cacheBytes int64, stamp fun
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	if org == storage.Heap {
+		onTheHeap(t, e)
+	}
 	ess := make([]surrogate.Surrogate, 0, n)
 	for len(ess) < n {
-		ins := make([]relation.Insertion, min(256, n-len(ess), 1+len(ess))) // 1, 2, 4, …: the heap's clock steps back after the first
+		ins := make([]relation.Insertion, min(256, n-len(ess)))
 		for j := range ins {
 			ins[j] = stamp(org, len(ess)+j)
 		}

@@ -612,9 +612,11 @@ type Entry struct {
 	wal    *wal.Log
 	walLSN atomic.Uint64
 
-	// dedup is the relation's idempotency window (see dedup.go). Guarded
-	// by locked's exclusive lock, like decls.
-	dedup *dedupWindow
+	// dedup is the relation's idempotency window (see dedup.go), and
+	// scratch what commit reuses from one mutation to the next. Guarded by
+	// locked's exclusive lock, like decls.
+	dedup   dedupWindow
+	scratch commitScratch
 
 	// tracker incrementally observes the extension's timestamps (guarded
 	// by locked's exclusive lock): the monotone class properties it still
@@ -768,7 +770,7 @@ func classesFromU8(bs []uint8) []core.Class {
 // its migrated organization without WAL replay.
 func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.Descriptor, phys backlog.Physical) *Entry {
 	e := &Entry{
-		name: name, locked: l, decls: decls, dedup: newDedupWindow(),
+		name: name, locked: l, decls: decls,
 		wal: c.cfg.WAL, cache: c.cache, follower: c.cfg.Follower,
 		storeGens: &c.storeGens,
 		adopted:   classesFromU8(phys.Adopted), migrations: phys.Migrations,

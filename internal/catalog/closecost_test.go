@@ -131,7 +131,7 @@ func TestReplayAllocationBudget(t *testing.T) {
 				Invariant: []element.Value{element.String_("s1")}, Varying: []element.Value{element.Int(n % 1000)},
 			}})
 		}
-		payload, err := m.encode()
+		payload, err := m.encode(nil)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

@@ -12,15 +12,17 @@ package catalog
 //
 // The window is rebuilt from the WAL on boot (keyed records repopulate it
 // during replay), so retries survive a crash between the original ack and
-// the retry. Its lifetime is bounded twice over: FIFO-capped at
-// dedupWindowCap keys per relation, and implicitly by WAL truncation — a
-// snapshot that truncates the log also ends the window's crash
-// recoverability for the truncated prefix. Clients whose retry horizon is
-// seconds sit comfortably inside both bounds.
+// the retry. Its lifetime is bounded twice over: the newest dedupWindowCap
+// keys per relation always dedup and no key is forgotten before
+// dedupWindowCap newer ones (at most twice that are held), and implicitly
+// by WAL truncation — a snapshot that truncates the log also ends the
+// window's crash recoverability for the truncated prefix. Clients whose
+// retry horizon is seconds sit comfortably inside both bounds.
 
 import "repro/internal/element"
 
-// dedupWindowCap bounds remembered keys per relation.
+// dedupWindowCap is the generation size: how many keys a relation always
+// remembers.
 const dedupWindowCap = 4096
 
 // dedupOp tags which operation a key was first used for; a key reused
@@ -55,39 +57,43 @@ type dedupHit struct {
 	lsn  uint64
 }
 
-// dedupWindow is a FIFO-bounded key → original-result map. It is
-// accessed only under the owning relation's exclusive lock (mutations
-// and WAL replay both hold it), so it needs no lock of its own.
+// dedupWindow is a key → original-result map in two generations: keys go
+// into cur, and when cur holds dedupWindowCap of them it becomes prev and
+// the old prev, cleared, is the new cur. A key is forgotten only with a
+// whole generation, so nothing is deleted key by key, a lookup probes two
+// maps at most, and once both exist nothing is allocated again. Live apply
+// and replay remember keys through the same call in the same order, so
+// they build the same two generations. It is accessed only under the
+// owning relation's exclusive lock (mutations and WAL replay both hold
+// it), so it needs no lock of its own.
 type dedupWindow struct {
-	m map[string]dedupHit
-	// ring holds the remembered keys in arrival order. It grows to
-	// dedupWindowCap and stays: from then on oldest is the slot the next
-	// key overwrites, so an evicted key is dropped at once and nothing
-	// reallocates.
-	ring   []string
-	oldest int
-}
-
-func newDedupWindow() *dedupWindow {
-	return &dedupWindow{m: make(map[string]dedupHit)}
+	cur, prev map[string]dedupHit
 }
 
 func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
-	h, ok := w.m[key]
+	if h, ok := w.cur[key]; ok {
+		return h, true
+	}
+	h, ok := w.prev[key]
 	return h, ok
 }
 
+// remember files key in the current generation. The caller has looked it
+// up and missed, or is replaying a frame that did: there is nothing to
+// probe for first.
 func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element, lsn uint64) {
-	if _, dup := w.m[key]; !dup {
-		if len(w.ring) < dedupWindowCap {
-			w.ring = append(w.ring, key)
+	switch {
+	case w.cur == nil:
+		w.cur = make(map[string]dedupHit, dedupWindowCap)
+	case len(w.cur) == dedupWindowCap:
+		w.prev, w.cur = w.cur, w.prev
+		if w.cur == nil {
+			w.cur = make(map[string]dedupHit, dedupWindowCap)
 		} else {
-			delete(w.m, w.ring[w.oldest])
-			w.ring[w.oldest] = key
-			w.oldest = (w.oldest + 1) % dedupWindowCap
+			clear(w.cur)
 		}
 	}
-	w.m[key] = dedupHit{op: op, elem: el, lsn: lsn}
+	w.cur[key] = dedupHit{op: op, elem: el, lsn: lsn}
 }
 
 // maxIdemKeyLen bounds a key at the protocol level; longer keys are

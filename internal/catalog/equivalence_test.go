@@ -33,9 +33,10 @@ type eqState struct {
 	Golden             goldenRel
 	Declared, Inferred []string
 	Migrations         uint64
-	DedupOrder         []string
-	DedupLSN           map[string]uint64
-	Answers            map[string][]string
+	// The dedup window's two generations, each key with its frame's LSN:
+	// which generation a key sits in decides when it is forgotten.
+	DedupCur, DedupPrev map[string]uint64
+	Answers             map[string][]string
 }
 
 func classNames(cs []core.Class) []string {
@@ -54,13 +55,10 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 	p := e.Physical()
 	s := eqState{
 		Golden: goldenState(e), Declared: classNames(p.Declared), Inferred: classNames(p.Inferred),
-		Migrations: p.Migrations, DedupLSN: map[string]uint64{}, Answers: map[string][]string{},
+		Migrations: p.Migrations, Answers: map[string][]string{},
 	}
 	_ = e.locked.View(func(*relation.Relation) error {
-		s.DedupOrder = e.dedup.keys()
-		for k, h := range e.dedup.m {
-			s.DedupLSN[k] = h.lsn
-		}
+		s.DedupCur, s.DedupPrev = lsns(e.dedup.cur), lsns(e.dedup.prev)
 		return nil
 	})
 	answer := func(label string, res QueryResult, err error) {
@@ -239,6 +237,29 @@ func (d *eqDriver) step(t *testing.T) {
 	}
 }
 
+// flood stores a generation and more of keyed elements in 256-element
+// batches: the dedup window swaps, and the keys remembered before the flood
+// move to its older generation, where the retries after it must find them
+// on all three routes.
+func (d *eqDriver) flood(t *testing.T) {
+	for n := dedupWindowCap + d.rng.Intn(dedupWindowCap/2); n > 0; n -= 256 {
+		ins, keys := make([]relation.Insertion, 256), make([]string, 256)
+		for i := range ins {
+			d.nkeys++
+			ins[i], keys[i] = d.insertion(i+1, false), fmt.Sprintf("%s-f%d", d.e.Name(), d.nkeys)
+		}
+		res, err := d.e.InsertBatch(context.Background(), ins, keys, false)
+		if err != nil {
+			t.Fatalf("flood: %v", err)
+		}
+		for _, it := range res.Items {
+			if it.Status == BatchStored {
+				d.live = append(d.live, it.Elem.ES)
+			}
+		}
+	}
+}
+
 func TestLiveBootFollowerEquivalence(t *testing.T) {
 	seeds, steps := 32, 200
 	if testing.Short() {
@@ -262,8 +283,21 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 				}
 				drivers = append(drivers, &eqDriver{rng: rng, e: e})
 			}
+			flooded := seed%8 == 1 // every eighth seed: capturing ≈ 10,000 more elements is most of the test's time
 			for i := 0; i < steps; i++ {
+				if flooded && i == steps/2 {
+					for _, d := range drivers {
+						d.flood(t)
+					}
+				}
 				drivers[rng.Intn(len(drivers))].step(t)
+			}
+			var ttHi int64 // past every stamp the logical clocks issued
+			for _, d := range drivers {
+				if flooded && d.e.dedup.prev == nil {
+					t.Fatalf("%s: the flood left the dedup window in one generation", d.e.Name())
+				}
+				ttHi = max(ttHi, int64(d.e.Locked().Unwrap().Clock().Now())+10)
 			}
 
 			recs := recordsOf(t, fs)
@@ -286,7 +320,6 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 				}
 			}
 
-			ttHi := int64(10 * (len(recs) + steps)) // past every stamp the logical clock issued
 			for _, d := range drivers {
 				name := d.e.Name()
 				want := eqCapture(t, d.e, d.lastVT+5, ttHi)

@@ -17,12 +17,14 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/integrity"
 	"repro/internal/relation"
 	"repro/internal/tx"
 	"repro/internal/wal"
@@ -61,12 +63,14 @@ func goldenState(e *Entry) goldenRel {
 		for _, el := range r.Versions() {
 			g.Versions = append(g.Versions, fmt.Sprintf("%v|%v|%v|%v|%v", el.ES, el.OS, el.VT, el.TTStart, el.TTEnd))
 		}
-		for k, h := range e.dedup.m {
-			s := h.op.String()
-			if h.elem != nil {
-				s += fmt.Sprintf(" %v", h.elem.ES)
+		for _, gen := range []map[string]dedupHit{e.dedup.prev, e.dedup.cur} {
+			for k, h := range gen {
+				s := h.op.String()
+				if h.elem != nil {
+					s += fmt.Sprintf(" %v", h.elem.ES)
+				}
+				g.Keys[k] = s
 			}
-			g.Keys[k] = s
 		}
 		g.Decls = len(e.decls)
 		return nil
@@ -248,7 +252,7 @@ func TestGoldenFramesReencode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lsn %d: %v", rec.LSN, err)
 		}
-		payload, err := m.encode()
+		payload, err := m.encode(nil)
 		if err != nil {
 			t.Fatalf("lsn %d: %v", rec.LSN, err)
 		}
@@ -269,6 +273,22 @@ func TestGoldenFramesReencode(t *testing.T) {
 		if got.LSN != golden[i].LSN || got.Rel != golden[i].Rel || got.Kind != wantKind || !bytes.Equal(got.Payload, want) {
 			t.Errorf("frame %d: writer emitted lsn %d kind %d rel %q\n got  %x\n want lsn %d kind %d rel %q\n      %x",
 				i, got.LSN, got.Kind, got.Rel, got.Payload, golden[i].LSN, wantKind, golden[i].Rel, want)
+		}
+	}
+}
+
+// TestFrameLeafIsTheFrameBodysLeaf: the leaf the write path, replay, the
+// replication streamer and the follower hash in place — header, then
+// payload where it lies — is the leaf of the frame body as the log frames
+// it, for every frame of the golden log, and for a relation name longer
+// than the header's stack buffer.
+func TestFrameLeafIsTheFrameBodysLeaf(t *testing.T) {
+	_, recs := loadGolden(t)
+	recs = append(recs, wal.Record{LSN: 1 << 40, Kind: walInsertBatch, Rel: strings.Repeat("r", 300), Payload: []byte{1, 2, 3}})
+	for _, rec := range recs {
+		got := integrity.FrameLeaf(rec.LSN, rec.Kind, rec.Rel, rec.Payload)
+		if want := integrity.LeafHash(wal.FrameBody(rec.LSN, rec.Kind, rec.Rel, rec.Payload)); got != want {
+			t.Fatalf("lsn %d, kind %d: the in-place leaf %x, the frame body's %x", rec.LSN, rec.Kind, got, want)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package catalog
 
 import (
 	"context"
+	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
@@ -58,8 +60,31 @@ func (v *readView) defined(q *tsql.Query) (*tsql.Result, error) {
 	return tsql.EvalAggregate(context.Background(), q, v.schema, storage.Runs(v.engine.Store()))
 }
 
-// keys lists the window's remembered keys, oldest first: the order they
-// will be evicted in.
-func (w *dedupWindow) keys() []string {
-	return append(append([]string(nil), w.ring[w.oldest:]...), w.ring[:w.oldest]...)
+// onTheHeap re-labels e's store as the heap. No history reaches that label
+// any more — every transaction time is stamped past the last one (the
+// relation's stamp), so the tt-ordered log always holds what is stored —
+// but relabel still falls back to it and the store still serves it, so the
+// tests of what runs on each label put a relation there by hand. Like any
+// re-label it keeps the store, its chunks and its generation.
+func onTheHeap(t testing.TB, e *Entry) {
+	t.Helper()
+	_ = e.locked.Exclusive(func(*relation.Relation) error {
+		if err := e.store.Retype(storage.Heap); err != nil {
+			t.Fatalf("Retype: %v", err)
+		}
+		e.engine = query.New(e.store, perRelationClasses(e.decls))
+		e.advice = storage.Advice{Store: storage.Heap, Source: storage.SourceDefault}
+		e.publish()
+		return nil
+	})
+}
+
+// lsns lists one generation of the window: each key with the LSN of the
+// frame that carried it.
+func lsns(gen map[string]dedupHit) map[string]uint64 {
+	out := make(map[string]uint64, len(gen))
+	for k, h := range gen {
+		out[k] = h.lsn
+	}
+	return out
 }

@@ -245,7 +245,9 @@ func TestNonFiniteRelationBuildsNoImages(t *testing.T) {
 		t.Fatalf("two full chunks reported %d spans", len(res.Spans))
 	}
 	var imgs []wire.ImageSpan
-	allocs := testing.AllocsPerRun(10, func() { imgs = e.images(v, res.Spans) })
+	// A hundred runs: under -race sync.Pool drops a quarter of what it is
+	// given back, and ten runs of that averaged past the budget ≈ 1 time in 10.
+	allocs := testing.AllocsPerRun(100, func() { imgs = e.images(v, res.Spans) })
 	if st := e.ImageStats(); len(imgs) != 0 || st.Built != 0 || st.Rebuilt != 0 || st.SpansSpliced != 0 || st.SpansEncoded == 0 || st.Bytes != 0 {
 		t.Fatalf("a relation of non-finite floats got %d images: %+v", len(imgs), st)
 	}

@@ -8,6 +8,7 @@ package catalog
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -80,3 +81,30 @@ func BenchmarkInsertBatchSingle(b *testing.B) {
 
 func BenchmarkInsertBatch32(b *testing.B)  { benchInsertBatch(b, 32) }
 func BenchmarkInsertBatch256(b *testing.B) { benchInsertBatch(b, 256) }
+
+// BenchmarkDedupWindow is what the idempotency window costs a keyed
+// element: the lookup commit makes before staging, which misses, and the
+// remember apply makes after, on a window that is full and churning —
+// every key new, a generation retired every dedupWindowCap keys. ns/op is
+// per key; allocs/op must read 0.
+func BenchmarkDedupWindow(b *testing.B) {
+	keys := make([]string, 4*dedupWindowCap)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%032x", i)
+	}
+	var w dedupWindow
+	for i := 0; i < 2*dedupWindowCap; i++ {
+		w.remember(keys[i], dedupInsert, nil, uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A key comes back 4·dedupWindowCap keys after it was remembered,
+		// long after its generation was retired.
+		k := keys[(i+2*dedupWindowCap)%len(keys)]
+		if _, ok := w.lookup(k); ok {
+			b.Fatalf("key %s remembered after %d newer ones", k, 2*dedupWindowCap)
+		}
+		w.remember(k, dedupInsert, nil, uint64(i))
+	}
+}

@@ -40,7 +40,7 @@ func (e *Entry) appendLeaf(lsn uint64, kind wal.Kind, payload []byte) {
 	if e.tree == nil {
 		return
 	}
-	leaf := integrity.LeafHash(wal.FrameBody(lsn, kind, e.name, payload))
+	leaf := integrity.FrameLeaf(lsn, kind, e.name, payload)
 	e.igMu.Lock()
 	e.tree.Append(leaf)
 	e.igMu.Unlock()

@@ -59,6 +59,19 @@ var frameShapes = [...]struct {
 // length prefix and a record of a few attributes fit without growing.
 const frameUnitHint = 128
 
+// commitScratch is what commit keeps from one mutation to the next, so
+// that a batch's bookkeeping allocates nothing: the set of keys seen in
+// the mutation and the buffer its frame is encoded into.
+type commitScratch struct {
+	seen  map[string]struct{}
+	frame []byte
+}
+
+// maxKeptKeys bounds the key set a relation keeps between commits, as
+// wal.MaxKeptFrame bounds its frame buffer: a map never shrinks, so a
+// mutation with more keys than this checks them in a set of its own.
+const maxKeptKeys = 1024
+
 // appendKey and appendRecord are the codec's two length-prefixed spans:
 // u16 keyLen | key, and u32 recLen | backlog record.
 func appendKey(out []byte, key string) []byte {
@@ -83,15 +96,14 @@ func appendRecord(out []byte, rec relation.LogRecord) []byte {
 // from a single batch frame. The unkeyed kinds 3/4/5 (the same payloads
 // without the key span) are decoded but never written: an unkeyed
 // mutation is a keyed frame with an empty key.
-func (m *mutation) encode() ([]byte, error) {
-	var out []byte
+func (m *mutation) encode(out []byte) ([]byte, error) {
 	switch m.kind {
 	case walInsertKeyed, walDeleteKeyed:
-		out = backlog.AppendRecord(appendKey(make([]byte, 0, frameUnitHint), m.keys[0]), m.recs[0])
+		out = backlog.AppendRecord(appendKey(slices.Grow(out, frameUnitHint), m.keys[0]), m.recs[0])
 	case walModifyKeyed:
-		out = appendRecord(appendRecord(appendKey(make([]byte, 0, 2*frameUnitHint), m.keys[0]), m.recs[0]), m.recs[1])
+		out = appendRecord(appendRecord(appendKey(slices.Grow(out, 2*frameUnitHint), m.keys[0]), m.recs[0]), m.recs[1])
 	case walInsertBatch:
-		out = binary.LittleEndian.AppendUint32(nil, uint32(len(m.recs)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(m.recs)))
 		for i, rec := range m.recs {
 			out = appendRecord(appendKey(out, m.keys[i]), rec)
 			if i == 0 {
@@ -289,25 +301,28 @@ func (e *Entry) logged(lsn uint64, kind wal.Kind, payload []byte) {
 
 // commit is the live write path of every mutation: one unit per key,
 // staged by stage(r, i) — validated against the relation as of the
-// mutation's start and transaction-stamped — then journaled as ONE
-// frame, applied, and published as one epoch, all under a single
-// exclusive-lock acquisition so the log's per-relation order is the
-// commit order. The acknowledgment waits, outside the lock, for the
-// frame to be durable per the log's sync policy (concurrent committers
-// share the group fsync); a failed wait surfaces as an error, and the
-// log's fail-stop poisoning keeps the not-yet-durable tail out of every
-// future snapshot.
+// mutation's start and transaction-stamped — then journaled as ONE frame,
+// applied, and published as one epoch, all under a single exclusive-lock
+// acquisition so the log's per-relation order is the commit order. No
+// unit is stamped below the relation's last journaled transaction time,
+// or below a unit staged before it (relation's stamp): the frame holds
+// only what replay will redo. The acknowledgment waits, outside the lock,
+// for the frame to be durable per the log's sync policy (concurrent
+// committers share the group fsync); a failed wait surfaces as an error,
+// and the log's fail-stop poisoning keeps the not-yet-durable tail out of
+// every future snapshot.
 //
-// A unit whose key the dedup window remembers is answered with the
+// Every key is looked up in the dedup window once, before anything is
+// staged. A unit whose key the window remembers is answered with the
 // original result: no new record, no new event — but the same wait, on
 // the original frame's LSN, because under group commit the original
 // request may itself still be waiting for its fsync.
 //
 // A rejected unit (guard, validation, key reuse) is skipped and reported
-// in its item; with atomic set the first rejection aborts the whole
-// mutation before anything is journaled and is returned as the error.
-// A single operation is an atomic batch of one. epoch is the relation's
-// epoch after the call.
+// in its item; with atomic set the first rejection, in unit order, aborts
+// the whole mutation before anything is journaled and is returned as the
+// error. A single operation is an atomic batch of one. epoch is the
+// relation's epoch after the call.
 func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic bool,
 	stage func(r *relation.Relation, i int, recs []relation.LogRecord) ([]relation.LogRecord, error)) (items []BatchItemResult, epoch uint64, err error) {
 	// Gate: refuse in read-only degraded mode, refuse oversized keys before
@@ -327,33 +342,69 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 	items = make([]BatchItemResult, len(keys))
 	var lsn uint64 // the newest frame this acknowledgment depends on
 	err = e.locked.Exclusive(func(r *relation.Relation) error {
-		m := mutation{kind: kind, staged: true, keys: make([]string, 0, len(keys)),
-			recs: make([]relation.LogRecord, 0, len(keys)*len(frameShapes[kind].unit))}
-		// seen guards against one key appearing twice inside the same
-		// mutation: the window only remembers keys at apply time, so
-		// without it both occurrences would stage and mint two events.
-		var seen map[string]bool
+		// Dedup: one probe of the window per key. A unit the window answers
+		// is done; a key first used for another operation, or repeated
+		// within this mutation, rejects its unit — the window only learns
+		// keys at apply time, so without the second check both occurrences
+		// would stage and mint two events. firstKeyed is the first unit so
+		// rejected, whose cause an atomic mutation returns if no unit before
+		// it fails to stage.
+		shape, toStage, firstKeyed := frameShapes[kind], len(keys), -1
+		var keyedCause error
+		sc := &e.scratch
+		seen := sc.seen
+		switch {
+		case len(keys) > maxKeptKeys:
+			seen = make(map[string]struct{}, len(keys))
+		case seen == nil && len(keys) > 1:
+			seen = make(map[string]struct{}, len(keys))
+			sc.seen = seen
+		}
 		for i, key := range keys {
-			recs := m.recs // unit i's records are appended by stage
+			if key == "" {
+				continue
+			}
 			var cause error
-			switch hit, ok := e.dedup.lookup(key); {
-			case ok && hit.op == frameShapes[kind].op:
+			hit, ok := e.dedup.lookup(key)
+			switch {
+			case ok && hit.op == shape.op:
 				items[i] = BatchItemResult{Status: BatchDeduped, Elem: hit.elem}
 				lsn = max(lsn, hit.lsn)
+				toStage--
 				continue
 			case ok:
 				cause = fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-			case seen[key]:
+			case len(keys) > 1:
+				n := len(seen)
+				if seen[key] = struct{}{}; len(seen) > n {
+					continue
+				}
 				cause = fmt.Errorf("%w: %q repeated within the batch", ErrIdemReuse, key)
 			default:
-				if key != "" && len(keys) > 1 {
-					if seen == nil {
-						seen = make(map[string]bool, len(keys))
-					}
-					seen[key] = true
-				}
-				recs, cause = stage(r, i, recs)
+				continue
 			}
+			items[i] = BatchItemResult{Status: BatchRejected, Err: cause.Error()}
+			if firstKeyed < 0 {
+				firstKeyed, keyedCause = i, cause
+			}
+			toStage--
+		}
+		clear(sc.seen)
+
+		// Stage what is left in unit order.
+		m := mutation{kind: kind, staged: true, keys: make([]string, 0, toStage),
+			recs: make([]relation.LogRecord, 0, toStage*len(shape.unit))}
+		for i, key := range keys {
+			switch items[i].Status {
+			case BatchDeduped:
+				continue
+			case BatchRejected:
+				if atomic && i == firstKeyed {
+					return keyedCause
+				}
+				continue
+			}
+			recs, cause := stage(r, i, m.recs) // unit i's records are appended to m.recs
 			if cause != nil {
 				items[i] = BatchItemResult{Status: BatchRejected, Err: cause.Error()}
 				if atomic {
@@ -368,12 +419,15 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 		}
 		if len(m.recs) > 0 { // else nothing accepted: no frame, no epoch bump
 			if e.wal != nil {
-				payload, err := m.encode()
+				payload, err := m.encode(sc.frame[:0])
 				if err != nil {
 					return err
 				}
 				if lsn, err = e.journal(kind, payload); err != nil {
 					return err
+				}
+				if cap(payload) <= wal.MaxKeptFrame {
+					sc.frame = payload
 				}
 			}
 			if err := e.apply(r, &m, lsn); err != nil {

@@ -31,7 +31,7 @@ func seedMutation(kind wal.Kind, keys []string, vts ...int64) mutation {
 
 func mustEncode(t testing.TB, m mutation) (wal.Kind, []byte) {
 	t.Helper()
-	payload, err := m.encode()
+	payload, err := m.encode(nil)
 	if err != nil {
 		t.Fatalf("encode kind %d: %v", m.kind, err)
 	}
@@ -90,7 +90,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		// (Equality with the input is not required — a legacy kind re-frames
 		// as its keyed kind, and event stamps carry a redundant end field
 		// the record decoder normalizes away.)
-		p1, err := m.encode()
+		p1, err := m.encode(nil)
 		if err != nil {
 			return // only absurd inputs exceed the frame bound
 		}
@@ -111,7 +111,7 @@ func FuzzDecodeMutation(f *testing.F) {
 				t.Fatalf("record %d drifted: %+v -> %+v", i, want, got)
 			}
 		}
-		if p2, err := again.encode(); err != nil || !bytes.Equal(p1, p2) {
+		if p2, err := again.encode(nil); err != nil || !bytes.Equal(p1, p2) {
 			t.Fatalf("encode is not a fixed point (err %v):\n 1st %x\n 2nd %x", err, p1, p2)
 		}
 	})

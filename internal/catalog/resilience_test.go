@@ -300,58 +300,90 @@ func TestIdempotencyKeyLimits(t *testing.T) {
 		t.Fatal("oversized idempotency key accepted")
 	}
 
-	// The window is a FIFO of dedupWindowCap: an evicted key no longer
-	// dedups (the retry window has passed), but never errors.
-	w := newDedupWindow()
-	for i := 0; i < dedupWindowCap+10; i++ {
+	// A key is forgotten with its generation: after two generations' worth
+	// of newer keys the first no longer dedups (the retry window has
+	// passed), but never errors.
+	var w dedupWindow
+	for i := 0; i < 2*dedupWindowCap+10; i++ {
 		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil, 0)
 	}
-	if len(w.m) != dedupWindowCap || len(w.ring) != dedupWindowCap {
-		t.Fatalf("window holds %d/%d entries, want %d", len(w.m), len(w.ring), dedupWindowCap)
+	if len(w.cur) != 10 || len(w.prev) != dedupWindowCap {
+		t.Fatalf("window holds %d + %d keys, want 10 + %d", len(w.cur), len(w.prev), dedupWindowCap)
 	}
 	if _, ok := w.lookup("a" + itoa(0)); ok {
-		t.Fatal("oldest key survived eviction")
+		t.Fatal("the oldest key outlived two generations")
 	}
 }
 
-// TestDedupWindowIsAFixedRing: remembering more keys than the window holds
-// leaves exactly the newest dedupWindowCap, oldest first; every further key
-// evicts the one that arrived earliest, a key remembered again keeps its
-// place in line, and once full the ring is never reallocated (re-slicing a
-// growing array kept evicted keys pinned and paid growslice on the write
-// path).
-func TestDedupWindowIsAFixedRing(t *testing.T) {
-	w := newDedupWindow()
-	key := func(i int) string { return fmt.Sprintf("k-%d", i) }
-	const total = 2*dedupWindowCap + dedupWindowCap/2 + 7
-	var ring *string
-	for i := 0; i < total; i++ {
-		w.remember(key(i), dedupInsert, nil, uint64(i))
-		if i >= dedupWindowCap {
-			if _, ok := w.lookup(key(i - dedupWindowCap)); ok {
-				t.Fatalf("key %d still remembered after %d newer ones", i-dedupWindowCap, dedupWindowCap)
+// TestCommitKeepsNoLargeKeySet: the set a mutation's keys are checked in is
+// kept for the next mutation only up to maxKeptKeys keys — a map never
+// shrinks — and a larger mutation still refuses a key it repeats.
+func TestCommitKeepsNoLargeKeySet(t *testing.T) {
+	_, c := bootErrFS(t, wal.NewErrFS())
+	e, err := c.Create(eventSchema("emp"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	n := maxKeptKeys + 1
+	ins, keys := make([]relation.Insertion, n), make([]string, n)
+	for i := range ins {
+		ins[i], keys[i] = relation.Insertion{VT: element.EventAt(1)}, fmt.Sprintf("big-%d", i)
+	}
+	keys[n-1] = keys[0]
+	res, err := e.InsertBatch(context.Background(), ins, keys, false)
+	if err != nil || res.Stored != n-1 || res.Items[n-1].Status != BatchRejected {
+		t.Fatalf("a %d-key batch repeating its first key: stored %d, last item %v, %v", n, res.Stored, res.Items[n-1].Status, err)
+	}
+	if e.scratch.seen != nil {
+		t.Fatalf("the key set of a %d-key batch was kept", n)
+	}
+	if _, err := e.InsertBatch(context.Background(), ins[:2], []string{"small-0", "small-1"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if e.scratch.seen == nil || len(e.scratch.seen) != 0 {
+		t.Fatalf("a 2-key batch kept %v, want an empty set", e.scratch.seen)
+	}
+}
+
+// TestDedupWindowGenerations pins the window's contract: the newest
+// dedupWindowCap keys always dedup, with the LSN each was remembered at;
+// no key is forgotten before dedupWindowCap newer ones, and none outlives
+// 2·dedupWindowCap; and after the first swap no map is allocated again —
+// a full, churning window pays no Delete per key and no growth.
+func TestDedupWindowGenerations(t *testing.T) {
+	const total = 5*dedupWindowCap + dedupWindowCap/2 + 7
+	keys := make([]string, total)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k-%d", i)
+	}
+	var w dedupWindow
+	remember := func(i int) { w.remember(keys[i], dedupInsert, nil, uint64(i)) }
+	for i := 0; i < 2*dedupWindowCap+dedupWindowCap/2; i++ {
+		remember(i)
+		for _, j := range []int{i, i - dedupWindowCap/2, i - dedupWindowCap + 1} { // the newest, a middle one, the oldest that must stay
+			if h, ok := w.lookup(keys[max(j, 0)]); !ok || h.lsn != uint64(max(j, 0)) {
+				t.Fatalf("after key %d: key %d remembered %v at lsn %d", i, j, ok, h.lsn)
 			}
-			if _, ok := w.lookup(key(i - dedupWindowCap + 1)); !ok {
-				t.Fatalf("key %d evicted ahead of its turn", i-dedupWindowCap+1)
-			}
-			// A retry of a remembered key updates its hit, not the order.
-			w.remember(key(i-1), dedupInsert, nil, uint64(i-1))
 		}
-		if i == dedupWindowCap-1 {
-			ring = &w.ring[0]
+		if j := i - 2*dedupWindowCap; j >= 0 {
+			if _, ok := w.lookup(keys[j]); ok {
+				t.Fatalf("key %d remembered after %d newer ones", j, i-j)
+			}
+		}
+		// A generation ends when it is full: the keys of the one before go,
+		// all at once, with the first key of the next.
+		if want := i%dedupWindowCap + 1; len(w.cur) != want || (i >= dedupWindowCap && len(w.prev) != dedupWindowCap) {
+			t.Fatalf("after key %d: generations of %d and %d keys", i, len(w.cur), len(w.prev))
 		}
 	}
-	if &w.ring[0] != ring || len(w.ring) != dedupWindowCap || len(w.m) != dedupWindowCap {
-		t.Fatalf("ring moved or resized: %d slots, %d keys, want %d of each in place", len(w.ring), len(w.m), dedupWindowCap)
-	}
-	got := w.keys()
-	for i, k := range got {
-		if want := key(total - dedupWindowCap + i); k != want {
-			t.Fatalf("key %d of the window is %q, want %q", i, k, want)
+	next := 2*dedupWindowCap + dedupWindowCap/2
+	allocs := testing.AllocsPerRun(2, func() {
+		for end := next + dedupWindowCap; next < end; next++ {
+			remember(next)
 		}
-		if h, _ := w.lookup(k); h.lsn != uint64(total-dedupWindowCap+i) {
-			t.Fatalf("key %q remembers lsn %d", k, h.lsn)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a full window allocated %.0f times over %d keys", allocs, dedupWindowCap)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -613,18 +614,33 @@ type noSeekClock struct{ inner tx.Clock }
 func (c noSeekClock) Next() chronon.Chronon { return c.inner.Next() }
 func (c noSeekClock) Now() chronon.Chronon  { return c.inner.Now() }
 
-// A clock that restarts behind persisted stamps commits tt out of order,
-// which no ordered store accepts. The engine rebuild must then reach the
-// assumption-free heap rather than silently dropping the committed
-// element from the store — an acknowledged write must never be invisible
-// to reads, whatever the organization costs.
+// A clock that restarts behind persisted stamps, and that replay cannot
+// re-seed, must still never stamp a write below the relation's last
+// journaled transaction time: the element would be served, but its frame
+// is one replay refuses ("tt … before …"), so the primary could not reboot
+// and a follower could never catch up. The writes after the restart are
+// stamped past the persisted maximum instead. The history stays in
+// transaction-time order; what the first of them breaks is the adopted
+// valid-time order (vt 5 behind vt 200), so the store degrades to the
+// tt-ordered log, no further. The primary rebooted from its snapshot and
+// log, and a follower fed the log from its first frame, then answer
+// exactly what was acknowledged.
 func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Dir:      dir,
-		NewClock: func() tx.Clock { return noSeekClock{tx.NewLogicalClock(0, 10)} },
+	ctx := context.Background()
+	dir, fs := t.TempDir(), wal.NewErrFS()
+	boot := func() (*Catalog, *wal.Log) {
+		t.Helper()
+		w, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncAlways})
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		c := New(Config{Dir: dir, WAL: w, NewClock: func() tx.Clock { return noSeekClock{tx.NewLogicalClock(0, 10)} }})
+		if err := c.Open(); err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return c, w
 	}
-	c := New(cfg)
+	c, w := boot()
 	e, err := c.Create(eventSchema("mon"))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -638,19 +654,16 @@ func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
 	if len(rep.Migrations) != 1 {
 		t.Fatalf("migrations = %d, want 1", len(rep.Migrations))
 	}
-	if _, err := c.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	// Reopen: the fresh clock restarts at origin 0, so the next stamp (10)
-	// is far below the persisted maximum (10n) and replay cannot fix it.
-	c2 := New(cfg)
-	if err := c2.Open(); err != nil {
-		t.Fatalf("Open: %v", err)
+	if err := w.Close(); err != nil {
+		t.Fatalf("wal Close: %v", err)
 	}
+
+	// Reopen: the fresh clock restarts at origin 0, so it would stamp 10, 20,
+	// … — far below the persisted maximum 10n, and replay cannot move it.
+	c2, _ := boot()
 	e2, err := c2.Get("mon")
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -662,40 +675,89 @@ func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-restart insert refused: %v", err)
 	}
-	cur := current(e2)
-	if len(cur.Elements) != n+1 {
-		t.Fatalf("current after acknowledged insert = %d elements, want %d", len(cur.Elements), n+1)
+	if el.TTStart <= 10*n {
+		t.Fatalf("post-restart insert stamped %v, at or below the persisted maximum %v", el.TTStart, chronon.Chronon(10*n))
 	}
-	found := false
-	for _, got := range cur.Elements {
-		if got.ES == el.ES {
-			found = true
+	batch := make([]relation.Insertion, 3)
+	for i := range batch {
+		batch[i] = relation.Insertion{VT: element.EventAt(chronon.Chronon(300 + i))}
+	}
+	res, err := e2.InsertBatch(ctx, batch, []string{"b0", "b1", "b2"}, true)
+	if err != nil || res.Stored != len(batch) {
+		t.Fatalf("post-restart batch stored %d: %v", res.Stored, err)
+	}
+	if err := remove(e2, res.Items[1].Elem.ES); err != nil {
+		t.Fatalf("post-restart delete: %v", err)
+	}
+	if org := e2.Physical().Org; org != storage.TTOrdered {
+		t.Fatalf("org after an element behind the vt order = %v, want %v", org, storage.TTOrdered)
+	}
+
+	// The model: the acknowledged history, in the order it was stamped.
+	var acked []*element.Element
+	_ = e2.Locked().View(func(r *relation.Relation) error {
+		acked = r.Versions()
+		return nil
+	})
+	if len(acked) != n+1+len(batch) {
+		t.Fatalf("%d versions after %d acknowledged inserts", len(acked), n+1+len(batch))
+	}
+	for i := 1; i < len(acked); i++ {
+		if acked[i].TTStart <= acked[i-1].TTStart {
+			t.Fatalf("version %d stamped %v after %v", i, acked[i].TTStart, acked[i-1].TTStart)
 		}
 	}
-	if !found {
-		t.Fatal("acknowledged element missing from the current state")
+	model := func(keep func(*element.Element) bool) []string {
+		var out QueryResult
+		for _, v := range acked {
+			if keep(v) {
+				out.Elements = append(out.Elements, v)
+			}
+		}
+		return resultKey(out)
 	}
-	phys := e2.Physical()
-	if phys.Org != storage.Heap {
-		t.Fatalf("org after out-of-order tt = %v, want %v (the only organization that can hold this history)", phys.Org, storage.Heap)
+	cut := el.TTStart - 1 // just before the restart
+	want := map[string][]string{
+		"current":   model(func(v *element.Element) bool { return v.Current() }),
+		"timeslice": model(func(v *element.Element) bool { return v.Current() && v.ValidAt(5) }),
+		"rollback":  model(func(v *element.Element) bool { return v.PresentAt(cut) }),
 	}
-	// The out-of-order element must also answer valid-time queries.
-	ts, err := e2.TimesliceCtx(context.Background(), chronon.Chronon(5))
-	if err != nil {
-		t.Fatalf("Timeslice: %v", err)
+
+	// A crash, a reboot over the snapshot and the log, and a follower fed the
+	// log from the start.
+	c3, _ := boot()
+	follower := New(Config{Follower: true, NewClock: logicalClock})
+	if err := follower.ApplyReplicated(recordsOf(t, fs)); err != nil {
+		t.Fatalf("follower apply: %v", err)
 	}
-	if len(ts.Elements) != 1 {
-		t.Fatalf("timeslice at the new element's vt = %d elements, want 1", len(ts.Elements))
+	for route, cat := range map[string]*Catalog{"primary": c2, "rebooted primary": c3, "follower": follower} {
+		e, err := cat.Get("mon")
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		got := map[string][]string{
+			"current":   resultKey(current(e)),
+			"timeslice": resultKey(timeslice(e, 5)),
+			"rollback":  resultKey(rollback(e, cut)),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answers %v, the acknowledged history %v", route, got, want)
+		}
+		if org := e.Physical().Org; org != storage.TTOrdered {
+			t.Fatalf("%s on the %v, want the %v", route, org, storage.TTOrdered)
+		}
 	}
 }
 
 // The same restart under a declared two-sided bound: the relation reloads
-// onto the tt-ordered log with the tt-window pushdown on, and the first
-// insert — stamped behind the persisted ones, inside the bound — demotes the
-// store below the organization the pushdown needs. The engine must lose the
-// bounds with the label, the acknowledged element must answer, and every
-// valid-time answer must equal the definition evaluated over Versions.
-func TestBackwardClockUnderDeclaredBoundDropsThePushdown(t *testing.T) {
+// onto the tt-ordered log with the tt-window pushdown on. The first insert
+// is stamped past the persisted maximum, not where the restarted clock
+// says, and the declared bound judges that stamp: an element valid at 5 —
+// inside the bound of the clock's 10, far outside that of the real stamp —
+// is refused, one valid just before the real stamp is taken, the store
+// keeps its label and the engine its pushdown, and every valid-time answer
+// equals the definition evaluated over Versions.
+func TestBackwardClockUnderDeclaredBoundKeepsThePushdown(t *testing.T) {
 	cfg := Config{
 		Dir:      t.TempDir(),
 		NewClock: func() tx.Clock { return noSeekClock{tx.NewLogicalClock(0, 10)} },
@@ -730,18 +792,24 @@ func TestBackwardClockUnderDeclaredBoundDropsThePushdown(t *testing.T) {
 	if leaf := e2.PlanFor(slice).Leaf().Kind; e2.Physical().Org != storage.TTOrdered || leaf != plan.TTWindowPushdown {
 		t.Fatalf("reloaded on %v planning %v, want the bounded tt-ordered log", e2.Physical().Org, leaf)
 	}
-	el, err := insert(e2, relation.Insertion{VT: element.EventAt(5)}) // tt⊢ 10, the persisted maximum is 10n
+	// The clock says 10; the stamp is 10n+1, and vt 5 is 10n−4 behind it.
+	if _, err := insert(e2, relation.Insertion{VT: element.EventAt(5)}); err == nil || !strings.Contains(err.Error(), "strongly bounded") {
+		t.Fatalf("an element outside the bound of its real stamp: %v, want the declaration's refusal", err)
+	}
+	el, err := insert(e2, relation.Insertion{VT: element.EventAt(10*n - 50)})
 	if err != nil {
 		t.Fatalf("post-restart insert refused: %v", err)
 	}
-	if org := e2.Physical().Org; org != storage.Heap {
-		t.Fatalf("org after out-of-order tt = %v, want %v", org, storage.Heap)
+	// The refused insert burned 10n+1, as a refused insert burns a clock tick.
+	if el.TTStart != 10*n+2 {
+		t.Fatalf("post-restart insert stamped %v, want just past the persisted maximum and the refused stamp", el.TTStart)
 	}
+	slice = plan.Query{Kind: plan.QTimeslice, VTLo: 10*n - 50, VTHi: 10*n - 49}
 	v := e2.view.Load()
-	if a := v.engine.Access(); a.HasOffsetBounds || e2.PlanFor(slice).Leaf().Kind == plan.TTWindowPushdown {
-		t.Fatalf("the demoted engine still carries the pushdown bounds: %+v", a)
+	if a := v.engine.Access(); e2.Physical().Org != storage.TTOrdered || !a.HasOffsetBounds || e2.PlanFor(slice).Leaf().Kind != plan.TTWindowPushdown {
+		t.Fatalf("after the insert: on %v, bounds %+v", e2.Physical().Org, a)
 	}
-	if ts := timeslice(e2, 5); len(ts.Elements) != 1 || ts.Elements[0].ES != el.ES {
+	if ts := timeslice(e2, 10*n-50); len(ts.Elements) != 2 || (ts.Elements[0].ES != el.ES && ts.Elements[1].ES != el.ES) {
 		t.Fatalf("timeslice at the acknowledged element's vt = %v", resultKey(ts))
 	}
 	var versions []*element.Element

@@ -21,6 +21,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/bits"
+
+	"repro/internal/wal"
 )
 
 // HashSize is the width of every tree hash.
@@ -46,6 +48,21 @@ func LeafHash(data []byte) Hash {
 	h := sha256.New()
 	h.Write([]byte{leafPrefix})
 	h.Write(data)
+	var out Hash
+	h.Sum(out[:0])
+	return out
+}
+
+// FrameLeaf is LeafHash(wal.FrameBody(lsn, kind, rel, payload)) — the leaf
+// of one committed WAL frame — hashed from the frame header and the
+// payload where they lie, with no copy of the payload. The catalog's write
+// path and boot replay, the replication streamer and the follower all call
+// it, so they derive the same leaf from the same record.
+func FrameLeaf(lsn uint64, kind wal.Kind, rel string, payload []byte) Hash {
+	var head [1 + 11 + 64]byte // prefix and header; the catalog's relation names fit
+	h := sha256.New()
+	h.Write(wal.AppendFrameHeader(append(head[:0], leafPrefix), lsn, kind, rel))
+	h.Write(payload)
 	var out Hash
 	h.Sum(out[:0])
 	return out

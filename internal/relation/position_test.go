@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,5 +244,44 @@ func TestReplayRefusesWhatItRefused(t *testing.T) {
 				t.Errorf("%s: Replay stored the caller's element %v (found %v)", c.name, rec.Elem.ES, ok)
 			}
 		}
+	}
+}
+
+// noSeek hides a clock's AdvanceTo: a time source that replay cannot move
+// past what it finds in the log.
+type noSeek struct{ tx.Clock }
+
+// TestStampsNeverGoBackward: a relation whose clock restarted behind its
+// backlog stamps just past the newest time it holds or has stamped — a
+// staged batch not yet committed included — until the clock catches up,
+// so replay redoes every record the live path stamps.
+func TestStampsNeverGoBackward(t *testing.T) {
+	r := New(eventSchema(), noSeek{tx.NewLogicalClock(0, 10)}) // issues 10, 20, …
+	reading := Insertion{VT: element.EventAt(1), Invariant: []element.Value{element.String_("s")}, Varying: []element.Value{element.Float(1)}}
+	if _, _, err := r.ApplyLog(LogRecord{Op: OpInsert, TT: 95, Elem: &element.Element{ES: 1, OS: 1,
+		VT: reading.VT, Invariant: reading.Invariant, Varying: reading.Varying}}); err != nil {
+		t.Fatal(err)
+	}
+	var got []chronon.Chronon
+	for batch := 0; batch < 4; batch++ {
+		var staged []*element.Element
+		for i := 0; i < 3; i++ {
+			e, err := r.StageInsert(reading)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged = append(staged, e)
+			got = append(got, e.TTStart)
+		}
+		for _, e := range staged {
+			r.CommitInsert(e)
+		}
+	}
+	want := []chronon.Chronon{96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 110, 120}
+	if !slices.Equal(got, want) {
+		t.Fatalf("stamps %v, want %v", got, want)
+	}
+	if _, err := Replay(eventSchema(), noSeek{tx.NewLogicalClock(0, 10)}, r.Backlog()); err != nil {
+		t.Fatalf("replay refuses what the live path stamped: %v", err)
 	}
 }

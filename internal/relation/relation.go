@@ -93,6 +93,7 @@ type Relation struct {
 	byES map[surrogate.Surrogate]int
 
 	vacuumedTo chronon.Chronon // see Vacuum; MinChronon when never vacuumed
+	stamped    chronon.Chronon // the newest transaction time stamp issued; MinChronon before the first
 }
 
 // New creates an empty relation with the given schema and transaction-time
@@ -111,6 +112,7 @@ func New(schema Schema, clock tx.Clock) *Relation {
 		esGen:      surrogate.NewGenerator(),
 		osGen:      surrogate.NewGenerator(),
 		vacuumedTo: chronon.MinChronon,
+		stamped:    chronon.MinChronon,
 	}
 }
 

@@ -70,8 +70,8 @@ func (r *Relation) ApplyLog(rec LogRecord) (was, now *element.Element, err error
 // redo validates one backlog record against the relation and applies it,
 // storing an inserted rec.Elem itself.
 func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
-	if n := len(r.log); n > 0 && rec.TT < r.log[n-1].TT {
-		return nil, nil, fmt.Errorf("tt %v before %v", rec.TT, r.log[n-1].TT)
+	if err := r.admitTT(rec.TT); err != nil {
+		return nil, nil, err
 	}
 	e := rec.Elem
 	switch rec.Op {

@@ -18,6 +18,35 @@ import (
 // would interleave out of order — the catalog guarantees this by holding
 // the relation's exclusive lock across the stage/log/commit sequence.
 
+// admitTT is the one rule on a transaction time entering the backlog: it
+// does not precede the backlog's last record. Staging and redo both call
+// it, so nothing is accepted live that replay would refuse.
+func (r *Relation) admitTT(tt chronon.Chronon) error {
+	if n := len(r.log); n > 0 && tt < r.log[n-1].TT {
+		return fmt.Errorf("tt %v before %v", tt, r.log[n-1].TT)
+	}
+	return nil
+}
+
+// stamp takes the transaction time of a validated transaction: the clock's
+// next, moved just past the newest time the backlog holds or this relation
+// has stamped when the clock issues one at or below it — a clock that
+// restarted behind persisted stamps and that replay could not re-seed. So a
+// relation's stamps always go forward, a batch staged before any of it is
+// committed included, and admitTT accepts each of them.
+func (r *Relation) stamp(what string) (chronon.Chronon, error) {
+	floor := r.stamped
+	if n := len(r.log); n > 0 {
+		floor = chronon.Max(floor, r.log[n-1].TT)
+	}
+	tt := chronon.Max(r.clock.Next(), floor.Add(1))
+	if err := r.admitTT(tt); err != nil {
+		return 0, fmt.Errorf("relation %s: %s: %w", r.schema.Name, what, err)
+	}
+	r.stamped = tt
+	return tt, nil
+}
+
 // StageInsert validates an insertion, stamps it with the next transaction
 // time, and runs the guards, without applying it. The returned element is
 // exactly what CommitInsert will store.
@@ -26,7 +55,9 @@ func (r *Relation) StageInsert(ins Insertion) (*element.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.TTStart = r.clock.Next()
+	if e.TTStart, err = r.stamp("insert"); err != nil {
+		return nil, err
+	}
 	e.TTEnd = chronon.Forever
 	for _, g := range r.guards {
 		if err := g.CheckInsert(r, e); err != nil {
@@ -49,7 +80,10 @@ func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chrono
 	if !e.Current() {
 		return nil, 0, fmt.Errorf("relation %s: delete %v: %w", r.schema.Name, es, ErrAlreadyDeleted)
 	}
-	tt := r.clock.Next()
+	tt, err := r.stamp("delete")
+	if err != nil {
+		return nil, 0, err
+	}
 	for _, g := range r.guards {
 		if err := g.CheckDelete(r, e, tt); err != nil {
 			return nil, 0, fmt.Errorf("relation %s: delete rejected: %w", r.schema.Name, err)
@@ -94,7 +128,9 @@ func (r *Relation) StageModify(es surrogate.Surrogate, vt element.Timestamp, var
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	tt = r.clock.Next()
+	if tt, err = r.stamp("modify"); err != nil {
+		return nil, nil, 0, err
+	}
 	repl.TTStart = tt
 	repl.TTEnd = chronon.Forever
 	for _, g := range r.guards {

@@ -171,7 +171,7 @@ func verifyFrameLeaves(frames []wire.ReplFrame) int {
 		if len(fr.Leaf) == 0 {
 			continue
 		}
-		got := integrity.LeafHash(wal.FrameBody(fr.LSN, wal.Kind(fr.Kind), fr.Rel, fr.Payload))
+		got := integrity.FrameLeaf(fr.LSN, wal.Kind(fr.Kind), fr.Rel, fr.Payload)
 		if !bytes.Equal(fr.Leaf, got[:]) {
 			return i
 		}

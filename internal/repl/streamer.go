@@ -88,7 +88,7 @@ func (s *Streamer) Tail(ctx context.Context, from uint64, max int, wait time.Dur
 					// Each frame ships with its integrity leaf hash, computed
 					// from the frame as read back from the log, so the follower
 					// can refuse a frame corrupted in flight or on this disk.
-					leaf := integrity.LeafHash(wal.FrameBody(rec.LSN, rec.Kind, rec.Rel, rec.Payload))
+					leaf := integrity.FrameLeaf(rec.LSN, rec.Kind, rec.Rel, rec.Payload)
 					resp.Frames[i] = wire.ReplFrame{
 						LSN: rec.LSN, Kind: uint8(rec.Kind), Rel: rec.Rel, Payload: rec.Payload,
 						Leaf: leaf[:],

@@ -3,8 +3,9 @@ package server
 // The fast request parser must not move the protocol's edges: whatever
 // the strict json.Decoder accepted, refused, and said about a body
 // before, decode still accepts, refuses and says. A defined type drops
-// the wire types' ParseJSON, so decoding into it is the old path, and
-// the two are compared body by body.
+// the wire type's ParseJSON, so decoding into it is the old path, and
+// the two are compared body by body; the batch body's decode is compared
+// with its encoding/json path the same way.
 
 import (
 	"bytes"
@@ -18,20 +19,16 @@ import (
 	"repro/internal/wire"
 )
 
-type (
-	plainInsert wire.InsertRequest
-	plainBatch  wire.BatchInsertRequest
-)
+type plainInsert wire.InsertRequest
 
-// decodeBody runs decode over body under a size cap; the plain types'
-// names are spelled back so that error texts compare.
+// decodeBody runs decode over body under a size cap; the plain type's
+// name is spelled back so that error texts compare.
 func decodeBody(body io.Reader, limit int64, into any) *apiError {
 	r := httptest.NewRequest("POST", "/", body)
 	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
 	aerr := decode(r, into)
 	if aerr != nil {
-		aerr.message = strings.NewReplacer("server.plainInsert", "wire.InsertRequest", "server.plainBatch", "wire.BatchInsertRequest",
-			"plainInsert", "InsertRequest", "plainBatch", "BatchInsertRequest").Replace(aerr.message)
+		aerr.message = strings.NewReplacer("server.plainInsert", "wire.InsertRequest", "plainInsert", "InsertRequest").Replace(aerr.message)
 	}
 	return aerr
 }
@@ -87,11 +84,17 @@ func TestDecodeKeepsTheAcceptSet(t *testing.T) {
 		if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fastI, wire.InsertRequest(slowI)) {
 			t.Errorf("insert body %.80q:\n fast %+v %+v\n slow %+v %+v", body, fe, fastI, se, slowI)
 		}
-		var fastB wire.BatchInsertRequest
-		var slowB plainBatch
-		fe, se = decodeBody(strings.NewReader(body), limit, &fastB), decodeBody(strings.NewReader(body), limit, &slowB)
-		if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fastB, wire.BatchInsertRequest(slowB)) {
-			t.Errorf("batch body %.80q:\n fast %+v %+v\n slow %+v %+v", body, fe, fastB, se, slowB)
+		// The batch handler's decode, straight into insertions, against
+		// encoding/json and ToInsertions.
+		limited := func() *http.Request {
+			r := httptest.NewRequest("POST", "/", strings.NewReader(body))
+			r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
+			return r
+		}
+		fastIns, fe := decodeBatch(limited())
+		slowIns, se := decodeBatchJSON(limited().Body)
+		if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fastIns, slowIns) {
+			t.Errorf("batch insertions of %.80q:\n fast %+v %+v\n slow %+v %+v", body, fe, fastIns, se, slowIns)
 		}
 	}
 
@@ -132,6 +135,22 @@ func TestDecodeNotesTheSlowPath(t *testing.T) {
 	}
 	if marked(`{ "kind" : "current" }`, &wire.QueryRequest{}) {
 		t.Error("a query request has no fast parser to miss")
+	}
+	// The batch body's fast parse: a canonical body is taken whole, an
+	// element that does not convert is refused without counting a slow
+	// decode — its spelling was the encoder's — and another spelling is
+	// counted.
+	for body, want := range map[string]struct{ slow, refused bool }{
+		`{"elements":[{"object":7,"vt":{"start":1,"end":9},"invariant":[],"varying":[{"kind":"int","int":1}],"user_times":[4]}],"keys":["k"],"atomic":true}`: {false, false},
+		`{"elements":[{"vt":{"event":5},"varying":[{"kind":"zebra"}]}]}`:                                                                                     {false, true},
+		`{"elements":[{"vt":{"start":9,"end":5}}]}`:                                                                                                          {false, true},
+		`{"elements": [{"vt":{"event":5}}]}`:                                                                                                                 {true, false},
+	} {
+		r := httptest.NewRequest("POST", "/", strings.NewReader(body))
+		_, aerr := decodeBatch(r)
+		if _, slow := r.Body.(slowDecoded); slow != want.slow || (aerr != nil) != want.refused {
+			t.Errorf("batch body %s: slow decode %v, refusal %+v; want %v, %v", body, slow, aerr, want.slow, want.refused)
+		}
 	}
 	big := `{"vt":{"event":5},"invariant":[{"kind":"string","str":"` + strings.Repeat("x", 2<<10) + `"}]}`
 	if slow, aerr := markedBody(strings.NewReader(big), &wire.InsertRequest{}); slow || aerr == nil || aerr.status != http.StatusRequestEntityTooLarge {

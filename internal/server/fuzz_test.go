@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -96,6 +97,11 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
+// FuzzBatchInsertRequest holds the batch endpoint to the shared invariants
+// and its decode to the one it replaced: the fast parse straight into
+// insertions builds exactly the insertions encoding/json and ToInsertions
+// build from the same bytes, or both refuse the body with the same status
+// and message.
 func FuzzBatchInsertRequest(f *testing.F) {
 	h := newFuzzHandler(f)
 	f.Add([]byte(`{"elements":[{"vt":{"event":5},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":1}]}]}`))
@@ -109,7 +115,21 @@ func FuzzBatchInsertRequest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[`))
+	// Canonical spellings the conversion refuses, and the shapes the fast
+	// parse builds that ToInsertions builds too: every value kind with its
+	// payloads (the ones the kind does not name included), empty and null
+	// lists, an object, user times, an interval.
+	f.Add([]byte(`{"elements":[{"vt":{"event":5},"varying":[{"kind":"zebra"}]}]}`))
+	f.Add([]byte(`{"elements":[{"vt":{"event":5,"start":1,"end":2}}],"keys":["k"]}`))
+	f.Add([]byte(`{"elements":[{"object":7,"vt":{"start":1,"end":9},"invariant":[],"varying":null,"user_times":[4,-3]},` +
+		`{"vt":{"event":-9223372036854775808},"invariant":[{"kind":"string","str":"\u00e9\u2028<"},{"kind":""},{"kind":"null","int":3}],` +
+		`"varying":[{"kind":"float","float":1e-7},{"kind":"bool","bool":true},{"kind":"time","time":-1},{"kind":"int","str":"x","int":9}],"user_times":[]}],` +
+		`"keys":["a","b"],"atomic":false}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/elements:batch", payload)
+		handler, plain := server.DecodeBatchBothWays(payload)
+		if !reflect.DeepEqual(handler, plain) {
+			t.Fatalf("batch body %q:\n handler %+v\n plain   %+v", payload, handler, plain)
+		}
 	})
 }

@@ -4,7 +4,8 @@ package server_test
 // encoder copies out of an image, the response is, byte for byte, the plain
 // AppendElement loop over the same result — duplicates and order kept —
 // under every query kind, on every organization the catalog can reach, on a
-// primary and on the follower replaying its log, with the images cold, warm,
+// primary and on the follower replaying its log — a primary whose clock
+// stepped back included — with the images cold, warm,
 // closed into, re-labelled under and thrown away by a removing vacuum. (The
 // indexed store is not an organization the catalog chooses: its walks are the
 // embedded store's, and internal/query holds its spans to the same oracle.)
@@ -40,8 +41,10 @@ import (
 )
 
 // backstepClock issues a logical clock's stamps, except that from the at-th
-// on they start over far behind: transaction times then arrive out of order,
-// which only the heap label accepts.
+// on they start over far behind. The relation's stamps do not follow it back
+// (each is floored past the newest it holds): its history stays in
+// transaction-time order on the tt-ordered log, and its log is one the
+// follower replays.
 type backstepClock struct {
 	inner *tx.LogicalClock
 	at, n int
@@ -62,12 +65,10 @@ type imagesNode struct {
 	cat  *catalog.Catalog
 }
 
-// bootImagesNodes starts a primary on the given clock and, when replicated, a
-// follower tailing its log, each with a result cache — without one there is
-// nowhere to keep an image. Unreplicated, the primary keeps no log at all and
-// the follower is the zero node: a log whose transaction times go backward is
-// one replay refuses, so the heap's leg has no second node to read.
-func bootImagesNodes(t *testing.T, clock func() tx.Clock, replicated bool) (primary, follower imagesNode, caughtUp func()) {
+// bootImagesNodes starts a primary on the given clock and a follower tailing
+// its log, each with a result cache — without one there is nowhere to keep
+// an image.
+func bootImagesNodes(t *testing.T, clock func() tx.Clock) (primary, follower imagesNode, caughtUp func()) {
 	t.Helper()
 	dir := t.TempDir()
 	serve := func(cfg server.Config) string {
@@ -80,22 +81,15 @@ func bootImagesNodes(t *testing.T, clock func() tx.Clock, replicated bool) (prim
 		t.Cleanup(func() { _ = hs.Close() })
 		return "http://" + ln.Addr().String()
 	}
-	var w *wal.Log
-	if replicated {
-		var err error
-		if w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncGroup}); err != nil {
-			t.Fatalf("wal.Open: %v", err)
-		}
+	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncGroup})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
 	}
 	pcat := catalog.New(catalog.Config{Dir: filepath.Join(dir, "primary"), NewClock: clock, WAL: w, CacheBytes: 32 << 20})
 	if err := pcat.Open(); err != nil {
 		t.Fatalf("primary Open: %v", err)
 	}
 	primary = imagesNode{"primary", serve(server.Config{Catalog: pcat}), pcat}
-	if !replicated {
-		t.Cleanup(func() { _ = pcat.Close() })
-		return primary, imagesNode{}, func() {}
-	}
 
 	fcat := catalog.New(catalog.Config{Dir: filepath.Join(dir, "follower"), NewClock: clock, Follower: true, CacheBytes: 32 << 20})
 	if err := fcat.Open(); err != nil {
@@ -219,12 +213,12 @@ func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
 		clock    func() tx.Clock
 		want     storage.Kind
 	}{
-		{"heap", true, func() tx.Clock { return &backstepClock{inner: tx.NewLogicalClock(0, 10), at: 300} }, storage.Heap},
+		{"backward-clock", true, func() tx.Clock { return &backstepClock{inner: tx.NewLogicalClock(0, 10), at: 300} }, storage.TTOrdered},
 		{"tt-ordered", true, logical, storage.TTOrdered},
 		{"vt-ordered", false, logical, storage.VTOrdered},
 	} {
 		t.Run(org.name, func(t *testing.T) {
-			primary, follower, caughtUp := bootImagesNodes(t, org.clock, org.want != storage.Heap)
+			primary, follower, caughtUp := bootImagesNodes(t, org.clock)
 			schema := client.Schema{Name: "r", ValidTime: "event", Granularity: 1,
 				Invariant: []client.Column{{Name: "id", Type: "string"}}, Varying: []client.Column{{Name: "v", Type: "int"}}}
 			if org.interval {
@@ -282,9 +276,7 @@ func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
 				t.Helper()
 				caughtUp()
 				checkSplicedBytes(t, state, primary, queries)
-				if follower.cat != nil {
-					checkSplicedBytes(t, state, follower, queries)
-				}
+				checkSplicedBytes(t, state, follower, queries)
 				return e.ImageStats()
 			}
 

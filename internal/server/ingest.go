@@ -13,6 +13,7 @@ package server
 // like the single inserts it replaces.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -48,24 +49,11 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	var req wire.BatchInsertRequest
-	if aerr := decode(r, &req); aerr != nil {
+	req, aerr := decodeBatch(r)
+	if aerr != nil {
 		return nil, aerr
 	}
-	if len(req.Elements) == 0 {
-		return nil, errBadRequest("empty batch")
-	}
-	if len(req.Keys) != 0 && len(req.Keys) != len(req.Elements) {
-		return nil, errBadRequest("batch carries %d keys for %d elements", len(req.Keys), len(req.Elements))
-	}
-	ins := make([]relation.Insertion, len(req.Elements))
-	for i, er := range req.Elements {
-		var err error
-		if ins[i], err = toInsertion(er); err != nil {
-			return nil, errBadRequest("element %d: %s", i, err.Error())
-		}
-	}
-	res, err := e.InsertBatch(r.Context(), ins, req.Keys, req.Atomic)
+	res, err := e.InsertBatch(r.Context(), req.Elements, req.Keys, req.Atomic)
 	if err != nil {
 		return nil, mapError(err)
 	}
@@ -75,24 +63,71 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 		status = http.StatusOK
 	}
 	return &response{
-		status:  status,
-		body:    batchBody(res),
+		status: status,
+		body: wire.BatchBody[batchItems]{Items: res.Items, Stored: res.Stored, Deduped: res.Deduped,
+			Rejected: res.Rejected, Epoch: res.Epoch},
 		touched: res.Stored,
 	}, nil
 }
 
-func batchBody(res catalog.BatchResult) wire.BatchBody {
-	out := wire.BatchBody{
-		Items:    make([]wire.BatchBodyItem, len(res.Items)),
-		Stored:   res.Stored,
-		Deduped:  res.Deduped,
-		Rejected: res.Rejected,
-		Epoch:    res.Epoch,
+// batchItems is what the report of a batch is encoded from: the catalog's
+// outcomes, in place.
+type batchItems []catalog.BatchItemResult
+
+func (b batchItems) Len() int { return len(b) }
+
+func (b batchItems) Item(i int) (string, string, *element.Element) {
+	return b[i].Status.String(), b[i].Err, b[i].Elem
+}
+
+// decodeBatch reads an elements:batch body into the insertions InsertBatch
+// takes. A body spelled as the encoder spells it is parsed straight into
+// them (wire.BatchInsertions). Any other — a spelling only encoding/json
+// may judge, or an element that does not convert — is decodeBatchJSON's,
+// which decides what is refused and in which words. As in decode, only a
+// refused spelling is counted as a slow decode.
+func decodeBatch(r *http.Request) (wire.BatchInsertions, *apiError) {
+	var fast wire.BatchInsertions
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil {
+		switch err := fast.ParseJSON(buf.Bytes()); {
+		case err == nil:
+			return fast, checkBatch(len(fast.Elements), len(fast.Keys))
+		case !errors.Is(err, wire.ErrUnconvertible):
+			r.Body = slowDecoded{r.Body}
+		}
 	}
-	for i, it := range res.Items {
-		out.Items[i] = wire.BatchBodyItem{Status: it.Status.String(), Error: it.Err, Element: it.Elem}
+	return decodeBatchJSON(io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body))
+}
+
+// decodeBatchJSON reads a batch body with the strict json.Decoder into the
+// wire request, then converts it element by element (ToInsertions).
+func decodeBatchJSON(body io.Reader) (wire.BatchInsertions, *apiError) {
+	var req wire.BatchInsertRequest
+	if aerr := decodeJSON(body, &req); aerr != nil {
+		return wire.BatchInsertions{}, aerr
 	}
-	return out
+	if aerr := checkBatch(len(req.Elements), len(req.Keys)); aerr != nil {
+		return wire.BatchInsertions{}, aerr
+	}
+	ins, err := req.ToInsertions()
+	if err != nil {
+		return wire.BatchInsertions{}, errBadRequest("%s", err.Error())
+	}
+	return ins, nil
+}
+
+// checkBatch refuses an empty batch and one whose keys do not parallel its
+// elements.
+func checkBatch(elements, keys int) *apiError {
+	if elements == 0 {
+		return errBadRequest("empty batch")
+	}
+	if keys != 0 && keys != elements {
+		return errBadRequest("batch carries %d keys for %d elements", keys, elements)
+	}
+	return nil
 }
 
 // handleIngestCSV streams ?relation=<name>'s body — header-driven CSV —

@@ -499,8 +499,8 @@ type slowDecoded struct{ io.ReadCloser }
 // malformed ones to 400. Unknown fields are rejected so client typos fail
 // loudly instead of silently dropping options.
 //
-// A request with its own parser (wire.Parser: the insert and batch
-// bodies) is read whole and offered to it first. That parser takes the
+// A request with its own parser (wire.Parser: the insert body; the batch
+// body has decodeBatch) is read whole and offered to it first. That parser takes the
 // canonical spelling only; on anything else the bytes it saw — then
 // whatever the body still holds, including the error that ended the
 // read — are replayed to the strict json.Decoder, so what is accepted,
@@ -524,6 +524,12 @@ func decode(r *http.Request, into any) *apiError {
 		}
 		body = io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)
 	}
+	return decodeJSON(body, into)
+}
+
+// decodeJSON is decode's strict json.Decoder, and the statuses and
+// messages of its refusals.
+func decodeJSON(body io.Reader, into any) *apiError {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
@@ -855,7 +861,7 @@ func (s *Server) handleInsert(r *http.Request) (*response, *apiError) {
 	if aerr := decode(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	ins, err := toInsertion(req)
+	ins, err := req.ToInsertion()
 	if err != nil {
 		return nil, errBadRequest("%s", err.Error())
 	}
@@ -867,32 +873,6 @@ func (s *Server) handleInsert(r *http.Request) (*response, *apiError) {
 		status:  http.StatusCreated,
 		body:    wire.ElementBody{Element: el},
 		touched: 1,
-	}, nil
-}
-
-func toInsertion(req wire.InsertRequest) (relation.Insertion, error) {
-	vt, err := req.VT.ToTimestamp()
-	if err != nil {
-		return relation.Insertion{}, err
-	}
-	inv, err := wire.ToValues(req.Invariant)
-	if err != nil {
-		return relation.Insertion{}, err
-	}
-	vary, err := wire.ToValues(req.Varying)
-	if err != nil {
-		return relation.Insertion{}, err
-	}
-	var uts []chronon.Chronon
-	for _, u := range req.UserTimes {
-		uts = append(uts, chronon.Chronon(u))
-	}
-	return relation.Insertion{
-		Object:    surrogate.Surrogate(req.Object),
-		VT:        vt,
-		Invariant: inv,
-		Varying:   vary,
-		UserTimes: uts,
 	}, nil
 }
 

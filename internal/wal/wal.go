@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -187,6 +188,7 @@ type Log struct {
 	appended uint64
 	closed   bool
 	stale    []File // handles of truncated segments, closed on Close
+	frame    []byte // Write's frame buffer, reused: a file does not retain what it is given
 
 	smu     sync.Mutex // guards the durability watermark and sync state
 	scond   *sync.Cond
@@ -397,26 +399,39 @@ func parseSegment(data []byte) (base uint64, recs []Record, validLen int, header
 }
 
 // FrameBody encodes a record's frame body exactly as it is framed on
-// disk: u64 LSN, u8 kind, u16 relation length, relation, payload. It is
-// exported because these bytes are the integrity subsystem's Merkle
-// leaf identity — the primary's write path, boot replay, and follower
-// apply all hash the same encoding of the same record.
+// disk: u64 LSN, u8 kind, u16 relation length, relation, payload. These
+// bytes are the integrity subsystem's Merkle leaf identity — the
+// primary's write path, boot replay, and follower apply all hash the same
+// encoding of the same record (integrity.FrameLeaf, which hashes the
+// header and the payload where they lie instead of joining them here).
 func FrameBody(lsn uint64, kind Kind, rel string, payload []byte) []byte {
-	body := make([]byte, 0, frameMin+len(rel)+len(payload))
-	body = binary.LittleEndian.AppendUint64(body, lsn)
-	body = append(body, byte(kind))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(rel)))
-	body = append(body, rel...)
-	body = append(body, payload...)
-	return body
+	return append(AppendFrameHeader(make([]byte, 0, frameMin+len(rel)+len(payload)), lsn, kind, rel), payload...)
 }
 
-func appendFrame(buf []byte, lsn uint64, kind Kind, rel string, payload []byte) []byte {
-	body := FrameBody(lsn, kind, rel, payload)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+// AppendFrameHeader appends the part of a frame body ahead of its payload:
+// u64 LSN, u8 kind, u16 relation length, relation.
+func AppendFrameHeader(dst []byte, lsn uint64, kind Kind, rel string) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, byte(kind))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rel)))
+	return append(dst, rel...)
 }
+
+// appendFrame appends one frame — u32 body length, the body, u32 CRC32C
+// of the body — growing buf at most once.
+func appendFrame(buf []byte, lsn uint64, kind Kind, rel string, payload []byte) []byte {
+	n := frameMin + len(rel) + len(payload)
+	buf = binary.LittleEndian.AppendUint32(slices.Grow(buf, 4+n+4), uint32(n))
+	body := len(buf)
+	buf = append(AppendFrameHeader(buf, lsn, kind, rel), payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[body:], castagnoli))
+}
+
+// MaxKeptFrame bounds every frame buffer kept from one write to the next —
+// the log's, and the one a writer encodes its payloads into: a 256-element
+// batch's frame fits with room to spare; the buffer of a rare larger one is
+// dropped after its write.
+const MaxKeptFrame = 128 << 10
 
 // TakeRecovered returns the records Open recovered and releases them.
 func (l *Log) TakeRecovered() []Record {
@@ -485,7 +500,10 @@ func (l *Log) Write(kind Kind, rel string, payload []byte) (uint64, error) {
 	if err := l.Err(); err != nil {
 		return 0, err
 	}
-	frame := appendFrame(nil, l.next, kind, rel, payload)
+	frame := appendFrame(l.frame[:0], l.next, kind, rel, payload)
+	if cap(frame) <= MaxKeptFrame {
+		l.frame = frame
+	}
 	if l.size+int64(len(frame)) > l.opts.SegmentBytes && l.size > headerSize {
 		if err := l.rollLocked(); err != nil {
 			l.setFailed(err)

@@ -554,40 +554,51 @@ func (b ElementBody) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), err
 }
 
-// BatchBodyItem encodes as BatchItem; Element is nil for a rejection.
-type BatchBodyItem struct {
-	Status  string
-	Error   string
-	Element *element.Element
+// BatchItems is what a batch report is encoded from: the outcomes a batch
+// insert returned, read where they are.
+type BatchItems interface {
+	Len() int
+	// Item is item i's status ("stored", "deduped" or "rejected"), the
+	// rejection's cause, and the element stored or remembered (nil for a
+	// rejection).
+	Item(i int) (status, cause string, el *element.Element)
 }
 
 // BatchBody encodes as BatchInsertResponse.
-type BatchBody struct {
-	Items    []BatchBodyItem
+type BatchBody[I BatchItems] struct {
+	Items    I
 	Stored   int
 	Deduped  int
 	Rejected int
 	Epoch    uint64
 }
 
-func (b BatchBody) AppendJSON(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, 128+256*len(b.Items))
+func (b BatchBody[I]) AppendJSON(dst []byte) ([]byte, error) {
+	n := b.Items.Len()
 	dst = append(dst, `{"items":[`...)
+	at := len(dst)
 	var err error
-	for i, it := range b.Items {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(append(dst, `{"status":`...), it.Status)
-		if it.Error != "" {
-			dst = appendString(append(dst, `,"error":`...), it.Error)
+		status, cause, el := b.Items.Item(i)
+		dst = appendString(append(dst, `{"status":`...), status)
+		if cause != "" {
+			dst = appendString(append(dst, `,"error":`...), cause)
 		}
-		if it.Element != nil {
-			if dst, err = AppendElement(append(dst, `,"element":`...), it.Element); err != nil {
+		if el != nil {
+			if dst, err = AppendElement(append(dst, `,"element":`...), el); err != nil {
 				return dst, err
 			}
 		}
 		dst = append(dst, '}')
+		if i == 0 {
+			// Size the report once, from its first item: a batch's elements
+			// share a schema, so its items are about as long.
+			unit := len(dst) - at + 1
+			dst = slices.Grow(dst, (n-1)*(unit+unit/4)+128)
+		}
 	}
 	dst = strconv.AppendInt(append(dst, `],"stored":`...), int64(b.Stored), 10)
 	dst = strconv.AppendInt(append(dst, `,"deduped":`...), int64(b.Deduped), 10)
@@ -659,9 +670,21 @@ func (r InsertRequest) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// AppendJSON writes the batch request the client sends.
+// AppendJSON writes the batch request the client sends, into dst grown
+// once: the keys to the byte, and every element at the length of the first
+// — a batch shares one schema — with a margin for the fields and digits a
+// first element's zero values leave out.
 func (r BatchInsertRequest) AppendJSON(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, 64+192*len(r.Elements))
+	size := 64 + 3*len(r.Keys)
+	for _, k := range r.Keys {
+		size += len(k)
+	}
+	if len(r.Elements) > 0 {
+		var scratch [256]byte
+		first, _ := r.Elements[0].AppendJSON(scratch[:0])
+		size += len(r.Elements) * (len(first) + 1 + len(first)/4)
+	}
+	dst = slices.Grow(dst, size)
 	if r.Elements == nil {
 		dst = append(dst, `{"elements":null`...)
 	} else {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -45,8 +46,33 @@ func sameBytes(t *testing.T, what string, a Appender, ref any) []byte {
 	return got
 }
 
-// sameValue holds a Parser to json.Unmarshal on bytes the codec wrote:
-// canonical input must take the fast path and decode to the same value.
+// reference decodes data the way its receiver does without the fast path:
+// json.Unmarshal, and for a batch request the server's strict decode and
+// conversion (insertionsOracle).
+func reference(data []byte, into any) error {
+	if _, ok := into.(*BatchInsertions); ok {
+		return insertionsOracle(data, into)
+	}
+	return json.Unmarshal(data, into)
+}
+
+// insertionsOracle is what the server does with a batch body its parser
+// hands back: the strict decoder into the wire request, then ToInsertions.
+func insertionsOracle(data []byte, into any) error {
+	var req BatchInsertRequest
+	if err := strict(data, &req); err != nil {
+		return err
+	}
+	ins, err := req.ToInsertions()
+	if err == nil {
+		*into.(*BatchInsertions) = ins
+	}
+	return err
+}
+
+// sameValue holds a Parser to its reference decoder on bytes the codec
+// wrote: canonical input must take the fast path and decode to the same
+// value.
 func sameValue[T any, P interface {
 	*T
 	Parser
@@ -56,12 +82,28 @@ func sameValue[T any, P interface {
 	if err := P(&got).ParseJSON(src); err != nil {
 		t.Fatalf("%s: ParseJSON refused canonical bytes: %v\n%s", what, err, src)
 	}
-	if err := json.Unmarshal(src, &want); err != nil {
-		t.Fatalf("%s: json.Unmarshal: %v", what, err)
+	if err := reference(src, &want); err != nil {
+		t.Fatalf("%s: reference decode: %v", what, err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: values diverge\n hand: %+v\n json: %+v\n from: %s", what, got, want, src)
 	}
+}
+
+// reportItems are a batch's outcomes as a test writes them down, for the
+// report BatchBody encodes from them.
+type (
+	reportItem struct {
+		status, cause string
+		el            *element.Element
+	}
+	reportItems []reportItem
+)
+
+func (r reportItems) Len() int { return len(r) }
+
+func (r reportItems) Item(i int) (string, string, *element.Element) {
+	return r[i].status, r[i].cause, r[i].el
 }
 
 // checkBodies runs the four response bodies and the two requests built
@@ -73,7 +115,7 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 		sameValue[QueryResponse](t, "query", b)
 	}
 
-	batch := BatchBody{Items: make([]BatchBodyItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
+	batch := BatchBody[reportItems]{Items: make(reportItems, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
 	ref := BatchInsertResponse{Items: make([]BatchItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
 	rows := make([][]element.Value, 0, 2*len(els))
 	wrows := make([][]Value, 0, 2*len(els))
@@ -84,10 +126,10 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 			sameValue[ElementResponse](t, "element", b)
 		}
 		if i%3 == 2 {
-			batch.Items[i] = BatchBodyItem{Status: "rejected", Error: word}
+			batch.Items[i] = reportItem{status: "rejected", cause: word}
 			ref.Items[i] = BatchItem{Status: "rejected", Error: word}
 		} else {
-			batch.Items[i] = BatchBodyItem{Status: "stored", Element: e}
+			batch.Items[i] = reportItem{status: "stored", el: e}
 			ref.Items[i] = BatchItem{Status: "stored", Element: &we}
 		}
 		rows = append(rows, e.Invariant, e.Varying)
@@ -110,7 +152,7 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 	}
 	br := BatchInsertRequest{Elements: reqs, Keys: cols, Atomic: len(els)%2 == 1}
 	if b := sameBytes(t, "batch request", br, br); b != nil {
-		sameValue[BatchInsertRequest](t, "batch request", b)
+		sameValue[BatchInsertions](t, "batch request", b)
 	}
 }
 
@@ -285,7 +327,8 @@ func checkSplice(t *testing.T, g *gen) {
 // agree holds the fast parser to its oracle on arbitrary bytes: what it
 // accepts, the oracle accepts, with the same value; what it refuses it
 // leaves untouched for the fallback — which is the oracle itself, so
-// accept/reject and error text are the oracle's by construction.
+// accept/reject and error text are the oracle's by construction. What it
+// refuses as unconvertible the oracle must refuse too.
 func agree[T any, P interface {
 	*T
 	Parser
@@ -295,6 +338,9 @@ func agree[T any, P interface {
 	if err := P(&got).ParseJSON(data); err != nil {
 		if !reflect.DeepEqual(got, zero) {
 			t.Fatalf("%T: refused input left its mark: %+v\n%q", got, got, data)
+		}
+		if errors.Is(err, ErrUnconvertible) && oracle(data, &want) == nil {
+			t.Fatalf("%T: refused as unconvertible what the oracle converts\n%q", got, data)
 		}
 		return
 	}
@@ -325,7 +371,7 @@ func checkArbitrary(t *testing.T, data []byte) {
 	agree[BatchInsertResponse](t, data, lenient)
 	agree[SelectResponse](t, data, lenient)
 	agree[InsertRequest](t, data, strict)
-	agree[BatchInsertRequest](t, data, strict)
+	agree[BatchInsertions](t, data, insertionsOracle)
 }
 
 // codecSeeds are canonical documents of every shape plus the spellings
@@ -494,7 +540,7 @@ func sameAsCanonical[T any, P interface {
 	if err := P(&want).ParseJSON([]byte(canonical)); err != nil {
 		t.Fatalf("%T: fast path refused canonical %s", want, canonical)
 	}
-	if err := json.Unmarshal([]byte(doc), &got); err != nil || !reflect.DeepEqual(got, want) {
+	if err := reference([]byte(doc), &got); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("%T: %s falls back to %+v, %v; canonical is %+v", got, doc, got, err, want)
 	}
 }
@@ -543,7 +589,7 @@ func TestParserFallsBack(t *testing.T) {
 	sameAsCanonical[Element](t, swap(element, `"start":1`, `"end":9`), element)
 	sameAsCanonical[Value](t, `{"int":7,"kind":"int"}`, `{"kind":"int","int":7}`)
 	sameAsCanonical[InsertRequest](t, swap(request, `"object":3`, `"vt":{"start":1,"end":9}`), request)
-	sameAsCanonical[BatchInsertRequest](t, swap(batch, `"keys":["k"]`, `"atomic":true`), batch)
+	sameAsCanonical[BatchInsertions](t, swap(batch, `"keys":["k"]`, `"atomic":true`), batch)
 	sameAsCanonical[QueryResponse](t, swap(query, `"touched":1`, `"epoch":2`), query)
 	sameAsCanonical[BatchInsertResponse](t, swap(report, `"stored":1`, `"deduped":0`), report)
 	sameAsCanonical[SelectResponse](t, swap(table, `"columns":["c"]`, `"rows":[[{"kind":"int","int":1}],null]`), table)
@@ -556,7 +602,7 @@ func TestParserFallsBack(t *testing.T) {
 	sameAsCanonical[Element](t, pretty(element), element)
 	sameAsCanonical[InsertRequest](t, pretty(request), request)
 	sameAsCanonical[QueryResponse](t, pretty(query), query)
-	sameAsCanonical[BatchInsertRequest](t, pretty(batch), batch)
+	sameAsCanonical[BatchInsertions](t, pretty(batch), batch)
 	sameAsCanonical[BatchInsertResponse](t, pretty(report), report)
 	sameAsCanonical[SelectResponse](t, pretty(table), table)
 	// A duplicated key (encoding/json keeps the last), null for a scalar
@@ -573,7 +619,11 @@ func TestParserFallsBack(t *testing.T) {
 	sameValue[QueryResponse](t, "empty fields", []byte(`{"elements":[],"plan":"","touched":0,"epoch":0}`))
 	sameValue[BatchInsertResponse](t, "nil items", []byte(`{"items":null,"stored":0,"deduped":0,"rejected":0}`))
 	sameValue[SelectResponse](t, "nil columns and rows", []byte(`{"columns":null,"rows":null,"touched":0}`))
-	sameValue[BatchInsertRequest](t, "nil request elements", []byte(`{"elements":null}`))
+	sameValue[BatchInsertions](t, "nil request elements", []byte(`{"elements":null}`))
+	// A canonical batch whose element does not convert is handed back too,
+	// for the conversion to refuse in its own words.
+	refused[BatchInsertions](t, `{"elements":[`+request+`,{"vt":{"event":5},"varying":[{"kind":"zebra"}]}],"keys":["k","l"]}`)
+	refused[BatchInsertions](t, `{"elements":[{"vt":{"start":9,"end":9}}]}`)
 }
 
 func benchElements(n int, interval bool) []*element.Element {
@@ -635,16 +685,16 @@ func ledgerElements(n int) []*element.Element {
 
 // benchBatch is a 256-element InsertBatch round trip as the typed client
 // and the server spell it: keyed, atomic, every item stored.
-func benchBatch(n int) (BatchInsertRequest, BatchBody, BatchInsertResponse) {
+func benchBatch(n int) (BatchInsertRequest, BatchBody[reportItems], BatchInsertResponse) {
 	els := benchElements(n, true)
 	req := BatchInsertRequest{Elements: make([]InsertRequest, n), Keys: make([]string, n), Atomic: true}
-	body := BatchBody{Items: make([]BatchBodyItem, n), Stored: n, Epoch: 9}
+	body := BatchBody[reportItems]{Items: make(reportItems, n), Stored: n, Epoch: 9}
 	ref := BatchInsertResponse{Items: make([]BatchItem, n), Stored: n, Epoch: 9}
 	for i, e := range els {
 		we := FromElement(e)
 		req.Elements[i] = InsertRequest{VT: we.VT, Invariant: we.Invariant, Varying: we.Varying}
 		req.Keys[i] = fmt.Sprintf("%032x", i+1)
-		body.Items[i] = BatchBodyItem{Status: "stored", Element: e}
+		body.Items[i] = reportItem{status: "stored", el: e}
 		ref.Items[i] = BatchItem{Status: "stored", Element: &we}
 	}
 	return req, body, ref
@@ -679,7 +729,7 @@ func TestCodecAllocationBudget(t *testing.T) {
 	// batch, the client the report.
 	req, report, _ := benchBatch(256)
 	reqDoc, _ := req.AppendJSON(nil)
-	var gotReq BatchInsertRequest
+	var gotReq BatchInsertions
 	if n := testing.AllocsPerRun(10, func() {
 		if err := gotReq.ParseJSON(reqDoc); err != nil {
 			t.Fatal(err)
@@ -687,8 +737,8 @@ func TestCodecAllocationBudget(t *testing.T) {
 	}); n > 8 {
 		t.Errorf("parsing a 256-item batch request: %v allocations, want at most 8 in total", n)
 	}
-	if !reflect.DeepEqual(gotReq, req) {
-		t.Error("parsed batch request is not the one encoded")
+	if want, err := req.ToInsertions(); err != nil || !reflect.DeepEqual(gotReq, want) {
+		t.Errorf("parsed batch request is not the one encoded (%v)", err)
 	}
 	reportDoc, _ := report.AppendJSON(nil)
 	var gotReport BatchInsertResponse
@@ -708,11 +758,12 @@ var benchSink int
 
 // benchCodec puts each direction of the codec beside encoding/json on
 // one document: body is what the sender appends, ref the wire struct of
-// the same bytes, T what the receiver parses into.
+// the same bytes, T what the receiver parses into — by hand, or by its
+// reference decoder.
 func benchCodec[T any, P interface {
 	*T
 	Parser
-}](b *testing.B, name string, body Appender, ref T) {
+}](b *testing.B, name string, body Appender, ref any) {
 	doc, err := body.AppendJSON(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -751,7 +802,7 @@ func benchCodec[T any, P interface {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var out T
-			if err := json.Unmarshal(doc, &out); err != nil {
+			if err := reference(doc, &out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -761,12 +812,14 @@ func benchCodec[T any, P interface {
 // BenchmarkWireCodec is hand/ against json/, encode and parse: query
 // results with event and interval stamps, 1 to 4096 elements; the
 // ledger-shaped time-slice answer tsbench's worst cell reads; and the
-// two bodies of a 256-element batch round trip.
+// two bodies of a 256-element batch round trip, the request parsed into
+// insertions (its json/ leg is the server's slow path, ToInsertions
+// included).
 func BenchmarkWireCodec(b *testing.B) {
 	query := func(name string, els []*element.Element) {
 		n := len(els)
 		body := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
-		benchCodec(b, name, body, QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9})
+		benchCodec[QueryResponse](b, name, body, QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9})
 	}
 	for _, stamp := range []string{"event", "interval"} {
 		for _, n := range []int{1, 256, 4096} {
@@ -791,6 +844,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		})
 	}
 	req, report, ref := benchBatch(256)
-	benchCodec(b, "batch-request/n=256", req, req)
-	benchCodec(b, "batch-response/n=256", report, ref)
+	benchCodec[BatchInsertions](b, "batch-request/n=256", req, req)
+	benchCodec[BatchInsertResponse](b, "batch-response/n=256", report, ref)
 }

@@ -19,6 +19,9 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/chronon"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/surrogate"
 )
 
 // errNotCanonical is the parser's only error: the input is either not
@@ -86,9 +89,12 @@ type parser struct {
 	src     []byte
 	i       int
 	bad     bool // sticky: some byte was not the encoder's; parseTop checks it once
+	unconv  bool // sticky: an insertion that ToInsertion would refuse (BatchInsertions)
 	ints    slab[int64]
 	vals    slab[Value]
 	elems   slab[Element]
+	evals   slab[element.Value]
+	times   slab[chronon.Chronon]
 	strs    arena
 	scratch []byte // unescaping buffer
 	depth   int    // plan-node nesting
@@ -106,6 +112,7 @@ func newParser(src []byte) *parser {
 	p.ints.buf, p.vals.buf = p.ints0[:0], p.vals0[:0]
 	// `1,` — `{"kind":""},` — `{"es":0,"os":0,"tt_start":0,"tt_end":0,"current":true,"vt":{}},`
 	p.ints.per, p.vals.per, p.elems.per = 2, 12, 63
+	p.evals.per, p.times.per = p.vals.per, p.ints.per
 	return p
 }
 
@@ -150,10 +157,10 @@ func (p *parser) field(open int, key string) bool {
 }
 
 // mark and extrapolate size a result set from its first item.
-type mark struct{ pos, ints, vals, elems, strs int }
+type mark struct{ pos, ints, vals, elems, evals, times, strs int }
 
 func (p *parser) mark() mark {
-	return mark{p.i, p.ints.used, p.vals.used, p.elems.used, p.strs.used}
+	return mark{p.i, p.ints.used, p.vals.used, p.elems.used, p.evals.used, p.times.used, p.strs.used}
 }
 
 // extrapolate is called after the first item of an array, with the mark
@@ -169,6 +176,8 @@ func (p *parser) extrapolate(m mark) int {
 	p.ints.want = n * (p.ints.used - m.ints)
 	p.vals.want = n * (p.vals.used - m.vals)
 	p.elems.want = n * (p.elems.used - m.elems)
+	p.evals.want = n * (p.evals.used - m.evals)
+	p.times.want = n * (p.times.used - m.times)
 	p.strs.want = n*(p.strs.used-m.strs) + 128
 	return n
 }
@@ -182,8 +191,8 @@ func item[T any](p *parser, v *T) {
 		p.element(v)
 	case *BatchItem:
 		p.batchItem(v)
-	case *InsertRequest:
-		p.insertRequest(v)
+	case *relation.Insertion:
+		p.insertion(v)
 	case *[]Value:
 		*v = p.values()
 	case *string:
@@ -712,9 +721,140 @@ func (p *parser) insertRequest(r *InsertRequest) {
 	p.attributes(&r.Invariant, &r.Varying, &r.UserTimes)
 }
 
-func (p *parser) batchRequest(r *BatchInsertRequest) {
+// The insertions of a batch request, each element read the way
+// insertRequest reads it and converted the way InsertRequest.ToInsertion
+// converts it: values straight into engine values, time-stamps into engine
+// time-stamps, with no wire struct in between. What ToInsertion refuses — a
+// value kind outside the six, a time-stamp that is neither an event nor a
+// non-empty interval — is not refused here: it sets unconv and parsing goes
+// on, so that the caller learns whether the spelling was the encoder's and
+// can leave the refusal, and its wording, to the path that always made it.
+
+// BatchInsertions is a BatchInsertRequest parsed into what a batch insert
+// takes: one insertion per element, every value of the batch in one slab.
+// It is the only parser of a batch request (ParseJSON); a body it does not
+// take whole is decoded as a BatchInsertRequest by encoding/json and
+// converted by BatchInsertRequest.ToInsertions.
+type BatchInsertions struct {
+	Elements []relation.Insertion
+	Keys     []string
+	Atomic   bool
+}
+
+// ErrUnconvertible is what BatchInsertions.ParseJSON returns for a body
+// spelled as the encoder spells it that holds an element no insertion can
+// be built from: the decode is not slow, the request is refused.
+var ErrUnconvertible = errors.New("wire: a batch element that does not convert")
+
+// engineValue is value converted as Value.ToValue converts. Once one
+// conversion has failed the batch is refused, so no other is tried: a body
+// of bad kinds builds one error, not one per value.
+func (p *parser) engineValue(v *element.Value) {
+	var w Value
+	p.value(&w)
+	if p.unconv {
+		return
+	}
+	var err error
+	if *v, err = w.ToValue(); err != nil {
+		p.unconv = true
+	}
+}
+
+// engineValues is values into the engine slab; an empty list is nil, as
+// ToValues makes it.
+func (p *parser) engineValues() []element.Value {
+	if !p.lit("[") {
+		p.expect("null")
+		return nil
+	}
+	if p.lit("]") {
+		return nil
+	}
+	start := len(p.evals.buf)
+	for {
+		start = p.evals.grow(start, p.left())
+		p.engineValue(&p.evals.buf[len(p.evals.buf)-1])
+		if p.bad || !p.lit(",") {
+			break
+		}
+	}
+	p.expect("]")
+	return p.evals.buf[start:len(p.evals.buf):len(p.evals.buf)]
+}
+
+// chronons is i64s into the chronon slab; an empty list is nil.
+func (p *parser) chronons() []chronon.Chronon {
+	p.expect("[")
+	if p.lit("]") {
+		return nil
+	}
+	start := len(p.times.buf)
+	for {
+		start = p.times.grow(start, p.left())
+		p.times.buf[len(p.times.buf)-1] = chronon.Chronon(p.i64())
+		if p.bad || !p.lit(",") {
+			break
+		}
+	}
+	p.expect("]")
+	return p.times.buf[start:len(p.times.buf):len(p.times.buf)]
+}
+
+// engineStamp is timestamp converted as Timestamp.ToTimestamp converts — an
+// event alone, or a start and a later end — with no pointer fields to
+// allocate and no error to build.
+func (p *parser) engineStamp() element.Timestamp {
+	var event, start, end int64
+	p.expect("{")
+	open := p.i
+	hasEvent := p.field(open, `,"event":`)
+	if hasEvent {
+		event = p.i64()
+	}
+	hasStart := p.field(open, `,"start":`)
+	if hasStart {
+		start = p.i64()
+	}
+	hasEnd := p.field(open, `,"end":`)
+	if hasEnd {
+		end = p.i64()
+	}
+	p.expect("}")
+	switch {
+	case hasEvent && !hasStart && !hasEnd:
+		return element.EventAt(chronon.Chronon(event))
+	case !hasEvent && hasStart && hasEnd && end > start:
+		return element.SpanOf(chronon.Chronon(start), chronon.Chronon(end))
+	}
+	p.unconv = true
+	return element.Timestamp{}
+}
+
+// insertion is insertRequest converted as ToInsertion converts.
+func (p *parser) insertion(ins *relation.Insertion) {
+	p.expect("{")
+	if p.lit(`"object":`) {
+		ins.Object = surrogate.Surrogate(p.u64())
+		p.expect(",")
+	}
+	p.expect(`"vt":`)
+	ins.VT = p.engineStamp()
+	if p.lit(`,"invariant":`) {
+		ins.Invariant = p.engineValues()
+	}
+	if p.lit(`,"varying":`) {
+		ins.Varying = p.engineValues()
+	}
+	if p.lit(`,"user_times":`) {
+		ins.UserTimes = p.chronons()
+	}
+	p.expect("}")
+}
+
+func (p *parser) batchInsertions(r *BatchInsertions) {
 	p.expect(`{"elements":`)
-	r.Elements = array[InsertRequest](p)
+	r.Elements = array[relation.Insertion](p)
 	if p.lit(`,"keys":`) {
 		r.Keys = array[string](p)
 	}
@@ -727,16 +867,20 @@ func (p *parser) batchRequest(r *BatchInsertRequest) {
 // parseTop runs one type's parser over the whole of src — and the
 // newline json.Encoder ends a document with, which the server keeps —
 // in place, and puts *r back as it was unless every byte was the
-// encoder's.
+// encoder's and everything converted.
 func parseTop[T any](r *T, src []byte, parse func(*parser, *T)) error {
 	p := newParser(src)
 	old := *r
 	*r = *new(T)
 	parse(p, r)
 	p.lit("\n")
-	if p.bad || p.i != len(src) {
+	switch {
+	case p.bad || p.i != len(src):
 		*r = old
 		return errNotCanonical
+	case p.unconv:
+		*r = old
+		return ErrUnconvertible
 	}
 	return nil
 }
@@ -765,6 +909,6 @@ func (r *InsertRequest) ParseJSON(src []byte) error {
 	return parseTop(r, src, (*parser).insertRequest)
 }
 
-func (r *BatchInsertRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).batchRequest)
+func (r *BatchInsertions) ParseJSON(src []byte) error {
+	return parseTop(r, src, (*parser).batchInsertions)
 }

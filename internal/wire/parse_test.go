@@ -132,7 +132,7 @@ func TestRefusalIsCheap(t *testing.T) {
 	const size = 1 << 20 // server.Config.MaxBodyBytes' default
 	parse := map[string]func([]byte) error{
 		"insert":         func(b []byte) error { return new(InsertRequest).ParseJSON(b) },
-		"batch request":  func(b []byte) error { return new(BatchInsertRequest).ParseJSON(b) },
+		"batch request":  func(b []byte) error { return new(BatchInsertions).ParseJSON(b) },
 		"query response": func(b []byte) error { return new(QueryResponse).ParseJSON(b) },
 		"batch response": func(b []byte) error { return new(BatchInsertResponse).ParseJSON(b) },
 		"select":         func(b []byte) error { return new(SelectResponse).ParseJSON(b) },
@@ -149,6 +149,9 @@ func TestRefusalIsCheap(t *testing.T) {
 		{"batch request", `{"elements":[`, false},
 		{"batch request", `{"elements":[{"vt":{}}`, true},
 		{"batch request", `{"elements":[{"vt":{},"varying":[{"kind":"null"}`, true},
+		{"batch request", `{"elements":[{"vt":{},"varying":[{"kind":"zebra"}`, true},
+		{"batch request", `{"elements":[{"vt":{},"user_times":[`, false},
+		{"batch request", `{"elements":[{"vt":{},"user_times":[1`, true},
 		{"batch request", `{"elements":[],"keys":[`, false},
 		{"batch request", `{"elements":[],"keys":[""`, true},
 		{"query response", `{"elements":[` + el + `}`, true},

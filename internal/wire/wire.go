@@ -26,6 +26,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/surrogate"
 )
 
 // Value is one attribute value as a tagged union. Kind selects which of
@@ -420,6 +421,35 @@ type InsertRequest struct {
 	UserTimes []int64   `json:"user_times,omitempty"`
 }
 
+// ToInsertion converts the request into the insertion the engine takes.
+// It refuses an unknown value kind and a time-stamp that is neither an
+// event nor a non-empty interval.
+func (r InsertRequest) ToInsertion() (relation.Insertion, error) {
+	vt, err := r.VT.ToTimestamp()
+	if err != nil {
+		return relation.Insertion{}, err
+	}
+	inv, err := ToValues(r.Invariant)
+	if err != nil {
+		return relation.Insertion{}, err
+	}
+	vary, err := ToValues(r.Varying)
+	if err != nil {
+		return relation.Insertion{}, err
+	}
+	var uts []chronon.Chronon
+	for _, u := range r.UserTimes {
+		uts = append(uts, chronon.Chronon(u))
+	}
+	return relation.Insertion{
+		Object:    surrogate.Surrogate(r.Object),
+		VT:        vt,
+		Invariant: inv,
+		Varying:   vary,
+		UserTimes: uts,
+	}, nil
+}
+
 // BatchInsertRequest stores many elements as one journaled unit: one
 // WAL frame, one group-commit entry, one published epoch. Keys, when
 // present, parallels Elements — one idempotency key per element, so a
@@ -430,6 +460,22 @@ type BatchInsertRequest struct {
 	Elements []InsertRequest `json:"elements"`
 	Keys     []string        `json:"keys,omitempty"`
 	Atomic   bool            `json:"atomic,omitempty"`
+}
+
+// ToInsertions converts every element of the request (ToInsertion); the
+// error names the first element that does not convert.
+func (r BatchInsertRequest) ToInsertions() (BatchInsertions, error) {
+	out := BatchInsertions{Keys: r.Keys, Atomic: r.Atomic}
+	if r.Elements != nil {
+		out.Elements = make([]relation.Insertion, len(r.Elements))
+	}
+	for i, er := range r.Elements {
+		var err error
+		if out.Elements[i], err = er.ToInsertion(); err != nil {
+			return BatchInsertions{}, fmt.Errorf("element %d: %s", i, err.Error())
+		}
+	}
+	return out, nil
 }
 
 // BatchItem is one element's outcome inside a batch response.
