@@ -10,11 +10,14 @@ package catalog
 // same per-element work) puts it. The clamped pair is the bounded loop's:
 // warm, each merges the ≈ 24 chunks its clamp contains and folds the two it
 // cuts, on the columnar scan and on the row engine's binary search alike;
-// pruned/op counts the chunks passed over unread. The batch append is
-// outside the timer. `make bench-smoke` runs it.
+// pruned/op counts the chunks passed over unread. Warm, a whole-relation
+// statement merges one partial per aligned group of 16 chunks and one per
+// chunk past the last group: partials/op beside merged/op. The batch append
+// is outside the timer. `make bench-smoke` runs it.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/chronon"
@@ -32,6 +35,7 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 		{"count", "select count(*) from bench group by window(16384)"},
 		{"sum", "select sum(v) from bench group by window(16384)"},
 		{"rollingmax", "select max(v) from bench group by window(16384, rolling 8)"},
+		{"cumulative", "select count(*) from bench group by window(16384, cumulative)"},
 		// firehose-analytics' clamped window (the planner's pick) and its
 		// USING ROW twin: 65,536 chronons inside the sealed history.
 		{"clamp", "select sum(v) from bench when valid during [400000, 465536) group by window(4096)"},
@@ -80,6 +84,10 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 				b.StopTimer()
 				st := e.BatchStats()
 				b.ReportMetric(float64(st.RunsMerged)/float64(b.N+1), "merged/op")
+				// Nothing is closed, so every group merged holds 16 live
+				// chunks: the partials merged are the groups and the
+				// chunks merged outside one.
+				b.ReportMetric(float64(st.RunsMerged-15*st.GroupsMerged)/float64(b.N+1), "partials/op")
 				b.ReportMetric(float64(st.RunsFolded)/float64(b.N+1), "folded/op")
 				b.ReportMetric(float64(st.ChunksPruned)/float64(b.N+1), "pruned/op")
 			})
@@ -222,7 +230,7 @@ func BenchmarkAggregateAfterWrite(b *testing.B) {
 // windows emitted — so the path cannot quietly grow back toward a fold of
 // the relation. 20 full chunks; the budget is per execution, not per chunk.
 func TestWarmAggregateAllocationBudget(t *testing.T) {
-	const warmAggregateAllocs = 130 // reads 119 (row) and 122 (columnar): ≈ 5 per emitted window, 21 windows, nothing per chunk
+	const warmAggregateAllocs = 60 // reads 45 (row) and 48 (columnar): nothing per chunk or per window
 	e, _ := ledgerShaped(t, storage.TTOrdered, 20*256+40)
 	ctx := context.Background()
 	for _, engine := range []string{"row", "columnar"} {
@@ -247,6 +255,54 @@ func TestWarmAggregateAllocationBudget(t *testing.T) {
 		t.Logf("using %s: %.0f allocations per warm aggregate", engine, got)
 		if got > warmAggregateAllocs {
 			t.Fatalf("using %s: a warm aggregate over 20 chunks allocates %.0f objects, budget %d", engine, got, warmAggregateAllocs)
+		}
+	}
+}
+
+// TestWholeAggregateAllocationBudget: a warm whole-relation aggregate — its
+// groups and chunks merged, only the tail folded — allocates the same few
+// objects whatever the number of windows it emits: rows are carved from
+// slabs, the values finalized into one, and rolling and cumulative rows
+// merged into one scratch row. Each of firehose-analytics' four statements
+// runs at two widths, ≈ 85 and ≈ 340 windows over 34 chunks.
+func TestWholeAggregateAllocationBudget(t *testing.T) {
+	const (
+		wholeAggregateAllocs = 70 // reads 52–57 at ≈ 85 windows (54–61 under -race)
+		perWindowSlack       = 12 // reads 7: a few slab and map doublings, none per window
+	)
+	e := sealedSensor(t, New(cachedConfig(t.TempDir())), "whole", 34*256)
+	appendSensor(t, e, 34*256, 100)
+	ctx := context.Background()
+	for _, stmt := range []string{"count(*) from whole group by window(%v)", "sum(v) from whole group by window(%v)",
+		"max(v) from whole group by window(%v, rolling 8)", "count(*) from whole group by window(%v, cumulative)"} {
+		var allocs [2]float64
+		for i, width := range []int{1024, 256} {
+			src := fmt.Sprintf("select "+stmt, width)
+			q, err := tsql.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fp := q.Fingerprints()
+			v := e.view.Load()
+			exec := func() vec.ExecStats {
+				_, _, st, err := e.executeAggregate(ctx, v, q, fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			exec() // learns the chunks
+			exec() // builds the groups
+			if st := exec(); st.GroupsMerged != 2 || st.RunsMerged != 34 || st.RunsFolded != 0 {
+				t.Fatalf("%s: not warm: %+v", src, st)
+			}
+			allocs[i] = testing.AllocsPerRun(100, func() { exec() })
+		}
+		stmt = fmt.Sprintf(stmt, "w")
+		t.Logf("%s: %.0f allocations at ≈ 85 windows, %.0f at ≈ 340", stmt, allocs[0], allocs[1])
+		if allocs[0] > wholeAggregateAllocs || allocs[1]-allocs[0] > perWindowSlack {
+			t.Fatalf("%s: %.0f and %.0f allocations; budget %d, and at most %d more for 4× the windows",
+				stmt, allocs[0], allocs[1], wholeAggregateAllocs, perWindowSlack)
 		}
 	}
 }

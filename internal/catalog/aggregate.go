@@ -107,6 +107,7 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 		e.rowPicks.Add(1)
 	}
 	e.runsMerged.Add(st.RunsMerged)
+	e.groupsMerged.Add(st.GroupsMerged)
 	e.runsFolded.Add(st.RunsFolded)
 	e.chunksPruned.Add(st.ChunksPruned)
 }
@@ -114,7 +115,8 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 // BatchStats reports the entry's lifetime batch-operator counters:
 // batches and rows the columnar engine actually visited, how often the
 // planner picked each engine for an executed aggregate, how many full
-// chunks either engine answered from a memoized partial against folded,
+// chunks either engine answered from a memoized partial against folded (and
+// how many of those partials each stood in for an aligned group of chunks),
 // how many chunks either engine passed over unread — pruned on a zone map or
 // outside the access path's bounds — and how often an execution found its
 // run partials in the cache. The partial lookups are kept out of the query
@@ -125,6 +127,7 @@ type BatchStats struct {
 	ColumnarPicks int64
 	RowPicks      int64
 	RunsMerged    int64
+	GroupsMerged  int64
 	RunsFolded    int64
 	ChunksPruned  int64
 	PartialHits   int64
@@ -139,6 +142,7 @@ func (e *Entry) BatchStats() BatchStats {
 		ColumnarPicks: e.colPicks.Load(),
 		RowPicks:      e.rowPicks.Load(),
 		RunsMerged:    e.runsMerged.Load(),
+		GroupsMerged:  e.groupsMerged.Load(),
 		RunsFolded:    e.runsFolded.Load(),
 		ChunksPruned:  e.chunksPruned.Load(),
 		PartialHits:   e.partialHits.Load(),

@@ -664,6 +664,7 @@ type Entry struct {
 	// against decoded and folded, chunks passed over unread, and executions
 	// that found their partials in the cache against those that did not.
 	runsMerged    atomic.Int64
+	groupsMerged  atomic.Int64
 	runsFolded    atomic.Int64
 	chunksPruned  atomic.Int64
 	partialHits   atomic.Int64

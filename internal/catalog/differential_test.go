@@ -324,7 +324,7 @@ func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (b
 type diffTally struct {
 	statements, failed     int
 	coldFolded, warmFolded int64
-	warmMerged             int64
+	warmMerged, warmGroups int64
 }
 
 // diffColdKeys makes every statement's cold execution a key of its own.
@@ -415,6 +415,7 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 		tally.coldFolded += cold.RunsFolded
 		tally.warmFolded += warm.RunsFolded
 		tally.warmMerged += warm.RunsMerged
+		tally.warmGroups += warm.GroupsMerged
 	}
 	return true
 }
@@ -562,6 +563,12 @@ var diffLifecycle = []struct {
 		d.closeSome(12, false)
 		d.seal(t)
 	}},
+	// Past sixteen full chunks: the first aligned group, whose partial a
+	// warm leg builds from the chunks' and merges in their place.
+	{"append-a-group", func(t *testing.T, d *diffRel) {
+		d.appendOrdered(t, 16*vec.BatchSize)
+		d.seal(t)
+	}},
 }
 
 // TestDifferentialRowColumnar is the seeded sweep: every history class ×
@@ -626,9 +633,9 @@ func TestDifferentialRowColumnar(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d statements (%d failing alike): cold folded %d runs; warm merged %d, folded %d",
-				tally.statements, tally.failed, tally.coldFolded, tally.warmMerged, tally.warmFolded)
-			if tally.warmMerged == 0 || tally.warmFolded == 0 {
+			t.Logf("%d statements (%d failing alike): cold folded %d runs; warm merged %d (%d of them as groups of 16), folded %d",
+				tally.statements, tally.failed, tally.coldFolded, tally.warmMerged, tally.warmGroups, tally.warmFolded)
+			if tally.warmMerged == 0 || tally.warmFolded == 0 || tally.warmGroups == 0 {
 				t.Fatalf("sweep exercised only one side of the memo: %+v", tally)
 			}
 		})

@@ -37,7 +37,10 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.S
 // aggregateUnits is both engines' loop: one unit of the reader at a time,
 // in arrival order, between the bounds the store's order gives the leaf — on
 // the vt-ordered log a valid-time clamp's binary search, under a tt-window
-// pushdown the window's — and past every chunk a zone map prunes. A stable
+// pushdown the window's — and past every chunk a zone map prunes. Where the
+// reader stands before an aligned group of chunks whose group partial is
+// memoized, or can be built from its chunks', that one partial is merged and
+// the group stepped over. Otherwise a stable
 // chunk whose partial is memoized at its current close count is merged;
 // every other unit is folded — a stable chunk with no valid partial by way
 // of PartialMemo.learn, the one place a partial comes to exist. The engine
@@ -80,6 +83,9 @@ func (en *Engine) aggregateUnits(ctx context.Context, leaf *plan.Node, spec *vec
 				return nil, err
 			}
 		}
+		if memo != nil && memo.mergeGroup(r, spec, agg, stats) {
+			continue
+		}
 		u, ok := r.Advance()
 		if !ok {
 			break
@@ -108,5 +114,5 @@ func (en *Engine) aggregateUnits(ctx context.Context, leaf *plan.Node, spec *vec
 		}
 	}
 	stats.ChunksPruned = int64(r.Skipped())
-	return agg.Result()
+	return agg.ResultCtx(ctx)
 }

@@ -281,3 +281,168 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 		m = next(m)
 	}
 }
+
+// groupStats checks the memoized leg's merges: groups of 16, chunks merged
+// (counting those inside groups) and chunks folded.
+func groupStats(t *testing.T, leg string, s vec.ExecStats, groups, merged, folded int64) {
+	t.Helper()
+	if s.GroupsMerged != groups || s.RunsMerged != merged || s.RunsFolded != folded {
+		t.Fatalf("%s: %+v, want %d groups, %d chunks merged, %d folded", leg, s, groups, merged, folded)
+	}
+}
+
+// TestGroupPartials walks the group memo through the histories that decide
+// whether a group's partial may stand in for its 16 chunks: learned once all
+// of them are known, re-learned after a close moves the group's sum, left
+// alone by an older pinned view, never built past the budget or from
+// inexact chunks, built over an entirely closed chunk, and bounded by a
+// clamp. threeWay holds every answer to vec.RowAggregateRuns.
+func TestGroupPartials(t *testing.T) {
+	const runs = 2*groupRuns + 3
+	st := partialsFixture(t, runs, 40, intVals)
+	en := New(st, nil)
+	spec := testSpec(vec.Tumbling, 0)
+
+	cold := &PartialMemo{Budget: bigBudget}
+	groupStats(t, "cold", threeWay(t, en, spec, cold), 0, 0, runs)
+	// Every chunk is known now: the next execution builds both groups from
+	// them and merges them in their place.
+	build := next(cold)
+	groupStats(t, "building", threeWay(t, en, spec, build), 2, runs, 0)
+	if !build.Grew || build.Partials.group(0) == nil || build.Partials.group(1) == nil {
+		t.Fatalf("building: grew=%v, groups %v", build.Grew, build.Partials.groups)
+	}
+	warm := next(build)
+	groupStats(t, "warm", threeWay(t, en, spec, warm), 2, runs, 0)
+	if warm.Grew {
+		t.Fatal("warm: the memo grew")
+	}
+	for _, spec := range []*vec.Spec{testSpec(vec.Rolling, 3), testSpec(vec.Cumulative, 0)} {
+		groupStats(t, spec.WKind.String(), threeWay(t, en, spec, next(warm)), 2, runs, 0)
+	}
+
+	// A clamp may cover a group exactly, not cut it. Chunk k holds vt
+	// [2560k, 2560k + 2550].
+	exact := testSpec(vec.Tumbling, 0)
+	exact.Filter = vec.Filter{HasVT: true, VTLo: 0, VTHi: groupRuns * 2560}
+	groupStats(t, "clamp around group 0", threeWay(t, en, exact, next(warm)), 1, groupRuns, 0)
+	cut := testSpec(vec.Tumbling, 0)
+	cut.Filter = vec.Filter{HasVT: true, VTLo: 100, VTHi: groupRuns * 2560}
+	groupStats(t, "clamp cutting chunk 0", threeWay(t, en, cut, next(warm)), 0, groupRuns-1, 1)
+
+	// A close inside group 1 moves its sum: group 0 still merges, group 1's
+	// chunks go one at a time, the closed-into one folded and re-learned,
+	// and the execution after that rebuilds group 1 at the new sum.
+	pinned := en.Snapshot()
+	closeElem(st, 20*testRun+7, 9_000)
+	after := next(warm)
+	groupStats(t, "after a close", threeWay(t, en, spec, after), 1, runs-1, 1)
+	relearn := next(after)
+	groupStats(t, "relearning", threeWay(t, en, spec, relearn), 2, runs, 0)
+	if g := relearn.Partials.group(1); !relearn.Grew || g == nil || g.closed != 1 {
+		t.Fatalf("relearning: grew=%v, group 1 %+v", relearn.Grew, g)
+	}
+	fresh := next(relearn)
+	groupStats(t, "after relearning", threeWay(t, en, spec, fresh), 2, runs, 0)
+
+	// The pinned view predates the close. Group 1's entry and chunk 20's
+	// are fresher than what it sees: it folds that chunk itself, merges the
+	// other fifteen one by one, and records nothing over them.
+	old := next(fresh)
+	groupStats(t, "pinned view", threeWay(t, pinned, spec, old), 1, runs-1, 1)
+	if g := old.Partials.group(1); old.Grew || g.closed != 1 {
+		t.Fatalf("pinned view: grew=%v, group 1 at %d closes", old.Grew, g.closed)
+	}
+
+	// An entirely closed first chunk is pruned, contributes nothing, and
+	// leaves its group standing on the other fifteen.
+	for i := 0; i < testRun; i++ {
+		closeElem(st, i, chronon.Chronon(10_000+i))
+	}
+	gone := next(fresh)
+	s := threeWay(t, en, spec, gone)
+	groupStats(t, "first chunk closed", s, 2, runs-1, 0)
+	if s.ChunksPruned != 1 {
+		t.Fatalf("first chunk closed: %+v, want it pruned", s)
+	}
+
+	// A removing vacuum rebuilds the store over the survivors, which moves
+	// every chunk's content: the catalog keys the memo by store generation,
+	// so the rebuilt store starts from nothing and learns its groups anew.
+	vacuumed := storage.NewVTLog()
+	for _, e := range storage.Elements(st) {
+		if e.Current() {
+			if err := vacuumed.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	vacuumed.Compact()
+	ven := New(vacuumed, nil)
+	gen := &PartialMemo{Budget: bigBudget}
+	groupStats(t, "vacuumed, cold", threeWay(t, ven, spec, gen), 0, 0, runs-1)
+	groupStats(t, "vacuumed, building", threeWay(t, ven, spec, next(gen)), 2, runs-1, 0)
+
+	// A budget with room for the chunks and none for a group: the chunks
+	// are merged as before, and no group is learned or merged.
+	tight := &PartialMemo{Partials: cold.Partials, Budget: cold.Partials.Size()}
+	groupStats(t, "budget spent", threeWay(t, New(partialsFixture(t, runs, 40, intVals), nil), spec, tight), 0, runs, 0)
+	if tight.Grew || len(tight.Partials.groups) != 0 {
+		t.Fatalf("budget spent: grew=%v, groups %v", tight.Grew, tight.Partials.groups)
+	}
+}
+
+// TestGroupPartialsNeedExactChunks: a float sum's chunks are inexact, so no
+// group is built from them; chunks whose extremes of different kinds meet in
+// a window build no group either; and a group that cannot merge into what
+// precedes it falls back to its chunks, which fail with the row engine's
+// text.
+func TestGroupPartialsNeedExactChunks(t *testing.T) {
+	const runs = 2 * groupRuns
+	floats := New(partialsFixture(t, runs, 10, func(i int) element.Value { return element.Float(float64(i) / 10) }), nil)
+	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
+	m := &PartialMemo{Budget: bigBudget}
+	for pass := 0; pass < 3; pass++ {
+		groupStats(t, "float sum", threeWay(t, floats, sum, m), 0, 0, runs)
+		if g := m.Partials.group(0); g != nil {
+			t.Fatalf("float sum, pass %d: group 0 %+v built from inexact chunks", pass, g)
+		}
+		m = next(m)
+	}
+
+	max := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Get: getV}}}
+	// Strings from chunk 8 on, which shares a window with chunk 7: group
+	// 0's chunks conflict among themselves, as the fold of them does.
+	within := New(partialsFixture(t, groupRuns, 0, func(i int) element.Value {
+		if i < 8*testRun {
+			return element.Int(int64(i))
+		}
+		return element.String_("s")
+	}), nil)
+	m = &PartialMemo{Budget: bigBudget}
+	for pass := 0; pass < 3; pass++ {
+		threeWay(t, within, max, m) // fails in all three with one text
+		if g := m.Partials.group(0); g != nil {
+			t.Fatalf("conflicting chunks, pass %d: group 0 %+v built", pass, g)
+		}
+		m = next(m)
+	}
+
+	// One window over everything: group 1's strings meet group 0's ints. A
+	// clamp around group 1 learns it alone; unclamped, it cannot merge into
+	// the ints, nor can its first chunk, which is folded and fails.
+	wide := &vec.Spec{Width: 1 << 30, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Get: getV}}}
+	across := New(partialsFixture(t, runs, 0, func(i int) element.Value {
+		if i < groupRuns*testRun {
+			return element.Int(int64(i))
+		}
+		return element.String_("s")
+	}), nil)
+	alone := *wide
+	alone.Filter = vec.Filter{HasVT: true, VTLo: groupRuns * 2560, VTHi: runs * 2560}
+	m = &PartialMemo{Budget: bigBudget}
+	threeWay(t, across, &alone, m)
+	m = next(m)
+	groupStats(t, "group 1 alone", threeWay(t, across, &alone, m), 1, groupRuns, 0)
+	threeWay(t, across, wide, next(m)) // fails in all three with one text
+}

@@ -177,3 +177,48 @@ func TestClampedAggregateReportsPrunedChunks(t *testing.T) {
 		t.Fatalf("batch counters %+v, want the 2 full chunks before the clamp pruned and none folded", m.Batch)
 	}
 }
+
+// TestWholeAggregateReportsMergedGroups: /metrics batch.groups_merged counts
+// the partials that stood in for an aligned group of 16 chunks, and
+// runs_merged still counts the chunks. 16 full chunks and a tail: the first
+// aggregate learns the chunks, an insert empties the result cache, and the
+// second builds the group from them and merges it in their place.
+func TestWholeAggregateReportsMergedGroups(t *testing.T) {
+	ctx := context.Background()
+	cli, _, stop := bootCachedServer(t, t.TempDir())
+	defer stop()
+	if _, err := cli.Create(ctx, empSchema()); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	const n = 16*256 + 10
+	for from := 0; from < n; from += 256 {
+		reqs := make([]client.InsertRequest, min(256, n-from))
+		for j := range reqs {
+			reqs[j] = insertReq(int64(5*(from+j)), "w", int64(from+j))
+		}
+		if _, err := cli.InsertBatch(ctx, "emp", reqs, true); err != nil {
+			t.Fatalf("InsertBatch: %v", err)
+		}
+	}
+	const stmt = "select count(*) from emp group by window(1000)"
+	if _, err := cli.Select(ctx, stmt); err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if _, err := cli.Insert(ctx, "emp", insertReq(5*n, "w", n)); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	sel, err := cli.Select(ctx, stmt)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if len(sel.Rows) != 21 || sel.Rows[0][2].Int != 200 || sel.Touched != 11 {
+		t.Fatalf("whole aggregate: %d windows, first %+v, touched %d", len(sel.Rows), sel.Rows[0], sel.Touched)
+	}
+	m, err := cli.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if m.Batch == nil || m.Batch.GroupsMerged != 1 || m.Batch.RunsMerged != 16 || m.Batch.RunsFolded != 16 {
+		t.Fatalf("batch counters %+v, want one group of the 16 chunks merged, after they were folded once", m.Batch)
+	}
+}

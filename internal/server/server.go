@@ -668,6 +668,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.ColumnarPicks += bs.ColumnarPicks
 		batch.RowPicks += bs.RowPicks
 		batch.RunsMerged += bs.RunsMerged
+		batch.GroupsMerged += bs.GroupsMerged
 		batch.RunsFolded += bs.RunsFolded
 		batch.ChunksPruned += bs.ChunksPruned
 		batch.PartialHits += bs.PartialHits

@@ -233,6 +233,40 @@ func (r *BatchReader) Advance() (Unit, bool) {
 	return Unit{}, false
 }
 
+// Group reports whether the len(units) chunks from the one the next Advance
+// looks at form an aligned group whose contribution a caller may already
+// know: every one full, inside the reader's bounds, and either Stable or
+// entirely closed (Advance would prune it; it contributes nothing). It fills
+// units with them — an entirely closed chunk as a Unit that is not Stable —
+// and moves nothing; Pass then steps over them. len(units) must be the same
+// at every call.
+func (r *BatchReader) Group(units []Unit) bool {
+	n, k := len(units), r.next
+	if k%n != 0 || k+n > r.end || !r.s.full(k+n-1) || !r.currentOnly || r.asOf {
+		return false
+	}
+	for i := range units {
+		c := r.s.chunk(k + i)
+		live := c.live()
+		if live && r.hasVT && !c.vtWithin(r.vtLo, r.vtHi) {
+			return false
+		}
+		units[i] = Unit{Run: k + i, Closed: c.closes, Stable: live}
+	}
+	return true
+}
+
+// Pass moves the reader past the group the last Group filled units with,
+// counting its entirely closed chunks as skipped, as Advance would have.
+func (r *BatchReader) Pass(units []Unit) {
+	r.next += len(units)
+	for _, u := range units {
+		if !u.Stable {
+			r.skipped++
+		}
+	}
+}
+
 // Rows returns the elements of the unit the last Advance stopped at, where
 // they lie: what a row-at-a-time consumer folds instead of a Load.
 func (r *BatchReader) Rows() []*element.Element { return r.s.run(r.next - 1) }

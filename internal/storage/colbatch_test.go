@@ -756,3 +756,81 @@ func allOf(run []*element.Element, p func(*element.Element) bool) bool {
 	}
 	return true
 }
+
+// TestGroupStaysInsideItsBounds pins what Group promises the aggregate memo:
+// an aligned stretch of full chunks, read current-only, inside the reader's
+// bounds and the clamp, each one stable or entirely closed — and that Pass
+// steps over it counting the closed ones as Advance would.
+func TestGroupStaysInsideItsBounds(t *testing.T) {
+	const g = 16
+	st := sealedEventLog(t, 2*g*runSize+10) // vt = tt = 10·(i+1)
+	for i := 0; i < runSize; i++ {
+		closeAt(st, i, chronon.Chronon(1_000_000+i)) // chunk 0 entirely
+	}
+	closeAt(st, (g+1)*runSize+3, 2_000_000) // one in chunk 17
+	units := make([]Unit, g)
+	// groups walks the reader as the aggregate loop does and lists the
+	// groups it stepped over, by first chunk, and the chunks it advanced to.
+	groups := func(set func(*BatchReader)) (stepped, advanced []int, skipped int) {
+		r := NewBatchReader(st, true)
+		set(r)
+		for {
+			if r.Group(units) {
+				for i, u := range units {
+					if u.Run != units[0].Run+i || u.Stable == (u.Run == 0) {
+						t.Fatalf("group at %d: unit %d is %+v", units[0].Run, i, u)
+					}
+				}
+				stepped = append(stepped, units[0].Run)
+				r.Pass(units)
+				continue
+			}
+			u, ok := r.Advance()
+			if !ok {
+				return stepped, advanced, r.Skipped()
+			}
+			advanced = append(advanced, u.Run)
+		}
+	}
+	tt := func(i int) chronon.Chronon { return chronon.Chronon(10 * (i + 1)) }
+	seq := func(from, to int) []int {
+		var out []int
+		for k := from; k < to; k++ {
+			out = append(out, k)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		set      func(*BatchReader)
+		stepped  []int
+		advanced []int
+		skipped  int
+	}{
+		{"current", func(r *BatchReader) { r.SetCurrentOnly() }, []int{0, g}, []int{-1}, 1},
+		{"clamp around everything", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(0, 1<<40) }, []int{0, g}, []int{-1}, 1},
+		{"clamp cutting chunk 20", func(r *BatchReader) { r.SetCurrentOnly(); r.SetVTWindow(0, tt(20*runSize+5)) },
+			[]int{0}, append(seq(g, 21), -1), 1 + 11},
+		{"bound inside group 1", func(r *BatchReader) { r.SetCurrentOnly(); r.SeekTT(0, tt(20*runSize+5)) },
+			[]int{0}, seq(g, 21), 1 + 12},
+		{"as of", func(r *BatchReader) { r.SetAsOf(500_000) }, nil, append(seq(0, 2*g), -1), 0},
+		{"unfiltered", func(*BatchReader) {}, nil, append(seq(0, 2*g), -1), 0},
+	}
+	for _, tc := range cases {
+		stepped, advanced, skipped := groups(tc.set)
+		if !reflect.DeepEqual(stepped, tc.stepped) || !reflect.DeepEqual(advanced, tc.advanced) || skipped != tc.skipped {
+			t.Errorf("%s: groups %v, then %v, %d skipped; want %v, then %v, %d skipped",
+				tc.name, stepped, advanced, skipped, tc.stepped, tc.advanced, tc.skipped)
+		}
+	}
+	// Off the alignment, and short of a sixteenth full chunk, there is none.
+	r := NewBatchReader(st, true)
+	r.SetCurrentOnly()
+	if r.Advance(); r.Group(units) {
+		t.Error("a group starting at chunk 2")
+	}
+	short := NewBatchReader(sealedEventLog(t, g*runSize-1), true)
+	if short.SetCurrentOnly(); short.Group(units) {
+		t.Error("a group of fifteen full chunks and a tail")
+	}
+}

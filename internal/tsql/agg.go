@@ -118,20 +118,26 @@ func AggColumns(q *Query) []string {
 }
 
 // AggToResult shapes an engine's window list into the tabular Result,
-// applying LIMIT to the emitted windows.
+// applying LIMIT to the emitted windows; the rows share one slab.
 func AggToResult(q *Query, r *vec.AggResult) *Result {
 	res := &Result{Columns: AggColumns(q)}
 	n := len(r.Start)
 	if q.HasLimit && q.Limit < n {
 		n = q.Limit
 	}
-	for i := 0; i < n; i++ {
-		row := make([]element.Value, 0, 2+len(r.Vals[i]))
-		row = append(row,
+	if n <= 0 {
+		return res
+	}
+	width := 2 + len(r.Vals[0])
+	slab := make([]element.Value, 0, n*width)
+	res.Rows = make([][]element.Value, n)
+	for i := range res.Rows {
+		at := len(slab)
+		slab = append(slab,
 			element.Time(chronon.Chronon(r.Start[i])),
 			element.Time(chronon.Chronon(r.End[i])))
-		row = append(row, r.Vals[i]...)
-		res.Rows = append(res.Rows, row)
+		slab = append(slab, r.Vals[i]...)
+		res.Rows[i] = slab[at:len(slab):len(slab)]
 	}
 	return res
 }

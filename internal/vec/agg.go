@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -238,10 +238,10 @@ func mergeable(dst, src []cell) bool {
 	return true
 }
 
-// finalize converts an accumulator row into output values. Empty sums
-// and unseeded extremes are SQL-style NULL; counts are 0.
-func finalize(cells []cell, aggs []AggCall) []element.Value {
-	out := make([]element.Value, len(aggs))
+// finalize converts an accumulator row into output values, one per
+// aggregate call in out. Empty sums and unseeded extremes are SQL-style
+// NULL; counts are 0.
+func finalize(out []element.Value, cells []cell, aggs []AggCall) {
 	for ai := range aggs {
 		c := &cells[ai]
 		switch aggs[ai].Kind {
@@ -264,7 +264,6 @@ func finalize(cells []cell, aggs []AggCall) []element.Value {
 			}
 		}
 	}
-	return out
 }
 
 // floorDiv divides flooring toward minus infinity, so negative valid
@@ -284,10 +283,27 @@ func floorDiv(a, b int64) int64 {
 type accum struct {
 	spec  *Spec
 	cells map[int64][]cell
+	// Rows are carved from block, a slab at least as large as every row
+	// populated before it, so a row costs no allocation of its own; free
+	// is block's unused rest.
+	block, free []cell
 
 	lastIdx  int64
 	lastRow  []cell
 	haveLast bool
+}
+
+// newRow returns a zeroed cell row for a window about to be populated.
+func (ac *accum) newRow() []cell {
+	na := len(ac.spec.Aggs)
+	if len(ac.free) < na {
+		ac.block = make([]cell, na*max(64, len(ac.cells)))
+		ac.free = ac.block
+	}
+	r := ac.free[:na:na]
+	ac.free = ac.free[na:]
+	clear(r)
+	return r
 }
 
 func newAccum(spec *Spec) *accum {
@@ -300,7 +316,7 @@ func (ac *accum) row(wi int64) []cell {
 	}
 	r, ok := ac.cells[wi]
 	if !ok {
-		r = make([]cell, len(ac.spec.Aggs))
+		r = ac.newRow()
 		ac.cells[wi] = r
 	}
 	ac.lastIdx, ac.lastRow, ac.haveLast = wi, r, true
@@ -337,10 +353,17 @@ func (ac *accum) add(vtStart, vtEnd int64, e *element.Element) error {
 	return nil
 }
 
+// emitCheckEvery is how many rows emit produces between cancellation
+// checks: a rolling or cumulative result may span MaxWindows rows.
+const emitCheckEvery = 1024
+
 // emit materializes the populated windows into the result, applying the
 // window mode. Both engines share it, so engine equality reduces to
-// per-window cell equality.
-func (ac *accum) emit() (*AggResult, error) {
+// per-window cell equality. Its allocations do not grow with the number of
+// windows: the values are finalized into one slab, and rolling and
+// cumulative rows are merged into one scratch row. It polls ctx every
+// emitCheckEvery rows.
+func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 	res := &AggResult{}
 	if len(ac.cells) == 0 {
 		return res, nil
@@ -349,47 +372,83 @@ func (ac *accum) emit() (*AggResult, error) {
 	for wi := range ac.cells {
 		idxs = append(idxs, wi)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	first, last := idxs[0], idxs[len(idxs)-1]
 	if last-first+1 > MaxWindows {
 		return nil, fmt.Errorf("vec: result spans %d windows (max %d); narrow the window or add a WHEN clamp",
 			last-first+1, MaxWindows)
 	}
+	rows := make([][]cell, len(idxs)) // the populated rows in window order
+	for i, wi := range idxs {
+		rows[i] = ac.cells[wi]
+	}
+	n := len(idxs)
+	if ac.spec.WKind != Tumbling {
+		n = int(last - first + 1)
+	}
 	w := ac.spec.Width
 	aggs := ac.spec.Aggs
-	push := func(start, end int64, vals []element.Value) {
+	na := len(aggs)
+	vals := make([]element.Value, n*na)
+	res.Start, res.End, res.Vals = make([]int64, 0, n), make([]int64, 0, n), make([][]element.Value, 0, n)
+	push := func(start, end int64, cells []cell) error {
+		i := len(res.Start)
+		if i%emitCheckEvery == emitCheckEvery-1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		out := vals[i*na : (i+1)*na : (i+1)*na]
+		finalize(out, cells, aggs)
 		res.Start = append(res.Start, start)
 		res.End = append(res.End, end)
-		res.Vals = append(res.Vals, vals)
+		res.Vals = append(res.Vals, out)
+		return nil
 	}
 	switch ac.spec.WKind {
 	case Tumbling:
-		for _, wi := range idxs {
-			push(wi*w, (wi+1)*w, finalize(ac.cells[wi], aggs))
+		for i, wi := range idxs {
+			if err := push(wi*w, (wi+1)*w, rows[i]); err != nil {
+				return nil, err
+			}
 		}
 	case Rolling:
 		// One row per base window in [first, last]; each aggregates the
-		// K windows ending there, so the row's span is the extent.
+		// populated windows among the K ending there, rows[lo:hi], merged
+		// in ascending order; the row's span is the extent.
+		k := ac.spec.K
+		merged := make([]cell, na)
+		lo, hi := 0, 0
 		for wi := first; wi <= last; wi++ {
-			merged := make([]cell, len(aggs))
-			for k := wi - ac.spec.K + 1; k <= wi; k++ {
-				if row, ok := ac.cells[k]; ok {
-					if err := mergeCells(merged, row, aggs); err != nil {
-						return nil, err
-					}
-				}
+			for hi < len(idxs) && idxs[hi] <= wi {
+				hi++
 			}
-			push((wi-ac.spec.K+1)*w, (wi+1)*w, finalize(merged, aggs))
-		}
-	case Cumulative:
-		running := make([]cell, len(aggs))
-		for wi := first; wi <= last; wi++ {
-			if row, ok := ac.cells[wi]; ok {
-				if err := mergeCells(running, row, aggs); err != nil {
+			for idxs[lo] <= wi-k {
+				lo++
+			}
+			clear(merged)
+			for _, row := range rows[lo:hi] {
+				if err := mergeCells(merged, row, aggs); err != nil {
 					return nil, err
 				}
 			}
-			push(first*w, (wi+1)*w, finalize(running, aggs))
+			if err := push((wi-k+1)*w, (wi+1)*w, merged); err != nil {
+				return nil, err
+			}
+		}
+	case Cumulative:
+		running := make([]cell, na)
+		next := 0
+		for wi := first; wi <= last; wi++ {
+			if idxs[next] == wi {
+				if err := mergeCells(running, rows[next], aggs); err != nil {
+					return nil, err
+				}
+				next++
+			}
+			if err := push(first*w, (wi+1)*w, running); err != nil {
+				return nil, err
+			}
 		}
 	default:
 		return nil, fmt.Errorf("vec: unknown window kind %v", ac.spec.WKind)
@@ -416,7 +475,7 @@ func RowAggregateRuns(ctx context.Context, spec *Spec, runs element.Runs) (*AggR
 	if err := runs.Do(ctx, ac.addRows); err != nil {
 		return nil, err
 	}
-	return ac.emit()
+	return ac.emit(ctx)
 }
 
 // addRows filters one run of elements and folds the survivors in.
@@ -475,7 +534,7 @@ func (ac *accum) addUnmemoized(vtStart, vtEnd int64, e *element.Element) error {
 	for wi := wLo; wi <= wHi; wi++ {
 		row, ok := ac.cells[wi]
 		if !ok {
-			row = make([]cell, len(ac.spec.Aggs))
+			row = ac.newRow()
 			ac.cells[wi] = row
 		}
 		if err := updateCells(row, ac.spec.Aggs, e); err != nil {
@@ -490,6 +549,7 @@ type ColAgg struct {
 	spec *Spec
 	ac   *accum
 	sel  []int32
+	dst  [][]cell // Merge's rows of the state, one per row of the partial
 	// starOnly marks a COUNT(*)-only aggregate list: the fold reads
 	// nothing but the batch's timestamp columns, so sealed runs aggregate
 	// without dereferencing a single element.
@@ -585,7 +645,10 @@ func (a *ColAgg) consumeCounts(b *Batch) error {
 }
 
 // Result emits the aggregated windows.
-func (a *ColAgg) Result() (*AggResult, error) { return a.ac.emit() }
+func (a *ColAgg) Result() (*AggResult, error) { return a.ac.emit(context.Background()) }
+
+// ResultCtx is Result giving up with ctx's error when ctx is done first.
+func (a *ColAgg) ResultCtx(ctx context.Context) (*AggResult, error) { return a.ac.emit(ctx) }
 
 // Partial is what a stretch of the input contributed to a fold: the
 // accumulator cells of every window it populated, before any window mode
@@ -605,9 +668,11 @@ func (p *Partial) Bytes() int64 {
 	return 64 + 8*int64(len(p.idx)) + partialCellBytes*int64(len(p.cells))
 }
 
-// Reset empties the accumulation state, keeping the spec.
+// Reset empties the accumulation state, keeping the spec and the newest
+// block of cell rows.
 func (a *ColAgg) Reset() {
 	clear(a.ac.cells)
+	a.ac.free = a.ac.block
 	a.ac.haveLast = false
 }
 
@@ -647,15 +712,25 @@ func (a *ColAgg) Export() (*Partial, bool) {
 // text as the row engine.
 func (a *ColAgg) Merge(p *Partial) bool {
 	na := len(a.spec.Aggs)
+	dst := a.dst[:0]
 	for i, wi := range p.idx {
-		if row, ok := a.ac.cells[wi]; ok && !mergeable(row, p.cells[i*na:(i+1)*na]) {
+		row := a.ac.cells[wi]
+		if row != nil && !mergeable(row, p.cells[i*na:(i+1)*na]) {
 			return false
 		}
+		dst = append(dst, row)
 	}
+	a.dst = dst
 	for i, wi := range p.idx {
+		row := dst[i]
+		if row == nil {
+			row = a.ac.newRow()
+			a.ac.cells[wi] = row
+		}
 		// Cannot fail: mergeable just held for every row.
-		_ = mergeCells(a.ac.row(wi), p.cells[i*na:(i+1)*na], a.spec.Aggs)
+		_ = mergeCells(row, p.cells[i*na:(i+1)*na], a.spec.Aggs)
 	}
+	clear(dst) // hold no rows past the call
 	return true
 }
 

@@ -83,6 +83,9 @@ type ExecStats struct {
 	// by merging a memoized partial, and how many were folded.
 	RunsMerged int64
 	RunsFolded int64
+	// GroupsMerged counts the memoized partials that each stood in for an
+	// aligned group of chunks; its chunks are counted in RunsMerged too.
+	GroupsMerged int64
 	// ChunksPruned counts the chunks passed over unread: those a zone map
 	// pruned, and those the access path's bounds never reached.
 	ChunksPruned int64

@@ -2,10 +2,13 @@ package vec
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -271,4 +274,105 @@ func TestConcurrentRowAggregate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRollingVisitsOnlyPopulatedWindows: a rolling row merges the populated
+// windows among the K ending at it, not K lookups, so two elements a whole
+// extent apart answer at once — the row count, not K·rows, is the cost.
+// Rolling and cumulative answers are held to ones built from the tumbling
+// windows by hand (a cumulative row is a rolling one as long as the span).
+func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
+	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}, {Kind: AggMax, Col: "v", Get: getVar}}
+	far := []*element.Element{ev(0, 0, element.Int(3)), ev(1, MaxRolling-1, element.Int(5))}
+	spec := &Spec{Width: 1, WKind: Rolling, K: MaxRolling, Aggs: aggs}
+	best := time.Duration(1 << 62)
+	var res *AggResult
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		res = rowAgg(t, spec, far)
+		best = min(best, time.Since(start))
+	}
+	t.Logf("%d rows in %v (best of 3)", len(res.Start), best)
+	if int64(len(res.Start)) != MaxRolling || best > 50*time.Millisecond*raceSlowdown {
+		t.Fatalf("%d rows in %v", len(res.Start), best)
+	}
+	if last := res.Vals[len(res.Vals)-1]; !reflect.DeepEqual(last, []element.Value{element.Int(2), element.Int(8), element.Int(5)}) {
+		t.Fatalf("last row %v", last)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		var elems []*element.Element
+		for i, vt := 0, int64(0); i < 40; i++ {
+			vt += rng.Int63n(60)
+			elems = append(elems, ev(i, vt, element.Int(rng.Int63n(100)-50)))
+		}
+		width, k := 1+rng.Int63n(20), 1+rng.Int63n(12)
+		tumbling := rowAgg(t, &Spec{Width: width, Aggs: aggs}, elems)
+		first, last := tumbling.Start[0]/width, tumbling.Start[len(tumbling.Start)-1]/width
+		got := rowAgg(t, &Spec{Width: width, WKind: Rolling, K: k, Aggs: aggs}, elems)
+		if trial%2 == 1 {
+			got = rowAgg(t, &Spec{Width: width, WKind: Cumulative, Aggs: aggs}, elems)
+			k = last - first + 1
+		}
+		if int64(len(got.Start)) != last-first+1 {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(got.Start), last-first+1)
+		}
+		for r, wi := 0, first; wi <= last; r, wi = r+1, wi+1 {
+			want := []element.Value{element.Int(0), element.Null(), element.Null()}
+			var sum int64
+			for j := range tumbling.Start {
+				if at := tumbling.Start[j] / width; at <= wi-k || at > wi {
+					continue
+				}
+				v := tumbling.Vals[j]
+				n, _ := want[0].IntVal()
+				c, _ := v[0].IntVal()
+				want[0] = element.Int(n + c)
+				if s, ok := v[1].IntVal(); ok {
+					sum += s
+					want[1] = element.Int(sum)
+				}
+				if !v[2].IsNull() && (want[2].IsNull() || v[2].Compare(want[2]) > 0) {
+					want[2] = v[2]
+				}
+			}
+			start := (wi - k + 1) * width
+			if trial%2 == 1 {
+				start = first * width
+			}
+			if got.Start[r] != start || got.End[r] != (wi+1)*width || !reflect.DeepEqual(got.Vals[r], want) {
+				t.Fatalf("trial %d, row %d: [%d, %d) %v, want [%d, %d) %v",
+					trial, r, got.Start[r], got.End[r], got.Vals[r], start, (wi+1)*width, want)
+			}
+		}
+	}
+}
+
+// TestEmitHonoursTheContext: a dense rolling result is quadratic in K by
+// nature; emit polls the context as it goes and gives up with its error.
+func TestEmitHonoursTheContext(t *testing.T) {
+	const span = 8192
+	elems := make([]*element.Element, span)
+	for i := range elems {
+		elems[i] = ev(i, int64(i), element.Int(int64(i)))
+	}
+	spec := &Spec{Width: 1, WKind: Rolling, K: span, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
+	agg, err := NewColAgg(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats ExecStats
+	if err := agg.ConsumeRows(elems, &stats); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := agg.ResultCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dense rolling emit under a 5 ms deadline: %v", err)
+	}
+	if took := time.Since(start); took > time.Second*raceSlowdown {
+		t.Fatalf("gave up after %v", took)
+	}
 }

@@ -978,7 +978,9 @@ type QueryCacheMetrics struct {
 // catalog: batches and rows the columnar engine actually visited, how
 // often the planner picked each engine for an executed window aggregate,
 // how many full 256-element chunks either engine answered by merging a
-// memoized partial against folded, how many chunks it passed over unread
+// memoized partial against folded (groups_merged: how many of those merges
+// were one partial standing in for an aligned group of 16 chunks, whose
+// chunks runs_merged still counts), how many chunks it passed over unread
 // (pruned on a zone map, or outside the bounds the store's order gave the
 // access path), and how often an execution found its run partials in the
 // query cache. The partial lookups are not part of query_cache's hits and
@@ -990,6 +992,7 @@ type BatchMetrics struct {
 	ColumnarPicks    int64   `json:"columnar_picks"`
 	RowPicks         int64   `json:"row_picks"`
 	RunsMerged       int64   `json:"runs_merged"`
+	GroupsMerged     int64   `json:"groups_merged,omitempty"`
 	RunsFolded       int64   `json:"runs_folded"`
 	ChunksPruned     int64   `json:"chunks_pruned,omitempty"`
 	PartialHits      int64   `json:"partial_hits"`
