@@ -63,6 +63,7 @@ type (
 	IngestResponse      = wire.IngestResponse
 	IngestMetrics       = wire.IngestMetrics
 	ImageMetrics        = wire.ImageMetrics
+	ChunkMetrics        = wire.ChunkMetrics
 )
 
 // Value constructors, re-exported for ergonomic insert payloads.

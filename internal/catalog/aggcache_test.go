@@ -176,7 +176,7 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	const src = "select count(*), sum(v) from s group by window(3000)"
 
 	first := mustAggSelect(t, e, src+" using columnar")
-	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialMisses != 1 || st.PartialHits != 0 {
+	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialsBuilt != 4 || st.PartialHits != 0 {
 		t.Fatalf("first execution: %+v", st)
 	}
 	if !reflect.DeepEqual(first.Rows, mustDefine(t, e, src).Rows) {
@@ -187,7 +187,7 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	second := mustAggSelect(t, e, src+" using columnar")
 	cacheAfter := c.Cache().Stats()
 	st := e.BatchStats()
-	if st.RunsFolded != 4 || st.RunsMerged != 4 || st.PartialHits != 1 || st.Rows != 4*256+10+60 {
+	if st.RunsFolded != 4 || st.RunsMerged != 4 || st.PartialHits != 4 || st.Rows != 4*256+10+60 {
 		t.Fatalf("after an append: %+v, want 4 more runs merged and only the 60-element tail visited", st)
 	}
 	if cacheAfter.Hits != cacheBefore.Hits || cacheAfter.Misses != cacheBefore.Misses+1 {
@@ -237,7 +237,7 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	for _, engine := range []string{" using columnar", " using row"} {
 		mustAggSelect(t, eo, src+engine)
 	}
-	if st := eo.BatchStats(); st.RunsFolded != 8 || st.RunsMerged != 0 || st.PartialHits+st.PartialMisses != 0 {
+	if st := eo.BatchStats(); st.RunsFolded != 8 || st.RunsMerged != 0 || st.PartialHits+st.PartialsBuilt != 0 {
 		t.Fatalf("cache off: %+v", st)
 	}
 }

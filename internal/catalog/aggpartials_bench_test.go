@@ -230,7 +230,7 @@ func BenchmarkAggregateAfterWrite(b *testing.B) {
 // windows emitted — so the path cannot quietly grow back toward a fold of
 // the relation. 20 full chunks; the budget is per execution, not per chunk.
 func TestWarmAggregateAllocationBudget(t *testing.T) {
-	const warmAggregateAllocs = 60 // reads 45 (row) and 48 (columnar): nothing per chunk or per window
+	const warmAggregateAllocs = 60 // reads 46 (row) and 49 (columnar): nothing per chunk or per window
 	e, _ := ledgerShaped(t, storage.TTOrdered, 20*256+40)
 	ctx := context.Background()
 	for _, engine := range []string{"row", "columnar"} {
@@ -267,7 +267,7 @@ func TestWarmAggregateAllocationBudget(t *testing.T) {
 // runs at two widths, ≈ 85 and ≈ 340 windows over 34 chunks.
 func TestWholeAggregateAllocationBudget(t *testing.T) {
 	const (
-		wholeAggregateAllocs = 70 // reads 52–57 at ≈ 85 windows (54–61 under -race)
+		wholeAggregateAllocs = 70 // reads 53–58 at ≈ 85 windows (55–61 under -race)
 		perWindowSlack       = 12 // reads 7: a few slab and map doublings, none per window
 	)
 	e := sealedSensor(t, New(cachedConfig(t.TempDir())), "whole", 34*256)

@@ -46,13 +46,13 @@ func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Resul
 }
 
 // executeAggregate runs the statement against one pinned view, below the
-// result cache. Every plan on either engine goes in with the run partials
-// memoized under (relation, "part:"+partial fingerprint, store
-// generation) — the key has no epoch in it, which is the point: a write
-// leaves every chunk it did not touch valid — and whatever the execution
-// learned is stored back under the same key; only AS OF, whose answer
+// result cache. Every plan on either engine goes in with the chunk memo's
+// partials (query.PartialMemo): each chunk's under (relation, "part:"+partial
+// fingerprint, store generation, chunk ordinal), each group's under "grp:"
+// and its group ordinal — no epoch in the key, which is the point: a write
+// leaves every chunk it did not touch valid. Only AS OF, whose answer
 // depends on tt⊣ values rather than on which elements are current, goes
-// without. The value is derived state and lives only in the cache; with
+// without. The partials are derived state and live only in the cache; with
 // the cache off every chunk is folded.
 func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query, partialFP string) (*tsql.Result, *plan.Node, vec.ExecStats, error) {
 	node := tsql.Compile(q, v.engine.Access())
@@ -61,23 +61,16 @@ func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query
 		return nil, nil, vec.ExecStats{}, err
 	}
 	var memo *query.PartialMemo
-	pkey := qcache.Key{Rel: e.name, Fingerprint: "part:" + partialFP, Epoch: v.gen}
-	if budget := e.cache.MaxEntry(); budget > 0 && !q.HasAsOf {
-		memo = &query.PartialMemo{Budget: budget}
-		if hit, ok := e.cache.Peek(pkey); ok {
-			memo.Partials = hit.(*query.RunPartials)
-			e.partialHits.Add(1)
-		} else {
-			e.partialMisses.Add(1)
+	if e.cache != nil && !q.HasAsOf {
+		memo = &query.PartialMemo{
+			Runs:   e.cache.Chunks(e.name, "part:"+partialFP, v.gen, &e.partialMemo),
+			Groups: e.cache.Chunks(e.name, "grp:"+partialFP, v.gen, &e.groupMemo),
 		}
 	}
 	event := v.schema.ValidTime == element.EventStamp
 	agg, stats, err := v.engine.AggregateCtx(ctx, node, spec, event, memo)
 	if err != nil {
 		return nil, nil, stats, err
-	}
-	if memo != nil && memo.Grew {
-		e.cache.Put(pkey, memo.Partials, memo.Partials.Size())
 	}
 	e.recordBatch(node.Leaf().Kind, stats)
 	return tsql.AggToResult(q, agg), node, stats, nil
@@ -118,9 +111,10 @@ func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
 // chunks either engine answered from a memoized partial against folded (and
 // how many of those partials each stood in for an aligned group of chunks),
 // how many chunks either engine passed over unread — pruned on a zone map or
-// outside the access path's bounds — and how often an execution found its
-// run partials in the cache. The partial lookups are kept out of the query
-// cache's own hit and miss counters, which count whole results.
+// outside the access path's bounds — and the chunk memo's partial and group
+// kinds: lookups that found the entry at the close count asked for, and
+// partials built. The memo's lookups are kept out of the query cache's own
+// hit and miss counters, which count whole results.
 type BatchStats struct {
 	Batches       int64
 	Rows          int64
@@ -131,7 +125,9 @@ type BatchStats struct {
 	RunsFolded    int64
 	ChunksPruned  int64
 	PartialHits   int64
-	PartialMisses int64
+	PartialsBuilt int64
+	GroupHits     int64
+	GroupsBuilt   int64
 }
 
 // BatchStats snapshots the entry's batch-operator counters.
@@ -145,7 +141,9 @@ func (e *Entry) BatchStats() BatchStats {
 		GroupsMerged:  e.groupsMerged.Load(),
 		RunsFolded:    e.runsFolded.Load(),
 		ChunksPruned:  e.chunksPruned.Load(),
-		PartialHits:   e.partialHits.Load(),
-		PartialMisses: e.partialMisses.Load(),
+		PartialHits:   e.partialMemo.Hit.Load(),
+		PartialsBuilt: e.partialMemo.Built.Load(),
+		GroupHits:     e.groupMemo.Hit.Load(),
+		GroupsBuilt:   e.groupMemo.Built.Load(),
 	}
 }

@@ -660,21 +660,16 @@ type Entry struct {
 	batchRows atomic.Int64
 	colPicks  atomic.Int64
 	rowPicks  atomic.Int64
-	// Run-partial counters (aggregate.go): sealed runs merged from a memo
-	// against decoded and folded, chunks passed over unread, and executions
-	// that found their partials in the cache against those that did not.
-	runsMerged    atomic.Int64
-	groupsMerged  atomic.Int64
-	runsFolded    atomic.Int64
-	chunksPruned  atomic.Int64
-	partialHits   atomic.Int64
-	partialMisses atomic.Int64
-	// Chunk-image counters (images.go): images built and rebuilt after
-	// closes, and dense spans copied from an image against encoded.
-	imagesBuilt   atomic.Int64
-	imagesRebuilt atomic.Int64
-	spansSpliced  atomic.Int64
-	spansEncoded  atomic.Int64
+	// Chunk-partial counters (aggregate.go): full chunks merged from a memo
+	// against decoded and folded, and chunks passed over unread.
+	runsMerged   atomic.Int64
+	groupsMerged atomic.Int64
+	runsFolded   atomic.Int64
+	chunksPruned atomic.Int64
+	// The chunk memo's counters, one pair per kind (qcache.Chunks), and
+	// dense spans copied from an image against encoded (images.go).
+	partialMemo, groupMemo, imageMemo qcache.Counts
+	spansSpliced, spansEncoded        atomic.Int64
 
 	// Batched-ingest counters (batch.go): InsertBatch calls that wrote a
 	// frame, and the elements those frames carried. Atomic so /metrics can

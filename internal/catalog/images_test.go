@@ -1,7 +1,8 @@
 package catalog
 
 // Chunk images below the server: what a read after a write re-encodes, what
-// the memo costs and where it is charged, how it behaves past its budget and
+// the memo costs and where it is charged, how an image larger than a cache
+// entry is used and dropped, and how every kind of the chunk memo behaves
 // under a reader that holds an older view. The byte-identity matrix over HTTP
 // is internal/server's TestSplicedBytesAreTheEncodedScan.
 
@@ -9,13 +10,16 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/tsql"
 	"repro/internal/wire"
 )
 
@@ -64,7 +68,7 @@ func mallocs(f func()) uint64 {
 // size beyond the result slice itself.
 func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 	const n = 20*256 + 40
-	const readAfterWriteAllocs = 60 // reads 46: the scan's result and spans as they grow, the cached result, one image, the extended set
+	const readAfterWriteAllocs = 60 // reads 38: the scan's result and spans as they grow, the cached result, one image and its entry
 	e, live := ledgerOf(t, storage.TTOrdered, n, 32<<20, denseLedger)
 	ctx := context.Background()
 	read := func() QueryResult {
@@ -76,11 +80,11 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 	}
 	cold := read()
 	st := e.ImageStats()
-	if st.Built != 16 || st.Rebuilt != 0 || st.SpansSpliced != 16 || len(cold.Images) != 16 {
+	if st.Built != 16 || st.Hits != 0 || st.SpansSpliced != 16 || len(cold.Images) != 16 {
 		t.Fatalf("the first large time-slice over sixteen half-taken chunks: %+v, %d images", st, len(cold.Images))
 	}
-	if got := e.cache.Stats().Bytes; got < st.Bytes || st.Bytes < 16*256*100 {
-		t.Fatalf("the images hold %d bytes and the cache is charged %d", st.Bytes, got)
+	if cs := e.cache.Stats(); cs.ChunkBytes < 16*256*100 || cs.Bytes < cs.ChunkBytes {
+		t.Fatalf("the images hold %d bytes and the cache is charged %d", cs.ChunkBytes, cs.Bytes)
 	}
 	worst := uint64(0)
 	for i := 0; i < 8; i++ {
@@ -95,7 +99,7 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 		var res QueryResult
 		worst = max(worst, mallocs(func() { res = read() }))
 		after := e.ImageStats()
-		if after.Rebuilt-before.Rebuilt != 1 || after.Built != before.Built || after.SpansSpliced-before.SpansSpliced != 16 {
+		if after.Built-before.Built != 1 || after.Hits-before.Hits != 15 || after.SpansSpliced-before.SpansSpliced != 16 {
 			t.Fatalf("write %d: the read after it moved the counters %+v → %+v, want one chunk rebuilt", i, before, after)
 		}
 		v := e.view.Load()
@@ -136,19 +140,19 @@ func TestSmallAnswersBuildNoImages(t *testing.T) {
 	}
 }
 
-// TestImagesPastTheBudgetFallBackToTheEncode: the images are one entry of the
-// query cache and may not pass its per-entry budget. With room for none, or
-// for a few of the chunks, the rest of the answer is encoded as before and
-// the bytes are the same; with the cache off nothing is looked up at all.
+// TestImagesPastTheBudgetFallBackToTheEncode: each image is one entry of the
+// query cache, and one larger than an entry is not kept. It still serves the
+// answer it was built for, whose bytes are the plain encode's; with the cache
+// off nothing is looked up at all.
 func TestImagesPastTheBudgetFallBackToTheEncode(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		cacheBytes int64
-		keeps      bool // some image fits
+		kept       bool
 	}{
 		{"cache off", 0, false},
 		{"no image fits", 256 << 10, false}, // entries up to 32 KB; an image is ≈ 45 KB
-		{"three images fit", 1 << 20, true}, // entries up to 128 KB
+		{"every image fits", 1 << 20, true}, // entries up to 128 KB
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _ := ledgerOf(t, storage.TTOrdered, 8*256+40, tc.cacheBytes, denseLedger)
@@ -162,58 +166,109 @@ func TestImagesPastTheBudgetFallBackToTheEncode(t *testing.T) {
 					t.Fatalf("round %d: the spliced answer is not the encoded one", round)
 				}
 			}
-			st := e.ImageStats()
-			if st.SpansEncoded == 0 || (st.SpansSpliced > 0 && tc.cacheBytes == 0) || (st.Bytes > 0) != tc.keeps {
-				t.Fatalf("counters under a %d-byte cache: %+v", tc.cacheBytes, st)
-			}
-			if max := e.cache.MaxEntry(); st.Bytes > max {
-				t.Fatalf("the images hold %d bytes under a per-entry budget of %d", st.Bytes, max)
-			}
-			if tc.keeps && (st.Built < 2 || st.Built > 3+3) {
-				t.Fatalf("a budget of three images built %d over three reads: each read may build one it cannot keep", st.Built)
+			st, held := e.ImageStats(), e.cache.Stats().ChunkBytes
+			switch {
+			case tc.cacheBytes == 0:
+				if st != (ImageStats{SpansEncoded: 3 * 8}) {
+					t.Fatalf("cache off: %+v", st)
+				}
+			case tc.kept:
+				if st.Built != 8 || st.Hits != 2*8 || st.SpansSpliced != 3*8 || held == 0 {
+					t.Fatalf("every image kept: %+v, %d bytes held", st, held)
+				}
+			default:
+				if st.Built != 3*8 || st.Hits != 0 || st.SpansSpliced != 3*8 || held != 0 {
+					t.Fatalf("no image kept: %+v, %d bytes held", st, held)
+				}
 			}
 		})
 	}
 }
 
-// TestOlderViewNeverDisplacesAFresherImage: a reader still holding the view
-// from before a close gets, byte for byte, the answer of that view — the
-// closed element still current in it — and leaves the image a later view
-// recorded for the chunk where it is.
+// TestOlderViewNeverDisplacesAFresherImage holds the chunk memo's one rule
+// — a put never overwrites an entry recorded at a higher close count — for
+// each of its kinds. A reader still holding the view from before a close
+// into chunk 1 (so into group 0) gets the answer of that view, as the plain
+// encode or fold over it gives it, and leaves the entry a later view
+// recorded where it is, putting nothing.
 func TestOlderViewNeverDisplacesAFresherImage(t *testing.T) {
-	e, live := ledgerOf(t, storage.TTOrdered, 4*256+40, 32<<20, denseLedger)
 	ctx := context.Background()
-	old := e.view.Load()
-	oldRes := old.engine.Current()
-	if spliced, plain := e.bothEncodings(t, old, oldRes.Elements, oldRes.Spans); !bytes.Equal(spliced, plain) {
-		t.Fatal("cold: the spliced answer is not the encoded one")
+	const agg = "select sum(v) from ledger group by window(32768, cumulative)"
+	q, err := tsql.Parse(agg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := e.DeleteKeyed(ctx, live[300], ""); err != nil { // chunk 1
+	_, fp := q.Fingerprints()
+	aggregate := func(e *Entry, v *readView) {
+		t.Helper()
+		got, _, _, err := e.executeAggregate(ctx, v, q, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := v.defined(q); err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("epoch %d: the aggregate is not the definition's (%v)", v.epoch, err)
+		}
+	}
+	for _, kind := range []struct {
+		name, fp string
+		ordinal  int // of the entry the close moves: chunk 1, group 0
+		counts   func(e *Entry) *qcache.Counts
+		read     func(e *Entry, v *readView)
+	}{
+		{"partials", "part:" + fp, 1, func(e *Entry) *qcache.Counts { return &e.partialMemo }, aggregate},
+		{"groups", "grp:" + fp, 0, func(e *Entry) *qcache.Counts { return &e.groupMemo }, aggregate},
+		{"images", "img", 1, func(e *Entry) *qcache.Counts { return &e.imageMemo }, func(e *Entry, v *readView) {
+			t.Helper()
+			res := v.engine.Current()
+			if spliced, plain := e.bothEncodings(t, v, res.Elements, res.Spans); !bytes.Equal(spliced, plain) {
+				t.Fatalf("epoch %d: the spliced answer is not the encoded one", v.epoch)
+			}
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			e, live := ledgerOf(t, storage.TTOrdered, 16*256+40, 32<<20, denseLedger)
+			old := e.view.Load()
+			kind.read(e, old)
+			kind.read(e, old)                                         // a group is built from chunks known before
+			if err := e.DeleteKeyed(ctx, live[300], ""); err != nil { // chunk 1
+				t.Fatal(err)
+			}
+			fresh := e.view.Load()
+			kind.read(e, fresh)
+			kind.read(e, fresh)
+			kept := func(closes int) bool {
+				_, exact, _ := e.cache.Chunks(e.name, kind.fp, fresh.gen, new(qcache.Counts)).Get(kind.ordinal, closes)
+				return exact
+			}
+			if !kept(1) {
+				t.Fatalf("entry %d is not kept at the fresh view's close count", kind.ordinal)
+			}
+			built := kind.counts(e).Built.Load()
+			kind.read(e, old)
+			if !kept(1) || kind.counts(e).Built.Load() != built {
+				t.Fatalf("the older view displaced entry %d or put one (%d built, %d before)", kind.ordinal, kind.counts(e).Built.Load(), built)
+			}
+		})
+	}
+	// The older view's answer is its own: the closed element is in it.
+	e, live := ledgerOf(t, storage.TTOrdered, 4*256+40, 32<<20, denseLedger)
+	old := e.view.Load()
+	res := old.engine.Current()
+	e.bothEncodings(t, old, res.Elements, res.Spans)
+	if err := e.DeleteKeyed(ctx, live[300], ""); err != nil {
 		t.Fatal(err)
 	}
 	fresh := e.view.Load()
-	freshRes := fresh.engine.Current()
-	if spliced, plain := e.bothEncodings(t, fresh, freshRes.Elements, freshRes.Spans); !bytes.Equal(spliced, plain) {
-		t.Fatal("after the delete: the spliced answer is not the encoded one")
-	}
-	hit, _ := e.cache.Peek(e.imagesKey(fresh.gen))
-	kept := hit.(*chunkImages).chunk(1)
-	if kept.closes != freshRes.Spans[1].Closes || kept.closes != oldRes.Spans[1].Closes+1 {
-		t.Fatalf("chunk 1 is kept at %d closes; the views saw %d and %d", kept.closes, oldRes.Spans[1].Closes, freshRes.Spans[1].Closes)
-	}
-
+	fr := fresh.engine.Current()
+	e.bothEncodings(t, fresh, fr.Elements, fr.Spans)
 	before := e.ImageStats()
-	spliced, plain := e.bothEncodings(t, old, oldRes.Elements, oldRes.Spans)
+	spliced, plain := e.bothEncodings(t, old, res.Elements, res.Spans)
 	if !bytes.Equal(spliced, plain) || !bytes.Contains(spliced, []byte(`{"es":301,"os":301,"tt_start":3010,"tt_end":4611686018427387903,"current":true`)) {
 		t.Fatal("the older view's answer is not its own encoded scan")
 	}
 	after := e.ImageStats()
-	if after.Built != before.Built || after.Rebuilt != before.Rebuilt || after.SpansEncoded-before.SpansEncoded != 1 || after.SpansSpliced-before.SpansSpliced != 3 {
+	if after.Built != before.Built || after.SpansEncoded-before.SpansEncoded != 1 || after.SpansSpliced-before.SpansSpliced != 3 {
 		t.Fatalf("the older view's read moved the counters %+v → %+v, want chunk 1 encoded and the rest spliced", before, after)
-	}
-	hit, _ = e.cache.Peek(e.imagesKey(fresh.gen))
-	if now := hit.(*chunkImages).chunk(1); now != kept {
-		t.Fatalf("the older view displaced chunk 1's image: %+v → %+v", kept, now)
 	}
 }
 
@@ -248,7 +303,7 @@ func TestNonFiniteRelationBuildsNoImages(t *testing.T) {
 	// A hundred runs: under -race sync.Pool drops a quarter of what it is
 	// given back, and ten runs of that averaged past the budget ≈ 1 time in 10.
 	allocs := testing.AllocsPerRun(100, func() { imgs = e.images(v, res.Spans) })
-	if st := e.ImageStats(); len(imgs) != 0 || st.Built != 0 || st.Rebuilt != 0 || st.SpansSpliced != 0 || st.SpansEncoded == 0 || st.Bytes != 0 {
+	if st := e.ImageStats(); len(imgs) != 0 || st.Built != 0 || st.Hits != 0 || st.SpansSpliced != 0 || st.SpansEncoded == 0 || e.cache.Stats().ChunkBytes != 0 {
 		t.Fatalf("a relation of non-finite floats got %d images: %+v", len(imgs), st)
 	}
 	if allocs > 2*4+1+2 {

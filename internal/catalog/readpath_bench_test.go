@@ -1,7 +1,7 @@
 package catalog
 
 // Microbenchmarks for the two read paths: epoch-stamped snapshot reads
-// and a cache hit. `make bench-smoke` runs
+// and cache hits. `make bench-smoke` runs
 // these at -benchtime=100ms as a cheap regression tripwire; the full
 // S4 experiment (cmd/benchrunner -exp S4) measures the concurrent story.
 
@@ -12,6 +12,8 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/relation"
+	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 func benchEntry(b *testing.B, cfg Config, elements int) *Entry {
@@ -53,22 +55,58 @@ func BenchmarkReadPathSnapshot(b *testing.B) {
 	benchTimeslices(b, e, elements)
 }
 
+// BenchmarkReadPathCacheHit is a result-cache hit: "timeslice" a small
+// time-slice over 4 k events; "current-ledger-40k" the current state of a
+// 40,000-element ledger — ≈ 7 MB of chunk images, more than one cache entry
+// holds — encoded as the server sends it. Every full chunk is one image
+// entry, so from the second read on each is spliced and none encoded
+// (spliced/op: the ledger's 156 full chunks).
 func BenchmarkReadPathCacheHit(b *testing.B) {
-	const elements = 4096
-	e := benchEntry(b, Config{CacheBytes: 1 << 20}, elements)
 	ctx := context.Background()
-	fixed := chronon.Chronon(elements / 2)
-	if _, err := e.TimesliceCtx(ctx, fixed); err != nil { // fill the cache
-		b.Fatalf("warm: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.TimesliceCtx(ctx, fixed)
-		if err != nil {
-			b.Fatalf("Timeslice: %v", err)
+	b.Run("timeslice", func(b *testing.B) {
+		const elements = 4096
+		e := benchEntry(b, Config{CacheBytes: 1 << 20}, elements)
+		fixed := chronon.Chronon(elements / 2)
+		if _, err := e.TimesliceCtx(ctx, fixed); err != nil { // fill the cache
+			b.Fatalf("warm: %v", err)
 		}
-		if len(res.Elements) == 0 {
-			b.Fatal("cache hit returned nothing")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := e.TimesliceCtx(ctx, fixed)
+			if err != nil {
+				b.Fatalf("Timeslice: %v", err)
+			}
+			if len(res.Elements) == 0 {
+				b.Fatal("cache hit returned nothing")
+			}
 		}
-	}
+	})
+	b.Run("current-ledger-40k", func(b *testing.B) {
+		const n = 40_000
+		e, _ := ledgerOf(b, storage.TTOrdered, n, 32<<20, denseLedger)
+		var body []byte
+		read := func() {
+			res, err := e.CurrentCtx(ctx)
+			if err != nil || len(res.Elements) != n {
+				b.Fatalf("current: %d elements, %v", len(res.Elements), err)
+			}
+			if body, err = (wire.QueryBody{Elements: res.Elements, Images: res.Images, Touched: res.Touched}).AppendJSON(body[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		read() // builds the images
+		before := e.ImageStats()
+		read()
+		if st := e.ImageStats(); st.SpansEncoded != before.SpansEncoded || st.SpansSpliced-before.SpansSpliced != n/256 {
+			b.Fatalf("the second read encoded %d of its full chunks and spliced %d; all %d are imaged",
+				st.SpansEncoded-before.SpansEncoded, st.SpansSpliced-before.SpansSpliced, n/256)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read()
+		}
+		b.StopTimer()
+		st := e.ImageStats()
+		b.ReportMetric(float64(st.SpansSpliced-before.SpansSpliced)/float64(b.N+1), "spliced/op")
+	})
 }

@@ -8,6 +8,12 @@
 // per-entry budget are not admitted (one giant rollback result must not
 // wipe the working set).
 //
+// Beside whole results the cache holds the chunk memo (Chunks): values
+// derived from one full chunk of a relation's store — an aggregate's
+// partial, a group of chunks' partial, a chunk's encoded image — each its
+// own entry under the store generation and the chunk's ordinal, evicted
+// and budgeted like any result.
+//
 // All methods are safe for concurrent use and safe on a nil *Cache, so a
 // disabled cache (capacity 0) needs no call-site branching.
 package qcache
@@ -15,41 +21,58 @@ package qcache
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // Key identifies one cached result. Epoch is the relation's mutation
 // epoch at the time the result was computed; a stale epoch can never be
-// looked up again, which is the whole invalidation story.
+// looked up again, which is the whole invalidation story. A chunk memo
+// entry keys by store generation instead, and by Chunk, its ordinal; a
+// whole result leaves Chunk 0.
 type Key struct {
 	Rel         string
 	Fingerprint string
 	Epoch       uint64
+	Chunk       int
 }
 
-// Stats is a point-in-time view of the cache's counters.
+// Stats is a point-in-time view of the cache's counters. ChunkBytes is
+// the part of Bytes the chunk memo's entries hold.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Entries   int
-	Bytes     int64
-	Capacity  int64
+	Hits       uint64
+	Misses     uint64
+	Evictions  uint64
+	Entries    int
+	Bytes      int64
+	ChunkBytes int64
+	Capacity   int64
 }
 
+// entry is one cached value. It never changes once in the cache — a re-Put
+// swaps in a new one — so a reader may hold it past the lock.
 type entry struct {
-	key  Key
-	val  any
-	size int64
+	key    Key
+	val    any
+	size   int64
+	chunk  bool // a chunk memo entry, derived at closes
+	closes int
 }
+
+// supersedes reports whether a chunk entry was derived from a later view
+// than one that sees the chunk at closes: closes are monotone, so a reader
+// whose count is lower holds an older pinned view, and what it derives
+// must not displace the fresher value.
+func (en *entry) supersedes(closes int) bool { return en.chunk && en.closes > closes }
 
 // Cache is the LRU. The zero value is unusable; construct with New.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int64
-	maxEntry int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[Key]*list.Element
+	mu         sync.Mutex
+	capacity   int64
+	maxEntry   int64
+	bytes      int64
+	chunkBytes int64
+	ll         *list.List // front = most recently used
+	items      map[Key]*list.Element
 
 	hits, misses, evictions uint64
 }
@@ -71,17 +94,26 @@ func New(capacity int64) *Cache {
 }
 
 // Get returns the cached value for k, marking it most recently used.
-func (c *Cache) Get(k Key) (any, bool) { return c.get(k, true) }
+func (c *Cache) Get(k Key) (any, bool) {
+	if en := c.get(k, true); en != nil {
+		return en.val, true
+	}
+	return nil, false
+}
 
-// Peek is Get outside the hit and miss counters, for callers that keep
-// derived state in the cache beside whole results — the aggregate path's
-// per-run partials, looked up on exactly the queries that already counted
-// as a result miss. Stats' ratio so stays hits over whole-result lookups.
-func (c *Cache) Peek(k Key) (any, bool) { return c.get(k, false) }
+// Peek is Get outside the hit and miss counters, which count whole-result
+// lookups only; the chunk memo's lookups go the same way.
+func (c *Cache) Peek(k Key) (any, bool) {
+	if en := c.get(k, false); en != nil {
+		return en.val, true
+	}
+	return nil, false
+}
 
-func (c *Cache) get(k Key, count bool) (any, bool) {
+// get returns k's entry, nil for none, marking it most recently used.
+func (c *Cache) get(k Key, count bool) *entry {
 	if c == nil {
-		return nil, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,10 +126,10 @@ func (c *Cache) get(k Key, count bool) (any, bool) {
 		}
 	}
 	if !ok {
-		return nil, false
+		return nil
 	}
 	c.ll.MoveToFront(le)
-	return le.Value.(*entry).val, true
+	return le.Value.(*entry)
 }
 
 // MaxEntry reports the largest size Put admits; 0 for a nil cache.
@@ -111,21 +143,29 @@ func (c *Cache) MaxEntry() int64 {
 // Put stores v under k with the given approximate size, evicting from the
 // LRU tail until the byte budget holds. Oversized values are not admitted;
 // a re-Put of an existing key replaces its value and size.
-func (c *Cache) Put(k Key, v any, size int64) {
+func (c *Cache) Put(k Key, v any, size int64) { c.put(k, v, size, false, 0) }
+
+// put is Put for a whole result or, when chunk, a chunk memo entry derived
+// at closes, which does not replace an entry that supersedes it.
+func (c *Cache) put(k Key, v any, size int64, chunk bool, closes int) {
 	if c == nil || size > c.maxEntry {
 		return
 	}
+	nw := &entry{key: k, val: v, size: size, chunk: chunk, closes: closes}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if le, ok := c.items[k]; ok {
 		en := le.Value.(*entry)
-		c.bytes += size - en.size
-		en.val, en.size = v, size
+		if en.supersedes(closes) {
+			return
+		}
+		c.charge(en, -1)
+		le.Value = nw
 		c.ll.MoveToFront(le)
 	} else {
-		c.items[k] = c.ll.PushFront(&entry{key: k, val: v, size: size})
-		c.bytes += size
+		c.items[k] = c.ll.PushFront(nw)
 	}
+	c.charge(nw, 1)
 	for c.bytes > c.capacity {
 		tail := c.ll.Back()
 		if tail == nil {
@@ -134,8 +174,16 @@ func (c *Cache) Put(k Key, v any, size int64) {
 		en := tail.Value.(*entry)
 		c.ll.Remove(tail)
 		delete(c.items, en.key)
-		c.bytes -= en.size
+		c.charge(en, -1)
 		c.evictions++
+	}
+}
+
+// charge adds (sign 1) or removes (sign -1) en's size from the totals.
+func (c *Cache) charge(en *entry, sign int64) {
+	c.bytes += sign * en.size
+	if en.chunk {
+		c.chunkBytes += sign * en.size
 	}
 }
 
@@ -147,11 +195,58 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
-		Capacity:  c.capacity,
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Evictions:  c.evictions,
+		Entries:    c.ll.Len(),
+		Bytes:      c.bytes,
+		ChunkBytes: c.chunkBytes,
+		Capacity:   c.capacity,
 	}
+}
+
+// Counts are one kind of chunk memo entry's lifetime counters: lookups
+// that found the chunk at the close count asked for, and values built and
+// offered to the cache.
+type Counts struct{ Hit, Built atomic.Int64 }
+
+// Chunks is one kind of the chunk memo for one relation and one store
+// generation. Within a generation a full chunk is named by its ordinal and
+// its lifetime close count, and what is derived from it — window cells,
+// encoded bytes — depends on nothing else, on every organization. The
+// ordinal is in the key and the count is kept with the value, so a chunk
+// has one entry: a lookup at another count still finds the value it
+// replaces, and a put never overwrites an entry a later view recorded.
+type Chunks struct {
+	c   *Cache
+	key Key
+	n   *Counts
+}
+
+// Chunks returns the kind of the chunk memo named by kind, counted in n.
+func (c *Cache) Chunks(rel, kind string, gen uint64, n *Counts) Chunks {
+	return Chunks{c: c, key: Key{Rel: rel, Fingerprint: kind, Epoch: gen}, n: n}
+}
+
+// Get returns chunk k's value when it was derived at closes (exact).
+// Otherwise it returns the value held for another count, nil for none, and
+// whether Put would keep one derived at closes now.
+func (m Chunks) Get(k, closes int) (v any, exact, keep bool) {
+	m.key.Chunk = k
+	en := m.c.get(m.key, false)
+	switch {
+	case en == nil:
+		return nil, false, true
+	case en.closes == closes:
+		m.n.Hit.Add(1)
+		return en.val, true, false
+	}
+	return en.val, false, !en.supersedes(closes)
+}
+
+// Put records v, derived from chunk k at closes, with its approximate size.
+func (m Chunks) Put(k, closes int, v any, size int64) {
+	m.n.Built.Add(1)
+	m.key.Chunk = k
+	m.c.put(m.key, v, size, true, closes)
 }

@@ -117,3 +117,70 @@ func TestPeekStaysOutOfTheCounters(t *testing.T) {
 		t.Fatal("nil cache: Peek hit or MaxEntry non-zero")
 	}
 }
+
+// TestChunksOneEntryPerChunk: a chunk memo entry is named by its ordinal
+// and keeps the close count it was derived at. A lookup at that count hits;
+// at a higher one it returns the value to rebuild from and lets a put
+// replace it; at a lower one — an older view — it refuses the put, and so
+// does Put itself.
+func TestChunksOneEntryPerChunk(t *testing.T) {
+	c := New(800) // maxEntry = 100
+	var n Counts
+	m := c.Chunks("r", "img", 7, &n)
+	if v, exact, keep := m.Get(3, 0); v != nil || exact || !keep {
+		t.Fatalf("empty: %v %v %v", v, exact, keep)
+	}
+	m.Put(3, 1, "at1", 40)
+	if v, exact, _ := m.Get(3, 1); !exact || v != "at1" {
+		t.Fatalf("same count: %v %v", v, exact)
+	}
+	if v, exact, keep := m.Get(3, 2); exact || !keep || v != "at1" {
+		t.Fatalf("later view: %v %v %v, want the old value to rebuild from", v, exact, keep)
+	}
+	m.Put(3, 2, "at2", 50)
+	if v, exact, keep := m.Get(3, 1); exact || keep || v != "at2" {
+		t.Fatalf("older view: %v %v %v", v, exact, keep)
+	}
+	m.Put(3, 1, "stale", 10)
+	if v, exact, _ := m.Get(3, 2); !exact || v != "at2" {
+		t.Fatalf("an older view's put displaced the later entry: %v %v", v, exact)
+	}
+	if v, _, _ := c.Chunks("r", "img", 8, &n).Get(3, 2); v != nil {
+		t.Fatal("another store generation shares the entry")
+	}
+	if h, b := n.Hit.Load(), n.Built.Load(); h != 2 || b != 3 {
+		t.Fatalf("counts: %d hits, %d built", h, b)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 50 || st.ChunkBytes != 50 || st.Hits+st.Misses != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestChunkBytesFollowEviction: ChunkBytes is charged on put and credited on
+// replacement and eviction, beside Bytes, and whole results never count in it.
+func TestChunkBytesFollowEviction(t *testing.T) {
+	c := New(800) // maxEntry = 100
+	var n Counts
+	m := c.Chunks("r", "part:x", 1, &n)
+	for k := 0; k < 4; k++ {
+		m.Put(k, 0, k, 100)
+	}
+	c.Put(key("a", 1), "a", 100)
+	if st := c.Stats(); st.ChunkBytes != 400 || st.Bytes != 500 {
+		t.Fatalf("stats = %+v", st)
+	}
+	for i := 0; i < 5; i++ { // ten entries of 100 bytes for 800: chunks 0 and 1, the tail, go
+		c.Put(key(string(rune('b'+i)), 1), i, 100)
+	}
+	st := c.Stats()
+	if st.Evictions != 2 || st.ChunkBytes != 200 || st.Bytes != 800 {
+		t.Fatalf("after two evictions: %+v", st)
+	}
+	if _, exact, _ := m.Get(0, 0); exact {
+		t.Fatal("the LRU tail survived")
+	}
+	m.Put(3, 1, "x", 20)
+	if st := c.Stats(); st.ChunkBytes != 120 || st.Bytes != 720 {
+		t.Fatalf("after a replacement: %+v", st)
+	}
+}

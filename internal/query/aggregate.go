@@ -92,8 +92,8 @@ func (en *Engine) aggregateUnits(ctx context.Context, leaf *plan.Node, spec *vec
 		}
 		learn := false
 		if memo != nil && u.Stable {
-			var known *runPartial
-			if known, learn = memo.lookup(u); known != nil && known.part != nil && agg.Merge(known.part) {
+			var part *vec.Partial
+			if part, learn = memo.lookup(u); part != nil && agg.Merge(part) {
 				stats.RunsMerged++
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/plan"
+	"repro/internal/qcache"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/vec"
@@ -92,30 +93,57 @@ func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.E
 	return stats
 }
 
-const bigBudget = 1 << 20
+const bigCache = 32 << 20
 
-// next hands the partials one execution left behind to the following one,
-// as the catalog's cache does.
-func next(m *PartialMemo) *PartialMemo {
-	return &PartialMemo{Partials: m.Partials, Budget: m.Budget}
+// memoCache is the chunk memo's home as a catalog entry keeps it: a cache,
+// and the counters of the partial and group kinds.
+type memoCache struct {
+	c            *qcache.Cache
+	runs, groups qcache.Counts
+}
+
+func newMemo(capacity int64) *memoCache { return &memoCache{c: qcache.New(capacity)} }
+
+// exec is one execution's memo, as the catalog hands it one.
+func (mc *memoCache) exec() *PartialMemo {
+	return &PartialMemo{Runs: mc.c.Chunks("r", "part:t", 0, &mc.runs), Groups: mc.c.Chunks("r", "grp:t", 0, &mc.groups)}
+}
+
+// built is how many partials of both kinds executions have put so far.
+func (mc *memoCache) built() int64 { return mc.runs.Built.Load() + mc.groups.Built.Load() }
+
+// group reports the partial kept for group g at closes, nil for none.
+func (mc *memoCache) group(g, closes int) *vec.Partial {
+	v, exact, _ := mc.exec().Groups.Get(g, closes)
+	if !exact {
+		return nil
+	}
+	return v.(*vec.Partial)
+}
+
+// learned runs one memoized threeWay and reports whether it put anything.
+func learned(t *testing.T, en *Engine, spec *vec.Spec, mc *memoCache) (vec.ExecStats, bool) {
+	t.Helper()
+	before := mc.built()
+	s := threeWay(t, en, spec, mc.exec())
+	return s, mc.built() > before
 }
 
 func TestRunPartialsColdWarmAndAfterWrites(t *testing.T) {
 	st := partialsFixture(t, 5, 70, intVals)
 	en := New(st, nil)
 
-	cold := &PartialMemo{Budget: bigBudget}
-	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), cold); s.RunsMerged != 0 || s.RunsFolded != 5 || !cold.Grew {
-		t.Fatalf("cold: %+v grew=%v, want 5 runs folded and learned", s, cold.Grew)
+	mc := newMemo(bigCache)
+	if s, grew := learned(t, en, testSpec(vec.Tumbling, 0), mc); s.RunsMerged != 0 || s.RunsFolded != 5 || !grew {
+		t.Fatalf("cold: %+v grew=%v, want 5 runs folded and learned", s, grew)
 	}
-	warm := next(cold)
-	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), warm); s.RunsMerged != 5 || s.RunsFolded != 0 || s.Rows != 70 || warm.Grew {
-		t.Fatalf("warm: %+v grew=%v, want 5 runs merged, only the 70-element tail visited", s, warm.Grew)
+	if s, grew := learned(t, en, testSpec(vec.Tumbling, 0), mc); s.RunsMerged != 5 || s.RunsFolded != 0 || s.Rows != 70 || grew {
+		t.Fatalf("warm: %+v grew=%v, want 5 runs merged, only the 70-element tail visited", s, grew)
 	}
 	// The window mode is applied after the cells: rolling and cumulative
 	// reuse the partials a tumbling query left.
 	for _, spec := range []*vec.Spec{testSpec(vec.Rolling, 3), testSpec(vec.Cumulative, 0)} {
-		if s := threeWay(t, en, spec, next(cold)); s.RunsMerged != 5 {
+		if s := threeWay(t, en, spec, mc.exec()); s.RunsMerged != 5 {
 			t.Fatalf("%v over tumbling partials: %+v", spec.WKind, s)
 		}
 	}
@@ -130,7 +158,7 @@ func TestRunPartialsColdWarmAndAfterWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), next(cold)); s.RunsMerged != 5 || s.Rows != 110 {
+	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), mc.exec()); s.RunsMerged != 5 || s.Rows != 110 {
 		t.Fatalf("after append: %+v", s)
 	}
 
@@ -139,20 +167,21 @@ func TestRunPartialsColdWarmAndAfterWrites(t *testing.T) {
 	closeElem(st, testRun+5, 9_000)
 	closeElem(st, 3*testRun+200, 9_001)
 	closeElem(st, 3*testRun+201, 9_002)
-	after := next(cold)
-	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), after); s.RunsMerged != 3 || s.RunsFolded != 2 || !after.Grew {
-		t.Fatalf("after closes: %+v grew=%v, want the two closed-into runs refolded", s, after.Grew)
+	if s, grew := learned(t, en, testSpec(vec.Tumbling, 0), mc); s.RunsMerged != 3 || s.RunsFolded != 2 || !grew {
+		t.Fatalf("after closes: %+v grew=%v, want the two closed-into runs refolded", s, grew)
 	}
-	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), next(after)); s.RunsMerged != 5 {
+	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), mc.exec()); s.RunsMerged != 5 {
 		t.Fatalf("after relearning: %+v", s)
 	}
 	// The pinned view predates the closes: the partials learned after them
 	// are not its runs' content. It folds those two runs itself, answers as
 	// of its own snapshot (threeWay compares with the row engine on the
 	// same view), and does not displace the fresher entries.
-	old := next(after)
-	if s := threeWay(t, pinned, testSpec(vec.Tumbling, 0), old); s.RunsMerged != 3 || s.RunsFolded != 2 || old.Grew {
-		t.Fatalf("pinned view: %+v grew=%v, want 3 merged, 2 folded, nothing recorded", s, old.Grew)
+	if s, grew := learned(t, pinned, testSpec(vec.Tumbling, 0), mc); s.RunsMerged != 3 || s.RunsFolded != 2 || grew {
+		t.Fatalf("pinned view: %+v grew=%v, want 3 merged, 2 folded, nothing recorded", s, grew)
+	}
+	if s := threeWay(t, en, testSpec(vec.Tumbling, 0), mc.exec()); s.RunsMerged != 5 {
+		t.Fatalf("after the pinned view: %+v, want the fresher partials still there", s)
 	}
 
 	// Sealing more runs extends the memo; ordinals of the old runs hold.
@@ -165,8 +194,8 @@ func TestRunPartialsColdWarmAndAfterWrites(t *testing.T) {
 func TestRunPartialsClampAsOfAndBudget(t *testing.T) {
 	st := partialsFixture(t, 5, 30, intVals)
 	en := New(st, nil)
-	whole := &PartialMemo{Budget: bigBudget}
-	threeWay(t, en, testSpec(vec.Tumbling, 0), whole)
+	whole := newMemo(bigCache)
+	threeWay(t, en, testSpec(vec.Tumbling, 0), whole.exec())
 
 	// Runs cover vt [2560·k, 2560·k + 2551]. A clamp containing runs 1–3
 	// and cutting runs 0 and 4 merges the three and folds the two; the
@@ -174,14 +203,14 @@ func TestRunPartialsClampAsOfAndBudget(t *testing.T) {
 	// the clamp does not cut.
 	clamped := testSpec(vec.Tumbling, 0)
 	clamped.Filter = vec.Filter{HasVT: true, VTLo: 1000, VTHi: 11_000}
-	if s := threeWay(t, en, clamped, next(whole)); s.RunsMerged != 3 || s.RunsFolded != 2 {
+	if s := threeWay(t, en, clamped, whole.exec()); s.RunsMerged != 3 || s.RunsFolded != 2 {
 		t.Fatalf("clamp: %+v, want 3 merged, 2 folded", s)
 	}
 	// And the other way round: partials learned under a clamp serve the
 	// unclamped query for exactly the runs the clamp contained.
-	under := &PartialMemo{Budget: bigBudget}
-	threeWay(t, en, clamped, under)
-	if s := threeWay(t, en, testSpec(vec.Cumulative, 0), next(under)); s.RunsMerged != 3 || s.RunsFolded != 2 {
+	under := newMemo(bigCache)
+	threeWay(t, en, clamped, under.exec())
+	if s := threeWay(t, en, testSpec(vec.Cumulative, 0), under.exec()); s.RunsMerged != 3 || s.RunsFolded != 2 {
 		t.Fatalf("unclamped over clamp-learned partials: %+v", s)
 	}
 
@@ -190,22 +219,21 @@ func TestRunPartialsClampAsOfAndBudget(t *testing.T) {
 	closeElem(st, 40, 2_000)
 	asOf := testSpec(vec.Tumbling, 0)
 	asOf.Filter = vec.Filter{AsOf: true, TT: 1_500}
-	m := next(whole)
-	if s := threeWay(t, en, asOf, m); s.RunsMerged != 0 || m.Grew {
-		t.Fatalf("as of: %+v grew=%v", s, m.Grew)
+	if s, grew := learned(t, en, asOf, whole); s.RunsMerged != 0 || grew {
+		t.Fatalf("as of: %+v grew=%v", s, grew)
 	}
 
-	// A budget that holds about two runs' cells: the memo stops growing
-	// there, stays under it, and later queries merge that prefix.
-	tight := &PartialMemo{Budget: 1500}
-	threeWay(t, en, testSpec(vec.Tumbling, 0), tight)
-	if !tight.Grew || tight.Partials.Size() > tight.Budget {
-		t.Fatalf("tight budget: grew=%v size=%d budget=%d", tight.Grew, tight.Partials.Size(), tight.Budget)
+	// Each partial is one cache entry. Under a cache whose entries are
+	// smaller than a chunk's partial nothing is kept: every execution folds
+	// every chunk, offers its partial, and answers as the plain fold does.
+	tiny := newMemo(8 * 64) // entries up to 64 bytes; a chunk's cells take more
+	for pass := 0; pass < 2; pass++ {
+		if s := threeWay(t, en, testSpec(vec.Tumbling, 0), tiny.exec()); s.RunsMerged != 0 || s.RunsFolded != 5 {
+			t.Fatalf("entries too small, pass %d: %+v", pass, s)
+		}
 	}
-	again := next(tight)
-	s := threeWay(t, en, testSpec(vec.Tumbling, 0), again)
-	if s.RunsMerged == 0 || s.RunsMerged == 5 || s.RunsMerged+s.RunsFolded != 5 || again.Partials.Size() > again.Budget {
-		t.Fatalf("tight budget, second query: %+v size=%d", s, again.Partials.Size())
+	if got := tiny.runs.Built.Load(); got != 10 || tiny.c.Stats().Entries != 0 {
+		t.Fatalf("entries too small: %d partials built, %d kept", got, tiny.c.Stats().Entries)
 	}
 }
 
@@ -217,13 +245,12 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	floats := partialsFixture(t, 3, 10, func(i int) element.Value { return element.Float(float64(i) / 10) })
 	en := New(floats, nil)
 	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
-	cold := &PartialMemo{Budget: bigBudget}
-	if s := threeWay(t, en, sum, cold); s.RunsMerged != 0 || s.Rows != 3*testRun+10 || !cold.Grew {
-		t.Fatalf("float sum, cold: %+v grew=%v", s, cold.Grew)
+	mc := newMemo(bigCache)
+	if s, grew := learned(t, en, sum, mc); s.RunsMerged != 0 || s.Rows != 3*testRun+10 || !grew {
+		t.Fatalf("float sum, cold: %+v grew=%v", s, grew)
 	}
-	warm := next(cold)
-	if s := threeWay(t, en, sum, warm); s.RunsMerged != 0 || s.RunsFolded != 3 || warm.Grew {
-		t.Fatalf("float sum, warm: %+v grew=%v", s, warm.Grew)
+	if s, grew := learned(t, en, sum, mc); s.RunsMerged != 0 || s.RunsFolded != 3 || grew {
+		t.Fatalf("float sum, warm: %+v grew=%v", s, grew)
 	}
 
 	for name, val := range map[string]func(int) element.Value{
@@ -242,11 +269,11 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	} {
 		en := New(partialsFixture(t, 2, 0, val), nil)
 		one := &vec.Spec{Width: 1 << 20, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
-		m := &PartialMemo{Budget: bigBudget}
-		threeWay(t, en, one, m) // fails in all three with one text
-		threeWay(t, en, one, next(m))
+		mc := newMemo(bigCache)
+		threeWay(t, en, one, mc.exec()) // fails in all three with one text
+		threeWay(t, en, one, mc.exec())
 		_, _, err := en.AggregateCtx(context.Background(),
-			plan.BuildAggregate(en.Access(), plan.Query{}, plan.PickColumnar), one, true, next(m))
+			plan.BuildAggregate(en.Access(), plan.Query{}, plan.PickColumnar), one, true, mc.exec())
 		if err == nil || err.Error() != "vec: sum(v) over mixed int and float values" {
 			t.Fatalf("%s: error %v", name, err)
 		}
@@ -272,13 +299,12 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	ctx := context.Background()
 	col := plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickColumnar)
 	_, _, rowErr := iv.AggregateCtx(ctx, plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickRow), guard, false, nil)
-	m := &PartialMemo{Budget: bigBudget}
+	mc = newMemo(bigCache)
 	for i := 0; i < 2; i++ {
-		_, _, err := iv.AggregateCtx(ctx, col, guard, false, m)
+		_, _, err := iv.AggregateCtx(ctx, col, guard, false, mc.exec())
 		if rowErr == nil || err == nil || err.Error() != rowErr.Error() {
 			t.Fatalf("span guard, pass %d: columnar %v, row %v", i, err, rowErr)
 		}
-		m = next(m)
 	}
 }
 
@@ -294,64 +320,61 @@ func groupStats(t *testing.T, leg string, s vec.ExecStats, groups, merged, folde
 // TestGroupPartials walks the group memo through the histories that decide
 // whether a group's partial may stand in for its 16 chunks: learned once all
 // of them are known, re-learned after a close moves the group's sum, left
-// alone by an older pinned view, never built past the budget or from
-// inexact chunks, built over an entirely closed chunk, and bounded by a
-// clamp. threeWay holds every answer to vec.RowAggregateRuns.
+// alone by an older pinned view, never built from inexact chunks, merged
+// but not kept when it is larger than a cache entry, built over an entirely
+// closed chunk, and bounded by a clamp. threeWay holds every answer to vec.RowAggregateRuns.
 func TestGroupPartials(t *testing.T) {
 	const runs = 2*groupRuns + 3
 	st := partialsFixture(t, runs, 40, intVals)
 	en := New(st, nil)
 	spec := testSpec(vec.Tumbling, 0)
 
-	cold := &PartialMemo{Budget: bigBudget}
-	groupStats(t, "cold", threeWay(t, en, spec, cold), 0, 0, runs)
+	mc := newMemo(bigCache)
+	groupStats(t, "cold", threeWay(t, en, spec, mc.exec()), 0, 0, runs)
 	// Every chunk is known now: the next execution builds both groups from
 	// them and merges them in their place.
-	build := next(cold)
-	groupStats(t, "building", threeWay(t, en, spec, build), 2, runs, 0)
-	if !build.Grew || build.Partials.group(0) == nil || build.Partials.group(1) == nil {
-		t.Fatalf("building: grew=%v, groups %v", build.Grew, build.Partials.groups)
+	groupStats(t, "building", threeWay(t, en, spec, mc.exec()), 2, runs, 0)
+	if mc.groups.Built.Load() != 2 || mc.group(0, 0) == nil || mc.group(1, 0) == nil {
+		t.Fatalf("building: %d groups built, kept %v %v", mc.groups.Built.Load(), mc.group(0, 0), mc.group(1, 0))
 	}
-	warm := next(build)
-	groupStats(t, "warm", threeWay(t, en, spec, warm), 2, runs, 0)
-	if warm.Grew {
+	s, grew := learned(t, en, spec, mc)
+	groupStats(t, "warm", s, 2, runs, 0)
+	if grew {
 		t.Fatal("warm: the memo grew")
 	}
 	for _, spec := range []*vec.Spec{testSpec(vec.Rolling, 3), testSpec(vec.Cumulative, 0)} {
-		groupStats(t, spec.WKind.String(), threeWay(t, en, spec, next(warm)), 2, runs, 0)
+		groupStats(t, spec.WKind.String(), threeWay(t, en, spec, mc.exec()), 2, runs, 0)
 	}
 
 	// A clamp may cover a group exactly, not cut it. Chunk k holds vt
 	// [2560k, 2560k + 2550].
 	exact := testSpec(vec.Tumbling, 0)
 	exact.Filter = vec.Filter{HasVT: true, VTLo: 0, VTHi: groupRuns * 2560}
-	groupStats(t, "clamp around group 0", threeWay(t, en, exact, next(warm)), 1, groupRuns, 0)
+	groupStats(t, "clamp around group 0", threeWay(t, en, exact, mc.exec()), 1, groupRuns, 0)
 	cut := testSpec(vec.Tumbling, 0)
 	cut.Filter = vec.Filter{HasVT: true, VTLo: 100, VTHi: groupRuns * 2560}
-	groupStats(t, "clamp cutting chunk 0", threeWay(t, en, cut, next(warm)), 0, groupRuns-1, 1)
+	groupStats(t, "clamp cutting chunk 0", threeWay(t, en, cut, mc.exec()), 0, groupRuns-1, 1)
 
 	// A close inside group 1 moves its sum: group 0 still merges, group 1's
 	// chunks go one at a time, the closed-into one folded and re-learned,
 	// and the execution after that rebuilds group 1 at the new sum.
 	pinned := en.Snapshot()
 	closeElem(st, 20*testRun+7, 9_000)
-	after := next(warm)
-	groupStats(t, "after a close", threeWay(t, en, spec, after), 1, runs-1, 1)
-	relearn := next(after)
-	groupStats(t, "relearning", threeWay(t, en, spec, relearn), 2, runs, 0)
-	if g := relearn.Partials.group(1); !relearn.Grew || g == nil || g.closed != 1 {
-		t.Fatalf("relearning: grew=%v, group 1 %+v", relearn.Grew, g)
+	groupStats(t, "after a close", threeWay(t, en, spec, mc.exec()), 1, runs-1, 1)
+	s, grew = learned(t, en, spec, mc)
+	groupStats(t, "relearning", s, 2, runs, 0)
+	if !grew || mc.group(1, 1) == nil {
+		t.Fatalf("relearning: grew=%v, group 1 not kept at 1 close", grew)
 	}
-	fresh := next(relearn)
-	groupStats(t, "after relearning", threeWay(t, en, spec, fresh), 2, runs, 0)
+	groupStats(t, "after relearning", threeWay(t, en, spec, mc.exec()), 2, runs, 0)
 
 	// The pinned view predates the close. Group 1's entry and chunk 20's
 	// are fresher than what it sees: it folds that chunk itself, merges the
 	// other fifteen one by one, and records nothing over them.
-	old := next(fresh)
-	groupStats(t, "pinned view", threeWay(t, pinned, spec, old), 1, runs-1, 1)
-	if g := old.Partials.group(1); old.Grew || g.closed != 1 {
-		t.Fatalf("pinned view: grew=%v, group 1 at %d closes", old.Grew, g.closed)
+	s, grew = learned(t, pinned, spec, mc)
+	groupStats(t, "pinned view", s, 1, runs-1, 1)
+	if grew || mc.group(1, 1) == nil {
+		t.Fatalf("pinned view: grew=%v, group 1 no longer kept at 1 close", grew)
 	}
 
 	// An entirely closed first chunk is pruned, contributes nothing, and
@@ -359,8 +382,7 @@ func TestGroupPartials(t *testing.T) {
 	for i := 0; i < testRun; i++ {
 		closeElem(st, i, chronon.Chronon(10_000+i))
 	}
-	gone := next(fresh)
-	s := threeWay(t, en, spec, gone)
+	s = threeWay(t, en, spec, mc.exec())
 	groupStats(t, "first chunk closed", s, 2, runs-1, 0)
 	if s.ChunksPruned != 1 {
 		t.Fatalf("first chunk closed: %+v, want it pruned", s)
@@ -379,16 +401,32 @@ func TestGroupPartials(t *testing.T) {
 	}
 	vacuumed.Compact()
 	ven := New(vacuumed, nil)
-	gen := &PartialMemo{Budget: bigBudget}
-	groupStats(t, "vacuumed, cold", threeWay(t, ven, spec, gen), 0, 0, runs-1)
-	groupStats(t, "vacuumed, building", threeWay(t, ven, spec, next(gen)), 2, runs-1, 0)
+	gen := newMemo(bigCache)
+	groupStats(t, "vacuumed, cold", threeWay(t, ven, spec, gen.exec()), 0, 0, runs-1)
+	groupStats(t, "vacuumed, building", threeWay(t, ven, spec, gen.exec()), 2, runs-1, 0)
 
-	// A budget with room for the chunks and none for a group: the chunks
-	// are merged as before, and no group is learned or merged.
-	tight := &PartialMemo{Partials: cold.Partials, Budget: cold.Partials.Size()}
-	groupStats(t, "budget spent", threeWay(t, New(partialsFixture(t, runs, 40, intVals), nil), spec, tight), 0, runs, 0)
-	if tight.Grew || len(tight.Partials.groups) != 0 {
-		t.Fatalf("budget spent: grew=%v, groups %v", tight.Grew, tight.Partials.groups)
+	// A cache whose entries have room for a chunk's partial and none for a
+	// group's, over one group: the chunks are kept, and every execution
+	// builds the group from them, merges it and cannot keep it.
+	chunkMax, groupMin := int64(0), int64(1<<62)
+	for k := 0; k < runs-1; k++ {
+		v, _, _ := gen.exec().Runs.Get(k, 0)
+		chunkMax = max(chunkMax, partialSize(v.(*vec.Partial)))
+	}
+	for g := 0; g < 2; g++ {
+		groupMin = min(groupMin, partialSize(gen.group(g, 0)))
+	}
+	tight := newMemo((groupRuns + 4) * chunkMax) // holds the sixteen chunks
+	if max := tight.c.MaxEntry(); max < chunkMax || max >= groupMin {
+		t.Fatalf("entries of %d bytes; a chunk's partial takes up to %d and a group's %d", max, chunkMax, groupMin)
+	}
+	one := New(partialsFixture(t, groupRuns, 40, intVals), nil)
+	groupStats(t, "group too large, cold", threeWay(t, one, spec, tight.exec()), 0, 0, groupRuns)
+	for pass := 1; pass <= 2; pass++ {
+		groupStats(t, "group too large", threeWay(t, one, spec, tight.exec()), 1, groupRuns, 0)
+		if built := tight.groups.Built.Load(); built != int64(pass) || tight.group(0, 0) != nil {
+			t.Fatalf("group too large, pass %d: %d built, kept %v", pass, built, tight.group(0, 0) != nil)
+		}
 	}
 }
 
@@ -401,13 +439,12 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 	const runs = 2 * groupRuns
 	floats := New(partialsFixture(t, runs, 10, func(i int) element.Value { return element.Float(float64(i) / 10) }), nil)
 	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
-	m := &PartialMemo{Budget: bigBudget}
+	mc := newMemo(bigCache)
 	for pass := 0; pass < 3; pass++ {
-		groupStats(t, "float sum", threeWay(t, floats, sum, m), 0, 0, runs)
-		if g := m.Partials.group(0); g != nil {
-			t.Fatalf("float sum, pass %d: group 0 %+v built from inexact chunks", pass, g)
+		groupStats(t, "float sum", threeWay(t, floats, sum, mc.exec()), 0, 0, runs)
+		if n := mc.groups.Built.Load(); n != 0 {
+			t.Fatalf("float sum, pass %d: %d groups built from inexact chunks", pass, n)
 		}
-		m = next(m)
 	}
 
 	max := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Get: getV}}}
@@ -419,13 +456,12 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 		}
 		return element.String_("s")
 	}), nil)
-	m = &PartialMemo{Budget: bigBudget}
+	mc = newMemo(bigCache)
 	for pass := 0; pass < 3; pass++ {
-		threeWay(t, within, max, m) // fails in all three with one text
-		if g := m.Partials.group(0); g != nil {
-			t.Fatalf("conflicting chunks, pass %d: group 0 %+v built", pass, g)
+		threeWay(t, within, max, mc.exec()) // fails in all three with one text
+		if n := mc.groups.Built.Load(); n != 0 {
+			t.Fatalf("conflicting chunks, pass %d: %d groups built", pass, n)
 		}
-		m = next(m)
 	}
 
 	// One window over everything: group 1's strings meet group 0's ints. A
@@ -440,9 +476,8 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 	}), nil)
 	alone := *wide
 	alone.Filter = vec.Filter{HasVT: true, VTLo: groupRuns * 2560, VTHi: runs * 2560}
-	m = &PartialMemo{Budget: bigBudget}
-	threeWay(t, across, &alone, m)
-	m = next(m)
-	groupStats(t, "group 1 alone", threeWay(t, across, &alone, m), 1, groupRuns, 0)
-	threeWay(t, across, wide, next(m)) // fails in all three with one text
+	mc = newMemo(bigCache)
+	threeWay(t, across, &alone, mc.exec())
+	groupStats(t, "group 1 alone", threeWay(t, across, &alone, mc.exec()), 1, groupRuns, 0)
+	threeWay(t, across, wide, mc.exec()) // fails in all three with one text
 }

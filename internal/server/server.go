@@ -650,6 +650,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	rep.Integrity = s.integrityMetrics()
 	var batch wire.BatchMetrics
 	var img wire.ImageMetrics
+	var chunks wire.ChunkMetrics
 	var ing wire.IngestMetrics
 	for _, name := range s.cat.Names() {
 		e, err := s.cat.Get(name)
@@ -671,14 +672,15 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.GroupsMerged += bs.GroupsMerged
 		batch.RunsFolded += bs.RunsFolded
 		batch.ChunksPruned += bs.ChunksPruned
-		batch.PartialHits += bs.PartialHits
-		batch.PartialMisses += bs.PartialMisses
+		chunks.Partials.Hit += bs.PartialHits
+		chunks.Partials.Built += bs.PartialsBuilt
+		chunks.Groups.Hit += bs.GroupHits
+		chunks.Groups.Built += bs.GroupsBuilt
 		ims := e.ImageStats()
-		img.Built += ims.Built
-		img.Rebuilt += ims.Rebuilt
+		chunks.Images.Hit += ims.Hits
+		chunks.Images.Built += ims.Built
 		img.SpansSpliced += ims.SpansSpliced
 		img.SpansEncoded += ims.SpansEncoded
-		img.Bytes += ims.Bytes
 		is := e.IngestStats()
 		ing.Batches += is.Batches
 		ing.BatchedElements += is.Elements
@@ -691,6 +693,10 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	}
 	if img != (wire.ImageMetrics{}) {
 		rep.Images = &img
+	}
+	chunks.Bytes = s.cat.Cache().Stats().ChunkBytes
+	if chunks != (wire.ChunkMetrics{}) {
+		rep.Chunks = &chunks
 	}
 	ing.FlushSize = s.ingFlushSize.Load()
 	ing.FlushTime = s.ingFlushTime.Load()

@@ -980,11 +980,9 @@ type QueryCacheMetrics struct {
 // how many full 256-element chunks either engine answered by merging a
 // memoized partial against folded (groups_merged: how many of those merges
 // were one partial standing in for an aligned group of 16 chunks, whose
-// chunks runs_merged still counts), how many chunks it passed over unread
-// (pruned on a zone map, or outside the bounds the store's order gave the
-// access path), and how often an execution found its run partials in the
-// query cache. The partial lookups are not part of query_cache's hits and
-// misses, which count whole results only.
+// chunks runs_merged still counts), and how many chunks it passed over
+// unread (pruned on a zone map, or outside the bounds the store's order
+// gave the access path). What the memo holds is ChunkMetrics'.
 type BatchMetrics struct {
 	Batches          int64   `json:"batches"`
 	Rows             int64   `json:"rows"`
@@ -995,24 +993,37 @@ type BatchMetrics struct {
 	GroupsMerged     int64   `json:"groups_merged,omitempty"`
 	RunsFolded       int64   `json:"runs_folded"`
 	ChunksPruned     int64   `json:"chunks_pruned,omitempty"`
-	PartialHits      int64   `json:"partial_hits"`
-	PartialMisses    int64   `json:"partial_misses"`
 }
 
-// ImageMetrics reports the chunk-image counters summed over the catalog —
-// the read-side twin of BatchMetrics' partials, for the queries that return
-// elements: encoded images of full 256-element chunks built for a chunk that
-// had none, rebuilt because the chunk had been closed into since, dense
-// stretches of an answer copied from an image (spans_spliced) against
-// encoded element by element for want of one (spans_encoded), and the bytes
-// of images the query cache holds now. A slow read that spliced nothing
-// encoded its whole answer.
+// ImageMetrics reports, summed over the catalog, how the queries that
+// return elements used the chunk images: dense stretches of an answer
+// copied from an image (spans_spliced) against encoded element by element
+// for want of one (spans_encoded). A slow read that spliced nothing encoded
+// its whole answer.
 type ImageMetrics struct {
-	Built        int64 `json:"built"`
-	Rebuilt      int64 `json:"rebuilt"`
 	SpansSpliced int64 `json:"spans_spliced"`
 	SpansEncoded int64 `json:"spans_encoded"`
-	Bytes        int64 `json:"bytes"`
+}
+
+// ChunkMetrics reports the chunk memo summed over the catalog — values
+// derived from one full 256-element chunk, each its own query-cache entry:
+// aggregate partials of a chunk (partials), of an aligned group of 16
+// chunks (groups), and encoded images of a chunk (images), each with the
+// lookups that found the entry at the chunk's close count (hit) and the
+// values built (built); and the bytes of chunk entries the cache holds now.
+// The lookups are not part of query_cache's hits and misses, which count
+// whole results only.
+type ChunkMetrics struct {
+	Partials ChunkKindMetrics `json:"partials"`
+	Groups   ChunkKindMetrics `json:"groups"`
+	Images   ChunkKindMetrics `json:"images"`
+	Bytes    int64            `json:"bytes"`
+}
+
+// ChunkKindMetrics is one kind of ChunkMetrics.
+type ChunkKindMetrics struct {
+	Hit   int64 `json:"hit"`
+	Built int64 `json:"built"`
 }
 
 // IngestMetrics reports the batched-ingest counters summed over the
@@ -1051,6 +1062,7 @@ type MetricsResponse struct {
 	QueryCache    *QueryCacheMetrics               `json:"query_cache,omitempty"`
 	Batch         *BatchMetrics                    `json:"batch,omitempty"`
 	Images        *ImageMetrics                    `json:"images,omitempty"`
+	Chunks        *ChunkMetrics                    `json:"chunks,omitempty"`
 	Ingest        *IngestMetrics                   `json:"ingest,omitempty"`
 	Replication   *ReplicationMetrics              `json:"replication,omitempty"`
 	// Physical reports each relation's live physical design: its
