@@ -1,6 +1,7 @@
 package client
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"net/http"
@@ -15,101 +16,94 @@ import (
 // CachedResponse is a query answer together with its freshness metadata.
 type CachedResponse struct {
 	QueryResponse
-	// ETag is the server's validator for this result — the relation's
-	// mutation epoch. The client stores it and revalidates with
-	// If-None-Match on the next identical query.
+	// ETag is the server's current validator for this result: the epoch it
+	// holds for, in the server's boot. The client stores it and revalidates
+	// with If-None-Match on the next identical query.
 	ETag string
 	// NotModified reports that the server answered 304 and the body was
-	// served from the client's local cache without the query running.
+	// served from the client's local cache without the query running —
+	// possibly computed epochs ago, when nothing since met the query, in
+	// which case its Epoch and plan are those of that older view.
 	NotModified bool
+	// Validation is what the server found revalidating the validator sent
+	// (wire.HeaderValidation: "same", "revalidated", "changed" or
+	// "unknown"); empty when none was sent.
+	Validation string
 }
 
-// cachedEntry is one locally retained result keyed by its request path.
-type cachedEntry struct {
-	etag string
-	resp QueryResponse
+// condCacheSize bounds each of a client's conditional caches, in distinct
+// request paths. A dashboard whose valid times follow the clock sends a
+// new path every time; the least recently used goes first.
+const condCacheSize = 1024
+
+// condEntry is one locally retained answer, keyed by its request path.
+type condEntry[R any] struct {
+	path, etag string
+	resp       R
 }
 
-// queryCache is the client-side conditional-request cache. It retains the
-// last response per distinct query path plus the server's ETag; entries
-// are only ever used to answer a 304, so a stale entry costs nothing but
-// memory and is overwritten by the next 200.
-type queryCache struct {
+// condCache is a conditional-request cache: the last answer and validator
+// per distinct request path, at most condCacheSize of them. Entries are
+// only ever used to answer a 304, so a stale one costs nothing but memory
+// and is overwritten by the next 200.
+type condCache[R any] struct {
 	mu      sync.Mutex
-	entries map[string]cachedEntry
+	entries map[string]*list.Element
+	lru     list.List // of *condEntry[R], most recently used first
 }
 
-func (qc *queryCache) get(path string) (cachedEntry, bool) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	ce, ok := qc.entries[path]
-	return ce, ok
-}
-
-func (qc *queryCache) put(path string, ce cachedEntry) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	if qc.entries == nil {
-		qc.entries = make(map[string]cachedEntry)
+func (cc *condCache[R]) get(path string) (condEntry[R], bool) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	el, ok := cc.entries[path]
+	if !ok {
+		return condEntry[R]{}, false
 	}
-	qc.entries[path] = ce
+	cc.lru.MoveToFront(el)
+	return *el.Value.(*condEntry[R]), true
+}
+
+func (cc *condCache[R]) put(path, etag string, resp R) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if el, ok := cc.entries[path]; ok {
+		*el.Value.(*condEntry[R]) = condEntry[R]{path: path, etag: etag, resp: resp}
+		cc.lru.MoveToFront(el)
+		return
+	}
+	if cc.entries == nil {
+		cc.entries = make(map[string]*list.Element)
+	}
+	if cc.lru.Len() >= condCacheSize {
+		oldest := cc.lru.Back()
+		delete(cc.entries, cc.lru.Remove(oldest).(*condEntry[R]).path)
+	}
+	cc.entries[path] = cc.lru.PushFront(&condEntry[R]{path: path, etag: etag, resp: resp})
 }
 
 // CachedSelectResponse is a SELECT answer together with its freshness
 // metadata, mirroring CachedResponse for the statement endpoint.
 type CachedSelectResponse struct {
 	SelectResponse
-	// ETag is the server's validator — the relation's mutation epoch.
+	// ETag is the server's current validator for this result.
 	ETag string
 	// NotModified reports a 304 served from the client's local cache.
 	NotModified bool
+	// Validation is what the server found revalidating the validator sent,
+	// as in CachedResponse.
+	Validation string
 }
 
-// cachedSelectEntry is one locally retained SELECT result.
-type cachedSelectEntry struct {
-	etag string
-	resp SelectResponse
-}
-
-// selectCache is the conditional-request cache for SelectCached, keyed by
-// the full request path (relation + statement).
-type selectCache struct {
-	mu      sync.Mutex
-	entries map[string]cachedSelectEntry
-}
-
-func (sc *selectCache) get(path string) (cachedSelectEntry, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ce, ok := sc.entries[path]
-	return ce, ok
-}
-
-func (sc *selectCache) put(path string, ce cachedSelectEntry) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.entries == nil {
-		sc.entries = make(map[string]cachedSelectEntry)
-	}
-	sc.entries[path] = ce
-}
-
-// SelectCached runs a tsql SELECT through the server's conditional GET
-// endpoint. Like QueryCached, the first call fetches and remembers the
-// result with its ETag; repeats revalidate with If-None-Match and an
-// unmutated relation answers 304 from the local copy. Window aggregates
-// are the intended tenant: their result sets are small (windows, not
-// elements) but recomputation folds the whole relation, so a 304 saves
-// the most where it matters. rel must name the relation the statement
-// queries; the server rejects a mismatch.
-func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSelectResponse, error) {
-	path := "/v1/relations/" + rel + "/select?query=" + url.QueryEscape(query)
-
+// conditionalGet sends a GET that revalidates the answer cc holds for path,
+// if any. On a 304 it returns that answer, and keeps the validator the
+// server sent with it: the next revalidation walks from there. Otherwise it
+// decodes the body into a fresh answer and keeps it with its validator.
+func conditionalGet[R any](ctx context.Context, c *Client, cc *condCache[R], path string) (resp R, etag, validation string, notModified bool, err error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: building request: %w", err)
+		return resp, "", "", false, fmt.Errorf("tsdbd: building request: %w", err)
 	}
-	cached, haveCached := c.scache.get(path)
+	cached, haveCached := cc.get(path)
 	if haveCached {
 		httpReq.Header.Set(wire.HeaderIfNoneMatch, cached.etag)
 	}
@@ -119,73 +113,58 @@ func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSel
 		}
 	}
 
-	resp, err := c.http.Do(httpReq)
+	hr, err := c.http.Do(httpReq)
 	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
+		return resp, "", "", false, fmt.Errorf("tsdbd: GET %s: %w", path, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified && haveCached {
-		return CachedSelectResponse{
-			SelectResponse: cached.resp,
-			ETag:           resp.Header.Get(wire.HeaderETag),
-			NotModified:    true,
-		}, nil
+	defer hr.Body.Close()
+	etag, validation = hr.Header.Get(wire.HeaderETag), hr.Header.Get(wire.HeaderValidation)
+	if hr.StatusCode == http.StatusNotModified && haveCached {
+		if etag != "" && etag != cached.etag {
+			cc.put(path, etag, cached.resp)
+		}
+		return cached.resp, etag, validation, true, nil
 	}
-	var out SelectResponse
-	if err := c.readResponse(resp, &out); err != nil {
+	if err := c.readResponse(hr, &resp); err != nil {
+		return resp, "", "", false, err
+	}
+	if etag != "" {
+		cc.put(path, etag, resp)
+	}
+	return resp, etag, validation, false, nil
+}
+
+// SelectCached runs a tsql SELECT through the server's conditional GET
+// endpoint. Like QueryCached, the first call fetches and remembers the
+// result with its ETag; repeats revalidate with If-None-Match, and a
+// relation that changed nowhere the statement reads answers 304 from the
+// local copy. Window aggregates are the intended tenant: their result sets
+// are small (windows, not elements) but recomputation folds the whole
+// relation, so a 304 saves the most where it matters. rel must name the
+// relation the statement queries; the server rejects a mismatch.
+func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSelectResponse, error) {
+	path := "/v1/relations/" + rel + "/select?query=" + url.QueryEscape(query)
+	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.scache, path)
+	if err != nil {
 		return CachedSelectResponse{}, err
 	}
-	etag := resp.Header.Get(wire.HeaderETag)
-	if etag != "" {
-		c.scache.put(path, cachedSelectEntry{etag: etag, resp: out})
-	}
-	return CachedSelectResponse{SelectResponse: out, ETag: etag}, nil
+	return CachedSelectResponse{SelectResponse: resp, ETag: etag, NotModified: notModified, Validation: validation}, nil
 }
 
 // QueryCached runs one of the temporal query kinds through the server's
 // conditional GET endpoint. The first call fetches and remembers the
 // result with its ETag; subsequent identical calls revalidate with
-// If-None-Match, so an unmutated relation answers 304 and the body comes
-// from the client's cache — no query executes and no result set crosses
-// the wire. A mutation changes the relation's epoch, the validator stops
-// matching, and the next call fetches fresh.
+// If-None-Match, so a relation that changed nowhere the query can see
+// answers 304 and the body comes from the client's cache — no query
+// executes and no result set crosses the wire. A change the query can see
+// (a write into a time-slice's instant, any write for the current state)
+// fails the validator, and the call fetches fresh.
 func (c *Client) QueryCached(ctx context.Context, name string, req QueryRequest) (CachedResponse, error) {
 	path := fmt.Sprintf("/v1/relations/%s/query?kind=%s&vt=%d&tt=%d",
 		name, req.Kind, req.VT, req.TT)
-
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.qcache, path)
 	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: building request: %w", err)
-	}
-	cached, haveCached := c.qcache.get(path)
-	if haveCached {
-		httpReq.Header.Set(wire.HeaderIfNoneMatch, cached.etag)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			httpReq.Header.Set(wire.HeaderDeadline, strconv.FormatInt(ms, 10))
-		}
-	}
-
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified && haveCached {
-		return CachedResponse{
-			QueryResponse: cached.resp,
-			ETag:          resp.Header.Get(wire.HeaderETag),
-			NotModified:   true,
-		}, nil
-	}
-	var out QueryResponse
-	if err := c.readResponse(resp, &out); err != nil {
 		return CachedResponse{}, err
 	}
-	etag := resp.Header.Get(wire.HeaderETag)
-	if etag != "" {
-		c.qcache.put(path, cachedEntry{etag: etag, resp: out})
-	}
-	return CachedResponse{QueryResponse: out, ETag: etag}, nil
+	return CachedResponse{QueryResponse: resp, ETag: etag, NotModified: notModified, Validation: validation}, nil
 }

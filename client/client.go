@@ -214,9 +214,9 @@ type Client struct {
 	retry RetryPolicy
 	// qcache holds the conditional-request state for QueryCached: the
 	// last response and ETag per distinct query path.
-	qcache queryCache
+	qcache condCache[QueryResponse]
 	// scache does the same for SelectCached, per distinct statement.
-	scache selectCache
+	scache condCache[SelectResponse]
 	// slowDecodes counts the responses decodePayload handed to
 	// encoding/json after their own parser refused them.
 	slowDecodes atomic.Uint64

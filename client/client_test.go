@@ -328,3 +328,48 @@ func TestTypedClientNeverDecodesSlowly(t *testing.T) {
 		t.Fatalf("after one hand-spelled insert /metrics counts %v, want insert: 1", got)
 	}
 }
+
+// TestConditionalCachesAreBounded: a dashboard whose valid time follows the
+// clock sends a new path with every read. Each conditional cache keeps at
+// most CondCacheSize answers and gives up the least recently used: a path
+// read all along still revalidates to 304, the first path read once and
+// never again has to be fetched.
+func TestConditionalCachesAreBounded(t *testing.T) {
+	ctx := context.Background()
+	cli := newTestClient(t)
+	if _, err := cli.Create(ctx, client.Schema{Name: "m", ValidTime: "event", Granularity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Insert(ctx, "m", client.InsertRequest{VT: client.EventAt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	hot := client.QueryRequest{Kind: client.QueryTimeslice, VT: 7}
+	cold := client.QueryRequest{Kind: client.QueryTimeslice, VT: -1}
+	for _, req := range []client.QueryRequest{cold, hot} {
+		if _, err := cli.QueryCached(ctx, "m", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for vt := int64(1000); vt < 1000+client.CondCacheSize+200; vt++ {
+		if _, err := cli.QueryCached(ctx, "m", client.QueryRequest{Kind: client.QueryTimeslice, VT: vt}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.SelectCached(ctx, "m", "select count(*) from m when valid at "+strconv.FormatInt(vt, 10)+" group by window(10)"); err != nil {
+			t.Fatal(err)
+		}
+		if vt%100 == 0 {
+			if r, err := cli.QueryCached(ctx, "m", hot); err != nil || !r.NotModified {
+				t.Fatalf("the hot path at vt %d: not modified %v, %v", vt, r.NotModified, err)
+			}
+		}
+	}
+	if q, s := cli.CachedAnswers(); q != client.CondCacheSize || s != client.CondCacheSize {
+		t.Fatalf("the caches hold %d and %d answers, bound %d", q, s, client.CondCacheSize)
+	}
+	if r, err := cli.QueryCached(ctx, "m", hot); err != nil || !r.NotModified || len(r.Elements) != 1 {
+		t.Fatalf("the hot path: not modified %v, %d elements, %v", r.NotModified, len(r.Elements), err)
+	}
+	if r, err := cli.QueryCached(ctx, "m", cold); err != nil || r.NotModified {
+		t.Fatalf("the cold path was kept: not modified %v, %v", r.NotModified, err)
+	}
+}

@@ -2,3 +2,11 @@ package client
 
 // NewIdemKeys lets client_test pin what minting a batch's keys costs.
 var NewIdemKeys = newIdemKeys
+
+// CondCacheSize is the bound on each conditional cache.
+const CondCacheSize = condCacheSize
+
+// CachedAnswers reports how many answers QueryCached and SelectCached hold.
+func (c *Client) CachedAnswers() (queries, selects int) {
+	return c.qcache.lru.Len(), c.scache.lru.Len()
+}

@@ -26,8 +26,7 @@ type aggCacheEntry struct {
 // arrival order, so the choice never changes the answer. Results are
 // memoized under (relation, "agg:"+fingerprint, epoch) — an insert bumps
 // the epoch, so cached windows can never serve stale aggregates.
-func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	v := e.view.Load()
+func (e *Entry) selectAggregate(ctx context.Context, v *readView, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	resultFP, partialFP := q.Fingerprints()
 	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + resultFP, Epoch: v.epoch}
 	if hit, ok := e.cache.Get(key); ok {

@@ -144,6 +144,8 @@ type Catalog struct {
 	// storeGens numbers the physical stores the catalog's relations have
 	// lived in (see Entry.gen); catalog-wide because the cache it keys is.
 	storeGens atomic.Uint64
+	// lineage tells this boot's epochs from every other's (validator.go).
+	lineage string
 
 	// Integrity journal: a bounded ring of recent detection/repair events
 	// (igMu also serializes appends to the on-disk journal) plus lifetime
@@ -161,7 +163,7 @@ type Catalog struct {
 
 // New creates an empty catalog. Call Open to load the data directory.
 func New(cfg Config) *Catalog {
-	c := &Catalog{cfg: cfg, cache: qcache.New(cfg.CacheBytes)}
+	c := &Catalog{cfg: cfg, cache: qcache.New(cfg.CacheBytes), lineage: newLineage()}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*Entry)
 	}
@@ -677,6 +679,13 @@ type Entry struct {
 	ingBatches atomic.Int64
 	ingElems   atomic.Int64
 
+	// pending is the change apply has summarized since the last publish, and
+	// changes the log of the last changeLogSize publishes' changes
+	// (validator.go): pending under the exclusive lock, changes written under
+	// it and read lock-free up to a pinned view's epoch.
+	pending change
+	changes changeLog
+
 	// view is the published immutable read snapshot, swapped atomically by
 	// publish under the exclusive lock on every mutation. Readers pin it
 	// with one atomic load and then run entirely lock-free: the view's
@@ -718,14 +727,22 @@ type readView struct {
 	schema relation.Schema
 }
 
-// publish stamps the next mutation epoch and swaps in a fresh immutable
-// view of the engine's store. Caller holds the exclusive lock (epochs
-// must be assigned in commit order).
+// publish stamps the next mutation epoch, records what changed since the
+// last one in the change log — the records apply summarized since, or
+// everything when none were — and swaps in a fresh immutable view of the
+// engine's store. Caller holds the exclusive lock (epochs must be assigned
+// in commit order).
 func (e *Entry) publish() {
 	ep := uint64(1)
 	if old := e.view.Load(); old != nil {
 		ep = old.epoch + 1
 	}
+	c := e.pending
+	if !c.noted {
+		c = everything
+	}
+	e.pending = change{}
+	e.changes.record(ep, c)
 	e.view.Store(&readView{
 		epoch:  ep,
 		gen:    e.gen,
@@ -737,9 +754,10 @@ func (e *Entry) publish() {
 }
 
 // Epoch reports the relation's current mutation epoch — bumped by every
-// insert, delete, modify, declare, vacuum, and boot-time replay. It is
-// the validator the server hands out as an ETag and the cache keys
-// results under.
+// insert, delete, modify, declare, vacuum, and boot-time replay. The
+// result cache keys results under it, and the server's validators name it
+// (with the catalog's Lineage); Revalidate tells whether a query's answer
+// moved between two of them.
 func (e *Entry) Epoch() uint64 { return e.view.Load().epoch }
 
 // classesToU8 and classesFromU8 convert between the engine's class enum
@@ -1027,6 +1045,7 @@ func warmEnforcers(r *relation.Relation, descs []constraint.Descriptor, check bo
 // catalog, and re-advises the physical design. Caller holds the exclusive
 // lock. The error reports only unusable offset bounds (see relabel).
 func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enforcers []*constraint.Enforcer) error {
+	e.pending = everything // a new plan may answer from a re-labelled store
 	for _, en := range enforcers {
 		r.AddGuard(en)
 	}
@@ -1042,8 +1061,8 @@ type QueryResult struct {
 	Plan    string
 	Node    *plan.Node
 	Touched int
-	// Epoch is the mutation epoch the result was computed against — the
-	// validator the server exposes as an ETag.
+	// Epoch is the mutation epoch of the view the result was computed on —
+	// what the server's validator for it names.
 	Epoch uint64
 	// spans names the full chunks that supplied dense stretches of Elements
 	// and Images the encoded form of those chunks, for the response's
@@ -1157,13 +1176,25 @@ func esOrdered(els []*element.Element) bool {
 // is cooperative, re-checking the context periodically mid-scan. The
 // returned node is the executed plan; touched is its access-path cost.
 func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
+	return e.selectOn(ctx, e.view.Load(), q)
+}
+
+// SelectEpochCtx is SelectCtx that also reports the epoch of the view the
+// result was computed on — what a validator handed out with it must name.
+func (e *Entry) SelectEpochCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, uint64, error) {
+	v := e.view.Load()
+	res, node, touched, err := e.selectOn(ctx, v, q)
+	return res, node, touched, v.epoch, err
+}
+
+// selectOn is SelectCtx against one pinned view.
+func (e *Entry) selectOn(ctx context.Context, v *readView, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
 	if q.Group != nil {
-		return e.selectAggregate(ctx, q)
+		return e.selectAggregate(ctx, v, q)
 	}
-	v := e.view.Load()
 	node := tsql.Compile(q, v.engine.Access())
 	var res *tsql.Result
 	var err error
@@ -1283,6 +1314,7 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 // respecialize frame, live or replayed. Caller holds the exclusive lock.
 func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 	from := e.advice.Store
+	e.pending = everything
 	e.adopted = classes
 	_ = e.relabel(r, e.decls) // bounds errors only; the engine is valid
 	e.migrations++

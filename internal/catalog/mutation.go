@@ -222,8 +222,8 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 }
 
 // apply commits a mutation's records to the relation and everything
-// derived from it — extension tracker, physical store, dedup window —
-// under the exclusive lock. It is the only path by which a version
+// derived from it — extension tracker, physical store, dedup window, the
+// change summary the next publish records — under the exclusive lock. It is the only path by which a version
 // enters or closes in memory. lsn is the frame's log position, kept with
 // each remembered key so a retry can wait for the original's durability.
 // apply never publishes: the live path publishes once per mutation,
@@ -234,11 +234,11 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 	per := len(shape.unit)
 	for i, rec := range m.recs {
 		var stored *element.Element // what the unit's key answers retries with
+		el := rec.Elem              // the element the record inserts or closes
 		if rec.Op == relation.OpInsert {
 			// A decoded element is adopted as the stored version (ApplyLog):
 			// decodeMutation allocated it for this apply and nobody else
 			// holds it. A staged one is the relation's own already.
-			el := rec.Elem
 			if m.staged {
 				r.CommitInsert(el)
 			} else if _, _, err := r.ApplyLog(rec); err != nil {
@@ -256,18 +256,20 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 		} else {
 			// The close lands on a copy (copy-on-close); swap it into the
 			// physical store so the live engine sees the finalized tt⊣
-			// while pinned read views keep the open original.
-			old, closed := rec.Elem, (*element.Element)(nil)
+			// while pinned read views keep the open original — el, once a
+			// decoded record has found it in the relation.
+			var closed *element.Element
 			if m.staged {
-				closed = r.CommitDelete(old, rec.TT)
+				closed = r.CommitDelete(el, rec.TT)
 			} else {
 				var err error
-				if old, closed, err = r.ApplyLog(rec); err != nil {
+				if el, closed, err = r.ApplyLog(rec); err != nil {
 					return err
 				}
 			}
-			e.store.Replace(old, closed)
+			e.store.Replace(el, closed)
 		}
+		e.pending.note(rec.TT, el.VT)
 		if key := m.keys[i/per]; key != "" && (i+1)%per == 0 {
 			e.dedup.remember(key, shape.op, stored, lsn)
 		}

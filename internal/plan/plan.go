@@ -117,6 +117,29 @@ type Query struct {
 	TT         int64 // QRollback and QAsOf
 }
 
+// Meets reports whether a change can alter the query's answer, the query
+// read as its footprint: the change stamped nothing below minTT and every
+// element it inserted or closed has its valid time inside [vtLo, vtLast]
+// (inclusive, as a chunk's zone map). By snapshot reducibility a time-slice
+// or vt-range answer holds only elements valid in its window, so a change
+// outside the window cannot reach it; transaction time is append-only, so a
+// rollback or as-of at tt cannot see a change stamped after tt. The current
+// state sees every change. A time-slice reads its instant VTLo alone, so an
+// instant at the end of the line needs no VTHi past it. The change of
+// everything — stamped from math.MinInt64 over [math.MinInt64,
+// math.MaxInt64] — meets every query whose answer is not empty by its shape.
+func (q Query) Meets(minTT, vtLo, vtLast int64) bool {
+	switch q.Kind {
+	case QRollback, QAsOf:
+		return minTT <= q.TT
+	case QTimeslice:
+		return vtLo <= q.VTLo && q.VTLo <= vtLast
+	case QVTRange:
+		return vtLo < q.VTHi && q.VTLo <= vtLast
+	}
+	return true
+}
+
 // NodeKind discriminates plan nodes. The first five are access-path
 // leaves; the rest are decorators.
 type NodeKind uint8

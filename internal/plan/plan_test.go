@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -115,6 +116,39 @@ func TestBuildAggregateChoices(t *testing.T) {
 	} {
 		if got := BuildAggregate(tc.a, tc.q, tc.pick).Leaf(); got.Kind != tc.leaf || got.Est != tc.est {
 			t.Errorf("%s: %v est %d, want %v est %d", tc.name, got.Kind, got.Est, tc.leaf, tc.est)
+		}
+	}
+}
+
+// TestMeetsReadsTheFootprint pins Query.Meets at its edges: a time-slice
+// meets a change whose inclusive hull holds its instant, a vt-range one
+// whose hull overlaps its half-open window, a rollback or as-of a change
+// stamped at or before its tt, the current state every change; the change
+// of everything meets every query, an instant at the end of the line
+// included.
+func TestMeetsReadsTheFootprint(t *testing.T) {
+	all := [3]int64{math.MinInt64, math.MinInt64, math.MaxInt64}
+	for _, c := range []struct {
+		q      Query
+		change [3]int64 // minTT, vtLo, vtLast
+		want   bool
+	}{
+		{Query{Kind: QCurrent}, [3]int64{900, 5, 5}, true},
+		{Query{Kind: QTimeslice, VTLo: 10, VTHi: 11}, [3]int64{0, 10, 10}, true},
+		{Query{Kind: QTimeslice, VTLo: 10, VTHi: 11}, [3]int64{0, 0, 9}, false},
+		{Query{Kind: QTimeslice, VTLo: 10, VTHi: 11}, [3]int64{0, 11, 20}, false},
+		{Query{Kind: QTimeslice, VTLo: math.MaxInt64, VTHi: math.MinInt64}, all, true},
+		{Query{Kind: QVTRange, VTLo: 10, VTHi: 20}, [3]int64{0, 19, 40}, true},
+		{Query{Kind: QVTRange, VTLo: 10, VTHi: 20}, [3]int64{0, 20, 40}, false},
+		{Query{Kind: QVTRange, VTLo: 10, VTHi: 20}, [3]int64{0, 0, 10}, true},
+		{Query{Kind: QVTRange, VTLo: 10, VTHi: 20}, [3]int64{0, 0, 9}, false},
+		{Query{Kind: QRollback, TT: 50}, [3]int64{50, 0, 0}, true},
+		{Query{Kind: QRollback, TT: 50}, [3]int64{51, 0, 0}, false},
+		{Query{Kind: QAsOf, VTLo: 7, TT: 50}, [3]int64{51, 7, 7}, false},
+		{Query{Kind: QRollback, TT: math.MinInt64}, all, true},
+	} {
+		if got := c.q.Meets(c.change[0], c.change[1], c.change[2]); got != c.want {
+			t.Errorf("%+v meets %v = %v, want %v", c.q, c.change, got, c.want)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package server_test
 
 // End-to-end acceptance for the batch-execution surface: window
 // aggregates over the wire report which engine served them, the
-// conditional-GET select endpoint serves aggregates with epoch ETags (a
-// replay is a 304, a mutation invalidates), and /metrics exposes the
+// conditional-GET select endpoint serves aggregates with revalidated ETags
+// (a replay is a 304, a mutation the statement sees invalidates), and
+// /metrics exposes the
 // per-batch-operator counters and the columnar plan kind.
 
 import (
@@ -72,9 +73,9 @@ func TestAggregateBatchOverTheWire(t *testing.T) {
 		t.Fatalf("EXPLAIN misses the aggregate operator:\n%s", exp.Rendered)
 	}
 
-	// The conditional-GET path: first read returns a body and an epoch
-	// ETag, a replay is served 304 from the client cache, and a mutation
-	// rotates the ETag and recomputes.
+	// The conditional-GET path: first read returns a body and a validator,
+	// a replay is served 304 from the client cache, and a mutation the
+	// unclamped statement sees rotates the ETag and recomputes.
 	c1, err := cli.SelectCached(ctx, "emp", stmt)
 	if err != nil {
 		t.Fatalf("SelectCached: %v", err)

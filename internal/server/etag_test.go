@@ -1,18 +1,23 @@
 package server_test
 
-// Conditional-read acceptance: the GET query endpoint publishes the
-// relation's mutation epoch as an ETag, answers If-None-Match revalidation
-// with 304 (no query runs, no body crosses the wire), and a mutation
-// changes the validator so stale clients fetch fresh. The typed client's
+// Conditional-read acceptance: the GET query endpoint publishes a
+// validator naming the relation's mutation epoch and the server's boot as
+// an ETag, answers If-None-Match revalidation with 304 (no query runs, no
+// body crosses the wire) while no change since meets the query, and a
+// change the query sees sends stale clients a fresh body. The typed client's
 // QueryCached drives the same protocol end to end, and /metrics exposes
 // the result cache's counters.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +25,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/server"
 	"repro/internal/tx"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -213,5 +219,171 @@ func TestClientQueryCached(t *testing.T) {
 	}
 	if m.QueryCache.Capacity != 1<<20 {
 		t.Fatalf("query_cache capacity = %d", m.QueryCache.Capacity)
+	}
+}
+
+// serveRecorded drives one request through h, with inm as If-None-Match
+// when set.
+func serveRecorded(h http.Handler, method, path, body, inm string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	if inm != "" {
+		req.Header.Set(wire.HeaderIfNoneMatch, inm)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestValidatorDoesNotSurviveARestart: epochs restart at every boot — the
+// relation's entry publishes epoch 1, the log's replay epoch 2 — so a
+// validator naming a relation and an epoch alone matches a different state
+// once the rebooted relation has been written up to that epoch again, and
+// the client is served its stale body as a 304. A validator names the boot
+// too, and one from another boot validates nothing.
+func TestValidatorDoesNotSurviveARestart(t *testing.T) {
+	root := t.TempDir()
+	boot := func() (*catalog.Catalog, http.Handler) {
+		t.Helper()
+		w, err := wal.Open(wal.Options{Dir: filepath.Join(root, "wal"), Sync: wal.SyncAlways})
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		cat := catalog.New(catalog.Config{
+			Dir:        filepath.Join(root, "data"),
+			NewClock:   func() tx.Clock { return tx.NewLogicalClock(0, 10) },
+			WAL:        w,
+			CacheBytes: 1 << 20,
+		})
+		if err := cat.Open(); err != nil {
+			t.Fatalf("catalog.Open: %v", err)
+		}
+		return cat, server.New(server.Config{Catalog: cat}).Handler()
+	}
+	insert := func(h http.Handler, vt int) {
+		t.Helper()
+		if rec := serveRecorded(h, "POST", "/v1/relations/emp/insert", fmt.Sprintf(`{"vt":{"event":%d}}`, vt), ""); rec.Code != http.StatusCreated {
+			t.Fatalf("insert = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	const url = "/v1/relations/emp/query?kind=current"
+
+	cat, h := boot()
+	if rec := serveRecorded(h, "POST", "/v1/relations", `{"schema":{"name":"emp","valid_time":"event","granularity":1}}`, ""); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+	}
+	for vt := 1; vt <= 3; vt++ {
+		insert(h, vt)
+	}
+	first := serveRecorded(h, "GET", url, "", "")
+	etag := first.Header().Get(wire.HeaderETag)
+	e, err := cat.Get("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := e.Epoch()
+	// The process dies: no snapshot, no close. The log holds every write.
+
+	cat2, h2 := boot()
+	e2, err := cat2.Get("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vt := 10; e2.Epoch() < epoch; vt++ {
+		insert(h2, vt)
+	}
+	if e2.Epoch() != epoch {
+		t.Fatalf("the rebooted relation skipped epoch %d (at %d)", epoch, e2.Epoch())
+	}
+	rec := serveRecorded(h2, "GET", url, "", etag)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("a validator from before the crash answered %d at the same epoch %d, want 200 and the new body", rec.Code, epoch)
+	}
+	var qr wire.QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 + int(epoch) - 2; len(qr.Elements) != want {
+		t.Fatalf("the new body holds %d elements, want %d", len(qr.Elements), want)
+	}
+	if v := rec.Header().Get(wire.HeaderValidation); v != "unknown" {
+		t.Fatalf("validation %q, want unknown", v)
+	}
+	if got := rec.Header().Get(wire.HeaderETag); got == etag {
+		t.Fatalf("the rebooted server issued the pre-crash validator %s again", got)
+	}
+}
+
+// TestRevalidationAcrossWrites: a validator survives the writes its query
+// cannot see — a time-slice at an instant no write touches, a rollback to
+// before them — and answers 304 with the current validator; the current
+// state and a time-slice at the written instant see the write and answer
+// 200. Weak comparison holds (W/"x" names what "x" does), and /metrics
+// counts every outcome per endpoint.
+func TestRevalidationAcrossWrites(t *testing.T) {
+	cat := catalog.New(catalog.Config{NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }, CacheBytes: 1 << 20})
+	h := server.New(server.Config{Catalog: cat}).Handler()
+	if rec := serveRecorded(h, "POST", "/v1/relations", `{"schema":{"name":"emp","valid_time":"event","granularity":1}}`, ""); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d", rec.Code)
+	}
+	for vt := 1; vt <= 3; vt++ {
+		serveRecorded(h, "POST", "/v1/relations/emp/insert", fmt.Sprintf(`{"vt":{"event":%d}}`, vt), "")
+	}
+	paths := map[string]string{
+		"before":   "/v1/relations/emp/query?kind=timeslice&vt=2",
+		"rollback": "/v1/relations/emp/query?kind=rollback&tt=25",
+		"current":  "/v1/relations/emp/query?kind=current",
+		"head":     "/v1/relations/emp/query?kind=timeslice&vt=9",
+		"clamped":  "/v1/relations/emp/select?query=" + strings.ReplaceAll("select count(*) from emp when valid during [0, 5) group by window(2)", " ", "+"),
+		"whole":    "/v1/relations/emp/select?query=" + strings.ReplaceAll("select count(*) from emp group by window(2)", " ", "+"),
+	}
+	tags := map[string]string{}
+	for name, p := range paths {
+		rec := serveRecorded(h, "GET", p, "", "")
+		if rec.Code != http.StatusOK || rec.Header().Get(wire.HeaderValidation) != "" {
+			t.Fatalf("%s: %d, validation %q", name, rec.Code, rec.Header().Get(wire.HeaderValidation))
+		}
+		tags[name] = rec.Header().Get(wire.HeaderETag)
+	}
+	serveRecorded(h, "POST", "/v1/relations/emp/insert", `{"vt":{"event":9}}`, "")
+	now := `"emp-5.` + cat.Lineage() + `"`
+	want := map[string]struct {
+		status     int
+		validation string
+	}{
+		"before":   {http.StatusNotModified, "revalidated"},
+		"rollback": {http.StatusNotModified, "revalidated"},
+		"clamped":  {http.StatusNotModified, "revalidated"},
+		"current":  {http.StatusOK, "changed"},
+		"head":     {http.StatusOK, "changed"},
+		"whole":    {http.StatusOK, "changed"},
+	}
+	for name, w := range want {
+		rec := serveRecorded(h, "GET", paths[name], "", "W/"+tags[name])
+		if rec.Code != w.status || rec.Header().Get(wire.HeaderValidation) != w.validation || rec.Header().Get(wire.HeaderETag) != now {
+			t.Errorf("%s after a write at vt 9: %d %q %s, want %d %q %s", name, rec.Code,
+				rec.Header().Get(wire.HeaderValidation), rec.Header().Get(wire.HeaderETag), w.status, w.validation, now)
+		}
+	}
+	// At the current epoch every validator is the same one; another boot's
+	// or another relation's is unknown.
+	for _, inm := range []string{now, `"emp-5.0000000000000000"`, `"dept-5.` + cat.Lineage() + `"`} {
+		rec := serveRecorded(h, "GET", paths["current"], "", inm)
+		if v := rec.Header().Get(wire.HeaderValidation); (inm == now) != (rec.Code == http.StatusNotModified) || (inm == now) != (v == "same") {
+			t.Errorf("If-None-Match %s: %d, validation %q", inm, rec.Code, v)
+		}
+	}
+
+	var m wire.MetricsResponse
+	if err := json.Unmarshal(serveRecorded(h, "GET", "/metrics", "", "").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	wantCond := map[string]wire.ConditionalMetrics{
+		"query":  {Same: 1, Revalidated: 2, Changed: 2, Unknown: 2},
+		"select": {Revalidated: 1, Changed: 1},
+	}
+	for ep, w := range wantCond {
+		if got := m.Endpoints[ep].Conditional; got == nil || *got != w {
+			t.Errorf("/metrics %s conditional = %+v, want %+v", ep, got, w)
+		}
 	}
 }

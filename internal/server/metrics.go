@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/wire"
 )
 
@@ -42,6 +43,8 @@ type endpointStats struct {
 	// slowDecodes counts the request bodies decode had to hand to
 	// encoding/json because their own parser refused the spelling.
 	slowDecodes uint64
+	// cond counts the conditional GETs by what revalidation found.
+	cond wire.ConditionalMetrics
 }
 
 // NewMetrics returns an empty registry anchored at now.
@@ -86,6 +89,24 @@ func (m *Metrics) RecordTimeout(endpoint string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.endpoint(endpoint).timeouts++
+}
+
+// RecordValidation accounts one conditional GET by what revalidating its
+// validator found.
+func (m *Metrics) RecordValidation(endpoint string, v catalog.Validation) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := &m.endpoint(endpoint).cond
+	switch v {
+	case catalog.ValidationSame:
+		c.Same++
+	case catalog.ValidationRevalidated:
+		c.Revalidated++
+	case catalog.ValidationChanged:
+		c.Changed++
+	default:
+		c.Unknown++
+	}
 }
 
 // Record accounts one request against the named endpoint: its latency,
@@ -139,6 +160,10 @@ func (m *Metrics) Report() wire.MetricsResponse {
 		}
 		if ep.requests > 0 {
 			em.MeanUS = (ep.latTotal / time.Duration(ep.requests)).Microseconds()
+		}
+		if ep.cond != (wire.ConditionalMetrics{}) {
+			cond := ep.cond
+			em.Conditional = &cond
 		}
 		out.Endpoints[name] = em
 		out.Requests += ep.requests

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,7 +137,9 @@ const createEvent = `{"schema":{"name":%q,"valid_time":"event","granularity":1,`
 // time-slice of a 20,000-element ledger-shaped interval relation through the
 // typed client, an insert before each one (inside the timer: ≈ a tenth of
 // it), so every answer is computed, and encoded, after a write — the chunk
-// images are what it finds warm. Those two run on a log in a real directory
+// images are what it finds warm. Between them, revalidate-after-insert: a
+// head insert, then a cached time-slice behind the head and a clamped
+// aggregate through QueryCached and SelectCached, both answered 304. Those two run on a log in a real directory
 // with Sync elided
 // and on the system clock, as tsbench's server child does: the in-memory
 // log's Sync copies the segment, which under a 256-element frame hides
@@ -193,6 +196,36 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if out, err := typed.InsertBatch(ctx, "led", reqs, true); err != nil || out.Stored != len(reqs) {
 				b.Fatalf("InsertBatch stored %d of %d: %v", out.Stored, len(reqs), err)
+			}
+		}
+	})
+	b.Run("revalidate-after-insert", func(b *testing.B) {
+		ctx := context.Background()
+		h := memoryLog(b).Handler()
+		revalidationRelation(b, h)
+		typed := client.New(listen(b, h))
+		ts := client.QueryRequest{Kind: client.QueryTimeslice, VT: 5000}
+		prime := func() (bool, bool) {
+			q, err := typed.QueryCached(ctx, "s", ts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := typed.SelectCached(ctx, "s", revalidateAggregate)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q.NotModified, a.NotModified
+		}
+		prime()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := typed.Insert(ctx, "s", client.InsertRequest{VT: client.EventAt(int64(100_000 + i)),
+				Invariant: []client.Value{client.String("s1")}, Varying: []client.Value{client.Int(int64(i))}}); err != nil {
+				b.Fatal(err)
+			}
+			if q, a := prime(); !q || !a {
+				b.Fatalf("after a head insert: time-slice not modified %v, aggregate %v", q, a)
 			}
 		}
 	})
@@ -332,5 +365,76 @@ func TestRequestAllocationBudget(t *testing.T) {
 	const budget = 27
 	if allocs > budget {
 		t.Errorf("a cache-hit query allocates %.0f times through the wrapper, budget %d", allocs, budget)
+	}
+}
+
+// revalidationBench is the relation the revalidation benchmark and budget
+// read: 2,000 sensor readings ten chronons apart, a time-slice among them
+// and a window aggregate clamped to them, both behind the head where the
+// writes land.
+const (
+	revalidateTimeslice = "/v1/relations/s/query?kind=timeslice&vt=5000&tt=0"
+	revalidateAggregate = "select count(*), sum(v) from s when valid during [1000, 9000) group by window(1000)"
+)
+
+func revalidationRelation(tb testing.TB, h http.Handler) {
+	tb.Helper()
+	serveOnce(tb, h, "/v1/relations", fmt.Sprintf(createEvent, "s"), http.StatusCreated)
+	var batch bytes.Buffer
+	batch.WriteString(`{"elements":[`)
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		batch.WriteString(insertBody(10 * i))
+	}
+	batch.WriteString(`]}`)
+	serveOnce(tb, h, "/v1/relations/s/elements:batch", batch.String(), http.StatusCreated)
+}
+
+// TestRevalidationAllocationBudget pins what a conditional GET costs when
+// epochs have passed but none of their changes meets the query: a
+// time-slice behind the head and a clamped aggregate, each revalidated by a
+// validator ten head inserts old, through srv.Handler() into a writer that
+// keeps nothing — the envelope, the parameters, the statement's parse for
+// the aggregate, a walk of ten log slots, the new validator and two
+// headers. No query runs and no body is encoded. It reads 19 and 29
+// allocations (the tree that compared the epoch alone answered both 200,
+// and recomputed).
+func TestRevalidationAllocationBudget(t *testing.T) {
+	h := memoryLog(t).Handler()
+	revalidationRelation(t, h)
+	for _, c := range []struct {
+		path   string
+		budget float64
+	}{
+		{revalidateTimeslice, 22},
+		{"/v1/relations/s/select?query=" + url.QueryEscape(revalidateAggregate), 32},
+	} {
+		r, err := http.NewRequest(http.MethodGet, c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &sinkWriter{h: make(http.Header)}
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			t.Fatalf("GET %s: %d", c.path, w.status)
+		}
+		r.Header.Set(wire.HeaderIfNoneMatch, w.h.Get(wire.HeaderETag))
+		for i := 0; i < 10; i++ {
+			serveOnce(t, h, "/v1/relations/s/insert", insertBody(100_000+i), http.StatusCreated)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			w.status, w.n = 0, 0
+			h.ServeHTTP(w, r)
+		})
+		if w.status != http.StatusNotModified || w.h.Get(wire.HeaderValidation) != "revalidated" {
+			t.Fatalf("GET %s after ten head inserts: %d, validation %q", c.path, w.status, w.h.Get(wire.HeaderValidation))
+		}
+		t.Logf("%.0f allocations per revalidation of %s", allocs, c.path)
+		if allocs > c.budget {
+			t.Errorf("a revalidation of %s allocates %.0f times, budget %.0f", c.path, allocs, c.budget)
+		}
 	}
 }

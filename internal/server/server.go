@@ -25,7 +25,7 @@
 //	GET  /v1/relations/{name}/classify       infer specializations
 //	GET  /v1/relations/{name}/explain        plan a query without running it
 //	POST /v1/select                          raw tsql SELECT (or EXPLAIN SELECT)
-//	GET  /v1/relations/{name}/select         cacheable SELECT (?query=..., epoch ETag)
+//	GET  /v1/relations/{name}/select         cacheable SELECT (?query=..., revalidated ETag)
 //	POST /v1/snapshot                        flush dirty relations to disk
 //	GET  /v1/relations/{name}/integrity      Merkle tree size + signed root
 //	GET  /v1/relations/{name}/integrity/proof        inclusion proof (?index=I)
@@ -200,9 +200,14 @@ type response struct {
 	status  int // 0 means 200
 	body    any
 	touched int // elements-touched accounting for metrics
-	// etag, when set, is the response's cache validator (the relation's
-	// mutation epoch). A status of 304 sends it with no body.
+	// etag, when set, is the response's cache validator (Server.validator).
+	// A status of 304 sends it with no body.
 	etag string
+	// validated marks the answer to a conditional GET, and validation is
+	// what revalidating its validator found: sent as HeaderValidation and
+	// counted per endpoint.
+	validated  bool
+	validation catalog.Validation
 }
 
 // apiError is a handler failure with its HTTP mapping.
@@ -363,6 +368,9 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 			if res.etag != "" {
 				w.Header().Set(wire.HeaderETag, res.etag)
 			}
+			if res.validated {
+				w.Header().Set(wire.HeaderValidation, res.validation.String())
+			}
 			if status == http.StatusNotModified {
 				w.WriteHeader(status)
 			} else {
@@ -373,6 +381,9 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 		}
 		_, slow := r.Body.(slowDecoded)
 		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc, slow)
+		if res != nil && res.validated {
+			s.metrics.RecordValidation(name, res.validation)
+		}
 	}))
 }
 
@@ -469,23 +480,86 @@ func writeJSON(bufs *wire.BufferList, w http.ResponseWriter, status int, body an
 // needs — nothing slow or fallible follows it but the socket.
 const streamBuffer = 256 << 10
 
-// queryETag renders a relation's mutation epoch as an HTTP validator.
-func queryETag(name string, epoch uint64) string {
-	return `"` + name + `-` + strconv.FormatUint(epoch, 10) + `"`
+// validator renders an epoch of a relation as an HTTP entity tag:
+// "<name>-<epoch>.<lineage>". The catalog's lineage token tells this boot's
+// epochs from another boot's or another node's, which restart and repeat.
+func (s *Server) validator(name string, epoch uint64) string {
+	return `"` + name + `-` + strconv.FormatUint(epoch, 10) + `.` + s.cat.Lineage() + `"`
 }
 
-// etagMatch implements the If-None-Match comparison: a wildcard or any
-// listed validator equal to the current one.
-func etagMatch(header, etag string) bool {
-	if header == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
-			return true
+// listedEpoch reads an If-None-Match header: the newest epoch among the
+// validators it lists that this server issued for the relation in this
+// boot (ok), and whether it is the wildcard. Comparison is weak (RFC 9110
+// §13.1.2): W/"x" names what "x" does. Nothing is allocated.
+func (s *Server) listedEpoch(header, name string) (epoch uint64, ok, wildcard bool) {
+	lineage := s.cat.Lineage()
+	for header != "" {
+		var tag string
+		tag, header, _ = strings.Cut(header, ",")
+		tag = strings.TrimSpace(tag)
+		if tag == "*" {
+			wildcard = true
+			continue
+		}
+		tag = strings.TrimPrefix(tag, "W/")
+		if len(tag) < 2 || tag[0] != '"' || tag[len(tag)-1] != '"' {
+			continue
+		}
+		tag = tag[1 : len(tag)-1]
+		if len(tag) <= len(name) || tag[:len(name)] != name || tag[len(name)] != '-' {
+			continue
+		}
+		num, lin, found := strings.Cut(tag[len(name)+1:], ".")
+		if !found || lin != lineage {
+			continue
+		}
+		if ep, err := strconv.ParseUint(num, 10, 64); err == nil && (!ok || ep > epoch) {
+			epoch, ok = ep, true
 		}
 	}
-	return false
+	return epoch, ok, wildcard
+}
+
+// conditional answers a conditional GET from the relation's change log when
+// it can: 304 with the current validator when no change since the newest
+// validator the request lists meets the query's footprint fp. Otherwise it
+// returns no 304 and the start of the computed answer's response: what
+// revalidation found, or nothing for a request without If-None-Match.
+func (s *Server) conditional(r *http.Request, e *catalog.Entry, name string, fp plan.Query) (notModified *response, answer response) {
+	inm := r.Header.Get(wire.HeaderIfNoneMatch)
+	if inm == "" {
+		return nil, answer
+	}
+	listed, ok, wildcard := s.listedEpoch(inm, name)
+	var now uint64
+	answer.validated, answer.validation = true, catalog.ValidationUnknown
+	switch {
+	case wildcard:
+		now, answer.validation = e.Epoch(), catalog.ValidationSame
+	case ok:
+		now, answer.validation = e.Revalidate(listed, fp)
+	}
+	if answer.validation.NotModified() {
+		answer.status, answer.etag = http.StatusNotModified, s.validator(name, now)
+		return &answer, answer
+	}
+	return nil, answer
+}
+
+// kindQuery is the planner's query for one of the engine's query kinds —
+// also its footprint (plan.Query.Meets); false for an unknown kind.
+func kindQuery(kind string, vt, tt int64) (plan.Query, bool) {
+	switch kind {
+	case wire.QueryCurrent:
+		return plan.Query{Kind: plan.QCurrent}, true
+	case wire.QueryTimeslice:
+		return plan.Query{Kind: plan.QTimeslice, VTLo: vt, VTHi: vt + 1}, true
+	case wire.QueryRollback:
+		return plan.Query{Kind: plan.QRollback, TT: tt}, true
+	case wire.QueryAsOf:
+		return plan.Query{Kind: plan.QAsOf, VTLo: vt, TT: tt}, true
+	}
+	return plan.Query{}, false
 }
 
 // slowDecoded is the note decode leaves for the endpoint's metrics, on
@@ -983,8 +1057,9 @@ func (s *Server) handleQuery(r *http.Request) (*response, *apiError) {
 
 // handleQueryGet is the cache-aware form of the query endpoint: the same
 // kinds as POST, addressed by query parameters so intermediaries can cache,
-// with the relation's mutation epoch as the ETag validator. A client whose
-// If-None-Match still names the current epoch gets 304 and no query runs.
+// with a validator naming the epoch the answer was computed at. A client
+// whose If-None-Match names an epoch since which no change met the query
+// gets 304 and no query runs.
 func (s *Server) handleQueryGet(r *http.Request) (*response, *apiError) {
 	e, aerr := s.entry(r)
 	if aerr != nil {
@@ -1000,20 +1075,20 @@ func (s *Server) handleQueryGet(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
-		if et := queryETag(name, e.Epoch()); etagMatch(inm, et) {
-			return &response{status: http.StatusNotModified, etag: et}, nil
+	kind := params.Get("kind")
+	var out response
+	if fp, ok := kindQuery(kind, vt, tt); ok { // an unknown kind is runQueryKind's to refuse
+		var nm *response
+		if nm, out = s.conditional(r, e, name, fp); nm != nil {
+			return nm, nil
 		}
 	}
-	res, aerr := s.runQueryKind(r.Context(), e, params.Get("kind"), vt, tt)
+	res, aerr := s.runQueryKind(r.Context(), e, kind, vt, tt)
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &response{
-		body:    queryResponseBody(res),
-		touched: res.Touched,
-		etag:    queryETag(name, res.Epoch),
-	}, nil
+	out.body, out.touched, out.etag = queryResponseBody(res), res.Touched, s.validator(name, res.Epoch)
+	return &out, nil
 }
 
 // parseInt64Param parses an optional integer query parameter ("" is 0).
@@ -1042,11 +1117,14 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 	// Planning is keyed by the raw parameters and the mutation epoch: a
 	// repeat EXPLAIN against an unmutated relation is served from the
 	// result cache (and a client that revalidates with If-None-Match gets
-	// 304 without planning at all).
+	// 304 without planning at all). A plan reads the store's size, which
+	// every change moves, so its validator holds for one epoch only.
 	epoch := e.Epoch()
-	etag := queryETag(name, epoch)
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" && etagMatch(inm, etag) {
-		return &response{status: http.StatusNotModified, etag: etag}, nil
+	etag := s.validator(name, epoch)
+	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
+		if listed, ok, wildcard := s.listedEpoch(inm, name); wildcard || ok && listed == epoch {
+			return &response{status: http.StatusNotModified, etag: etag}, nil
+		}
 	}
 	cache := s.cat.Cache()
 	ckey := qcache.Key{Rel: name, Fingerprint: "explain:" + params.Encode(), Epoch: epoch}
@@ -1076,17 +1154,8 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		var pq plan.Query
-		switch kind {
-		case wire.QueryCurrent:
-			pq = plan.Query{Kind: plan.QCurrent}
-		case wire.QueryTimeslice:
-			pq = plan.Query{Kind: plan.QTimeslice, VTLo: vt, VTHi: vt + 1}
-		case wire.QueryRollback:
-			pq = plan.Query{Kind: plan.QRollback, TT: tt}
-		case wire.QueryAsOf:
-			pq = plan.Query{Kind: plan.QAsOf, VTLo: vt, TT: tt}
-		default:
+		pq, ok := kindQuery(kind, vt, tt)
+		if !ok {
 			return nil, errBadRequest("need ?query=... or ?kind=%s|%s|%s|%s",
 				wire.QueryCurrent, wire.QueryTimeslice, wire.QueryRollback, wire.QueryAsOf)
 		}
@@ -1181,11 +1250,14 @@ func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) w
 }
 
 // handleSelectGet is the cache-aware form of SELECT: the statement rides a
-// query parameter so intermediaries can cache, with the relation's mutation
-// epoch as the ETag validator — the same protocol as the GET query endpoint.
-// A client whose If-None-Match still names the current epoch gets 304 and no
-// query runs; aggregates are the intended tenant (their results are windows,
-// not elements, so they are cheap to revalidate and expensive to recompute).
+// query parameter so intermediaries can cache, with a validator naming the
+// epoch of the view the answer was computed on — the same protocol as the
+// GET query endpoint, the statement's footprint being its planner query
+// (tsql.PlanQuery: the WHEN VALID window, AS OF's tt, everything for an
+// Allen clause or none). A client whose If-None-Match names an epoch since
+// which no change met the statement gets 304 and no query runs; aggregates
+// are the intended tenant (their results are windows, not elements, so
+// they are cheap to revalidate and expensive to recompute).
 func (s *Server) handleSelectGet(r *http.Request) (*response, *apiError) {
 	e, aerr := s.entry(r)
 	if aerr != nil {
@@ -1206,24 +1278,19 @@ func (s *Server) handleSelectGet(r *http.Request) (*response, *apiError) {
 	if q.Explain {
 		return nil, errBadRequest("EXPLAIN is not cacheable; use the explain endpoint")
 	}
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
-		if et := queryETag(name, e.Epoch()); etagMatch(inm, et) {
-			return &response{status: http.StatusNotModified, etag: et}, nil
-		}
+	nm, out := s.conditional(r, e, name, tsql.PlanQuery(q))
+	if nm != nil {
+		return nm, nil
 	}
-	epoch := e.Epoch()
-	res, node, touched, err := e.SelectCtx(r.Context(), q)
+	res, node, touched, epoch, err := e.SelectEpochCtx(r.Context(), q)
 	if err != nil {
 		return nil, mapError(err)
 	}
 	if node != nil {
 		s.metrics.RecordPlan(node.Leaf().Kind.String(), touched)
 	}
-	return &response{
-		body:    selectBody(q, res, node, touched),
-		touched: touched,
-		etag:    queryETag(name, epoch),
-	}, nil
+	out.body, out.touched, out.etag = selectBody(q, res, node, touched), touched, s.validator(name, epoch)
+	return &out, nil
 }
 
 func (s *Server) handleSnapshot(*http.Request) (*response, *apiError) {

@@ -10,6 +10,9 @@ import (
 // query shapes. AS OF selects on both time dimensions at once, which no
 // single-dimension organization serves; Allen WHEN clauses need whole
 // intervals, so they evaluate as residual filters over the current state.
+// The shape is also the statement's footprint (plan.Query.Meets): WHERE,
+// LIMIT and the window aggregate only ever narrow what its clauses select,
+// and a valid-time clamp of an aggregate drops every element outside it.
 func PlanQuery(q *Query) plan.Query {
 	switch {
 	case q.HasAsOf:

@@ -551,7 +551,8 @@ type QueryResponse struct {
 	PlanNode *PlanNode `json:"plan_node,omitempty"`
 	Touched  int       `json:"touched"`
 	// Epoch is the relation's mutation epoch the result was computed at —
-	// the value the server hands back as the ETag validator on GET queries.
+	// the epoch the validator of a GET query names. A body kept across a
+	// revalidated 304 keeps the epoch it was computed at.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -816,10 +817,19 @@ const (
 	// HeaderRetryAfter is the standard backoff hint set on 429/503 sheds.
 	HeaderRetryAfter = "Retry-After"
 	// HeaderETag / HeaderIfNoneMatch implement conditional GET queries:
-	// the server's validator is the relation's mutation epoch, so a 304
-	// means "no mutation since your copy" and costs no query execution.
+	// the server's validator names the relation, the mutation epoch the
+	// answer was computed at and the server's boot ("emp-5.<token>"), and a
+	// 304 means "nothing your query can see changed since your copy" —
+	// epochs may have passed — and costs no query execution. Its ETag is
+	// the current validator, to send next time.
 	HeaderETag        = "ETag"
 	HeaderIfNoneMatch = "If-None-Match"
+	// HeaderValidation, on the answer to a conditional GET, says what
+	// revalidating its validator found: "same" (304, no epoch passed),
+	// "revalidated" (304, epochs passed but no change met the query),
+	// "changed" (200, a change met it) or "unknown" (200: the validator is
+	// older than the server remembers, or from another boot or node).
+	HeaderValidation = "X-Tsdbd-Validation"
 	// HeaderStaleness, set by follower replicas on every response, bounds
 	// how far the node's applied state may trail the primary, in
 	// milliseconds. It is computed from the last moment the follower
@@ -919,6 +929,24 @@ type EndpointMetrics struct {
 	// refused (Parser), so that encoding/json decoded them — several times
 	// slower. A client that encodes with this package never adds to it.
 	SlowDecodes uint64 `json:"slow_decodes,omitempty"`
+	// Conditional counts the endpoint's conditional GETs by outcome;
+	// omitted until one arrives.
+	Conditional *ConditionalMetrics `json:"conditional,omitempty"`
+}
+
+// ConditionalMetrics counts conditional GETs (If-None-Match) by what
+// revalidating the validator found — the HeaderValidation values: why a
+// conditional read recomputed, or why it did not.
+type ConditionalMetrics struct {
+	// Same and Revalidated answered 304: at the validator's epoch, or
+	// across epochs none of whose changes the query can see.
+	Same        uint64 `json:"not_modified_same_epoch"`
+	Revalidated uint64 `json:"not_modified_revalidated"`
+	// Changed and Unknown answered 200: a change since the validator met the
+	// query, or the validator is past the server's change log or from
+	// another boot or node.
+	Changed uint64 `json:"changed"`
+	Unknown uint64 `json:"unknown"`
 }
 
 // PlanMetrics aggregates one plan kind's query accounting.
