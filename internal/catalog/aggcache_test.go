@@ -74,12 +74,16 @@ func TestAggregateCacheEpochInvalidation(t *testing.T) {
 		t.Fatal("post-mutation aggregate served from the stale epoch's cache entry")
 	}
 
-	// Row- and columnar-hinted forms fingerprint (and therefore cache)
-	// separately, but must agree.
-	rowRes := mustAggSelect(t, e, src+" using row")
-	colRes := mustAggSelect(t, e, src+" using columnar")
-	if !reflect.DeepEqual(rowRes, colRes) {
-		t.Fatalf("hinted engines disagree:\nrow:      %+v\ncolumnar: %+v", rowRes, colRes)
+	// A USING hint changes nothing: the hinted forms are served from the
+	// unhinted statement's cache entry.
+	hits := c.Cache().Stats().Hits
+	for _, hint := range []string{" using row", " using columnar"} {
+		if got := mustAggSelect(t, e, src+hint); !reflect.DeepEqual(got, res3) {
+			t.Fatalf("%q answers differently:\n%+v\nwant %+v", hint, got, res3)
+		}
+	}
+	if got := c.Cache().Stats().Hits; got != hits+2 {
+		t.Fatalf("hinted forms hit the cache %d times, want 2", got-hits)
 	}
 }
 
@@ -95,17 +99,13 @@ func TestBatchStatsCounters(t *testing.T) {
 	if st := e.BatchStats(); st != (BatchStats{}) {
 		t.Fatalf("fresh entry has nonzero batch stats: %+v", st)
 	}
-	mustAggSelect(t, e, "select count(*) from m group by window(50) using columnar")
-	st := e.BatchStats()
-	if st.ColumnarPicks != 1 || st.RowPicks != 0 {
-		t.Fatalf("picks after columnar run: %+v", st)
-	}
-	if st.Batches == 0 || st.Rows != 300 {
-		t.Fatalf("columnar run consumed %d batches / %d rows, want >0 / 300", st.Batches, st.Rows)
-	}
-	mustAggSelect(t, e, "select count(*) from m group by window(50) using row")
-	if st := e.BatchStats(); st.RowPicks != 1 {
-		t.Fatalf("picks after row run: %+v", st)
+	// Without a cache every execution folds every row; a hint changes
+	// nothing.
+	for i, hint := range []string{"", " using row", " using columnar"} {
+		mustAggSelect(t, e, "select count(*) from m group by window(50)"+hint)
+		if st := e.BatchStats(); st.Rows != int64(300*(i+1)) || st.RunsFolded != int64(i+1) {
+			t.Fatalf("run %q: %+v, want %d rows, %d chunks folded", hint, st, 300*(i+1), i+1)
+		}
 	}
 }
 
@@ -167,24 +167,24 @@ func mustDefine(t *testing.T, e *Entry, src string) *tsql.Result {
 
 // TestRunPartialsSurviveAppends is the point of the second memo level: an
 // append empties the result cache but not the run partials, so the next
-// aggregate merges every full chunk and visits only the tail — on either
-// engine, from one key, sealed or not. The counters say so, and the partial
-// lookups stay out of the query cache's own.
+// aggregate merges every full chunk and visits only the tail — for every
+// statement whose cells are the same, sealed or not. The counters say so,
+// and the partial lookups stay out of the query cache's own.
 func TestRunPartialsSurviveAppends(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e := sealedSensor(t, c, "s", 4*256+10)
 	const src = "select count(*), sum(v) from s group by window(3000)"
 
-	first := mustAggSelect(t, e, src+" using columnar")
+	first := mustAggSelect(t, e, src)
 	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialsBuilt != 4 || st.PartialHits != 0 {
 		t.Fatalf("first execution: %+v", st)
 	}
 	if !reflect.DeepEqual(first.Rows, mustDefine(t, e, src).Rows) {
-		t.Fatal("cold columnar diverges from the definition")
+		t.Fatal("cold aggregate diverges from the definition")
 	}
 	appendSensor(t, e, 4*256+10, 50)
 	cacheBefore := c.Cache().Stats()
-	second := mustAggSelect(t, e, src+" using columnar")
+	second := mustAggSelect(t, e, src)
 	cacheAfter := c.Cache().Stats()
 	st := e.BatchStats()
 	if st.RunsFolded != 4 || st.RunsMerged != 4 || st.PartialHits != 4 || st.Rows != 4*256+10+60 {
@@ -194,39 +194,39 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 		t.Fatalf("query cache counted the partial lookup: %+v -> %+v", cacheBefore, cacheAfter)
 	}
 	if !reflect.DeepEqual(second.Rows, mustDefine(t, e, src).Rows) {
-		t.Fatal("warm columnar diverges from the definition")
+		t.Fatal("warm aggregate diverges from the definition")
 	}
-	// The row engine merges what the columnar one learned — the key names
-	// the cells, not who folded them — and reports the 60 rows it visited;
-	// batches and rows under BatchStats stay the columnar engine's.
-	q, _ := tsql.Parse(src + " using row")
-	row, _, touched, err := e.SelectCtx(context.Background(), q)
-	if err != nil || !reflect.DeepEqual(row.Rows, second.Rows) || touched != 60 {
-		t.Fatalf("row over the columnar partials: touched %d, err %v", touched, err)
+	// A statement applied around the same cells (LIMIT over the emitted
+	// windows) has its own result but merges the same partials — the key
+	// names the cells — and reports the 60 rows it visited.
+	q, _ := tsql.Parse(src + " limit 1000")
+	lim, _, touched, err := e.SelectCtx(context.Background(), q)
+	if err != nil || !reflect.DeepEqual(lim.Rows, second.Rows) || touched != 60 {
+		t.Fatalf("limited statement over the partials: touched %d, err %v", touched, err)
 	}
-	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 8 || st.RowPicks != 1 || st.Rows != 4*256+10+60 {
-		t.Fatalf("row over the columnar partials: %+v", st)
+	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 8 || st.Rows != 4*256+10+2*60 {
+		t.Fatalf("limited statement over the partials: %+v", st)
 	}
 	// Another window mode over the same cells reuses them.
-	mustAggSelect(t, e, "select count(*), sum(v) from s group by window(3000, cumulative) using columnar")
+	mustAggSelect(t, e, "select count(*), sum(v) from s group by window(3000, cumulative)")
 	if st := e.BatchStats(); st.RunsMerged != 12 {
 		t.Fatalf("cumulative over the tumbling query's partials: %+v", st)
 	}
-	// A chunk that fills is a unit before anything seals it: folded once
-	// (by the row engine here), merged from then on (by the columnar one).
+	// A chunk that fills is a unit before anything seals it: folded once,
+	// merged from then on.
 	appendSensor(t, e, 4*256+60, 256)
 	if e.Physical().Compaction.Runs != 4 {
 		t.Fatal("the append sealed a run; the test means to leave chunk 4 unsealed")
 	}
-	filled := mustAggSelect(t, e, src+" using row")
+	filled := mustAggSelect(t, e, src)
 	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 16 {
 		t.Fatalf("after chunk 4 filled: %+v, want it alone folded", st)
 	}
 	if !reflect.DeepEqual(filled.Rows, mustDefine(t, e, src).Rows) {
-		t.Fatal("row over an unsealed full chunk diverges from the definition")
+		t.Fatal("an unsealed full chunk diverges from the definition")
 	}
 	appendSensor(t, e, 5*256+60, 1)
-	mustAggSelect(t, e, src+" using columnar")
+	mustAggSelect(t, e, src)
 	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 21 {
 		t.Fatalf("unsealed full chunk, warm: %+v", st)
 	}
@@ -234,8 +234,8 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	// With the cache off nothing is memoized and nothing is looked up.
 	off := New(testConfig(t.TempDir()))
 	eo := sealedSensor(t, off, "s", 4*256+10)
-	for _, engine := range []string{" using columnar", " using row"} {
-		mustAggSelect(t, eo, src+engine)
+	for range 2 {
+		mustAggSelect(t, eo, src)
 	}
 	if st := eo.BatchStats(); st.RunsFolded != 8 || st.RunsMerged != 0 || st.PartialHits+st.PartialsBuilt != 0 {
 		t.Fatalf("cache off: %+v", st)
@@ -287,7 +287,7 @@ func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 }
 
 // TestClampedRowAggregateMergesWhatTheSearchFinds pins what the bounded loop
-// costs the row engine's binary-search leaf: 40 sealed chunks (vt = 10·i, so
+// costs the binary-search leaf: 40 sealed chunks (vt = 10·i, so
 // chunk k covers [2560k, 2560k + 2550]), partials warm, one append. A clamp
 // reaching the tail then merges every chunk it contains, folds the one it
 // cuts and the tail, and passes over everything before it unread: those
@@ -372,7 +372,7 @@ func TestRunPartialsPinnedView(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e := sealedSensor(t, c, "s", 3*256+5)
 	ctx := context.Background()
-	q, err := tsql.Parse("select count(*), sum(v), max(v) from s group by window(3000) using columnar")
+	q, err := tsql.Parse("select count(*), sum(v), max(v) from s group by window(3000)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +417,7 @@ func TestRunPartialsPinnedView(t *testing.T) {
 // TestRunPartialsConcurrentReadersAndWriter is the -race companion:
 // aggregating readers share run partials through the cache while a writer
 // appends batches, deletes inside sealed runs and seals new ones. Every
-// reader checks both engines' answers — they share the partials — against
-// the definition on the view it pinned.
+// reader checks its answer against the definition on the view it pinned.
 func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	const n0 = 3*256 + 20
@@ -459,31 +458,25 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 			}
 			for i := 0; i < 60; i++ {
 				src := srcs[(i+r)%len(srcs)]
-				qCol, err := tsql.Parse(src + " using columnar")
+				q, err := tsql.Parse(src)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				qRow, _ := tsql.Parse(src + " using row")
-				_, fp := qCol.Fingerprints()
+				_, fp := q.Fingerprints()
 				v := e.view.Load()
-				got, _, _, err := e.executeAggregate(ctx, v, qCol, fp)
+				got, _, _, err := e.executeAggregate(ctx, v, q, fp)
 				if err != nil {
-					t.Errorf("columnar: %v", err)
+					t.Errorf("aggregate: %v", err)
 					return
 				}
-				row, _, _, err := e.executeAggregate(ctx, v, qRow, fp)
-				if err != nil {
-					t.Errorf("row: %v", err)
-					return
-				}
-				want, err := v.defined(qCol)
+				want, err := v.defined(q)
 				if err != nil {
 					t.Errorf("definition: %v", err)
 					return
 				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(row.Rows, want.Rows) {
-					t.Errorf("%q on epoch %d: engines diverge from the definition\ndefined:  %+v\nrow:      %+v\ncolumnar: %+v", src, v.epoch, want.Rows, row.Rows, got.Rows)
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%q on epoch %d: diverges from the definition\ndefined: %+v\ngot:     %+v", src, v.epoch, want.Rows, got.Rows)
 					return
 				}
 			}
@@ -500,13 +493,13 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 // TestChunkPartialsOnTheGeneralOrganizations pins, in counters, what the
 // memo does where nothing is ever sealed: a heap and an undeclared tt-log of
 // 20 full chunks and a tail. Warm, a delete inside a full chunk costs the
-// next USING ROW aggregate that one chunk's fold and nineteen merges; a
+// next aggregate that one chunk's fold and nineteen merges; a
 // write elsewhere costs nothing; and everything that rebuilds the store — a
 // removing vacuum, a respecialization, a degrade — renews the generation, so
 // the next aggregate folds every chunk once and the one after merges them.
 func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 	const full, tail = 20, 37
-	const src = "select sum(v) from s group by window(32768, cumulative) using row"
+	const src = "select sum(v) from s group by window(32768, cumulative)"
 	for _, org := range []storage.Kind{storage.Heap, storage.TTOrdered} {
 		t.Run(org.String(), func(t *testing.T) {
 			c := New(cachedConfig(t.TempDir()))
@@ -577,9 +570,11 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 			if f, m, _ := agg("after a delete in the tail"); f != 0 || m != full {
 				t.Fatalf("after a delete in the tail: folded %d, merged %d", f, m)
 			}
-			mustAggSelect(t, e, "select sum(v) from s group by window(32768) using columnar")
-			if st := e.BatchStats(); st.ColumnarPicks != 1 || st.Batches != 1 {
-				t.Fatalf("columnar over the row engine's partials decoded more than the tail: %+v", st)
+			// Another window mode over the same cells folds only the tail.
+			b0 := e.BatchStats()
+			mustAggSelect(t, e, "select sum(v) from s group by window(32768)")
+			if st := e.BatchStats(); st.RunsFolded != b0.RunsFolded || st.RunsMerged != b0.RunsMerged+full {
+				t.Fatalf("tumbling over the cumulative statement's partials: %+v, before %+v", st, b0)
 			}
 
 			gen := e.view.Load().gen

@@ -5,15 +5,14 @@ package catalog
 // aggregate (and a compaction every sixteenth, as the advisor would), so
 // the result cache never answers and the sealed runs never change. "warm"
 // runs with the query cache on (the partials live in it), "nocache" with
-// CacheBytes = 0, where every run is decoded and folded — the direct path,
-// which must stay where BenchmarkTemporalAggregateColumnar (internal/storage,
-// same per-element work) puts it. The clamped pair is the bounded loop's:
-// warm, each merges the ≈ 24 chunks its clamp contains and folds the two it
-// cuts, on the columnar scan and on the row engine's binary search alike;
-// pruned/op counts the chunks passed over unread. Warm, a whole-relation
-// statement merges one partial per aligned group of 16 chunks and one per
-// chunk past the last group: partials/op beside merged/op. The batch append
-// is outside the timer. `make bench-smoke` runs it.
+// CacheBytes = 0, where every run is folded — the direct path. The clamped
+// statement is the bounded loop's: warm, it merges the ≈ 24 chunks its clamp
+// contains and folds the two it cuts; pruned/op counts the chunks passed
+// over unread. Warm, a whole-relation statement merges one partial per
+// aligned group of 16 chunks and one per chunk past the last group:
+// partials/op beside merged/op, and rows/op — the rows folded — beside
+// folded/op. The batch append is outside the timer. `make bench-smoke` runs
+// it.
 
 import (
 	"context"
@@ -36,10 +35,9 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 		{"sum", "select sum(v) from bench group by window(16384)"},
 		{"rollingmax", "select max(v) from bench group by window(16384, rolling 8)"},
 		{"cumulative", "select count(*) from bench group by window(16384, cumulative)"},
-		// firehose-analytics' clamped window (the planner's pick) and its
-		// USING ROW twin: 65,536 chronons inside the sealed history.
+		// firehose-analytics' clamped window: 65,536 chronons inside the
+		// sealed history.
 		{"clamp", "select sum(v) from bench when valid during [400000, 465536) group by window(4096)"},
-		{"clamp-row", "select sum(v) from bench when valid during [400000, 465536) group by window(4096) using row"},
 	}
 	for _, cache := range []struct {
 		name  string
@@ -89,6 +87,7 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 				// chunks merged outside one.
 				b.ReportMetric(float64(st.RunsMerged-15*st.GroupsMerged)/float64(b.N+1), "partials/op")
 				b.ReportMetric(float64(st.RunsFolded)/float64(b.N+1), "folded/op")
+				b.ReportMetric(float64(st.Rows)/float64(b.N+1), "rows/op")
 				b.ReportMetric(float64(st.ChunksPruned)/float64(b.N+1), "pruned/op")
 			})
 		}
@@ -169,23 +168,21 @@ func ledgerInsertion(org storage.Kind, i int) relation.Insertion {
 // ledger's aggregate (a cumulative SUM, 32 768 wide) — all three inside the
 // timer. The write empties the result cache; what the aggregate then folds
 // is the chunk the delete landed in and the tail, folded/op ≈ 1, whichever
-// organization holds the relation and whichever engine folds. `make
-// bench-smoke` runs it.
+// organization holds the relation. `make bench-smoke` runs it.
 func BenchmarkAggregateAfterWrite(b *testing.B) {
 	const n = 20_000
 	for _, bc := range []struct {
-		name   string
-		org    storage.Kind
-		engine string
+		name string
+		org  storage.Kind
 	}{
-		{"heap-row", storage.Heap, "row"},
-		{"ttlog-row", storage.TTOrdered, "row"},
-		{"vtlog-columnar", storage.VTOrdered, "columnar"},
+		{"heap", storage.Heap},
+		{"ttlog", storage.TTOrdered},
+		{"vtlog", storage.VTOrdered},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e, live := ledgerShaped(b, bc.org, n)
 			ctx := context.Background()
-			q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative) using " + bc.engine)
+			q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative)")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -230,32 +227,30 @@ func BenchmarkAggregateAfterWrite(b *testing.B) {
 // windows emitted — so the path cannot quietly grow back toward a fold of
 // the relation. 20 full chunks; the budget is per execution, not per chunk.
 func TestWarmAggregateAllocationBudget(t *testing.T) {
-	const warmAggregateAllocs = 60 // reads 46 (row) and 49 (columnar): nothing per chunk or per window
+	const warmAggregateAllocs = 60 // reads 46: nothing per chunk or per window
 	e, _ := ledgerShaped(t, storage.TTOrdered, 20*256+40)
 	ctx := context.Background()
-	for _, engine := range []string{"row", "columnar"} {
-		q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative) using " + engine)
+	q, err := tsql.Parse("select sum(v) from ledger group by window(32768, cumulative)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fp := q.Fingerprints()
+	v := e.view.Load()
+	exec := func() vec.ExecStats {
+		_, _, st, err := e.executeAggregate(ctx, v, q, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fp := q.Fingerprints()
-		v := e.view.Load()
-		exec := func() vec.ExecStats {
-			_, _, st, err := e.executeAggregate(ctx, v, q, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}
-		exec()
-		if st := exec(); st.RunsMerged != 20 || st.RunsFolded != 0 {
-			t.Fatalf("using %s: not warm: %+v", engine, st)
-		}
-		got := testing.AllocsPerRun(20, func() { exec() })
-		t.Logf("using %s: %.0f allocations per warm aggregate", engine, got)
-		if got > warmAggregateAllocs {
-			t.Fatalf("using %s: a warm aggregate over 20 chunks allocates %.0f objects, budget %d", engine, got, warmAggregateAllocs)
-		}
+		return st
+	}
+	exec()
+	if st := exec(); st.RunsMerged != 20 || st.RunsFolded != 0 {
+		t.Fatalf("not warm: %+v", st)
+	}
+	got := testing.AllocsPerRun(20, func() { exec() })
+	t.Logf("%.0f allocations per warm aggregate", got)
+	if got > warmAggregateAllocs {
+		t.Fatalf("a warm aggregate over 20 chunks allocates %.0f objects, budget %d", got, warmAggregateAllocs)
 	}
 }
 

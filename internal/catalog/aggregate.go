@@ -20,10 +20,8 @@ type aggCacheEntry struct {
 	touched int
 }
 
-// selectAggregate evaluates the GROUP BY WINDOW form of SELECT. The
-// planner (or the statement's USING hint) chooses between the columnar
-// batch engine and the row reference engine; both fold elements in
-// arrival order, so the choice never changes the answer. Results are
+// selectAggregate evaluates the GROUP BY WINDOW form of SELECT. Chunks the
+// memo cannot answer are folded row at a time where they lie. Results are
 // memoized under (relation, "agg:"+fingerprint, epoch) — an insert bumps
 // the epoch, so cached windows can never serve stale aggregates.
 func (e *Entry) selectAggregate(ctx context.Context, v *readView, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
@@ -45,7 +43,7 @@ func (e *Entry) selectAggregate(ctx context.Context, v *readView, q *tsql.Query)
 }
 
 // executeAggregate runs the statement against one pinned view, below the
-// result cache. Every plan on either engine goes in with the chunk memo's
+// result cache. Every plan goes in with the chunk memo's
 // partials (query.PartialMemo): each chunk's under (relation, "part:"+partial
 // fingerprint, store generation, chunk ordinal), each group's under "grp:"
 // and its group ordinal — no epoch in the key, which is the point: a write
@@ -71,7 +69,7 @@ func (e *Entry) executeAggregate(ctx context.Context, v *readView, q *tsql.Query
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	e.recordBatch(node.Leaf().Kind, stats)
+	e.recordBatch(stats)
 	return tsql.AggToResult(q, agg), node, stats, nil
 }
 
@@ -90,35 +88,24 @@ func aggResultSize(res *tsql.Result) int64 {
 
 // recordBatch accounts one aggregate execution on the entry's
 // batch-operator counters.
-func (e *Entry) recordBatch(leaf plan.NodeKind, st vec.ExecStats) {
-	if leaf == plan.ColumnarScan {
-		e.colPicks.Add(1)
-		e.batches.Add(st.Batches)
-		e.batchRows.Add(st.Rows)
-	} else {
-		e.rowPicks.Add(1)
-	}
+func (e *Entry) recordBatch(st vec.ExecStats) {
+	e.batchRows.Add(st.Rows)
 	e.runsMerged.Add(st.RunsMerged)
 	e.groupsMerged.Add(st.GroupsMerged)
 	e.runsFolded.Add(st.RunsFolded)
 	e.chunksPruned.Add(st.ChunksPruned)
 }
 
-// BatchStats reports the entry's lifetime batch-operator counters:
-// batches and rows the columnar engine actually visited, how often the
-// planner picked each engine for an executed aggregate, how many full
-// chunks either engine answered from a memoized partial against folded (and
-// how many of those partials each stood in for an aligned group of chunks),
-// how many chunks either engine passed over unread — pruned on a zone map or
-// outside the access path's bounds — and the chunk memo's partial and group
-// kinds: lookups that found the entry at the close count asked for, and
-// partials built. The memo's lookups are kept out of the query cache's own
+// BatchStats reports the entry's lifetime batch-operator counters: rows
+// folded, how many full chunks an aggregate answered from a memoized
+// partial against folded (and how many of those partials each stood in for
+// an aligned group of chunks), how many chunks it passed over unread —
+// pruned on a zone map or outside the access path's bounds — and the chunk
+// memo's partial and group kinds: lookups that found the entry at the close
+// count asked for, and partials built. The memo's lookups are kept out of the query cache's own
 // hit and miss counters, which count whole results.
 type BatchStats struct {
-	Batches       int64
 	Rows          int64
-	ColumnarPicks int64
-	RowPicks      int64
 	RunsMerged    int64
 	GroupsMerged  int64
 	RunsFolded    int64
@@ -132,10 +119,7 @@ type BatchStats struct {
 // BatchStats snapshots the entry's batch-operator counters.
 func (e *Entry) BatchStats() BatchStats {
 	return BatchStats{
-		Batches:       e.batches.Load(),
 		Rows:          e.batchRows.Load(),
-		ColumnarPicks: e.colPicks.Load(),
-		RowPicks:      e.rowPicks.Load(),
 		RunsMerged:    e.runsMerged.Load(),
 		GroupsMerged:  e.groupsMerged.Load(),
 		RunsFolded:    e.runsFolded.Load(),

@@ -655,13 +655,8 @@ type Entry struct {
 	plans plan.Recorder
 
 	// Batch-operator counters, recorded on the lock-free aggregate read
-	// path (hence atomic): batches/batchRows count what the columnar
-	// engine consumed; colPicks/rowPicks count the planner's engine
-	// choice per executed aggregate (cache hits execute nothing).
-	batches   atomic.Int64
+	// path (hence atomic): rows folded (cache hits execute nothing).
 	batchRows atomic.Int64
-	colPicks  atomic.Int64
-	rowPicks  atomic.Int64
 	// Chunk-partial counters (aggregate.go): full chunks merged from a memo
 	// against decoded and folded, and chunks passed over unread.
 	runsMerged   atomic.Int64
@@ -957,16 +952,18 @@ func (e *Entry) waitDurable(lsn uint64) error {
 // degrade stores a committed element the live organization refused (cause):
 // it drops one promise at a time until the store admits the element — the
 // heap admits anything, so an acknowledged write is never invisible to reads
-// — and re-advises without the declarations, whose promise is the one that
-// just broke. Nothing is copied: the chunks, and so the cost, are those of an
-// accepted insert.
+// — and re-advises. The promise that broke is an inferred order (or the
+// clock's): a committed element satisfies every declaration, so the
+// declarations stay, and with them a declared bound's tt-window pushdown.
+// Nothing is copied: the chunks, and so the cost, are those of an accepted
+// insert.
 func (e *Entry) degrade(r *relation.Relation, el *element.Element, cause error) {
 	k := e.store.Kind()
 	for err := cause; err != nil; err = e.store.Insert(el) {
 		k--
 		_ = e.store.Retype(k)
 	}
-	_ = e.relabel(r, nil) // no declarations: no bounds to reject
+	_ = e.relabel(r, e.decls) // the declarations' bounds were usable when declared
 	e.advice.Reasons = append(e.advice.Reasons,
 		fmt.Sprintf("fell back: committed element violates the store order (%v)", cause))
 }
@@ -1149,29 +1146,12 @@ func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (Q
 	})
 }
 
-// selectScratch pools candidate slices for SELECTs that must re-sort an
-// index seek's output into insertion order, so the hot path stops
-// allocating a fresh slice per query.
-var selectScratch = sync.Pool{New: func() any { return new([]*element.Element) }}
-
-// esOrdered reports whether the candidates already carry ascending
-// element surrogates. Surrogates are assigned in insertion order and the
-// log organizations yield arrival order, so only the B-tree index seek
-// (vt-key order over a heap) normally fails this and pays the sort.
-func esOrdered(els []*element.Element) bool {
-	for i := 1; i < len(els); i++ {
-		if els[i].ES < els[i-1].ES {
-			return false
-		}
-	}
-	return true
-}
-
 // SelectCtx evaluates a parsed tsql query against the pinned view,
 // lock-free like the engine reads. The query's Rel must name this entry.
 // The statement is compiled onto the engine's planned access path: when
 // the plan's leaf is a specialized strategy (vt binary search, tt-window
-// pushdown, index seek), the engine produces the candidate set and only
+// pushdown), the engine produces the candidate set — in arrival order, as
+// the scan would, since both searches return a stretch of a log — and only
 // it is evaluated; otherwise the view's elements are scanned — that path
 // is cooperative, re-checking the context periodically mid-scan. The
 // returned node is the executed plan; touched is its access-path cost.
@@ -1200,24 +1180,11 @@ func (e *Entry) selectOn(ctx context.Context, v *readView, q *tsql.Query) (*tsql
 	var err error
 	touched := 0
 	switch node.Leaf().Kind {
-	case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
+	case plan.VTBinarySearch, plan.TTWindowPushdown:
 		pq := tsql.PlanQuery(q)
 		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
 		touched = qres.Touched
-		if esOrdered(qres.Elements) {
-			// Already the backlog scan's row order; evaluate in place.
-			res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
-			break
-		}
-		// An ES sort restores the backlog scan's row order exactly;
-		// sort a pooled scratch copy, never the store's slice.
-		sp := selectScratch.Get().(*[]*element.Element)
-		cands := append((*sp)[:0], qres.Elements...)
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
-		res, err = tsql.EvalOnCtx(ctx, q, v.schema, cands)
-		clear(cands) // drop element references before pooling
-		*sp = cands[:0]
-		selectScratch.Put(sp)
+		res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
 	default:
 		st := v.engine.Store()
 		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.Runs(st))

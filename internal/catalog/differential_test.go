@@ -1,26 +1,29 @@
 package catalog
 
-// Differential equivalence harness for the window-aggregate engines: every
-// generated (history, query) pair is evaluated by the definition —
+// Differential equivalence harness for the window-aggregate chunk loop:
+// every generated (history, query) pair is evaluated by the definition —
 // vec.RowAggregateRuns over the pinned view's elements, which no reader,
-// plan or partial ever touches — and on six legs: through the public read
-// path once forced onto the row engine (USING ROW) and once onto the
-// columnar batch engine (USING COLUMNAR), their shared run partials in
-// whatever state the earlier statements left them, and below the result
-// cache on the pinned view each engine cold (nothing memoized under its
-// key) and warm (merging what the cold run learned). All must be identical
-// to the definition, errors included. Histories cover the temporal classes
+// plan or partial ever touches — and on three legs: through the public read
+// path, its run partials in whatever state the earlier statements left
+// them, and below the result cache on the pinned view cold (nothing
+// memoized under its key) and warm (merging what the cold run learned). All
+// must be identical to the definition, errors included, and run on the
+// access path the store's order licenses. Histories cover the temporal classes
 // the specializer distinguishes (degenerate, sequential, vt-regular,
 // violation-degraded, random), are reshaped by deletes and modifies, and
 // are respecialized + compacted mid-build so queries cross sealed runs and
 // unsealed tails. One more class, ledger, is the general organization as
 // production runs it — long early stamps, short late ones, old valid times
 // re-landing in new chunks, and nothing ever sealed — so every clamp there is
-// answered off the chunks' own zone maps. Between rounds of statements the sweep closes elements
-// inside sealed runs, appends and seals, vacuums, and corrupts and repairs a
-// run, so partials are invalidated every way they can be. A -race companion
-// repeats the comparison on pinned snapshot views while inserts, vacuum,
-// compaction and respecialization churn the live entry.
+// answered off the chunks' own zone maps. Two carry a declared two-sided
+// bound: bounded, which never leaves the tt-ordered log, and relabelled,
+// sealed on the vt-ordered log and then re-labelled down to the tt-ordered
+// one by an element out of order. Between rounds of statements the sweep
+// closes elements inside sealed runs, appends and seals, vacuums, and
+// corrupts and repairs a run, so partials are invalidated every way they
+// can be. A -race companion repeats the comparison on pinned snapshot views
+// while inserts, vacuum, compaction and respecialization churn the live
+// entry.
 
 import (
 	"bytes"
@@ -65,7 +68,7 @@ func diffValues(rng *rand.Rand) []element.Value {
 		vi = element.Null()
 	}
 	// Multiples of 1/8 are exact in binary, so sums depend only on fold
-	// order — which both engines fix to arrival order.
+	// order — which the fold fixes to arrival order.
 	vf := element.Float(float64(rng.Intn(4000))/8 - 100)
 	if rng.Intn(10) == 0 {
 		vf = element.Null()
@@ -119,9 +122,11 @@ type diffRel struct {
 	// general marks the ledger class: only the advisor decides what is
 	// compacted, and on a general relation it compacts nothing.
 	general bool
-	// bounded marks the declared strongly-bounded class: every valid time
-	// stays within boundedOff of its transaction time.
-	bounded bool
+	// bounded marks the declared strongly-bounded classes: every valid time
+	// stays within boundedOff of its transaction time. relabel marks the one
+	// of them built in valid-time order, sealed on the vt-ordered log and
+	// then re-labelled down to the tt-ordered log.
+	bounded, relabel bool
 }
 
 // boundedOff is the bounded class's declared offset bound, |vt − tt| ≤
@@ -135,11 +140,6 @@ const boundedOff = 100
 // the bound's top and the first at its bottom: a clamp at one of their valid
 // times then puts the tt-window's end exactly on that element.
 func (d *diffRel) boundedVT() int64 {
-	var now chronon.Chronon
-	_ = d.e.Locked().View(func(r *relation.Relation) error {
-		now = r.Clock().Now()
-		return nil
-	})
 	off := d.rng.Int63n(2*boundedOff+1) - boundedOff
 	switch d.e.view.Load().engine.Store().Len() % vec.BatchSize {
 	case vec.BatchSize - 1:
@@ -147,7 +147,22 @@ func (d *diffRel) boundedVT() int64 {
 	case 0:
 		off = -boundedOff
 	}
-	return int64(now) + 10 + off
+	return d.now() + 10 + off
+}
+
+// orderedVT draws the relabelled class's valid times before the re-label:
+// a few chronons past the transaction time, so each lands past the one
+// before it (the clock steps by 10) and the order is inferred.
+func (d *diffRel) orderedVT() int64 { return d.now() + 10 + d.rng.Int63n(5) }
+
+// now is the relation's transaction clock; its next write takes now + 10.
+func (d *diffRel) now() int64 {
+	var now chronon.Chronon
+	_ = d.e.Locked().View(func(r *relation.Relation) error {
+		now = r.Clock().Now()
+		return nil
+	})
+	return int64(now)
 }
 
 // stampAt builds the relation's kind of valid time-stamp starting at lo.
@@ -221,7 +236,8 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	if err != nil {
 		t.Fatalf("Create(%s): %v", name, err)
 	}
-	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng, general: class == "ledger", bounded: class == "bounded"}
+	d := &diffRel{c: c, e: e, stamp: stamp, vtHi: 1, rng: rng, general: class == "ledger",
+		bounded: class == "bounded" || class == "relabelled", relabel: class == "relabelled"}
 	if d.bounded {
 		spec, err := core.StronglyBoundedSpec(chronon.Seconds(boundedOff), chronon.Seconds(boundedOff))
 		if err != nil {
@@ -235,7 +251,10 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	var esList []surrogate.Surrogate
 	for i := 0; i < diffBuildN; i++ {
 		lo, length := classVT(class, rng, i, &cur), 1+rng.Int63n(30)
-		if d.bounded {
+		switch {
+		case d.relabel:
+			lo = d.orderedVT()
+		case d.bounded:
 			lo = d.boundedVT()
 		}
 		if d.general && i < 300 && i%2 == 0 {
@@ -259,12 +278,65 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	if got := e.Physical().Compaction.Runs; got != want {
 		t.Fatalf("%s: %d sealed runs after the build, want %d", name, got, want)
 	}
+	if d.relabel {
+		d.relabelDown(t)
+	}
 	d.appendOrdered(t, 24) // unsealed tail past the compacted prefix
+	if d.relabel {
+		d.keepsTheWindow(t)
+	}
 	return d
 }
 
-// genAggQuery emits one random aggregate statement (without USING or
-// LIMIT, which the runner appends) plus its LIMIT suffix.
+// relabelDown takes the relabelled class from the vt-ordered log, where its
+// build sealed it, to the tt-ordered log: two elements inside the declared
+// bound, at its top and then at its bottom, put the second behind the first
+// in valid time, which degrades the label; the sealed runs and the bound
+// stay.
+func (d *diffRel) relabelDown(t *testing.T) {
+	t.Helper()
+	if got := d.e.Physical().Org; got != storage.VTOrdered {
+		t.Fatalf("%s: built on the %v; the class means the vt-ordered log first", d.e.Name(), got)
+	}
+	for _, off := range []int64{boundedOff, -boundedOff} {
+		if _, err := insert(d.e, relation.Insertion{VT: d.stampAt(d.now()+10+off, 1), Varying: diffValues(d.rng)}); err != nil {
+			t.Fatalf("%s: an element at offset %d: %v", d.e.Name(), off, err)
+		}
+	}
+	p, a := d.e.Physical(), d.e.view.Load().engine.Access()
+	if p.Org != storage.TTOrdered || p.Compaction.Runs != diffBuildN/256 || !a.HasOffsetBounds {
+		t.Fatalf("%s: re-labelled to the %v with %d sealed runs, bounds %v", d.e.Name(), p.Org, p.Compaction.Runs, a.HasOffsetBounds)
+	}
+}
+
+// keepsTheWindow: after the re-label a clamped aggregate still runs inside
+// the tt window the declared bound makes of its clamp. The clamp reaches
+// into every sealed run — no zone map prunes one — and ends hundreds of
+// transaction times before the tail, which only the window passes over.
+func (d *diffRel) keepsTheWindow(t *testing.T) {
+	t.Helper()
+	els := d.e.view.Load().elems()
+	src := fmt.Sprintf("select count(*), sum(v_int) from %s when valid during [%d, %d) group by window(100)",
+		d.e.Name(), int64(els[0].VT.Start()), int64(els[2*vec.BatchSize].VT.Start())+1)
+	q, err := tsql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.e.BatchStats().ChunksPruned
+	res, node, _, err := d.e.SelectCtx(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%q: %v", src, err)
+	}
+	if node.Leaf().Kind != plan.TTWindowPushdown || d.e.BatchStats().ChunksPruned == before {
+		t.Fatalf("%q ran on %v and passed over no chunk; the tt window must bound it", src, node.Leaf().Kind)
+	}
+	if want := mustDefine(t, d.e, src); !reflect.DeepEqual(res, want) {
+		t.Fatalf("%q: %+v, the definition %+v", src, res, want)
+	}
+}
+
+// genAggQuery emits one random aggregate statement (without LIMIT, which
+// the runner appends) plus its LIMIT suffix.
 func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (base, lim string) {
 	aggs := []string{
 		"count(*)", "count(v_int)", "sum(v_int)", "sum(v_float)",
@@ -277,7 +349,7 @@ func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (b
 		parts = append(parts, aggs[rng.Intn(len(aggs))])
 	}
 	if rng.Intn(16) == 0 {
-		// Type errors must be errors in BOTH engines, with the same text.
+		// Type errors must be errors on every leg, with the same text.
 		parts = append(parts, "sum(v_str)")
 	}
 	var b strings.Builder
@@ -319,8 +391,7 @@ func genAggQuery(rng *rand.Rand, rel string, interval bool, vtHi, ttHi int64) (b
 	return b.String(), lim
 }
 
-// diffTally sums what the cold and warm executions of a sweep did, both
-// engines together.
+// diffTally sums what the cold and warm executions of a sweep did.
 type diffTally struct {
 	statements, failed     int
 	coldFolded, warmFolded int64
@@ -330,9 +401,9 @@ type diffTally struct {
 // diffColdKeys makes every statement's cold execution a key of its own.
 var diffColdKeys atomic.Int64
 
-// runDiff evaluates one statement by the definition and on six legs — row
-// and columnar through the public read path, then each engine cold and warm
-// on the pinned view — and requires identical results (or identical errors).
+// runDiff evaluates one statement by the definition and on three legs —
+// through the public read path, then cold and warm on the pinned view — and
+// requires identical results (or identical errors).
 // Returns whether the statement evaluated successfully.
 func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 	t.Helper()
@@ -344,33 +415,29 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 		}
 		return q
 	}
-	qRow := parse(base + " using row" + lim)
-	qCol := parse(base + " using columnar" + lim)
-	rRes, rNode, _, rErr := e.SelectCtx(ctx, qRow)
-	cRes, cNode, _, cErr := e.SelectCtx(ctx, qCol)
+	qDef := parse(base + lim)
+	rRes, rNode, _, rErr := e.SelectCtx(ctx, qDef)
 
 	// The oracle never sees a reader, a plan or a partial.
 	v := e.view.Load()
-	want, wantErr := v.defined(qRow)
+	want, wantErr := v.defined(qDef)
 
 	type leg struct {
 		name string
 		res  *tsql.Result
 		err  error
 	}
-	legs := []leg{{"row", rRes, rErr}, {"columnar", cRes, cErr}}
-	// Below the result cache, under a partial key nothing else uses, one
-	// per engine: the first execution finds nothing memoized, the second
-	// what the first learned.
-	_, partialFP := qCol.Fingerprints()
-	var stats [2][2]vec.ExecStats // engine × {cold, warm}
-	for i, q := range []*tsql.Query{qRow, qCol} {
-		key := fmt.Sprintf("%s#cold%d", partialFP, diffColdKeys.Add(1))
-		for j, temp := range []string{"cold", "warm"} {
-			res, _, st, err := e.executeAggregate(ctx, v, q, key)
-			legs = append(legs, leg{legs[i].name + " " + temp, res, err})
-			stats[i][j] = st
-		}
+	legs := []leg{{"read path", rRes, rErr}}
+	// Below the result cache, under a partial key nothing else uses: the
+	// first execution finds nothing memoized, the second what the first
+	// learned.
+	_, partialFP := qDef.Fingerprints()
+	key := fmt.Sprintf("%s#cold%d", partialFP, diffColdKeys.Add(1))
+	var stats [2]vec.ExecStats // cold, warm
+	for j, temp := range []string{"cold", "warm"} {
+		res, _, st, err := e.executeAggregate(ctx, v, qDef, key)
+		legs = append(legs, leg{temp, res, err})
+		stats[j] = st
 	}
 
 	tally.statements++
@@ -383,40 +450,35 @@ func runDiff(t *testing.T, e *Entry, base, lim string, tally *diffTally) bool {
 		tally.failed++
 		return false
 	}
-	if cNode.Leaf().Kind != plan.ColumnarScan {
-		t.Fatalf("%q: USING COLUMNAR compiled to %v", base+lim, cNode.Leaf().Kind)
-	}
-	// A clamp forces the row engine onto the access path its store's order
-	// licenses, which is what bounds its chunk loop.
-	rowLeaf := plan.FullScan
-	if pq := tsql.PlanQuery(qRow); pq.Kind == plan.QTimeslice || pq.Kind == plan.QVTRange {
+	// The aggregate runs on the access path the store's order licenses for
+	// the clamp, which is what bounds its chunk loop.
+	wantLeaf := plan.FullScan
+	if pq := tsql.PlanQuery(qDef); pq.Kind == plan.QTimeslice || pq.Kind == plan.QVTRange {
 		switch a := v.engine.Access(); {
 		case a.Org == plan.OrgVTLog:
-			rowLeaf = plan.VTBinarySearch
+			wantLeaf = plan.VTBinarySearch
 		case a.Org == plan.OrgTTLog && a.HasOffsetBounds:
-			rowLeaf = plan.TTWindowPushdown
+			wantLeaf = plan.TTWindowPushdown
 		}
 	}
-	if got := rNode.Leaf().Kind; got != rowLeaf {
-		t.Fatalf("%q: USING ROW compiled to %v, want %v", base+lim, got, rowLeaf)
+	if r := rNode.Leaf().Kind; r != wantLeaf {
+		t.Fatalf("%q compiled to %v; want %v", base+lim, r, wantLeaf)
 	}
 	for _, l := range legs {
 		if !reflect.DeepEqual(want, l.res) {
-			t.Fatalf("%q: %s diverges from the definition\ndefinition: %+v\n%s: %+v\nrow plan:\n%s\ncolumnar plan:\n%s",
-				base+lim, l.name, want, l.name, l.res, rNode.Render(), cNode.Render())
+			t.Fatalf("%q: %s diverges from the definition\ndefinition: %+v\n%s: %+v\nplan:\n%s",
+				base+lim, l.name, want, l.name, l.res, rNode.Render())
 		}
 	}
 	// A warm execution sees the same chunks and visits no more rows.
-	for i, engine := range []string{"row", "columnar"} {
-		cold, warm := stats[i][0], stats[i][1]
-		if cold.RunsMerged != 0 || warm.RunsMerged+warm.RunsFolded != cold.RunsFolded || warm.Rows > cold.Rows {
-			t.Fatalf("%q: %s cold %+v, warm %+v", base+lim, engine, cold, warm)
-		}
-		tally.coldFolded += cold.RunsFolded
-		tally.warmFolded += warm.RunsFolded
-		tally.warmMerged += warm.RunsMerged
-		tally.warmGroups += warm.GroupsMerged
+	cold, warm := stats[0], stats[1]
+	if cold.RunsMerged != 0 || warm.RunsMerged+warm.RunsFolded != cold.RunsFolded || warm.Rows > cold.Rows {
+		t.Fatalf("%q: cold %+v, warm %+v", base+lim, cold, warm)
 	}
+	tally.coldFolded += cold.RunsFolded
+	tally.warmFolded += warm.RunsFolded
+	tally.warmMerged += warm.RunsMerged
+	tally.warmGroups += warm.GroupsMerged
 	return true
 }
 
@@ -483,8 +545,8 @@ func diffClamps(v *readView, ends clampEnds, vtHi int64) []string {
 	return out
 }
 
-// runClamps runs each clamp through runDiff — both engines, through the read
-// path and cold and warm below it — current and under AS OF.
+// runClamps runs each clamp through runDiff — through the read path and cold
+// and warm below it — current and under AS OF.
 func runClamps(t *testing.T, e *Entry, clamps []string, tally *diffTally) {
 	t.Helper()
 	asOf := horizonOf(e.view.Load())
@@ -573,9 +635,10 @@ var diffLifecycle = []struct {
 
 // TestDifferentialRowColumnar is the seeded sweep: every history class ×
 // both valid-time kinds × every lifecycle step × a random query mix; the
-// definition against row and columnar (each as found, cold and warm).
+// definition against the chunk loop (as found, cold and warm). The name
+// predates the single fold kernel.
 func TestDifferentialRowColumnar(t *testing.T) {
-	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random", "ledger", "bounded"}
+	classes := []string{"degenerate", "sequential", "vtregular", "degraded", "random", "ledger", "bounded", "relabelled"}
 	stamps := []struct {
 		kind element.TimestampKind
 		name string
@@ -591,7 +654,7 @@ func TestDifferentialRowColumnar(t *testing.T) {
 			var tally diffTally
 			for _, st := range stamps {
 				for _, class := range classes {
-					if class == "bounded" && st.kind != element.EventStamp {
+					if (class == "bounded" || class == "relabelled") && st.kind != element.EventStamp {
 						continue // the offset bound is an event specialization
 					}
 					name := fmt.Sprintf("d_%s_%s", class, st.name)
@@ -649,11 +712,11 @@ func horizonOf(v *readView) chronon.Chronon {
 	return els[len(els)/2].TTStart
 }
 
-// TestDifferentialUnderConcurrentMutation repeats the definition/row/columnar
-// comparison on pinned snapshot views while writers churn the live entry
-// with inserts, deletes, vacuum, compaction and respecialization. The
-// pinned view makes the comparison deterministic; the -race build asserts
-// the batch reader and both fold engines never touch mutating state.
+// TestDifferentialUnderConcurrentMutation repeats the definition comparison
+// on pinned snapshot views while writers churn the live entry with inserts,
+// deletes, vacuum, compaction and respecialization. The pinned view makes
+// the comparison deterministic; the -race build asserts the batch reader
+// and the fold never touch mutating state.
 func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 	c := New(testConfig(t.TempDir()))
 	e, err := c.Create(diffSchema("churn", element.EventStamp))
@@ -759,52 +822,35 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		budget.Add(256)
 		base := bases[i%len(bases)]
-		qRow, err := tsql.Parse(base + " using row")
+		q, err := tsql.Parse(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qCol, err := tsql.Parse(base + " using columnar")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pin one published view: both engines read the same snapshot no
-		// matter what the writers do meanwhile.
+		// Pin one published view: the fold and the definition read the same
+		// snapshot no matter what the writers do meanwhile.
 		v := e.view.Load()
 		event := v.schema.ValidTime == element.EventStamp
-		specRow, err := tsql.BuildAggSpec(qRow, v.schema)
+		spec, err := tsql.BuildAggSpec(q, v.schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specCol, err := tsql.BuildAggSpec(qCol, v.schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodeRow := tsql.Compile(qRow, v.engine.Access())
-		nodeCol := tsql.Compile(qCol, v.engine.Access())
-		rRes, _, rErr := v.engine.AggregateCtx(ctx, nodeRow, specRow, event, nil)
-		cRes, _, cErr := v.engine.AggregateCtx(ctx, nodeCol, specCol, event, nil)
+		node := tsql.Compile(q, v.engine.Access())
+		rRes, _, rErr := v.engine.AggregateCtx(ctx, node, spec, event, nil)
 		// The definition leg is owed on every 25th view and paid after the
 		// churn stops, off the loop the mutators run beside.
 		if i%25 == 0 {
 			owed = append(owed, func() {
-				dRes, dErr := vec.RowAggregateRuns(ctx, specRow, storage.Runs(v.engine.Store()))
+				dRes, dErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(v.engine.Store()))
 				if (dErr != nil) != (rErr != nil) || (dErr != nil && dErr.Error() != rErr.Error()) || (dErr == nil && !reflect.DeepEqual(dRes, rRes)) {
-					t.Fatalf("iteration %d %q: the row engine diverged from the definition on a pinned view\ndefinition: %+v (%v)\nrow:        %+v (%v)",
+					t.Fatalf("iteration %d %q: the fold diverged from the definition on a pinned view\ndefinition: %+v (%v)\nfold:       %+v (%v)",
 						i, base, dRes, dErr, rRes, rErr)
 				}
 			})
 		}
-		if (rErr != nil) != (cErr != nil) || (rErr != nil && rErr.Error() != cErr.Error()) {
-			t.Fatalf("iteration %d %q: row err %v, columnar err %v", i, base, rErr, cErr)
-		}
-		if rErr == nil && !reflect.DeepEqual(rRes, cRes) {
-			t.Fatalf("iteration %d %q: engines diverge on a pinned view\nrow:      %+v\ncolumnar: %+v",
-				i, base, rRes, cRes)
-		}
 		// Also drive the public read path under churn; epochs move between
 		// the two calls, so only clean execution is asserted here.
 		if i%8 == 0 {
-			if _, _, _, err := e.SelectCtx(ctx, qRow); err != nil {
+			if _, _, _, err := e.SelectCtx(ctx, q); err != nil {
 				t.Fatalf("live SelectCtx: %v", err)
 			}
 			// The element reads' memo beside the writers: on the pinned view —

@@ -83,7 +83,7 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 		fmt.Sprintf("select es, tt_start, tt_end from %s when valid during [%d, %d) where v > 10", e.Name(), vtHi/4, vtHi),
 		fmt.Sprintf("select es from %s as of %d", e.Name(), ttHi/2),
 		fmt.Sprintf("select count(*), sum(v), min(v), max(v) from %s group by window(7)", e.Name()),
-		fmt.Sprintf("select count(*) from %s as of %d group by window(13, cumulative) using columnar", e.Name(), ttHi/2),
+		fmt.Sprintf("select count(*) from %s as of %d group by window(13, cumulative)", e.Name(), ttHi/2),
 	} {
 		q, err := tsql.Parse(src)
 		if err != nil {

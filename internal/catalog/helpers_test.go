@@ -55,7 +55,7 @@ func (v *readView) elems() []*element.Element { return storage.Elements(v.engine
 // defined answers a window aggregate by the definition: vec.RowAggregateRuns
 // (inside tsql.EvalAggregate) over every element of the pinned view, below
 // the catalog — no planner, no reader, no cache, no partial. It is the
-// oracle both engines are held to.
+// oracle the aggregate path is held to.
 func (v *readView) defined(q *tsql.Query) (*tsql.Result, error) {
 	return tsql.EvalAggregate(context.Background(), q, v.schema, storage.Runs(v.engine.Store()))
 }

@@ -323,10 +323,8 @@ func TestOverlappingIntervalDegradesTheVTOrderedLabel(t *testing.T) {
 		}
 	}
 	src := "select count(*) from iv when valid during [8990, 8999) group by window(10)"
-	for _, engine := range []string{" using row", " using columnar"} {
-		if got, want := mustAggSelect(t, e, src+engine), mustDefine(t, e, src); !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("%s: %v, the definition %v", engine, got.Rows, want.Rows)
-		}
+	if got, want := mustAggSelect(t, e, src), mustDefine(t, e, src); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("aggregate: %v, the definition %v", got.Rows, want.Rows)
 	}
 }
 

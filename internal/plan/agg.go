@@ -1,117 +1,10 @@
 package plan
 
-// Row-vs-columnar choice for window aggregates. An aggregate consumes
-// its entire candidate set, so the decision is about per-row evaluation
-// cost, not how few rows an index can touch: the columnar engine decodes
-// sealed runs straight into flat timestamp columns (a constant-factor
-// discount per row) and prunes whole runs by zone-map envelope, while
-// the row engine pays per-element method dispatch but can enter through
-// the same access paths Build picks — which wins when a narrow
-// valid-time clamp makes a binary search skip most of the store.
-
-import "fmt"
-
-// EnginePick forces or frees the row/columnar decision (the TSQL
-// `USING ROW | COLUMNAR` hint).
-type EnginePick uint8
-
-// Engine picks.
-const (
-	PickAuto EnginePick = iota
-	PickRow
-	PickColumnar
-)
-
-func (p EnginePick) String() string {
-	switch p {
-	case PickRow:
-		return "row"
-	case PickColumnar:
-		return "columnar"
-	}
-	return "auto"
-}
-
-// Cost-model constants: a sealed columnar row costs 1/colBatchFactor of
-// a row-engine row (it decodes straight into flat columns); an unsealed
-// tail row costs colTailFactor row-units — the reader gathers it field by
-// field into the batch AND the fold still visits it, so with nothing
-// sealed the batch path can never beat the row engine. Each run costs
-// one envelope probe, plus a fixed batch-machinery setup.
-const (
-	colBatchFactor = 8
-	colTailFactor  = 2
-	colSetupCost   = 16
-)
-
-// coveredEst estimates how many stored rows a query's valid-time clamp
-// covers, by linear interpolation over the store's observed extent.
-// Unbounded queries and stores without an extent cover everything.
-func coveredEst(a Access, q Query) int {
-	if q.Kind != QTimeslice && q.Kind != QVTRange {
-		return a.N
-	}
-	if !a.HasVTExtent || a.VTMax <= a.VTMin {
-		return a.N
-	}
-	lo, hi := q.VTLo, q.VTHi
-	if lo < a.VTMin {
-		lo = a.VTMin
-	}
-	if hi > a.VTMax {
-		hi = a.VTMax
-	}
-	if hi <= lo {
-		return 0
-	}
-	frac := float64(hi-lo) / float64(a.VTMax-a.VTMin)
-	est := int(frac * float64(a.N))
-	if est > a.N {
-		est = a.N
-	}
-	return est
-}
-
-// columnarCost prices the batch path: covered sealed rows at the batch
-// discount, covered tail rows at the gather surcharge, every run's
-// envelope probe, and the setup constant. Zone maps prune runs outside
-// the clamp, which the coverage scaling models.
-func columnarCost(a Access, covered int) int {
-	n := a.N
-	if n < 1 {
-		return colSetupCost
-	}
-	frac := float64(covered) / float64(n)
-	sealed := int(frac * float64(a.Sealed))
-	tail := int(frac * float64(a.N-a.Sealed))
-	return sealed/colBatchFactor + tail*colTailFactor + a.Runs + colSetupCost
-}
-
-// BuildAggregate plans a window aggregate's input: the row access path
-// (exactly what Build would run) against the columnar batch scan, by
-// estimated evaluation cost. pick forces one side; PickAuto compares.
-func BuildAggregate(a Access, q Query, pick EnginePick) *Node {
-	row := Build(a, q)
-	covered := coveredEst(a, q)
-	rowCost := row.Leaf().Est + covered
-	colCost := columnarCost(a, covered)
-	useCol := colCost < rowCost
-	switch pick {
-	case PickRow:
-		useCol = false
-	case PickColumnar:
-		useCol = true
-	}
-	if !useCol {
-		return row
-	}
-	return &Node{
-		Kind: ColumnarScan,
-		Org:  a.Org,
-		Note: fmt.Sprintf("sealed %d/%d", a.Sealed, a.N),
-		Est:  colCost,
-	}
-}
+// Window aggregates take the access path Build picks for their valid-time
+// clamp: it bounds the chunk loop every aggregate runs. How each chunk is
+// folded is not a planning decision — every chunk the memo cannot answer is
+// folded row at a time where its elements lie — and by snapshot reducibility
+// no fold kernel could change the answer.
 
 // NewWindowAggregate wraps a node in the window-aggregate operator; note
 // describes the aggregate list and window geometry for EXPLAIN.

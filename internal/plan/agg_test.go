@@ -8,18 +8,17 @@ import (
 	"repro/internal/tsql"
 )
 
-// TestAggregateLeavesOfTheBenchmarkShapes pins which access path
-// BuildAggregate picks, and at what estimate, for the aggregate statements
-// tsbench issues — the whole-relation tumbling, rolling and cumulative folds,
-// the 4,096-chronon clamp at the head and the 65,536-chronon window inside
-// the history, on the planner's choice and under USING ROW — over the three
-// accesses they meet: a sealed vt-ordered log, an unsealed tt-ordered log, and
-// one with a declared two-sided offset bound. How a leaf executes may change
-// (the chunk loop it bounds); which leaf the planner picks is this table.
+// TestAggregateLeavesOfTheBenchmarkShapes pins the access path, and its
+// estimate, that every aggregate statement tsbench issues compiles to — the
+// whole-relation tumbling, rolling and cumulative folds, the 4,096-chronon
+// clamp at the head and the 65,536-chronon window inside the history — with
+// no hint and under each USING hint, over the three accesses they meet: a
+// vt-ordered log, a tt-ordered log, and one with a declared two-sided offset
+// bound. The leaf is always Build's for the statement's planner query — a
+// hint changes nothing — and it is what bounds the chunk loop.
 func TestAggregateLeavesOfTheBenchmarkShapes(t *testing.T) {
 	const n, head = 100_000, 10 * (100_000 - 1) // vt = 10·i, as the sensor streams
-	vtLog := plan.Access{Org: plan.OrgVTLog, N: n, Sealed: 390 * 256, Runs: 390,
-		HasVTExtent: true, VTMin: 0, VTMax: head + 1}
+	vtLog := plan.Access{Org: plan.OrgVTLog, N: n}
 	ttLog := plan.Access{Org: plan.OrgTTLog, N: n}
 	bounded := ttLog
 	bounded.HasOffsetBounds, bounded.OffsetLo, bounded.OffsetHi = true, -100, 100
@@ -41,30 +40,28 @@ func TestAggregateLeavesOfTheBenchmarkShapes(t *testing.T) {
 		access string
 		a      plan.Access
 		stmts  []string
-		auto   pick
-		row    pick
+		want   pick
 	}{
-		{"vt-log", vtLog, whole, pick{plan.ColumnarScan, 13206}, pick{plan.FullScan, n}},
-		{"vt-log", vtLog, []string{newest}, pick{plan.VTBinarySearch, 18}, pick{plan.VTBinarySearch, 18}},
-		{"vt-log", vtLog, []string{window}, pick{plan.ColumnarScan, 1243}, pick{plan.VTBinarySearch, 18}},
-		{"tt-log", ttLog, append(whole, newest, window), pick{plan.FullScan, n}, pick{plan.FullScan, n}},
-		{"bounded", bounded, whole, pick{plan.FullScan, n}, pick{plan.FullScan, n}},
-		{"bounded", bounded, []string{newest}, pick{plan.TTWindowPushdown, 4297}, pick{plan.TTWindowPushdown, 4297}},
-		{"bounded", bounded, []string{window}, pick{plan.TTWindowPushdown, 65737}, pick{plan.TTWindowPushdown, 65737}},
+		{"vt-log", vtLog, whole, pick{plan.FullScan, n}},
+		{"vt-log", vtLog, []string{newest, window}, pick{plan.VTBinarySearch, 18}},
+		{"tt-log", ttLog, append(whole, newest, window), pick{plan.FullScan, n}},
+		{"bounded", bounded, whole, pick{plan.FullScan, n}},
+		{"bounded", bounded, []string{newest}, pick{plan.TTWindowPushdown, 4297}},
+		{"bounded", bounded, []string{window}, pick{plan.TTWindowPushdown, 65737}},
 	}
 	for _, c := range cases {
 		for _, stmt := range c.stmts {
-			for _, hint := range []struct {
-				suffix string
-				want   pick
-			}{{"", c.auto}, {" USING ROW", c.row}} {
-				q, err := tsql.Parse(stmt + hint.suffix)
+			for _, hint := range []string{"", " USING ROW", " USING COLUMNAR"} {
+				q, err := tsql.Parse(stmt + hint)
 				if err != nil {
-					t.Fatalf("Parse(%q): %v", stmt+hint.suffix, err)
+					t.Fatalf("Parse(%q): %v", stmt+hint, err)
 				}
-				leaf := plan.BuildAggregate(c.a, tsql.PlanQuery(q), q.Pick).Leaf()
-				if got := (pick{leaf.Kind, leaf.Est}); got != hint.want {
-					t.Errorf("%s: %q planned %v (est. %d), want %v (est. %d)", c.access, stmt+hint.suffix, got.kind, got.est, hint.want.kind, hint.want.est)
+				leaf := tsql.Compile(q, c.a).Leaf()
+				if want := plan.Build(c.a, tsql.PlanQuery(q)).Leaf(); *leaf != *want {
+					t.Errorf("%s: %q compiled to %+v, Build gives %+v", c.access, stmt+hint, *leaf, *want)
+				}
+				if got := (pick{leaf.Kind, leaf.Est}); got != c.want {
+					t.Errorf("%s: %q planned %v (est. %d), want %v (est. %d)", c.access, stmt+hint, got.kind, got.est, c.want.kind, c.want.est)
 				}
 			}
 		}

@@ -61,17 +61,6 @@ type Access struct {
 	// into transaction-time windows over a tt-ordered log.
 	HasOffsetBounds    bool
 	OffsetLo, OffsetHi int64
-	// Sealed is how many leading elements sit inside the compactor's
-	// delta-encoded frozen runs, and Runs how many runs hold them; both
-	// are zero for stores the compactor never sealed.
-	Sealed int
-	Runs   int
-	// HasVTExtent reports the store's observed valid-time span
-	// [VTMin, VTMax) — an estimate the aggregate costing uses to judge
-	// what fraction of the store a valid-time clamp covers. Exact for
-	// vt-ordered stores, absent otherwise.
-	HasVTExtent  bool
-	VTMin, VTMax int64
 }
 
 // QueryKind discriminates the temporal query shapes the planner knows.
@@ -166,9 +155,9 @@ const (
 	Filter
 	// Limit truncates the result to the first Count rows.
 	Limit
-	// ColumnarScan is the batch leaf: it reads sealed delta-encoded runs
-	// column-at-a-time (and gathers the unsealed chunks), pruning whole
-	// chunks by their zone maps.
+	// ColumnarScan is the batch leaf's name. Nothing in the module
+	// builds it; the benchmark module's mirror of the aggregate path
+	// still branches on it.
 	ColumnarScan
 	// WindowAggregate folds its input into temporal windows (GROUP BY
 	// WINDOW): tumbling, rolling, or cumulative over valid time.
@@ -247,8 +236,6 @@ func (n *Node) String() string {
 		return fmt.Sprintf("binary search (%v)", leaf.Org)
 	case BTreeIndexSeek:
 		return "b-tree index seek (vt index)"
-	case ColumnarScan:
-		return fmt.Sprintf("columnar scan (%v)", leaf.Org)
 	}
 	if leaf.Bitemporal {
 		return "full scan (bitemporal)"
@@ -285,10 +272,6 @@ func (n *Node) line() string {
 		return fmt.Sprintf("btree-index-seek on vt index (est. touched %d)", n.Est)
 	case WindowAggregate:
 		return fmt.Sprintf("window-aggregate %s (est. touched %d)", n.Note, n.Est)
-	case ColumnarScan:
-		if n.Note != "" {
-			return fmt.Sprintf("columnar-scan on %s (%s, est. touched %d)", n.Org, n.Note, n.Est)
-		}
 	}
 	target := n.Org.String()
 	if n.Bitemporal {

@@ -90,36 +90,6 @@ func TestBuildKeepsASpecializationThatTies(t *testing.T) {
 	}
 }
 
-// TestBuildAggregateChoices pins the row/columnar decision where the
-// benchmark's workloads sit: nothing sealed keeps the row engine (the batch
-// path would gather every row and fold it too), a sealed vt-ordered log takes
-// the columnar scan, a narrow clamp over it goes back to the row engine's
-// binary search, and a hint overrides either way.
-func TestBuildAggregateChoices(t *testing.T) {
-	whole := Query{Kind: QCurrent}
-	general := Access{Org: OrgTTLog, N: 20_000}
-	sealed := Access{Org: OrgVTLog, N: 100_000, Sealed: 99_840, Runs: 390, HasVTExtent: true, VTMin: 0, VTMax: 1_000_000}
-	narrow := Query{Kind: QVTRange, VTLo: 500_000, VTHi: 500_100}
-	for _, tc := range []struct {
-		name string
-		a    Access
-		q    Query
-		pick EnginePick
-		leaf NodeKind
-		est  int
-	}{
-		{"general, whole", general, whole, PickAuto, FullScan, 20_000},
-		{"general, forced columnar", general, whole, PickColumnar, ColumnarScan, 2*20_000 + colSetupCost},
-		{"sealed vt-log, whole", sealed, whole, PickAuto, ColumnarScan, 99_840/colBatchFactor + 160*colTailFactor + 390 + colSetupCost},
-		{"sealed vt-log, forced row", sealed, whole, PickRow, FullScan, 100_000},
-		{"sealed vt-log, narrow clamp", sealed, narrow, PickAuto, VTBinarySearch, bsearchCost(100_000)},
-	} {
-		if got := BuildAggregate(tc.a, tc.q, tc.pick).Leaf(); got.Kind != tc.leaf || got.Est != tc.est {
-			t.Errorf("%s: %v est %d, want %v est %d", tc.name, got.Kind, got.Est, tc.leaf, tc.est)
-		}
-	}
-}
-
 // TestMeetsReadsTheFootprint pins Query.Meets at its edges: a time-slice
 // meets a change whose inclusive hull holds its instant, a vt-range one
 // whose hull overlaps its half-open window, a rollback or as-of a change

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"repro/internal/element"
 	"repro/internal/qcache"
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -15,10 +16,10 @@ import (
 // populates, before the window mode is applied — depends only on which of
 // its elements are current, and closes are monotone and arrive in one
 // sequence, so within one generation of the store (chunk ordinal, lifetime
-// close count) identifies it exactly, on every organization, sealed or not, whichever
-// engine folded it. A query therefore merges the partial of every chunk it
-// has one for and folds only the rest: the chunks filled or closed into
-// since the last query, the ones a clamp may cut, and the partial tail.
+// close count) identifies it exactly, on every organization, sealed or not.
+// A query therefore merges the partial of every chunk it has one for and
+// folds only the rest: the chunks filled or closed into since the last
+// query, the ones a clamp may cut, and the partial tail.
 //
 // Above the chunks sit groups: every aligned stretch of groupRuns full
 // chunks, each stable or entirely closed, gets one partial merged from its
@@ -137,18 +138,17 @@ func (m *PartialMemo) solo(spec *vec.Spec) {
 	m.alone.Reset()
 }
 
-// learn folds the unit on its own (fold is the engine's kernel over the
-// unit the reader stands on), records what it contributes and merges that
-// into agg in place of folding it there, counting the visit in stats and
-// reporting whether it did. False leaves agg and stats untouched and the
-// caller folds the unit itself: when the chunk fails by itself (the plain
-// fold then reports the first error in arrival order, which may be an
-// earlier one against the running state), when its cells do not merge
-// exactly, and when they conflict with what agg holds.
-func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, fold func(*vec.ColAgg, *vec.ExecStats) error, agg *vec.ColAgg, stats *vec.ExecStats) bool {
+// learn folds the unit's rows on their own, records what they contribute
+// and merges that into agg in place of folding them there, counting the
+// visit in stats and reporting whether it did. False leaves agg and stats
+// untouched and the caller folds the unit itself: when the chunk fails by
+// itself (the plain fold then reports the first error in arrival order,
+// which may be an earlier one against the running state), when its cells
+// do not merge exactly, and when they conflict with what agg holds.
+func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, rows []*element.Element, agg *vec.ColAgg, stats *vec.ExecStats) bool {
 	m.solo(spec)
 	var visit vec.ExecStats
-	if fold(m.alone, &visit) != nil {
+	if m.alone.ConsumeRows(rows, &visit) != nil {
 		return false
 	}
 	part, exact := m.alone.Export()
@@ -160,7 +160,6 @@ func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, fold func(*vec.ColAg
 		return false
 	}
 	m.Runs.Put(u.Run, u.Closed, part, partialSize(part))
-	stats.Batches += visit.Batches
 	stats.Rows += visit.Rows
 	return true
 }

@@ -61,10 +61,10 @@ func testSpec(kind vec.WindowKind, k int64) *vec.Spec {
 	}}
 }
 
-// threeWay runs spec on the row engine, the columnar engine with no memo,
-// and the columnar engine with memo — all three through the plan's access
-// path — requires the definition's answer (or error text) from each, and
-// returns the memoized execution's stats.
+// threeWay holds the engine to the definition both ways: it runs spec with
+// no memo and with memo, both through the plan's access path; requires the
+// definition's answer (or error text) from each, and returns the memoized
+// execution's stats.
 func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.ExecStats {
 	t.Helper()
 	ctx := context.Background()
@@ -73,16 +73,14 @@ func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.E
 		pq = plan.Query{Kind: plan.QVTRange, VTLo: spec.Filter.VTLo, VTHi: spec.Filter.VTHi}
 	}
 	want, wantErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(en.Store()))
-	acc := en.Access()
-	rowRes, _, rowErr := en.AggregateCtx(ctx, plan.BuildAggregate(acc, pq, plan.PickRow), spec, true, nil)
-	col := plan.BuildAggregate(acc, pq, plan.PickColumnar)
-	dirRes, _, dirErr := en.AggregateCtx(ctx, col, spec, true, nil)
-	memRes, stats, memErr := en.AggregateCtx(ctx, col, spec, true, memo)
+	node := plan.Build(en.Access(), pq)
+	rowRes, _, rowErr := en.AggregateCtx(ctx, node, spec, true, nil)
+	memRes, stats, memErr := en.AggregateCtx(ctx, node, spec, true, memo)
 	for _, leg := range []struct {
 		name string
 		res  *vec.AggResult
 		err  error
-	}{{"row", rowRes, rowErr}, {"direct columnar", dirRes, dirErr}, {"memoized columnar", memRes, memErr}} {
+	}{{"plain", rowRes, rowErr}, {"memoized", memRes, memErr}} {
 		if (leg.err == nil) != (wantErr == nil) || (wantErr != nil && leg.err.Error() != wantErr.Error()) {
 			t.Fatalf("%s error %v, definition's %v", leg.name, leg.err, wantErr)
 		}
@@ -175,7 +173,7 @@ func TestRunPartialsColdWarmAndAfterWrites(t *testing.T) {
 	}
 	// The pinned view predates the closes: the partials learned after them
 	// are not its runs' content. It folds those two runs itself, answers as
-	// of its own snapshot (threeWay compares with the row engine on the
+	// of its own snapshot (threeWay compares with the definition on the
 	// same view), and does not displace the fresher entries.
 	if s, grew := learned(t, pinned, testSpec(vec.Tumbling, 0), mc); s.RunsMerged != 3 || s.RunsFolded != 2 || grew {
 		t.Fatalf("pinned view: %+v grew=%v, want 3 merged, 2 folded, nothing recorded", s, grew)
@@ -273,7 +271,7 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 		threeWay(t, en, one, mc.exec()) // fails in all three with one text
 		threeWay(t, en, one, mc.exec())
 		_, _, err := en.AggregateCtx(context.Background(),
-			plan.BuildAggregate(en.Access(), plan.Query{}, plan.PickColumnar), one, true, mc.exec())
+			plan.Build(en.Access(), plan.Query{}), one, true, mc.exec())
 		if err == nil || err.Error() != "vec: sum(v) over mixed int and float values" {
 			t.Fatalf("%s: error %v", name, err)
 		}
@@ -297,13 +295,13 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	guard := &vec.Spec{Width: 7, Aggs: []vec.AggCall{{Kind: vec.AggCount}}}
 	iv := New(st, nil)
 	ctx := context.Background()
-	col := plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickColumnar)
-	_, _, rowErr := iv.AggregateCtx(ctx, plan.BuildAggregate(iv.Access(), plan.Query{}, plan.PickRow), guard, false, nil)
+	node := plan.Build(iv.Access(), plan.Query{})
+	_, rowErr := vec.RowAggregateRuns(ctx, guard, storage.Runs(st))
 	mc = newMemo(bigCache)
-	for i := 0; i < 2; i++ {
-		_, _, err := iv.AggregateCtx(ctx, col, guard, false, mc.exec())
+	for i := 0; i < 4; i++ {
+		_, _, err := iv.AggregateCtx(ctx, node, guard, false, mc.exec())
 		if rowErr == nil || err == nil || err.Error() != rowErr.Error() {
-			t.Fatalf("span guard, pass %d: columnar %v, row %v", i, err, rowErr)
+			t.Fatalf("span guard, pass %d: kernel %v, definition %v", i, err, rowErr)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package query
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
@@ -38,14 +37,10 @@ type Result struct {
 
 // Engine executes temporal queries over a store. Queries are safe to run
 // concurrently as long as the store is not being mutated (the catalog layer
-// serializes writers against readers); the lifetime counters are atomic so
-// concurrent readers never race.
+// serializes writers against readers, and counts what each plan touched).
 type Engine struct {
 	store   storage.Store
 	classes []core.Class
-	queries atomic.Int64
-	touched atomic.Int64
-	plans   plan.Recorder
 
 	// Bounded-specialization pushdown: when the relation is declared with
 	// a two-sided fixed bound lo ≤ vt − tt ≤ hi, a valid-time predicate
@@ -65,12 +60,6 @@ func (en *Engine) UseVTOffsetBounds(lo, hi int64) error {
 	}
 	en.boundLo, en.boundHi, en.hasBounds = lo, hi, true
 	return nil
-}
-
-// Stats accumulates engine-lifetime counters.
-type Stats struct {
-	Queries int
-	Touched int
 }
 
 // New builds an engine over a store built for the given declared classes.
@@ -97,9 +86,9 @@ func (en *Engine) Store() storage.Store { return en.store }
 
 // Snapshot returns an engine over an immutable snapshot of the store,
 // carrying the same declared classes and pushdown bounds. The snapshot
-// engine is safe for fully concurrent queries (its store never mutates
-// and its counters are atomic); the catalog publishes one per mutation
-// epoch so readers never block behind writers.
+// engine is safe for fully concurrent queries (its store never mutates);
+// the catalog publishes one per mutation epoch so readers never block
+// behind writers.
 func (en *Engine) Snapshot() *Engine {
 	return &Engine{
 		store:     en.store.Snapshot(),
@@ -110,14 +99,6 @@ func (en *Engine) Snapshot() *Engine {
 	}
 }
 
-// Stats reports engine-lifetime counters.
-func (en *Engine) Stats() Stats {
-	return Stats{Queries: int(en.queries.Load()), Touched: int(en.touched.Load())}
-}
-
-// PlanStats reports engine-lifetime touched counts per plan kind.
-func (en *Engine) PlanStats() map[string]plan.KindStats { return en.plans.Snapshot() }
-
 // Access describes the store's capabilities to the planner.
 func (en *Engine) Access() plan.Access {
 	a := plan.Access{N: en.store.Len(), Org: en.store.Kind().PlanOrg()}
@@ -127,20 +108,6 @@ func (en *Engine) Access() plan.Access {
 	if en.hasBounds {
 		a.HasOffsetBounds, a.OffsetLo, a.OffsetHi = true, en.boundLo, en.boundHi
 	}
-	a.Sealed, a.Runs = storage.SealedInfo(en.store)
-	if a.Org == plan.OrgVTLog && a.N > 0 {
-		// The vt-ordered log's first and last elements bound its observed
-		// valid-time extent (starts are sorted; the last end is an
-		// estimate), which the aggregate costing uses for clamp coverage.
-		first, last := storage.Ends(en.store)
-		a.VTMin = int64(first.VT.Start())
-		if c, ok := last.VT.Event(); ok {
-			a.VTMax = int64(c) + 1
-		} else {
-			a.VTMax = int64(last.VT.End())
-		}
-		a.HasVTExtent = a.VTMax > a.VTMin
-	}
 	return a
 }
 
@@ -148,17 +115,10 @@ func (en *Engine) Access() plan.Access {
 // the EXPLAIN entry point.
 func (en *Engine) Plan(q plan.Query) *plan.Node { return plan.Build(en.Access(), q) }
 
-func (en *Engine) record(n *plan.Node, touched int) {
-	en.queries.Add(1)
-	en.touched.Add(int64(touched))
-	en.plans.Record(n.Leaf().Kind, touched)
-}
-
-// run plans the query, executes the chosen access path, and accounts it.
+// run plans the query and executes the chosen access path.
 func (en *Engine) run(q plan.Query) Result {
 	node := plan.Build(en.Access(), q)
 	els, spans, touched := en.execute(node, q)
-	en.record(node, touched)
 	return Result{Elements: els, Node: node, Touched: touched, Spans: spans}
 }
 

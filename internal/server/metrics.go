@@ -15,14 +15,8 @@ import (
 type Metrics struct {
 	start time.Time
 
-	mu    sync.Mutex
-	eps   map[string]*endpointStats
-	plans map[string]*planStats
-}
-
-type planStats struct {
-	requests uint64
-	touched  uint64
+	mu  sync.Mutex
+	eps map[string]*endpointStats
 }
 
 type endpointStats struct {
@@ -52,23 +46,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		start: time.Now(),
 		eps:   make(map[string]*endpointStats),
-		plans: make(map[string]*planStats),
-	}
-}
-
-// RecordPlan accounts one executed query against its plan kind (a
-// plan.NodeKind slug — the access-path leaf, not the decorators).
-func (m *Metrics) RecordPlan(kind string, touched int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.plans[kind]
-	if !ok {
-		ps = &planStats{}
-		m.plans[kind] = ps
-	}
-	ps.requests++
-	if touched > 0 {
-		ps.touched += uint64(touched)
 	}
 }
 
@@ -168,12 +145,6 @@ func (m *Metrics) Report() wire.MetricsResponse {
 		out.Endpoints[name] = em
 		out.Requests += ep.requests
 		out.Errors += ep.errors
-	}
-	if len(m.plans) > 0 {
-		out.Plans = make(map[string]wire.PlanMetrics, len(m.plans))
-		for kind, ps := range m.plans {
-			out.Plans[kind] = wire.PlanMetrics{Requests: ps.requests, Touched: ps.touched}
-		}
 	}
 	return out
 }

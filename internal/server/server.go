@@ -737,11 +737,17 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		pb := physicalBody(e.Physical())
 		integrityProvenance(&pb, e)
 		rep.Physical[name] = pb
+		for kind, ks := range e.PlanStats() {
+			if rep.Plans == nil {
+				rep.Plans = make(map[string]wire.PlanMetrics)
+			}
+			pm := rep.Plans[kind]
+			pm.Requests += uint64(ks.Queries)
+			pm.Touched += uint64(ks.Touched)
+			rep.Plans[kind] = pm
+		}
 		bs := e.BatchStats()
-		batch.Batches += bs.Batches
 		batch.Rows += bs.Rows
-		batch.ColumnarPicks += bs.ColumnarPicks
-		batch.RowPicks += bs.RowPicks
 		batch.RunsMerged += bs.RunsMerged
 		batch.GroupsMerged += bs.GroupsMerged
 		batch.RunsFolded += bs.RunsFolded
@@ -759,10 +765,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		ing.Batches += is.Batches
 		ing.BatchedElements += is.Elements
 	}
-	if batch.ColumnarPicks > 0 || batch.RowPicks > 0 {
-		if batch.Batches > 0 {
-			batch.MeanRowsPerBatch = float64(batch.Rows) / float64(batch.Batches)
-		}
+	if batch != (wire.BatchMetrics{}) {
 		rep.Batch = &batch
 	}
 	if img != (wire.ImageMetrics{}) {
@@ -1022,9 +1025,6 @@ func (s *Server) runQueryKind(ctx context.Context, e *catalog.Entry, kind string
 	if err != nil {
 		return catalog.QueryResult{}, mapError(err)
 	}
-	if res.Node != nil {
-		s.metrics.RecordPlan(res.Node.Leaf().Kind.String(), res.Touched)
-	}
 	return res, nil
 }
 
@@ -1162,15 +1162,7 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 		node = e.PlanFor(pq)
 		echo = fmt.Sprintf("kind=%s vt=%d tt=%d", kind, vt, tt)
 	}
-	advice := e.Info().Advice
-	body := wire.ExplainResponse{
-		Relation:    name,
-		Query:       echo,
-		Store:       advice.Store.String(),
-		StoreSource: advice.Source,
-		Plan:        wire.FromPlanNode(node),
-		Rendered:    node.Render(),
-	}
+	body := explainBody(name, echo, e, node)
 	cache.Put(ckey, body, int64(len(body.Query)+len(body.Rendered))+256)
 	return &response{body: body, etag: etag}, nil
 }
@@ -1208,30 +1200,34 @@ func (s *Server) handleSelect(r *http.Request) (*response, *apiError) {
 		return nil, mapError(err)
 	}
 	if q.Explain {
-		node := e.Explain(q)
-		advice := e.Info().Advice
-		return &response{body: wire.ExplainResponse{
-			Relation:    q.Rel,
-			Query:       req.Query,
-			Store:       advice.Store.String(),
-			StoreSource: advice.Source,
-			Plan:        wire.FromPlanNode(node),
-			Rendered:    node.Render(),
-		}}, nil
+		return &response{body: explainBody(q.Rel, req.Query, e, e.Explain(q))}, nil
 	}
 	res, node, touched, err := e.SelectCtx(r.Context(), q)
 	if err != nil {
 		return nil, mapError(err)
 	}
-	if node != nil {
-		s.metrics.RecordPlan(node.Leaf().Kind.String(), touched)
-	}
 	return &response{body: selectBody(q, res, node, touched), touched: touched}, nil
 }
 
+// explainBody is both EXPLAIN endpoints' answer: the plan, and the
+// organization it was planned for with its provenance, read from the
+// published physical design — like planning itself, without the relation's
+// lock, so EXPLAIN never queues behind a writer.
+func explainBody(rel, query string, e *catalog.Entry, node *plan.Node) wire.ExplainResponse {
+	p := e.Physical()
+	return wire.ExplainResponse{
+		Relation:    rel,
+		Query:       query,
+		Store:       p.Org.String(),
+		StoreSource: p.Source,
+		Plan:        wire.FromPlanNode(node),
+		Rendered:    node.Render(),
+	}
+}
+
 // selectBody renders a SELECT result for the wire. Aggregate statements
-// also report which engine executed (the plan's leaf tells: a
-// ColumnarScan leaf ran batch-at-a-time, anything else ran the row fold).
+// also name the kernel that folded the chunks the memo could not answer,
+// which is always the row kernel.
 func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) wire.SelectBody {
 	out := wire.SelectBody{
 		Columns: res.Columns,
@@ -1239,12 +1235,8 @@ func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) w
 		Plan:    wire.FromPlanNode(node),
 		Touched: touched,
 	}
-	if q.Group != nil && node != nil {
-		if node.Leaf().Kind == plan.ColumnarScan {
-			out.Engine = "columnar"
-		} else {
-			out.Engine = "row"
-		}
+	if q.Group != nil {
+		out.Engine = "row"
 	}
 	return out
 }
@@ -1285,9 +1277,6 @@ func (s *Server) handleSelectGet(r *http.Request) (*response, *apiError) {
 	res, node, touched, epoch, err := e.SelectEpochCtx(r.Context(), q)
 	if err != nil {
 		return nil, mapError(err)
-	}
-	if node != nil {
-		s.metrics.RecordPlan(node.Leaf().Kind.String(), touched)
 	}
 	out.body, out.touched, out.etag = selectBody(q, res, node, touched), touched, s.validator(name, epoch)
 	return &out, nil

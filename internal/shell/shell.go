@@ -156,9 +156,9 @@ func (s *Session) help() {
       select name from emp order by salary desc limit 10
       window aggregates (count/sum/min/max over valid-time windows):
       select count(*), sum(salary) from emp group by window(100)
-      select max(temp) from temps group by window(60, rolling 3) using columnar
+      select max(temp) from temps group by window(60, rolling 3)
       (window modes: tumbling (default) | rolling <k> | cumulative;
-       using row|columnar forces the execution engine)
+       a trailing using row|columnar is accepted and changes nothing)
   explain select ...   show the typed query plan instead of running it, e.g.:
       explain select * from temps when valid at 100
   save <rel> <file> | load <rel> <file>   (checksummed backlog format)

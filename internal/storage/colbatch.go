@@ -56,11 +56,13 @@ func DecodeRunColumns(packed []byte, n int, tts, tte, vts, vte []int64) error {
 	return nil
 }
 
-// BatchReader streams a store's elements as columnar batches in arrival
-// (ES) order — the same order Elements returns, so batch consumers see
-// the exact row order the reference engine does. Construct with
-// NewBatchReader, optionally narrow with the Set* methods, then call
-// Next until it reports false.
+// BatchReader streams a store's elements a chunk at a time in arrival
+// (ES) order — the same order Elements returns, so consumers see the exact
+// row order the reference engine does. Construct with NewBatchReader,
+// optionally narrow with the Set* and Seek* methods, then call Advance
+// until it reports false and fold each unit's Rows where they lie. Load and
+// Next decode a unit into a columnar batch instead; outside tests only the
+// benchmark module's per-layer mirror calls them.
 type BatchReader struct {
 	s     seq
 	kind  Kind

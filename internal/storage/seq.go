@@ -336,11 +336,3 @@ func Elements(st Store) []*element.Element {
 	Runs(st)(func(run []*element.Element) bool { out = append(out, run...); return true })
 	return out
 }
-
-// Ends returns the first and last stored elements, nil for an empty store.
-func Ends(st Store) (first, last *element.Element) {
-	if s := seqOf(st); s.n > 0 {
-		return s.at(0), s.at(s.n - 1)
-	}
-	return nil, nil
-}

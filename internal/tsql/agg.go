@@ -5,8 +5,8 @@ package tsql
 // one vec.Spec — the valid/transaction-time selection as a vectorizable
 // filter, Allen WHEN clauses and WHERE conjuncts as a residual row
 // predicate, the aggregate list as typed calls with column getters —
-// and both engines (row reference and columnar batch) execute that same
-// Spec, which is what makes their answers comparable bit for bit.
+// and every fold (the row reference and the engine's chunk loop) executes
+// that same Spec, which is what makes their answers comparable bit for bit.
 //
 // Semantics follow snapshot reduction over valid time: an element
 // contributes to every window its valid extent [vt⊢, vt⊣) overlaps
@@ -177,8 +177,8 @@ func aggNote(q *Query) string {
 
 // Fingerprint canonicalizes the parsed statement for the query-result
 // cache: two texts that parse to the same Query share one cache entry,
-// and every semantically distinct clause (including the USING hint,
-// which changes the plan the entry records) lands in the key.
+// and every semantically distinct clause lands in the key. A USING hint
+// changes nothing and is not in it.
 func (q *Query) Fingerprint() string {
 	result, _ := q.Fingerprints()
 	return result
@@ -192,8 +192,7 @@ func (q *Query) Fingerprint() string {
 // It leaves out what is applied around the cells: the window mode and its
 // extent (tumbling, rolling and cumulative differ only in how cells are
 // emitted), the valid-time clamp (a partial is only used for runs the
-// clamp does not cut), AS OF (never memoized), the engine hint, ORDER BY
-// and LIMIT. partial is empty for statements that are not aggregates.
+// clamp does not cut), AS OF (never memoized), ORDER BY and LIMIT. partial is empty for statements that are not aggregates.
 func (q *Query) Fingerprints() (result, partial string) {
 	var aggs, where strings.Builder
 	for _, a := range q.Aggs {
@@ -218,7 +217,6 @@ func (q *Query) Fingerprints() (result, partial string) {
 	if q.Group != nil {
 		fmt.Fprintf(&b, ";win=%d,%v,%d", q.Group.Width, q.Group.Kind, q.Group.K)
 	}
-	fmt.Fprintf(&b, ";pick=%v", q.Pick)
 	if q.HasAsOf {
 		fmt.Fprintf(&b, ";asof=%d", int64(q.AsOf))
 	}

@@ -30,20 +30,14 @@ func TestParseAggregate(t *testing.T) {
 	if q.Group == nil || q.Group.Width != 100 || q.Group.Kind != vec.Tumbling {
 		t.Fatalf("group = %+v", q.Group)
 	}
-	if q.Pick != plan.PickAuto {
-		t.Fatalf("pick = %v, want auto", q.Pick)
-	}
 
 	q = mustParse(t, "select max(temp) from temps group by window(60, rolling 3) using columnar")
 	if q.Group.Kind != vec.Rolling || q.Group.K != 3 {
 		t.Fatalf("group = %+v", q.Group)
 	}
-	if q.Pick != plan.PickColumnar {
-		t.Fatalf("pick = %v, want columnar", q.Pick)
-	}
 
 	q = mustParse(t, "select min(v) from m group by window(10, cumulative) using row limit 5")
-	if q.Group.Kind != vec.Cumulative || q.Pick != plan.PickRow || !q.HasLimit || q.Limit != 5 {
+	if q.Group.Kind != vec.Cumulative || !q.HasLimit || q.Limit != 5 {
 		t.Fatalf("q = %+v group = %+v", q, q.Group)
 	}
 
@@ -94,7 +88,6 @@ func TestAggregateFingerprint(t *testing.T) {
 		"select count(*) from emp group by window(200)",
 		"select count(*) from emp group by window(100, cumulative)",
 		"select count(*) from emp group by window(100, rolling 2)",
-		"select count(*) from emp group by window(100) using row",
 		"select sum(salary) from emp group by window(100)",
 		"select count(*) from emp as of 5 group by window(100)",
 		"select count(*) from emp when valid during [0, 50) group by window(100)",
@@ -110,11 +103,18 @@ func TestAggregateFingerprint(t *testing.T) {
 		}
 		seen[f] = src
 	}
+	// The USING hint changes nothing, so a statement and its hinted twin
+	// share one cache entry.
+	for _, hint := range []string{" using row", " using columnar"} {
+		if f := fp("select count(*) from emp group by window(100)" + hint); f != base {
+			t.Errorf("%q fingerprints as %q, want the unhinted %q", hint, f, base)
+		}
+	}
 }
 
 // TestPartialFingerprint: the two memo levels are keyed from one
 // canonicalization. Everything applied around a run's accumulator cells —
-// window mode and extent, the valid-time clamp, the engine hint, LIMIT —
+// window mode and extent, the valid-time clamp, LIMIT —
 // changes the result key and leaves the partial key alone; everything that
 // decides the cells changes both.
 func TestPartialFingerprint(t *testing.T) {
@@ -126,7 +126,7 @@ func TestPartialFingerprint(t *testing.T) {
 	}
 	// The result key is an on-the-wire-free but cache-visible format other
 	// code prefixes ("agg:"); pin it so the refactor cannot drift it.
-	if want := "rel=emp;agg=count();agg=max(salary);win=100,tumbling,0;pick=auto"; baseRes != want {
+	if want := "rel=emp;agg=count();agg=max(salary);win=100,tumbling,0"; baseRes != want {
 		t.Fatalf("result fingerprint %q, want %q", baseRes, want)
 	}
 	shared := []string{
@@ -135,7 +135,6 @@ func TestPartialFingerprint(t *testing.T) {
 		"select count(*), max(salary) from emp group by window(100, cumulative)",
 		"select count(*), max(salary) from emp when valid during [0, 5000) group by window(100)",
 		"select count(*), max(salary) from emp when valid at 7 group by window(100)",
-		"select count(*), max(salary) from emp group by window(100) using columnar",
 		"select count(*), max(salary) from emp group by window(100) limit 2",
 	}
 	for _, src := range shared {
@@ -169,45 +168,27 @@ func TestPartialFingerprint(t *testing.T) {
 	}
 }
 
+// TestCompileAggregatePlanShape: an aggregate compiles to the window-aggregate
+// operator over the access path Build picks for its clamp, and a USING hint
+// changes neither the leaf nor the operator's note.
 func TestCompileAggregatePlanShape(t *testing.T) {
-	a := plan.Access{
-		Org: plan.OrgVTLog, N: 10000, Sealed: 9984, Runs: 39,
-		HasVTExtent: true, VTMin: 0, VTMax: 100000,
-	}
-	findKind := func(n *plan.Node, k plan.NodeKind) bool {
-		for ; n != nil; n = n.Input {
-			if n.Kind == k {
-				return true
-			}
+	a := plan.Access{Org: plan.OrgVTLog, N: 10000}
+	for _, c := range []struct {
+		src, note string
+		leaf      plan.NodeKind
+	}{
+		{"select count(*) from emp group by window(100)", "count(*) window 100 tumbling", plan.FullScan},
+		{"select count(*) from emp group by window(100) using row", "count(*) window 100 tumbling", plan.FullScan},
+		{"select count(*) from emp group by window(100) using columnar", "count(*) window 100 tumbling", plan.FullScan},
+		{"select sum(salary) from emp when valid during [10, 90) group by window(5, rolling 2) using columnar", "sum(salary) window 5 rolling 2", plan.VTBinarySearch},
+	} {
+		n := Compile(mustParse(t, c.src), a)
+		if n.Kind != plan.WindowAggregate || n.Note != c.note {
+			t.Errorf("%q: root %v %q, want window-aggregate %q", c.src, n.Kind, n.Note, c.note)
 		}
-		return false
-	}
-
-	q := mustParse(t, "select count(*) from emp group by window(100) using columnar")
-	n := Compile(q, a)
-	if n.Leaf().Kind != plan.ColumnarScan {
-		t.Fatalf("leaf = %v, want columnar-scan", n.Leaf().Kind)
-	}
-	if !findKind(n, plan.WindowAggregate) {
-		t.Fatal("no window-aggregate operator in the plan")
-	}
-	if r := n.Render(); !strings.Contains(r, "columnar-scan") || !strings.Contains(r, "window-aggregate") {
-		t.Fatalf("rendering misses the batch operators:\n%s", r)
-	}
-
-	q = mustParse(t, "select count(*) from emp group by window(100) using row")
-	if n := Compile(q, a); n.Leaf().Kind == plan.ColumnarScan {
-		t.Fatal("USING ROW still picked the columnar leaf")
-	}
-
-	// A mostly-sealed scan-shaped query should win for columnar on cost.
-	q = mustParse(t, "select count(*) from emp group by window(100)")
-	if n := Compile(q, a); n.Leaf().Kind != plan.ColumnarScan {
-		t.Fatalf("auto pick chose %v over columnar on a fully sealed log", n.Leaf().Kind)
-	}
-	// An unsealed heap must not.
-	if n := Compile(q, plan.Access{Org: plan.OrgHeap, N: 100}); n.Leaf().Kind == plan.ColumnarScan {
-		t.Fatal("auto pick chose columnar with nothing sealed")
+		if got := n.Leaf().Kind; got != c.leaf {
+			t.Errorf("%q: leaf %v, want %v", c.src, got, c.leaf)
+		}
 	}
 }
 
@@ -302,9 +283,17 @@ func TestExplainAggregateShowsEngine(t *testing.T) {
 	if !strings.Contains(out, "window-aggregate") {
 		t.Fatalf("EXPLAIN misses the aggregate operator:\n%s", out)
 	}
-	// Standalone evaluation always runs the row engine; EXPLAIN must not
-	// claim a columnar scan it would not execute.
-	if strings.Contains(out, "columnar-scan") {
-		t.Fatalf("standalone EXPLAIN shows columnar scan:\n%s", out)
+	// The leaf is the access path, never a kernel.
+	if strings.Contains(out, "columnar") || !strings.Contains(out, "full-scan on heap") {
+		t.Fatalf("standalone EXPLAIN of the default:\n%s", out)
+	}
+	// A USING hint changes nothing, EXPLAIN included.
+	res, err = Run("explain select count(*) from emp group by window(50) using columnar",
+		func(string) (*relation.Relation, bool) { return r, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Format(); got != out {
+		t.Fatalf("standalone EXPLAIN under USING COLUMNAR:\n%s\nwant the default's:\n%s", got, out)
 	}
 }

@@ -50,12 +50,12 @@ func Compile(q *Query, a plan.Access) *plan.Node {
 	return n
 }
 
-// compileAggregate lowers the GROUP BY WINDOW form: the planner's
-// row-vs-columnar choice (or the USING hint) as the input, residual
-// predicates as filter decorators, the window-aggregate operator on
-// top, and LIMIT over the emitted windows.
+// compileAggregate lowers the GROUP BY WINDOW form: the access path the
+// planner picks for the statement's clamp as the input (it bounds the chunk
+// loop), residual predicates as filter decorators, the window-aggregate
+// operator on top, and LIMIT over the emitted windows.
 func compileAggregate(q *Query, a plan.Access) *plan.Node {
-	n := plan.BuildAggregate(a, PlanQuery(q), q.Pick)
+	n := plan.Build(a, PlanQuery(q))
 	if q.When != nil && q.When.Kind == WhenAllen {
 		n = plan.NewFilter(n, fmt.Sprintf("when %s", describeWhen(q.When)))
 	}

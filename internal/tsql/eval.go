@@ -358,15 +358,7 @@ func Run(src string, lookup func(name string) (*relation.Relation, bool)) (*Resu
 		return nil, fmt.Errorf("tsql: no relation %q", q.Rel)
 	}
 	if q.Explain {
-		qq := *q
-		if qq.Group != nil && qq.Pick == plan.PickAuto {
-			// Standalone evaluation always runs the row reference engine
-			// (there is no batch-capable store here); pin the plan to it
-			// so EXPLAIN shows what actually runs.
-			qq.Pick = plan.PickRow
-		}
-		node := Compile(&qq, plan.Access{Org: plan.OrgHeap, N: r.Len()})
-		return ExplainResult(node), nil
+		return ExplainResult(Compile(q, plan.Access{Org: plan.OrgHeap, N: r.Len()})), nil
 	}
 	return Eval(q, r)
 }

@@ -56,7 +56,7 @@ func FuzzParse(f *testing.F) {
 // FuzzParseAggregate drives the aggregate grammar: parsing never panics,
 // parsed statements honor the co-occurrence invariants checkAggregateShape
 // promises, and whatever parses both compiles (across every store
-// capability, including sealed columnar-capable ones) and evaluates
+// organization, with and without a declared bound) and evaluates
 // against a fixture relation without panicking.
 func FuzzParseAggregate(f *testing.F) {
 	for _, seed := range []string{
@@ -91,9 +91,9 @@ func FuzzParseAggregate(f *testing.F) {
 	}
 	accesses := []plan.Access{
 		{Org: plan.OrgHeap, N: 100},
-		{Org: plan.OrgVTLog, N: 1024, Sealed: 1024, Runs: 4, HasVTExtent: true, VTMin: 0, VTMax: 5000},
-		{Org: plan.OrgVTLog, N: 1024, Sealed: 512, Runs: 2, HasVTExtent: true, VTMin: -100, VTMax: 100},
-		{Org: plan.OrgTTLog, N: 1024, Sealed: 768, Runs: 3},
+		{Org: plan.OrgVTLog, N: 1024},
+		{Org: plan.OrgTTLog, N: 1024, HasOffsetBounds: true, OffsetLo: -100, OffsetHi: 100},
+		{Org: plan.OrgTTLog, N: 1024},
 		{Org: plan.OrgVTLog, N: 0},
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -103,7 +103,7 @@ func FuzzParseAggregate(f *testing.F) {
 		}
 		// The shape invariants the parser promises downstream layers.
 		if q.Group == nil {
-			if len(q.Aggs) > 0 || q.Pick != plan.PickAuto {
+			if len(q.Aggs) > 0 {
 				t.Fatalf("parser let aggregate state through without GROUP BY: %+v", q)
 			}
 		} else {

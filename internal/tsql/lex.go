@@ -25,8 +25,8 @@
 //	    [USING ROW|COLUMNAR] [LIMIT n]
 //
 // Each output row is one window [win_start, win_end) with one value per
-// aggregate; USING forces the row or columnar engine (the planner
-// chooses by cost otherwise).
+// aggregate. USING ROW and USING COLUMNAR are accepted and change nothing:
+// every chunk no memoized partial answers is folded row at a time.
 //
 // Times are integer chronons or 'YYYY-MM-DD[ HH:MM:SS]' strings; the
 // pseudo-columns es, os, tt_start, tt_end, vt_start, vt_end expose the

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/interval"
-	"repro/internal/plan"
 	"repro/internal/vec"
 )
 
@@ -22,10 +21,10 @@ type Query struct {
 
 	// Aggs and Group carry the temporal-aggregation form: aggregate
 	// calls in place of the select list, grouped by fixed valid-time
-	// windows. Pick is the USING engine hint.
+	// windows. A USING ROW | COLUMNAR hint is accepted after them and
+	// changes nothing: there is one fold kernel.
 	Aggs  []AggCall
 	Group *GroupWindow
-	Pick  plan.EnginePick
 
 	HasAsOf bool
 	AsOf    chronon.Chronon
@@ -147,6 +146,7 @@ func Parse(src string) (*Query, error) {
 	}
 	p := &parser{toks: toks}
 	q := &Query{}
+	using := "" // the USING hint's kernel name
 	if p.peekKeyword("explain") {
 		p.take()
 		q.Explain = true
@@ -264,18 +264,12 @@ func Parse(src string) (*Query, error) {
 		case p.peekKeyword("using"):
 			p.take()
 			t := p.take()
-			if q.Pick != plan.PickAuto {
+			if using != "" {
 				return nil, p.errf(t, "duplicate USING")
 			}
-			if t.kind == tokIdent {
-				switch strings.ToLower(t.text) {
-				case "row":
-					q.Pick = plan.PickRow
-				case "columnar":
-					q.Pick = plan.PickColumnar
-				}
-			}
-			if q.Pick == plan.PickAuto {
+			if w := strings.ToLower(t.text); t.kind == tokIdent && (w == "row" || w == "columnar") {
+				using = w
+			} else {
 				return nil, p.errf(t, "expected ROW or COLUMNAR, got %q", t.text)
 			}
 		case p.peekKeyword("limit"):
@@ -298,7 +292,7 @@ func Parse(src string) (*Query, error) {
 			if t.kind != tokEOF {
 				return nil, p.errf(t, "unexpected %q", t.text)
 			}
-			if err := q.checkAggregateShape(); err != nil {
+			if err := q.checkAggregateShape(using); err != nil {
 				return nil, err
 			}
 			return q, nil
@@ -307,14 +301,15 @@ func Parse(src string) (*Query, error) {
 }
 
 // checkAggregateShape enforces the aggregate grammar's co-occurrence
-// rules once the whole statement is in hand.
-func (q *Query) checkAggregateShape() error {
+// rules once the whole statement is in hand; using is the USING hint's
+// kernel name, empty without one.
+func (q *Query) checkAggregateShape(using string) error {
 	if q.Group == nil {
 		if len(q.Aggs) > 0 {
 			return fmt.Errorf("tsql: aggregates require GROUP BY WINDOW(...)")
 		}
-		if q.Pick != plan.PickAuto {
-			return fmt.Errorf("tsql: USING %s requires GROUP BY WINDOW(...)", q.Pick)
+		if using != "" {
+			return fmt.Errorf("tsql: USING %s requires GROUP BY WINDOW(...)", using)
 		}
 		return nil
 	}

@@ -277,9 +277,10 @@ func floorDiv(a, b int64) int64 {
 }
 
 // accum is the shared accumulation state: one cell row per populated
-// window index. The batch engine additionally memoizes the last window
-// row — vt-ordered input lands runs of consecutive rows in the same
-// window, turning most map lookups into a pointer compare.
+// window index. ColAgg's folds (ConsumeRows, Consume) additionally memoize
+// the last window row — vt-ordered input lands runs of consecutive rows in the same
+// window, turning most map lookups into a pointer compare; the reference
+// engine does not.
 type accum struct {
 	spec  *Spec
 	cells map[int64][]cell
@@ -465,21 +466,23 @@ func RowAggregate(ctx context.Context, spec *Spec, elems []*element.Element) (*A
 // RowAggregateRuns is the reference engine: row-at-a-time over elements in
 // arrival order, taken a run at a time so a store is folded where it lies,
 // using the elements' own predicate methods; it polls for cancellation
-// between runs. The differential harness holds the columnar engine to its
-// answers.
+// between runs. The differential harness holds the query engine's fold
+// (ColAgg.ConsumeRows) to its answers.
 func RowAggregateRuns(ctx context.Context, spec *Spec, runs element.Runs) (*AggResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	ac := newAccum(spec)
-	if err := runs.Do(ctx, ac.addRows); err != nil {
+	if err := runs.Do(ctx, func(run []*element.Element) error { return ac.addRows(run, false) }); err != nil {
 		return nil, err
 	}
 	return ac.emit(ctx)
 }
 
-// addRows filters one run of elements and folds the survivors in.
-func (ac *accum) addRows(run []*element.Element) error {
+// addRows filters one run of elements and folds the survivors in, through
+// the hot-window memo (add) when memo is set and without it (addUnmemoized)
+// otherwise; both update the same cells in the same order.
+func (ac *accum) addRows(run []*element.Element, memo bool) error {
 	spec, f := ac.spec, ac.spec.Filter
 	for _, e := range run {
 		if f.AsOf {
@@ -502,15 +505,22 @@ func (ac *accum) addRows(run []*element.Element) error {
 				continue
 			}
 		}
-		if err := ac.addUnmemoized(vts, vte, e); err != nil {
+		var err error
+		if memo {
+			err = ac.add(vts, vte, e)
+		} else {
+			err = ac.addUnmemoized(vts, vte, e)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// addUnmemoized is add without the hot-window memo, keeping the row
-// engine's per-contribution cost honest for benchmarking.
+// addUnmemoized is add without the hot-window memo: the reference engine's
+// fold, kept plain so it stays the definition the folds are checked
+// against.
 func (ac *accum) addUnmemoized(vtStart, vtEnd int64, e *element.Element) error {
 	s, en := vtStart, vtEnd
 	if ac.spec.Filter.HasVT {
@@ -571,7 +581,9 @@ func NewColAgg(spec *Spec) (*ColAgg, error) {
 	return &ColAgg{spec: spec, ac: newAccum(spec), sel: make([]int32, 0, BatchSize), starOnly: starOnly}, nil
 }
 
-// Consume folds one batch into the aggregation state.
+// Consume folds one batch into the aggregation state. The query engine
+// folds rows (ConsumeRows); Consume stays for the benchmark module's
+// per-layer mirror of the batch kernel.
 func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 	stats.Batches++
 	stats.Rows += int64(b.N)
@@ -599,11 +611,12 @@ func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 }
 
 // ConsumeRows folds one chunk's elements into the same state row at a time,
-// with RowAggregateRuns' own kernel: what USING ROW means for a chunk the
-// caller has no partial for.
+// where they lie, with RowAggregateRuns' filter and the hot-window memo
+// Consume uses: the fold of a chunk the caller has no partial for.
+// The cells are bit-identical to the reference engine's.
 func (a *ColAgg) ConsumeRows(rows []*element.Element, stats *ExecStats) error {
 	stats.Rows += int64(len(rows))
-	return a.ac.addRows(rows)
+	return a.ac.addRows(rows, true)
 }
 
 // consumeCounts is the vectorized COUNT(*) path: window indices come

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -100,6 +101,72 @@ func TestPartialMergeEqualsFold(t *testing.T) {
 		if !reflect.DeepEqual(direct, want) || !reflect.DeepEqual(viaParts, want) {
 			t.Fatalf("%v: folds diverge\nrow:      %+v\ndirect:   %+v\npartials: %+v", mode.kind, want, direct, viaParts)
 		}
+	}
+}
+
+// TestConsumeRowsIsTheDefinition: the row kernel, which folds through the
+// hot-window memo, gives the reference engine's answer bit for bit — float
+// sums in arrival order, NaN extremes, intervals across windows, a clamp, AS
+// OF and closed elements — and fails with its text on a mixed history.
+func TestConsumeRowsIsTheDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var elems []*element.Element
+	vt := int64(-500)
+	for i := 0; i < 2000; i++ {
+		vt += rng.Int63n(7)
+		v := element.Float(float64(rng.Intn(1000))/10 - 20)
+		switch rng.Intn(40) {
+		case 0:
+			v = element.Null()
+		case 1:
+			v = element.Float(math.NaN())
+		}
+		e := ev(i, vt, v)
+		if rng.Intn(4) == 0 {
+			e = iv(i, vt-rng.Int63n(30), vt+1+rng.Int63n(200), v)
+		}
+		if rng.Intn(6) == 0 {
+			e.TTEnd = e.TTStart + 35
+		}
+		elems = append(elems, e)
+	}
+	aggs := []AggCall{
+		{Kind: AggCount},
+		{Kind: AggSum, Col: "v", Get: getVar},
+		{Kind: AggMin, Col: "v", Get: getVar},
+		{Kind: AggMax, Col: "v", Get: getVar},
+	}
+	specs := []*Spec{
+		{Width: 16, Aggs: aggs},
+		{Width: 50, WKind: Rolling, K: 4, Aggs: aggs},
+		{Width: 7, WKind: Cumulative, Aggs: aggs, Filter: Filter{HasVT: true, VTLo: 900, VTHi: 4100}},
+		{Width: 64, Aggs: aggs, Filter: Filter{AsOf: true, TT: 9000}},
+	}
+	fold := func(spec *Spec, elems []*element.Element) (*AggResult, error) {
+		agg, err := NewColAgg(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecStats
+		for lo := 0; lo < len(elems); lo += BatchSize {
+			if err := agg.ConsumeRows(elems[lo:min(lo+BatchSize, len(elems))], &st); err != nil {
+				return nil, err
+			}
+		}
+		return agg.Result()
+	}
+	for _, spec := range specs {
+		// Printed, not DeepEqual: a NaN extreme is the same answer.
+		want := fmt.Sprint(rowAgg(t, spec, elems))
+		got, err := fold(spec, elems)
+		if err != nil || fmt.Sprint(got) != want {
+			t.Fatalf("%v window %d, filter %+v: the row kernel diverges from the reference (err %v)", spec.WKind, spec.Width, spec.Filter, err)
+		}
+	}
+	mixed := append(elems[:300:300], ev(300, int64(elems[299].VT.Start()), element.Int(1)))
+	_, wantErr := RowAggregate(context.Background(), specs[0], mixed)
+	if _, err := fold(specs[0], mixed); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("mixed sum: kernel %v, reference %v", err, wantErr)
 	}
 }
 

@@ -8,8 +8,8 @@
 // without re-chunking.
 //
 // The package deliberately depends only on element and chronon: storage
-// produces batches, the planner decides when, and tsql/query consume
-// them, so vec sits below all of them in the import graph.
+// produces batches and rows, and query folds them, so vec sits below all of
+// them in the import graph.
 package vec
 
 import (

@@ -637,9 +637,9 @@ type SelectResponse struct {
 	Rows    [][]Value `json:"rows"`
 	Plan    *PlanNode `json:"plan,omitempty"`
 	Touched int       `json:"touched"`
-	// Engine reports which execution engine served an aggregate query:
-	// "columnar" (batch-at-a-time over sealed runs) or "row" (the
-	// reference fold). Empty for non-aggregate statements.
+	// Engine names the kernel that folded an aggregate query's chunks:
+	// always "row" (one element at a time, where it lies). Empty for
+	// non-aggregate statements.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -1002,25 +1002,19 @@ type QueryCacheMetrics struct {
 	Capacity  int64  `json:"capacity"`
 }
 
-// BatchMetrics reports the batch-execution counters summed over the
-// catalog: batches and rows the columnar engine actually visited, how
-// often the planner picked each engine for an executed window aggregate,
-// how many full 256-element chunks either engine answered by merging a
-// memoized partial against folded (groups_merged: how many of those merges
+// BatchMetrics reports the window aggregates' counters summed over the
+// catalog: rows folded, how many full 256-element chunks an aggregate answered by
+// merging a memoized partial against folded (groups_merged: how many of those merges
 // were one partial standing in for an aligned group of 16 chunks, whose
 // chunks runs_merged still counts), and how many chunks it passed over
 // unread (pruned on a zone map, or outside the bounds the store's order
 // gave the access path). What the memo holds is ChunkMetrics'.
 type BatchMetrics struct {
-	Batches          int64   `json:"batches"`
-	Rows             int64   `json:"rows"`
-	MeanRowsPerBatch float64 `json:"mean_rows_per_batch"`
-	ColumnarPicks    int64   `json:"columnar_picks"`
-	RowPicks         int64   `json:"row_picks"`
-	RunsMerged       int64   `json:"runs_merged"`
-	GroupsMerged     int64   `json:"groups_merged,omitempty"`
-	RunsFolded       int64   `json:"runs_folded"`
-	ChunksPruned     int64   `json:"chunks_pruned,omitempty"`
+	Rows         int64 `json:"rows"`
+	RunsMerged   int64 `json:"runs_merged"`
+	GroupsMerged int64 `json:"groups_merged,omitempty"`
+	RunsFolded   int64 `json:"runs_folded"`
+	ChunksPruned int64 `json:"chunks_pruned,omitempty"`
 }
 
 // ImageMetrics reports, summed over the catalog, how the queries that
