@@ -111,7 +111,8 @@ bench:
 # 1000-element read, a 256-element batch, and a 2,000-element time-slice of a
 # 20 k ledger with a write before each one — the read the result cache
 # cannot help — and a cached time-slice and clamped aggregate revalidated
-# to 304 after a head insert), at -benchtime=100ms. Fast enough for
+# to 304 after a head insert, and POSTed, served by the result cache across
+# it), at -benchtime=100ms. Fast enough for
 # ci; the end-to-end numbers for the same dimensions are tsbench's
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).

@@ -1,10 +1,11 @@
 package catalog
 
 // Aggregate read-path tests: window-aggregate results are memoized under
-// (relation, "agg:"+fingerprint, epoch), so a repeat SELECT hits the cache
-// and any mutation's epoch bump invalidates it; the batch-operator
+// (relation, "agg:"+fingerprint) with the epoch they were computed at, so a
+// repeat SELECT hits the cache, a write outside the statement's footprint
+// leaves it standing and a write inside recomputes it; the batch-operator
 // counters account executed engines, not cache replays; and below the
-// result cache the per-run partials survive the writes that empty it.
+// result cache the per-run partials survive the writes that drop it.
 
 import (
 	"context"
@@ -59,8 +60,9 @@ func TestAggregateCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("window [0,10) count = %d, want 10", n)
 	}
 
-	// A mutation bumps the epoch: the same statement re-executes and the
-	// fresh result sees the new row — a stale cached window would not.
+	// Every write meets an unclamped statement: the same statement
+	// re-executes and the fresh result sees the new row — a stale cached
+	// window would not.
 	ep := e.Epoch()
 	mustInsert(t, e, 5)
 	if e.Epoch() <= ep {
@@ -84,6 +86,26 @@ func TestAggregateCacheEpochInvalidation(t *testing.T) {
 	}
 	if got := c.Cache().Stats().Hits; got != hits+2 {
 		t.Fatalf("hinted forms hit the cache %d times, want 2", got-hits)
+	}
+
+	// A clamped statement is met only by the writes inside its clamp: one
+	// past it leaves the answer standing, served at the new epoch without
+	// executing; one inside re-executes it.
+	const clamped = "select count(*) from m when valid during [0, 20) group by window(10)"
+	held := mustAggSelect(t, e, clamped)
+	st0, rows := c.Cache().Stats(), e.BatchStats().Rows
+	mustInsert(t, e, 100)
+	if got := mustAggSelect(t, e, clamped); !reflect.DeepEqual(got, held) || !reflect.DeepEqual(got.Rows, mustDefine(t, e, clamped).Rows) {
+		t.Fatalf("past the clamp: %+v, held %+v", got, held)
+	}
+	st1 := c.Cache().Stats()
+	if st1.Hits != st0.Hits+1 || st1.Revalidated != st0.Revalidated+1 || e.BatchStats().Rows != rows {
+		t.Fatalf("a write past the clamp: cache %+v -> %+v, %d rows folded", st0, st1, e.BatchStats().Rows-rows)
+	}
+	mustInsert(t, e, 15)
+	got := mustAggSelect(t, e, clamped)
+	if n, _ := got.Rows[1][2].IntVal(); n != 11 || c.Cache().Stats().Misses != st1.Misses+1 {
+		t.Fatalf("a write inside the clamp: window [10, 20) counts %d, want 11; cache %+v", n, c.Cache().Stats())
 	}
 }
 
@@ -231,6 +253,30 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 		t.Fatalf("unsealed full chunk, warm: %+v", st)
 	}
 
+	// A statement clamped behind the head is not met by an append: its
+	// answer is served across it without executing. A delete inside the
+	// clamp meets it; the next execution folds the chunk closed into.
+	const behind = "select count(*), sum(v) from s when valid during [0, 5120) group by window(2560)"
+	held := mustAggSelect(t, e, behind)
+	b0, c0 := e.BatchStats(), c.Cache().Stats()
+	appendSensor(t, e, 5*256+61, 1)
+	if got := mustAggSelect(t, e, behind); !reflect.DeepEqual(got, held) {
+		t.Fatal("the clamped answer moved across an append past it")
+	}
+	if b1, c1 := e.BatchStats(), c.Cache().Stats(); b1 != b0 || c1.Hits != c0.Hits+1 || c1.Revalidated != c0.Revalidated+1 {
+		t.Fatalf("an append past the clamp: %+v -> %+v, cache %+v -> %+v", b0, b1, c0, c1)
+	}
+	if err := remove(e, e.view.Load().elems()[3].ES); err != nil {
+		t.Fatal(err)
+	}
+	got := mustAggSelect(t, e, behind)
+	if reflect.DeepEqual(got.Rows, held.Rows) || !reflect.DeepEqual(got.Rows, mustDefine(t, e, behind).Rows) {
+		t.Fatal("a delete inside the clamp: the answer is not the definition's")
+	}
+	if b2 := e.BatchStats(); b2.RunsFolded != b0.RunsFolded+1 || c.Cache().Stats().Misses != c0.Misses+1 {
+		t.Fatalf("a delete inside the clamp: %+v -> %+v, want chunk 0 folded again", b0, b2)
+	}
+
 	// With the cache off nothing is memoized and nothing is looked up.
 	off := New(testConfig(t.TempDir()))
 	eo := sealedSensor(t, off, "s", 4*256+10)
@@ -245,9 +291,11 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 // TestChunkPartialsUnderAClampWithoutSealing closes the gap PR 19 left: a
 // full chunk knows its valid-time envelope without being sealed, so on a
 // relation no advisor ever compacts a clamped aggregate prunes the chunks the
-// clamp misses, memoizes the ones it contains, and after an append merges
-// those and folds only what the clamp cuts. 4 chunks of 2560 chronons each
-// and a tail, on the tt-ordered log.
+// clamp misses, memoizes the ones it contains, and after a write inside the
+// clamp merges those and folds only what the clamp cuts. A write outside the
+// clamp leaves the whole answer standing: it is served from the result cache
+// and nothing is merged or folded. 4 chunks of 2560 chronons each and a tail,
+// on the tt-ordered log.
 func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e, err := c.Create(relation.Schema{
@@ -261,24 +309,33 @@ func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 	if got := e.Physical(); got.Org != storage.TTOrdered || got.Compaction.Runs != 0 {
 		t.Fatalf("set-up left %v with %d sealed runs", got.Org, got.Compaction.Runs)
 	}
-	n := 4*256 + 10
+	insertAt := func(vt int64) {
+		t.Helper()
+		if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(vt)), Varying: []element.Value{element.Int(vt % 97)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		clamp          string
-		folded, merged int64 // warm, after an append
+		inside         int64 // a valid time inside the clamp
+		folded, merged int64 // warm, after a write inside the clamp
 	}{
-		{"[2560, 7680)", 0, 2}, // chunks 1 and 2 exactly; 0 and 3 pruned
-		{"[3000, 7680)", 1, 1}, // cuts chunk 1
-		{"[0, 20000)", 0, 4},   // every chunk inside
+		{"[2560, 7680)", 2560, 0, 2}, // chunks 1 and 2 exactly; 0 and 3 pruned
+		{"[3000, 7680)", 7679, 1, 1}, // cuts chunk 1
+		{"[0, 20000)", 0, 0, 4},      // every chunk inside
 	} {
 		src := "select count(*), sum(v) from s when valid during " + tc.clamp + " group by window(3000) using row"
-		mustAggSelect(t, e, src)
-		appendSensor(t, e, n, 1) // drops the result cache; every full chunk stays as it was
-		n++
-		before := e.BatchStats()
+		held := mustAggSelect(t, e, src)
+		insertAt(1_000_000) // outside every clamp: the answer stands
+		before, hits := e.BatchStats(), c.Cache().Stats().Revalidated
+		if got := mustAggSelect(t, e, src); !reflect.DeepEqual(got, held) || e.BatchStats() != before || c.Cache().Stats().Revalidated != hits+1 {
+			t.Fatalf("clamp %s after a write outside it: executed %+v -> %+v", tc.clamp, before, e.BatchStats())
+		}
+		insertAt(tc.inside) // into the tail: every full chunk stays as it was
 		warm := mustAggSelect(t, e, src)
 		after := e.BatchStats()
 		if f, m := after.RunsFolded-before.RunsFolded, after.RunsMerged-before.RunsMerged; f != tc.folded || m != tc.merged {
-			t.Fatalf("clamp %s after an append: folded %d, merged %d; want %d, %d", tc.clamp, f, m, tc.folded, tc.merged)
+			t.Fatalf("clamp %s after a write inside it: folded %d, merged %d; want %d, %d", tc.clamp, f, m, tc.folded, tc.merged)
 		}
 		if !reflect.DeepEqual(warm.Rows, mustDefine(t, e, src).Rows) {
 			t.Fatalf("clamp %s: warm rows diverge from the definition", tc.clamp)

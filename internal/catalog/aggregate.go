@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/element"
 	"repro/internal/plan"
-	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/tsql"
 	"repro/internal/vec"
@@ -22,12 +21,14 @@ type aggCacheEntry struct {
 
 // selectAggregate evaluates the GROUP BY WINDOW form of SELECT. Chunks the
 // memo cannot answer are folded row at a time where they lie. Results are
-// memoized under (relation, "agg:"+fingerprint, epoch) — an insert bumps
-// the epoch, so cached windows can never serve stale aggregates.
+// memoized under (relation, "agg:"+fingerprint) with the epoch they were
+// computed at, and served at a later epoch only when no change since meets
+// the statement's footprint (tsql.PlanQuery): a write outside its clamp,
+// or stamped after its AS OF, leaves the windows as they were.
 func (e *Entry) selectAggregate(ctx context.Context, v *readView, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	resultFP, partialFP := q.Fingerprints()
-	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + resultFP, Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
+	fp := "agg:" + resultFP
+	if hit, ok := e.cached(v, fp, tsql.PlanQuery(q)); ok {
 		ce := hit.(aggCacheEntry)
 		e.plans.Record(ce.node.Leaf().Kind, 0)
 		return ce.res, ce.node, ce.touched, nil
@@ -38,7 +39,7 @@ func (e *Entry) selectAggregate(ctx context.Context, v *readView, q *tsql.Query)
 	}
 	touched := int(stats.Rows)
 	e.plans.Record(node.Leaf().Kind, touched)
-	e.cache.Put(key, aggCacheEntry{res: res, node: node, touched: touched}, aggResultSize(res))
+	e.cache.Record(e.name, fp, v.epoch, aggCacheEntry{res: res, node: node, touched: touched}, aggResultSize(res))
 	return res, node, touched, nil
 }
 

@@ -91,8 +91,9 @@ type Config struct {
 	// snapshots, and Snapshot truncates segments the sweep has covered.
 	WAL *wal.Log
 	// CacheBytes bounds the catalog-wide query-result cache; 0 disables
-	// it. Results are keyed by (relation, fingerprint, mutation epoch), so
-	// any mutation invalidates a relation's cached results for free.
+	// it. Results are kept under (relation, fingerprint) with the epoch they
+	// were computed at, and one is served at a later epoch only when no
+	// change since met the query's footprint (validator.go).
 	CacheBytes int64
 	// Follower marks the catalog as a read-only replica: the only writer
 	// is ApplyReplicated (replaying WAL frames shipped from a primary),
@@ -750,9 +751,9 @@ func (e *Entry) publish() {
 
 // Epoch reports the relation's current mutation epoch — bumped by every
 // insert, delete, modify, declare, vacuum, and boot-time replay. The
-// result cache keys results under it, and the server's validators name it
-// (with the catalog's Lineage); Revalidate tells whether a query's answer
-// moved between two of them.
+// result cache keeps each answer with the epoch it was computed at, and
+// the server's validators name it (with the catalog's Lineage); Revalidate
+// tells whether a query's answer moved between two of them.
 func (e *Entry) Epoch() uint64 { return e.view.Load().epoch }
 
 // classesToU8 and classesFromU8 convert between the engine's class enum
@@ -868,11 +869,13 @@ func (e *Entry) rebuildEngine(r *relation.Relation) error {
 // whose promise the stored history keeps. The store, its chunks, sealed runs
 // and close counts, the tracker and the generation are the ones from before,
 // so whatever is memoized per chunk stays valid; only the engine that wraps
-// the store is new, which is how a demotion loses the pushdown bounds. Caller
-// holds the exclusive lock. The returned error reports only unusable declared
-// offset bounds; the engine is valid either way (it just runs without the
-// pushdown).
+// the store is new, which is how a demotion loses the pushdown bounds. The
+// next publish records everything: a new engine may plan a query another way,
+// and a cached answer carries the plan that produced it. Caller holds the
+// exclusive lock. The returned error reports only unusable declared offset
+// bounds; the engine is valid either way (it just runs without the pushdown).
 func (e *Entry) relabel(r *relation.Relation, decls []constraint.Descriptor) error {
+	e.pending = everything
 	schema := r.Schema()
 	classes := perRelationClasses(decls)
 	advice := storage.AdviseAuto(classes, e.activeAdopted(), schema.ValidTime)
@@ -1042,7 +1045,6 @@ func warmEnforcers(r *relation.Relation, descs []constraint.Descriptor, check bo
 // catalog, and re-advises the physical design. Caller holds the exclusive
 // lock. The error reports only unusable offset bounds (see relabel).
 func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enforcers []*constraint.Enforcer) error {
-	e.pending = everything // a new plan may answer from a re-labelled store
 	for _, en := range enforcers {
 		r.AddGuard(en)
 	}
@@ -1058,8 +1060,9 @@ type QueryResult struct {
 	Plan    string
 	Node    *plan.Node
 	Touched int
-	// Epoch is the mutation epoch of the view the result was computed on —
-	// what the server's validator for it names.
+	// Epoch is the mutation epoch of the view the result answers for — the
+	// one it was computed on, or the later one the result cache served it on
+	// — and what the server's validator for it names.
 	Epoch uint64
 	// spans names the full chunks that supplied dense stretches of Elements
 	// and Images the encoded form of those chunks, for the response's
@@ -1072,36 +1075,39 @@ type QueryResult struct {
 
 // CurrentCtx answers the conventional query.
 func (e *Entry) CurrentCtx(ctx context.Context) (QueryResult, error) {
-	return e.readCtx(ctx, "current", func(v *readView) (query.Result, error) { return v.engine.Current(), nil })
+	return e.readCtx(ctx, "current", plan.Query{Kind: plan.QCurrent},
+		func(v *readView) (query.Result, error) { return v.engine.Current(), nil })
 }
 
 // TimesliceCtx answers the historical query at vt.
 func (e *Entry) TimesliceCtx(ctx context.Context, vt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10),
+	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10), plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1},
 		func(v *readView) (query.Result, error) { return v.engine.Timeslice(vt), nil })
 }
 
 // RollbackCtx answers the rollback query at tt.
 func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10),
+	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10), plan.Query{Kind: plan.QRollback, TT: int64(tt)},
 		func(v *readView) (query.Result, error) { return v.engine.Rollback(tt), nil })
 }
 
 // readCtx runs one query against the published read view: readers
 // pin the view with a single atomic load and never touch the relation
 // lock, so a steady writer cannot convoy them. Results are memoized in
-// the catalog's cache under (relation, fingerprint, epoch); a hit is
-// returned without any engine work and still counts on the per-plan-kind
-// metrics (with zero touched — nothing was scanned).
-func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (query.Result, error)) (QueryResult, error) {
+// the catalog's cache under (relation, fingerprint) with the epoch they
+// were computed at, and served at the pinned view's epoch when no change
+// since meets pq, the query's footprint (cached). A hit is returned
+// without any engine work and still counts on the per-plan-kind metrics
+// (with zero touched — nothing was scanned).
+func (e *Entry) readCtx(ctx context.Context, fp string, pq plan.Query, run func(v *readView) (query.Result, error)) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
 	}
 	v := e.view.Load()
-	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
+	if hit, ok := e.cached(v, fp, pq); ok {
 		qr := hit.(QueryResult)
 		e.plans.Record(qr.Node.Leaf().Kind, 0)
+		qr.Epoch = v.epoch
 		qr.Images = e.images(v, qr.spans)
 		return qr, nil
 	}
@@ -1112,7 +1118,7 @@ func (e *Entry) readCtx(ctx context.Context, fp string, run func(v *readView) (q
 	e.plans.Record(res.Node.Leaf().Kind, res.Touched)
 	out := QueryResult{Elements: res.Elements, Plan: res.Node.String(), Node: res.Node, Touched: res.Touched, Epoch: v.epoch, spans: res.Spans}
 	if e.cache != nil { // a disabled cache is spared the boxing of a value it would drop
-		e.cache.Put(key, out, resultSize(out))
+		e.cache.Record(e.name, fp, v.epoch, out, resultSize(out))
 	}
 	out.Images = e.images(v, out.spans)
 	return out, nil
@@ -1139,8 +1145,9 @@ func resultSize(qr QueryResult) int64 {
 // where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
-	return e.readCtx(ctx, fp, func(v *readView) (query.Result, error) {
-		node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
+	pq := plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)}
+	return e.readCtx(ctx, fp, pq, func(v *readView) (query.Result, error) {
+		node := v.engine.Plan(pq)
 		els, spans, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
 		return query.Result{Elements: els, Node: node, Touched: touched, Spans: spans}, err
 	})
@@ -1160,7 +1167,7 @@ func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *pl
 }
 
 // SelectEpochCtx is SelectCtx that also reports the epoch of the view the
-// result was computed on — what a validator handed out with it must name.
+// result answers for — what a validator handed out with it must name.
 func (e *Entry) SelectEpochCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, uint64, error) {
 	v := e.view.Load()
 	res, node, touched, err := e.selectOn(ctx, v, q)
@@ -1281,7 +1288,6 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 // respecialize frame, live or replayed. Caller holds the exclusive lock.
 func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 	from := e.advice.Store
-	e.pending = everything
 	e.adopted = classes
 	_ = e.relabel(r, e.decls) // bounds errors only; the engine is valid
 	e.migrations++

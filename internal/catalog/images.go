@@ -6,18 +6,18 @@ import (
 )
 
 // Chunk images: the element reads' kind of the chunk memo (qcache.Chunks),
-// as chunk partials are the aggregates' (aggregate.go). The result cache keys
-// a whole answer by mutation epoch, so one write empties it; but a write
-// leaves every full chunk it did not close into holding the very elements it
-// held, and an element's encoding is as immutable as the element. What is
-// kept, then, is the encoding of each full chunk that supplied a dense
-// stretch of some answer (storage.ChunkSpan), each its own cache entry under
-// (relation, "img", store generation, chunk ordinal) and named like a
-// partial by the chunk's lifetime close count. A read after a write encodes
-// the chunks written into since the last read, the partial tail and the
-// sparse stretches, and copies the rest.
+// as chunk partials are the aggregates' (aggregate.go). The result cache
+// drops a whole answer at the first write that meets its footprint; but a
+// write leaves every full chunk it did not close into holding the very
+// elements it held, and an element's encoding is as immutable as the
+// element. What is kept, then, is the encoding of each full chunk that
+// supplied a dense stretch of some answer (storage.ChunkSpan), each its own
+// cache entry under (relation, "img", store generation, chunk ordinal) and
+// named like a partial by the chunk's lifetime close count. A read after a
+// write encodes the chunks written into since the last read, the partial
+// tail and the sparse stretches, and copies the rest.
 
-// images resolves the spans of an answer computed against v to the images
+// images resolves the spans of an answer served on v to the images
 // its encoder may copy from, building the ones that are missing or older
 // than the view and putting them in the cache. A span is left out — its
 // elements are then encoded as before — when the cache is off, when a later
@@ -34,19 +34,26 @@ func (e *Entry) images(v *readView, spans []storage.ChunkSpan) []wire.ImageSpan 
 		return nil
 	}
 	memo := e.cache.Chunks(e.name, "img", v.gen, &e.imageMemo)
+	st := v.engine.Store()
 	out := make([]wire.ImageSpan, 0, len(spans))
 	for _, sp := range spans {
-		have, exact, keep := memo.Get(sp.Chunk, sp.Closes)
+		// A chunk is named by v's close count, not the span's: an answer the
+		// result cache serves across epochs carries the spans of the view it
+		// was computed on, and a close since into one of its chunks closed
+		// none of its elements — that would have met its footprint — so the
+		// chunk as v holds it holds them all, and a splice goes by identity.
+		closes := storage.ChunkCloses(st, sp.Chunk)
+		have, exact, keep := memo.Get(sp.Chunk, closes)
 		img, _ := have.(*wire.ChunkImage)
 		if !exact {
 			if !keep {
 				continue
 			}
 			var err error
-			if img, err = wire.BuildChunkImage(storage.ChunkElements(v.engine.Store(), sp.Chunk), img); err != nil {
+			if img, err = wire.BuildChunkImage(storage.ChunkElements(st, sp.Chunk), img); err != nil {
 				continue
 			}
-			memo.Put(sp.Chunk, sp.Closes, img, img.Size())
+			memo.Put(sp.Chunk, closes, img, img.Size())
 		}
 		out = append(out, wire.ImageSpan{At: sp.At, N: sp.N, Image: img})
 	}

@@ -269,7 +269,14 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 			}
 			e.store.Replace(el, closed)
 		}
-		e.pending.note(rec.TT, el.VT)
+		// A close is noted at the closed version's tt⊢, not at its own stamp:
+		// it rewrites the tt⊣ that every rollback and as-of answer holding
+		// the version prints, and the earliest of those is at its tt⊢.
+		tt := rec.TT
+		if rec.Op == relation.OpDelete {
+			tt = min(tt, el.TTStart)
+		}
+		e.pending.note(tt, el.VT)
 		if key := m.keys[i/per]; key != "" && (i+1)%per == 0 {
 			e.dedup.remember(key, shape.op, stored, lsn)
 		}

@@ -56,7 +56,10 @@ func BenchmarkReadPathSnapshot(b *testing.B) {
 }
 
 // BenchmarkReadPathCacheHit is a result-cache hit: "timeslice" a small
-// time-slice over 4 k events; "current-ledger-40k" the current state of a
+// time-slice over 4 k events; "revalidated" the same time-slice asked after a
+// head insert it cannot see, so every hit walks the change log one epoch and
+// records the answer again (the insert runs outside the timer);
+// "current-ledger-40k" the current state of a
 // 40,000-element ledger — ≈ 7 MB of chunk images, more than one cache entry
 // holds — encoded as the server sends it. Every full chunk is one image
 // entry, so from the second read on each is spliced and none encoded
@@ -79,6 +82,34 @@ func BenchmarkReadPathCacheHit(b *testing.B) {
 			if len(res.Elements) == 0 {
 				b.Fatal("cache hit returned nothing")
 			}
+		}
+	})
+	b.Run("revalidated", func(b *testing.B) {
+		const elements = 4096
+		e := benchEntry(b, Config{CacheBytes: 1 << 20}, elements)
+		fixed := chronon.Chronon(elements / 2)
+		if _, err := e.TimesliceCtx(ctx, fixed); err != nil { // fill the cache
+			b.Fatalf("warm: %v", err)
+		}
+		before := e.cache.Stats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if _, err := insert(e, relation.Insertion{VT: element.EventAt(chronon.Chronon(elements + i))}); err != nil {
+				b.Fatalf("Insert: %v", err)
+			}
+			b.StartTimer()
+			res, err := e.TimesliceCtx(ctx, fixed)
+			if err != nil {
+				b.Fatalf("Timeslice: %v", err)
+			}
+			if len(res.Elements) == 0 || res.Epoch != e.Epoch() {
+				b.Fatalf("the hit returned %d elements at epoch %d of %d", len(res.Elements), res.Epoch, e.Epoch())
+			}
+		}
+		b.StopTimer()
+		if st := e.cache.Stats(); st.Revalidated-before.Revalidated != uint64(b.N) {
+			b.Fatalf("%d of %d reads were served across the insert", st.Revalidated-before.Revalidated, b.N)
 		}
 	})
 	b.Run("current-ledger-40k", func(b *testing.B) {

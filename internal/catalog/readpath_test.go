@@ -1,12 +1,15 @@
 package catalog
 
 // Read-path tests: the epoch-stamped snapshot views, the plan-keyed result
-// cache, and their interaction with every mutation kind. The stress test is
+// cache — an answer kept with its epoch, served across the writes that
+// cannot reach it — and their interaction with every mutation kind. The stress test is
 // the -race companion of the design: readers pin a published view and never
 // block behind (or observe half of) a concurrent writer.
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -121,8 +124,20 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 		}
 	}
 
-	// A mutation bumps the epoch: the same query misses and recomputes
-	// against the new view.
+	// A write the time-slice cannot see — valid elsewhere — leaves its
+	// answer standing: a hit at the new epoch, counted revalidated.
+	mustInsert(t, e, 9)
+	rv, err := e.TimesliceCtx(ctx, 5)
+	if err != nil {
+		t.Fatalf("timeslice: %v", err)
+	}
+	if st := c.Cache().Stats(); st.Hits != st1.Hits+1 || st.Revalidated != st1.Revalidated+1 || rv.Epoch != e.Epoch() || len(rv.Elements) != len(r1.Elements) {
+		t.Fatalf("after a write at vt 9: epoch %d of %d, %d elements, cache %+v", rv.Epoch, e.Epoch(), len(rv.Elements), st)
+	}
+	st1 = c.Cache().Stats()
+
+	// A write valid at the instant meets it: the same query misses and
+	// recomputes against the new view.
 	mustInsert(t, e, 5)
 	r3, err := e.TimesliceCtx(ctx, 5)
 	if err != nil {
@@ -136,11 +151,12 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 			len(r3.Elements), len(r1.Elements)+1)
 	}
 	st2 := c.Cache().Stats()
-	if st2.Hits != st1.Hits {
+	if st2.Hits != st1.Hits || st2.Misses != st1.Misses+1 {
 		t.Fatalf("post-mutation query served stale cache: %+v", st2)
 	}
 
-	// Declare and vacuum invalidate the same way: fresh epoch, fresh miss.
+	// Declare and vacuum change everything: fresh epoch, fresh miss — the
+	// vacuum's writes at vt 4 alone would not have.
 	for _, step := range []struct {
 		op  string
 		run func() error
@@ -162,12 +178,13 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 		if err := step.run(); err != nil {
 			t.Fatalf("%s: %v", step.op, err)
 		}
+		misses := c.Cache().Stats().Misses
 		after, err := e.TimesliceCtx(ctx, 5)
 		if err != nil {
 			t.Fatalf("%s timeslice: %v", step.op, err)
 		}
-		if after.Epoch <= before.Epoch {
-			t.Fatalf("%s did not invalidate: epoch %d -> %d", step.op, before.Epoch, after.Epoch)
+		if after.Epoch <= before.Epoch || c.Cache().Stats().Misses != misses+1 {
+			t.Fatalf("%s did not invalidate: epoch %d -> %d, %d misses", step.op, before.Epoch, after.Epoch, c.Cache().Stats().Misses-misses)
 		}
 	}
 }
@@ -424,5 +441,135 @@ func TestSnapshotReadStress(t *testing.T) {
 	}
 	if len(res.Elements) == 0 {
 		t.Fatal("final current empty")
+	}
+}
+
+// TestOlderViewNeverDisplacesAFresherResult holds the result cache's half of
+// the one rule in qcache's put: an answer recorded at an epoch is never
+// replaced by one an older pinned view computed. A reader still holding the
+// view from before a delete inside a clamped aggregate's clamp gets that
+// view's own answer — computed, since the entry is a later view's — and
+// leaves the later answer where it is. Then readers race a writer that
+// appends past the clamp and deletes inside it: every answer, served across
+// epochs or computed, is the definition's on the view it came from.
+func TestOlderViewNeverDisplacesAFresherResult(t *testing.T) {
+	c := New(cachedConfig(t.TempDir()))
+	e := sealedSensor(t, c, "s", 3*256+5) // vt = 10·i
+	ctx := context.Background()
+	const clamped = "select count(*), sum(v) from s when valid during [0, 5000) group by window(1000)"
+	q, err := tsql.Parse(clamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := func(v *readView) *tsql.Result {
+		t.Helper()
+		res, _, _, err := e.selectOn(ctx, v, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := v.defined(q); err != nil || !reflect.DeepEqual(res.Rows, want.Rows) {
+			t.Fatalf("epoch %d: the answer is not the definition's (%v)", v.epoch, err)
+		}
+		return res
+	}
+	old := e.view.Load()
+	first := on(old)
+	if err := remove(e, old.elems()[7].ES); err != nil {
+		t.Fatal(err)
+	}
+	fresh := e.view.Load()
+	now := on(fresh)
+	if reflect.DeepEqual(now.Rows, first.Rows) {
+		t.Fatal("the delete did not change the answer; the test proves nothing")
+	}
+	st := c.Cache().Stats()
+	if again := on(old); !reflect.DeepEqual(again.Rows, first.Rows) || c.Cache().Stats().Misses != st.Misses+1 {
+		t.Fatalf("the older view was not answered afresh: cache %+v -> %+v", st, c.Cache().Stats())
+	}
+	st = c.Cache().Stats()
+	if got := on(fresh); got != now || c.Cache().Stats().Hits != st.Hits+1 {
+		t.Fatal("the older view displaced the fresher answer")
+	}
+	appendSensor(t, e, 3*256+5, 1) // past the clamp
+	if got := on(e.view.Load()); got != now || c.Cache().Stats().Revalidated != st.Revalidated+1 {
+		t.Fatal("the fresher answer was not served across an append past its clamp")
+	}
+
+	// The race: the writer books every view it publishes, so that a reader
+	// can hold an element answer to the view of the epoch it names.
+	var views sync.Map
+	views.Store(e.Epoch(), e.view.Load())
+	viewAt := func(ep uint64) *readView {
+		for {
+			if v, ok := views.Load(ep); ok {
+				return v.(*readView)
+			}
+			runtime.Gosched()
+		}
+	}
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		n := 3*256 + 6
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if round%3 == 0 {
+				els := e.view.Load().elems()
+				_ = remove(e, els[(round*131)%len(els)].ES) // repeats fail, legitimately
+			} else {
+				if err := appendSensorErr(e, n, 4); err != nil {
+					t.Errorf("InsertBatch: %v", err)
+					return
+				}
+				n += 4
+			}
+			views.Store(e.Epoch(), e.view.Load())
+		}
+	}()
+	srcs := []string{clamped, "select max(v) from s when valid during [2000, 9000) group by window(3000)", "select count(*) from s group by window(5000)"}
+	for r := range 3 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := range 60 {
+				v, src := e.view.Load(), srcs[(i+r)%len(srcs)]
+				q, err := tsql.Parse(src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, _, _, err := e.selectOn(ctx, v, q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want, err := v.defined(q); err != nil || !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Errorf("%q on epoch %d: not the definition's answer (%v)", src, v.epoch, err)
+					return
+				}
+				ts, err := e.TimesliceCtx(ctx, chronon.Chronon(10*(i%40)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := viewAt(ts.Epoch).engine.Timeslice(chronon.Chronon(10 * (i % 40)))
+				if len(ts.Elements) != len(want.Elements) || len(ts.Elements) > 0 && ts.Elements[0] != want.Elements[0] {
+					t.Errorf("time-slice at %d on epoch %d: %d elements, the view holds %d", 10*(i%40), ts.Epoch, len(ts.Elements), len(want.Elements))
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	if st := c.Cache().Stats(); st.Revalidated == 0 {
+		t.Fatalf("nothing was served across epochs under concurrency: %+v", st)
 	}
 }

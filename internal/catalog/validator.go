@@ -153,6 +153,13 @@ func (e *Entry) revalidate(v *readView, epoch uint64, fp plan.Query) Validation 
 	return ValidationRevalidated
 }
 
+// cached is the result cache's answer to the query fp, whose footprint is
+// pq, on the pinned view v: the answer recorded at v's epoch, or one
+// recorded at an earlier epoch that no change since meets.
+func (e *Entry) cached(v *readView, fp string, pq plan.Query) (any, bool) {
+	return e.cache.Answer(e.name, fp, v.epoch, func(at uint64) bool { return e.revalidate(v, at, pq).NotModified() })
+}
+
 // newLineage draws the token that tells this catalog's epochs from those of
 // every other boot and node: epochs restart at each boot, so an epoch alone
 // would let a validator from before a crash match a different state after it.

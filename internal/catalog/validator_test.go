@@ -6,9 +6,13 @@ package catalog
 // last revalidation — on a primary and on a follower fed its log. A 304 must
 // hand back what a recomputation at the current epoch answers, and every
 // "changed" must be explained by a change, summarized independently from what
-// the step did, that meets the query's footprint.
+// the step did, that meets the query's footprint. The same holds for the
+// result cache, which serves an answer across epochs by the same walk: every
+// answer the catalog gives, cached or not, is the definition's on the view it
+// pinned.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -31,6 +35,7 @@ import (
 	"repro/internal/tsql"
 	"repro/internal/tx"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // backwardClock steps back every seventh transaction; the relation stamps
@@ -107,10 +112,9 @@ func (m stepModel) sees(fp plan.Query) bool {
 // probe is one query a client keeps asking: its footprint, its answer
 // through the catalog (result cache, memo and planner included) with the
 // epoch of the view it came from, and its answer by definition over a pinned
-// view. Answers are rendered as strings; element answers leave out tt⊣,
-// which a later close moves in a rollback or as-of answer without changing
-// which elements answer (the answer as of tt cannot know of a close after
-// it, and the footprint says so).
+// view. Answers are rendered as strings: an element answer as its elements'
+// encodings, tt⊣ included — a close moves the tt⊣ a rollback or as-of answer
+// prints for the version it closes, so it must meet their footprint.
 type probe struct {
 	name   string
 	fp     plan.Query
@@ -125,23 +129,27 @@ type held struct {
 	ok    bool
 }
 
-func elementKeys(els []*element.Element) string {
+func elementKeys(t testing.TB, els []*element.Element) string {
 	keys := make([]string, len(els))
 	for i, el := range els {
-		keys[i] = fmt.Sprintf("%v|%v|%v|%v", el.ES, el.VT, el.TTStart, el.Varying)
+		b, err := wire.AppendElement(nil, el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = string(b)
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")
 }
 
-func filterView(v *readView, keep func(*element.Element) bool) string {
+func filterView(t testing.TB, v *readView, keep func(*element.Element) bool) string {
 	var out []*element.Element
 	for _, el := range storage.Elements(v.engine.Store()) {
 		if keep(el) {
 			out = append(out, el)
 		}
 	}
-	return elementKeys(out)
+	return elementKeys(t, out)
 }
 
 // probesFor builds the query palette of one relation: the four query kinds,
@@ -158,8 +166,21 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 	var ps []probe
 	kind := func(name string, fp plan.Query, run func(e *Entry) QueryResult, keep func(*element.Element) bool) {
 		ps = append(ps, probe{name: name, fp: fp,
-			answer: func(e *Entry) (string, uint64) { r := run(e); return elementKeys(r.Elements), r.Epoch },
-			oracle: func(v *readView) string { return filterView(v, keep) }})
+			answer: func(e *Entry) (string, uint64) {
+				r := run(e)
+				// The body as the server sends it — spliced from chunk images
+				// named at the view the answer is served on — is the body the
+				// elements encode to.
+				spliced, err := wire.QueryBody{Elements: r.Elements, Images: r.Images}.AppendJSON(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain, _ := (wire.QueryBody{Elements: r.Elements}).AppendJSON(nil); !bytes.Equal(spliced, plain) {
+					t.Fatalf("%s at epoch %d: the spliced body is not the encoded one", name, r.Epoch)
+				}
+				return elementKeys(t, r.Elements), r.Epoch
+			},
+			oracle: func(v *readView) string { return filterView(t, v, keep) }})
 	}
 	kind("current", plan.Query{Kind: plan.QCurrent}, current, (*element.Element).Current)
 	for range 3 {
@@ -230,7 +251,9 @@ type outcomes map[Validation]int
 // check revalidates every held validator of r at the current epoch: a 304
 // must hand back what the definition answers at that epoch, a "changed"
 // must be explained by a modelled change that meets the footprint. Then some
-// probes refresh their body, as a client that asked again would.
+// probes refresh their body, as a client that asked again would, and some
+// more are asked through the catalog alone — the POST path, whose result
+// cache answers across epochs — every answer held to the definition.
 func (r *validatorRel) check(t *testing.T, rng *rand.Rand, where string, tally outcomes) {
 	t.Helper()
 	v := r.e.view.Load()
@@ -265,14 +288,18 @@ func (r *validatorRel) check(t *testing.T, rng *rand.Rand, where string, tally o
 				t.Fatalf("%s %s: validator of epoch %d unknown at %d", where, p.name, h.epoch, now)
 			}
 		}
-		if !h.ok || rng.Intn(5) == 0 {
-			body, ep := p.answer(r.e)
-			if ep != v.epoch {
-				t.Fatalf("%s %s: answered at epoch %d, the view is at %d", where, p.name, ep, v.epoch)
-			}
-			if want := p.oracle(v); body != want {
-				t.Fatalf("%s %s: the catalog answers\n %s\nthe definition\n %s", where, p.name, body, want)
-			}
+		refresh := !h.ok || rng.Intn(5) == 0
+		if !refresh && rng.Intn(3) != 0 {
+			continue
+		}
+		body, ep := p.answer(r.e)
+		if ep != v.epoch {
+			t.Fatalf("%s %s: answered at epoch %d, the view is at %d", where, p.name, ep, v.epoch)
+		}
+		if want := p.oracle(v); body != want {
+			t.Fatalf("%s %s: the catalog answers\n %s\nthe definition\n %s", where, p.name, body, want)
+		}
+		if refresh {
 			*h = held{body: body, epoch: ep, ok: true}
 		}
 	}
@@ -349,10 +376,17 @@ func (d *validatorDriver) find(e *Entry, es surrogate.Surrogate) *element.Elemen
 	return nil
 }
 
-// step runs one random mutation on e and returns what it changed.
-func (d *validatorDriver) step(t *testing.T, e *Entry) stepModel {
+// step runs one random mutation on e and returns what it changed. A close
+// changes what answers from the closed version's tt⊢ on (the tt⊣ they
+// print), and a write that degrades the store's label changes everything.
+func (d *validatorDriver) step(t *testing.T, e *Entry) (m stepModel) {
 	ctx := context.Background()
-	var m stepModel
+	org := e.Physical().Org
+	defer func() {
+		if e.Physical().Org != org {
+			m.everything = true
+		}
+	}()
 	ids := d.live[e]
 	pick := func() (int, surrogate.Surrogate) {
 		i := d.rng.Intn(len(ids))
@@ -385,7 +419,7 @@ func (d *validatorDriver) step(t *testing.T, e *Entry) stepModel {
 		if err := remove(e, es); err != nil {
 			t.Fatalf("delete %v: %v", es, err)
 		}
-		m.add(closeStamp(e, es), old.VT)
+		m.add(min(closeStamp(e, es), old.TTStart), old.VT)
 		d.live[e] = append(ids[:i:i], ids[i+1:]...)
 	case p < 74 && len(ids) > 0:
 		i, es := pick()
@@ -394,7 +428,7 @@ func (d *validatorDriver) step(t *testing.T, e *Entry) stepModel {
 		if err != nil {
 			return m // refused by a declaration: nothing published
 		}
-		m.add(repl.TTStart, old.VT)
+		m.add(min(repl.TTStart, old.TTStart), old.VT)
 		m.add(repl.TTStart, repl.VT)
 		d.live[e] = append(append(ids[:i:i], ids[i+1:]...), repl.ES)
 	case p < 80:
@@ -545,6 +579,14 @@ func TestConditionalReadsAgainstTheDefinition(t *testing.T) {
 				}
 			}
 			_ = w.Close()
+			// The result cache answered across epochs on both nodes.
+			for node, cat := range map[string]*Catalog{"primary": c, "follower": f} {
+				st := cat.Cache().Stats()
+				if st.Revalidated == 0 {
+					t.Fatalf("the %s's result cache served nothing across epochs: %+v", node, st)
+				}
+				t.Logf("%s's result cache: %d hits, %d of them revalidated, %d misses", node, st.Hits, st.Revalidated, st.Misses)
+			}
 		})
 	}
 	t.Logf("outcomes: %d same, %d revalidated, %d changed", tally[ValidationSame], tally[ValidationRevalidated], tally[ValidationChanged])
@@ -668,11 +710,14 @@ func TestRevalidateUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestChangeSummaries pins the summary each kind of publish records: an
-// insert its stamp and valid time, a delete the close stamp and the closed
-// element's valid time, a modify both elements at one stamp, an interval's
-// last chronon inclusive; a vacuum everything.
+// insert its stamp and valid time, a delete the closed version's tt⊢ and
+// valid time, a modify both elements with the replaced version's tt⊢, an
+// interval's last chronon inclusive; a vacuum everything. A close rewrites
+// the tt⊣ a rollback prints for the version from its tt⊢ on, so a rollback
+// validator held across the delete of an element in its answer is changed,
+// and the answer the result cache then gives prints the close.
 func TestChangeSummaries(t *testing.T) {
-	c := New(Config{NewClock: logicalClock})
+	c := New(Config{NewClock: logicalClock, CacheBytes: 1 << 20})
 	e, err := c.Create(relation.Schema{Name: "iv", ValidTime: element.IntervalStamp, Granularity: chronon.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -699,14 +744,26 @@ func TestChangeSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := last(), (change{minTT: int64(b.TTStart), vtLo: 100, vtLast: 500, noted: true}); got != want {
+	if got, want := last(), (change{minTT: int64(a.TTStart), vtLo: 100, vtLast: 500, noted: true}); got != want {
 		t.Fatalf("modify recorded %+v, want %+v", got, want)
+	}
+	rb := plan.Query{Kind: plan.QRollback, TT: int64(b.TTStart)}
+	held := rollback(e, b.TTStart)
+	if len(held.Elements) != 1 || held.Elements[0].TTEnd != chronon.Forever {
+		t.Fatalf("rollback to %d before the delete: %v", b.TTStart, held.Elements)
 	}
 	if err := remove(e, b.ES); err != nil {
 		t.Fatal(err)
 	}
-	if got := last(); got.vtLo != 500 || got.vtLast != 500 || got.minTT <= int64(b.TTStart) {
-		t.Fatalf("delete recorded %+v", got)
+	if got, want := last(), (change{minTT: int64(b.TTStart), vtLo: 500, vtLast: 500, noted: true}); got != want {
+		t.Fatalf("delete recorded %+v, want %+v", got, want)
+	}
+	if _, got := e.Revalidate(held.Epoch, rb); got != ValidationChanged {
+		t.Fatalf("a rollback validator held across the delete of its element: %v", got)
+	}
+	now := rollback(e, b.TTStart)
+	if len(now.Elements) != 1 || now.Elements[0].TTEnd != closeStamp(e, b.ES) || now.Epoch != e.Epoch() {
+		t.Fatalf("rollback to %d after the delete: %v at epoch %d", b.TTStart, now.Elements, now.Epoch)
 	}
 	if n, err := e.Vacuum(e.Locked().Unwrap().Clock().Now()); err != nil || n != 2 {
 		t.Fatalf("vacuum removed %d: %v", n, err)

@@ -1,6 +1,10 @@
 package qcache
 
-import "testing"
+import (
+	"math/rand"
+	"sync"
+	"testing"
+)
 
 func key(fp string, epoch uint64) Key {
 	return Key{Rel: "r", Fingerprint: fp, Epoch: epoch}
@@ -182,5 +186,77 @@ func TestChunkBytesFollowEviction(t *testing.T) {
 	m.Put(3, 1, "x", 20)
 	if st := c.Stats(); st.ChunkBytes != 120 || st.Bytes != 720 {
 		t.Fatalf("after a replacement: %+v", st)
+	}
+}
+
+// TestOlderViewNeverDisplacesAFresherResult: a whole result keeps the epoch
+// it was computed at. A lookup at that epoch hits without asking anything;
+// at a later one it hits only when holds vouches for what changed since,
+// and is then recorded at the later epoch; at an earlier one — an older
+// pinned view — it misses without asking, and neither that view's lookup
+// nor its Record displaces the fresher answer. Recorders racing over every
+// epoch leave one recorded at the newest.
+func TestOlderViewNeverDisplacesAFresherResult(t *testing.T) {
+	c := New(800) // maxEntry = 100
+	var asked []uint64
+	holds := func(ok bool) func(uint64) bool {
+		return func(at uint64) bool { asked = append(asked, at); return ok }
+	}
+	answer := func(epoch uint64, ok bool) (any, bool) { return c.Answer("r", "q", epoch, holds(ok)) }
+	c.Record("r", "q", 5, "at5", 40)
+	if v, ok := answer(5, false); !ok || v != "at5" || len(asked) != 0 {
+		t.Fatalf("same epoch: %v %v, asked %v", v, ok, asked)
+	}
+	if _, ok := answer(3, true); ok || len(asked) != 0 {
+		t.Fatalf("an older view was served a later answer, asked %v", asked)
+	}
+	c.Record("r", "q", 3, "at3", 40)
+	if v, ok := answer(5, false); !ok || v != "at5" {
+		t.Fatalf("an older view's record displaced the later answer: %v %v", v, ok)
+	}
+	if _, ok := answer(7, false); ok || len(asked) != 1 || asked[0] != 5 {
+		t.Fatalf("a change met since: served %v, asked %v", ok, asked)
+	}
+	if v, ok := answer(7, true); !ok || v != "at5" || len(asked) != 2 || asked[1] != 5 {
+		t.Fatalf("nothing met since: %v %v, asked %v", v, ok, asked)
+	}
+	if v, ok := answer(7, false); !ok || v != "at5" || len(asked) != 2 {
+		t.Fatalf("the revalidated answer was not recorded at its epoch: %v %v, asked %v", v, ok, asked)
+	}
+	c.Record("r", "q", 6, "at6", 40)
+	if v, ok := answer(7, false); !ok || v != "at5" {
+		t.Fatalf("an older view's record displaced the revalidated answer: %v %v", v, ok)
+	}
+	if v, ok := c.Answer("r", "other", 7, holds(true)); ok || v != nil {
+		t.Fatal("another query shares the entry")
+	}
+	if st := c.Stats(); st.Hits != 5 || st.Misses != 3 || st.Revalidated != 1 || st.Entries != 1 || st.Bytes != 40 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	const newest = 400
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 2000 {
+				ep := uint64(1 + rng.Intn(newest))
+				if rng.Intn(2) == 0 {
+					c.Record("r", "race", ep, ep, 40)
+				} else if v, ok := c.Answer("r", "race", ep, func(at uint64) bool { return at < ep }); ok && v.(uint64) > ep {
+					t.Errorf("epoch %d answered with the value of epoch %v", ep, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Record("r", "race", newest, uint64(newest), 40)
+	for ep := uint64(1); ep < newest; ep++ {
+		c.Record("r", "race", ep, ep, 40)
+	}
+	if v, ok := c.Answer("r", "race", newest, func(uint64) bool { t.Fatal("asked at the newest epoch"); return false }); !ok || v.(uint64) > newest {
+		t.Fatalf("the newest epoch's answer did not stand: %v %v", v, ok)
 	}
 }

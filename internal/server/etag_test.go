@@ -387,3 +387,82 @@ func TestRevalidationAcrossWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestPostAnswersAcrossEpochs: the POST query and select endpoints read the
+// result cache, which serves an answer across the writes its query cannot
+// see. After a write elsewhere in valid time the body is the one computed
+// before it byte for byte — plan and touched included — but for the epoch,
+// which is the view's it was served on; /metrics counts the hit as
+// revalidated. A write the query sees recomputes it.
+func TestPostAnswersAcrossEpochs(t *testing.T) {
+	ctx := context.Background()
+	c, base, stop := bootCachedServer(t, t.TempDir())
+	defer stop()
+	if _, err := c.Create(ctx, empSchema()); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for i, vt := range []int64{100, 110, 120} {
+		if _, err := c.Insert(ctx, "emp", insertReq(vt, fmt.Sprintf("e%d", i), 1000)); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	post := func(path, body string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, b)
+		}
+		var out map[string]json.RawMessage
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	revalidated := func() uint64 {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil || m.QueryCache == nil {
+			t.Fatalf("Metrics: %v", err)
+		}
+		return m.QueryCache.Revalidated
+	}
+	reads := []struct{ path, body string }{
+		{"/v1/relations/emp/query", `{"kind":"timeslice","vt":110}`},
+		{"/v1/select", `{"query":"select count(*) from emp when valid during [100, 200) group by window(50)"}`},
+	}
+	held := make([]map[string]json.RawMessage, len(reads))
+	for i, r := range reads {
+		held[i] = post(r.path, r.body)
+	}
+	if _, err := c.Insert(ctx, "emp", insertReq(900, "late", 1000)); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	for i, r := range reads {
+		got := post(r.path, r.body)
+		for k, v := range held[i] {
+			if k != "epoch" && string(got[k]) != string(v) {
+				t.Fatalf("%s after a write it cannot see: %s = %s, was %s", r.body, k, got[k], v)
+			}
+		}
+		if i == 0 && string(got["epoch"]) == string(held[i]["epoch"]) {
+			t.Fatalf("%s: served at epoch %s, the epoch it was computed at", r.body, got["epoch"])
+		}
+	}
+	if n := revalidated(); n != uint64(len(reads)) {
+		t.Fatalf("query_cache.revalidated = %d, want %d", n, len(reads))
+	}
+	if _, err := c.Insert(ctx, "emp", insertReq(150, "mid", 1000)); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if got := post(reads[1].path, reads[1].body); string(got["rows"]) == string(held[1]["rows"]) {
+		t.Fatal("a write inside the clamp left the aggregate as it was")
+	}
+	if n := revalidated(); n != uint64(len(reads)) {
+		t.Fatalf("query_cache.revalidated = %d after a recomputation, want %d", n, len(reads))
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -139,7 +140,9 @@ const createEvent = `{"schema":{"name":%q,"valid_time":"event","granularity":1,`
 // it), so every answer is computed, and encoded, after a write — the chunk
 // images are what it finds warm. Between them, revalidate-after-insert: a
 // head insert, then a cached time-slice behind the head and a clamped
-// aggregate through QueryCached and SelectCached, both answered 304. Those two run on a log in a real directory
+// aggregate through QueryCached and SelectCached, both answered 304; and
+// post-after-insert, the same head insert and the same two reads POSTed,
+// both served by the result cache across the insert. Those two run on a log in a real directory
 // with Sync elided
 // and on the system clock, as tsbench's server child does: the in-memory
 // log's Sync copies the segment, which under a 256-element frame hides
@@ -227,6 +230,34 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 			if q, a := prime(); !q || !a {
 				b.Fatalf("after a head insert: time-slice not modified %v, aggregate %v", q, a)
 			}
+		}
+	})
+	b.Run("post-after-insert", func(b *testing.B) {
+		ctx := context.Background()
+		h := memoryLog(b).Handler()
+		revalidationRelation(b, h)
+		typed := client.New(listen(b, h))
+		read := func() {
+			if q, err := typed.Timeslice(ctx, "s", 5000); err != nil || len(q.Elements) != 1 {
+				b.Fatalf("time-slice: %d elements, %v", len(q.Elements), err)
+			}
+			if a, err := typed.Select(ctx, revalidateAggregate); err != nil || len(a.Rows) != 8 {
+				b.Fatalf("aggregate: %d rows, %v", len(a.Rows), err)
+			}
+		}
+		read()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := typed.Insert(ctx, "s", client.InsertRequest{VT: client.EventAt(int64(100_000 + i)),
+				Invariant: []client.Value{client.String("s1")}, Varying: []client.Value{client.Int(int64(i))}}); err != nil {
+				b.Fatal(err)
+			}
+			read()
+		}
+		b.StopTimer()
+		if m, err := typed.Metrics(ctx); err != nil || m.QueryCache == nil || m.QueryCache.Revalidated < uint64(2*b.N) {
+			b.Fatalf("the reads after an insert were not served across it: %+v, %v", m.QueryCache, err)
 		}
 	})
 	b.Run("read-2000-after-write", func(b *testing.B) {
@@ -435,6 +466,59 @@ func TestRevalidationAllocationBudget(t *testing.T) {
 		t.Logf("%.0f allocations per revalidation of %s", allocs, c.path)
 		if allocs > c.budget {
 			t.Errorf("a revalidation of %s allocates %.0f times, budget %.0f", c.path, allocs, c.budget)
+		}
+	}
+}
+
+// TestRevalidatedHitAllocationBudget pins what the result cache adds to a hit
+// it serves across epochs: a POSTed time-slice behind the head and a POSTed
+// clamped aggregate, each asked after ten head inserts, against the same
+// request answered again at the epoch it was then recorded at. The walk of
+// ten log slots allocates nothing; recording the answer at the new epoch is
+// one entry. Each side is the fewest objects any of fifty requests
+// allocated, which under -race leaves out the buffers sync.Pool drops.
+func TestRevalidatedHitAllocationBudget(t *testing.T) {
+	h := memoryLog(t).Handler()
+	revalidationRelation(t, h)
+	head := 100_000
+	for _, c := range []struct{ path, body string }{
+		{"/v1/relations/s/query", `{"kind":"timeslice","vt":5000}`},
+		{"/v1/select", `{"query":"` + revalidateAggregate + `"}`},
+	} {
+		body := strings.NewReader(c.body)
+		r, err := http.NewRequest(http.MethodPost, c.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &sinkWriter{h: make(http.Header)}
+		serve := func() uint64 {
+			body.Reset(c.body)
+			clear(w.h)
+			w.status, w.n = 0, 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, r)
+			runtime.ReadMemStats(&after)
+			if w.status != http.StatusOK || w.n == 0 {
+				t.Fatalf("POST %s: status %d, %d body bytes", c.path, w.status, w.n)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		serve() // computes and records the answer
+		same, across := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		procs := runtime.GOMAXPROCS(1)
+		for range 50 {
+			same = min(same, serve())
+			for range 10 {
+				serveOnce(t, h, "/v1/relations/s/insert", insertBody(head), http.StatusCreated)
+				head++
+			}
+			across = min(across, serve())
+		}
+		runtime.GOMAXPROCS(procs)
+		t.Logf("%s: %d allocations for a same-epoch hit, %d for a hit across ten inserts", c.path, same, across)
+		if across > same+3 {
+			t.Errorf("a hit across ten head inserts allocates %d times, a same-epoch hit %d: budget %d", across, same, same+3)
 		}
 	}
 }

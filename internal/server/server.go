@@ -785,12 +785,13 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	if c := s.cat.Cache(); c != nil {
 		st := c.Stats()
 		rep.QueryCache = &wire.QueryCacheMetrics{
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Evictions: st.Evictions,
-			Entries:   st.Entries,
-			Bytes:     st.Bytes,
-			Capacity:  st.Capacity,
+			Hits:        st.Hits,
+			Misses:      st.Misses,
+			Revalidated: st.Revalidated,
+			Evictions:   st.Evictions,
+			Entries:     st.Entries,
+			Bytes:       st.Bytes,
+			Capacity:    st.Capacity,
 		}
 	}
 	return &response{body: rep}, nil

@@ -101,3 +101,8 @@ func VTRangeSpans(st Store, lo, hi chronon.Chronon) ([]*element.Element, []Chunk
 func ChunkElements(st Store, k int) []*element.Element {
 	return seqOf(st).chunk(k).elems[:]
 }
+
+// ChunkCloses returns full chunk k's lifetime close count as st holds it.
+func ChunkCloses(st Store, k int) int {
+	return seqOf(st).chunk(k).closes
+}

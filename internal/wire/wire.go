@@ -992,14 +992,18 @@ type ClassAdmissionMetrics struct {
 }
 
 // QueryCacheMetrics reports the catalog's plan-keyed result cache: hit
-// and miss counters, LRU evictions, and resident size against capacity.
+// and miss counters — answers given and not given without executing —
+// the hits served across one or more epochs (revalidated: no change since
+// the answer's epoch met the query), LRU evictions, and resident size
+// against capacity.
 type QueryCacheMetrics struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Capacity  int64  `json:"capacity"`
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	Revalidated uint64 `json:"revalidated"`
+	Evictions   uint64 `json:"evictions"`
+	Entries     int    `json:"entries"`
+	Bytes       int64  `json:"bytes"`
+	Capacity    int64  `json:"capacity"`
 }
 
 // BatchMetrics reports the window aggregates' counters summed over the
