@@ -20,6 +20,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tsql"
+	"repro/internal/vec"
 )
 
 func mustAggSelect(t *testing.T, e *Entry, src string) *tsql.Result {
@@ -191,25 +192,30 @@ func mustDefine(t *testing.T, e *Entry, src string) *tsql.Result {
 // append empties the result cache but not the run partials, so the next
 // aggregate merges every full chunk and visits only the tail — for every
 // statement whose cells are the same, sealed or not. The counters say so,
-// and the partial lookups stay out of the query cache's own.
+// and the partial lookups stay out of the query cache's own. Above the
+// partials sit the answer's cells, kept from a statement's second execution
+// on: after an append that reaches one of four windows the aggregate folds
+// that window again and copies the other three.
 func TestRunPartialsSurviveAppends(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e := sealedSensor(t, c, "s", 4*256+10)
 	const src = "select count(*), sum(v) from s group by window(3000)"
 
 	first := mustAggSelect(t, e, src)
-	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialsBuilt != 4 || st.PartialHits != 0 {
+	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 0 || st.PartialsBuilt != 4 || st.PartialHits != 0 || st.Rebuilt != 0 {
 		t.Fatalf("first execution: %+v", st)
 	}
 	if !reflect.DeepEqual(first.Rows, mustDefine(t, e, src).Rows) {
 		t.Fatal("cold aggregate diverges from the definition")
 	}
+	// The first execution kept no cells — a statement asked once may never
+	// be asked again — so the second takes the whole loop, and keeps them.
 	appendSensor(t, e, 4*256+10, 50)
 	cacheBefore := c.Cache().Stats()
 	second := mustAggSelect(t, e, src)
 	cacheAfter := c.Cache().Stats()
 	st := e.BatchStats()
-	if st.RunsFolded != 4 || st.RunsMerged != 4 || st.PartialHits != 4 || st.Rows != 4*256+10+60 {
+	if st.RunsFolded != 4 || st.RunsMerged != 4 || st.PartialHits != 4 || st.Rows != 4*256+10+60 || st.Rebuilt != 0 {
 		t.Fatalf("after an append: %+v, want 4 more runs merged and only the 60-element tail visited", st)
 	}
 	if cacheAfter.Hits != cacheBefore.Hits || cacheAfter.Misses != cacheBefore.Misses+1 {
@@ -218,39 +224,66 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	if !reflect.DeepEqual(second.Rows, mustDefine(t, e, src).Rows) {
 		t.Fatal("warm aggregate diverges from the definition")
 	}
+	// The next append (vt 10840) reaches window 3 of 0…3: that window is
+	// folded again from the kept cells — chunk 3, which it cuts, merged for
+	// it, and the tail — and the other three copied.
+	appendSensor(t, e, 4*256+60, 1)
+	b0, c0 := e.BatchStats(), c.Cache().Stats()
+	third := mustAggSelect(t, e, src)
+	if st, c1 := e.BatchStats(), c.Cache().Stats(); st.Rebuilt != 1 || st.WindowsRefolded != 1 || st.WindowsReused != 3 || st.RunsFolded != 4 ||
+		st.RunsMerged != b0.RunsMerged+1 || st.PartialHits != b0.PartialHits+1 || st.Rows != b0.Rows+61 || c1.Hits != c0.Hits || c1.Misses != c0.Misses+1 {
+		t.Fatalf("rebuilt after an append: %+v, before %+v; want window 3 alone folded again, chunk 3 merged for it and only the 61-element tail visited", st, b0)
+	}
+	if !reflect.DeepEqual(third.Rows, mustDefine(t, e, src).Rows) {
+		t.Fatal("rebuilt aggregate diverges from the definition")
+	}
+	second = third
 	// A statement applied around the same cells (LIMIT over the emitted
-	// windows) has its own result but merges the same partials — the key
-	// names the cells — and reports the 60 rows it visited.
+	// windows) has its own result but shares the cells — the key names them,
+	// not the statement — so it folds nothing and reports no row visited.
+	b0 = e.BatchStats()
 	q, _ := tsql.Parse(src + " limit 1000")
 	lim, _, touched, err := e.SelectCtx(context.Background(), q)
-	if err != nil || !reflect.DeepEqual(lim.Rows, second.Rows) || touched != 60 {
-		t.Fatalf("limited statement over the partials: touched %d, err %v", touched, err)
+	if err != nil || !reflect.DeepEqual(lim.Rows, second.Rows) || touched != 0 {
+		t.Fatalf("limited statement over the cells: touched %d, err %v", touched, err)
 	}
-	if st := e.BatchStats(); st.RunsFolded != 4 || st.RunsMerged != 8 || st.Rows != 4*256+10+2*60 {
-		t.Fatalf("limited statement over the partials: %+v", st)
+	if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt+1 || st.WindowsRefolded != b0.WindowsRefolded || st.WindowsReused != b0.WindowsReused+4 || st.RunsMerged != b0.RunsMerged || st.Rows != b0.Rows {
+		t.Fatalf("limited statement over the cells: %+v, before %+v", st, b0)
 	}
 	// Another window mode over the same cells reuses them.
-	mustAggSelect(t, e, "select count(*), sum(v) from s group by window(3000, cumulative)")
-	if st := e.BatchStats(); st.RunsMerged != 12 {
-		t.Fatalf("cumulative over the tumbling query's partials: %+v", st)
+	if got := mustAggSelect(t, e, "select count(*), sum(v) from s group by window(3000, cumulative)"); !reflect.DeepEqual(got.Rows, mustDefine(t, e, "select count(*), sum(v) from s group by window(3000, cumulative)").Rows) {
+		t.Fatal("cumulative over the tumbling query's cells diverges from the definition")
+	}
+	if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt+2 || st.RunsMerged != b0.RunsMerged || st.Rows != b0.Rows {
+		t.Fatalf("cumulative over the tumbling query's cells: %+v, before %+v", st, b0)
 	}
 	// A chunk that fills is a unit before anything seals it: folded once,
-	// merged from then on.
-	appendSensor(t, e, 4*256+60, 256)
+	// merged from then on. The append (vt 10850…13400) reaches windows 3
+	// and 4, two of four: chunk 4, inside them, is folded and learned;
+	// chunk 3, which they cut, merged.
+	appendSensor(t, e, 4*256+61, 256)
 	if e.Physical().Compaction.Runs != 4 {
 		t.Fatal("the append sealed a run; the test means to leave chunk 4 unsealed")
 	}
+	b0 = e.BatchStats()
 	filled := mustAggSelect(t, e, src)
-	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 16 {
-		t.Fatalf("after chunk 4 filled: %+v, want it alone folded", st)
+	if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt+1 || st.WindowsRefolded != b0.WindowsRefolded+2 || st.RunsFolded != 5 || st.RunsMerged != b0.RunsMerged+1 {
+		t.Fatalf("after chunk 4 filled: %+v, before %+v; want it alone folded", st, b0)
 	}
 	if !reflect.DeepEqual(filled.Rows, mustDefine(t, e, src).Rows) {
 		t.Fatal("an unsealed full chunk diverges from the definition")
 	}
-	appendSensor(t, e, 5*256+60, 1)
+	appendSensor(t, e, 5*256+61, 1)
+	b0 = e.BatchStats()
 	mustAggSelect(t, e, src)
-	if st := e.BatchStats(); st.RunsFolded != 5 || st.RunsMerged != 21 {
-		t.Fatalf("unsealed full chunk, warm: %+v", st)
+	if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt+1 || st.RunsFolded != 5 || st.RunsMerged != b0.RunsMerged+1 {
+		t.Fatalf("unsealed full chunk, rebuilt: %+v, before %+v; want chunk 4 merged for window 4", st, b0)
+	}
+	publishEverything(t, e)
+	b0 = e.BatchStats()
+	mustAggSelect(t, e, src)
+	if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt || st.RunsFolded != 5 || st.RunsMerged != b0.RunsMerged+5 {
+		t.Fatalf("unsealed full chunk, warm: %+v, before %+v; want all 5 merged", st, b0)
 	}
 
 	// A statement clamped behind the head is not met by an append: its
@@ -258,8 +291,8 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 	// clamp meets it; the next execution folds the chunk closed into.
 	const behind = "select count(*), sum(v) from s when valid during [0, 5120) group by window(2560)"
 	held := mustAggSelect(t, e, behind)
-	b0, c0 := e.BatchStats(), c.Cache().Stats()
-	appendSensor(t, e, 5*256+61, 1)
+	b0, c0 = e.BatchStats(), c.Cache().Stats()
+	appendSensor(t, e, 5*256+62, 1)
 	if got := mustAggSelect(t, e, behind); !reflect.DeepEqual(got, held) {
 		t.Fatal("the clamped answer moved across an append past it")
 	}
@@ -292,10 +325,14 @@ func TestRunPartialsSurviveAppends(t *testing.T) {
 // full chunk knows its valid-time envelope without being sealed, so on a
 // relation no advisor ever compacts a clamped aggregate prunes the chunks the
 // clamp misses, memoizes the ones it contains, and after a write inside the
-// clamp merges those and folds only what the clamp cuts. A write outside the
-// clamp leaves the whole answer standing: it is served from the result cache
-// and nothing is merged or folded. 4 chunks of 2560 chronons each and a tail,
-// on the tt-ordered log.
+// clamp merges those, and the ones it cuts for the windows wholly inside it,
+// and folds a cut chunk only where the clamp cuts a window it populates. A
+// write outside the clamp leaves the whole answer standing: it is served
+// from the result cache and nothing is merged or folded. The execution after
+// the first write inside takes the whole loop and keeps the answer's cells;
+// after a second, which reaches one window, that window alone is folded
+// again from them. 4 chunks of 2560 chronons each and a tail, on the
+// tt-ordered log; windows of 3000.
 func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 	c := New(cachedConfig(t.TempDir()))
 	e, err := c.Create(relation.Schema{
@@ -319,10 +356,18 @@ func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 		clamp          string
 		inside         int64 // a valid time inside the clamp
 		folded, merged int64 // warm, after a write inside the clamp
+		// after a second write there, folding its window again
+		foldedOne, mergedOne int64
 	}{
-		{"[2560, 7680)", 2560, 0, 2}, // chunks 1 and 2 exactly; 0 and 3 pruned
-		{"[3000, 7680)", 7679, 1, 1}, // cuts chunk 1
-		{"[0, 20000)", 0, 0, 4},      // every chunk inside
+		// chunks 1 and 2 exactly; 0 and 3 pruned. Window 0 is cut by the
+		// clamp and populated by chunk 1, which is folded for it.
+		{"[2560, 7680)", 2560, 0, 2, 1, 0},
+		// cuts chunk 1, which merges for window 1, whole inside the clamp.
+		// Window 2 is cut by the clamp and populated by chunk 2.
+		{"[3000, 7680)", 7679, 0, 2, 1, 0},
+		// every chunk inside; window 0 holds chunk 0 and is cut from
+		// chunk 1's partial, both merged.
+		{"[0, 20000)", 0, 0, 4, 0, 2},
 	} {
 		src := "select count(*), sum(v) from s when valid during " + tc.clamp + " group by window(3000) using row"
 		held := mustAggSelect(t, e, src)
@@ -334,11 +379,21 @@ func TestChunkPartialsUnderAClampWithoutSealing(t *testing.T) {
 		insertAt(tc.inside) // into the tail: every full chunk stays as it was
 		warm := mustAggSelect(t, e, src)
 		after := e.BatchStats()
-		if f, m := after.RunsFolded-before.RunsFolded, after.RunsMerged-before.RunsMerged; f != tc.folded || m != tc.merged {
-			t.Fatalf("clamp %s after a write inside it: folded %d, merged %d; want %d, %d", tc.clamp, f, m, tc.folded, tc.merged)
+		if f, m := after.RunsFolded-before.RunsFolded, after.RunsMerged-before.RunsMerged; f != tc.folded || m != tc.merged || after.Rebuilt != before.Rebuilt {
+			t.Fatalf("clamp %s after a write inside it: folded %d, merged %d, rebuilt %d; want %d, %d and the whole loop", tc.clamp, f, m, after.Rebuilt-before.Rebuilt, tc.folded, tc.merged)
 		}
 		if !reflect.DeepEqual(warm.Rows, mustDefine(t, e, src).Rows) {
 			t.Fatalf("clamp %s: warm rows diverge from the definition", tc.clamp)
+		}
+		insertAt(tc.inside)
+		before = after
+		one := mustAggSelect(t, e, src)
+		after = e.BatchStats()
+		if f, m := after.RunsFolded-before.RunsFolded, after.RunsMerged-before.RunsMerged; after.Rebuilt != before.Rebuilt+1 || after.WindowsRefolded != before.WindowsRefolded+1 || f != tc.foldedOne || m != tc.mergedOne {
+			t.Fatalf("clamp %s after a second write in one window: %+v -> %+v; want that window rebuilt, %d folded, %d merged", tc.clamp, before, after, tc.foldedOne, tc.mergedOne)
+		}
+		if !reflect.DeepEqual(one.Rows, mustDefine(t, e, src).Rows) {
+			t.Fatalf("clamp %s: rebuilt rows diverge from the definition", tc.clamp)
 		}
 	}
 }
@@ -554,6 +609,12 @@ func TestRunPartialsConcurrentReadersAndWriter(t *testing.T) {
 // write elsewhere costs nothing; and everything that rebuilds the store — a
 // removing vacuum, a respecialization, a degrade — renews the generation, so
 // the next aggregate folds every chunk once and the one after merges them.
+// Those are the whole loop's counters, pinned on executions that must take
+// it: the first, and those after a publish that records everything. The
+// statement's two windows split the chunks 12 and 8 (chunk 12 straddles
+// them); after a write that reaches one window, the aggregate folds that
+// window again from the cells kept before it, merging only the chunks that
+// reach that window — the one it cuts for its whole part.
 func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 	const full, tail = 20, 37
 	const src = "select sum(v) from s group by window(32768, cumulative)"
@@ -582,8 +643,9 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 				t.Fatalf("set-up left %v with %d sealed runs", got.Org, got.Compaction.Runs)
 			}
 			// agg runs the statement, holds it to the definition, and
-			// returns what the execution folded, merged and visited.
-			agg := func(what string) (folded, merged int64, touched int) {
+			// returns what the execution folded, merged and visited, and
+			// whether it was rebuilt from kept cells.
+			agg := func(what string) (folded, merged int64, touched int, rebuilt bool) {
 				t.Helper()
 				q, err := tsql.Parse(src)
 				if err != nil {
@@ -598,18 +660,26 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 					t.Fatalf("%s: diverges from the definition", what)
 				}
 				after := e.BatchStats()
-				return after.RunsFolded - before.RunsFolded, after.RunsMerged - before.RunsMerged, touched
+				return after.RunsFolded - before.RunsFolded, after.RunsMerged - before.RunsMerged, touched, after.Rebuilt > before.Rebuilt
 			}
-			// foldsOnce: a new store folds all its full chunks, then merges them.
+			tailLen := func() int { return e.view.Load().engine.Store().Len() % 256 }
+			// foldsOnce: a new store folds all its full chunks, then merges
+			// them; a later append rebuilds window 1 alone from the cells
+			// kept, merging the chunks that reach it.
 			foldsOnce := func(what string) {
 				t.Helper()
 				chunks := int64(e.view.Load().engine.Store().Len() / 256)
-				if f, m, _ := agg(what + ", cold"); f != chunks || m != 0 {
-					t.Fatalf("%s, cold: folded %d, merged %d of %d chunks", what, f, m, chunks)
+				if f, m, _, r := agg(what + ", cold"); f != chunks || m != 0 || r {
+					t.Fatalf("%s, cold: folded %d, merged %d of %d chunks, rebuilt %v", what, f, m, chunks, r)
 				}
 				load(1) // the tail never fills in this test
-				if f, m, _ := agg(what + ", warm"); f != 0 || m != chunks {
-					t.Fatalf("%s, warm: folded %d, merged %d of %d chunks", what, f, m, chunks)
+				publishEverything(t, e)
+				if f, m, _, r := agg(what + ", warm"); f != 0 || m != chunks || r {
+					t.Fatalf("%s, warm: folded %d, merged %d of %d chunks, rebuilt %v", what, f, m, chunks, r)
+				}
+				load(1)
+				if f, m, touched, r := agg(what + ", rebuilt"); f != 0 || m != 8 || touched != tailLen() || !r {
+					t.Fatalf("%s, rebuilt: folded %d, merged %d of %d chunks, touched %d, rebuilt %v; want the 8 that reach window 1 merged", what, f, m, chunks, touched, r)
 				}
 			}
 			foldsOnce("as loaded")
@@ -618,24 +688,46 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 			if err := remove(e, els[7*256+100].ES); err != nil {
 				t.Fatal(err)
 			}
-			if f, m, touched := agg("after a delete in chunk 7"); f != 1 || m != full-1 || touched != 256+tail+1 {
+			publishEverything(t, e)
+			if f, m, touched, _ := agg("after a delete in chunk 7"); f != 1 || m != full-1 || touched != 256+tailLen() {
 				t.Fatalf("after a delete in chunk 7: folded %d, merged %d, touched %d; want that chunk alone and the tail", f, m, touched)
+			}
+			// The same from the kept cells: window 0 alone is folded again —
+			// chunk 3, closed into, folded; the other eleven inside window 0
+			// and chunk 12, which it cuts, merged; the tail visited.
+			if err := remove(e, els[3*256+100].ES); err != nil {
+				t.Fatal(err)
+			}
+			if f, m, touched, r := agg("rebuilt after a delete in chunk 3"); f != 1 || m != 12 || touched != 256+tailLen() || !r {
+				t.Fatalf("rebuilt after a delete in chunk 3: folded %d, merged %d, touched %d, rebuilt %v", f, m, touched, r)
 			}
 			if err := remove(e, els[full*256+3].ES); err != nil { // the tail is not a run
 				t.Fatal(err)
 			}
-			if f, m, _ := agg("after a delete in the tail"); f != 0 || m != full {
+			if f, m, _, r := agg("rebuilt after a delete in the tail"); f != 0 || m != 8 || !r {
+				t.Fatalf("rebuilt after a delete in the tail: folded %d, merged %d, rebuilt %v", f, m, r)
+			}
+			publishEverything(t, e)
+			if f, m, _, _ := agg("after a delete in the tail"); f != 0 || m != full {
 				t.Fatalf("after a delete in the tail: folded %d, merged %d", f, m)
 			}
-			// Another window mode over the same cells folds only the tail.
+			// Another window mode over the same cells folds nothing; over the
+			// same partials, after a publish no kept cells survive, it folds
+			// only the tail.
 			b0 := e.BatchStats()
+			mustAggSelect(t, e, "select sum(v) from s group by window(32768)")
+			if st := e.BatchStats(); st.Rebuilt != b0.Rebuilt+1 || st.RunsFolded != b0.RunsFolded || st.RunsMerged != b0.RunsMerged || st.Rows != b0.Rows {
+				t.Fatalf("tumbling over the cumulative statement's cells: %+v, before %+v", st, b0)
+			}
+			publishEverything(t, e)
+			b0 = e.BatchStats()
 			mustAggSelect(t, e, "select sum(v) from s group by window(32768)")
 			if st := e.BatchStats(); st.RunsFolded != b0.RunsFolded || st.RunsMerged != b0.RunsMerged+full {
 				t.Fatalf("tumbling over the cumulative statement's partials: %+v, before %+v", st, b0)
 			}
 
 			gen := e.view.Load().gen
-			if removed, err := e.Vacuum(chronon.Chronon(1 << 40)); err != nil || removed != 2 || e.view.Load().gen == gen {
+			if removed, err := e.Vacuum(chronon.Chronon(1 << 40)); err != nil || removed != 3 || e.view.Load().gen == gen {
 				t.Fatalf("Vacuum removed %d (%v) and kept generation %d", removed, err, gen)
 			}
 			foldsOnce("after a removing vacuum")
@@ -666,7 +758,7 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 				if after := chunks(); !reflect.DeepEqual(after, before) {
 					t.Fatalf("%s: the store's %d chunks are not the %d arrays it had", what, len(after), len(before))
 				}
-				if f, m, _ := agg(what); f != 0 || m != full {
+				if f, m, _, _ := agg(what); f != 0 || m != full {
 					t.Fatalf("%s: folded %d, merged %d of %d chunks; want every one merged", what, f, m, full)
 				}
 			}
@@ -681,4 +773,168 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 			relabelled("after degrading", storage.TTOrdered, before)
 		})
 	}
+}
+
+// TestRebuildFallsBack: an answer is rebuilt from the cells kept at an
+// earlier epoch only where those cells are exact and every change since is
+// a bounded set of records the change log still holds, reaching at most
+// half of the answer's windows; everywhere else the aggregate takes the
+// whole chunk loop, as before there were cells, and the rebuilt counter
+// says which it took. Cells are kept from a statement's second execution
+// on. Every answer is the definition's.
+func TestRebuildFallsBack(t *testing.T) {
+	const src = "select count(*), sum(v) from s group by window(3000)"
+	// ask runs a statement and reports whether it was rebuilt.
+	ask := func(t *testing.T, e *Entry, src string) bool {
+		t.Helper()
+		before := e.BatchStats().Rebuilt
+		if got := mustAggSelect(t, e, src); !reflect.DeepEqual(got.Rows, mustDefine(t, e, src).Rows) {
+			t.Fatalf("%s diverges from the definition", src)
+		}
+		return e.BatchStats().Rebuilt > before
+	}
+	// keep asks src, writes, and asks again: the second, a repeat, keeps
+	// the cells.
+	keep := func(t *testing.T, e *Entry, src string, write func()) {
+		t.Helper()
+		ask(t, e, src)
+		write()
+		if ask(t, e, src) {
+			t.Fatal("rebuilt from cells the first execution kept")
+		}
+	}
+	t.Run("an append", func(t *testing.T) {
+		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+		keep(t, e, src, func() { appendSensor(t, e, 4*256+10, 1) })
+		appendSensor(t, e, 4*256+11, 1)
+		if !ask(t, e, src) {
+			t.Fatal("an append into one window: not rebuilt")
+		}
+	})
+	t.Run("float sum", func(t *testing.T) {
+		c := New(cachedConfig(t.TempDir()))
+		e, err := c.Create(relation.Schema{
+			Name: "f", ValidTime: element.EventStamp, Granularity: chronon.Second,
+			Varying: []relation.Column{{Name: "x", Type: element.KindFloat}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		put := func(k int) {
+			ins := make([]relation.Insertion, k)
+			for j := range ins {
+				ins[j] = relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * (n + j))), Varying: []element.Value{element.Float(0.1 * float64(n+j))}}
+			}
+			if _, err := e.InsertBatch(context.Background(), ins, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			n += k
+		}
+		put(4*256 + 10)
+		const sum, count = "select sum(x) from f group by window(3000)", "select count(x) from f group by window(3000)"
+		ask(t, e, sum)
+		keep(t, e, count, func() { put(1) })
+		ask(t, e, sum)
+		put(1)
+		if ask(t, e, sum) {
+			t.Fatal("a float sum was rebuilt: its cells are not exact and were never kept")
+		}
+		if !ask(t, e, count) {
+			t.Fatal("a count over the same relation: not rebuilt")
+		}
+	})
+	t.Run("as of", func(t *testing.T) {
+		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+		els := e.view.Load().elems()
+		asOf := fmt.Sprintf("select count(*), sum(v) from s as of %d group by window(3000)", els[600].TTStart)
+		for _, i := range []int{3, 4} { // stamped before the AS OF's tt: each meets the footprint
+			ask(t, e, asOf)
+			if err := remove(e, els[i].ES); err != nil {
+				t.Fatal(err)
+			}
+			if ask(t, e, asOf) {
+				t.Fatal("an AS OF statement was rebuilt")
+			}
+		}
+	})
+	t.Run("a compaction", func(t *testing.T) {
+		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+		appendSensor(t, e, 4*256+10, 256) // fills chunk 4, unsealed
+		keep(t, e, src, func() { appendSensor(t, e, 5*256+10, 1) })
+		appendSensor(t, e, 5*256+11, 1)
+		if e.Compact() == 0 {
+			t.Fatal("nothing to seal")
+		}
+		b0 := e.BatchStats()
+		if ask(t, e, src) {
+			t.Fatal("rebuilt across a compaction, which records everything")
+		}
+		if st := e.BatchStats(); st.RunsMerged != b0.RunsMerged+5 {
+			t.Fatalf("after a compaction: %+v, before %+v; want the whole loop, every chunk merged", st, b0)
+		}
+	})
+	t.Run("past the change log", func(t *testing.T) {
+		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+		n := 4*256 + 10
+		next := func() {
+			appendSensor(t, e, n, 1)
+			n++
+		}
+		keep(t, e, src, next)
+		for range changeLogSize + 1 {
+			next()
+		}
+		if ask(t, e, src) {
+			t.Fatalf("rebuilt across %d publishes; the log holds %d", changeLogSize+1, changeLogSize)
+		}
+		next()
+		if !ask(t, e, src) {
+			t.Fatal("the cells the whole loop kept: not rebuilt from")
+		}
+	})
+	t.Run("an evicted entry", func(t *testing.T) {
+		cfg := testConfig(t.TempDir())
+		cfg.CacheBytes = 32 << 10
+		c := New(cfg)
+		e := sealedSensor(t, c, "s", 4*256+10)
+		keep(t, e, src, func() { appendSensor(t, e, 4*256+10, 1) })
+		q, _ := tsql.Parse(src)
+		_, partialFP := q.Fingerprints()
+		key := cellsKey(partialFP, vec.Filter{})
+		if _, _, ok := c.Cache().Recorded("s", key, e.Epoch()); !ok {
+			t.Fatal("no cells kept")
+		}
+		for w := 3001; c.Cache().Stats().Evictions < 64; w++ {
+			mustAggSelect(t, e, fmt.Sprintf("select count(*), sum(v) from s group by window(%d)", w))
+		}
+		if _, _, ok := c.Cache().Recorded("s", key, e.Epoch()); ok {
+			t.Fatal("the cells outlived 64 evictions; the test means them evicted")
+		}
+		appendSensor(t, e, 4*256+11, 1)
+		if ask(t, e, src) {
+			t.Fatal("rebuilt from evicted cells")
+		}
+	})
+	t.Run("most windows", func(t *testing.T) {
+		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+		keep(t, e, src, func() { appendSensor(t, e, 4*256+10, 1) })
+		if err := remove(e, e.view.Load().elems()[3].ES); err != nil { // window 0
+			t.Fatal(err)
+		}
+		appendSensor(t, e, 4*256+11, 1) // window 3
+		if !ask(t, e, src) {
+			t.Fatal("two of four windows: not rebuilt")
+		}
+		if err := remove(e, e.view.Load().elems()[400].ES); err != nil { // window 1
+			t.Fatal(err)
+		}
+		appendSensor(t, e, 4*256+12, 1)
+		if err := remove(e, e.view.Load().elems()[600].ES); err != nil { // window 2
+			t.Fatal(err)
+		}
+		if ask(t, e, src) {
+			t.Fatal("three of four windows: rebuilt")
+		}
+	})
 }

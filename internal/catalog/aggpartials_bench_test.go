@@ -1,18 +1,23 @@
 package catalog
 
-// BenchmarkAggregateAfterAppend is the tripwire for run partials: 100 k
-// elements sealed into runs, then one 256-element batch before every
-// aggregate (and a compaction every sixteenth, as the advisor would), so
-// the result cache never answers and the sealed runs never change. "warm"
-// runs with the query cache on (the partials live in it), "nocache" with
-// CacheBytes = 0, where every run is folded — the direct path. The clamped
-// statement is the bounded loop's: warm, it merges the ≈ 24 chunks its clamp
-// contains and folds the two it cuts; pruned/op counts the chunks passed
-// over unread. Warm, a whole-relation statement merges one partial per
-// aligned group of 16 chunks and one per chunk past the last group:
-// partials/op beside merged/op, and rows/op — the rows folded — beside
-// folded/op. The batch append is outside the timer. `make bench-smoke` runs
-// it.
+// BenchmarkAggregateAfterAppend is the tripwire for run partials and kept
+// cells: 100 k elements sealed into runs, then one 256-element batch before
+// every aggregate (and a compaction every sixteenth, as the advisor would),
+// so the result cache never answers and the sealed runs never change. Every
+// 64 batches the relation is built again at its starting size, outside the
+// timer, so what an operation costs does not follow -benchtime: each one
+// runs on 100–116 k elements. "warm" runs with the query cache on (the
+// partials and the cells live in it), "nocache" with CacheBytes = 0, where
+// every run is folded — the direct path. Warm, an aggregate after a batch
+// folds again only the windows the batch reached (windows/op) from the
+// cells kept at the last one, merging the chunks those windows hold and
+// cut; after the compaction, which records everything, it takes the whole
+// loop: one partial per aligned group of 16 chunks and one per chunk past
+// the last group (partials/op beside merged/op), and rows/op — the rows
+// folded — beside folded/op. The clamped statement is the bounded loop's:
+// warm, it merges the ≈ 24 chunks its clamp contains and folds the two it
+// cuts, whose partials populate windows the clamp cuts; pruned/op counts the
+// chunks passed over unread. `make bench-smoke` runs it.
 
 import (
 	"context"
@@ -29,7 +34,11 @@ import (
 )
 
 func BenchmarkAggregateAfterAppend(b *testing.B) {
-	const sealed = 390 * 256 // ≈ 100 k, all of it in full runs
+	const (
+		sealed  = 390 * 256 // ≈ 100 k, all of it in full runs
+		rebuilt = 64        // batches between rebuilds
+		compact = 16        // batches between compactions
+	)
 	queries := []struct{ name, sql string }{
 		{"count", "select count(*) from bench group by window(16384)"},
 		{"sum", "select sum(v) from bench group by window(16384)"},
@@ -45,19 +54,16 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 	}{{"warm", 32 << 20}, {"nocache", 0}} {
 		for _, qc := range queries {
 			b.Run(cache.name+"/"+qc.name, func(b *testing.B) {
-				cfg := testConfig(b.TempDir())
-				cfg.CacheBytes = cache.bytes
-				e := sealedSensor(b, New(cfg), "bench", sealed)
-				ctx := context.Background()
-				n := sealed
-				batch := func() {
-					appendSensor(b, e, n, 256)
-					n += 256
-				}
 				q, err := tsql.Parse(qc.sql)
 				if err != nil {
 					b.Fatal(err)
 				}
+				ctx := context.Background()
+				var (
+					e     *Entry
+					n     int
+					total BatchStats // summed over the relations built
+				)
 				run := func() {
 					res, _, _, err := e.SelectCtx(ctx, q)
 					if err != nil {
@@ -67,31 +73,66 @@ func BenchmarkAggregateAfterAppend(b *testing.B) {
 						b.Fatal("no windows")
 					}
 				}
-				run() // the first execution folds every run and memoizes
+				// rebuild books the last relation's counters and builds the
+				// next; its first execution folds every run and memoizes.
+				rebuild := func() {
+					if e != nil {
+						total = addBatchStats(total, e.BatchStats())
+					}
+					cfg := testConfig(b.TempDir())
+					cfg.CacheBytes = cache.bytes
+					e, n = sealedSensor(b, New(cfg), "bench", sealed), sealed
+					run()
+					total = subBatchStats(total, e.BatchStats())
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					batch()
-					if i%16 == 15 {
+					if i%rebuilt == 0 {
+						rebuild()
+					}
+					appendSensor(b, e, n, 256)
+					n += 256
+					if i%compact == compact-1 {
 						e.Compact() // the advisor's cadence: the tail stays under 4096
 					}
 					b.StartTimer()
 					run()
 				}
 				b.StopTimer()
-				st := e.BatchStats()
-				b.ReportMetric(float64(st.RunsMerged)/float64(b.N+1), "merged/op")
+				st := addBatchStats(total, e.BatchStats())
+				ops := float64(b.N)
+				b.ReportMetric(float64(st.RunsMerged)/ops, "merged/op")
 				// Nothing is closed, so every group merged holds 16 live
 				// chunks: the partials merged are the groups and the
 				// chunks merged outside one.
-				b.ReportMetric(float64(st.RunsMerged-15*st.GroupsMerged)/float64(b.N+1), "partials/op")
-				b.ReportMetric(float64(st.RunsFolded)/float64(b.N+1), "folded/op")
-				b.ReportMetric(float64(st.Rows)/float64(b.N+1), "rows/op")
-				b.ReportMetric(float64(st.ChunksPruned)/float64(b.N+1), "pruned/op")
+				b.ReportMetric(float64(st.RunsMerged-15*st.GroupsMerged)/ops, "partials/op")
+				b.ReportMetric(float64(st.RunsFolded)/ops, "folded/op")
+				b.ReportMetric(float64(st.Rows)/ops, "rows/op")
+				b.ReportMetric(float64(st.ChunksPruned)/ops, "pruned/op")
+				b.ReportMetric(float64(st.WindowsRefolded)/ops, "windows/op")
 			})
 		}
 	}
+}
+
+// addBatchStats and subBatchStats sum and subtract the counters the
+// aggregate benchmarks report.
+func addBatchStats(a, b BatchStats) BatchStats {
+	a.Rows += b.Rows
+	a.RunsMerged += b.RunsMerged
+	a.GroupsMerged += b.GroupsMerged
+	a.RunsFolded += b.RunsFolded
+	a.ChunksPruned += b.ChunksPruned
+	a.WindowsRefolded += b.WindowsRefolded
+	return a
+}
+
+func subBatchStats(a, b BatchStats) BatchStats {
+	b.Rows, b.RunsMerged, b.GroupsMerged = -b.Rows, -b.RunsMerged, -b.GroupsMerged
+	b.RunsFolded, b.ChunksPruned, b.WindowsRefolded = -b.RunsFolded, -b.ChunksPruned, -b.WindowsRefolded
+	return addBatchStats(a, b)
 }
 
 // ledgerShaped builds an interval relation of n elements on org and returns
@@ -262,7 +303,7 @@ func TestWarmAggregateAllocationBudget(t *testing.T) {
 // runs at two widths, ≈ 85 and ≈ 340 windows over 34 chunks.
 func TestWholeAggregateAllocationBudget(t *testing.T) {
 	const (
-		wholeAggregateAllocs = 70 // reads 53–58 at ≈ 85 windows (55–61 under -race)
+		wholeAggregateAllocs = 70 // reads 55–63 at ≈ 85 windows: the cells kept, the rolling lanes
 		perWindowSlack       = 12 // reads 7: a few slab and map doublings, none per window
 	)
 	e := sealedSensor(t, New(cachedConfig(t.TempDir())), "whole", 34*256)
@@ -298,6 +339,70 @@ func TestWholeAggregateAllocationBudget(t *testing.T) {
 		if allocs[0] > wholeAggregateAllocs || allocs[1]-allocs[0] > perWindowSlack {
 			t.Fatalf("%s: %.0f and %.0f allocations; budget %d, and at most %d more for 4× the windows",
 				stmt, allocs[0], allocs[1], wholeAggregateAllocs, perWindowSlack)
+		}
+	}
+}
+
+// TestIncrementalAggregateAllocationBudget: an answer rebuilt from kept
+// cells after a write that reaches one window — the change log walked, that
+// window folded again from the chunks it holds and cuts, the other cells
+// copied, every window emitted — allocates no more than a warm whole-relation
+// aggregate may (TestWholeAggregateAllocationBudget's budget), whatever the
+// number of windows it copies. Each of firehose-analytics' four statements,
+// at ≈ 85 and ≈ 340 windows over 34 chunks.
+func TestIncrementalAggregateAllocationBudget(t *testing.T) {
+	const (
+		rebuiltAggregateAllocs = 70 // TestWholeAggregateAllocationBudget's
+		perWindowSlack         = 12
+	)
+	e := sealedSensor(t, New(cachedConfig(t.TempDir())), "whole", 34*256)
+	n := 34 * 256
+	appendSensor(t, e, n, 100)
+	n += 100
+	ctx := context.Background()
+	for _, stmt := range []string{"count(*) from whole group by window(%v)", "sum(v) from whole group by window(%v)",
+		"max(v) from whole group by window(%v, rolling 8)", "count(*) from whole group by window(%v, cumulative)"} {
+		var allocs [2]float64
+		for i, width := range []int{1024, 256} {
+			src := fmt.Sprintf("select "+stmt, width)
+			q, err := tsql.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fp := q.Fingerprints()
+			if _, _, _, err := e.executeAggregate(ctx, e.view.Load(), q, fp); err != nil { // the whole loop, which keeps the cells
+				t.Fatal(err)
+			}
+			x, err := e.compileAggregate(e.view.Load(), q, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, at, ok := e.cache.Recorded(e.name, x.cells, e.Epoch())
+			if !ok {
+				t.Fatalf("%s: no cells kept", src)
+			}
+			appendSensor(t, e, n, 1)
+			n++
+			v := e.view.Load()
+			x, _ = e.compileAggregate(v, q, fp)
+			rebuild := func() vec.ExecStats {
+				res, _, st, ok, err := e.refold(ctx, v, x, kept.(*vec.Partial), at)
+				if !ok || err != nil {
+					t.Fatalf("%s: not rebuilt (%v)", src, err)
+				}
+				tsql.AggToResult(q, res)
+				return st
+			}
+			if st := rebuild(); st.WindowsRefolded != 1 || st.RunsFolded != 0 {
+				t.Fatalf("%s: not one window from warm chunks: %+v", src, st)
+			}
+			allocs[i] = testing.AllocsPerRun(100, func() { rebuild() })
+		}
+		stmt = fmt.Sprintf(stmt, "w")
+		t.Logf("%s: %.0f allocations at ≈ 85 windows, %.0f at ≈ 340", stmt, allocs[0], allocs[1])
+		if allocs[0] > rebuiltAggregateAllocs || allocs[1]-allocs[0] > perWindowSlack {
+			t.Fatalf("%s: %.0f and %.0f allocations; budget %d, and at most %d more for 4× the windows",
+				stmt, allocs[0], allocs[1], rebuiltAggregateAllocs, perWindowSlack)
 		}
 	}
 }

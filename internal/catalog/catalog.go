@@ -664,6 +664,10 @@ type Entry struct {
 	groupsMerged atomic.Int64
 	runsFolded   atomic.Int64
 	chunksPruned atomic.Int64
+	// Answers rebuilt from an earlier epoch's cells (aggregate.go), and the
+	// windows they folded again against those they copied.
+	rebuilt                        atomic.Int64
+	windowsRefolded, windowsReused atomic.Int64
 	// The chunk memo's counters, one pair per kind (qcache.Chunks), and
 	// dense spans copied from an image against encoded (images.go).
 	partialMemo, groupMemo, imageMemo qcache.Counts

@@ -79,6 +79,20 @@ func onTheHeap(t testing.TB, e *Entry) {
 	})
 }
 
+// publishEverything publishes an epoch whose change is everything — what a
+// publish of no records (a declaration, a re-label, a compaction, a boot)
+// records — and touches nothing else: the store, its chunks, their close
+// counts and the generation stay as they are, so the chunk memo stays warm,
+// while no cells kept at an earlier epoch can be brought past it. The next
+// aggregate takes the whole chunk loop.
+func publishEverything(t testing.TB, e *Entry) {
+	t.Helper()
+	_ = e.locked.Exclusive(func(*relation.Relation) error {
+		e.publish()
+		return nil
+	})
+}
+
 // lsns lists one generation of the window: each key with the LSN of the
 // frame that carried it.
 func lsns(gen map[string]dedupHit) map[string]uint64 {

@@ -9,14 +9,17 @@ package catalog
 // (plan.Query.Meets).
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/plan"
+	"repro/internal/vec"
 )
 
 // changeLogSize is how many publishes a relation's change log remembers: a
@@ -153,9 +156,54 @@ func (e *Entry) revalidate(v *readView, epoch uint64, fp plan.Query) Validation 
 	return ValidationRevalidated
 }
 
+// changedWindows returns the runs of width-w windows that the changes
+// producing the epochs after epoch, up to the pinned view's, can have moved
+// under f's valid-time clamp: each change's valid-time hull, clamped and
+// rounded out to whole windows, the runs coalesced in ascending order into
+// runs[:0]. Every window outside them holds at the view what it held at
+// epoch. It reports false when that is not known, or not worth knowing: a
+// change that is not a bounded set of records (everything), one the log no
+// longer holds, or runs that cover more than half of the n windows an
+// answer holds — a fold of everything then costs about as much.
+func (e *Entry) changedWindows(v *readView, epoch uint64, f vec.Filter, w int64, n int, runs []vec.WindowRun) ([]vec.WindowRun, bool) {
+	if epoch > v.epoch || v.epoch-epoch > changeLogSize {
+		return nil, false
+	}
+	runs = runs[:0]
+	for ep := epoch + 1; ep <= v.epoch; ep++ {
+		c, ok := e.changes.at(ep)
+		if !ok || c.vtLo == math.MinInt64 || c.vtLast == math.MaxInt64 {
+			return nil, false
+		}
+		lo, last := c.vtLo, c.vtLast
+		if f.HasVT {
+			lo, last = max(lo, f.VTLo), min(last, f.VTHi-1)
+		}
+		if lo <= last {
+			runs = append(runs, vec.WindowRun{Lo: vec.Window(lo, w), Hi: vec.Window(last, w)})
+		}
+	}
+	slices.SortFunc(runs, func(a, b vec.WindowRun) int { return cmp.Compare(a.Lo, b.Lo) })
+	out, changed := runs[:0], int64(0)
+	for _, r := range runs {
+		if k := len(out) - 1; k >= 0 && r.Lo <= out[k].Hi+1 {
+			out[k].Hi = max(out[k].Hi, r.Hi)
+		} else {
+			out = append(out, r)
+		}
+	}
+	for _, r := range out {
+		if changed += r.Hi - r.Lo + 1; r.Hi-r.Lo >= int64(n) || 2*changed > int64(n) {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
 // cached is the result cache's answer to the query fp, whose footprint is
 // pq, on the pinned view v: the answer recorded at v's epoch, or one
-// recorded at an earlier epoch that no change since meets.
+// recorded at an earlier epoch that no change since meets. On a miss over
+// an answer a change since meets, that answer comes back beside false.
 func (e *Entry) cached(v *readView, fp string, pq plan.Query) (any, bool) {
 	return e.cache.Answer(e.name, fp, v.epoch, func(at uint64) bool { return e.revalidate(v, at, pq).NotModified() })
 }

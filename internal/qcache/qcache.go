@@ -10,8 +10,11 @@
 // (Record). A lookup at a later epoch (Answer) asks the caller whether
 // anything that changed since that epoch can reach the answer; when
 // nothing can, the answer is served and recorded again at the later epoch,
-// so the next lookup asks from there. Get and Put are the exact form, the
-// epoch part of the key: an answer that holds for one epoch only.
+// so the next lookup asks from there. When something can reach it, the
+// lookup misses but hands the superseded answer back, and Recorded finds
+// the entry, for a caller that can bring it up to date. Get and Put are the
+// exact form, the epoch part of the key: an answer that holds for one epoch
+// only.
 //
 // Beside whole results the cache holds the chunk memo (Chunks): values
 // derived from one full chunk of a relation's store — an aggregate's
@@ -159,8 +162,9 @@ func (c *Cache) use(k Key) *entry {
 // epoch, so that the next lookup asks from there, and counted revalidated.
 // Anything else — no entry, one recorded at a later epoch (the caller
 // holds an older view), one holds refuses — is a miss: hits and misses
-// count answers given and not given without executing. holds runs outside
-// the cache's lock.
+// count answers given and not given without executing. On a miss over one
+// holds refused, the superseded answer is handed back beside false: the
+// query was answered before. holds runs outside the cache's lock.
 func (c *Cache) Answer(rel, fp string, epoch uint64, holds func(at uint64) bool) (any, bool) {
 	if c == nil {
 		return nil, false
@@ -184,12 +188,25 @@ func (c *Cache) Answer(rel, fp string, epoch uint64, holds func(at uint64) bool)
 	defer c.mu.Unlock()
 	if !ok {
 		c.misses++
-		return nil, false
+		return en.val, false
 	}
 	c.hits++
 	c.revalidated++
 	c.putLocked(k, en.val, en.size, false, epoch)
 	return en.val, true
+}
+
+// Recorded hands back what Record kept for query fp of relation rel when it
+// was computed at epoch or before, with that epoch, for a caller that can
+// bring it up to date. It marks the entry most recently used and counts
+// nothing: it is not an answer. One recorded at a later epoch (the caller
+// holds an older view) is not handed back.
+func (c *Cache) Recorded(rel, fp string, epoch uint64) (v any, at uint64, ok bool) {
+	en := c.get(Key{Rel: rel, Fingerprint: fp}, false)
+	if en == nil || en.at > epoch {
+		return nil, 0, false
+	}
+	return en.val, en.at, true
 }
 
 // Record keeps v, the whole result to query fp of relation rel computed

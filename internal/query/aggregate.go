@@ -20,12 +20,14 @@ const batchCheckEvery = 8
 // every chunk a zone map prunes. Where the reader stands before an aligned
 // group of chunks whose group partial is memoized, or can be built from its
 // chunks', that one partial is merged and the group stepped over. Otherwise
-// a stable chunk whose partial is memoized at its current close count is
-// merged; every other unit is folded — a stable chunk with no valid partial
-// by way of PartialMemo.learn, the one place a partial comes to exist.
-// Whenever a partial cannot stand in for folding the chunk into the running
-// state, the chunk is folded after all, so values and errors are those of
-// the plain fold.
+// a chunk whose partial is memoized at its current close count is merged —
+// one the clamp cuts, only for the windows wholly inside the clamp; every
+// other unit is folded — a chunk with no valid partial that is stable, or
+// cut but meeting no window the clamp cuts, by way of PartialMemo.learn,
+// the one place a partial comes to exist. Whenever a
+// partial cannot stand in for folding the chunk into the running state, the
+// chunk is folded after all, so values and errors are those of the plain
+// fold.
 //
 // A unit is folded row at a time where its elements lie (ColAgg.ConsumeRows),
 // in arrival (ES) order, so floating-point accumulation is bit-identical to
@@ -36,6 +38,90 @@ const batchCheckEvery = 8
 // again (partials.go); nil folds every chunk.
 func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo) (*vec.AggResult, vec.ExecStats, error) {
 	var stats vec.ExecStats
+	agg, err := vec.NewColAgg(spec)
+	if err != nil {
+		return nil, stats, err
+	}
+	if err := en.fold(ctx, node, spec, event, memo, agg, &stats); err != nil {
+		return nil, stats, err
+	}
+	res, err := agg.ResultCtx(ctx)
+	if err != nil {
+		return nil, stats, err
+	}
+	return res, stats, nil
+}
+
+// AggregateCells is AggregateCtx keeping what it folded: beside the answer
+// it returns the cells the answer was emitted from, in window order, when
+// they are exact (vec.ColAgg.Cells) and nil otherwise — what Refold starts
+// from at a later epoch.
+func (en *Engine) AggregateCells(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo) (*vec.AggResult, *vec.Partial, vec.ExecStats, error) {
+	var stats vec.ExecStats
+	agg, err := vec.NewColAgg(spec)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	if err := en.fold(ctx, node, spec, event, memo, agg, &stats); err != nil {
+		return nil, nil, stats, err
+	}
+	cells, exact := agg.Cells()
+	if !exact {
+		res, err := agg.ResultCtx(ctx)
+		return res, nil, stats, err
+	}
+	res, err := cells.Emit(ctx, spec)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	return res, cells, stats, nil
+}
+
+// Refold answers the statement from base — the cells AggregateCells or
+// Refold returned at an earlier view, in window order — by folding again
+// only the windows of runs: ascending, disjoint, and holding every window
+// whose cells a change since then can have moved. Each run is the chunk loop
+// of AggregateCtx with the statement's clamp narrowed to the run's windows,
+// so the store's order bounds it and the memo answers every chunk it
+// contains, or cuts, that has not changed. The cells of every other window
+// are base's. It returns the answer, the new cells (nil when the refolded
+// ones are not exact) and what it did; the stats count the windows it
+// refolded and reused.
+func (en *Engine) Refold(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo, base *vec.Partial, runs []vec.WindowRun) (*vec.AggResult, *vec.Partial, vec.ExecStats, error) {
+	var stats vec.ExecStats
+	// One state for every run: the spec it folds under is the statement's,
+	// its clamp narrowed to the run being folded.
+	run := *spec
+	agg, err := vec.NewColAgg(&run)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	w := spec.Width
+	for _, wr := range runs {
+		run.Filter.HasVT = true
+		run.Filter.VTLo, run.Filter.VTHi = wr.Lo*w, (wr.Hi+1)*w
+		if f := spec.Filter; f.HasVT {
+			run.Filter.VTLo, run.Filter.VTHi = max(run.Filter.VTLo, f.VTLo), min(run.Filter.VTHi, f.VTHi)
+		}
+		if err := en.fold(ctx, node, &run, event, memo, agg, &stats); err != nil {
+			return nil, nil, stats, err
+		}
+		stats.WindowsRefolded += wr.Hi - wr.Lo + 1
+	}
+	cells, exact := agg.Splice(base, runs)
+	stats.WindowsReused = int64(cells.Windows() - agg.Windows())
+	res, err := cells.Emit(ctx, spec)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	if !exact {
+		cells = nil
+	}
+	return res, cells, stats, nil
+}
+
+// fold runs the chunk loop for spec over the view into agg, adding to stats.
+func (en *Engine) fold(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo, agg *vec.ColAgg, stats *vec.ExecStats) error {
 	r := storage.NewBatchReader(en.store, event)
 	if f := spec.Filter; f.HasVT {
 		r.SetVTWindow(chronon.Chronon(f.VTLo), chronon.Chronon(f.VTHi))
@@ -49,17 +135,13 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.S
 	} else {
 		r.SetCurrentOnly()
 	}
-	agg, err := vec.NewColAgg(spec)
-	if err != nil {
-		return nil, stats, err
-	}
 	for units := 1; ; units++ {
 		if units%batchCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return err
 			}
 		}
-		if memo != nil && memo.mergeGroup(r, spec, agg, &stats) {
+		if memo != nil && memo.mergeGroup(r, spec, agg, stats) {
 			continue
 		}
 		u, ok := r.Advance()
@@ -67,27 +149,35 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.S
 			break
 		}
 		learn := false
-		if memo != nil && u.Stable {
+		if memo != nil && (u.Stable || u.Cut) {
 			var part *vec.Partial
-			if part, learn = memo.lookup(u); part != nil && agg.Merge(part) {
+			if part, learn = memo.lookup(u); part != nil && merge(agg, part, u.Cut) {
 				stats.RunsMerged++
 				continue
 			}
+			// A cut chunk is learned where its partial will merge: folded
+			// alone under no clamp, it is merged for its whole windows.
+			learn = learn && (u.Stable || !spec.Cuts(int64(u.VTLo), int64(u.VTLast)))
 		}
 		if u.Run >= 0 {
 			stats.RunsFolded++
 		}
-		if learn && memo.learn(spec, u, r.Rows(), agg, &stats) {
+		if learn && memo.learn(spec, u, r.Rows(), agg, stats) {
 			continue
 		}
-		if err := agg.ConsumeRows(r.Rows(), &stats); err != nil {
-			return nil, stats, err
+		if err := agg.ConsumeRows(r.Rows(), stats); err != nil {
+			return err
 		}
 	}
-	stats.ChunksPruned = int64(r.Skipped())
-	res, err := agg.ResultCtx(ctx)
-	if err != nil {
-		return nil, stats, err
+	stats.ChunksPruned += int64(r.Skipped())
+	return nil
+}
+
+// merge merges a chunk's or group's partial into agg, restricted to the
+// windows wholly inside the clamp when the clamp cuts the rows behind it.
+func merge(agg *vec.ColAgg, part *vec.Partial, cut bool) bool {
+	if cut {
+		return agg.MergeWhole(part)
 	}
-	return res, stats, nil
+	return agg.Merge(part)
 }

@@ -19,10 +19,15 @@ import (
 // close count) identifies it exactly, on every organization, sealed or not.
 // A query therefore merges the partial of every chunk it has one for and
 // folds only the rest: the chunks filled or closed into since the last
-// query, the ones a clamp may cut, and the partial tail.
+// query, and the partial tail. A chunk a clamp cuts (Unit.Cut) merges its
+// partial too, for the windows wholly inside the clamp
+// (vec.ColAgg.MergeWhole); it is folded when its partial populates a window
+// the clamp cuts. It is learned only when its envelope meets no such window,
+// folded alone under no clamp, as its partial is what it contributes under
+// any.
 //
 // Above the chunks sit groups: every aligned stretch of groupRuns full
-// chunks, each stable or entirely closed, gets one partial merged from its
+// chunks, each stable, cut or entirely closed, gets one partial merged from its
 // chunks' partials once all of them are known exactly, so an append-only
 // history costs a query one merge per group rather than one per chunk. A
 // group is named by its ordinal and the sum of its chunks' close counts:
@@ -45,6 +50,7 @@ type PartialMemo struct {
 	Runs, Groups qcache.Chunks
 
 	alone *vec.ColAgg // folds one chunk by itself, see learn
+	whole vec.Spec    // alone's spec: the statement's without its clamp
 	units [groupRuns]storage.Unit
 	parts [groupRuns]*vec.Partial
 }
@@ -82,12 +88,13 @@ func (m *PartialMemo) mergeGroup(r *storage.BatchReader, spec *vec.Spec, agg *ve
 	if !r.Group(units) {
 		return false
 	}
-	g, closed, live := units[0].Run/groupRuns, 0, int64(0)
+	g, closed, live, cut := units[0].Run/groupRuns, 0, int64(0), false
 	for _, u := range units {
 		closed += u.Closed
-		if u.Stable {
+		if u.Stable || u.Cut {
 			live++
 		}
+		cut = cut || u.Cut
 	}
 	var part *vec.Partial
 	if v, exact, keep := m.Groups.Get(g, closed); exact {
@@ -95,7 +102,7 @@ func (m *PartialMemo) mergeGroup(r *storage.BatchReader, spec *vec.Spec, agg *ve
 	} else if keep {
 		part = m.build(spec, g, closed, units)
 	}
-	if part == nil || !agg.Merge(part) {
+	if part == nil || !merge(agg, part, cut) {
 		return false
 	}
 	r.Pass(units)
@@ -110,7 +117,7 @@ func (m *PartialMemo) mergeGroup(r *storage.BatchReader, spec *vec.Spec, agg *ve
 func (m *PartialMemo) build(spec *vec.Spec, g, closed int, units []storage.Unit) *vec.Partial {
 	parts := m.parts[:0]
 	for _, u := range units {
-		if !u.Stable {
+		if !u.Stable && !u.Cut {
 			continue
 		}
 		part, _ := m.lookup(u)
@@ -130,10 +137,15 @@ func (m *PartialMemo) build(spec *vec.Spec, g, closed int, units []storage.Unit)
 	return part
 }
 
-// solo readies the accumulator a run or group is folded into on its own.
+// solo readies the accumulator a run or group is folded into on its own. It
+// folds under no clamp: a partial is what its chunks contribute whatever
+// clamp a statement puts around them, and learn only folds a chunk that lies
+// inside the clamp.
 func (m *PartialMemo) solo(spec *vec.Spec) {
 	if m.alone == nil {
-		m.alone, _ = vec.NewColAgg(spec) // the caller's NewColAgg validated spec
+		m.whole = *spec
+		m.whole.Filter.HasVT = false
+		m.alone, _ = vec.NewColAgg(&m.whole) // the caller's NewColAgg validated spec
 	}
 	m.alone.Reset()
 }
@@ -144,7 +156,7 @@ func (m *PartialMemo) solo(spec *vec.Spec) {
 // untouched and the caller folds the unit itself: when the chunk fails by
 // itself (the plain fold then reports the first error in arrival order,
 // which may be an earlier one against the running state), when its cells
-// do not merge exactly, and when they conflict with what agg holds.
+// do not merge exactly, and when they do not merge into what agg holds.
 func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, rows []*element.Element, agg *vec.ColAgg, stats *vec.ExecStats) bool {
 	m.solo(spec)
 	var visit vec.ExecStats
@@ -156,10 +168,10 @@ func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, rows []*element.Elem
 		m.Runs.Put(u.Run, u.Closed, (*vec.Partial)(nil), partialSize(nil))
 		return false
 	}
-	if !agg.Merge(part) {
+	m.Runs.Put(u.Run, u.Closed, part, partialSize(part))
+	if !merge(agg, part, u.Cut) {
 		return false
 	}
-	m.Runs.Put(u.Run, u.Closed, part, partialSize(part))
 	stats.Rows += visit.Rows
 	return true
 }

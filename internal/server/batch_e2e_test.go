@@ -178,7 +178,11 @@ func TestClampedAggregateReportsPrunedChunks(t *testing.T) {
 // the partials that stood in for an aligned group of 16 chunks, and
 // runs_merged still counts the chunks. 16 full chunks and a tail: the first
 // aggregate learns the chunks, an insert empties the result cache, and the
-// second builds the group from them and merges it in their place.
+// second builds the group from them and merges it in their place, keeping
+// the answer's cells. Another insert reaches the last of its 21 windows, so
+// the third folds that window again — chunk 15, which the window cuts,
+// merged for it, and the tail — and copies the other 20 (rebuilt,
+// windows_refolded, windows_reused).
 func TestWholeAggregateReportsMergedGroups(t *testing.T) {
 	ctx := context.Background()
 	cli, _, stop := bootCachedServer(t, t.TempDir())
@@ -214,7 +218,22 @@ func TestWholeAggregateReportsMergedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
-	if m.Batch == nil || m.Batch.GroupsMerged != 1 || m.Batch.RunsMerged != 16 || m.Batch.RunsFolded != 16 {
+	if m.Batch == nil || m.Batch.GroupsMerged != 1 || m.Batch.RunsMerged != 16 || m.Batch.RunsFolded != 16 || m.Batch.Rebuilt != 0 {
 		t.Fatalf("batch counters %+v, want one group of the 16 chunks merged, after they were folded once", m.Batch)
+	}
+	if _, err := cli.Insert(ctx, "emp", insertReq(5*(n+1), "w", n+1)); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if sel, err = cli.Select(ctx, stmt); err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if len(sel.Rows) != 21 || sel.Rows[20][2].Int != 108 || sel.Touched != 12 {
+		t.Fatalf("rebuilt aggregate: %d windows, last %+v, touched %d", len(sel.Rows), sel.Rows[20], sel.Touched)
+	}
+	if m, err = cli.Metrics(ctx); err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if b := m.Batch; b == nil || b.Rebuilt != 1 || b.WindowsRefolded != 1 || b.WindowsReused != 20 || b.GroupsMerged != 1 || b.RunsMerged != 16+1 || b.RunsFolded != 16 {
+		t.Fatalf("batch counters %+v, want the last window alone rebuilt, with chunk 15 merged for it", m.Batch)
 	}
 }

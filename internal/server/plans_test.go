@@ -120,4 +120,21 @@ func TestPlanMetricsBookACacheHitAtZero(t *testing.T) {
 			t.Fatalf("cache hit booked %+v over %+v; want one request and nothing touched", hit, first)
 		}
 	}
+	// An answer rebuilt from kept cells books the rows it folded. After a
+	// write the tumbling statement is asked again — a repeat, whose whole
+	// loop keeps its cells — and a cumulative one over them folds none.
+	if _, err := cli.Insert(ctx, "emp", insertReq(35, "w", 4000)); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	if res, err := cli.Select(ctx, "select count(*) from emp group by window(10)"); err != nil || res.Touched != 4 {
+		t.Fatalf("after a write: touched %d, %v", res.Touched, err)
+	}
+	before := scan()
+	res, err := cli.Select(ctx, "select count(*) from emp group by window(10, cumulative)")
+	if err != nil || res.Touched != 0 {
+		t.Fatalf("rebuilt from the kept cells: touched %d, %v", res.Touched, err)
+	}
+	if got := scan(); got.Requests != before.Requests+1 || got.Touched != before.Touched {
+		t.Fatalf("rebuilt answer booked %+v over %+v; want one request and nothing touched", got, before)
+	}
 }

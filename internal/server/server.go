@@ -752,6 +752,9 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		batch.GroupsMerged += bs.GroupsMerged
 		batch.RunsFolded += bs.RunsFolded
 		batch.ChunksPruned += bs.ChunksPruned
+		batch.Rebuilt += bs.Rebuilt
+		batch.WindowsRefolded += bs.WindowsRefolded
+		batch.WindowsReused += bs.WindowsReused
 		chunks.Partials.Hit += bs.PartialHits
 		chunks.Partials.Built += bs.PartialsBuilt
 		chunks.Groups.Hit += bs.GroupHits

@@ -94,6 +94,14 @@ type Unit struct {
 	// Closed) alone, for as long as the store keeps its positions — nothing
 	// is appended to it and closes are monotone.
 	Stable bool
+	// Cut marks a full chunk read current-only whose envelope the clamp
+	// crosses: what it contributes is its Stable contribution (the same
+	// function of Run and Closed) with the windows outside the clamp taken
+	// away.
+	Cut bool
+	// VTLo and VTLast are a full chunk's valid-time envelope, inclusive:
+	// every element it holds is valid somewhere inside it.
+	VTLo, VTLast chronon.Chronon
 }
 
 // NewBatchReader builds a reader over st. event marks an event-stamped
@@ -227,21 +235,22 @@ func (r *BatchReader) Advance() (Unit, bool) {
 			r.skipped++
 			continue
 		}
-		return Unit{
-			Run: k, Closed: c.closes,
-			Stable: r.currentOnly && !r.asOf && (!r.hasVT || c.vtWithin(r.vtLo, r.vtHi)),
-		}, true
+		current := r.currentOnly && !r.asOf
+		within := !r.hasVT || c.vtWithin(r.vtLo, r.vtHi)
+		return Unit{Run: k, Closed: c.closes, Stable: current && within, Cut: current && !within, VTLo: c.vtLo, VTLast: c.vtLast}, true
 	}
 	return Unit{}, false
 }
 
 // Group reports whether the len(units) chunks from the one the next Advance
 // looks at form an aligned group whose contribution a caller may already
-// know: every one full, inside the reader's bounds, and either Stable or
-// entirely closed (Advance would prune it; it contributes nothing). It fills
-// units with them — an entirely closed chunk as a Unit that is not Stable —
-// and moves nothing; Pass then steps over them. len(units) must be the same
-// at every call.
+// know: every one full, inside the reader's bounds, and either entirely
+// closed (Advance would prune it; it contributes nothing) or live and met by
+// the clamp — Stable, or Cut when the clamp crosses it. It fills units with
+// them — an entirely closed chunk as a Unit neither Stable nor Cut — and
+// moves nothing; Pass then steps over them. A live chunk the clamp misses
+// turns the group down: Advance prunes it for the price of a probe.
+// len(units) must be the same at every call.
 func (r *BatchReader) Group(units []Unit) bool {
 	n, k := len(units), r.next
 	if k%n != 0 || k+n > r.end || !r.s.full(k+n-1) || !r.currentOnly || r.asOf {
@@ -249,11 +258,14 @@ func (r *BatchReader) Group(units []Unit) bool {
 	}
 	for i := range units {
 		c := r.s.chunk(k + i)
-		live := c.live()
-		if live && r.hasVT && !c.vtWithin(r.vtLo, r.vtHi) {
-			return false
+		live, within := c.live(), true
+		if live && r.hasVT {
+			if c.vtMisses(r.vtLo, r.vtHi) {
+				return false
+			}
+			within = c.vtWithin(r.vtLo, r.vtHi)
 		}
-		units[i] = Unit{Run: k + i, Closed: c.closes, Stable: live}
+		units[i] = Unit{Run: k + i, Closed: c.closes, Stable: live && within, Cut: live && !within, VTLo: c.vtLo, VTLast: c.vtLast}
 	}
 	return true
 }
@@ -263,7 +275,7 @@ func (r *BatchReader) Group(units []Unit) bool {
 func (r *BatchReader) Pass(units []Unit) {
 	r.next += len(units)
 	for _, u := range units {
-		if !u.Stable {
+		if !u.Stable && !u.Cut {
 			r.skipped++
 		}
 	}

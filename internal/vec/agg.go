@@ -266,6 +266,10 @@ func finalize(out []element.Value, cells []cell, aggs []AggCall) {
 	}
 }
 
+// Window is the index of the window of the given width that holds valid
+// time t.
+func Window(t, width int64) int64 { return floorDiv(t, width) }
+
 // floorDiv divides flooring toward minus infinity, so negative valid
 // times land in the window that actually covers them.
 func floorDiv(a, b int64) int64 {
@@ -292,6 +296,10 @@ type accum struct {
 	lastIdx  int64
 	lastRow  []cell
 	haveLast bool
+
+	// slide picks the sliding rolling emit (slideRolling); the reference
+	// engine keeps the per-row merge that defines it.
+	slide bool
 }
 
 // newRow returns a zeroed cell row for a window about to be populated.
@@ -359,36 +367,47 @@ func (ac *accum) add(vtStart, vtEnd int64, e *element.Element) error {
 const emitCheckEvery = 1024
 
 // emit materializes the populated windows into the result, applying the
-// window mode. Both engines share it, so engine equality reduces to
-// per-window cell equality. Its allocations do not grow with the number of
-// windows: the values are finalized into one slab, and rolling and
-// cumulative rows are merged into one scratch row. It polls ctx every
-// emitCheckEvery rows.
+// window mode (emitRows).
 func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
-	res := &AggResult{}
 	if len(ac.cells) == 0 {
-		return res, nil
+		return &AggResult{}, nil
 	}
 	idxs := make([]int64, 0, len(ac.cells))
 	for wi := range ac.cells {
 		idxs = append(idxs, wi)
 	}
 	slices.Sort(idxs)
+	rows := make([][]cell, len(idxs)) // the populated rows in window order
+	for i, wi := range idxs {
+		rows[i] = ac.cells[wi]
+	}
+	return emitRows(ctx, ac.spec, idxs, rows, ac.slide)
+}
+
+// emitRows materializes populated windows — idxs ascending, rows[i] the
+// cells of window idxs[i] — into the result, applying the window mode. Every
+// fold shares it, so engine equality reduces to per-window cell equality;
+// slide picks the rolling emit (slideRolling for the engine, the per-row
+// merge that defines it for the reference). Its allocations do not grow with
+// the number of windows: the values are finalized into one slab, and
+// rolling and cumulative rows are merged into one scratch row. It polls ctx
+// every emitCheckEvery rows.
+func emitRows(ctx context.Context, spec *Spec, idxs []int64, rows [][]cell, slide bool) (*AggResult, error) {
+	res := &AggResult{}
+	if len(idxs) == 0 {
+		return res, nil
+	}
 	first, last := idxs[0], idxs[len(idxs)-1]
 	if last-first+1 > MaxWindows {
 		return nil, fmt.Errorf("vec: result spans %d windows (max %d); narrow the window or add a WHEN clamp",
 			last-first+1, MaxWindows)
 	}
-	rows := make([][]cell, len(idxs)) // the populated rows in window order
-	for i, wi := range idxs {
-		rows[i] = ac.cells[wi]
-	}
 	n := len(idxs)
-	if ac.spec.WKind != Tumbling {
+	if spec.WKind != Tumbling {
 		n = int(last - first + 1)
 	}
-	w := ac.spec.Width
-	aggs := ac.spec.Aggs
+	w := spec.Width
+	aggs := spec.Aggs
 	na := len(aggs)
 	vals := make([]element.Value, n*na)
 	res.Start, res.End, res.Vals = make([]int64, 0, n), make([]int64, 0, n), make([][]element.Value, 0, n)
@@ -406,7 +425,7 @@ func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 		res.Vals = append(res.Vals, out)
 		return nil
 	}
-	switch ac.spec.WKind {
+	switch spec.WKind {
 	case Tumbling:
 		for i, wi := range idxs {
 			if err := push(wi*w, (wi+1)*w, rows[i]); err != nil {
@@ -414,10 +433,18 @@ func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 			}
 		}
 	case Rolling:
+		if slide {
+			if ok, err := slideRolling(spec, idxs, rows, push); ok || err != nil {
+				if err != nil {
+					return nil, err
+				}
+				return res, nil
+			}
+		}
 		// One row per base window in [first, last]; each aggregates the
 		// populated windows among the K ending there, rows[lo:hi], merged
 		// in ascending order; the row's span is the extent.
-		k := ac.spec.K
+		k := spec.K
 		merged := make([]cell, na)
 		lo, hi := 0, 0
 		for wi := first; wi <= last; wi++ {
@@ -452,9 +479,167 @@ func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("vec: unknown window kind %v", ac.spec.WKind)
+		return nil, fmt.Errorf("vec: unknown window kind %v", spec.WKind)
 	}
 	return res, nil
+}
+
+// How slideRolling carries one aggregate call's lane from row to row.
+const (
+	slideCount uint8 = iota // add the entering count, subtract the leaving
+	slideSum                // the same for an integer sum, and count the windows that have one
+	slideExt                // a monotone deque of the windows that can still be the extreme
+	slideMerge              // merge the row's windows, as the definition does
+)
+
+// slideRolling emits the rolling rows in time linear in the span: each row's
+// cells are the previous row's with the window that entered added and the
+// one that left taken out — counts and integer sums by addition and
+// subtraction (wrapping, as the merge does), extremes by a monotone deque
+// that keeps the earlier of equals, which is the value merging the row's
+// windows in ascending order keeps. A float sum (float addition does not
+// subtract back exactly) and an extreme that met a NaN (which no order
+// ranks) merge their row's windows, lane by lane, as the per-row emit does.
+// It reports false, having pushed nothing, when two windows' cells conflict
+// (sums of both modes, extremes of two kinds): the per-row merge then fails
+// where it meets them, or never if no row holds both.
+func slideRolling(spec *Spec, idxs []int64, rows [][]cell, push func(start, end int64, cells []cell) error) (bool, error) {
+	aggs := spec.Aggs
+	na := len(aggs)
+	how := make([]uint8, na)
+	exts := 0
+	for ai := range aggs {
+		var mode uint8
+		var kind element.ValueKind
+		has, nan := false, false
+		for _, row := range rows {
+			c := &row[ai]
+			if c.mode != sumNone {
+				if mode != sumNone && mode != c.mode {
+					return false, nil
+				}
+				mode = c.mode
+			}
+			if c.has {
+				if has && c.ext.Kind() != kind {
+					return false, nil
+				}
+				has, kind = true, c.ext.Kind()
+				if f, ok := c.ext.FloatVal(); ok && math.IsNaN(f) {
+					nan = true
+				}
+			}
+		}
+		switch aggs[ai].Kind {
+		case AggSum:
+			how[ai] = slideSum
+			if mode == sumFloat {
+				how[ai] = slideMerge
+			}
+		case AggMin, AggMax:
+			how[ai] = slideExt
+			if nan {
+				how[ai] = slideMerge
+			} else {
+				exts++
+			}
+		}
+	}
+	// Per lane: the running count and integer sum, the windows in the row
+	// with a sum lane, and the extreme's deque — indices into rows, ascending
+	// and strictly worsening from head to back, carved from one slab.
+	type lane struct {
+		n, si, summed int64
+		dq            []int32
+		head          int
+	}
+	lanes := make([]lane, na)
+	slab := make([]int32, exts*len(rows))
+	for ai := range lanes {
+		if how[ai] == slideExt {
+			lanes[ai].dq, slab = slab[:0:len(rows)], slab[len(rows):]
+		}
+	}
+	// worse reports whether an extreme x loses to y, a later window's.
+	worse := func(ai int, x, y element.Value) bool {
+		d := x.Compare(y)
+		if aggs[ai].Kind == AggMin {
+			return d > 0
+		}
+		return d < 0
+	}
+	k, w := spec.K, spec.Width
+	first, last := idxs[0], idxs[len(idxs)-1]
+	merged := make([]cell, na)
+	lo, hi := 0, 0
+	for wi := first; wi <= last; wi++ {
+		for ; hi < len(idxs) && idxs[hi] <= wi; hi++ {
+			for ai := range lanes {
+				l, c := &lanes[ai], &rows[hi][ai]
+				switch how[ai] {
+				case slideCount:
+					l.n += c.n
+				case slideSum:
+					l.si += c.si
+					if c.mode != sumNone {
+						l.summed++
+					}
+				case slideExt:
+					if c.has {
+						for len(l.dq) > l.head && worse(ai, rows[l.dq[len(l.dq)-1]][ai].ext, c.ext) {
+							l.dq = l.dq[:len(l.dq)-1]
+						}
+						l.dq = append(l.dq, int32(hi))
+					}
+				}
+			}
+		}
+		for ; idxs[lo] <= wi-k; lo++ {
+			for ai := range lanes {
+				l, c := &lanes[ai], &rows[lo][ai]
+				switch how[ai] {
+				case slideCount:
+					l.n -= c.n
+				case slideSum:
+					l.si -= c.si
+					if c.mode != sumNone {
+						l.summed--
+					}
+				case slideExt:
+					if len(l.dq) > l.head && int(l.dq[l.head]) == lo {
+						l.head++
+					}
+				}
+			}
+		}
+		for ai := range lanes {
+			l := &lanes[ai]
+			switch how[ai] {
+			case slideCount:
+				merged[ai] = cell{n: l.n}
+			case slideSum:
+				merged[ai] = cell{si: l.si}
+				if l.summed > 0 {
+					merged[ai].mode = sumInt
+				}
+			case slideExt:
+				merged[ai] = cell{}
+				if len(l.dq) > l.head {
+					merged[ai] = cell{ext: rows[l.dq[l.head]][ai].ext, has: true}
+				}
+			case slideMerge:
+				merged[ai] = cell{}
+				for _, row := range rows[lo:hi] {
+					// Cannot fail: no two windows' lanes conflict.
+					_ = mergeCells(merged[ai:ai+1], row[ai:ai+1], aggs[ai:ai+1])
+				}
+			}
+		}
+		if err := push((wi-k+1)*w, (wi+1)*w, merged); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // RowAggregate is the reference engine over one materialized slice of
@@ -578,7 +763,9 @@ func NewColAgg(spec *Spec) (*ColAgg, error) {
 			break
 		}
 	}
-	return &ColAgg{spec: spec, ac: newAccum(spec), sel: make([]int32, 0, BatchSize), starOnly: starOnly}, nil
+	ac := newAccum(spec)
+	ac.slide = true
+	return &ColAgg{spec: spec, ac: ac, sel: make([]int32, 0, BatchSize), starOnly: starOnly}, nil
 }
 
 // Consume folds one batch into the aggregation state. The query engine
@@ -702,14 +889,8 @@ func (a *ColAgg) Export() (*Partial, bool) {
 		cells: make([]cell, 0, len(a.ac.cells)*na),
 	}
 	for wi, row := range a.ac.cells {
-		for ci := range row {
-			c := &row[ci]
-			if c.mode == sumFloat {
-				return nil, false
-			}
-			if f, ok := c.ext.FloatVal(); ok && math.IsNaN(f) {
-				return nil, false
-			}
+		if !exactRow(row) {
+			return nil, false
 		}
 		p.idx = append(p.idx, wi)
 		p.cells = append(p.cells, row...)
@@ -718,23 +899,91 @@ func (a *ColAgg) Export() (*Partial, bool) {
 }
 
 // Merge folds p into the state exactly as consuming the rows behind it at
-// this point would have. It reports false, having changed nothing, when
-// some lane of p cannot combine with what is accumulated (an integer sum
-// meeting a float one, extremes of different kinds): the caller then
-// consumes those rows itself, which fails on the same row with the same
-// text as the row engine.
-func (a *ColAgg) Merge(p *Partial) bool {
+// this point would have, when those rows lie inside the spec's valid-time
+// clamp (MergeWhole is the merge for rows it may cut). It reports false,
+// having changed nothing, when some lane of p cannot combine with what is
+// accumulated (an integer sum meeting a float one, extremes of different
+// kinds): the caller then consumes those rows itself, which fails on the
+// same row with the same text as the row engine.
+func (a *ColAgg) Merge(p *Partial) bool { return a.mergeWindows(p, math.MinInt64, math.MaxInt64) }
+
+// MergeWhole is Merge for rows the spec's valid-time clamp may cut: it
+// merges p's cells in the windows that lie wholly inside the clamp — what
+// the rows put there under it, since the clamp only takes away windows —
+// and drops those of windows outside it. It reports false, having changed
+// nothing, when p populates a window the clamp cuts, where what a row puts
+// depends on where it falls, or when a lane conflicts.
+func (a *ColAgg) MergeWhole(p *Partial) bool {
+	if !a.spec.Filter.HasVT {
+		return a.Merge(p)
+	}
+	first, last, lo, hi, ok := a.spec.clampWindows()
+	if !ok {
+		return true // the fold keeps no row
+	}
+	for _, wi := range p.idx {
+		if wi >= first && wi <= last && (wi < lo || wi > hi) {
+			return false
+		}
+	}
+	return a.mergeWindows(p, lo, hi)
+}
+
+// clampWindows reports the windows the valid-time clamp meets, first
+// through last, and the whole ones among them, lo through hi; ok is false
+// when the clamp is empty.
+func (s *Spec) clampWindows() (first, last, lo, hi int64, ok bool) {
+	f, w := s.Filter, s.Width
+	if f.VTLo >= f.VTHi {
+		return 0, 0, 0, 0, false
+	}
+	first, last = floorDiv(f.VTLo, w), floorDiv(f.VTHi-1, w)
+	lo, hi = first, last
+	if first*w != f.VTLo {
+		lo++
+	}
+	if floorDiv(f.VTHi, w) == last {
+		hi--
+	}
+	return first, last, lo, hi, true
+}
+
+// Cuts reports whether valid times lo through last, inclusive, meet a
+// window the valid-time clamp cuts: one it covers only in part, where what
+// an element adds depends on where it falls. Rows that lie inside lo
+// through last and meet no such window are merged exactly from their
+// partial (MergeWhole).
+func (s *Spec) Cuts(lo, last int64) bool {
+	if !s.Filter.HasVT {
+		return false
+	}
+	first, final, wlo, whi, ok := s.clampWindows()
+	if !ok {
+		return false
+	}
+	a, b := max(floorDiv(lo, s.Width), first), min(floorDiv(last, s.Width), final)
+	return a <= b && (a < wlo || b > whi)
+}
+
+// mergeWindows merges p's cells in windows [lo, hi] all or nothing, as Merge.
+func (a *ColAgg) mergeWindows(p *Partial, lo, hi int64) bool {
 	na := len(a.spec.Aggs)
 	dst := a.dst[:0]
 	for i, wi := range p.idx {
-		row := a.ac.cells[wi]
-		if row != nil && !mergeable(row, p.cells[i*na:(i+1)*na]) {
-			return false
+		var row []cell
+		if wi >= lo && wi <= hi {
+			if row = a.ac.cells[wi]; row != nil && !mergeable(row, p.cells[i*na:(i+1)*na]) {
+				clear(dst)
+				return false
+			}
 		}
 		dst = append(dst, row)
 	}
 	a.dst = dst
 	for i, wi := range p.idx {
+		if wi < lo || wi > hi {
+			continue
+		}
 		row := dst[i]
 		if row == nil {
 			row = a.ac.newRow()
@@ -745,6 +994,103 @@ func (a *ColAgg) Merge(p *Partial) bool {
 	}
 	clear(dst) // hold no rows past the call
 	return true
+}
+
+// exactRow reports whether a row's cells merge exactly (see Export).
+func exactRow(row []cell) bool {
+	for ci := range row {
+		c := &row[ci]
+		if c.mode == sumFloat {
+			return false
+		}
+		if f, ok := c.ext.FloatVal(); ok && math.IsNaN(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// WindowRun is the windows Lo through Hi, inclusive, by index: window i
+// covers valid time [i·Width, (i+1)·Width).
+type WindowRun struct{ Lo, Hi int64 }
+
+// Cells copies the accumulated cells out as a Partial in window order: what
+// the fold computed, before the window mode — the cells a later execution
+// may start from (Splice) and emit (Partial.Emit). It reports false, and
+// copies nothing, when they are not exact (Export).
+func (a *ColAgg) Cells() (*Partial, bool) {
+	na := len(a.spec.Aggs)
+	p := &Partial{idx: make([]int64, 0, len(a.ac.cells))}
+	for wi, row := range a.ac.cells {
+		if !exactRow(row) {
+			return nil, false
+		}
+		p.idx = append(p.idx, wi)
+	}
+	slices.Sort(p.idx)
+	p.cells = make([]cell, 0, len(p.idx)*na)
+	for _, wi := range p.idx {
+		p.cells = append(p.cells, a.ac.cells[wi]...)
+	}
+	return p, true
+}
+
+// Splice returns, in window order, the cells of base — cells in window order
+// — with every window of runs (ascending, disjoint) replaced by what the
+// state holds there, which must be all it holds: the cells of a fold whose
+// runs were folded again. exact reports whether those it took from the
+// state are exact (Export); the result holds them either way.
+func (a *ColAgg) Splice(base *Partial, runs []WindowRun) (cells *Partial, exact bool) {
+	na := len(a.spec.Aggs)
+	fresh := make([]int64, 0, len(a.ac.cells))
+	for wi := range a.ac.cells {
+		fresh = append(fresh, wi)
+	}
+	slices.Sort(fresh)
+	n := len(base.idx) + len(fresh)
+	out := &Partial{idx: make([]int64, 0, n), cells: make([]cell, 0, n*na)}
+	exact = true
+	take := func(wi int64) {
+		row := a.ac.cells[wi]
+		exact = exact && exactRow(row)
+		out.idx = append(out.idx, wi)
+		out.cells = append(out.cells, row...)
+	}
+	j, r := 0, 0
+	for i, wi := range base.idx {
+		for r < len(runs) && runs[r].Hi < wi {
+			r++
+		}
+		if r < len(runs) && runs[r].Lo <= wi {
+			continue // folded again
+		}
+		for ; j < len(fresh) && fresh[j] < wi; j++ {
+			take(fresh[j])
+		}
+		out.idx = append(out.idx, wi)
+		out.cells = append(out.cells, base.cells[i*na:(i+1)*na]...)
+	}
+	for ; j < len(fresh); j++ {
+		take(fresh[j])
+	}
+	return out, exact
+}
+
+// Windows reports how many windows the state populates.
+func (a *ColAgg) Windows() int { return len(a.ac.cells) }
+
+// Windows reports how many windows the partial populates.
+func (p *Partial) Windows() int { return len(p.idx) }
+
+// Emit materializes cells in window order (Cells, Splice) under spec's
+// window mode, as ColAgg.ResultCtx does the state they were taken from.
+func (p *Partial) Emit(ctx context.Context, spec *Spec) (*AggResult, error) {
+	na := len(spec.Aggs)
+	rows := make([][]cell, len(p.idx))
+	for i := range rows {
+		rows[i] = p.cells[i*na : (i+1)*na : (i+1)*na]
+	}
+	return emitRows(ctx, spec, p.idx, rows, true)
 }
 
 // validSpan is the element's half-open valid extent: events are the

@@ -89,4 +89,9 @@ type ExecStats struct {
 	// ChunksPruned counts the chunks passed over unread: those a zone map
 	// pruned, and those the access path's bounds never reached.
 	ChunksPruned int64
+	// Of an answer rebuilt from an earlier view's cells: the windows folded
+	// again, populated or not, and the populated windows whose cells were
+	// copied.
+	WindowsRefolded int64
+	WindowsReused   int64
 }

@@ -349,13 +349,14 @@ func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
 	}
 }
 
-// TestEmitHonoursTheContext: a dense rolling result is quadratic in K by
-// nature; emit polls the context as it goes and gives up with its error.
+// TestEmitHonoursTheContext: a dense rolling float sum is quadratic in K —
+// float addition does not subtract back, so each row merges its K windows;
+// emit polls the context as it goes and gives up with its error.
 func TestEmitHonoursTheContext(t *testing.T) {
 	const span = 8192
 	elems := make([]*element.Element, span)
 	for i := range elems {
-		elems[i] = ev(i, int64(i), element.Int(int64(i)))
+		elems[i] = ev(i, int64(i), element.Float(float64(i)))
 	}
 	spec := &Spec{Width: 1, WKind: Rolling, K: span, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
 	agg, err := NewColAgg(spec)

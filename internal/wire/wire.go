@@ -1012,13 +1012,19 @@ type QueryCacheMetrics struct {
 // were one partial standing in for an aligned group of 16 chunks, whose
 // chunks runs_merged still counts), and how many chunks it passed over
 // unread (pruned on a zone map, or outside the bounds the store's order
-// gave the access path). What the memo holds is ChunkMetrics'.
+// gave the access path), and how many answers were rebuilt from the cells
+// an earlier epoch's kept (rebuilt), folding again only the windows a
+// change since reached (windows_refolded) and copying the rest
+// (windows_reused). What the memo holds is ChunkMetrics'.
 type BatchMetrics struct {
-	Rows         int64 `json:"rows"`
-	RunsMerged   int64 `json:"runs_merged"`
-	GroupsMerged int64 `json:"groups_merged,omitempty"`
-	RunsFolded   int64 `json:"runs_folded"`
-	ChunksPruned int64 `json:"chunks_pruned,omitempty"`
+	Rows            int64 `json:"rows"`
+	RunsMerged      int64 `json:"runs_merged"`
+	GroupsMerged    int64 `json:"groups_merged,omitempty"`
+	RunsFolded      int64 `json:"runs_folded"`
+	ChunksPruned    int64 `json:"chunks_pruned,omitempty"`
+	Rebuilt         int64 `json:"rebuilt,omitempty"`
+	WindowsRefolded int64 `json:"windows_refolded,omitempty"`
+	WindowsReused   int64 `json:"windows_reused,omitempty"`
 }
 
 // ImageMetrics reports, summed over the catalog, how the queries that
