@@ -230,7 +230,8 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying *http.Client (e.g. for
-// httptest servers or custom transports).
+// httptest servers or custom transports), the client's own transport
+// (New) included.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.http = h }
 }
@@ -243,16 +244,40 @@ func WithRetry(p RetryPolicy) Option {
 }
 
 // New builds a client for the server at base, e.g. "http://127.0.0.1:7070".
+// Unless WithHTTPClient says otherwise it has a transport of its own,
+// http.DefaultTransport's settings with a write buffer a 256-element batch
+// fits in (requestWriteBuffer).
 func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base:   strings.TrimRight(base, "/"),
-		http:   &http.Client{Timeout: 30 * time.Second},
 		bodies: wire.BufferList{Max: maxKeptBody},
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	if c.http == nil {
+		c.http = &http.Client{Timeout: 30 * time.Second, Transport: newTransport()}
+	}
 	return c
+}
+
+// requestWriteBuffer is the client transport's write buffer. net/http writes
+// a body of known length through it, and once the default 4 KiB fills the
+// rest goes to the connection through io.Copy's fallback, which allocates a
+// 32 KiB buffer per request; a body that fits is written from the buffer.
+// A 256-element batch of two-attribute elements is ≈ 40 KiB.
+const requestWriteBuffer = 64 << 10
+
+// newTransport is http.DefaultTransport's configuration — proxy from the
+// environment, dial and idle timeouts, HTTP/2 — with requestWriteBuffer.
+func newTransport() http.RoundTripper {
+	t, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultTransport
+	}
+	t = t.Clone()
+	t.WriteBufferSize = requestWriteBuffer
+	return t
 }
 
 // BaseURL reports the server base URL the client was built with.
@@ -619,13 +644,25 @@ func (c *Client) Insert(ctx context.Context, name string, req InsertRequest) (El
 // retries, so a replayed batch dedups element-by-element instead of
 // double-inserting a prefix. With atomic set, any constraint rejection
 // fails the whole batch (code "rejected") and stores nothing.
+//
+// The client asks for a brief report: a stored element the request says
+// all of comes back as its surrogates and tt⊢ alone, and the client puts
+// the element back together from reqs (wire.BatchInsertResponse.Complete).
+// Every item carries its Element as a whole report would have carried it,
+// normalized as the round trip normalizes values, in memory of its own:
+// reqs may be changed or reused once the call returns.
 func (c *Client) InsertBatch(ctx context.Context, name string, reqs []InsertRequest, atomic bool) (BatchInsertResponse, error) {
-	body := wire.BatchInsertRequest{Elements: reqs, Keys: newIdemKeys(len(reqs)), Atomic: atomic}
+	body := wire.BatchInsertRequest{Elements: reqs, Keys: newIdemKeys(len(reqs)), Atomic: atomic, Brief: true}
 	var out BatchInsertResponse
 	// The per-element keys in the body make replays idempotent; the
 	// header key just marks the call transport-retryable.
 	err := c.call(ctx, http.MethodPost, "/v1/relations/"+name+"/elements:batch", body, &out,
 		callOpts{idemKey: newIdemKey()})
+	if err == nil {
+		if err = out.Complete(reqs); err != nil {
+			err = fmt.Errorf("tsdbd: completing the batch report: %w", err)
+		}
+	}
 	return out, err
 }
 

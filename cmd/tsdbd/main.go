@@ -49,11 +49,21 @@
 //
 // Bulk loads should ride the batched ingest path instead of per-element
 // inserts: POST /v1/relations/{name}/elements:batch journals a whole
-// batch as one WAL frame, and /v1/ingest/csv streams header-driven CSV
-// (capped by -ingest-max-body) into server-side batches:
+// batch as one WAL frame and reports every element, and /v1/ingest/csv
+// streams header-driven CSV (capped by -ingest-max-body) into server-side
+// batches:
 //
+//	curl -s -X POST localhost:7070/v1/relations/emp/elements:batch \
+//	  -d '{"elements":[{"vt":{"event":200},"invariant":[{"kind":"string","str":"tom"}],
+//	       "varying":[{"kind":"int","int":31000}]}],"keys":["k1"],"brief":true}'
 //	curl -s -X POST --data-binary @rows.csv \
 //	  'localhost:7070/v1/ingest/csv?relation=emp'
+//
+// With "brief":true (the typed client always sends it) a stored item
+// whose valid time the granularity did not truncate is reported as
+// {"status":"stored","assigned":{"es":…,"os":…,"tt_start":…}}: the rest of
+// the element is the request's. Without it, and for deduped items, the
+// element comes back whole.
 package main
 
 import (

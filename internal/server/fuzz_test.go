@@ -101,9 +101,13 @@ func FuzzDecodeQuery(f *testing.F) {
 // and its decode to the one it replaced: the fast parse straight into
 // insertions builds exactly the insertions encoding/json and ToInsertions
 // build from the same bytes, or both refuse the body with the same status
-// and message.
+// and message. A body that decodes is also sent, as the typed client spells
+// it, to two more servers in lockstep — asking for a brief report and not:
+// the same status, and the brief report completed from the request is the
+// whole one.
 func FuzzBatchInsertRequest(f *testing.F) {
 	h := newFuzzHandler(f)
+	brief, whole := newFuzzHandler(f), newFuzzHandler(f)
 	f.Add([]byte(`{"elements":[{"vt":{"event":5},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":1}]}]}`))
 	f.Add([]byte(`{"elements":[{"vt":{"event":5}},{"vt":{"event":9}}],"keys":["a","b"]}`))
 	f.Add([]byte(`{"elements":[{"vt":{"event":5}}],"keys":["only"],"atomic":true}`))
@@ -125,11 +129,50 @@ func FuzzBatchInsertRequest(f *testing.F) {
 		`{"vt":{"event":-9223372036854775808},"invariant":[{"kind":"string","str":"\u00e9\u2028<"},{"kind":""},{"kind":"null","int":3}],` +
 		`"varying":[{"kind":"float","float":1e-7},{"kind":"bool","bool":true},{"kind":"time","time":-1},{"kind":"int","str":"x","int":9}],"user_times":[]}],` +
 		`"keys":["a","b"],"atomic":false}`))
+	// Brief requests: canonical, off, out of order, not a boolean.
+	f.Add([]byte(`{"elements":[{"vt":{"event":5},"invariant":[{"kind":"string","str":"a\u00e9"}],"varying":[{"kind":"int","int":1}]},` +
+		`{"object":1,"vt":{"event":7},"invariant":[{"kind":""}],"varying":[{"kind":"null"}]},{"vt":{"start":1,"end":2}}],"keys":["a","b","c"],"brief":true}`))
+	f.Add([]byte(`{"elements":[{"vt":{"event":5}}],"atomic":true,"brief":false}`))
+	f.Add([]byte(`{"elements":[{"vt":{"event":5}}],"brief":true,"atomic":true}`))
+	f.Add([]byte(`{"elements":[{"vt":{"event":5}}],"brief":1}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/elements:batch", payload)
 		handler, plain := server.DecodeBatchBothWays(payload)
 		if !reflect.DeepEqual(handler, plain) {
 			t.Fatalf("batch body %q:\n handler %+v\n plain   %+v", payload, handler, plain)
+		}
+
+		var req wire.BatchInsertRequest
+		if json.Unmarshal(payload, &req) != nil {
+			return
+		}
+		req.Brief = true
+		briefDoc, err := req.AppendJSON(nil)
+		if err != nil {
+			return
+		}
+		req.Brief = false
+		wholeDoc, _ := req.AppendJSON(nil)
+		b := post(t, brief, "/v1/relations/emp/elements:batch", briefDoc)
+		w := post(t, whole, "/v1/relations/emp/elements:batch", wholeDoc)
+		if b.Code != w.Code {
+			t.Fatalf("batch %s: status %d brief, %d whole", wholeDoc, b.Code, w.Code)
+		}
+		if b.Code >= 300 {
+			if b.Body.String() != w.Body.String() {
+				t.Fatalf("batch %s refused in other words:\n brief %s\n whole %s", wholeDoc, b.Body, w.Body)
+			}
+			return
+		}
+		var got, want wire.BatchInsertResponse
+		if err := got.ParseJSON(b.Body.Bytes()); err != nil {
+			t.Fatalf("brief report: %v\n%s", err, b.Body)
+		}
+		if err := want.ParseJSON(w.Body.Bytes()); err != nil {
+			t.Fatalf("whole report: %v\n%s", err, w.Body)
+		}
+		if err := got.Complete(req.Elements); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %s (%v):\n completed %+v\n whole     %+v", wholeDoc, err, got, want)
 		}
 	})
 }

@@ -85,6 +85,20 @@ var goldenScript = []goldenStep{
 	{method: "GET", path: "/v1/relations/emp/select?query=select+count(*)+from+emp+group+by+window(10)"},
 	{method: "POST", path: "/v1/relations/emp/insert", body: `{"vt":{"event":1},"varying":[{"kind":"zebra"}]}`},
 	{method: "POST", path: "/v1/relations/nope/query", body: `{"kind":"current"}`},
+	// Brief reports, appended after the steps the pre-codec commit wrote:
+	// stored items brief, a deduped item (k1, above) and a rejection whole,
+	// and on a relation of a minute's granularity an item whose valid time
+	// was truncated whole beside one that was not.
+	{method: "POST", path: "/v1/relations/emp/elements:batch", body: `{"elements":[` +
+		`{"vt":{"event":5},"invariant":[{"kind":"string","str":"merrie"}],"varying":[{"kind":"int","int":27000}]},` +
+		`{"vt":{"event":30},"invariant":[{"kind":"string","str":"ann"}],"varying":[{"kind":"int","int":1}]},` +
+		`{"vt":{"start":1,"end":2}},` +
+		`{"object":2,"vt":{"event":31},"invariant":[{"kind":""}],"varying":[{"kind":"int"}]}],"keys":["k1","k5","k6","k7"],"brief":true}`},
+	{method: "POST", path: "/v1/relations", body: `{"schema":{"name":"min","valid_time":"interval","granularity":60,` +
+		`"varying":[{"name":"v","type":"float"}]}}`},
+	{method: "POST", path: "/v1/relations/min/elements:batch", body: `{"elements":[` +
+		`{"vt":{"start":120,"end":180},"varying":[{"kind":"float","float":-0.5}]},` +
+		`{"vt":{"start":125,"end":200},"varying":[{"kind":"float"}]}],"atomic":true,"brief":true}`},
 }
 
 func TestGoldenWireBytes(t *testing.T) {

@@ -64,20 +64,30 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 	}
 	return &response{
 		status: status,
-		body: wire.BatchBody[batchItems]{Items: res.Items, Stored: res.Stored, Deduped: res.Deduped,
-			Rejected: res.Rejected, Epoch: res.Epoch},
+		body: wire.BatchBody[batchItems]{Items: batchItems{res.Items, req.Elements, req.Brief},
+			Stored: res.Stored, Deduped: res.Deduped, Rejected: res.Rejected, Epoch: res.Epoch},
 		touched: res.Stored,
 	}, nil
 }
 
 // batchItems is what the report of a batch is encoded from: the catalog's
-// outcomes, in place.
-type batchItems []catalog.BatchItemResult
+// outcomes, in place, beside the insertions they answer. In a brief report
+// a stored item goes out brief when its element is what the request would
+// rebuild — the valid time-stamp was not truncated to the granularity; a
+// deduped item's element is the original, which the request may not match,
+// and goes out whole.
+type batchItems struct {
+	res   []catalog.BatchItemResult
+	ins   []relation.Insertion
+	brief bool
+}
 
-func (b batchItems) Len() int { return len(b) }
+func (b batchItems) Len() int { return len(b.res) }
 
-func (b batchItems) Item(i int) (string, string, *element.Element) {
-	return b[i].Status.String(), b[i].Err, b[i].Elem
+func (b batchItems) Item(i int) (string, string, *element.Element, bool) {
+	it := &b.res[i]
+	brief := b.brief && it.Status == catalog.BatchStored && it.Elem.Current() && it.Elem.VT == b.ins[i].VT
+	return it.Status.String(), it.Err, it.Elem, brief
 }
 
 // decodeBatch reads an elements:batch body into the insertions InsertBatch

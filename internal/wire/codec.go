@@ -559,9 +559,10 @@ func (b ElementBody) AppendJSON(dst []byte) ([]byte, error) {
 type BatchItems interface {
 	Len() int
 	// Item is item i's status ("stored", "deduped" or "rejected"), the
-	// rejection's cause, and the element stored or remembered (nil for a
-	// rejection).
-	Item(i int) (status, cause string, el *element.Element)
+	// rejection's cause, the element stored or remembered (nil for a
+	// rejection), and whether the item goes out brief: el's surrogates and
+	// tt⊢ alone (BatchItem.Assigned), the rest being its request's.
+	Item(i int) (status, cause string, el *element.Element, brief bool)
 }
 
 // BatchBody encodes as BatchInsertResponse.
@@ -582,12 +583,19 @@ func (b BatchBody[I]) AppendJSON(dst []byte) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		status, cause, el := b.Items.Item(i)
+		status, cause, el, brief := b.Items.Item(i)
 		dst = appendString(append(dst, `{"status":`...), status)
 		if cause != "" {
 			dst = appendString(append(dst, `,"error":`...), cause)
 		}
-		if el != nil {
+		switch {
+		case el == nil:
+		case brief:
+			dst = strconv.AppendUint(append(dst, `,"assigned":{"es":`...), uint64(el.ES), 10)
+			dst = strconv.AppendUint(append(dst, `,"os":`...), uint64(el.OS), 10)
+			dst = strconv.AppendInt(append(dst, `,"tt_start":`...), int64(el.TTStart), 10)
+			dst = append(dst, '}')
+		default:
 			if dst, err = AppendElement(append(dst, `,"element":`...), el); err != nil {
 				return dst, err
 			}
@@ -705,6 +713,9 @@ func (r BatchInsertRequest) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	if r.Atomic {
 		dst = append(dst, `,"atomic":true`...)
+	}
+	if r.Brief {
+		dst = append(dst, `,"brief":true`...)
 	}
 	return append(dst, '}'), nil
 }

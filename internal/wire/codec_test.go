@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,14 +97,15 @@ type (
 	reportItem struct {
 		status, cause string
 		el            *element.Element
+		brief         bool
 	}
 	reportItems []reportItem
 )
 
 func (r reportItems) Len() int { return len(r) }
 
-func (r reportItems) Item(i int) (string, string, *element.Element) {
-	return r[i].status, r[i].cause, r[i].el
+func (r reportItems) Item(i int) (string, string, *element.Element, bool) {
+	return r[i].status, r[i].cause, r[i].el, r[i].brief
 }
 
 // checkBodies runs the four response bodies and the two requests built
@@ -117,6 +119,8 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 
 	batch := BatchBody[reportItems]{Items: make(reportItems, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
 	ref := BatchInsertResponse{Items: make([]BatchItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
+	brief := BatchBody[reportItems]{Items: make(reportItems, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
+	briefRef := BatchInsertResponse{Items: make([]BatchItem, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
 	rows := make([][]element.Value, 0, 2*len(els))
 	wrows := make([][]Value, 0, 2*len(els))
 	reqs := make([]InsertRequest, len(els))
@@ -132,6 +136,14 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 			batch.Items[i] = reportItem{status: "stored", el: e}
 			ref.Items[i] = BatchItem{Status: "stored", Element: &we}
 		}
+		// The brief report of the same batch: every current element brief,
+		// the others whole, as the server writes a truncated one.
+		brief.Items[i], briefRef.Items[i] = batch.Items[i], ref.Items[i]
+		if i%3 != 2 && e.Current() {
+			brief.Items[i].brief = true
+			briefRef.Items[i].Element = nil
+			briefRef.Items[i].Assigned = &Assigned{ES: we.ES, OS: we.OS, TTStart: we.TTStart}
+		}
 		rows = append(rows, e.Invariant, e.Varying)
 		wrows = append(wrows, we.Invariant, we.Varying)
 		reqs[i] = InsertRequest{Object: we.OS, VT: we.VT, Invariant: we.Invariant, Varying: we.Varying, UserTimes: we.UserTimes}
@@ -139,8 +151,23 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 			sameValue[InsertRequest](t, "insert request", b)
 		}
 	}
-	if b := sameBytes(t, "batch", batch, ref); b != nil {
-		sameValue[BatchInsertResponse](t, "batch", b)
+	full := sameBytes(t, "batch", batch, ref)
+	if full != nil {
+		sameValue[BatchInsertResponse](t, "batch", full)
+	}
+	if b := sameBytes(t, "brief batch", brief, briefRef); b != nil && full != nil {
+		sameValue[BatchInsertResponse](t, "brief batch", b)
+		// Completed from the requests, the brief report is the whole one.
+		var got, want BatchInsertResponse
+		if err := got.ParseJSON(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.ParseJSON(full); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Complete(reqs); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("completed brief report (%v)\n got: %+v\nwant: %+v", err, got, want)
+		}
 	}
 	cols := []string{word, "c"}
 	if len(els) == 0 {
@@ -150,7 +177,7 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 		SelectResponse{Columns: cols, Rows: wrows, Plan: plan, Touched: 3, Engine: word}); b != nil {
 		sameValue[SelectResponse](t, "select", b)
 	}
-	br := BatchInsertRequest{Elements: reqs, Keys: cols, Atomic: len(els)%2 == 1}
+	br := BatchInsertRequest{Elements: reqs, Keys: cols, Atomic: len(els)%2 == 1, Brief: len(word)%2 == 1}
 	if b := sameBytes(t, "batch request", br, br); b != nil {
 		sameValue[BatchInsertions](t, "batch request", b)
 	}
@@ -269,6 +296,14 @@ func checkGenerated(t *testing.T, data []byte) {
 	if b := sameBytes(t, "value", v, v); b != nil {
 		sameValue[Value](t, "value", b)
 	}
+	// The same value under each kind the server takes, in a batch the
+	// client sends asking for a brief report.
+	kv := v
+	kv.Kind = [...]string{"", "null", "string", "int", "float", "bool", "time", v.Kind}[g.byte()%8]
+	checkComplete(t, []InsertRequest{
+		{VT: EventAt(int64(g.u64())), Invariant: []Value{kv}},
+		{Object: uint64(g.byte()), VT: SpanOf(-5, int64(g.byte())), Varying: []Value{kv, v, {Kind: "float", Float: -kv.Float}}, UserTimes: []int64{v.Int}},
+	})
 	var ts Timestamp
 	for i, p := range []**int64{&ts.Event, &ts.Start, &ts.End} {
 		if g.byte()%2 == 1 {
@@ -322,6 +357,72 @@ func checkSplice(t *testing.T, g *gen) {
 	}
 	sameAsPlain(t, "generated chunk after closes", body(answer(closed), refreshed))
 	sameAsPlain(t, "generated chunk after closes, stale image", body(answer(closed), img))
+}
+
+// checkComplete holds Complete to the round trip it stands in for: reqs
+// sent as the client sends them, read as the server reads them, stored
+// under assigned surrogates and tt⊢ as the relation stores an insertion,
+// and reported whole — against the brief report of the same batch,
+// completed from reqs. A batch the client cannot send (a non-finite float)
+// or the server refuses (a value kind outside the six, an empty interval)
+// has no report.
+func checkComplete(t *testing.T, reqs []InsertRequest) {
+	t.Helper()
+	doc, err := BatchInsertRequest{Elements: reqs, Brief: true}.AppendJSON(nil)
+	if err != nil {
+		return
+	}
+	var ins BatchInsertions
+	if err := ins.ParseJSON(doc); err != nil {
+		if !errors.Is(err, ErrUnconvertible) {
+			t.Fatalf("the server's parser refused the client's spelling: %v\n%s", err, doc)
+		}
+		return
+	}
+	if !ins.Brief {
+		t.Fatalf("brief was lost on the way: %s", doc)
+	}
+	whole := BatchBody[reportItems]{Items: make(reportItems, len(reqs)), Stored: len(reqs)}
+	brief := BatchBody[reportItems]{Items: make(reportItems, len(reqs)), Stored: len(reqs)}
+	for i, in := range ins.Elements {
+		e := storedAs(i, in)
+		whole.Items[i] = reportItem{status: "stored", el: e}
+		brief.Items[i] = reportItem{status: "stored", el: e, brief: true}
+	}
+	wholeDoc, werr := whole.AppendJSON(nil)
+	briefDoc, berr := brief.AppendJSON(nil)
+	if werr != nil || berr != nil {
+		t.Fatalf("reports of a batch the server took: %v, %v", werr, berr)
+	}
+	var got, want BatchInsertResponse
+	if err := want.ParseJSON(wholeDoc); err != nil {
+		t.Fatalf("whole report: %v\n%s", err, wholeDoc)
+	}
+	if err := got.ParseJSON(briefDoc); err != nil {
+		t.Fatalf("brief report: %v\n%s", err, briefDoc)
+	}
+	if err := got.Complete(reqs); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || !sameFloatBits(got, want) {
+		t.Fatalf("completed brief report\n got: %+v\nwant: %+v\nfrom: %s", got, want, doc)
+	}
+}
+
+// sameFloatBits is what reflect.DeepEqual leaves out: 0 and -0 are equal
+// to it, and a value's float is compared to the bit.
+func sameFloatBits(a, b BatchInsertResponse) bool {
+	bits := func(r BatchInsertResponse) (out []uint64) {
+		for _, it := range r.Items {
+			if it.Element != nil {
+				for _, v := range append(append([]Value(nil), it.Element.Invariant...), it.Element.Varying...) {
+					out = append(out, math.Float64bits(v.Float))
+				}
+			}
+		}
+		return out
+	}
+	return slices.Equal(bits(a), bits(b))
 }
 
 // agree holds the fast parser to its oracle on arbitrary bytes: what it
@@ -380,8 +481,12 @@ var codecSeeds = []string{
 	`{"elements":[{"es":1,"os":1,"tt_start":10,"tt_end":4611686018427387903,"current":true,"vt":{"event":5},"invariant":[{"kind":"string","str":"merrie"}],"varying":[{"kind":"int","int":27000}]},{"es":2,"os":2,"tt_start":20,"tt_end":50,"current":false,"vt":{"start":1,"end":9},"user_times":[3,-4]}],"plan":"full scan (heap)","plan_node":{"kind":"current-state","est":5,"input":{"kind":"tt-window-pushdown","org":"heap","win_lo":-1,"win_hi":7,"note":"n","count":2,"est":5}},"touched":5,"epoch":5}`,
 	`{"element":{"es":4,"os":4,"tt_start":40,"tt_end":4611686018427387903,"current":true,"vt":{"event":21},"invariant":[{"kind":"string","str":"<a href=\"x\">&\u2028é\t😀\ud800"}],"varying":[{"kind":"float","float":1e-7},{"kind":"bool","bool":true},{"kind":"time","time":-1},{"kind":"null"}]}}`,
 	`{"items":[{"status":"stored","element":{"es":1,"os":1,"tt_start":10,"tt_end":4611686018427387903,"current":true,"vt":{"event":5}}},{"status":"rejected","error":"violates declaration"},{"status":"deduped","element":null}],"stored":1,"deduped":1,"rejected":1,"epoch":2}`,
+	`{"items":[{"status":"stored","assigned":{"es":1,"os":1,"tt_start":10}},{"status":"stored","element":{"es":2,"os":2,"tt_start":20,"tt_end":4611686018427387903,"current":true,"vt":{"event":60}}},{"status":"deduped","element":{"es":3,"os":1,"tt_start":5,"tt_end":30,"current":false,"vt":{"start":1,"end":2}}},{"status":"rejected","error":"x"}],"stored":2,"deduped":1,"rejected":1,"epoch":4}`,
+	`{"items":[{"status":"stored","assigned":null},{"status":"stored","assigned":{"os":1,"es":1,"tt_start":-0}}],"stored":2,"deduped":0,"rejected":0}`,
 	`{"columns":["win_start","count"],"rows":[[{"kind":"time"},{"kind":"int","int":1}],[{"kind":"time","time":10},{"kind":"float","float":-1.5E+3}],null,[]],"plan":{"kind":"window-aggregate","est":5},"touched":5,"engine":"row"}`,
 	`{"elements":[{"object":7,"vt":{"start":1,"end":2},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":-0}],"user_times":[0]},{"vt":{"event":5}}],"keys":["k1","k2"],"atomic":true}`,
+	`{"elements":[{"vt":{"event":5},"invariant":[{"kind":"","str":"` + "\xff" + `"}],"varying":[{"kind":"float","float":-0}]}],"keys":["k1"],"atomic":true,"brief":true}`,
+	`{"elements":[{"vt":{"event":5}}],"brief":false}`, `{"elements":[{"vt":{"event":5}}],"brief":true,"atomic":true}`,
 	`{"vt":{"event":5},"invariant":[],"varying":null}`,
 	` { "kind" : "int" , "int" : 12 } `,
 	`{"kind":"int","int":12} trailing`,
@@ -569,6 +674,11 @@ func TestParserFallsBack(t *testing.T) {
 		batch   = `{"elements":[` + request + `],"keys":["k"],"atomic":true}`
 		report  = `{"items":[{"status":"stored","element":` + element + `}],"stored":1,"deduped":0,"rejected":0}`
 		table   = `{"columns":["c"],"rows":[[{"kind":"int","int":1}],null],"touched":2}`
+		// The brief shapes: a request that asks, a report with an item of
+		// each kind.
+		briefBatch  = `{"elements":[` + request + `],"keys":["k"],"atomic":true,"brief":true}`
+		briefReport = `{"items":[{"status":"stored","assigned":{"es":1,"os":2,"tt_start":10}},{"status":"deduped","element":` + element +
+			`},{"status":"rejected","error":"no"}],"stored":1,"deduped":1,"rejected":1,"epoch":3}`
 	)
 	pretty := func(doc string) string {
 		var buf bytes.Buffer
@@ -593,6 +703,10 @@ func TestParserFallsBack(t *testing.T) {
 	sameAsCanonical[QueryResponse](t, swap(query, `"touched":1`, `"epoch":2`), query)
 	sameAsCanonical[BatchInsertResponse](t, swap(report, `"stored":1`, `"deduped":0`), report)
 	sameAsCanonical[SelectResponse](t, swap(table, `"columns":["c"]`, `"rows":[[{"kind":"int","int":1}],null]`), table)
+	sameAsCanonical[BatchInsertions](t, swap(briefBatch, `"atomic":true`, `"brief":true`), briefBatch)
+	sameAsCanonical[BatchInsertResponse](t, swap(briefReport, `"es":1`, `"os":2`), briefReport)
+	sameAsCanonical[BatchInsertResponse](t, swap(briefReport, `"os":2`, `"tt_start":10`), briefReport)
+	sameAsCanonical[BatchInsertResponse](t, swap(briefReport, `"status":"stored"`, `"assigned":{"es":1,"os":2,"tt_start":10}`), briefReport)
 	// Insignificant whitespace: after a colon, after a comma, around the
 	// document, a pretty-printed body. One trailing newline is the encoder's.
 	sameAsCanonical[Element](t, strings.Replace(element, `"es":1`, `"es": 1`, 1), element)
@@ -605,12 +719,19 @@ func TestParserFallsBack(t *testing.T) {
 	sameAsCanonical[BatchInsertions](t, pretty(batch), batch)
 	sameAsCanonical[BatchInsertResponse](t, pretty(report), report)
 	sameAsCanonical[SelectResponse](t, pretty(table), table)
+	sameAsCanonical[BatchInsertions](t, pretty(briefBatch), briefBatch)
+	sameAsCanonical[BatchInsertResponse](t, pretty(briefReport), briefReport)
 	// A duplicated key (encoding/json keeps the last), null for a scalar
 	// or an object (encoding/json leaves the zero value).
 	sameAsCanonical[Element](t, strings.Replace(element, `"es":1`, `"es":9,"es":1`, 1), element)
 	sameAsCanonical[Element](t, strings.Replace(element, `"current":false`, `"current":null`, 1), element)
 	sameAsCanonical[BatchInsertResponse](t, strings.Replace(report, `"element":`+element, `"element":null`, 1), strings.Replace(report, `,"element":`+element, ``, 1))
 	sameAsCanonical[QueryResponse](t, `{"elements":[],"plan_node":null,"touched":0}`, `{"elements":[],"touched":0}`)
+	sameAsCanonical[BatchInsertResponse](t, strings.Replace(briefReport, `{"es":1,"os":2,"tt_start":10}`, `null`, 1),
+		strings.Replace(briefReport, `,"assigned":{"es":1,"os":2,"tt_start":10}`, ``, 1))
+	sameAsCanonical[BatchInsertResponse](t, strings.Replace(briefReport, `"tt_start":10}`, `"tt_start":10,"tt_start":10}`, 1), briefReport)
+	sameAsCanonical[BatchInsertResponse](t, strings.Replace(briefReport, `"es":1,`, ``, 1),
+		strings.Replace(briefReport, `"es":1,`, `"es":0,`, 1))
 
 	// What stays on the fast path: the encoder's own newline, a field the
 	// encoder would have omitted, null where encoding/json writes it.
@@ -620,6 +741,10 @@ func TestParserFallsBack(t *testing.T) {
 	sameValue[BatchInsertResponse](t, "nil items", []byte(`{"items":null,"stored":0,"deduped":0,"rejected":0}`))
 	sameValue[SelectResponse](t, "nil columns and rows", []byte(`{"columns":null,"rows":null,"touched":0}`))
 	sameValue[BatchInsertions](t, "nil request elements", []byte(`{"elements":null}`))
+	sameValue[BatchInsertions](t, "brief request", []byte(briefBatch))
+	sameValue[BatchInsertions](t, "brief false", []byte(strings.Replace(briefBatch, `"brief":true`, `"brief":false`, 1)))
+	sameValue[BatchInsertResponse](t, "brief report", []byte(briefReport))
+	sameValue[BatchInsertResponse](t, "brief and whole", []byte(strings.Replace(briefReport, `"element":`+element, `"element":`+element+`,"assigned":{"es":5,"os":6,"tt_start":7}`, 1)))
 	// A canonical batch whose element does not convert is handed back too,
 	// for the conversion to refuse in its own words.
 	refused[BatchInsertions](t, `{"elements":[`+request+`,{"vt":{"event":5},"varying":[{"kind":"zebra"}]}],"keys":["k","l"]}`)
@@ -752,6 +877,27 @@ func TestCodecAllocationBudget(t *testing.T) {
 	if len(gotReport.Items) != 256 || gotReport.Items[255].Element.ES != 256 || gotReport.Stored != 256 {
 		t.Errorf("parsed batch report is wrong: %d items, stored %d", len(gotReport.Items), gotReport.Stored)
 	}
+	// The brief report the typed client asks for: parsed, then completed
+	// from the request — a handful of slabs for the whole batch.
+	for i := range report.Items {
+		report.Items[i].brief = true
+	}
+	briefDoc, _ := report.AppendJSON(nil)
+	var gotBrief BatchInsertResponse
+	if n := testing.AllocsPerRun(10, func() {
+		gotBrief = BatchInsertResponse{}
+		if err := gotBrief.ParseJSON(briefDoc); err != nil {
+			t.Fatal(err)
+		}
+		if err := gotBrief.Complete(req.Elements); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("parsing and completing a 256-item brief report: %v allocations, want at most 8 in total", n)
+	}
+	if !reflect.DeepEqual(gotBrief, gotReport) {
+		t.Errorf("the completed brief report is not the whole one")
+	}
 }
 
 var benchSink int
@@ -846,4 +992,24 @@ func BenchmarkWireCodec(b *testing.B) {
 	req, report, ref := benchBatch(256)
 	benchCodec[BatchInsertions](b, "batch-request/n=256", req, req)
 	benchCodec[BatchInsertResponse](b, "batch-response/n=256", report, ref)
+	// The brief report of the same batch, and what the client does with it.
+	for i := range report.Items {
+		report.Items[i].brief = true
+		ref.Items[i] = BatchItem{Status: "stored", Assigned: &Assigned{ES: ref.Items[i].Element.ES, OS: ref.Items[i].Element.OS, TTStart: ref.Items[i].Element.TTStart}}
+	}
+	benchCodec[BatchInsertResponse](b, "batch-response-brief/n=256", report, ref)
+	doc, _ := report.AppendJSON(nil)
+	b.Run("parse+complete/hand/batch-response-brief/n=256", func(b *testing.B) {
+		b.SetBytes(int64(len(doc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out BatchInsertResponse
+			if err := out.ParseJSON(doc); err != nil {
+				b.Fatal(err)
+			}
+			if err := out.Complete(req.Elements); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -93,6 +93,7 @@ type parser struct {
 	ints    slab[int64]
 	vals    slab[Value]
 	elems   slab[Element]
+	assigns slab[Assigned]
 	evals   slab[element.Value]
 	times   slab[chronon.Chronon]
 	strs    arena
@@ -111,7 +112,8 @@ func newParser(src []byte) *parser {
 	p := &parser{src: src}
 	p.ints.buf, p.vals.buf = p.ints0[:0], p.vals0[:0]
 	// `1,` — `{"kind":""},` — `{"es":0,"os":0,"tt_start":0,"tt_end":0,"current":true,"vt":{}},`
-	p.ints.per, p.vals.per, p.elems.per = 2, 12, 63
+	// — `{"es":0,"os":0,"tt_start":0},`
+	p.ints.per, p.vals.per, p.elems.per, p.assigns.per = 2, 12, 63, 29
 	p.evals.per, p.times.per = p.vals.per, p.ints.per
 	return p
 }
@@ -157,10 +159,10 @@ func (p *parser) field(open int, key string) bool {
 }
 
 // mark and extrapolate size a result set from its first item.
-type mark struct{ pos, ints, vals, elems, evals, times, strs int }
+type mark struct{ pos, ints, vals, elems, assigns, evals, times, strs int }
 
 func (p *parser) mark() mark {
-	return mark{p.i, p.ints.used, p.vals.used, p.elems.used, p.evals.used, p.times.used, p.strs.used}
+	return mark{p.i, p.ints.used, p.vals.used, p.elems.used, p.assigns.used, p.evals.used, p.times.used, p.strs.used}
 }
 
 // extrapolate is called after the first item of an array, with the mark
@@ -176,6 +178,7 @@ func (p *parser) extrapolate(m mark) int {
 	p.ints.want = n * (p.ints.used - m.ints)
 	p.vals.want = n * (p.vals.used - m.vals)
 	p.elems.want = n * (p.elems.used - m.elems)
+	p.assigns.want = n * (p.assigns.used - m.assigns)
 	p.evals.want = n * (p.evals.used - m.evals)
 	p.times.want = n * (p.times.used - m.times)
 	p.strs.want = n*(p.strs.used-m.strs) + 128
@@ -676,6 +679,16 @@ func (p *parser) batchItem(it *BatchItem) {
 		it.Element = p.elems.one(p.left())
 		p.element(it.Element)
 	}
+	if p.lit(`,"assigned":{"es":`) {
+		a := p.assigns.one(p.left())
+		a.ES = p.u64()
+		p.expect(`,"os":`)
+		a.OS = p.u64()
+		p.expect(`,"tt_start":`)
+		a.TTStart = p.i64()
+		p.expect("}")
+		it.Assigned = a
+	}
 	p.expect("}")
 }
 
@@ -739,6 +752,7 @@ type BatchInsertions struct {
 	Elements []relation.Insertion
 	Keys     []string
 	Atomic   bool
+	Brief    bool
 }
 
 // ErrUnconvertible is what BatchInsertions.ParseJSON returns for a body
@@ -860,6 +874,9 @@ func (p *parser) batchInsertions(r *BatchInsertions) {
 	}
 	if p.lit(`,"atomic":`) {
 		r.Atomic = p.boolean()
+	}
+	if p.lit(`,"brief":`) {
+		r.Brief = p.boolean()
 	}
 	p.expect("}")
 }

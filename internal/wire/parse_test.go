@@ -157,6 +157,9 @@ func TestRefusalIsCheap(t *testing.T) {
 		{"query response", `{"elements":[` + el + `}`, true},
 		{"query response", `{"elements":[` + el + `,"invariant":[{"kind":"null"}`, true},
 		{"batch response", `{"items":[{"status":"stored","element":` + el + `}}`, true},
+		{"batch response", `{"items":[{"status":"stored","assigned":{"es":1,"os":1,"tt_start":1}}`, true},
+		{"batch response", `{"items":[{"status":"stored","assigned":{"es":`, false},
+		{"batch request", `{"elements":[{"vt":{}}],"keys":["k"],"atomic":true,"brief":`, true},
 		{"select", `{"columns":["a"`, true},
 		{"select", `{"columns":[],"rows":[[`, false},
 		{"select", `{"columns":[],"rows":[[{"kind":"null"}]`, true},

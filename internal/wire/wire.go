@@ -455,17 +455,21 @@ func (r InsertRequest) ToInsertion() (relation.Insertion, error) {
 // present, parallels Elements — one idempotency key per element, so a
 // replayed batch dedups element-by-element exactly like replayed single
 // inserts. Atomic makes the batch all-or-nothing: any rejection aborts
-// it before anything is journaled.
+// it before anything is journaled. Brief asks for a brief report: a stored
+// item whose element is what its request would rebuild carries only what
+// the server assigned (BatchItem.Assigned), and the sender, which holds
+// the request, completes it (BatchInsertResponse.Complete).
 type BatchInsertRequest struct {
 	Elements []InsertRequest `json:"elements"`
 	Keys     []string        `json:"keys,omitempty"`
 	Atomic   bool            `json:"atomic,omitempty"`
+	Brief    bool            `json:"brief,omitempty"`
 }
 
 // ToInsertions converts every element of the request (ToInsertion); the
 // error names the first element that does not convert.
 func (r BatchInsertRequest) ToInsertions() (BatchInsertions, error) {
-	out := BatchInsertions{Keys: r.Keys, Atomic: r.Atomic}
+	out := BatchInsertions{Keys: r.Keys, Atomic: r.Atomic, Brief: r.Brief}
 	if r.Elements != nil {
 		out.Elements = make([]relation.Insertion, len(r.Elements))
 	}
@@ -478,11 +482,24 @@ func (r BatchInsertRequest) ToInsertions() (BatchInsertions, error) {
 	return out, nil
 }
 
-// BatchItem is one element's outcome inside a batch response.
+// BatchItem is one element's outcome inside a batch response. A stored or
+// deduped item carries its element whole — or, in a brief report, a stored
+// item whose element is what its request would rebuild carries Assigned
+// instead.
 type BatchItem struct {
-	Status  string   `json:"status"` // "stored", "deduped", "rejected"
-	Error   string   `json:"error,omitempty"`
-	Element *Element `json:"element,omitempty"`
+	Status   string    `json:"status"` // "stored", "deduped", "rejected"
+	Error    string    `json:"error,omitempty"`
+	Element  *Element  `json:"element,omitempty"`
+	Assigned *Assigned `json:"assigned,omitempty"`
+}
+
+// Assigned is what the server chose for a stored element: its two
+// surrogates and its transaction time. The valid time-stamp and the
+// attribute values are the request's, and a stored element is current.
+type Assigned struct {
+	ES      uint64 `json:"es"`
+	OS      uint64 `json:"os"`
+	TTStart int64  `json:"tt_start"`
 }
 
 // BatchInsertResponse reports a batch per-index plus the tallies and the
