@@ -4,16 +4,17 @@ GO ?= go
 # these run a second time under the race detector in `make ci`.
 RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/query ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./internal/wire ./client
 
-.PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module docs-check clean
+.PHONY: ci build vet fmt test race examples chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke bench-module docs-check clean
 
 # ci is the tier-1 gate: everything must build, vet and gofmt clean, pass
 # tests, pass the race detector on the concurrency-bearing packages, keep
 # the read-path microbenchmarks compiling and running, keep the tsbench
 # module (bench/, which `./...` does not reach) building against the
 # internal APIs, keep the prose citing only evidence files and experiment
-# ids that exist, boot a real 1-primary + 2-follower cluster end to end,
-# and prove the integrity subsystem over the wire.
-ci: vet fmt build test race bench-smoke bench-module docs-check e2e-cluster e2e-integrity
+# ids that exist, run every example program to a clean exit, boot a real
+# 1-primary + 2-follower cluster end to end, and prove the integrity
+# subsystem over the wire.
+ci: vet fmt build test race examples bench-smoke bench-module docs-check e2e-cluster e2e-integrity
 
 # fmt fails if any file needs gofmt (prints the offenders).
 fmt:
@@ -33,6 +34,12 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on $(RACE_PKGS)
+
+# Run every program under examples/; any non-zero exit fails the target
+# (the on-call example exits 1 when its rota leaves an hour of the week
+# unowned or doubly owned).
+examples:
+	@set -e; for d in examples/*/; do d=$${d%/}; echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
 
 # The resilience acceptance tests: idempotent retry through connection
 # resets, WAL poisoning to read-only, crash recovery to exactly the acked

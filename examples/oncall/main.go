@@ -1,9 +1,10 @@
 // Oncall: a sixth scenario exercising the extensions on top of the
-// taxonomy — the temporal query language, valid-time join, timeline
-// aggregation, and backlog persistence. An on-call rota is a contiguous
-// interval relation (every hour has an owner); incidents are a retroactive
-// event relation (logged after they happen). Joining them answers "who
-// owned each incident", the timeline checks rota coverage, and the rota
+// taxonomy — the temporal query language and backlog persistence. An
+// on-call rota is a contiguous interval relation (every hour has an owner);
+// incidents are a retroactive event relation (logged after they happen).
+// A time-slice of the rota at each incident answers "who owned it", a
+// windowed count over the week checks that every hour is owned exactly
+// once (the program exits non-zero when one is not), and the rota
 // round-trips through the persistent backlog format.
 package main
 
@@ -69,44 +70,6 @@ func main() {
 	}
 	fmt.Printf("incidents: %d logged (all retroactive)\n\n", incidents.Len())
 
-	// --- Valid-time join: who owned each incident? ---
-	pairs := ts.TemporalJoin(rota.Current(), incidents.Current(), nil)
-	fmt.Println("incident ownership (valid-time join):")
-	for _, p := range pairs {
-		eng, _ := p.Left.Invariant[0].Str()
-		id, _ := p.Right.Invariant[0].Str()
-		sev, _ := p.Right.Varying[0].IntVal()
-		fmt.Printf("  %s (sev %d) at %v → %s\n", id, sev, p.Right.VT, eng)
-	}
-
-	// --- Timeline: is the week fully covered, exactly once? ---
-	steps := ts.Timeline(rota.Current())
-	fmt.Println("\nrota coverage profile:")
-	for _, st := range steps {
-		fmt.Printf("  %v: %d engineer(s) on call\n", st.Span, st.Count)
-	}
-	cov := ts.CoverageSet(rota.Current())
-	if gaps := cov.Complement(weekStart, weekStart.Add(7*day)); gaps.Empty() {
-		fmt.Println("no coverage gaps")
-	} else {
-		fmt.Printf("COVERAGE GAPS: %v\n", gaps)
-	}
-	if peak, span := ts.MaxConcurrent(rota.Current()); peak > 1 {
-		fmt.Printf("double coverage at %v\n", span)
-	}
-
-	// --- Coalescing: each engineer's total on-call time as maximal spans. ---
-	fmt.Println("\ncoalesced on-call spans per engineer:")
-	byEngineer := func(e *ts.Element) string {
-		name, _ := e.Invariant[0].Str()
-		return name
-	}
-	for _, fact := range ts.Coalesce(rota.Current(), byEngineer) {
-		name, _ := fact.Representative.Invariant[0].Str()
-		fmt.Printf("  %s: %v (%d day(s) total)\n", name, fact.When, fact.When.Duration()/day)
-	}
-
-	// --- The query language over both relations. ---
 	lookup := func(name string) (*ts.Relation, bool) {
 		switch name {
 		case "rota":
@@ -116,21 +79,54 @@ func main() {
 		}
 		return nil, false
 	}
-	fmt.Println("\nsevere incidents on Tuesday (temporal SELECT):")
-	res, err := ts.RunQuery(
-		"select id, sev from incidents when valid during ['1992-03-03', '1992-03-04') where sev <= 2", lookup)
-	if err != nil {
-		log.Fatal(err)
+	query := func(src string) *ts.TemporalResult {
+		res, err := ts.RunQuery(src, lookup)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	fmt.Print(res.Format())
+
+	// --- Ownership: a time-slice of the rota at each incident. ---
+	fmt.Println("incident ownership (rota valid at the incident):")
+	for _, inc := range incidents.Current() {
+		id, _ := inc.Invariant[0].Str()
+		sev, _ := inc.Varying[0].IntVal()
+		at := inc.VT.Start()
+		res := query(fmt.Sprintf("select engineer from rota when valid at '%v'", at))
+		if len(res.Rows) != 1 {
+			log.Fatalf("%s at %v: %d engineer(s) on call, want 1", id, at, len(res.Rows))
+		}
+		eng, _ := res.Rows[0][0].Str()
+		fmt.Printf("  %s (sev %d) at %v → %s\n", id, sev, at, eng)
+	}
+
+	// --- Coverage: is every hour of the week owned, exactly once? ---
+	res := query(fmt.Sprintf(
+		"select count(*) from rota when valid during ['%v', '%v') group by window(3600)",
+		weekStart, weekStart.Add(7*day)))
+	hours := int(7 * day / 3600)
+	owned := 0
+	for _, row := range res.Rows {
+		if n, _ := row[2].IntVal(); n == 1 {
+			owned++
+		} else {
+			fmt.Printf("  [%v, %v): %d engineer(s) on call\n", row[0], row[1], n)
+		}
+	}
+	if len(res.Rows) != hours || owned != hours {
+		fmt.Printf("\nrota coverage: %d of %d hourly window(s) owned exactly once\n", owned, hours)
+		os.Exit(1)
+	}
+	fmt.Printf("\nrota coverage: all %d hourly windows owned exactly once\n", hours)
+
+	fmt.Println("\nsevere incidents on Tuesday (temporal SELECT):")
+	fmt.Print(query(
+		"select id, sev from incidents when valid during ['1992-03-03', '1992-03-04') where sev <= 2").Format())
 
 	fmt.Println("\nwho is on call Wednesday (Allen: the shift contains the day's first hour)?")
-	res, err = ts.RunQuery(
-		"select engineer from rota when started-by ['1992-03-04', '1992-03-04 01:00:00')", lookup)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(res.Format())
+	fmt.Print(query(
+		"select engineer from rota when started-by ['1992-03-04', '1992-03-04 01:00:00')").Format())
 
 	// --- Persistence: the rota round-trips through the backlog format. ---
 	dir, err := os.MkdirTemp("", "oncall")

@@ -172,7 +172,7 @@ func New(cfg Config) *Catalog {
 }
 
 // Cache exposes the catalog-wide query-result cache (nil when disabled),
-// for the server's metrics endpoint and its EXPLAIN caching.
+// for the server's metrics endpoint.
 func (c *Catalog) Cache() *qcache.Cache { return c.cache }
 
 func (c *Catalog) newClock() tx.Clock {

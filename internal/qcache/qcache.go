@@ -117,15 +117,6 @@ func (c *Cache) Get(k Key) (any, bool) {
 	return nil, false
 }
 
-// Peek is Get outside the hit and miss counters, which count whole-result
-// lookups only; the chunk memo's lookups go the same way.
-func (c *Cache) Peek(k Key) (any, bool) {
-	if en := c.get(k, false); en != nil {
-		return en.val, true
-	}
-	return nil, false
-}
-
 // get returns k's entry, nil for none, marking it most recently used.
 func (c *Cache) get(k Key, count bool) *entry {
 	if c == nil {

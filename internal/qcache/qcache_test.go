@@ -51,7 +51,10 @@ func TestEvictionIsLRU(t *testing.T) {
 }
 
 func TestOversizedEntryNotAdmitted(t *testing.T) {
-	c := New(800) // maxEntry = 100
+	c := New(800)
+	if c.MaxEntry() != 100 {
+		t.Fatalf("MaxEntry = %d, want 100", c.MaxEntry())
+	}
 	c.Put(key("big", 1), "big", 101)
 	if _, ok := c.Get(key("big", 1)); ok {
 		t.Fatal("oversized entry admitted")
@@ -83,42 +86,8 @@ func TestNilCacheIsInert(t *testing.T) {
 	if _, ok := c.Get(key("a", 1)); ok {
 		t.Fatal("nil cache hit")
 	}
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("nil stats = %+v", st)
-	}
-}
-
-// TestPeekStaysOutOfTheCounters: Peek is a use (it refreshes the entry's
-// LRU position) but not a result lookup — hits and misses do not move, so
-// the hit ratio stays a whole-result number.
-func TestPeekStaysOutOfTheCounters(t *testing.T) {
-	c := New(800) // maxEntry = 100
-	if c.MaxEntry() != 100 {
-		t.Fatalf("MaxEntry = %d, want 100", c.MaxEntry())
-	}
-	c.Put(key("a", 1), "a", 100)
-	c.Put(key("b", 1), "b", 100)
-	if v, ok := c.Peek(key("a", 1)); !ok || v.(string) != "a" {
-		t.Fatalf("Peek = %v, %v", v, ok)
-	}
-	if _, ok := c.Peek(key("zz", 1)); ok {
-		t.Fatal("Peek hit a missing key")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Peek moved the counters: %+v", st)
-	}
-	for i := 0; i < 7; i++ { // push the untouched b off the tail
-		c.Put(key(string(rune('d'+i)), 1), i, 100)
-	}
-	if _, ok := c.Peek(key("a", 1)); !ok {
-		t.Fatal("peeked entry evicted before the LRU tail")
-	}
-	if _, ok := c.Peek(key("b", 1)); ok {
-		t.Fatal("LRU tail survived")
-	}
-	var off *Cache
-	if _, ok := off.Peek(key("a", 1)); ok || off.MaxEntry() != 0 {
-		t.Fatal("nil cache: Peek hit or MaxEntry non-zero")
+	if st := c.Stats(); st != (Stats{}) || c.MaxEntry() != 0 {
+		t.Fatalf("nil stats = %+v, MaxEntry = %d", st, c.MaxEntry())
 	}
 }
 

@@ -44,7 +44,7 @@ const groupRuns = 16
 // PartialMemo carries the chunk memo into one aggregate execution: Runs
 // holds each full chunk's *vec.Partial by chunk ordinal, Groups each aligned
 // group's by group ordinal. A nil partial in Runs records that the chunk was
-// folded and its cells cannot be merged exactly (vec.ColAgg.Export), which
+// folded and its cells cannot be merged exactly (vec.ColAgg.Cells), which
 // spares the next query the attempt; a group's is never nil.
 type PartialMemo struct {
 	Runs, Groups qcache.Chunks
@@ -132,7 +132,7 @@ func (m *PartialMemo) build(spec *vec.Spec, g, closed int, units []storage.Unit)
 			return nil // the runs conflict, and so would folding them
 		}
 	}
-	part, _ := m.alone.Export() // exact: every run's was
+	part, _ := m.alone.Cells() // exact: every run's was
 	m.Groups.Put(g, closed, part, partialSize(part))
 	return part
 }
@@ -163,7 +163,7 @@ func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, rows []*element.Elem
 	if m.alone.ConsumeRows(rows, &visit) != nil {
 		return false
 	}
-	part, exact := m.alone.Export()
+	part, exact := m.alone.Cells()
 	if !exact {
 		m.Runs.Put(u.Run, u.Closed, (*vec.Partial)(nil), partialSize(nil))
 		return false

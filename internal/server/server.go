@@ -52,7 +52,6 @@ import (
 	"repro/internal/element"
 	"repro/internal/integrity"
 	"repro/internal/plan"
-	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/repl"
 	"repro/internal/surrogate"
@@ -1118,22 +1117,16 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 	name := r.PathValue("name")
 	params := r.URL.Query()
 
-	// Planning is keyed by the raw parameters and the mutation epoch: a
-	// repeat EXPLAIN against an unmutated relation is served from the
-	// result cache (and a client that revalidates with If-None-Match gets
-	// 304 without planning at all). A plan reads the store's size, which
-	// every change moves, so its validator holds for one epoch only.
+	// A plan reads the store's size, which every change moves, so its
+	// validator holds for one epoch only: a client that revalidates with
+	// If-None-Match at that epoch gets 304 without planning at all.
+	// Anything else is planned afresh from one published view.
 	epoch := e.Epoch()
 	etag := s.validator(name, epoch)
 	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
 		if listed, ok, wildcard := s.listedEpoch(inm, name); wildcard || ok && listed == epoch {
 			return &response{status: http.StatusNotModified, etag: etag}, nil
 		}
-	}
-	cache := s.cat.Cache()
-	ckey := qcache.Key{Rel: name, Fingerprint: "explain:" + params.Encode(), Epoch: epoch}
-	if v, ok := cache.Get(ckey); ok {
-		return &response{body: v.(wire.ExplainResponse), etag: etag}, nil
 	}
 
 	var node *plan.Node
@@ -1166,9 +1159,7 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 		node = e.PlanFor(pq)
 		echo = fmt.Sprintf("kind=%s vt=%d tt=%d", kind, vt, tt)
 	}
-	body := explainBody(name, echo, e, node)
-	cache.Put(ckey, body, int64(len(body.Query)+len(body.Rendered))+256)
-	return &response{body: body, etag: etag}, nil
+	return &response{body: explainBody(name, echo, e, node), etag: etag}, nil
 }
 
 func (s *Server) handleClassify(r *http.Request) (*response, *apiError) {

@@ -851,10 +851,10 @@ func (a *ColAgg) Result() (*AggResult, error) { return a.ac.emit(context.Backgro
 func (a *ColAgg) ResultCtx(ctx context.Context) (*AggResult, error) { return a.ac.emit(ctx) }
 
 // Partial is what a stretch of the input contributed to a fold: the
-// accumulator cells of every window it populated, before any window mode
-// is applied — so tumbling, rolling and cumulative queries over the same
-// width, aggregates and predicate share it. It is immutable once exported
-// and may be merged into any number of later folds.
+// accumulator cells of every window it populated, in window order, before
+// any window mode is applied — so tumbling, rolling and cumulative queries
+// over the same width, aggregates and predicate share it. It is immutable
+// once copied out (Cells) and may be merged into any number of later folds.
 type Partial struct {
 	idx   []int64 // populated window indices
 	cells []cell  // len(idx) rows of len(Aggs) cells, row-major
@@ -874,28 +874,6 @@ func (a *ColAgg) Reset() {
 	clear(a.ac.cells)
 	a.ac.free = a.ac.block
 	a.ac.haveLast = false
-}
-
-// Export copies the accumulated cells out as a Partial. It reports false
-// when merging them later could differ from folding the same rows in
-// arrival order, the order both engines fix: a float sum lane (float
-// addition is not associative) or a NaN extreme (NaN compares equal to
-// everything, so which value survives depends on what it met first).
-// Integer sums, counts and strictly compared extremes merge exactly.
-func (a *ColAgg) Export() (*Partial, bool) {
-	na := len(a.spec.Aggs)
-	p := &Partial{
-		idx:   make([]int64, 0, len(a.ac.cells)),
-		cells: make([]cell, 0, len(a.ac.cells)*na),
-	}
-	for wi, row := range a.ac.cells {
-		if !exactRow(row) {
-			return nil, false
-		}
-		p.idx = append(p.idx, wi)
-		p.cells = append(p.cells, row...)
-	}
-	return p, true
 }
 
 // Merge folds p into the state exactly as consuming the rows behind it at
@@ -996,7 +974,7 @@ func (a *ColAgg) mergeWindows(p *Partial, lo, hi int64) bool {
 	return true
 }
 
-// exactRow reports whether a row's cells merge exactly (see Export).
+// exactRow reports whether a row's cells merge exactly (see Cells).
 func exactRow(row []cell) bool {
 	for ci := range row {
 		c := &row[ci]
@@ -1015,9 +993,14 @@ func exactRow(row []cell) bool {
 type WindowRun struct{ Lo, Hi int64 }
 
 // Cells copies the accumulated cells out as a Partial in window order: what
-// the fold computed, before the window mode — the cells a later execution
-// may start from (Splice) and emit (Partial.Emit). It reports false, and
-// copies nothing, when they are not exact (Export).
+// the fold computed, before the window mode — the cells a later fold may
+// merge (Merge), a later execution may start from (Splice) and emit
+// (Partial.Emit). It reports false, and copies nothing, when merging them
+// later could differ from folding the same rows in arrival order, the order
+// both engines fix: a float sum lane (float addition is not associative) or
+// a NaN extreme (NaN compares equal to everything, so which value survives
+// depends on what it met first). Integer sums, counts and strictly compared
+// extremes merge exactly.
 func (a *ColAgg) Cells() (*Partial, bool) {
 	na := len(a.spec.Aggs)
 	p := &Partial{idx: make([]int64, 0, len(a.ac.cells))}
@@ -1039,7 +1022,7 @@ func (a *ColAgg) Cells() (*Partial, bool) {
 // — with every window of runs (ascending, disjoint) replaced by what the
 // state holds there, which must be all it holds: the cells of a fold whose
 // runs were folded again. exact reports whether those it took from the
-// state are exact (Export); the result holds them either way.
+// state are exact (Cells); the result holds them either way.
 func (a *ColAgg) Splice(base *Partial, runs []WindowRun) (cells *Partial, exact bool) {
 	na := len(a.spec.Aggs)
 	fresh := make([]int64, 0, len(a.ac.cells))

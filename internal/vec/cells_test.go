@@ -193,7 +193,7 @@ func TestMergeWholeIsTheClampedFold(t *testing.T) {
 			if err := alone.ConsumeRows(chunk, &st); err != nil {
 				t.Fatal(err)
 			}
-			p, _ := alone.Export()
+			p, _ := alone.Cells()
 			if agg.MergeWhole(p) {
 				accepted++
 				continue

@@ -22,7 +22,7 @@ func fillRows(b *Batch, es []*element.Element) {
 
 // foldChunks runs the columnar fold over elems cut into chunks. With
 // viaPartials each chunk is folded on its own, exported and merged —
-// falling back to consuming the chunk where Export or Merge decline, as
+// falling back to consuming the chunk where Cells or Merge decline, as
 // the engine does — otherwise every chunk is consumed into one state.
 func foldChunks(t *testing.T, spec *Spec, elems []*element.Element, chunk int, viaPartials bool) (res *AggResult, merged int, err error) {
 	t.Helper()
@@ -38,7 +38,7 @@ func foldChunks(t *testing.T, spec *Spec, elems []*element.Element, chunk int, v
 		if viaPartials {
 			alone.Reset()
 			if alone.Consume(&b, &st) == nil {
-				if p, exact := alone.Export(); exact && agg.Merge(p) {
+				if p, exact := alone.Cells(); exact && agg.Merge(p) {
 					merged++
 					continue
 				}
@@ -258,7 +258,7 @@ func TestMergeConflictChangesNothing(t *testing.T) {
 	if err := other.Consume(&b, &st); err != nil {
 		t.Fatal(err)
 	}
-	p, exact := other.Export()
+	p, exact := other.Cells()
 	if !exact {
 		t.Fatal("integer lanes not exported")
 	}

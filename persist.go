@@ -5,19 +5,10 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/constraint"
-	"repro/internal/interval"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tsql"
 )
-
-// IntervalSet is a finite union of disjoint half-open intervals — the
-// "temporal element" of [Gad88] cited in §2 of the paper.
-type IntervalSet = interval.Set
-
-// NewIntervalSet builds a set from arbitrary intervals, normalizing
-// overlaps and adjacencies.
-func NewIntervalSet(ivs ...Interval) IntervalSet { return interval.NewSet(ivs...) }
 
 // ErrCorruptBacklog reports a failed checksum, bad framing, or truncation
 // in a persisted backlog.

@@ -156,20 +156,6 @@ func TestPublicDeterminedMapping(t *testing.T) {
 	}
 }
 
-func TestPublicIntervalSets(t *testing.T) {
-	a := ts.NewIntervalSet(ts.MakeInterval(0, 10), ts.MakeInterval(20, 30))
-	b := ts.NewIntervalSet(ts.MakeInterval(5, 25))
-	if got := a.Union(b); got.Len() != 1 || got.Hull() != ts.MakeInterval(0, 30) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b); got.Duration() != 10 {
-		t.Errorf("Intersect = %v", got)
-	}
-	if !a.Contains(25) || a.Contains(15) {
-		t.Error("Contains wrong")
-	}
-}
-
 func TestPublicBacklogPersistence(t *testing.T) {
 	r, err := ts.MonitoringWorkload(ts.WorkloadConfig{Seed: 3, N: 50})
 	if err != nil {
