@@ -36,6 +36,15 @@ type CachedResponse struct {
 // new path every time; the least recently used goes first.
 const condCacheSize = 1024
 
+// elementMemoBytes bounds a client's element memo (wire.ElementMemo): the
+// parses of the elements its query answers carried, with the bytes each was
+// parsed from — ≈ 560 bytes an element of two attributes. One generation,
+// half of it, holds the 20,000-element current state of tsbench's ledger
+// (≈ 11 MB) beside its time-slices; with 8 MB the current state pushed the
+// rest out and a quarter of the elements answers repeat were parsed again
+// (EXPERIMENTS S32).
+const elementMemoBytes = 32 << 20
+
 // condEntry is one locally retained answer, keyed by its request path.
 type condEntry[R any] struct {
 	path, etag string
@@ -45,8 +54,10 @@ type condEntry[R any] struct {
 // condCache is a conditional-request cache: the last answer and validator
 // per distinct request path, at most condCacheSize of them. Entries are
 // only ever used to answer a 304, so a stale one costs nothing but memory
-// and is overwritten by the next 200.
-type condCache[R any] struct {
+// and is overwritten by the next 200. An answer is kept and handed out as
+// copies (Clone): what a caller does to the one it got changes neither the
+// kept answer nor another caller's.
+type condCache[R interface{ Clone() R }] struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     list.List // of *condEntry[R], most recently used first
@@ -95,10 +106,11 @@ type CachedSelectResponse struct {
 }
 
 // conditionalGet sends a GET that revalidates the answer cc holds for path,
-// if any. On a 304 it returns that answer, and keeps the validator the
-// server sent with it: the next revalidation walks from there. Otherwise it
-// decodes the body into a fresh answer and keeps it with its validator.
-func conditionalGet[R any](ctx context.Context, c *Client, cc *condCache[R], path string) (resp R, etag, validation string, notModified bool, err error) {
+// if any. On a 304 it returns a copy of that answer, and keeps the
+// validator the server sent with it: the next revalidation walks from
+// there. Otherwise it decodes the body into a fresh answer and keeps a copy
+// with its validator.
+func conditionalGet[R interface{ Clone() R }](ctx context.Context, c *Client, cc *condCache[R], path string) (resp R, etag, validation string, notModified bool, err error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return resp, "", "", false, fmt.Errorf("tsdbd: building request: %w", err)
@@ -123,13 +135,13 @@ func conditionalGet[R any](ctx context.Context, c *Client, cc *condCache[R], pat
 		if etag != "" && etag != cached.etag {
 			cc.put(path, etag, cached.resp)
 		}
-		return cached.resp, etag, validation, true, nil
+		return cached.resp.Clone(), etag, validation, true, nil
 	}
 	if err := c.readResponse(hr, &resp); err != nil {
 		return resp, "", "", false, err
 	}
 	if etag != "" {
-		cc.put(path, etag, resp)
+		cc.put(path, etag, resp.Clone())
 	}
 	return resp, etag, validation, false, nil
 }

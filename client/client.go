@@ -224,6 +224,10 @@ type Client struct {
 	// and not in wire's pool: the collector empties that between two large
 	// answers, and each ≈ 300 KB body was allocated and zeroed again.
 	bodies wire.BufferList
+	// elems remembers the elements answers carried, so an answer that
+	// carries one again copies its parse instead of parsing it
+	// (wire.ElementMemo, bounded by elementMemoBytes).
+	elems wire.ElementMemo
 }
 
 // Option customizes a Client.
@@ -251,6 +255,7 @@ func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base:   strings.TrimRight(base, "/"),
 		bodies: wire.BufferList{Max: maxKeptBody},
+		elems:  wire.ElementMemo{Max: elementMemoBytes},
 	}
 	for _, o := range opts {
 		o(c)
@@ -290,6 +295,16 @@ func (c *Client) BaseURL() string { return c.base }
 // a proxy that re-serializes bodies makes it grow, and each count is a
 // response decoded several times slower.
 func (c *Client) SlowDecodes() uint64 { return c.slowDecodes.Load() }
+
+// MemoStats counts what the client's element memo did: the elements of
+// query answers copied from an earlier answer's parse (Reused) and those
+// parsed (Parsed), and the bytes the memo holds (at most elementMemoBytes).
+// Reused over Reused+Parsed is the share of elements a workload's answers
+// repeat.
+type MemoStats = wire.MemoStats
+
+// MemoStats reports the client's element memo counters.
+func (c *Client) MemoStats() MemoStats { return c.elems.Stats() }
 
 // callOpts classifies one call for the retry layer.
 type callOpts struct {
@@ -490,13 +505,20 @@ func readPayload(buf *bytes.Buffer, resp *http.Response) ([]byte, error) {
 }
 
 // decodePayload decodes a response body into out: through out's own
-// parser when it has one (the shapes that carry elements or rows), and
-// through encoding/json otherwise or when that parser meets a spelling
-// it does not own — unknown fields are skipped there as they always were,
-// and the detour is counted (SlowDecodes).
+// parser when it has one (the shapes that carry elements or rows) — a query
+// answer's through the client's element memo — and through encoding/json
+// otherwise or when that parser meets a spelling it does not own — unknown
+// fields are skipped there as they always were, and the detour is counted
+// (SlowDecodes).
 func (c *Client) decodePayload(payload []byte, out any) error {
 	if p, ok := out.(wire.Parser); ok {
-		if p.ParseJSON(payload) == nil {
+		var err error
+		if q, ok := out.(*QueryResponse); ok {
+			err = q.ParseJSONMemo(payload, &c.elems)
+		} else {
+			err = p.ParseJSON(payload)
+		}
+		if err == nil {
 			return nil
 		}
 		c.slowDecodes.Add(1)

@@ -10,3 +10,6 @@ const CondCacheSize = condCacheSize
 func (c *Client) CachedAnswers() (queries, selects int) {
 	return c.qcache.lru.Len(), c.scache.lru.Len()
 }
+
+// ElementMemoBytes is the bound on a client's element memo.
+const ElementMemoBytes = elementMemoBytes

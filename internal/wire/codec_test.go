@@ -115,6 +115,8 @@ func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word stri
 	if b := sameBytes(t, "query", QueryBody{Elements: els, Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))},
 		QueryResponse{Elements: FromElements(els), Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))}); b != nil {
 		sameValue[QueryResponse](t, "query", b)
+		sameThroughMemo(t, "query", b, sharedMemo)
+		sameThroughMemo(t, "query", b, &ElementMemo{Max: 1 << 20})
 	}
 
 	batch := BatchBody[reportItems]{Items: make(reportItems, len(els)), Stored: len(els), Rejected: 1, Epoch: 7}
@@ -473,6 +475,7 @@ func checkArbitrary(t *testing.T, data []byte) {
 	agree[SelectResponse](t, data, lenient)
 	agree[InsertRequest](t, data, strict)
 	agree[BatchInsertions](t, data, insertionsOracle)
+	sameThroughMemo(t, "arbitrary", data, sharedMemo)
 }
 
 // codecSeeds are canonical documents of every shape plus the spellings
@@ -749,6 +752,37 @@ func TestParserFallsBack(t *testing.T) {
 	// for the conversion to refuse in its own words.
 	refused[BatchInsertions](t, `{"elements":[`+request+`,{"vt":{"event":5},"varying":[{"kind":"zebra"}]}],"keys":["k","l"]}`)
 	refused[BatchInsertions](t, `{"elements":[{"vt":{"start":9,"end":9}}]}`)
+
+	// Through a memo that holds the element: a copy is taken only where the
+	// input goes on with all of its bytes, and what follows them is read as
+	// ever — the element cut short, or followed by bytes the encoder does
+	// not write, is refused as it is without a memo; spelled on past its
+	// end, it is another element, parsed.
+	m := &ElementMemo{Max: 1 << 20}
+	var warm QueryResponse
+	if err := warm.ParseJSONMemo([]byte(query), m); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{
+		`{"elements":[` + element[:len(element)-1] + `],"touched":1}`,
+		`{"elements":[` + element + ` ],"touched":1}`,
+		`{"elements":[` + element + `,` + element[:40] + `],"touched":1}`,
+		`{"elements":[` + element + `}],"touched":1}`,
+		`{"elements":[` + element + `],"touched":1,"extra":0}`,
+		`{"elements":[` + element,
+		strings.Replace(query, `"es":1`, `"es": 1`, 1),
+		pretty(query),
+	} {
+		var got QueryResponse
+		if err := got.ParseJSONMemo([]byte(doc), m); err == nil || !reflect.DeepEqual(got, QueryResponse{}) {
+			t.Errorf("through a warm memo %s was taken as %+v (%v)", doc, got, err)
+		}
+	}
+	if s := m.Stats(); s.Reused != 0 || s.Parsed != 1 {
+		t.Errorf("refused bodies were counted: %d copied, %d parsed", s.Reused, s.Parsed)
+	}
+	sameThroughMemo(t, "spelled on", []byte(`{"elements":[`+element[:len(element)-1]+`,"user_times":[1]}],"touched":1}`), m)
+	sameThroughMemo(t, "after the refusals", []byte(query), m)
 }
 
 func benchElements(n int, interval bool) []*element.Element {
@@ -973,6 +1007,24 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 	query("ledger/n=1000", ledgerElements(1000))
+	// The same answer again through the memo a client keeps: every element
+	// found, byte-checked and copied.
+	b.Run("parse/memo-warm/ledger/n=1000", func(b *testing.B) {
+		els := ledgerElements(1000)
+		doc, _ := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+		m := &ElementMemo{Max: 8 << 20}
+		if err := new(QueryResponse).ParseJSONMemo(doc, m); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(doc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out QueryResponse
+			if err := out.ParseJSONMemo(doc, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// The same answer with every chunk imaged beside it encoded: tsbench's
 	// large time-slice, every second slot of sixteen chunks.
 	sparse := splicedBody(b, benchElements(4000, true), 2)

@@ -55,9 +55,20 @@ func (s *slab[T]) grow(start, left int) int {
 }
 
 // one hands out a single zero item.
-func (s *slab[T]) one(left int) *T {
-	s.grow(len(s.buf), left)
-	return &s.buf[len(s.buf)-1]
+func (s *slab[T]) one(left int) *T { return &s.take(1, left)[0] }
+
+// take hands out a run of n zero items, in a new chunk when the current one
+// has no room for them.
+func (s *slab[T]) take(n, left int) []T {
+	if cap(s.buf)-len(s.buf) < n {
+		c := min(max(2*cap(s.buf), s.want, 2), left/s.per+1)
+		s.buf = make([]T, 0, max(c, n))
+		s.want = 0
+	}
+	start := len(s.buf)
+	s.buf = s.buf[:start+n]
+	s.used += n
+	return s.buf[start : start+n : start+n]
 }
 
 // arena is the slab for string bytes. A strings.Builder that is never
@@ -90,8 +101,7 @@ type parser struct {
 	i       int
 	bad     bool // sticky: some byte was not the encoder's; parseTop checks it once
 	unconv  bool // sticky: an insertion that ToInsertion would refuse (BatchInsertions)
-	ints    slab[int64]
-	vals    slab[Value]
+	copier       // the ints and vals slabs
 	elems   slab[Element]
 	assigns slab[Assigned]
 	evals   slab[element.Value]
@@ -106,6 +116,14 @@ type parser struct {
 	vals0  [2]Value
 	plans0 [2]PlanNode
 	plans  int
+
+	// An answer parsed through an ElementMemo (ParseJSONMemo): the elements
+	// seen and copied from it so far, the entry the last element was copied
+	// from (nil after a parsed one), and the elements the memo should learn.
+	memo         *ElementMemo
+	seen, reused int
+	last         *memoEntry
+	pending      []memoSpan
 }
 
 func newParser(src []byte) *parser {
@@ -582,8 +600,12 @@ func (p *parser) attributes(invariant, varying *[]Value, userTimes *[]int64) {
 }
 
 func (p *parser) element(e *Element) {
+	start := p.i
 	p.expect(`{"es":`)
 	e.ES = p.u64()
+	if p.memo != nil && !p.bad && p.recall(e, start) {
+		return
+	}
 	p.expect(`,"os":`)
 	e.OS = p.u64()
 	p.expect(`,"tt_start":`)
@@ -599,6 +621,32 @@ func (p *parser) element(e *Element) {
 	p.expect(`,"vt":`)
 	p.timestamp(&e.VT)
 	p.attributes(&e.Invariant, &e.Varying, &e.UserTimes)
+	if p.memo != nil && !p.bad {
+		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
+		p.seen++
+		p.last = nil
+	}
+}
+
+// recall finishes the element that starts at start, whose surrogate e
+// holds, from the memo: when the input goes on with the bytes of a
+// remembered element with that surrogate, e becomes a copy of its parse in
+// the answer's slabs and the bytes are skipped. One found in the old
+// generation is learnt again, into the young one.
+func (p *parser) recall(e *Element, start int) bool {
+	ent, old := p.memo.find(e.ES, p.src[start:], p.last)
+	if ent == nil {
+		return false
+	}
+	p.last = ent
+	p.copier.element(e, &ent.el, p.left())
+	p.i = start + len(ent.raw)
+	if old {
+		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
+	}
+	p.seen++
+	p.reused++
+	return true
 }
 
 // maxPlanDepth bounds the one recursive shape. Real plans nest a few
@@ -886,7 +934,12 @@ func (p *parser) batchInsertions(r *BatchInsertions) {
 // in place, and puts *r back as it was unless every byte was the
 // encoder's and everything converted.
 func parseTop[T any](r *T, src []byte, parse func(*parser, *T)) error {
-	p := newParser(src)
+	return parseIn(newParser(src), r, parse)
+}
+
+// parseIn is parseTop with the parser given.
+func parseIn[T any](p *parser, r *T, parse func(*parser, *T)) error {
+	src := p.src
 	old := *r
 	*r = *new(T)
 	parse(p, r)

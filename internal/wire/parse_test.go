@@ -138,6 +138,14 @@ func TestRefusalIsCheap(t *testing.T) {
 		"select":         func(b []byte) error { return new(SelectResponse).ParseJSON(b) },
 	}
 	const el = `{"es":1,"os":1,"tt_start":1,"tt_end":9223372036854775807,"current":true,"vt":{}`
+	// A memo that holds the element, and another with an attribute list: a
+	// copy from it, before the commas, is an accepted first item.
+	const el2 = `{"es":2,"os":1,"tt_start":1,"tt_end":9223372036854775807,"current":true,"vt":{}`
+	warm := &ElementMemo{Max: 1 << 20}
+	if err := new(QueryResponse).ParseJSONMemo([]byte(`{"elements":[`+el+`},`+el2+`,"invariant":[{"kind":"null"}]}],"touched":0}`), warm); err != nil {
+		t.Fatal(err)
+	}
+	parse["query response (warm memo)"] = func(b []byte) error { return new(QueryResponse).ParseJSONMemo(b, warm) }
 	for _, c := range []struct {
 		shape, head string
 		first       bool // an item is accepted before the commas: extrapolate has sized the slabs
@@ -156,6 +164,11 @@ func TestRefusalIsCheap(t *testing.T) {
 		{"batch request", `{"elements":[],"keys":[""`, true},
 		{"query response", `{"elements":[` + el + `}`, true},
 		{"query response", `{"elements":[` + el + `,"invariant":[{"kind":"null"}`, true},
+		{"query response (warm memo)", `{"elements":[`, false},
+		{"query response (warm memo)", `{"elements":[` + el + `}`, true},
+		{"query response (warm memo)", `{"elements":[` + el + `},` + el2 + `,"invariant":[{"kind":"null"}]}`, true},
+		{"query response (warm memo)", `{"elements":[` + el2 + `,"invariant":[{"kind":"null"}]}`, true},
+		{"query response (warm memo)", `{"elements":[` + el + `},` + el2 + `,"invariant":[{"kind":"null"}`, true},
 		{"batch response", `{"items":[{"status":"stored","element":` + el + `}}`, true},
 		{"batch response", `{"items":[{"status":"stored","assigned":{"es":1,"os":1,"tt_start":1}}`, true},
 		{"batch response", `{"items":[{"status":"stored","assigned":{"es":`, false},
