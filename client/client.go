@@ -333,21 +333,6 @@ func newIdemKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// newIdemKeys mints n keys of newIdemKey's form from one read of the
-// random source: the hex digits of 16·n random bytes as one string, cut
-// into n. A batch's keys cost three allocations, not two per element.
-func newIdemKeys(n int) []string {
-	buf := make([]byte, 48*n) // 32·n hex digits, then the 16·n bytes they spell
-	crand.Read(buf[32*n:])
-	hex.Encode(buf, buf[32*n:])
-	digits := string(buf[:32*n])
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = digits[32*i : 32*i+32]
-	}
-	return keys
-}
-
 // do issues a single-effect request (reads and probes) with the default
 // safe retry classification.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
@@ -662,10 +647,12 @@ func (c *Client) Insert(ctx context.Context, name string, req InsertRequest) (El
 // InsertBatch runs one batched insert transaction: the whole batch is
 // journaled as a single WAL frame and published under a single epoch,
 // with a per-element status report. The client mints one idempotency key
-// per element, carried in the request body and held constant across
-// retries, so a replayed batch dedups element-by-element instead of
-// double-inserting a prefix. With atomic set, any constraint rejection
-// fails the whole batch (code "rejected") and stores nothing.
+// for the batch, sent as the Idempotency-Key header, and retries send the
+// same key with the same body bytes: the server answers a replay from its
+// dedup window — each element the original stored comes back "deduped"
+// with its original element, every other "rejected" — instead of storing
+// anything twice. With atomic set, any constraint rejection fails the
+// whole batch (code "rejected") and stores nothing.
 //
 // The client asks for a brief report: a stored element the request says
 // all of comes back as its surrogates and tt⊢ alone, and the client puts
@@ -674,10 +661,8 @@ func (c *Client) Insert(ctx context.Context, name string, req InsertRequest) (El
 // normalized as the round trip normalizes values, in memory of its own:
 // reqs may be changed or reused once the call returns.
 func (c *Client) InsertBatch(ctx context.Context, name string, reqs []InsertRequest, atomic bool) (BatchInsertResponse, error) {
-	body := wire.BatchInsertRequest{Elements: reqs, Keys: newIdemKeys(len(reqs)), Atomic: atomic, Brief: true}
+	body := wire.BatchInsertRequest{Elements: reqs, Atomic: atomic, Brief: true}
 	var out BatchInsertResponse
-	// The per-element keys in the body make replays idempotent; the
-	// header key just marks the call transport-retryable.
 	err := c.call(ctx, http.MethodPost, "/v1/relations/"+name+"/elements:batch", body, &out,
 		callOpts{idemKey: newIdemKey()})
 	if err == nil {

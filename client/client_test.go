@@ -199,26 +199,6 @@ func TestBodyBufferOutlivesTheCollector(t *testing.T) {
 	}
 }
 
-// TestBatchKeysAreMintedTogether: InsertBatch's per-element keys are the
-// 128-bit keys they always were, for three allocations a batch instead
-// of two a key.
-func TestBatchKeysAreMintedTogether(t *testing.T) {
-	keys := client.NewIdemKeys(256)
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if len(k) != 32 || strings.Trim(k, "0123456789abcdef") != "" || seen[k] {
-			t.Fatalf("key %q: want 32 lower-case hex digits, never twice", k)
-		}
-		seen[k] = true
-	}
-	if len(keys) != 256 || len(client.NewIdemKeys(0)) != 0 {
-		t.Fatalf("%d keys for 256 elements, %d for none", len(keys), len(client.NewIdemKeys(0)))
-	}
-	if n := testing.AllocsPerRun(50, func() { client.NewIdemKeys(256) }); n > 3 {
-		t.Errorf("minting 256 keys: %v allocations, want at most 3", n)
-	}
-}
-
 // TestClientKeepsTheAcceptSet is the client-side twin of the server's
 // TestDecodeKeepsTheAcceptSet: a response spelled as the fast parser does
 // not take it — by another server, or a proxy that re-serializes bodies —

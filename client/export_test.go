@@ -1,8 +1,5 @@
 package client
 
-// NewIdemKeys lets client_test pin what minting a batch's keys costs.
-var NewIdemKeys = newIdemKeys
-
 // CondCacheSize is the bound on each conditional cache.
 const CondCacheSize = condCacheSize
 

@@ -5,9 +5,12 @@ package client
 // with a background flusher, so a tight producer loop rides the batched
 // WAL path (one frame, one epoch per batch) instead of one round-trip
 // per element. Backpressure is the buffer: when batches are in flight
-// and the buffer is full, Add blocks. Every element gets its own
-// idempotency key (minted inside InsertBatch), held constant across the
-// batch's retries, so transport-level replays never double-insert.
+// and the buffer is full, Add blocks. Every flush is one InsertBatch
+// under one idempotency key (minted inside InsertBatch), held constant
+// with the body's bytes across the batch's retries, so a transport-level
+// replay never double-inserts: the server remembers a batch's key for at
+// least 256 later batches of 256 to the same relation, where per-element
+// keys reached 16.
 
 import (
 	"context"
@@ -45,7 +48,10 @@ type LoaderStats struct {
 	Failed   int64 // batches whose flush errored (elements not accounted above)
 }
 
-// Loader batches inserts to one relation in the background.
+// Loader batches inserts to one relation in the background. Each flush
+// is one InsertBatch under one idempotency key, retried with the same
+// key and bytes, so a flush whose response was lost is answered from the
+// server's dedup window instead of being stored twice.
 type Loader struct {
 	c   *Client
 	rel string

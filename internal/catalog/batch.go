@@ -5,10 +5,10 @@ package catalog
 // mutation pipeline (mutation.go) with N insert units instead of one;
 // this file is its public result shape.
 //
-// Partial failure is per-element: a guard rejection or a key-reuse
-// conflict marks that index rejected and the rest of the batch
-// proceeds. With atomic set, the first rejection aborts the whole batch
-// before anything is journaled — all-or-nothing.
+// Partial failure is per-element: a guard rejection, or a key-reuse
+// conflict under per-element keys, marks that index rejected and the rest
+// of the batch proceeds. With atomic set, the first rejection aborts the
+// whole batch before anything is journaled — all-or-nothing.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/element"
 	"repro/internal/relation"
+	"repro/internal/wal"
 )
 
 // ErrBatchRejected types an all-or-nothing batch aborted by one
@@ -78,19 +79,41 @@ func (e *Entry) IngestStats() IngestStats {
 }
 
 // InsertBatch stores up to len(ins) new elements as one journaled unit:
-// one WAL frame, one epoch. keys, when non-empty, must parallel ins —
-// one idempotency key per element, so a replayed batch dedups exactly
-// like replayed single inserts. With atomic set, any rejection aborts
-// the whole batch (ErrBatchRejected) before anything is journaled;
-// otherwise rejected indexes are reported and the rest commit.
+// one WAL frame, one epoch. keys, when non-empty, must parallel ins — one
+// idempotency key per element, the compatibility path of requests that
+// still carry them: a kind-10 frame, and a window entry per key, so a
+// replayed batch dedups element by element like replayed single inserts.
+// Without keys the batch is unkeyed (InsertBatchKeyed with no key). With
+// atomic set, any rejection aborts the whole batch (ErrBatchRejected)
+// before anything is journaled; otherwise rejected indexes are reported
+// and the rest commit.
 func (e *Entry) InsertBatch(ctx context.Context, ins []relation.Insertion, keys []string, atomic bool) (BatchResult, error) {
 	if len(keys) == 0 {
-		keys = make([]string, len(ins))
+		return e.InsertBatchKeyed(ctx, ins, "", 0, atomic)
 	}
 	if len(keys) != len(ins) {
 		return BatchResult{}, fmt.Errorf("catalog: batch carries %d keys for %d elements", len(keys), len(ins))
 	}
-	items, epoch, err := e.commit(ctx, walInsertBatch, keys, atomic, stageInserts(ins))
+	return e.insertBatch(ctx, walInsertBatch, keys, oneKey{}, ins, atomic)
+}
+
+// InsertBatchKeyed is InsertBatch under one idempotency key for the whole
+// batch: item i's identity is (key, i), and the batch is one kind-11 frame
+// and one window entry. digest identifies the request the batch came in —
+// the server passes the CRC-32C of the body as received, which a retry
+// repeats byte for byte. A replay under a key the window remembers is
+// answered from the window alone, the same live, after a reboot and on a
+// follower: with the same count and digest, each unit the original stored
+// comes back deduped with its original element and every other rejected;
+// with any other count or digest, or under a key first used for a single
+// operation, the call fails with ErrIdemReuse and stores nothing. An
+// empty key journals the batch unkeyed.
+func (e *Entry) InsertBatchKeyed(ctx context.Context, ins []relation.Insertion, key string, digest uint32, atomic bool) (BatchResult, error) {
+	return e.insertBatch(ctx, walInsertBatchOneKey, nil, oneKey{key, uint32(len(ins)), digest}, ins, atomic)
+}
+
+func (e *Entry) insertBatch(ctx context.Context, kind wal.Kind, keys []string, one oneKey, ins []relation.Insertion, atomic bool) (BatchResult, error) {
+	items, epoch, err := e.commit(ctx, kind, keys, one, atomic, stageInserts(ins))
 	if err != nil {
 		for i, it := range items {
 			if atomic && it.Status == BatchRejected {

@@ -128,8 +128,14 @@ const (
 	walRespecialize wal.Kind = 9
 	// walInsertBatch journals N insertions as one frame: u32 count, then
 	// per element a keyed record span. One group-commit entry and one
-	// Merkle leaf per batch; replay is all-or-nothing per frame.
+	// Merkle leaf per batch; replay is all-or-nothing per frame. Written
+	// only for a batch whose request carries a key per element.
 	walInsertBatch wal.Kind = 10
+	// walInsertBatchOneKey journals a batch under one key (empty when
+	// unkeyed): the key, the unit count and body digest a replay must
+	// match, the stored units' indexes when not all were stored, and
+	// their records.
+	walInsertBatchOneKey wal.Kind = 11
 )
 
 type shard struct {

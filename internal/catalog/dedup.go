@@ -10,20 +10,44 @@ package catalog
 // key returns that element without logging or applying anything, after
 // waiting for the original frame to be durable.
 //
+// A batch carries one key for all its elements: item i's identity is
+// (key, i). Its window entry is the batch's — its unit count and body
+// digest, which a replay must match, and the units it stored with their
+// elements — so a replayed batch is answered from one entry, and the
+// window reaches 256 times further in batches of 256 than it did when
+// every element brought a key of its own. A request that still carries a
+// key per element (the compatibility path, kind-10 frames) files one
+// entry per key, as it always did.
+//
 // The window is rebuilt from the WAL on boot (keyed records repopulate it
 // during replay), so retries survive a crash between the original ack and
-// the retry. Its lifetime is bounded twice over: the newest dedupWindowCap
-// keys per relation always dedup and no key is forgotten before
-// dedupWindowCap newer ones (at most twice that are held), and implicitly
-// by WAL truncation — a snapshot that truncates the log also ends the
-// window's crash recoverability for the truncated prefix. Clients whose
-// retry horizon is seconds sit comfortably inside both bounds.
+// the retry. Its lifetime is bounded twice over: a generation closes at
+// dedupWindowCap entries or when its batch entries hold dedupWindowElems
+// elements, whichever comes first, and no entry is forgotten before a
+// whole generation of newer ones (at most two generations are held); and
+// implicitly by WAL truncation — a snapshot that truncates the log also
+// ends the window's crash recoverability for the truncated prefix.
+// Clients whose retry horizon is seconds sit comfortably inside both
+// bounds.
 
-import "repro/internal/element"
+import (
+	"fmt"
 
-// dedupWindowCap is the generation size: how many keys a relation always
-// remembers.
+	"repro/internal/element"
+)
+
+// dedupWindowCap is the generation size in entries: how many keys a
+// relation always remembers.
 const dedupWindowCap = 4096
+
+// dedupWindowElems is the generation size in elements: how many stored
+// elements its batch entries may pin before it closes. It bounds the
+// window's memory by what it holds, not by its entries alone — a body at
+// the server's default 1 MiB cap carries at most ≈ 55,000 elements — and
+// reaches 256 batches of 256. A batch larger than the budget (a raised
+// body cap, or the catalog API; the WAL frame bounds it) fills a
+// generation by itself.
+const dedupWindowElems = 1 << 16
 
 // dedupOp tags which operation a key was first used for; a key reused
 // across operation kinds is a client bug and is rejected.
@@ -33,6 +57,7 @@ const (
 	dedupInsert dedupOp = iota
 	dedupDelete
 	dedupModify
+	dedupBatch // a batch under one key
 )
 
 func (o dedupOp) String() string {
@@ -43,31 +68,62 @@ func (o dedupOp) String() string {
 		return "delete"
 	case dedupModify:
 		return "modify"
+	case dedupBatch:
+		return "batch"
 	}
 	return "unknown"
 }
 
 // dedupHit is what the window remembers per key: the operation kind,
-// the element the original transaction returned (nil for deletes), and
-// the LSN of the frame that carried it — a retry waits on that LSN, so
-// it never acknowledges ahead of the original's fsync.
+// the element the original transaction returned (nil for deletes and
+// batches), and the LSN of the frame that carried it — a retry waits on
+// that LSN, so it never acknowledges ahead of the original's fsync. A
+// batch key's entry is batch, an index into its generation's
+// dedupBatches: it sits in what would be the op's padding, so a single
+// operation's entry is no larger for it.
 type dedupHit struct {
-	op   dedupOp
-	elem *element.Element
-	lsn  uint64
+	op    dedupOp
+	batch uint32
+	elem  *element.Element
+	lsn   uint64
+}
+
+// batchEntry is one batch key's entry: the unit count and body digest a
+// replay must carry, and where the stored units sit in the generation's
+// arenas — stored elements from elems, and, when the batch did not store
+// every unit, their indexes from idx.
+type batchEntry struct {
+	n, digest  uint32
+	stored     uint32
+	elems, idx uint32
+}
+
+// dedupBatches is one generation's batch entries, with the stored
+// elements and indexes of all of them in two arenas that are emptied,
+// not freed, when the generation is: a churning window allocates nothing.
+type dedupBatches struct {
+	entries []batchEntry
+	elems   []*element.Element
+	idx     []uint32
+}
+
+func (b *dedupBatches) reset() {
+	clear(b.elems) // the arena must not keep the elements alive
+	b.entries, b.elems, b.idx = b.entries[:0], b.elems[:0], b.idx[:0]
 }
 
 // dedupWindow is a key → original-result map in two generations: keys go
-// into cur, and when cur holds dedupWindowCap of them it becomes prev and
-// the old prev, cleared, is the new cur. A key is forgotten only with a
-// whole generation, so nothing is deleted key by key, a lookup probes two
-// maps at most, and once both exist nothing is allocated again. Live apply
-// and replay remember keys through the same call in the same order, so
+// into cur, and when cur is full it becomes prev and the old prev,
+// cleared, is the new cur. A key is forgotten only with a whole
+// generation, so nothing is deleted key by key, a lookup probes two maps
+// at most, and once both exist nothing is allocated again. Live apply
+// and replay remember keys through the same calls in the same order, so
 // they build the same two generations. It is accessed only under the
 // owning relation's exclusive lock (mutations and WAL replay both hold
 // it), so it needs no lock of its own.
 type dedupWindow struct {
-	cur, prev map[string]dedupHit
+	cur, prev   map[string]dedupHit
+	curB, prevB dedupBatches // the batch entries of cur and prev
 }
 
 func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
@@ -78,22 +134,96 @@ func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
 	return h, ok
 }
 
+// open readies cur for one more entry that pins elems elements, closing
+// it first when it is full by either measure.
+func (w *dedupWindow) open(elems int) {
+	switch {
+	case w.cur == nil:
+		w.cur = make(map[string]dedupHit, dedupWindowCap)
+		return
+	case len(w.cur) < dedupWindowCap && (len(w.curB.elems) == 0 || len(w.curB.elems)+elems <= dedupWindowElems):
+		return
+	}
+	w.prev, w.cur = w.cur, w.prev
+	w.prevB, w.curB = w.curB, w.prevB
+	if w.cur == nil {
+		w.cur = make(map[string]dedupHit, dedupWindowCap)
+	} else {
+		clear(w.cur)
+	}
+	w.curB.reset()
+}
+
 // remember files key in the current generation. The caller has looked it
 // up and missed, or is replaying a frame that did: there is nothing to
 // probe for first.
 func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element, lsn uint64) {
-	switch {
-	case w.cur == nil:
-		w.cur = make(map[string]dedupHit, dedupWindowCap)
-	case len(w.cur) == dedupWindowCap:
-		w.prev, w.cur = w.cur, w.prev
-		if w.cur == nil {
-			w.cur = make(map[string]dedupHit, dedupWindowCap)
-		} else {
-			clear(w.cur)
-		}
-	}
+	w.open(0)
 	w.cur[key] = dedupHit{op: op, elem: el, lsn: lsn}
+}
+
+// rememberBatch files a batch mutation's one key: its count and digest,
+// and the elements its records inserted, which are its stored units in
+// unit order.
+func (w *dedupWindow) rememberBatch(m *mutation, lsn uint64) {
+	w.open(len(m.recs))
+	b := &w.curB
+	w.cur[m.key] = dedupHit{op: dedupBatch, batch: uint32(len(b.entries)), lsn: lsn}
+	b.entries = append(b.entries, batchEntry{n: m.n, digest: m.digest, stored: uint32(len(m.recs)),
+		elems: uint32(len(b.elems)), idx: uint32(len(b.idx))})
+	for _, rec := range m.recs {
+		b.elems = append(b.elems, rec.Elem)
+	}
+	b.idx = append(b.idx, m.stored...)
+}
+
+// batchOf is the entry a batch key's hit names, and the stored elements
+// and indexes it points at (idx nil when every unit was stored).
+func (w *dedupWindow) batchOf(key string, h dedupHit) (b batchEntry, elems []*element.Element, idx []uint32) {
+	g := &w.prevB
+	if _, ok := w.cur[key]; ok {
+		g = &w.curB
+	}
+	b = g.entries[h.batch]
+	elems = g.elems[b.elems : b.elems+b.stored]
+	if b.stored < b.n {
+		idx = g.idx[b.idx : b.idx+b.stored]
+	}
+	return b, elems, idx
+}
+
+// notStoredCause is what a replayed batch reports for a unit its original
+// did not store. The original's cause is not kept: the frame carries only
+// what was stored, and the answer must be the same after a reboot.
+const notStoredCause = "catalog: not stored when this batch was first applied"
+
+// answerBatch answers a replay of the batch one from the window entry hit
+// alone: each unit the original stored comes back deduped with its
+// original element, every other rejected with notStoredCause. A key first
+// used for something else, or for a batch of another count or body, is
+// refused with ErrIdemReuse and answers nothing.
+func (w *dedupWindow) answerBatch(one oneKey, hit dedupHit, items []BatchItemResult) error {
+	if hit.op != dedupBatch {
+		return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, one.key, hit.op)
+	}
+	b, elems, idx := w.batchOf(one.key, hit)
+	if b.n != one.n || b.digest != one.digest {
+		return fmt.Errorf("%w: %q first used for a batch of %d elements (digest %08x), not for this one of %d (digest %08x)",
+			ErrIdemReuse, one.key, b.n, b.digest, one.n, one.digest)
+	}
+	if idx == nil {
+		for i, el := range elems {
+			items[i] = BatchItemResult{Status: BatchDeduped, Elem: el}
+		}
+		return nil
+	}
+	for i := range items {
+		items[i] = BatchItemResult{Status: BatchRejected, Err: notStoredCause}
+	}
+	for j, i := range idx {
+		items[i] = BatchItemResult{Status: BatchDeduped, Elem: elems[j]}
+	}
+	return nil
 }
 
 // maxIdemKeyLen bounds a key at the protocol level; longer keys are

@@ -3,7 +3,8 @@ package catalog
 // Live ≡ boot replay ≡ follower apply. A seeded generator drives one
 // random operation sequence — keyed and unkeyed insert/delete/modify,
 // atomic and non-atomic batches with dedup hits, repeated keys and
-// rejected elements, keyed retries, key reuse across operations,
+// rejected elements, batches under one key and their replays (whole, or
+// with another count or body), keyed retries, key reuse across operations,
 // declarations, re-specializations, and inserts that break an adopted
 // order and degrade the store — against a primary. A second primary then
 // boots from nothing but the first one's log, and a follower is fed the
@@ -12,6 +13,7 @@ package catalog
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -34,8 +36,11 @@ type eqState struct {
 	Declared, Inferred []string
 	Migrations         uint64
 	// The dedup window's two generations, each key with its frame's LSN:
-	// which generation a key sits in decides when it is forgotten.
+	// which generation a key sits in decides when it is forgotten. Each
+	// batch key's entry besides: its count, digest, stored indexes and
+	// elements.
 	DedupCur, DedupPrev map[string]uint64
+	DedupBatches        map[string]string
 	Answers             map[string][]string
 }
 
@@ -59,6 +64,20 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 	}
 	_ = e.locked.View(func(*relation.Relation) error {
 		s.DedupCur, s.DedupPrev = lsns(e.dedup.cur), lsns(e.dedup.prev)
+		s.DedupBatches = map[string]string{}
+		for _, gen := range []map[string]dedupHit{e.dedup.prev, e.dedup.cur} {
+			for key, h := range gen {
+				if h.op != dedupBatch {
+					continue
+				}
+				b, elems, idx := e.dedup.batchOf(key, h)
+				entry := fmt.Sprintf("lsn %d n %d digest %08x stored %v:", h.lsn, b.n, b.digest, idx)
+				for _, el := range elems {
+					entry += fmt.Sprintf(" %v|%v|%v|%v", el.ES, el.OS, el.VT, el.TTStart)
+				}
+				s.DedupBatches[key] = entry
+			}
+		}
 		return nil
 	})
 	answer := func(label string, res QueryResult, err error) {
@@ -113,6 +132,20 @@ type eqDriver struct {
 	// closure that re-issues it verbatim: the retry.
 	keyed []func() error
 	used  []string // every key handed out, for reuse and in-batch hits
+	// batches remembers every acknowledged batch under one key, to replay;
+	// replays and refusals count the replays answered from the window and
+	// the changed ones refused.
+	batches           []oneKeyBatch
+	replays, refusals int
+}
+
+// oneKeyBatch is an acknowledged batch under one key: the request, and how
+// many of its units the original stored.
+type oneKeyBatch struct {
+	ins    []relation.Insertion
+	one    oneKey
+	atomic bool
+	stored int
 }
 
 // insertion draws the next element. Valid time normally trails the
@@ -186,7 +219,7 @@ func (d *eqDriver) step(t *testing.T) {
 			d.live = append(d.live, el.ES)
 			d.remember(key, func() error { _, err := e.ModifyKeyed(ctx, es, ins.VT, ins.Varying, key); return err })
 		}
-	case p < 71: // batch: fresh, repeated and already-remembered keys; maybe a violator
+	case p < 63: // batch under per-element keys: fresh, repeated and already-remembered keys; maybe a violator
 		n := 2 + d.rng.Intn(5)
 		ins, keys := make([]relation.Insertion, n), make([]string, n)
 		for i := range ins {
@@ -210,6 +243,8 @@ func (d *eqDriver) step(t *testing.T) {
 				d.live = append(d.live, it.Elem.ES)
 			}
 		}
+	case p < 71: // batch under one key, or a replay of one
+		d.oneKeyBatch(t)
 	case p < 83: // a client retry of an acknowledged keyed operation
 		if len(d.keyed) > 0 {
 			if err := d.keyed[d.rng.Intn(len(d.keyed))](); err != nil {
@@ -234,6 +269,71 @@ func (d *eqDriver) step(t *testing.T) {
 		if _, _, err := e.Respecialize(); err != nil {
 			t.Fatalf("respecialize: %v", err)
 		}
+	}
+}
+
+// oneKeyBatch issues a fresh batch under one key — unkeyed, under a key
+// already used for a single operation, atomic or not, maybe with a
+// violator — or replays an acknowledged one: the same request, answered
+// from the window with its stored units deduped, or a prefix of it or the
+// same units with another body digest, refused.
+func (d *eqDriver) oneKeyBatch(t *testing.T) {
+	ctx := context.Background()
+	if len(d.batches) > 0 && d.rng.Intn(3) == 0 {
+		b := d.batches[d.rng.Intn(len(d.batches))]
+		remembered := d.e.HasIdemKey(b.one.key)
+		one, ins := b.one, b.ins
+		switch d.rng.Intn(3) {
+		case 1:
+			ins = ins[:len(ins)-1]
+			one.n--
+		case 2:
+			one.digest++
+		}
+		res, err := d.e.InsertBatchKeyed(ctx, ins, one.key, one.digest, b.atomic)
+		switch {
+		case !remembered:
+		case one != b.one:
+			if !errors.Is(err, ErrIdemReuse) {
+				t.Fatalf("a changed replay of batch %q: %+v, %v; want ErrIdemReuse", one.key, res, err)
+			}
+			d.refusals++
+		case err != nil || res.Stored != 0 || res.Deduped != b.stored || res.Deduped+res.Rejected != len(ins):
+			t.Fatalf("a replay of batch %q: stored %d, deduped %d, rejected %d, %v; the original stored %d",
+				one.key, res.Stored, res.Deduped, res.Rejected, err, b.stored)
+		default:
+			d.replays++
+		}
+		if err == nil {
+			for _, it := range res.Items {
+				if it.Status == BatchStored {
+					d.live = append(d.live, it.Elem.ES)
+				}
+			}
+		}
+		return
+	}
+	n := 2 + d.rng.Intn(5)
+	ins := make([]relation.Insertion, n)
+	for i := range ins {
+		ins[i] = d.insertion(i+1, d.rng.Intn(25) == 0)
+	}
+	one := oneKey{key: d.key(), n: uint32(n), digest: d.rng.Uint32()}
+	if len(d.used) > 0 && d.rng.Intn(10) == 0 {
+		one.key = d.used[d.rng.Intn(len(d.used))]
+	}
+	atomic := d.rng.Intn(2) == 0
+	res, err := d.e.InsertBatchKeyed(ctx, ins, one.key, one.digest, atomic)
+	if err != nil {
+		return // an atomic batch one element sank, or a key first used elsewhere
+	}
+	for _, it := range res.Items {
+		if it.Status == BatchStored {
+			d.live = append(d.live, it.Elem.ES)
+		}
+	}
+	if one.key != "" && res.Stored > 0 {
+		d.batches = append(d.batches, oneKeyBatch{ins: ins, one: one, atomic: atomic, stored: res.Stored})
 	}
 }
 
@@ -266,7 +366,7 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 		seeds = 6
 	}
 	kinds := map[wal.Kind]int{}
-	degraded := 0
+	degraded, replays, refusals := 0, 0, 0
 	for seed := 1; seed <= seeds; seed++ {
 		seed := int64(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
@@ -321,6 +421,7 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 			}
 
 			for _, d := range drivers {
+				replays, refusals = replays+d.replays, refusals+d.refusals
 				name := d.e.Name()
 				want := eqCapture(t, d.e, d.lastVT+5, ttHi)
 				for _, reason := range d.e.Physical().Reasons {
@@ -349,7 +450,7 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 		})
 	}
 	// The sweep must have exercised what it claims to.
-	for _, k := range []wal.Kind{walCreate, walDeclare, walInsertKeyed, walDeleteKeyed, walModifyKeyed, walRespecialize, walInsertBatch} {
+	for _, k := range []wal.Kind{walCreate, walDeclare, walInsertKeyed, walDeleteKeyed, walModifyKeyed, walRespecialize, walInsertBatch, walInsertBatchOneKey} {
 		if kinds[k] == 0 {
 			t.Errorf("no seed journaled a frame of kind %d", k)
 		}
@@ -361,5 +462,8 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("no seed ended with a store degraded by an order-breaking insert")
+	}
+	if replays == 0 || refusals == 0 {
+		t.Errorf("one-key batches: %d replays answered from the window, %d changed ones refused", replays, refusals)
 	}
 }

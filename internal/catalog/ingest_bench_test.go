@@ -82,6 +82,50 @@ func BenchmarkInsertBatchSingle(b *testing.B) {
 func BenchmarkInsertBatch32(b *testing.B)  { benchInsertBatch(b, 32) }
 func BenchmarkInsertBatch256(b *testing.B) { benchInsertBatch(b, 256) }
 
+// BenchmarkInsertBatchKeyed is a keyed 256-element batch both ways a batch
+// is keyed: a key per element (the compatibility path — 256 probes, 256
+// window entries, 34 bytes of frame an element) and one key for the batch
+// (one probe, one entry). Every key is fresh: one comes back only after
+// the window has forgotten it.
+func BenchmarkInsertBatchKeyed(b *testing.B) {
+	const batch = 256
+	for _, perElement := range []bool{true, false} {
+		name := "one-key"
+		if perElement {
+			name = "per-element"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := benchWALEntry(b)
+			ctx := context.Background()
+			ring := make([]string, 1024*batch) // 4 generations of per-element keys; 1024 batches
+			for i := range ring {
+				ring[i] = fmt.Sprintf("%032x", i)
+			}
+			ins := make([]relation.Insertion, batch)
+			vt := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range ins {
+					vt++
+					ins[j] = relation.Insertion{VT: element.EventAt(chronon.Chronon(vt))}
+				}
+				var res BatchResult
+				var err error
+				if perElement {
+					at := i % (len(ring) / batch) * batch
+					res, err = e.InsertBatch(ctx, ins, ring[at:at+batch], false)
+				} else {
+					res, err = e.InsertBatchKeyed(ctx, ins, ring[i%1024], uint32(i), false)
+				}
+				if err != nil || res.Stored != batch {
+					b.Fatalf("stored %d of %d: %v", res.Stored, batch, err)
+				}
+			}
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "elems/s")
+		})
+	}
+}
+
 // BenchmarkDedupWindow is what the idempotency window costs a keyed
 // element: the lookup commit makes before staging, which misses, and the
 // remember apply makes after, on a window that is full and churning —
@@ -106,5 +150,35 @@ func BenchmarkDedupWindow(b *testing.B) {
 			b.Fatalf("key %s remembered after %d newer ones", k, 2*dedupWindowCap)
 		}
 		w.remember(k, dedupInsert, nil, uint64(i))
+	}
+}
+
+// BenchmarkDedupWindowBatch is what the window costs a batch under one
+// key: the lookup commit makes, which misses, and the remember apply makes
+// of its 256 stored elements, on a window that is full and churning — a
+// generation retired every dedupWindowElems elements. ns/op is per batch;
+// allocs/op must read 0.
+func BenchmarkDedupWindowBatch(b *testing.B) {
+	const batch = 256
+	keys := make([]string, 4*dedupWindowElems/batch)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%032x", i)
+	}
+	m := mutation{oneKey: oneKey{n: batch}, recs: make([]relation.LogRecord, batch)}
+	var w dedupWindow
+	for i := 0; i < len(keys)/2; i++ {
+		m.key = keys[i]
+		w.rememberBatch(&m, uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A key comes back 4·dedupWindowElems elements after it was
+		// remembered, long after its generation was retired.
+		m.key = keys[(i+len(keys)/2)%len(keys)]
+		if _, ok := w.lookup(m.key); ok {
+			b.Fatalf("batch %s remembered after %d newer ones", m.key, len(keys)/2)
+		}
+		w.rememberBatch(&m, uint64(i))
 	}
 }

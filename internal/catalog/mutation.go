@@ -28,12 +28,20 @@ import (
 
 // mutation is one journaled change to a relation. kind is the frame
 // kind the writer emits for it (walInsertKeyed, walDeleteKeyed,
-// walModifyKeyed or walInsertBatch). The records form len(keys) units of
-// equal size — one record per unit, except a modify's delete+insert pair
-// — and keys[j] is unit j's idempotency key ("" when unkeyed).
+// walModifyKeyed, walInsertBatchOneKey, or walInsertBatch for a batch
+// whose request carries a key per element). The records form units of
+// equal size — one record per unit, except a modify's delete+insert pair.
+// In every kind but walInsertBatchOneKey there are len(keys) units and
+// keys[j] is unit j's idempotency key ("" when unkeyed).
 type mutation struct {
 	kind wal.Kind
 	keys []string
+	// A walInsertBatchOneKey batch has one key for all its units, and
+	// the indexes of the units it stored — nil when it stored all n; its
+	// records are the stored units'.
+	oneKey
+	stored []uint32
+
 	recs []relation.LogRecord
 	// staged marks records produced by relation.Stage* under the lock
 	// now held: already validated and stamped, their elements are the
@@ -41,6 +49,13 @@ type mutation struct {
 	// re-validated (relation.ApplyLog) as they apply; their elements were
 	// allocated by the decode and pass to the relation with the apply.
 	staged bool
+}
+
+// oneKey names a batch under one idempotency key ("" when unkeyed): the
+// key, and the unit count and body digest a replay under it must match.
+type oneKey struct {
+	key       string
+	n, digest uint32
 }
 
 // frameShapes describes each mutation kind: the operation its keys are
@@ -53,6 +68,9 @@ var frameShapes = [...]struct {
 	walDeleteKeyed: {dedupDelete, []relation.Op{relation.OpDelete}},
 	walModifyKeyed: {dedupModify, []relation.Op{relation.OpDelete, relation.OpInsert}},
 	walInsertBatch: {dedupInsert, []relation.Op{relation.OpInsert}},
+	// A one-key batch files its key whole (dedupWindow.rememberBatch),
+	// under dedupBatch, not per unit.
+	walInsertBatchOneKey: {dedupBatch, []relation.Op{relation.OpInsert}},
 }
 
 // frameUnitHint is the capacity a single-unit frame starts with: key span,
@@ -88,29 +106,47 @@ func appendRecord(out []byte, rec relation.LogRecord) []byte {
 
 // encode frames the mutation for the WAL:
 //
-//	insert, delete  u16 keyLen | key | record
-//	modify          u16 keyLen | key | u32 len | delete | u32 len | insert
-//	batch           u32 count, then per element u16 keyLen | key | u32 len | record
+//	insert, delete   u16 keyLen | key | record
+//	modify           u16 keyLen | key | u32 len | delete | u32 len | insert
+//	batch (kind 10)  u32 count, then per element u16 keyLen | key | u32 len | record
+//	batch (kind 11)  u16 keyLen | key | u32 n | u32 digest | u32 stored,
+//	                 then u32 index per stored unit only when stored < n,
+//	                 then per stored unit u32 len | record
 //
-// The per-element key span is what lets replay rebuild the dedup window
-// from a single batch frame. The unkeyed kinds 3/4/5 (the same payloads
-// without the key span) are decoded but never written: an unkeyed
-// mutation is a keyed frame with an empty key.
+// The key spans are what let replay rebuild the dedup window from the
+// frames. The unkeyed kinds 3/4/5 (the same payloads without the key span)
+// are decoded but never written: an unkeyed mutation is a keyed frame
+// with an empty key, and an unkeyed batch a kind-11 frame with an empty
+// key. Kind 10 is written only for a batch whose request carries a key
+// per element.
 func (m *mutation) encode(out []byte) ([]byte, error) {
 	switch m.kind {
 	case walInsertKeyed, walDeleteKeyed:
 		out = backlog.AppendRecord(appendKey(slices.Grow(out, frameUnitHint), m.keys[0]), m.recs[0])
 	case walModifyKeyed:
 		out = appendRecord(appendRecord(appendKey(slices.Grow(out, 2*frameUnitHint), m.keys[0]), m.recs[0]), m.recs[1])
-	case walInsertBatch:
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(m.recs)))
+	case walInsertBatch, walInsertBatchOneKey:
+		if m.kind == walInsertBatch {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(m.recs)))
+		} else {
+			out = binary.LittleEndian.AppendUint32(appendKey(out, m.key), m.n)
+			out = binary.LittleEndian.AppendUint32(out, m.digest)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(m.recs)))
+			for _, i := range m.stored {
+				out = binary.LittleEndian.AppendUint32(out, i)
+			}
+		}
+		head := len(out)
 		for i, rec := range m.recs {
-			out = appendRecord(appendKey(out, m.keys[i]), rec)
+			if m.kind == walInsertBatch {
+				out = appendKey(out, m.keys[i])
+			}
+			out = appendRecord(out, rec)
 			if i == 0 {
 				// Size the frame once, from its first unit: a batch's
 				// elements share a schema, so its units are about as long,
 				// and append absorbs whatever the margin does not.
-				unit := len(out) - 4
+				unit := len(out) - head
 				out = slices.Grow(out, (len(m.recs)-1)*(unit+unit/4))
 			}
 		}
@@ -189,6 +225,43 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 				m.recs[i], b, err = takeRecord(b)
 			}
 			if err != nil {
+				return fail(fmt.Errorf("batch item %d: %w", i, err))
+			}
+		}
+	case walInsertBatchOneKey:
+		m.keys = nil
+		if m.key, b, err = takeKey(b); err != nil {
+			return fail(err)
+		}
+		if len(b) < 12 {
+			return fail(fmt.Errorf("short batch header"))
+		}
+		m.n, m.digest = binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+		stored := int(binary.LittleEndian.Uint32(b[8:]))
+		b = b[12:]
+		// The writer journals only a batch that stored something. Each
+		// stored unit needs at least its length prefix, so the bytes cap
+		// what is allocated for them.
+		if stored == 0 || stored > int(m.n) || stored > len(b)/4 {
+			return fail(fmt.Errorf("batch stores %d of %d units in %d bytes", stored, m.n, len(b)))
+		}
+		if stored < int(m.n) {
+			if stored > len(b)/8 {
+				return fail(fmt.Errorf("batch stores %d of %d units in %d bytes", stored, m.n, len(b)))
+			}
+			m.stored = make([]uint32, stored)
+			for j := range m.stored {
+				i := binary.LittleEndian.Uint32(b[4*j:])
+				if i >= m.n || j > 0 && i <= m.stored[j-1] {
+					return fail(fmt.Errorf("stored index %d out of order or past %d units", i, m.n))
+				}
+				m.stored[j] = i
+			}
+			b = b[4*stored:]
+		}
+		m.recs = make([]relation.LogRecord, stored)
+		for i := range m.recs {
+			if m.recs[i], b, err = takeRecord(b); err != nil {
 				return fail(fmt.Errorf("batch item %d: %w", i, err))
 			}
 		}
@@ -277,9 +350,14 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 			tt = min(tt, el.TTStart)
 		}
 		e.pending.note(tt, el.VT)
-		if key := m.keys[i/per]; key != "" && (i+1)%per == 0 {
-			e.dedup.remember(key, shape.op, stored, lsn)
+		if len(m.keys) > 0 && (i+1)%per == 0 {
+			if key := m.keys[i/per]; key != "" {
+				e.dedup.remember(key, shape.op, stored, lsn)
+			}
 		}
+	}
+	if m.key != "" {
+		e.dedup.rememberBatch(m, lsn)
 	}
 	return nil
 }
@@ -321,18 +399,21 @@ func (e *Entry) logged(lsn uint64, kind wal.Kind, payload []byte) {
 // and the log's fail-stop poisoning keeps the not-yet-durable tail out of
 // every future snapshot.
 //
-// Every key is looked up in the dedup window once, before anything is
-// staged. A unit whose key the window remembers is answered with the
-// original result: no new record, no new event — but the same wait, on
-// the original frame's LSN, because under group commit the original
-// request may itself still be waiting for its fsync.
+// kind and keys name the mutation, and for a one-key batch one names its
+// key, unit count and digest. Every key is looked up in the dedup window
+// once, before anything is staged. A unit whose key the window remembers
+// is answered with the original result, and a one-key batch the window
+// remembers is answered whole from its entry (dedupWindow.answerBatch):
+// no new record, no new event — but the same wait, on the original
+// frame's LSN, because under group commit the original request may itself
+// still be waiting for its fsync.
 //
 // A rejected unit (guard, validation, key reuse) is skipped and reported
 // in its item; with atomic set the first rejection, in unit order, aborts
 // the whole mutation before anything is journaled and is returned as the
 // error. A single operation is an atomic batch of one. epoch is the
 // relation's epoch after the call.
-func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic bool,
+func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, one oneKey, atomic bool,
 	stage func(r *relation.Relation, i int, recs []relation.LogRecord) ([]relation.LogRecord, error)) (items []BatchItemResult, epoch uint64, err error) {
 	// Gate: refuse in read-only degraded mode, refuse oversized keys before
 	// they reach the WAL frame, and stop before any work when the caller
@@ -340,17 +421,35 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 	if err := e.writable(); err != nil {
 		return nil, 0, err
 	}
+	units := len(keys)
+	if kind == walInsertBatchOneKey {
+		units = int(one.n)
+	}
 	for i, key := range keys {
 		if len(key) > maxIdemKeyLen {
 			return nil, 0, fmt.Errorf("catalog: idempotency key %d exceeds %d bytes", i, maxIdemKeyLen)
 		}
 	}
+	if len(one.key) > maxIdemKeyLen {
+		return nil, 0, fmt.Errorf("catalog: idempotency key exceeds %d bytes", maxIdemKeyLen)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	items = make([]BatchItemResult, len(keys))
+	items = make([]BatchItemResult, units)
 	var lsn uint64 // the newest frame this acknowledgment depends on
 	err = e.locked.Exclusive(func(r *relation.Relation) error {
+		// A one-key batch the window remembers is answered from its entry,
+		// or refused whole.
+		if one.key != "" {
+			if hit, ok := e.dedup.lookup(one.key); ok {
+				if err := e.dedup.answerBatch(one, hit, items); err != nil {
+					return err
+				}
+				lsn, epoch = hit.lsn, e.Epoch()
+				return nil
+			}
+		}
 		// Dedup: one probe of the window per key. A unit the window answers
 		// is done; a key first used for another operation, or repeated
 		// within this mutation, rejects its unit — the window only learns
@@ -358,7 +457,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 		// would stage and mint two events. firstKeyed is the first unit so
 		// rejected, whose cause an atomic mutation returns if no unit before
 		// it fails to stage.
-		shape, toStage, firstKeyed := frameShapes[kind], len(keys), -1
+		shape, toStage, firstKeyed := frameShapes[kind], units, -1
 		var keyedCause error
 		sc := &e.scratch
 		seen := sc.seen
@@ -401,9 +500,12 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 		clear(sc.seen)
 
 		// Stage what is left in unit order.
-		m := mutation{kind: kind, staged: true, keys: make([]string, 0, toStage),
+		m := mutation{kind: kind, staged: true, oneKey: one,
 			recs: make([]relation.LogRecord, 0, toStage*len(shape.unit))}
-		for i, key := range keys {
+		if keys != nil {
+			m.keys = make([]string, 0, toStage)
+		}
+		for i := range items {
 			switch items[i].Status {
 			case BatchDeduped:
 				continue
@@ -424,7 +526,18 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 			if last := recs[len(recs)-1]; last.Op == relation.OpInsert {
 				items[i].Elem = last.Elem // Status is BatchStored, the zero value
 			}
-			m.keys, m.recs = append(m.keys, key), recs
+			m.recs = recs
+			if keys != nil {
+				m.keys = append(m.keys, keys[i])
+			}
+		}
+		if m.kind == walInsertBatchOneKey && len(m.recs) < units {
+			m.stored = make([]uint32, 0, len(m.recs))
+			for i, it := range items {
+				if it.Status == BatchStored {
+					m.stored = append(m.stored, uint32(i))
+				}
+			}
 		}
 		if len(m.recs) > 0 { // else nothing accepted: no frame, no epoch bump
 			if e.wal != nil {
@@ -432,7 +545,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 				if err != nil {
 					return err
 				}
-				if lsn, err = e.journal(kind, payload); err != nil {
+				if lsn, err = e.journal(m.kind, payload); err != nil {
 					return err
 				}
 				if cap(payload) <= wal.MaxKeptFrame {
@@ -461,7 +574,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, atomic
 // relation's dedup window remembers returns the originally stored
 // element with no new WAL record and no new event.
 func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
-	items, _, err := e.commit(ctx, walInsertKeyed, []string{key}, true, stageInserts([]relation.Insertion{ins}))
+	items, _, err := e.commit(ctx, walInsertKeyed, []string{key}, oneKey{}, true, stageInserts([]relation.Insertion{ins}))
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +598,7 @@ func stageInserts(ins []relation.Insertion) func(*relation.Relation, int, []rela
 // tt⊣ update (which would fail as already-deleted and make retries look
 // like conflicts).
 func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
-	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
+	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, oneKey{}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		// The element still carries tt⊣ = forever here; replay only needs
 		// its surrogate and the record's transaction time.
 		el, tt, err := r.StageDelete(es)
@@ -503,7 +616,7 @@ func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key str
 // returns the replacement the original transaction produced instead of
 // chaining a second delete+insert onto it.
 func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
-	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
+	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, oneKey{}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		old, repl, tt, err := r.StageModify(es, vt, varying)
 		if err != nil {
 			return nil, err

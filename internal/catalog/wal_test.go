@@ -107,6 +107,22 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 	}
 	steps++
 
+	// Step 7b: the same under one key for the batch (a kind-11 frame).
+	bres, err = emp().InsertBatchKeyed(context.Background(), []relation.Insertion{
+		{VT: element.EventAt(100)},
+		{VT: element.EventAt(105)},
+	}, "obk-1", 1, false)
+	if err != nil {
+		return steps, err
+	}
+	for i, it := range bres.Items {
+		if it.Status != BatchStored || it.Elem == nil {
+			t.Fatalf("one-key batch item %d = %+v, want stored", i, it)
+		}
+		m.rel("emp").inserted = append(m.rel("emp").inserted, it.Elem.ES)
+	}
+	steps++
+
 	// Step 8: declare a constraint the surviving history satisfies.
 	pred := constraint.Event{Spec: core.PredictiveSpec()}
 	d, ok := constraint.Describe(pred, constraint.PerRelation)

@@ -18,6 +18,10 @@ package server_test
 // history equals the acked set exactly — every acknowledged element
 // present and current, nothing unacknowledged visible — and a replayed
 // idempotency key still returns the original element.
+//
+// Batches take the same resets: concurrent InsertBatch calls and Loader
+// flushes retry under their one key, and every acknowledged element is
+// stored exactly once, before and after a restart.
 
 import (
 	"bytes"
@@ -41,11 +45,13 @@ import (
 )
 
 // flakyTransport forwards requests and, when enabled, drops every Nth
-// successful insert response on the floor — the server has applied and
-// acked the mutation, but the client sees a connection reset.
+// successful response to a POST whose path ends in suffix ("/insert" when
+// empty) on the floor — the server has applied and acked the mutation,
+// but the client sees a connection reset.
 type flakyTransport struct {
-	rt    http.RoundTripper
-	every int
+	rt     http.RoundTripper
+	every  int
+	suffix string
 
 	mu    sync.Mutex
 	on    bool
@@ -61,7 +67,11 @@ func (f *flakyTransport) enable(on bool) {
 
 func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := f.rt.RoundTrip(req)
-	if err != nil || req.Method != http.MethodPost || !strings.HasSuffix(req.URL.Path, "/insert") {
+	suffix := f.suffix
+	if suffix == "" {
+		suffix = "/insert"
+	}
+	if err != nil || req.Method != http.MethodPost || !strings.HasSuffix(req.URL.Path, suffix) {
 		return resp, err
 	}
 	f.mu.Lock()
@@ -322,4 +332,128 @@ func TestChaosIdempotentRetryPoisonAndRecovery(t *testing.T) {
 		t.Fatalf("post-recovery replay grew history to %d elements, want %d",
 			len(q2.Elements), len(acked))
 	}
+}
+
+// TestChaosBatchRetriesThroughResets: concurrent InsertBatch calls and
+// Loader flushes run through a transport that drops every third batch
+// response after the server acknowledged it. Each retry carries the
+// batch's one key and the same body bytes, the server answers it from its
+// dedup window, and every acknowledged element is stored exactly once.
+// After a crash and a restart from the log, a batch's replay still dedups.
+func TestChaosBatchRetriesThroughResets(t *testing.T) {
+	ctx := context.Background()
+	fs := wal.NewErrFS()
+	hs := bootOnLog(t, fs)
+	flaky := &flakyTransport{rt: http.DefaultTransport, every: 3, suffix: "/elements:batch"}
+	cli := client.New(hs.URL,
+		client.WithHTTPClient(&http.Client{Transport: flaky, Timeout: 30 * time.Second}),
+		client.WithRetry(client.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, Budget: 20 * time.Second}))
+	if _, err := cli.Create(ctx, empSchema()); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+
+	const callers, calls, size = 3, 10, 64
+	const loaders, perLoader = 2, 400
+	want := map[string]bool{}
+	name := func(who string, i int) string { return fmt.Sprintf("%s-%d", who, i) }
+	for g := 0; g < callers; g++ {
+		for i := 0; i < calls*size; i++ {
+			want[name(fmt.Sprintf("c%d", g), i)] = true
+		}
+	}
+	for g := 0; g < loaders; g++ {
+		for i := 0; i < perLoader; i++ {
+			want[name(fmt.Sprintf("l%d", g), i)] = true
+		}
+	}
+
+	flaky.enable(true)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(who string) {
+			defer wg.Done()
+			for c := 0; c < calls; c++ {
+				reqs := make([]client.InsertRequest, size)
+				for i := range reqs {
+					reqs[i] = insertReq(int64(c*size+i), name(who, c*size+i), 1)
+				}
+				res, err := cli.InsertBatch(ctx, "emp", reqs, false)
+				if err != nil || res.Stored+res.Deduped != size || res.Stored != 0 && res.Deduped != 0 {
+					t.Errorf("%s batch %d: %d stored, %d deduped, %v", who, c, res.Stored, res.Deduped, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("c%d", g))
+	}
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func(who string) {
+			defer wg.Done()
+			l := cli.NewLoader("emp", client.LoaderConfig{BatchSize: 50})
+			for i := 0; i < perLoader; i++ {
+				if err := l.Add(ctx, insertReq(int64(i), name(who, i), 2)); err != nil {
+					t.Errorf("%s add %d: %v", who, i, err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Errorf("%s: %v", who, err)
+			}
+			if st := l.Stats(); st.Stored+st.Deduped != perLoader || st.Failed != 0 {
+				t.Errorf("%s: %+v", who, st)
+			}
+		}(fmt.Sprintf("l%d", g))
+	}
+	wg.Wait()
+	flaky.enable(false)
+	if t.Failed() {
+		t.FailNow()
+	}
+	flaky.mu.Lock()
+	drops := flaky.drops
+	flaky.mu.Unlock()
+	if drops == 0 {
+		t.Fatal("the flaky transport dropped no batch response: nothing was retried")
+	}
+
+	// One batch under a key of the test's own, posted and replayed raw.
+	raw, err := wire.BatchInsertRequest{Elements: []wire.InsertRequest{insertReq(9000, "raw-0", 3), insertReq(9001, "raw-1", 3)}}.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, rep := postBatch(t, hs.URL, "emp", "chaos-batch", raw); code != http.StatusCreated || rep.Stored != 2 {
+		t.Fatalf("raw batch: %d, %d stored", code, rep.Stored)
+	}
+	want["raw-0"], want["raw-1"] = true, true
+
+	exactlyOnce := func(route, base string) {
+		t.Helper()
+		q, err := client.New(base).Current(ctx, "emp")
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		seen := map[string]int{}
+		for _, el := range q.Elements {
+			seen[el.Invariant[0].Str]++
+		}
+		for n, k := range seen {
+			if k != 1 || !want[n] {
+				t.Fatalf("%s: %q stored %d times (acknowledged: %v)", route, n, k, want[n])
+			}
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("%s: %d elements stored, %d acknowledged", route, len(seen), len(want))
+		}
+	}
+	exactlyOnce("live", hs.URL)
+
+	hs.Close()
+	http.DefaultClient.CloseIdleConnections()
+	fs.CrashRecover()
+	base := bootOnLog(t, fs).URL
+	exactlyOnce("restarted", base)
+	if code, rep := postBatch(t, base, "emp", "chaos-batch", raw); code != http.StatusOK || rep.Deduped != 2 {
+		t.Fatalf("the raw batch replayed after the restart: %d, %d deduped, %d stored", code, rep.Deduped, rep.Stored)
+	}
+	exactlyOnce("restarted, after the replay", base)
 }

@@ -3,19 +3,23 @@ package server
 // Batched and streaming ingest handlers (DESIGN §14).
 //
 // POST /v1/relations/{name}/elements:batch decodes a BatchInsertRequest
-// and commits it through catalog.Entry.InsertBatch: one WAL frame, one
-// group-commit entry, one published epoch for the whole batch, with a
-// per-item status report. POST /v1/ingest/csv streams a header-driven
-// CSV body straight into size/time-capped batches — flush at
-// ingestFlushSize elements or ingestFlushAge — without ever
-// materializing the file. Both endpoints are admission-weighted by
-// request size (batchWeight), so a bulk load occupies the write class
-// like the single inserts it replaces.
+// and commits it through catalog.Entry.InsertBatchKeyed: one WAL frame,
+// one group-commit entry, one published epoch for the whole batch, with a
+// per-item status report. The batch's idempotency key is the request's
+// Idempotency-Key header, as a single mutation's is; a request that
+// carries a key per element in its body takes the compatibility path
+// (catalog.Entry.InsertBatch with those keys) and the header goes unused.
+// POST /v1/ingest/csv streams a header-driven CSV body straight into
+// size/time-capped batches — flush at ingestFlushSize elements or
+// ingestFlushAge — without ever materializing the file. Both endpoints
+// are admission-weighted by request size (batchWeight), so a bulk load
+// occupies the write class like the single inserts it replaces.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -49,11 +53,22 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
+	// A replay must be the same request: the digest of the body as
+	// received goes with the batch. The client encodes a body once and
+	// sends the same bytes on every retry.
+	body := &digestBody{ReadCloser: r.Body}
+	r.Body = body
 	req, aerr := decodeBatch(r)
 	if aerr != nil {
 		return nil, aerr
 	}
-	res, err := e.InsertBatch(r.Context(), req.Elements, req.Keys, req.Atomic)
+	var res catalog.BatchResult
+	var err error
+	if len(req.Keys) > 0 {
+		res, err = e.InsertBatch(r.Context(), req.Elements, req.Keys, req.Atomic)
+	} else {
+		res, err = e.InsertBatchKeyed(r.Context(), req.Elements, idemKey(r), body.sum, req.Atomic)
+	}
 	if err != nil {
 		return nil, mapError(err)
 	}
@@ -68,6 +83,22 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 			Stored: res.Stored, Deduped: res.Deduped, Rejected: res.Rejected, Epoch: res.Epoch},
 		touched: res.Stored,
 	}, nil
+}
+
+// castagnoli is the CRC-32C table: the polynomial the hardware computes.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// digestBody is a request body that keeps the CRC-32C of every byte read
+// through it: the digest that identifies a keyed batch's request.
+type digestBody struct {
+	io.ReadCloser
+	sum uint32
+}
+
+func (d *digestBody) Read(p []byte) (int, error) {
+	n, err := d.ReadCloser.Read(p)
+	d.sum = crc32.Update(d.sum, castagnoli, p[:n])
+	return n, err
 }
 
 // batchItems is what the report of a batch is encoded from: the catalog's

@@ -451,10 +451,12 @@ func (r InsertRequest) ToInsertion() (relation.Insertion, error) {
 }
 
 // BatchInsertRequest stores many elements as one journaled unit: one
-// WAL frame, one group-commit entry, one published epoch. Keys, when
-// present, parallels Elements — one idempotency key per element, so a
-// replayed batch dedups element-by-element exactly like replayed single
-// inserts. Atomic makes the batch all-or-nothing: any rejection aborts
+// WAL frame, one group-commit entry, one published epoch. A batch's
+// idempotency key is the request's Idempotency-Key header, and a replay
+// must send the same body bytes. Keys is the compatibility path: when
+// present it parallels Elements — one idempotency key per element, so a
+// replayed batch dedups element by element like replayed single inserts —
+// and the header key goes unused. The typed client does not send it. Atomic makes the batch all-or-nothing: any rejection aborts
 // it before anything is journaled. Brief asks for a brief report: a stored
 // item whose element is what its request would rebuild carries only what
 // the server assigned (BatchItem.Assigned), and the sender, which holds
