@@ -53,11 +53,16 @@
 // streams header-driven CSV (capped by -ingest-max-body) into server-side
 // batches:
 //
-//	curl -s -X POST localhost:7070/v1/relations/emp/elements:batch \
+//	curl -s -X POST localhost:7070/v1/relations/emp/elements:batch -H 'Idempotency-Key: b1' \
 //	  -d '{"elements":[{"vt":{"event":200},"invariant":[{"kind":"string","str":"tom"}],
-//	       "varying":[{"kind":"int","int":31000}]}],"keys":["k1"],"brief":true}'
+//	       "varying":[{"kind":"int","int":31000}]}],"brief":true}'
 //	curl -s -X POST --data-binary @rows.csv \
 //	  'localhost:7070/v1/ingest/csv?relation=emp'
+//
+// A batch's idempotency key is its Idempotency-Key header: the same bytes
+// posted again under it are answered from the dedup window (200, every
+// element the first post stored "deduped"), and another body under it is
+// refused 409. A body may instead carry "keys", one per element.
 //
 // With "brief":true (the typed client always sends it) a stored item
 // whose valid time the granularity did not truncate is reported as
