@@ -84,7 +84,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRespecialize$$' -fuzztime=5s ./internal/catalog
 	$(GO) test -run=NONE -fuzz='^FuzzRespecializeReplay$$' -fuzztime=5s ./internal/catalog
 	$(GO) test -run=NONE -fuzz='^FuzzParseAggregate$$' -fuzztime=5s ./internal/tsql
-	$(GO) test -run=NONE -fuzz='^FuzzColumnarRunDecode$$' -fuzztime=5s ./internal/storage
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeProof$$' -fuzztime=5s ./internal/integrity
 	$(GO) test -run=NONE -fuzz='^FuzzMerkleConsistency$$' -fuzztime=5s ./internal/integrity
 	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s ./internal/server
@@ -136,10 +135,11 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # docs-check fails when README, DESIGN or EXPERIMENTS cites a BENCH_*.json
-# that is neither in the repository nor in SCRATCH_BENCH, or tells a
-# reader to run a `benchrunner -exp` id that is not registered.
+# that is neither in the repository nor in SCRATCH_BENCH, tells a reader to
+# run a `benchrunner -exp` id that is not registered, or when fuzz-smoke's
+# list and the repository's Fuzz functions disagree.
 docs-check:
-	$(GO) test -run 'TestDocsCiteWhatExists' ./cmd/benchrunner
+	$(GO) test -run 'TestDocsCiteWhatExists|TestFuzzSmokeListsEveryTarget' ./cmd/benchrunner
 
 # clean removes only what `make bench` leaves untracked (S2's table). The
 # other BENCH_*.json — the *_pairs.json series above all — are committed

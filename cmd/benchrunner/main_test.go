@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -66,5 +67,65 @@ func TestDocsCiteWhatExists(t *testing.T) {
 				t.Errorf("%s cites -exp %s: %v", doc, m[1], err)
 			}
 		}
+	}
+}
+
+// TestFuzzSmokeListsEveryTarget is the other half of `make docs-check`: the
+// Makefile's fuzz-smoke recipe gives every Fuzz function in the repository
+// its few seconds, so its list names each one, in the package that holds it,
+// and nothing else.
+func TestFuzzSmokeListsEveryTarget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := regexp.MustCompile(`(?ms)^fuzz-smoke:\n(.*?)\n\n`).FindSubmatch(mk)
+	if recipe == nil {
+		t.Fatal("the Makefile no longer has a fuzz-smoke recipe")
+	}
+	var listed []string
+	for _, m := range regexp.MustCompile(`-fuzz='\^(Fuzz\w+)\$\$' .* \./(\S+)`).FindAllSubmatch(recipe[1], -1) {
+		listed = append(listed, string(m[2])+"."+string(m[1]))
+	}
+	var found []string
+	target := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		for _, m := range target.FindAllSubmatch(src, -1) {
+			found = append(found, filepath.ToSlash(dir)+"."+string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(listed)
+	slices.Sort(found)
+	for _, f := range found {
+		if !slices.Contains(listed, f) {
+			t.Errorf("%s is not in fuzz-smoke", f)
+		}
+	}
+	for _, l := range listed {
+		if !slices.Contains(found, l) {
+			t.Errorf("fuzz-smoke runs %s, which no test file defines", l)
+		}
+	}
+	if len(found) == 0 {
+		t.Fatal("found no Fuzz function: the walk is looking in the wrong place")
 	}
 }

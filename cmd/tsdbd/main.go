@@ -117,7 +117,7 @@ func main() {
 	flag.Int64Var(&o.cacheBytes, "query-cache", 32<<20, "plan-keyed query result cache budget in bytes (0 disables)")
 	flag.BoolVar(&o.pprof, "pprof", false, "expose /debug/pprof profiling endpoints (bypass admission control)")
 	flag.StringVar(&o.follow, "follow", "", "run as a read-only follower of the given primary URL (disables the local WAL)")
-	flag.BoolVar(&o.autoSpecialize, "auto-specialize", false, "run the background physical-design advisor: infer specialization classes from the observed extension, migrate stores when the advice changes, and compact append-only relations")
+	flag.BoolVar(&o.autoSpecialize, "auto-specialize", false, "run the background physical-design advisor: infer specialization classes from the observed extension, migrate stores when the advice changes, and seal append-only relations' full runs to measure their packed footprint")
 	flag.DurationVar(&o.adviseEvery, "advise-interval", 15*time.Second, "how often the -auto-specialize advisor re-examines the catalog")
 	flag.DurationVar(&o.scrubEvery, "scrub-interval", 5*time.Minute, "how often the background integrity scrubber re-verifies every sealed artifact (0 disables)")
 	flag.Int64Var(&o.scrubRate, "scrub-rate", 8<<20, "scrub read bandwidth cap in bytes/sec (0 = unpaced)")
@@ -290,7 +290,8 @@ func run(o options) error {
 	// The background advisor closes the specialization loop: it infers
 	// classes from each relation's observed extension, migrates stores
 	// when the advice changes (journaled, so followers adopt the same
-	// design), and compacts append-only relations into frozen runs.
+	// design), and seals append-only relations' full runs, measuring their
+	// packed footprint.
 	// Followers never run it — their design replicates from the primary.
 	if o.autoSpecialize && o.follow == "" && o.adviseEvery > 0 {
 		go cat.RunAdvisor(ctx, o.adviseEvery, catalog.DefaultAdvisorConfig(),
@@ -303,14 +304,14 @@ func run(o options) error {
 					log.Printf("advisor: migrated to %s (%s) at epoch %d", m.To, m.Source, m.Epoch)
 				}
 				if rep.Sealed > 0 {
-					log.Printf("advisor: sealed %d element(s) into frozen runs", rep.Sealed)
+					log.Printf("advisor: sealed %d element(s) into runs", rep.Sealed)
 				}
 			})
 		log.Printf("advisor: auto-specialize enabled, interval %s", o.adviseEvery)
 	}
 
 	// Background integrity scrubber: one rate-limited verify pass over
-	// every sealed artifact (WAL segments, snapshot shards, frozen runs)
+	// every sealed artifact (WAL segments, snapshot shards, zone maps)
 	// per -scrub-interval; a mismatch quarantines the relation and the
 	// repair loop takes over. Runs on primaries and followers alike.
 	if cat.IntegrityEnabled() && o.scrubEvery > 0 {

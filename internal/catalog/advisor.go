@@ -5,11 +5,11 @@ package catalog
 // any relation whose extension has grown past the re-advising thresholds
 // since its last look, migrates the live store when the advice changed
 // (Entry.Respecialize — journaled, so the design survives restarts and
-// ships to followers), and seals frozen runs on relations whose adopted
+// ships to followers), and seals runs on relations whose adopted
 // organization is the append-only vt-ordered log (class-scheduled
-// compaction). General relations are not sealed and lose nothing by it:
-// the zone map their scans prune on is kept by every chunk as it fills
-// (storage/seq.go), no pass needed. Followers never run the loop: their
+// compaction), which measures their packed footprint and publishes nothing.
+// No relation's reads wait on a pass: the zone map every scan, rollback and
+// as-of read prunes on is kept by every chunk as it fills (storage/seq.go). Followers never run the loop: their
 // physical design arrives through the replicated walRespecialize frames,
 // keeping replica state a pure function of the primary's log.
 
@@ -41,7 +41,10 @@ func DefaultAdvisorConfig() AdvisorConfig {
 type AdvisorReport struct {
 	Examined   int         // relations past their thresholds this pass
 	Migrations []Migration // store migrations performed
-	Sealed     int         // elements newly sealed into frozen runs
+	// Sealed counts the elements whose runs the pass sealed: measured into
+	// the packed footprint (Physical().Compaction, StoreBytes). Sealing
+	// publishes no epoch and changes no answer.
+	Sealed int
 }
 
 // AdvisePass runs one advisor sweep over the catalog. Exported so tests,
@@ -69,10 +72,9 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 			rep.Migrations = append(rep.Migrations, mig)
 		}
 		// Class-scheduled compaction: only the vt-ordered log (the
-		// append-only designs) seals runs. A general relation has no reader
-		// for a packed image, and its chunks carry their zone maps unsealed.
-		// Entry.Compact is a no-op on non-sealing stores, but gating here
-		// keeps the sweep from taking their exclusive locks.
+		// append-only designs) seals runs, which measures their packed
+		// footprint. Entry.Compact is a no-op on non-sealing stores, but
+		// gating here keeps the sweep from taking their exclusive locks.
 		if e.physical.Load().Org == storage.VTOrdered {
 			rep.Sealed += e.Compact()
 		}
@@ -85,7 +87,7 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 // the current epoch and byte footprint as the new baseline.
 func (e *Entry) pastAdviseThresholds(cfg AdvisorConfig) bool {
 	epoch := e.Epoch()
-	bytes := e.physical.Load().StoreBytes // published with the epoch
+	bytes := e.physical.Load().StoreBytes // published with the epoch, refreshed by Compact
 	lastE, lastB := e.lastAdviseEpoch.Load(), e.lastAdviseBytes.Load()
 	if lastE != 0 {
 		dE := epoch - lastE

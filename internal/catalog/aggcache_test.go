@@ -858,22 +858,6 @@ func TestRebuildFallsBack(t *testing.T) {
 			}
 		}
 	})
-	t.Run("a compaction", func(t *testing.T) {
-		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
-		appendSensor(t, e, 4*256+10, 256) // fills chunk 4, unsealed
-		keep(t, e, src, func() { appendSensor(t, e, 5*256+10, 1) })
-		appendSensor(t, e, 5*256+11, 1)
-		if e.Compact() == 0 {
-			t.Fatal("nothing to seal")
-		}
-		b0 := e.BatchStats()
-		if ask(t, e, src) {
-			t.Fatal("rebuilt across a compaction, which records everything")
-		}
-		if st := e.BatchStats(); st.RunsMerged != b0.RunsMerged+5 {
-			t.Fatalf("after a compaction: %+v, before %+v; want the whole loop, every chunk merged", st, b0)
-		}
-	})
 	t.Run("past the change log", func(t *testing.T) {
 		e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
 		n := 4*256 + 10
@@ -937,4 +921,39 @@ func TestRebuildFallsBack(t *testing.T) {
 			t.Fatal("three of four windows: rebuilt")
 		}
 	})
+}
+
+// TestRebuildAcrossACompaction: sealing changes no element and publishes no
+// epoch, so an aggregate asked after a compaction is rebuilt from the cells
+// kept before it — the window the appends since reached refolded, the rest
+// copied — and is the definition's answer. (While compaction published, it
+// recorded everything, and the aggregate after it took the whole loop.)
+func TestRebuildAcrossACompaction(t *testing.T) {
+	const src = "select count(*), sum(v) from s group by window(3000)"
+	e := sealedSensor(t, New(cachedConfig(t.TempDir())), "s", 4*256+10)
+	appendSensor(t, e, 4*256+10, 256) // fills chunk 4, unsealed
+	ask := func() (rebuilt bool) {
+		t.Helper()
+		before := e.BatchStats().Rebuilt
+		if got := mustAggSelect(t, e, src); !reflect.DeepEqual(got.Rows, mustDefine(t, e, src).Rows) {
+			t.Fatalf("%s diverges from the definition", src)
+		}
+		return e.BatchStats().Rebuilt > before
+	}
+	ask()
+	appendSensor(t, e, 5*256+10, 1)
+	if ask() {
+		t.Fatal("rebuilt from cells the first execution kept")
+	}
+	appendSensor(t, e, 5*256+11, 1)
+	epoch := e.Epoch()
+	if e.Compact() == 0 {
+		t.Fatal("nothing to seal")
+	}
+	if e.Epoch() != epoch {
+		t.Fatalf("the compaction published: epoch %d → %d", epoch, e.Epoch())
+	}
+	if !ask() {
+		t.Fatal("not rebuilt across a compaction")
+	}
 }

@@ -1312,16 +1312,19 @@ func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 	return mig
 }
 
-// Compact seals frozen runs over the live store's stable prefix when the
-// organization supports it, publishing a fresh epoch so subsequent reads
-// see the run metadata. Returns how many elements were newly sealed.
-// Deliberately not WAL-logged: runs are derived state, rebuilt by the
+// Compact seals runs over the live store's stable prefix when the
+// organization supports it, measuring them into the packed footprint, and
+// refreshes Physical with the new totals. Returns how many elements were
+// newly sealed. It publishes no epoch: sealing changes no element and no
+// zone map, so every answer, cached answer and validator stays good.
+// Deliberately not WAL-logged: the totals are derived state, rebuilt by the
 // advisor loop after a restart.
 func (e *Entry) Compact() int {
 	sealed := 0
 	_ = e.locked.Exclusive(func(r *relation.Relation) error {
 		if sealed = e.store.Compact(); sealed > 0 {
-			e.publish()
+			phys := e.physicalLocked()
+			e.physical.Store(&phys)
 		}
 		return nil
 	})

@@ -592,17 +592,17 @@ var diffLifecycle = []struct {
 		d.seal(t)
 	}},
 	{"closes-then-reseal", func(t *testing.T, d *diffRel) {
-		// Close into run 0, damage its image — on the general relation,
-		// which has none, its envelope — and let the repair reseal it: the
-		// run's close count starts over, so a partial memoized at the old
-		// count must not be taken for the new run's.
+		// Close into run 0, damage its zone map — its least tt⊢, on the
+		// general relation its valid-time envelope — and let the repair
+		// rebuild it: a partial memoized over the damaged zone map must not
+		// be taken for the repaired chunk's.
 		els := current(d.e).Elements
 		for i := 0; i < 3; i++ {
 			_ = remove(d.e, els[i].ES)
 		}
 		gen := d.e.view.Load().gen
 		_ = d.e.locked.Exclusive(func(*relation.Relation) error {
-			corrupted := storage.CorruptRun(d.e.engine.Store(), 0, 9, 4)
+			corrupted := storage.CorruptTT(d.e.engine.Store(), 0, false, 40)
 			if d.general {
 				corrupted = storage.CorruptZone(d.e.engine.Store(), 0, false, 40)
 			}

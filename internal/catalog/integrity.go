@@ -22,8 +22,8 @@ import (
 // writer, never the write path), snapshots persist the tree alongside
 // walLSN, and proofs are served from the same tree the write path
 // maintains. The scrubber walks the on-disk artifacts — sealed WAL
-// segments, snapshot shards, frozen delta runs — re-verifying each
-// against its checksums; a detection quarantines the affected relations
+// segments, snapshot shards, each relation's chunk zone maps — re-verifying
+// each against its checksums or, for zone maps, its elements; a detection quarantines the affected relations
 // (read-only, reads keep serving) and kicks the matching repair.
 
 // IntegrityEnabled reports whether the catalog maintains Merkle trees:
@@ -193,9 +193,8 @@ func (e *Entry) QuarantineCause() string {
 	return ""
 }
 
-// verifyRuns checks every full chunk's zone map against its elements and
-// every frozen run's checksum against its packed image, under the shared
-// lock.
+// verifyRuns checks every full chunk's zone map against its elements, under
+// the shared lock.
 func (e *Entry) verifyRuns() error {
 	var bad []storage.RunVerifyError
 	_ = e.locked.View(func(*relation.Relation) error {
@@ -324,7 +323,8 @@ func (c *Catalog) ScrubArtifacts() ([]integrity.Artifact, error) {
 			continue
 		}
 		// A relation that has filled a chunk has derived state to verify,
-		// sealed or not: the zone map every scan prunes on.
+		// sealed or not: the zone map every scan, rollback and as-of read
+		// prunes on.
 		if st := e.view.Load().engine.Store(); st.Len() >= vec.BatchSize {
 			out = append(out, integrity.Artifact{Kind: "runs", Name: name, Rel: name, Bytes: storage.StoreBytes(st)})
 		}
@@ -399,7 +399,7 @@ func (c *Catalog) verifySnapshotShard(name string) error {
 
 // HandleCorrupt is the scrubber's detection callback: journal the
 // finding, quarantine what the artifact covers, and run the matching
-// repair — frozen runs reseal from the elements, snapshot shards
+// repair — zone maps rebuild from the elements, snapshot shards
 // rewrite from memory, WAL segments are re-snapshotted over and
 // truncated away. Successful repairs lift the quarantine.
 func (c *Catalog) HandleCorrupt(a integrity.Artifact, verr error) {
@@ -434,8 +434,8 @@ func (c *Catalog) preserveEvidence(name string, read func() ([]byte, error)) {
 	_ = os.WriteFile(filepath.Join(qdir, filepath.Base(name)), data, 0o644)
 }
 
-// repairRuns rebuilds a relation's corrupt zone maps and frozen runs from
-// the live elements — both are derived state, the elements are ground truth.
+// repairRuns rebuilds a relation's corrupt zone maps from the live elements
+// — they are derived state, the elements are ground truth.
 func (c *Catalog) repairRuns(a integrity.Artifact) {
 	e, err := c.Get(a.Rel)
 	if err != nil {
@@ -452,7 +452,7 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 		st := e.store
 		bad := storage.VerifyRuns(st)
 		if len(bad) == 0 {
-			repaired = true // damage was in a run a concurrent compaction replaced
+			repaired = true // damage was in a store a concurrent vacuum rebuilt
 			return nil
 		}
 		idx := make([]int, len(bad))
@@ -460,7 +460,7 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 			idx[i] = b.Run
 		}
 		resealed = storage.ResealRuns(st, idx)
-		e.gen = e.storeGens.Add(1) // resealed runs count their closes afresh
+		e.gen = e.storeGens.Add(1) // nothing memoized over a damaged zone map is taken for the repaired one
 		repaired = len(storage.VerifyRuns(st)) == 0
 		if repaired {
 			e.publish()
@@ -472,7 +472,7 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 		c.igRepaired.Add(1)
 		c.journalIntegrity(IntegrityEvent{
 			Kind: "repair", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-			Detail: fmt.Sprintf("resealed %d runs from the live elements", resealed),
+			Detail: fmt.Sprintf("rebuilt the zone maps of %d runs from the live elements", resealed),
 		})
 		return
 	}
@@ -593,7 +593,7 @@ type VerifyReport struct {
 }
 
 // VerifyRelation synchronously verifies every artifact covering the
-// named relation — its snapshot shard, its frozen runs, and each sealed
+// named relation — its snapshot shard, its zone maps, and each sealed
 // WAL segment carrying its history — repairing what it can, exactly as
 // the background scrubber would.
 func (c *Catalog) VerifyRelation(name string) (VerifyReport, error) {

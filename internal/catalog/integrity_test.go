@@ -167,10 +167,12 @@ func TestIntegrityQuarantineScoping(t *testing.T) {
 	}
 }
 
-// TestIntegrityRepairRuns corrupts a frozen delta run in place and lets
-// the scrub path repair it: detection quarantines the relation, the
-// reseal rebuilds the run from the live elements, the quarantine lifts,
-// and queries answer exactly as before the damage.
+// TestIntegrityRepairRuns flips a bit of a sealed run's least tt⊢ — the
+// transaction-time fact the as-of read skips dead chunks on — and lets the
+// scrub path repair it: once published the damage drops the run's rows from
+// the bitemporal read, detection quarantines the relation, the reseal
+// rebuilds the zone map from the live elements, the quarantine lifts, and
+// queries answer exactly as before the damage.
 func TestIntegrityRepairRuns(t *testing.T) {
 	root := t.TempDir()
 	w, c := integOpen(t, root)
@@ -184,14 +186,24 @@ func TestIntegrityRepairRuns(t *testing.T) {
 		t.Fatal("nothing sealed; test needs frozen runs")
 	}
 	before := len(current(e).Elements)
+	const vt, tt = 100 + 40, 1 << 39 // an element of run 0, as stored now
+	asOf := timesliceAsOf(e, vt, tt).Elements
+	if len(asOf) != 1 {
+		t.Fatalf("as of: %d elements before the damage, want 1", len(asOf))
+	}
 
 	corrupted := false
 	_ = e.locked.Exclusive(func(*relation.Relation) error {
-		corrupted = storage.CorruptRun(e.engine.Store(), 0, 9, 4)
+		corrupted = storage.CorruptTT(e.engine.Store(), 0, false, 40)
 		return nil
 	})
 	if !corrupted {
 		t.Fatal("could not corrupt run 0")
+	}
+	integInsert(t, e, 1, 5000) // publishes a view that shares the damaged chunk
+	before++
+	if got := timesliceAsOf(e, vt, tt).Elements; len(got) != 0 {
+		t.Fatalf("the damaged least tt⊢ still admits tt %d (%d elements); the test means it to decide the answer", tt, len(got))
 	}
 
 	rep, err := c.VerifyRelation("emp")
@@ -210,6 +222,9 @@ func TestIntegrityRepairRuns(t *testing.T) {
 	if got := len(current(e).Elements); got != before {
 		t.Fatalf("post-repair answers diverged: %d elements, want %d", got, before)
 	}
+	if got := timesliceAsOf(e, vt, tt).Elements; !reflect.DeepEqual(got, asOf) {
+		t.Fatalf("post-repair as-of answer diverged: %d elements", len(got))
+	}
 	st := c.IntegrityStats()
 	if st.Detected == 0 || st.Repaired == 0 {
 		t.Fatalf("stats did not count the repair: %+v", st)
@@ -223,7 +238,7 @@ func TestIntegrityRepairRuns(t *testing.T) {
 // a general relation that is never sealed — the derived state every
 // organization's scans prune on. Once published, the damage drops the chunk's
 // rows from the time-slice and the bitemporal read; the scrub path lists the
-// relation although it has no packed image, detects the chunk, quarantines,
+// relation although it has sealed nothing, detects the chunk, quarantines,
 // rewrites the envelope from the elements and lifts the quarantine; and both
 // reads equal the brute-force filter over the view again.
 func TestIntegrityRepairZoneMap(t *testing.T) {
@@ -402,8 +417,8 @@ func TestIntegrityRepairSegment(t *testing.T) {
 }
 
 // TestIntegrityScrubberEndToEnd runs the wired scrubber over a healthy
-// catalog (no false positives), then over one with a corrupt frozen run
-// (detected, repaired), then proves a second pass is clean again.
+// catalog (no false positives), then over one with a corrupt sealed run's
+// zone map (detected, repaired), then proves a second pass is clean again.
 func TestIntegrityScrubberEndToEnd(t *testing.T) {
 	root := t.TempDir()
 	w, c := integOpen(t, root)
@@ -430,7 +445,7 @@ func TestIntegrityScrubberEndToEnd(t *testing.T) {
 	}
 
 	_ = e.locked.Exclusive(func(*relation.Relation) error {
-		storage.CorruptRun(e.engine.Store(), 0, 5, 1)
+		storage.CorruptTT(e.engine.Store(), 0, true, 5)
 		return nil
 	})
 	_, failed, err = s.RunOnce(context.Background())

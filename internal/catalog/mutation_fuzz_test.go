@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/fuzzcost"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -91,7 +92,9 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add(uint8(walInsertBatchOneKey), payloadOf(f, seedOneKey("k", 4, 0, []uint32{2, 1})))                           // stored indexes out of order
 
 	f.Fuzz(func(t *testing.T, kind uint8, b []byte) {
-		m, err := decodeMutation(wal.Kind(kind), b)
+		var m mutation
+		var err error
+		fuzzcost.Mutation.Bound(t, len(b), func() { m, err = decodeMutation(wal.Kind(kind), b) })
 		if err != nil {
 			return
 		}

@@ -457,7 +457,7 @@ func (d *validatorDriver) step(t *testing.T, e *Entry) (m stepModel) {
 		}
 		m.everything = migrated
 	case p < 93:
-		m.everything = e.Compact() > 0
+		e.Compact() // seals, publishes nothing: a step that changed nothing
 	default:
 		horizon := max(d.horizon[e], e.Locked().Unwrap().Clock().Now()-chronon.Chronon(d.rng.Int63n(400)))
 		d.horizon[e] = horizon
@@ -584,7 +584,8 @@ func TestConditionalReadsAgainstTheDefinition(t *testing.T) {
 					r.record(t, before[name], chunk[name])
 					if rng.Intn(6) == 0 {
 						b := r.e.Epoch()
-						r.record(t, b, stepModel{everything: r.e.Compact() > 0})
+						r.e.Compact()
+						r.record(t, b, stepModel{})
 					}
 					r.check(t, rng, fmt.Sprintf("follower at frame %d", i), tally)
 				}

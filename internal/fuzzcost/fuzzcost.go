@@ -1,0 +1,53 @@
+// Package fuzzcost holds a decoder of outside input to a cost bound:
+// whatever the bytes, decoding n of them may allocate at most A·n + B bytes.
+// A fuzz target that checks only the values a decoder returns stays green
+// while the decoder allocates gigabytes for a megabyte of commas; one that
+// runs the decode through Bound does not.
+package fuzzcost
+
+import (
+	"runtime"
+	"testing"
+)
+
+// Limit is a decoder's allocation bound: A bytes per input byte, plus B.
+type Limit struct{ A, B uint64 }
+
+// The limits, each about 1.4× the most its decoder was measured to allocate
+// (go1.24, amd64, with and without -race): B over the seeds and a minute of
+// fuzzing, where inputs stay small, and A over built worst cases, where the
+// per-byte cost settles. Both worst cases are linear — a slice of large
+// structs grown by append's 1.25× steps from a few bytes of input each —
+// not quadratic.
+var (
+	// Mutation bounds catalog.decodeMutation over the payload of a WAL
+	// mutation frame of any kind (FuzzDecodeMutation). Measured: at most
+	// 3.4 KB for any fuzzed payload; 3.0–3.3 B a byte for well-formed
+	// batches of 1–1,024 elements, kinds 10 and 11; and ≈ 262 B a byte for
+	// an element of 40,000–131,000 null values (one byte each, 40 B as an
+	// element.Value).
+	Mutation = Limit{A: 384, B: 4096}
+	// BatchRequest bounds the server's decode of an elements:batch body,
+	// the fast parse's and encoding/json's (FuzzBatchInsertRequest).
+	// Measured: at most 22 KB for any fuzzed body up to 3.2 KB (≈ 12 KB of
+	// it fixed: the request and the decoders); ≈ 47 B a byte for 10^3–
+	// 3·10^5 minimal elements; and ≈ 451 B a byte for a body of empty
+	// elements ({"elements":[{},{},…]}, three bytes each), which both
+	// decoders grow a wire.InsertRequest for before refusing.
+	BatchRequest = Limit{A: 640, B: 32 << 10}
+)
+
+// Bound runs decode, which reads n bytes of input, and fails tb when it
+// allocated more than l.A·n + l.B bytes. It reads the runtime's allocation
+// total around the call, so whatever other goroutines allocate meanwhile
+// counts too.
+func (l Limit) Bound(tb testing.TB, n int, decode func()) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, l.A*uint64(n)+l.B; got > limit {
+		tb.Fatalf("decoding %d bytes allocated %d, over the bound %d·%d + %d = %d", n, got, l.A, n, l.B, limit)
+	}
+}

@@ -8,8 +8,8 @@
 // without trusting the server. The same leaf hashes ride the
 // replication feed so a follower verifies shipped frames before
 // applying them, and the background Scrubber re-reads sealed artifacts
-// (WAL segments, snapshot shards, frozen delta runs) against their
-// checksums on a byte-rate budget.
+// (WAL segments, snapshot shards, chunk zone maps) against their
+// checksums, or their elements, on a byte-rate budget.
 //
 // The tree retains every leaf hash (32 bytes per committed frame): the
 // engine is memory-resident by design, proofs must keep working across

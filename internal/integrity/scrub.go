@@ -10,7 +10,7 @@ import (
 )
 
 // Artifact is one scrubbable unit of sealed state: a sealed WAL
-// segment, a snapshot shard, or one relation's frozen delta runs.
+// segment, a snapshot shard, or one relation's chunk zone maps.
 type Artifact struct {
 	Kind string `json:"kind"` // "wal-segment", "snapshot", "runs"
 	Name string `json:"name"` // segment file name, snapshot path, or relation

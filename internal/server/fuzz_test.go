@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/fuzzcost"
 	"repro/internal/server"
 	"repro/internal/tx"
 	"repro/internal/wire"
@@ -137,7 +138,8 @@ func FuzzBatchInsertRequest(f *testing.F) {
 	f.Add([]byte(`{"elements":[{"vt":{"event":5}}],"brief":1}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/elements:batch", payload)
-		handler, plain := server.DecodeBatchBothWays(payload)
+		var handler, plain server.BatchDecoded
+		fuzzcost.BatchRequest.Bound(t, len(payload), func() { handler, plain = server.DecodeBatchBothWays(payload) })
 		if !reflect.DeepEqual(handler, plain) {
 			t.Fatalf("batch body %q:\n handler %+v\n plain   %+v", payload, handler, plain)
 		}

@@ -155,7 +155,7 @@ func (s *Server) handleIntegrityConsistency(r *http.Request) (*response, *apiErr
 }
 
 // handleVerify synchronously verifies every artifact covering the
-// relation — snapshot shard, frozen runs, sealed WAL segments — and
+// relation — snapshot shard, zone maps, sealed WAL segments — and
 // repairs what it can, exactly as the background scrubber would.
 func (s *Server) handleVerify(r *http.Request) (*response, *apiError) {
 	name := r.PathValue("name")

@@ -7,11 +7,13 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/integrity"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/tx"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -32,6 +35,13 @@ import (
 // file system and the transaction clock given; a nil clock is the
 // catalog's default, the system clock.
 func roundTripServer(tb testing.TB, fs wal.FS, clock func() tx.Clock) *server.Server {
+	tb.Helper()
+	return server.New(server.Config{Catalog: roundTripCatalog(tb, fs, clock)})
+}
+
+// roundTripCatalog is roundTripServer's catalog, for a test that also drives
+// the catalog directly.
+func roundTripCatalog(tb testing.TB, fs wal.FS, clock func() tx.Clock) *catalog.Catalog {
 	tb.Helper()
 	w, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncGroup})
 	if err != nil {
@@ -54,7 +64,7 @@ func roundTripServer(tb testing.TB, fs wal.FS, clock func() tx.Clock) *server.Se
 		_ = cat.Close()
 		_ = w.Close()
 	})
-	return server.New(server.Config{Catalog: cat})
+	return cat
 }
 
 // memoryLog is the log most of these measurements want: no disk in them.
@@ -390,43 +400,84 @@ func TestBatchAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestRequestAllocationBudget pins what the envelope around a handler
-// allocates: one POST …/query answered from the result cache, through
-// srv.Handler(), into a writer that keeps nothing. The handler's own share
-// (decode, cache lookup, encode into the pooled buffer) is the same on
-// both sides; the rest is the deadline wrapper (deadline.go: a context, a
-// request copy, a timer, the writer and its header map). Under
-// http.TimeoutHandler — a goroutine, a channel, a header map and an
-// unpooled bytes.Buffer grown to the body — this read 31 (32–33 under
-// -race, where sync.Pool drops items); it reads 25 (26) now.
+// TestRequestAllocationBudget pins what a request costs in allocations
+// through srv.Handler(), into a writer that keeps nothing: a POST …/query
+// answered from the result cache, and a single insert, delete and modify.
+// For the query the handler's own share (decode, cache lookup, encode into
+// the pooled buffer) is small; the rest is the deadline wrapper
+// (deadline.go: a context, a request copy, a timer, the writer and its
+// header map). Under http.TimeoutHandler — a goroutine, a channel, a header
+// map and an unpooled bytes.Buffer grown to the body — the query read 31
+// (32–33 under -race, where sync.Pool drops items); it reads 25 (26) now.
+// A mutation (one element, acknowledged by the group commit, a close copying
+// the one chunk it lands in) read 30, 32 and 44 for an insert, a delete and
+// a modify, with and without -race, when its budget was set: that plus the
+// query's headroom of two.
 func TestRequestAllocationBudget(t *testing.T) {
 	h := memoryLog(t).Handler()
 	serveOnce(t, h, "/v1/relations", fmt.Sprintf(createEvent, "r"), http.StatusCreated)
+	insert := func(vt int) uint64 {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/relations/r/insert", strings.NewReader(insertBody(vt))))
+		var resp wire.ElementResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusCreated || err != nil {
+			t.Fatalf("insert: %d, %v", w.Code, err)
+		}
+		return resp.Element.ES
+	}
 	for i := 0; i < 64; i++ {
-		serveOnce(t, h, "/v1/relations/r/insert", insertBody(i), http.StatusCreated)
+		insert(i)
 	}
-	const q = `{"kind":"current"}`
+	const q, runs = `{"kind":"current"}`, 200
 	serveOnce(t, h, "/v1/relations/r/query", q, http.StatusOK) // fills the cache
-
-	body := strings.NewReader(q)
-	r, err := http.NewRequest(http.MethodPost, "/v1/relations/r/query", body)
-	if err != nil {
-		t.Fatal(err)
+	// bodies names the runs+1 elements a delete or a modify leg writes to,
+	// one a request (AllocsPerRun warms up once): each is stored when the
+	// leg begins, after the query has been measured.
+	each := func(body func(i int) string) func() []string {
+		return func() []string {
+			out := make([]string, runs+1)
+			for i := range out {
+				out[i] = body(i)
+			}
+			return out
+		}
 	}
-	w := &sinkWriter{h: make(http.Header)}
-	allocs := testing.AllocsPerRun(200, func() {
-		body.Reset(q)
-		clear(w.h)
-		w.status, w.n = 0, 0
-		h.ServeHTTP(w, r)
-	})
-	if w.status != http.StatusOK || w.n == 0 {
-		t.Fatalf("status %d, %d body bytes", w.status, w.n)
+	bodies := func(format string) func() []string {
+		return each(func(i int) string { return fmt.Sprintf(format, insert(1000+i)) })
 	}
-	t.Logf("%.0f allocations per cache-hit query", allocs)
-	const budget = 27
-	if allocs > budget {
-		t.Errorf("a cache-hit query allocates %.0f times through the wrapper, budget %d", allocs, budget)
+	for _, c := range []struct {
+		name, path string
+		bodies     func() []string
+		status     int
+		budget     float64
+	}{
+		{"cache-hit query", "/v1/relations/r/query", each(func(int) string { return q }), http.StatusOK, 27},
+		{"insert", "/v1/relations/r/insert", each(func(i int) string { return insertBody(5000 + i) }), http.StatusCreated, 32},
+		{"delete", "/v1/relations/r/delete", bodies(`{"es":%d}`), http.StatusOK, 34},
+		{"modify", "/v1/relations/r/modify", bodies(`{"es":%d,"vt":{"event":9000},"varying":[{"kind":"int","int":7}]}`), http.StatusOK, 46},
+	} {
+		todo := c.bodies()
+		body := strings.NewReader(todo[0]) // not empty, or the request gets http.NoBody
+		r, err := http.NewRequest(http.MethodPost, c.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &sinkWriter{h: make(http.Header)}
+		allocs := testing.AllocsPerRun(runs, func() {
+			body.Reset(todo[0])
+			r.ContentLength, todo = int64(len(todo[0])), todo[1:]
+			clear(w.h)
+			w.status, w.n = 0, 0
+			h.ServeHTTP(w, r)
+			if w.status != c.status || w.n == 0 {
+				t.Fatalf("%s: status %d, %d body bytes", c.name, w.status, w.n)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("a %s allocates %.0f times through srv.Handler(), budget %.0f", c.name, allocs, c.budget)
+		}
 	}
 }
 
@@ -498,6 +549,86 @@ func TestRevalidationAllocationBudget(t *testing.T) {
 		if allocs > c.budget {
 			t.Errorf("a revalidation of %s allocates %.0f times, budget %.0f", c.path, allocs, c.budget)
 		}
+	}
+}
+
+// TestRevalidationAcrossASeal: an advisor pass that only seals — the
+// relation already vt-ordered, a chunk newly filled at the head — publishes
+// no epoch and records no change, so answers the head inserts left good stay
+// good across it. A conditional GET of the time-slice and of the clamped
+// aggregate behind the head answers 304 revalidated, and the same two asked
+// by POST are served by the result cache across the inserts' epochs, which
+// query_cache.revalidated counts. (While compaction published, it recorded
+// everything and all four were computed again.)
+func TestRevalidationAcrossASeal(t *testing.T) {
+	cat := roundTripCatalog(t, wal.NewErrFS(), func() tx.Clock { return tx.NewLogicalClock(0, 1) })
+	h := server.New(server.Config{Catalog: cat}).Handler()
+	revalidationRelation(t, h)
+	if _, err := cat.AdvisePass(catalog.AdvisorConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := cat.Get("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := e.Physical().Compaction.Runs
+	if org := e.Physical().Org; org != storage.VTOrdered || runs != 2000/256 {
+		t.Fatalf("set-up: %v with %d sealed runs; the test means a vt-ordered log sealed up to its tail", org, runs)
+	}
+	revalidated := func() uint64 {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m wire.MetricsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil || m.QueryCache == nil {
+			t.Fatalf("GET /metrics: %d, %v", w.Code, err)
+		}
+		return m.QueryCache.Revalidated
+	}
+
+	gets := []*http.Request{
+		httptest.NewRequest(http.MethodGet, revalidateTimeslice, nil),
+		httptest.NewRequest(http.MethodGet, "/v1/relations/s/select?query="+url.QueryEscape(revalidateAggregate), nil),
+	}
+	for _, r := range gets {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", r.URL, w.Code)
+		}
+		r.Header.Set(wire.HeaderIfNoneMatch, w.Header().Get(wire.HeaderETag))
+	}
+	posts := []struct{ path, body string }{
+		{"/v1/relations/s/query", `{"kind":"timeslice","vt":5000}`},
+		{"/v1/select", `{"query":"` + revalidateAggregate + `"}`},
+	}
+	for _, p := range posts {
+		serveOnce(t, h, p.path, p.body, http.StatusOK) // computes and records the answer
+	}
+	for i := 0; i < 8*256-2000; i++ { // fills chunk 7
+		serveOnce(t, h, "/v1/relations/s/insert", insertBody(100_000+i), http.StatusCreated)
+	}
+	epoch, before := e.Epoch(), revalidated()
+	rep, err := cat.AdvisePass(catalog.AdvisorConfig{})
+	if err != nil || rep.Sealed != 256 || len(rep.Migrations) != 0 {
+		t.Fatalf("the pass: %+v, %v; want one run sealed and nothing migrated", rep, err)
+	}
+	if e.Epoch() != epoch || e.Physical().Compaction.Runs != runs+1 {
+		t.Errorf("the pass moved the epoch %d → %d and reports %d runs, want %d", epoch, e.Epoch(), e.Physical().Compaction.Runs, runs+1)
+	}
+
+	for _, r := range gets {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusNotModified || w.Header().Get(wire.HeaderValidation) != "revalidated" {
+			t.Errorf("conditional GET %s after the seal: %d, validation %q; want 304 revalidated", r.URL, w.Code, w.Header().Get(wire.HeaderValidation))
+		}
+	}
+	for _, p := range posts {
+		serveOnce(t, h, p.path, p.body, http.StatusOK)
+	}
+	if n := revalidated() - before; n != uint64(len(posts)) {
+		t.Errorf("query_cache.revalidated grew by %d across the seal, want %d: the result cache recomputed", n, len(posts))
 	}
 }
 

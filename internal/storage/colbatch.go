@@ -1,67 +1,28 @@
 package storage
 
-// Columnar batch reading: stream a store's extension as vec.Batch
-// struct-of-arrays without materializing elements row by row. Sealed
-// delta-encoded runs (compact.go) decode straight into the batch's
-// int64 columns — one run is exactly one batch. Unsealed chunks — the
-// tail, and every chunk of a store that does not seal — gather the columns
-// from their elements. Every full chunk, sealed or not, is pruned on its
-// zone map (seq.go) before a varint is read or an element visited, and
-// reports its lifetime close count, which is what lets the aggregate path
-// keep a chunk's contribution across writes elsewhere. Where the store's
-// order bounds a query (SeekVT, SeekTT), the reader starts at the chunk a
-// binary search finds and stops where the order says nothing further can
-// match, so the chunks outside cost not even a probe.
+// Columnar batch reading: stream a store's extension a chunk at a time, in
+// arrival order. Every full chunk, sealed or not, is pruned on its zone map
+// (seq.go) before an element is visited, and reports its lifetime close
+// count, which is what lets the aggregate path keep a chunk's contribution
+// across writes elsewhere. A unit the reader stops at is folded where its
+// elements lie (Rows), or gathered into the int64 columns of a vec.Batch
+// (Load). Where the store's order bounds a query (SeekVT, SeekTT), the
+// reader starts at the chunk a binary search finds and stops where the order
+// says nothing further can match, so the chunks outside cost not even a
+// probe.
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/vec"
 )
-
-// DecodeRunColumns decodes a packed delta run (packColumns' format) into
-// the four timestamp columns in place: per column the first value is
-// absolute, the rest zigzag-varint deltas. Each destination slice must
-// have length n. It never panics on corrupt input — the fuzz target
-// FuzzColumnarRunDecode holds it to that.
-func DecodeRunColumns(packed []byte, n int, tts, tte, vts, vte []int64) error {
-	if len(tts) < n || len(tte) < n || len(vts) < n || len(vte) < n {
-		return fmt.Errorf("storage: decode columns shorter than run length %d", n)
-	}
-	cols := [4][]int64{tts, tte, vts, vte}
-	off := 0
-	for c := 0; c < 4; c++ {
-		col := cols[c]
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			d, w := binary.Varint(packed[off:])
-			if w <= 0 {
-				return fmt.Errorf("storage: truncated packed run (col %d, row %d)", c, i)
-			}
-			off += w
-			if i == 0 {
-				prev = d
-			} else {
-				prev += d
-			}
-			col[i] = prev
-		}
-	}
-	if off != len(packed) {
-		return fmt.Errorf("storage: %d trailing byte(s) in packed run", len(packed)-off)
-	}
-	return nil
-}
 
 // BatchReader streams a store's elements a chunk at a time in arrival
 // (ES) order — the same order Elements returns, so consumers see the exact
 // row order the reference engine does. Construct with NewBatchReader,
 // optionally narrow with the Set* and Seek* methods, then call Advance
 // until it reports false and fold each unit's Rows where they lie. Load and
-// Next decode a unit into a columnar batch instead; outside tests only the
+// Next gather a unit into a columnar batch instead; outside tests only the
 // benchmark module's per-layer mirror calls them.
 type BatchReader struct {
 	s     seq
@@ -80,9 +41,9 @@ type BatchReader struct {
 	skipped int
 }
 
-// Unit is what Advance stopped at: one chunk of the sequence — a sealed run,
-// a full unsealed chunk, or the tail still filling — exactly what the next
-// Load decodes into a batch and Rows yields.
+// Unit is what Advance stopped at: one chunk of the sequence — a full chunk,
+// sealed or not, or the tail still filling — exactly what the next Load
+// gathers into a batch and Rows yields.
 type Unit struct {
 	// Run is the chunk's ordinal in the store, -1 for the partial tail.
 	Run int
@@ -105,8 +66,8 @@ type Unit struct {
 }
 
 // NewBatchReader builds a reader over st. event marks an event-stamped
-// relation: packed runs store vt⊣ = vt⊢ for events, so the reader
-// rewrites the column to the exclusive vt⊢+1 every operator expects.
+// relation, whose vt⊣ column Load fills with the exclusive vt⊢+1 every
+// operator expects.
 func NewBatchReader(st Store, event bool) *BatchReader {
 	s := seqOf(st)
 	return &BatchReader{s: *s, kind: st.Kind(), event: event, end: s.chunks()}
@@ -159,68 +120,26 @@ func (r *BatchReader) SetVTWindow(lo, hi chronon.Chronon) {
 // elements never reopen, so no row in them can be current.
 func (r *BatchReader) SetCurrentOnly() { r.currentOnly = true }
 
-// SetAsOf prunes sealed runs whose existence-interval envelope misses tt —
-// that envelope is computed by the seal. It is safe: tt⊢ is immutable and a
-// run with any open element seals with maxTTEnd = Forever.
+// SetAsOf prunes full chunks that hold nothing present at tt (chunk.deadAt).
 func (r *BatchReader) SetAsOf(tt chronon.Chronon) { r.asOf, r.tt = true, tt }
 
 // Skipped reports how many chunks the reader passes over without yielding
 // them: those the zone maps pruned, and those a seek's bounds leave out.
 func (r *BatchReader) Skipped() int { return r.skipped }
 
-// skipRun reports whether full chunk k holds no row the reader wants.
-func (r *BatchReader) skipRun(k int, c *chunk) bool {
+// skipRun reports whether full chunk c holds no row the reader wants.
+func (r *BatchReader) skipRun(c *chunk) bool {
 	if r.hasVT && c.vtMisses(r.vtLo, r.vtHi) {
 		return true
 	}
 	if r.currentOnly && !c.live() {
 		return true
 	}
-	return r.asOf && k < r.s.sealed && (c.run.ttLo > r.tt || c.run.maxTTEnd <= r.tt)
-}
-
-// decodeRun fills b from a sealed run's packed columns. tt⊣ is the one
-// column that can go stale after sealing (copy-on-close deletes swap in
-// closed clones), so a run that has seen a close since re-gathers it from
-// the live rows; every other run decodes exactly as sealed.
-func (r *BatchReader) decodeRun(c *chunk, b *vec.Batch) error {
-	const n = runSize
-	if err := DecodeRunColumns(c.run.packed, n,
-		b.TTStart[:], b.TTEnd[:], b.VTStart[:], b.VTEnd[:]); err != nil {
-		return err
-	}
-	b.N, b.Elems = n, c.elems[:]
-	if r.event {
-		for i := 0; i < n; i++ {
-			b.VTEnd[i] = b.VTStart[i] + 1
-		}
-	}
-	if c.run.closed > 0 {
-		for i, e := range c.elems {
-			b.TTEnd[i] = int64(e.TTEnd)
-		}
-	}
-	return nil
-}
-
-// fillBatch gathers columns from the elements of an unsealed chunk.
-func fillBatch(b *vec.Batch, els []*element.Element, event bool) {
-	b.N, b.Elems = len(els), els
-	for i, e := range els {
-		b.TTStart[i] = int64(e.TTStart)
-		b.TTEnd[i] = int64(e.TTEnd)
-		vts := int64(e.VT.Start())
-		b.VTStart[i] = vts
-		if event {
-			b.VTEnd[i] = vts + 1
-		} else {
-			b.VTEnd[i] = int64(e.VT.End())
-		}
-	}
+	return r.asOf && c.deadAt(r.tt)
 }
 
 // Advance moves to the next unit the zone maps did not prune, without
-// decoding it, and reports whether there was one. A caller that already
+// gathering it, and reports whether there was one. A caller that already
 // knows a full chunk's contribution (Unit.Stable) advances past it for the
 // price of this metadata probe; otherwise Load or Rows produces its rows.
 func (r *BatchReader) Advance() (Unit, bool) {
@@ -231,7 +150,7 @@ func (r *BatchReader) Advance() (Unit, bool) {
 			return Unit{Run: -1}, true
 		}
 		c := r.s.chunk(k)
-		if r.skipRun(k, c) {
+		if r.skipRun(c) {
 			r.skipped++
 			continue
 		}
@@ -285,13 +204,22 @@ func (r *BatchReader) Pass(units []Unit) {
 // they lie: what a row-at-a-time consumer folds instead of a Load.
 func (r *BatchReader) Rows() []*element.Element { return r.s.run(r.next - 1) }
 
-// Load fills b with the unit the last Advance stopped at.
+// Load fills b with the unit the last Advance stopped at, gathering its
+// columns from its elements.
 func (r *BatchReader) Load(b *vec.Batch) error {
-	k := r.next - 1
-	if k < r.s.sealed {
-		return r.decodeRun(r.s.chunk(k), b)
+	els := r.Rows()
+	b.N, b.Elems = len(els), els
+	for i, e := range els {
+		b.TTStart[i] = int64(e.TTStart)
+		b.TTEnd[i] = int64(e.TTEnd)
+		vts := int64(e.VT.Start())
+		b.VTStart[i] = vts
+		if r.event {
+			b.VTEnd[i] = vts + 1
+		} else {
+			b.VTEnd[i] = int64(e.VT.End())
+		}
 	}
-	fillBatch(b, r.s.run(k), r.event)
 	return nil
 }
 
@@ -304,7 +232,7 @@ func (r *BatchReader) Next(b *vec.Batch) (bool, error) {
 }
 
 // SealedInfo reports how many leading elements sit in sealed runs and
-// how many runs hold them, without walking the runs' payloads. O(1).
+// how many runs hold them. O(1).
 func SealedInfo(st Store) (sealed, runs int) {
 	s := seqOf(st)
 	return s.sealed * runSize, s.sealed

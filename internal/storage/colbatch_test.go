@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/chronon"
@@ -12,67 +13,6 @@ import (
 	"repro/internal/surrogate"
 	"repro/internal/vec"
 )
-
-// TestDecodeRunColumnsRoundTrip packs element runs exactly like sealing
-// does and asserts the decode reproduces every column bit for bit.
-func TestDecodeRunColumnsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	run := make([]*element.Element, runSize)
-	for i := range run {
-		e := &element.Element{
-			ES: surrogate.Surrogate(i + 1), OS: 1,
-			TTStart: chronon.Chronon(10*i + rng.Intn(5)),
-			TTEnd:   chronon.Forever,
-		}
-		if i%3 == 0 {
-			e.TTEnd = e.TTStart.Add(int64(1 + rng.Intn(100)))
-		}
-		if i%2 == 0 {
-			e.VT = element.EventAt(chronon.Chronon(rng.Intn(1000)))
-		} else {
-			lo := chronon.Chronon(rng.Intn(1000))
-			e.VT = element.SpanOf(lo, lo.Add(int64(1+rng.Intn(50))))
-		}
-		run[i] = e
-	}
-	packed := packColumns(run)
-	var tts, tte, vts, vte [runSize]int64
-	if err := DecodeRunColumns(packed, runSize, tts[:], tte[:], vts[:], vte[:]); err != nil {
-		t.Fatalf("DecodeRunColumns: %v", err)
-	}
-	for i, e := range run {
-		if tts[i] != int64(e.TTStart) || tte[i] != int64(e.TTEnd) {
-			t.Fatalf("row %d tt [%d, %d), want [%d, %d)", i, tts[i], tte[i], e.TTStart, e.TTEnd)
-		}
-		if vts[i] != int64(e.VT.Start()) || vte[i] != int64(e.VT.End()) {
-			t.Fatalf("row %d vt [%d, %d), want [%d, %d)", i, vts[i], vte[i], e.VT.Start(), e.VT.End())
-		}
-	}
-}
-
-func TestDecodeRunColumnsCorrupt(t *testing.T) {
-	var cols [4][runSize]int64
-	decode := func(b []byte, n int) error {
-		return DecodeRunColumns(b, n, cols[0][:], cols[1][:], cols[2][:], cols[3][:])
-	}
-	if err := decode(nil, 1); err == nil {
-		t.Fatal("empty input decoded")
-	}
-	if err := decode([]byte{0x80}, 1); err == nil {
-		t.Fatal("dangling continuation byte decoded")
-	}
-	run := []*element.Element{{ES: 1, TTStart: 5, TTEnd: chronon.Forever, VT: element.EventAt(9)}}
-	packed := packColumns(run)
-	if err := decode(packed[:len(packed)-1], 1); err == nil {
-		t.Fatal("truncated run decoded")
-	}
-	if err := decode(append(packed, 0), 1); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	if err := DecodeRunColumns(packed, 1, nil, cols[1][:], cols[2][:], cols[3][:]); err == nil {
-		t.Fatal("short destination accepted")
-	}
-}
 
 // batchElems drains a reader, returning the elements its batches carry
 // and checking the columns against each element's own timestamps.
@@ -107,8 +47,8 @@ func batchElems(t *testing.T, r *BatchReader, event bool) []*element.Element {
 }
 
 // TestBatchReaderStreamsArrivalOrder holds the reader to the ES-order
-// contract over a part-sealed, part-tail log, including after deletes
-// made a sealed run's tt⊣ column stale.
+// contract over a part-sealed, part-tail log, including after closes inside
+// sealed runs.
 func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
 	st := NewTTLog()
 	const n = 3*runSize + 57
@@ -124,8 +64,8 @@ func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
 	if sealed := st.Compact(); sealed != 3*runSize {
 		t.Fatalf("sealed %d, want %d", sealed, 3*runSize)
 	}
-	// Close some elements inside sealed runs: the packed tt⊣ goes stale
-	// and the reader must re-gather it from the live rows.
+	// Close some elements inside sealed runs: the reader gathers the new
+	// tt⊣ from the live rows.
 	for _, i := range []int{3, runSize + 9, 2*runSize + 100} {
 		orig := st.at(i)
 		closed := *orig
@@ -198,15 +138,26 @@ func TestBatchReaderZoneMapSkips(t *testing.T) {
 		}
 	})
 	t.Run("as-of", func(t *testing.T) {
-		r := NewBatchReader(st, true)
-		r.SetAsOf(5) // before every insertion
-		got := batchElems(t, r, true)
-		for _, e := range got {
-			if e.PresentAt(5) {
-				// Skipping is allowed to be conservative; presence must
-				// still be decided by the filter, so just sanity-check
-				// the envelope did not drop a present element.
-				t.Fatalf("element %d present at 5 but envelope says skip-all", e.ES)
+		for _, tc := range []struct {
+			tt      chronon.Chronon
+			skipped int
+		}{
+			{5, 4},               // before every insertion: no chunk has begun
+			{1_000_000, 1},       // after the closes: the second chunk is dead
+			{999_998, 0},         // just before them: every chunk holds a present element
+			{10 * runSize, 3},    // the last element of chunk 0 has begun, no later one
+			{10*runSize + 10, 2}, // the first of chunk 1 has begun
+		} {
+			r := NewBatchReader(st, true)
+			r.SetAsOf(tc.tt)
+			got := batchElems(t, r, true)
+			if r.Skipped() != tc.skipped {
+				t.Errorf("as of %v: skipped %d chunks, want %d", tc.tt, r.Skipped(), tc.skipped)
+			}
+			for _, e := range Elements(st) {
+				if e.PresentAt(tc.tt) && !slices.Contains(got, e) {
+					t.Fatalf("as of %v: element %d is present but was pruned", tc.tt, e.ES)
+				}
 			}
 		}
 	})
@@ -235,70 +186,10 @@ func TestSealedInfo(t *testing.T) {
 	}
 }
 
-// FuzzColumnarRunDecode holds DecodeRunColumns to its no-panic contract
-// on arbitrary bytes, and to exact round-trips on packColumns output.
-func FuzzColumnarRunDecode(f *testing.F) {
-	run := make([]*element.Element, 8)
-	for i := range run {
-		run[i] = &element.Element{
-			ES: surrogate.Surrogate(i + 1), TTStart: chronon.Chronon(i * 3),
-			TTEnd: chronon.Forever, VT: element.EventAt(chronon.Chronon(i * 7)),
-		}
-	}
-	f.Add(packColumns(run), 8)
-	f.Add([]byte{}, 1)
-	f.Add([]byte{0x80, 0x80, 0x80}, 2)
-	f.Fuzz(func(t *testing.T, packed []byte, n int) {
-		if n < 0 || n > runSize {
-			return
-		}
-		var tts, tte, vts, vte [runSize]int64
-		// Must never panic, whatever the bytes.
-		err := DecodeRunColumns(packed, n, tts[:n], tte[:n], vts[:n], vte[:n])
-		if err != nil {
-			return
-		}
-		// A successful decode must re-encode losslessly: rebuild elements
-		// carrying the decoded columns and compare the packed forms.
-		// Arbitrary bytes can decode to vt columns no timestamp represents
-		// (end before start); those have no element form to repack.
-		rebuilt := make([]*element.Element, n)
-		for i := 0; i < n; i++ {
-			e := &element.Element{TTStart: chronon.Chronon(tts[i]), TTEnd: chronon.Chronon(tte[i])}
-			switch {
-			case vte[i] == vts[i]:
-				e.VT = element.EventAt(chronon.Chronon(vts[i]))
-			case vte[i] > vts[i]:
-				e.VT = element.SpanOf(chronon.Chronon(vts[i]), chronon.Chronon(vte[i]))
-			default:
-				return
-			}
-			rebuilt[i] = e
-		}
-		repacked := packColumns(rebuilt)
-		var tts2, tte2, vts2, vte2 [runSize]int64
-		if err := DecodeRunColumns(repacked, n, tts2[:n], tte2[:n], vts2[:n], vte2[:n]); err != nil {
-			t.Fatalf("repack failed to decode: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			if tts[i] != tts2[i] || tte[i] != tte2[i] || vts[i] != vts2[i] || vte[i] != vte2[i] {
-				t.Fatalf("row %d not stable under repack", i)
-			}
-		}
-	})
-}
-
-// BenchmarkColumnarScanSealed streams a fully sealed vt-ordered log
-// through the batch reader; BenchmarkColumnarScanTail does the same over
-// an unsealed tail, bounding the decode path's advantage.
-func BenchmarkColumnarScanSealed(b *testing.B) { benchColumnarScan(b, true) }
-func BenchmarkColumnarScanTail(b *testing.B)   { benchColumnarScan(b, false) }
-
-func benchColumnarScan(b *testing.B, compact bool) {
+// BenchmarkColumnarScan streams a vt-ordered log through the batch reader,
+// gathering every chunk into a batch.
+func BenchmarkColumnarScan(b *testing.B) {
 	st := benchStore(b, 64*runSize)
-	if compact {
-		st.Compact()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -415,19 +306,13 @@ func closeAt(st *RunStore, i int, tt chronon.Chronon) {
 }
 
 // TestRunCloseCounts pins the bookkeeping the aggregate memo is valid by:
-// a close inside a sealed run bumps that run's count and no other, a close
-// in the unsealed tail bumps no run's but does bump its chunk's lifetime
-// count, and a snapshot keeps the counts (and the elements) it was taken
-// with whichever of the two came first.
+// a close bumps the lifetime count of the chunk it lands in and no other,
+// sealed, full or the tail, and widens that chunk's greatest closed tt⊣; a
+// snapshot keeps the counts (and the elements) it was taken with whichever
+// came first; sealing moves no count; and replacing a closed element again
+// (not a close) books nothing.
 func TestRunCloseCounts(t *testing.T) {
 	st := sealedEventLog(t, 2*runSize+40)
-	counts := func(s *RunStore) []int {
-		var out []int
-		for k := range s.sealed {
-			out = append(out, s.chunk(k).run.closed)
-		}
-		return out
-	}
 	lifetime := func(s *RunStore) []int {
 		var out []int
 		for k := range s.chunks() {
@@ -435,25 +320,13 @@ func TestRunCloseCounts(t *testing.T) {
 		}
 		return out
 	}
-	if got := counts(st); !reflect.DeepEqual(got, []int{0, 0}) {
-		t.Fatalf("fresh seal: close counts %v", got)
-	}
 	before := st.Snapshot().(*RunStore)
-	closeAt(st, 2*runSize+7, 99_000) // the tail: copies its chunk and the spine, books nothing
+	closeAt(st, 2*runSize+7, 99_000) // the tail: copies its chunk and the spine
 	closeAt(st, runSize+3, 99_001)   // run 1, after the spine was already copied
 	mid := st.Snapshot().(*RunStore)
 	closeAt(st, runSize+4, 99_002)
 	closeAt(st, 5, 99_003)
 
-	if got := counts(st); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("live close counts %v, want [1 2]", got)
-	}
-	if got := counts(mid); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("mid snapshot close counts %v, want [0 1]", got)
-	}
-	if got := counts(before); !reflect.DeepEqual(got, []int{0, 0}) {
-		t.Fatalf("first snapshot close counts %v, want [0 0]", got)
-	}
 	if !before.at(runSize+3).Current() || mid.at(runSize+3).Current() || !mid.at(5).Current() {
 		t.Fatal("a snapshot's elements moved with the live store")
 	}
@@ -461,8 +334,11 @@ func TestRunCloseCounts(t *testing.T) {
 		!reflect.DeepEqual(m, []int{0, 1, 1}) || !reflect.DeepEqual(b, []int{0, 0, 0}) {
 		t.Fatalf("lifetime close counts: live %v, mid %v, first %v", l, m, b)
 	}
-	// Sealing the tail's chunk starts its run count at zero and leaves the
-	// lifetime count where it was: the memo's key never goes backwards.
+	if got, was := st.chunk(1).ttClosed, mid.chunk(1).ttClosed; got != 99_002 || was != 99_001 || before.chunk(1).ttClosed != chronon.MinChronon {
+		t.Fatalf("run 1's greatest closed tt⊣: live %v, mid %v, first %v", got, was, before.chunk(1).ttClosed)
+	}
+	// Sealing the tail's chunk leaves its lifetime count where it was: the
+	// memo's key never goes backwards.
 	for st.Len() < 3*runSize {
 		n := chronon.Chronon(10 * (st.Len() + 1))
 		if err := st.Insert(&element.Element{ES: surrogate.Surrogate(n), OS: 1, TTStart: n, TTEnd: chronon.Forever, VT: element.EventAt(n)}); err != nil {
@@ -470,44 +346,13 @@ func TestRunCloseCounts(t *testing.T) {
 		}
 	}
 	st.Compact()
-	if got, life := counts(st), lifetime(st); !reflect.DeepEqual(got, []int{1, 2, 0}) || !reflect.DeepEqual(life, []int{1, 2, 1}) {
-		t.Fatalf("after sealing the tail: run counts %v, lifetime %v", got, life)
+	if life := lifetime(st); !reflect.DeepEqual(life, []int{1, 2, 1}) {
+		t.Fatalf("after sealing the tail: lifetime %v", life)
 	}
-	// Replacing a closed element again (not a close) books nothing.
 	again := *st.at(5)
 	st.Replace(st.at(5), &again)
-	if got, life := counts(st), lifetime(st); !reflect.DeepEqual(got, []int{1, 2, 0}) || !reflect.DeepEqual(life, []int{1, 2, 1}) {
-		t.Fatalf("non-close replace moved the counts: %v, lifetime %v", got, life)
-	}
-}
-
-// TestDecodeRunSkipsRegatherUntilAClose: a run nothing has closed in since
-// sealing decodes from its packed image alone — no walk over its 256 live
-// rows — and the first close turns the tt⊣ re-gather on for that run.
-func TestDecodeRunSkipsRegatherUntilAClose(t *testing.T) {
-	st := sealedEventLog(t, runSize)
-	// Swap a closed clone in behind the store's back: a reader that still
-	// walked the live rows would pick its tt⊣ up.
-	behind := *st.at(9)
-	behind.TTEnd = 77_777
-	st.chunk(0).elems[9] = &behind
-
-	var b vec.Batch
-	r := NewBatchReader(st, true)
-	if ok, err := r.Next(&b); !ok || err != nil {
-		t.Fatalf("Next = %v, %v", ok, err)
-	}
-	if b.TTEnd[9] != int64(chronon.Forever) {
-		t.Fatalf("row 9 tt⊣ = %d: the untouched run was re-gathered from its elements", b.TTEnd[9])
-	}
-
-	closeAt(st, 20, 88_888)
-	r = NewBatchReader(st, true)
-	if ok, err := r.Next(&b); !ok || err != nil {
-		t.Fatalf("Next = %v, %v", ok, err)
-	}
-	if b.TTEnd[20] != 88_888 || b.TTEnd[9] != 77_777 {
-		t.Fatalf("after a close tt⊣[20] = %d, tt⊣[9] = %d: the run was not re-gathered", b.TTEnd[20], b.TTEnd[9])
+	if life := lifetime(st); !reflect.DeepEqual(life, []int{1, 2, 1}) || st.chunk(0).ttClosed != 99_003 {
+		t.Fatalf("non-close replace moved the counts: lifetime %v, greatest closed tt⊣ %v", life, st.chunk(0).ttClosed)
 	}
 }
 

@@ -3,143 +3,71 @@ package storage
 import (
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
 )
 
-// runCastagnoli checksums sealed-run images (same polynomial as the WAL).
-var runCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Class-scheduled compaction: the log organizations can seal their stable
-// prefix into fixed-size runs. A sealed run carries
+// Class-scheduled compaction measures what a sealed layout would cost. A
+// chunk answers from its elements whether or not it is sealed: every full
+// chunk carries its zone map from the moment it fills (seq.go) — the
+// valid-time envelope, the liveness count and the transaction-time facts
+// the rollback and as-of skips read — so sealing writes nothing any query
+// reads. What Compact does is count: it advances the sealed prefix over the
+// full chunks and adds to the store's packed total the byte size the
+// chunk's timestamps take delta-encoded column by column, the
+// representation a disk-resident layout would store. StoreBytes reports
+// that total for sealed history, making the space side of the paper's
+// append-only claim measurable: an ordered, slowly-varying timestamp column
+// delta-encodes to a small fraction of its flat width.
 //
-//   - the transaction-time envelope (min/max tt⊢, max tt⊣), which rollback
-//     and the as-of batch reader use as a zone map — a run wholly dead at the
-//     instant costs one metadata probe instead of runSize element visits
-//     (the valid-time envelope and the liveness count need no seal: every
-//     full chunk carries them from the moment it fills, seq.go); and
-//
-//   - a delta-encoded columnar image of the run's timestamps (packed), the
-//     representation a disk-resident layout would store. Its byte size is
-//     what StoreBytes reports for sealed history, making the space side of
-//     the paper's append-only claim measurable: an ordered, slowly-varying
-//     timestamp column delta-encodes to a small fraction of its flat width.
-//
-// Sealing never rewrites elements, so queries over a compacted store return
-// pointer-identical results; only the touched accounting changes. Envelope
-// staleness is one-directional by construction: after sealing, an element
-// can only move from open to closed (the copy-on-close Replace), which makes
-// a recorded maxTTEnd of Forever conservative — a stale run is scanned, never
-// wrongly skipped. tt⊢ is immutable, so those bounds stay exact. Each run also counts the
-// closes that landed in it since sealing, which is what lets the batch reader
-// tell a stale envelope from a fresh one (colbatch.go); what lets the
-// aggregate path reuse a chunk's contribution across writes that did not
-// touch it is the chunk's lifetime count (seq.go), which sealing leaves alone.
-//
-// Compaction is scheduled by class: the catalog's advisor loop seals runs
-// only on relations whose live organization is the vt-ordered log — the
-// append-only designs of §3.1/§3.2, where the prefix is stable by promise.
-// General relations are not sealed (no caller reads a packed image there);
-// their scans prune on the chunks' own zone maps instead.
+// Compaction is scheduled by class: the catalog's advisor loop seals only
+// relations whose live organization is the vt-ordered log — the append-only
+// designs of §3.1/§3.2, where the prefix is stable by promise.
 
-// runMeta describes one sealed run — the runSize elements of the chunk it
-// hangs off (seq.go).
-type runMeta struct {
-	ttLo     chronon.Chronon // min tt⊢ (first element; logs are tt-ordered)
-	ttHi     chronon.Chronon // max tt⊢ (last element)
-	maxTTEnd chronon.Chronon // max tt⊣ at seal time (Forever while any open)
-	// closed counts the elements closed since sealing (seq.Replace): zero
-	// means the packed tt⊣ column is still exact.
-	closed int
-	packed []byte // delta-encoded timestamp columns
-	sum    uint32 // CRC32C of packed, fixed at seal time
-}
-
-// sealRun builds the metadata and packed image for one full run.
-func sealRun(run []*element.Element) runMeta {
-	r := runMeta{
-		ttLo:     run[0].TTStart,
-		ttHi:     run[len(run)-1].TTStart,
-		maxTTEnd: chronon.MinChronon,
-	}
-	for _, e := range run {
-		r.maxTTEnd = chronon.Max(r.maxTTEnd, e.TTEnd)
-	}
-	r.packed = packColumns(run)
-	r.sum = crc32.Checksum(r.packed, runCastagnoli)
-	return r
-}
-
-// packColumns delta-encodes the (tt⊢, tt⊣, vt⊢, vt⊣) columns of a run:
-// per column, the first value is absolute and the rest are zigzag-varint
-// deltas from their predecessor. Columnar order keeps each delta stream
-// homogeneous — the tt column of a log is sorted, so its deltas are small
-// and positive.
-func packColumns(run []*element.Element) []byte {
+// packedSize is the byte size of a run's (tt⊢, tt⊣, vt⊢, vt⊣) columns
+// delta-encoded: per column, the first value is absolute and the rest are
+// zigzag-varint deltas from their predecessor. Columnar order keeps each
+// delta stream homogeneous — the tt column of a log is sorted, so its deltas
+// are small and positive.
+func packedSize(run []*element.Element) int {
 	cols := [4]func(*element.Element) int64{
 		func(e *element.Element) int64 { return int64(e.TTStart) },
 		func(e *element.Element) int64 { return int64(e.TTEnd) },
 		func(e *element.Element) int64 { return int64(e.VT.Start()) },
 		func(e *element.Element) int64 { return int64(e.VT.End()) },
 	}
-	buf := make([]byte, 0, len(run)*6)
 	var tmp [binary.MaxVarintLen64]byte
+	n := 0
 	for _, col := range cols {
 		prev := int64(0)
-		for i, e := range run {
+		for _, e := range run {
 			v := col(e)
-			d := v - prev
-			if i == 0 {
-				d = v
-			}
-			buf = append(buf, tmp[:binary.PutVarint(tmp[:], d)]...)
+			n += binary.PutVarint(tmp[:], v-prev)
 			prev = v
 		}
 	}
-	return buf
+	return n
 }
 
-// unpackColumns inverts packColumns; n is the run length. It exists to prove
-// the packed image is lossless (and to size a future disk format), not to
-// serve queries — those read the elements directly.
-func unpackColumns(packed []byte, n int) ([][4]int64, error) {
-	tts, tte := make([]int64, n), make([]int64, n)
-	vts, vte := make([]int64, n), make([]int64, n)
-	if err := DecodeRunColumns(packed, n, tts, tte, vts, vte); err != nil {
-		return nil, err
-	}
-	out := make([][4]int64, n)
-	for i := range out {
-		out[i] = [4]int64{tts[i], tte[i], vts[i], vte[i]}
-	}
-	return out, nil
-}
-
-// seal seals as many full chunks as the unsealed stretch allows, returning
-// how many elements were newly sealed. The tail shorter than runSize stays
-// unsealed — it is still growing. No snapshot reads the metadata of a chunk
-// past its own sealed bound, so the run is written in place; the chunk
-// keeps its stamp, and the first close into it copies it. Frozen snapshots
-// refuse: they carry the runs they were taken with.
+// seal measures as many full chunks as the unsealed stretch allows into the
+// packed total, returning how many elements were newly sealed. The tail
+// shorter than runSize stays unsealed — it is still growing. It writes only
+// the live header; a frozen snapshot refuses, it carries the totals it was
+// taken with.
 func (s *seq) seal() int {
 	if s.frozen {
 		return 0
 	}
 	was := s.sealed
-	for ; (s.sealed+1)*runSize <= s.n; s.sealed++ {
-		c := s.chunk(s.sealed)
-		c.run = sealRun(c.elems[:])
-		s.packedBytes += int64(len(c.run.packed))
+	for ; s.full(s.sealed); s.sealed++ {
+		s.packedBytes += int64(packedSize(s.chunk(s.sealed).elems[:]))
 	}
 	return (s.sealed - was) * runSize
 }
 
 // Compact seals full runs over the stable prefix of a log. The heap seals
-// nothing: a run's tt⊢ envelope is its first and last element, bounds only
-// where arrival order is tt order. Runs sealed before a Retype dropped that
-// promise stay sealed — each was tt-ordered when it froze and never changes.
+// nothing. Runs sealed before a Retype dropped the promise stay counted.
 func (s *RunStore) Compact() int {
 	if s.kind == Heap {
 		return 0
@@ -154,17 +82,17 @@ func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int
 }
 
 // presentIn filters the first n elements, run by run, for those present at
-// tt. A sealed run whose recorded maximum tt⊣ is ≤ tt held only elements
-// already closed by tt — nothing in it is present — so it is skipped for one
-// probe. Every full chunk that supplied a dense stretch of the answer is
-// reported as a span, also the one n cuts: a span names the chunk, not the
-// slots read.
+// tt. A full chunk whose zone map says nothing in it is present at tt — none
+// of its elements had begun by tt, or every one had been closed by it — is
+// skipped for one probe. Every full chunk that supplied a dense stretch of
+// the answer is reported as a span, also the one n cuts: a span names the
+// chunk, not the slots read.
 func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
 	var out []*element.Element
 	var spans []ChunkSpan
 	touched := 0
 	for k := 0; k*runSize < n; k++ {
-		if k < s.sealed && s.chunk(k).run.maxTTEnd <= tt {
+		if s.full(k) && s.chunk(k).deadAt(tt) {
 			touched++
 			continue
 		}
@@ -279,11 +207,12 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // AsOf answers the bitemporal query over st: the elements present at tt and
 // valid at vt, in arrival order, with the spans of the full chunks that
 // supplied them and the number touched — elements visited plus one probe per
-// pruned chunk. No organization orders both dimensions,
-// so it scans, but only the chunks the query can touch: a full chunk whose
-// valid-time envelope misses vt is skipped on every organization, and where
-// arrival order is tt⊢ order the scan ends at the first chunk that begins
-// after tt. It is cooperative: it polls ctx once a chunk.
+// pruned chunk. No organization orders both dimensions, so it scans, but
+// only the chunks the query can touch: a full chunk whose valid-time envelope
+// misses vt, or that holds nothing present at tt, is skipped on every
+// organization, and where arrival order is tt⊢ order the scan ends at the
+// first chunk that begins after tt. It is cooperative: it polls ctx once a
+// chunk.
 func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int, error) {
 	s, ttOrdered := seqOf(st), st.Kind() != Heap
 	var out []*element.Element
@@ -298,7 +227,7 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Ele
 		if err := ctx.Err(); err != nil {
 			return nil, nil, touched, err
 		}
-		if s.full(k) && c.vtMissesAt(vt) {
+		if s.full(k) && (c.vtMissesAt(vt) || c.deadAt(tt)) {
 			touched++
 			continue
 		}
@@ -325,7 +254,7 @@ func appendAsOf(out, run []*element.Element, vt, tt chronon.Chronon) []*element.
 	return out
 }
 
-// Compacter is implemented by stores that can seal frozen runs.
+// Compacter is implemented by stores that can seal runs.
 type Compacter interface {
 	// Compact seals full runs over the stable prefix and returns how many
 	// elements were newly sealed.
@@ -336,7 +265,7 @@ type Compacter interface {
 type CompactionStats struct {
 	Runs        int   // sealed runs
 	Sealed      int   // elements inside sealed runs
-	PackedBytes int64 // delta-encoded size of the sealed timestamp columns
+	PackedBytes int64 // delta-encoded size of the sealed timestamp columns, measured at seal
 }
 
 // Compaction reports the sealing state of st (zero for organizations that

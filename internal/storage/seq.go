@@ -21,18 +21,17 @@ const blockSize = 64
 // seq is the persistent element sequence under every organization: arrival
 // order, cut into fixed chunks that hang, blockSize at a time, off the blocks
 // of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize) and, once
-// Compact has sealed it, *is* sealed run k — the run's tt envelope and packed
-// image live in the chunk. Sealed chunks form a prefix.
+// Compact has sealed it, is also sealed run k; sealed chunks form a prefix,
+// and sealing writes nothing into them (compact.go).
 //
 // The copy-on-write contract: a snapshot is a copy of this header with the
-// spine capped at its length, and reads only elems[:n], the run metadata of
-// chunks [:sealed], and of the full chunks inside n the lifetime close count
-// and the zone map (valid-time envelope, opened count) — never the tail's,
-// which the live side is still widening. Whatever lies past those bounds
-// belongs to the live side, so an insert fills the tail chunk and widens its
-// zone map (or hangs a new chunk in the next slot of the last block, or
-// appends a block to the spine) and a seal writes run metadata in place,
-// none of it touching anything a snapshot can see. Everything inside
+// spine capped at its length, and reads only elems[:n] and, of the full
+// chunks inside n, the lifetime close count and the zone map — never the
+// tail's, which the live side is still widening. Whatever lies past those
+// bounds belongs to the live side, so an insert fills the tail chunk and
+// widens its zone map (or hangs a new chunk in the next slot of the last
+// block, or appends a block to the spine), none of it touching anything a
+// snapshot can see. Everything inside
 // the bounds is written only through own, which copies the touched chunk,
 // the block it hangs off and the spine — each at most once per snapshot —
 // when a snapshot has been taken since they were last copied. A close after
@@ -42,8 +41,8 @@ type seq struct {
 	spine  []*block
 	n      int
 	sealed int // leading chunks that are sealed runs
-	// packedBytes totals the sealed runs' packed images, kept current by
-	// seal and reseal so the footprint reports are O(1) in runs.
+	// packedBytes totals the sealed runs' delta-encoded sizes, measured by
+	// seal, so the footprint reports are O(1) in runs.
 	packedBytes int64
 	// edit is the ownership stamp: Snapshot bumps it, and a chunk, a block
 	// or the spine stamped with an older value may be visible to a snapshot.
@@ -57,22 +56,27 @@ type block struct {
 	chunks [blockSize]*chunk
 }
 
-// zone is a chunk's zone map, kept by push and final the moment the chunk
-// fills: how many elements arrived current, and the valid-time envelope — the
-// least vt⊢ and the greatest last valid chronon (vt⊣ − 1; for an event, the
-// event). The high bound is inclusive so that no stamp, however close to the
-// end of the time line, needs a chronon past its own to describe it. The
-// zone map is a fact about the elements, not a promise about the ones to
-// come: valid times are immutable and a close swaps in a clone with the same
-// valid time, so on every organization, sealed or not, a full chunk whose
-// envelope misses a query holds nothing the query wants.
+// zone is a chunk's zone map, kept by push and Replace: how many elements
+// arrived current; the valid-time envelope — the least vt⊢ and the greatest
+// last valid chronon (vt⊣ − 1; for an event, the event); and two
+// transaction-time facts — the least tt⊢, and the greatest tt⊣ among the
+// closed elements. The valid-time high bound is inclusive so that no stamp,
+// however close to the end of the time line, needs a chronon past its own to
+// describe it. The zone map is a fact about the elements, not a promise
+// about the ones to come: valid times and tt⊢ are immutable, and a tt⊣ is
+// written once, by the close that swaps in a clone (Replace widens ttClosed
+// over it). So on every organization, sealed or not, a full chunk whose zone
+// map misses a query holds nothing the query wants.
 type zone struct {
-	opened       int
-	vtLo, vtLast chronon.Chronon
+	opened         int
+	vtLo, vtLast   chronon.Chronon
+	ttLo, ttClosed chronon.Chronon
 }
 
 // emptyZone is the zone map of no elements.
-func emptyZone() zone { return zone{vtLo: chronon.MaxChronon, vtLast: chronon.MinChronon} }
+func emptyZone() zone {
+	return zone{vtLo: chronon.MaxChronon, vtLast: chronon.MinChronon, ttLo: chronon.MaxChronon, ttClosed: chronon.MinChronon}
+}
 
 // widen takes e into the zone map.
 func (z *zone) widen(e *element.Element) {
@@ -86,13 +90,25 @@ func (z *zone) widen(e *element.Element) {
 	if last > z.vtLast {
 		z.vtLast = last
 	}
+	if e.TTStart < z.ttLo {
+		z.ttLo = e.TTStart
+	}
 	if e.Current() {
 		z.opened++
+	} else {
+		z.closedAt(e.TTEnd)
 	}
 }
 
-// zoneOf is the zone map push would have left over run had closed of its
-// elements closed since they arrived.
+// closedAt takes the tt⊣ of a closed element into the zone map.
+func (z *zone) closedAt(tt chronon.Chronon) {
+	if tt > z.ttClosed {
+		z.ttClosed = tt
+	}
+}
+
+// zoneOf is the zone map push and Replace would have left over run had
+// closed of its elements closed since they arrived.
 func zoneOf(run []*element.Element, closed int) zone {
 	z := emptyZone()
 	z.opened = closed
@@ -109,23 +125,26 @@ func (z *zone) vtMisses(lo, hi chronon.Chronon) bool { return z.vtLo >= hi || z.
 func (z *zone) vtMissesAt(vt chronon.Chronon) bool   { return vt < z.vtLo || z.vtLast < vt }
 func (z *zone) vtWithin(lo, hi chronon.Chronon) bool { return lo <= z.vtLo && z.vtLast < hi }
 
-// chunk is runSize element slots, the zone map over them, and the run
-// metadata that describes them once sealed.
+// chunk is runSize element slots and the zone map over them.
 type chunk struct {
 	edit uint64
 	// closes counts every open→closed Replace that ever landed in the chunk,
-	// sealed or not. It lives outside run, which seal overwrites in place
-	// under snapshots that may be reading this: closes are monotone and
-	// arrive in one sequence, so among views of one store that see the chunk
-	// full, closes alone identifies which of its elements are current.
+	// sealed or not: closes are monotone and arrive in one sequence, so among
+	// views of one store that see the chunk full, closes alone identifies
+	// which of its elements are current.
 	closes int
 	zone
-	run   runMeta
 	elems [runSize]*element.Element
 }
 
 // live reports whether any element of the full chunk is still current.
 func (c *chunk) live() bool { return c.closes < c.opened }
+
+// deadAt reports whether no element of the full chunk is present at tt:
+// none had begun by tt, or every one had been closed by it.
+func (c *chunk) deadAt(tt chronon.Chronon) bool {
+	return c.ttLo > tt || !c.live() && c.ttClosed <= tt
+}
 
 // Len reports the number of stored elements.
 func (s *seq) Len() int { return s.n }
@@ -268,9 +287,10 @@ func (s *seq) index(old *element.Element) int {
 }
 
 // Replace substitutes repl for old (matched by pointer identity) and books
-// a close against the chunk — and the sealed run — it landed in, copying only
-// that chunk. Both orders are unchanged: a closed clone keeps its TTStart and
-// valid time. A missing old is a no-op; replacing in a snapshot panics.
+// a close against the chunk it landed in — its close count and the greatest
+// tt⊣ of its zone map — copying only that chunk. Both orders are unchanged: a
+// closed clone keeps its TTStart and valid time. A missing old is a no-op;
+// replacing in a snapshot panics.
 func (s *seq) Replace(old, repl *element.Element) {
 	if s.frozen {
 		panic("storage: replace in a frozen snapshot")
@@ -279,14 +299,13 @@ func (s *seq) Replace(old, repl *element.Element) {
 	if i < 0 {
 		return
 	}
-	k := i / runSize
-	c := s.own(k)
+	c := s.own(i / runSize)
 	c.elems[i%runSize] = repl
-	if old.Current() && !repl.Current() {
-		c.closes++
-		if k < s.sealed {
-			c.run.closed++
+	if !repl.Current() {
+		if old.Current() {
+			c.closes++
 		}
+		c.closedAt(repl.TTEnd)
 	}
 }
 

@@ -14,50 +14,45 @@ import (
 )
 
 // seqModel is the naive reference the sequence is held to: a flat copy of
-// the pointers, per sealed run the number of closes booked since it was
-// (re)sealed, and per chunk the number of closes it has ever seen.
+// the pointers, the number of sealed runs and the packed size each measured
+// at its seal, and per chunk the number of closes it has ever seen.
 type seqModel struct {
 	elems  []*element.Element
-	closed []int
+	sealed int
+	packed int64
 	closes []int
 }
 
 func (m seqModel) clone() seqModel {
-	return seqModel{
-		elems:  append([]*element.Element(nil), m.elems...),
-		closed: append([]int(nil), m.closed...),
-		closes: append([]int(nil), m.closes...),
-	}
+	m.elems = append([]*element.Element(nil), m.elems...)
+	m.closes = append([]int(nil), m.closes...)
+	return m
 }
 
-// checkCounts holds both close counts to the model: since sealing for the
-// sealed runs, lifetime for the full chunks — the ones a snapshot may read
-// it for — which a seal, a reseal and a repair must all leave alone.
+// checkCounts holds the sealed prefix and the lifetime close counts of the
+// full chunks — the ones a snapshot may read them for — to the model; a
+// seal, a reseal and a repair must all leave the counts alone.
 func (m seqModel) checkCounts(t *testing.T, what string, s *seq) {
 	t.Helper()
-	if s.sealed != len(m.closed) {
-		t.Fatalf("%s: %d sealed runs, model has %d", what, s.sealed, len(m.closed))
+	if s.sealed != m.sealed {
+		t.Fatalf("%s: %d sealed runs, model has %d", what, s.sealed, m.sealed)
 	}
 	for k := 0; k < len(m.elems)/runSize; k++ {
-		c := s.chunk(k)
-		if c.closes != m.closes[k] {
+		if c := s.chunk(k); c.closes != m.closes[k] {
 			t.Fatalf("%s: chunk %d has seen %d closes, model %d", what, k, c.closes, m.closes[k])
-		}
-		if k < len(m.closed) && c.run.closed != m.closed[k] {
-			t.Fatalf("%s: run %d counts %d closes, model %d", what, k, c.run.closed, m.closed[k])
 		}
 	}
 }
 
 // check holds one store, live or frozen, to a model: the same pointers in
 // the same order through every way of reading them, the same sealed runs
-// with the same close counts, totals that agree with a walk, and packed
-// images that still verify.
+// and close counts, the footprint totals measured at each seal, and zone
+// maps that still verify.
 func (m seqModel) check(t *testing.T, what string, st Store) {
 	t.Helper()
 	s := seqOf(st)
-	if st.Len() != len(m.elems) || s.sealed != len(m.closed) {
-		t.Fatalf("%s: %d elements in %d sealed runs, model has %d in %d", what, st.Len(), s.sealed, len(m.elems), len(m.closed))
+	if st.Len() != len(m.elems) || s.sealed != m.sealed {
+		t.Fatalf("%s: %d elements in %d sealed runs, model has %d in %d", what, st.Len(), s.sealed, len(m.elems), m.sealed)
 	}
 	flat := Elements(st)
 	i := 0
@@ -72,12 +67,8 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 		t.Fatalf("%s: Scan visited %d of %d", what, i, len(m.elems))
 	}
 	m.checkCounts(t, what, s)
-	var packed int64
-	for k := range m.closed {
-		packed += int64(len(s.chunk(k).run.packed))
-	}
-	if cs := Compaction(st); cs.PackedBytes != packed || cs.Sealed != len(m.closed)*runSize || StoreBytes(st) != packed+int64(len(m.elems)-cs.Sealed)*flatStampBytes {
-		t.Fatalf("%s: running totals %+v / %d bytes disagree with a walk (%d packed)", what, cs, StoreBytes(st), packed)
+	if cs := Compaction(st); cs.PackedBytes != m.packed || cs.Sealed != m.sealed*runSize || StoreBytes(st) != m.packed+int64(len(m.elems)-cs.Sealed)*flatStampBytes {
+		t.Fatalf("%s: running totals %+v / %d bytes disagree with the model (%d packed)", what, cs, StoreBytes(st), m.packed)
 	}
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("%s: %v", what, bad)
@@ -244,17 +235,14 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 							repl.TTEnd = tt + 1
 						}
 						st.Replace(old, &repl)
-						if k := i / runSize; old.Current() {
-							m.closes[k]++
-							if k < len(m.closed) {
-								m.closed[k]++
-							}
+						if old.Current() {
+							m.closes[i/runSize]++
 						}
 						m.elems[i] = &repl
 					case op < 90:
 						pins = append(pins, pinned{st.Snapshot(), m.clone(), step, st.Kind()})
 					case op < 94:
-						want := len(m.elems)/runSize - len(m.closed)
+						want := len(m.elems)/runSize - m.sealed
 						if st.Kind() == Heap {
 							want = 0
 						}
@@ -262,25 +250,23 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 							t.Fatalf("step %d: Compact sealed %d elements, want %d runs", step, sealed, want)
 						}
 						for ; want > 0; want-- {
-							m.closed = append(m.closed, 0)
+							m.packed += int64(packedSize(m.elems[m.sealed*runSize : (m.sealed+1)*runSize]))
+							m.sealed++
 						}
-					case op < 97: // bit rot in a sealed image, detected and repaired
-						if len(m.closed) > 0 {
-							k := rng.Intn(len(m.closed))
-							if !CorruptRun(st, k, rng.Intn(1<<16), uint8(rng.Intn(8))) {
-								t.Fatalf("step %d: run %d not corrupted", step, k)
+					case op < 97: // bit rot in a full chunk's zone map, detected and repaired
+						if full := len(m.elems) / runSize; full > 0 {
+							k, hi, bit := rng.Intn(full), rng.Intn(2) == 0, uint8(rng.Intn(63))
+							if corrupt := []func(Store, int, bool, uint8) bool{CorruptZone, CorruptTT}[rng.Intn(2)]; !corrupt(st, k, hi, bit) {
+								t.Fatalf("step %d: chunk %d not corrupted", step, k)
 							}
 							bad := VerifyRuns(st)
-							if len(bad) != 1 || bad[0].Run != k || ResealRuns(st, []int{k}) != 1 {
-								t.Fatalf("step %d: corrupting run %d reported %v", step, k, bad)
+							if len(bad) != 1 || bad[0].Run != k || ResealRuns(st, []int{k}) != 1 || len(VerifyRuns(st)) != 0 {
+								t.Fatalf("step %d: corrupting chunk %d reported %v", step, k, bad)
 							}
-							m.closed[k] = 0
 						}
-					default: // reseal a healthy run: its close count starts over
-						if len(m.closed) > 0 {
-							k := rng.Intn(len(m.closed))
-							ResealRuns(st, []int{k})
-							m.closed[k] = 0
+					default: // reseal a healthy chunk: nothing moves
+						if full := len(m.elems) / runSize; full > 0 {
+							ResealRuns(st, []int{rng.Intn(full)})
 						}
 					}
 					m.checkCounts(t, fmt.Sprintf("live store at step %d", step), seqOf(st))
@@ -366,10 +352,7 @@ func TestSeqLockFreeReaders(t *testing.T) {
 					return true
 				})
 				present, _ := v.st.Rollback(v.tt)
-				inRuns, batched := 0, 0
-				for k := range v.st.sealed {
-					inRuns += v.st.chunk(k).run.closed
-				}
+				batched := 0
 				br := NewBatchReader(v.st, true)
 				for {
 					ok, err := br.Next(&b)
@@ -410,11 +393,9 @@ func TestSeqLockFreeReaders(t *testing.T) {
 						unsealed.Add(1)
 					}
 				}
-				// Every close a run has seen since sealing is one of the view's,
-				// so the run counts bound the total from below.
-				if scanned != v.closed || batched != v.closed || len(present) != v.st.Len()-v.closed || inRuns > v.closed {
-					t.Errorf("pinned view moved: %d closed at publish, scan %d, batches %d, rollback %d of %d present, runs %d",
-						v.closed, scanned, batched, len(present), v.st.Len(), inRuns)
+				if scanned != v.closed || batched != v.closed || len(present) != v.st.Len()-v.closed {
+					t.Errorf("pinned view moved: %d closed at publish, scan %d, batches %d, rollback %d of %d present",
+						v.closed, scanned, batched, len(present), v.st.Len())
 					return
 				}
 				checks.Add(1)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,45 +27,68 @@ func sealedTTLog(t *testing.T, n int) *RunStore {
 	return st
 }
 
-// TestVerifyRunsCorruptionMatrix is the frozen-run leg of the corruption
-// matrix: flipping one bit of every byte of every sealed run's packed
-// image must be detected, and pristine runs must pass.
+// TestVerifyRunsCorruptionMatrix is the run leg of the corruption matrix:
+// flipping any bit of either transaction-time fact of any full chunk — the
+// least tt⊢ or the greatest closed tt⊣ — is detected on that chunk alone and
+// repaired from its elements, and pristine chunks pass. Chunk 1 is closed
+// whole and chunk 0 in part, so both facts carry a stamp.
 func TestVerifyRunsCorruptionMatrix(t *testing.T) {
 	st := sealedTTLog(t, 3*runSize+17)
+	for _, i := range []int{3, 100} {
+		closeAt(st, i, chronon.Chronon(50_000+i))
+	}
+	for i := runSize; i < 2*runSize; i++ {
+		closeAt(st, i, 60_000)
+	}
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("false positive on clean store: %v", bad)
 	}
-	nruns := Compaction(st).Runs
-	if nruns != 3 {
-		t.Fatalf("runs = %d", nruns)
-	}
-	for ri := 0; ri < nruns; ri++ {
-		size := int(Compaction(st).PackedBytes) / nruns
-		for off := 0; off < size; off++ {
-			if !CorruptRun(st, ri, off, uint8(off%8)) {
-				t.Fatalf("corrupt run %d failed", ri)
-			}
-			bad := VerifyRuns(st)
-			if len(bad) != 1 || bad[0].Run != ri {
-				t.Fatalf("run %d byte %d: flips detected = %v", ri, off, bad)
-			}
-			// Repair rebuilds from the elements and the store passes again.
-			if n := ResealRuns(st, []int{ri}); n != 1 {
-				t.Fatalf("reseal repaired %d runs", n)
-			}
-			if bad := VerifyRuns(st); len(bad) != 0 {
-				t.Fatalf("run %d byte %d: damage survived reseal: %v", ri, off, bad)
+	snap := st.Snapshot()
+	for k := 0; k < 3; k++ {
+		for _, hi := range []bool{false, true} {
+			for bit := uint8(0); bit < 63; bit++ {
+				if !CorruptTT(st, k, hi, bit) {
+					t.Fatalf("corrupt chunk %d failed", k)
+				}
+				if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != k {
+					t.Fatalf("chunk %d, high %v, bit %d: detected %v", k, hi, bit, bad)
+				}
+				if n := ResealRuns(st, []int{k}); n != 1 {
+					t.Fatalf("reseal repaired %d chunks", n)
+				}
+				if bad := VerifyRuns(st); len(bad) != 0 {
+					t.Fatalf("chunk %d, high %v, bit %d: damage survived reseal: %v", k, hi, bit, bad)
+				}
 			}
 		}
 	}
+	if bad := VerifyRuns(snap); len(bad) != 0 {
+		t.Fatalf("the flips reached a snapshot taken before them: %v", bad)
+	}
+	if CorruptTT(st, 3, false, 0) {
+		t.Fatal("CorruptTT took the tail for a full chunk")
+	}
 }
 
-// TestVerifyRunsPostRepairAnswers proves the repaired store answers
-// exactly like an undamaged twin (history equals the acked prefix).
+// TestVerifyRunsPostRepairAnswers proves the damage decides answers — a
+// least tt⊢ flipped far into the future makes the as-of read skip chunk 1 —
+// and that the repaired store answers exactly like an undamaged twin
+// (history equals the acked prefix).
 func TestVerifyRunsPostRepairAnswers(t *testing.T) {
 	st := sealedTTLog(t, 2*runSize)
 	twin := sealedTTLog(t, 2*runSize)
-	CorruptRun(st, 1, 7, 3)
+	vt, tt := chronon.Chronon(10*(runSize+5)), chronon.Chronon(10*2*runSize)
+	asOf := func(s Store) []*element.Element {
+		got, _, _, err := AsOf(context.Background(), s, vt, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	CorruptTT(st, 1, false, 40)
+	if len(asOf(st)) != 0 || len(asOf(twin)) != 1 {
+		t.Fatalf("as of: the damaged store answers %d, its twin %d; the test means the damage to decide the answer", len(asOf(st)), len(asOf(twin)))
+	}
 	bad := VerifyRuns(st)
 	if len(bad) != 1 {
 		t.Fatalf("bad = %v", bad)
@@ -78,10 +102,13 @@ func TestVerifyRunsPostRepairAnswers(t *testing.T) {
 	if !sameIDs(elemIDs(gotTS), elemIDs(wantTS)) {
 		t.Fatal("timeslice diverged after repair")
 	}
-	gotRB, _ := st.Rollback(chronon.Chronon(10 * runSize))
-	wantRB, _ := twin.Rollback(chronon.Chronon(10 * runSize))
+	gotRB, _ := st.Rollback(tt)
+	wantRB, _ := twin.Rollback(tt)
 	if !sameIDs(elemIDs(gotRB), elemIDs(wantRB)) {
 		t.Fatal("rollback diverged after repair")
+	}
+	if !sameIDs(elemIDs(asOf(st)), elemIDs(asOf(twin))) {
+		t.Fatal("as of diverged after repair")
 	}
 }
 
@@ -151,52 +178,50 @@ func TestVerifyRunsNonSealingStores(t *testing.T) {
 	if VerifyRuns(st) != nil || ResealRuns(st, []int{0}) != 0 || Compaction(st).PackedBytes != 0 {
 		t.Fatal("heap store reported sealed-run state")
 	}
-	if CorruptRun(st, 0, 0, 0) {
-		t.Fatal("corrupted a run on a non-sealing store")
+	if CorruptTT(st, 0, false, 0) || CorruptZone(st, 0, false, 0) {
+		t.Fatal("corrupted a chunk of an empty store")
 	}
 }
 
 // TestResealRunsLeavesSnapshotsAlone: a published snapshot shares run 0's
-// chunk and reads it without a lock, so a repair must not write into it;
-// and the resealed run counts its closes afresh, while the chunk's lifetime
-// counts — what liveness and the partial memo read — stay.
+// chunk and reads it without a lock, so a repair must not write into it; and
+// the chunk's lifetime counts — what liveness and the partial memo read —
+// stay.
 func TestResealRunsLeavesSnapshotsAlone(t *testing.T) {
 	st := sealedTTLog(t, 2*runSize)
-	orig := st.at(7)
-	closed := *orig
-	closed.TTEnd = 9_999_999
-	st.Replace(orig, &closed)
+	closeAt(st, 7, 9_999_999)
 	snap := st.Snapshot().(*RunStore)
-	check := func(what string, c *chunk, sinceSeal int) {
+	check := func(what string, c *chunk) {
 		t.Helper()
-		if c.run.closed != sinceSeal || c.closes != 1 || c.opened != runSize {
-			t.Fatalf("%s: %d closes since sealing, %d ever, %d opened; want %d, 1, %d", what, c.run.closed, c.closes, c.opened, sinceSeal, runSize)
+		if c.closes != 1 || c.opened != runSize || c.ttClosed != 9_999_999 {
+			t.Fatalf("%s: %d closes, %d opened, greatest closed tt⊣ %v; want 1, %d, 9999999", what, c.closes, c.opened, c.ttClosed, runSize)
 		}
 	}
-	check("snapshot run 0", snap.chunk(0), 1)
+	check("snapshot run 0", snap.chunk(0))
+	shared := snap.chunk(0)
 	if ResealRuns(st, []int{0}) != 1 {
 		t.Fatal("nothing resealed")
 	}
-	check("snapshot run 0 after the reseal", snap.chunk(0), 1)
-	check("resealed run 0", st.chunk(0), 0)
+	if st.chunk(0) == shared || snap.chunk(0) != shared {
+		t.Fatal("the reseal wrote into the chunk a snapshot reads")
+	}
+	check("snapshot run 0 after the reseal", snap.chunk(0))
+	check("resealed run 0", st.chunk(0))
 }
 
 // TestVerifyRunsToleratesClosesSinceSealing: a delete inside a sealed run
-// leaves the packed tt⊣ at Forever by design; the scrubber must not read
-// that as corruption (it used to, quarantining and resealing the run), yet
-// a changed tt⊣ the close count does not account for is still damage.
+// goes through Replace, which books it in the chunk's zone map, so the
+// scrubber must not read it as corruption; a changed tt⊣ the zone map does
+// not account for is still damage.
 func TestVerifyRunsToleratesClosesSinceSealing(t *testing.T) {
 	st := sealedTTLog(t, 2*runSize)
-	orig := st.at(7)
-	closed := *orig
-	closed.TTEnd = 9_999_999
-	st.Replace(orig, &closed)
+	closeAt(st, 7, 9_999_999)
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("a close since sealing reported as damage: %v", bad)
 	}
 	behind := *st.at(runSize + 1)
 	behind.TTEnd = 9_999_999
-	st.chunk(1).elems[1] = &behind // not through Replace: run 1 counts no close
+	st.chunk(1).elems[1] = &behind // not through Replace: run 1 books no close
 	if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != 1 {
 		t.Fatalf("unaccounted tt⊣ change: %v", bad)
 	}

@@ -722,8 +722,8 @@ type PhysicalInfo struct {
 	History    []MigrationInfo `json:"history,omitempty"`
 	StoreBytes int64           `json:"store_bytes"`
 	// SealedRuns/SealedElements/PackedBytes report class-scheduled
-	// compaction: how much of the store is sealed into frozen runs and
-	// the delta-encoded size of their timestamp columns.
+	// compaction: how much of the store is sealed into runs and the
+	// delta-encoded size of their timestamp columns, measured at seal.
 	SealedRuns     int          `json:"sealed_runs,omitempty"`
 	SealedElements int          `json:"sealed_elements,omitempty"`
 	PackedBytes    int64        `json:"packed_bytes,omitempty"`
