@@ -118,15 +118,15 @@ bench:
 # 20 k ledger with a write before each one — the read the result cache
 # cannot help — and a cached time-slice and clamped aggregate revalidated
 # to 304 after a head insert, and POSTed, served by the result cache across
-# it), at -benchtime=100ms. Fast enough for
-# ci; the end-to-end numbers for the same dimensions are tsbench's
+# it), at -benchtime=100ms with -benchmem, so B/op and allocs/op print
+# beside ns/op. Fast enough for ci; the end-to-end numbers for the same dimensions are tsbench's
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms ./internal/catalog
-	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms ./internal/storage
-	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms ./internal/wire
-	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms ./internal/server
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms -benchmem ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms -benchmem ./internal/storage
+	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms -benchmem ./internal/wire
+	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms -benchmem ./internal/server
 
 # The benchmark is its own module with a replace directive onto this
 # one, so tier-1's `./...` never builds it; an internal API change can

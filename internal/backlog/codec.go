@@ -83,7 +83,8 @@ type Snapshot struct {
 }
 
 // Of is the snapshot of a bare relation: its schema and backlog, no
-// catalog state. The records are the relation's own slice, not a copy.
+// catalog state. The records are a slice Backlog built for this call; the
+// elements they point at are the relation's own.
 func Of(r *relation.Relation) Snapshot {
 	return Snapshot{Schema: r.Schema(), Records: r.Backlog()}
 }
@@ -430,6 +431,14 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
+func (d *dec) skip(n int) {
+	if d.err != nil || len(d.b) < n {
+		d.fail()
+		return
+	}
+	d.b = d.b[n:]
+}
+
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
@@ -561,21 +570,30 @@ func DecodeRecord(b []byte) (relation.LogRecord, error) {
 	kind := element.TimestampKind(d.u8())
 	start := chronon.Chronon(d.i64())
 	end := chronon.Chronon(d.i64())
-	// Both value lists decode into one scratch slice — on the stack for the
-	// usual handful of attributes — and are packed into one array of exactly
-	// their size, so a count is never trusted ahead of the bytes backing it.
-	var scratch [8]element.Value
-	vals := scratch[:0]
-	list := func() {
-		for n := int(d.u16()); n > 0 && d.err == nil; n-- {
-			vals = append(vals, decodeValue(&d))
-		}
-	}
-	list()
-	invariants := len(vals)
-	list()
-	el.Invariant, el.Varying = element.PackValues(vals[:invariants], vals[invariants:])
+	// Both value lists decode into one array, sized before decoding: the
+	// invariant count plus the varying one, read past the invariant values
+	// by skipping them. Every value takes at least a byte, so no count is
+	// trusted beyond the bytes left to back it.
 	n := int(d.u16())
+	skip := d
+	for i := 0; i < n && skip.err == nil; i++ {
+		skipValue(&skip)
+	}
+	vals := make([]element.Value, 0, min(n+int(skip.u16()), len(d.b)))
+	for ; n > 0 && d.err == nil; n-- {
+		vals = append(vals, decodeValue(&d))
+	}
+	invariants := len(vals)
+	for n = int(d.u16()); n > 0 && d.err == nil; n-- {
+		vals = append(vals, decodeValue(&d))
+	}
+	if invariants > 0 {
+		el.Invariant = vals[:invariants:invariants]
+	}
+	if len(vals) > invariants {
+		el.Varying = vals[invariants:]
+	}
+	n = int(d.u16())
 	for i := 0; i < n && d.err == nil; i++ {
 		el.UserTimes = append(el.UserTimes, chronon.Chronon(d.i64()))
 	}
@@ -624,6 +642,22 @@ func encodeValue(e *enc, v element.Value) {
 	case element.KindTime:
 		t, _ := v.TimeVal()
 		e.i64(int64(t))
+	}
+}
+
+// skipValue reads past one encoded value, as decodeValue would, without
+// making it.
+func skipValue(d *dec) {
+	switch element.ValueKind(d.u8()) {
+	case element.KindNull:
+	case element.KindString:
+		d.skip(int(d.u16()))
+	case element.KindBool:
+		d.skip(1)
+	case element.KindInt, element.KindFloat, element.KindTime:
+		d.skip(8)
+	default:
+		d.fail()
 	}
 }
 

@@ -172,3 +172,19 @@ func mustEncodeSeed(t testing.TB, kind wal.Kind) []byte {
 	_, payload := mustEncode(t, seedMutation(kind, []string{"k"}, vts...))
 	return payload
 }
+
+// TestNullValueFrameCost holds the decoder's worst known case to its bound:
+// an element of null values, one byte each, as many as the two value
+// lists hold. Each value is a 32-byte element.Value made from one byte, so
+// the array that holds them must be sized once, not grown and copied.
+func TestNullValueFrameCost(t *testing.T) {
+	m := seedMutation(walInsertKeyed, []string{"k"}, 5)
+	m.recs[0].Elem.Invariant = make([]element.Value, 65535)
+	m.recs[0].Elem.Varying = make([]element.Value, 65535)
+	kind, b := mustEncode(t, m)
+	var err error
+	fuzzcost.Mutation.Bound(t, len(b), func() { _, err = decodeMutation(kind, b) })
+	if err != nil {
+		t.Fatal(err)
+	}
+}

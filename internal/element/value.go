@@ -7,6 +7,7 @@ package element
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/chronon"
@@ -46,12 +47,13 @@ func (k ValueKind) String() string {
 }
 
 // Value is a single attribute value: a small tagged union over the
-// supported kinds. The zero Value is null.
+// supported kinds, four words wide. An int, a bool and a time keep their
+// integer in w, a float its IEEE bits; a string its content in s. The zero
+// Value is null.
 type Value struct {
 	kind ValueKind
 	s    string
-	i    int64
-	f    float64
+	w    int64
 }
 
 // Null returns the null value.
@@ -62,10 +64,10 @@ func Null() Value { return Value{} }
 func String_(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int builds an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, w: i} }
 
 // Float builds a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, w: int64(math.Float64bits(f))} }
 
 // Bool builds a boolean value.
 func Bool(b bool) Value {
@@ -73,12 +75,12 @@ func Bool(b bool) Value {
 	if b {
 		i = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, w: i}
 }
 
 // Time builds a user-defined time value. The system interprets it as an
 // ordinary comparable value, per §2.
-func Time(c chronon.Chronon) Value { return Value{kind: KindTime, i: int64(c)} }
+func Time(c chronon.Chronon) Value { return Value{kind: KindTime, w: int64(c)} }
 
 // Kind reports the value's kind.
 func (v Value) Kind() ValueKind { return v.kind }
@@ -86,25 +88,47 @@ func (v Value) Kind() ValueKind { return v.kind }
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
+// int is the integer payload, zero for a float: its word holds bits.
+func (v Value) int() int64 {
+	if v.kind == KindFloat {
+		return 0
+	}
+	return v.w
+}
+
+// float is the float payload, zero for every other kind.
+func (v Value) float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.w))
+}
+
 // Str returns the string content; ok is false for non-string values.
 func (v Value) Str() (string, bool) { return v.s, v.kind == KindString }
 
 // IntVal returns the integer content; ok is false for non-int values.
-func (v Value) IntVal() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) IntVal() (int64, bool) { return v.int(), v.kind == KindInt }
 
 // FloatVal returns the float content; ok is false for non-float values.
-func (v Value) FloatVal() (float64, bool) { return v.f, v.kind == KindFloat }
+func (v Value) FloatVal() (float64, bool) { return v.float(), v.kind == KindFloat }
 
 // BoolVal returns the boolean content; ok is false for non-bool values.
-func (v Value) BoolVal() (bool, bool) { return v.i != 0, v.kind == KindBool }
+func (v Value) BoolVal() (bool, bool) { return v.int() != 0, v.kind == KindBool }
 
 // TimeVal returns the time content; ok is false for non-time values.
 func (v Value) TimeVal() (chronon.Chronon, bool) {
-	return chronon.Chronon(v.i), v.kind == KindTime
+	return chronon.Chronon(v.int()), v.kind == KindTime
 }
 
-// Equal reports whether two values have the same kind and content.
-func (v Value) Equal(w Value) bool { return v == w }
+// Equal reports whether two values have the same kind and content. Floats
+// are equal as floats, not as bits: −0 equals +0, and NaN equals nothing.
+func (v Value) Equal(w Value) bool {
+	if v.kind == KindFloat && w.kind == KindFloat {
+		return v.float() == w.float()
+	}
+	return v == w
+}
 
 // Compare orders two values of the same kind: -1, 0, or +1. Nulls compare
 // equal to each other and less than everything else. Comparing values of
@@ -133,17 +157,17 @@ func (v Value) Compare(w Value) int {
 		return 0
 	case KindFloat:
 		switch {
-		case v.f < w.f:
+		case v.float() < w.float():
 			return -1
-		case v.f > w.f:
+		case v.float() > w.float():
 			return 1
 		}
 		return 0
 	default: // int, bool, time share the integer payload
 		switch {
-		case v.i < w.i:
+		case v.w < w.w:
 			return -1
-		case v.i > w.i:
+		case v.w > w.w:
 			return 1
 		}
 		return 0
@@ -158,16 +182,16 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.w, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindBool:
-		if v.i != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"
 	case KindTime:
-		return chronon.Chronon(v.i).String()
+		return chronon.Chronon(v.w).String()
 	}
 	return fmt.Sprintf("Value(%d)", v.kind)
 }

@@ -1,7 +1,12 @@
 package element
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chronon"
 )
@@ -126,5 +131,84 @@ func TestValueKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// goldenValues is one or more values of every kind, the edges included:
+// both zeros, both infinities, a NaN, the integer extremes, and strings
+// that need quoting.
+func goldenValues() []Value {
+	return []Value{
+		Null(),
+		String_(""), String_("a"), String_("b\"\n\u00e9"),
+		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1.5), Float(-2.5),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+		Float(math.SmallestNonzeroFloat64), Float(math.MaxFloat64),
+		Bool(false), Bool(true),
+		Time(0), Time(-5), Time(1e9), Time(math.MaxInt64),
+	}
+}
+
+// renderValues prints every accessor, String, and Equal and Compare over
+// every pair that may be compared, one line each.
+func renderValues(vs []Value) string {
+	var b strings.Builder
+	for i, v := range vs {
+		s, sok := v.Str()
+		n, iok := v.IntVal()
+		f, fok := v.FloatVal()
+		bo, bok := v.BoolVal()
+		c, tok := v.TimeVal()
+		fmt.Fprintf(&b, "%d %v null=%v %s str=%q,%v int=%d,%v float=%#x,%v bool=%v,%v time=%d,%v\n",
+			i, v.Kind(), v.IsNull(), v, s, sok, n, iok, math.Float64bits(f), fok, bo, bok, int64(c), tok)
+	}
+	for i, v := range vs {
+		for j, w := range vs {
+			if v.Kind() != w.Kind() && !v.IsNull() && !w.IsNull() {
+				fmt.Fprintf(&b, "%d %d equal=%v\n", i, j, v.Equal(w))
+				continue
+			}
+			fmt.Fprintf(&b, "%d %d equal=%v compare=%d\n", i, j, v.Equal(w), v.Compare(w))
+		}
+	}
+	return b.String()
+}
+
+// TestValuesAgainstGolden holds every accessor, String, Equal and Compare to
+// what testdata/values_v1.golden recorded for the 40-byte Value this one
+// replaced: the layout changed, the answers did not.
+func TestValuesAgainstGolden(t *testing.T) {
+	got := renderValues(goldenValues())
+	want, err := os.ReadFile("testdata/values_v1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%d lines, want %d", len(gl), len(wl))
+	}
+}
+
+func TestValueEqualKeepsFloatEquality(t *testing.T) {
+	if !Float(0).Equal(Float(math.Copysign(0, -1))) {
+		t.Error("0 and -0 differ")
+	}
+	if nan := Float(math.NaN()); nan.Equal(nan) {
+		t.Error("NaN equals itself")
+	}
+	if Float(0).Equal(Int(0)) || Int(1).Equal(Bool(true)) || Int(1).Equal(Time(1)) {
+		t.Error("values of different kinds with one payload are equal")
+	}
+}
+
+func TestValueIsFourWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
 	}
 }

@@ -16,24 +16,25 @@ type Limit struct{ A, B uint64 }
 // The limits, each about 1.4× the most its decoder was measured to allocate
 // (go1.24, amd64, with and without -race): B over the seeds and a minute of
 // fuzzing, where inputs stay small, and A over built worst cases, where the
-// per-byte cost settles. Both worst cases are linear — a slice of large
-// structs grown by append's 1.25× steps from a few bytes of input each —
-// not quadratic.
+// per-byte cost settles. Both worst cases are linear, not quadratic: a
+// slice of structs, each made from a byte or a few of input.
 var (
 	// Mutation bounds catalog.decodeMutation over the payload of a WAL
 	// mutation frame of any kind (FuzzDecodeMutation). Measured: at most
 	// 3.4 KB for any fuzzed payload; 3.0–3.3 B a byte for well-formed
-	// batches of 1–1,024 elements, kinds 10 and 11; and ≈ 262 B a byte for
-	// an element of 40,000–131,000 null values (one byte each, 40 B as an
-	// element.Value).
-	Mutation = Limit{A: 384, B: 4096}
+	// batches of 1–1,024 elements, kinds 10 and 11; and 32.0–32.1 B a byte
+	// for an element of 40,000–131,000 null values (one byte each, 32 B as
+	// an element.Value; backlog.DecodeRecord sizes their array before
+	// decoding, TestNullValueFrameCost).
+	Mutation = Limit{A: 45, B: 4096}
 	// BatchRequest bounds the server's decode of an elements:batch body,
 	// the fast parse's and encoding/json's (FuzzBatchInsertRequest).
 	// Measured: at most 22 KB for any fuzzed body up to 3.2 KB (≈ 12 KB of
 	// it fixed: the request and the decoders); ≈ 47 B a byte for 10^3–
 	// 3·10^5 minimal elements; and ≈ 451 B a byte for a body of empty
 	// elements ({"elements":[{},{},…]}, three bytes each), which both
-	// decoders grow a wire.InsertRequest for before refusing.
+	// decoders grow a wire.InsertRequest for before refusing, by append's
+	// 1.25× steps.
 	BatchRequest = Limit{A: 640, B: 32 << 10}
 )
 

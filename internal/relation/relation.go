@@ -64,11 +64,20 @@ func (o Op) String() string {
 // of insertions and logical deletions, each stamped with its transaction
 // time. The backlog representation is one of the physical designs §2 cites
 // ([JMRS90]); here it doubles as the authoritative history from which any
-// historical state can be reconstructed.
+// historical state can be reconstructed. A relation does not store it:
+// versions holds every insert record in order, and a delete record is
+// where it falls among them (see closeRecord).
 type LogRecord struct {
 	Op   Op
 	TT   chronon.Chronon
 	Elem *element.Element
+}
+
+// closeRecord is a backlog delete record: the closed clone, whose tt⊣ is
+// the record's transaction time, and how many insert records precede it.
+type closeRecord struct {
+	inserts int
+	elem    *element.Element
 }
 
 // Relation is an in-memory bitemporal relation.
@@ -78,8 +87,8 @@ type Relation struct {
 	esGen  *surrogate.Generator
 	osGen  *surrogate.Generator
 
-	log      []LogRecord        // backlog, tt order
-	versions []*element.Element // all elements, tt⊢ order
+	versions []*element.Element // all elements, tt⊢ order: the backlog's insert records
+	closes   []closeRecord      // the backlog's delete records, tt order
 	guards   []Guard
 
 	// Element surrogates are system-generated (§2), so versions ascends in
@@ -257,7 +266,6 @@ func (r *Relation) applyInsert(e *element.Element) {
 	if r.byES != nil {
 		r.byES[e.ES] = n
 	}
-	r.log = append(r.log, LogRecord{Op: OpInsert, TT: e.TTStart, Elem: e})
 	r.versions = append(r.versions, e)
 	for _, g := range r.guards {
 		g.Applied(r, OpInsert, e, e.TTStart)
@@ -270,22 +278,13 @@ func (r *Relation) applyInsert(e *element.Element) {
 // exactly as any previously published read snapshot saw it, which is what
 // lets the catalog serve lock-free epoch-stamped reads. The copy is
 // shallow — stored elements are immutable, so the two may share their
-// values. The backlog insert record is repointed too (the backlog is in tt
-// order, the search is by tt⊢): Vacuum decides liveness from rec.Elem.TTEnd,
-// and Declare's warm replay must observe the close.
+// values. The clone is the backlog's insert record from here on as well
+// as its delete record, so Declare's warm replay observes the close.
 func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
-	old := r.versions[i]
-	closed := *old
+	closed := *r.versions[i]
 	closed.TTEnd = tt
 	r.versions[i] = &closed
-	j := sort.Search(len(r.log), func(k int) bool { return r.log[k].TT >= old.TTStart })
-	for ; j < len(r.log) && r.log[j].TT == old.TTStart; j++ {
-		if rec := &r.log[j]; rec.Op == OpInsert && rec.Elem == old {
-			rec.Elem = &closed
-			break
-		}
-	}
-	r.log = append(r.log, LogRecord{Op: OpDelete, TT: tt, Elem: &closed})
+	r.closes = append(r.closes, closeRecord{inserts: len(r.versions), elem: &closed})
 	for _, g := range r.guards {
 		g.Applied(r, OpDelete, &closed, tt)
 	}
@@ -296,9 +295,36 @@ func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
 // deleted ones).
 func (r *Relation) Len() int { return len(r.versions) }
 
-// Backlog returns the append-only transaction log. The returned slice must
-// not be modified.
-func (r *Relation) Backlog() []LogRecord { return r.log }
+// Backlog returns the append-only transaction log in transaction-time
+// order: the insert records, which are versions, with each delete record
+// merged in after the inserts that preceded it. The slice is built on each
+// call and is the caller's; the elements it points at must not be modified.
+func (r *Relation) Backlog() []LogRecord {
+	out := make([]LogRecord, 0, len(r.versions)+len(r.closes))
+	i := 0
+	for _, c := range r.closes {
+		for ; i < c.inserts; i++ {
+			out = append(out, LogRecord{Op: OpInsert, TT: r.versions[i].TTStart, Elem: r.versions[i]})
+		}
+		out = append(out, LogRecord{Op: OpDelete, TT: c.elem.TTEnd, Elem: c.elem})
+	}
+	for _, e := range r.versions[i:] {
+		out = append(out, LogRecord{Op: OpInsert, TT: e.TTStart, Elem: e})
+	}
+	return out
+}
+
+// newest is the transaction time of the backlog's last record: the later of
+// the two lists' last ones. ok is false when the backlog is empty.
+func (r *Relation) newest() (tt chronon.Chronon, ok bool) {
+	if n := len(r.versions); n > 0 {
+		tt, ok = r.versions[n-1].TTStart, true
+	}
+	if n := len(r.closes); n > 0 && (!ok || r.closes[n-1].elem.TTEnd > tt) {
+		tt, ok = r.closes[n-1].elem.TTEnd, true
+	}
+	return tt, ok
+}
 
 // Versions returns every element ever stored, in insertion (tt⊢) order.
 // The returned slice must not be modified.

@@ -36,8 +36,8 @@ func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, erro
 			return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
 		}
 	}
-	if n := len(r.log); n > 0 {
-		r.advanceClock(r.log[n-1].TT)
+	if last, ok := r.newest(); ok {
+		r.advanceClock(last)
 	}
 	return r, nil
 }

@@ -22,8 +22,8 @@ import (
 // does not precede the backlog's last record. Staging and redo both call
 // it, so nothing is accepted live that replay would refuse.
 func (r *Relation) admitTT(tt chronon.Chronon) error {
-	if n := len(r.log); n > 0 && tt < r.log[n-1].TT {
-		return fmt.Errorf("tt %v before %v", tt, r.log[n-1].TT)
+	if last, ok := r.newest(); ok && tt < last {
+		return fmt.Errorf("tt %v before %v", tt, last)
 	}
 	return nil
 }
@@ -36,8 +36,8 @@ func (r *Relation) admitTT(tt chronon.Chronon) error {
 // committed included, and admitTT accepts each of them.
 func (r *Relation) stamp(what string) (chronon.Chronon, error) {
 	floor := r.stamped
-	if n := len(r.log); n > 0 {
-		floor = chronon.Max(floor, r.log[n-1].TT)
+	if last, ok := r.newest(); ok {
+		floor = chronon.Max(floor, last)
 	}
 	tt := chronon.Max(r.clock.Next(), floor.Add(1))
 	if err := r.admitTT(tt); err != nil {

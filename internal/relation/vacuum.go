@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
-	"repro/internal/element"
 	"repro/internal/surrogate"
 )
 
@@ -33,33 +32,32 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	}
 	r.vacuumedTo = horizon
 
-	dead := func(e *element.Element) bool { return e.TTEnd <= horizon }
-
-	removed := 0
-	keptVersions := r.versions[:0]
-	for _, e := range r.versions {
-		if dead(e) {
+	// One pass filters both lists in place: a close record is kept with its
+	// clone and recounted against the insert records kept before it.
+	removed, c, kept := 0, 0, r.closes[:0]
+	keep := func(upTo int) {
+		for ; c < len(r.closes) && r.closes[c].inserts <= upTo; c++ {
+			if rec := r.closes[c]; rec.elem.TTEnd > horizon {
+				kept = append(kept, closeRecord{inserts: upTo - removed, elem: rec.elem})
+			}
+		}
+	}
+	for i, e := range r.versions {
+		keep(i)
+		if e.TTEnd <= horizon {
 			removed++
 			continue
 		}
-		keptVersions = append(keptVersions, e)
+		r.versions[i-removed] = e
 	}
-	if removed == 0 {
-		return 0, nil
-	}
-	r.versions = keptVersions // still in surrogate order: a filter keeps it
-	if r.byES != nil {
+	keep(len(r.versions))
+	clear(r.versions[len(r.versions)-removed:])
+	r.versions = r.versions[:len(r.versions)-removed] // still in surrogate order: a filter keeps it
+	clear(r.closes[len(kept):])
+	r.closes = kept
+	if removed > 0 && r.byES != nil {
 		r.reindex()
 	}
-
-	keptLog := r.log[:0]
-	for _, rec := range r.log {
-		if dead(rec.Elem) {
-			continue
-		}
-		keptLog = append(keptLog, rec)
-	}
-	r.log = keptLog
 	return removed, nil
 }
 

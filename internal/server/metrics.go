@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -145,6 +146,28 @@ func (m *Metrics) Report() wire.MetricsResponse {
 		out.Endpoints[name] = em
 		out.Requests += ep.requests
 		out.Errors += ep.errors
+	}
+	return out
+}
+
+// runtimeMetrics reads the collector's books from runtime/metrics; there is
+// no sampler, so each /metrics request pays one read.
+func runtimeMetrics() *wire.RuntimeMetrics {
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/scan/heap:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(s)
+	out := &wire.RuntimeMetrics{
+		HeapLiveBytes: s[2].Value.Uint64(),
+		HeapScanBytes: s[3].Value.Uint64(),
+		GCCycles:      s[4].Value.Uint64(),
+	}
+	if total := s[1].Value.Float64(); total > 0 {
+		out.GCCPUShare = s[0].Value.Float64() / total
 	}
 	return out
 }

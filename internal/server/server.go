@@ -721,6 +721,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	}
 	rep.Replication = s.replicationMetrics()
 	rep.Integrity = s.integrityMetrics()
+	rep.Runtime = runtimeMetrics()
 	var batch wire.BatchMetrics
 	var img wire.ImageMetrics
 	var chunks wire.ChunkMetrics

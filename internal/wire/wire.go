@@ -1096,11 +1096,24 @@ type DegradedMetrics struct {
 	Cause    string `json:"cause,omitempty"`
 }
 
+// RuntimeMetrics is the /metrics runtime block, read from runtime/metrics
+// when the body is built: the garbage collector's CPU time since the
+// process started over the CPU time GOMAXPROCS made available in it, the
+// heap the last cycle marked live, the heap a cycle scans, and the cycles
+// completed.
+type RuntimeMetrics struct {
+	GCCPUShare    float64 `json:"gc_cpu_share"`
+	HeapLiveBytes uint64  `json:"heap_live_bytes"`
+	HeapScanBytes uint64  `json:"heap_scan_bytes"`
+	GCCycles      uint64  `json:"gc_cycles"`
+}
+
 // MetricsResponse is the /metrics body: per-endpoint request counts,
 // latency summaries, elements-touched counters, the per-plan-kind
 // breakdown of query work (keyed by plan.NodeKind slugs), the
 // write-ahead log gauges when durability is enabled, per-class admission
-// accounting, and the degraded-mode gauge when the catalog is read-only.
+// accounting, the degraded-mode gauge when the catalog is read-only, and
+// the Go runtime's collector.
 type MetricsResponse struct {
 	UptimeSeconds int64                            `json:"uptime_seconds"`
 	Requests      uint64                           `json:"requests"`
@@ -1116,6 +1129,7 @@ type MetricsResponse struct {
 	Chunks        *ChunkMetrics                    `json:"chunks,omitempty"`
 	Ingest        *IngestMetrics                   `json:"ingest,omitempty"`
 	Replication   *ReplicationMetrics              `json:"replication,omitempty"`
+	Runtime       *RuntimeMetrics                  `json:"runtime,omitempty"`
 	// Physical reports each relation's live physical design: its
 	// organization, the advice provenance, migration count, and the
 	// inferred classes the extension tracker currently holds.
