@@ -110,7 +110,9 @@ bench:
 # tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the columnar batch scan/aggregate
 # microbenchmarks, the general organizations' zone-map scans beside the unpruned filter (20 k and
 # 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the
-# zone map, the hand-written wire codec beside encoding/json
+# zone map, a relation's lookups by surrogate on 1,048,576 versions in its store's chunked
+# sequence (a hit, a miss past the end, a staged and committed delete, and Backlog),
+# the hand-written wire codec beside encoding/json
 # on the same result sets (and a 2,000-element answer copied out of chunk
 # images beside the same answer encoded), and whole requests over loopback
 # through the server's handler with a signer configured (point read, insert,
@@ -125,6 +127,7 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms -benchmem ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms -benchmem ./internal/storage
+	$(GO) test -run=NONE -bench='^BenchmarkPosition$$' -benchtime=100ms -benchmem ./internal/relation
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms -benchmem ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms -benchmem ./internal/server
 

@@ -52,6 +52,9 @@ const (
 	// maxBody bounds a single record body; a record holds one element, so
 	// anything larger indicates corruption.
 	maxBody = 1 << 24
+	// blockStep is the most of a block's body readBlock allocates before its
+	// bytes arrive.
+	blockStep = 4 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -362,9 +365,18 @@ func readBlock(r io.Reader) ([]byte, error) {
 	if n > maxBody {
 		return nil, fmt.Errorf("%w: oversized block (%d bytes)", ErrCorrupt, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	// The body is sized from the bytes present, not from the prefix: past
+	// blockStep it grows, doubling, as they arrive, so a prefix with
+	// nothing behind it allocates blockStep, not the length it claims.
+	body := make([]byte, min(n, blockStep))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, body[read:]); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if read = len(body); read == int(n) {
+			break
+		}
+		body = append(body, make([]byte, min(int(n)-read, read))...)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
@@ -484,7 +496,7 @@ func DecodeSchema(b []byte) (relation.Schema, error) {
 	s.Granularity = chronon.Granularity(d.i64())
 	cols := func() []relation.Column {
 		n := int(d.u16())
-		out := make([]relation.Column, 0, n)
+		out := make([]relation.Column, 0, min(n, len(d.b))) // each takes bytes: trust no count past them
 		for i := 0; i < n && d.err == nil; i++ {
 			out = append(out, relation.Column{
 				Name: d.str(),

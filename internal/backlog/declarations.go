@@ -35,7 +35,7 @@ func EncodeDeclarations(decls []constraint.Descriptor) []byte {
 func DecodeDeclarations(b []byte) ([]constraint.Descriptor, error) {
 	d := dec{b: b}
 	n := int(d.u16())
-	out := make([]constraint.Descriptor, 0, n)
+	out := make([]constraint.Descriptor, 0, min(n, len(d.b))) // each takes bytes: trust no count past them
 	for i := 0; i < n && d.err == nil; i++ {
 		desc := constraint.Descriptor{
 			Kind:     constraint.DescriptorKind(d.u8()),

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/fuzzcost"
 	"repro/internal/relation"
 	"repro/internal/tx"
 )
@@ -41,12 +42,12 @@ func FuzzRead(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
 		// Accepted input must replay without panicking; validation errors
-		// are fine.
-		_, _ = relation.Replay(snap.Schema, tx.NewLogicalClock(0, 10), snap.Records)
+		// are fine. Neither may allocate more than the bytes warrant.
+		fuzzcost.Snapshot.Bound(t, len(data), func() {
+			if snap, err := Read(bytes.NewReader(data)); err == nil {
+				_, _ = relation.Replay(snap.Schema, tx.NewLogicalClock(0, 10), snap.Records)
+			}
+		})
 	})
 }

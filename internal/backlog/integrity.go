@@ -141,10 +141,11 @@ func readIntegrity(r *bufio.Reader) (Integrity, error) {
 	if err != nil {
 		return Integrity{}, err
 	}
-	if leafCount > 0 {
-		ig.Leaves = make([]integrity.Hash, 0, leafCount)
-	}
-	for uint64(len(ig.Leaves)) < leafCount {
+	// Leaves is sized once its chunks have been read: the header's count is
+	// a claim, and sizing for it up front would let a CRC-valid header of a
+	// few bytes allocate gigabytes.
+	var chunks [][]byte
+	for read := uint64(0); read < leafCount; {
 		chunk, err := readBlock(r)
 		if err != nil {
 			return Integrity{}, err
@@ -152,13 +153,17 @@ func readIntegrity(r *bufio.Reader) (Integrity, error) {
 		if len(chunk)%integrity.HashSize != 0 || len(chunk) == 0 {
 			return Integrity{}, fmt.Errorf("%w: ragged leaf chunk", ErrCorrupt)
 		}
+		if read += uint64(len(chunk) / integrity.HashSize); read > leafCount {
+			return Integrity{}, fmt.Errorf("%w: leaf chunks overrun their count", ErrCorrupt)
+		}
+		chunks = append(chunks, chunk)
+	}
+	if leafCount > 0 {
+		ig.Leaves = make([]integrity.Hash, 0, leafCount)
+	}
+	for _, chunk := range chunks {
 		for off := 0; off < len(chunk); off += integrity.HashSize {
-			if uint64(len(ig.Leaves)) == leafCount {
-				return Integrity{}, fmt.Errorf("%w: leaf chunks overrun their count", ErrCorrupt)
-			}
-			var h integrity.Hash
-			copy(h[:], chunk[off:])
-			ig.Leaves = append(ig.Leaves, h)
+			ig.Leaves = append(ig.Leaves, integrity.Hash(chunk[off:]))
 		}
 	}
 	return ig, nil

@@ -2,11 +2,15 @@ package backlog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/fuzzcost"
 	"repro/internal/integrity"
 	"repro/internal/relation"
 	"repro/internal/tx"
@@ -126,6 +130,36 @@ func TestSnapshotShardCorruptionMatrix(t *testing.T) {
 	for _, cut := range []int{1, len(clean) / 2, len(clean) - 1} {
 		if _, err := Read(bytes.NewReader(clean[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes undetected", cut)
+		}
+	}
+}
+
+// TestClaimedSizesAreNotAllocated: a count or a length the stream claims is
+// not allocated before the bytes behind it are read. The integrity header of
+// an empty relation's 116-byte snapshot, re-checksummed to claim 2^28 − 1
+// leaves, once allocated 8 GiB for them and killed the process; a block
+// length prefix with nothing behind it allocated the 16 MiB it claimed. Both
+// are refused as corrupt within the snapshot decoder's allocation bound.
+func TestClaimedSizesAreNotAllocated(t *testing.T) {
+	var buf bytes.Buffer
+	schema := relation.Schema{Name: "seed", ValidTime: element.EventStamp, Granularity: chronon.Second}
+	if err := Write(&buf, Snapshot{Schema: schema, Integrity: Integrity{Tracked: true}}); err != nil {
+		t.Fatal(err)
+	}
+	leaves := buf.Bytes()
+	at := bytes.Index(leaves, []byte(itgyMagic))
+	hdr := leaves[at : at+len(encodeIntegrityHeader(Integrity{Tracked: true}))]
+	binary.LittleEndian.PutUint64(hdr[len(itgyMagic)+1:], maxLeaves-1)
+	binary.LittleEndian.PutUint32(leaves[at+len(hdr):], crc32.Checksum(hdr, castagnoli))
+	if len(leaves) != 116 {
+		t.Fatalf("the crafted stream is %d bytes, want 116", len(leaves))
+	}
+	block := binary.LittleEndian.AppendUint32(append([]byte(nil), leaves[:at-4]...), maxBody)
+	for name, in := range map[string][]byte{"leaf count": leaves, "block length": block} {
+		var err error
+		fuzzcost.Snapshot.Bound(t, len(in), func() { _, err = Read(bytes.NewReader(in)) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: read %v, want ErrCorrupt", name, err)
 		}
 	}
 }

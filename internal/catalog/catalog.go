@@ -595,11 +595,10 @@ type Entry struct {
 
 	// Guarded by locked's lock (mutated under Exclusive only):
 	decls []constraint.Descriptor
-	// store is the relation's one physical store for as long as its elements
-	// keep their identities; engine wraps it with what the current label
-	// licenses and advice says why. A declaration, a respecialize and a
-	// degrade re-label store in place (relabel) and replace only the other
-	// two.
+	// store is the relation's own version list (r.Store()), taken by
+	// rebuildEngine; engine wraps it with what the current label licenses
+	// and advice says why. A declaration, a respecialize and a degrade
+	// re-label store in place (relabel) and replace only the other two.
 	store  *storage.RunStore
 	engine *query.Engine
 	advice storage.Advice
@@ -854,21 +853,18 @@ func (e *Entry) activeAdopted() []core.Class {
 	return out
 }
 
-// rebuildEngine loads the relation's versions into a fresh store and a fresh
-// extension tracker, one walk for both, and labels the store (relabel). It
-// runs only where the stored elements' identities change — a relation enters
-// the catalog, a vacuum removed versions — and is the one event besides a run
-// repair that renews the store generation; every other change of physical
-// design re-labels the store it has. Caller holds the exclusive lock; the
-// error is relabel's.
+// rebuildEngine takes the relation's store (r.Store()), re-observes its
+// versions into a fresh extension tracker, and labels the store (relabel).
+// It copies nothing. It runs only where the store is a new one — a relation
+// enters the catalog, a vacuum moved the survivors to a fresh heap — and is
+// the one event besides a run repair that renews the store generation; every
+// other change of physical design re-labels the store it has. Caller holds
+// the exclusive lock; the error is relabel's.
 func (e *Entry) rebuildEngine(r *relation.Relation) error {
 	schema := r.Schema()
 	e.tracker = core.NewTracker(schema.ValidTime, schema.Granularity)
-	e.store = storage.NewHeap()
-	for _, el := range r.Versions() {
-		e.tracker.Observe(el)
-		_ = e.store.Insert(el) // the heap assumes nothing and refuses nothing
-	}
+	e.store = r.Store()
+	e.store.Scan(func(el *element.Element) bool { e.tracker.Observe(el); return true })
 	e.gen = e.storeGens.Add(1)
 	return e.relabel(r, e.decls)
 }
@@ -962,20 +958,15 @@ func (e *Entry) waitDurable(lsn uint64) error {
 	return nil
 }
 
-// degrade stores a committed element the live organization refused (cause):
-// it drops one promise at a time until the store admits the element — the
-// heap admits anything, so an acknowledged write is never invisible to reads
-// — and re-advises. The promise that broke is an inferred order (or the
-// clock's): a committed element satisfies every declaration, so the
-// declarations stay, and with them a declared bound's tt-window pushdown.
-// Nothing is copied: the chunks, and so the cost, are those of an accepted
-// insert.
-func (e *Entry) degrade(r *relation.Relation, el *element.Element, cause error) {
-	k := e.store.Kind()
-	for err := cause; err != nil; err = e.store.Insert(el) {
-		k--
-		_ = e.store.Retype(k)
-	}
+// degrade re-advises after a committed element broke the promise of the
+// store's label (cause). The relation has already stored it, dropping one
+// promise at a time until the store admitted it — the heap admits anything,
+// so an acknowledged write is never invisible to reads. The promise that
+// broke is an inferred order (or the clock's): a committed element satisfies
+// every declaration, so the declarations stay, and with them a declared
+// bound's tt-window pushdown. Nothing is copied: the chunks, and so the
+// cost, are those of an accepted insert.
+func (e *Entry) degrade(r *relation.Relation, cause error) {
 	_ = e.relabel(r, e.decls) // the declarations' bounds were usable when declared
 	e.advice.Reasons = append(e.advice.Reasons,
 		fmt.Sprintf("fell back: committed element violates the store order (%v)", cause))
@@ -1201,7 +1192,7 @@ func (e *Entry) selectOn(ctx context.Context, v *readView, q *tsql.Query) (*tsql
 		pq := tsql.PlanQuery(q)
 		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
 		touched = qres.Touched
-		res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
+		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, element.Slice(qres.Elements))
 	default:
 		st := v.engine.Store()
 		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.Runs(st))

@@ -311,36 +311,33 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 		if rec.Op == relation.OpInsert {
 			// A decoded element is adopted as the stored version (ApplyLog):
 			// decodeMutation allocated it for this apply and nobody else
-			// holds it. A staged one is the relation's own already.
+			// holds it. A staged one is the relation's own already. The
+			// relation stores it in e.store whatever the label promised (an
+			// order broken despite enforcement: a constraint declared on a
+			// different endpoint, an intra-batch violation the pre-batch
+			// guards could not see), so a broken promise is learned first.
+			broken := e.store.Admits(el)
 			if m.staged {
 				r.CommitInsert(el)
 			} else if _, _, err := r.ApplyLog(rec); err != nil {
 				return err
 			}
 			e.tracker.Observe(el)
-			if serr := e.store.Insert(el); serr != nil {
-				// Ordering promise broken despite enforcement (a constraint
-				// declared on a different endpoint, an intra-batch violation
-				// the pre-batch guards could not see); degrade to the
-				// general organization rather than lose a journaled element.
-				e.degrade(r, el, serr)
+			if broken != nil {
+				e.degrade(r, broken)
 			}
 			stored = el
-		} else {
-			// The close lands on a copy (copy-on-close); swap it into the
-			// physical store so the live engine sees the finalized tt⊣
+		} else if m.staged {
+			// The close lands on a copy (copy-on-close) that the relation
+			// swaps into e.store, so the live engine sees the finalized tt⊣
 			// while pinned read views keep the open original — el, once a
 			// decoded record has found it in the relation.
-			var closed *element.Element
-			if m.staged {
-				closed = r.CommitDelete(el, rec.TT)
-			} else {
-				var err error
-				if el, closed, err = r.ApplyLog(rec); err != nil {
-					return err
-				}
+			r.CommitDelete(el, rec.TT)
+		} else {
+			var err error
+			if el, _, err = r.ApplyLog(rec); err != nil {
+				return err
 			}
-			e.store.Replace(el, closed)
 		}
 		// A close is noted at the closed version's tt⊢, not at its own stamp:
 		// it rewrites the tt⊣ that every rollback and as-of answer holding

@@ -36,6 +36,16 @@ var (
 	// decoders grow a wire.InsertRequest for before refusing, by append's
 	// 1.25× steps.
 	BatchRequest = Limit{A: 640, B: 32 << 10}
+	// Snapshot bounds backlog.Read of a snapshot stream and
+	// relation.Replay of what it accepted (FuzzRead). Measured: at most
+	// 7.5 KB for any fuzzed stream, 13.3 KB under -race (the reader's
+	// buffer and the first 4 KiB of a block's body, which is all a length
+	// prefix buys before its bytes arrive); 3.1–3.4 B a byte for integrity
+	// leaves, 6.9–8.6 for minimal inserts, 9–12.9 for minimal deletes; and
+	// 63.8–67.4 B a byte for an element of 2,000–120,000 null values, one
+	// byte each, decoded into 32-byte element.Values and then cloned by the
+	// replay.
+	Snapshot = Limit{A: 95, B: 19 << 10}
 )
 
 // Bound runs decode, which reads n bytes of input, and fails tb when it

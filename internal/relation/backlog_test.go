@@ -117,9 +117,15 @@ func TestReplayedBacklogKeepsItsOrder(t *testing.T) {
 // batch (stage all, commit all but an abandoned one), delete, modify,
 // vacuum and ApplyLog, from an empty relation and from a replayed one whose
 // surrogates go backwards, and holds Backlog() to the stored model after
-// every step. A log record older than the model's last is refused.
+// every step. A log record older than the model's last is refused. Seeds 9
+// (ordered) and 10 (degraded) run long enough to cross at least three of the
+// store's 256-element chunk boundaries.
 func TestBacklogAgainstStoredModel(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
+		steps := 500
+		if seed > 8 {
+			steps = 3000
+		}
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			r, m := newEventRelation(), backlogModel{}
@@ -146,7 +152,8 @@ func TestBacklogAgainstStoredModel(t *testing.T) {
 				closed, _ := r.ByES(old.ES)
 				m.close(old, closed)
 			}
-			for i := 0; i < 500; i++ {
+			longest := 0
+			for i := 0; i < steps; i++ {
 				step := fmt.Sprintf("step %d", i)
 				old := current()
 				switch op := rng.Intn(10); {
@@ -218,6 +225,10 @@ func TestBacklogAgainstStoredModel(t *testing.T) {
 					}
 				}
 				m.check(t, r, step)
+				longest = max(longest, r.Len())
+			}
+			if steps > 500 && longest <= 3*256 {
+				t.Fatalf("the relation peaked at %d versions, inside the first three chunks of 256", longest)
 			}
 		})
 	}

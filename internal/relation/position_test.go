@@ -50,9 +50,15 @@ func (m esModel) check(t *testing.T, r *Relation, step string) {
 // puts a surrogate out of order (a replayed insert landing in a gap an
 // abandoned stage left) and carry the map from exactly then on, through
 // vacuums; and a duplicate or unknown surrogate is refused before and after
-// the degrade, leaving the relation as it was.
+// the degrade, leaving the relation as it was. Seed 7 runs long enough that
+// the search crosses at least three of the store's 256-element chunk
+// boundaries before the degrade.
 func TestPositionalIndexModel(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 7; seed++ {
+		steps := 600
+		if seed == 7 {
+			steps = 3000 // Search crosses three chunk boundaries before the degrade
+		}
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			r := newEventRelation()
@@ -85,7 +91,6 @@ func TestPositionalIndexModel(t *testing.T) {
 				}
 				m.check(t, r, step+" (refused)")
 			}
-			const steps = 600
 			degradeAt := steps/2 + rng.Intn(steps/4)
 			for i := 0; i < steps; i++ {
 				step := fmt.Sprintf("step %d", i)
@@ -183,6 +188,9 @@ func TestPositionalIndexModel(t *testing.T) {
 					closed(es)
 				}
 				m.check(t, r, step)
+				if i == degradeAt && steps > 600 && r.Len() <= 3*256 {
+					t.Fatalf("%s: the degrade comes at %d versions, inside the first three chunks of 256", step, r.Len())
+				}
 				if degraded := r.byES != nil; degraded != (!wasOrdered || breaksOrder) {
 					t.Fatalf("%s: degraded %v (was %v before the step, which broke the order: %v)", step, degraded, !wasOrdered, breaksOrder)
 				}

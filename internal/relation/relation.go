@@ -1,15 +1,13 @@
 package relation
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tx"
 )
@@ -87,8 +85,8 @@ type Relation struct {
 	esGen  *surrogate.Generator
 	osGen  *surrogate.Generator
 
-	versions []*element.Element // all elements, tt⊢ order: the backlog's insert records
-	closes   []closeRecord      // the backlog's delete records, tt order
+	versions *storage.RunStore // all elements, tt⊢ order: the insert records, and the one store (Store)
+	closes   []closeRecord     // the backlog's delete records, tt order
 	guards   []Guard
 
 	// Element surrogates are system-generated (§2), so versions ascends in
@@ -120,6 +118,7 @@ func New(schema Schema, clock tx.Clock) *Relation {
 		clock:      clock,
 		esGen:      surrogate.NewGenerator(),
 		osGen:      surrogate.NewGenerator(),
+		versions:   storage.NewHeap(),
 		vacuumedTo: chronon.MinChronon,
 		stamped:    chronon.MinChronon,
 	}
@@ -127,6 +126,11 @@ func New(schema Schema, clock tx.Clock) *Relation {
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
+
+// Store returns the relation's versions: the store a catalog queries,
+// snapshots, seals and re-labels. Its contents are the relation's to change —
+// a caller must neither insert into it nor replace in it.
+func (r *Relation) Store() *storage.RunStore { return r.versions }
 
 // Clock returns the relation's transaction-time source.
 func (r *Relation) Clock() tx.Clock { return r.clock }
@@ -239,52 +243,56 @@ func (r *Relation) position(es surrogate.Surrogate) (int, bool) {
 		i, ok := r.byES[es]
 		return i, ok
 	}
-	n := len(r.versions)
-	if n == 0 || es > r.versions[n-1].ES {
+	n := r.versions.Len()
+	if n == 0 || es > r.versions.At(n-1).ES {
 		return n, false
 	}
-	return slices.BinarySearchFunc(r.versions, es, func(e *element.Element, es surrogate.Surrogate) int {
-		return cmp.Compare(e.ES, es)
-	})
+	i := r.versions.Search(func(e *element.Element) bool { return e.ES >= es })
+	return i, r.versions.At(i).ES == es
 }
 
 // reindex rebuilds the degraded index from versions.
 func (r *Relation) reindex() {
-	r.byES = make(map[surrogate.Surrogate]int, len(r.versions))
-	for i, e := range r.versions {
-		r.byES[e.ES] = i
+	r.byES = make(map[surrogate.Surrogate]int, r.versions.Len())
+	for i := range r.versions.Len() {
+		r.byES[r.versions.At(i).ES] = i
 	}
 }
 
 // applyInsert stores e itself: the relation owns it from here on and never
-// mutates it.
+// mutates it. A committed element is never refused: when it breaks the
+// promise of the store's label, the label drops one promise at a time until
+// the store admits it — the heap admits anything.
 func (r *Relation) applyInsert(e *element.Element) {
-	n := len(r.versions)
-	if r.byES == nil && n > 0 && e.ES <= r.versions[n-1].ES {
+	n := r.versions.Len()
+	if r.byES == nil && n > 0 && e.ES <= r.versions.At(n-1).ES {
 		r.reindex() // the order is broken: degrade, once
 	}
 	if r.byES != nil {
 		r.byES[e.ES] = n
 	}
-	r.versions = append(r.versions, e)
+	for r.versions.Insert(e) != nil {
+		_ = r.versions.Retype(r.versions.Kind() - 1) // dropping a promise cannot fail
+	}
 	for _, g := range r.guards {
 		g.Applied(r, OpInsert, e, e.TTStart)
 	}
 }
 
-// applyDelete closes the existence interval of versions[i] by
+// applyDelete closes the existence interval of the version at position i by
 // copy-on-close: the element itself is never mutated. A copy with TTEnd
-// finalized takes its place and is returned; the open original stays
-// exactly as any previously published read snapshot saw it, which is what
-// lets the catalog serve lock-free epoch-stamped reads. The copy is
+// finalized takes its place (Replace) and is returned; the open original
+// stays exactly as any previously published read snapshot saw it, which is
+// what lets the catalog serve lock-free epoch-stamped reads. The copy is
 // shallow — stored elements are immutable, so the two may share their
 // values. The clone is the backlog's insert record from here on as well
 // as its delete record, so Declare's warm replay observes the close.
 func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
-	closed := *r.versions[i]
+	was := r.versions.At(i)
+	closed := *was
 	closed.TTEnd = tt
-	r.versions[i] = &closed
-	r.closes = append(r.closes, closeRecord{inserts: len(r.versions), elem: &closed})
+	r.versions.Replace(was, &closed)
+	r.closes = append(r.closes, closeRecord{inserts: r.versions.Len(), elem: &closed})
 	for _, g := range r.guards {
 		g.Applied(r, OpDelete, &closed, tt)
 	}
@@ -293,23 +301,30 @@ func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
 
 // Len reports the number of stored element versions (including logically
 // deleted ones).
-func (r *Relation) Len() int { return len(r.versions) }
+func (r *Relation) Len() int { return r.versions.Len() }
 
 // Backlog returns the append-only transaction log in transaction-time
 // order: the insert records, which are versions, with each delete record
 // merged in after the inserts that preceded it. The slice is built on each
 // call and is the caller's; the elements it points at must not be modified.
 func (r *Relation) Backlog() []LogRecord {
-	out := make([]LogRecord, 0, len(r.versions)+len(r.closes))
-	i := 0
-	for _, c := range r.closes {
-		for ; i < c.inserts; i++ {
-			out = append(out, LogRecord{Op: OpInsert, TT: r.versions[i].TTStart, Elem: r.versions[i]})
+	out := make([]LogRecord, 0, r.versions.Len()+len(r.closes))
+	n, closes := 0, r.closes // insert records out so far, delete records still to go
+	storage.Runs(r.versions)(func(run []*element.Element) bool {
+		o, i, cl := out, n, closes // locals: the loop writes no captured variable
+		for _, e := range run {
+			for len(cl) > 0 && cl[0].inserts == i {
+				o = append(o, LogRecord{Op: OpDelete, TT: cl[0].elem.TTEnd, Elem: cl[0].elem})
+				cl = cl[1:]
+			}
+			o = append(o, LogRecord{Op: OpInsert, TT: e.TTStart, Elem: e})
+			i++
 		}
+		out, n, closes = o, i, cl
+		return true
+	})
+	for _, c := range closes {
 		out = append(out, LogRecord{Op: OpDelete, TT: c.elem.TTEnd, Elem: c.elem})
-	}
-	for _, e := range r.versions[i:] {
-		out = append(out, LogRecord{Op: OpInsert, TT: e.TTStart, Elem: e})
 	}
 	return out
 }
@@ -317,8 +332,8 @@ func (r *Relation) Backlog() []LogRecord {
 // newest is the transaction time of the backlog's last record: the later of
 // the two lists' last ones. ok is false when the backlog is empty.
 func (r *Relation) newest() (tt chronon.Chronon, ok bool) {
-	if n := len(r.versions); n > 0 {
-		tt, ok = r.versions[n-1].TTStart, true
+	if n := r.versions.Len(); n > 0 {
+		tt, ok = r.versions.At(n-1).TTStart, true
 	}
 	if n := len(r.closes); n > 0 && (!ok || r.closes[n-1].elem.TTEnd > tt) {
 		tt, ok = r.closes[n-1].elem.TTEnd, true
@@ -326,9 +341,9 @@ func (r *Relation) newest() (tt chronon.Chronon, ok bool) {
 	return tt, ok
 }
 
-// Versions returns every element ever stored, in insertion (tt⊢) order.
-// The returned slice must not be modified.
-func (r *Relation) Versions() []*element.Element { return r.versions }
+// Versions returns every element ever stored, in insertion (tt⊢) order, in a
+// fresh slice that is the caller's; the elements must not be modified.
+func (r *Relation) Versions() []*element.Element { return storage.Elements(r.versions) }
 
 // ByES looks up an element by its element surrogate.
 func (r *Relation) ByES(es surrogate.Surrogate) (*element.Element, bool) {
@@ -336,19 +351,24 @@ func (r *Relation) ByES(es surrogate.Surrogate) (*element.Element, bool) {
 	if !ok {
 		return nil, false
 	}
-	return r.versions[i], true
+	return r.versions.At(i), true
 }
 
 // Current returns the current historical state: all elements that have not
 // been logically deleted, in insertion order. This is the paper's "current
 // query" — the only query a conventional database system supports.
-func (r *Relation) Current() []*element.Element {
+func (r *Relation) Current() []*element.Element { return r.filter((*element.Element).Current) }
+
+// filter returns the versions keep accepts, in insertion order; nil when
+// none does.
+func (r *Relation) filter(keep func(*element.Element) bool) []*element.Element {
 	var out []*element.Element
-	for _, e := range r.versions {
-		if e.Current() {
+	r.versions.Scan(func(e *element.Element) bool {
+		if keep(e) {
 			out = append(out, e)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -358,12 +378,10 @@ func (r *Relation) Current() []*element.Element {
 // reconstruction scans only the prefix of insertions with tt⊢ <= tt.
 func (r *Relation) Rollback(tt chronon.Chronon) []*element.Element {
 	// versions is sorted by TTStart; binary search for the prefix end.
-	n := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].TTStart > tt
-	})
+	n := r.versions.Search(func(e *element.Element) bool { return e.TTStart > tt })
 	var out []*element.Element
-	for _, e := range r.versions[:n] {
-		if e.PresentAt(tt) {
+	for i := range n {
+		if e := r.versions.At(i); e.PresentAt(tt) {
 			out = append(out, e)
 		}
 	}
@@ -374,13 +392,7 @@ func (r *Relation) Rollback(tt chronon.Chronon) []*element.Element {
 // current state whose facts are valid at vt (the time-slice operator of
 // [BZ82, JMS79]).
 func (r *Relation) Timeslice(vt chronon.Chronon) []*element.Element {
-	var out []*element.Element
-	for _, e := range r.versions {
-		if e.Current() && e.ValidAt(vt) {
-			out = append(out, e)
-		}
-	}
-	return out
+	return r.filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(vt) })
 }
 
 // TimesliceAsOf is the combined bitemporal query: the elements of the
@@ -403,13 +415,13 @@ const cancelCheckEvery = 1024
 // expensive read and the one worth interrupting.
 func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) ([]*element.Element, error) {
 	var out []*element.Element
-	for i, e := range r.versions {
+	for i := range r.versions.Len() {
 		if i%cancelCheckEvery == cancelCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if e.PresentAt(tt) && e.ValidAt(vt) {
+		if e := r.versions.At(i); e.PresentAt(tt) && e.ValidAt(vt) {
 			out = append(out, e)
 		}
 	}
@@ -421,13 +433,7 @@ func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon)
 // of [SK86] cited in §2). It is read off the versions on demand:
 // O(versions), and the slice is the caller's.
 func (r *Relation) History(os surrogate.Surrogate) []*element.Element {
-	var out []*element.Element
-	for _, e := range r.versions {
-		if e.OS == os {
-			out = append(out, e)
-		}
-	}
-	return out
+	return r.filter(func(e *element.Element) bool { return e.OS == os })
 }
 
 // Objects returns the object surrogates present in the relation, in
@@ -437,12 +443,13 @@ func (r *Relation) History(os surrogate.Surrogate) []*element.Element {
 func (r *Relation) Objects() []surrogate.Surrogate {
 	var out []surrogate.Surrogate
 	seen := make(map[surrogate.Surrogate]bool)
-	for _, e := range r.versions {
+	r.versions.Scan(func(e *element.Element) bool {
 		if !seen[e.OS] {
 			seen[e.OS] = true
 			out = append(out, e.OS)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -452,8 +459,9 @@ func (r *Relation) Objects() []surrogate.Surrogate {
 // It is derived from the versions on demand: O(versions).
 func (r *Relation) Partitions() map[surrogate.Surrogate][]*element.Element {
 	out := make(map[surrogate.Surrogate][]*element.Element)
-	for _, e := range r.versions {
+	r.versions.Scan(func(e *element.Element) bool {
 		out[e.OS] = append(out[e.OS], e)
-	}
+		return true
+	})
 	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tx"
 )
@@ -432,5 +433,28 @@ func TestGuardRejectionOnDeleteLeavesElementCurrent(t *testing.T) {
 	}
 	if !e.Current() {
 		t.Error("rejected delete changed the element")
+	}
+}
+
+// TestCommitDropsTheLabelItBreaks: a committed element is never refused by
+// the store it lands in. On a store labelled vt-ordered, an insert before
+// the last valid time (in transaction-time order still) drops the label one
+// step, to tt-ordered, and is stored last, where ByES finds it.
+func TestCommitDropsTheLabelItBreaks(t *testing.T) {
+	r := newEventRelation()
+	insertReading(t, r, 10, "s1", 1)
+	insertReading(t, r, 20, "s1", 2)
+	if err := r.Store().Retype(storage.VTOrdered); err != nil {
+		t.Fatal(err)
+	}
+	e := insertReading(t, r, 5, "s1", 3)
+	if k := r.Store().Kind(); k != storage.TTOrdered {
+		t.Fatalf("label %v after an out-of-vt-order commit, want %v", k, storage.TTOrdered)
+	}
+	if r.Len() != 3 || r.Store().At(2) != e {
+		t.Fatalf("the element is not stored last: %d versions", r.Len())
+	}
+	if got, ok := r.ByES(e.ES); !ok || got != e {
+		t.Fatalf("ByES(%v) = %v, %v", e.ES, got, ok)
 	}
 }

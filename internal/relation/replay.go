@@ -107,7 +107,7 @@ func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("delete of unknown element %v", e.ES)
 		}
-		if was = r.versions[i]; !was.Current() {
+		if was = r.versions.At(i); !was.Current() {
 			return nil, nil, fmt.Errorf("delete of already-deleted element %v", e.ES)
 		}
 		return was, r.applyDelete(i, rec.TT), nil

@@ -93,11 +93,10 @@ func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chrono
 }
 
 // CommitDelete applies a staged deletion. The element is closed by
-// copy-on-close: the returned copy (TTEnd = tt) is what the live relation
-// now holds; e itself is left open for any pinned read snapshot. Callers
-// that maintain a secondary store must Replace e with the copy there too.
-// e must be what StageDelete or StageModify returned under the lock still
-// held.
+// copy-on-close: the returned copy (TTEnd = tt) replaces e in the relation's
+// store (Store), so whatever queries that store sees the close; e itself is
+// left open for any pinned read snapshot. e must be what StageDelete or
+// StageModify returned under the lock still held.
 func (r *Relation) CommitDelete(e *element.Element, tt chronon.Chronon) *element.Element {
 	i, ok := r.position(e.ES)
 	if !ok {

@@ -2,8 +2,11 @@ package relation
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/chronon"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
@@ -32,30 +35,26 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	}
 	r.vacuumedTo = horizon
 
-	// One pass filters both lists in place: a close record is kept with its
-	// clone and recounted against the insert records kept before it.
-	removed, c, kept := 0, 0, r.closes[:0]
-	keep := func(upTo int) {
-		for ; c < len(r.closes) && r.closes[c].inserts <= upTo; c++ {
-			if rec := r.closes[c]; rec.elem.TTEnd > horizon {
-				kept = append(kept, closeRecord{inserts: upTo - removed, elem: rec.elem})
-			}
+	// A version goes with its delete record, and the delete records are in
+	// tt order: the first removed of them hold the versions at or before the
+	// horizon. The survivors move to a fresh heap, in surrogate order still,
+	// which the caller re-labels; each kept delete record is recounted
+	// against the insert records kept before it.
+	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].elem.TTEnd > horizon })
+	if removed == 0 {
+		return 0, nil
+	}
+	fresh, kept, c := storage.NewHeap(), r.closes[removed:], 0
+	for i := 0; i <= r.versions.Len(); i++ {
+		for ; c < len(kept) && kept[c].inserts <= i; c++ {
+			kept[c].inserts = fresh.Len()
+		}
+		if i < r.versions.Len() && r.versions.At(i).TTEnd > horizon {
+			_ = fresh.Insert(r.versions.At(i)) // the heap refuses nothing
 		}
 	}
-	for i, e := range r.versions {
-		keep(i)
-		if e.TTEnd <= horizon {
-			removed++
-			continue
-		}
-		r.versions[i-removed] = e
-	}
-	keep(len(r.versions))
-	clear(r.versions[len(r.versions)-removed:])
-	r.versions = r.versions[:len(r.versions)-removed] // still in surrogate order: a filter keeps it
-	clear(r.closes[len(kept):])
-	r.closes = kept
-	if removed > 0 && r.byES != nil {
+	r.versions, r.closes = fresh, slices.Delete(r.closes, 0, removed)
+	if r.byES != nil {
 		r.reindex()
 	}
 	return removed, nil

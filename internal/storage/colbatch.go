@@ -84,8 +84,8 @@ func (r *BatchReader) SeekVT(lo, hi chronon.Chronon) {
 	if r.kind != VTOrdered {
 		return
 	}
-	r.bound(r.s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo }),
-		r.s.search(func(e *element.Element) bool { return e.VT.Start() >= hi }))
+	r.bound(r.s.Search(func(e *element.Element) bool { return exclusiveEnd(e) > lo }),
+		r.s.Search(func(e *element.Element) bool { return e.VT.Start() >= hi }))
 }
 
 // SeekTT bounds the reader by the logs' transaction-time order to the chunks
@@ -96,8 +96,8 @@ func (r *BatchReader) SeekTT(lo, hi chronon.Chronon) {
 	if r.kind == Heap {
 		return
 	}
-	r.bound(r.s.search(func(e *element.Element) bool { return e.TTStart >= lo }),
-		r.s.search(func(e *element.Element) bool { return e.TTStart > hi }))
+	r.bound(r.s.Search(func(e *element.Element) bool { return e.TTStart >= lo }),
+		r.s.Search(func(e *element.Element) bool { return e.TTStart > hi }))
 }
 
 // bound narrows the reader to the chunks that hold elements [from, to),

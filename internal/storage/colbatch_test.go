@@ -67,7 +67,7 @@ func TestBatchReaderStreamsArrivalOrder(t *testing.T) {
 	// Close some elements inside sealed runs: the reader gathers the new
 	// tt⊣ from the live rows.
 	for _, i := range []int{3, runSize + 9, 2*runSize + 100} {
-		orig := st.at(i)
+		orig := st.At(i)
 		closed := *orig
 		closed.TTEnd = chronon.Chronon(1_000_000)
 		st.Replace(orig, &closed)
@@ -97,7 +97,7 @@ func TestBatchReaderZoneMapSkips(t *testing.T) {
 	}
 	// Fully close the second run so current-only can prune it.
 	for i := runSize; i < 2*runSize; i++ {
-		orig := st.at(i)
+		orig := st.At(i)
 		closed := *orig
 		closed.TTEnd = chronon.Chronon(999_999)
 		st.Replace(orig, &closed)
@@ -299,7 +299,7 @@ func sealedEventLog(t *testing.T, n int) *RunStore {
 }
 
 func closeAt(st *RunStore, i int, tt chronon.Chronon) {
-	orig := st.at(i)
+	orig := st.At(i)
 	closed := *orig
 	closed.TTEnd = tt
 	st.Replace(orig, &closed)
@@ -327,7 +327,7 @@ func TestRunCloseCounts(t *testing.T) {
 	closeAt(st, runSize+4, 99_002)
 	closeAt(st, 5, 99_003)
 
-	if !before.at(runSize+3).Current() || mid.at(runSize+3).Current() || !mid.at(5).Current() {
+	if !before.At(runSize+3).Current() || mid.At(runSize+3).Current() || !mid.At(5).Current() {
 		t.Fatal("a snapshot's elements moved with the live store")
 	}
 	if l, m, b := lifetime(st), lifetime(mid), lifetime(before); !reflect.DeepEqual(l, []int{1, 2, 1}) ||
@@ -349,8 +349,8 @@ func TestRunCloseCounts(t *testing.T) {
 	if life := lifetime(st); !reflect.DeepEqual(life, []int{1, 2, 1}) {
 		t.Fatalf("after sealing the tail: lifetime %v", life)
 	}
-	again := *st.at(5)
-	st.Replace(st.at(5), &again)
+	again := *st.At(5)
+	st.Replace(st.At(5), &again)
 	if life := lifetime(st); !reflect.DeepEqual(life, []int{1, 2, 1}) || st.chunk(0).ttClosed != 99_003 {
 		t.Fatalf("non-close replace moved the counts: lifetime %v, greatest closed tt⊣ %v", life, st.chunk(0).ttClosed)
 	}
@@ -373,7 +373,7 @@ func TestCurrentOnlyPrunesRunsClosedAfterSealing(t *testing.T) {
 	r = NewBatchReader(st, true)
 	r.SetCurrentOnly()
 	got := batchElems(t, r, true)
-	if r.Skipped() != 1 || len(got) != runSize || got[0] != st.at(runSize) {
+	if r.Skipped() != 1 || len(got) != runSize || got[0] != st.At(runSize) {
 		t.Fatalf("run closed after sealing: read %d elements, skipped %d runs, want %d and 1", len(got), r.Skipped(), runSize)
 	}
 	// Without the current-only rule the run is still read.
@@ -415,7 +415,7 @@ func TestAdvanceReportsStableRuns(t *testing.T) {
 			if err := r.Load(&b); err != nil {
 				t.Fatal(err)
 			}
-			if want := runSize; u.Run >= 0 && (b.N != want || len(r.Rows()) != want || r.Rows()[0] != st.at(u.Run*runSize)) {
+			if want := runSize; u.Run >= 0 && (b.N != want || len(r.Rows()) != want || r.Rows()[0] != st.At(u.Run*runSize)) {
 				t.Fatalf("run %d loaded %d rows, yields %d", u.Run, b.N, len(r.Rows()))
 			}
 			out = append(out, unit{u.Run, u.Closed, u.Stable})
@@ -514,7 +514,7 @@ func TestSeekBounds(t *testing.T) {
 		t.Helper()
 		s := seqOf(st)
 		for i := 0; i < s.n; i++ {
-			e, k := s.at(i), i/runSize
+			e, k := s.At(i), i/runSize
 			switch {
 			case reach(e) && (k < a || k >= b):
 				t.Fatalf("%s: element %d in chunk %d is outside the yielded chunks [%d, %d)", what, i, k, a, b)

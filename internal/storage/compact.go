@@ -78,7 +78,7 @@ func (s *RunStore) Compact() int {
 // rollback is the log organizations' rollback: binary search for the prefix
 // with tt⊢ ≤ tt, then a filter of it.
 func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	return s.presentIn(s.search(func(e *element.Element) bool { return e.TTStart > tt }), tt)
+	return s.presentIn(s.Search(func(e *element.Element) bool { return e.TTStart > tt }), tt)
 }
 
 // presentIn filters the first n elements, run by run, for those present at
@@ -174,7 +174,7 @@ func appendValid(out, run []*element.Element, lo, hi chronon.Chronon) []*element
 // chunk that holds no current element and stopping early when a chunk's
 // minimum start already passes hi. The probe counts as one touch.
 func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	start := s.search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
+	start := s.Search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
 	var out []*element.Element
 	touched := 1
 	for k := start / runSize; k < s.chunks(); k++ {

@@ -160,7 +160,9 @@ func (s *seq) chunk(k int) *chunk {
 	return s.spine[uint(k)/blockSize].chunks[uint(k)%blockSize]
 }
 
-func (s *seq) at(i int) *element.Element {
+// At returns the element at position i of the arrival order; i must lie in
+// [0, Len()).
+func (s *seq) At(i int) *element.Element {
 	return s.chunk(i / runSize).elems[uint(i)%runSize]
 }
 
@@ -231,12 +233,12 @@ func (s *seq) own(k int) *chunk {
 	return &cp
 }
 
-// search returns the first index whose element satisfies pred, n when none
-// does; pred must be monotone over the sequence. Two binary searches: over
+// Search returns the first index whose element satisfies pred, Len() when
+// none does; pred must be monotone over the sequence. Two binary searches: over
 // the chunks by their first element — the answer lies in the last chunk
 // whose first element fails pred — then inside that one chunk, so no probe
 // pays an index split and the second half probes one array.
-func (s *seq) search(pred func(*element.Element) bool) int {
+func (s *seq) Search(pred func(*element.Element) bool) int {
 	lo, hi := 0, s.chunks()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -268,9 +270,9 @@ func (s *seq) search(pred func(*element.Element) bool) int {
 // the heap can hold a history whose tt order broke; that falls through to
 // the scan.
 func (s *seq) index(old *element.Element) int {
-	i := s.search(func(e *element.Element) bool { return e.TTStart >= old.TTStart })
+	i := s.Search(func(e *element.Element) bool { return e.TTStart >= old.TTStart })
 	for ; i < s.n; i++ {
-		if e := s.at(i); e == old {
+		if e := s.At(i); e == old {
 			return i
 		} else if e.TTStart != old.TTStart {
 			break

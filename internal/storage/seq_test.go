@@ -57,7 +57,7 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 	flat := Elements(st)
 	i := 0
 	st.Scan(func(e *element.Element) bool {
-		if e != m.elems[i] || flat[i] != e || s.at(i) != e {
+		if e != m.elems[i] || flat[i] != e || s.At(i) != e {
 			t.Fatalf("%s: slot %d holds ES %v (flattened ES %v), model ES %v", what, i, e.ES, flat[i].ES, m.elems[i].ES)
 		}
 		i++

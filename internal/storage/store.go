@@ -89,7 +89,10 @@ type Store interface {
 	// Insert appends a newly stored element. Elements must arrive in
 	// non-decreasing tt⊢ order (the engine's natural order); VTOrdered
 	// additionally requires non-decreasing valid-time order and returns an
-	// error when the assumption its specialization promised is broken.
+	// error, storing nothing, when the assumption its specialization
+	// promised is broken. A relation's own store (relation.Relation.Store)
+	// is inserted into by the relation alone, which drops a refusing label
+	// until the element is admitted.
 	Insert(e *element.Element) error
 	// Scan visits every element; it returns the number touched.
 	Scan(visit func(*element.Element) bool) int
@@ -189,16 +192,24 @@ func (k Kind) breaks(last, e *element.Element) error {
 	return nil
 }
 
-// Insert appends the element, verifying the orders the kind promises and
-// failing loudly when a declaration was wrong.
-func (s *RunStore) Insert(e *element.Element) error {
+// Admits reports why Insert would refuse e — the promise of the label that e,
+// stored next, would break, or the store being a snapshot — and nil when
+// Insert would store it.
+func (s *RunStore) Admits(e *element.Element) error {
 	if s.frozen {
 		return errFrozenInsert
 	}
 	if s.kind != Heap && s.n > 0 {
-		if err := s.kind.breaks(s.at(s.n-1), e); err != nil {
-			return err
-		}
+		return s.kind.breaks(s.At(s.n-1), e)
+	}
+	return nil
+}
+
+// Insert appends the element, verifying the orders the kind promises and
+// failing loudly when a declaration was wrong.
+func (s *RunStore) Insert(e *element.Element) error {
+	if err := s.Admits(e); err != nil {
+		return err
 	}
 	s.push(e)
 	return nil
@@ -288,8 +299,8 @@ func (s *RunStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
 		return out, s.n
 	}
 	touched := 1
-	for i := s.search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n; i++ {
-		e := s.at(i)
+	for i := s.Search(func(e *element.Element) bool { return e.TTStart >= lo }); i < s.n; i++ {
+		e := s.At(i)
 		if e.TTStart > hi {
 			break
 		}

@@ -87,8 +87,8 @@ func TestStoresAgreeOnResults(t *testing.T) {
 		}
 	}
 	// Mark a few deleted.
-	heap.at(10).TTEnd = 500
-	heap.at(50).TTEnd = 800
+	heap.At(10).TTEnd = 500
+	heap.At(50).TTEnd = 800
 
 	queries := []int64{0, 95, 95 + 37*10, 95 + 99*10, 5000}
 	for _, q := range queries {

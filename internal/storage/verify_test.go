@@ -140,7 +140,7 @@ func TestVerifyRunsZoneMapCorruption(t *testing.T) {
 				t.Fatalf("clean store: %v, %v", bad, answers(st))
 			}
 			snap := st.Snapshot().(*RunStore)
-			vt := st.at(runSize + 40).VT.Start()
+			vt := st.At(runSize + 40).VT.Start()
 			for _, hi := range []bool{false, true} {
 				// Chunk 1 holds vt 2570 … 5120: setting bit 40 moves the low
 				// bound far above all of it, clearing bit 12 of the high bound
@@ -219,7 +219,7 @@ func TestVerifyRunsToleratesClosesSinceSealing(t *testing.T) {
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("a close since sealing reported as damage: %v", bad)
 	}
-	behind := *st.at(runSize + 1)
+	behind := *st.At(runSize + 1)
 	behind.TTEnd = 9_999_999
 	st.chunk(1).elems[1] = &behind // not through Replace: run 1 books no close
 	if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != 1 {

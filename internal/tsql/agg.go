@@ -143,7 +143,7 @@ func AggToResult(q *Query, r *vec.AggResult) *Result {
 }
 
 // EvalAggregate is the standalone aggregate evaluation: the row
-// reference engine over a version list (the shell's local mode and EvalOn
+// reference engine over a version list (the shell's local mode and Eval
 // both land here).
 func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
 	spec, err := BuildAggSpec(q, schema)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // Result is an evaluated query: column names and rows of values.
@@ -25,27 +26,16 @@ var pseudoColumns = []string{"es", "os", "tt_start", "tt_end", "vt", "vt_start",
 // Eval runs the query against the relation. The caller resolves the
 // relation by name (the query's Rel field) before calling.
 func Eval(q *Query, r *relation.Relation) (*Result, error) {
-	return EvalOn(q, r.Schema(), r.Versions())
+	return EvalRunsCtx(context.Background(), q, r.Schema(), storage.Runs(r.Store()))
 }
 
-// EvalOn runs the query over an explicit version list — either a
-// relation's full backlog or the candidate set a planned access path
-// produced. Every clause is (re-)applied, so a caller may pass a superset
-// of the answer; the predicates are idempotent.
-func EvalOn(q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
-	return EvalOnCtx(context.Background(), q, schema, versions)
-}
-
-// EvalOnCtx is EvalOn with cooperative cancellation: the version loop
-// re-checks ctx between runs of at most element.MaxRun versions, so a
-// caller that has timed out or hung up stops consuming CPU mid-scan
-// instead of computing a result no one will read.
-func EvalOnCtx(ctx context.Context, q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
-	return EvalRunsCtx(ctx, q, schema, element.Slice(versions))
-}
-
-// EvalRunsCtx is EvalOnCtx over versions taken a run at a time, so a full
-// scan reads a store's runs where they lie instead of a flattened copy.
+// EvalRunsCtx runs the query over versions taken a run at a time — a
+// relation's whole store, read where its runs lie, or the candidate set a
+// planned access path produced. Every clause is (re-)applied, so a caller may
+// pass a superset of the answer; the predicates are idempotent. The version
+// loop re-checks ctx between runs of at most element.MaxRun versions, so a
+// caller that has timed out or hung up stops consuming CPU mid-scan instead
+// of computing a result no one will read.
 func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
 	if q.Group != nil {
 		return EvalAggregate(ctx, q, schema, versions)
