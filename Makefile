@@ -101,8 +101,11 @@ bench:
 # the auto-specialization before/after pair, the idempotency window's
 # lookup and remember per key on a full, churning window (0 allocs/op),
 # boot replay over a log with
-# closes and over an ingesting sensor's log of keyed batch frames
-# (versions/s), a close after a publish at 8 k and 128 k elements (ns/op and B/op
+# closes and over an ingesting sensor's log of batch frames, keyed per element
+# and under one key (versions/s), the same one-key log under a snapshot that
+# covers every frame (its frames left unread), a follower applying 4,096
+# single-insert frames 1, 8 and 64 a call (ns/frame), snapshot boot of a 65,536-version sensor
+# relation (allocs/version), a close after a publish at 8 k and 128 k elements (ns/op and B/op
 # must not follow the size), the aggregate-after-append pair (run partials warm against the
 # cache-off direct fold; with firehose-analytics' 65,536-chronon clamp, where the access path
 # bounds the chunk loop: folded/op ≈ 2 warm, pruned/op the chunks outside the clamp, rows/op
@@ -125,7 +128,8 @@ bench:
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms -benchmem ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkRecoverCoveredLog|BenchmarkApplyReplicatedFrames|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms -benchmem ./internal/catalog
+	$(GO) test -run=NONE -bench='^BenchmarkLoadSnapshot$$' -benchtime=100ms -benchmem ./internal/backlog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkPosition$$' -benchtime=100ms -benchmem ./internal/relation
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms -benchmem ./internal/wire

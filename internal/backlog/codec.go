@@ -311,6 +311,8 @@ var syncDir = func(dir string) {
 // relation on the given transaction clock, and re-attaches the persisted
 // declarations as enforcers (one per scope) warmed with the replayed
 // history, so the next transaction is validated against the full state.
+// The relation adopts the elements Read decoded (relation.Restore): the
+// returned snapshot's records point at the relation's own versions.
 func Load(path string, clock tx.Clock) (*relation.Relation, Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -321,7 +323,7 @@ func Load(path string, clock tx.Clock) (*relation.Relation, Snapshot, error) {
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
-	r, err := relation.Replay(s.Schema, clock, s.Records)
+	r, err := relation.Restore(s.Schema, clock, s.Records)
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
@@ -558,8 +560,62 @@ func AppendRecord(dst []byte, rec relation.LogRecord) []byte {
 	return e.b
 }
 
-// DecodeRecord deserializes one backlog record.
+// DecodeRecord deserializes one backlog record into arrays of its own.
 func DecodeRecord(b []byte) (relation.LogRecord, error) {
+	var s Slab
+	return s.Decode(b)
+}
+
+// minInsertSpan is the fewest bytes an insert record takes in a WAL frame,
+// its u32 length prefix included: op, tt, es, os, stamp kind, start, end
+// and three u16 counts, with no value and no user-defined time.
+const minInsertSpan = 4 + 1 + 8 + 8 + 8 + 1 + 8 + 8 + 3*2
+
+// Slab is what a run of insert records — a batch frame's — decodes into:
+// one element array and one value array shared by the run, instead of an
+// element and a value array per record. A record the slab has no room for
+// gets arrays of its own, so a slab's size bounds what it allocates up
+// front, never what decodes. The zero Slab has no room.
+//
+// A decoded element points into the slab's arrays, so one element still
+// referenced keeps them all; a holder that outlives most of the run (a
+// vacuum's survivor) copies the element out (element.Clone).
+type Slab struct {
+	els  []element.Element // elements not handed out yet
+	vals []element.Value   // values not handed out yet
+	// The value array is sized when the first insert shows how many values
+	// a record carries: that many for each of units records, at most one a
+	// byte of the run (a value takes at least one).
+	units, bytes int
+}
+
+// NewSlab sizes a slab for up to n insert records in a run of b bytes of
+// framed records. n is a claim off the wire: the slab holds no more
+// elements than the bytes can back at minInsertSpan each.
+func NewSlab(n, b int) *Slab {
+	n = max(0, min(n, b/minInsertSpan))
+	return &Slab{els: make([]element.Element, n), units: n, bytes: b}
+}
+
+// values hands out a value array of length 0 and capacity n: the slab's
+// next n values when it has room, else an array of its own, no larger
+// than the bytes left to back it (left).
+func (s *Slab) values(n, left int) []element.Value {
+	if s.vals == nil && s.units > 0 {
+		s.vals = make([]element.Value, min(n*s.units, s.bytes))
+		s.units = 0
+	}
+	if n <= len(s.vals) {
+		v := s.vals[:0:n]
+		s.vals = s.vals[n:]
+		return v
+	}
+	return make([]element.Value, 0, min(n, left))
+}
+
+// Decode deserializes one backlog record, an insert's element and values
+// drawn from the slab.
+func (s *Slab) Decode(b []byte) (relation.LogRecord, error) {
 	d := dec{b: b}
 	op := relation.Op(d.u8())
 	tt := chronon.Chronon(d.i64())
@@ -576,7 +632,12 @@ func DecodeRecord(b []byte) (relation.LogRecord, error) {
 	if op != relation.OpInsert {
 		return relation.LogRecord{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
 	}
-	el := &element.Element{}
+	var el *element.Element
+	if len(s.els) > 0 {
+		el, s.els = &s.els[0], s.els[1:]
+	} else {
+		el = &element.Element{}
+	}
 	el.ES = surrogate.Surrogate(d.u64())
 	el.OS = surrogate.Surrogate(d.u64())
 	kind := element.TimestampKind(d.u8())
@@ -591,7 +652,7 @@ func DecodeRecord(b []byte) (relation.LogRecord, error) {
 	for i := 0; i < n && skip.err == nil; i++ {
 		skipValue(&skip)
 	}
-	vals := make([]element.Value, 0, min(n+int(skip.u16()), len(d.b)))
+	vals := s.values(n+int(skip.u16()), len(d.b))
 	for ; n > 0 && d.err == nil; n-- {
 		vals = append(vals, decodeValue(&d))
 	}

@@ -265,6 +265,21 @@ func (c *Catalog) Open() error {
 	return nil
 }
 
+// The decoder of Catalog.replay hands frames to the applier in groups: a
+// group closes at replayGroupFrames frames or once its payloads reach
+// replayGroupBytes, and at most replayLookahead groups wait beside the one
+// being filled and the one being applied. A handoff wakes a goroutine,
+// which costs more than decoding a small frame, so it is paid per group,
+// not per frame; the byte bound keeps a group of large batch frames, and
+// what waits, to a few hundred KB of decoded versions. Records that fit in
+// one group are prepared inline: the applier would wait for the whole group
+// anyway, so a second goroutine could overlap nothing.
+const (
+	replayGroupFrames = 64
+	replayGroupBytes  = 64 << 10
+	replayLookahead   = 2
+)
+
 // replay redoes journaled frames in LSN order — the one driver behind
 // boot recovery (the log's recovered records over the snapshots) and
 // follower apply (records shipped from the primary). Each frame goes
@@ -274,19 +289,35 @@ func (c *Catalog) Open() error {
 // bumps the epoch past every view a reader may have cached against. The
 // relation whose frame failed is the exception: the frame may have half
 // applied (a modify's delete without its insert), so it is not published.
+//
+// What a frame's redo needs of its bytes alone — the decoded mutation and
+// the Merkle leaf (prepare) — is made on a second goroutine, a bounded
+// number of frames ahead, while this one applies in order (decodeAhead),
+// unless the records fit in one group. The decoder stops when the applier
+// fails, and replay returns only after it has: nothing runs past replay.
 func (c *Catalog) replay(recs []wal.Record) error {
 	touched := make(map[*Entry]bool)
 	var failed error
-	for _, rec := range recs {
-		e, err := c.redo(rec)
+	redo := func(f *frame) bool {
+		e, err := c.redo(f)
 		if err != nil {
 			delete(touched, e)
-			failed = fmt.Errorf("lsn %d: %w", rec.LSN, err)
-			break
+			failed = fmt.Errorf("lsn %d: %w", f.rec.LSN, err)
+			return false
 		}
 		if e != nil {
 			touched[e] = true
 		}
+		return true
+	}
+	if groupEnd(recs, 0) == len(recs) {
+		for _, rec := range recs {
+			if f := c.prepare(rec, c.lookup(rec.Rel)); !redo(&f) {
+				break
+			}
+		}
+	} else {
+		c.decodeAhead(recs, redo)
 	}
 	for e := range touched {
 		_ = e.locked.Exclusive(func(*relation.Relation) error {
@@ -298,12 +329,103 @@ func (c *Catalog) replay(recs []wal.Record) error {
 	return failed
 }
 
-// redo applies one journaled frame. Frames a snapshot already covers
+// groupEnd is where the group of frames starting at recs[i] ends.
+func groupEnd(recs []wal.Record, i int) int {
+	size := 0
+	for j := i; j < len(recs); j++ {
+		if size += len(recs[j].Payload); j-i+1 == replayGroupFrames || size >= replayGroupBytes {
+			return j + 1
+		}
+	}
+	return len(recs)
+}
+
+// decodeAhead prepares recs on a goroutine of its own, group by group, and
+// hands each frame to redo in order until redo refuses one. It returns
+// once the decoder has stopped.
+func (c *Catalog) decodeAhead(recs []wal.Record, redo func(*frame) bool) {
+	groups := make(chan []frame, replayLookahead)
+	stop := make(chan struct{})
+	go func() {
+		defer close(groups)
+		// The last frame's relation, once it exists: entries are never
+		// replaced, and a shard lock taken per frame on this core and the
+		// applier's would cost more than a small frame's decode.
+		var e *Entry
+		for i := 0; i < len(recs); {
+			end := groupEnd(recs, i)
+			g := make([]frame, 0, end-i)
+			for _, rec := range recs[i:end] {
+				if e == nil || e.name != rec.Rel {
+					e = c.lookup(rec.Rel)
+				}
+				g = append(g, c.prepare(rec, e))
+			}
+			select {
+			case <-stop:
+				return
+			case groups <- g:
+			}
+			i = end
+		}
+	}()
+apply:
+	for g := range groups {
+		for i := range g {
+			if !redo(&g[i]) {
+				break apply
+			}
+		}
+	}
+	close(stop)
+	for range groups {
+		// Wait out the decoder: it closes groups on its way out.
+	}
+}
+
+// frame is one journaled record made ready for redo from its bytes alone:
+// a mutation frame's decoded mutation (or the error decoding it, reported
+// only if the frame is not skipped) and, when the catalog keeps Merkle
+// trees, the frame's leaf. A frame its relation already covers is left
+// unread.
+type frame struct {
+	rec  wal.Record
+	m    mutation
+	err  error
+	leaf integrity.Hash
+}
+
+// prepare decodes and hashes one record, unless e — the record's
+// relation, nil when it does not exist yet — already covers it (LSN at or
+// below the watermark): redo skips such a frame, so prepare leaves it
+// unread. Relations are never dropped and watermarks only rise, so a frame
+// covered here is covered when redo reaches it, and prepare may run ahead
+// of the frames before it being applied.
+func (c *Catalog) prepare(rec wal.Record, e *Entry) frame {
+	f := frame{rec: rec}
+	if e != nil && rec.LSN <= e.walLSN.Load() {
+		return f
+	}
+	switch rec.Kind {
+	case walCreate, walDeclare, walRespecialize:
+		// redo decodes these: they are rare.
+	default:
+		f.m, f.err = decodeMutation(rec.Kind, rec.Payload)
+	}
+	if c.IntegrityEnabled() {
+		f.leaf = integrity.FrameLeaf(rec.LSN, rec.Kind, rec.Rel, rec.Payload)
+	}
+	return f
+}
+
+// redo applies one prepared frame. Frames a snapshot already covers
 // (LSN at or below the relation's persisted watermark) are skipped, which
 // is what makes replay idempotent across partially truncated logs and
-// re-shipped feeds. Returns the touched entry — with the error when its
-// frame failed to apply — or nil when skipped.
-func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
+// re-shipped feeds — whether or not their payload decodes. Returns the
+// touched entry — with the error when its frame failed to apply — or nil
+// when skipped.
+func (c *Catalog) redo(f *frame) (*Entry, error) {
+	rec := f.rec
 	if rec.Kind == walCreate {
 		schema, err := backlog.DecodeSchema(rec.Payload)
 		if err != nil {
@@ -319,7 +441,7 @@ func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
 			return nil, nil // the snapshot file already restored it
 		}
 		e := c.newEntry(rec.Rel, relation.NewLocked(relation.New(schema, c.newClock())), nil, backlog.Physical{})
-		e.logged(rec.LSN, rec.Kind, rec.Payload)
+		e.logged(rec.LSN, f.leaf)
 		sh.entries[rec.Rel] = e
 		return e, nil
 	}
@@ -354,16 +476,15 @@ func (c *Catalog) redo(rec wal.Record) (*Entry, error) {
 			e.adopt(r, adopted)
 			return nil
 		}
-		m, err := decodeMutation(rec.Kind, rec.Payload)
-		if err != nil {
-			return err
+		if f.err != nil {
+			return f.err
 		}
-		return e.apply(r, &m, rec.LSN)
+		return e.apply(r, &f.m, rec.LSN)
 	})
 	if err != nil {
 		return e, err
 	}
-	e.logged(rec.LSN, rec.Kind, rec.Payload)
+	e.logged(rec.LSN, f.leaf)
 	return e, nil
 }
 
@@ -491,14 +612,18 @@ func (e *Entry) writable() error {
 
 // Get resolves a relation by name.
 func (c *Catalog) Get(name string) (*Entry, error) {
+	if e := c.lookup(name); e != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+}
+
+// lookup is Get without the error: nil when there is no such relation.
+func (c *Catalog) lookup(name string) *Entry {
 	sh := c.shardFor(name)
 	sh.mu.RLock()
-	e, ok := sh.entries[name]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return e, nil
+	defer sh.mu.RUnlock()
+	return sh.entries[name]
 }
 
 // Names lists the catalog's relation names in sorted order.

@@ -33,14 +33,13 @@ func (c *Catalog) IntegrityEnabled() bool {
 	return c.cfg.WAL != nil || c.cfg.Follower
 }
 
-// appendLeaf hashes the frame exactly as the WAL framed it and appends
-// the leaf to the relation's tree. Its one caller (logged) still holds
-// the lock that serialized the write, so leaf order is commit order.
-func (e *Entry) appendLeaf(lsn uint64, kind wal.Kind, payload []byte) {
+// appendLeaf appends a frame's leaf to the relation's tree. Its one
+// caller (logged) still holds the lock that serialized the write, so leaf
+// order is commit order.
+func (e *Entry) appendLeaf(leaf integrity.Hash) {
 	if e.tree == nil {
 		return
 	}
-	leaf := integrity.FrameLeaf(lsn, kind, e.name, payload)
 	e.igMu.Lock()
 	e.tree.Append(leaf)
 	e.igMu.Unlock()

@@ -7,7 +7,7 @@ package catalog
 // path, boot recovery and follower apply are one codec and one apply:
 //
 //	live:   gate → dedup → stage → encode → journal → apply → publish → waitDurable   (commit)
-//	replay: decode → watermark skip → apply → leaf, one publish per touched relation  (Catalog.replay)
+//	replay: decode + leaf (a goroutine ahead) → watermark skip → apply, one publish per touched relation  (Catalog.replay)
 //
 // The frame on disk only ever carries records that were accepted, and the
 // CRC admits a frame whole or drops it whole, so a batch can never replay
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/element"
+	"repro/internal/integrity"
 	"repro/internal/relation"
 	"repro/internal/surrogate"
 	"repro/internal/wal"
@@ -177,7 +178,7 @@ func takeKey(b []byte) (key string, rest []byte, err error) {
 	return string(b[:n]), b[n:], nil
 }
 
-func takeRecord(b []byte) (rec relation.LogRecord, rest []byte, err error) {
+func takeRecord(b []byte, slab *backlog.Slab) (rec relation.LogRecord, rest []byte, err error) {
 	if len(b) < 4 {
 		return rec, nil, fmt.Errorf("truncated record length")
 	}
@@ -186,7 +187,7 @@ func takeRecord(b []byte) (rec relation.LogRecord, rest []byte, err error) {
 	if n < 0 || n > len(b) {
 		return rec, nil, fmt.Errorf("record length %d exceeds payload", n)
 	}
-	rec, err = backlog.DecodeRecord(b[:n])
+	rec, err = slab.Decode(b[:n])
 	return rec, b[n:], err
 }
 
@@ -214,15 +215,17 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 		count := int(binary.LittleEndian.Uint32(b))
 		b = b[4:]
 		// Each element needs at least its two length prefixes; cap the
-		// allocation by what the bytes can actually hold.
+		// allocation by what the bytes can actually hold. The elements and
+		// their values decode into one slab, sized by the bytes too.
 		if count < 0 || count > len(b)/6+1 {
 			return fail(fmt.Errorf("batch count %d exceeds payload", count))
 		}
 		m.keys = make([]string, count)
 		m.recs = make([]relation.LogRecord, count)
+		slab := backlog.NewSlab(count, len(b))
 		for i := range m.recs {
 			if m.keys[i], b, err = takeKey(b); err == nil {
-				m.recs[i], b, err = takeRecord(b)
+				m.recs[i], b, err = takeRecord(b, slab)
 			}
 			if err != nil {
 				return fail(fmt.Errorf("batch item %d: %w", i, err))
@@ -241,7 +244,8 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 		b = b[12:]
 		// The writer journals only a batch that stored something. Each
 		// stored unit needs at least its length prefix, so the bytes cap
-		// what is allocated for them.
+		// what is allocated for them, the slab its records decode into
+		// included.
 		if stored == 0 || stored > int(m.n) || stored > len(b)/4 {
 			return fail(fmt.Errorf("batch stores %d of %d units in %d bytes", stored, m.n, len(b)))
 		}
@@ -260,8 +264,9 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 			b = b[4*stored:]
 		}
 		m.recs = make([]relation.LogRecord, stored)
+		slab := backlog.NewSlab(stored, len(b))
 		for i := range m.recs {
-			if m.recs[i], b, err = takeRecord(b); err != nil {
+			if m.recs[i], b, err = takeRecord(b, slab); err != nil {
 				return fail(fmt.Errorf("batch item %d: %w", i, err))
 			}
 		}
@@ -275,8 +280,9 @@ func decodeMutation(kind wal.Kind, b []byte) (mutation, error) {
 		b = nil
 	case walModifyKeyed:
 		m.recs = make([]relation.LogRecord, 2)
-		if m.recs[0], b, err = takeRecord(b); err == nil {
-			m.recs[1], b, err = takeRecord(b)
+		var own backlog.Slab
+		if m.recs[0], b, err = takeRecord(b, &own); err == nil {
+			m.recs[1], b, err = takeRecord(b, &own)
 		}
 	}
 	if err != nil {
@@ -371,16 +377,22 @@ func (e *Entry) journal(kind wal.Kind, payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, e.walErr(err)
 	}
-	e.logged(lsn, kind, payload)
+	var leaf integrity.Hash
+	if e.tree != nil {
+		leaf = integrity.FrameLeaf(lsn, kind, e.name, payload)
+	}
+	e.logged(lsn, leaf)
 	return lsn, nil
 }
 
 // logged advances the relation's watermark past a frame and appends its
-// Merkle leaf. The leaf hashes the frame exactly as logged, so the
-// primary, boot replay and follower apply agree on every leaf.
-func (e *Entry) logged(lsn uint64, kind wal.Kind, payload []byte) {
+// Merkle leaf, which hashes the frame exactly as logged
+// (integrity.FrameLeaf) — here at the write, off the lock ahead of the
+// apply on replay — so the primary, boot replay and follower apply agree
+// on every leaf.
+func (e *Entry) logged(lsn uint64, leaf integrity.Hash) {
 	e.walLSN.Store(lsn)
-	e.appendLeaf(lsn, kind, payload)
+	e.appendLeaf(leaf)
 }
 
 // commit is the live write path of every mutation: one unit per key,

@@ -23,14 +23,15 @@ import (
 	"repro/internal/wal"
 )
 
-// bootOverWAL opens the log in walDir and a snapshot-less catalog over it:
-// Open replays whatever the log holds.
-func bootOverWAL(b *testing.B, walDir string, signer *integrity.Signer) (*Catalog, *wal.Log) {
+// bootOverWAL opens the log in walDir and a catalog over it and over the
+// snapshots in dataDir ("" for none): Open loads the snapshots and replays
+// whatever the log holds.
+func bootOverWAL(b *testing.B, walDir, dataDir string, signer *integrity.Signer) (*Catalog, *wal.Log) {
 	w, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncInterval})
 	if err != nil {
 		b.Fatalf("wal.Open: %v", err)
 	}
-	c := New(Config{NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }, WAL: w, Signer: signer})
+	c := New(Config{Dir: dataDir, NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }, WAL: w, Signer: signer})
 	if err := c.Open(); err != nil {
 		b.Fatalf("catalog.Open: %v", err)
 	}
@@ -40,7 +41,7 @@ func bootOverWAL(b *testing.B, walDir string, signer *integrity.Signer) (*Catalo
 func BenchmarkReplayCloses(b *testing.B) {
 	const inserts, deletes = 20000, 10000
 	walDir := filepath.Join(b.TempDir(), "wal")
-	open := func() (*Catalog, *wal.Log) { return bootOverWAL(b, walDir, nil) }
+	open := func() (*Catalog, *wal.Log) { return bootOverWAL(b, walDir, "", nil) }
 	c, w := open()
 	e, err := c.Create(relation.Schema{Name: "bench", ValidTime: element.EventStamp, Granularity: 1})
 	if err != nil {
@@ -84,8 +85,24 @@ func BenchmarkReplayCloses(b *testing.B) {
 // Merkle leaves and signer on — 211 k versions, none closed. Every frame
 // crosses decode, the relation's apply, the tracker, the store and the
 // dedup window, so versions/s is what a version costs to bring back; `make
-// bench-smoke` runs it beside BenchmarkReplayCloses.
-func BenchmarkRecoverIngestLog(b *testing.B) {
+// bench-smoke` runs it beside BenchmarkReplayCloses. Its batches carry a key
+// per element (kind-10 frames, the compatibility path);
+// BenchmarkRecoverIngestLogOneKey is the same log as the typed client
+// writes it, one key per batch (kind 11).
+func BenchmarkRecoverIngestLog(b *testing.B) { recoverIngestLog(b, false, false) }
+
+// BenchmarkRecoverIngestLogOneKey is BenchmarkRecoverIngestLog over
+// one-key batch frames: the window keeps one entry per batch.
+func BenchmarkRecoverIngestLogOneKey(b *testing.B) { recoverIngestLog(b, true, false) }
+
+// BenchmarkRecoverCoveredLog is BenchmarkRecoverIngestLogOneKey booted over
+// a snapshot taken after the last frame: the log's one segment outlives
+// the snapshot (truncation drops whole segments only), so boot loads the
+// snapshot and then reads a log whose every frame it covers and skips.
+// versions/s counts the snapshot's versions.
+func BenchmarkRecoverCoveredLog(b *testing.B) { recoverIngestLog(b, true, true) }
+
+func recoverIngestLog(b *testing.B, oneKey, covered bool) {
 	const batches, batch, singles = 800, 256, 8
 	const versions = batches * (batch + singles)
 	dir := b.TempDir()
@@ -93,7 +110,11 @@ func BenchmarkRecoverIngestLog(b *testing.B) {
 	if err != nil {
 		b.Fatalf("LoadOrCreateSigner: %v", err)
 	}
-	open := func() (*Catalog, *wal.Log) { return bootOverWAL(b, filepath.Join(dir, "wal"), signer) }
+	dataDir := ""
+	if covered {
+		dataDir = filepath.Join(dir, "data")
+	}
+	open := func() (*Catalog, *wal.Log) { return bootOverWAL(b, filepath.Join(dir, "wal"), dataDir, signer) }
 	c, w := open()
 	e, err := c.Create(relation.Schema{
 		Name: "sensor", ValidTime: element.EventStamp, Granularity: 1,
@@ -122,7 +143,13 @@ func BenchmarkRecoverIngestLog(b *testing.B) {
 		for j := range ins {
 			ins[j], keys[j] = next()
 		}
-		if res, err := e.InsertBatch(ctx, ins, keys, false); err != nil || res.Stored != batch {
+		var res BatchResult
+		if oneKey {
+			res, err = e.InsertBatchKeyed(ctx, ins, fmt.Sprintf("batch-%d", i), uint32(i), false)
+		} else {
+			res, err = e.InsertBatch(ctx, ins, keys, false)
+		}
+		if err != nil || res.Stored != batch {
 			b.Fatalf("InsertBatch: %v, %+v", err, res)
 		}
 		for j := 0; j < singles; j++ {
@@ -132,8 +159,23 @@ func BenchmarkRecoverIngestLog(b *testing.B) {
 			}
 		}
 	}
+	if covered {
+		if _, err := c.Snapshot(); err != nil {
+			b.Fatalf("Snapshot: %v", err)
+		}
+	}
 	if err := w.Close(); err != nil {
 		b.Fatalf("wal.Close: %v", err)
+	}
+	if covered {
+		w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal")})
+		if err != nil {
+			b.Fatalf("wal.Open: %v", err)
+		}
+		if n := len(w.TakeRecovered()); n < batches {
+			b.Fatalf("the log kept %d frames under the snapshot", n)
+		}
+		w.Close()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -147,4 +189,54 @@ func BenchmarkRecoverIngestLog(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.N*versions)/b.Elapsed().Seconds(), "versions/s")
+}
+
+// BenchmarkApplyReplicatedFrames times a tailing follower's apply: a
+// primary's log of 4,096 keyed single inserts shipped n frames per
+// ApplyReplicated call, as a follower that keeps up receives them. ns/frame
+// is what a frame costs, the call's own overhead shared among its frames.
+func BenchmarkApplyReplicatedFrames(b *testing.B) {
+	const frames = 4096
+	walDir := filepath.Join(b.TempDir(), "wal")
+	c, w := bootOverWAL(b, walDir, "", nil)
+	e, err := c.Create(relation.Schema{
+		Name: "sensor", ValidTime: element.EventStamp, Granularity: 1,
+		Varying: []relation.Column{{Name: "value", Type: element.KindInt}},
+	})
+	if err != nil {
+		b.Fatalf("Create: %v", err)
+	}
+	ctx := context.Background()
+	for i := 1; i < frames; i++ {
+		ins := relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * i)), Varying: []element.Value{element.Int(int64(i))}}
+		if _, err := e.InsertKeyed(ctx, ins, fmt.Sprintf("k-%d", i)); err != nil {
+			b.Fatalf("InsertKeyed: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatalf("wal.Close: %v", err)
+	}
+	if w, err = wal.Open(wal.Options{Dir: walDir}); err != nil {
+		b.Fatalf("wal.Open: %v", err)
+	}
+	recs := w.TakeRecovered()
+	w.Close()
+	if len(recs) != frames {
+		b.Fatalf("log holds %d frames, want %d", len(recs), frames)
+	}
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := New(Config{Follower: true, NewClock: func() tx.Clock { return tx.NewLogicalClock(0, 10) }})
+				b.StartTimer()
+				for j := 0; j < len(recs); j += n {
+					if err := f.ApplyReplicated(recs[j:min(j+n, len(recs))]); err != nil {
+						b.Fatalf("ApplyReplicated: %v", err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+		})
+	}
 }

@@ -29,10 +29,16 @@ func (m *backlogModel) close(old, closed *element.Element) {
 	*m = append(*m, LogRecord{Op: OpDelete, TT: closed.TTEnd, Elem: closed})
 }
 
-func (m *backlogModel) vacuum(horizon chronon.Chronon) {
+// vacuum keeps the records of the survivors; when r's vacuum removed
+// something, they point at the copies it moved the survivors as.
+func (m *backlogModel) vacuum(t *testing.T, r *Relation, horizon chronon.Chronon, removed int) {
+	t.Helper()
 	kept := (*m)[:0]
 	for _, rec := range *m {
 		if rec.Elem.TTEnd > horizon {
+			if removed > 0 {
+				rec.Elem = survivor(t, r, rec.Elem)
+			}
 			kept = append(kept, rec)
 		}
 	}
@@ -98,10 +104,11 @@ func TestReplayedBacklogKeepsItsOrder(t *testing.T) {
 	}
 	m := replayedModel(t, r, records)
 	m.check(t, r, "replay")
-	if _, err := r.Vacuum(40); err != nil {
+	removed, err := r.Vacuum(40)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.vacuum(40)
+	m.vacuum(t, r, 40, removed)
 	m.check(t, r, "vacuum 40")
 
 	// A same-transaction-time delete after an insert, on a relation whose
@@ -193,10 +200,11 @@ func TestBacklogAgainstStoredModel(t *testing.T) {
 					m.insert(repl)
 				case op == 6:
 					horizon := max(r.Clock().Now()-chronon.Chronon(rng.Intn(300)), r.VacuumHorizon())
-					if _, err := r.Vacuum(horizon); err != nil {
+					removed, err := r.Vacuum(horizon)
+					if err != nil {
 						t.Fatal(err)
 					}
-					m.vacuum(horizon)
+					m.vacuum(t, r, horizon, removed)
 				case op == 7: // a log's insert frame, at the last record's tt
 					es, _ := r.ReservedSurrogates()
 					ins := reading(i)

@@ -164,12 +164,17 @@ func TestPositionalIndexModel(t *testing.T) {
 					if horizon < r.VacuumHorizon() {
 						horizon = r.VacuumHorizon()
 					}
-					if _, err := r.Vacuum(horizon); err != nil {
+					n, err := r.Vacuum(horizon)
+					if err != nil {
 						t.Fatal(err)
 					}
 					for es, e := range m {
 						if e.TTEnd <= horizon {
 							delete(m, es)
+							continue
+						}
+						if n > 0 {
+							m[es] = survivor(t, r, e)
 						}
 					}
 				case op == 8: // the next frame of a log, in order

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -99,6 +100,13 @@ type Relation struct {
 	// position in versions, carried from there on.
 	byES map[surrogate.Surrogate]int
 
+	// adopted is the position of the first version ApplyLog adopted since
+	// the last Vacuum that copied such survivors out (a batch frame's
+	// versions share the arrays they were decoded into), MaxInt when there
+	// is none; Vacuum treats the versions from there on as adopted, and
+	// shed counts those it has discarded since.
+	adopted, shed int
+
 	vacuumedTo chronon.Chronon // see Vacuum; MinChronon when never vacuumed
 	stamped    chronon.Chronon // the newest transaction time stamp issued; MinChronon before the first
 }
@@ -119,6 +127,7 @@ func New(schema Schema, clock tx.Clock) *Relation {
 		esGen:      surrogate.NewGenerator(),
 		osGen:      surrogate.NewGenerator(),
 		versions:   storage.NewHeap(),
+		adopted:    math.MaxInt,
 		vacuumedTo: chronon.MinChronon,
 		stamped:    chronon.MinChronon,
 	}

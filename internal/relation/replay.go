@@ -24,12 +24,27 @@ import (
 //
 // Guards are not consulted during replay: the history was validated when
 // it was first stored. Attach enforcers after replaying.
+//
+// The records may be a live relation's backlog (persist.go hands them
+// through), so the relation stores a copy of each inserted element;
+// Restore is Replay over records the caller hands over.
 func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, error) {
+	return replay(schema, clock, records, true)
+}
+
+// Restore is Replay over records the caller has just decoded and hands
+// over (a snapshot's, backlog.Load): each inserted element becomes the
+// stored version, as ApplyLog adopts one, and is stamped with its record's
+// transaction times. The caller must neither keep a writable reference to
+// the elements nor restore them twice.
+func Restore(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, error) {
+	return replay(schema, clock, records, false)
+}
+
+func replay(schema Schema, clock tx.Clock, records []LogRecord, clone bool) (*Relation, error) {
 	r := New(schema, clock)
 	for i, rec := range records {
-		if rec.Op == OpInsert && rec.Elem != nil {
-			// The records may be a live relation's backlog (persist.go hands
-			// them through): this relation stores its own copy.
+		if clone && rec.Op == OpInsert && rec.Elem != nil {
 			rec.Elem = rec.Elem.Clone()
 		}
 		if _, _, err := r.redo(rec); err != nil {
@@ -52,9 +67,11 @@ func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, erro
 //
 // An inserted element is adopted, not copied: rec.Elem becomes the stored
 // version, so the caller must have just built it (decoded it off the log)
-// and must neither retain a writable reference nor apply it twice. now is
-// the version the relation holds after the record — rec.Elem for an insert,
-// the closed copy for a delete — and was the open version a delete closed.
+// and must neither retain a writable reference nor apply it twice. It may
+// share arrays with the elements decoded beside it, so Vacuum may move it
+// as a copy (vacuum.go). now is the version the relation holds after the
+// record — rec.Elem for an insert, the closed copy for a delete — and was
+// the open version a delete closed.
 //
 // Guards are not re-checked (the history was validated when first stored)
 // but they do observe the application through Applied, so enforcers
@@ -62,6 +79,9 @@ func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, erro
 func (r *Relation) ApplyLog(rec LogRecord) (was, now *element.Element, err error) {
 	if was, now, err = r.redo(rec); err != nil {
 		return nil, nil, fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
+	}
+	if rec.Op == OpInsert {
+		r.adopted = min(r.adopted, r.versions.Len()-1)
 	}
 	r.advanceClock(rec.TT)
 	return was, now, nil

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -40,22 +41,66 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	// horizon. The survivors move to a fresh heap, in surrogate order still,
 	// which the caller re-labels; each kept delete record is recounted
 	// against the insert records kept before it.
+	//
+	// A version ApplyLog adopted off a batch frame shares its element and
+	// value arrays with the frame's other versions (backlog.Slab): one
+	// survivor keeps its discarded neighbours alive. Once the adopted
+	// versions vacuumed away since the last copy are at least as many as
+	// the adopted survivors, the survivors move as copies and each kept
+	// delete record is repointed at its version. So what a survivor pins
+	// never outweighs the adopted survivors themselves, and each copy is
+	// paid for by a discarded version. Every version from the first one
+	// ApplyLog adopted since the last copy on counts as adopted (positions
+	// from r.adopted); a relation written only live never copies.
 	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].elem.TTEnd > horizon })
 	if removed == 0 {
 		return 0, nil
 	}
+	n, from, dead := r.versions.Len(), min(r.adopted, r.versions.Len()), 0
+	if from < n {
+		// The adopted versions among the removed ones. Versions ascend in
+		// ES unless the relation has degraded to byES.
+		first := r.versions.At(from).ES
+		for _, cl := range r.closes[:removed] {
+			adopted := cl.elem.ES >= first
+			if r.byES != nil {
+				adopted = r.byES[cl.elem.ES] >= from
+			}
+			if adopted {
+				dead++
+			}
+		}
+	}
+	shed, alive := r.shed+dead, n-from-dead
+	copying := alive > 0 && shed >= alive
 	fresh, kept, c := storage.NewHeap(), r.closes[removed:], 0
-	for i := 0; i <= r.versions.Len(); i++ {
+	r.adopted, r.shed = math.MaxInt, 0
+	for i := 0; i <= n; i++ {
 		for ; c < len(kept) && kept[c].inserts <= i; c++ {
 			kept[c].inserts = fresh.Len()
 		}
-		if i < r.versions.Len() && r.versions.At(i).TTEnd > horizon {
-			_ = fresh.Insert(r.versions.At(i)) // the heap refuses nothing
+		if i == from && alive > 0 && !copying {
+			r.adopted, r.shed = fresh.Len(), shed
+		}
+		if i == n {
+			break
+		}
+		if v := r.versions.At(i); v.TTEnd > horizon {
+			if copying && i >= from {
+				v = v.Clone()
+			}
+			_ = fresh.Insert(v) // the heap refuses nothing
 		}
 	}
 	r.versions, r.closes = fresh, slices.Delete(r.closes, 0, removed)
 	if r.byES != nil {
 		r.reindex()
+	}
+	if copying {
+		for k := range r.closes {
+			i, _ := r.position(r.closes[k].elem.ES)
+			r.closes[k].elem = r.versions.At(i)
+		}
 	}
 	return removed, nil
 }

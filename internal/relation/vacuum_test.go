@@ -1,12 +1,26 @@
 package relation
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/surrogate"
 	"repro/internal/tx"
 )
+
+// survivor is the version r holds for e after a removing Vacuum: e itself,
+// or an equal copy of it when ApplyLog adopted e (vacuum.go).
+func survivor(t *testing.T, r *Relation, e *element.Element) *element.Element {
+	t.Helper()
+	got, ok := r.ByES(e.ES)
+	if !ok || got != e && !reflect.DeepEqual(got, e) {
+		t.Fatalf("vacuum moved survivor %v as %v", e, got)
+	}
+	return got
+}
 
 // vacuumFixture: inserts at tt 10,20,30; deletes e1 at 40, e2 at 50.
 func vacuumFixture(t *testing.T) (*Relation, []*element.Element) {
@@ -174,4 +188,97 @@ func TestVacuumPreservesChronology(t *testing.T) {
 	if len(got) != len(r.Current()) {
 		t.Error("rollback-at-now disagrees with current after vacuum")
 	}
+}
+
+// TestVacuumCopiesAdoptedSurvivorsOnceTheyAreOutweighed: a vacuum moves a
+// version inserted live as it is. A version ApplyLog adopted (it may share
+// the arrays of the frame it was decoded from) moves as it is too until
+// the adopted versions discarded since the last copy are at least as many
+// as the adopted survivors; then the survivors move as equal copies. Every
+// backlog record follows its version, and the backlog reads as before
+// less the vacuumed records. The copies share nothing: later vacuums move
+// them as they are.
+func TestVacuumCopiesAdoptedSurvivorsOnceTheyAreOutweighed(t *testing.T) {
+	r := New(eventSchema(), tx.NewLogicalClock(0, 10))
+	var live []*element.Element
+	for i := 0; i < 3; i++ {
+		live = append(live, insertReading(t, r, chronon.Chronon(i), "s", float64(i)))
+	}
+	es, _ := r.ReservedSurrogates()
+	var adopted []*element.Element
+	for i := 0; i < 6; i++ {
+		el := &element.Element{ES: es + 1 + surrogate.Surrogate(i), OS: 1, VT: element.EventAt(chronon.Chronon(10 + i)),
+			Invariant: []element.Value{element.String_("s")}, Varying: []element.Value{element.Float(float64(i))}}
+		if _, _, err := r.ApplyLog(LogRecord{Op: OpInsert, TT: r.Clock().Now(), Elem: el}); err != nil {
+			t.Fatal(err)
+		}
+		adopted = append(adopted, el)
+	}
+	// closeAll closes the versions and returns the tt they closed at.
+	closeAll := func(els ...*element.Element) chronon.Chronon {
+		t.Helper()
+		tt := r.Clock().Now() + 1
+		for _, el := range els {
+			if _, _, err := r.ApplyLog(LogRecord{Op: OpDelete, TT: tt, Elem: &element.Element{ES: el.ES}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tt
+	}
+	// vacuum vacuums to the horizon, checks the backlog and reports whether
+	// each version in els is the one r holds now (equal to the one it held).
+	vacuum := func(horizon chronon.Chronon, n int, els []*element.Element) []bool {
+		t.Helper()
+		var want []LogRecord
+		for _, rec := range r.Backlog() {
+			if rec.Elem.TTEnd > horizon {
+				want = append(want, rec)
+			}
+		}
+		held := make([]*element.Element, len(els))
+		for i, el := range els {
+			held[i], _ = r.ByES(el.ES)
+		}
+		if removed, err := r.Vacuum(horizon); err != nil || removed != n {
+			t.Fatalf("Vacuum(%v) = %d, %v; want %d versions removed", horizon, removed, err, n)
+		}
+		got := r.Backlog()
+		if len(got) != len(want) {
+			t.Fatalf("backlog holds %d records after the vacuum, want %d", len(got), len(want))
+		}
+		for i, rec := range got {
+			if v, _ := r.ByES(rec.Elem.ES); rec.Elem != v {
+				t.Errorf("record %d points at %p, not at its version %p", i, rec.Elem, v)
+			}
+			if rec.Op != want[i].Op || rec.TT != want[i].TT || !reflect.DeepEqual(rec.Elem, want[i].Elem) {
+				t.Errorf("record %d is %v, was %v", i, rec, want[i])
+			}
+		}
+		same := make([]bool, len(held))
+		for i, v := range held {
+			same[i] = survivor(t, r, v) == v
+		}
+		return same
+	}
+	same := func(t *testing.T, when string, got []bool, want ...bool) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: versions kept as they were %v, want %v", when, got, want)
+		}
+	}
+
+	// One adopted version discarded, five survive: all move as they are.
+	same(t, "one of six adopted discarded", vacuum(closeAll(live[0], adopted[1]), 2,
+		[]*element.Element{live[1], live[2], adopted[0], adopted[2], adopted[3], adopted[4], adopted[5]}),
+		true, true, true, true, true, true, true)
+	// Three discarded, three survive, the first of them closed: they move
+	// as copies.
+	h := closeAll(adopted[2], adopted[3])
+	closeAll(adopted[0])
+	same(t, "three of six adopted discarded", vacuum(h, 2,
+		[]*element.Element{live[1], live[2], adopted[0], adopted[4], adopted[5]}),
+		true, true, false, false, false)
+	// The copies move as they are from here on.
+	same(t, "after the copy", vacuum(closeAll(live[1]), 2,
+		[]*element.Element{live[2], adopted[4], adopted[5]}), true, true, true)
 }
