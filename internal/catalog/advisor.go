@@ -16,6 +16,7 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/storage"
@@ -56,6 +57,9 @@ func (c *Catalog) AdvisePass(cfg AdvisorConfig) (AdvisorReport, error) {
 	}
 	var rep AdvisorReport
 	for _, name := range c.Names() {
+		if strings.HasPrefix(name, sysPrefix) {
+			continue // _sys_events keeps its design: a migration of it would be a decision about the decisions
+		}
 		e, err := c.Get(name)
 		if err != nil {
 			continue // dropped concurrently

@@ -155,13 +155,14 @@ type Catalog struct {
 	lineage string
 
 	// Integrity journal: a bounded ring of recent detection/repair events
-	// (igMu also serializes appends to the on-disk journal) plus lifetime
-	// counters, fed by the scrubber and the verify endpoint.
+	// (node-local, events.go) plus lifetime counters, fed by the scrubber
+	// and the verify endpoint, and the count of unwritten decision rows.
 	igMu          sync.Mutex
-	igRing        []IntegrityEvent
+	igRing        []wire.IntegrityEventInfo
 	igDetected    atomic.Uint64
 	igRepaired    atomic.Uint64
 	igQuarantines atomic.Uint64
+	unrecorded    atomic.Uint64
 	// igRefetch is set when a follower dropped a corrupt snapshot shard
 	// at boot: the relation's history exists only on the primary now, so
 	// the tail must resume from the beginning of the feed.
@@ -225,14 +226,9 @@ func (c *Catalog) Open() error {
 					c.preserveEvidence(de.Name(), func() ([]byte, error) { return os.ReadFile(path) })
 					_ = os.Remove(path)
 					c.igDetected.Add(1)
-					c.journalIntegrity(IntegrityEvent{
-						Kind: "detect", ArtKind: "snapshot", Artifact: de.Name(), Rel: name,
-						Detail: err.Error(),
-					})
-					c.journalIntegrity(IntegrityEvent{
-						Kind: "repair", ArtKind: "snapshot", Artifact: de.Name(), Rel: name,
-						Detail: "corrupt shard dropped at boot; re-fetching history from the primary feed",
-					})
+					a := integrity.Artifact{Kind: "snapshot", Name: de.Name(), Rel: name}
+					c.journalIntegrity("detect", a, name, err.Error())
+					c.journalIntegrity("repair", a, name, "corrupt shard dropped at boot; re-fetching history from the primary feed")
 					c.igRepaired.Add(1)
 					c.igRefetch.Store(true)
 					continue
@@ -535,8 +531,17 @@ func decodeRespecialize(b []byte) (org storage.Kind, source string, adopted []co
 }
 
 // Create adds an empty relation under schema.Name. The name must satisfy
-// the catalog's naming rule so it can double as the snapshot file name.
+// the catalog's naming rule so it can double as the snapshot file name, and
+// must not take the prefix reserved for the catalog's own relations.
 func (c *Catalog) Create(schema relation.Schema) (*Entry, error) {
+	if strings.HasPrefix(schema.Name, sysPrefix) {
+		return nil, fmt.Errorf("%w: %q (the %s prefix is reserved)", ErrBadName, schema.Name, sysPrefix)
+	}
+	return c.create(schema)
+}
+
+// create is Create without the reserved-prefix rule.
+func (c *Catalog) create(schema relation.Schema) (*Entry, error) {
 	name := schema.Name
 	if !nameRE.MatchString(name) {
 		return nil, fmt.Errorf("%w: %q (want %s)", ErrBadName, name, nameRE)
@@ -599,15 +604,10 @@ func (e *Entry) writable() error {
 	if cause := e.quarCause.Load(); cause != nil {
 		return fmt.Errorf("%w: integrity quarantine: %s", ErrReadOnly, *cause)
 	}
-	if e.follower {
+	if e.cat.cfg.Follower {
 		return errFollowerReadOnly()
 	}
-	if e.wal != nil {
-		if err := e.wal.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrReadOnly, err)
-		}
-	}
-	return nil
+	return e.cat.Degraded()
 }
 
 // Get resolves a relation by name.
@@ -732,17 +732,16 @@ type Entry struct {
 	// before — every rebuildEngine (boot, a removing vacuum) and every run
 	// repair. Per-chunk partial aggregates are valid within one generation
 	// only (aggregate.go); a re-label keeps the generation and so keeps them.
-	gen       uint64
-	storeGens *atomic.Uint64
+	gen uint64
+	cat *Catalog // for the store generations and _sys_events (events.go)
 
 	// dirty marks unsaved changes; atomic so snapshots (shared lock) can
 	// clear it while other readers run.
 	dirty atomic.Bool
 
-	// wal is the catalog's write-ahead log (nil when disabled). walLSN is
-	// the LSN of the relation's latest logged mutation; snapshots persist
-	// it so boot-time replay can skip records the snapshot covers.
-	wal    *wal.Log
+	// walLSN is the LSN of the relation's latest mutation in the catalog's
+	// write-ahead log; snapshots persist it so boot-time replay can skip
+	// records the snapshot covers.
 	walLSN atomic.Uint64
 
 	// dedup is the relation's idempotency window (see dedup.go), and
@@ -765,10 +764,9 @@ type Entry struct {
 	// instead of serving a broken promise.
 	adopted []core.Class
 
-	// migrations counts journaled physical-design changes; history keeps
-	// their in-memory detail (both guarded by the exclusive lock).
+	// migrations counts journaled physical-design changes (guarded by the
+	// exclusive lock); their detail is _sys_events' rows.
 	migrations uint64
-	history    []Migration
 
 	// lastAdviseEpoch and lastAdviseBytes gate the background advisor's
 	// re-advising thresholds (see advisor.go).
@@ -824,11 +822,8 @@ type Entry struct {
 	// nil after newEntry.
 	view atomic.Pointer[readView]
 
-	// cache is the catalog-wide result cache (nil-safe when disabled) and
-	// follower the read-only-replica gate; both copied from the catalog at
-	// entry construction.
-	cache    *qcache.Cache
-	follower bool
+	// cache is the catalog-wide result cache (nil-safe when disabled).
+	cache *qcache.Cache
 
 	// Integrity state. tree is the relation's Merkle tree over committed
 	// WAL frames, nil when integrity is off; it has its own mutex because
@@ -915,9 +910,8 @@ func classesFromU8(bs []uint8) []core.Class {
 func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.Descriptor, phys backlog.Physical) *Entry {
 	e := &Entry{
 		name: name, locked: l, decls: decls,
-		wal: c.cfg.WAL, cache: c.cache, follower: c.cfg.Follower,
-		storeGens: &c.storeGens,
-		adopted:   classesFromU8(phys.Adopted), migrations: phys.Migrations,
+		cat: c, cache: c.cache,
+		adopted: classesFromU8(phys.Adopted), migrations: phys.Migrations,
 	}
 	if c.IntegrityEnabled() {
 		e.tree = integrity.NewTree()
@@ -990,7 +984,7 @@ func (e *Entry) rebuildEngine(r *relation.Relation) error {
 	e.tracker = core.NewTracker(schema.ValidTime, schema.Granularity)
 	e.store = r.Store()
 	e.store.Scan(func(el *element.Element) bool { e.tracker.Observe(el); return true })
-	e.gen = e.storeGens.Add(1)
+	e.gen = e.cat.storeGens.Add(1)
 	return e.relabel(r, e.decls)
 }
 
@@ -1062,7 +1056,7 @@ func (e *Entry) relabel(r *relation.Relation, decls []constraint.Descriptor) err
 // the catalog is read-only, so the typed ErrReadOnly (with the cause)
 // tells clients not to retry against this process.
 func (e *Entry) walErr(err error) error {
-	if e.wal != nil && e.wal.Err() != nil {
+	if e.cat.Degraded() != nil {
 		return fmt.Errorf("%w: %w", ErrReadOnly, err)
 	}
 	return fmt.Errorf("catalog: wal: %w", err)
@@ -1074,10 +1068,10 @@ func (e *Entry) walErr(err error) error {
 // Nothing is signed here: the frame's leaf is already in the tree, and a
 // root over it is signed when a reader or a snapshot asks (signedAt).
 func (e *Entry) waitDurable(lsn uint64) error {
-	if e.wal == nil {
+	if e.cat.cfg.WAL == nil {
 		return nil
 	}
-	if err := e.wal.WaitDurable(lsn); err != nil {
+	if err := e.cat.cfg.WAL.WaitDurable(lsn); err != nil {
 		return e.walErr(err)
 	}
 	return nil
@@ -1373,13 +1367,23 @@ func (e *Entry) Vacuum(horizon chronon.Chronon) (int, error) {
 
 // Respecialize re-advises the relation's physical design from its
 // declarations and its observed extension, and migrates the live store
-// when the advice differs from the current organization. The migration is
-// journaled (walRespecialize) before the store is rebuilt, so the adopted
-// design survives a crash and ships to followers; the rebuild happens
-// under the exclusive lock but readers never block — they keep serving
-// the previously published view until the fresh epoch is swapped in.
-// Returns the migration record and whether one happened.
+// when the advice differs from the current organization (respecialize),
+// then records the migration as a row of _sys_events. Returns the
+// migration record and whether one happened.
 func (e *Entry) Respecialize() (Migration, bool, error) {
+	mig, migrated, err := e.respecialize()
+	if migrated {
+		e.cat.recordMigration(e.name, mig)
+	}
+	return mig, migrated, err
+}
+
+// respecialize is Respecialize without the row. The migration is journaled
+// (walRespecialize) before the store is re-labelled, so the adopted design
+// survives a crash and ships to followers; the re-label happens under the
+// exclusive lock but readers never block — they keep serving the
+// previously published view until the fresh epoch is swapped in.
+func (e *Entry) respecialize() (Migration, bool, error) {
 	if err := e.writable(); err != nil {
 		return Migration{}, false, err
 	}
@@ -1417,15 +1421,13 @@ func (e *Entry) adopt(r *relation.Relation, classes []core.Class) Migration {
 	e.adopted = classes
 	_ = e.relabel(r, e.decls) // bounds errors only; the engine is valid
 	e.migrations++
-	mig := Migration{
+	return Migration{
 		Epoch:   e.Epoch() + 1, // the epoch publish is about to stamp
 		From:    from,
 		To:      e.advice.Store,
 		Source:  e.advice.Source,
 		Reasons: append([]string(nil), e.advice.Reasons...),
 	}
-	e.history = append(e.history, mig)
-	return mig
 }
 
 // Compact seals runs over the live store's stable prefix when the
@@ -1449,7 +1451,8 @@ func (e *Entry) Compact() int {
 
 // Physical is a consistent snapshot of the entry's physical design: the
 // live organization with its provenance, the declared / inferred / adopted
-// class sets, the migration history, and the compaction state.
+// class sets, the migration count (Catalog.Migrations has the history), and
+// the compaction state.
 type Physical struct {
 	Org     storage.Kind
 	Source  string
@@ -1461,7 +1464,6 @@ type Physical struct {
 	Inferred   []core.Class
 	Adopted    []core.Class
 	Migrations uint64
-	History    []Migration
 	Compaction storage.CompactionStats
 	StoreBytes int64
 	Tracker    core.TrackerStats
@@ -1470,21 +1472,21 @@ type Physical struct {
 // Physical reports the entry's current physical design. It reads the
 // atomically published snapshot — one load, no relation lock — so probe
 // traffic (the metrics endpoint) never queues behind writers. The published
-// snapshot shares the entry's reasons, adopted classes and history
+// snapshot shares the entry's reasons and adopted classes
 // (physicalLocked); the caller gets copies, so nothing it does to them
 // reaches the entry.
 func (e *Entry) Physical() Physical {
 	p := *e.physical.Load()
-	p.Reasons, p.Adopted, p.History = slices.Clone(p.Reasons), slices.Clone(p.Adopted), slices.Clone(p.History)
+	p.Reasons, p.Adopted = slices.Clone(p.Reasons), slices.Clone(p.Adopted)
 	return p
 }
 
 // physicalLocked builds the Physical snapshot; caller holds the lock. It
-// runs on every publish, so it copies nothing that grows: the reasons, the
-// adopted classes and the history are only ever appended to or replaced
-// whole, so a published prefix of them never changes under Physical, its
-// one reader (clipped, so not even an append could reach the entry's
-// array), and the store keeps its sealing totals current.
+// runs on every publish, so it copies nothing that grows: the reasons and
+// the adopted classes are only ever appended to or replaced whole, so a
+// published prefix of them never changes under Physical, its one reader
+// (clipped, so not even an append could reach the entry's array), and the
+// store keeps its sealing totals current.
 func (e *Entry) physicalLocked() Physical {
 	return Physical{
 		Org:        e.advice.Store,
@@ -1494,7 +1496,6 @@ func (e *Entry) physicalLocked() Physical {
 		Inferred:   e.tracker.Classes(),
 		Adopted:    slices.Clip(e.adopted),
 		Migrations: e.migrations,
-		History:    slices.Clip(e.history),
 		Compaction: storage.Compaction(e.store),
 		StoreBytes: storage.StoreBytes(e.store),
 		Tracker:    e.tracker.Stats(),

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,6 +64,32 @@ func TestCatalogCreateGetNames(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+// TestCreateRefusesTheReservedPrefix: the _sys prefix names the catalog's
+// own relations; a client's create of one is a bad name, and the relation
+// is created by the first decision instead.
+func TestCreateRefusesTheReservedPrefix(t *testing.T) {
+	c := New(testConfig(t.TempDir()))
+	for _, name := range []string{eventsSchema.Name, "_sysmine"} {
+		if _, err := c.Create(eventSchema(name)); !errors.Is(err, ErrBadName) {
+			t.Fatalf("Create(%q) = %v, want ErrBadName", name, err)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a refused create left %v", c.Names())
+	}
+	e, err := c.Create(eventSchema("mon"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	degenerateInserts(t, e, 48)
+	if _, migrated, err := e.Respecialize(); err != nil || !migrated {
+		t.Fatalf("respecialize: migrated %v, err %v", migrated, err)
+	}
+	if names := c.Names(); len(names) != 2 || names[0] != eventsSchema.Name {
+		t.Fatalf("names after the first decision: %v", names)
 	}
 }
 

@@ -179,15 +179,14 @@ func BenchmarkCloseAfterPublish(b *testing.B) {
 	}
 }
 
-// TestPhysicalHandsOutCopies: publish shares the entry's reasons, adopted
-// classes and history with the published snapshot instead of copying them
-// per write, so Physical must not hand those arrays to its caller — whatever
+// TestPhysicalHandsOutCopies: publish shares the entry's reasons and adopted
+// classes with the published snapshot instead of copying them per write, so Physical must not hand those arrays to its caller — whatever
 // a consumer does to its copy, the entry and the next caller see none of it.
 func TestPhysicalHandsOutCopies(t *testing.T) {
 	c := New(testConfig(t.TempDir()))
-	e := sealedSensor(t, c, "s", 1024) // migrated by the advisor: reasons, adopted classes and history all non-empty
+	e := sealedSensor(t, c, "s", 1024) // migrated by the advisor: reasons and adopted classes both non-empty
 	want := e.Physical()
-	if len(want.Reasons) == 0 || len(want.Adopted) == 0 || len(want.History) == 0 {
+	if len(want.Reasons) == 0 || len(want.Adopted) == 0 {
 		t.Fatalf("set-up left nothing to alias: %+v", want)
 	}
 	got := e.Physical()
@@ -197,12 +196,9 @@ func TestPhysicalHandsOutCopies(t *testing.T) {
 	for i := range got.Adopted {
 		got.Adopted[i]++
 	}
-	for i := range got.History {
-		got.History[i] = Migration{}
-	}
 	appendSensor(t, e, 1024, 1) // a publish in between must not pick the scribbles up either
 	again := e.Physical()
-	if !reflect.DeepEqual(again.Reasons, want.Reasons) || !reflect.DeepEqual(again.Adopted, want.Adopted) || !reflect.DeepEqual(again.History, want.History) {
+	if !reflect.DeepEqual(again.Reasons, want.Reasons) || !reflect.DeepEqual(again.Adopted, want.Adopted) {
 		t.Fatalf("a caller's writes reached the entry:\n got %+v\nwant %+v", again, want)
 	}
 }

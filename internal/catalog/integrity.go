@@ -1,11 +1,11 @@
 package catalog
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
+	"slices"
 
 	"repro/internal/backlog"
 	"repro/internal/integrity"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/vec"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // This file is the catalog's integrity layer. Every committed WAL frame
@@ -207,72 +208,17 @@ func (e *Entry) verifyRuns() error {
 		e.name, len(bad), bad[0].Run, bad[0].Reason)
 }
 
-// IntegrityEvent is one journaled integrity action: a detection, a
-// quarantine, or a repair (attempted or done).
-type IntegrityEvent struct {
-	Unix     int64  `json:"unix"`
-	Kind     string `json:"kind"` // detect | quarantine | repair | repair-failed
-	ArtKind  string `json:"artifact_kind"`
-	Artifact string `json:"artifact"`
-	Rel      string `json:"rel,omitempty"`
-	Detail   string `json:"detail"`
-}
-
-// igRingMax bounds the in-memory event ring; the on-disk journal keeps
-// everything.
-const igRingMax = 64
-
-// journalIntegrity records one event in the ring and, when the catalog
-// persists, appends it as a JSON line to <dir>/integrity.log.
-func (c *Catalog) journalIntegrity(ev IntegrityEvent) {
-	ev.Unix = time.Now().Unix()
-	c.igMu.Lock()
-	defer c.igMu.Unlock()
-	c.igRing = append(c.igRing, ev)
-	if len(c.igRing) > igRingMax {
-		c.igRing = c.igRing[len(c.igRing)-igRingMax:]
-	}
-	if c.cfg.Dir == "" {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	f, err := os.OpenFile(filepath.Join(c.cfg.Dir, "integrity.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	_, _ = f.Write(append(b, '\n'))
-	_ = f.Close()
-}
-
-// IntegrityEvents returns the recent event ring, oldest first.
-func (c *Catalog) IntegrityEvents() []IntegrityEvent {
-	c.igMu.Lock()
-	defer c.igMu.Unlock()
-	return append([]IntegrityEvent(nil), c.igRing...)
-}
-
-// IntegrityStats is the catalog-wide integrity summary for /metrics.
-type IntegrityStats struct {
-	Enabled     bool
-	Relations   int    // relations with a tracked tree
-	Leaves      uint64 // total committed frames under Merkle accounting
-	Detected    uint64 // lifetime corruption detections
-	Repaired    uint64 // lifetime successful repairs
-	Quarantines uint64 // lifetime quarantine entries
-	Signatures  uint64 // lifetime root signatures (0 on a follower)
-	Quarantined []string
-}
-
-// IntegrityStats summarizes the catalog's integrity state.
-func (c *Catalog) IntegrityStats() IntegrityStats {
-	st := IntegrityStats{
-		Enabled:     c.IntegrityEnabled(),
-		Detected:    c.igDetected.Load(),
-		Repaired:    c.igRepaired.Load(),
-		Quarantines: c.igQuarantines.Load(),
+// IntegrityStats summarizes the catalog's integrity state as the /metrics
+// integrity section, the scrubber's progress aside: lifetime counters,
+// Merkle coverage, current quarantines and the event ring.
+func (c *Catalog) IntegrityStats() wire.IntegrityMetrics {
+	st := wire.IntegrityMetrics{
+		Enabled:          c.IntegrityEnabled(),
+		Detected:         c.igDetected.Load(),
+		Repaired:         c.igRepaired.Load(),
+		Quarantines:      c.igQuarantines.Load(),
+		EventsUnrecorded: c.unrecorded.Load(),
+		Events:           c.IntegrityEvents(),
 	}
 	if c.cfg.Signer != nil {
 		st.Signatures = c.cfg.Signer.Signatures()
@@ -283,7 +229,7 @@ func (c *Catalog) IntegrityStats() IntegrityStats {
 			continue
 		}
 		if size, _, tracked := e.MerkleHead(); tracked {
-			st.Relations++
+			st.TrackedRelations++
 			st.Leaves += size
 		}
 		if cause := e.QuarantineCause(); cause != "" {
@@ -397,22 +343,31 @@ func (c *Catalog) verifySnapshotShard(name string) error {
 }
 
 // HandleCorrupt is the scrubber's detection callback: journal the
-// finding, quarantine what the artifact covers, and run the matching
-// repair — zone maps rebuild from the elements, snapshot shards
-// rewrite from memory, WAL segments are re-snapshotted over and
-// truncated away. Successful repairs lift the quarantine.
+// finding, then repair the artifact under quarantine of the relations it
+// covers (repair) — zone maps rebuild from the elements, snapshot shards
+// rewrite from memory, WAL segments are re-snapshotted over and truncated
+// away.
 func (c *Catalog) HandleCorrupt(a integrity.Artifact, verr error) {
 	c.igDetected.Add(1)
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "detect", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel, Detail: verr.Error(),
-	})
+	c.journalIntegrity("detect", a, a.Rel, verr.Error())
+	rels, fix := []string{a.Rel}, c.repairRuns
 	switch a.Kind {
-	case "runs":
-		c.repairRuns(a)
 	case "snapshot":
-		c.repairSnapshot(a)
+		fix = c.repairSnapshot
 	case "wal-segment":
-		c.repairSegment(a)
+		if c.cfg.WAL == nil {
+			return
+		}
+		rels, fix = c.cfg.WAL.SegmentRelations(a.Name), c.repairSegment
+	}
+	var ents []*Entry
+	for _, rel := range rels {
+		if e, err := c.Get(rel); err == nil {
+			ents = append(ents, e)
+		}
+	}
+	if len(ents) > 0 { // else dropped since the listing
+		c.repair(a, ents, func() (string, error) { return fix(a, ents) })
 	}
 }
 
@@ -433,20 +388,38 @@ func (c *Catalog) preserveEvidence(name string, read func() ([]byte, error)) {
 	_ = os.WriteFile(filepath.Join(qdir, filepath.Base(name)), data, 0o644)
 }
 
+// repair is every repair's one shape: quarantine the relations ents,
+// run fix, and lift the quarantine when it succeeds — each relation
+// counted and journaled at both steps, so a per-relation query over
+// _sys_events finds the whole story. fix returns what it did, or why it
+// failed, which leaves the relations quarantined.
+func (c *Catalog) repair(a integrity.Artifact, ents []*Entry, fix func() (string, error)) {
+	for _, e := range ents {
+		e.Quarantine(fmt.Sprintf("%s %s failed verification", a.Kind, a.Name))
+		c.igQuarantines.Add(1)
+		c.journalIntegrity("quarantine", a, e.name, "relation degraded to read-only")
+	}
+	detail, err := fix()
+	kind := "repair"
+	if err != nil {
+		kind, detail = "repair-failed", err.Error()
+	} else {
+		// Lifted before any repair row is written: _sys_events may be one
+		// of the relations.
+		for _, e := range ents {
+			e.Unquarantine()
+		}
+		c.igRepaired.Add(1)
+	}
+	for _, e := range ents {
+		c.journalIntegrity(kind, a, e.name, detail)
+	}
+}
+
 // repairRuns rebuilds a relation's corrupt zone maps from the live elements
 // — they are derived state, the elements are ground truth.
-func (c *Catalog) repairRuns(a integrity.Artifact) {
-	e, err := c.Get(a.Rel)
-	if err != nil {
-		return
-	}
-	e.Quarantine(fmt.Sprintf("runs of %q failed verification", a.Rel))
-	c.igQuarantines.Add(1)
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "quarantine", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-		Detail: "relation degraded to read-only",
-	})
-	repaired, resealed := false, 0
+func (c *Catalog) repairRuns(_ integrity.Artifact, ents []*Entry) (string, error) {
+	e, repaired, resealed := ents[0], false, 0
 	_ = e.locked.Exclusive(func(*relation.Relation) error {
 		st := e.store
 		bad := storage.VerifyRuns(st)
@@ -459,111 +432,51 @@ func (c *Catalog) repairRuns(a integrity.Artifact) {
 			idx[i] = b.Run
 		}
 		resealed = storage.ResealRuns(st, idx)
-		e.gen = e.storeGens.Add(1) // nothing memoized over a damaged zone map is taken for the repaired one
+		e.gen = c.storeGens.Add(1) // nothing memoized over a damaged zone map is taken for the repaired one
 		repaired = len(storage.VerifyRuns(st)) == 0
 		if repaired {
 			e.publish()
 		}
 		return nil
 	})
-	if repaired {
-		e.Unquarantine()
-		c.igRepaired.Add(1)
-		c.journalIntegrity(IntegrityEvent{
-			Kind: "repair", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-			Detail: fmt.Sprintf("rebuilt the zone maps of %d runs from the live elements", resealed),
-		})
-		return
+	if !repaired {
+		return "", errors.New("damage survived reseal; relation stays quarantined")
 	}
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "repair-failed", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-		Detail: "damage survived reseal; relation stays quarantined",
-	})
+	return fmt.Sprintf("rebuilt the zone maps of %d runs from the live elements", resealed), nil
 }
 
 // repairSnapshot rewrites a corrupt snapshot shard from the in-memory
 // relation — memory is the acked history, the shard is a copy.
-func (c *Catalog) repairSnapshot(a integrity.Artifact) {
-	e, err := c.Get(a.Rel)
-	if err != nil {
-		return
-	}
-	e.Quarantine(fmt.Sprintf("snapshot shard of %q failed verification", a.Rel))
-	c.igQuarantines.Add(1)
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "quarantine", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-		Detail: "relation degraded to read-only",
-	})
+func (c *Catalog) repairSnapshot(a integrity.Artifact, ents []*Entry) (string, error) {
 	path := filepath.Join(c.cfg.Dir, a.Rel+fileSuffix)
 	c.preserveEvidence(a.Name, func() ([]byte, error) { return os.ReadFile(path) })
-	e.dirty.Store(true)
-	if _, err := e.snapshotTo(path); err == nil {
-		err = c.verifySnapshotShard(a.Rel)
+	ents[0].dirty.Store(true)
+	if _, err := ents[0].snapshotTo(path); err != nil {
+		return "", err
 	}
-	if err != nil {
-		c.journalIntegrity(IntegrityEvent{
-			Kind: "repair-failed", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel, Detail: err.Error(),
-		})
-		return
+	if err := c.verifySnapshotShard(a.Rel); err != nil {
+		return "", err
 	}
-	e.Unquarantine()
-	c.igRepaired.Add(1)
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "repair", ArtKind: a.Kind, Artifact: a.Name, Rel: a.Rel,
-		Detail: "shard rewritten from memory and re-verified",
-	})
+	return "shard rewritten from memory and re-verified", nil
 }
 
-// repairSegment handles a corrupt sealed WAL segment: quarantine every
-// relation with history in it, preserve the damaged bytes as evidence,
-// then force fresh snapshots of those relations so the sweep's
-// truncation drops the segment — memory holds the acked history; the
-// on-disk copy is what rotted.
-func (c *Catalog) repairSegment(a integrity.Artifact) {
+// repairSegment handles a corrupt sealed WAL segment: preserve the
+// damaged bytes as evidence, then force fresh snapshots of the relations
+// with history in it so the sweep's truncation drops the segment — memory
+// holds the acked history; the on-disk copy is what rotted.
+func (c *Catalog) repairSegment(a integrity.Artifact, ents []*Entry) (string, error) {
 	w := c.cfg.WAL
-	if w == nil {
-		return
-	}
-	rels := w.SegmentRelations(a.Name)
-	var ents []*Entry
-	for _, rel := range rels {
-		e, err := c.Get(rel)
-		if err != nil {
-			continue
-		}
-		e.Quarantine(fmt.Sprintf("wal segment %s failed verification", a.Name))
-		c.igQuarantines.Add(1)
-		ents = append(ents, e)
-	}
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "quarantine", ArtKind: a.Kind, Artifact: a.Name,
-		Detail: fmt.Sprintf("%d relations degraded to read-only", len(ents)),
-	})
 	c.preserveEvidence(a.Name, func() ([]byte, error) { return w.SegmentData(a.Name) })
 	for _, e := range ents {
 		e.dirty.Store(true)
 	}
 	if _, err := c.Snapshot(); err != nil {
-		c.journalIntegrity(IntegrityEvent{
-			Kind: "repair-failed", ArtKind: a.Kind, Artifact: a.Name, Detail: err.Error(),
-		})
-		return
+		return "", err
 	}
 	if isKnownSegment(w, a.Name) {
-		c.journalIntegrity(IntegrityEvent{
-			Kind: "repair-failed", ArtKind: a.Kind, Artifact: a.Name,
-			Detail: "segment still referenced after snapshot; relations stay quarantined",
-		})
-		return
+		return "", errors.New("segment still referenced after snapshot; relations stay quarantined")
 	}
-	for _, e := range ents {
-		e.Unquarantine()
-	}
-	c.igRepaired.Add(1)
-	c.journalIntegrity(IntegrityEvent{
-		Kind: "repair", ArtKind: a.Kind, Artifact: a.Name,
-		Detail: fmt.Sprintf("%d relations resnapshotted; damaged segment truncated", len(ents)),
-	})
+	return fmt.Sprintf("%d relations resnapshotted; damaged segment truncated", len(ents)), nil
 }
 
 // NewScrubber builds the background scrubber over the catalog's
@@ -583,38 +496,23 @@ func (c *Catalog) NewScrubber(bytesPerSec int64) *integrity.Scrubber {
 	})
 }
 
-// VerifyReport summarizes one on-demand relation verification.
-type VerifyReport struct {
-	Rel       string
-	Artifacts int      // artifacts covering the relation that were checked
-	Failures  []string // damage found, in detection order
-	Repaired  int      // failures whose artifact re-verified clean after repair
-}
-
 // VerifyRelation synchronously verifies every artifact covering the
 // named relation — its snapshot shard, its zone maps, and each sealed
 // WAL segment carrying its history — repairing what it can, exactly as
-// the background scrubber would.
-func (c *Catalog) VerifyRelation(name string) (VerifyReport, error) {
+// the background scrubber would. The report counts the artifacts checked,
+// the damage found in detection order, and the failures whose artifact
+// re-verified clean after repair.
+func (c *Catalog) VerifyRelation(name string) (wire.VerifyResponse, error) {
 	if _, err := c.Get(name); err != nil {
-		return VerifyReport{}, err
+		return wire.VerifyResponse{}, err
 	}
-	report := VerifyReport{Rel: name}
+	report := wire.VerifyResponse{Rel: name}
 	arts, err := c.ScrubArtifacts()
 	if err != nil {
 		return report, err
 	}
 	for _, a := range arts {
-		covers := a.Rel == name
-		if a.Kind == "wal-segment" {
-			for _, rel := range c.cfg.WAL.SegmentRelations(a.Name) {
-				if rel == name {
-					covers = true
-					break
-				}
-			}
-		}
-		if !covers {
+		if a.Rel != name && (a.Kind != "wal-segment" || !slices.Contains(c.cfg.WAL.SegmentRelations(a.Name), name)) {
 			continue
 		}
 		report.Artifacts++

@@ -370,10 +370,10 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 // create, the exclusive lock otherwise), so log order, watermark order
 // and leaf order are all commit order. Without a WAL it is a no-op.
 func (e *Entry) journal(kind wal.Kind, payload []byte) (uint64, error) {
-	if e.wal == nil {
+	if e.cat.cfg.WAL == nil {
 		return 0, nil
 	}
-	lsn, err := e.wal.Write(kind, e.name, payload)
+	lsn, err := e.cat.cfg.WAL.Write(kind, e.name, payload)
 	if err != nil {
 		return 0, e.walErr(err)
 	}
@@ -549,7 +549,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, one on
 			}
 		}
 		if len(m.recs) > 0 { // else nothing accepted: no frame, no epoch bump
-			if e.wal != nil {
+			if e.cat.cfg.WAL != nil {
 				payload, err := m.encode(sc.frame[:0])
 				if err != nil {
 					return err

@@ -148,3 +148,39 @@ func TestCatalogConcurrentLifecycle(t *testing.T) {
 		t.Fatalf("reloaded versions = %d, want %d", total2, total)
 	}
 }
+
+// TestConcurrentFirstDecisions: relations that migrate at once race to
+// create _sys_events; one create wins, the others find it, and every
+// migration is one row.
+func TestConcurrentFirstDecisions(t *testing.T) {
+	c := New(testConfig(t.TempDir()))
+	ents := make([]*Entry, 8)
+	for i := range ents {
+		e, err := c.Create(eventSchema(fmt.Sprintf("mon-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		degenerateInserts(t, e, 48)
+		ents[i] = e
+	}
+	var wg sync.WaitGroup
+	for _, e := range ents {
+		wg.Add(1)
+		go func(e *Entry) {
+			defer wg.Done()
+			if _, migrated, err := e.Respecialize(); err != nil || !migrated {
+				t.Errorf("%s: migrated %v, err %v", e.Name(), migrated, err)
+			}
+		}(e)
+	}
+	wg.Wait()
+	history := c.Migrations()
+	for _, e := range ents {
+		if got := len(history[e.Name()]); got != 1 {
+			t.Errorf("%s: %d migration rows, want 1", e.Name(), got)
+		}
+	}
+	if st := c.IntegrityStats(); st.EventsUnrecorded != 0 || c.Len() != len(ents)+1 {
+		t.Fatalf("%d rows unrecorded, %d relations; want 0 and %d", st.EventsUnrecorded, c.Len(), len(ents)+1)
+	}
+}

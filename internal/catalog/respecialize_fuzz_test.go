@@ -111,9 +111,10 @@ func FuzzRespecializeReplay(f *testing.F) {
 		if got.Org != want.Org || got.Source != want.Source {
 			t.Fatalf("replayed org %v (%s), want %v (%s)", got.Org, got.Source, want.Org, want.Source)
 		}
-		if got.Migrations != want.Migrations || len(got.History) != len(want.History) {
+		gotHistory, wantHistory := c2.Migrations()["fz"], c.Migrations()["fz"]
+		if got.Migrations != want.Migrations || len(gotHistory) != len(wantHistory) {
 			t.Fatalf("replayed migrations %d/%d, want %d/%d",
-				got.Migrations, len(got.History), want.Migrations, len(want.History))
+				got.Migrations, len(gotHistory), want.Migrations, len(wantHistory))
 		}
 		if len(got.Adopted) != len(want.Adopted) {
 			t.Fatalf("replayed adopted %v, want %v", got.Adopted, want.Adopted)

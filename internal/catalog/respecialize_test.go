@@ -105,8 +105,8 @@ func TestRespecializeInferredMigration(t *testing.T) {
 		t.Fatalf("post-migration org %v (%s); want %v (%s)",
 			after.Org, after.Source, storage.VTOrdered, storage.SourceInferred)
 	}
-	if after.Migrations != 1 || len(after.History) != 1 {
-		t.Fatalf("migrations %d, history %d; want 1 and 1", after.Migrations, len(after.History))
+	if history := c.Migrations()["mon"]; after.Migrations != 1 || len(history) != 1 {
+		t.Fatalf("migrations %d, history %d; want 1 and 1", after.Migrations, len(history))
 	}
 	hasDegenerate := false
 	for _, cl := range after.Adopted {

@@ -557,6 +557,11 @@ func TestConditionalReadsAgainstTheDefinition(t *testing.T) {
 				chunk := map[string]stepModel{}
 				for _, rec := range recs[i : i+n] {
 					m, ok := lsnModel[rec.LSN]
+					if !ok && rec.Rel == eventsSchema.Name {
+						// A migration's row: a step's decision, written to a
+						// relation the steps do not model.
+						m, ok = stepModel{everything: true}, true
+					}
 					if !ok {
 						t.Fatalf("frame %d (kind %d) was written by nothing the test did", rec.LSN, rec.Kind)
 					}

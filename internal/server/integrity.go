@@ -163,30 +163,15 @@ func (s *Server) handleVerify(r *http.Request) (*response, *apiError) {
 	if err != nil {
 		return nil, mapError(err)
 	}
-	return &response{body: wire.VerifyResponse{
-		Rel:       rep.Rel,
-		Artifacts: rep.Artifacts,
-		Failures:  rep.Failures,
-		Repaired:  rep.Repaired,
-	}, touched: rep.Artifacts}, nil
+	return &response{body: rep, touched: rep.Artifacts}, nil
 }
 
 // integrityMetrics builds the /metrics integrity section, or nil when
 // the catalog runs without integrity tracking.
 func (s *Server) integrityMetrics() *wire.IntegrityMetrics {
-	st := s.cat.IntegrityStats()
-	if !st.Enabled {
+	out := s.cat.IntegrityStats()
+	if !out.Enabled {
 		return nil
-	}
-	out := &wire.IntegrityMetrics{
-		Enabled:          true,
-		TrackedRelations: st.Relations,
-		Leaves:           st.Leaves,
-		Detected:         st.Detected,
-		Repaired:         st.Repaired,
-		Quarantines:      st.Quarantines,
-		Quarantined:      st.Quarantined,
-		Signatures:       st.Signatures,
 	}
 	if s.scrubber != nil {
 		ss := s.scrubber.Stats()
@@ -196,15 +181,5 @@ func (s *Server) integrityMetrics() *wire.IntegrityMetrics {
 		out.ScrubFailures = ss.Failures
 		out.LastScrubUnix = ss.LastPass
 	}
-	for _, ev := range s.cat.IntegrityEvents() {
-		out.Events = append(out.Events, wire.IntegrityEventInfo{
-			Unix:         ev.Unix,
-			Kind:         ev.Kind,
-			ArtifactKind: ev.ArtKind,
-			Artifact:     ev.Artifact,
-			Rel:          ev.Rel,
-			Detail:       ev.Detail,
-		})
-	}
-	return out
+	return &out
 }

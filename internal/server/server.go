@@ -726,6 +726,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 	var img wire.ImageMetrics
 	var chunks wire.ChunkMetrics
 	var ing wire.IngestMetrics
+	history := s.cat.Migrations()
 	for _, name := range s.cat.Names() {
 		e, err := s.cat.Get(name)
 		if err != nil {
@@ -734,7 +735,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		if rep.Physical == nil {
 			rep.Physical = make(map[string]wire.PhysicalInfo)
 		}
-		pb := physicalBody(e.Physical())
+		pb := physicalBody(e.Physical(), history[name])
 		integrityProvenance(&pb, e)
 		rep.Physical[name] = pb
 		for kind, ks := range e.PlanStats() {
@@ -830,8 +831,9 @@ func classNames(cs []core.Class) []string {
 	return out
 }
 
-// physicalBody converts a catalog physical-design snapshot for the wire.
-func physicalBody(p catalog.Physical) wire.PhysicalInfo {
+// physicalBody converts a catalog physical-design snapshot for the wire,
+// with the relation's migration history.
+func physicalBody(p catalog.Physical, history []wire.MigrationInfo) wire.PhysicalInfo {
 	out := wire.PhysicalInfo{
 		Org:            p.Org.String(),
 		Source:         p.Source,
@@ -840,6 +842,7 @@ func physicalBody(p catalog.Physical) wire.PhysicalInfo {
 		Inferred:       classNames(p.Inferred),
 		Adopted:        classNames(p.Adopted),
 		Migrations:     p.Migrations,
+		History:        history,
 		StoreBytes:     p.StoreBytes,
 		SealedRuns:     p.Compaction.Runs,
 		SealedElements: p.Compaction.Sealed,
@@ -854,21 +857,12 @@ func physicalBody(p catalog.Physical) wire.PhysicalInfo {
 			VTUnit:       p.Tracker.VTUnit,
 		},
 	}
-	for _, m := range p.History {
-		out.History = append(out.History, wire.MigrationInfo{
-			Epoch:   m.Epoch,
-			From:    m.From.String(),
-			To:      m.To.String(),
-			Source:  m.Source,
-			Reasons: m.Reasons,
-		})
-	}
 	return out
 }
 
-func infoBody(e *catalog.Entry) wire.RelationInfo {
+func (s *Server) infoBody(e *catalog.Entry) wire.RelationInfo {
 	info := e.Info()
-	phys := physicalBody(info.Physical)
+	phys := physicalBody(info.Physical, s.cat.Migrations()[e.Name()])
 	integrityProvenance(&phys, e)
 	out := wire.RelationInfo{
 		Schema:       wire.FromSchema(info.Schema),
@@ -906,7 +900,7 @@ func (s *Server) handleCreate(r *http.Request) (*response, *apiError) {
 	if err != nil {
 		return nil, mapError(err)
 	}
-	return &response{status: http.StatusCreated, body: infoBody(e)}, nil
+	return &response{status: http.StatusCreated, body: s.infoBody(e)}, nil
 }
 
 func (s *Server) handleInfo(r *http.Request) (*response, *apiError) {
@@ -914,7 +908,7 @@ func (s *Server) handleInfo(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &response{body: infoBody(e)}, nil
+	return &response{body: s.infoBody(e)}, nil
 }
 
 func (s *Server) handleDeclare(r *http.Request) (*response, *apiError) {

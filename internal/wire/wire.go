@@ -1212,7 +1212,8 @@ type IntegrityEventInfo struct {
 
 // IntegrityMetrics is the /metrics integrity section: Merkle coverage,
 // lifetime detection/repair counters, current quarantines, scrubber
-// progress, and the recent event journal. Signatures counts the Ed25519
+// progress, and this node's recent events (a primary's are also rows of
+// _sys_events; EventsUnrecorded counts those it could not write). Signatures counts the Ed25519
 // root signatures made since boot: one per served root whose tree had
 // grown, one per relation per snapshot, none per write.
 type IntegrityMetrics struct {
@@ -1224,6 +1225,7 @@ type IntegrityMetrics struct {
 	Quarantines      uint64               `json:"quarantines"`
 	Quarantined      []string             `json:"quarantined,omitempty"`
 	Signatures       uint64               `json:"signatures"`
+	EventsUnrecorded uint64               `json:"events_unrecorded,omitempty"`
 	ScrubPasses      uint64               `json:"scrub_passes"`
 	ScrubArtifacts   uint64               `json:"scrub_artifacts"`
 	ScrubBytes       uint64               `json:"scrub_bytes"`
