@@ -113,6 +113,9 @@ func (e *Entry) InsertBatchKeyed(ctx context.Context, ins []relation.Insertion, 
 }
 
 func (e *Entry) insertBatch(ctx context.Context, kind wal.Kind, keys []string, one oneKey, ins []relation.Insertion, atomic bool) (BatchResult, error) {
+	if err := e.ClientWritable(); err != nil {
+		return BatchResult{}, err
+	}
 	items, epoch, err := e.commit(ctx, kind, keys, one, atomic, stageInserts(ins))
 	if err != nil {
 		for i, it := range items {

@@ -1098,6 +1098,9 @@ func (e *Entry) degrade(r *relation.Relation, cause error) {
 // a typed schema must satisfy the type). On success the declaration
 // catalog grows and the physical design is re-advised.
 func (e *Entry) Declare(descs []constraint.Descriptor) error {
+	if err := e.ClientWritable(); err != nil {
+		return err
+	}
 	if len(descs) == 0 {
 		return fmt.Errorf("catalog: no constraints to declare")
 	}

@@ -10,6 +10,7 @@ package catalog
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
@@ -20,8 +21,21 @@ import (
 	"repro/internal/wire"
 )
 
-// sysPrefix marks the catalog's own relations; Create refuses it.
+// sysPrefix marks the catalog's own relations; Create refuses it, and
+// every client mutation of one (ClientWritable).
 const sysPrefix = "_sys"
+
+// ClientWritable refuses, with ErrBadName, every mutation a client asks of
+// one of the catalog's own relations — an insert, delete, modify, batch or
+// declaration: their rows are the engine's decisions, and a client that
+// could write them could forge a decision or hide one. The exported
+// mutators check it; record writes through the unexported insert.
+func (e *Entry) ClientWritable() error {
+	if strings.HasPrefix(e.name, sysPrefix) {
+		return fmt.Errorf("%w: %q is written by the engine alone (the %s prefix is reserved)", ErrBadName, e.name, sysPrefix)
+	}
+	return nil
+}
 
 // eventsSchema is one row a decision, valid at the wall-clock second it was
 // made, about relation: what wire.MigrationInfo and wire.IntegrityEventInfo
@@ -56,7 +70,7 @@ func (c *Catalog) record(unix int64, rel, kind string, varying ...element.Value)
 	if err == nil {
 		// Background: the row records a decision already made, whoever
 		// asked for it.
-		_, err = e.InsertKeyed(context.Background(), relation.Insertion{
+		_, err = e.insert(context.Background(), relation.Insertion{
 			VT:        element.EventAt(chronon.Chronon(unix)),
 			Invariant: []element.Value{element.String_(rel), element.String_(kind)},
 			Varying:   varying,

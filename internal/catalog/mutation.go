@@ -583,6 +583,14 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, one on
 // relation's dedup window remembers returns the originally stored
 // element with no new WAL record and no new event.
 func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
+	if err := e.ClientWritable(); err != nil {
+		return nil, err
+	}
+	return e.insert(ctx, ins, key)
+}
+
+// insert is InsertKeyed on any relation, the catalog's own included.
+func (e *Entry) insert(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
 	items, _, err := e.commit(ctx, walInsertKeyed, []string{key}, oneKey{}, true, stageInserts([]relation.Insertion{ins}))
 	if err != nil {
 		return nil, err
@@ -607,6 +615,9 @@ func stageInserts(ins []relation.Insertion) func(*relation.Relation, int, []rela
 // tt⊣ update (which would fail as already-deleted and make retries look
 // like conflicts).
 func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
+	if err := e.ClientWritable(); err != nil {
+		return err
+	}
 	_, _, err := e.commit(ctx, walDeleteKeyed, []string{key}, oneKey{}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		// The element still carries tt⊣ = forever here; replay only needs
 		// its surrogate and the record's transaction time.
@@ -625,6 +636,9 @@ func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key str
 // returns the replacement the original transaction produced instead of
 // chaining a second delete+insert onto it.
 func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
+	if err := e.ClientWritable(); err != nil {
+		return nil, err
+	}
 	items, _, err := e.commit(ctx, walModifyKeyed, []string{key}, oneKey{}, true, func(r *relation.Relation, _ int, recs []relation.LogRecord) ([]relation.LogRecord, error) {
 		old, repl, tt, err := r.StageModify(es, vt, varying)
 		if err != nil {

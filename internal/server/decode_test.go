@@ -19,7 +19,13 @@ import (
 	"repro/internal/wire"
 )
 
-type plainInsert wire.InsertRequest
+type (
+	plainInsert wire.InsertRequest
+	plainQuery  wire.QueryRequest
+	plainSelect wire.SelectRequest
+	plainDelete wire.DeleteRequest
+	plainModify wire.ModifyRequest
+)
 
 // decodeBody runs decode over body under a size cap; the plain type's
 // name is spelled back so that error texts compare.
@@ -28,7 +34,11 @@ func decodeBody(body io.Reader, limit int64, into any) *apiError {
 	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
 	aerr := decode(r, into)
 	if aerr != nil {
-		aerr.message = strings.NewReplacer("server.plainInsert", "wire.InsertRequest", "plainInsert", "InsertRequest").Replace(aerr.message)
+		var names []string
+		for _, n := range []string{"Insert", "Query", "Select", "Delete", "Modify"} {
+			names = append(names, "server.plain"+n, "wire."+n+"Request", "plain"+n, n+"Request")
+		}
+		aerr.message = strings.NewReplacer(names...).Replace(aerr.message)
 	}
 	return aerr
 }
@@ -98,10 +108,58 @@ func TestDecodeKeepsTheAcceptSet(t *testing.T) {
 		}
 	}
 
+	// The small requests, canonical and in the spellings only encoding/json
+	// may judge: spaces, another key order, an unknown key, a float for an
+	// integer, trailing data.
+	for _, body := range []string{
+		`{"kind":"timeslice","vt":5,"tt":9}`, `{"kind":"current"}`, `{"kind":"asof","vt":-5,"tt":9223372036854775807}`,
+		`{ "kind" : "asof" , "vt" : 5 }`, `{"vt":5,"kind":"timeslice"}`, `{"kind":"current","color":"red"}`,
+		`{"kind":"timeslice","vt":5.0}`, `{"kind":"current"} {"kind":"rollback"}`, `{"kind":"current"}]`,
+		`{"kind":"sideways"}`, `{"kind":"current","kind":"timeslice"}`, `{"KIND":"current"}`, `{"kind":null}`,
+		`{"kind":"cur\u0072ent"}`, `{"kind":"current","vt":0}`, `{"kind":"current","vt":99999999999999999999}`,
+		`null`, ``, `{`, `[]`,
+	} {
+		sameDecode[wire.QueryRequest, plainQuery](t, body, limit)
+	}
+	for _, body := range []string{
+		`{"query":"select * from emp"}`, `{ "query": "x" }`, `{"query":"x","limit":1}`, `{"query":5.0}`,
+		`{"query":"a"} trailing`, `{"query":"\u00e9\ud800<&>\t"}`, `{"Query":"x"}`, `{"query":""}`, `{"query":null}`,
+		`{"query":"a","query":"b"}`, `{}`, ``,
+	} {
+		sameDecode[wire.SelectRequest, plainSelect](t, body, limit)
+	}
+	for _, body := range []string{
+		`{"es":5}`, `{ "es" : 5 }`, `{"es":5,"x":1}`, `{"es":5.0}`, `{"es":5} 7`, `{"es":-1}`, `{"es":0}`,
+		`{"es":18446744073709551615}`, `{"es":18446744073709551616}`, `{"ES":5}`, `{}`, `{"es":05}`,
+	} {
+		sameDecode[wire.DeleteRequest, plainDelete](t, body, limit)
+	}
+	for _, body := range []string{
+		`{"es":5,"vt":{"event":9},"varying":[{"kind":"int","int":1}]}`, `{"vt":{"event":9},"es":5}`,
+		`{"es":5, "vt":{"start":1,"end":2}}`, `{"es":5,"vt":{"event":9},"x":1}`, `{"es":5.0,"vt":{"event":9}}`,
+		`{"es":5,"vt":{"event":9.0}}`, `{"es":5,"vt":{"event":9}}garbage`, `{"es":5,"vt":{"event":9},"varying":null}`,
+		`{"es":5,"vt":{"event":9},"varying":[]}`, `{"es":5,"vt":{}}`, `{"es":5}`, `{"es":5,"varying":[],"vt":{"event":9}}`,
+	} {
+		sameDecode[wire.ModifyRequest, plainModify](t, body, limit)
+	}
+
 	// A body whose read fails midway reports the failure, not the prefix.
 	var req wire.InsertRequest
 	if aerr := decodeBody(io.MultiReader(strings.NewReader(`{"vt":`), brokenReader{}), limit, &req); aerr == nil || aerr.status != http.StatusBadRequest {
 		t.Errorf("broken body decoded as %+v, %+v", req, aerr)
+	}
+}
+
+// sameDecode decodes body into W, which has its own parser, and into P,
+// its plain twin, which does not, and holds the two to the same status,
+// message and value.
+func sameDecode[W, P any](t *testing.T, body string, limit int64) {
+	t.Helper()
+	var fast W
+	var slow P
+	fe, se := decodeBody(strings.NewReader(body), limit, &fast), decodeBody(strings.NewReader(body), limit, &slow)
+	if !reflect.DeepEqual(fe, se) || !reflect.DeepEqual(fast, reflect.ValueOf(slow).Convert(reflect.TypeOf(fast)).Interface()) {
+		t.Errorf("%T body %.80q:\n fast %+v %+v\n slow %+v %+v", fast, body, fe, fast, se, slow)
 	}
 }
 
@@ -133,8 +191,27 @@ func TestDecodeNotesTheSlowPath(t *testing.T) {
 			t.Errorf("insert body %s: slow decode %v, want %v", body, got, want)
 		}
 	}
-	if marked(`{ "kind" : "current" }`, &wire.QueryRequest{}) {
-		t.Error("a query request has no fast parser to miss")
+	if marked(`{ "constraints" : [] }`, &wire.DeclareRequest{}) {
+		t.Error("a declare request has no fast parser to miss")
+	}
+	// The small requests: canonical, and spelled otherwise.
+	for _, c := range []struct {
+		body string
+		into any
+		want bool
+	}{
+		{`{"kind":"timeslice","vt":5}`, &wire.QueryRequest{}, false},
+		{`{ "kind" : "current" }`, &wire.QueryRequest{}, true},
+		{`{"query":"select * from emp"}`, &wire.SelectRequest{}, false},
+		{`{"query":"select * from emp","x":1}`, &wire.SelectRequest{}, true},
+		{`{"es":5}`, &wire.DeleteRequest{}, false},
+		{`{"es":5.0}`, &wire.DeleteRequest{}, true},
+		{`{"es":5,"vt":{"event":9}}`, &wire.ModifyRequest{}, false},
+		{`{"vt":{"event":9},"es":5}`, &wire.ModifyRequest{}, true},
+	} {
+		if got := marked(c.body, c.into); got != c.want {
+			t.Errorf("%T body %s: slow decode %v, want %v", c.into, c.body, got, c.want)
+		}
 	}
 	// The batch body's fast parse: a canonical body is taken whole, an
 	// element that does not convert is refused without counting a slow

@@ -68,7 +68,7 @@ func empSchema() client.Schema {
 	}
 }
 
-func mustDescriptor(t *testing.T, c constraint.Constraint) client.Descriptor {
+func mustDescriptor(t testing.TB, c constraint.Constraint) client.Descriptor {
 	t.Helper()
 	d, ok := constraint.Describe(c, constraint.PerRelation)
 	if !ok {

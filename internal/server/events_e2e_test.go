@@ -26,10 +26,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/client"
 	"repro/internal/catalog"
+	"repro/internal/constraint"
+	"repro/internal/core"
 	"repro/internal/integrity"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -174,6 +177,65 @@ func TestIntegrityE2ESysPrefixIsReserved(t *testing.T) {
 	}
 	if got, err := cli.List(ctx); err != nil || len(got) != 0 {
 		t.Fatalf("relations after refused creates: %v, %v; want none", got, err)
+	}
+}
+
+// TestIntegrityE2EClientsCannotWriteDecisions: no client can forge or hide
+// a decision row. An insert, a delete, a modify, a batch, a CSV ingest and
+// a declaration aimed at _sys_events each answer 400 bad_request and leave
+// its rows and its Merkle head as they were; the engine's own next
+// decision still writes its row.
+func TestIntegrityE2EClientsCannotWriteDecisions(t *testing.T) {
+	ctx := context.Background()
+	p := bootIntegPrimary(t, t.TempDir(), "")
+	defer p.stop()
+	cli := client.New(p.base)
+	migrateDegenerate(t, ctx, cli, p.cat, "mon")
+
+	const all, sys = "SELECT * FROM _sys_events", "_sys_events"
+	rows := selectOK(t, ctx, cli, all).Rows
+	es := selectOK(t, ctx, cli, "SELECT es FROM _sys_events").Rows
+	if len(rows) != 1 || len(es) != 1 {
+		t.Fatalf("_sys_events holds %d rows after one migration, want 1", len(rows))
+	}
+	row := es[0][0].Int
+	head, err := cli.Integrity(ctx, sys)
+	if err != nil || !head.Tracked {
+		t.Fatalf("integrity of %s: %+v, %v", sys, head, err)
+	}
+	forged := client.InsertRequest{VT: client.EventAt(5),
+		Invariant: []client.Value{client.String("mon"), client.String("migrate")},
+		Varying:   []client.Value{client.Null(), client.Null(), client.Null(), client.Int(1), client.Null(), client.Null(), client.Null(), client.Null()}}
+	descriptor := mustDescriptor(t, constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()})
+	for what, write := range map[string]func() error{
+		"insert": func() error { _, err := cli.Insert(ctx, sys, forged); return err },
+		"delete": func() error { return cli.Delete(ctx, sys, uint64(row)) },
+		"modify": func() error {
+			_, err := cli.Modify(ctx, sys, uint64(row), client.EventAt(5), forged.Varying)
+			return err
+		},
+		"batch": func() error { _, err := cli.InsertBatch(ctx, sys, []client.InsertRequest{forged}, true); return err },
+		"csv": func() error {
+			_, err := cli.IngestCSV(ctx, sys, strings.NewReader("vt,relation,kind,artifact_kind,artifact,detail,epoch,from,to,source,reasons\n5,mon,migrate,a,b,c,1,d,e,f,g\n"))
+			return err
+		},
+		"declare": func() error { _, err := cli.Declare(ctx, sys, descriptor); return err },
+	} {
+		var apiErr *client.APIError
+		if err := write(); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_request" {
+			t.Errorf("%s into %s: %v, want a typed bad_request", what, sys, err)
+		}
+	}
+	if got := selectOK(t, ctx, cli, all).Rows; !reflect.DeepEqual(got, rows) {
+		t.Fatalf("rows after refused writes %v, want %v", got, rows)
+	}
+	if after, err := cli.Integrity(ctx, sys); err != nil || after.Size != head.Size || !bytes.Equal(after.Root, head.Root) {
+		t.Fatalf("Merkle head after refused writes: %d %x (%v), want %d %x", after.Size, after.Root, err, head.Size, head.Root)
+	}
+
+	migrateDegenerate(t, ctx, cli, p.cat, "mon2")
+	if got := selectOK(t, ctx, cli, all).Rows; len(got) != 2 {
+		t.Fatalf("_sys_events holds %d rows after a second migration, want 2", len(got))
 	}
 }
 

@@ -30,3 +30,27 @@ func DecodeBatchBothWays(body []byte) (handler, plain BatchDecoded) {
 	plain = read(decodeBatchJSON(bytes.NewReader(body)))
 	return handler, plain
 }
+
+// Decoded is one way's reading of a request body: the value it decoded, or
+// the status and message it refused the body with.
+type Decoded struct {
+	Value   any
+	Status  int
+	Message string
+}
+
+// DecodeBothWays reads body into a fresh T the way the handlers do (decode:
+// T's own parser first, the strict json.Decoder for whatever it hands back)
+// and with decodeJSON alone, for the differential fuzzers.
+func DecodeBothWays[T any](body []byte) (handler, plain Decoded) {
+	read := func(v *T, aerr *apiError) Decoded {
+		if aerr != nil {
+			return Decoded{Status: aerr.status, Message: aerr.message}
+		}
+		return Decoded{Value: *v}
+	}
+	var h, p T
+	handler = read(&h, decode(httptest.NewRequest("POST", "/", bytes.NewReader(body)), &h))
+	plain = read(&p, decodeJSON(bytes.NewReader(body), &p))
+	return handler, plain
+}

@@ -62,6 +62,21 @@ func post(t *testing.T, h http.Handler, path string, payload []byte) *httptest.R
 	return rec
 }
 
+// sameBothWays holds decode to its strict encoding/json path on payload: the
+// same value, or the same refusal in the same words.
+func sameBothWays[T any](t *testing.T, payload []byte) {
+	t.Helper()
+	handler, plain := server.DecodeBothWays[T](payload)
+	if !reflect.DeepEqual(handler, plain) {
+		t.Fatalf("%T body %q:\n handler %+v\n plain   %+v", *new(T), payload, handler, plain)
+	}
+}
+
+// FuzzDecodeTransaction holds the single-element write endpoints to the
+// shared invariants, and the decode of each of their bodies to the strict
+// json.Decoder it falls back to: whatever the fast parse takes decodes to
+// what encoding/json makes of it, and whatever it hands back is refused, or
+// accepted, in encoding/json's words.
 func FuzzDecodeTransaction(f *testing.F) {
 	h := newFuzzHandler(f)
 	f.Add([]byte(`{"vt":{"event":5},"invariant":[{"kind":"string","str":"a"}],"varying":[{"kind":"int","int":1}]}`))
@@ -74,13 +89,22 @@ func FuzzDecodeTransaction(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[`))
+	f.Add([]byte(`{"es":5,"vt":{"event":9},"varying":[{"kind":"int","int":1}]}`))
+	f.Add([]byte(`{"es":5,"vt":{"start":1,"end":2},"varying":[]}`))
+	f.Add([]byte(`{"vt":{"event":9},"es":5}`))
+	f.Add([]byte(`{"es":5.0}`))
+	f.Add([]byte(`{"es":5} {"es":6}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/insert", payload)
 		post(t, h, "/v1/relations/emp/delete", payload)
 		post(t, h, "/v1/relations/emp/modify", payload)
+		sameBothWays[wire.InsertRequest](t, payload)
+		sameBothWays[wire.DeleteRequest](t, payload)
+		sameBothWays[wire.ModifyRequest](t, payload)
 	})
 }
 
+// FuzzDecodeQuery is FuzzDecodeTransaction for the read endpoints' bodies.
 func FuzzDecodeQuery(f *testing.F) {
 	h := newFuzzHandler(f)
 	f.Add([]byte(`{"kind":"current"}`))
@@ -92,9 +116,16 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`{"query":"select ((("}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`"kind"`))
+	f.Add([]byte(`{ "kind" : "current" }`))
+	f.Add([]byte(`{"vt":5,"kind":"timeslice"}`))
+	f.Add([]byte(`{"kind":"timeslice","vt":5.0}`))
+	f.Add([]byte(`{"query":"select count(*) from emp group by window(10)","x":1}`))
+	f.Add([]byte(`{"query":"\u00e9\ud800<&>"} trailing`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/query", payload)
 		post(t, h, "/v1/select", payload)
+		sameBothWays[wire.QueryRequest](t, payload)
+		sameBothWays[wire.SelectRequest](t, payload)
 	})
 }
 

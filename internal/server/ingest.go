@@ -181,6 +181,9 @@ func (s *Server) handleIngestCSV(r *http.Request) (*response, *apiError) {
 		return nil, errBadRequest("need ?relation=<name>")
 	}
 	e, err := s.cat.Get(name)
+	if err == nil {
+		err = e.ClientWritable()
+	}
 	if err != nil {
 		return nil, mapError(err)
 	}

@@ -22,6 +22,8 @@ import (
 
 	"repro/client"
 	"repro/internal/catalog"
+	"repro/internal/constraint"
+	"repro/internal/core"
 	"repro/internal/integrity"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -209,6 +211,63 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if out, err := typed.InsertBatch(ctx, "led", reqs, true); err != nil || out.Stored != len(reqs) {
 				b.Fatalf("InsertBatch stored %d of %d: %v", out.Stored, len(reqs), err)
+			}
+		}
+	})
+	b.Run("agg-after-batch", func(b *testing.B) {
+		// tsbench's firehose-analytics in one loop: a 256-element batch at
+		// the head of a declared, advised event relation, then the five
+		// aggregates it cycles — each after a write, so none is answered
+		// whole from the result cache; the windows the batch moved are
+		// folded again and the answer is emitted and sent.
+		ctx := context.Background()
+		cat := roundTripCatalog(b, noSyncFS{wal.DirFS(b.TempDir())}, nil)
+		typed := client.New(listen(b, server.New(server.Config{Catalog: cat}).Handler()))
+		if _, err := typed.Create(ctx, client.Schema{Name: "sensor", ValidTime: "event", Granularity: 1,
+			Invariant: []client.Column{{Name: "id", Type: "string"}}, Varying: []client.Column{{Name: "value", Type: "int"}}}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := typed.Declare(ctx, "sensor", mustDescriptor(b, constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()})); err != nil {
+			b.Fatal(err)
+		}
+		vt, n := int64(1_700_000_000), 0
+		batch := func() []client.InsertRequest {
+			reqs := make([]client.InsertRequest, 256)
+			for i := range reqs {
+				vt += 1 + int64(n*7919%19)
+				reqs[i] = client.InsertRequest{VT: client.EventAt(vt),
+					Invariant: []client.Value{client.String("s1")}, Varying: []client.Value{client.Int(int64(n * 37 % 1000))}}
+				n++
+			}
+			return reqs
+		}
+		insert := func() {
+			if out, err := typed.InsertBatch(ctx, "sensor", batch(), true); err != nil || out.Stored != 256 {
+				b.Fatalf("InsertBatch stored %d of 256: %v", out.Stored, err)
+			}
+		}
+		for i := 0; i < 64; i++ { // 16,384 elements: a spine block of sealed runs
+			insert()
+		}
+		if _, err := cat.AdvisePass(catalog.DefaultAdvisorConfig()); err != nil {
+			b.Fatal(err)
+		}
+		lo := int64(1_700_000_000) + 20_000
+		stmts := []string{
+			"SELECT count(*) FROM sensor GROUP BY WINDOW(16384)",
+			"SELECT sum(value) FROM sensor GROUP BY WINDOW(16384)",
+			"SELECT max(value) FROM sensor GROUP BY WINDOW(16384, ROLLING 8)",
+			"SELECT count(*) FROM sensor GROUP BY WINDOW(16384, CUMULATIVE)",
+			fmt.Sprintf("SELECT sum(value) FROM sensor WHEN VALID DURING [%d, %d) GROUP BY WINDOW(4096)", lo, lo+65536),
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			insert()
+			for _, stmt := range stmts {
+				if res, err := typed.Select(ctx, stmt); err != nil || len(res.Rows) == 0 {
+					b.Fatalf("%s: %d rows, %v", stmt, len(res.Rows), err)
+				}
 			}
 		}
 	})
@@ -402,17 +461,25 @@ func TestBatchAllocationBudget(t *testing.T) {
 
 // TestRequestAllocationBudget pins what a request costs in allocations
 // through srv.Handler(), into a writer that keeps nothing: a POST …/query
-// answered from the result cache, and a single insert, delete and modify.
+// answered from the result cache, a window aggregate answered from it and
+// one refolded after an insert, and a single insert, delete and modify.
 // For the query the handler's own share (decode, cache lookup, encode into
 // the pooled buffer) is small; the rest is the deadline wrapper
 // (deadline.go: a context, a request copy, a timer, the writer and its
 // header map). Under http.TimeoutHandler — a goroutine, a channel, a header
 // map and an unpooled bytes.Buffer grown to the body — the query read 31
-// (32–33 under -race, where sync.Pool drops items); it reads 25 (26) now.
-// A mutation (one element, acknowledged by the group commit, a close copying
-// the one chunk it lands in) read 30, 32 and 44 for an insert, a delete and
-// a modify, with and without -race, when its budget was set: that plus the
-// query's headroom of two.
+// (32–33 under -race, where sync.Pool drops items); with encoding/json
+// decoding its body it read 25. A mutation (one element, acknowledged by
+// the group commit, a close copying the one chunk it lands in) read 30, 32
+// and 44 for an insert, a delete and a modify when its budget was set.
+//
+// Since the query, select, delete and modify bodies have their own parsers,
+// the statement's keys are appended without fmt and the windows are
+// emitted once, the rows read (without -race, then with it): the query 19
+// (19), the cache-hit aggregate 26 (26; 50 before), the aggregate after an
+// insert 61 (62; 98 before), the insert 29 (29), the delete 27 (28) and the
+// modify 31 (31). Each budget is its reading plus 10 %, the insert's
+// excepted, which kept its own.
 func TestRequestAllocationBudget(t *testing.T) {
 	h := memoryLog(t).Handler()
 	serveOnce(t, h, "/v1/relations", fmt.Sprintf(createEvent, "r"), http.StatusCreated)
@@ -430,6 +497,7 @@ func TestRequestAllocationBudget(t *testing.T) {
 		insert(i)
 	}
 	const q, runs = `{"kind":"current"}`, 200
+	const agg = `{"query":"select count(*), sum(v) from r group by window(16)"}`
 	serveOnce(t, h, "/v1/relations/r/query", q, http.StatusOK) // fills the cache
 	// bodies names the runs+1 elements a delete or a modify leg writes to,
 	// one a request (AllocsPerRun warms up once): each is stored when the
@@ -446,16 +514,20 @@ func TestRequestAllocationBudget(t *testing.T) {
 	bodies := func(format string) func() []string {
 		return each(func(i int) string { return fmt.Sprintf(format, insert(1000+i)) })
 	}
+	head := 100_000
 	for _, c := range []struct {
 		name, path string
 		bodies     func() []string
+		before     func() // unmeasured, before each request
 		status     int
 		budget     float64
 	}{
-		{"cache-hit query", "/v1/relations/r/query", each(func(int) string { return q }), http.StatusOK, 27},
-		{"insert", "/v1/relations/r/insert", each(func(i int) string { return insertBody(5000 + i) }), http.StatusCreated, 32},
-		{"delete", "/v1/relations/r/delete", bodies(`{"es":%d}`), http.StatusOK, 34},
-		{"modify", "/v1/relations/r/modify", bodies(`{"es":%d,"vt":{"event":9000},"varying":[{"kind":"int","int":7}]}`), http.StatusOK, 46},
+		{"cache-hit query", "/v1/relations/r/query", each(func(int) string { return q }), nil, http.StatusOK, 21},                                     // 27 before (25 measured)
+		{"cache-hit select aggregate", "/v1/select", each(func(int) string { return agg }), nil, http.StatusOK, 29},                                   // 50 measured before
+		{"select aggregate after an insert", "/v1/select", each(func(int) string { return agg }), func() { head++; insert(head) }, http.StatusOK, 68}, // 98 measured before
+		{"insert", "/v1/relations/r/insert", each(func(i int) string { return insertBody(5000 + i) }), nil, http.StatusCreated, 32},
+		{"delete", "/v1/relations/r/delete", bodies(`{"es":%d}`), nil, http.StatusOK, 30},                                                        // 34 before (32 measured)
+		{"modify", "/v1/relations/r/modify", bodies(`{"es":%d,"vt":{"event":9000},"varying":[{"kind":"int","int":7}]}`), nil, http.StatusOK, 34}, // 46 before (44 measured)
 	} {
 		todo := c.bodies()
 		body := strings.NewReader(todo[0]) // not empty, or the request gets http.NoBody
@@ -464,7 +536,7 @@ func TestRequestAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &sinkWriter{h: make(http.Header)}
-		allocs := testing.AllocsPerRun(runs, func() {
+		serve := func() {
 			body.Reset(todo[0])
 			r.ContentLength, todo = int64(len(todo[0])), todo[1:]
 			clear(w.h)
@@ -473,12 +545,37 @@ func TestRequestAllocationBudget(t *testing.T) {
 			if w.status != c.status || w.n == 0 {
 				t.Fatalf("%s: status %d, %d body bytes", c.name, w.status, w.n)
 			}
-		})
+		}
+		var allocs float64
+		if c.before == nil {
+			allocs = testing.AllocsPerRun(runs, serve)
+		} else {
+			allocs = allocsBetween(runs, c.before, serve)
+		}
 		t.Logf("%s: %.0f allocations", c.name, allocs)
 		if allocs > c.budget {
 			t.Errorf("a %s allocates %.0f times through srv.Handler(), budget %.0f", c.name, allocs, c.budget)
 		}
 	}
+}
+
+// allocsBetween is testing.AllocsPerRun for a request that must follow
+// another: before runs ahead of each of the runs+1 calls of f (the first
+// warms up) and only f's allocations are counted.
+func allocsBetween(runs int, before, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before()
+	f()
+	var total uint64
+	var a, b runtime.MemStats
+	for i := 0; i < runs; i++ {
+		before()
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		total += b.Mallocs - a.Mallocs
+	}
+	return float64(total / uint64(runs))
 }
 
 // revalidationBench is the relation the revalidation benchmark and budget

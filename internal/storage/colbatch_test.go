@@ -274,7 +274,7 @@ func benchAggregate(b *testing.B, columnar bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Start) == 0 {
+		if len(res.Rows) == 0 {
 			b.Fatal("no windows")
 		}
 	}

@@ -17,9 +17,8 @@ package tsql
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
-	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/relation"
 	"repro/internal/vec"
@@ -117,27 +116,17 @@ func AggColumns(q *Query) []string {
 	return cols
 }
 
-// AggToResult shapes an engine's window list into the tabular Result,
-// applying LIMIT to the emitted windows; the rows share one slab.
+// AggToResult shapes an engine's window rows into the tabular Result: the
+// columns, and the rows as emitted — already [win_start, win_end, v…] —
+// cut to LIMIT.
 func AggToResult(q *Query, r *vec.AggResult) *Result {
 	res := &Result{Columns: AggColumns(q)}
-	n := len(r.Start)
+	n := len(r.Rows)
 	if q.HasLimit && q.Limit < n {
 		n = q.Limit
 	}
-	if n <= 0 {
-		return res
-	}
-	width := 2 + len(r.Vals[0])
-	slab := make([]element.Value, 0, n*width)
-	res.Rows = make([][]element.Value, n)
-	for i := range res.Rows {
-		at := len(slab)
-		slab = append(slab,
-			element.Time(chronon.Chronon(r.Start[i])),
-			element.Time(chronon.Chronon(r.End[i])))
-		slab = append(slab, r.Vals[i]...)
-		res.Rows[i] = slab[at:len(slab):len(slab)]
+	if n > 0 {
+		res.Rows = r.Rows[:n:n]
 	}
 	return res
 }
@@ -158,21 +147,26 @@ func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versio
 }
 
 // aggNote describes the aggregate list and window geometry for the
-// window-aggregate plan node.
+// window-aggregate plan node: "count(*), sum(v) window 60 rolling 3".
 func aggNote(q *Query) string {
-	parts := make([]string, len(q.Aggs))
+	var stack [128]byte
+	b := stack[:0]
 	for i, a := range q.Aggs {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
 		col := a.Col
 		if col == "" {
 			col = "*"
 		}
-		parts[i] = fmt.Sprintf("%s(%s)", a.Func, col)
+		b = append(append(append(append(b, a.Func...), '('), col...), ')')
 	}
-	note := fmt.Sprintf("%s window %d %v", strings.Join(parts, ", "), q.Group.Width, q.Group.Kind)
+	b = strconv.AppendInt(append(b, " window "...), q.Group.Width, 10)
+	b = append(append(b, ' '), q.Group.Kind.String()...)
 	if q.Group.Kind == vec.Rolling {
-		note += fmt.Sprintf(" %d", q.Group.K)
+		b = strconv.AppendInt(append(b, ' '), q.Group.K, 10)
 	}
-	return note
+	return string(b)
 }
 
 // Fingerprint canonicalizes the parsed statement for the query-result
@@ -193,49 +187,71 @@ func (q *Query) Fingerprint() string {
 // extent (tumbling, rolling and cumulative differ only in how cells are
 // emitted), the valid-time clamp (a partial is only used for runs the
 // clamp does not cut), AS OF (never memoized), ORDER BY and LIMIT. partial is empty for statements that are not aggregates.
+//
+// Both keys are appended in one pass into one buffer and cut from one
+// string: partial repeats the aggregate, WHEN and WHERE clauses of result,
+// copied from where result wrote them. The bytes are those the clauses'
+// fmt verbs wrote when the keys were first defined (fingerprintDefinition
+// in the tests holds them to it); a changed byte would split or merge
+// cache entries.
 func (q *Query) Fingerprints() (result, partial string) {
-	var aggs, where strings.Builder
-	for _, a := range q.Aggs {
-		fmt.Fprintf(&aggs, ";agg=%s(%s)", a.Func, a.Col)
-	}
-	for _, p := range q.Where {
-		fmt.Fprintf(&where, ";where=%s %s %d,%v,%d,%v,%q,%v",
-			p.Col, p.Op, p.Lit.Kind, p.Lit.Number, p.Lit.Int, p.Lit.IsInt, p.Lit.Str, p.Lit.Bool)
-	}
-	when := ""
-	if w := q.When; w != nil {
-		when = fmt.Sprintf(";when=%d,%d,%d,%d,%v",
-			w.Kind, int64(w.At), int64(w.Window.Start), int64(w.Window.End), w.Rel)
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "rel=%s", q.Rel)
+	var stack [256]byte
+	b := append(stack[:0], "rel="...)
+	b = append(b, q.Rel...)
 	for _, c := range q.Columns {
-		fmt.Fprintf(&b, ";col=%s", c)
+		b = append(append(b, ";col="...), c...)
 	}
-	b.WriteString(aggs.String())
-	if q.Group != nil {
-		fmt.Fprintf(&b, ";win=%d,%v,%d", q.Group.Width, q.Group.Kind, q.Group.K)
+	aggs := len(b)
+	for _, a := range q.Aggs {
+		b = append(append(b, ";agg="...), a.Func...)
+		b = append(append(append(b, '('), a.Col...), ')')
+	}
+	aggsEnd := len(b)
+	if g := q.Group; g != nil {
+		b = strconv.AppendInt(append(b, ";win="...), g.Width, 10)
+		b = append(append(b, ','), g.Kind.String()...)
+		b = strconv.AppendInt(append(b, ','), g.K, 10)
 	}
 	if q.HasAsOf {
-		fmt.Fprintf(&b, ";asof=%d", int64(q.AsOf))
+		b = strconv.AppendInt(append(b, ";asof="...), int64(q.AsOf), 10)
 	}
-	b.WriteString(when)
-	b.WriteString(where.String())
+	when := len(b)
+	if w := q.When; w != nil {
+		b = strconv.AppendUint(append(b, ";when="...), uint64(w.Kind), 10)
+		b = strconv.AppendInt(append(b, ','), int64(w.At), 10)
+		b = strconv.AppendInt(append(b, ','), int64(w.Window.Start), 10)
+		b = strconv.AppendInt(append(b, ','), int64(w.Window.End), 10)
+		b = append(append(b, ','), w.Rel.String()...)
+	}
+	where := len(b)
+	for _, p := range q.Where {
+		b = append(append(b, ";where="...), p.Col...)
+		b = append(append(append(b, ' '), p.Op...), ' ')
+		b = strconv.AppendUint(b, uint64(p.Lit.Kind), 10)
+		b = strconv.AppendFloat(append(b, ','), p.Lit.Number, 'g', -1, 64)
+		b = strconv.AppendInt(append(b, ','), p.Lit.Int, 10)
+		b = strconv.AppendBool(append(b, ','), p.Lit.IsInt)
+		b = strconv.AppendQuote(append(b, ','), p.Lit.Str)
+		b = strconv.AppendBool(append(b, ','), p.Lit.Bool)
+	}
+	whereEnd := len(b)
 	if q.OrderBy != "" {
-		fmt.Fprintf(&b, ";order=%s,%v", q.OrderBy, q.OrderDesc)
+		b = append(append(b, ";order="...), q.OrderBy...)
+		b = strconv.AppendBool(append(b, ','), q.OrderDesc)
 	}
 	if q.HasLimit {
-		fmt.Fprintf(&b, ";limit=%d", q.Limit)
+		b = strconv.AppendInt(append(b, ";limit="...), int64(q.Limit), 10)
 	}
-	result = b.String()
-
+	n := len(b)
 	if q.Group == nil {
-		return result, ""
+		return string(b), ""
 	}
-	partial = fmt.Sprintf("width=%d", q.Group.Width) + aggs.String()
+	b = strconv.AppendInt(append(b, "width="...), q.Group.Width, 10)
+	b = append(b, b[aggs:aggsEnd]...)
 	if q.When != nil && q.When.Kind == WhenAllen {
-		partial += when
+		b = append(b, b[when:where]...)
 	}
-	return result, partial + where.String()
+	b = append(b, b[where:whereEnd]...)
+	s := string(b)
+	return s[:n], s[n:]
 }

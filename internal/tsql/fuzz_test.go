@@ -12,10 +12,11 @@ import (
 	"repro/internal/vec"
 )
 
-// FuzzParse checks the query parser never panics and that parsed queries
-// evaluate without panicking against a small fixture relation.
-func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
+// parseSeeds and aggregateSeeds start FuzzParse and FuzzParseAggregate;
+// the fingerprint oracle (TestFingerprintsAreTheDefinition) runs over them
+// too.
+var (
+	parseSeeds = []string{
 		"select * from emp",
 		"select name, salary from emp as of 25 when valid at 100 where salary > 150",
 		"select who from shifts when meets [100, 120)",
@@ -26,7 +27,27 @@ func FuzzParse(f *testing.F) {
 		"select * from emp when overlapped-by [5, 1)",
 		"'",
 		"select * from emp where v == -3.5",
-	} {
+	}
+	aggregateSeeds = []string{
+		"select count(*) from emp group by window(100)",
+		"select count(*), sum(salary) from emp group by window(50) using columnar",
+		"select max(salary) from emp group by window(60, rolling 3) using row",
+		"select min(salary) from emp group by window(10, cumulative) limit 4",
+		"select count(salary) from emp as of 25 when valid during [0, 200) group by window(100)",
+		"select sum(salary) from emp where salary > 2 group by window(25)",
+		"select count(*) from emp group by window(99999999999999999999)",
+		"select sum(*) from emp group by window(10)",
+		"select count(*) from emp group by window(10, rolling)",
+		"select name, count(*) from emp group by window(10)",
+		"select count(*) from emp using turbo",
+		"explain select count(*) from emp group by window(50)",
+	}
+)
+
+// FuzzParse checks the query parser never panics and that parsed queries
+// evaluate without panicking against a small fixture relation.
+func FuzzParse(f *testing.F) {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	r := relation.New(relation.Schema{
@@ -48,6 +69,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		sameFingerprints(t, src, q)
 		// Whatever parses must evaluate or fail cleanly — never panic.
 		_, _ = Eval(q, r)
 	})
@@ -59,20 +81,7 @@ func FuzzParse(f *testing.F) {
 // organization, with and without a declared bound) and evaluates
 // against a fixture relation without panicking.
 func FuzzParseAggregate(f *testing.F) {
-	for _, seed := range []string{
-		"select count(*) from emp group by window(100)",
-		"select count(*), sum(salary) from emp group by window(50) using columnar",
-		"select max(salary) from emp group by window(60, rolling 3) using row",
-		"select min(salary) from emp group by window(10, cumulative) limit 4",
-		"select count(salary) from emp as of 25 when valid during [0, 200) group by window(100)",
-		"select sum(salary) from emp where salary > 2 group by window(25)",
-		"select count(*) from emp group by window(99999999999999999999)",
-		"select sum(*) from emp group by window(10)",
-		"select count(*) from emp group by window(10, rolling)",
-		"select name, count(*) from emp group by window(10)",
-		"select count(*) from emp using turbo",
-		"explain select count(*) from emp group by window(50)",
-	} {
+	for _, seed := range aggregateSeeds {
 		f.Add(seed)
 	}
 	r := relation.New(relation.Schema{
@@ -101,6 +110,7 @@ func FuzzParseAggregate(f *testing.F) {
 		if err != nil {
 			return
 		}
+		sameFingerprints(t, src, q)
 		// The shape invariants the parser promises downstream layers.
 		if q.Group == nil {
 			if len(q.Aggs) > 0 {
@@ -126,6 +136,7 @@ func FuzzParseAggregate(f *testing.F) {
 				t.Fatalf("Compile(%q, %+v) produced no plan", src, a)
 			}
 		}
+		sameFingerprints(t, src, q)
 		// Whatever parses must evaluate or fail cleanly — never panic.
 		_, _ = Eval(q, r)
 	})

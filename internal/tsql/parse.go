@@ -138,6 +138,30 @@ func (p *parser) peekKeyword(word string) bool {
 	return t.kind == tokIdent && strings.EqualFold(t.text, word)
 }
 
+// word is the one of words (lower-case) an identifier token spells in any
+// case, without lower-casing its text.
+func (t token) word(words ...string) (string, bool) {
+	if t.kind == tokIdent {
+		for _, w := range words {
+			if strings.EqualFold(t.text, w) {
+				return w, true
+			}
+		}
+	}
+	return "", false
+}
+
+// allenRelation is the relation an identifier names in any case; an
+// identifier holds no space, so the "inverse X" phrasing never reaches it.
+func allenRelation(text string) (interval.Relation, bool) {
+	for r := interval.Relation(0); r < interval.NumRelations; r++ {
+		if strings.EqualFold(text, r.String()) {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
 // Parse parses a query string.
 func Parse(src string) (*Query, error) {
 	toks, err := lexAll(src)
@@ -166,6 +190,9 @@ func Parse(src string) (*Query, error) {
 				call, err := p.parseAggCall(t)
 				if err != nil {
 					return nil, err
+				}
+				if q.Aggs == nil {
+					q.Aggs = make([]AggCall, 0, 4)
 				}
 				q.Aggs = append(q.Aggs, call)
 			} else {
@@ -267,7 +294,7 @@ func Parse(src string) (*Query, error) {
 			if using != "" {
 				return nil, p.errf(t, "duplicate USING")
 			}
-			if w := strings.ToLower(t.text); t.kind == tokIdent && (w == "row" || w == "columnar") {
+			if w, ok := t.word("row", "columnar"); ok {
 				using = w
 			} else {
 				return nil, p.errf(t, "expected ROW or COLUMNAR, got %q", t.text)
@@ -333,10 +360,8 @@ func (q *Query) checkAggregateShape(using string) error {
 // parseAggCall parses the remainder of "fn(col)" / "count(*)"; fn is the
 // already-consumed function identifier.
 func (p *parser) parseAggCall(fn token) (AggCall, error) {
-	name := strings.ToLower(fn.text)
-	switch name {
-	case "count", "sum", "min", "max":
-	default:
+	name, ok := fn.word("count", "sum", "min", "max")
+	if !ok {
 		return AggCall{}, p.errf(fn, "unknown aggregate %q", fn.text)
 	}
 	p.take() // '('
@@ -378,7 +403,8 @@ func (p *parser) parseGroupWindow() (*GroupWindow, error) {
 		if m.kind != tokIdent {
 			return nil, p.errf(m, "expected TUMBLING, ROLLING or CUMULATIVE, got %q", m.text)
 		}
-		switch strings.ToLower(m.text) {
+		w, _ := m.word("tumbling", "cumulative", "rolling")
+		switch w {
 		case "tumbling":
 		case "cumulative":
 			g.Kind = vec.Cumulative
@@ -429,8 +455,8 @@ func (p *parser) parseWhen() (*WhenClause, error) {
 		if t.kind != tokIdent {
 			return nil, p.errf(t, "expected VALID or an Allen relation, got %q", t.text)
 		}
-		rel, err := interval.ParseRelation(strings.ToLower(t.text))
-		if err != nil {
+		rel, ok := allenRelation(t.text)
+		if !ok {
 			return nil, p.errf(t, "unknown Allen relation %q", t.text)
 		}
 		iv, err := p.parseWindow()
@@ -513,14 +539,11 @@ func (p *parser) parsePred() (Pred, error) {
 	case tokString:
 		l = Literal{Kind: LitString, Str: lit.text}
 	case tokIdent:
-		switch strings.ToLower(lit.text) {
-		case "true":
-			l = Literal{Kind: LitBool, Bool: true}
-		case "false":
-			l = Literal{Kind: LitBool, Bool: false}
-		default:
+		w, ok := lit.word("true", "false")
+		if !ok {
 			return Pred{}, p.errf(lit, "expected literal, got %q", lit.text)
 		}
+		l = Literal{Kind: LitBool, Bool: w == "true"}
 	default:
 		return Pred{}, p.errf(lit, "expected literal, got %q", lit.text)
 	}

@@ -110,13 +110,13 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// AggResult is the computed windows in ascending window order. Window i
-// covers valid time [Start[i], End[i]) and Vals[i] holds one value per
-// AggCall.
+// AggResult is the computed windows in ascending window order, one row a
+// window: [win_start, win_end, v…] — the valid time [win_start, win_end)
+// the window covers, as two time values, then one value per AggCall. The
+// rows are cut from one slab and are the answer's table as it goes out
+// (tsql.AggToResult hands them on without a copy).
 type AggResult struct {
-	Start []int64
-	End   []int64
-	Vals  [][]element.Value
+	Rows [][]element.Value
 }
 
 const (
@@ -389,9 +389,9 @@ func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 // fold shares it, so engine equality reduces to per-window cell equality;
 // slide picks the rolling emit (slideRolling for the engine, the per-row
 // merge that defines it for the reference). Its allocations do not grow with
-// the number of windows: the values are finalized into one slab, and
-// rolling and cumulative rows are merged into one scratch row. It polls ctx
-// every emitCheckEvery rows.
+// the number of windows: each window is finalized straight into its output
+// row — bounds, then values — of one slab, and rolling and cumulative rows
+// are merged into one scratch row. It polls ctx every emitCheckEvery rows.
 func emitRows(ctx context.Context, spec *Spec, idxs []int64, rows [][]cell, slide bool) (*AggResult, error) {
 	res := &AggResult{}
 	if len(idxs) == 0 {
@@ -409,20 +409,20 @@ func emitRows(ctx context.Context, spec *Spec, idxs []int64, rows [][]cell, slid
 	w := spec.Width
 	aggs := spec.Aggs
 	na := len(aggs)
-	vals := make([]element.Value, n*na)
-	res.Start, res.End, res.Vals = make([]int64, 0, n), make([]int64, 0, n), make([][]element.Value, 0, n)
+	width := 2 + na
+	slab := make([]element.Value, n*width)
+	res.Rows = make([][]element.Value, 0, n)
 	push := func(start, end int64, cells []cell) error {
-		i := len(res.Start)
+		i := len(res.Rows)
 		if i%emitCheckEvery == emitCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		out := vals[i*na : (i+1)*na : (i+1)*na]
-		finalize(out, cells, aggs)
-		res.Start = append(res.Start, start)
-		res.End = append(res.End, end)
-		res.Vals = append(res.Vals, out)
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		row[0], row[1] = element.Time(chronon.Chronon(start)), element.Time(chronon.Chronon(end))
+		finalize(row[2:], cells, aggs)
+		res.Rows = append(res.Rows, row)
 		return nil
 	}
 	switch spec.WKind {

@@ -138,9 +138,9 @@ func TestDenseRollingIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d rows in %v", len(res.Start), took)
-	if len(res.Start) != span || took > 500*time.Millisecond*raceSlowdown {
-		t.Fatalf("%d rows in %v", len(res.Start), took)
+	t.Logf("%d rows in %v", len(starts(res)), took)
+	if len(starts(res)) != span || took > 500*time.Millisecond*raceSlowdown {
+		t.Fatalf("%d rows in %v", len(starts(res)), took)
 	}
 	for _, r := range []int{0, 9, span / 2, span - 1} {
 		var sum int64
@@ -148,7 +148,7 @@ func TestDenseRollingIsLinear(t *testing.T) {
 			sum += int64(i % 10)
 		}
 		want := fmt.Sprint([]element.Value{element.Int(int64(r + 1)), element.Int(sum), element.Int(int64(min(r, 9)))})
-		if got := fmt.Sprint(res.Vals[r]); got != want {
+		if got := fmt.Sprint(vals(res)[r]); got != want {
 			t.Fatalf("row %d: %s, want %s", r, got, want)
 		}
 	}

@@ -186,7 +186,7 @@ func TestExportDeclinesInexactLanes(t *testing.T) {
 		t.Fatalf("float sum: merged %d chunks (err %v), want none", merged, err)
 	}
 	if want := rowAgg(t, sum, floats); !reflect.DeepEqual(got, want) {
-		t.Fatalf("float sum diverges: %v vs row %v", got.Vals, want.Vals)
+		t.Fatalf("float sum diverges: %v vs row %v", vals(got), vals(want))
 	}
 
 	// max over [3 | NaN 5] is 5 folded in order, 3 if NaN stood in for its chunk.
@@ -199,8 +199,8 @@ func TestExportDeclinesInexactLanes(t *testing.T) {
 	if err != nil || merged != 1 {
 		t.Fatalf("NaN extreme: merged %d chunks (err %v), want only the first", merged, err)
 	}
-	if f, _ := got.Vals[0][0].FloatVal(); f != 5 {
-		t.Fatalf("max = %v, want 5", got.Vals[0][0])
+	if f, _ := vals(got)[0][0].FloatVal(); f != 5 {
+		t.Fatalf("max = %v, want 5", vals(got)[0][0])
 	}
 	// Float extremes without NaN are exact and do merge.
 	if _, merged, _ := foldChunks(t, max, floats, 2, true); merged != 2 {

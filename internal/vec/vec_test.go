@@ -69,16 +69,16 @@ func TestTumblingCountSum(t *testing.T) {
 	res := rowAgg(t, spec, elems)
 	wantStart := []int64{0, 20, 40}
 	wantEnd := []int64{10, 30, 50}
-	if !reflect.DeepEqual(res.Start, wantStart) || !reflect.DeepEqual(res.End, wantEnd) {
-		t.Fatalf("windows [%v, %v), want [%v, %v)", res.Start, res.End, wantStart, wantEnd)
+	if !reflect.DeepEqual(starts(res), wantStart) || !reflect.DeepEqual(ends(res), wantEnd) {
+		t.Fatalf("windows [%v, %v), want [%v, %v)", starts(res), ends(res), wantStart, wantEnd)
 	}
 	wantVals := [][]element.Value{
 		{element.Int(2), element.Int(3)},
 		{element.Int(1), element.Int(4)},
 		{element.Int(1), element.Int(8)},
 	}
-	if !reflect.DeepEqual(res.Vals, wantVals) {
-		t.Fatalf("vals %v, want %v", res.Vals, wantVals)
+	if !reflect.DeepEqual(vals(res), wantVals) {
+		t.Fatalf("vals %v, want %v", vals(res), wantVals)
 	}
 }
 
@@ -88,8 +88,8 @@ func TestIntervalSpansWindows(t *testing.T) {
 	elems := []*element.Element{iv(0, 5, 25, element.Int(1))}
 	spec := &Spec{Width: 10, Aggs: []AggCall{{Kind: AggCount}}}
 	res := rowAgg(t, spec, elems)
-	if want := []int64{0, 10, 20}; !reflect.DeepEqual(res.Start, want) {
-		t.Fatalf("starts %v, want %v", res.Start, want)
+	if want := []int64{0, 10, 20}; !reflect.DeepEqual(starts(res), want) {
+		t.Fatalf("starts %v, want %v", starts(res), want)
 	}
 }
 
@@ -105,11 +105,11 @@ func TestRollingAndCumulative(t *testing.T) {
 	wantVals := [][]element.Value{
 		{element.Int(1)}, {element.Int(3)}, {element.Int(2)}, {element.Int(4)},
 	}
-	if !reflect.DeepEqual(res.Vals, wantVals) {
-		t.Fatalf("rolling vals %v, want %v", res.Vals, wantVals)
+	if !reflect.DeepEqual(vals(res), wantVals) {
+		t.Fatalf("rolling vals %v, want %v", vals(res), wantVals)
 	}
-	if res.Start[1] != 0 || res.End[1] != 20 {
-		t.Fatalf("rolling span [%d, %d), want [0, 20)", res.Start[1], res.End[1])
+	if starts(res)[1] != 0 || ends(res)[1] != 20 {
+		t.Fatalf("rolling span [%d, %d), want [0, 20)", starts(res)[1], ends(res)[1])
 	}
 
 	cum := &Spec{Width: 10, WKind: Cumulative, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
@@ -117,12 +117,12 @@ func TestRollingAndCumulative(t *testing.T) {
 	wantVals = [][]element.Value{
 		{element.Int(1)}, {element.Int(3)}, {element.Int(3)}, {element.Int(7)},
 	}
-	if !reflect.DeepEqual(res.Vals, wantVals) {
-		t.Fatalf("cumulative vals %v, want %v", res.Vals, wantVals)
+	if !reflect.DeepEqual(vals(res), wantVals) {
+		t.Fatalf("cumulative vals %v, want %v", vals(res), wantVals)
 	}
-	for i := range res.Start {
-		if res.Start[i] != 0 {
-			t.Fatalf("cumulative row %d starts at %d, want 0", i, res.Start[i])
+	for i := range starts(res) {
+		if starts(res)[i] != 0 {
+			t.Fatalf("cumulative row %d starts at %d, want 0", i, starts(res)[i])
 		}
 	}
 }
@@ -141,8 +141,8 @@ func TestMinMaxAndNulls(t *testing.T) {
 	}}
 	res := rowAgg(t, spec, elems)
 	want := []element.Value{element.Float(-1.5), element.Float(2.5), element.Int(2), element.Int(3)}
-	if !reflect.DeepEqual(res.Vals[0], want) {
-		t.Fatalf("vals %v, want %v", res.Vals[0], want)
+	if !reflect.DeepEqual(vals(res)[0], want) {
+		t.Fatalf("vals %v, want %v", vals(res)[0], want)
 	}
 	// All-null column: sum and extremes are NULL, count(col) is 0.
 	nulls := []*element.Element{ev(0, 5, element.Null())}
@@ -153,11 +153,11 @@ func TestMinMaxAndNulls(t *testing.T) {
 	}}
 	res = rowAgg(t, spec, nulls)
 	for i := 0; i < 2; i++ {
-		if !res.Vals[0][i].IsNull() {
-			t.Fatalf("val %d = %v, want NULL", i, res.Vals[0][i])
+		if !vals(res)[0][i].IsNull() {
+			t.Fatalf("val %d = %v, want NULL", i, vals(res)[0][i])
 		}
 	}
-	if n, _ := res.Vals[0][2].IntVal(); n != 0 {
+	if n, _ := vals(res)[0][2].IntVal(); n != 0 {
 		t.Fatalf("count(v) = %d, want 0", n)
 	}
 }
@@ -292,11 +292,11 @@ func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
 		res = rowAgg(t, spec, far)
 		best = min(best, time.Since(start))
 	}
-	t.Logf("%d rows in %v (best of 3)", len(res.Start), best)
-	if int64(len(res.Start)) != MaxRolling || best > 50*time.Millisecond*raceSlowdown {
-		t.Fatalf("%d rows in %v", len(res.Start), best)
+	t.Logf("%d rows in %v (best of 3)", len(starts(res)), best)
+	if int64(len(starts(res))) != MaxRolling || best > 50*time.Millisecond*raceSlowdown {
+		t.Fatalf("%d rows in %v", len(starts(res)), best)
 	}
-	if last := res.Vals[len(res.Vals)-1]; !reflect.DeepEqual(last, []element.Value{element.Int(2), element.Int(8), element.Int(5)}) {
+	if last := vals(res)[len(vals(res))-1]; !reflect.DeepEqual(last, []element.Value{element.Int(2), element.Int(8), element.Int(5)}) {
 		t.Fatalf("last row %v", last)
 	}
 
@@ -309,23 +309,23 @@ func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
 		}
 		width, k := 1+rng.Int63n(20), 1+rng.Int63n(12)
 		tumbling := rowAgg(t, &Spec{Width: width, Aggs: aggs}, elems)
-		first, last := tumbling.Start[0]/width, tumbling.Start[len(tumbling.Start)-1]/width
+		first, last := starts(tumbling)[0]/width, starts(tumbling)[len(starts(tumbling))-1]/width
 		got := rowAgg(t, &Spec{Width: width, WKind: Rolling, K: k, Aggs: aggs}, elems)
 		if trial%2 == 1 {
 			got = rowAgg(t, &Spec{Width: width, WKind: Cumulative, Aggs: aggs}, elems)
 			k = last - first + 1
 		}
-		if int64(len(got.Start)) != last-first+1 {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(got.Start), last-first+1)
+		if int64(len(starts(got))) != last-first+1 {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(starts(got)), last-first+1)
 		}
 		for r, wi := 0, first; wi <= last; r, wi = r+1, wi+1 {
 			want := []element.Value{element.Int(0), element.Null(), element.Null()}
 			var sum int64
-			for j := range tumbling.Start {
-				if at := tumbling.Start[j] / width; at <= wi-k || at > wi {
+			for j := range starts(tumbling) {
+				if at := starts(tumbling)[j] / width; at <= wi-k || at > wi {
 					continue
 				}
-				v := tumbling.Vals[j]
+				v := vals(tumbling)[j]
 				n, _ := want[0].IntVal()
 				c, _ := v[0].IntVal()
 				want[0] = element.Int(n + c)
@@ -341,9 +341,9 @@ func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
 			if trial%2 == 1 {
 				start = first * width
 			}
-			if got.Start[r] != start || got.End[r] != (wi+1)*width || !reflect.DeepEqual(got.Vals[r], want) {
+			if starts(got)[r] != start || ends(got)[r] != (wi+1)*width || !reflect.DeepEqual(vals(got)[r], want) {
 				t.Fatalf("trial %d, row %d: [%d, %d) %v, want [%d, %d) %v",
-					trial, r, got.Start[r], got.End[r], got.Vals[r], start, (wi+1)*width, want)
+					trial, r, starts(got)[r], ends(got)[r], vals(got)[r], start, (wi+1)*width, want)
 			}
 		}
 	}
@@ -376,4 +376,32 @@ func TestEmitHonoursTheContext(t *testing.T) {
 	if took := time.Since(start); took > time.Second*raceSlowdown {
 		t.Fatalf("gave up after %v", took)
 	}
+}
+
+// starts, ends and vals read a result's window bounds and values back out
+// of its rows.
+func starts(r *AggResult) []int64 {
+	out := make([]int64, len(r.Rows))
+	for i, row := range r.Rows {
+		c, _ := row[0].TimeVal()
+		out[i] = int64(c)
+	}
+	return out
+}
+
+func ends(r *AggResult) []int64 {
+	out := make([]int64, len(r.Rows))
+	for i, row := range r.Rows {
+		c, _ := row[1].TimeVal()
+		out[i] = int64(c)
+	}
+	return out
+}
+
+func vals(r *AggResult) [][]element.Value {
+	out := make([][]element.Value, len(r.Rows))
+	for i, row := range r.Rows {
+		out[i] = row[2:]
+	}
+	return out
 }

@@ -2,9 +2,11 @@ package wire
 
 // The hand-written half of the protocol (DESIGN §15). The shapes that
 // carry elements or rows — a query result, a stored element, a batch
-// report, a SELECT table, and the insert requests that feed them — are
-// encoded and parsed here without reflection; everything cold (metrics,
-// health, explain, schema, errors) stays on encoding/json. There is one
+// report, a SELECT table, and the insert requests that feed them — and
+// the small requests of every read and single-element write (query,
+// select, delete, modify) are encoded and parsed here without reflection;
+// everything cold (metrics, health, explain, schema, declarations,
+// errors) stays on encoding/json. There is one
 // protocol: every byte appended here is the byte encoding/json would
 // have written for the struct of the same name, and the struct tags
 // stay, so either side may use either codec. The differential tests and
@@ -718,4 +720,42 @@ func (r BatchInsertRequest) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, `,"brief":true`...)
 	}
 	return append(dst, '}'), nil
+}
+
+// The small requests every read and single-element write sends. Each is a
+// few dozen bytes, but one rides on every query, select, delete and modify,
+// so its codec is a request's fixed cost.
+
+// AppendJSON writes the query request the client sends.
+func (r QueryRequest) AppendJSON(dst []byte) ([]byte, error) {
+	dst = appendString(append(dst, `{"kind":`...), r.Kind)
+	if r.VT != 0 {
+		dst = strconv.AppendInt(append(dst, `,"vt":`...), r.VT, 10)
+	}
+	if r.TT != 0 {
+		dst = strconv.AppendInt(append(dst, `,"tt":`...), r.TT, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON writes the select request the client sends.
+func (r SelectRequest) AppendJSON(dst []byte) ([]byte, error) {
+	return append(appendString(append(dst, `{"query":`...), r.Query), '}'), nil
+}
+
+// AppendJSON writes the delete request the client sends.
+func (r DeleteRequest) AppendJSON(dst []byte) ([]byte, error) {
+	return append(strconv.AppendUint(append(dst, `{"es":`...), r.ES, 10), '}'), nil
+}
+
+// AppendJSON writes the modify request the client sends.
+func (r ModifyRequest) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"es":`...), r.ES, 10)
+	dst, err := r.VT.AppendJSON(append(dst, `,"vt":`...))
+	if len(r.Varying) > 0 {
+		if dst, err = appendValues(append(dst, `,"varying":`...), r.Varying); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), err
 }

@@ -316,6 +316,24 @@ func checkGenerated(t *testing.T, data []byte) {
 	if b := sameBytes(t, "timestamp", ts, ts); b != nil {
 		sameValue[Timestamp](t, "timestamp", b)
 	}
+
+	// The small requests, from the same draws.
+	qr := QueryRequest{Kind: [...]string{QueryCurrent, QueryTimeslice, QueryRollback, QueryAsOf, v.Kind}[g.byte()%5], VT: v.Int, TT: v.Time}
+	if b := sameBytes(t, "query request", qr, qr); b != nil {
+		sameValue[QueryRequest](t, "query request", b)
+	}
+	sr := SelectRequest{Query: v.Str}
+	if b := sameBytes(t, "select request", sr, sr); b != nil {
+		sameValue[SelectRequest](t, "select request", b)
+	}
+	dr := DeleteRequest{ES: g.u64()}
+	if b := sameBytes(t, "delete request", dr, dr); b != nil {
+		sameValue[DeleteRequest](t, "delete request", b)
+	}
+	mr := ModifyRequest{ES: dr.ES, VT: ts, Varying: []Value{kv, v}[:g.byte()%3]}
+	if b := sameBytes(t, "modify request", mr, mr); b != nil {
+		sameValue[ModifyRequest](t, "modify request", b)
+	}
 }
 
 // checkSplice draws a chunk, an answer out of it and a round of closes, and
@@ -474,6 +492,10 @@ func checkArbitrary(t *testing.T, data []byte) {
 	agree[BatchInsertResponse](t, data, lenient)
 	agree[SelectResponse](t, data, lenient)
 	agree[InsertRequest](t, data, strict)
+	agree[QueryRequest](t, data, strict)
+	agree[SelectRequest](t, data, strict)
+	agree[DeleteRequest](t, data, strict)
+	agree[ModifyRequest](t, data, strict)
 	agree[BatchInsertions](t, data, insertionsOracle)
 	sameThroughMemo(t, "arbitrary", data, sharedMemo)
 }
@@ -516,6 +538,11 @@ var codecSeeds = []string{
 	`{"end":9,"start":1}`,
 	`{"keys":["k"],"elements":[{"vt":{"event":5}}]}`,
 	`{"vt":{"event":5},"varying":[{"kind":"int","int":1}],"invariant":[]}`,
+	// The small requests, canonical and not.
+	`{"kind":"asof","vt":-5,"tt":9}`, `{"kind":"current"}`, `{"tt":9,"kind":"rollback"}`, `{"kind":"timeslice","vt":5.0}`,
+	`{"query":"select count(*) from s group by window(10)"}`, `{"query":"\u00e9\ud800<&>"}`, `{ "query" : "x" }`,
+	`{"es":18446744073709551615}`, `{"es":5} 7`,
+	`{"es":5,"vt":{"start":1,"end":9},"varying":[{"kind":"int","int":1}]}`, `{"es":5,"vt":{"event":9},"varying":null}`, `{"vt":{"event":9},"es":5}`,
 }
 
 func FuzzWireCodec(f *testing.F) {

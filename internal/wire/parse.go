@@ -428,9 +428,16 @@ func (p *parser) str() string {
 // value kinds and the batch statuses — returned as constants.
 var words = [...]string{"string", "int", "null", "float", "bool", "time", "stored", "deduped", "rejected"}
 
-func (p *parser) word() string {
+// queryKinds are the kinds a query request names.
+var queryKinds = [...]string{QueryTimeslice, QueryCurrent, QueryAsOf, QueryRollback}
+
+func (p *parser) word() string { return p.wordIn(words[:]) }
+
+// wordIn is str for a string that is usually one of ws, returned without
+// a copy when it is.
+func (p *parser) wordIn(ws []string) string {
 	if s := p.src[p.i:]; len(s) > 0 && s[0] == '"' {
-		for _, w := range words {
+		for _, w := range ws {
 			if end := len(w) + 1; len(s) > end && s[1] == w[0] && s[end] == '"' && string(s[1:end]) == w {
 				p.i += end + 1
 				return w
@@ -782,6 +789,41 @@ func (p *parser) insertRequest(r *InsertRequest) {
 	p.attributes(&r.Invariant, &r.Varying, &r.UserTimes)
 }
 
+func (p *parser) queryRequest(r *QueryRequest) {
+	p.expect(`{"kind":`)
+	r.Kind = p.wordIn(queryKinds[:])
+	if p.lit(`,"vt":`) {
+		r.VT = p.i64()
+	}
+	if p.lit(`,"tt":`) {
+		r.TT = p.i64()
+	}
+	p.expect("}")
+}
+
+func (p *parser) selectRequest(r *SelectRequest) {
+	p.expect(`{"query":`)
+	r.Query = p.str()
+	p.expect("}")
+}
+
+func (p *parser) deleteRequest(r *DeleteRequest) {
+	p.expect(`{"es":`)
+	r.ES = p.u64()
+	p.expect("}")
+}
+
+func (p *parser) modifyRequest(r *ModifyRequest) {
+	p.expect(`{"es":`)
+	r.ES = p.u64()
+	p.expect(`,"vt":`)
+	p.timestamp(&r.VT)
+	if p.lit(`,"varying":`) {
+		r.Varying = p.values()
+	}
+	p.expect("}")
+}
+
 // The insertions of a batch request, each element read the way
 // insertRequest reads it and converted the way InsertRequest.ToInsertion
 // converts it: values straight into engine values, time-stamps into engine
@@ -981,4 +1023,20 @@ func (r *InsertRequest) ParseJSON(src []byte) error {
 
 func (r *BatchInsertions) ParseJSON(src []byte) error {
 	return parseTop(r, src, (*parser).batchInsertions)
+}
+
+func (r *QueryRequest) ParseJSON(src []byte) error {
+	return parseTop(r, src, (*parser).queryRequest)
+}
+
+func (r *SelectRequest) ParseJSON(src []byte) error {
+	return parseTop(r, src, (*parser).selectRequest)
+}
+
+func (r *DeleteRequest) ParseJSON(src []byte) error {
+	return parseTop(r, src, (*parser).deleteRequest)
+}
+
+func (r *ModifyRequest) ParseJSON(src []byte) error {
+	return parseTop(r, src, (*parser).modifyRequest)
 }
