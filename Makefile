@@ -69,25 +69,29 @@ fuzz:
 
 # fuzz-smoke gives every fuzz target in the repo 5s of mutation each —
 # cheap enough to run before a release. Anchored patterns: go test allows
-# one -fuzz target per package invocation.
+# one -fuzz target per package invocation. Each input that widens coverage
+# is minimized in at most 50 runs of the target: under go test's default of
+# 60s, FuzzWireCodec — ≈ 1 ms a run over kilobyte seeds — spent its whole
+# 5s minimizing the first such input and ran ≈ 3 inputs a second.
+FUZZMIN = -fuzzminimizetime=50x
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeTransaction$$' -fuzztime=5s ./internal/server
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeQuery$$' -fuzztime=5s ./internal/server
-	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/tsql
-	$(GO) test -run=NONE -fuzz='^FuzzParseExplain$$' -fuzztime=5s ./internal/tsql
-	$(GO) test -run=NONE -fuzz='^FuzzParseDuration$$' -fuzztime=5s ./internal/chronon
-	$(GO) test -run=NONE -fuzz='^FuzzParseCivil$$' -fuzztime=5s ./internal/chronon
-	$(GO) test -run=NONE -fuzz='^FuzzParseGranularity$$' -fuzztime=5s ./internal/chronon
-	$(GO) test -run=NONE -fuzz='^FuzzRead$$' -fuzztime=5s ./internal/backlog
-	$(GO) test -run=NONE -fuzz='^FuzzWALReplay$$' -fuzztime=5s ./internal/wal
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeMutation$$' -fuzztime=5s ./internal/catalog
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeRespecialize$$' -fuzztime=5s ./internal/catalog
-	$(GO) test -run=NONE -fuzz='^FuzzRespecializeReplay$$' -fuzztime=5s ./internal/catalog
-	$(GO) test -run=NONE -fuzz='^FuzzParseAggregate$$' -fuzztime=5s ./internal/tsql
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeProof$$' -fuzztime=5s ./internal/integrity
-	$(GO) test -run=NONE -fuzz='^FuzzMerkleConsistency$$' -fuzztime=5s ./internal/integrity
-	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s ./internal/server
-	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeTransaction$$' -fuzztime=5s $(FUZZMIN) ./internal/server
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeQuery$$' -fuzztime=5s $(FUZZMIN) ./internal/server
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=5s $(FUZZMIN) ./internal/tsql
+	$(GO) test -run=NONE -fuzz='^FuzzParseExplain$$' -fuzztime=5s $(FUZZMIN) ./internal/tsql
+	$(GO) test -run=NONE -fuzz='^FuzzParseDuration$$' -fuzztime=5s $(FUZZMIN) ./internal/chronon
+	$(GO) test -run=NONE -fuzz='^FuzzParseCivil$$' -fuzztime=5s $(FUZZMIN) ./internal/chronon
+	$(GO) test -run=NONE -fuzz='^FuzzParseGranularity$$' -fuzztime=5s $(FUZZMIN) ./internal/chronon
+	$(GO) test -run=NONE -fuzz='^FuzzRead$$' -fuzztime=5s $(FUZZMIN) ./internal/backlog
+	$(GO) test -run=NONE -fuzz='^FuzzWALReplay$$' -fuzztime=5s $(FUZZMIN) ./internal/wal
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeMutation$$' -fuzztime=5s $(FUZZMIN) ./internal/catalog
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeRespecialize$$' -fuzztime=5s $(FUZZMIN) ./internal/catalog
+	$(GO) test -run=NONE -fuzz='^FuzzRespecializeReplay$$' -fuzztime=5s $(FUZZMIN) ./internal/catalog
+	$(GO) test -run=NONE -fuzz='^FuzzParseAggregate$$' -fuzztime=5s $(FUZZMIN) ./internal/tsql
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeProof$$' -fuzztime=5s $(FUZZMIN) ./internal/integrity
+	$(GO) test -run=NONE -fuzz='^FuzzMerkleConsistency$$' -fuzztime=5s $(FUZZMIN) ./internal/integrity
+	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s $(FUZZMIN) ./internal/server
+	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s $(FUZZMIN) ./internal/wire
 
 # Regenerate every figure/claim table, the two ablations, and the
 # durability, overload and cluster experiments (S2, S3, S5). It rewrites
@@ -128,7 +132,7 @@ bench:
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkRecoverCoveredLog|BenchmarkApplyReplicatedFrames|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite)' -benchtime=100ms -benchmem ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkRecoverCoveredLog|BenchmarkApplyReplicatedFrames|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite|BenchmarkSealedPaths)' -benchtime=100ms -benchmem ./internal/catalog
 	$(GO) test -run=NONE -bench='^BenchmarkLoadSnapshot$$' -benchtime=100ms -benchmem ./internal/backlog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkPosition$$' -benchtime=100ms -benchmem ./internal/relation

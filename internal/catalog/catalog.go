@@ -1317,7 +1317,7 @@ func (e *Entry) selectOn(ctx context.Context, v *readView, q *tsql.Query) (*tsql
 		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, element.Slice(qres.Elements))
 	default:
 		st := v.engine.Store()
-		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.Runs(st))
+		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.ScanRuns(st)) // rows copy values out
 		touched = st.Len()
 	}
 	if err != nil {
@@ -1353,6 +1353,9 @@ func (e *Entry) Vacuum(horizon chronon.Chronon) (int, error) {
 	}
 	removed := 0
 	err := e.locked.Exclusive(func(r *relation.Relation) error {
+		if horizon >= r.VacuumHorizon() {
+			e.dedup.keepVacuumed(r, horizon)
+		}
 		n, err := r.Vacuum(horizon)
 		if err != nil {
 			return err

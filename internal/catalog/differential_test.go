@@ -717,11 +717,26 @@ func horizonOf(v *readView) chronon.Chronon {
 // deletes, vacuum, compaction and respecialization. The pinned view makes
 // the comparison deterministic; the -race build asserts the batch reader
 // and the fold never touch mutating state.
+//
+// It runs twice: on a relation the advisor moves to the vt-ordered log once
+// it has seen the seed, and on one declared non-decreasing from the start,
+// whose chunks seal into columns as they fill, under the same writers.
 func TestDifferentialUnderConcurrentMutation(t *testing.T) {
+	for _, declared := range []bool{false, true} {
+		t.Run(map[bool]string{false: "advised", true: "declared"}[declared], func(t *testing.T) {
+			differentialUnderConcurrentMutation(t, declared)
+		})
+	}
+}
+
+func differentialUnderConcurrentMutation(t *testing.T, declared bool) {
 	c := New(testConfig(t.TempDir()))
 	e, err := c.Create(diffSchema("churn", element.EventStamp))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
+	}
+	if declared {
+		declareNonDecreasing(t, e)
 	}
 	seedRng := rand.New(rand.NewSource(7))
 	var mu sync.Mutex

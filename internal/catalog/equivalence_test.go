@@ -62,7 +62,7 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 		Golden: goldenState(e), Declared: classNames(p.Declared), Inferred: classNames(p.Inferred),
 		Migrations: p.Migrations, Answers: map[string][]string{},
 	}
-	_ = e.locked.View(func(*relation.Relation) error {
+	_ = e.locked.View(func(r *relation.Relation) error {
 		s.DedupCur, s.DedupPrev = lsns(e.dedup.cur), lsns(e.dedup.prev)
 		s.DedupBatches = map[string]string{}
 		for _, gen := range []map[string]dedupHit{e.dedup.prev, e.dedup.cur} {
@@ -70,9 +70,9 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 				if h.op != dedupBatch {
 					continue
 				}
-				b, elems, idx := e.dedup.batchOf(key, h)
+				b, es, idx := e.dedup.batchOf(key, h)
 				entry := fmt.Sprintf("lsn %d n %d digest %08x stored %v:", h.lsn, b.n, b.digest, idx)
-				for _, el := range elems {
+				for _, el := range e.dedup.inserted(r, key, es) {
 					entry += fmt.Sprintf(" %v|%v|%v|%v", el.ES, el.OS, el.VT, el.TTStart)
 				}
 				s.DedupBatches[key] = entry

@@ -26,6 +26,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/integrity"
 	"repro/internal/relation"
+	"repro/internal/surrogate"
 	"repro/internal/tx"
 	"repro/internal/wal"
 )
@@ -66,8 +67,8 @@ func goldenState(e *Entry) goldenRel {
 		for _, gen := range []map[string]dedupHit{e.dedup.prev, e.dedup.cur} {
 			for k, h := range gen {
 				s := h.op.String()
-				if h.elem != nil {
-					s += fmt.Sprintf(" %v", h.elem.ES)
+				if h.es != surrogate.None {
+					s += fmt.Sprintf(" %v", h.es)
 				}
 				g.Keys[k] = s
 			}

@@ -312,8 +312,8 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 	shape := frameShapes[m.kind]
 	per := len(shape.unit)
 	for i, rec := range m.recs {
-		var stored *element.Element // what the unit's key answers retries with
-		el := rec.Elem              // the element the record inserts or closes
+		var stored surrogate.Surrogate // the element the unit's key answers retries with
+		el := rec.Elem                 // the element the record inserts or closes
 		if rec.Op == relation.OpInsert {
 			// A decoded element is adopted as the stored version (ApplyLog):
 			// decodeMutation allocated it for this apply and nobody else
@@ -332,7 +332,7 @@ func (e *Entry) apply(r *relation.Relation, m *mutation, lsn uint64) error {
 			if broken != nil {
 				e.degrade(r, broken)
 			}
-			stored = el
+			stored = el.ES
 		} else if m.staged {
 			// The close lands on a copy (copy-on-close) that the relation
 			// swaps into e.store, so the live engine sees the finalized tt⊣
@@ -452,7 +452,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, one on
 		// or refused whole.
 		if one.key != "" {
 			if hit, ok := e.dedup.lookup(one.key); ok {
-				if err := e.dedup.answerBatch(one, hit, items); err != nil {
+				if err := e.dedup.answerBatch(r, one, hit, items); err != nil {
 					return err
 				}
 				lsn, epoch = hit.lsn, e.Epoch()
@@ -485,7 +485,7 @@ func (e *Entry) commit(ctx context.Context, kind wal.Kind, keys []string, one on
 			hit, ok := e.dedup.lookup(key)
 			switch {
 			case ok && hit.op == shape.op:
-				items[i] = BatchItemResult{Status: BatchDeduped, Elem: hit.elem}
+				items[i] = BatchItemResult{Status: BatchDeduped, Elem: e.dedup.elemOf(r, key, hit)}
 				lsn = max(lsn, hit.lsn)
 				toStage--
 				continue

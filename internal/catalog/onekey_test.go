@@ -27,13 +27,13 @@ import (
 func windowAnswer(e *Entry, one oneKey) ([]BatchItemResult, error) {
 	items := make([]BatchItemResult, one.n)
 	var err error
-	_ = e.locked.View(func(*relation.Relation) error {
+	_ = e.locked.View(func(r *relation.Relation) error {
 		hit, ok := e.dedup.lookup(one.key)
 		if !ok {
 			err = fmt.Errorf("the window forgot %q", one.key)
 			return nil
 		}
-		err = e.dedup.answerBatch(one, hit, items)
+		err = e.dedup.answerBatch(r, one, hit, items)
 		return nil
 	})
 	return items, err
@@ -266,7 +266,7 @@ func TestDedupWindowElementBudget(t *testing.T) {
 		}
 		return out
 	}
-	pinned := func(w *dedupWindow) int { return len(w.curB.elems) + len(w.prevB.elems) }
+	pinned := func(w *dedupWindow) int { return len(w.curB.es) + len(w.prevB.es) }
 
 	// The largest batches a 1 MiB body carries: ≈ 55,000 elements of
 	// `{"vt":{"event":0}}`.
@@ -274,8 +274,8 @@ func TestDedupWindowElementBudget(t *testing.T) {
 	big := recs(55_000)
 	for i := 0; i < 6; i++ {
 		w.rememberBatch(&mutation{oneKey: oneKey{fmt.Sprintf("big-%d", i), uint32(len(big)), 0}, recs: big}, uint64(i))
-		if pinned(&w) > 2*dedupWindowElems || len(w.curB.elems) > dedupWindowElems {
-			t.Fatalf("after %d batches of %d the window pins %d elements (%d in the current generation)", i+1, len(big), pinned(&w), len(w.curB.elems))
+		if pinned(&w) > 2*dedupWindowElems || len(w.curB.es) > dedupWindowElems {
+			t.Fatalf("after %d batches of %d the window pins %d elements (%d in the current generation)", i+1, len(big), pinned(&w), len(w.curB.es))
 		}
 		if i > 0 {
 			if _, ok := w.lookup(fmt.Sprintf("big-%d", i-1)); !ok {
@@ -290,7 +290,7 @@ func TestDedupWindowElementBudget(t *testing.T) {
 	small := recs(256)
 	for i := 0; i < 2000; i++ {
 		w.rememberBatch(&mutation{oneKey: oneKey{fmt.Sprintf("b-%d", i), 256, 0}, recs: small}, uint64(i))
-		w.remember(fmt.Sprintf("s-%d", i), dedupInsert, nil, uint64(i))
+		w.remember(fmt.Sprintf("s-%d", i), dedupInsert, surrogate.None, uint64(i))
 		if pinned(&w) > 2*dedupWindowElems || len(w.cur) > dedupWindowCap || len(w.prev) > dedupWindowCap {
 			t.Fatalf("after %d batches the window holds %d + %d entries and pins %d elements", i+1, len(w.cur), len(w.prev), pinned(&w))
 		}
@@ -309,11 +309,11 @@ func TestDedupWindowElementBudget(t *testing.T) {
 	// A batch larger than the budget stands alone in its generation.
 	huge := recs(dedupWindowElems + 1)
 	w.rememberBatch(&mutation{oneKey: oneKey{"huge", uint32(len(huge)), 0}, recs: huge}, 1)
-	if len(w.curB.entries) != 1 || len(w.curB.elems) != len(huge) {
-		t.Fatalf("a batch over the budget shares its generation: %d entries, %d elements", len(w.curB.entries), len(w.curB.elems))
+	if len(w.curB.entries) != 1 || len(w.curB.es) != len(huge) {
+		t.Fatalf("a batch over the budget shares its generation: %d entries, %d elements", len(w.curB.entries), len(w.curB.es))
 	}
 	w.rememberBatch(&mutation{oneKey: oneKey{"after", 256, 0}, recs: small}, 2)
-	if len(w.curB.entries) != 1 || len(w.prevB.elems) != len(huge) {
+	if len(w.curB.entries) != 1 || len(w.prevB.es) != len(huge) {
 		t.Fatalf("the batch after one over the budget joined it: %d entries", len(w.curB.entries))
 	}
 }

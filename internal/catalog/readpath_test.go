@@ -559,7 +559,7 @@ func TestOlderViewNeverDisplacesAFresherResult(t *testing.T) {
 					return
 				}
 				want := viewAt(ts.Epoch).engine.Timeslice(chronon.Chronon(10 * (i % 40)))
-				if len(ts.Elements) != len(want.Elements) || len(ts.Elements) > 0 && ts.Elements[0] != want.Elements[0] {
+				if len(ts.Elements) != len(want.Elements) || len(ts.Elements) > 0 && !reflect.DeepEqual(ts.Elements[0], want.Elements[0]) {
 					t.Errorf("time-slice at %d on epoch %d: %d elements, the view holds %d", 10*(i%40), ts.Epoch, len(ts.Elements), len(want.Elements))
 					return
 				}

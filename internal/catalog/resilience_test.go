@@ -305,7 +305,7 @@ func TestIdempotencyKeyLimits(t *testing.T) {
 	// passed), but never errors.
 	var w dedupWindow
 	for i := 0; i < 2*dedupWindowCap+10; i++ {
-		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil, 0)
+		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, surrogate.None, 0)
 	}
 	if len(w.cur) != 10 || len(w.prev) != dedupWindowCap {
 		t.Fatalf("window holds %d + %d keys, want 10 + %d", len(w.cur), len(w.prev), dedupWindowCap)
@@ -357,7 +357,7 @@ func TestDedupWindowGenerations(t *testing.T) {
 		keys[i] = fmt.Sprintf("k-%d", i)
 	}
 	var w dedupWindow
-	remember := func(i int) { w.remember(keys[i], dedupInsert, nil, uint64(i)) }
+	remember := func(i int) { w.remember(keys[i], dedupInsert, surrogate.None, uint64(i)) }
 	for i := 0; i < 2*dedupWindowCap+dedupWindowCap/2; i++ {
 		remember(i)
 		for _, j := range []int{i, i - dedupWindowCap/2, i - dedupWindowCap + 1} { // the newest, a middle one, the oldest that must stay

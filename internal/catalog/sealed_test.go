@@ -1,0 +1,236 @@
+package catalog
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/chronon"
+	"repro/internal/constraint"
+	"repro/internal/core"
+	"repro/internal/element"
+	"repro/internal/relation"
+	"repro/internal/storage"
+	"repro/internal/surrogate"
+	"repro/internal/vec"
+	"repro/internal/wal"
+	"repro/internal/wire"
+)
+
+// declareNonDecreasing puts e's relation on the vt-ordered log, whose full
+// chunks seal into columns.
+func declareNonDecreasing(t *testing.T, e *Entry) {
+	t.Helper()
+	if err := e.Declare([]constraint.Descriptor{mustDescribe(t, constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()}, constraint.PerRelation)}); err != nil {
+		t.Fatal(err)
+	}
+	if k := e.store.Kind(); k != storage.VTOrdered {
+		t.Fatalf("declared relation stored on a %v", k)
+	}
+}
+
+// sensorBatch is n two-attribute insertions at valid times vt, vt+1, ….
+func sensorBatch(vt, n int) []relation.Insertion {
+	ins := make([]relation.Insertion, n)
+	for i := range ins {
+		ins[i] = relation.Insertion{
+			VT:        element.EventAt(chronon.Chronon(vt + i)),
+			Invariant: []element.Value{element.String_(fmt.Sprint("sensor-", i%3))},
+			Varying:   []element.Value{element.Int(int64(vt + i))},
+		}
+	}
+	return ins
+}
+
+// answerBytes renders a batch answer byte for byte: each item's status,
+// cause, and its element as the wire encodes it.
+func answerBytes(t *testing.T, items []BatchItemResult) []string {
+	t.Helper()
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = it.Status.String() + " " + it.Err
+		if it.Elem != nil {
+			b, err := wire.AppendElement(nil, it.Elem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] += " " + string(b)
+		}
+	}
+	return out
+}
+
+// TestSealedChunkLetsGoOfItsElements: once the element that fills a chunk
+// of the vt-ordered log has sealed it into columns, the chunk's old element
+// structs are collected as soon as no pinned view holds them. Nothing else
+// keeps them: not the dedup window, which remembers the batch that stored
+// them and answers its replay from their surrogates; not the chunk images
+// the reads after the seal build and splice; not the result cache, whose
+// answers from before the seal are copies (storage's detached answers) and
+// whose answers after it are materialized from the columns; not the close
+// of one of them after the seal.
+func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig(t.TempDir())
+	cfg.CacheBytes = 8 << 20
+	c := New(cfg)
+	e, err := c.Create(relation.Schema{
+		Name: "s", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Invariant: []relation.Column{{Name: "sensor", Type: element.KindString}},
+		Varying:   []relation.Column{{Name: "v", Type: element.KindInt}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declareNonDecreasing(t, e)
+	reads := func() {
+		t.Helper()
+		for _, read := range []func() (QueryResult, error){
+			func() (QueryResult, error) { return e.CurrentCtx(ctx) },
+			func() (QueryResult, error) { return e.TimesliceCtx(ctx, 100) },
+			func() (QueryResult, error) { return e.RollbackCtx(ctx, chronon.Chronon(1<<40)) },
+			func() (QueryResult, error) { return e.TimesliceAsOfCtx(ctx, 150, chronon.Chronon(1<<40)) },
+		} {
+			if _, err := read(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// 255 elements under one key: the head chunk, one short of full (a
+	// chunk holds vec.BatchSize), read into the result cache.
+	first, err := e.InsertBatchKeyed(ctx, sensorBatch(0, vec.BatchSize-1), "first", 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answerBytes(t, first.Items)
+	for i := range want {
+		want[i] = "deduped" + want[i][len("stored"):]
+	}
+	first = BatchResult{}
+	reads()
+	var freed atomic.Int32
+	_ = e.Locked().View(func(r *relation.Relation) error {
+		for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
+			el, _ := r.ByES(es)
+			runtime.SetFinalizer(el, func(*element.Element) { freed.Add(1) })
+		}
+		return nil
+	})
+
+	// The 256th element seals the chunk; one of the first batch is closed
+	// after; the reads build images of the sealed chunk and new answers;
+	// the first batch is replayed.
+	if _, err := e.InsertBatchKeyed(ctx, sensorBatch(vec.BatchSize-1, 1), "second", 8, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.ImageStats(); st.Built != 0 {
+		t.Fatalf("images built before the seal: %+v", st)
+	}
+	if err := remove(e, 3); err != nil {
+		t.Fatal(err)
+	}
+	reads()
+	if st := e.ImageStats(); st.Built == 0 || st.SpansSpliced == 0 {
+		t.Fatalf("no image of the sealed chunk built and spliced: %+v", st)
+	}
+	replay, err := e.InsertBatchKeyed(ctx, sensorBatch(0, vec.BatchSize-1), "first", 7, true)
+	if err != nil || replay.Deduped != vec.BatchSize-1 {
+		t.Fatalf("replay: deduped %d, %v", replay.Deduped, err)
+	}
+	if got := answerBytes(t, replay.Items); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after the seal and a close answered\n %v\nwant\n %v", got[:4], want[:4])
+	}
+	replay = BatchResult{}
+
+	for i := 0; i < 20 && freed.Load() < int32(vec.BatchSize-1); i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := freed.Load(); n != int32(vec.BatchSize-1) {
+		t.Fatalf("%d of the sealed chunk's %d old elements were collected", n, vec.BatchSize-1)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestBatchReplayAcrossSealAndClose: a batch replayed under its key is
+// answered byte for byte as it was first answered — live, after a reboot
+// from the log and on a follower fed its frames — on a declared relation
+// whose chunk the batch went into has since sealed into columns, and one
+// of whose units has since been closed.
+func TestBatchReplayAcrossSealAndClose(t *testing.T) {
+	ctx := context.Background()
+	fs := wal.NewErrFS()
+	_, c := bootErrFS(t, fs)
+	e, err := c.Create(relation.Schema{
+		Name: "ev", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Invariant: []relation.Column{{Name: "sensor", Type: element.KindString}},
+		Varying:   []relation.Column{{Name: "v", Type: element.KindInt}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declareNonDecreasing(t, e)
+	k := oneKey{"sealed-since", 200, 0x5eed}
+	first, err := e.InsertBatchKeyed(ctx, sensorBatch(1000, 200), k.key, k.digest, true)
+	if err != nil || first.Stored != 200 {
+		t.Fatalf("first batch: stored %d, %v", first.Stored, err)
+	}
+	want := answerBytes(t, first.Items)
+	for i := range want {
+		want[i] = "deduped" + want[i][len("stored"):]
+	}
+	if res, err := e.InsertBatchKeyed(ctx, sensorBatch(1200, 300), "later", 1, true); err != nil || res.Stored != 300 {
+		t.Fatalf("later batch: stored %d, %v", res.Stored, err)
+	}
+	if err := remove(e, first.Items[5].Elem.ES); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(route string, e *Entry) {
+		t.Helper()
+		res, err := e.InsertBatchKeyed(ctx, sensorBatch(1000, 200), k.key, k.digest, true)
+		if err != nil || res.Stored != 0 || res.Deduped != 200 {
+			t.Fatalf("%s: replay stored %d, deduped %d, %v", route, res.Stored, res.Deduped, err)
+		}
+		if got := answerBytes(t, res.Items); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: replay answered\n %v\nwant\n %v", route, got[:6], want[:6])
+		}
+	}
+	replay("live", e)
+
+	recs := recordsOf(t, fs)
+	_, booted := bootErrFS(t, fs)
+	eb, err := booted.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := New(Config{Follower: true, NewClock: logicalClock})
+	if err := follower.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	ef, err := follower.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for route, en := range map[string]*Entry{"boot": eb, "follower": ef} {
+		if k := en.store.Kind(); k != storage.VTOrdered {
+			t.Fatalf("%s: relation stored on a %v", route, k)
+		}
+	}
+	items, err := windowAnswer(ef, k)
+	if err != nil || !reflect.DeepEqual(answerBytes(t, items), want) {
+		t.Fatalf("follower: the window answers %v, %v", answerBytes(t, items)[:6], err)
+	}
+	replay("boot", eb)
+
+	// A vacuum past the close removes the closed unit from the relation;
+	// the window answers with it as before.
+	if removed, err := e.Vacuum(chronon.Chronon(1) << 40); err != nil || removed != 1 {
+		t.Fatalf("Vacuum removed %d, %v", removed, err)
+	}
+	replay("after a vacuum", e)
+}

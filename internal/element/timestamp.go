@@ -57,6 +57,12 @@ func SpanOf(start, end chronon.Chronon) Timestamp {
 	return Span(interval.Make(start, end))
 }
 
+// Stamp rebuilds a time-stamp from its kind and the chronons Start and End
+// reported for it, unchecked: the stamp was built checked once already.
+func Stamp(k TimestampKind, start, end chronon.Chronon) Timestamp {
+	return Timestamp{kind: k, span: interval.Interval{Start: start, End: end}}
+}
+
 // Kind reports whether the stamp is an event or an interval.
 func (ts Timestamp) Kind() TimestampKind { return ts.kind }
 

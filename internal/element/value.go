@@ -85,6 +85,16 @@ func Time(c chronon.Chronon) Value { return Value{kind: KindTime, w: int64(c)} }
 // Kind reports the value's kind.
 func (v Value) Kind() ValueKind { return v.kind }
 
+// Word is the value's integer word: an int's, bool's or time's integer, a
+// float's IEEE bits, zero for a string and for null. With the kind and, for
+// a string, the content, it is the whole value: a store that keeps values
+// as columns keeps these (WordValue).
+func (v Value) Word() int64 { return v.w }
+
+// WordValue rebuilds a value of kind k from the word Word reported; a
+// string's content goes through String_ instead.
+func WordValue(k ValueKind, w int64) Value { return Value{kind: k, w: w} }
+
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 

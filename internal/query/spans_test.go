@@ -69,7 +69,7 @@ func TestSpansAcrossTheOrganizations(t *testing.T) {
 				chunk := storage.ChunkElements(st, sp.Chunk)
 				j := 0
 				for _, e := range q.res.Elements[sp.At : sp.At+sp.N] {
-					for j < len(chunk) && chunk[j] != e {
+					for j < len(chunk) && (chunk[j].ES != e.ES || chunk[j].TTEnd != e.TTEnd) {
 						j++
 					}
 				}

@@ -46,13 +46,12 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	// value arrays with the frame's other versions (backlog.Slab): one
 	// survivor keeps its discarded neighbours alive. Once the adopted
 	// versions vacuumed away since the last copy are at least as many as
-	// the adopted survivors, the survivors move as copies and each kept
-	// delete record is repointed at its version. So what a survivor pins
-	// never outweighs the adopted survivors themselves, and each copy is
-	// paid for by a discarded version. Every version from the first one
+	// the adopted survivors, the survivors move as copies. So what a
+	// survivor pins never outweighs the adopted survivors themselves, and
+	// each copy is paid for by a discarded version. Every version from the first one
 	// ApplyLog adopted since the last copy on counts as adopted (positions
 	// from r.adopted); a relation written only live never copies.
-	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].elem.TTEnd > horizon })
+	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].tt > horizon })
 	if removed == 0 {
 		return 0, nil
 	}
@@ -60,11 +59,11 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	if from < n {
 		// The adopted versions among the removed ones. Versions ascend in
 		// ES unless the relation has degraded to byES.
-		first := r.versions.At(from).ES
+		first := r.versions.ESAt(from)
 		for _, cl := range r.closes[:removed] {
-			adopted := cl.elem.ES >= first
+			adopted := cl.es >= first
 			if r.byES != nil {
-				adopted = r.byES[cl.elem.ES] >= from
+				adopted = r.byES[cl.es] >= from
 			}
 			if adopted {
 				dead++
@@ -95,12 +94,6 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	r.versions, r.closes = fresh, slices.Delete(r.closes, 0, removed)
 	if r.byES != nil {
 		r.reindex()
-	}
-	if copying {
-		for k := range r.closes {
-			i, _ := r.position(r.closes[k].elem.ES)
-			r.closes[k].elem = r.versions.At(i)
-		}
 	}
 	return removed, nil
 }

@@ -26,9 +26,17 @@ func DecodeBatchBothWays(body []byte) (handler, plain BatchDecoded) {
 		}
 		return BatchDecoded{Insertions: ins}
 	}
-	handler = read(decodeBatch(httptest.NewRequest("POST", "/", bytes.NewReader(body))))
-	plain = read(decodeBatchJSON(bytes.NewReader(body)))
-	return handler, plain
+	return DecodeBatchHandler(body), read(decodeBatchJSON(bytes.NewReader(body)))
+}
+
+// DecodeBatchHandler is the handler's half of DecodeBatchBothWays alone:
+// what a cost bound on the server's decode measures.
+func DecodeBatchHandler(body []byte) BatchDecoded {
+	ins, aerr := decodeBatch(httptest.NewRequest("POST", "/", bytes.NewReader(body)))
+	if aerr != nil {
+		return BatchDecoded{Status: aerr.status, Message: aerr.message}
+	}
+	return BatchDecoded{Insertions: ins}
 }
 
 // Decoded is one way's reading of a request body: the value it decoded, or

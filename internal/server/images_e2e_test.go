@@ -216,6 +216,9 @@ func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
 		{"backward-clock", true, func() tx.Clock { return &backstepClock{inner: tx.NewLogicalClock(0, 10), at: 300} }, storage.TTOrdered},
 		{"tt-ordered", true, logical, storage.TTOrdered},
 		{"vt-ordered", false, logical, storage.VTOrdered},
+		// Declared before it is loaded: each chunk seals into columns as it
+		// fills, on the primary and, by replaying its frames, the follower.
+		{"declared", false, logical, storage.VTOrdered},
 	} {
 		t.Run(org.name, func(t *testing.T) {
 			primary, follower, caughtUp := bootImagesNodes(t, org.clock)
@@ -230,6 +233,12 @@ func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
 			e, err := primary.cat.Get("r")
 			if err != nil {
 				t.Fatal(err)
+			}
+			if org.name == "declared" {
+				d, _ := constraint.Describe(constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()}, constraint.PerRelation)
+				if err := e.Declare([]constraint.Descriptor{d}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var stored []*element.Element
 			load := func(from, to int) {
@@ -325,7 +334,7 @@ func TestSplicedBytesAreTheEncodedScan(t *testing.T) {
 				if got := e.Physical().Org; got != storage.TTOrdered {
 					t.Fatalf("degraded onto the %v, want the tt-ordered log", got)
 				}
-			} else {
+			} else if org.interval {
 				d, ok := constraint.Describe(constraint.InterInterval{Spec: core.NonDecreasingIntervalsSpec()}, constraint.PerPartition)
 				if !ok {
 					t.Fatal("no descriptor for per-partition non-decreasing intervals")

@@ -515,6 +515,22 @@ func TestRequestAllocationBudget(t *testing.T) {
 		return each(func(i int) string { return fmt.Sprintf(format, insert(1000+i)) })
 	}
 	head := 100_000
+	// A relation declared non-decreasing: the vt-ordered log, whose first
+	// two chunks are sealed columns once 600 elements are in.
+	serveOnce(t, h, "/v1/relations", fmt.Sprintf(createEvent, "d"), http.StatusCreated)
+	desc, _ := constraint.Describe(constraint.InterEvent{Spec: core.NonDecreasingEventsSpec()}, constraint.PerRelation)
+	decl, _ := json.Marshal(wire.DeclareRequest{Constraints: []wire.Descriptor{wire.FromDescriptor(desc)}})
+	serveOnce(t, h, "/v1/relations/d/declare", string(decl), http.StatusOK)
+	var sealed []wire.Element
+	for i := 0; i < 600; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/relations/d/insert", strings.NewReader(insertBody(i))))
+		var resp wire.ElementResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusCreated || err != nil {
+			t.Fatalf("insert into d: %d, %v", w.Code, err)
+		}
+		sealed = append(sealed, resp.Element)
+	}
 	for _, c := range []struct {
 		name, path string
 		bodies     func() []string
@@ -528,6 +544,11 @@ func TestRequestAllocationBudget(t *testing.T) {
 		{"insert", "/v1/relations/r/insert", each(func(i int) string { return insertBody(5000 + i) }), nil, http.StatusCreated, 32},
 		{"delete", "/v1/relations/r/delete", bodies(`{"es":%d}`), nil, http.StatusOK, 30},                                                        // 34 before (32 measured)
 		{"modify", "/v1/relations/r/modify", bodies(`{"es":%d,"vt":{"event":9000},"varying":[{"kind":"int","int":7}]}`), nil, http.StatusOK, 34}, // 46 before (44 measured)
+		// On sealed chunks: each answer is materialized from the columns into
+		// one slab, and a close copies the chunk's tt⊣ column.
+		{"time-slice on sealed chunks", "/v1/relations/d/query", each(func(i int) string { return fmt.Sprintf(`{"kind":"timeslice","vt":%d}`, 2*i) }), nil, http.StatusOK, 34},            // 31 measured
+		{"rollback on sealed chunks", "/v1/relations/d/query", each(func(i int) string { return fmt.Sprintf(`{"kind":"rollback","tt":%d}`, sealed[i].TTStart) }), nil, http.StatusOK, 48}, // 44 measured
+		{"delete on a sealed chunk", "/v1/relations/d/delete", each(func(i int) string { return fmt.Sprintf(`{"es":%d}`, sealed[2*i].ES) }), nil, http.StatusOK, 37},                      // 34 measured
 	} {
 		todo := c.bodies()
 		body := strings.NewReader(todo[0]) // not empty, or the request gets http.NoBody

@@ -39,6 +39,10 @@ type BatchReader struct {
 	next    int // the chunk the next Advance looks at
 	end     int // the chunk Advance stops before
 	skipped int
+
+	// The unit Rows gathers a sealed chunk into, reused from unit to unit.
+	rows    slab
+	rowPtrs []*element.Element
 }
 
 // Unit is what Advance stopped at: one chunk of the sequence — a full chunk,
@@ -84,8 +88,7 @@ func (r *BatchReader) SeekVT(lo, hi chronon.Chronon) {
 	if r.kind != VTOrdered {
 		return
 	}
-	r.bound(r.s.Search(func(e *element.Element) bool { return exclusiveEnd(e) > lo }),
-		r.s.Search(func(e *element.Element) bool { return e.VT.Start() >= hi }))
+	r.bound(r.s.searchVTEnd(lo), r.s.searchVTStart(hi))
 }
 
 // SeekTT bounds the reader by the logs' transaction-time order to the chunks
@@ -96,8 +99,7 @@ func (r *BatchReader) SeekTT(lo, hi chronon.Chronon) {
 	if r.kind == Heap {
 		return
 	}
-	r.bound(r.s.Search(func(e *element.Element) bool { return e.TTStart >= lo }),
-		r.s.Search(func(e *element.Element) bool { return e.TTStart > hi }))
+	r.bound(r.s.SearchTT(lo, true), r.s.SearchTT(hi, false))
 }
 
 // bound narrows the reader to the chunks that hold elements [from, to),
@@ -200,15 +202,32 @@ func (r *BatchReader) Pass(units []Unit) {
 	}
 }
 
-// Rows returns the elements of the unit the last Advance stopped at, where
-// they lie: what a row-at-a-time consumer folds instead of a Load.
-func (r *BatchReader) Rows() []*element.Element { return r.s.run(r.next - 1) }
+// Rows returns the elements of the unit the last Advance stopped at: an
+// element chunk's where they lie, a sealed chunk's gathered from its columns
+// into the reader's one scratch unit, which the next Rows overwrites. What a
+// row-at-a-time consumer folds instead of a Load; it keeps no element.
+func (r *BatchReader) Rows() []*element.Element {
+	return r.s.materialized(r.next-1, &r.rows, &r.rowPtrs)
+}
 
 // Load fills b with the unit the last Advance stopped at, gathering its
-// columns from its elements.
+// timestamp columns from the sealed columns or from the elements.
 func (r *BatchReader) Load(b *vec.Batch) error {
 	els := r.Rows()
 	b.N, b.Elems = len(els), els
+	if c := r.s.chunk(r.next - 1); c.col != nil {
+		for j := range els {
+			b.TTStart[j] = int64(c.col.ttStart[j])
+			b.TTEnd[j] = int64(c.ttEnd[j])
+			b.VTStart[j] = int64(c.col.vtLo[j])
+			if r.event {
+				b.VTEnd[j] = b.VTStart[j] + 1
+			} else {
+				b.VTEnd[j] = int64(c.col.end(j))
+			}
+		}
+		return nil
+	}
 	for i, e := range els {
 		b.TTStart[i] = int64(e.TTStart)
 		b.TTEnd[i] = int64(e.TTEnd)

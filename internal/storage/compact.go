@@ -25,29 +25,34 @@ import (
 // relations whose live organization is the vt-ordered log — the append-only
 // designs of §3.1/§3.2, where the prefix is stable by promise.
 
-// packedSize is the byte size of a run's (tt⊢, tt⊣, vt⊢, vt⊣) columns
-// delta-encoded: per column, the first value is absolute and the rest are
-// zigzag-varint deltas from their predecessor. Columnar order keeps each
-// delta stream homogeneous — the tt column of a log is sorted, so its deltas
-// are small and positive.
-func packedSize(run []*element.Element) int {
-	cols := [4]func(*element.Element) int64{
-		func(e *element.Element) int64 { return int64(e.TTStart) },
-		func(e *element.Element) int64 { return int64(e.TTEnd) },
-		func(e *element.Element) int64 { return int64(e.VT.Start()) },
-		func(e *element.Element) int64 { return int64(e.VT.End()) },
+// packedSize is the byte size of the (tt⊢, tt⊣, vt⊢, vt⊣) columns of the
+// first n slots of c, in either form, delta-encoded: per column, the first
+// value is absolute and the rest are zigzag-varint deltas from their
+// predecessor. Columnar order keeps each delta stream homogeneous — the tt
+// column of a log is sorted, so its deltas are small and positive.
+func (c *chunk) packedSize(n int) int {
+	cols := [4]func(j int) chronon.Chronon{
+		c.ttStartAt,
+		c.ttEndAt,
+		c.vtStartAt,
+		func(j int) chronon.Chronon {
+			if c.col != nil {
+				return c.col.end(j)
+			}
+			return c.elems[j].VT.End()
+		},
 	}
 	var tmp [binary.MaxVarintLen64]byte
-	n := 0
+	size := 0
 	for _, col := range cols {
 		prev := int64(0)
-		for _, e := range run {
-			v := col(e)
-			n += binary.PutVarint(tmp[:], v-prev)
+		for j := range n {
+			v := int64(col(j))
+			size += binary.PutVarint(tmp[:], v-prev)
 			prev = v
 		}
 	}
-	return n
+	return size
 }
 
 // seal measures as many full chunks as the unsealed stretch allows into the
@@ -61,24 +66,42 @@ func (s *seq) seal() int {
 	}
 	was := s.sealed
 	for ; s.full(s.sealed); s.sealed++ {
-		s.packedBytes += int64(packedSize(s.chunk(s.sealed).elems[:]))
+		s.packedBytes += int64(s.chunk(s.sealed).packedSize(runSize))
 	}
 	return (s.sealed - was) * runSize
 }
 
-// Compact seals full runs over the stable prefix of a log. The heap seals
-// nothing. Runs sealed before a Retype dropped the promise stay counted.
+// Compact seals full runs over the stable prefix of a log and returns how
+// many elements it newly measured. The heap seals nothing. Runs sealed
+// before a Retype dropped the promise stay counted. On the vt-ordered log it
+// also turns into columns every full chunk still elements (sealFull).
 func (s *RunStore) Compact() int {
 	if s.kind == Heap {
 		return 0
 	}
+	if s.kind == VTOrdered {
+		s.sealFull()
+	}
 	return s.seal()
+}
+
+// sealFull turns every full element chunk from the first one not yet
+// sealed on into columns: what push does to a chunk that fills under the
+// vt-ordered label, for the chunks that filled under another one. A frozen
+// snapshot refuses.
+func (s *seq) sealFull() {
+	if s.frozen {
+		return
+	}
+	for ; s.full(s.cols); s.cols++ {
+		s.sealChunk(s.cols)
+	}
 }
 
 // rollback is the log organizations' rollback: binary search for the prefix
 // with tt⊢ ≤ tt, then a filter of it.
 func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	return s.presentIn(s.Search(func(e *element.Element) bool { return e.TTStart > tt }), tt)
+	return s.presentIn(s.SearchTT(tt, false), tt)
 }
 
 // presentIn filters the first n elements, run by run, for those present at
@@ -88,26 +111,28 @@ func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int
 // the answer is reported as a span, also the one n cuts: a span names the
 // chunk, not the slots read.
 func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	var out []*element.Element
+	var a answer
 	var spans []ChunkSpan
 	touched := 0
 	for k := 0; k*runSize < n; k++ {
-		if s.full(k) && s.chunk(k).deadAt(tt) {
+		c := s.chunk(k)
+		if s.full(k) && c.deadAt(tt) {
 			touched++
 			continue
 		}
-		run := s.run(k)
-		if end := n - k*runSize; end < len(run) {
-			run = run[:end]
+		end := min(n-k*runSize, s.n-k*runSize, runSize)
+		touched += end
+		from := len(a.out)
+		if c.col != nil {
+			a.presentCols(c, k*runSize, end, tt)
+		} else {
+			a.out = appendPresent(a.out, c.elems[:end], tt)
 		}
-		touched += len(run)
-		from := len(out)
-		out = appendPresent(out, run, tt)
 		if s.full(k) {
-			s.chunk(k).span(&spans, k, from, len(out))
+			c.span(&spans, k, from, len(a.out))
 		}
 	}
-	return out, spans, touched
+	return a.finish(s), spans, touched
 }
 
 // appendPresent appends the elements of run present at tt. The four walks
@@ -116,7 +141,8 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkS
 // the loop then has a handful of live values whatever the walk around it
 // carries. Inlined into a walk that also records spans, the time-slice of a
 // 20 k-element relation read +14 % against the walk before spans; out of
-// line it reads −15 % (BenchmarkScanGeneral, alternated).
+// line it reads −15 % (BenchmarkScanGeneral, alternated). A sealed chunk's
+// loops are the column filters (columns.go), out of line the same way.
 //
 //go:noinline
 func appendPresent(out, run []*element.Element, tt chronon.Chronon) []*element.Element {
@@ -134,7 +160,7 @@ func appendPresent(out, run []*element.Element, tt chronon.Chronon) []*element.E
 // everything else is visited, and a full chunk that supplied a dense stretch
 // of the answer is reported as a span.
 func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	var out []*element.Element
+	var a answer
 	var spans []ChunkSpan
 	touched := 0
 	for k := range s.chunks() {
@@ -143,15 +169,20 @@ func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, []ChunkSpan, i
 			touched++
 			continue
 		}
-		run := s.run(k)
-		touched += len(run)
-		from := len(out)
-		out = appendValid(out, run, lo, hi)
+		from := len(a.out)
+		if c.col != nil {
+			touched += runSize
+			a.validCols(c, k*runSize, 0, runSize, lo, hi)
+		} else {
+			run := s.run(k)
+			touched += len(run)
+			a.out = appendValid(a.out, run, lo, hi)
+		}
 		if full {
-			c.span(&spans, k, from, len(out))
+			c.span(&spans, k, from, len(a.out))
 		}
 	}
-	return out, spans, touched
+	return a.finish(s), spans, touched
 }
 
 // appendValid appends the current elements of run valid during [lo, hi).
@@ -174,34 +205,51 @@ func appendValid(out, run []*element.Element, lo, hi chronon.Chronon) []*element
 // chunk that holds no current element and stopping early when a chunk's
 // minimum start already passes hi. The probe counts as one touch.
 func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	start := s.Search(func(e *element.Element) bool { return exclusiveEnd(e) > lo })
-	var out []*element.Element
+	start := s.searchVTEnd(lo)
+	var a answer
 	touched := 1
 	for k := start / runSize; k < s.chunks(); k++ {
-		if c := s.chunk(k); s.full(k) {
+		c := s.chunk(k)
+		if s.full(k) {
 			if c.vtLo >= hi {
-				return out, touched
+				return a.finish(s), touched
 			}
 			if !c.live() {
 				touched++
 				continue
 			}
 		}
-		run := s.run(k)
-		if from := start - k*runSize; from > 0 {
-			run = run[from:]
+		from := max(start-k*runSize, 0)
+		if c.col != nil {
+			// The walk's stop: the first slot from `from` that starts at or
+			// past hi, found in the column; every slot before it is touched,
+			// and it is too.
+			to := from
+			for to < runSize && c.col.vtLo[to] < hi {
+				to++
+			}
+			touched += to - from
+			if to < runSize {
+				touched++
+			}
+			a.validCols(c, k*runSize, from, to, lo, hi)
+			if to < runSize {
+				return a.finish(s), touched
+			}
+			continue
 		}
+		run := s.run(k)[from:]
 		for _, e := range run {
 			touched++
 			if e.VT.Start() >= hi {
-				return out, touched
+				return a.finish(s), touched
 			}
 			if e.Current() && ValidDuring(e, lo, hi) {
-				out = append(out, e)
+				a.out = append(a.out, e)
 			}
 		}
 	}
-	return out, touched
+	return a.finish(s), touched
 }
 
 // AsOf answers the bitemporal query over st: the elements present at tt and
@@ -215,12 +263,12 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // chunk.
 func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int, error) {
 	s, ttOrdered := seqOf(st), st.Kind() != Heap
-	var out []*element.Element
+	var a answer
 	var spans []ChunkSpan
 	touched := 0
 	for k := range s.chunks() {
 		c := s.chunk(k)
-		if ttOrdered && c.elems[0].TTStart > tt {
+		if ttOrdered && c.ttStartAt(0) > tt {
 			touched++
 			break
 		}
@@ -231,15 +279,20 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Ele
 			touched++
 			continue
 		}
-		run := s.run(k)
-		touched += len(run)
-		from := len(out)
-		out = appendAsOf(out, run, vt, tt)
+		from := len(a.out)
+		if c.col != nil {
+			touched += runSize
+			a.asOfCols(c, k*runSize, vt, tt)
+		} else {
+			run := s.run(k)
+			touched += len(run)
+			a.out = appendAsOf(a.out, run, vt, tt)
+		}
 		if s.full(k) {
-			c.span(&spans, k, from, len(out))
+			c.span(&spans, k, from, len(a.out))
 		}
 	}
-	return out, spans, touched, nil
+	return a.finish(s), spans, touched, nil
 }
 
 // appendAsOf appends the elements of run present at tt and valid at vt.

@@ -221,7 +221,7 @@ func TestCompactThenClose(t *testing.T) {
 	if got, _ := st.Timeslice(101); len(got) != 0 {
 		t.Fatalf("closed element still current: %v", elemIDs(got))
 	}
-	if got, _ := snap.(*RunStore).Timeslice(101); len(got) != 1 || got[0] != elems[100] {
+	if got, _ := snap.(*RunStore).Timeslice(101); len(got) != 1 || !sameVersion(got[0], elems[100]) {
 		t.Fatalf("snapshot lost the pinned open element: %v", elemIDs(got))
 	}
 	// Rollback at tt=650 must still see it (present until 700) despite the

@@ -137,7 +137,7 @@ func TestReplaceFindsByPointerNotPosition(t *testing.T) {
 			if e == old {
 				want = closed
 			}
-			if got[i] != want {
+			if !sameVersion(got[i], want) {
 				t.Errorf("%s: slot %d holds %v, want %v", name, i, got[i].ES, want.ES)
 			}
 		}

@@ -9,11 +9,12 @@ import (
 // consecutive result elements starting at At all sit in full chunk Chunk, in
 // slot order, and the chunk's lifetime close count was Closes when the read
 // saw it. Within one generation of a store (Chunk, Closes) names the chunk's
-// 256 elements exactly — every slot is filled, an element is never edited in
-// place, and the only change a slot ever sees is the close that swaps a clone
-// in and bumps the count (seq.Replace) — so whatever is derived from those
-// elements alone, such as their encoding, can be kept under that name and
-// found again by a later read (DESIGN §8).
+// 256 versions exactly — every slot is filled, a version is never edited in
+// place, and the only change a slot ever sees is the close that finalizes its
+// tt⊣ and bumps the count (seq.ReplaceAt), whether the chunk holds elements
+// or is sealed columns — so whatever is derived from those versions alone,
+// such as their encoding, can be kept under that name and found again by a
+// later read (DESIGN §8).
 type ChunkSpan struct {
 	At, N  int
 	Chunk  int
@@ -50,16 +51,21 @@ func (c *chunk) span(spans *[]ChunkSpan, k, from, to int) {
 // the full chunks that supplied them; every element is touched.
 func Current(st Store) ([]*element.Element, []ChunkSpan, int) {
 	s := seqOf(st)
-	var out []*element.Element
+	var a answer
 	var spans []ChunkSpan
 	for k := range s.chunks() {
-		from := len(out)
-		out = appendCurrent(out, s.run(k))
+		c := s.chunk(k)
+		from := len(a.out)
+		if c.col != nil {
+			a.currentCols(c, k*runSize)
+		} else {
+			a.out = appendCurrent(a.out, s.run(k))
+		}
 		if s.full(k) {
-			s.chunk(k).span(&spans, k, from, len(out))
+			c.span(&spans, k, from, len(a.out))
 		}
 	}
-	return out, spans, s.n
+	return a.finish(s), spans, s.n
 }
 
 // appendCurrent appends the current elements of run.
@@ -96,10 +102,11 @@ func VTRangeSpans(st Store, lo, hi chronon.Chronon) ([]*element.Element, []Chunk
 	return out, nil, touched
 }
 
-// ChunkElements returns full chunk k's runSize elements as st holds them —
-// the store's own array, read-only.
+// ChunkElements returns full chunk k's runSize elements as st holds them:
+// an element chunk's own array, read-only, and a sealed chunk's versions
+// materialized into fresh memory.
 func ChunkElements(st Store, k int) []*element.Element {
-	return seqOf(st).chunk(k).elems[:]
+	return seqOf(st).materialize(k)
 }
 
 // ChunkCloses returns full chunk k's lifetime close count as st holds it.

@@ -51,15 +51,23 @@ func sameElems(a, b []*element.Element) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	seen := make(map[*element.Element]int)
+	// The same versions, as a multiset: an answer on the vt-ordered log is a
+	// copy, so a version is known by its surrogate and tt⊣, and its fields.
+	type version struct {
+		es surrogate.Surrogate
+		tt chronon.Chronon
+	}
+	seen := make(map[version][]*element.Element)
 	for _, e := range a {
-		seen[e]++
+		k := version{e.ES, e.TTEnd}
+		seen[k] = append(seen[k], e)
 	}
 	for _, e := range b {
-		if seen[e] == 0 {
+		k := version{e.ES, e.TTEnd}
+		if len(seen[k]) == 0 || !sameVersion(seen[k][0], e) {
 			return false
 		}
-		seen[e]--
+		seen[k] = seen[k][1:]
 	}
 	return true
 }

@@ -6,9 +6,10 @@ import "fmt"
 // (seq.go) that every organization's scans prune on — the valid-time
 // envelope for the valid-time reads, the transaction-time facts for rollback
 // and as-of — so a wrong zone map silently drops rows from answers. It is
-// derived state, recomputable from the elements, which remain the ground
-// truth: VerifyRuns re-derives every full chunk's, so damage is detected, and
-// ResealRuns rebuilds a damaged one in place from the elements it covers.
+// derived state, recomputable from the versions, which remain the ground
+// truth: VerifyRuns re-derives every full chunk's — off a sealed chunk's
+// columns, materializing nothing — so damage is detected, and ResealRuns
+// rebuilds a damaged one in place from the versions it covers.
 
 // RunVerifyError describes one damaged chunk.
 type RunVerifyError struct {
@@ -27,7 +28,7 @@ func VerifyRuns(st Store) []RunVerifyError {
 	var bad []RunVerifyError
 	for k := 0; s.full(k); k++ {
 		c := s.chunk(k)
-		if want := zoneOf(c.elems[:], c.closes); c.zone != want {
+		if want := c.zoneOf(); c.zone != want {
 			bad = append(bad, RunVerifyError{Run: k, Reason: fmt.Sprintf("zone map reads %+v, the elements give %+v", c.zone, want)})
 		}
 	}
@@ -46,7 +47,7 @@ func ResealRuns(st Store, bad []int) int {
 			continue
 		}
 		c := s.own(k)
-		c.zone = zoneOf(c.elems[:], c.closes)
+		c.zone = c.zoneOf()
 		rebuilt++
 	}
 	return rebuilt

@@ -49,13 +49,13 @@ type zonePin struct {
 	step int
 }
 
-// zoneDiff compares an answer to the filter's, pointer for pointer.
+// zoneDiff compares an answer to the filter's, version for version.
 func zoneDiff(query string, got, want []*element.Element) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s returned %d elements, the filter %d", query, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if !sameVersion(got[i], want[i]) {
 			return fmt.Errorf("%s answer %d is ES %v, the filter's ES %v", query, i, got[i].ES, want[i].ES)
 		}
 	}
@@ -68,10 +68,16 @@ func zoneDiff(query string, got, want []*element.Element) error {
 // refuses a second sighting that names others.
 type spanNames struct {
 	mu   sync.Mutex
-	seen map[[2]int][]*element.Element
+	seen map[[2]int][]slotName
 }
 
-func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]*element.Element)} }
+// slotName is what names a version within a store: its surrogate and tt⊣.
+type slotName struct {
+	es surrogate.Surrogate
+	tt chronon.Chronon
+}
+
+func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]slotName)} }
 
 // check holds the spans a walk of st reported for its answer got to the
 // definition: one span, in order, for every full chunk that supplied at least
@@ -79,16 +85,11 @@ func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]*elem
 // arrival order — carrying that chunk's close count, and naming the elements
 // that (chunk, closes) has always named.
 func (n *spanNames) check(query string, st *RunStore, got []*element.Element, spans []ChunkSpan) error {
-	chunkOf := make(map[*element.Element]int, st.Len())
-	for k := 0; k < st.chunks(); k++ {
-		for _, e := range st.run(k) {
-			chunkOf[e] = k
-		}
-	}
+	chunkOf := func(e *element.Element) int { return int(e.ES-1) / runSize } // zoneMapModel stores surrogate i+1 at position i
 	var want []ChunkSpan
 	for i := 0; i < len(got); {
-		k, j := chunkOf[got[i]], i+1
-		for j < len(got) && chunkOf[got[j]] == k {
+		k, j := chunkOf(got[i]), i+1
+		for j < len(got) && chunkOf(got[j]) == k {
 			j++
 		}
 		if st.full(k) && j-i >= spanMin {
@@ -105,10 +106,13 @@ func (n *spanNames) check(query string, st *RunStore, got []*element.Element, sp
 		if sp != want[i] {
 			return fmt.Errorf("%s span %d is %+v, the definition gives %+v", query, i, sp, want[i])
 		}
-		key, els := [2]int{sp.Chunk, sp.Closes}, ChunkElements(st, sp.Chunk)
+		key, names := [2]int{sp.Chunk, sp.Closes}, make([]slotName, runSize)
+		for j := range names {
+			names[j] = slotName{st.ESAt(sp.Chunk*runSize + j), st.TTEndAt(sp.Chunk*runSize + j)}
+		}
 		if named, ok := n.seen[key]; !ok {
-			n.seen[key] = append([]*element.Element(nil), els...)
-		} else if !slices.Equal(named, els) {
+			n.seen[key] = names
+		} else if !slices.Equal(named, names) {
 			return fmt.Errorf("%s: chunk %d at %d closes names other elements than it did before", query, sp.Chunk, sp.Closes)
 		}
 	}
@@ -216,7 +220,8 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 				}
 				for _, e := range r.Rows() {
 					if keep(e) {
-						got = append(got, e)
+						cp := *e // a sealed unit's rows are the reader's scratch
+						got = append(got, &cp)
 					}
 					if u.Stable && (e.VT.Start() < lo || e.VT.End() > hi || e.VT.IsEvent() && e.VT.Start() >= hi) {
 						return fmt.Errorf("chunk %d is stable under [%d, %d) but holds %v", u.Run, lo, hi, e.VT)

@@ -339,11 +339,13 @@ func checkGenerated(t *testing.T, data []byte) {
 // checkSplice draws a chunk, an answer out of it and a round of closes, and
 // holds the body that copies from the chunk's image to the body that encodes
 // — before the closes, after them with the refreshed image, and after them
-// with the stale one.
+// with the stale one. The chunk's elements carry distinct surrogates, as a
+// store's versions do: an image names a slot by its surrogate and tt⊣.
 func checkSplice(t *testing.T, g *gen) {
 	chunk := make([]*element.Element, 1+g.byte()%6)
 	for i := range chunk {
 		chunk[i] = g.element()
+		chunk[i].ES = chunk[i].ES&^7 | surrogate.Surrogate(i)
 	}
 	pick := g.byte()
 	answer := func(chunk []*element.Element) (els []*element.Element) {

@@ -237,9 +237,15 @@ func array[T any](p *parser) []T {
 		return nil
 	}
 	out := append(make([]T, 0, 1+p.extrapolate(m)), first)
-	for !p.bad && p.lit(",") {
+	for !p.bad && !p.unconv && p.lit(",") {
 		out = slices.Grow(out, 1)[:len(out)+1]
 		item(p, &out[len(out)-1])
+	}
+	// Past an item that does not convert the parse is thrown away whatever
+	// follows; the rest is read for its spelling alone, one item at a time.
+	for !p.bad && p.unconv && p.lit(",") {
+		var skip T
+		item(p, &skip)
 	}
 	p.expect("]")
 	return out
