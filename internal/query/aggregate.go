@@ -162,10 +162,11 @@ func (en *Engine) fold(ctx context.Context, node *plan.Node, spec *vec.Spec, eve
 		if u.Run >= 0 {
 			stats.RunsFolded++
 		}
-		if learn && memo.learn(spec, u, r.Rows(), agg, stats) {
+		rows := r.Rows() // a sealed chunk's are gathered: once for both
+		if learn && memo.learn(spec, u, rows, agg, stats) {
 			continue
 		}
-		if err := agg.ConsumeRows(r.Rows(), stats); err != nil {
+		if err := agg.ConsumeRows(rows, stats); err != nil {
 			return err
 		}
 	}

@@ -29,7 +29,7 @@ const (
 func (a Advice) New() Store {
 	switch a.Store {
 	case TTOrdered, VTOrdered:
-		return &RunStore{kind: a.Store}
+		return &RunStore{seq{kind: a.Store}}
 	}
 	return NewHeap()
 }
