@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzMerkleConsistency$$' -fuzztime=5s $(FUZZMIN) ./internal/integrity
 	$(GO) test -run=NONE -fuzz='^FuzzBatchInsertRequest$$' -fuzztime=5s $(FUZZMIN) ./internal/server
 	$(GO) test -run=NONE -fuzz='^FuzzWireCodec$$' -fuzztime=5s $(FUZZMIN) ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzColumnFold$$' -fuzztime=5s $(FUZZMIN) ./internal/query
 
 # Regenerate every figure/claim table, the two ablations, and the
 # durability, overload and cluster experiments (S2, S3, S5). It rewrites
@@ -114,8 +115,12 @@ bench:
 # cache-off direct fold; with firehose-analytics' 65,536-chronon clamp, where the access path
 # bounds the chunk loop: folded/op ≈ 2 warm, pruned/op the chunks outside the clamp, rows/op
 # the rows folded), the aggregate after a delete and an insert on a heap, a
-# tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the columnar batch scan/aggregate
-# microbenchmarks, the general organizations' zone-map scans beside the unpruned filter (20 k and
+# tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the request paths over 100 k sealed
+# versions (a time-slice, a rollback, a delete, a memo-off clamped USING ROW sum, the batch that
+# fills a chunk, and sensor-append's COUNT(*) over the newest 4,096 chronons after a head insert,
+# memo on), the batch scan the benchmark module's mirror gathers, the engine's two folds of 64
+# sealed chunks (from their columns, and row at a time over the same chunks materialized), the
+# general organizations' zone-map scans beside the unpruned filter (20 k and
 # 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the
 # zone map, a relation's lookups by surrogate on 1,048,576 versions in its store's chunked
 # sequence (a hit, a miss past the end, a staged and committed delete, and Backlog),

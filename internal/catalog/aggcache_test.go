@@ -477,6 +477,38 @@ func TestClampedRowAggregateMergesWhatTheSearchFinds(t *testing.T) {
 	}
 }
 
+// TestSealedFoldAllocatesNothing: folding a sealed chunk allocates nothing —
+// the fold reads it where it lies, from its columns — so with the memo off a
+// clamped USING ROW sum allocates as much over 64 sealed chunks as over 4:
+// the reader, the state and the answer, none of it per chunk. Both clamps
+// emit eight windows, and each one's lower edge cuts a window inside a
+// sealed chunk.
+func TestSealedFoldAllocatesNothing(t *testing.T) {
+	e := sealedSensor(t, New(testConfig(t.TempDir())), "s", 70*256)
+	ctx := context.Background()
+	allocs := map[int]float64{}
+	for _, chunks := range []int{4, 64} {
+		lo, span := 2*2560+1000, chunks*2560
+		q, err := tsql.Parse(fmt.Sprintf("select sum(v) from s when valid during [%d, %d) group by window(%d) using row", lo, lo+span, span/8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp := q.Fingerprints()
+		if _, _, st, err := e.executeAggregate(ctx, e.view.Load(), q, fp); err != nil || st.RunsFolded < int64(chunks) || st.RunsMerged != 0 {
+			t.Fatalf("%d chunks: %+v, %v; want every chunk folded", chunks, st, err)
+		}
+		allocs[chunks] = testing.AllocsPerRun(20, func() {
+			if _, _, _, err := e.SelectCtx(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("%.0f allocations over 4 sealed chunks, %.0f over 64", allocs[4], allocs[64])
+	if allocs[4] != allocs[64] {
+		t.Fatalf("a clamped sum allocates %.0f over 4 sealed chunks and %.0f over 64: folding a chunk allocates", allocs[4], allocs[64])
+	}
+}
+
 // TestRunPartialsPinnedView: a reader still holding an old view after
 // later closes must not be answered from the partials those closes
 // produced — and must not put its own older ones in their place.

@@ -19,13 +19,17 @@ import (
 // it sealed — with the result cache off, so every read computes: a
 // time-slice, a rollback, the lookup and delete of a version in a sealed
 // chunk, a clamped USING ROW aggregate, and the 256-element batch that fills
-// a chunk. Each read names a time no earlier one did.
+// a chunk. Each read names a time no earlier one did. agg-count-head runs
+// with the cache, and so the chunk memo, on: sensor-append's statement, a
+// COUNT(*) over the newest 4,096 chronons in tumbling windows, after a head
+// insert (untimed) that empties the result cache; the clamp's lower edge
+// cuts a window inside a sealed chunk, which is folded every time.
 func BenchmarkSealedPaths(b *testing.B) {
 	const n = 391 * 256
 	ctx := context.Background()
-	build := func(b *testing.B) *Entry {
+	build := func(b *testing.B, cfg Config) *Entry {
 		b.Helper()
-		c := New(testConfig(b.TempDir()))
+		c := New(cfg)
 		e, err := c.Create(relation.Schema{
 			Name: "bench", ValidTime: element.EventStamp, Granularity: chronon.Second,
 			Invariant: []relation.Column{{Name: "sensor", Type: element.KindString}},
@@ -48,7 +52,7 @@ func BenchmarkSealedPaths(b *testing.B) {
 		return e
 	}
 	b.Run("timeslice", func(b *testing.B) {
-		e := build(b)
+		e := build(b, testConfig(b.TempDir()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -59,7 +63,7 @@ func BenchmarkSealedPaths(b *testing.B) {
 		}
 	})
 	b.Run("rollback", func(b *testing.B) {
-		e := build(b)
+		e := build(b, testConfig(b.TempDir()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -71,13 +75,13 @@ func BenchmarkSealedPaths(b *testing.B) {
 		}
 	})
 	b.Run("byes-delete", func(b *testing.B) {
-		e := build(b)
+		e := build(b, testConfig(b.TempDir()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i > 0 && i%(n-256) == 0 {
 				b.StopTimer()
-				e = build(b)
+				e = build(b, testConfig(b.TempDir()))
 				b.StartTimer()
 			}
 			es := surrogate.Surrogate(1 + (i*7919)%(n-256))
@@ -92,7 +96,7 @@ func BenchmarkSealedPaths(b *testing.B) {
 		}
 	})
 	b.Run("agg-row-clamped", func(b *testing.B) {
-		e := build(b)
+		e := build(b, testConfig(b.TempDir()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -106,14 +110,39 @@ func BenchmarkSealedPaths(b *testing.B) {
 			}
 		}
 	})
+	b.Run("agg-count-head", func(b *testing.B) {
+		e, at := build(b, cachedConfig(b.TempDir())), n
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if _, err := e.InsertBatch(ctx, []relation.Insertion{{
+				VT:        element.EventAt(chronon.Chronon(10 * at)),
+				Invariant: []element.Value{element.String_("sensor-0")},
+				Varying:   []element.Value{element.Int(int64(at % 1000))},
+			}}, nil, false); err != nil {
+				b.Fatal(err)
+			}
+			head := 10 * at
+			at++
+			q, err := tsql.Parse(fmt.Sprintf("select count(*) from bench when valid during [%d, %d) group by window(256)", head+1-4096, head+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, _, _, err := e.SelectCtx(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("batch-fill", func(b *testing.B) {
-		e, at := build(b), n
+		e, at := build(b, testConfig(b.TempDir())), n
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i > 0 && i%256 == 0 {
 				b.StopTimer()
-				e, at = build(b), n
+				e, at = build(b, testConfig(b.TempDir())), n
 				b.StartTimer()
 			}
 			sealedBenchBatch(b, e, at)

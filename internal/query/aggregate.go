@@ -29,13 +29,14 @@ const batchCheckEvery = 8
 // chunk is folded after all, so values and errors are those of the plain
 // fold.
 //
-// A unit is folded row at a time where its elements lie (ColAgg.ConsumeRows),
-// in arrival (ES) order, so floating-point accumulation is bit-identical to
-// vec.RowAggregateRuns, the definition the differential harness asserts
-// against. event says whether the relation is event-stamped, and the
-// returned stats feed the batch counters. memo, when not nil, lets the loop
-// merge the partials of full chunks folded before instead of folding them
-// again (partials.go); nil folds every chunk.
+// A unit is folded where it lies, in arrival (ES) order: a sealed chunk from
+// its columns (ColAgg.ConsumeCols), any other chunk row at a time from its
+// elements (ColAgg.ConsumeRows), so floating-point accumulation is
+// bit-identical to vec.RowAggregateRuns, the definition the differential
+// harness asserts against. event says whether the relation is
+// event-stamped, and the returned stats feed the batch counters. memo, when
+// not nil, lets the loop merge the partials of full chunks folded before
+// instead of folding them again (partials.go); nil folds every chunk.
 func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo) (*vec.AggResult, vec.ExecStats, error) {
 	var stats vec.ExecStats
 	agg, err := vec.NewColAgg(spec)
@@ -162,16 +163,24 @@ func (en *Engine) fold(ctx context.Context, node *plan.Node, spec *vec.Spec, eve
 		if u.Run >= 0 {
 			stats.RunsFolded++
 		}
-		rows := r.Rows() // a sealed chunk's are gathered: once for both
-		if learn && memo.learn(spec, u, rows, agg, stats) {
+		if learn && memo.learn(spec, u, r, agg, stats) {
 			continue
 		}
-		if err := agg.ConsumeRows(rows, stats); err != nil {
+		if err := consume(agg, r, stats); err != nil {
 			return err
 		}
 	}
 	stats.ChunksPruned += int64(r.Skipped())
 	return nil
+}
+
+// consume folds the unit the reader stopped at into agg where it lies: a
+// sealed chunk from its columns, any other chunk from its elements.
+func consume(agg *vec.ColAgg, r *storage.BatchReader, stats *vec.ExecStats) error {
+	if c := r.Cols(); c != nil {
+		return agg.ConsumeCols(c, stats)
+	}
+	return agg.ConsumeRows(r.Rows(), stats)
 }
 
 // merge merges a chunk's or group's partial into agg, restricted to the

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"repro/internal/element"
 	"repro/internal/qcache"
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -150,17 +149,18 @@ func (m *PartialMemo) solo(spec *vec.Spec) {
 	m.alone.Reset()
 }
 
-// learn folds the unit's rows on their own, records what they contribute
-// and merges that into agg in place of folding them there, counting the
-// visit in stats and reporting whether it did. False leaves agg and stats
-// untouched and the caller folds the unit itself: when the chunk fails by
-// itself (the plain fold then reports the first error in arrival order,
-// which may be an earlier one against the running state), when its cells
-// do not merge exactly, and when they do not merge into what agg holds.
-func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, rows []*element.Element, agg *vec.ColAgg, stats *vec.ExecStats) bool {
+// learn folds the unit the reader stopped at on its own, where it lies
+// (consume), records what it contributes and merges that into agg in place
+// of folding it there, counting the visit in stats and reporting whether it
+// did. False leaves agg and stats untouched and the caller folds the unit
+// itself: when the chunk fails by itself (the plain fold then reports the
+// first error in arrival order, which may be an earlier one against the
+// running state), when its cells do not merge exactly, and when they do not
+// merge into what agg holds.
+func (m *PartialMemo) learn(spec *vec.Spec, u storage.Unit, r *storage.BatchReader, agg *vec.ColAgg, stats *vec.ExecStats) bool {
 	m.solo(spec)
 	var visit vec.ExecStats
-	if m.alone.ConsumeRows(rows, &visit) != nil {
+	if consume(m.alone, r, &visit) != nil {
 		return false
 	}
 	part, exact := m.alone.Cells()

@@ -51,13 +51,14 @@ func intVals(i int) element.Value {
 	return element.Int(int64(i*7919%1000) - 300)
 }
 
-func getV(e *element.Element) element.Value { return e.Varying[0] }
+// getV names the first time-varying value.
+var getV = vec.ColRef{Src: vec.ColVarying}
 
 func testSpec(kind vec.WindowKind, k int64) *vec.Spec {
 	return &vec.Spec{Width: 3000, WKind: kind, K: k, Aggs: []vec.AggCall{
 		{Kind: vec.AggCount},
-		{Kind: vec.AggSum, Col: "v", Get: getV},
-		{Kind: vec.AggMax, Col: "v", Get: getV},
+		{Kind: vec.AggSum, Col: "v", Ref: getV},
+		{Kind: vec.AggMax, Col: "v", Ref: getV},
 	}}
 }
 
@@ -242,7 +243,7 @@ func TestRunPartialsClampAsOfAndBudget(t *testing.T) {
 func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	floats := partialsFixture(t, 3, 10, func(i int) element.Value { return element.Float(float64(i) / 10) })
 	en := New(floats, nil)
-	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
+	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Ref: getV}}}
 	mc := newMemo(bigCache)
 	if s, grew := learned(t, en, sum, mc); s.RunsMerged != 0 || s.Rows != 3*testRun+10 || !grew {
 		t.Fatalf("float sum, cold: %+v grew=%v", s, grew)
@@ -266,7 +267,7 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 		},
 	} {
 		en := New(partialsFixture(t, 2, 0, val), nil)
-		one := &vec.Spec{Width: 1 << 20, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
+		one := &vec.Spec{Width: 1 << 20, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Ref: getV}}}
 		mc := newMemo(bigCache)
 		threeWay(t, en, one, mc.exec()) // fails in all three with one text
 		threeWay(t, en, one, mc.exec())
@@ -436,7 +437,7 @@ func TestGroupPartials(t *testing.T) {
 func TestGroupPartialsNeedExactChunks(t *testing.T) {
 	const runs = 2 * groupRuns
 	floats := New(partialsFixture(t, runs, 10, func(i int) element.Value { return element.Float(float64(i) / 10) }), nil)
-	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Get: getV}}}
+	sum := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggSum, Col: "v", Ref: getV}}}
 	mc := newMemo(bigCache)
 	for pass := 0; pass < 3; pass++ {
 		groupStats(t, "float sum", threeWay(t, floats, sum, mc.exec()), 0, 0, runs)
@@ -445,7 +446,7 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 		}
 	}
 
-	max := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Get: getV}}}
+	max := &vec.Spec{Width: 3000, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Ref: getV}}}
 	// Strings from chunk 8 on, which shares a window with chunk 7: group
 	// 0's chunks conflict among themselves, as the fold of them does.
 	within := New(partialsFixture(t, groupRuns, 0, func(i int) element.Value {
@@ -465,7 +466,7 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 	// One window over everything: group 1's strings meet group 0's ints. A
 	// clamp around group 1 learns it alone; unclamped, it cannot merge into
 	// the ints, nor can its first chunk, which is folded and fails.
-	wide := &vec.Spec{Width: 1 << 30, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Get: getV}}}
+	wide := &vec.Spec{Width: 1 << 30, Aggs: []vec.AggCall{{Kind: vec.AggMax, Col: "v", Ref: getV}}}
 	across := New(partialsFixture(t, runs, 0, func(i int) element.Value {
 		if i < groupRuns*testRun {
 			return element.Int(int64(i))

@@ -531,6 +531,12 @@ func TestRequestAllocationBudget(t *testing.T) {
 		}
 		sealed = append(sealed, resp.Element)
 	}
+	dHead := len(sealed)
+	const aggD = `{"query":"select count(*), sum(v) from d group by window(16)"}`
+	insertD := func() {
+		dHead++
+		serveOnce(t, h, "/v1/relations/d/insert", insertBody(dHead), http.StatusCreated)
+	}
 	for _, c := range []struct {
 		name, path string
 		bodies     func() []string
@@ -549,6 +555,9 @@ func TestRequestAllocationBudget(t *testing.T) {
 		{"time-slice on sealed chunks", "/v1/relations/d/query", each(func(i int) string { return fmt.Sprintf(`{"kind":"timeslice","vt":%d}`, 2*i) }), nil, http.StatusOK, 34},            // 31 measured
 		{"rollback on sealed chunks", "/v1/relations/d/query", each(func(i int) string { return fmt.Sprintf(`{"kind":"rollback","tt":%d}`, sealed[i].TTStart) }), nil, http.StatusOK, 48}, // 44 measured
 		{"delete on a sealed chunk", "/v1/relations/d/delete", each(func(i int) string { return fmt.Sprintf(`{"es":%d}`, sealed[2*i].ES) }), nil, http.StatusOK, 37},                      // 34 measured
+		// The head insert empties the result cache; the sealed chunks are
+		// merged from their partials or folded from their columns.
+		{"select aggregate after an insert on sealed chunks", "/v1/select", each(func(int) string { return aggD }), insertD, http.StatusOK, 67}, // 61 measured
 	} {
 		todo := c.bodies()
 		body := strings.NewReader(todo[0]) // not empty, or the request gets http.NoBody

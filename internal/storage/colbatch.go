@@ -4,9 +4,10 @@ package storage
 // arrival order. Every full chunk, sealed or not, is pruned on its zone map
 // (seq.go) before an element is visited, and reports its lifetime close
 // count, which is what lets the aggregate path keep a chunk's contribution
-// across writes elsewhere. A unit the reader stops at is folded where its
-// elements lie (Rows), or gathered into the int64 columns of a vec.Batch
-// (Load). Where the store's order bounds a query (SeekVT, SeekTT), the
+// across writes elsewhere. A unit the reader stops at is folded where it
+// lies: a sealed chunk from its columns (Cols), any other chunk from its
+// elements (Rows). Load gathers a unit into the int64 columns of a vec.Batch
+// instead. Where the store's order bounds a query (SeekVT, SeekTT), the
 // reader starts at the chunk a binary search finds and stops where the order
 // says nothing further can match, so the chunks outside cost not even a
 // probe.
@@ -21,9 +22,10 @@ import (
 // (ES) order — the same order Elements returns, so consumers see the exact
 // row order the reference engine does. Construct with NewBatchReader,
 // optionally narrow with the Set* and Seek* methods, then call Advance
-// until it reports false and fold each unit's Rows where they lie. Load and
-// Next gather a unit into a columnar batch instead; outside tests only the
-// benchmark module's per-layer mirror calls them.
+// until it reports false and fold each unit where it lies: its Cols when it
+// is sealed, its Rows otherwise. Load and Next gather a unit into a columnar
+// batch instead; outside tests only the benchmark module's per-layer mirror
+// calls them.
 type BatchReader struct {
 	s     seq
 	kind  Kind
@@ -40,7 +42,14 @@ type BatchReader struct {
 	end     int // the chunk Advance stops before
 	skipped int
 
-	// The unit Rows gathers a sealed chunk into, reused from unit to unit.
+	// The view Cols returns, its Load (slot, bound once), and the one
+	// version Load materializes a slot into, reused from unit to unit.
+	view    vec.Cols
+	load    func(int) *element.Element
+	scratch slab
+
+	// The unit Rows gathers a sealed chunk into for Load, reused from unit
+	// to unit.
 	rows    slab
 	rowPtrs []*element.Element
 }
@@ -202,10 +211,40 @@ func (r *BatchReader) Pass(units []Unit) {
 	}
 }
 
+// Cols returns the unit the last Advance stopped at as a view of its
+// columns when it is a sealed chunk, and nil when its versions are elements
+// (Rows). The view is the reader's own: the next Cols overwrites it, and its
+// Load reads the unit the last Advance stopped at. Nothing is copied, and
+// nothing allocated but Load's binding and its one scratch version, once a
+// reader.
+func (r *BatchReader) Cols() *vec.Cols {
+	c := r.s.chunk(r.next - 1)
+	if c.col == nil {
+		return nil
+	}
+	if r.load == nil {
+		r.load = r.slot
+	}
+	r.view = c.view(r.load)
+	return &r.view
+}
+
+// slot materializes slot j of the sealed chunk the last Advance stopped at
+// into the reader's scratch version, which the next call overwrites: the
+// view's Load.
+func (r *BatchReader) slot(j int) *element.Element {
+	c := r.s.chunk(r.next - 1)
+	col := c.col
+	r.scratch.grow(1, col.nInv+col.nVar, col.nUser)
+	col.load(j, c.ttEnd[j], &r.scratch.els[0], r.scratch.vals, r.scratch.users)
+	return &r.scratch.els[0]
+}
+
 // Rows returns the elements of the unit the last Advance stopped at: an
-// element chunk's where they lie, a sealed chunk's gathered from its columns
-// into the reader's one scratch unit, which the next Rows overwrites. What a
-// row-at-a-time consumer folds instead of a Load; it keeps no element.
+// element chunk's where they lie, what a row-at-a-time consumer folds. A
+// sealed chunk's are gathered from its columns into the reader's one scratch
+// unit, which the next Rows overwrites; only Load asks for that, as a fold
+// reads a sealed chunk's Cols.
 func (r *BatchReader) Rows() []*element.Element {
 	return r.s.materialized(r.next-1, &r.rows, &r.rowPtrs)
 }

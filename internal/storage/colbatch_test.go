@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -229,54 +228,59 @@ func benchStore(b *testing.B, n int) *RunStore {
 	return st
 }
 
-// BenchmarkTemporalAggregateColumnar and ...Row compare the two engines
-// on the same tumbling COUNT/SUM over a sealed vt-ordered relation — the
-// S7 experiment's microcosm.
+// BenchmarkTemporalAggregateColumnar and ...Row time the engine's two folds
+// on the same tumbling COUNT/SUM over 64 sealed chunks of a vt-ordered log:
+// from the chunks' columns where they lie (ColAgg.ConsumeCols, what a query
+// runs on a sealed chunk), and row at a time over the same chunks
+// materialized beforehand (ColAgg.ConsumeRows, what it runs on an element
+// chunk) — the S7 experiment's microcosm.
 func BenchmarkTemporalAggregateColumnar(b *testing.B) { benchAggregate(b, true) }
 func BenchmarkTemporalAggregateRow(b *testing.B)      { benchAggregate(b, false) }
 
 func benchAggregate(b *testing.B, columnar bool) {
 	st := benchStore(b, 64*runSize)
-	st.Compact()
 	spec := &vec.Spec{Width: 1000, Aggs: []vec.AggCall{
 		{Kind: vec.AggCount},
-		{Kind: vec.AggSum, Col: "v", Get: func(e *element.Element) element.Value { return e.Varying[0] }},
+		{Kind: vec.AggSum, Col: "v", Ref: vec.ColRef{Src: vec.ColVarying}},
 	}}
+	var chunks [][]*element.Element
+	Runs(st)(func(run []*element.Element) bool { chunks = append(chunks, run); return true })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res *vec.AggResult
-		var err error
-		if columnar {
-			agg, aerr := vec.NewColAgg(spec)
-			if aerr != nil {
-				b.Fatal(aerr)
-			}
-			r := NewBatchReader(st, true)
-			r.SetCurrentOnly()
-			var batch vec.Batch
-			var stats vec.ExecStats
-			for {
-				ok, nerr := r.Next(&batch)
-				if nerr != nil {
-					b.Fatal(nerr)
-				}
-				if !ok {
-					break
-				}
-				if cerr := agg.Consume(&batch, &stats); cerr != nil {
-					b.Fatal(cerr)
-				}
-			}
-			res, err = agg.Result()
-		} else {
-			res, err = vec.RowAggregateRuns(context.Background(), spec, Runs(st))
-		}
+		agg, err := vec.NewColAgg(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
-			b.Fatal("no windows")
+		var stats vec.ExecStats
+		if columnar {
+			r := NewBatchReader(st, true)
+			r.SetCurrentOnly()
+			for {
+				if _, ok := r.Advance(); !ok {
+					break
+				}
+				c := r.Cols()
+				if c == nil {
+					b.Fatal("a chunk of the log is not sealed")
+				}
+				if err := agg.ConsumeCols(c, &stats); err != nil {
+					b.Fatal(err)
+				}
+			}
+		} else {
+			for _, rows := range chunks {
+				if err := agg.ConsumeRows(rows, &stats); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		res, err := agg.Result()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) == 0 || stats.Rows != int64(st.Len()) {
+			b.Fatalf("%d windows over %d rows", len(res.Rows), stats.Rows)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/surrogate"
+	"repro/internal/vec"
 )
 
 // A sealed chunk is columns. On the vt-ordered log a chunk is sealed the
@@ -82,11 +83,11 @@ func sealColumns(run *[runSize]*element.Element) (*columns, *[runSize]chronon.Ch
 		c.vtHi = make([]chronon.Chronon, runSize)
 	}
 	// A string repeated in the chunk — a sensor's name, a unit — is stored
-	// once.
+	// once. The map is made for the first string, which may have no bytes.
 	var arena []byte
 	var seen map[string]int64
 	if strLen > 0 {
-		arena, seen = make([]byte, 0, strLen), make(map[string]int64)
+		arena = make([]byte, 0, strLen)
 	}
 	tte := new([runSize]chronon.Chronon)
 	for j, e := range run {
@@ -102,8 +103,11 @@ func sealColumns(run *[runSize]*element.Element) (*columns, *[runSize]chronon.Ch
 				if s, ok := v.Str(); ok {
 					w, ok := seen[s]
 					if !ok {
-						w = int64(len(arena))<<32 | int64(len(s))
+						w = vec.ArenaWord(len(arena), len(s))
 						arena = append(arena, s...)
+						if seen == nil {
+							seen = make(map[string]int64)
+						}
 						seen[s] = w
 					}
 					c.words[t] = w
@@ -160,13 +164,7 @@ func (c *columns) load(j int, tte chronon.Chronon, dst *element.Element, vals []
 	nv := c.nInv + c.nVar
 	kinds, words := c.kinds[j*nv:(j+1)*nv], c.words[j*nv:(j+1)*nv]
 	for t := range vals {
-		if k := kinds[t]; k == element.KindString {
-			w := words[t]
-			off := int(uint64(w) >> 32)
-			vals[t] = element.String_(c.strs[off : off+int(uint32(w))])
-		} else {
-			vals[t] = element.WordValue(k, words[t])
-		}
+		vals[t] = vec.ArenaValue(kinds[t], words[t], c.strs)
 	}
 	switch {
 	case c.nInv > 0:
@@ -186,6 +184,18 @@ func (c *columns) load(j int, tte chronon.Chronon, dst *element.Element, vals []
 		dst.UserTimes = users[:c.nUser:c.nUser]
 	case !c.nilUsers:
 		dst.UserTimes = []chronon.Chronon{}
+	}
+}
+
+// view is sealed chunk c as a fold reads it in place: its columns and its
+// tt⊣ column, sliced, not copied, with load as the view's Load.
+func (c *chunk) view(load func(int) *element.Element) vec.Cols {
+	col := c.col
+	return vec.Cols{
+		N: runSize, Event: col.event, ES: col.es[:], OS: col.os[:],
+		TTStart: col.ttStart[:], TTEnd: c.ttEnd[:], VTStart: col.vtLo[:], VTEnd: col.vtHi,
+		NInv: col.nInv, NVar: col.nVar, Kinds: col.kinds, Words: col.words, Strs: col.strs,
+		NUser: col.nUser, Users: col.users, Load: load,
 	}
 }
 

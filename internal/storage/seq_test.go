@@ -547,6 +547,25 @@ func TestSealOnFillKeepsPinnedViews(t *testing.T) {
 	check(beforeClose)
 }
 
+// TestSealEmptyStrings: a chunk whose only string values have no bytes
+// seals, and reads them back as empty strings.
+func TestSealEmptyStrings(t *testing.T) {
+	st := NewVTLog()
+	for k := 1; k <= runSize; k++ {
+		if err := st.Insert(&element.Element{ES: surrogate.Surrogate(k), OS: 1, TTStart: chronon.Chronon(k),
+			TTEnd: chronon.Forever, VT: element.EventAt(chronon.Chronon(k)),
+			Varying: []element.Value{element.String_(""), element.Int(int64(k))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.chunk(0).col == nil {
+		t.Fatal("the full chunk was not sealed")
+	}
+	if e := st.At(7); !sameList(e.Varying, []element.Value{element.String_(""), element.Int(8)}) {
+		t.Fatalf("slot 7 reads %v", e.Varying)
+	}
+}
+
 // packedSize is the packed size of run, the elements of one chunk in slot
 // order: what seal measures, computed from the model's own list.
 func packedSize(run []*element.Element) int {

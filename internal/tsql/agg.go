@@ -4,7 +4,7 @@ package tsql
 // execution layer. BuildAggSpec compiles the statement's clauses into
 // one vec.Spec — the valid/transaction-time selection as a vectorizable
 // filter, Allen WHEN clauses and WHERE conjuncts as a residual row
-// predicate, the aggregate list as typed calls with column getters —
+// predicate, the aggregate list as typed calls with column references —
 // and every fold (the row reference and the engine's chunk loop) executes
 // that same Spec, which is what makes their answers comparable bit for bit.
 //
@@ -87,11 +87,11 @@ func BuildAggSpec(q *Query, schema relation.Schema) (*vec.Spec, error) {
 			return nil, fmt.Errorf("tsql: unknown aggregate %q", a.Func)
 		}
 		if a.Col != "" {
-			g, err := columnGetter(schema, a.Col)
+			ref, err := columnRef(schema, a.Col)
 			if err != nil {
 				return nil, err
 			}
-			call.Get = g
+			call.Ref = ref
 		}
 		spec.Aggs = append(spec.Aggs, call)
 	}

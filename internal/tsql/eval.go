@@ -12,6 +12,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // Result is an evaluated query: column names and rows of values.
@@ -59,13 +60,13 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 			cols = append(cols, n)
 		}
 	}
-	getters := make([]func(*element.Element) element.Value, len(cols))
+	refs := make([]vec.ColRef, len(cols))
 	for i, name := range cols {
-		g, err := columnGetter(schema, name)
+		ref, err := columnRef(schema, name)
 		if err != nil {
 			return nil, err
 		}
-		getters[i] = g
+		refs[i] = ref
 	}
 	preds := make([]func(*element.Element) (bool, error), len(q.Where))
 	for i, p := range q.Where {
@@ -76,13 +77,14 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 		preds[i] = f
 	}
 
-	var orderKey func(*element.Element) element.Value
-	if q.OrderBy != "" {
-		g, err := columnGetter(schema, q.OrderBy)
+	var orderKey vec.ColRef
+	ordered := q.OrderBy != ""
+	if ordered {
+		ref, err := columnRef(schema, q.OrderBy)
 		if err != nil {
 			return nil, err
 		}
-		orderKey = g
+		orderKey = ref
 	}
 
 	res := &Result{Columns: cols}
@@ -114,13 +116,13 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 					continue next
 				}
 			}
-			row := make([]element.Value, len(getters))
-			for i, g := range getters {
-				row[i] = g(e)
+			row := make([]element.Value, len(refs))
+			for i, ref := range refs {
+				row[i] = ref.Of(e)
 			}
 			res.Rows = append(res.Rows, row)
-			if orderKey != nil {
-				keys = append(keys, orderKey(e))
+			if ordered {
+				keys = append(keys, orderKey.Of(e))
 			}
 		}
 		return nil
@@ -128,7 +130,7 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 	if err != nil {
 		return nil, err
 	}
-	if orderKey != nil {
+	if ordered {
 		// Sort rows and their keys together; keys are computed from the
 		// source elements, so ORDER BY works for non-projected columns too.
 		idx := make([]int, len(res.Rows))
@@ -185,52 +187,50 @@ func matchWhen(w *WhenClause, e *element.Element) (bool, error) {
 	return false, fmt.Errorf("tsql: unknown WHEN kind %d", w.Kind)
 }
 
-// columnGetter resolves a column name to an accessor.
-func columnGetter(schema relation.Schema, name string) (func(*element.Element) element.Value, error) {
+// columnRef resolves a column name to where it lies: a pseudo-column, a
+// value slot or a user-defined time.
+func columnRef(schema relation.Schema, name string) (vec.ColRef, error) {
 	switch strings.ToLower(name) {
 	case "es":
-		return func(e *element.Element) element.Value { return element.Int(int64(e.ES)) }, nil
+		return vec.ColRef{Src: vec.ColES}, nil
 	case "os":
-		return func(e *element.Element) element.Value { return element.Int(int64(e.OS)) }, nil
+		return vec.ColRef{Src: vec.ColOS}, nil
 	case "tt_start":
-		return func(e *element.Element) element.Value { return element.Time(e.TTStart) }, nil
+		return vec.ColRef{Src: vec.ColTTStart}, nil
 	case "tt_end":
-		return func(e *element.Element) element.Value { return element.Time(e.TTEnd) }, nil
+		return vec.ColRef{Src: vec.ColTTEnd}, nil
 	case "vt", "vt_start":
-		return func(e *element.Element) element.Value { return element.Time(e.VT.Start()) }, nil
+		return vec.ColRef{Src: vec.ColVTStart}, nil
 	case "vt_end":
-		return func(e *element.Element) element.Value { return element.Time(e.VT.End()) }, nil
+		return vec.ColRef{Src: vec.ColVTEnd}, nil
 	}
 	for i, c := range schema.Invariant {
 		if c.Name == name {
-			i := i
-			return func(e *element.Element) element.Value { return e.Invariant[i] }, nil
+			return vec.ColRef{Src: vec.ColInvariant, Slot: i}, nil
 		}
 	}
 	for i, c := range schema.Varying {
 		if c.Name == name {
-			i := i
-			return func(e *element.Element) element.Value { return e.Varying[i] }, nil
+			return vec.ColRef{Src: vec.ColVarying, Slot: i}, nil
 		}
 	}
 	for i, n := range schema.UserTimes {
 		if n == name {
-			i := i
-			return func(e *element.Element) element.Value { return element.Time(e.UserTimes[i]) }, nil
+			return vec.ColRef{Src: vec.ColUser, Slot: i}, nil
 		}
 	}
-	return nil, fmt.Errorf("tsql: relation %s has no column %q (pseudo-columns: %s)",
+	return vec.ColRef{}, fmt.Errorf("tsql: relation %s has no column %q (pseudo-columns: %s)",
 		schema.Name, name, strings.Join(pseudoColumns, ", "))
 }
 
 // predicate compiles one WHERE conjunct.
 func predicate(schema relation.Schema, p Pred) (func(*element.Element) (bool, error), error) {
-	get, err := columnGetter(schema, p.Col)
+	ref, err := columnRef(schema, p.Col)
 	if err != nil {
 		return nil, err
 	}
 	return func(e *element.Element) (bool, error) {
-		v := get(e)
+		v := ref.Of(e)
 		cmp, ok, err := compare(v, p.Lit)
 		if err != nil {
 			return false, err

@@ -34,12 +34,70 @@ func (k AggKind) String() string {
 	return fmt.Sprintf("AggKind(%d)", uint8(k))
 }
 
-// AggCall is one aggregate in a query's select list. Get extracts the
-// aggregated column from an element; nil means COUNT(*).
+// AggCall is one aggregate in a query's select list: its function, the
+// column's name as the statement spells it (for messages), and where the
+// column lies (Ref; the zero ColRef is COUNT(*)'s no column).
 type AggCall struct {
 	Kind AggKind
 	Col  string
-	Get  func(*element.Element) element.Value
+	Ref  ColRef
+}
+
+// ColSource says what kind of column a ColRef names.
+type ColSource uint8
+
+const (
+	ColNone      ColSource = iota // no column: COUNT(*)
+	ColInvariant                  // the Slot-th time-invariant value
+	ColVarying                    // the Slot-th time-varying value
+	ColUser                       // the Slot-th user-defined time, as a time value
+	ColES                         // the element surrogate, as an int
+	ColOS                         // the object surrogate, as an int
+	ColTTStart                    // tt⊢, as a time value
+	ColTTEnd                      // tt⊣
+	ColVTStart                    // the valid time-stamp's start
+	ColVTEnd                      // its end: an event's is its start
+)
+
+// ColRef names one column of a relation by where it lies, so that a fold
+// reads it the same way from an element (Of) and from a sealed chunk's
+// columns (Cols.value): there is one way to name a column, whichever form
+// holds the row.
+type ColRef struct {
+	Src  ColSource
+	Slot int
+}
+
+// Of reads the column from e. ColNone reads null. A varying value, the
+// column an aggregate reads most, is read inline.
+func (r ColRef) Of(e *element.Element) element.Value {
+	if r.Src == ColVarying {
+		return e.Varying[r.Slot]
+	}
+	return r.other(e)
+}
+
+// other is Of for every column but a varying value.
+func (r ColRef) other(e *element.Element) element.Value {
+	switch r.Src {
+	case ColInvariant:
+		return e.Invariant[r.Slot]
+	case ColUser:
+		return element.Time(e.UserTimes[r.Slot])
+	case ColES:
+		return element.Int(int64(e.ES))
+	case ColOS:
+		return element.Int(int64(e.OS))
+	case ColTTStart:
+		return element.Time(e.TTStart)
+	case ColTTEnd:
+		return element.Time(e.TTEnd)
+	case ColVTStart:
+		return element.Time(e.VT.Start())
+	case ColVTEnd:
+		return element.Time(e.VT.End())
+	}
+	return element.Null()
 }
 
 // WindowKind enumerates the GROUP BY WINDOW modes.
@@ -140,50 +198,78 @@ type cell struct {
 // updateCells folds one element into a window's accumulator row.
 func updateCells(cells []cell, aggs []AggCall, e *element.Element) error {
 	for ai := range aggs {
-		a := &aggs[ai]
-		c := &cells[ai]
-		if a.Get == nil { // COUNT(*)
+		a, c := &aggs[ai], &cells[ai]
+		if a.Ref.Src == ColNone { // COUNT(*)
 			c.n++
 			continue
 		}
-		v := a.Get(e)
-		if v.IsNull() {
+		v := a.Ref.Of(e)
+		if foldWord(c, a, v.Kind(), v.Word()) {
 			continue
 		}
-		switch a.Kind {
-		case AggCount:
-			c.n++
-		case AggSum:
-			switch v.Kind() {
-			case element.KindInt:
-				if c.mode == sumFloat {
-					return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
-				}
-				c.mode = sumInt
-				i, _ := v.IntVal()
-				c.si += i
-			case element.KindFloat:
-				if c.mode == sumInt {
-					return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
-				}
-				c.mode = sumFloat
-				f, _ := v.FloatVal()
-				c.sf += f
-			default:
-				return fmt.Errorf("vec: sum(%s) over %v values", a.Col, v.Kind())
+		if err := updateCell(c, a, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// foldWord folds a value of kind k and word w (element.Value.Word) into
+// call a's cell c, when the kind and the word are all that takes — a null,
+// a count, an integer sum into a sum that is not a float one — and reports
+// whether it did. It is updateCell's arithmetic for those values, small
+// enough to inline into the folds' loops; a that names no column is
+// updateCell's alone.
+func foldWord(c *cell, a *AggCall, k element.ValueKind, w int64) bool {
+	switch {
+	case k == element.KindNull:
+		return true
+	case a.Kind == AggCount:
+		c.n++
+		return true
+	case a.Kind == AggSum && k == element.KindInt && c.mode != sumFloat:
+		c.mode, c.si = sumInt, c.si+w
+		return true
+	}
+	return false
+}
+
+// updateCell folds v, a row's value of call a's column, into the call's
+// cell c of a window.
+func updateCell(c *cell, a *AggCall, v element.Value) error {
+	if a.Ref.Src == ColNone { // COUNT(*)
+		c.n++
+		return nil
+	}
+	if foldWord(c, a, v.Kind(), v.Word()) {
+		return nil
+	}
+	switch a.Kind {
+	case AggSum:
+		switch v.Kind() {
+		case element.KindInt: // into a float sum: foldWord took every other
+			return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
+		case element.KindFloat:
+			if c.mode == sumInt {
+				return fmt.Errorf("vec: sum(%s) over mixed int and float values", a.Col)
 			}
-		case AggMin, AggMax:
-			if !c.has {
-				c.ext, c.has = v, true
-				continue
-			}
-			if v.Kind() != c.ext.Kind() {
-				return fmt.Errorf("vec: %s(%s) over mixed %v and %v values",
-					a.Kind, a.Col, c.ext.Kind(), v.Kind())
-			}
-			if d := v.Compare(c.ext); (a.Kind == AggMin && d < 0) || (a.Kind == AggMax && d > 0) {
-				c.ext = v
-			}
+			c.mode = sumFloat
+			f, _ := v.FloatVal()
+			c.sf += f
+		default:
+			return fmt.Errorf("vec: sum(%s) over %v values", a.Col, v.Kind())
+		}
+	case AggMin, AggMax:
+		if !c.has {
+			c.ext, c.has = v, true
+			return nil
+		}
+		if v.Kind() != c.ext.Kind() {
+			return fmt.Errorf("vec: %s(%s) over mixed %v and %v values",
+				a.Kind, a.Col, c.ext.Kind(), v.Kind())
+		}
+		if d := v.Compare(c.ext); (a.Kind == AggMin && d < 0) || (a.Kind == AggMax && d > 0) {
+			c.ext = v
 		}
 	}
 	return nil
@@ -281,10 +367,10 @@ func floorDiv(a, b int64) int64 {
 }
 
 // accum is the shared accumulation state: one cell row per populated
-// window index. ColAgg's folds (ConsumeRows, Consume) additionally memoize
-// the last window row — vt-ordered input lands runs of consecutive rows in the same
-// window, turning most map lookups into a pointer compare; the reference
-// engine does not.
+// window index. ColAgg's folds (ConsumeCols, ConsumeRows, Consume)
+// additionally memoize the last window row — vt-ordered input lands runs of
+// consecutive rows in the same window, turning most map lookups into a
+// pointer compare; the reference engine does not.
 type accum struct {
 	spec  *Spec
 	cells map[int64][]cell
@@ -758,7 +844,7 @@ func NewColAgg(spec *Spec) (*ColAgg, error) {
 	}
 	starOnly := true
 	for i := range spec.Aggs {
-		if spec.Aggs[i].Get != nil {
+		if spec.Aggs[i].Ref.Src != ColNone {
 			starOnly = false
 			break
 		}
@@ -769,8 +855,8 @@ func NewColAgg(spec *Spec) (*ColAgg, error) {
 }
 
 // Consume folds one batch into the aggregation state. The query engine
-// folds rows (ConsumeRows); Consume stays for the benchmark module's
-// per-layer mirror of the batch kernel.
+// folds columns and rows (ConsumeCols, ConsumeRows); Consume stays for the
+// benchmark module's per-layer mirror of the batch kernel.
 func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 	stats.Batches++
 	stats.Rows += int64(b.N)
@@ -799,11 +885,118 @@ func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 
 // ConsumeRows folds one chunk's elements into the same state row at a time,
 // where they lie, with RowAggregateRuns' filter and the hot-window memo
-// Consume uses: the fold of a chunk the caller has no partial for.
+// Consume uses: the fold of an element chunk the caller has no partial for.
 // The cells are bit-identical to the reference engine's.
 func (a *ColAgg) ConsumeRows(rows []*element.Element, stats *ExecStats) error {
 	stats.Rows += int64(len(rows))
 	return a.ac.addRows(rows, true)
+}
+
+// ConsumeCols folds one sealed chunk into the state from its columns, slot
+// by slot in arrival order, with ConsumeRows' filter, window split, span
+// guard and cell arithmetic: the cells, and the first error, are those
+// ConsumeRows computes over the chunk materialized. A residual predicate is
+// evaluated on the slot c.Load materializes, and only for the slots the
+// filter keeps. A slot that lies inside the window the slot before it went
+// to — on the vt-ordered log, nearly every slot — is folded into that
+// window's cells with two compares, no division and no lookup: a COUNT(*)
+// reads nothing but the tt and valid-time columns, and a value column's
+// nulls, counts and integer sums are read off its kinds and words
+// (foldWord); every other value goes through updateCell. A slot that spans
+// several windows, or trips the span guard, goes through the shared add
+// over the slot c.Load materializes.
+//
+// The loop is out of line and calls neither a closure nor an interface per
+// slot (c.Load and the residual only where a residual is set or a slot
+// spans several windows), so that it compiles to one tight loop over the
+// chunk.
+//
+//go:noinline
+func (a *ColAgg) ConsumeCols(c *Cols, stats *ExecStats) error {
+	stats.Rows += int64(c.N)
+	ac, f, aggs := a.ac, a.spec.Filter, a.spec.Aggs
+	res := a.spec.Residual
+	tt, w := chronon.Chronon(f.TT), a.spec.Width
+	// The window the last slot went to: its cells, and its [winLo, winHi).
+	var win []cell
+	var winLo, winHi int64
+	for j := 0; j < c.N; j++ {
+		if f.AsOf {
+			if c.TTStart[j] > tt || tt >= c.TTEnd[j] {
+				continue
+			}
+		} else if c.TTEnd[j] != chronon.Forever {
+			continue
+		}
+		s := int64(c.VTStart[j])
+		en := s + 1
+		if !c.Event {
+			en = int64(c.VTEnd[j])
+		}
+		if f.HasVT && (s >= f.VTHi || en <= f.VTLo) {
+			continue
+		}
+		var e *element.Element // the slot materialized, once it is
+		if res != nil {
+			e = c.Load(j)
+			ok, err := res(e)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		cs, ce := s, en
+		if f.HasVT {
+			cs, ce = max(cs, f.VTLo), min(ce, f.VTHi)
+			if cs >= ce {
+				continue
+			}
+		}
+		if win == nil || cs < winLo || ce > winHi {
+			wi := floorDiv(cs, w)
+			if floorDiv(ce-1, w) != wi {
+				// Several windows, or the span guard: the shared add,
+				// over the slot materialized unless only counted.
+				if e == nil && !a.starOnly {
+					e = c.Load(j)
+				}
+				if err := ac.add(s, en, e); err != nil {
+					return err
+				}
+				continue
+			}
+			win, winLo, winHi = ac.row(wi), wi*w, wi*w+w
+		}
+		if a.starOnly {
+			for ci := range win {
+				win[ci].n++
+			}
+			continue
+		}
+		nv := c.NInv + c.NVar
+		for ai := range aggs {
+			cl, ag := &win[ai], &aggs[ai]
+			switch src := ag.Ref.Src; src {
+			case ColNone: // COUNT(*)
+				cl.n++
+				continue
+			case ColVarying, ColInvariant:
+				t := j*nv + ag.Ref.Slot
+				if src == ColVarying {
+					t += c.NInv
+				}
+				if foldWord(cl, ag, c.Kinds[t], c.Words[t]) {
+					continue
+				}
+			}
+			if err := updateCell(cl, ag, c.value(j, ag.Ref)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // consumeCounts is the vectorized COUNT(*) path: window indices come

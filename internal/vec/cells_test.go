@@ -59,10 +59,10 @@ func TestSlidingRollingIsTheMerge(t *testing.T) {
 	}
 	aggs := []AggCall{
 		{Kind: AggCount},
-		{Kind: AggCount, Col: "v", Get: getVar},
-		{Kind: AggSum, Col: "v", Get: getVar},
-		{Kind: AggMin, Col: "v", Get: getVar},
-		{Kind: AggMax, Col: "v", Get: getVar},
+		{Kind: AggCount, Col: "v", Ref: getVar},
+		{Kind: AggSum, Col: "v", Ref: getVar},
+		{Kind: AggMin, Col: "v", Ref: getVar},
+		{Kind: AggMax, Col: "v", Ref: getVar},
 	}
 	conflicts := 0
 	for trial := 0; trial < 400; trial++ {
@@ -123,7 +123,7 @@ func TestDenseRollingIsLinear(t *testing.T) {
 		elems[i] = ev(i, int64(i), element.Int(int64(i%10)))
 	}
 	spec := &Spec{Width: 1, WKind: Rolling, K: MaxRolling, Aggs: []AggCall{
-		{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}, {Kind: AggMax, Col: "v", Get: getVar}}}
+		{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar}, {Kind: AggMax, Col: "v", Ref: getVar}}}
 	agg, err := NewColAgg(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestDenseRollingIsLinear(t *testing.T) {
 // the answer. Aligned and unaligned clamps, intervals across windows.
 func TestMergeWholeIsTheClampedFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}, {Kind: AggMax, Col: "v", Get: getVar}}
+	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar}, {Kind: AggMax, Col: "v", Ref: getVar}}
 	accepted, refused := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		var elems []*element.Element
@@ -218,7 +218,7 @@ func TestMergeWholeIsTheClampedFold(t *testing.T) {
 // history emits.
 func TestSplicedCellsAreTheFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}, {Kind: AggMin, Col: "v", Get: getVar}}
+	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar}, {Kind: AggMin, Col: "v", Ref: getVar}}
 	for trial := 0; trial < 200; trial++ {
 		width := 5 + rng.Int63n(40)
 		var elems []*element.Element

@@ -76,10 +76,10 @@ func TestPartialMergeEqualsFold(t *testing.T) {
 	}
 	aggs := []AggCall{
 		{Kind: AggCount},
-		{Kind: AggCount, Col: "v", Get: getVar},
-		{Kind: AggSum, Col: "v", Get: getVar},
-		{Kind: AggMin, Col: "v", Get: getVar},
-		{Kind: AggMax, Col: "v", Get: getVar},
+		{Kind: AggCount, Col: "v", Ref: getVar},
+		{Kind: AggSum, Col: "v", Ref: getVar},
+		{Kind: AggMin, Col: "v", Ref: getVar},
+		{Kind: AggMax, Col: "v", Ref: getVar},
 	}
 	for _, mode := range []struct {
 		kind WindowKind
@@ -132,9 +132,9 @@ func TestConsumeRowsIsTheDefinition(t *testing.T) {
 	}
 	aggs := []AggCall{
 		{Kind: AggCount},
-		{Kind: AggSum, Col: "v", Get: getVar},
-		{Kind: AggMin, Col: "v", Get: getVar},
-		{Kind: AggMax, Col: "v", Get: getVar},
+		{Kind: AggSum, Col: "v", Ref: getVar},
+		{Kind: AggMin, Col: "v", Ref: getVar},
+		{Kind: AggMax, Col: "v", Ref: getVar},
 	}
 	specs := []*Spec{
 		{Width: 16, Aggs: aggs},
@@ -180,7 +180,7 @@ func TestExportDeclinesInexactLanes(t *testing.T) {
 		ev(0, 1, element.Float(0.1)), ev(1, 2, element.Float(0.2)),
 		ev(2, 3, element.Float(0.3)), ev(3, 4, element.Float(0.4)),
 	}
-	sum := &Spec{Width: 100, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
+	sum := &Spec{Width: 100, Aggs: []AggCall{{Kind: AggSum, Col: "v", Ref: getVar}}}
 	got, merged, err := foldChunks(t, sum, floats, 2, true)
 	if err != nil || merged != 0 {
 		t.Fatalf("float sum: merged %d chunks (err %v), want none", merged, err)
@@ -194,7 +194,7 @@ func TestExportDeclinesInexactLanes(t *testing.T) {
 		ev(0, 1, element.Float(3)), ev(1, 2, element.Float(1)),
 		ev(2, 3, element.Float(math.NaN())), ev(3, 4, element.Float(5)),
 	}
-	max := &Spec{Width: 100, Aggs: []AggCall{{Kind: AggMax, Col: "v", Get: getVar}}}
+	max := &Spec{Width: 100, Aggs: []AggCall{{Kind: AggMax, Col: "v", Ref: getVar}}}
 	got, merged, err = foldChunks(t, max, nan, 2, true)
 	if err != nil || merged != 1 {
 		t.Fatalf("NaN extreme: merged %d chunks (err %v), want only the first", merged, err)
@@ -213,10 +213,9 @@ func TestExportDeclinesInexactLanes(t *testing.T) {
 // instead fails with the row engine's text — whichever of several
 // conflicts arrives first.
 func TestMergeConflictChangesNothing(t *testing.T) {
-	mixed := func(e *element.Element) element.Value { return e.Varying[0] }
 	spec := &Spec{Width: 10, Aggs: []AggCall{
-		{Kind: AggSum, Col: "a", Get: mixed},
-		{Kind: AggMax, Col: "b", Get: func(e *element.Element) element.Value { return e.Varying[1] }},
+		{Kind: AggSum, Col: "a", Ref: ColRef{Src: ColVarying}},
+		{Kind: AggMax, Col: "b", Ref: ColRef{Src: ColVarying, Slot: 1}},
 	}}
 	two := func(i int, vt int64, a, b element.Value) *element.Element {
 		e := ev(i, vt, a)

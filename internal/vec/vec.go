@@ -1,20 +1,19 @@
-// Package vec is the columnar batch layer of the execution engine. A
-// Batch is a struct-of-arrays view over up to BatchSize stored elements:
-// the four timestamp bounds live in flat int64 columns so temporal
-// predicates run as tight loops over contiguous memory, while the
-// originating elements stay reachable for value-column access and
-// residual row predicates. BatchSize equals the storage compactor's run
-// size, so one sealed delta-encoded run decodes into exactly one batch
-// without re-chunking.
+// Package vec is the columnar layer of the execution engine. A fold reads
+// a store a chunk at a time: a sealed chunk as Cols, a view of the store's
+// own column arrays, and any other chunk as its elements where they lie.
+// A Batch is the older struct-of-arrays form, gathered from either, that
+// only the benchmark module's per-layer mirror still builds. BatchSize
+// equals the store's chunk size, so one chunk is one unit of either form.
 //
-// The package deliberately depends only on element and chronon: storage
-// produces batches and rows, and query folds them, so vec sits below all of
-// them in the import graph.
+// The package deliberately depends only on element, chronon and surrogate:
+// storage produces views and rows, and query folds them, so vec sits below
+// all of them in the import graph.
 package vec
 
 import (
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/surrogate"
 )
 
 // BatchSize is the row capacity of one batch. It matches the storage
@@ -34,6 +33,82 @@ type Batch struct {
 	// Elems are the row origins: Elems[i] is the element behind column
 	// row i, for value columns and residual predicates.
 	Elems []*element.Element
+}
+
+// Cols is one sealed chunk viewed where the store keeps it: the store's own
+// column arrays, sliced and not copied, for a fold that reads the chunk
+// without materializing a row (ColAgg.ConsumeCols). Slot j of every column
+// is the chunk's j-th version in arrival order; a ColRef names the column a
+// call reads.
+type Cols struct {
+	N     int
+	Event bool // event stamps: a slot's valid extent is [VTStart, VTStart+1)
+	ES    []surrogate.Surrogate
+	OS    []surrogate.Surrogate
+
+	TTStart, TTEnd []chronon.Chronon
+	VTStart        []chronon.Chronon // Timestamp.Start
+	VTEnd          []chronon.Chronon // Timestamp.End; nil for events, whose end is their start
+
+	// The values, slot-major: slot j's NInv invariant values, then its NVar
+	// varying ones, each a kind and a word (ArenaValue); strings are read
+	// out of Strs, shared.
+	NInv, NVar int
+	Kinds      []element.ValueKind
+	Words      []int64
+	Strs       string
+	// The user-defined times, slot-major, NUser a slot.
+	NUser int
+	Users []chronon.Chronon
+
+	// Load materializes slot j into scratch memory that the next call
+	// reuses: the element a residual predicate reads.
+	Load func(j int) *element.Element
+}
+
+// value is slot j's value of the column r names.
+func (c *Cols) value(j int, r ColRef) element.Value {
+	switch r.Src {
+	case ColInvariant, ColVarying:
+		t := j*(c.NInv+c.NVar) + r.Slot
+		if r.Src == ColVarying {
+			t += c.NInv
+		}
+		return ArenaValue(c.Kinds[t], c.Words[t], c.Strs)
+	case ColUser:
+		return element.Time(c.Users[j*c.NUser+r.Slot])
+	case ColES:
+		return element.Int(int64(c.ES[j]))
+	case ColOS:
+		return element.Int(int64(c.OS[j]))
+	case ColTTStart:
+		return element.Time(c.TTStart[j])
+	case ColTTEnd:
+		return element.Time(c.TTEnd[j])
+	case ColVTStart:
+		return element.Time(c.VTStart[j])
+	case ColVTEnd:
+		if c.Event {
+			return element.Time(c.VTStart[j])
+		}
+		return element.Time(c.VTEnd[j])
+	}
+	return element.Null()
+}
+
+// ArenaWord is the word a column keeps for a string value: where its bytes
+// begin in the chunk's arena, and how many there are.
+func ArenaWord(off, n int) int64 { return int64(off)<<32 | int64(n) }
+
+// ArenaValue rebuilds the value a column keeps as kind k and word w
+// (element.Value.Word; ArenaWord for a string, whose content is arena's
+// bytes there, shared).
+func ArenaValue(k element.ValueKind, w int64, arena string) element.Value {
+	if k == element.KindString {
+		off := int(uint64(w) >> 32)
+		return element.String_(arena[off : off+int(uint32(w))])
+	}
+	return element.WordValue(k, w)
 }
 
 // Filter is the vectorizable part of a query's selection: the

@@ -32,7 +32,8 @@ func iv(i int, lo, hi int64, v element.Value) *element.Element {
 	return e
 }
 
-func getVar(e *element.Element) element.Value { return e.Varying[0] }
+// getVar names the first time-varying value.
+var getVar = ColRef{Src: ColVarying}
 
 func rowAgg(t *testing.T, spec *Spec, elems []*element.Element) *AggResult {
 	t.Helper()
@@ -64,7 +65,7 @@ func TestTumblingCountSum(t *testing.T) {
 		ev(3, 45, element.Int(8)),
 	}
 	spec := &Spec{Width: 10, Aggs: []AggCall{
-		{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar},
+		{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar},
 	}}
 	res := rowAgg(t, spec, elems)
 	wantStart := []int64{0, 20, 40}
@@ -99,7 +100,7 @@ func TestRollingAndCumulative(t *testing.T) {
 		ev(1, 15, element.Int(2)),
 		ev(2, 35, element.Int(4)),
 	}
-	roll := &Spec{Width: 10, WKind: Rolling, K: 2, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
+	roll := &Spec{Width: 10, WKind: Rolling, K: 2, Aggs: []AggCall{{Kind: AggSum, Col: "v", Ref: getVar}}}
 	res := rowAgg(t, roll, elems)
 	// Base windows 0..3; each row sums the 2 windows ending there.
 	wantVals := [][]element.Value{
@@ -112,7 +113,7 @@ func TestRollingAndCumulative(t *testing.T) {
 		t.Fatalf("rolling span [%d, %d), want [0, 20)", starts(res)[1], ends(res)[1])
 	}
 
-	cum := &Spec{Width: 10, WKind: Cumulative, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
+	cum := &Spec{Width: 10, WKind: Cumulative, Aggs: []AggCall{{Kind: AggSum, Col: "v", Ref: getVar}}}
 	res = rowAgg(t, cum, elems)
 	wantVals = [][]element.Value{
 		{element.Int(1)}, {element.Int(3)}, {element.Int(3)}, {element.Int(7)},
@@ -134,9 +135,9 @@ func TestMinMaxAndNulls(t *testing.T) {
 		ev(2, 7, element.Float(-1.5)),
 	}
 	spec := &Spec{Width: 10, Aggs: []AggCall{
-		{Kind: AggMin, Col: "v", Get: getVar},
-		{Kind: AggMax, Col: "v", Get: getVar},
-		{Kind: AggCount, Col: "v", Get: getVar},
+		{Kind: AggMin, Col: "v", Ref: getVar},
+		{Kind: AggMax, Col: "v", Ref: getVar},
+		{Kind: AggCount, Col: "v", Ref: getVar},
 		{Kind: AggCount},
 	}}
 	res := rowAgg(t, spec, elems)
@@ -147,9 +148,9 @@ func TestMinMaxAndNulls(t *testing.T) {
 	// All-null column: sum and extremes are NULL, count(col) is 0.
 	nulls := []*element.Element{ev(0, 5, element.Null())}
 	spec = &Spec{Width: 10, Aggs: []AggCall{
-		{Kind: AggSum, Col: "v", Get: getVar},
-		{Kind: AggMin, Col: "v", Get: getVar},
-		{Kind: AggCount, Col: "v", Get: getVar},
+		{Kind: AggSum, Col: "v", Ref: getVar},
+		{Kind: AggMin, Col: "v", Ref: getVar},
+		{Kind: AggCount, Col: "v", Ref: getVar},
 	}}
 	res = rowAgg(t, spec, nulls)
 	for i := 0; i < 2; i++ {
@@ -163,14 +164,16 @@ func TestMinMaxAndNulls(t *testing.T) {
 }
 
 func TestMixedSumRejected(t *testing.T) {
-	elems := []*element.Element{
-		ev(0, 5, element.Int(1)),
-		ev(1, 6, element.Float(2.0)),
-	}
-	spec := &Spec{Width: 10, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
-	_, err := RowAggregate(context.Background(), spec, elems)
-	if err == nil || !strings.Contains(err.Error(), "mixed int and float") {
-		t.Fatalf("err = %v, want mixed-sum rejection", err)
+	spec := &Spec{Width: 10, Aggs: []AggCall{{Kind: AggSum, Col: "v", Ref: getVar}}}
+	for _, order := range [][2]element.Value{
+		{element.Int(1), element.Float(2.0)},
+		{element.Float(2.0), element.Int(1)},
+	} {
+		elems := []*element.Element{ev(0, 5, order[0]), ev(1, 6, order[1])}
+		_, err := RowAggregate(context.Background(), spec, elems)
+		if err == nil || !strings.Contains(err.Error(), "mixed int and float") {
+			t.Fatalf("%v then %v: err = %v, want mixed-sum rejection", order[0], order[1], err)
+		}
 	}
 }
 
@@ -256,7 +259,7 @@ func TestConcurrentRowAggregate(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		elems = append(elems, ev(i, int64(i%97), element.Int(int64(i))))
 	}
-	spec := &Spec{Width: 10, Aggs: []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}}}
+	spec := &Spec{Width: 10, Aggs: []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar}}}
 	ref := rowAgg(t, spec, elems)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -282,7 +285,7 @@ func TestConcurrentRowAggregate(t *testing.T) {
 // Rolling and cumulative answers are held to ones built from the tumbling
 // windows by hand (a cumulative row is a rolling one as long as the span).
 func TestRollingVisitsOnlyPopulatedWindows(t *testing.T) {
-	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Get: getVar}, {Kind: AggMax, Col: "v", Get: getVar}}
+	aggs := []AggCall{{Kind: AggCount}, {Kind: AggSum, Col: "v", Ref: getVar}, {Kind: AggMax, Col: "v", Ref: getVar}}
 	far := []*element.Element{ev(0, 0, element.Int(3)), ev(1, MaxRolling-1, element.Int(5))}
 	spec := &Spec{Width: 1, WKind: Rolling, K: MaxRolling, Aggs: aggs}
 	best := time.Duration(1 << 62)
@@ -358,7 +361,7 @@ func TestEmitHonoursTheContext(t *testing.T) {
 	for i := range elems {
 		elems[i] = ev(i, int64(i), element.Float(float64(i)))
 	}
-	spec := &Spec{Width: 1, WKind: Rolling, K: span, Aggs: []AggCall{{Kind: AggSum, Col: "v", Get: getVar}}}
+	spec := &Spec{Width: 1, WKind: Rolling, K: span, Aggs: []AggCall{{Kind: AggSum, Col: "v", Ref: getVar}}}
 	agg, err := NewColAgg(spec)
 	if err != nil {
 		t.Fatal(err)
