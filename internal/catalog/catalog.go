@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/backlog"
 	"repro/internal/chronon"
@@ -1177,6 +1178,9 @@ func (e *Entry) attach(r *relation.Relation, descs []constraint.Descriptor, enfo
 
 // QueryResult is a catalog query answer with its access-path accounting.
 type QueryResult struct {
+	// Elements is the answer, materialized: what the exported reads
+	// (CurrentCtx, …) return. AnswerCtx leaves it nil; its answer is read
+	// where the store holds it (Answer).
 	Elements []*element.Element
 	// Node is the typed plan the engine executed; Plan is its one-line
 	// rendering, made once per computed result (a cache hit reuses it).
@@ -1187,76 +1191,31 @@ type QueryResult struct {
 	// one it was computed on, or the later one the result cache served it on
 	// — and what the server's validator for it names.
 	Epoch uint64
-	// spans names the full chunks that supplied dense stretches of Elements
-	// and Images the encoded form of those chunks, for the response's
-	// encoder to copy from (images.go). The spans are part of the computed
-	// result; Images is resolved for each call, a cache hit included, and is
-	// never cached with it.
-	spans  []storage.ChunkSpan
+	// answer is the result as the view it was computed on holds it, and
+	// Images the encoded form of the sealed chunks it draws on, for the
+	// response's encoder to copy from (images.go). The answer is the
+	// computed result, which the result cache keeps; Images is resolved for
+	// each call, a cache hit included, and is never cached with it.
+	answer storage.Answer
 	Images []wire.ImageSpan
 }
 
+// Answer is the result as the view it was computed on holds it.
+func (qr *QueryResult) Answer() *storage.Answer { return &qr.answer }
+
 // CurrentCtx answers the conventional query.
 func (e *Entry) CurrentCtx(ctx context.Context) (QueryResult, error) {
-	return e.readCtx(ctx, "current", plan.Query{Kind: plan.QCurrent},
-		func(v *readView) (query.Result, error) { return v.engine.Current(), nil })
+	return e.rowsCtx(ctx, plan.Query{Kind: plan.QCurrent})
 }
 
 // TimesliceCtx answers the historical query at vt.
 func (e *Entry) TimesliceCtx(ctx context.Context, vt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10), plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1},
-		func(v *readView) (query.Result, error) { return v.engine.Timeslice(vt), nil })
+	return e.rowsCtx(ctx, plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
 }
 
 // RollbackCtx answers the rollback query at tt.
 func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10), plan.Query{Kind: plan.QRollback, TT: int64(tt)},
-		func(v *readView) (query.Result, error) { return v.engine.Rollback(tt), nil })
-}
-
-// readCtx runs one query against the published read view: readers
-// pin the view with a single atomic load and never touch the relation
-// lock, so a steady writer cannot convoy them. Results are memoized in
-// the catalog's cache under (relation, fingerprint) with the epoch they
-// were computed at, and served at the pinned view's epoch when no change
-// since meets pq, the query's footprint (cached). A hit is returned
-// without any engine work and still counts on the per-plan-kind metrics
-// (with zero touched — nothing was scanned).
-func (e *Entry) readCtx(ctx context.Context, fp string, pq plan.Query, run func(v *readView) (query.Result, error)) (QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResult{}, err
-	}
-	v := e.view.Load()
-	if hit, ok := e.cached(v, fp, pq); ok {
-		qr := hit.(QueryResult)
-		e.plans.Record(qr.Node.Leaf().Kind, 0)
-		qr.Epoch = v.epoch
-		qr.Images = e.images(v, qr.spans)
-		return qr, nil
-	}
-	res, err := run(v)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	e.plans.Record(res.Node.Leaf().Kind, res.Touched)
-	out := QueryResult{Elements: res.Elements, Plan: res.Node.String(), Node: res.Node, Touched: res.Touched, Epoch: v.epoch, spans: res.Spans}
-	if e.cache != nil { // a disabled cache is spared the boxing of a value it would drop
-		e.cache.Record(e.name, fp, v.epoch, out, resultSize(out))
-	}
-	out.Images = e.images(v, out.spans)
-	return out, nil
-}
-
-// resultSize approximates a cached result's resident bytes for the
-// cache's byte budget: a fixed element overhead plus its value slices,
-// plus the plan rendering. Precision doesn't matter — the budget only has
-// to scale with the real footprint.
-func resultSize(qr QueryResult) int64 {
-	n := int64(len(qr.Plan)) + 64
-	for _, el := range qr.Elements {
-		n += 128 + 32*int64(len(el.Invariant)+len(el.Varying)+len(el.UserTimes))
-	}
-	return n
+	return e.rowsCtx(ctx, plan.Query{Kind: plan.QRollback, TT: int64(tt)})
 }
 
 // TimesliceAsOfCtx answers the bitemporal query: elements valid at vt as
@@ -1267,14 +1226,97 @@ func resultSize(qr QueryResult) int64 {
 // caller is gone. Like the other reads it memoizes in the result cache,
 // where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
-	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
-	pq := plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)}
-	return e.readCtx(ctx, fp, pq, func(v *readView) (query.Result, error) {
-		node := v.engine.Plan(pq)
-		els, spans, touched, err := storage.AsOf(ctx, v.engine.Store(), vt, tt)
-		return query.Result{Elements: els, Node: node, Touched: touched, Spans: spans}, err
-	})
+	return e.rowsCtx(ctx, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
 }
+
+// rowsCtx is AnswerCtx with the answer materialized into Elements.
+func (e *Entry) rowsCtx(ctx context.Context, pq plan.Query) (QueryResult, error) {
+	qr, err := e.AnswerCtx(ctx, pq)
+	qr.Elements = qr.answer.Elements()
+	return qr, err
+}
+
+// AnswerCtx answers one of the engine's query kinds — pq.Kind is QCurrent,
+// QTimeslice (at VTLo), QRollback (at TT) or QAsOf (valid at VTLo, as of
+// TT) — against the published read view, leaving the answer where the store
+// holds it: the result's Answer names the stored versions, Elements stays
+// nil, and nothing of a sealed chunk is materialized. It is what the server
+// encodes; the exported reads above are it, materialized.
+//
+// Readers pin the view with a single atomic load and never touch the
+// relation lock, so a steady writer cannot convoy them. Results are memoized
+// in the catalog's cache under (relation, fingerprint) with the epoch they
+// were computed at, and served at the pinned view's epoch when no change
+// since meets pq, the query's footprint (cached). A hit is returned without
+// any engine work and still counts on the per-plan-kind metrics (with zero
+// touched — nothing was scanned).
+func (e *Entry) AnswerCtx(ctx context.Context, pq plan.Query) (QueryResult, error) {
+	var fp string
+	switch pq.Kind {
+	case plan.QCurrent:
+		fp = "current"
+	case plan.QTimeslice:
+		fp = "ts:" + strconv.FormatInt(pq.VTLo, 10)
+	case plan.QRollback:
+		fp = "rb:" + strconv.FormatInt(pq.TT, 10)
+	case plan.QAsOf:
+		fp = "asof:" + strconv.FormatInt(pq.VTLo, 10) + ":" + strconv.FormatInt(pq.TT, 10)
+	default:
+		return QueryResult{}, fmt.Errorf("catalog: %v is not an element read", pq.Kind)
+	}
+	if err := ctx.Err(); err != nil {
+		return QueryResult{}, err
+	}
+	v := e.view.Load()
+	if hit, ok := e.cached(v, fp, pq); ok {
+		qr := hit.(QueryResult)
+		e.plans.Record(qr.Node.Leaf().Kind, 0)
+		qr.Epoch = v.epoch
+		qr.Images = e.images(v, &qr.answer)
+		return qr, nil
+	}
+	out := QueryResult{Epoch: v.epoch}
+	if pq.Kind == plan.QAsOf {
+		out.Node = v.engine.Plan(pq)
+		var err error
+		if out.answer, out.Touched, err = storage.AsOf(ctx, v.engine.Store(), chronon.Chronon(pq.VTLo), chronon.Chronon(pq.TT)); err != nil {
+			return QueryResult{}, err
+		}
+	} else {
+		out.answer, out.Node, out.Touched = v.engine.Answer(pq)
+	}
+	e.plans.Record(out.Node.Leaf().Kind, out.Touched)
+	out.Plan = out.Node.String()
+	if e.cache != nil { // a disabled cache is spared the boxing of a value it would drop
+		e.cache.Record(e.name, fp, v.epoch, out, resultSize(&out.answer, out.Plan))
+	}
+	out.Images = e.images(v, &out.answer)
+	return out, nil
+}
+
+// resultSize approximates a cached result's resident bytes for the cache's
+// byte budget: what the answer pins — a header per span; for a sealed span
+// the chunk header and tt⊣ column a close since may have replaced in the
+// store (its columns stay the store's); and an element chunk's elements,
+// each a fixed overhead plus its value slices — plus the plan rendering.
+// Precision doesn't matter — the budget only has to scale with the real
+// footprint.
+func resultSize(a *storage.Answer, plan string) int64 {
+	n := int64(len(plan)) + 64
+	for _, sp := range a.Spans() {
+		n += spanBytes
+		if sp.Sealed() {
+			n += int64(storage.SealedSpanPins)
+		}
+		for _, el := range sp.Elements() {
+			n += 128 + 32*int64(len(el.Invariant)+len(el.Varying)+len(el.UserTimes))
+		}
+	}
+	return n
+}
+
+// spanBytes is what one span of an answer takes (storage.Span).
+const spanBytes = int64(unsafe.Sizeof(storage.Span{}))
 
 // SelectCtx evaluates a parsed tsql query against the pinned view,
 // lock-free like the engine reads. The query's Rel must name this entry.

@@ -14,7 +14,8 @@ package catalog
 // are respecialized + compacted mid-build so queries cross sealed runs and
 // unsealed tails. One more class, ledger, is the general organization as
 // production runs it — long early stamps, short late ones, old valid times
-// re-landing in new chunks, and nothing ever sealed — so every clamp there is
+// re-landing in new chunks, and no run ever compacted (its chunks are
+// columns as they fill, as on every label) — so every clamp there is
 // answered off the chunks' own zone maps. Two carry a declared two-sided
 // bound: bounded, which never leaves the tt-ordered log, and relabelled,
 // sealed on the vt-ordered log and then re-labelled down to the tt-ordered
@@ -871,11 +872,12 @@ func differentialUnderConcurrentMutation(t *testing.T, declared bool) {
 			// The element reads' memo beside the writers: on the pinned view —
 			// by now several epochs old, perhaps a store generation old — what
 			// is copied out of the chunk images is what encoding gives.
-			res := v.engine.Current()
+			pq := plan.Query{Kind: plan.QCurrent}
 			if i%16 == 0 {
-				res = v.engine.Rollback(horizonOf(v))
+				pq = plan.Query{Kind: plan.QRollback, TT: int64(horizonOf(v))}
 			}
-			if spliced, plain := e.bothEncodings(t, v, res.Elements, res.Spans); !bytes.Equal(spliced, plain) {
+			res, _, _ := v.engine.Answer(pq)
+			if spliced, plain := e.bothEncodings(t, v, &res); !bytes.Equal(spliced, plain) {
 				t.Fatalf("iteration %d: the spliced answer of a pinned view is not its encoded scan", i)
 			}
 		}

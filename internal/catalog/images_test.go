@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -37,18 +38,40 @@ func denseLedger(_ storage.Kind, i int) relation.Insertion {
 }
 
 // bothEncodings encodes one answer over v with the images the catalog
-// resolves for it and without any.
-func (e *Entry) bothEncodings(t testing.TB, v *readView, els []*element.Element, spans []storage.ChunkSpan) (spliced, plain []byte) {
+// resolves for it and without any; the one without is also the encoding of
+// the answer's materialized elements.
+func (e *Entry) bothEncodings(t testing.TB, v *readView, a *storage.Answer) (spliced, plain []byte) {
 	t.Helper()
-	spliced, err := wire.QueryBody{Elements: els, Images: e.images(v, spans), Touched: len(els)}.AppendJSON(nil)
+	spliced, err := wire.QueryBody{Answer: *a, Images: e.images(v, a), Touched: a.Len()}.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err = wire.QueryBody{Elements: els, Touched: len(els)}.AppendJSON(nil)
+	plain, err = wire.QueryBody{Answer: *a, Touched: a.Len()}.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rows, err := (wire.QueryBody{Answer: storage.ElementAnswer(a.Elements()), Touched: a.Len()}).AppendJSON(nil); err != nil || !bytes.Equal(rows, plain) {
+		t.Fatalf("the answer encodes otherwise than its elements (%v)", err)
 	}
 	return spliced, plain
+}
+
+// currentOf is the current state as v's engine answers it, unmaterialized.
+func currentOf(v *readView) *storage.Answer {
+	a, _, _ := v.engine.Answer(plan.Query{Kind: plan.QCurrent})
+	return &a
+}
+
+// denseSpans counts the sealed spans of a that take enough of their chunk
+// for an image.
+func denseSpans(a *storage.Answer) int {
+	n := 0
+	for _, sp := range a.Spans() {
+		if sp.Sealed() && sp.Len() >= imageMin {
+			n++
+		}
+	}
+	return n
 }
 
 // mallocs counts the objects f allocates, on this goroutine and any other:
@@ -103,7 +126,7 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 			t.Fatalf("write %d: the read after it moved the counters %+v → %+v, want one chunk rebuilt", i, before, after)
 		}
 		v := e.view.Load()
-		if spliced, plain := e.bothEncodings(t, v, res.Elements, res.spans); !bytes.Equal(spliced, plain) {
+		if spliced, plain := e.bothEncodings(t, v, res.Answer()); !bytes.Equal(spliced, plain) {
 			t.Fatalf("write %d: the spliced answer is not the encoded one", i)
 		}
 	}
@@ -115,28 +138,45 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 
 // TestSmallAnswersBuildNoImages: an answer that takes an element or two from
 // a chunk — every read on a specialized organization, the small time-slices
-// and as-of reads on a general one — reports no span, looks nothing up, builds
-// nothing, and allocates what it did before there were images.
+// and as-of reads on a general one — reports no dense span, looks nothing up,
+// builds nothing, and allocates no more than it did before there were
+// images: on the read path the server takes (AnswerCtx), and materialized
+// (TimesliceCtx).
 func TestSmallAnswersBuildNoImages(t *testing.T) {
-	// Reads 10 (11 under -race), as at the parent commit: the result slice as
-	// it grows, the plan, its rendering, the cached result.
+	// Read 10 (11 under -race) before there were images: the result slice as
+	// it grew, the plan, its rendering, the cached result. Now 8 unmaterialized
+	// (the answer's span for the slice, a plan name that allocates nothing) and
+	// 11 materialized (the result slice, the slab's versions and their values).
 	const smallSliceAllocs = 11
 	e, _ := ledgerOf(t, storage.TTOrdered, 52*256+40, 32<<20, denseLedger) // starts up to 667,000
 	ctx := context.Background()
 	vt := chronon.Chronon(600_000) // past the end of every long interval
-	got := testing.AllocsPerRun(50, func() {
-		vt += 50 // a new fingerprint each time: never the result cache
-		res, err := e.TimesliceCtx(ctx, vt)
-		if err != nil || len(res.Elements) == 0 || len(res.Elements) > 8 || res.spans != nil || res.Images != nil {
-			t.Fatalf("time-slice at %d: %d elements, spans %v, %v", vt, len(res.Elements), res.spans, err)
+	read := func(rows bool) func() {
+		return func() {
+			vt += 50 // a new fingerprint each time: never the result cache
+			var res QueryResult
+			var err error
+			if rows {
+				res, err = e.TimesliceCtx(ctx, vt)
+			} else {
+				res, err = e.AnswerCtx(ctx, plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
+			}
+			if a := res.Answer(); err != nil || a.Len() == 0 || a.Len() > 8 || denseSpans(a) != 0 || res.Images != nil || rows != (res.Elements != nil) {
+				t.Fatalf("time-slice at %d: %d elements, %d dense spans, %v", vt, a.Len(), denseSpans(a), err)
+			}
 		}
-	})
-	t.Logf("%.0f allocations per small time-slice", got)
+	}
+	got := testing.AllocsPerRun(50, read(false))
+	rows := testing.AllocsPerRun(50, read(true))
+	t.Logf("%.0f allocations per small time-slice, %.0f materialized", got, rows)
 	if st := e.ImageStats(); st != (ImageStats{}) {
 		t.Fatalf("small answers moved the image counters: %+v", st)
 	}
 	if got > smallSliceAllocs {
 		t.Fatalf("a small time-slice allocates %.0f objects, budget %d", got, smallSliceAllocs)
+	}
+	if rows > smallSliceAllocs {
+		t.Fatalf("a small time-slice materialized allocates %.0f objects, budget %d", rows, smallSliceAllocs)
 	}
 }
 
@@ -158,11 +198,11 @@ func TestImagesPastTheBudgetFallBackToTheEncode(t *testing.T) {
 			e, _ := ledgerOf(t, storage.TTOrdered, 8*256+40, tc.cacheBytes, denseLedger)
 			for round := 0; round < 3; round++ {
 				v := e.view.Load()
-				res := v.engine.Current()
-				if len(res.Spans) != 8 {
-					t.Fatalf("current state of eight full chunks reported %d spans", len(res.Spans))
+				a := currentOf(v)
+				if denseSpans(a) != 8 {
+					t.Fatalf("current state of eight full chunks reported %d dense spans", denseSpans(a))
 				}
-				if spliced, plain := e.bothEncodings(t, v, res.Elements, res.Spans); !bytes.Equal(spliced, plain) {
+				if spliced, plain := e.bothEncodings(t, v, a); !bytes.Equal(spliced, plain) {
 					t.Fatalf("round %d: the spliced answer is not the encoded one", round)
 				}
 			}
@@ -219,8 +259,7 @@ func TestOlderViewNeverDisplacesAFresherImage(t *testing.T) {
 		{"groups", "grp:" + fp, 0, func(e *Entry) *qcache.Counts { return &e.groupMemo }, aggregate},
 		{"images", "img", 1, func(e *Entry) *qcache.Counts { return &e.imageMemo }, func(e *Entry, v *readView) {
 			t.Helper()
-			res := v.engine.Current()
-			if spliced, plain := e.bothEncodings(t, v, res.Elements, res.Spans); !bytes.Equal(spliced, plain) {
+			if spliced, plain := e.bothEncodings(t, v, currentOf(v)); !bytes.Equal(spliced, plain) {
 				t.Fatalf("epoch %d: the spliced answer is not the encoded one", v.epoch)
 			}
 		}},
@@ -253,16 +292,15 @@ func TestOlderViewNeverDisplacesAFresherImage(t *testing.T) {
 	// The older view's answer is its own: the closed element is in it.
 	e, live := ledgerOf(t, storage.TTOrdered, 4*256+40, 32<<20, denseLedger)
 	old := e.view.Load()
-	res := old.engine.Current()
-	e.bothEncodings(t, old, res.Elements, res.Spans)
+	res := currentOf(old)
+	e.bothEncodings(t, old, res)
 	if err := e.DeleteKeyed(ctx, live[300], ""); err != nil {
 		t.Fatal(err)
 	}
 	fresh := e.view.Load()
-	fr := fresh.engine.Current()
-	e.bothEncodings(t, fresh, fr.Elements, fr.Spans)
+	e.bothEncodings(t, fresh, currentOf(fresh))
 	before := e.ImageStats()
-	spliced, plain := e.bothEncodings(t, old, res.Elements, res.Spans)
+	spliced, plain := e.bothEncodings(t, old, res)
 	if !bytes.Equal(spliced, plain) || !bytes.Contains(spliced, []byte(`{"es":301,"os":301,"tt_start":3010,"tt_end":4611686018427387903,"current":true`)) {
 		t.Fatal("the older view's answer is not its own encoded scan")
 	}
@@ -295,21 +333,21 @@ func TestNonFiniteRelationBuildsNoImages(t *testing.T) {
 		t.Fatalf("InsertBatch stored %d: %v", res.Stored, err)
 	}
 	v := e.view.Load()
-	res := v.engine.Current()
-	if len(res.Spans) != 2 {
-		t.Fatalf("two full chunks reported %d spans", len(res.Spans))
+	res := currentOf(v)
+	if denseSpans(res) != 2 {
+		t.Fatalf("two full chunks reported %d dense spans", denseSpans(res))
 	}
 	var imgs []wire.ImageSpan
 	// A hundred runs: under -race sync.Pool drops a quarter of what it is
 	// given back, and ten runs of that averaged past the budget ≈ 1 time in 10.
-	allocs := testing.AllocsPerRun(100, func() { imgs = e.images(v, res.Spans) })
+	allocs := testing.AllocsPerRun(100, func() { imgs = e.images(v, res) })
 	if st := e.ImageStats(); len(imgs) != 0 || st.Built != 0 || st.Hits != 0 || st.SpansSpliced != 0 || st.SpansEncoded == 0 || e.cache.Stats().ChunkBytes != 0 {
 		t.Fatalf("a relation of non-finite floats got %d images: %+v", len(imgs), st)
 	}
 	if allocs > 2*4+1+2 {
 		t.Fatalf("refusing two chunks allocates %.0f objects; the two errors are 8, the empty answer one (two more under -race)", allocs)
 	}
-	if _, err := (wire.QueryBody{Elements: res.Elements, Images: imgs}).AppendJSON(nil); err == nil {
+	if _, err := (wire.QueryBody{Answer: *res, Images: imgs}).AppendJSON(nil); err == nil {
 		t.Fatal("the answer was encoded")
 	}
 }

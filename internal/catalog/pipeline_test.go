@@ -17,6 +17,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/relation"
 	"repro/internal/surrogate"
+	"repro/internal/vec"
 	"repro/internal/wal"
 )
 
@@ -312,9 +313,12 @@ func TestReplayLeavesNothingRunning(t *testing.T) {
 // vacuuming all of them but one must free those arrays — the survivor
 // moves to a copy of its own — so both become unreachable and the live
 // heap drops by at least the frame's arrays and the closed copies; what
-// readers see at and after the horizon does not change.
+// readers see at and after the horizon does not change. The frame is one
+// version short of a full chunk: the version that fills a chunk seals it
+// into columns, and the store lets go of the frame then, before any vacuum
+// (TestSealedChunkLetsGoOfItsElements).
 func TestVacuumFreesTheFrameItEmptied(t *testing.T) {
-	const n = 256
+	const n = vec.BatchSize - 1
 	c := New(testConfig(t.TempDir()))
 	e, err := c.Create(relation.Schema{
 		Name: "sensor", ValidTime: element.EventStamp, Granularity: chronon.Second,

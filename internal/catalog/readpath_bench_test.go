@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -59,11 +60,12 @@ func BenchmarkReadPathSnapshot(b *testing.B) {
 // time-slice over 4 k events; "revalidated" the same time-slice asked after a
 // head insert it cannot see, so every hit walks the change log one epoch and
 // records the answer again (the insert runs outside the timer);
-// "current-ledger-40k" the current state of a
-// 40,000-element ledger — ≈ 7 MB of chunk images, more than one cache entry
-// holds — encoded as the server sends it. Every full chunk is one image
-// entry, so from the second read on each is spliced and none encoded
-// (spliced/op: the ledger's 156 full chunks).
+// "current-ledger-40k" the current state of a 40,000-element ledger — ≈ 7 MB
+// of chunk images, more than one cache entry holds — read through CurrentCtx,
+// which materializes it, and encoded; "answer-ledger-40k" the same read as the
+// server makes it, AnswerCtx's answer encoded without materializing. Every
+// full chunk is one image entry, so from the second read on each is spliced
+// and none encoded (spliced/op: the ledger's 156 full chunks).
 func BenchmarkReadPathCacheHit(b *testing.B) {
 	ctx := context.Background()
 	b.Run("timeslice", func(b *testing.B) {
@@ -112,32 +114,51 @@ func BenchmarkReadPathCacheHit(b *testing.B) {
 			b.Fatalf("%d of %d reads were served across the insert", st.Revalidated-before.Revalidated, b.N)
 		}
 	})
-	b.Run("current-ledger-40k", func(b *testing.B) {
-		const n = 40_000
-		e, _ := ledgerOf(b, storage.TTOrdered, n, 32<<20, denseLedger)
-		var body []byte
-		read := func() {
-			res, err := e.CurrentCtx(ctx)
-			if err != nil || len(res.Elements) != n {
+	for _, rows := range []bool{true, false} {
+		name := "answer-ledger-40k"
+		if rows {
+			name = "current-ledger-40k"
+		}
+		b.Run(name, func(b *testing.B) { benchLedgerCurrent(b, rows) })
+	}
+}
+
+// benchLedgerCurrent times a cache hit on the current state of a
+// 40,000-element ledger, encoded; rows reads it through CurrentCtx.
+func benchLedgerCurrent(b *testing.B, rows bool) {
+	ctx := context.Background()
+	const n = 40_000
+	e, _ := ledgerOf(b, storage.TTOrdered, n, 32<<20, denseLedger)
+	var body []byte
+	read := func() {
+		var res QueryResult
+		var err error
+		if rows {
+			if res, err = e.CurrentCtx(ctx); len(res.Elements) != n {
 				b.Fatalf("current: %d elements, %v", len(res.Elements), err)
 			}
-			if body, err = (wire.QueryBody{Elements: res.Elements, Images: res.Images, Touched: res.Touched}).AppendJSON(body[:0]); err != nil {
-				b.Fatal(err)
-			}
+		} else {
+			res, err = e.AnswerCtx(ctx, plan.Query{Kind: plan.QCurrent})
 		}
-		read() // builds the images
-		before := e.ImageStats()
+		if a := res.Answer(); err != nil || a.Len() != n {
+			b.Fatalf("current: %d versions, %v", a.Len(), err)
+		}
+		if body, err = (wire.QueryBody{Answer: *res.Answer(), Images: res.Images, Touched: res.Touched}).AppendJSON(body[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	read() // builds the images
+	before := e.ImageStats()
+	read()
+	if st := e.ImageStats(); st.SpansEncoded != before.SpansEncoded || st.SpansSpliced-before.SpansSpliced != n/256 {
+		b.Fatalf("the second read encoded %d of its full chunks and spliced %d; all %d are imaged",
+			st.SpansEncoded-before.SpansEncoded, st.SpansSpliced-before.SpansSpliced, n/256)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		read()
-		if st := e.ImageStats(); st.SpansEncoded != before.SpansEncoded || st.SpansSpliced-before.SpansSpliced != n/256 {
-			b.Fatalf("the second read encoded %d of its full chunks and spliced %d; all %d are imaged",
-				st.SpansEncoded-before.SpansEncoded, st.SpansSpliced-before.SpansSpliced, n/256)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			read()
-		}
-		b.StopTimer()
-		st := e.ImageStats()
-		b.ReportMetric(float64(st.SpansSpliced-before.SpansSpliced)/float64(b.N+1), "spliced/op")
-	})
+	}
+	b.StopTimer()
+	st := e.ImageStats()
+	b.ReportMetric(float64(st.SpansSpliced-before.SpansSpliced)/float64(b.N+1), "spliced/op")
 }

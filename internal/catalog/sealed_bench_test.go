@@ -9,9 +9,11 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/surrogate"
 	"repro/internal/tsql"
+	"repro/internal/wire"
 )
 
 // BenchmarkSealedPaths times the request paths over a declared relation of
@@ -19,7 +21,12 @@ import (
 // it sealed — with the result cache off, so every read computes: a
 // time-slice, a rollback, the lookup and delete of a version in a sealed
 // chunk, a clamped USING ROW aggregate, and the 256-element batch that fills
-// a chunk. Each read names a time no earlier one did. agg-count-head runs
+// a chunk. Each read names a time no earlier one did. rollback-body is the
+// rollback as the server answers it: the answer left where the store holds
+// it (AnswerCtx) and encoded into a body of its own, whose bytes it reports
+// beside B/op — the read materializes no version, so B/op is the body plus a
+// constant at every answer size (TestRollbackBodyIsTheBodyAndAConstant).
+// agg-count-head runs
 // with the cache, and so the chunk memo, on: sensor-append's statement, a
 // COUNT(*) over the newest 4,096 chronons in tumbling windows, after a head
 // insert (untimed) that empties the result cache; the clamp's lower edge
@@ -73,6 +80,20 @@ func BenchmarkSealedPaths(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("rollback-body", func(b *testing.B) {
+		e := build(b, testConfig(b.TempDir()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		body := 0
+		for i := 0; i < b.N; i++ {
+			out, err := rollbackBody(e, chronon.Chronon(10*(3+i%512)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			body += len(out)
+		}
+		b.ReportMetric(float64(body)/float64(b.N), "body-B/op")
 	})
 	b.Run("byes-delete", func(b *testing.B) {
 		e := build(b, testConfig(b.TempDir()))
@@ -149,6 +170,17 @@ func BenchmarkSealedPaths(b *testing.B) {
 			at += 256
 		}
 	})
+}
+
+// rollbackBody answers the rollback at tt as the server does — the answer
+// where the store holds it, the images resolved for it — and encodes the
+// response body into a buffer of its own.
+func rollbackBody(e *Entry, tt chronon.Chronon) ([]byte, error) {
+	res, err := e.AnswerCtx(context.Background(), plan.Query{Kind: plan.QRollback, TT: int64(tt)})
+	if err != nil {
+		return nil, err
+	}
+	return wire.QueryBody{Answer: *res.Answer(), Images: res.Images, Plan: res.Plan, Touched: res.Touched, Epoch: res.Epoch}.AppendJSON(nil)
 }
 
 // sealedBenchBatch inserts versions from..from+255 as one batch: one chunk,

@@ -1,10 +1,13 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,13 +69,14 @@ func answerBytes(t *testing.T, items []BatchItemResult) []string {
 
 // TestSealedChunkLetsGoOfItsElements: once the element that fills a chunk
 // of the vt-ordered log has sealed it into columns, the chunk's old element
-// structs are collected as soon as no pinned view holds them. Nothing else
-// keeps them: not the dedup window, which remembers the batch that stored
-// them and answers its replay from their surrogates; not the chunk images
-// the reads after the seal build and splice; not the result cache, whose
-// answers from before the seal are copies (storage's detached answers) and
-// whose answers after it are materialized from the columns; not the close
-// of one of them after the seal.
+// structs are collected as soon as no pinned view holds them and no answer
+// names them. The result cache keeps an answer from before the seal, which
+// names the head chunk's elements it took (storage.Answer) and is charged
+// for them, until a write that meets it supersedes it; answers after the
+// seal name the columns. Nothing else keeps them: not the dedup window,
+// which remembers the batch that stored them and answers its replay from
+// their surrogates; not the chunk images the reads after the seal build and
+// splice; not the close of one of them after the seal.
 func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t.TempDir())
@@ -87,18 +91,28 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	declareNonDecreasing(t, e)
-	reads := func() {
+	// reads answers the four element reads and returns the surrogates their
+	// answers name as elements, not as slots of a sealed chunk.
+	reads := func() map[surrogate.Surrogate]bool {
 		t.Helper()
+		named := make(map[surrogate.Surrogate]bool)
 		for _, read := range []func() (QueryResult, error){
 			func() (QueryResult, error) { return e.CurrentCtx(ctx) },
 			func() (QueryResult, error) { return e.TimesliceCtx(ctx, 100) },
 			func() (QueryResult, error) { return e.RollbackCtx(ctx, chronon.Chronon(1<<40)) },
 			func() (QueryResult, error) { return e.TimesliceAsOfCtx(ctx, 150, chronon.Chronon(1<<40)) },
 		} {
-			if _, err := read(); err != nil {
+			res, err := read()
+			if err != nil {
 				t.Fatal(err)
 			}
+			for _, sp := range res.Answer().Spans() {
+				for _, el := range sp.Elements() {
+					named[el.ES] = true
+				}
+			}
 		}
+		return named
 	}
 
 	// 255 elements under one key: the head chunk, one short of full (a
@@ -114,13 +128,20 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	first = BatchResult{}
 	reads()
 	var freed atomic.Int32
+	var gone sync.Map // surrogates of the collected elements
 	_ = e.Locked().View(func(r *relation.Relation) error {
 		for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
 			el, _ := r.ByES(es)
-			runtime.SetFinalizer(el, func(*element.Element) { freed.Add(1) })
+			runtime.SetFinalizer(el, func(el *element.Element) { gone.Store(el.ES, true); freed.Add(1) })
 		}
 		return nil
 	})
+	collect := func(want int32) {
+		for i := 0; i < 20 && freed.Load() < want; i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 
 	// The 256th element seals the chunk; one of the first batch is closed
 	// after; the reads build images of the sealed chunk and new answers;
@@ -134,7 +155,7 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	if err := remove(e, 3); err != nil {
 		t.Fatal(err)
 	}
-	reads()
+	pinned := reads()
 	if st := e.ImageStats(); st.Built == 0 || st.SpansSpliced == 0 {
 		t.Fatalf("no image of the sealed chunk built and spliced: %+v", st)
 	}
@@ -147,10 +168,24 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	}
 	replay = BatchResult{}
 
-	for i := 0; i < 20 && freed.Load() < int32(vec.BatchSize-1); i++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
+	// What is left is what the cached answers from before the seal name.
+	collect(int32(vec.BatchSize - 1 - len(pinned)))
+	for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
+		if _, ok := gone.Load(es); !ok && !pinned[es] {
+			t.Fatalf("element %d of the sealed chunk is kept, and no cached answer names it (%d collected, %d named)", es, freed.Load(), len(pinned))
+		}
 	}
+	// A close of each supersedes the answers that name them; then nothing
+	// is left.
+	for es := range pinned {
+		if err := remove(e, es); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again := reads(); len(again) != 0 {
+		t.Fatalf("answers after the seal name %d elements", len(again))
+	}
+	collect(int32(vec.BatchSize - 1))
 	if n := freed.Load(); n != int32(vec.BatchSize-1) {
 		t.Fatalf("%d of the sealed chunk's %d old elements were collected", n, vec.BatchSize-1)
 	}
@@ -233,4 +268,80 @@ func TestBatchReplayAcrossSealAndClose(t *testing.T) {
 		t.Fatalf("Vacuum removed %d, %v", removed, err)
 	}
 	replay("after a vacuum", e)
+}
+
+// TestRollbackBodyIsTheBodyAndAConstant: the rollback the server answers —
+// the answer where the store holds it, encoded into a body of its own
+// (BenchmarkSealedPaths/rollback-body) — materializes no version, so what
+// it allocates is the body's buffer and a constant, whatever the answer's
+// size: the bytes besides the buffer at 512 versions are those at one, but
+// for the span headers of the chunks the answer draws on. The
+// buffer is the encoder's one reservation: its estimate of the versions it
+// encodes (a thirty-second and two bytes a version over the larger of the
+// first and the last) rounded up to the allocator's size, at most a page
+// for a large body. Materializing the 512 versions would add over 60 KB.
+func TestRollbackBodyIsTheBodyAndAConstant(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	e, err := New(cfg).Create(relation.Schema{
+		Name: "s", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Invariant: []relation.Column{{Name: "sensor", Type: element.KindString}},
+		Varying:   []relation.Column{{Name: "v", Type: element.KindInt}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declareNonDecreasing(t, e)
+	for from := 0; from < 4*vec.BatchSize; from += vec.BatchSize {
+		if _, err := e.InsertBatch(context.Background(), sensorBatch(from, vec.BatchSize), nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// past reports the bytes a rollback of size versions allocates besides
+	// its body's buffer, the buffer's capacity and the body's length.
+	past := func(size int) (extra, buffer, body int64) {
+		var tt chronon.Chronon
+		_ = e.Locked().View(func(r *relation.Relation) error {
+			tt = r.Store().TTStartAt(size - 1)
+			return nil
+		})
+		out, err := rollbackBody(e, tt)
+		if err != nil || !bytes.HasPrefix(out, []byte(`{"elements":[`)) {
+			t.Fatalf("the rollback of %d versions: %v", size, err)
+		}
+		// Under -race slices.Grow allocates the reservation twice (its
+		// append of a made slice is not folded away there).
+		buffers := int64(cap(out))
+		if raceEnabled {
+			buffers *= 2
+		}
+		// The fewest bytes of five rounds: the counter is the process's, and
+		// whatever else runs beside the test only adds to it.
+		const rounds, runs = 5, 20
+		least := int64(math.MaxInt64)
+		for range rounds {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := rollbackBody(e, tt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, int64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least - buffers, int64(cap(out)), int64(len(out))
+	}
+	one, _, _ := past(1)
+	for _, size := range []int{1, 2, 64, 255, 256, 257, 511, 512} {
+		extra, buffer, body := past(size)
+		t.Logf("%3d versions: a %6d-byte body in a %6d-byte buffer, and %4d bytes besides", size, body, buffer, extra)
+		if buffer > body+body/16+8<<10 {
+			t.Fatalf("the rollback of %d versions reserved %d bytes for its %d-byte body", size, buffer, body)
+		}
+		// The answer's span headers grow with the chunks it draws on: up to
+		// 512 versions, three at most, in a slice of four.
+		if extra > one+4*spanBytes {
+			t.Fatalf("the rollback of %d versions allocates %d bytes besides its body's buffer; one version's allocates %d", size, extra, one)
+		}
+	}
 }

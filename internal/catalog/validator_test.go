@@ -171,11 +171,11 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 				// The body as the server sends it — spliced from chunk images
 				// named at the view the answer is served on — is the body the
 				// elements encode to.
-				spliced, err := wire.QueryBody{Elements: r.Elements, Images: r.Images}.AppendJSON(nil)
+				spliced, err := wire.QueryBody{Answer: *r.Answer(), Images: r.Images}.AppendJSON(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if plain, _ := (wire.QueryBody{Elements: r.Elements}).AppendJSON(nil); !bytes.Equal(spliced, plain) {
+				if plain, _ := (wire.QueryBody{Answer: storage.ElementAnswer(r.Elements)}).AppendJSON(nil); !bytes.Equal(spliced, plain) {
 					t.Fatalf("%s at epoch %d: the spliced body is not the encoded one", name, r.Epoch)
 				}
 				return elementKeys(t, r.Elements), r.Epoch

@@ -233,14 +233,26 @@ func (n *Node) String() string {
 	case TTWindowPushdown:
 		return "tt-window binary search (bounded specialization)"
 	case TTBinarySearch, VTBinarySearch:
-		return fmt.Sprintf("binary search (%v)", leaf.Org)
+		return searchNames[leaf.Org]
 	case BTreeIndexSeek:
 		return "b-tree index seek (vt index)"
 	}
 	if leaf.Bitemporal {
 		return "full scan (bitemporal)"
 	}
-	return fmt.Sprintf("full scan (%v)", leaf.Org)
+	return scanNames[leaf.Org]
+}
+
+// searchNames and scanNames are the plan names of a binary search and of a
+// full scan on each organization, rendered once so that naming a plan
+// allocates nothing.
+var searchNames, scanNames = orgNames("binary search (%v)"), orgNames("full scan (%v)")
+
+func orgNames(format string) (names [OrgVTLog + 1]string) {
+	for o := range names {
+		names[o] = fmt.Sprintf(format, Org(o))
+	}
+	return names
 }
 
 // Render returns the EXPLAIN form: one line per node, children indented

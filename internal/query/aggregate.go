@@ -43,7 +43,7 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, spec *vec.S
 	if err != nil {
 		return nil, stats, err
 	}
-	if err := en.fold(ctx, node, spec, event, memo, agg, &stats); err != nil {
+	if err := en.fold(ctx, storage.NewBatchReader(en.store, event), node, spec, memo, agg, &stats); err != nil {
 		return nil, stats, err
 	}
 	res, err := agg.ResultCtx(ctx)
@@ -63,7 +63,7 @@ func (en *Engine) AggregateCells(ctx context.Context, node *plan.Node, spec *vec
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	if err := en.fold(ctx, node, spec, event, memo, agg, &stats); err != nil {
+	if err := en.fold(ctx, storage.NewBatchReader(en.store, event), node, spec, memo, agg, &stats); err != nil {
 		return nil, nil, stats, err
 	}
 	cells, exact := agg.Cells()
@@ -87,7 +87,7 @@ func (en *Engine) AggregateCells(ctx context.Context, node *plan.Node, spec *vec
 // contains, or cuts, that has not changed. The cells of every other window
 // are base's. It returns the answer, the new cells (nil when the refolded
 // ones are not exact) and what it did; the stats count the windows it
-// refolded and reused.
+// refolded and reused. One reader serves every run, reset between them.
 func (en *Engine) Refold(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo, base *vec.Partial, runs []vec.WindowRun) (*vec.AggResult, *vec.Partial, vec.ExecStats, error) {
 	var stats vec.ExecStats
 	// One state for every run: the spec it folds under is the statement's,
@@ -98,13 +98,14 @@ func (en *Engine) Refold(ctx context.Context, node *plan.Node, spec *vec.Spec, e
 		return nil, nil, stats, err
 	}
 	w := spec.Width
+	r := storage.NewBatchReader(en.store, event)
 	for _, wr := range runs {
 		run.Filter.HasVT = true
 		run.Filter.VTLo, run.Filter.VTHi = wr.Lo*w, (wr.Hi+1)*w
 		if f := spec.Filter; f.HasVT {
 			run.Filter.VTLo, run.Filter.VTHi = max(run.Filter.VTLo, f.VTLo), min(run.Filter.VTHi, f.VTHi)
 		}
-		if err := en.fold(ctx, node, &run, event, memo, agg, &stats); err != nil {
+		if err := en.fold(ctx, r, node, &run, memo, agg, &stats); err != nil {
 			return nil, nil, stats, err
 		}
 		stats.WindowsRefolded += wr.Hi - wr.Lo + 1
@@ -121,9 +122,10 @@ func (en *Engine) Refold(ctx context.Context, node *plan.Node, spec *vec.Spec, e
 	return res, cells, stats, nil
 }
 
-// fold runs the chunk loop for spec over the view into agg, adding to stats.
-func (en *Engine) fold(ctx context.Context, node *plan.Node, spec *vec.Spec, event bool, memo *PartialMemo, agg *vec.ColAgg, stats *vec.ExecStats) error {
-	r := storage.NewBatchReader(en.store, event)
+// fold runs the chunk loop for spec over the view into agg, adding to stats,
+// with r, a reader over the view, reset to read it from its start.
+func (en *Engine) fold(ctx context.Context, r *storage.BatchReader, node *plan.Node, spec *vec.Spec, memo *PartialMemo, agg *vec.ColAgg, stats *vec.ExecStats) error {
+	r.Reset()
 	if f := spec.Filter; f.HasVT {
 		r.SetVTWindow(chronon.Chronon(f.VTLo), chronon.Chronon(f.VTHi))
 		r.SeekVT(chronon.Chronon(f.VTLo), chronon.Chronon(f.VTHi))

@@ -480,3 +480,38 @@ func TestGroupPartialsNeedExactChunks(t *testing.T) {
 	groupStats(t, "group 1 alone", threeWay(t, across, &alone, mc.exec()), 1, groupRuns, 0)
 	threeWay(t, across, wide, mc.exec()) // fails in all three with one text
 }
+
+// TestRefoldReusesOneReader: Refold folds each window run through one batch
+// reader, reset between runs, so what it allocates does not follow how many
+// runs it folds: a refold of one window and a refold of eight, one run each,
+// allocate the same count. The answers stay the full fold's.
+func TestRefoldReusesOneReader(t *testing.T) {
+	st := partialsFixture(t, 8, 40, intVals)
+	en := New(st, nil)
+	spec := testSpec(vec.Tumbling, 0)
+	ctx := context.Background()
+	node := plan.Build(en.Access(), plan.Query{Kind: plan.QCurrent})
+	want, base, _, err := en.AggregateCells(ctx, node, spec, true, nil)
+	if err != nil || base == nil {
+		t.Fatalf("the cells to refold from: %v, %v", base, err)
+	}
+	refold := func(runs []vec.WindowRun) {
+		res, _, _, err := en.Refold(ctx, node, spec, true, nil, base, runs)
+		if err != nil || !reflect.DeepEqual(res, want) {
+			t.Fatalf("a refold of %d runs: %v\n got %+v\nwant %+v", len(runs), err, res, want)
+		}
+	}
+	one := []vec.WindowRun{{Lo: 0, Hi: 0}}
+	var eight []vec.WindowRun
+	for w := int64(0); w < 8; w++ {
+		eight = append(eight, vec.WindowRun{Lo: 2 * w, Hi: 2 * w})
+	}
+	refold(one)
+	refold(eight)
+	a1 := testing.AllocsPerRun(20, func() { refold(one) })
+	a8 := testing.AllocsPerRun(20, func() { refold(eight) })
+	t.Logf("a refold allocates %v objects over one run, %v over eight", a1, a8)
+	if a1 != a8 {
+		t.Fatalf("a refold over eight runs allocates %v objects, over one %v: something is made per run", a8, a1)
+	}
+}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,20 +76,22 @@ func TestBoundedPushdownSeesDeletions(t *testing.T) {
 	var victim *element.Element
 	tlog.Scan(func(e *element.Element) bool { victim = e; return false })
 	vt := victim.VT.Start()
-	if got := en.Timeslice(vt); len(got.Elements) == 0 {
-		t.Fatal("element not found before deletion")
-	}
-	victim.TTEnd = victim.TTStart.Add(1)
-	if got := en.Timeslice(vt); len(got.Elements) != 0 {
-		found := false
-		for _, e := range got.Elements {
-			if e == victim {
-				found = true
+	found := func() bool {
+		for _, e := range en.Timeslice(vt).Elements {
+			if e.ES == victim.ES {
+				return true
 			}
 		}
-		if found {
-			t.Fatal("deleted element visible through pushdown")
-		}
+		return false
+	}
+	if !found() {
+		t.Fatal("element not found before deletion")
+	}
+	closed := *victim
+	closed.TTEnd = victim.TTStart.Add(1)
+	tlog.Replace(victim, &closed)
+	if found() {
+		t.Fatal("deleted element visible through pushdown")
 	}
 }
 
@@ -130,16 +133,23 @@ func TestUseVTOffsetBoundsValidation(t *testing.T) {
 	}
 }
 
+// sameSet reports whether a and b hold the same versions: a version is named
+// by its surrogate and tt⊣ — a sealed chunk hands out materialized copies,
+// not the elements it was given — and the two must be equal field for field.
 func sameSet(a, b []*element.Element) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	seen := make(map[*element.Element]bool, len(a))
+	type name struct {
+		es surrogate.Surrogate
+		tt chronon.Chronon
+	}
+	seen := make(map[name]*element.Element, len(a))
 	for _, e := range a {
-		seen[e] = true
+		seen[name{e.ES, e.TTEnd}] = e
 	}
 	for _, e := range b {
-		if !seen[e] {
+		if s, ok := seen[name{e.ES, e.TTEnd}]; !ok || !reflect.DeepEqual(*s, *e) {
 			return false
 		}
 	}

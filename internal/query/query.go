@@ -30,9 +30,6 @@ type Result struct {
 	Node *plan.Node
 	// Touched is the number of stored elements examined.
 	Touched int
-	// Spans names the full chunks that supplied dense stretches of Elements,
-	// for the reads a chunk walk answers (storage.ChunkSpan); nil otherwise.
-	Spans []storage.ChunkSpan
 }
 
 // Engine executes temporal queries over a store. Queries are safe to run
@@ -115,47 +112,49 @@ func (en *Engine) Access() plan.Access {
 // the EXPLAIN entry point.
 func (en *Engine) Plan(q plan.Query) *plan.Node { return plan.Build(en.Access(), q) }
 
-// run plans the query and executes the chosen access path.
+// run plans the query, executes the chosen access path and materializes
+// the answer.
 func (en *Engine) run(q plan.Query) Result {
+	a, node, touched := en.Answer(q)
+	return Result{Elements: a.Elements(), Node: node, Touched: touched}
+}
+
+// Answer plans q and executes the chosen access path, returning the answer
+// as the store holds it (storage.Answer) — nothing of a sealed chunk is
+// materialized — with the plan and the number of stored elements touched.
+// The answer is stable only over an engine on a snapshot, as the catalog's
+// pinned views are: over a live store a close made before the answer is
+// encoded or materialized changes it.
+func (en *Engine) Answer(q plan.Query) (storage.Answer, *plan.Node, int) {
 	node := plan.Build(en.Access(), q)
-	els, spans, touched := en.execute(node, q)
-	return Result{Elements: els, Node: node, Touched: touched, Spans: spans}
+	a, touched := en.execute(node, q)
+	return a, node, touched
 }
 
 // execute runs the plan's access-path leaf against the store. The leaf's
 // result already satisfies the query's temporal predicates (the stores
-// filter as they read), so decorators need no separate pass here. The chunk
-// walks — every rollback, and the scans — also say which chunks the answer
-// came from; a search, a seek and a filtered candidate slice do not.
-func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, []storage.ChunkSpan, int) {
+// filter as they read), so decorators need no separate pass here.
+func (en *Engine) execute(node *plan.Node, q plan.Query) (storage.Answer, int) {
 	leaf := node.Leaf()
 	switch leaf.Kind {
 	case plan.TTWindowPushdown:
 		// Any other store answers the predicate itself, below.
 		if rs, ok := en.store.(*storage.RunStore); ok {
-			cands, touched := rs.TTWindow(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi))
-			var out []*element.Element
-			for _, e := range cands {
-				if e.Current() && storage.ValidDuring(e, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi)) {
-					out = append(out, e)
-				}
-			}
-			return out, nil, touched
+			return rs.Pushdown(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi), chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
 		}
 	case plan.TTBinarySearch:
-		return storage.RollbackSpans(en.store, chronon.Chronon(q.TT))
+		return storage.RollbackAnswer(en.store, chronon.Chronon(q.TT))
 	case plan.VTBinarySearch, plan.BTreeIndexSeek:
-		out, touched := en.store.VTRange(chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
-		return out, nil, touched
+		return storage.VTRangeAnswer(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
 	}
 	// Full scan, shaped by the query kind.
 	switch q.Kind {
 	case plan.QCurrent:
 		return storage.Current(en.store)
 	case plan.QRollback:
-		return storage.RollbackSpans(en.store, chronon.Chronon(q.TT))
+		return storage.RollbackAnswer(en.store, chronon.Chronon(q.TT))
 	default:
-		return storage.VTRangeSpans(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
+		return storage.VTRangeAnswer(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
 	}
 }
 

@@ -2,23 +2,26 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/wire"
 )
 
-// TestSpansAcrossTheOrganizations holds what the engine reports beside an
-// answer to what the encoder will do with it, on each of the four stores the
-// engine can be built over — the indexed one included, which the catalog never
-// chooses: every span names a full chunk whose elements, in slot order,
-// contain the span's stretch of the answer; the answers a search or an index
-// seek gives report none; and the body that copies from images of the named
-// chunks is, byte for byte, the body that encodes every element.
+// TestSpansAcrossTheOrganizations holds what the engine answers to what the
+// encoder will do with it, on each of the four stores the engine can be
+// built over — the indexed one included, which the catalog never chooses:
+// every sealed span names a full chunk whose slots, in order, are the span's
+// stretch of the materialized answer; the answer an index seek gives is
+// elements; and the body that copies from images of the named chunks is,
+// byte for byte, the body that encodes every element.
 func TestSpansAcrossTheOrganizations(t *testing.T) {
 	const n = 3*256 + 40
 	for _, build := range []func() storage.Store{
@@ -46,41 +49,50 @@ func TestSpansAcrossTheOrganizations(t *testing.T) {
 			st.Replace(stored[i], &closed)
 		}
 		en := New(st, nil)
-		rangeSpans := 3 // the scan's; a search and an index seek report none
-		if st.Kind() == storage.VTOrdered || en.Access().VTIndex {
-			rangeSpans = 0
+		sliceSealed, rangeSealed := 1, 3 // an index seek's answer is elements
+		if en.Access().VTIndex {
+			sliceSealed, rangeSealed = 0, 0
 		}
 		for _, q := range []struct {
-			name  string
-			res   Result
-			spans int
+			name   string
+			q      plan.Query
+			sealed int
 		}{
-			{"current", en.Current(), 3},
-			{"rollback, cut inside chunk 1", en.Rollback(chronon.Chronon(10 * 400)), 2},
-			{"rollback, late", en.Rollback(chronon.Chronon(20 * n)), 3},
-			{"time-slice", en.Timeslice(1020), 0},
-			{"vt-range", en.VTRange(1000, 1000+n), rangeSpans},
+			{"current", plan.Query{Kind: plan.QCurrent}, 3},
+			{"rollback, cut inside chunk 1", plan.Query{Kind: plan.QRollback, TT: 10 * 400}, 2},
+			{"rollback, late", plan.Query{Kind: plan.QRollback, TT: 20 * n}, 3},
+			{"time-slice", plan.Query{Kind: plan.QTimeslice, VTLo: 1020, VTHi: 1021}, sliceSealed},
+			{"vt-range", plan.Query{Kind: plan.QVTRange, VTLo: 1000, VTHi: 1000 + n}, rangeSealed},
 		} {
-			if len(q.res.Elements) == 0 || len(q.res.Spans) != q.spans {
-				t.Fatalf("%s, %s: %d elements, spans %v, want %d spans", name, q.name, len(q.res.Elements), q.res.Spans, q.spans)
+			a, _, _ := en.Answer(q.q)
+			els := a.Elements()
+			if len(els) == 0 || len(els) != a.Len() {
+				t.Fatalf("%s, %s: %d elements, the answer says %d", name, q.name, len(els), a.Len())
 			}
-			body := wire.QueryBody{Elements: q.res.Elements, Touched: q.res.Touched}
-			for _, sp := range q.res.Spans {
-				chunk := storage.ChunkElements(st, sp.Chunk)
-				j := 0
-				for _, e := range q.res.Elements[sp.At : sp.At+sp.N] {
-					for j < len(chunk) && (chunk[j].ES != e.ES || chunk[j].TTEnd != e.TTEnd) {
-						j++
-					}
+			body := wire.QueryBody{Answer: a, Touched: len(els)}
+			at, sealed := 0, 0
+			for i, sp := range a.Spans() {
+				if !sp.Sealed() {
+					at += sp.Len()
+					continue
 				}
-				if j == len(chunk) {
-					t.Fatalf("%s, %s: span %+v holds an element that is not chunk %d's, or out of slot order", name, q.name, sp, sp.Chunk)
+				sealed++
+				chunk := storage.ChunkOf(st, sp.Chunk())
+				slots := sp.Slots()
+				for j := slots.Next(0); j < storage.ChunkSize; j = slots.Next(j + 1) {
+					if es, tt := chunk.Key(j); els[at].ES != es || els[at].TTEnd != tt {
+						t.Fatalf("%s, %s: span %d names slot %d of chunk %d, which is not the answer's element %d", name, q.name, i, j, sp.Chunk(), at)
+					}
+					at++
 				}
 				img, err := wire.BuildChunkImage(chunk, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				body.Images = append(body.Images, wire.ImageSpan{At: sp.At, N: sp.N, Image: img})
+				body.Images = append(body.Images, wire.ImageSpan{Span: i, Image: img})
+			}
+			if sealed != q.sealed || at != len(els) {
+				t.Fatalf("%s, %s: %d sealed spans over %d of %d elements, want %d", name, q.name, sealed, at, len(els), q.sealed)
 			}
 			spliced, err := body.AppendJSON(nil)
 			if err != nil {
@@ -90,6 +102,125 @@ func TestSpansAcrossTheOrganizations(t *testing.T) {
 			if plain, _ := body.AppendJSON(nil); !bytes.Equal(spliced, plain) {
 				t.Fatalf("%s, %s: the spliced body is not the encoded one", name, q.name)
 			}
+			rows := wire.QueryBody{Answer: storage.ElementAnswer(els), Touched: len(els)}
+			if plain, _ := rows.AppendJSON(nil); !bytes.Equal(spliced, plain) {
+				t.Fatalf("%s, %s: the body of the answer is not the body of its elements", name, q.name)
+			}
 		}
+	}
+}
+
+// TestRelabelDownKeepsColumns re-labels a store down the chain — the
+// vt-ordered log, then the tt-ordered log, then the heap — the way the
+// catalog drops a promise: every full chunk was columns on the log and stays
+// columns under each label, the chunks that fill under the lower labels seal
+// as they fill, and every query kind — the current state, time-slices,
+// valid-time ranges, rollbacks, as-of reads and the bounded pushdown —
+// answers what a filter over the flat list of versions does, version for
+// version. Every version lies within −2000 ≤ vt − tt⊢ ≤ 0, the bound the
+// pushdown is given.
+func TestRelabelDownKeepsColumns(t *testing.T) {
+	st := storage.NewVTLog()
+	var flat []*element.Element
+	tt := chronon.Chronon(0)
+	add := func(back chronon.Chronon) {
+		tt += 10
+		vt := tt - back
+		e := &element.Element{ES: surrogate.Surrogate(len(flat) + 1), OS: 1, TTStart: tt, TTEnd: chronon.Forever,
+			VT: element.EventAt(vt), Varying: []element.Value{element.Int(int64(len(flat)))}}
+		if err := st.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		flat = append(flat, e)
+	}
+	closeEvery := func(from, step int) {
+		for i := from; i < len(flat); i += step {
+			if old := flat[i]; old.Current() {
+				tt += 10
+				repl := *old
+				repl.TTEnd = tt
+				st.Replace(old, &repl)
+				flat[i] = &repl
+			}
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		if k := st.Kind().String(); k != label {
+			t.Fatalf("the store is the %s, want the %s", k, label)
+		}
+		for k := 0; (k+1)*storage.ChunkSize <= st.Len(); k++ {
+			if c := storage.ChunkOf(st, k); !c.Sealed() {
+				t.Fatalf("%s: full chunk %d is elements", label, k)
+			}
+		}
+		filter := func(keep func(e *element.Element) bool) (out []*element.Element) {
+			for _, e := range flat {
+				if keep(e) {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+		same := func(what string, got, want []*element.Element) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s, %s: %d versions, the filter %d", label, what, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ES != want[i].ES || got[i].TTEnd != want[i].TTEnd || !reflect.DeepEqual(*got[i], *want[i]) {
+					t.Fatalf("%s, %s: version %d is %v, the filter's %v", label, what, i, got[i], want[i])
+				}
+			}
+		}
+		en := New(st, nil)
+		if err := en.UseVTOffsetBounds(-2000, 0); err != nil {
+			t.Fatal(err)
+		}
+		same("current", en.Current().Elements, filter((*element.Element).Current))
+		found := 0
+		for _, i := range []int{0, 100, len(flat) / 3, len(flat) / 2, len(flat) - 5} {
+			vt := flat[i].VT.Start()
+			found += len(en.Timeslice(vt).Elements)
+			same(fmt.Sprint("time-slice at ", vt), en.Timeslice(vt).Elements,
+				filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(vt) }))
+			same(fmt.Sprint("vt-range from ", vt), en.VTRange(vt, vt+700).Elements,
+				filter(func(e *element.Element) bool { return e.Current() && storage.ValidDuring(e, vt, vt+700) }))
+			a, _ := st.Pushdown(vt, vt+699+2000, vt, vt+700)
+			same(fmt.Sprint("pushdown from ", vt), a.Elements(),
+				filter(func(e *element.Element) bool { return e.Current() && storage.ValidDuring(e, vt, vt+700) }))
+		}
+		if found == 0 {
+			t.Fatalf("%s: no time-slice found a version; the check compares empty answers", label)
+		}
+		for _, at := range []chronon.Chronon{5, tt / 3, tt / 2, tt} {
+			same(fmt.Sprint("rollback to ", at), en.Rollback(at).Elements,
+				filter(func(e *element.Element) bool { return e.PresentAt(at) }))
+			vt := flat[len(flat)/3].VT.Start()
+			a, _, err := storage.AsOf(context.Background(), st, vt, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprint("as of ", at), a.Elements(),
+				filter(func(e *element.Element) bool { return e.PresentAt(at) && e.ValidAt(vt) }))
+		}
+	}
+	for i := 0; i < 3*storage.ChunkSize+50; i++ {
+		add(0)
+	}
+	closeEvery(3, 7)
+	check("vt-ordered log")
+	for _, down := range []storage.Kind{storage.TTOrdered, storage.Heap} {
+		if err := st.Retype(down); err != nil {
+			t.Fatal(err)
+		}
+		check(down.String())
+		// Out of valid-time order, past the next chunk boundary: it fills and
+		// seals under the lower label.
+		for i := 0; i < storage.ChunkSize+30; i++ {
+			add(chronon.Chronon(i * 7919 % 2001))
+		}
+		closeEvery(len(flat)-storage.ChunkSize, 5)
+		check(down.String())
 	}
 }

@@ -22,7 +22,7 @@ func (m *backlogModel) insert(e *element.Element) {
 
 func (m *backlogModel) close(old, closed *element.Element) {
 	for i := range *m {
-		if rec := &(*m)[i]; rec.Op == OpInsert && rec.Elem == old {
+		if rec := &(*m)[i]; rec.Op == OpInsert && sameVersion(rec.Elem, old) {
 			rec.Elem = closed
 		}
 	}
@@ -52,7 +52,7 @@ func (m backlogModel) check(t *testing.T, r *Relation, step string) {
 		t.Fatalf("%s: backlog holds %d records, the model %d", step, len(got), len(m))
 	}
 	for i := range m {
-		if got[i] != m[i] {
+		if got[i].Op != m[i].Op || got[i].TT != m[i].TT || !sameVersion(got[i].Elem, m[i].Elem) {
 			t.Fatalf("%s: record %d is %v %v %v, the model's %v %v %v",
 				step, i, got[i].Op, got[i].TT, got[i].Elem, m[i].Op, m[i].TT, m[i].Elem)
 		}

@@ -25,7 +25,7 @@ func (m esModel) check(t *testing.T, r *Relation, step string) {
 	}
 	var maxES surrogate.Surrogate
 	for _, e := range r.Versions() {
-		if got, ok := r.ByES(e.ES); !ok || got != e || m[e.ES] != e {
+		if got, ok := r.ByES(e.ES); !ok || !sameVersion(got, e) || !sameVersion(m[e.ES], e) {
 			t.Fatalf("%s: ByES(%v) = %v, %v; versions hold %v, model %v", step, e.ES, got, ok, e, m[e.ES])
 		}
 		maxES = max(maxES, e.ES)
@@ -37,7 +37,7 @@ func (m esModel) check(t *testing.T, r *Relation, step string) {
 		}
 	}
 	for es := surrogate.Surrogate(1); es < maxES; es += 1 + maxES/64 {
-		if got, ok := r.ByES(es); ok != (m[es] != nil) || got != m[es] {
+		if got, ok := r.ByES(es); ok != (m[es] != nil) || !sameVersion(got, m[es]) {
 			t.Fatalf("%s: ByES(%v) = %v, %v; model %v", step, es, got, ok, m[es])
 		}
 	}
@@ -103,7 +103,7 @@ func TestPositionalIndexModel(t *testing.T) {
 						t.Fatalf("%s: no gap below the last surrogate to replay into", step)
 					}
 					rec := replayed(gaps[0], i)
-					if _, now, err := r.ApplyLog(rec); err != nil || now != rec.Elem {
+					if _, now, err := r.ApplyLog(rec); err != nil || !sameVersion(now, rec.Elem) {
 						t.Fatalf("%s: out-of-order ApplyLog = %v, %v", step, now, err)
 					}
 					m[rec.Elem.ES], live, gaps = rec.Elem, append(live, rec.Elem.ES), gaps[1:]
@@ -180,14 +180,14 @@ func TestPositionalIndexModel(t *testing.T) {
 				case op == 8: // the next frame of a log, in order
 					es, _ := r.ReservedSurrogates()
 					rec := replayed(es+1, i)
-					if _, now, err := r.ApplyLog(rec); err != nil || now != rec.Elem {
+					if _, now, err := r.ApplyLog(rec); err != nil || !sameVersion(now, rec.Elem) {
 						t.Fatalf("%s: ApplyLog = %v, %v", step, now, err)
 					}
 					m[rec.Elem.ES], live = rec.Elem, append(live, rec.Elem.ES)
 				default:
 					es := live[rng.Intn(len(live))]
 					was, now, err := r.ApplyLog(LogRecord{Op: OpDelete, TT: r.Clock().Now(), Elem: &element.Element{ES: es}})
-					if err != nil || was != m[es] || now.Current() || now.ES != es {
+					if err != nil || !sameVersion(was, m[es]) || now.Current() || now.ES != es {
 						t.Fatalf("%s: replayed delete = %v, %v, %v", step, was, now, err)
 					}
 					closed(es)

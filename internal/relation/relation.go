@@ -113,6 +113,19 @@ type Relation struct {
 
 	vacuumedTo chronon.Chronon // see Vacuum; MinChronon when never vacuumed
 	stamped    chronon.Chronon // the newest transaction time stamp issued; MinChronon before the first
+
+	// closing is the sealed version the last delete or modify staged, with
+	// room for the copy its commit closes (staged); nil once committed.
+	closing *closing
+}
+
+// closing is a sealed version staged for a close, in one allocation: the
+// open version staging hands out, its lists, and the closed copy the commit
+// returns, which shares them. A close into a sealed chunk so allocates once,
+// as one into an element chunk does (its copy).
+type closing struct {
+	open, closed element.Element
+	lists        storage.Version
 }
 
 // New creates an empty relation with the given schema and transaction-time
@@ -292,24 +305,46 @@ func (r *Relation) applyInsert(e *element.Element) {
 	}
 }
 
-// applyDelete closes the existence interval of the version at position i by
-// copy-on-close: the element itself is never mutated. A copy with TTEnd
-// finalized takes its place (ReplaceAt: in a sealed chunk, its tt⊣ in a
-// copied column) and is returned; the open original stays exactly as any
-// previously published read snapshot saw it, which is what lets the catalog
-// serve lock-free epoch-stamped reads. The copy is shallow — stored elements
-// are immutable, so the two may share their values. The closed version is
-// the backlog's insert record from here on as well as its delete record, so
-// Declare's warm replay observes the close.
-func (r *Relation) applyDelete(i int, tt chronon.Chronon) *element.Element {
-	closed := *r.versions.At(i)
+// staged returns the version at position i for a close to stage: an element
+// chunk's element as stored, or a sealed version materialized into a closing
+// the relation keeps until the commit.
+func (r *Relation) staged(i int) *element.Element {
+	sp := storage.ChunkOf(r.versions, i/storage.ChunkSize)
+	if !sp.Sealed() {
+		return r.versions.At(i)
+	}
+	c := new(closing)
+	c.open = sp.Load(i%storage.ChunkSize, &c.lists)
+	r.closing = c
+	return &c.open
+}
+
+// applyDelete closes the existence interval of the version at position i,
+// which e holds, by copy-on-close: the element itself is never mutated. A
+// copy with TTEnd finalized takes its place (ReplaceAt: in a sealed chunk,
+// its tt⊣ in a copied column) and is returned; the open original stays
+// exactly as any previously published read snapshot saw it, which is what
+// lets the catalog serve lock-free epoch-stamped reads. The copy is shallow
+// — stored elements are immutable, so the two may share their values — and
+// for a version staged from a sealed chunk it is the closing's. The closed
+// version is the backlog's insert record from here on as well as its delete
+// record, so Declare's warm replay observes the close.
+func (r *Relation) applyDelete(i int, e *element.Element, tt chronon.Chronon) *element.Element {
+	var closed *element.Element
+	if c := r.closing; c != nil && e == &c.open {
+		c.closed = c.open
+		closed = &c.closed
+	} else {
+		closed = r.versions.Copy(i)
+	}
+	r.closing = nil
 	closed.TTEnd = tt
-	r.versions.ReplaceAt(i, &closed)
+	r.versions.ReplaceAt(i, closed)
 	r.closes = append(r.closes, closeRecord{inserts: r.versions.Len(), es: closed.ES, tt: tt})
 	for _, g := range r.guards {
-		g.Applied(r, OpDelete, &closed, tt)
+		g.Applied(r, OpDelete, closed, tt)
 	}
-	return &closed
+	return closed
 }
 
 // Len reports the number of stored element versions (including logically

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/chronon"
@@ -13,6 +14,17 @@ import (
 
 func newEventRelation() *Relation {
 	return New(eventSchema(), tx.NewLogicalClock(0, 10))
+}
+
+// sameVersion reports whether a and b are one stored version: named by the
+// same surrogate and tt⊣, and equal field for field, nil lists told from
+// empty ones. A sealed chunk hands out materialized copies, not the elements
+// it was given, so identity is the version's, not the pointer's.
+func sameVersion(a, b *element.Element) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.ES == b.ES && a.TTEnd == b.TTEnd && reflect.DeepEqual(*a, *b)
 }
 
 func insertReading(t *testing.T, r *Relation, vt chronon.Chronon, sensor string, temp float64) *element.Element {

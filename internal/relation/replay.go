@@ -127,10 +127,10 @@ func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("delete of unknown element %v", e.ES)
 		}
-		if was = r.versions.At(i); !was.Current() {
+		if was = r.staged(i); !was.Current() {
 			return nil, nil, fmt.Errorf("delete of already-deleted element %v", e.ES)
 		}
-		return was, r.applyDelete(i, rec.TT), nil
+		return was, r.applyDelete(i, was, rec.TT), nil
 	}
 	return nil, nil, fmt.Errorf("unknown op %d", rec.Op)
 }

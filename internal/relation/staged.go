@@ -73,10 +73,11 @@ func (r *Relation) CommitInsert(e *element.Element) { r.applyInsert(e) }
 // StageDelete validates a logical deletion and stamps its transaction
 // time, without applying it.
 func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chronon.Chronon, error) {
-	e, ok := r.ByES(es)
+	i, ok := r.position(es)
 	if !ok {
 		return nil, 0, fmt.Errorf("relation %s: delete %v: %w", r.schema.Name, es, ErrNoSuchElement)
 	}
+	e := r.staged(i)
 	if !e.Current() {
 		return nil, 0, fmt.Errorf("relation %s: delete %v: %w", r.schema.Name, es, ErrAlreadyDeleted)
 	}
@@ -102,7 +103,7 @@ func (r *Relation) CommitDelete(e *element.Element, tt chronon.Chronon) *element
 	if !ok {
 		panic(fmt.Sprintf("relation %s: commit of a delete that was not staged: %v", r.schema.Name, e.ES))
 	}
-	return r.applyDelete(i, tt)
+	return r.applyDelete(i, e, tt)
 }
 
 // StageModify validates the paper's modification — a logical delete of
@@ -110,10 +111,11 @@ func (r *Relation) CommitDelete(e *element.Element, tt chronon.Chronon) *element
 // transaction time — without applying either. Commit with CommitDelete
 // then CommitInsert, in that order.
 func (r *Relation) StageModify(es surrogate.Surrogate, vt element.Timestamp, varying []element.Value) (old, repl *element.Element, tt chronon.Chronon, err error) {
-	old, ok := r.ByES(es)
+	i, ok := r.position(es)
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("relation %s: modify %v: %w", r.schema.Name, es, ErrNoSuchElement)
 	}
+	old = r.staged(i)
 	if !old.Current() {
 		return nil, nil, 0, fmt.Errorf("relation %s: modify %v: %w", r.schema.Name, es, ErrAlreadyDeleted)
 	}

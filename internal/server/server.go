@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/integrity"
@@ -1004,31 +1003,23 @@ func (s *Server) handleModify(r *http.Request) (*response, *apiError) {
 }
 
 // runQueryKind dispatches one of the engine's query kinds against an entry.
+// The answer stays where the store holds it: the body encodes it from there.
 func (s *Server) runQueryKind(ctx context.Context, e *catalog.Entry, kind string, vt, tt int64) (catalog.QueryResult, *apiError) {
-	var res catalog.QueryResult
-	var err error
-	switch kind {
-	case wire.QueryCurrent:
-		res, err = e.CurrentCtx(ctx)
-	case wire.QueryTimeslice:
-		res, err = e.TimesliceCtx(ctx, chronon.Chronon(vt))
-	case wire.QueryRollback:
-		res, err = e.RollbackCtx(ctx, chronon.Chronon(tt))
-	case wire.QueryAsOf:
-		res, err = e.TimesliceAsOfCtx(ctx, chronon.Chronon(vt), chronon.Chronon(tt))
-	default:
+	pq, ok := kindQuery(kind, vt, tt)
+	if !ok {
 		return catalog.QueryResult{}, errBadRequest("unknown query kind %q (want %s|%s|%s|%s)",
 			kind, wire.QueryCurrent, wire.QueryTimeslice, wire.QueryRollback, wire.QueryAsOf)
 	}
+	res, err := e.AnswerCtx(ctx, pq)
 	if err != nil {
 		return catalog.QueryResult{}, mapError(err)
 	}
 	return res, nil
 }
 
-func queryResponseBody(res catalog.QueryResult) wire.QueryBody {
+func queryResponseBody(res *catalog.QueryResult) wire.QueryBody {
 	return wire.QueryBody{
-		Elements: res.Elements,
+		Answer:   *res.Answer(),
 		Images:   res.Images,
 		Plan:     res.Plan,
 		PlanNode: wire.FromPlanNode(res.Node),
@@ -1050,7 +1041,7 @@ func (s *Server) handleQuery(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &response{body: queryResponseBody(res), touched: res.Touched}, nil
+	return &response{body: queryResponseBody(&res), touched: res.Touched}, nil
 }
 
 // handleQueryGet is the cache-aware form of the query endpoint: the same
@@ -1085,7 +1076,7 @@ func (s *Server) handleQueryGet(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	out.body, out.touched, out.etag = queryResponseBody(res), res.Touched, s.validator(name, res.Epoch)
+	out.body, out.touched, out.etag = queryResponseBody(&res), res.Touched, s.validator(name, res.Epoch)
 	return &out, nil
 }
 

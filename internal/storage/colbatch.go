@@ -86,6 +86,15 @@ func NewBatchReader(st Store, event bool) *BatchReader {
 	return &BatchReader{s: *s, kind: st.Kind(), event: event, end: s.chunks()}
 }
 
+// Reset readies the reader to read its store again from the first chunk,
+// with no narrowing and nothing skipped, keeping what it has allocated: its
+// Load binding and its scratch. A caller that folds several stretches of one
+// view resets one reader between them.
+func (r *BatchReader) Reset() {
+	*r = BatchReader{s: r.s, kind: r.kind, event: r.event, end: r.s.chunks(),
+		load: r.load, scratch: r.scratch, rows: r.rows, rowPtrs: r.rowPtrs}
+}
+
 // SeekVT bounds the reader by the vt-ordered log's order to the chunks that
 // can hold an element valid during [lo, hi): it starts at the chunk of the
 // first element whose valid time reaches past lo — vtRangeOrdered's search —
@@ -233,11 +242,7 @@ func (r *BatchReader) Cols() *vec.Cols {
 // into the reader's scratch version, which the next call overwrites: the
 // view's Load.
 func (r *BatchReader) slot(j int) *element.Element {
-	c := r.s.chunk(r.next - 1)
-	col := c.col
-	r.scratch.grow(1, col.nInv+col.nVar, col.nUser)
-	col.load(j, c.ttEnd[j], &r.scratch.els[0], r.scratch.vals, r.scratch.users)
-	return &r.scratch.els[0]
+	return r.scratch.one(r.s.chunk(r.next-1), j)
 }
 
 // Rows returns the elements of the unit the last Advance stopped at: an

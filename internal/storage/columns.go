@@ -9,9 +9,9 @@ import (
 	"repro/internal/vec"
 )
 
-// A sealed chunk is columns. On the vt-ordered log a chunk is sealed the
-// moment it fills (push), and Compact seals whatever full chunk a relabel
-// left as elements: its runSize versions are copied into one columns block
+// A sealed chunk is columns. On every label a chunk is sealed the moment it
+// fills (RunStore.Insert), and Retype and Compact seal whatever full chunk is
+// still elements: its runSize versions are copied into one columns block
 // — the surrogates, tt⊢ and valid-time columns, the value kinds and words,
 // one string arena — and a tt⊣ column of its own, and the chunk lets go of
 // its element pointers. A block holds no pointer but the four at its head,
@@ -22,9 +22,10 @@ import (
 // lives in the chunk's tt⊣ column, which a close copies before writing
 // unless the live side allocated it since the last snapshot (seq.own): the
 // same contract as a Replace's chunk copy. Reads filter on the columns and
-// materialize only the versions of their answer, into one slab per answer
-// (answer.finish); the cold paths — Scan, Runs, Elements, At — materialize
-// whole chunks, each into fresh memory.
+// name the slots they take (Answer): nothing is materialized until a
+// consumer that needs rows asks (Answer.Elements), and then into one slab
+// per answer; the cold paths — Scan, Runs, Elements, At — materialize whole
+// chunks, each into fresh memory.
 
 // columns is one sealed chunk's versions. The slices and the arena come
 // first, so that the collector, which scans an object no further than its
@@ -157,10 +158,13 @@ func (c *columns) stamp(j int, tte chronon.Chronon, dst *element.Element) {
 		VT: element.Stamp(c.stampKind(), c.vtLo[j], c.end(j))}
 }
 
-// load writes slot j's version, closed at tte, into dst, with its values
-// in vals (nInv+nVar long) and its user times in users (nUser long).
-func (c *columns) load(j int, tte chronon.Chronon, dst *element.Element, vals []element.Value, users []chronon.Chronon) {
-	c.stamp(j, tte, dst)
+// load returns slot j's version, closed at tte, with its values in vals
+// (nInv+nVar long) and its user times in users (nUser long). It returns the
+// version by value, so that memory a caller keeps on its stack — a
+// Version — stays there.
+func (c *columns) load(j int, tte chronon.Chronon, vals []element.Value, users []chronon.Chronon) element.Element {
+	e := element.Element{ES: c.es[j], OS: c.os[j], TTStart: c.ttStart[j], TTEnd: tte,
+		VT: element.Stamp(c.stampKind(), c.vtLo[j], c.end(j))}
 	nv := c.nInv + c.nVar
 	kinds, words := c.kinds[j*nv:(j+1)*nv], c.words[j*nv:(j+1)*nv]
 	for t := range vals {
@@ -168,23 +172,24 @@ func (c *columns) load(j int, tte chronon.Chronon, dst *element.Element, vals []
 	}
 	switch {
 	case c.nInv > 0:
-		dst.Invariant = vals[:c.nInv:c.nInv]
+		e.Invariant = vals[:c.nInv:c.nInv]
 	case !c.nilInv:
-		dst.Invariant = []element.Value{}
+		e.Invariant = []element.Value{}
 	}
 	switch {
 	case c.nVar > 0:
-		dst.Varying = vals[c.nInv:nv:nv]
+		e.Varying = vals[c.nInv:nv:nv]
 	case !c.nilVar:
-		dst.Varying = []element.Value{}
+		e.Varying = []element.Value{}
 	}
 	switch {
 	case c.nUser > 0:
 		copy(users, c.users[j*c.nUser:(j+1)*c.nUser])
-		dst.UserTimes = users[:c.nUser:c.nUser]
+		e.UserTimes = users[:c.nUser:c.nUser]
 	case !c.nilUsers:
-		dst.UserTimes = []chronon.Chronon{}
+		e.UserTimes = []chronon.Chronon{}
 	}
+	return e
 }
 
 // view is sealed chunk c as a fold reads it in place: its columns and its
@@ -229,7 +234,7 @@ func (s *slab) fill(c *chunk, from, to int, out []*element.Element) {
 	s.grow(to-from, (to-from)*nv, (to-from)*nu)
 	for j := from; j < to; j++ {
 		t := j - from
-		col.load(j, c.ttEnd[j], &s.els[t], s.vals[t*nv:(t+1)*nv], s.users[t*nu:(t+1)*nu])
+		s.els[t] = col.load(j, c.ttEnd[j], s.vals[t*nv:(t+1)*nv], s.users[t*nu:(t+1)*nu])
 		out[t] = &s.els[t]
 	}
 }
@@ -247,136 +252,64 @@ func (s *seq) materialize(k int) []*element.Element {
 	return out
 }
 
-// answer is a read's result as a walk builds it: the elements of element
-// chunks as they lie, and, for a version of a sealed chunk, a nil place
-// and its position in want. finish materializes every wanted version into
-// one slab and fills the places, so an answer costs one allocation of each
-// kind however many sealed chunks it draws on. On the vt-ordered log, which
-// seals, finish copies the element chunks' elements into the slab too.
-type answer struct {
-	out  []*element.Element
-	want []int
-}
-
-// take appends the version at position i, which a sealed chunk holds.
-func (a *answer) take(i int) {
-	a.out = append(a.out, nil)
-	a.want = append(a.want, i)
-}
-
-// finish materializes the wanted versions — and, on the vt-ordered log,
-// copies the rest — and returns the answer.
-func (a *answer) finish(s *seq) []*element.Element {
-	detach := s.kind == VTOrdered
-	if len(a.want) == 0 && (!detach || len(a.out) == 0) {
-		return a.out
-	}
-	n, nv, nu := 0, 0, 0
-	for _, i := range a.want {
-		col := s.chunk(i / runSize).col
-		n, nv, nu = n+1, nv+col.nInv+col.nVar, nu+col.nUser
-	}
-	if detach {
-		for _, e := range a.out {
-			if e != nil {
-				n, nv, nu = n+1, nv+len(e.Invariant)+len(e.Varying), nu+len(e.UserTimes)
-			}
-		}
-	}
-	var sl slab
-	sl.grow(n, nv, nu)
-	t, w, v, u := 0, 0, 0, 0
-	for o, e := range a.out {
-		if e != nil && !detach {
-			continue
-		}
-		dst := &sl.els[t]
-		if e != nil {
-			v, u = copyElement(dst, e, sl.vals, sl.users, v, u)
-		} else {
-			i := a.want[w]
-			c := s.chunk(i / runSize)
-			col, j := c.col, i%runSize
-			cv, cu := col.nInv+col.nVar, col.nUser
-			col.load(j, c.ttEnd[j], dst, sl.vals[v:v+cv], sl.users[u:u+cu])
-			w, v, u = w+1, v+cv, u+cu
-		}
-		a.out[o] = dst
-		t++
-	}
-	return a.out
-}
-
-// copyElement writes a copy of e into dst, its lists into vals and users
-// from v and u on, nil where e's are nil and empty where they are empty,
-// and returns where the next copy's lists begin.
-func copyElement(dst, e *element.Element, vals []element.Value, users []chronon.Chronon, v, u int) (int, int) {
-	*dst = *e
-	ni, nv := len(e.Invariant), len(e.Varying)
-	if e.Invariant != nil {
-		dst.Invariant = vals[v : v+ni : v+ni]
-		copy(dst.Invariant, e.Invariant)
-	}
-	if e.Varying != nil {
-		dst.Varying = vals[v+ni : v+ni+nv : v+ni+nv]
-		copy(dst.Varying, e.Varying)
-	}
-	if e.UserTimes != nil {
-		dst.UserTimes = users[u : u+len(e.UserTimes) : u+len(e.UserTimes)]
-		copy(dst.UserTimes, e.UserTimes)
-	}
-	return v + ni + nv, u + len(e.UserTimes)
+// one materializes slot j of sealed chunk c into s, which the next call
+// overwrites.
+func (s *slab) one(c *chunk, j int) *element.Element {
+	col := c.col
+	s.grow(1, col.nInv+col.nVar, col.nUser)
+	s.els[0] = col.load(j, c.ttEnd[j], s.vals, s.users)
+	return &s.els[0]
 }
 
 // The column filters: the per-slot loops of the walks over a sealed chunk,
-// each out of line for the reason appendPresent gives. base is the chunk's
-// first position; only slots [from, to) are read.
+// each out of line for the reason appendPresent gives. Each adds the slots it
+// takes to the span; only slots [from, to) are read.
 
 //go:noinline
-func (a *answer) presentCols(c *chunk, base, to int, tt chronon.Chronon) {
+func (sp *Span) presentCols(c *chunk, to int, tt chronon.Chronon) {
 	col, tte := c.col, c.ttEnd
 	for j := range to {
 		if col.ttStart[j] <= tt && tt < tte[j] {
-			a.take(base + j)
+			sp.take(j)
 		}
 	}
 }
 
 //go:noinline
-func (a *answer) currentCols(c *chunk, base int) {
+func (sp *Span) currentCols(c *chunk) {
 	tte := c.ttEnd
 	for j := range runSize {
 		if tte[j] == chronon.Forever {
-			a.take(base + j)
+			sp.take(j)
 		}
 	}
 }
 
 //go:noinline
-func (a *answer) validCols(c *chunk, base, from, to int, lo, hi chronon.Chronon) {
+func (sp *Span) validCols(c *chunk, from, to int, lo, hi chronon.Chronon) {
 	col, tte := c.col, c.ttEnd
 	if col.event {
 		for j := from; j < to; j++ {
 			if tte[j] == chronon.Forever && lo <= col.vtLo[j] && col.vtLo[j] < hi {
-				a.take(base + j)
+				sp.take(j)
 			}
 		}
 		return
 	}
 	for j := from; j < to; j++ {
 		if tte[j] == chronon.Forever && col.vtLo[j] < hi && lo < col.vtHi[j] {
-			a.take(base + j)
+			sp.take(j)
 		}
 	}
 }
 
 //go:noinline
-func (a *answer) asOfCols(c *chunk, base int, vt, tt chronon.Chronon) {
+func (sp *Span) asOfCols(c *chunk, vt, tt chronon.Chronon) {
 	col, tte := c.col, c.ttEnd
 	for j := range runSize {
 		if col.ttStart[j] <= tt && tt < tte[j] && col.vtLo[j] <= vt &&
 			(col.event && vt == col.vtLo[j] || !col.event && vt < col.vtHi[j]) {
-			a.take(base + j)
+			sp.take(j)
 		}
 	}
 }
@@ -386,13 +319,26 @@ func (a *answer) asOfCols(c *chunk, base int, vt, tt chronon.Chronon) {
 // materialized, all of them into one slab.
 func Gather(st Store, pos []int) []*element.Element {
 	s := seqOf(st)
-	a := answer{out: make([]*element.Element, 0, len(pos))}
+	out := make([]*element.Element, len(pos))
+	n, nv, nu := 0, 0, 0
 	for _, i := range pos {
-		if c := s.chunk(i / runSize); c.col != nil {
-			a.take(i)
-		} else {
-			a.out = append(a.out, c.elems[i%runSize])
+		if col := s.chunk(i / runSize).col; col != nil {
+			n, nv, nu = n+1, nv+col.nInv+col.nVar, nu+col.nUser
 		}
 	}
-	return a.finish(s)
+	var sl slab
+	sl.grow(n, nv, nu)
+	t, v, u := 0, 0, 0
+	for o, i := range pos {
+		c, j := s.chunk(i/runSize), i%runSize
+		if c.col == nil {
+			out[o] = c.elems[j]
+			continue
+		}
+		cv, cu := c.col.nInv+c.col.nVar, c.col.nUser
+		sl.els[t] = c.col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu])
+		out[o] = &sl.els[t]
+		t, v, u = t+1, v+cv, u+cu
+	}
+	return out
 }

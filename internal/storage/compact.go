@@ -21,9 +21,11 @@ import (
 // append-only claim measurable: an ordered, slowly-varying timestamp column
 // delta-encodes to a small fraction of its flat width.
 //
-// Compaction is scheduled by class: the catalog's advisor loop seals only
+// Compaction is scheduled by class: the catalog's advisor loop measures only
 // relations whose live organization is the vt-ordered log — the append-only
-// designs of §3.1/§3.2, where the prefix is stable by promise.
+// designs of §3.1/§3.2, where the prefix is stable by promise. Turning a full
+// chunk into columns is another matter, done on every label as the chunk
+// fills (columns.go).
 
 // packedSize is the byte size of the (tt⊢, tt⊣, vt⊢, vt⊣) columns of the
 // first n slots of c, in either form, delta-encoded: per column, the first
@@ -72,22 +74,20 @@ func (s *seq) seal() int {
 }
 
 // Compact seals full runs over the stable prefix of a log and returns how
-// many elements it newly measured. The heap seals nothing. Runs sealed
-// before a Retype dropped the promise stay counted. On the vt-ordered log it
-// also turns into columns every full chunk still elements (sealFull).
+// many elements it newly measured. The heap measures nothing. Runs measured
+// before a Retype dropped the promise stay counted. On every label it also
+// turns into columns every full chunk still elements (sealFull).
 func (s *RunStore) Compact() int {
+	s.sealFull()
 	if s.kind == Heap {
 		return 0
-	}
-	if s.kind == VTOrdered {
-		s.sealFull()
 	}
 	return s.seal()
 }
 
 // sealFull turns every full element chunk from the first one not yet
-// sealed on into columns: what push does to a chunk that fills under the
-// vt-ordered label, for the chunks that filled under another one. A frozen
+// sealed on into columns: what Insert does to a chunk as it fills, for the
+// chunks a sealing refused or that filled before there was sealing. A frozen
 // snapshot refuses.
 func (s *seq) sealFull() {
 	if s.frozen {
@@ -100,19 +100,16 @@ func (s *seq) sealFull() {
 
 // rollback is the log organizations' rollback: binary search for the prefix
 // with tt⊢ ≤ tt, then a filter of it.
-func (s *seq) rollback(tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
+func (s *seq) rollback(tt chronon.Chronon) (Answer, int) {
 	return s.presentIn(s.SearchTT(tt, false), tt)
 }
 
 // presentIn filters the first n elements, run by run, for those present at
 // tt. A full chunk whose zone map says nothing in it is present at tt — none
 // of its elements had begun by tt, or every one had been closed by it — is
-// skipped for one probe. Every full chunk that supplied a dense stretch of
-// the answer is reported as a span, also the one n cuts: a span names the
-// chunk, not the slots read.
-func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	var a answer
-	var spans []ChunkSpan
+// skipped for one probe.
+func (s *seq) presentIn(n int, tt chronon.Chronon) (Answer, int) {
+	var a Answer
 	touched := 0
 	for k := 0; k*runSize < n; k++ {
 		c := s.chunk(k)
@@ -122,17 +119,16 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) ([]*element.Element, []ChunkS
 		}
 		end := min(n-k*runSize, s.n-k*runSize, runSize)
 		touched += end
-		from := len(a.out)
 		if c.col != nil {
-			a.presentCols(c, k*runSize, end, tt)
+			a.open(c, k).presentCols(c, end, tt)
+			a.shut()
 		} else {
-			a.out = appendPresent(a.out, c.elems[:end], tt)
-		}
-		if s.full(k) {
-			c.span(&spans, k, from, len(a.out))
+			from := len(a.els)
+			a.els = appendPresent(a.els, c.elems[:end], tt)
+			a.took(from)
 		}
 	}
-	return a.finish(s), spans, touched
+	return a.done(), touched
 }
 
 // appendPresent appends the elements of run present at tt. The four walks
@@ -157,32 +153,29 @@ func appendPresent(out, run []*element.Element, tt chronon.Chronon) []*element.E
 // vtScan is the valid-time scan for stores with no useful vt order (the
 // heap and the tt log): full chunks whose valid-time envelope misses
 // [lo, hi), or that hold no current element, are skipped for one probe;
-// everything else is visited, and a full chunk that supplied a dense stretch
-// of the answer is reported as a span.
-func (s *seq) vtScan(lo, hi chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	var a answer
-	var spans []ChunkSpan
+// everything else is visited.
+func (s *seq) vtScan(lo, hi chronon.Chronon) (Answer, int) {
+	var a Answer
 	touched := 0
 	for k := range s.chunks() {
-		c, full := s.chunk(k), s.full(k)
-		if full && (!c.live() || c.vtMisses(lo, hi)) {
+		c := s.chunk(k)
+		if s.full(k) && (!c.live() || c.vtMisses(lo, hi)) {
 			touched++
 			continue
 		}
-		from := len(a.out)
 		if c.col != nil {
 			touched += runSize
-			a.validCols(c, k*runSize, 0, runSize, lo, hi)
+			a.open(c, k).validCols(c, 0, runSize, lo, hi)
+			a.shut()
 		} else {
 			run := s.run(k)
 			touched += len(run)
-			a.out = appendValid(a.out, run, lo, hi)
-		}
-		if full {
-			c.span(&spans, k, from, len(a.out))
+			from := len(a.els)
+			a.els = appendValid(a.els, run, lo, hi)
+			a.took(from)
 		}
 	}
-	return a.finish(s), spans, touched
+	return a.done(), touched
 }
 
 // appendValid appends the current elements of run valid during [lo, hi).
@@ -204,15 +197,15 @@ func appendValid(out, run []*element.Element, lo, hi chronon.Chronon) []*element
 // monotone — then walks forward until starts pass hi, skipping any full
 // chunk that holds no current element and stopping early when a chunk's
 // minimum start already passes hi. The probe counts as one touch.
-func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
+func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
 	start := s.searchVTEnd(lo)
-	var a answer
+	var a Answer
 	touched := 1
 	for k := start / runSize; k < s.chunks(); k++ {
 		c := s.chunk(k)
 		if s.full(k) {
 			if c.vtLo >= hi {
-				return a.finish(s), touched
+				return a.done(), touched
 			}
 			if !c.live() {
 				touched++
@@ -232,39 +225,41 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) ([]*element.Element, int) {
 			if to < runSize {
 				touched++
 			}
-			a.validCols(c, k*runSize, from, to, lo, hi)
+			a.open(c, k).validCols(c, from, to, lo, hi)
+			a.shut()
 			if to < runSize {
-				return a.finish(s), touched
+				return a.done(), touched
 			}
 			continue
 		}
 		run := s.run(k)[from:]
+		at := len(a.els)
 		for _, e := range run {
 			touched++
 			if e.VT.Start() >= hi {
-				return a.finish(s), touched
+				a.took(at)
+				return a.done(), touched
 			}
 			if e.Current() && ValidDuring(e, lo, hi) {
-				a.out = append(a.out, e)
+				a.els = append(a.els, e)
 			}
 		}
+		a.took(at)
 	}
-	return a.finish(s), touched
+	return a.done(), touched
 }
 
 // AsOf answers the bitemporal query over st: the elements present at tt and
-// valid at vt, in arrival order, with the spans of the full chunks that
-// supplied them and the number touched — elements visited plus one probe per
-// pruned chunk. No organization orders both dimensions, so it scans, but
-// only the chunks the query can touch: a full chunk whose valid-time envelope
-// misses vt, or that holds nothing present at tt, is skipped on every
-// organization, and where arrival order is tt⊢ order the scan ends at the
-// first chunk that begins after tt. It is cooperative: it polls ctx once a
-// chunk.
-func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int, error) {
+// valid at vt, in arrival order, and the number touched — elements visited
+// plus one probe per pruned chunk. No organization orders both dimensions,
+// so it scans, but only the chunks the query can touch: a full chunk whose
+// valid-time envelope misses vt, or that holds nothing present at tt, is
+// skipped on every organization, and where arrival order is tt⊢ order the
+// scan ends at the first chunk that begins after tt. It is cooperative: it
+// polls ctx once a chunk.
+func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) (Answer, int, error) {
 	s, ttOrdered := seqOf(st), st.Kind() != Heap
-	var a answer
-	var spans []ChunkSpan
+	var a Answer
 	touched := 0
 	for k := range s.chunks() {
 		c := s.chunk(k)
@@ -273,26 +268,25 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) ([]*element.Ele
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, touched, err
+			return Answer{}, touched, err
 		}
 		if s.full(k) && (c.vtMissesAt(vt) || c.deadAt(tt)) {
 			touched++
 			continue
 		}
-		from := len(a.out)
 		if c.col != nil {
 			touched += runSize
-			a.asOfCols(c, k*runSize, vt, tt)
+			a.open(c, k).asOfCols(c, vt, tt)
+			a.shut()
 		} else {
 			run := s.run(k)
 			touched += len(run)
-			a.out = appendAsOf(a.out, run, vt, tt)
-		}
-		if s.full(k) {
-			c.span(&spans, k, from, len(a.out))
+			from := len(a.els)
+			a.els = appendAsOf(a.els, run, vt, tt)
+			a.took(from)
 		}
 	}
-	return a.finish(s), spans, touched, nil
+	return a.done(), touched, nil
 }
 
 // appendAsOf appends the elements of run present at tt and valid at vt.

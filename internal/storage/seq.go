@@ -21,9 +21,10 @@ const blockSize = 64
 
 // seq is the persistent element sequence under every organization: arrival
 // order, cut into fixed chunks that hang, blockSize at a time, off the blocks
-// of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize). A full
-// chunk has two forms: element pointers, and on the vt-ordered log sealed
-// columns (columns.go). Apart from that, once Compact has measured it, it is
+// of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize). A chunk
+// holds element pointers while it fills and, on every label, sealed columns
+// once it is full (columns.go); a full chunk stays elements only when its
+// versions' shapes differ. Apart from that, once Compact has measured it, it is
 // also sealed run k of the packed-size count; measured chunks form a prefix,
 // and measuring writes nothing into them (compact.go).
 //
@@ -48,10 +49,7 @@ type seq struct {
 	// elements by a sealing that refused their mixed shapes: Compact seals
 	// from there.
 	cols int
-	// kind is the organization's label (RunStore). The vt-ordered log
-	// seals its chunks, so an answer there copies the head chunk's elements
-	// it takes too (answer.finish): no answer, and no cache that keeps one,
-	// holds an element the next seal lets go of.
+	// kind is the organization's label (RunStore).
 	kind Kind
 	// packedBytes totals the sealed runs' delta-encoded sizes, measured by
 	// seal, so the footprint reports are O(1) in runs.
@@ -145,8 +143,8 @@ func (z *zone) vtMissesAt(vt chronon.Chronon) bool   { return vt < z.vtLo || z.v
 func (z *zone) vtWithin(lo, hi chronon.Chronon) bool { return lo <= z.vtLo && z.vtLast < hi }
 
 // chunk is runSize version slots and the zone map over them: element
-// pointers while the chunk fills, and on the vt-ordered log, once it is
-// full, sealed columns (columns.go) — col and its tt⊣ column, elems nil.
+// pointers while the chunk fills, and once it is full sealed columns
+// (columns.go) — col and its tt⊣ column, elems nil.
 type chunk struct {
 	edit uint64
 	// slotsEdit stamps the slot array — elems, or the tt⊣ column of a
@@ -236,10 +234,21 @@ func (s *seq) At(i int) *element.Element {
 	if c.col == nil {
 		return c.elems[uint(i)%runSize]
 	}
-	out := [1]*element.Element{}
-	var sl slab
-	sl.fill(c, i%runSize, i%runSize+1, out[:])
-	return out[0]
+	return fresh(c, i%runSize)
+}
+
+// Copy returns a copy of the version at position i in memory of its own,
+// the caller's to modify: an element chunk's element copied shallowly —
+// stored elements are immutable, so the two may share their values — and a
+// sealed chunk's materialized. What a close swaps in (ReplaceAt) starts as
+// one.
+func (s *seq) Copy(i int) *element.Element {
+	c := s.chunk(i / runSize)
+	if c.col == nil {
+		cp := *c.elems[uint(i)%runSize]
+		return &cp
+	}
+	return fresh(c, i%runSize)
 }
 
 // StampAt writes the surrogates and timestamps of the version at position

@@ -139,8 +139,8 @@ func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
 		got, _ = st.Rollback(tt)
 		same(fmt.Sprintf("Rollback(%v)", tt), got, present)
 		if rs, ok := st.(*RunStore); ok {
-			got, _ = rs.TTWindow(ttLo, tt)
-			same(fmt.Sprintf("TTWindow(%v, %v)", ttLo, tt), got, window)
+			a, _ := rs.ttWindow(ttLo, tt, false, 0, 0)
+			same(fmt.Sprintf("ttWindow(%v, %v)", ttLo, tt), a.Elements(), window)
 		}
 	}
 }

@@ -1,71 +1,297 @@
 package storage
 
 import (
+	"math/bits"
+	"unsafe"
+
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/surrogate"
 )
 
-// ChunkSpan says where a stretch of a read's answer came from: the N
-// consecutive result elements starting at At all sit in full chunk Chunk, in
-// slot order, and the chunk's lifetime close count was Closes when the read
-// saw it. Within one generation of a store (Chunk, Closes) names the chunk's
-// 256 versions exactly — every slot is filled, a version is never edited in
-// place, and the only change a slot ever sees is the close that finalizes its
-// tt⊣ and bumps the count (seq.ReplaceAt), whether the chunk holds elements
-// or is sealed columns — so whatever is derived from those versions alone,
-// such as their encoding, can be kept under that name and found again by a
-// later read (DESIGN §8).
-type ChunkSpan struct {
-	At, N  int
-	Chunk  int
-	Closes int
+// Answer is a read's result as the view it was read on holds it: spans, in
+// answer order, each either the slots of one sealed chunk that the answer
+// takes or elements of element chunks as they lie. Nothing is copied out of
+// a sealed chunk: a span names the chunk — the chunk struct the view held,
+// whose columns are immutable — and a set of its slots. An answer is stable
+// only when read on a snapshot (Snapshot): the live store's first close
+// into a chunk after a snapshot copies its tt⊣ column before it writes
+// (seq.ownSlots), so the snapshot keeps the old one, but later closes write
+// the live store's own column in place, so an answer read on the live store
+// changes under a close made before it is encoded or materialized. So an answer costs a
+// span header per chunk it draws on and a pointer per element of an element
+// chunk (the head, or one whose mixed shapes sealColumns refused), however
+// many versions it holds; a result cache that keeps it keeps that. Elements
+// materializes it, for the consumers that need rows; an encoder reads the
+// spans (wire.QueryBody).
+type Answer struct {
+	spans []Span
+	els   []*element.Element // the element spans' elements, in answer order
+	n     int
 }
 
-// spanMin is the fewest result elements a full chunk must contribute before a
-// walk reports a span for it: an eighth of the chunk. Below that, keeping the
-// whole chunk's derived bytes to save so few costs more than it returns — and
-// a read that takes one element from a chunk, which is every read on a
-// specialized organization, records and allocates nothing (DESIGN §8 has the
-// measurement).
-const spanMin = runSize / 8
+// Span is one stretch of an answer: Len slots of one sealed chunk, or
+// elements of element chunks.
+type Span struct {
+	c      *chunk // the sealed chunk as the answer's view holds it; nil for elements
+	chunk  int
+	closes int
+	n      int
+	slots  Slots
+	els    []*element.Element
+}
 
-// span appends the span for result[from:to] out of full chunk k, when it is
-// dense enough to be worth one. Once per visited chunk, never per element —
-// and out of line, through a pointer: a walk spends most of its turns
-// skipping chunks on their zone maps, and inlined the slice header rode in
-// registers through that loop, which cost each skipped chunk up to a
-// nanosecond of spills, a quarter of a pruned scan.
-//
-//go:noinline
-func (c *chunk) span(spans *[]ChunkSpan, k, from, to int) {
-	if to-from < spanMin {
+// ChunkSize is how many version slots a chunk has.
+const ChunkSize = runSize
+
+// SealedSpanPins is what a sealed span can keep alive that the store no
+// longer holds: its chunk's header and tt⊣ column as the answer's view held
+// them, which the live store copies at its next close into the chunk
+// (seq.ownSlots) while the span keeps the old ones.
+const SealedSpanPins = int(unsafe.Sizeof(chunk{})) + ChunkSize*int(unsafe.Sizeof(chronon.Chronon(0)))
+
+// Slots is a set of one chunk's slots, a bit a slot.
+type Slots [runSize / 64]uint64
+
+func (s *Slots) add(j int) { s[uint(j)/64] |= 1 << (uint(j) % 64) }
+
+// Next returns the first slot at or past j in the set, runSize when there is
+// none; End the first slot at or past j that is not in it. A set is walked
+// stretch by stretch: for a := s.Next(0); a < runSize; a = s.Next(b) {
+// b := s.End(a); … }.
+func (s *Slots) Next(j int) int { return s.scan(j, 0) }
+func (s *Slots) End(j int) int  { return s.scan(j, ^uint64(0)) }
+
+// scan returns the first slot at or past j whose bit, flipped by inv, is set.
+func (s *Slots) scan(j int, inv uint64) int {
+	for w := j / 64; w < len(s); w++ {
+		word := s[w] ^ inv
+		if w == j/64 {
+			word &= ^uint64(0) << (uint(j) % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return runSize
+}
+
+// Len reports how many versions the answer holds.
+func (a *Answer) Len() int { return a.n }
+
+// Spans returns the answer's spans in answer order; the slice is the
+// answer's.
+func (a *Answer) Spans() []Span { return a.spans }
+
+// Sealed reports whether the span is slots of a sealed chunk.
+func (sp *Span) Sealed() bool { return sp.c != nil }
+
+// Len reports how many versions the span holds.
+func (sp *Span) Len() int { return sp.n }
+
+// Chunk and Closes name a sealed span's chunk: its ordinal and its lifetime
+// close count as the answer's view held it. Within one generation of a store
+// the pair names the chunk's runSize versions exactly — every slot is filled,
+// a version is never edited in place, and the only change a slot ever sees is
+// the close that finalizes its tt⊣ and bumps the count (seq.ReplaceAt) — so
+// whatever is derived from those versions alone, such as their encoding, can
+// be kept under that name and found again by a later read (DESIGN §8).
+func (sp *Span) Chunk() int  { return sp.chunk }
+func (sp *Span) Closes() int { return sp.closes }
+
+// Slots is a sealed span's slot set.
+func (sp *Span) Slots() *Slots { return &sp.slots }
+
+// Elements is an element span's elements, read-only; nil for a sealed span.
+func (sp *Span) Elements() []*element.Element { return sp.els }
+
+// Key is the version in slot j of a sealed span's chunk: its surrogate and
+// tt⊣, which within a store tell one version from every other.
+func (sp *Span) Key(j int) (surrogate.Surrogate, chronon.Chronon) {
+	return sp.c.col.es[j], sp.c.ttEnd[j]
+}
+
+// Load materializes slot j of a sealed span's chunk — any slot, in the set or
+// not — its lists in v, which the next Load into v overwrites.
+func (sp *Span) Load(j int, v *Version) element.Element { return v.load(sp.c, j) }
+
+// Version is memory for the lists of one materialized version, reused from
+// load to load: what an encoder reads a sealed slot through. A version of a
+// few values and user times keeps them in the Version itself, so that one
+// on the stack serves a whole answer and allocates nothing; a larger one in
+// a slab it grows once.
+type Version struct {
+	vals  [4]element.Value
+	users [2]chronon.Chronon
+	sl    slab
+}
+
+// load materializes slot j of sealed chunk c, its lists in v: in its arrays
+// when they are large enough, else in its slab.
+func (v *Version) load(c *chunk, j int) element.Element {
+	col := c.col
+	nv, nu := col.nInv+col.nVar, col.nUser
+	vals, users := v.vals[:], v.users[:]
+	if nv > len(vals) || nu > len(users) {
+		v.sl.grow(1, nv, nu)
+		vals, users = v.sl.vals, v.sl.users
+	}
+	return col.load(j, c.ttEnd[j], vals[:nv], users[:nu])
+}
+
+// owned is a materialized version in memory of its own: the element and its
+// lists, one allocation.
+type owned struct {
+	e element.Element
+	v Version
+}
+
+// fresh materializes slot j of sealed chunk c into memory of its own.
+func fresh(c *chunk, j int) *element.Element {
+	o := new(owned)
+	o.e = o.v.load(c, j)
+	return &o.e
+}
+
+// ChunkOf returns full chunk k of st as a span of all its slots: a sealed
+// chunk's columns, or an element chunk's elements.
+func ChunkOf(st Store, k int) Span {
+	s := seqOf(st)
+	c := s.chunk(k)
+	if c.col == nil {
+		return Span{chunk: k, closes: c.closes, n: runSize, els: c.elems[:]}
+	}
+	sp := Span{c: c, chunk: k, closes: c.closes, n: runSize}
+	for w := range sp.slots {
+		sp.slots[w] = ^uint64(0)
+	}
+	return sp
+}
+
+// ChunkCloses returns full chunk k's lifetime close count as st holds it.
+func ChunkCloses(st Store, k int) int {
+	return seqOf(st).chunk(k).closes
+}
+
+// ElementAnswer is the answer made of els as they are: what a read that
+// finds its versions otherwise than by a chunk walk — an index seek — gives.
+func ElementAnswer(els []*element.Element) Answer {
+	if len(els) == 0 {
+		return Answer{}
+	}
+	return Answer{spans: []Span{{n: len(els), els: els}}, els: els, n: len(els)}
+}
+
+// Elements materializes the answer: an element span's elements as they lie,
+// and every sealed slot into one slab, so that it costs one allocation of
+// each kind however many sealed chunks the answer draws on. An answer of
+// element spans alone is returned as it lies. The slice and the versions are
+// the caller's to read, not to modify.
+func (a *Answer) Elements() []*element.Element {
+	n, nv, nu := 0, 0, 0
+	for i := range a.spans {
+		if sp := &a.spans[i]; sp.c != nil {
+			col := sp.c.col
+			n, nv, nu = n+sp.n, nv+sp.n*(col.nInv+col.nVar), nu+sp.n*col.nUser
+		}
+	}
+	if n == 0 {
+		return a.els[:len(a.els):len(a.els)]
+	}
+	out := make([]*element.Element, 0, a.n)
+	var sl slab
+	sl.grow(n, nv, nu)
+	t, v, u := 0, 0, 0
+	for i := range a.spans {
+		sp := &a.spans[i]
+		if sp.c == nil {
+			out = append(out, sp.els...)
+			continue
+		}
+		c := sp.c
+		col := c.col
+		cv, cu := col.nInv+col.nVar, col.nUser
+		for j := sp.slots.Next(0); j < runSize; j = sp.slots.Next(j + 1) {
+			sl.els[t] = col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu])
+			out = append(out, &sl.els[t])
+			t, v, u = t+1, v+cv, u+cu
+		}
+	}
+	return out
+}
+
+// The walks build an answer chunk by chunk: a sealed chunk through open, a
+// column filter and shut, an element chunk by appending to els and took.
+
+// open appends a span over sealed chunk c, ordinal k, for a column filter to
+// fill.
+func (a *Answer) open(c *chunk, k int) *Span {
+	a.spans = append(a.spans, Span{c: c, chunk: k, closes: c.closes})
+	return &a.spans[len(a.spans)-1]
+}
+
+// shut keeps the span open appended when its filter took a slot, and drops
+// it when it took none.
+func (a *Answer) shut() {
+	last := len(a.spans) - 1
+	if n := a.spans[last].n; n > 0 {
+		a.n += n
+	} else {
+		a.spans = a.spans[:last]
+	}
+}
+
+// took books els[from:] as the answer's next elements: an element span, or
+// the growth of the one before when that is an element span too.
+func (a *Answer) took(from int) {
+	n := len(a.els) - from
+	if n == 0 {
 		return
 	}
-	if *spans == nil {
-		*spans = make([]ChunkSpan, 0, 16) // a large answer has dozens: spare it the first four growths
+	a.n += n
+	if last := len(a.spans) - 1; last >= 0 && a.spans[last].c == nil {
+		a.spans[last].n += n
+		return
 	}
-	*spans = append(*spans, ChunkSpan{At: from, N: to - from, Chunk: k, Closes: c.closes})
+	a.spans = append(a.spans, Span{n: n})
 }
 
-// Current returns st's current elements in arrival order, with the spans of
-// the full chunks that supplied them; every element is touched.
-func Current(st Store) ([]*element.Element, []ChunkSpan, int) {
-	s := seqOf(st)
-	var a answer
-	var spans []ChunkSpan
-	for k := range s.chunks() {
-		c := s.chunk(k)
-		from := len(a.out)
-		if c.col != nil {
-			a.currentCols(c, k*runSize)
-		} else {
-			a.out = appendCurrent(a.out, s.run(k))
-		}
-		if s.full(k) {
-			c.span(&spans, k, from, len(a.out))
+// done points the element spans at their elements, once els has stopped
+// growing.
+func (a *Answer) done() Answer {
+	at := 0
+	for i := range a.spans {
+		if sp := &a.spans[i]; sp.c == nil {
+			sp.els = a.els[at : at+sp.n : at+sp.n]
+			at += sp.n
 		}
 	}
-	return a.finish(s), spans, s.n
+	return *a
+}
+
+// take adds slot j to the span.
+func (sp *Span) take(j int) {
+	sp.slots.add(j)
+	sp.n++
+}
+
+// Current returns st's current versions in arrival order; every version is
+// touched.
+func Current(st Store) (Answer, int) {
+	s := seqOf(st)
+	var a Answer
+	for k := range s.chunks() {
+		c := s.chunk(k)
+		if c.col != nil {
+			a.open(c, k).currentCols(c)
+			a.shut()
+		} else {
+			from := len(a.els)
+			a.els = appendCurrent(a.els, s.run(k))
+			a.took(from)
+		}
+	}
+	return a.done(), s.n
 }
 
 // appendCurrent appends the current elements of run.
@@ -80,9 +306,8 @@ func appendCurrent(out, run []*element.Element) []*element.Element {
 	return out
 }
 
-// RollbackSpans is st.Rollback(tt) with the spans of the full chunks that
-// supplied the answer.
-func RollbackSpans(st Store, tt chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
+// RollbackAnswer answers st.Rollback(tt).
+func RollbackAnswer(st Store, tt chronon.Chronon) (Answer, int) {
 	s := seqOf(st)
 	if st.Kind() == Heap {
 		return s.presentIn(s.n, tt)
@@ -90,26 +315,41 @@ func RollbackSpans(st Store, tt chronon.Chronon) ([]*element.Element, []ChunkSpa
 	return s.rollback(tt)
 }
 
-// VTRangeSpans is st.VTRange(lo, hi) with the spans of the full chunks that
-// supplied the answer, where the answer comes from a chunk walk: the
-// valid-time scan of the heap and the tt-ordered log. A store that searches
-// or seeks instead reports none; its answers are the short ones.
-func VTRangeSpans(st Store, lo, hi chronon.Chronon) ([]*element.Element, []ChunkSpan, int) {
-	if rs, ok := st.(*RunStore); ok && rs.kind != VTOrdered {
+// VTRangeAnswer answers st.VTRange(lo, hi): a search on the vt-ordered log, a
+// zone-map scan on the heap and the tt-ordered log, and the index seek of an
+// indexed store.
+func VTRangeAnswer(st Store, lo, hi chronon.Chronon) (Answer, int) {
+	if rs, ok := st.(*RunStore); ok {
+		if rs.kind == VTOrdered {
+			return rs.vtRangeOrdered(lo, hi)
+		}
 		return rs.vtScan(lo, hi)
 	}
 	out, touched := st.VTRange(lo, hi)
-	return out, nil, touched
+	return ElementAnswer(out), touched
 }
 
-// ChunkElements returns full chunk k's runSize elements as st holds them:
-// an element chunk's own array, read-only, and a sealed chunk's versions
-// materialized into fresh memory.
-func ChunkElements(st Store, k int) []*element.Element {
-	return seqOf(st).materialize(k)
-}
-
-// ChunkCloses returns full chunk k's lifetime close count as st holds it.
-func ChunkCloses(st Store, k int) int {
-	return seqOf(st).chunk(k).closes
+// AnswerAt is the answer made of the versions at positions pos of st, which
+// ascend: what a read that picked them by position would give.
+func AnswerAt(st Store, pos []int) Answer {
+	s := seqOf(st)
+	var a Answer
+	for o := 0; o < len(pos); {
+		k := pos[o] / runSize
+		c := s.chunk(k)
+		if c.col != nil {
+			sp := a.open(c, k)
+			for ; o < len(pos) && pos[o]/runSize == k; o++ {
+				sp.take(pos[o] % runSize)
+			}
+			a.shut()
+			continue
+		}
+		from := len(a.els)
+		for ; o < len(pos) && pos[o]/runSize == k; o++ {
+			a.els = append(a.els, c.elems[pos[o]%runSize])
+		}
+		a.took(from)
+	}
+	return a.done()
 }

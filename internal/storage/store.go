@@ -207,14 +207,14 @@ func (s *RunStore) Admits(e *element.Element) error {
 }
 
 // Insert appends the element, verifying the orders the kind promises and
-// failing loudly when a declaration was wrong. On the vt-ordered log the
-// element that fills a chunk seals it into columns (columns.go).
+// failing loudly when a declaration was wrong. The element that fills a
+// chunk seals it into columns (columns.go), on every label.
 func (s *RunStore) Insert(e *element.Element) error {
 	if err := s.Admits(e); err != nil {
 		return err
 	}
 	s.push(e)
-	if k := s.n/runSize - 1; s.kind == VTOrdered && s.n%runSize == 0 {
+	if k := s.n/runSize - 1; s.n%runSize == 0 {
 		s.sealChunk(k)
 		if s.cols == k {
 			s.cols++
@@ -227,8 +227,8 @@ func (s *RunStore) Insert(e *element.Element) error {
 var errFrozenRetype = fmt.Errorf("storage: retype of a frozen snapshot")
 
 // Retype re-labels the store in place: same chunks, same sealed runs, same
-// close counts; the vt-ordered label also seals its full element chunks into
-// columns (sealFull). Dropping a promise is O(1) and cannot fail. Adding one
+// close counts, and every full chunk still elements sealed into columns
+// (sealFull). Dropping a promise is O(1) and cannot fail. Adding one
 // verifies, in one pass that allocates nothing, exactly the order Insert
 // would have enforced had the store carried the label all along, and refuses
 // with the error that Insert would have returned — store unchanged — when the
@@ -251,9 +251,7 @@ func (s *RunStore) Retype(k Kind) error {
 		}
 	}
 	s.kind = k
-	if k == VTOrdered {
-		s.sealFull()
-	}
+	s.sealFull()
 	return nil
 }
 
@@ -276,11 +274,8 @@ func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
 // chunk whose valid-time envelope misses [lo, hi), or that holds no current
 // element, is skipped at the cost of one metadata probe.
 func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	if s.kind == VTOrdered {
-		return s.vtRangeOrdered(lo, hi)
-	}
-	out, _, touched := s.vtScan(lo, hi)
-	return out, touched
+	a, touched := VTRangeAnswer(s, lo, hi)
+	return a.Elements(), touched
 }
 
 // Rollback on the logs binary-searches for the prefix with tt⊢ ≤ tt and
@@ -288,33 +283,56 @@ func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
 // order and filters everything. Sealed runs whose every element was already
 // closed by tt are skipped for one metadata probe each.
 func (s *RunStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
-	out, _, touched := RollbackSpans(s, tt)
-	return out, touched
+	a, touched := RollbackAnswer(s, tt)
+	return a.Elements(), touched
 }
 
-// TTWindow returns the elements with lo ≤ tt⊢ ≤ hi, found on the logs by
+// Pushdown answers the valid-time range [vtLo, vtHi) of a relation whose
+// declared bounds confine it to the transaction-time window [lo, hi]: the
+// current elements with lo ≤ tt⊢ ≤ hi valid during [vtLo, vtHi) (ttWindow).
+func (s *RunStore) Pushdown(lo, hi, vtLo, vtHi chronon.Chronon) (Answer, int) {
+	return s.ttWindow(lo, hi, true, vtLo, vtHi)
+}
+
+// ttWindow walks the elements with lo ≤ tt⊢ ≤ hi, found on the logs by
 // binary search on the insertion order — the touched count is the window
-// size plus the probe — and on the heap by filtering everything. This is the
-// access path that bounded specializations unlock: a declared
+// size plus the probe — and on the heap by filtering everything, keeping,
+// when valid is set, only the current ones valid during [vtLo, vtHi). This
+// is the access path that bounded specializations unlock: a declared
 // lo ≤ vt − tt ≤ hi turns a valid-time predicate into exactly such a
 // transaction-time window.
-func (s *RunStore) TTWindow(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	var a answer
+func (s *RunStore) ttWindow(lo, hi chronon.Chronon, valid bool, vtLo, vtHi chronon.Chronon) (Answer, int) {
 	from, to, touched := 0, s.n, s.n
 	if s.kind != Heap {
 		from, to = s.SearchTT(lo, true), s.SearchTT(hi, false)
 		touched = 1 + to - from
 	}
-	for i := from; i < to; i++ {
-		c, j := s.chunk(i/runSize), i%runSize
-		if tts := c.ttStartAt(j); tts < lo || tts > hi {
-			continue
-		}
+	var a Answer
+	for i := from; i < to; {
+		k := i / runSize
+		c, end := s.chunk(k), min(to, (k+1)*runSize)
+		var sp *Span
+		at := len(a.els)
 		if c.col != nil {
-			a.take(i)
+			sp = a.open(c, k)
+		}
+		for ; i < end; i++ {
+			j := i % runSize
+			if tts := c.ttStartAt(j); tts < lo || tts > hi ||
+				valid && (c.ttEndAt(j) != chronon.Forever || c.vtStartAt(j) >= vtHi || vtLo >= c.vtEndAt(j)) {
+				continue
+			}
+			if sp != nil {
+				sp.take(j)
+			} else {
+				a.els = append(a.els, c.elems[j])
+			}
+		}
+		if sp != nil {
+			a.shut()
 		} else {
-			a.out = append(a.out, c.elems[j])
+			a.took(at)
 		}
 	}
-	return a.finish(&s.seq), touched
+	return a.done(), touched
 }

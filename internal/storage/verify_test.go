@@ -24,6 +24,11 @@ func sealedTTLog(t *testing.T, n int) *RunStore {
 	if sealed := st.Compact(); sealed == 0 {
 		t.Fatal("nothing sealed")
 	}
+	for k := 0; st.full(k); k++ {
+		if st.chunk(k).col == nil {
+			t.Fatalf("full chunk %d of the tt-ordered log is still elements", k)
+		}
+	}
 	return st
 }
 
@@ -79,11 +84,11 @@ func TestVerifyRunsPostRepairAnswers(t *testing.T) {
 	twin := sealedTTLog(t, 2*runSize)
 	vt, tt := chronon.Chronon(10*(runSize+5)), chronon.Chronon(10*2*runSize)
 	asOf := func(s Store) []*element.Element {
-		got, _, _, err := AsOf(context.Background(), s, vt, tt)
+		got, _, err := AsOf(context.Background(), s, vt, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got.Elements()
 	}
 	CorruptTT(st, 1, false, 40)
 	if len(asOf(st)) != 0 || len(asOf(twin)) != 1 {
@@ -219,9 +224,7 @@ func TestVerifyRunsToleratesClosesSinceSealing(t *testing.T) {
 	if bad := VerifyRuns(st); len(bad) != 0 {
 		t.Fatalf("a close since sealing reported as damage: %v", bad)
 	}
-	behind := *st.At(runSize + 1)
-	behind.TTEnd = 9_999_999
-	st.chunk(1).elems[1] = &behind // not through Replace: run 1 books no close
+	st.ownSlots(1).ttEnd[1] = 9_999_999 // not through Replace: run 1 books no close
 	if bad := VerifyRuns(st); len(bad) != 1 || bad[0].Run != 1 {
 		t.Fatalf("unaccounted tt⊣ change: %v", bad)
 	}

@@ -75,7 +75,7 @@ func BenchmarkScanGeneral(b *testing.B) {
 					func() int { got, _ := st.Timeslice(large); return len(got) },
 					func() int { return filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(large) }) }},
 				{"as-of",
-					func() int { got, _, _, _ := AsOf(context.Background(), st, small, tt); return len(got) },
+					func() int { got, _, _ := AsOf(context.Background(), st, small, tt); return len(got.Elements()) },
 					func() int {
 						return filter(func(e *element.Element) bool { return e.PresentAt(tt) && e.ValidAt(small) })
 					}},

@@ -79,42 +79,55 @@ type slotName struct {
 
 func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]slotName)} }
 
-// check holds the spans a walk of st reported for its answer got to the
-// definition: one span, in order, for every full chunk that supplied at least
-// spanMin of got — elements of one chunk are consecutive in an answer in
-// arrival order — carrying that chunk's close count, and naming the elements
-// that (chunk, closes) has always named.
-func (n *spanNames) check(query string, st *RunStore, got []*element.Element, spans []ChunkSpan) error {
-	chunkOf := func(e *element.Element) int { return int(e.ES-1) / runSize } // zoneMapModel stores surrogate i+1 at position i
-	var want []ChunkSpan
-	for i := 0; i < len(got); {
-		k, j := chunkOf(got[i]), i+1
-		for j < len(got) && chunkOf(got[j]) == k {
-			j++
+// check holds the spans of an answer a walk of st gave to the definition:
+// read in order they are the answer's elements, got — an element span its
+// elements pointer for pointer, a sealed span the slots of its chunk, in slot
+// order, whose versions got holds there — every sealed span carries its
+// chunk's close count as st holds it, and (chunk, closes) names the elements
+// it has always named.
+func (n *spanNames) check(query string, st *RunStore, a Answer, got []*element.Element) error {
+	i := 0
+	for _, sp := range a.Spans() {
+		if sp.Len() == 0 || i+sp.Len() > len(got) {
+			return fmt.Errorf("%s: a span of %d past %d of %d elements", query, sp.Len(), i, len(got))
 		}
-		if st.full(k) && j-i >= spanMin {
-			want = append(want, ChunkSpan{At: i, N: j - i, Chunk: k, Closes: st.chunk(k).closes})
+		if !sp.Sealed() {
+			for _, e := range sp.Elements() {
+				if e != got[i] {
+					return fmt.Errorf("%s: element span holds ES %v where the answer has ES %v", query, e.ES, got[i].ES)
+				}
+				i++
+			}
+			continue
 		}
-		i = j
-	}
-	if len(spans) != len(want) {
-		return fmt.Errorf("%s reported %d spans %v, the definition gives %d %v", query, len(spans), spans, len(want), want)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i, sp := range spans {
-		if sp != want[i] {
-			return fmt.Errorf("%s span %d is %+v, the definition gives %+v", query, i, sp, want[i])
+		k := sp.Chunk()
+		if c := st.chunk(k); c.col == nil || sp.Closes() != c.closes {
+			return fmt.Errorf("%s: span over chunk %d at %d closes, the store's is sealed %v at %d", query, k, sp.Closes(), c.col != nil, c.closes)
 		}
-		key, names := [2]int{sp.Chunk, sp.Closes}, make([]slotName, runSize)
+		slots := sp.Slots()
+		for j := slots.Next(0); j < runSize; j = slots.Next(j + 1) {
+			// zoneMapModel stores surrogate i+1 at position i
+			if es, tt := sp.Key(j); got[i].ES != es || got[i].TTEnd != tt || int(es-1) != k*runSize+j {
+				return fmt.Errorf("%s: slot %d of chunk %d is ES %v tt⊣ %v, the answer has ES %v tt⊣ %v", query, j, k, es, tt, got[i].ES, got[i].TTEnd)
+			}
+			i++
+		}
+		n.mu.Lock()
+		key, names := [2]int{k, sp.Closes()}, make([]slotName, runSize)
 		for j := range names {
-			names[j] = slotName{st.ESAt(sp.Chunk*runSize + j), st.TTEndAt(sp.Chunk*runSize + j)}
+			names[j] = slotName{st.ESAt(k*runSize + j), st.TTEndAt(k*runSize + j)}
 		}
-		if named, ok := n.seen[key]; !ok {
+		named, ok := n.seen[key]
+		if !ok {
 			n.seen[key] = names
-		} else if !slices.Equal(named, names) {
-			return fmt.Errorf("%s: chunk %d at %d closes names other elements than it did before", query, sp.Chunk, sp.Closes)
 		}
+		n.mu.Unlock()
+		if ok && !slices.Equal(named, names) {
+			return fmt.Errorf("%s: chunk %d at %d closes names other elements than it did before", query, k, sp.Closes())
+		}
+	}
+	if i != len(got) || a.Len() != len(got) {
+		return fmt.Errorf("%s: the spans hold %d elements, the answer says %d and gives %d", query, i, a.Len(), len(got))
 	}
 	return nil
 }
@@ -153,42 +166,42 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		if touched < len(got) || touched > len(flat)+1 {
 			return fmt.Errorf("Timeslice(%d) touched %d for %d results of %d elements", vt, touched, len(got), len(flat))
 		}
-		got, spans, _ := VTRangeSpans(st, lo, hi)
+		ans, _ := VTRangeAnswer(st, lo, hi)
+		got = ans.Elements()
 		current := filter(func(e *element.Element) bool { return e.Current() && ValidDuring(e, lo, hi) })
 		query := fmt.Sprintf("VTRange(%d, %d)", lo, hi)
 		if err := zoneDiff(query, got, current); err != nil {
 			return err
 		}
-		if st.Kind() == VTOrdered {
-			if spans != nil {
-				return fmt.Errorf("%s on the vt-ordered log, a search, reported spans %v", query, spans)
-			}
-		} else if err := names.check(query, st, got, spans); err != nil {
+		if err := names.check(query, st, ans, got); err != nil {
 			return err
 		}
-		got, spans, _ = Current(st)
+		ans, _ = Current(st)
+		got = ans.Elements()
 		if err := zoneDiff("Current", got, filter((*element.Element).Current)); err != nil {
 			return err
 		}
-		if err := names.check("Current", st, got, spans); err != nil {
+		if err := names.check("Current", st, ans, got); err != nil {
 			return err
 		}
-		got, spans, _ = RollbackSpans(st, tt)
+		ans, _ = RollbackAnswer(st, tt)
+		got = ans.Elements()
 		query = fmt.Sprintf("Rollback(%d)", tt)
 		if err := zoneDiff(query, got, filter(func(e *element.Element) bool { return e.PresentAt(tt) })); err != nil {
 			return err
 		}
-		if err := names.check(query, st, got, spans); err != nil {
+		if err := names.check(query, st, ans, got); err != nil {
 			return err
 		}
-		got, spans, touched, err := AsOf(context.Background(), st, vt, tt)
+		ans, touched, err := AsOf(context.Background(), st, vt, tt)
+		got = ans.Elements()
 		want = filter(func(e *element.Element) bool { return e.PresentAt(tt) && e.ValidAt(vt) })
 		query = fmt.Sprintf("AsOf(%d, %d)", vt, tt)
 		if err == nil {
 			err = zoneDiff(query, got, want)
 		}
 		if err == nil {
-			err = names.check(query, st, got, spans)
+			err = names.check(query, st, ans, got)
 		}
 		if err != nil {
 			return err
@@ -426,11 +439,11 @@ func TestAsOfStopsWhenTheCallerIsGone(t *testing.T) {
 		}
 	}
 	// Every chunk holds vt 7, so none is pruned: three polls, three visits.
-	got, _, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 1<<40)
-	if err != context.Canceled || got != nil || touched != 3*runSize {
-		t.Fatalf("AsOf under a caller gone at the fourth poll: %d elements, touched %d, %v", len(got), touched, err)
+	got, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 1<<40)
+	if err != context.Canceled || got.Len() != 0 || touched != 3*runSize {
+		t.Fatalf("AsOf under a caller gone at the fourth poll: %d elements, touched %d, %v", got.Len(), touched, err)
 	}
-	if got, _, _, err := AsOf(context.Background(), st, 7, 1<<40); err != nil || len(got) != 6 {
-		t.Fatalf("AsOf with the caller waiting: %d elements, %v", len(got), err)
+	if got, _, err := AsOf(context.Background(), st, 7, 1<<40); err != nil || got.Len() != 6 {
+		t.Fatalf("AsOf with the caller waiting: %d elements, %v", got.Len(), err)
 	}
 }

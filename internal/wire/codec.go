@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 )
 
 // Appender is a body that writes its own JSON: the encoding encoding/json
@@ -344,12 +345,15 @@ func appendPlanNode(dst []byte, n *PlanNode) []byte {
 // encoder reads it in place. They append; the client parses into the
 // *Response structs.
 
-// QueryBody encodes as QueryResponse. Images, in At order and without
-// overlap, names the stretches of Elements whose bytes some earlier answer
-// already made (image.go); they are copied, and every other element is
-// encoded. The body is the same bytes with or without them.
+// QueryBody encodes as QueryResponse. Its elements are Answer's, read where
+// the store holds them (storage.ElementAnswer wraps a slice). Images,
+// in Span order, names the sealed spans of Answer whose chunk's bytes some
+// earlier answer already made (image.go): the slots they hold are copied,
+// and every other version is encoded — a sealed slot through one reused
+// scratch version. The body is the same bytes with or without them, and with
+// the answer or its materialized elements.
 type QueryBody struct {
-	Elements []*element.Element
+	Answer   storage.Answer
 	Images   []ImageSpan
 	Plan     string
 	PlanNode *PlanNode
@@ -368,9 +372,10 @@ type sink struct {
 	buf   []byte
 	w     io.Writer
 	count bool
-	n     int   // bytes that have left buf: written, or counted
-	err   error // w's first error; nothing is written after it
-	lead  bool  // no element has gone out yet: the next one drops its comma
+	n     int             // bytes that have left buf: written, or counted
+	err   error           // w's first error; nothing is written after it
+	lead  bool            // no element has gone out yet: the next one drops its comma
+	v     storage.Version // the lists of the sealed slot being encoded
 }
 
 // elementRoom is the free space a streaming sink wants before it encodes an
@@ -412,9 +417,24 @@ func (s *sink) piece(p []byte) {
 	}
 }
 
+// element encodes e behind its comma, streaming or counting first draining
+// when it may not fit (counting: always).
+func (s *sink) element(e *element.Element) (err error) {
+	if s.count || s.w != nil && cap(s.buf)-len(s.buf) < elementRoom {
+		s.drain()
+	}
+	if s.lead {
+		s.lead = false
+	} else {
+		s.buf = append(s.buf, ',')
+	}
+	s.buf, err = AppendElement(s.buf, e)
+	return err
+}
+
 // elements encodes els, each behind its comma. Gathering, it is the tight
-// loop the encoder always was, on a local; streaming or counting, it drains
-// before an element that may not fit (counting: before every one).
+// loop the encoder always was, on a local; streaming or counting, it is
+// element's.
 func (s *sink) elements(els []*element.Element) (err error) {
 	if len(els) == 0 {
 		return nil
@@ -433,33 +453,65 @@ func (s *sink) elements(els []*element.Element) (err error) {
 		return err
 	}
 	for _, e := range els {
-		if s.count || cap(s.buf)-len(s.buf) < elementRoom {
-			s.drain()
-		}
-		if s.lead {
-			s.lead = false
-		} else {
-			s.buf = append(s.buf, ',')
-		}
-		if s.buf, err = AppendElement(s.buf, e); err != nil {
+		if err := s.element(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// encode walks the body into s: the one place its shape is written down.
-func (b QueryBody) encode(s *sink) error {
-	s.buf = append(s.buf, `{"elements":[`...)
-	s.lead = true
-	i := 0
-	for _, sp := range b.Images {
-		if err := s.elements(b.Elements[i:sp.At]); err != nil {
+// answer encodes a's spans in order, copying from images what they hold.
+func (s *sink) answer(a *storage.Answer, images []ImageSpan) error {
+	spans := a.Spans()
+	for i := range spans {
+		sp := &spans[i]
+		if !sp.Sealed() {
+			if err := s.elements(sp.Elements()); err != nil {
+				return err
+			}
+			continue
+		}
+		var img *ChunkImage
+		if len(images) > 0 && images[0].Span == i {
+			img, images = images[0].Image, images[1:]
+		}
+		if err := s.sealed(sp, img); err != nil {
 			return err
 		}
-		i = sp.At + sp.Image.splice(s, b.Elements[sp.At:sp.At+sp.N])
 	}
-	if err := s.elements(b.Elements[i:]); err != nil {
+	return nil
+}
+
+// sealed encodes the slots of a sealed span, stretch of adjacent slots by
+// stretch: what img, when not nil, holds of a stretch is copied, and every
+// other slot is loaded into the sink's scratch version and encoded.
+func (s *sink) sealed(sp *storage.Span, img *ChunkImage) error {
+	slots := sp.Slots()
+	for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a) {
+		b := slots.End(a)
+		for a < b {
+			if img != nil {
+				if h := img.held(sp, a, b); h > a {
+					s.piece(img.slab[img.off[a]:img.off[h]])
+					a = h
+					continue
+				}
+			}
+			e := sp.Load(a, &s.v)
+			if err := s.element(&e); err != nil {
+				return err
+			}
+			a++
+		}
+	}
+	return nil
+}
+
+// encode walks the body into s: the one place its shape is written down.
+func (b *QueryBody) encode(s *sink) error {
+	s.buf = append(s.buf, `{"elements":[`...)
+	s.lead = true
+	if err := s.answer(&b.Answer, b.Images); err != nil {
 		return err
 	}
 	s.buf = append(s.buf, ']')
@@ -481,30 +533,80 @@ func (b QueryBody) encode(s *sink) error {
 // few of them to be worth measuring: two attributes come to about 200.
 const directBytes = 224
 
+// covered reports how many of the answer's versions the images hold, and
+// their bytes.
+func (b *QueryBody) covered() (n, bytes int) {
+	spans := b.Answer.Spans()
+	for _, im := range b.Images {
+		sp := &spans[im.Span]
+		n += sp.Len()
+		slots := sp.Slots()
+		for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a) {
+			e := slots.End(a)
+			for a < e {
+				if h := im.Image.held(sp, a, e); h > a {
+					bytes += int(im.Image.off[h] - im.Image.off[a])
+					a = h
+				} else {
+					n--
+					a++
+				}
+			}
+		}
+	}
+	return n, bytes
+}
+
+// edge is the body's first element, or its last, a sealed one's lists in v.
+func (b *QueryBody) edge(last bool, v *storage.Version) element.Element {
+	spans := b.Answer.Spans()
+	sp := &spans[0]
+	if last {
+		sp = &spans[len(spans)-1]
+	}
+	if !sp.Sealed() {
+		els := sp.Elements()
+		if last {
+			return *els[len(els)-1]
+		}
+		return *els[0]
+	}
+	slots, j := sp.Slots(), 0
+	if last {
+		for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a + 1) {
+			j = a
+		}
+	} else {
+		j = slots.Next(0)
+	}
+	return sp.Load(j, v)
+}
+
 // reserve grows dst once for the whole body: the spliced stretches to the
 // byte, and for the elements still to be encoded a figure measured on the
 // answer's first and last element — a result set is homogeneous but for its
 // integers' digits, and those grow in arrival order (the parser's
 // extrapolate makes the same bet). A short guess costs a later growth, a
 // long one slack; neither changes a byte.
-func (b QueryBody) reserve(dst []byte) []byte {
-	spliced, direct := sink{count: true}, len(b.Elements)
-	for _, sp := range b.Images {
-		direct -= sp.Image.splice(&spliced, b.Elements[sp.At:sp.At+sp.N])
-	}
+func (b *QueryBody) reserve(s *sink, dst []byte) {
+	n, spliced := b.covered()
+	direct := b.Answer.Len() - n
 	per := directBytes
 	if direct >= 16 {
 		var scratch [512]byte
-		first, _ := AppendElement(scratch[:0], b.Elements[0])
-		last, _ := AppendElement(scratch[:0], b.Elements[len(b.Elements)-1])
+		e := b.edge(false, &s.v)
+		first, _ := AppendElement(scratch[:0], &e)
+		e = b.edge(true, &s.v)
+		last, _ := AppendElement(scratch[:0], &e)
 		per = max(len(first), len(last))
 		per += per/32 + 2
 	}
-	return slices.Grow(dst, 256+2*len(b.Plan)+spliced.n+direct*per)
+	s.buf = slices.Grow(dst, 256+2*len(b.Plan)+spliced+direct*per)
 }
 
 func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
-	s := sink{buf: b.reserve(dst)}
+	var s sink
+	b.reserve(&s, dst)
 	err := b.encode(&s)
 	return s.buf, err
 }
@@ -516,11 +618,8 @@ func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
 // encoded is encoded here once, into scratch, for its length: the error, if
 // any is AppendJSON's, and a body StreamLen has measured cannot fail later.
 func (b QueryBody) StreamLen(scratch []byte) (n int, ok bool, err error) {
-	covered := 0
-	for _, sp := range b.Images {
-		covered += sp.N
-	}
-	if covered == 0 || covered*8 < len(b.Elements)*7 {
+	covered, _ := b.covered()
+	if covered == 0 || covered*8 < b.Answer.Len()*7 {
 		return 0, false, nil
 	}
 	s := sink{buf: scratch[:0], count: true}

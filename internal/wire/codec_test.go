@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
@@ -112,7 +113,7 @@ func (r reportItems) Item(i int) (string, string, *element.Element, bool) {
 // from one set of engine elements through both codecs.
 func checkBodies(t *testing.T, els []*element.Element, plan *PlanNode, word string) {
 	t.Helper()
-	if b := sameBytes(t, "query", QueryBody{Elements: els, Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))},
+	if b := sameBytes(t, "query", QueryBody{Answer: storage.ElementAnswer(els), Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))},
 		QueryResponse{Elements: FromElements(els), Plan: word, PlanNode: plan, Touched: len(els), Epoch: uint64(len(word))}); b != nil {
 		sameValue[QueryResponse](t, "query", b)
 		sameThroughMemo(t, "query", b, sharedMemo)
@@ -339,46 +340,71 @@ func checkGenerated(t *testing.T, data []byte) {
 // checkSplice draws a chunk, an answer out of it and a round of closes, and
 // holds the body that copies from the chunk's image to the body that encodes
 // — before the closes, after them with the refreshed image, and after them
-// with the stale one. The chunk's elements carry distinct surrogates, as a
-// store's versions do: an image names a slot by its surrogate and tt⊣.
+// with the stale one. A sealed chunk holds versions of one shape, each under a
+// surrogate of its own, as a store's do — an image names a slot by its
+// surrogate and tt⊣ — so the chunk cycles through the drawn elements that
+// share the first one's shape.
 func checkSplice(t *testing.T, g *gen) {
-	chunk := make([]*element.Element, 1+g.byte()%6)
-	for i := range chunk {
-		chunk[i] = g.element()
-		chunk[i].ES = chunk[i].ES&^7 | surrogate.Surrogate(i)
+	drawn := make([]*element.Element, 1+g.byte()%6)
+	var shaped []*element.Element
+	for i := range drawn {
+		drawn[i] = g.element()
+		if sameShape(drawn[i], drawn[0]) {
+			shaped = append(shaped, drawn[i])
+		}
+	}
+	chunk := make([]*element.Element, 256)
+	for j := range chunk {
+		e := *shaped[j%len(shaped)]
+		e.ES = surrogate.Surrogate(j + 1)
+		chunk[j] = &e
+	}
+	st := storeOf(t, chunk)
+	if c0 := storage.ChunkOf(st, 0); !c0.Sealed() {
+		t.Fatal("a full chunk of one shape was left elements")
 	}
 	pick := g.byte()
-	answer := func(chunk []*element.Element) (els []*element.Element) {
-		for j, e := range chunk {
-			if pick>>j&1 == 1 {
-				els = append(els, e)
-			}
+	var pos []int
+	for j := range chunk {
+		if pick>>(j%8)&1 == 1 {
+			pos = append(pos, j)
 		}
-		return els
 	}
-	body := func(els []*element.Element, img *ChunkImage) QueryBody {
-		return QueryBody{Elements: els, Images: []ImageSpan{{N: len(els), Image: img}}, Touched: len(els)}
+	body := func(img *ChunkImage) QueryBody {
+		a := storage.AnswerAt(st, pos)
+		b := QueryBody{Answer: a, Touched: len(pos)}
+		if len(pos) > 0 {
+			b.Images = []ImageSpan{{Image: img}}
+		}
+		return b
 	}
-	img, err := BuildChunkImage(chunk, nil)
+	img, err := BuildChunkImage(storage.ChunkOf(st, 0), nil)
 	if err != nil {
-		if _, err := (QueryBody{Elements: chunk}).AppendJSON(nil); err == nil {
+		if _, err := (QueryBody{Answer: storage.ElementAnswer(chunk)}).AppendJSON(nil); err == nil {
 			t.Fatal("a chunk that encodes was refused an image")
 		}
 		return
 	}
-	sameAsPlain(t, "generated chunk", body(answer(chunk), img))
-	closed := append([]*element.Element(nil), chunk...)
-	for j, bits := 0, g.byte(); j < len(closed); j++ {
-		if bits>>j&1 == 1 {
-			closed[j] = closeOf(closed[j], chronon.Chronon(g.u64()))
+	sameAsPlain(t, "generated chunk", body(img))
+	for j, bits, tt := 0, g.byte(), chronon.Chronon(g.u64()); j < len(chunk); j++ {
+		if bits>>(j%8)&1 == 1 {
+			st.Replace(chunk[j], closeOf(chunk[j], tt))
 		}
 	}
-	refreshed, err := BuildChunkImage(closed, img)
-	if scratch, _ := BuildChunkImage(closed, nil); err != nil || !bytes.Equal(refreshed.slab, scratch.slab) {
+	refreshed, err := BuildChunkImage(storage.ChunkOf(st, 0), img)
+	if scratch, _ := BuildChunkImage(storage.ChunkOf(st, 0), nil); err != nil || !bytes.Equal(refreshed.slab, scratch.slab) {
 		t.Fatalf("a refreshed image is not the image built from nothing (%v)", err)
 	}
-	sameAsPlain(t, "generated chunk after closes", body(answer(closed), refreshed))
-	sameAsPlain(t, "generated chunk after closes, stale image", body(answer(closed), img))
+	sameAsPlain(t, "generated chunk after closes", body(refreshed))
+	sameAsPlain(t, "generated chunk after closes, stale image", body(img))
+}
+
+// sameShape reports whether a and b have one shape: what a sealed chunk's
+// versions share (storage's sealColumns).
+func sameShape(a, b *element.Element) bool {
+	return len(a.Invariant) == len(b.Invariant) && len(a.Varying) == len(b.Varying) && len(a.UserTimes) == len(b.UserTimes) &&
+		a.VT.IsEvent() == b.VT.IsEvent() && (a.Invariant == nil) == (b.Invariant == nil) &&
+		(a.Varying == nil) == (b.Varying == nil) && (a.UserTimes == nil) == (b.UserTimes == nil)
 }
 
 // checkComplete holds Complete to the round trip it stands in for: reqs
@@ -592,7 +618,7 @@ func TestByteIdentityEdges(t *testing.T) {
 	e := &element.Element{ES: 1, OS: 1, TTEnd: chronon.Forever, VT: element.EventAt(0),
 		Invariant: []element.Value{element.Int(0), element.Bool(false), element.String_(""), element.Float(math.Copysign(0, -1)), element.Time(0), element.Null()},
 		Varying:   []element.Value{}}
-	b := sameBytes(t, "zero values", QueryBody{Elements: []*element.Element{e}}, QueryResponse{Elements: FromElements([]*element.Element{e})})
+	b := sameBytes(t, "zero values", QueryBody{Answer: storage.ElementAnswer([]*element.Element{e})}, QueryResponse{Elements: FromElements([]*element.Element{e})})
 	const want = `{"elements":[{"es":1,"os":1,"tt_start":0,"tt_end":4611686018427387903,"current":true,"vt":{"event":0},` +
 		`"invariant":[{"kind":"int"},{"kind":"bool"},{"kind":"string"},{"kind":"float"},{"kind":"time"},{"kind":"null"}]}],"touched":0}` + "\n"
 	if string(b) != want {
@@ -833,25 +859,27 @@ func benchElements(n int, interval bool) []*element.Element {
 	return els
 }
 
-// splicedBody is the answer that takes every stride-th element of stored — a
-// store's elements in arrival order — with an image under every full
-// 256-element chunk of it, as the catalog hands one to the encoder.
-func splicedBody(tb testing.TB, stored []*element.Element, stride int) QueryBody {
-	body := QueryBody{Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9}
-	for k := 0; k*256 < len(stored); k++ {
-		chunk := stored[k*256 : min(k*256+256, len(stored))]
-		at := len(body.Elements)
-		for i := 0; i < len(chunk); i += stride {
-			body.Elements = append(body.Elements, chunk[i])
+// splicedBody is the answer that takes every stride-th version of st, in
+// arrival order, with an image under every full chunk it draws on, as the
+// catalog hands one to the encoder.
+func splicedBody(tb testing.TB, st storage.Store, stride int) QueryBody {
+	var pos []int
+	for k := 0; k*256 < st.Len(); k++ {
+		for i := k * 256; i < min(k*256+256, st.Len()); i += stride {
+			pos = append(pos, i)
 		}
-		if len(chunk) < 256 {
-			break
+	}
+	a := storage.AnswerAt(st, pos)
+	body := QueryBody{Answer: a, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: st.Len(), Epoch: 9}
+	for i, sp := range a.Spans() {
+		if !sp.Sealed() {
+			continue
 		}
-		img, err := BuildChunkImage(chunk, nil)
+		img, err := BuildChunkImage(storage.ChunkOf(st, sp.Chunk()), nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		body.Images = append(body.Images, ImageSpan{At: at, N: len(body.Elements) - at, Image: img})
+		body.Images = append(body.Images, ImageSpan{Span: i, Image: img})
 	}
 	return body
 }
@@ -893,7 +921,7 @@ func benchBatch(n int) (BatchInsertRequest, BatchBody[reportItems], BatchInsertR
 // allocates nothing, and parsing one allocates per response, not per
 // element.
 func TestCodecAllocationBudget(t *testing.T) {
-	body := QueryBody{Elements: benchElements(4096, true), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: 4096, Epoch: 9}
+	body := QueryBody{Answer: storage.ElementAnswer(benchElements(4096, true)), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: 4096, Epoch: 9}
 	buf, err := body.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1027,7 +1055,7 @@ func benchCodec[T any, P interface {
 func BenchmarkWireCodec(b *testing.B) {
 	query := func(name string, els []*element.Element) {
 		n := len(els)
-		body := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
+		body := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: n, Epoch: 9}
 		benchCodec[QueryResponse](b, name, body, QueryResponse{Elements: FromElements(els), Plan: body.Plan, PlanNode: body.PlanNode, Touched: n, Epoch: 9})
 	}
 	for _, stamp := range []string{"event", "interval"} {
@@ -1040,7 +1068,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	// found, byte-checked and copied.
 	b.Run("parse/memo-warm/ledger/n=1000", func(b *testing.B) {
 		els := ledgerElements(1000)
-		doc, _ := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+		doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
 		m := &ElementMemo{Max: 8 << 20}
 		if err := new(QueryResponse).ParseJSONMemo(doc, m); err != nil {
 			b.Fatal(err)
@@ -1056,11 +1084,11 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 	// The same answer with every chunk imaged beside it encoded: tsbench's
 	// large time-slice, every second slot of sixteen chunks.
-	sparse := splicedBody(b, benchElements(4000, true), 2)
+	sparse := splicedBody(b, storeOf(b, benchElements(4000, true)), 2)
 	for _, c := range []struct {
 		name string
 		body QueryBody
-	}{{"splice/n=2000", sparse}, {"encode/hand/sparse/n=2000", QueryBody{Elements: sparse.Elements, Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}}} {
+	}{{"splice/n=2000", sparse}, {"encode/hand/sparse/n=2000", QueryBody{Answer: storage.ElementAnswer(sparse.Answer.Elements()), Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}}} {
 		b.Run(c.name, func(b *testing.B) {
 			buf, _ := c.body.AppendJSON(nil)
 			b.SetBytes(int64(len(buf)))

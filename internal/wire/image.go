@@ -2,26 +2,25 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 
 	"repro/internal/chronon"
-	"repro/internal/element"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
-// ChunkImage is the bytes AppendElement writes for the elements of one full
-// chunk of a store, kept so that an element is encoded once: a stored
-// version is never edited — a close finalizes a copy's tt⊣ in its slot — so
-// what it encodes to is as immutable as it is, and an answer that takes a
-// stretch of the chunk copies the stretch's bytes instead of formatting the
+// ChunkImage is the bytes AppendElement writes for the versions of one full
+// sealed chunk of a store, kept so that a version is encoded once: a stored
+// version is never edited — a close finalizes its tt⊣ in its slot — so what
+// it encodes to is as immutable as it is, and an answer that takes a stretch
+// of the chunk's slots copies the stretch's bytes instead of formatting the
 // same integers again (DESIGN §15). Each slot's bytes carry the comma that
 // precedes an element inside "elements":[…], so a run of adjacent slots is
-// one copy. An image is immutable. It keeps no element: each slot is named
+// one copy. An image is immutable. It keeps no version: each slot is named
 // by its version's surrogate and tt⊣, which within a store tell one version
 // from every other — a surrogate is stored once, and a close changes only
-// its tt⊣ — so a splice goes by version, whether the answer's elements are
-// the store's own or materialized from a sealed chunk, never by position
-// alone.
+// its tt⊣ — so a splice goes by version, never by position alone.
 type ChunkImage struct {
 	es   []surrogate.Surrogate
 	tte  []chronon.Chronon
@@ -29,18 +28,26 @@ type ChunkImage struct {
 	slab []byte
 }
 
-// holds reports whether slot j encodes e's version.
-func (m *ChunkImage) holds(j int, e *element.Element) bool {
-	return m.es[j] == e.ES && m.tte[j] == e.TTEnd
+// holds reports whether slot j encodes the version es, tte.
+func (m *ChunkImage) holds(j int, es surrogate.Surrogate, tte chronon.Chronon) bool {
+	return m.es[j] == es && m.tte[j] == tte
 }
 
-// BuildChunkImage encodes elems, a chunk's slots in order. prev, when not
-// nil, is an image of the same chunk from before some of its elements were
-// closed: the slots that still hold the version prev encoded are copied from
-// it, and only the others are encoded. The error is AppendElement's — one of
-// the elements holds a non-finite float — and nothing is kept then.
-func BuildChunkImage(elems []*element.Element, prev *ChunkImage) (*ChunkImage, error) {
-	if prev != nil && len(prev.es) != len(elems) {
+// errElementChunk refuses an image of a chunk that is not sealed.
+var errElementChunk = errors.New("wire: a chunk image is built from a sealed chunk")
+
+// BuildChunkImage encodes ch, a full sealed chunk (storage.ChunkOf), slot by
+// slot through one scratch version. prev, when not nil, is an image of the
+// same chunk from before some of its versions were closed: the slots that
+// still hold the version prev encoded are copied from it, and only the
+// others are encoded. The error is AppendElement's — one of the versions
+// holds a non-finite float — and nothing is kept then.
+func BuildChunkImage(ch storage.Span, prev *ChunkImage) (*ChunkImage, error) {
+	if !ch.Sealed() {
+		return nil, errElementChunk
+	}
+	n := ch.Len()
+	if prev != nil && len(prev.es) != n {
 		prev = nil
 	}
 	// Encoded into a pooled buffer and copied out at its exact size: the slab
@@ -58,24 +65,26 @@ func BuildChunkImage(elems []*element.Element, prev *ChunkImage) (*ChunkImage, e
 		}
 		PutBuffer(buf)
 	}()
-	var stack [257]uint32
+	var stack [storage.ChunkSize + 1]uint32
 	off := stack[:0]
-	for j, e := range elems {
+	var v storage.Version
+	for j := range n {
 		off = append(off, uint32(len(b)))
-		if prev != nil && prev.holds(j, e) {
+		if es, tte := ch.Key(j); prev != nil && prev.holds(j, es, tte) {
 			b = append(b, prev.slab[prev.off[j]:prev.off[j+1]]...)
 			continue
 		}
+		e := ch.Load(j, &v)
 		var err error
-		if b, err = AppendElement(append(b, ','), e); err != nil {
+		if b, err = AppendElement(append(b, ','), &e); err != nil {
 			return nil, err
 		}
 	}
 	off = append(off, uint32(len(b)))
-	m := &ChunkImage{es: make([]surrogate.Surrogate, len(elems)), tte: make([]chronon.Chronon, len(elems)),
+	m := &ChunkImage{es: make([]surrogate.Surrogate, n), tte: make([]chronon.Chronon, n),
 		off: slices.Clone(off), slab: bytes.Clone(b)}
-	for j, e := range elems {
-		m.es[j], m.tte[j] = e.ES, e.TTEnd
+	for j := range n {
+		m.es[j], m.tte[j] = ch.Key(j)
 	}
 	return m, nil
 }
@@ -85,33 +94,21 @@ func (m *ChunkImage) Size() int64 {
 	return int64(120 + 16*len(m.es) + 4*len(m.off) + len(m.slab))
 }
 
-// splice hands s the bytes of els — consecutive elements of an answer, all of
-// them the image's chunk's, in slot order — run of adjacent slots by run,
-// each slot behind its comma. It reports how many of els it covered: all of
-// them, unless one is not a version the image holds, and then the caller
-// encodes from there on.
-func (m *ChunkImage) splice(s *sink, els []*element.Element) int {
-	i, j := 0, 0
-	for i < len(els) {
-		for j < len(m.es) && !m.holds(j, els[i]) {
-			j++
+// held returns the first slot of [from, to) of sp, a sealed span over the
+// image's chunk, whose version the image does not hold; to when it holds
+// them all.
+func (m *ChunkImage) held(sp *storage.Span, from, to int) int {
+	for j := from; j < to; j++ {
+		if es, tte := sp.Key(j); !m.holds(j, es, tte) {
+			return j
 		}
-		if j == len(m.es) {
-			break
-		}
-		a := j
-		for i < len(els) && j < len(m.es) && m.holds(j, els[i]) {
-			i++
-			j++
-		}
-		s.piece(m.slab[m.off[a]:m.off[j]])
 	}
-	return i
+	return to
 }
 
-// ImageSpan places an image in a QueryBody: Elements[At:At+N] are elements
-// of Image's chunk, in slot order.
+// ImageSpan places an image in a QueryBody: Image is the image of the chunk
+// of the answer's sealed span Answer.Spans()[Span].
 type ImageSpan struct {
-	At, N int
+	Span  int
 	Image *ChunkImage
 }

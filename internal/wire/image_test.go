@@ -9,15 +9,20 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 )
 
-// chunksOf cuts stored into full 256-element chunks, as a store holds them.
-func chunksOf(stored []*element.Element) [][]*element.Element {
-	var out [][]*element.Element
-	for ; len(stored) >= 256; stored = stored[256:] {
-		out = append(out, stored[:256])
+// storeOf stores els, in arrival order, in a heap, which seals every full
+// chunk into columns as it fills.
+func storeOf(tb testing.TB, els []*element.Element) storage.Store {
+	tb.Helper()
+	st := storage.NewHeap()
+	for _, e := range els {
+		if err := st.Insert(e); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return out
+	return st
 }
 
 // closeOf is the clone a logical delete swaps into an element's slot.
@@ -28,7 +33,8 @@ func closeOf(e *element.Element, tt chronon.Chronon) *element.Element {
 }
 
 // sameAsPlain holds a body with images to the same body without, appended
-// whole and streamed through a buffer far smaller than it.
+// whole and streamed through a buffer far smaller than it, and to the body
+// of the answer's materialized elements.
 func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	t.Helper()
 	got, gotErr := body.AppendJSON(nil)
@@ -39,6 +45,12 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	want, wantErr := body.AppendJSON(nil)
 	if (gotErr != nil) != (wantErr != nil) || (gotErr == nil && !bytes.Equal(got, want)) {
 		t.Fatalf("%s: the spliced body (%d bytes, %v) is not the encoded one (%d bytes, %v)", name, len(got), gotErr, len(want), wantErr)
+	}
+	rowsBody := body
+	rowsBody.Answer = storage.ElementAnswer(body.Answer.Elements())
+	rows, rowsErr := rowsBody.AppendJSON(nil)
+	if (rowsErr != nil) != (wantErr != nil) || (wantErr == nil && !bytes.Equal(rows, want)) {
+		t.Fatalf("%s: the body encoded from the answer (%d bytes, %v) is not the one from its elements (%d bytes, %v)", name, len(want), wantErr, len(rows), rowsErr)
 	}
 	if (streamErr != nil) != (wantErr != nil) || (measureErr != nil && wantErr == nil) {
 		t.Fatalf("%s: streaming fails with %v, measuring with %v, appending with %v", name, streamErr, measureErr, wantErr)
@@ -57,46 +69,76 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 // TestSpliceIsTheEncode: whatever stretch of whichever chunks an answer
 // takes, dense, sparse or a single slot, copying it out of the chunks' images
 // gives the bytes of encoding it — also from an image refreshed after closes,
-// and also when a span names an image that is not its elements' (the encoder
-// goes by the elements' identity and encodes what it does not find).
+// and also when a span names an image that is not its chunk's as it is now
+// (the encoder goes by the versions' identity and encodes what it does not
+// find).
 func TestSpliceIsTheEncode(t *testing.T) {
 	stored := benchElements(3*256+40, true)
 	for i := 0; i < len(stored); i += 7 {
 		stored[i] = closeOf(stored[i], stored[i].TTStart+900)
 	}
+	st := storeOf(t, stored)
 	for _, stride := range []int{1, 2, 3, 40, 255, 256} {
-		sameAsPlain(t, "every "+string(rune('0'+stride%10))+"th", splicedBody(t, stored, stride))
+		sameAsPlain(t, "every "+string(rune('0'+stride%10))+"th", splicedBody(t, st, stride))
 	}
-	empty := splicedBody(t, stored, 1)
-	empty.Elements, empty.Images = nil, nil
+	empty := splicedBody(t, st, 1)
+	empty.Answer, empty.Images = storage.Answer{}, nil
 	sameAsPlain(t, "no elements", empty)
 
 	// Closes land in chunk 1: the refreshed image is the image built from
-	// nothing, and the stale one still serves the elements it shares.
-	body := splicedBody(t, stored, 2)
-	chunks := chunksOf(stored)
-	fresh := append([]*element.Element(nil), chunks[1]...)
+	// nothing, and the stale one still serves the versions it shares.
+	body := splicedBody(t, st, 2)
 	for _, j := range []int{0, 17, 18, 255} {
-		fresh[j] = closeOf(fresh[j], 1800000000)
+		old := stored[256+j]
+		stored[256+j] = closeOf(old, 1800000000)
+		st.Replace(old, stored[256+j])
 	}
-	refreshed, err := BuildChunkImage(fresh, body.Images[1].Image)
+	refreshed, err := BuildChunkImage(storage.ChunkOf(st, 1), body.Images[1].Image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := BuildChunkImage(fresh, nil)
+	scratch, err := BuildChunkImage(storage.ChunkOf(st, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refreshed.slab, scratch.slab) || refreshed.Size() != scratch.Size() {
 		t.Fatal("an image refreshed from its predecessor is not the image built from nothing")
 	}
-	after := splicedBody(t, append(append(append([]*element.Element(nil), chunks[0]...), fresh...), chunks[2]...), 2)
+	after := splicedBody(t, st, 2)
 	after.Images[1].Image = refreshed
 	sameAsPlain(t, "after closes, refreshed image", after)
 	after.Images[1].Image = body.Images[1].Image
 	sameAsPlain(t, "after closes, stale image", after)
 	after.Images[0].Image, after.Images[2].Image = after.Images[2].Image, after.Images[0].Image
 	sameAsPlain(t, "images of other chunks", after)
+}
+
+// TestImageRebuildAfterACloseAllocatesTheImage: after a close into a sealed
+// chunk, its image is rebuilt from the one before — every slot but the
+// closed one copied — reading the chunk's columns through one scratch
+// version on the stack, never materializing the chunk: what it allocates is
+// the image, its struct and its four arrays. It used to materialize the
+// chunk's 256 versions first: their slab, its values and the slice of
+// pointers to them.
+func TestImageRebuildAfterACloseAllocatesTheImage(t *testing.T) {
+	stored := benchElements(256, true)
+	st := storeOf(t, stored)
+	img, err := BuildChunkImage(storage.ChunkOf(st, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Replace(stored[100], closeOf(stored[100], stored[100].TTStart+900))
+	chunk := storage.ChunkOf(st, 0)
+	rebuilt, err := BuildChunkImage(chunk, img) // warms the pooled buffer too
+	if scratch, _ := BuildChunkImage(chunk, nil); err != nil || !bytes.Equal(rebuilt.slab, scratch.slab) {
+		t.Fatalf("the rebuilt image is not the image built from nothing (%v)", err)
+	}
+	// Five; six under -race, where sync.Pool drops a quarter of what it is
+	// given back and the buffer is made again.
+	const rebuildAllocs = 6
+	if n := testing.AllocsPerRun(100, func() { _, _ = BuildChunkImage(chunk, img) }); n > rebuildAllocs {
+		t.Errorf("an image rebuild after one close allocates %v objects, want the image's five (and the buffer under -race)", n)
+	}
 }
 
 // TestReservationFitsTheBody: the encoder reserves its buffer once and close
@@ -106,17 +148,17 @@ func TestSpliceIsTheEncode(t *testing.T) {
 func TestReservationFitsTheBody(t *testing.T) {
 	stored := benchElements(20_000, true)
 	for name, body := range map[string]QueryBody{
-		"encoded":  {Elements: stored, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9},
-		"spliced":  splicedBody(t, stored, 1),
-		"halfway":  splicedBody(t, stored, 2),
-		"no plan":  {Elements: stored[:2000]},
-		"one only": {Elements: stored[:1]},
+		"encoded":  {Answer: storage.ElementAnswer(stored), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9},
+		"spliced":  splicedBody(t, storeOf(t, stored), 1),
+		"halfway":  splicedBody(t, storeOf(t, stored), 2),
+		"no plan":  {Answer: storage.ElementAnswer(stored[:2000])},
+		"one only": {Answer: storage.ElementAnswer(stored[:1])},
 	} {
 		out, err := body.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slack := cap(out) - len(out); len(body.Elements) > 1 && slack*10 > len(out) {
+		if slack := cap(out) - len(out); body.Answer.Len() > 1 && slack*10 > len(out) {
 			t.Errorf("%s: %d bytes in a buffer of %d: more than a tenth of it is slack", name, len(out), cap(out))
 		}
 		// One reservation; under -race the sampling scratch escapes as well.
@@ -136,7 +178,7 @@ func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
 	for i, e := range stored {
 		e.Varying = []element.Value{element.Float([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3])}
 	}
-	chunk := stored[:256]
+	chunk := storage.ChunkOf(storeOf(t, stored[:256]), 0)
 	if _, err := BuildChunkImage(chunk, nil); err == nil { // warms the pooled buffer too
 		t.Fatal("a chunk of non-finite floats was given an image")
 	}
@@ -146,11 +188,11 @@ func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
 	// One bad slot late in the chunk is refused as well, whatever it cost.
 	late := benchElements(256, true)
 	late[200].Varying = []element.Value{element.Float(math.NaN())}
-	if _, err := BuildChunkImage(late, nil); err == nil {
+	if _, err := BuildChunkImage(storage.ChunkOf(storeOf(t, late), 0), nil); err == nil {
 		t.Fatal("a chunk with one non-finite float was given an image")
 	}
 
-	out, err := QueryBody{Elements: stored, Touched: len(stored)}.AppendJSON(nil)
+	out, err := QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}.AppendJSON(nil)
 	if err == nil {
 		t.Fatal("an answer of non-finite floats was encoded")
 	}
@@ -166,15 +208,16 @@ func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
 // was. A writer that fails gets its error back and nothing more is written.
 func TestLargeSplicedBodiesStream(t *testing.T) {
 	stored := benchElements(20_000, true)
-	dense := splicedBody(t, stored, 1)
+	st := storeOf(t, stored)
+	dense := splicedBody(t, st, 1)
 	for name, tc := range map[string]struct {
 		body   QueryBody
 		stream bool
 	}{
 		"20k, every chunk imaged":       {dense, true},
-		"20k, nothing imaged":           {QueryBody{Elements: stored, Touched: len(stored)}, false},
-		"20k, every second chunk":       {QueryBody{Elements: stored, Images: everyOther(dense.Images)}, false},
-		"2k of one chunk in two: small": {splicedBody(t, stored[:4000], 2), false},
+		"20k, nothing imaged":           {QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}, false},
+		"20k, every second chunk":       {QueryBody{Answer: dense.Answer, Images: everyOther(dense.Images)}, false},
+		"2k of one chunk in two: small": {splicedBody(t, storeOf(t, stored[:4000]), 2), false},
 	} {
 		whole, err := tc.body.AppendJSON(nil)
 		if err != nil {

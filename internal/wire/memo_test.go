@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
@@ -115,7 +116,7 @@ func memoElements() []*element.Element {
 func TestMemoIsTheParse(t *testing.T) {
 	els := memoElements()
 	encode := func(els []*element.Element) []byte {
-		b, err := QueryBody{Elements: els, Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3}.AppendJSON(nil)
+		b, err := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3}.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 	const max = 1 << 20
 	m := &ElementMemo{Max: max}
 	hot := ledgerElements(200)
-	hotDoc, _ := QueryBody{Elements: hot, Touched: len(hot)}.AppendJSON(nil)
+	hotDoc, _ := QueryBody{Answer: storage.ElementAnswer(hot), Touched: len(hot)}.AppendJSON(nil)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -173,7 +174,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 		for _, e := range els {
 			e.ES += surrogate.Surrogate(1000 * (k + 1))
 		}
-		doc, _ := QueryBody{Elements: els, Touched: len(els)}.AppendJSON(nil)
+		doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Touched: len(els)}.AppendJSON(nil)
 		var r QueryResponse
 		if err := r.ParseJSONMemo(doc, m); err != nil {
 			t.Fatal(err)
@@ -207,7 +208,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 // nothing per element.
 func TestMemoAllocationBudget(t *testing.T) {
 	els := ledgerElements(2000)
-	doc, _ := QueryBody{Elements: els, Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+	doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
 	m := &ElementMemo{Max: 8 << 20}
 	var cold QueryResponse
 	if err := cold.ParseJSONMemo(doc, m); err != nil {
@@ -239,7 +240,7 @@ func TestMemoAllocationBudget(t *testing.T) {
 // over the clone leaves the source as it was.
 func TestCloneSharesNothing(t *testing.T) {
 	els := memoElements()
-	doc, _ := QueryBody{Elements: els, Plan: "p", PlanNode: &PlanNode{Kind: "k", WinLo: new(int64), WinHi: new(int64), Input: benchPlan()}, Touched: 1}.AppendJSON(nil)
+	doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: &PlanNode{Kind: "k", WinLo: new(int64), WinHi: new(int64), Input: benchPlan()}, Touched: 1}.AppendJSON(nil)
 	var r, want QueryResponse
 	if err := r.ParseJSON(doc); err != nil {
 		t.Fatal(err)
