@@ -66,6 +66,7 @@ e2e-integrity:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeTransaction -fuzztime=20s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzDecodeQuery -fuzztime=20s ./internal/server
+	$(GO) test -run=NONE -fuzz=FuzzBatchInsertRequest -fuzztime=20s ./internal/server
 
 # fuzz-smoke gives every fuzz target in the repo 5s of mutation each —
 # cheap enough to run before a release. Anchored patterns: go test allows

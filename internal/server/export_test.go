@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 
 	"repro/internal/wire"
@@ -15,10 +17,10 @@ type BatchDecoded struct {
 	Message    string
 }
 
-// DecodeBatchBothWays reads body the way the handler does (decodeBatch: the
-// fast parse straight into insertions, and what it hands on) and with
-// decodeBatchJSON alone — the strict json.Decoder into the wire request,
-// then ToInsertions — for the differential fuzzer.
+// DecodeBatchBothWays reads body the way the handler does (decode, into
+// wire.BatchInsertions) and with batchOracle — the strict json.Decoder
+// into the wire request, then checkBatch and ToInsertions — for the
+// differential fuzzer.
 func DecodeBatchBothWays(body []byte) (handler, plain BatchDecoded) {
 	read := func(ins wire.BatchInsertions, aerr *apiError) BatchDecoded {
 		if aerr != nil {
@@ -26,7 +28,7 @@ func DecodeBatchBothWays(body []byte) (handler, plain BatchDecoded) {
 		}
 		return BatchDecoded{Insertions: ins}
 	}
-	return DecodeBatchHandler(body), read(decodeBatchJSON(bytes.NewReader(body)))
+	return DecodeBatchHandler(body), read(batchOracle(bytes.NewReader(body)))
 }
 
 // DecodeBatchHandler is the handler's half of DecodeBatchBothWays alone:
@@ -39,6 +41,34 @@ func DecodeBatchHandler(body []byte) BatchDecoded {
 	return BatchDecoded{Insertions: ins}
 }
 
+// decodeBatch is the batch handler's decode.
+func decodeBatch(r *http.Request) (wire.BatchInsertions, *apiError) {
+	var ins wire.BatchInsertions
+	aerr := decode(r, &ins)
+	return ins, aerr
+}
+
+// batchOracle is the oracle of the batch body: what the strict
+// json.Decoder makes of it as a wire request, then the refusal of an empty
+// batch or of keys that do not parallel its elements, then ToInsertions.
+func batchOracle(body io.Reader) (wire.BatchInsertions, *apiError) {
+	var req wire.BatchInsertRequest
+	if aerr := decodeJSON(body, &req); aerr != nil {
+		return wire.BatchInsertions{}, aerr
+	}
+	switch n, k := len(req.Elements), len(req.Keys); {
+	case n == 0:
+		return wire.BatchInsertions{}, errBadRequest("empty batch")
+	case k != 0 && k != n:
+		return wire.BatchInsertions{}, errBadRequest("batch carries %d keys for %d elements", k, n)
+	}
+	ins, err := req.ToInsertions()
+	if err != nil {
+		return wire.BatchInsertions{}, errBadRequest("%s", err.Error())
+	}
+	return ins, nil
+}
+
 // Decoded is one way's reading of a request body: the value it decoded, or
 // the status and message it refused the body with.
 type Decoded struct {
@@ -47,18 +77,24 @@ type Decoded struct {
 	Message string
 }
 
-// DecodeBothWays reads body into a fresh T the way the handlers do (decode:
-// T's own parser first, the strict json.Decoder for whatever it hands back)
-// and with decodeJSON alone, for the differential fuzzers.
+// DecodeBothWays reads body into a fresh T the way the handlers do
+// (decode: T's own parser) and with decodeJSON alone, for the differential
+// fuzzers.
 func DecodeBothWays[T any](body []byte) (handler, plain Decoded) {
-	read := func(v *T, aerr *apiError) Decoded {
-		if aerr != nil {
-			return Decoded{Status: aerr.status, Message: aerr.message}
-		}
-		return Decoded{Value: *v}
+	var p T
+	return DecodeHandler[T](body), decoded(&p, decodeJSON(bytes.NewReader(body), &p))
+}
+
+// DecodeHandler is the handler's half of DecodeBothWays alone: what a cost
+// bound on the server's decode measures.
+func DecodeHandler[T any](body []byte) Decoded {
+	var h T
+	return decoded(&h, decode(httptest.NewRequest("POST", "/", bytes.NewReader(body)), &h))
+}
+
+func decoded[T any](v *T, aerr *apiError) Decoded {
+	if aerr != nil {
+		return Decoded{Status: aerr.status, Message: aerr.message}
 	}
-	var h, p T
-	handler = read(&h, decode(httptest.NewRequest("POST", "/", bytes.NewReader(body)), &h))
-	plain = read(&p, decodeJSON(bytes.NewReader(body), &p))
-	return handler, plain
+	return Decoded{Value: *v}
 }

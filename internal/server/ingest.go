@@ -2,10 +2,10 @@ package server
 
 // Batched and streaming ingest handlers (DESIGN §14).
 //
-// POST /v1/relations/{name}/elements:batch decodes a BatchInsertRequest
-// and commits it through catalog.Entry.InsertBatchKeyed: one WAL frame,
-// one group-commit entry, one published epoch for the whole batch, with a
-// per-item status report. The batch's idempotency key is the request's
+// POST /v1/relations/{name}/elements:batch parses a BatchInsertRequest
+// straight into insertions (wire.BatchInsertions) and commits it through
+// catalog.Entry.InsertBatchKeyed: one WAL frame, one group-commit entry,
+// one published epoch for the whole batch, with a per-item status report. The batch's idempotency key is the request's
 // Idempotency-Key header, as a single mutation's is; a request that
 // carries a key per element in its body takes the compatibility path
 // (catalog.Entry.InsertBatch with those keys) and the header goes unused.
@@ -16,17 +16,13 @@ package server
 // occupies the write class like the single inserts it replaces.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,8 +57,8 @@ func (s *Server) handleInsertBatch(r *http.Request) (*response, *apiError) {
 	// sends the same bytes on every retry.
 	body := &digestBody{ReadCloser: r.Body}
 	r.Body = body
-	req, aerr := decodeBatch(r)
-	if aerr != nil {
+	var req wire.BatchInsertions
+	if aerr := decode(r, &req); aerr != nil {
 		return nil, aerr
 	}
 	var res catalog.BatchResult
@@ -122,299 +118,6 @@ func (b batchItems) Item(i int) (string, string, *element.Element, bool) {
 	it := &b.res[i]
 	brief := b.brief && it.Status == catalog.BatchStored && it.Elem.Current() && it.Elem.VT == b.ins[i].VT
 	return it.Status.String(), it.Err, it.Elem, brief
-}
-
-// decodeBatch reads an elements:batch body into the insertions InsertBatch
-// takes. A body spelled as the encoder spells it is parsed straight into
-// them (wire.BatchInsertions). Any other — a spelling only encoding/json
-// may judge, or an element that does not convert — is decodeBatchJSON's,
-// which decides what is refused and in which words: read an element at a
-// time (decodeBatchStream) where that reading is sure to decide as it
-// does, and by decodeBatchJSON itself otherwise. As in decode, only a
-// refused spelling is counted as a slow decode.
-func decodeBatch(r *http.Request) (wire.BatchInsertions, *apiError) {
-	var fast wire.BatchInsertions
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil {
-		switch err := fast.ParseJSON(buf.Bytes()); {
-		case err == nil:
-			return fast, checkBatch(len(fast.Elements), len(fast.Keys))
-		case !errors.Is(err, wire.ErrUnconvertible):
-			r.Body = slowDecoded{r.Body}
-		}
-		if ins, aerr, ok := decodeBatchStream(buf.Bytes()); ok {
-			return ins, aerr
-		}
-	}
-	return decodeBatchJSON(io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body))
-}
-
-// decodeBatchStream decides a batch body as decodeBatchJSON does — the same
-// insertions, or the same refusal in the same words — holding one element's
-// wire request at a time, and no insertion past the first element that does
-// not convert or decode: decodeBatchJSON decodes every element before it
-// converts one, so a megabyte of `{}` cost it ≈ 450 MB. It reads the body's
-// first JSON value a field at a time and each element with the strict
-// decoder decodeJSON uses, and keeps what decodeJSON would have reported —
-// the first error in the body, a type error's field path rewritten to the
-// one decoding the whole request gives — and then the refusals that follow
-// in decodeBatchJSON's order: checkBatch's, and the first element's that
-// does not convert. ok is false — decodeBatchJSON is to decide — for a body
-// whose first value is not an object or is malformed JSON, which decodeJSON
-// refuses before it decodes an element.
-//
-// Decoding the whole request reads a field named twice twice, the last
-// value winning: null or [] empties the element list, a value that is no
-// list is a type error, and a list decodes its element i over the element
-// i the lists before it since the last emptying left. So the fields are
-// read first, and the elements of such a run of lists are converted once
-// all are read (overlaid).
-func decodeBatchStream(body []byte) (ins wire.BatchInsertions, aerr *apiError, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return ins, nil, false
-	}
-	type field struct {
-		name  string
-		which int    // into batchFields, -1 for an unknown name
-		raw   []byte // the value, in body
-	}
-	var fields []field
-	last, run := -1, 0 // the last run of element lists: its last list, its length
-	for dec.More() {
-		t, err := dec.Token()
-		if err != nil {
-			return ins, nil, false
-		}
-		f, from := field{name: t.(string)}, dec.InputOffset()
-		if dec.Decode(&skipValue{}) != nil {
-			return ins, nil, false
-		}
-		f.raw = bytes.TrimLeft(body[from:dec.InputOffset()], " \t\r\n:")
-		f.which = slices.IndexFunc(batchFields[:], func(name string) bool { return strings.EqualFold(f.name, name) })
-		if f.which == 0 {
-			switch {
-			case emptyList(f.raw):
-				last, run = -1, 0
-			case f.raw[0] == '[':
-				last, run = len(fields), run+1
-			}
-		}
-		fields = append(fields, f)
-	}
-	if _, err := dec.Token(); err != nil {
-		return ins, nil, false
-	}
-	var (
-		count   int           // the elements of the last list
-		lists   []elementList // the lists since the last emptied the field
-		one     wire.InsertRequest
-		first   error // the first error decoding the request would report
-		failed  error // the first element that does not convert, with its index
-		keepErr = func(err error, field string) bool {
-			var syntax *json.SyntaxError
-			if errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-				return false
-			}
-			if te, ok := err.(*json.UnmarshalTypeError); ok {
-				if te.Struct == "" {
-					te.Struct, te.Field = "BatchInsertRequest", field
-				} else {
-					te.Field = field + "." + te.Field
-				}
-			}
-			if first == nil {
-				first = err
-			}
-			return true
-		}
-	)
-	for k, f := range fields {
-		var err error
-		switch f.which {
-		case 0: // elements
-			if emptyList(f.raw) {
-				lists, count = nil, 0
-				continue
-			}
-			if f.raw[0] != '[' {
-				keepErr(json.Unmarshal(f.raw, new([]wire.InsertRequest)), "elements")
-				continue
-			}
-			list := json.NewDecoder(bytes.NewReader(f.raw))
-			list.DisallowUnknownFields()
-			if _, err := list.Token(); err != nil {
-				return ins, nil, false
-			}
-			l := elementList{raw: f.raw}
-			count, ins.Elements = 0, nil
-			for list.More() {
-				one = wire.InsertRequest{}
-				if err := list.Decode(&one); err != nil {
-					if !keepErr(err, "elements") {
-						return ins, nil, false
-					}
-				}
-				if run == 1 && k == last && failed == nil && first == nil {
-					in, err := one.ToInsertion()
-					if err != nil {
-						failed, ins.Elements = fmt.Errorf("element %d: %s", count, err.Error()), nil
-					} else {
-						ins.Elements = append(ins.Elements, in)
-					}
-				}
-				if run > 1 {
-					l.ends = append(l.ends, int32(list.InputOffset()))
-				}
-				count++
-			}
-			lists = append(lists, l)
-			continue
-		case 1:
-			err = json.Unmarshal(f.raw, &ins.Keys)
-		case 2:
-			err = json.Unmarshal(f.raw, &ins.Atomic)
-		case 3:
-			err = json.Unmarshal(f.raw, &ins.Brief)
-		default:
-			err = fmt.Errorf("json: unknown field %q", f.name)
-		}
-		if err != nil && !keepErr(err, batchFields[max(f.which, 0)]) {
-			return ins, nil, false
-		}
-	}
-	switch {
-	case first != nil:
-		return wire.BatchInsertions{}, errBadRequest("malformed request body: %v", first), true
-	case checkBatch(count, len(ins.Keys)) != nil:
-		return wire.BatchInsertions{}, checkBatch(count, len(ins.Keys)), true
-	case run > 1:
-		if ins.Elements, failed, ok = overlaid(lists, count); !ok {
-			return wire.BatchInsertions{}, nil, false
-		}
-	}
-	if failed != nil {
-		return wire.BatchInsertions{}, errBadRequest("%s", failed.Error()), true
-	}
-	return ins, nil, true
-}
-
-// skipValue decodes any JSON value to nothing.
-type skipValue struct{}
-
-func (skipValue) UnmarshalJSON([]byte) error { return nil }
-
-// emptyList reports whether an element list's value empties it: null or [].
-func emptyList(raw []byte) bool {
-	return raw[0] == 'n' || raw[0] == '[' && bytes.TrimLeft(raw[1:], " \t\r\n")[0] == ']'
-}
-
-// elementList is one element list of a batch body: its bytes, from its
-// opening bracket, and where each of its elements ends in them.
-type elementList struct {
-	raw  []byte
-	ends []int32
-}
-
-// element returns the bytes of element k.
-func (l *elementList) element(k int) []byte {
-	start := int32(1)
-	if k > 0 {
-		start = l.ends[k-1]
-	}
-	return bytes.TrimLeft(l.raw[start:l.ends[k]], " \t\r\n,")
-}
-
-// overlaid converts the first n elements of a run of element lists as
-// decoding the whole request builds them: element i is decoded from
-// element i of every list that has one, in turn, over one request. Each of
-// those elements decoded alone, so none fails here; if one did, ok is false
-// and decodeBatchJSON is to decide.
-func overlaid(lists []elementList, n int) (ins []relation.Insertion, failed error, ok bool) {
-	dec := json.NewDecoder(&overlayFeed{lists: lists, n: n})
-	dec.DisallowUnknownFields()
-	ins = make([]relation.Insertion, 0, n)
-	for i := range n {
-		var one wire.InsertRequest
-		for _, l := range lists {
-			if i < len(l.ends) && dec.Decode(&one) != nil {
-				return nil, nil, false
-			}
-		}
-		in, err := one.ToInsertion()
-		if err != nil {
-			return nil, fmt.Errorf("element %d: %s", i, err.Error()), true
-		}
-		ins = append(ins, in)
-	}
-	return ins, nil, true
-}
-
-// overlayFeed reads as one stream, in overlaid's order, element i of every
-// list that has one for each i below n, each followed by a space.
-type overlayFeed struct {
-	lists   []elementList
-	n, i, j int
-	rest    []byte
-	gap     bool
-}
-
-var space = []byte{' '}
-
-func (f *overlayFeed) Read(p []byte) (int, error) {
-	for len(f.rest) == 0 {
-		switch {
-		case f.gap:
-			f.rest, f.gap = space, false
-		case f.i == f.n:
-			return 0, io.EOF
-		case f.j == len(f.lists):
-			f.i, f.j = f.i+1, 0
-		default:
-			if l := &f.lists[f.j]; f.i < len(l.ends) {
-				f.rest, f.gap = l.element(f.i), true
-			}
-			f.j++
-		}
-	}
-	n := copy(p, f.rest)
-	f.rest = f.rest[n:]
-	return n, nil
-}
-
-// batchFields are wire.BatchInsertRequest's JSON names, in decodeBatchStream's
-// order.
-var batchFields = [4]string{"elements", "keys", "atomic", "brief"}
-
-// decodeBatchJSON reads a batch body with the strict json.Decoder into the
-// wire request, then converts it element by element (ToInsertions).
-func decodeBatchJSON(body io.Reader) (wire.BatchInsertions, *apiError) {
-	var req wire.BatchInsertRequest
-	if aerr := decodeJSON(body, &req); aerr != nil {
-		return wire.BatchInsertions{}, aerr
-	}
-	if aerr := checkBatch(len(req.Elements), len(req.Keys)); aerr != nil {
-		return wire.BatchInsertions{}, aerr
-	}
-	ins, err := req.ToInsertions()
-	if err != nil {
-		return wire.BatchInsertions{}, errBadRequest("%s", err.Error())
-	}
-	return ins, nil
-}
-
-// checkBatch refuses an empty batch and one whose keys do not parallel its
-// elements.
-func checkBatch(elements, keys int) *apiError {
-	if elements == 0 {
-		return errBadRequest("empty batch")
-	}
-	if keys != 0 && keys != elements {
-		return errBadRequest("batch carries %d keys for %d elements", keys, elements)
-	}
-	return nil
 }
 
 // handleIngestCSV streams ?relation=<name>'s body — header-driven CSV —

@@ -35,9 +35,6 @@ type endpointStats struct {
 	// timeouts counts the requests the deadline answered (deadline.go)
 	// while their handler was still running.
 	timeouts uint64
-	// slowDecodes counts the request bodies decode had to hand to
-	// encoding/json because their own parser refused the spelling.
-	slowDecodes uint64
 	// cond counts the conditional GETs by what revalidation found.
 	cond wire.ConditionalMetrics
 }
@@ -88,9 +85,8 @@ func (m *Metrics) RecordValidation(endpoint string, v catalog.Validation) {
 }
 
 // Record accounts one request against the named endpoint: its latency,
-// the elements it touched, the size and encoding time of its body, and
-// whether its request body missed the fast parser.
-func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bool, respBytes int, enc time.Duration, slowDecode bool) {
+// the elements it touched, and the size and encoding time of its body.
+func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bool, respBytes int, enc time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ep := m.endpoint(endpoint)
@@ -103,9 +99,6 @@ func (m *Metrics) Record(endpoint string, d time.Duration, touched int, isErr bo
 	}
 	ep.respBytes += uint64(respBytes)
 	ep.encTotal += enc
-	if slowDecode {
-		ep.slowDecodes++
-	}
 	ep.latTotal += d
 	if ep.requests == 1 || d < ep.latMin {
 		ep.latMin = d
@@ -125,16 +118,15 @@ func (m *Metrics) Report() wire.MetricsResponse {
 	}
 	for name, ep := range m.eps {
 		em := wire.EndpointMetrics{
-			Requests:    ep.requests,
-			Errors:      ep.errors,
-			Touched:     ep.touched,
-			LatencyUS:   ep.latTotal.Microseconds(),
-			MinUS:       ep.latMin.Microseconds(),
-			MaxUS:       ep.latMax.Microseconds(),
-			RespBytes:   ep.respBytes,
-			EncodeUS:    ep.encTotal.Microseconds(),
-			Timeouts:    ep.timeouts,
-			SlowDecodes: ep.slowDecodes,
+			Requests:  ep.requests,
+			Errors:    ep.errors,
+			Touched:   ep.touched,
+			LatencyUS: ep.latTotal.Microseconds(),
+			MinUS:     ep.latMin.Microseconds(),
+			MaxUS:     ep.latMax.Microseconds(),
+			RespBytes: ep.respBytes,
+			EncodeUS:  ep.encTotal.Microseconds(),
+			Timeouts:  ep.timeouts,
 		}
 		if ep.requests > 0 {
 			em.MeanUS = (ep.latTotal / time.Duration(ep.requests)).Microseconds()

@@ -377,8 +377,7 @@ func (s *Server) wrapOpts(name string, class AdmissionClass, o endpointOpts, fn 
 				failed = err != nil
 			}
 		}
-		_, slow := r.Body.(slowDecoded)
-		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc, slow)
+		s.metrics.Record(name, time.Since(start), touched, failed, sent, enc)
 		if res != nil && res.validated {
 			s.metrics.RecordValidation(name, res.validation)
 		}
@@ -560,62 +559,57 @@ func kindQuery(kind string, vt, tt int64) (plan.Query, bool) {
 	return plan.Query{}, false
 }
 
-// slowDecoded is the note decode leaves for the endpoint's metrics, on
-// the one thing it shares with the envelope — the request: a body that
-// was read whole, refused by its own parser and decoded by encoding/json
-// is wrapped in it. A request the fast path takes, or one without a
-// parser, pays nothing for the count.
-type slowDecoded struct{ io.ReadCloser }
-
 // decode reads a JSON request body, mapping oversized bodies to 413 and
 // malformed ones to 400. Unknown fields are rejected so client typos fail
 // loudly instead of silently dropping options.
 //
-// A request with its own parser (wire.Parser: the insert body; the batch
-// body has decodeBatch) is read whole and offered to it first. That parser takes the
-// canonical spelling only; on anything else the bytes it saw — then
-// whatever the body still holds, including the error that ended the
-// read — are replayed to the strict json.Decoder, so what is accepted,
-// what is refused, the status and the message are the decoder's in
-// every case the fast path does not own. The replay is several times
-// slower, and a refused spelling — not a body too large or cut short,
-// which no parser was offered — is counted: /metrics shows it per
-// endpoint as slow_decodes.
+// A request with its own parser (wire.Parser: the insert, query, select,
+// delete, modify and batch bodies) is read whole and parsed by it alone:
+// it accepts and refuses what the strict json.Decoder does, in the same
+// words. A body that ended in a read error rather than in its own bytes is
+// refused for that error, as the decoder refuses it. The other bodies
+// (create, declare) are decodeJSON's.
 func decode(r *http.Request, into any) *apiError {
-	var body io.Reader = r.Body
-	if p, ok := into.(wire.Parser); ok {
-		buf := wire.GetBuffer()
-		defer wire.PutBuffer(buf)
-		// On the Content-Length's word alone, no more than the default
-		// body cap is reserved; MaxBytesReader polices the real one.
-		if wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20) == nil {
-			if p.ParseJSON(buf.Bytes()) == nil {
-				return nil
-			}
-			r.Body = slowDecoded{r.Body}
-		}
-		body = io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)
+	p, ok := into.(wire.Parser)
+	if !ok {
+		return decodeJSON(r.Body, into)
 	}
-	return decodeJSON(body, into)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	// On the Content-Length's word alone, no more than the default body
+	// cap is reserved; MaxBytesReader polices the real one.
+	read := wire.ReadBody(buf, r.Body, r.ContentLength, 1<<20)
+	err := p.ParseJSON(buf.Bytes())
+	if refused, ok := err.(wire.BatchError); ok {
+		return errBadRequest("%s", string(refused))
+	}
+	if read != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+		err = read
+	}
+	return jsonError(err)
 }
 
-// decodeJSON is decode's strict json.Decoder, and the statuses and
-// messages of its refusals.
+// decodeJSON is the strict json.Decoder for the bodies without a parser.
 func decodeJSON(body io.Reader, into any) *apiError {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return &apiError{http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		if errors.Is(err, io.EOF) {
-			return errBadRequest("empty request body")
-		}
-		return errBadRequest("malformed request body: %v", err)
+	return jsonError(dec.Decode(into))
+}
+
+// jsonError is the status and message of a body refused as JSON.
+func jsonError(err error) *apiError {
+	if err == nil {
+		return nil
 	}
-	return nil
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		return &apiError{http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+	case errors.Is(err, io.EOF):
+		return errBadRequest("empty request body")
+	}
+	return &apiError{http.StatusBadRequest, wire.CodeBadRequest, "malformed request body: " + err.Error()}
 }
 
 func (s *Server) entry(r *http.Request) (*catalog.Entry, *apiError) {

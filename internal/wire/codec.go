@@ -34,23 +34,25 @@ type Appender interface {
 	AppendJSON(dst []byte) ([]byte, error)
 }
 
-// Parser is a body that reads its own JSON. ParseJSON accepts the image
-// of the encoders in this file and nothing else: the keys an Appender
-// writes, in the order it writes them, a key it would have omitted either
-// absent or present with a value, null only where encoding/json writes
-// one for a nil slice (elements, items, columns, rows, a row), integers
-// without fraction or exponent, and at most the one newline json.Encoder
-// ends a document with. Everything else is refused — not only what
-// encoding/json refuses too (an unknown, other-case or duplicated key,
-// trailing data) but also spellings it accepts: keys in another order
-// (`"tt_end"` before `"tt_start"`), a space after a colon or a comma, a
-// pretty-printed body, null for a scalar, `1.0` or `1e3` for an integer.
-// A refusal returns an error, having left the receiver untouched; the
-// caller then hands the same bytes to encoding/json, which stays the
-// authority on what is accepted, what is rejected, and with which
-// message. On success the receiver is replaced, which for the zero
-// receivers every caller passes is what json.Unmarshal would have
-// produced.
+// Parser is a body that reads its own JSON. A response's ParseJSON
+// accepts the image of the encoders in this file and nothing else: the
+// keys an Appender writes, in the order it writes them, a key it would
+// have omitted either absent or present with a value, null only where
+// encoding/json writes one for a nil slice (elements, items, columns,
+// rows, a row), integers without fraction or exponent, and at most the one
+// newline json.Encoder ends a document with. Everything else is refused —
+// not only what encoding/json refuses too (an unknown, other-case or
+// duplicated key, trailing data) but also spellings it accepts: keys in
+// another order (`"tt_end"` before `"tt_start"`), a space after a colon or
+// a comma, a pretty-printed body, null for a scalar, `1.0` or `1e3` for an
+// integer. A refusal returns an error, having left the receiver
+// untouched; the caller then hands the same bytes to encoding/json, which
+// stays the authority on what is accepted, what is rejected, and with
+// which message. A request's ParseJSON is that authority itself: it reads
+// every spelling the server's strict json.Decoder reads, to the same
+// value, and refuses the rest in its words (request.go). On success the
+// receiver is replaced, which for the zero receivers every caller passes
+// is what json.Unmarshal would have produced.
 type Parser interface {
 	ParseJSON(src []byte) error
 }

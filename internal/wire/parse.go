@@ -4,14 +4,15 @@ package wire
 // no validity pre-pass, and a handful of allocations per response
 // instead of a handful per element. Each shape is read the way codec.go
 // writes it — the same literals in the same order — so the accept set is
-// the encoder's image and nothing else; see Parser for the contract.
+// the encoder's image and nothing else; see Parser for the contract. A
+// request body this canonical parse does not take whole is read again by
+// the general half (request.go).
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -24,8 +25,8 @@ import (
 	"repro/internal/surrogate"
 )
 
-// errNotCanonical is the parser's only error: the input is either not
-// JSON or JSON spelled in a way only encoding/json should judge.
+// errNotCanonical is a response parser's only error: the input is either
+// not JSON or JSON spelled in a way only encoding/json should judge.
 var errNotCanonical = errors.New("wire: not the canonical JSON spelling")
 
 // slab hands out items of large chunks, so the thousands of small
@@ -100,7 +101,6 @@ type parser struct {
 	src     []byte
 	i       int
 	bad     bool // sticky: some byte was not the encoder's; parseTop checks it once
-	unconv  bool // sticky: an insertion that ToInsertion would refuse (BatchInsertions)
 	copier       // the ints and vals slabs
 	elems   slab[Element]
 	assigns slab[Assigned]
@@ -109,6 +109,21 @@ type parser struct {
 	strs    arena
 	scratch []byte // unescaping buffer
 	depth   int    // plan-node nesting
+
+	// The general reading of a request (request.go): what stopped it, the
+	// first unknown member or type error, a batch's refusal; the arrays and
+	// objects open, the scalar read last, the fields being read.
+	err            error
+	saved, refusal string
+	nest           int
+	tok            []byte
+	ctx            [4]member
+	nctx           int
+	lists          []int // where a batch's element lists since the last emptied begin
+	lists0         [2]int
+	count          int // the elements of the last
+	failed         int // where the first of its elements that does not convert begins
+	failedAt       int // and which it is
 
 	// The first chunks are part of the parser: a one-element response —
 	// every insert's — and a two-node plan take no slab allocation at all.
@@ -128,7 +143,7 @@ type parser struct {
 
 func newParser(src []byte) *parser {
 	p := &parser{src: src}
-	p.ints.buf, p.vals.buf = p.ints0[:0], p.vals0[:0]
+	p.ints.buf, p.vals.buf, p.lists = p.ints0[:0], p.vals0[:0], p.lists0[:0]
 	// `1,` — `{"kind":""},` — `{"es":0,"os":0,"tt_start":0,"tt_end":0,"current":true,"vt":{}},`
 	// — `{"es":0,"os":0,"tt_start":0},`
 	p.ints.per, p.vals.per, p.elems.per, p.assigns.per = 2, 12, 63, 29
@@ -224,6 +239,9 @@ func item[T any](p *parser, v *T) {
 // array parses [item,...] — or the null encoding/json writes for a nil
 // slice — into a slice sized by extrapolate.
 func array[T any](p *parser) []T {
+	if p.bad {
+		return nil
+	}
 	if !p.lit("[") {
 		p.expect("null")
 		return nil
@@ -237,15 +255,13 @@ func array[T any](p *parser) []T {
 		return nil
 	}
 	out := append(make([]T, 0, 1+p.extrapolate(m)), first)
-	for !p.bad && !p.unconv && p.lit(",") {
-		out = slices.Grow(out, 1)[:len(out)+1]
+	for !p.bad && p.lit(",") {
+		if len(out) == cap(out) { // the guess was short: guess again, from every item read
+			more := p.left() / max((p.i-m.pos)/len(out), 1)
+			out = append(make([]T, 0, len(out)+max(len(out), more+more/16+1)), out...)
+		}
+		out = out[:len(out)+1]
 		item(p, &out[len(out)-1])
-	}
-	// Past an item that does not convert the parse is thrown away whatever
-	// follows; the rest is read for its spelling alone, one item at a time.
-	for !p.bad && p.unconv && p.lit(",") {
-		var skip T
-		item(p, &skip)
 	}
 	p.expect("]")
 	return out
@@ -372,31 +388,15 @@ func (p *parser) digits(i int) (int, bool) {
 // f64 scans the JSON number grammar (strconv accepts more) and converts
 // it; a number float64 cannot hold is encoding/json's to refuse.
 func (p *parser) f64() float64 {
-	s, i := p.src, p.i
-	if i < len(s) && s[i] == '-' {
-		i++
+	if p.i == len(p.src) || p.src[p.i] != '-' && p.src[p.i]-'0' > 9 {
+		p.bad = true
+		return 0
 	}
-	ok := false
-	if i < len(s) && s[i] == '0' {
-		i, ok = i+1, true
-	} else {
-		i, ok = p.digits(i)
-	}
-	if ok && i < len(s) && s[i] == '.' {
-		i, ok = p.digits(i + 1)
-	}
-	if ok && i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			i++
-		}
-		i, ok = p.digits(i)
-	}
-	f, err := strconv.ParseFloat(string(s[p.i:i]), 64)
-	if !ok || err != nil {
+	p.number()
+	f, err := strconv.ParseFloat(string(p.tok), 64)
+	if err != nil {
 		p.bad = true
 	}
-	p.i = i
 	return f
 }
 
@@ -408,26 +408,37 @@ func (p *parser) boolean() bool {
 	return false
 }
 
-// str parses a string into the arena. Printable ASCII up to the closing
-// quote is the fast case; an escape or a byte from 0x80 up takes unquote.
+// str parses a string into the arena.
 func (p *parser) str() string {
-	if !p.lit(`"`) {
+	if p.i == len(p.src) || p.src[p.i] != '"' {
 		return p.refuse()
 	}
+	return p.strs.add(p.text(), p.left())
+}
+
+// text reads the string whose opening quote is at p.i and returns its
+// bytes as encoding/json unquotes them. Printable ASCII up to the closing
+// quote is the fast case, a slice of the input; an escape or a byte from
+// 0x80 up takes unquote.
+func (p *parser) text() []byte {
 	s := p.src
-	for i := p.i; i < len(s); i++ {
+	for i := p.i + 1; i < len(s); i++ {
 		switch c := s[i]; {
 		case c == '"':
-			raw := s[p.i:i]
+			raw := s[p.i+1 : i]
 			p.i = i + 1
-			return p.strs.add(raw, p.left())
+			return raw
 		case c == '\\' || c >= utf8.RuneSelf:
-			return p.unquote(i)
+			return p.unquote(p.i+1, i)
 		case c < ' ':
-			return p.refuse()
+			p.i = i
+			p.fail("in string literal")
+			return nil
 		}
 	}
-	return p.refuse()
+	p.i = len(s)
+	p.fail("")
+	return nil
 }
 
 // words are the strings a response repeats per value or per item — the
@@ -453,6 +464,19 @@ func (p *parser) wordIn(ws []string) string {
 	return p.str()
 }
 
+// unhex is the value of a hexadecimal digit, or -1.
+func unhex(c byte) rune {
+	switch {
+	case '0' <= c && c <= '9':
+		return rune(c - '0')
+	case 'a' <= c && c <= 'f':
+		return rune(c - 'a' + 10)
+	case 'A' <= c && c <= 'F':
+		return rune(c - 'A' + 10)
+	}
+	return -1
+}
+
 // hex4 reads \uXXXX at s[0:6], or -1.
 func hex4(s []byte) rune {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
@@ -460,36 +484,32 @@ func hex4(s []byte) rune {
 	}
 	var r rune
 	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
+		d := unhex(c)
+		if d < 0 {
 			return -1
 		}
-		r = r*16 + rune(c)
+		r = r*16 + d
 	}
 	return r
 }
 
-// unquote finishes a string whose plain prefix src[p.i:i] str has
-// scanned, with encoding/json's rules: the eight two-character escapes,
-// \uXXXX with surrogate pairs joined and a lone surrogate replaced by
-// U+FFFD, and invalid UTF-8 coerced to U+FFFD byte by byte.
-func (p *parser) unquote(i int) string {
+// unquote finishes, into p.scratch, a string whose plain prefix
+// src[start:i] text has scanned, with encoding/json's rules: the eight
+// two-character escapes, \uXXXX with surrogate pairs joined and a lone
+// surrogate replaced by U+FFFD, and invalid UTF-8 coerced to U+FFFD byte by
+// byte. It fails where encoding/json's scanner does.
+func (p *parser) unquote(start, i int) []byte {
 	s := p.src
-	b := append(p.scratch[:0], s[p.i:i]...)
+	b := append(p.scratch[:0], s[start:i]...)
 	for i < len(s) {
 		switch c := s[i]; {
 		case c == '"':
 			p.i, p.scratch = i+1, b
-			return p.strs.add(b, p.left())
+			return b
 		case c == '\\':
-			if i+1 >= len(s) {
-				return p.refuse()
+			if i+1 == len(s) {
+				i++
+				continue
 			}
 			switch e := s[i+1]; e {
 			case '"', '\\', '/':
@@ -505,10 +525,14 @@ func (p *parser) unquote(i int) string {
 			case 't':
 				b = append(b, '\t')
 			case 'u':
-				r := hex4(s[i:])
-				if r < 0 {
-					return p.refuse()
+				for j := i + 2; j < i+6; j++ {
+					if j == len(s) || unhex(s[j]) < 0 {
+						p.i = j
+						p.fail("in \\u hexadecimal character escape")
+						return nil
+					}
 				}
+				r := hex4(s[i:])
 				if utf16.IsSurrogate(r) {
 					if pair := utf16.DecodeRune(r, hex4(s[i+6:])); pair != unicode.ReplacementChar {
 						r = pair
@@ -520,11 +544,15 @@ func (p *parser) unquote(i int) string {
 				b = utf8.AppendRune(b, r)
 				i += 4
 			default:
-				return p.refuse()
+				p.i = i + 1
+				p.fail("in string escape code")
+				return nil
 			}
 			i += 2
 		case c < ' ':
-			return p.refuse()
+			p.i = i
+			p.fail("in string literal")
+			return nil
 		case c < utf8.RuneSelf:
 			b = append(b, c)
 			i++
@@ -534,7 +562,9 @@ func (p *parser) unquote(i int) string {
 			i += size
 		}
 	}
-	return p.refuse()
+	p.i = len(s)
+	p.fail("")
+	return nil
 }
 
 // The shapes, each in its encoder's order: expect for what the encoder
@@ -795,55 +825,19 @@ func (p *parser) insertRequest(r *InsertRequest) {
 	p.attributes(&r.Invariant, &r.Varying, &r.UserTimes)
 }
 
-func (p *parser) queryRequest(r *QueryRequest) {
-	p.expect(`{"kind":`)
-	r.Kind = p.wordIn(queryKinds[:])
-	if p.lit(`,"vt":`) {
-		r.VT = p.i64()
-	}
-	if p.lit(`,"tt":`) {
-		r.TT = p.i64()
-	}
-	p.expect("}")
-}
-
-func (p *parser) selectRequest(r *SelectRequest) {
-	p.expect(`{"query":`)
-	r.Query = p.str()
-	p.expect("}")
-}
-
-func (p *parser) deleteRequest(r *DeleteRequest) {
-	p.expect(`{"es":`)
-	r.ES = p.u64()
-	p.expect("}")
-}
-
-func (p *parser) modifyRequest(r *ModifyRequest) {
-	p.expect(`{"es":`)
-	r.ES = p.u64()
-	p.expect(`,"vt":`)
-	p.timestamp(&r.VT)
-	if p.lit(`,"varying":`) {
-		r.Varying = p.values()
-	}
-	p.expect("}")
-}
-
 // The insertions of a batch request, each element read the way
 // insertRequest reads it and converted the way InsertRequest.ToInsertion
 // converts it: values straight into engine values, time-stamps into engine
 // time-stamps, with no wire struct in between. What ToInsertion refuses — a
 // value kind outside the six, a time-stamp that is neither an event nor a
-// non-empty interval — is not refused here: it sets unconv and parsing goes
-// on, so that the caller learns whether the spelling was the encoder's and
-// can leave the refusal, and its wording, to the path that always made it.
+// non-empty interval — stops the canonical parse like a byte it does not
+// expect: the general reading finds the element and words the refusal.
 
 // BatchInsertions is a BatchInsertRequest parsed into what a batch insert
 // takes: one insertion per element, every value of the batch in one slab.
-// It is the only parser of a batch request (ParseJSON); a body it does not
-// take whole is decoded as a BatchInsertRequest by encoding/json and
-// converted by BatchInsertRequest.ToInsertions.
+// ParseJSON refuses what decoding the BatchInsertRequest with the server's
+// strict json.Decoder and converting it (ToInsertions) refuses, and a
+// batch of no elements or with keys that do not parallel them (BatchError).
 type BatchInsertions struct {
 	Elements []relation.Insertion
 	Keys     []string
@@ -851,29 +845,22 @@ type BatchInsertions struct {
 	Brief    bool
 }
 
-// ErrUnconvertible is what BatchInsertions.ParseJSON returns for a body
-// spelled as the encoder spells it that holds an element no insertion can
-// be built from: the decode is not slow, the request is refused.
-var ErrUnconvertible = errors.New("wire: a batch element that does not convert")
-
-// engineValue is value converted as Value.ToValue converts. Once one
-// conversion has failed the batch is refused, so no other is tried: a body
-// of bad kinds builds one error, not one per value.
+// engineValue is value converted as Value.ToValue converts.
 func (p *parser) engineValue(v *element.Value) {
 	var w Value
 	p.value(&w)
-	if p.unconv {
-		return
-	}
-	var err error
-	if *v, err = w.ToValue(); err != nil {
-		p.unconv = true
+	var ok bool
+	if *v, ok = w.engine(); !ok {
+		p.bad = true
 	}
 }
 
 // engineValues is values into the engine slab; an empty list is nil, as
 // ToValues makes it.
 func (p *parser) engineValues() []element.Value {
+	if p.bad {
+		return nil
+	}
 	if !p.lit("[") {
 		p.expect("null")
 		return nil
@@ -937,7 +924,7 @@ func (p *parser) engineStamp() element.Timestamp {
 	case !hasEvent && hasStart && hasEnd && end > start:
 		return element.SpanOf(chronon.Chronon(start), chronon.Chronon(end))
 	}
-	p.unconv = true
+	p.bad = true
 	return element.Timestamp{}
 }
 
@@ -975,12 +962,15 @@ func (p *parser) batchInsertions(r *BatchInsertions) {
 		r.Brief = p.boolean()
 	}
 	p.expect("}")
+	if p.count = len(r.Elements); !p.bad {
+		p.refuseBatch(r)
+	}
 }
 
-// parseTop runs one type's parser over the whole of src — and the
+// parseTop runs one response type's parser over the whole of src — and the
 // newline json.Encoder ends a document with, which the server keeps —
 // in place, and puts *r back as it was unless every byte was the
-// encoder's and everything converted.
+// encoder's.
 func parseTop[T any](r *T, src []byte, parse func(*parser, *T)) error {
 	return parseIn(newParser(src), r, parse)
 }
@@ -992,13 +982,9 @@ func parseIn[T any](p *parser, r *T, parse func(*parser, *T)) error {
 	*r = *new(T)
 	parse(p, r)
 	p.lit("\n")
-	switch {
-	case p.bad || p.i != len(src):
+	if p.bad || p.i != len(src) {
 		*r = old
 		return errNotCanonical
-	case p.unconv:
-		*r = old
-		return ErrUnconvertible
 	}
 	return nil
 }
@@ -1023,26 +1009,18 @@ func (r *SelectResponse) ParseJSON(src []byte) error {
 	return parseTop(r, src, (*parser).selectResponse)
 }
 
+// The request parsers read every spelling the server's strict json.Decoder
+// reads, to the same value, and refuse the rest in its words (request.go).
+
 func (r *InsertRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).insertRequest)
+	return request(r, src, (*parser).insertRequest, (*parser).anyInsert)
 }
 
 func (r *BatchInsertions) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).batchInsertions)
+	return request(r, src, (*parser).batchInsertions, (*parser).anyBatch)
 }
 
-func (r *QueryRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).queryRequest)
-}
-
-func (r *SelectRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).selectRequest)
-}
-
-func (r *DeleteRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).deleteRequest)
-}
-
-func (r *ModifyRequest) ParseJSON(src []byte) error {
-	return parseTop(r, src, (*parser).modifyRequest)
-}
+func (r *QueryRequest) ParseJSON(src []byte) error  { return request(r, src, nil, (*parser).anyQuery) }
+func (r *SelectRequest) ParseJSON(src []byte) error { return request(r, src, nil, (*parser).anySelect) }
+func (r *DeleteRequest) ParseJSON(src []byte) error { return request(r, src, nil, (*parser).anyDelete) }
+func (r *ModifyRequest) ParseJSON(src []byte) error { return request(r, src, nil, (*parser).anyModify) }

@@ -50,21 +50,29 @@ func Time(c int64) Value    { return Value{Kind: "time", Time: c} }
 
 // ToValue converts a wire value into an engine value.
 func (v Value) ToValue() (element.Value, error) {
-	switch v.Kind {
-	case "null", "":
-		return element.Null(), nil
-	case "string":
-		return element.String_(v.Str), nil
-	case "int":
-		return element.Int(v.Int), nil
-	case "float":
-		return element.Float(v.Float), nil
-	case "bool":
-		return element.Bool(v.Bool), nil
-	case "time":
-		return element.Time(chronon.Chronon(v.Time)), nil
+	if ev, ok := v.engine(); ok {
+		return ev, nil
 	}
 	return element.Value{}, fmt.Errorf("wire: unknown value kind %q", v.Kind)
+}
+
+// engine is ToValue without the error: ok is false for an unknown kind.
+func (v Value) engine() (element.Value, bool) {
+	switch v.Kind {
+	case "null", "":
+		return element.Null(), true
+	case "string":
+		return element.String_(v.Str), true
+	case "int":
+		return element.Int(v.Int), true
+	case "float":
+		return element.Float(v.Float), true
+	case "bool":
+		return element.Bool(v.Bool), true
+	case "time":
+		return element.Time(chronon.Chronon(v.Time)), true
+	}
+	return element.Value{}, false
 }
 
 // FromValue converts an engine value into its wire form.
@@ -133,16 +141,24 @@ func SpanOf(start, end int64) Timestamp { return Timestamp{Start: &start, End: &
 
 // ToTimestamp converts a wire time-stamp into an engine time-stamp.
 func (t Timestamp) ToTimestamp() (element.Timestamp, error) {
-	switch {
-	case t.Event != nil && t.Start == nil && t.End == nil:
-		return element.EventAt(chronon.Chronon(*t.Event)), nil
-	case t.Event == nil && t.Start != nil && t.End != nil:
-		if *t.End <= *t.Start {
-			return element.Timestamp{}, fmt.Errorf("wire: empty or inverted interval [%d,%d)", *t.Start, *t.End)
-		}
-		return element.SpanOf(chronon.Chronon(*t.Start), chronon.Chronon(*t.End)), nil
+	if ts, ok := t.engine(); ok {
+		return ts, nil
+	}
+	if t.Event == nil && t.Start != nil && t.End != nil {
+		return element.Timestamp{}, fmt.Errorf("wire: empty or inverted interval [%d,%d)", *t.Start, *t.End)
 	}
 	return element.Timestamp{}, fmt.Errorf("wire: timestamp needs either event or start+end")
+}
+
+// engine is ToTimestamp without the error: ok is false where it refuses.
+func (t Timestamp) engine() (element.Timestamp, bool) {
+	switch {
+	case t.Event != nil && t.Start == nil && t.End == nil:
+		return element.EventAt(chronon.Chronon(*t.Event)), true
+	case t.Event == nil && t.Start != nil && t.End != nil && *t.End > *t.Start:
+		return element.SpanOf(chronon.Chronon(*t.Start), chronon.Chronon(*t.End)), true
+	}
+	return element.Timestamp{}, false
 }
 
 // FromTimestamp converts an engine time-stamp into its wire form.
@@ -944,10 +960,6 @@ type EndpointMetrics struct {
 	// timeout envelope while their handler was still running; each is also
 	// a request (and an error) once its handler returns.
 	Timeouts uint64 `json:"request_timeouts,omitempty"`
-	// SlowDecodes counts request bodies whose spelling the fast parser
-	// refused (Parser), so that encoding/json decoded them — several times
-	// slower. A client that encodes with this package never adds to it.
-	SlowDecodes uint64 `json:"slow_decodes,omitempty"`
 	// Conditional counts the endpoint's conditional GETs by outcome;
 	// omitted until one arrives.
 	Conditional *ConditionalMetrics `json:"conditional,omitempty"`
