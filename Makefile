@@ -32,8 +32,10 @@ vet:
 test:
 	$(GO) test -shuffle=on ./...
 
+# -timeout is per package binary: internal/storage alone runs 292–474 s
+# under the race detector, against go test's default of 600 s.
 race:
-	$(GO) test -race -shuffle=on $(RACE_PKGS)
+	$(GO) test -race -shuffle=on -timeout 30m $(RACE_PKGS)
 
 # Run every program under examples/; any non-zero exit fails the target
 # (the on-call example exits 1 when its rota leaves an hour of the week

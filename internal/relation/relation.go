@@ -120,12 +120,12 @@ type Relation struct {
 }
 
 // closing is a sealed version staged for a close, in one allocation: the
-// open version staging hands out, its lists, and the closed copy the commit
-// returns, which shares them. A close into a sealed chunk so allocates once,
-// as one into an element chunk does (its copy).
+// open version staging hands out, with its lists, and the closed copy the
+// commit returns, which shares them. A close into a sealed chunk so
+// allocates once, as one into an element chunk does (its copy).
 type closing struct {
-	open, closed element.Element
-	lists        storage.Version
+	open   storage.Version
+	closed element.Element
 }
 
 // New creates an empty relation with the given schema and transaction-time
@@ -314,9 +314,8 @@ func (r *Relation) staged(i int) *element.Element {
 		return r.versions.At(i)
 	}
 	c := new(closing)
-	c.open = sp.Load(i%storage.ChunkSize, &c.lists)
 	r.closing = c
-	return &c.open
+	return sp.Load(i%storage.ChunkSize, &c.open)
 }
 
 // applyDelete closes the existence interval of the version at position i,
@@ -331,8 +330,8 @@ func (r *Relation) staged(i int) *element.Element {
 // record, so Declare's warm replay observes the close.
 func (r *Relation) applyDelete(i int, e *element.Element, tt chronon.Chronon) *element.Element {
 	var closed *element.Element
-	if c := r.closing; c != nil && e == &c.open {
-		c.closed = c.open
+	if c := r.closing; c != nil && e == c.open.Element() {
+		c.closed = *e
 		closed = &c.closed
 	} else {
 		closed = r.versions.Copy(i)

@@ -421,33 +421,34 @@ func writeJSON(bufs *wire.BufferList, w http.ResponseWriter, status int, body an
 	buf := bufs.Get()
 	var out []byte
 	var err error
-	if qb, ok := body.(wire.QueryBody); ok {
+	switch b := body.(type) {
+	case wire.QueryBody:
 		// A large answer made mostly of bytes that exist already is measured
 		// and then copied to the connection through the buffer, never
-		// assembled: see streamBuffer. A body that fails to measure fails to
-		// append the same way, below.
-		if n, stream, err := qb.StreamLen(buf.AvailableBuffer()); stream && err == nil {
+		// assembled: see streamBuffer. Any other is appended, as below.
+		var stream int
+		if out, stream, err = b.Render(buf.AvailableBuffer()); stream > 0 {
 			defer bufs.Put(buf)
 			buf.Grow(streamBuffer)
 			enc := time.Since(start)
 			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Length", strconv.Itoa(n))
+			w.Header().Set("Content-Length", strconv.Itoa(stream))
 			w.WriteHeader(status)
-			n, err = qb.StreamJSON(w, buf.AvailableBuffer())
+			n, err := b.StreamJSON(w, buf.AvailableBuffer())
 			return n, enc, err
 		}
-	}
-	if ap, ok := body.(wire.Appender); ok {
-		out, err = ap.AppendJSON(buf.AvailableBuffer())
 		out = append(out, '\n')
-		if cap(out) > buf.Cap() {
-			// The codec outgrew the buffer's array and moved to its own;
-			// keep that one, so the next large response finds room.
-			buf = bytes.NewBuffer(out[:0])
-		}
-	} else {
+	case wire.Appender:
+		out, err = b.AppendJSON(buf.AvailableBuffer())
+		out = append(out, '\n')
+	default:
 		err = json.NewEncoder(buf).Encode(body)
 		out = buf.Bytes()
+	}
+	if cap(out) > buf.Cap() {
+		// The codec outgrew the buffer's array and moved to its own; keep
+		// that one, so the next large response finds room.
+		buf = bytes.NewBuffer(out[:0])
 	}
 	defer bufs.Put(buf)
 	if err != nil {
@@ -465,7 +466,7 @@ func writeJSON(bufs *wire.BufferList, w http.ResponseWriter, status int, body an
 }
 
 // streamBuffer is the buffer a streamed answer passes through. An answer of
-// megabytes that is seven eighths copies of chunk images (wire.StreamLen) —
+// megabytes that is seven eighths copies of chunk images (wire.QueryBody.Render) —
 // a `current` over a relation of 20,000 elements is 4 MB, once every hundred
 // requests on tsbench's ledger — used to be assembled in a buffer of its own
 // size: too large to keep (the lists cap at 1 MB), so allocated, zeroed and

@@ -158,38 +158,65 @@ func (c *columns) stamp(j int, tte chronon.Chronon, dst *element.Element) {
 		VT: element.Stamp(c.stampKind(), c.vtLo[j], c.end(j))}
 }
 
-// load returns slot j's version, closed at tte, with its values in vals
-// (nInv+nVar long) and its user times in users (nUser long). It returns the
-// version by value, so that memory a caller keeps on its stack — a
-// Version — stays there.
-func (c *columns) load(j int, tte chronon.Chronon, vals []element.Value, users []chronon.Chronon) element.Element {
-	e := element.Element{ES: c.es[j], OS: c.os[j], TTStart: c.ttStart[j], TTEnd: tte,
-		VT: element.Stamp(c.stampKind(), c.vtLo[j], c.end(j))}
+// load writes slot j's version, closed at tte, into *e, with its values in
+// vals (nInv+nVar long) and its user times in users (nUser long): lists,
+// then slot. It writes through the pointer, so that a version loaded into
+// memory the caller keeps — a slab's slot, an encoder's Version — is not
+// built elsewhere and copied, 128 bytes a slot.
+func (c *columns) load(j int, tte chronon.Chronon, vals []element.Value, users []chronon.Chronon, e *element.Element) {
+	c.lists(vals, users, e)
+	c.slot(j, tte, e)
+}
+
+// lists points e's lists at vals (nInv+nVar long) and users (nUser long),
+// as every version of the chunk has them: nil or empty where the chunk's
+// versions have no values or user times.
+func (c *columns) lists(vals []element.Value, users []chronon.Chronon, e *element.Element) {
 	nv := c.nInv + c.nVar
-	kinds, words := c.kinds[j*nv:(j+1)*nv], c.words[j*nv:(j+1)*nv]
-	for t := range vals {
-		vals[t] = vec.ArenaValue(kinds[t], words[t], c.strs)
-	}
 	switch {
 	case c.nInv > 0:
 		e.Invariant = vals[:c.nInv:c.nInv]
 	case !c.nilInv:
 		e.Invariant = []element.Value{}
+	default:
+		e.Invariant = nil
 	}
 	switch {
 	case c.nVar > 0:
 		e.Varying = vals[c.nInv:nv:nv]
 	case !c.nilVar:
 		e.Varying = []element.Value{}
+	default:
+		e.Varying = nil
 	}
 	switch {
 	case c.nUser > 0:
-		copy(users, c.users[j*c.nUser:(j+1)*c.nUser])
 		e.UserTimes = users[:c.nUser:c.nUser]
 	case !c.nilUsers:
 		e.UserTimes = []chronon.Chronon{}
+	default:
+		e.UserTimes = nil
 	}
-	return e
+}
+
+// slot writes slot j's surrogates and stamps, closed at tte, into *e, and
+// its values and user times into the lists lists gave e.
+func (c *columns) slot(j int, tte chronon.Chronon, e *element.Element) {
+	e.ES, e.OS, e.TTStart, e.TTEnd = c.es[j], c.os[j], c.ttStart[j], tte
+	if c.event {
+		e.VT = element.EventAt(c.vtLo[j])
+	} else {
+		e.VT = element.Stamp(element.IntervalStamp, c.vtLo[j], c.vtHi[j])
+	}
+	at := j * (c.nInv + c.nVar)
+	for t := range e.Invariant {
+		e.Invariant[t] = vec.ArenaValue(c.kinds[at+t], c.words[at+t], c.strs)
+	}
+	at += len(e.Invariant)
+	for t := range e.Varying {
+		e.Varying[t] = vec.ArenaValue(c.kinds[at+t], c.words[at+t], c.strs)
+	}
+	copy(e.UserTimes, c.users[j*c.nUser:(j+1)*c.nUser])
 }
 
 // view is sealed chunk c as a fold reads it in place: its columns and its
@@ -234,7 +261,7 @@ func (s *slab) fill(c *chunk, from, to int, out []*element.Element) {
 	s.grow(to-from, (to-from)*nv, (to-from)*nu)
 	for j := from; j < to; j++ {
 		t := j - from
-		s.els[t] = col.load(j, c.ttEnd[j], s.vals[t*nv:(t+1)*nv], s.users[t*nu:(t+1)*nu])
+		col.load(j, c.ttEnd[j], s.vals[t*nv:(t+1)*nv], s.users[t*nu:(t+1)*nu], &s.els[t])
 		out[t] = &s.els[t]
 	}
 }
@@ -257,7 +284,7 @@ func (s *seq) materialize(k int) []*element.Element {
 func (s *slab) one(c *chunk, j int) *element.Element {
 	col := c.col
 	s.grow(1, col.nInv+col.nVar, col.nUser)
-	s.els[0] = col.load(j, c.ttEnd[j], s.vals, s.users)
+	col.load(j, c.ttEnd[j], s.vals, s.users, &s.els[0])
 	return &s.els[0]
 }
 
@@ -336,7 +363,7 @@ func Gather(st Store, pos []int) []*element.Element {
 			continue
 		}
 		cv, cu := c.col.nInv+c.col.nVar, c.col.nUser
-		sl.els[t] = c.col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu])
+		c.col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu], &sl.els[t])
 		out[o] = &sl.els[t]
 		t, v, u = t+1, v+cv, u+cu
 	}

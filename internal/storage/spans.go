@@ -56,16 +56,10 @@ type Slots [runSize / 64]uint64
 func (s *Slots) add(j int) { s[uint(j)/64] |= 1 << (uint(j) % 64) }
 
 // Next returns the first slot at or past j in the set, runSize when there is
-// none; End the first slot at or past j that is not in it. A set is walked
-// stretch by stretch: for a := s.Next(0); a < runSize; a = s.Next(b) {
-// b := s.End(a); … }.
-func (s *Slots) Next(j int) int { return s.scan(j, 0) }
-func (s *Slots) End(j int) int  { return s.scan(j, ^uint64(0)) }
-
-// scan returns the first slot at or past j whose bit, flipped by inv, is set.
-func (s *Slots) scan(j int, inv uint64) int {
+// none.
+func (s *Slots) Next(j int) int {
 	for w := j / 64; w < len(s); w++ {
-		word := s[w] ^ inv
+		word := s[w]
 		if w == j/64 {
 			word &= ^uint64(0) << (uint(j) % 64)
 		}
@@ -74,6 +68,49 @@ func (s *Slots) scan(j int, inv uint64) int {
 		}
 	}
 	return runSize
+}
+
+// Stretches walks the set stretch of adjacent slots by stretch, reading each
+// word once: it := s.Stretches(); for a, b := it.Next(); a < ChunkSize; a, b
+// = it.Next() { … }.
+func (s *Slots) Stretches() Stretches { return Stretches{s: s, word: s[0]} }
+
+// Stretches is a walk over a slot set (Slots.Stretches).
+type Stretches struct {
+	s    *Slots
+	w    int    // the word being read
+	word uint64 // its bits not walked yet
+}
+
+// Next returns the next stretch [a, b) of the set; a is ChunkSize when the
+// set is walked. A stretch that reaches the end of a word goes on into the
+// words after it.
+func (it *Stretches) Next() (a, b int) {
+	for it.word == 0 {
+		if it.w+1 >= len(it.s) {
+			return runSize, runSize
+		}
+		it.w++
+		it.word = it.s[it.w]
+	}
+	t := bits.TrailingZeros64(it.word)
+	a = it.w*64 + t
+	if run := bits.TrailingZeros64(^(it.word >> uint(t))); t+run < 64 {
+		it.word &^= 1<<uint(t+run) - 1
+		return a, a + run
+	}
+	for {
+		if it.w+1 >= len(it.s) {
+			it.word = 0
+			return a, runSize
+		}
+		it.w++
+		if it.word = it.s[it.w]; it.word != ^uint64(0) {
+			run := bits.TrailingZeros64(^it.word)
+			it.word &^= 1<<uint(run) - 1
+			return a, it.w*64 + run
+		}
+	}
 }
 
 // Len reports how many versions the answer holds.
@@ -112,46 +149,48 @@ func (sp *Span) Key(j int) (surrogate.Surrogate, chronon.Chronon) {
 }
 
 // Load materializes slot j of a sealed span's chunk — any slot, in the set or
-// not — its lists in v, which the next Load into v overwrites.
-func (sp *Span) Load(j int, v *Version) element.Element { return v.load(sp.c, j) }
+// not — into v, which the next Load into v overwrites, and returns it.
+func (sp *Span) Load(j int, v *Version) *element.Element { return v.load(sp.c, j) }
 
-// Version is memory for the lists of one materialized version, reused from
-// load to load: what an encoder reads a sealed slot through. A version of a
-// few values and user times keeps them in the Version itself, so that one
-// on the stack serves a whole answer and allocates nothing; a larger one in
-// a slab it grows once.
+// Version is memory for one materialized version, reused from load to load:
+// what an encoder reads a sealed slot through. The version is written in
+// place, and a version of a few values and user times keeps them in the
+// Version itself; a larger one in a slab it grows once. Its lists point into
+// it, so a Version lives where its owner keeps it — on the heap, reused —
+// and never on a stack.
 type Version struct {
+	e     element.Element
+	col   *columns // the columns e's lists are laid out for, kept alive while v is
 	vals  [4]element.Value
 	users [2]chronon.Chronon
 	sl    slab
 }
 
-// load materializes slot j of sealed chunk c, its lists in v: in its arrays
-// when they are large enough, else in its slab.
-func (v *Version) load(c *chunk, j int) element.Element {
-	col := c.col
-	nv, nu := col.nInv+col.nVar, col.nUser
-	vals, users := v.vals[:], v.users[:]
-	if nv > len(vals) || nu > len(users) {
-		v.sl.grow(1, nv, nu)
-		vals, users = v.sl.vals, v.sl.users
+// Element is the version the last Load into v wrote.
+func (v *Version) Element() *element.Element { return &v.e }
+
+// load materializes slot j of sealed chunk c into v. The lists are laid out
+// when c's columns are not the ones v last loaded from — in v's arrays when
+// they are large enough, else in its slab — and a load from the same chunk
+// as the one before writes only the slot.
+func (v *Version) load(c *chunk, j int) *element.Element {
+	if col := c.col; v.col != col {
+		nv, nu := col.nInv+col.nVar, col.nUser
+		vals, users := v.vals[:], v.users[:]
+		if nv > len(vals) || nu > len(users) {
+			v.sl.grow(1, nv, nu)
+			vals, users = v.sl.vals, v.sl.users
+		}
+		col.lists(vals[:nv], users[:nu], &v.e)
+		v.col = col
 	}
-	return col.load(j, c.ttEnd[j], vals[:nv], users[:nu])
+	c.col.slot(j, c.ttEnd[j], &v.e)
+	return &v.e
 }
 
-// owned is a materialized version in memory of its own: the element and its
-// lists, one allocation.
-type owned struct {
-	e element.Element
-	v Version
-}
-
-// fresh materializes slot j of sealed chunk c into memory of its own.
-func fresh(c *chunk, j int) *element.Element {
-	o := new(owned)
-	o.e = o.v.load(c, j)
-	return &o.e
-}
+// fresh materializes slot j of sealed chunk c into memory of its own: the
+// element and its lists, one allocation.
+func fresh(c *chunk, j int) *element.Element { return new(Version).load(c, j) }
 
 // ChunkOf returns full chunk k of st as a span of all its slots: a sealed
 // chunk's columns, or an element chunk's elements.
@@ -211,10 +250,13 @@ func (a *Answer) Elements() []*element.Element {
 		c := sp.c
 		col := c.col
 		cv, cu := col.nInv+col.nVar, col.nUser
-		for j := sp.slots.Next(0); j < runSize; j = sp.slots.Next(j + 1) {
-			sl.els[t] = col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu])
-			out = append(out, &sl.els[t])
-			t, v, u = t+1, v+cv, u+cu
+		it := sp.slots.Stretches()
+		for a, b := it.Next(); a < runSize; a, b = it.Next() {
+			for j := a; j < b; j++ {
+				col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu], &sl.els[t])
+				out = append(out, &sl.els[t])
+				t, v, u = t+1, v+cv, u+cu
+			}
 		}
 	}
 	return out

@@ -44,19 +44,13 @@ type BufferList struct {
 	// that size; zero means the pool's cap. Set before first use.
 	Max int
 
-	mu   sync.Mutex
-	free [2]*bytes.Buffer
+	free freeList[bytes.Buffer]
 }
 
 // Get returns an empty buffer: one of the list's when it has one.
 func (l *BufferList) Get() *bytes.Buffer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, b := range l.free {
-		if b != nil {
-			l.free[i] = nil
-			return b
-		}
+	if b := l.free.get(); b != nil {
+		return b
 	}
 	return GetBuffer()
 }
@@ -68,18 +62,41 @@ func (l *BufferList) Put(b *bytes.Buffer) {
 	if b == nil || b.Cap() > max(l.Max, maxPooledBuffer) {
 		return
 	}
-	if !l.keep(b) {
+	b.Reset()
+	if !l.free.put(b) {
 		PutBuffer(b)
 	}
 }
 
-func (l *BufferList) keep(b *bytes.Buffer) bool {
+// freeList keeps up to two values for the next to ask. Unlike a sync.Pool,
+// which every collection empties and the race detector empties at random,
+// it keeps them until they are taken. The zero value is ready and the
+// methods are safe for concurrent use.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free [2]*T
+}
+
+// get takes a kept value, or returns nil when there is none.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, x := range l.free {
+		if x != nil {
+			l.free[i] = nil
+			return x
+		}
+	}
+	return nil
+}
+
+// put keeps x in a free slot and reports whether there was one.
+func (l *freeList[T]) put(x *T) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i, held := range l.free {
 		if held == nil {
-			b.Reset()
-			l.free[i] = b
+			l.free[i] = x
 			return true
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -369,15 +370,39 @@ type QueryBody struct {
 // into w whenever the next piece may not fit, so a body of any size passes
 // through the buffer at hand (StreamJSON). With count set nothing is kept or
 // written: buf is scratch for one element at a time and n ends up the body's
-// length (StreamLen).
+// length (Render, measuring a body it may stream).
 type sink struct {
 	buf   []byte
 	w     io.Writer
 	count bool
-	n     int             // bytes that have left buf: written, or counted
-	err   error           // w's first error; nothing is written after it
-	lead  bool            // no element has gone out yet: the next one drops its comma
-	v     storage.Version // the lists of the sealed slot being encoded
+	n     int              // bytes that have left buf: written, or counted
+	err   error            // w's first error; nothing is written after it
+	lead  bool             // no element has gone out yet: the next one drops its comma
+	slot  *storage.Version // where a sealed slot is loaded to be encoded, taken when first needed
+}
+
+// versions keeps the versions sinks load sealed slots into: a Version's lists
+// point into it, so it lives on the heap, and is reused — from a list, so
+// that an encode allocates the same whatever the collector or the race
+// detector did to a pool. A third concurrent encode makes its own.
+var versions freeList[storage.Version]
+
+// version is the sink's version, taken when first needed.
+func (s *sink) version() *storage.Version {
+	if s.slot == nil {
+		if s.slot = versions.get(); s.slot == nil {
+			s.slot = new(storage.Version)
+		}
+	}
+	return s.slot
+}
+
+// release gives the sink's version back.
+func (s *sink) release() {
+	if s.slot != nil {
+		versions.put(s.slot)
+		s.slot = nil
+	}
 }
 
 // elementRoom is the free space a streaming sink wants before it encodes an
@@ -486,27 +511,55 @@ func (s *sink) answer(a *storage.Answer, images []ImageSpan) error {
 
 // sealed encodes the slots of a sealed span, stretch of adjacent slots by
 // stretch: what img, when not nil, holds of a stretch is copied, and every
-// other slot is loaded into the sink's scratch version and encoded.
+// other slot is loaded into the sink's version and encoded. The slot set is
+// read a word at a time (Slots.Stretches), once.
 func (s *sink) sealed(sp *storage.Span, img *ChunkImage) error {
-	slots := sp.Slots()
-	for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a) {
-		b := slots.End(a)
+	if img == nil {
+		return s.slots(sp)
+	}
+	it := sp.Slots().Stretches()
+	for a, b := it.Next(); a < storage.ChunkSize; a, b = it.Next() {
 		for a < b {
-			if img != nil {
-				if h := img.held(sp, a, b); h > a {
-					s.piece(img.slab[img.off[a]:img.off[h]])
-					a = h
-					continue
-				}
+			if h := img.held(sp, a, b); h > a {
+				s.piece(img.slab[img.off[a]:img.off[h]])
+				a = h
+				continue
 			}
-			e := sp.Load(a, &s.v)
-			if err := s.element(&e); err != nil {
+			if err := s.element(sp.Load(a, s.version())); err != nil {
 				return err
 			}
 			a++
 		}
 	}
 	return nil
+}
+
+// slots encodes every slot of a sealed span, each behind its comma, each
+// loaded in place into the sink's version, over the set bits of its slot
+// set a word at a time. Gathering, it is the tight loop elements is, on a
+// local; streaming or counting, it is element's.
+func (s *sink) slots(sp *storage.Span) (err error) {
+	v := s.version()
+	gather := s.w == nil && !s.count
+	buf := s.buf
+	for w, word := range sp.Slots() {
+		for ; word != 0 && err == nil; word &= word - 1 {
+			e := sp.Load(w*64+bits.TrailingZeros64(word), v)
+			switch {
+			case !gather:
+				s.buf = buf
+				err = s.element(e)
+				buf = s.buf
+			case s.lead:
+				s.lead = false
+				buf, err = AppendElement(buf, e)
+			default:
+				buf, err = AppendElement(append(buf, ','), e)
+			}
+		}
+	}
+	s.buf = buf
+	return err
 }
 
 // encode walks the body into s: the one place its shape is written down.
@@ -536,15 +589,14 @@ func (b *QueryBody) encode(s *sink) error {
 const directBytes = 224
 
 // covered reports how many of the answer's versions the images hold, and
-// their bytes.
+// their bytes: what the body splices.
 func (b *QueryBody) covered() (n, bytes int) {
 	spans := b.Answer.Spans()
 	for _, im := range b.Images {
 		sp := &spans[im.Span]
 		n += sp.Len()
-		slots := sp.Slots()
-		for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a) {
-			e := slots.End(a)
+		it := sp.Slots().Stretches()
+		for a, e := it.Next(); a < storage.ChunkSize; a, e = it.Next() {
 			for a < e {
 				if h := im.Image.held(sp, a, e); h > a {
 					bytes += int(im.Image.off[h] - im.Image.off[a])
@@ -559,8 +611,9 @@ func (b *QueryBody) covered() (n, bytes int) {
 	return n, bytes
 }
 
-// edge is the body's first element, or its last, a sealed one's lists in v.
-func (b *QueryBody) edge(last bool, v *storage.Version) element.Element {
+// edge is the body's first element, or its last: an element span's as
+// stored, a sealed one's loaded into s's version.
+func (b *QueryBody) edge(last bool, s *sink) *element.Element {
 	spans := b.Answer.Spans()
 	sp := &spans[0]
 	if last {
@@ -569,37 +622,34 @@ func (b *QueryBody) edge(last bool, v *storage.Version) element.Element {
 	if !sp.Sealed() {
 		els := sp.Elements()
 		if last {
-			return *els[len(els)-1]
+			return els[len(els)-1]
 		}
-		return *els[0]
+		return els[0]
 	}
-	slots, j := sp.Slots(), 0
-	if last {
-		for a := slots.Next(0); a < storage.ChunkSize; a = slots.Next(a + 1) {
-			j = a
-		}
-	} else {
-		j = slots.Next(0)
+	it := sp.Slots().Stretches()
+	a, end := it.Next()
+	j := a
+	for last && a < storage.ChunkSize {
+		j = end - 1
+		a, end = it.Next()
 	}
-	return sp.Load(j, v)
+	return sp.Load(j, s.version())
 }
 
-// reserve grows dst once for the whole body: the spliced stretches to the
-// byte, and for the elements still to be encoded a figure measured on the
-// answer's first and last element — a result set is homogeneous but for its
-// integers' digits, and those grow in arrival order (the parser's
-// extrapolate makes the same bet). A short guess costs a later growth, a
-// long one slack; neither changes a byte.
-func (b *QueryBody) reserve(s *sink, dst []byte) {
-	n, spliced := b.covered()
-	direct := b.Answer.Len() - n
+// reserve grows dst once for the whole body, covered and spliced being what
+// covered reports: the spliced stretches to the byte, and for the elements
+// still to be encoded a figure measured on the answer's first and last
+// element — a result set is homogeneous but for its integers' digits, and
+// those grow in arrival order (the parser's extrapolate makes the same bet).
+// A short guess costs a later growth, a long one slack; neither changes a
+// byte.
+func (b *QueryBody) reserve(s *sink, dst []byte, covered, spliced int) {
+	direct := b.Answer.Len() - covered
 	per := directBytes
 	if direct >= 16 {
 		var scratch [512]byte
-		e := b.edge(false, &s.v)
-		first, _ := AppendElement(scratch[:0], &e)
-		e = b.edge(true, &s.v)
-		last, _ := AppendElement(scratch[:0], &e)
+		first, _ := AppendElement(scratch[:0], b.edge(false, s))
+		last, _ := AppendElement(scratch[:0], b.edge(true, s))
 		per = max(len(first), len(last))
 		per += per/32 + 2
 	}
@@ -607,38 +657,65 @@ func (b *QueryBody) reserve(s *sink, dst []byte) {
 }
 
 func (b QueryBody) AppendJSON(dst []byte) ([]byte, error) {
+	covered, spliced := b.covered()
+	return b.gather(dst, covered, spliced)
+}
+
+// gather appends the body to dst, grown once from what covered reported.
+func (b *QueryBody) gather(dst []byte, covered, spliced int) ([]byte, error) {
 	var s sink
-	b.reserve(&s, dst)
+	defer s.release()
+	b.reserve(&s, dst, covered, spliced)
 	err := b.encode(&s)
 	return s.buf, err
 }
 
-// StreamLen reports whether the body is one to stream — larger than a pooled
-// buffer may be, and at least seven eighths of it copied out of images, so
-// that measuring it encodes few elements — and then its exact length as
-// StreamJSON writes it, newline included. Every element that still has to be
-// encoded is encoded here once, into scratch, for its length: the error, if
-// any is AppendJSON's, and a body StreamLen has measured cannot fail later.
-func (b QueryBody) StreamLen(scratch []byte) (n int, ok bool, err error) {
-	covered, _ := b.covered()
-	if covered == 0 || covered*8 < b.Answer.Len()*7 {
-		return 0, false, nil
+// Render is AppendJSON for a server, which may stream the body instead
+// (StreamJSON): it appends the body to dst and returns stream 0, or, for a
+// body to stream, leaves dst as it is and returns stream, the exact length
+// StreamJSON writes, newline included. A body is one to stream when it is
+// larger than a pooled buffer may be and at least seven eighths of its
+// elements come out of images, so that measuring it encodes few. The images
+// are matched against the answer once (covered), for both the decision and
+// the reservation, and only a body whose spliced bytes say it may pass the
+// line — its encoded elements taken at twice the size of its spliced ones,
+// and 4 KiB for the rest — is measured to the byte. The error is
+// AppendJSON's, and a body Render called one to stream cannot fail later.
+func (b QueryBody) Render(dst []byte) (out []byte, stream int, err error) {
+	covered, spliced := b.covered()
+	total := b.Answer.Len()
+	if covered > 0 && covered*8 >= total*7 && spliced+2*(total-covered)*(spliced/covered)+4<<10 >= maxPooledBuffer {
+		n, err := b.measure(dst[len(dst):])
+		if err != nil {
+			return dst, 0, err
+		}
+		if n >= maxPooledBuffer {
+			return dst, n + 1, nil
+		}
 	}
-	s := sink{buf: scratch[:0], count: true}
-	if err := b.encode(&s); err != nil {
-		return 0, false, err
-	}
+	out, err = b.gather(dst, covered, spliced)
+	return out, 0, err
+}
+
+// measure is the body's length: spliced stretches by their offsets, and
+// every other element encoded once, into scratch, for its length and its
+// error.
+func (b *QueryBody) measure(scratch []byte) (int, error) {
+	s := sink{buf: scratch, count: true}
+	defer s.release()
+	err := b.encode(&s)
 	s.drain()
-	return s.n + 1, s.n >= maxPooledBuffer, nil
+	return s.n, err
 }
 
 // StreamJSON writes the body and the newline that ends a document to w in
 // pieces no larger than buf, and reports the bytes written: what AppendJSON
-// would have appended, without the buffer to hold it. For a body StreamLen
+// would have appended, without the buffer to hold it. For a body Render
 // called one to stream the error can only be w's.
 func (b QueryBody) StreamJSON(w io.Writer, buf []byte) (int, error) {
 	s := sink{buf: buf[:0], w: w}
 	err := b.encode(&s)
+	s.release()
 	s.buf = append(s.buf, '\n')
 	s.drain()
 	if err == nil {

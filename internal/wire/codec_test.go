@@ -1130,13 +1130,42 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	// The same answer with every chunk imaged beside it encoded: tsbench's
-	// large time-slice, every second slot of sixteen chunks.
+	// The slice after the current: a memo the 4000-element current taught,
+	// every version of sixteen chunks, and the 2000-element time-slice of
+	// every second one read through it, again and again.
+	b.Run("parse/memo-warm/sparse-after-current/n=2000", func(b *testing.B) {
+		els := ledgerElements(4000)
+		current, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+		var half []*element.Element
+		for i := 0; i < len(els); i += 2 {
+			half = append(half, els[i])
+		}
+		doc, _ := QueryBody{Answer: storage.ElementAnswer(half), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+		m := &ElementMemo{Max: 32 << 20}
+		if err := new(QueryResponse).ParseJSONMemo(current, m); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(doc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out QueryResponse
+			if err := out.ParseJSONMemo(doc, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The same answer with every chunk imaged, beside it encoded from its
+	// sealed slots without images and from its materialized elements:
+	// tsbench's large time-slice, every second slot of sixteen chunks.
 	sparse := splicedBody(b, storeOf(b, benchElements(4000, true)), 2)
 	for _, c := range []struct {
 		name string
 		body QueryBody
-	}{{"splice/n=2000", sparse}, {"encode/hand/sparse/n=2000", QueryBody{Answer: storage.ElementAnswer(sparse.Answer.Elements()), Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}}} {
+	}{
+		{"splice/n=2000", sparse},
+		{"encode/sealed/sparse/n=2000", QueryBody{Answer: sparse.Answer, Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}},
+		{"encode/hand/sparse/n=2000", QueryBody{Answer: storage.ElementAnswer(sparse.Answer.Elements()), Plan: sparse.Plan, PlanNode: sparse.PlanNode, Touched: 4000, Epoch: 9}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			buf, _ := c.body.AppendJSON(nil)
 			b.SetBytes(int64(len(buf)))

@@ -50,33 +50,33 @@ func BuildChunkImage(ch storage.Span, prev *ChunkImage) (*ChunkImage, error) {
 	if prev != nil && len(prev.es) != n {
 		prev = nil
 	}
-	// Encoded into a pooled buffer and copied out at its exact size: the slab
+	// Encoded into a kept buffer and copied out at its exact size: the slab
 	// has no slack to hold for as long as the image lives, and a refusal
 	// allocates its error and nothing else.
-	buf := GetBuffer()
+	sc := builds.get()
+	if sc == nil {
+		sc = new(build)
+	}
 	want := 48 << 10 // 256 elements of two attributes
 	if prev != nil {
 		want = len(prev.slab) + 128
 	}
-	b := slices.Grow(buf.AvailableBuffer(), want)
+	b := slices.Grow(sc.buf[:0], want)
 	defer func() {
-		if cap(b) > buf.Cap() {
-			buf = bytes.NewBuffer(b[:0]) // pool the array the encode grew into
+		if sc.buf = b[:0]; cap(b) <= maxPooledBuffer { // keep the array the encode grew into
+			builds.put(sc)
 		}
-		PutBuffer(buf)
 	}()
 	var stack [storage.ChunkSize + 1]uint32
 	off := stack[:0]
-	var v storage.Version
 	for j := range n {
 		off = append(off, uint32(len(b)))
 		if es, tte := ch.Key(j); prev != nil && prev.holds(j, es, tte) {
 			b = append(b, prev.slab[prev.off[j]:prev.off[j+1]]...)
 			continue
 		}
-		e := ch.Load(j, &v)
 		var err error
-		if b, err = AppendElement(append(b, ','), &e); err != nil {
+		if b, err = AppendElement(append(b, ','), ch.Load(j, &sc.v)); err != nil {
 			return nil, err
 		}
 	}
@@ -88,6 +88,19 @@ func BuildChunkImage(ch storage.Span, prev *ChunkImage) (*ChunkImage, error) {
 	}
 	return m, nil
 }
+
+// build is what an image build works in: the buffer the chunk is encoded
+// into and the version each slot is loaded into.
+type build struct {
+	buf []byte
+	v   storage.Version
+}
+
+// builds keeps two builds' memory from one to the next, on a list and not in
+// a sync.Pool, so that what a build allocates is the image, or a refusal's
+// error, and not whatever the pool happened to keep. A third concurrent
+// build makes its own.
+var builds freeList[build]
 
 // Size is the image's resident bytes, for the budget of whoever keeps it.
 func (m *ChunkImage) Size() int64 {

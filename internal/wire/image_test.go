@@ -40,7 +40,7 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	got, gotErr := body.AppendJSON(nil)
 	var streamed bytes.Buffer
 	sent, streamErr := body.StreamJSON(&streamed, make([]byte, 0, 700))
-	measured, _, measureErr := body.StreamLen(nil)
+	rendered, measured, renderErr := body.Render(nil)
 	body.Images = nil
 	want, wantErr := body.AppendJSON(nil)
 	if (gotErr != nil) != (wantErr != nil) || (gotErr == nil && !bytes.Equal(got, want)) {
@@ -52,8 +52,8 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	if (rowsErr != nil) != (wantErr != nil) || (wantErr == nil && !bytes.Equal(rows, want)) {
 		t.Fatalf("%s: the body encoded from the answer (%d bytes, %v) is not the one from its elements (%d bytes, %v)", name, len(want), wantErr, len(rows), rowsErr)
 	}
-	if (streamErr != nil) != (wantErr != nil) || (measureErr != nil && wantErr == nil) {
-		t.Fatalf("%s: streaming fails with %v, measuring with %v, appending with %v", name, streamErr, measureErr, wantErr)
+	if (streamErr != nil) != (wantErr != nil) || (renderErr != nil) != (wantErr != nil) {
+		t.Fatalf("%s: streaming fails with %v, rendering with %v, appending with %v", name, streamErr, renderErr, wantErr)
 	}
 	if wantErr != nil {
 		return
@@ -61,8 +61,11 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	if want = append(want, '\n'); !bytes.Equal(streamed.Bytes(), want) || sent != len(want) {
 		t.Fatalf("%s: the streamed body (%d bytes, %d reported) is not the encoded one (%d bytes)", name, streamed.Len(), sent, len(want))
 	}
-	if measured != 0 && measured != len(want) {
-		t.Fatalf("%s: StreamLen measured %d bytes of a %d-byte body", name, measured, len(want))
+	if measured != 0 && (measured != len(want) || len(rendered) != 0) {
+		t.Fatalf("%s: Render measured %d bytes of a %d-byte body, and appended %d", name, measured, len(want), len(rendered))
+	}
+	if measured == 0 && !bytes.Equal(append(rendered, '\n'), want) {
+		t.Fatalf("%s: the rendered body (%d bytes) is not the encoded one (%d bytes)", name, len(rendered), len(want)-1)
 	}
 }
 
@@ -203,31 +206,94 @@ func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
 
 // TestLargeSplicedBodiesStream: a body is streamed when it is past what a
 // pooled buffer may hold and at least seven eighths of its elements come out
-// of images — then StreamLen has its length to the byte for the price of
+// of images — then Render has its length to the byte for the price of
 // encoding the few that do not — and otherwise appended whole, as every body
-// was. A writer that fails gets its error back and nothing more is written.
+// was. At the line, bodies just under and just over it whose spliced bytes
+// alone stay under it — a tenth of their slots closed since their chunk's
+// image was made, so encoded — are gathered and streamed, byte for byte. A
+// writer that fails gets its error back and nothing more is written.
 func TestLargeSplicedBodiesStream(t *testing.T) {
 	stored := benchElements(20_000, true)
 	st := storeOf(t, stored)
 	dense := splicedBody(t, st, 1)
-	for name, tc := range map[string]struct {
-		body   QueryBody
-		stream bool
-	}{
-		"20k, every chunk imaged":       {dense, true},
-		"20k, nothing imaged":           {QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}, false},
-		"20k, every second chunk":       {QueryBody{Answer: dense.Answer, Images: everyOther(dense.Images)}, false},
-		"2k of one chunk in two: small": {splicedBody(t, storeOf(t, stored[:4000]), 2), false},
-	} {
-		whole, err := tc.body.AppendJSON(nil)
+	render := func(name string, body QueryBody, stream bool) {
+		t.Helper()
+		whole, err := body.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, stream, err := tc.body.StreamLen(nil)
-		if err != nil || stream != tc.stream || (stream && n != len(whole)+1) {
-			t.Errorf("%s: StreamLen = %d, %v, %v; the body is %d bytes and should stream: %v", name, n, stream, err, len(whole)+1, tc.stream)
+		want := append(whole, '\n')
+		out, n, err := body.Render(make([]byte, 0, 64))
+		switch {
+		case err != nil || (n > 0) != stream:
+			t.Errorf("%s: Render = %d, %v; the body is %d bytes and should stream: %v", name, n, err, len(want), stream)
+		case stream && (n != len(want) || len(out) != 0):
+			t.Errorf("%s: Render measured %d bytes and appended %d; the body is %d", name, n, len(out), len(want))
+		case !stream && !bytes.Equal(append(out, '\n'), want):
+			t.Errorf("%s: the rendered body (%d bytes) is not the appended one (%d)", name, len(out), len(whole))
+		}
+		var sent bytes.Buffer
+		if m, err := body.StreamJSON(&sent, make([]byte, 0, 4<<10)); err != nil || m != len(want) || !bytes.Equal(sent.Bytes(), want) {
+			t.Errorf("%s: streamed %d bytes (%d reported, %v) of a %d-byte body", name, sent.Len(), m, err, len(want))
 		}
 	}
+	render("20k, every chunk imaged", dense, true)
+	render("20k, nothing imaged", QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}, false)
+	render("20k, every second chunk", QueryBody{Answer: dense.Answer, Images: everyOther(dense.Images)}, false)
+	render("2k of one chunk in two: small", splicedBody(t, storeOf(t, stored[:4000]), 2), false)
+
+	// The line: every chunk of 8,192 versions imaged, then every tenth
+	// version closed; bodies of the first m versions.
+	lined := benchElements(8192, true)
+	lst := storeOf(t, lined)
+	images := make([]*ChunkImage, lst.Len()/256)
+	for k := range images {
+		img, err := BuildChunkImage(storage.ChunkOf(lst, k), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[k] = img
+	}
+	for i := 0; i < len(lined); i += 10 {
+		closed := closeOf(lined[i], lined[i].TTStart+900)
+		lst.Replace(lined[i], closed)
+		lined[i] = closed
+	}
+	prefix := func(m int) QueryBody {
+		pos := make([]int, m)
+		for i := range pos {
+			pos[i] = i
+		}
+		body := QueryBody{Answer: storage.AnswerAt(lst, pos), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: m, Epoch: 9}
+		for i, sp := range body.Answer.Spans() {
+			if sp.Sealed() {
+				body.Images = append(body.Images, ImageSpan{Span: i, Image: images[sp.Chunk()]})
+			}
+		}
+		return body
+	}
+	size := func(m int) int {
+		out, _ := prefix(m).AppendJSON(nil)
+		return len(out)
+	}
+	lo, hi := 256, len(lined) // size(lo) < maxPooledBuffer <= size(hi)
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; size(mid) < maxPooledBuffer {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if hi == len(lined) {
+		t.Fatalf("8,192 versions encode to %d bytes, under the line", size(hi))
+	}
+	over := prefix(hi)
+	if covered, spliced := over.covered(); spliced >= maxPooledBuffer || covered == over.Answer.Len() || covered*8 < over.Answer.Len()*7 {
+		t.Fatalf("the body over the line splices %d of its %d versions, %d bytes", covered, over.Answer.Len(), spliced)
+	}
+	render("just under the line", prefix(lo), false)
+	render("just over the line", over, true)
+
 	for _, size := range []int{4 << 10, 256 << 10, 8 << 20} {
 		var got bytes.Buffer
 		whole, _ := dense.AppendJSON(nil)

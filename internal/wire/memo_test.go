@@ -155,7 +155,70 @@ func TestMemoIsTheParse(t *testing.T) {
 	// Both relations' answers again: each finds its elements in one of the
 	// two generations or parses them.
 	sameThroughMemo(t, "first slice again", first, m)
+	// Lists the encoder omits when empty, spelled empty: a copy keeps
+	// them empty, not nil, as the parse does.
+	sameThroughMemo(t, "empty lists", []byte(`{"elements":[{"es":1,"os":1,"tt_start":5,"tt_end":9,"current":false,"vt":{"event":3},"invariant":[],"varying":[],"user_times":[]},`+
+		`{"es":2,"os":1,"tt_start":5,"tt_end":9,"current":false,"vt":{"start":3,"end":4},"varying":[{"kind":"zebra","str":"z"}]}],"touched":2}`), m)
 	checkBodies(t, els, benchPlan(), "memo")
+}
+
+// TestMemoHintFollowsTheAnswer: an answer that takes every second or third
+// element of the answer that taught the memo — a time-slice after the
+// current — finds each of them a few records after the one before, without
+// the index, and an answer denser than the one that taught the memo finds
+// its elements through the index; either way the parse through the memo is
+// the parse without it. So is the answer of another relation whose elements
+// carry the same surrogates, which shares no bytes with the first, and the
+// first relation's answers after it.
+func TestMemoHintFollowsTheAnswer(t *testing.T) {
+	els := ledgerElements(1000)
+	for i, e := range memoElements() { // every shape of element among them
+		e.ES = els[40*i].ES
+		els[40*i] = e
+	}
+	every := func(els []*element.Element, k int) (out []*element.Element) {
+		for i := 0; i < len(els); i += k {
+			out = append(out, els[i])
+		}
+		return out
+	}
+	encode := func(els []*element.Element) []byte {
+		b, err := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3}.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// Each pass over a taught answer of n elements finds the first through
+	// the index and the other n−1 through the hint.
+	dense := &ElementMemo{Max: 8 << 20}
+	sameThroughMemo(t, "dense", encode(els), dense)
+	for _, k := range []int{2, 3} {
+		before := dense.Stats()
+		sameThroughMemo(t, "sparse after dense", encode(every(els, k)), dense)
+		n := uint64(len(every(els, k)))
+		if s := dense.Stats(); s.Parsed != before.Parsed || s.Reused-before.Reused != 3*n || s.Hinted-before.Hinted != 3*(n-1) {
+			t.Fatalf("every %dth after every one: %d parsed, %d copied, %d of them by the hint; want 0, %d and %d",
+				k, s.Parsed-before.Parsed, s.Reused-before.Reused, s.Hinted-before.Hinted, 3*n, 3*(n-1))
+		}
+	}
+	sparse := &ElementMemo{Max: 8 << 20}
+	sameThroughMemo(t, "sparse", encode(every(els, 2)), sparse)
+	sameThroughMemo(t, "dense after sparse", encode(els), sparse)
+	if s := sparse.Stats(); s.Parsed != uint64(len(els)) {
+		t.Fatalf("every second element, then every one: %d parsed, want each of the %d once", s.Parsed, len(els))
+	}
+	other := make([]*element.Element, len(els))
+	for i, e := range els {
+		c := *e
+		c.Varying = []element.Value{element.Int(int64(i) + 1)}
+		other[i] = &c
+	}
+	for _, m := range []*ElementMemo{dense, sparse} {
+		sameThroughMemo(t, "another relation", encode(every(other, 2)), m)
+		sameThroughMemo(t, "the first relation again", encode(every(els, 3)), m)
+		sameThroughMemo(t, "the other relation, whole", encode(other), m)
+	}
 }
 
 // TestMemoStaysWithinItsBudget: many distinct large answers never take the

@@ -101,7 +101,8 @@ type parser struct {
 	src     []byte
 	i       int
 	bad     bool // sticky: some byte was not the encoder's; parseTop checks it once
-	copier       // the ints and vals slabs
+	ints    slab[int64]
+	vals    slab[Value]
 	elems   slab[Element]
 	assigns slab[Assigned]
 	evals   slab[element.Value]
@@ -133,12 +134,14 @@ type parser struct {
 	plans  int
 
 	// An answer parsed through an ElementMemo (ParseJSONMemo): the elements
-	// seen and copied from it so far, the entry the last element was copied
-	// from (nil after a parsed one), and the elements the memo should learn.
-	memo         *ElementMemo
-	seen, reused int
-	last         *memoEntry
-	pending      []memoSpan
+	// seen and copied from it so far, and how many of those were found
+	// after the one before; the batch and entry the last copy came from
+	// (nil before the first); and the elements the memo should learn.
+	memo                 *ElementMemo
+	seen, reused, hinted int
+	last                 *memoBatch
+	lastEnt              int
+	pending              []memoSpan
 }
 
 func newParser(src []byte) *parser {
@@ -253,6 +256,9 @@ func array[T any](p *parser) []T {
 	var first T
 	if item(p, &first); p.bad {
 		return nil
+	}
+	if p.lit("]") { // one item: nothing to extrapolate, whatever input follows
+		return append(make([]T, 0, 1), first)
 	}
 	out := append(make([]T, 0, 1+p.extrapolate(m)), first)
 	for !p.bad && p.lit(",") {
@@ -667,7 +673,6 @@ func (p *parser) element(e *Element) {
 	if p.memo != nil && !p.bad {
 		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
 		p.seen++
-		p.last = nil
 	}
 }
 
@@ -677,15 +682,18 @@ func (p *parser) element(e *Element) {
 // the answer's slabs and the bytes are skipped. One found in the old
 // generation is learnt again, into the young one.
 func (p *parser) recall(e *Element, start int) bool {
-	ent, old := p.memo.find(e.ES, p.src[start:], p.last)
-	if ent == nil {
+	b, k, old, hinted := p.memo.find(e.ES, p.src[start:], p.last, p.lastEnt)
+	if b == nil {
 		return false
 	}
-	p.last = ent
-	p.copier.element(e, &ent.el, p.left())
-	p.i = start + len(ent.raw)
+	p.last, p.lastEnt = b, k
+	p.recallEntry(e, b, k)
+	p.i = start + int(b.ents[k].rawEnd-b.ents[k].raw)
 	if old {
 		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
+	}
+	if hinted {
+		p.hinted++
 	}
 	p.seen++
 	p.reused++
