@@ -110,7 +110,10 @@ type CachedSelectResponse struct {
 // validator the server sent with it: the next revalidation walks from
 // there. Otherwise it decodes the body into a fresh answer and keeps a copy
 // with its validator.
-func conditionalGet[R interface{ Clone() R }](ctx context.Context, c *Client, cc *condCache[R], path string) (resp R, etag, validation string, notModified bool, err error) {
+//
+// A query answer is parsed through the client's element memo under rel, the
+// relation it was asked of.
+func conditionalGet[R interface{ Clone() R }](ctx context.Context, c *Client, cc *condCache[R], rel, path string) (resp R, etag, validation string, notModified bool, err error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return resp, "", "", false, fmt.Errorf("tsdbd: building request: %w", err)
@@ -137,7 +140,11 @@ func conditionalGet[R interface{ Clone() R }](ctx context.Context, c *Client, cc
 		}
 		return cached.resp.Clone(), etag, validation, true, nil
 	}
-	if err := c.readResponse(hr, &resp); err != nil {
+	var dst any = &resp
+	if q, ok := dst.(*QueryResponse); ok {
+		dst = &answerOf{rel, q}
+	}
+	if err := c.readResponse(hr, dst); err != nil {
 		return resp, "", "", false, err
 	}
 	if etag != "" {
@@ -156,7 +163,7 @@ func conditionalGet[R interface{ Clone() R }](ctx context.Context, c *Client, cc
 // relation the statement queries; the server rejects a mismatch.
 func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSelectResponse, error) {
 	path := "/v1/relations/" + rel + "/select?query=" + url.QueryEscape(query)
-	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.scache, path)
+	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.scache, rel, path)
 	if err != nil {
 		return CachedSelectResponse{}, err
 	}
@@ -174,7 +181,7 @@ func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSel
 func (c *Client) QueryCached(ctx context.Context, name string, req QueryRequest) (CachedResponse, error) {
 	path := fmt.Sprintf("/v1/relations/%s/query?kind=%s&vt=%d&tt=%d",
 		name, req.Kind, req.VT, req.TT)
-	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.qcache, path)
+	resp, etag, validation, notModified, err := conditionalGet(ctx, c, &c.qcache, name, path)
 	if err != nil {
 		return CachedResponse{}, err
 	}

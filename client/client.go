@@ -489,21 +489,28 @@ func readPayload(buf *bytes.Buffer, resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// answerOf is a query answer to decode, with the relation it was asked of:
+// what decodePayload parses through the client's element memo.
+type answerOf struct {
+	rel string
+	r   *QueryResponse
+}
+
 // decodePayload decodes a response body into out: through out's own
 // parser when it has one (the shapes that carry elements or rows) — a query
-// answer's through the client's element memo — and through encoding/json
-// otherwise or when that parser meets a spelling it does not own — unknown
-// fields are skipped there as they always were, and the detour is counted
-// (SlowDecodes).
+// answer's through the client's element memo, under its relation — and
+// through encoding/json otherwise or when that parser meets a spelling it
+// does not own — unknown fields are skipped there as they always were, and
+// the detour is counted (SlowDecodes).
 func (c *Client) decodePayload(payload []byte, out any) error {
-	if p, ok := out.(wire.Parser); ok {
-		var err error
-		if q, ok := out.(*QueryResponse); ok {
-			err = q.ParseJSONMemo(payload, &c.elems)
-		} else {
-			err = p.ParseJSON(payload)
+	if a, ok := out.(*answerOf); ok {
+		if a.r.ParseJSONMemo(payload, &c.elems, a.rel) == nil {
+			return nil
 		}
-		if err == nil {
+		c.slowDecodes.Add(1)
+		out = a.r
+	} else if p, ok := out.(wire.Parser); ok {
+		if p.ParseJSON(payload) == nil {
 			return nil
 		}
 		c.slowDecodes.Add(1)
@@ -715,7 +722,7 @@ func (c *Client) Modify(ctx context.Context, name string, es uint64, vt Timestam
 // Query runs one of the four temporal query kinds.
 func (c *Client) Query(ctx context.Context, name string, req QueryRequest) (QueryResponse, error) {
 	var out QueryResponse
-	err := c.do(ctx, http.MethodPost, "/v1/relations/"+name+"/query", req, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/relations/"+name+"/query", req, &answerOf{name, &out})
 	return out, err
 }
 

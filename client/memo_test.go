@@ -236,3 +236,40 @@ func TestElementMemoIsBounded(t *testing.T) {
 	}
 	t.Logf("%+v", s)
 }
+
+// TestClientMemoIsPerRelation: a client reading two relations whose
+// elements share surrogate numbers — each relation issues its own — in
+// turn, by Query and by QueryCached, copies every element of either answer
+// from its memo from the second round on and parses none.
+func TestClientMemoIsPerRelation(t *testing.T) {
+	ctx := context.Background()
+	cli := newTestClient(t)
+	for _, rel := range []string{"a", "b"} {
+		if _, err := cli.Create(ctx, client.Schema{Name: rel, ValidTime: "event", Granularity: 1,
+			Varying: []client.Column{{Name: "v", Type: "string"}}}); err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]client.InsertRequest, 300)
+		for i := range reqs {
+			reqs[i] = client.InsertRequest{VT: client.EventAt(int64(i)), Varying: []client.Value{client.String(rel + strconv.Itoa(i))}}
+		}
+		if _, err := cli.InsertBatch(ctx, rel, reqs, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		before := cli.MemoStats()
+		for _, rel := range []string{"a", "b"} {
+			if q, err := cli.Current(ctx, rel); err != nil || len(q.Elements) != 300 || q.Elements[7].Varying[0].Str != rel+"7" {
+				t.Fatalf("round %d: current of %s: %v", round, rel, err)
+			}
+			// A new path each round: the conditional cache answers nothing.
+			if q, err := cli.QueryCached(ctx, rel, client.QueryRequest{Kind: client.QueryRollback, TT: 1<<40 + int64(round)}); err != nil || len(q.Elements) != 300 {
+				t.Fatalf("round %d: rollback of %s: %v", round, rel, err)
+			}
+		}
+		if s := cli.MemoStats(); round > 0 && (s.Parsed != before.Parsed || s.Reused-before.Reused != 4*300) {
+			t.Fatalf("round %d: %d parsed and %d copied of four answers of 300", round, s.Parsed-before.Parsed, s.Reused-before.Reused)
+		}
+	}
+}

@@ -311,8 +311,9 @@ var syncDir = func(dir string) {
 // relation on the given transaction clock, and re-attaches the persisted
 // declarations as enforcers (one per scope) warmed with the replayed
 // history, so the next transaction is validated against the full state.
-// The relation adopts the elements Read decoded (relation.Restore): the
-// returned snapshot's records point at the relation's own versions.
+// The relation takes the elements Read decoded as they are (relation.Restore):
+// it stamps them in place and copies them into its store, so the returned
+// snapshot's records point at elements equal to the relation's versions.
 func Load(path string, clock tx.Clock) (*relation.Relation, Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1295,19 +1295,16 @@ func (e *Entry) AnswerCtx(ctx context.Context, pq plan.Query) (QueryResult, erro
 }
 
 // resultSize approximates a cached result's resident bytes for the cache's
-// byte budget: what the answer pins — a header per span; for a sealed span
-// the chunk header and tt⊣ column a close since may have replaced in the
-// store (its columns stay the store's); and an element chunk's elements,
-// each a fixed overhead plus its value slices — plus the plan rendering.
-// Precision doesn't matter — the budget only has to scale with the real
-// footprint.
+// byte budget: what the answer pins — a header per span; for a span over a
+// chunk what the store may have let go of since (Span.Pins: the chunk header
+// and tt⊣ column a close replaces, and the tail's arena; its columns stay
+// the store's); and an index seek's elements, each a fixed overhead plus its
+// value slices — plus the plan rendering. Precision doesn't matter — the
+// budget only has to scale with the real footprint.
 func resultSize(a *storage.Answer, plan string) int64 {
 	n := int64(len(plan)) + 64
 	for _, sp := range a.Spans() {
-		n += spanBytes
-		if sp.Sealed() {
-			n += int64(storage.SealedSpanPins)
-		}
+		n += spanBytes + int64(sp.Pins())
 		for _, el := range sp.Elements() {
 			n += 128 + 32*int64(len(el.Invariant)+len(el.Varying)+len(el.UserTimes))
 		}

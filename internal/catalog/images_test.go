@@ -9,6 +9,7 @@ package catalog
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/surrogate"
 	"repro/internal/tsql"
 	"repro/internal/wire"
 )
@@ -349,5 +351,122 @@ func TestNonFiniteRelationBuildsNoImages(t *testing.T) {
 	}
 	if _, err := (wire.QueryBody{Answer: *res, Images: imgs}).AppendJSON(nil); err == nil {
 		t.Fatal("the answer was encoded")
+	}
+}
+
+// TestHeadSpansAreTheEncodedScan: an answer that draws on the tail chunk —
+// columns, but still filling — with 1, imageMin−1, imageMin and
+// ChunkSize−1 of its slots is encoded, gathered and streamed, to the bytes
+// of the naive query's elements encoded one by one, on its first read and
+// served again from the result cache, before and after a close into the
+// tail and more inserts into it. Only the full chunks are imaged: a tail
+// span, however dense, is never imaged or spliced — an image names a full
+// chunk's runSize versions by (ordinal, closes), and the tail's next insert
+// changes what its slots hold under the same name.
+func TestHeadSpansAreTheEncodedScan(t *testing.T) {
+	ctx := context.Background()
+	for _, h := range []int{1, imageMin - 1, imageMin, storage.ChunkSize - 1} {
+		t.Run(fmt.Sprintf("tail=%d", h), func(t *testing.T) {
+			cfg := testConfig(t.TempDir())
+			cfg.CacheBytes = 32 << 20
+			e, err := New(cfg).Create(relation.Schema{
+				Name: "r", ValidTime: element.IntervalStamp, Granularity: chronon.Second,
+				Invariant: []relation.Column{{Name: "id", Type: element.KindString}},
+				Varying:   []relation.Column{{Name: "v", Type: element.KindInt}, {Name: "note", Type: element.KindString}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			var ess []surrogate.Surrogate
+			load := func(k int) {
+				t.Helper()
+				ins := make([]relation.Insertion, k)
+				for j := range ins {
+					i := n + j
+					lo := chronon.Chronon(1000 + 10*i) // every version covers vt 500,000
+					ins[j] = relation.Insertion{VT: element.SpanOf(lo, lo+1_000_000),
+						Invariant: []element.Value{element.String_(fmt.Sprint("s", i%7))},
+						Varying:   []element.Value{element.Int(int64(i) * 37), element.String_(fmt.Sprint("note ", i))}}
+				}
+				res, err := e.InsertBatch(ctx, ins, nil, false)
+				if err != nil || res.Stored != k {
+					t.Fatalf("InsertBatch stored %d of %d: %v", res.Stored, k, err)
+				}
+				for _, it := range res.Items {
+					ess = append(ess, it.Elem.ES)
+				}
+				n += k
+			}
+			load(2*storage.ChunkSize + h)
+			tail := 2 // the tail chunk's ordinal
+			mid := e.view.Load().engine.Store().(*storage.RunStore).TTStartAt(2*storage.ChunkSize + h/2)
+			queries := []struct {
+				pq    plan.Query
+				naive func(r *relation.Relation) []*element.Element
+			}{
+				{plan.Query{Kind: plan.QCurrent}, (*relation.Relation).Current},
+				{plan.Query{Kind: plan.QTimeslice, VTLo: 500_000, VTHi: 500_001}, func(r *relation.Relation) []*element.Element { return r.Timeslice(500_000) }},
+				{plan.Query{Kind: plan.QRollback, TT: 1 << 40}, func(r *relation.Relation) []*element.Element { return r.Rollback(1 << 40) }},
+				{plan.Query{Kind: plan.QAsOf, VTLo: 500_000, TT: int64(mid)}, func(r *relation.Relation) []*element.Element { return r.TimesliceAsOf(500_000, mid) }},
+			}
+			check := func(state string) {
+				t.Helper()
+				for _, q := range queries {
+					var naive []*element.Element
+					_ = e.Locked().View(func(r *relation.Relation) error { naive = q.naive(r); return nil })
+					for round := range 2 { // computed, then from the result cache
+						res, err := e.AnswerCtx(ctx, q.pq)
+						if err != nil {
+							t.Fatal(err)
+						}
+						a := res.Answer()
+						spans := a.Spans()
+						onTail := 0
+						for _, sp := range spans {
+							if sp.Chunk() >= n/storage.ChunkSize {
+								onTail += sp.Len()
+								if sp.Sealed() {
+									t.Fatalf("%s, %v: the span over the tail chunk %d says it is sealed", state, q.pq.Kind, sp.Chunk())
+								}
+							}
+						}
+						if state == "loaded" && q.pq.Kind != plan.QAsOf && onTail == 0 {
+							t.Fatalf("%s, %v: the answer draws nothing from the tail", state, q.pq.Kind)
+						}
+						for _, im := range res.Images {
+							if sp := &spans[im.Span]; !sp.Sealed() || sp.Chunk() >= n/storage.ChunkSize {
+								t.Fatalf("%s, %v: span %d over chunk %d (sealed %v, %d slots) is imaged", state, q.pq.Kind, im.Span, sp.Chunk(), sp.Sealed(), sp.Len())
+							}
+						}
+						body := wire.QueryBody{Answer: *a, Images: res.Images, Plan: res.Plan, PlanNode: wire.FromPlanNode(res.Node), Touched: res.Touched, Epoch: res.Epoch}
+						oracle := body
+						oracle.Answer, oracle.Images = storage.ElementAnswer(naive), nil
+						want, err := oracle.AppendJSON(nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gathered, err := body.AppendJSON(nil)
+						if err != nil || !bytes.Equal(gathered, want) {
+							t.Fatalf("%s, %v, round %d: gathered %d bytes against the naive encode's %d (%v)", state, q.pq.Kind, round, len(gathered), len(want), err)
+						}
+						var streamed bytes.Buffer
+						if _, err := body.StreamJSON(&streamed, make([]byte, 0, 512)); err != nil || !bytes.Equal(streamed.Bytes(), append(want, '\n')) {
+							t.Fatalf("%s, %v, round %d: streamed %d bytes against the naive encode's %d (%v)", state, q.pq.Kind, round, streamed.Len(), len(want)+1, err)
+						}
+					}
+				}
+			}
+			check("loaded")
+			if st := e.ImageStats(); st.Built != int64(tail) || st.SpansSpliced == 0 {
+				t.Fatalf("reads over two full chunks and a tail of %d left %+v, want the two full chunks imaged", h, st)
+			}
+			if err := e.DeleteKeyed(ctx, ess[tail*storage.ChunkSize+h/2], ""); err != nil {
+				t.Fatal(err)
+			}
+			check("after a close into the tail")
+			load(min(3, storage.ChunkSize-h))
+			check("after more inserts into the tail")
+		})
 	}
 }

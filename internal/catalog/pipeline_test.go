@@ -6,18 +6,14 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/fuzzcost"
 	"repro/internal/integrity"
 	"repro/internal/relation"
-	"repro/internal/surrogate"
-	"repro/internal/vec"
 	"repro/internal/wal"
 )
 
@@ -306,110 +302,6 @@ func TestReplayLeavesNothingRunning(t *testing.T) {
 		}
 	}
 	failing("a log whose first frame names no relation", recordsOf(t, fs)[1:])
-}
-
-// TestVacuumFreesTheFrameItEmptied: a replayed batch frame's versions share
-// one element array and one value array (backlog.Slab). Closing and
-// vacuuming all of them but one must free those arrays — the survivor
-// moves to a copy of its own — so both become unreachable and the live
-// heap drops by at least the frame's arrays and the closed copies; what
-// readers see at and after the horizon does not change. The frame is one
-// version short of a full chunk: the version that fills a chunk seals it
-// into columns, and the store lets go of the frame then, before any vacuum
-// (TestSealedChunkLetsGoOfItsElements).
-func TestVacuumFreesTheFrameItEmptied(t *testing.T) {
-	const n = vec.BatchSize - 1
-	c := New(testConfig(t.TempDir()))
-	e, err := c.Create(relation.Schema{
-		Name: "sensor", ValidTime: element.EventStamp, Granularity: chronon.Second,
-		Invariant: []relation.Column{{Name: "id", Type: element.KindString}},
-		Varying:   []relation.Column{{Name: "value", Type: element.KindInt}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mutation{kind: walInsertBatchOneKey, oneKey: oneKey{n: n}}
-	for j := 1; j <= n; j++ {
-		m.recs = append(m.recs, relation.LogRecord{Op: relation.OpInsert, TT: chronon.Chronon(10 * j), Elem: &element.Element{
-			ES: surrogate.Surrogate(j), OS: surrogate.Surrogate(j), VT: element.EventAt(chronon.Chronon(j)),
-			Invariant: []element.Value{element.String_("s1")}, Varying: []element.Value{element.Int(int64(j))},
-		}})
-	}
-	_, payload := mustEncode(t, m)
-	m = mutation{}
-	if err := c.replay([]wal.Record{{LSN: 1, Kind: walInsertBatchOneKey, Rel: "sensor", Payload: payload}}); err != nil {
-		t.Fatal(err)
-	}
-	// The first version and its first value begin the frame's two arrays;
-	// each counts itself when the collector finds its array unreachable.
-	var freed atomic.Int32
-	_ = e.Locked().View(func(r *relation.Relation) error {
-		first, _ := r.ByES(1)
-		runtime.SetFinalizer(first, func(*element.Element) { freed.Add(1) })
-		runtime.SetFinalizer(&first.Invariant[0], func(*element.Value) { freed.Add(1) })
-		return nil
-	})
-	for j := 1; j < n; j++ {
-		if err := remove(e, surrogate.Surrogate(j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// render prints the backlog records of versions alive after horizon,
-	// the current state and a time-slice at the survivor's valid time.
-	render := func(horizon chronon.Chronon) (backlog, cur, slice string) {
-		_ = e.Locked().View(func(r *relation.Relation) error {
-			var sb strings.Builder
-			for _, rec := range r.Backlog() {
-				if rec.Elem.TTEnd > horizon {
-					fmt.Fprintln(&sb, rec.Op, rec.TT, rec.Elem)
-				}
-			}
-			backlog, cur, slice = sb.String(), fmt.Sprint(r.Current()), fmt.Sprint(r.Timeslice(n))
-			return nil
-		})
-		return
-	}
-	var horizon chronon.Chronon
-	_ = e.Locked().View(func(r *relation.Relation) error {
-		horizon = r.Backlog()[len(r.Backlog())-1].TT
-		return nil
-	})
-	wantBacklog, wantCur, wantSlice := render(horizon)
-	if strings.Count(wantBacklog, "\n") != 1 || wantCur == "[]" || wantSlice != wantCur {
-		t.Fatalf("set-up: the survivor is not alone: backlog %s, current %s, time-slice %s", wantBacklog, wantCur, wantSlice)
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	removed, err := e.Vacuum(horizon)
-	if err != nil || removed != n-1 {
-		t.Fatalf("Vacuum = %d, %v; want %d", removed, err, n-1)
-	}
-	// The value array is reachable from the element array until the
-	// latter's finalizer has run, and a finalized array is freed by the
-	// cycle after its finalizer: a few cycles, then one more.
-	for deadline := time.Now().Add(5 * time.Second); freed.Load() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of the frame's two arrays became unreachable after the vacuum", freed.Load())
-		}
-		runtime.GC()
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-
-	if backlog, cur, slice := render(chronon.MinChronon); backlog != wantBacklog || cur != wantCur || slice != wantSlice {
-		t.Errorf("vacuum changed what readers see:\nbacklog %s, want %s\ncurrent %s, want %s\ntime-slice %s, want %s",
-			backlog, wantBacklog, cur, wantCur, slice, wantSlice)
-	}
-	elem, val := int64(unsafe.Sizeof(element.Element{})), int64(unsafe.Sizeof(element.Value{}))
-	frame := n*elem + 2*n*val
-	closed := (n - 1) * elem
-	drop := int64(before.HeapAlloc) - int64(after.HeapAlloc)
-	t.Logf("live heap dropped %d bytes: the frame's arrays are %d, the closed copies %d", drop, frame, closed)
-	if drop < frame+closed {
-		t.Fatalf("live heap dropped %d bytes; the frame's arrays (%d) and the closed copies (%d) should have gone", drop, frame, closed)
-	}
 }
 
 // TestClaimedBatchSizesAreNotAllocated: a kind-11 frame claiming 2^32 − 1

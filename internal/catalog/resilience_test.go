@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tx"
 	"repro/internal/wal"
@@ -414,4 +416,36 @@ func lenOf(t *testing.T, e *Entry) int {
 		return nil
 	})
 	return n
+}
+
+// TestVersionTooLargeIsRefusedBeforeTheLog: a version whose strings pass
+// what one log frame may hold is refused, typed, while it is staged: no
+// frame is written, the epoch does not move, and the relation takes the
+// next insert as if nothing had been asked. The bound is the frame's
+// (storage.MaxStringBytes is wal.MaxFrameBytes), so a chunk's string arena
+// stays inside its 32-bit offsets.
+func TestVersionTooLargeIsRefusedBeforeTheLog(t *testing.T) {
+	if storage.MaxStringBytes != wal.MaxFrameBytes {
+		t.Fatalf("storage.MaxStringBytes is %d, a log frame's bound %d", storage.MaxStringBytes, wal.MaxFrameBytes)
+	}
+	w, c := bootErrFS(t, wal.NewErrFS())
+	e, err := c.Create(relation.Schema{Name: "docs", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Varying: []relation.Column{{Name: "body", Type: element.KindString}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, epoch := w.LastLSN(), e.Epoch()
+	big := element.String_(strings.Repeat("x", storage.MaxStringBytes+1))
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(1), Varying: []element.Value{big}}); !errors.Is(err, relation.ErrVersionTooLarge) {
+		t.Fatalf("insert of %d string bytes: %v", storage.MaxStringBytes+1, err)
+	}
+	if _, err := e.InsertBatch(context.Background(), []relation.Insertion{{VT: element.EventAt(1), Varying: []element.Value{big}}}, nil, true); !errors.Is(err, relation.ErrVersionTooLarge) {
+		t.Fatalf("batch insert of %d string bytes: %v", storage.MaxStringBytes+1, err)
+	}
+	if w.LastLSN() != lsn || e.Epoch() != epoch {
+		t.Fatalf("the refusals wrote frames up to LSN %d (was %d), epoch %d (was %d)", w.LastLSN(), lsn, e.Epoch(), epoch)
+	}
+	if _, err := insert(e, relation.Insertion{VT: element.EventAt(2), Varying: []element.Value{element.String_("ok")}}); err != nil {
+		t.Fatal(err)
+	}
 }

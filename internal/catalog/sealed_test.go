@@ -67,16 +67,15 @@ func answerBytes(t *testing.T, items []BatchItemResult) []string {
 	return out
 }
 
-// TestSealedChunkLetsGoOfItsElements: once the element that fills a chunk
-// of the vt-ordered log has sealed it into columns, the chunk's old element
-// structs are collected as soon as no pinned view holds them and no answer
-// names them. The result cache keeps an answer from before the seal, which
-// names the head chunk's elements it took (storage.Answer) and is charged
-// for them, until a write that meets it supersedes it; answers after the
-// seal name the columns. Nothing else keeps them: not the dedup window,
-// which remembers the batch that stored them and answers its replay from
-// their surrogates; not the chunk images the reads after the seal build and
-// splice; not the close of one of them after the seal.
+// TestSealedChunkLetsGoOfItsElements: the store copies each element it is
+// handed into its chunk's columns, so the elements a batch insert stored
+// are collected as soon as its caller drops them — before the chunk fills,
+// with the chunk read into the result cache, and after. Answers name the
+// columns' slots (storage.Answer), never an element. Nothing else keeps
+// them: not the dedup window, which remembers the batch that stored them
+// and answers its replay from their surrogates; not the chunk images the
+// reads after the fill build and splice; not the close of one of them after
+// the fill.
 func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t.TempDir())
@@ -125,17 +124,15 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	for i := range want {
 		want[i] = "deduped" + want[i][len("stored"):]
 	}
-	first = BatchResult{}
-	reads()
 	var freed atomic.Int32
 	var gone sync.Map // surrogates of the collected elements
-	_ = e.Locked().View(func(r *relation.Relation) error {
-		for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
-			el, _ := r.ByES(es)
-			runtime.SetFinalizer(el, func(el *element.Element) { gone.Store(el.ES, true); freed.Add(1) })
-		}
-		return nil
-	})
+	for _, it := range first.Items {
+		runtime.SetFinalizer(it.Elem, func(el *element.Element) { gone.Store(el.ES, true); freed.Add(1) })
+	}
+	first = BatchResult{}
+	if named := reads(); len(named) != 0 {
+		t.Fatalf("answers over the chunk still filling name %d elements", len(named))
+	}
 	collect := func(want int32) {
 		for i := 0; i < 20 && freed.Load() < want; i++ {
 			runtime.GC()

@@ -29,11 +29,10 @@ const batchCheckEvery = 8
 // chunk is folded after all, so values and errors are those of the plain
 // fold.
 //
-// A unit is folded where it lies, in arrival (ES) order: a sealed chunk from
-// its columns (ColAgg.ConsumeCols), any other chunk row at a time from its
-// elements (ColAgg.ConsumeRows), so floating-point accumulation is
-// bit-identical to vec.RowAggregateRuns, the definition the differential
-// harness asserts against. event says whether the relation is
+// A unit — a full chunk or the tail — is folded where it lies, in arrival
+// (ES) order, from its columns (ColAgg.ConsumeCols), slot by slot, so
+// floating-point accumulation is bit-identical to vec.RowAggregateRuns, the
+// definition the differential harness asserts against. event says whether the relation is
 // event-stamped, and the returned stats feed the batch counters. memo, when
 // not nil, lets the loop merge the partials of full chunks folded before
 // instead of folding them again (partials.go); nil folds every chunk.
@@ -176,13 +175,10 @@ func (en *Engine) fold(ctx context.Context, r *storage.BatchReader, node *plan.N
 	return nil
 }
 
-// consume folds the unit the reader stopped at into agg where it lies: a
-// sealed chunk from its columns, any other chunk from its elements.
+// consume folds the unit the reader stopped at into agg where it lies, from
+// its columns.
 func consume(agg *vec.ColAgg, r *storage.BatchReader, stats *vec.ExecStats) error {
-	if c := r.Cols(); c != nil {
-		return agg.ConsumeCols(c, stats)
-	}
-	return agg.ConsumeRows(r.Rows(), stats)
+	return agg.ConsumeCols(r.Cols(), stats)
 }
 
 // merge merges a chunk's or group's partial into agg, restricted to the

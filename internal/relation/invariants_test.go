@@ -109,7 +109,7 @@ func TestCurrentMatchesRollbackAtNow(t *testing.T) {
 			t.Fatalf("step %d: current %d vs rollback-at-now %d", i, len(cur), len(roll))
 		}
 		for j := range cur {
-			if cur[j] != roll[j] {
+			if !sameVersion(cur[j], roll[j]) {
 				t.Fatalf("step %d: element %d differs", i, j)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -24,6 +23,9 @@ var (
 	// ErrWrongStampKind reports a valid time-stamp whose kind (event vs
 	// interval) does not match the relation schema.
 	ErrWrongStampKind = errors.New("relation: valid time-stamp kind does not match schema")
+	// ErrVersionTooLarge reports a version whose string values hold more
+	// bytes than one write-ahead-log frame may (storage.MaxStringBytes).
+	ErrVersionTooLarge = errors.New("relation: version too large")
 )
 
 // Guard validates transactions before they are applied. The constraint
@@ -104,13 +106,6 @@ type Relation struct {
 	// position in versions, carried from there on.
 	byES map[surrogate.Surrogate]int
 
-	// adopted is the position of the first version ApplyLog adopted since
-	// the last Vacuum that copied such survivors out (a batch frame's
-	// versions share the arrays they were decoded into), MaxInt when there
-	// is none; Vacuum treats the versions from there on as adopted, and
-	// shed counts those it has discarded since.
-	adopted, shed int
-
 	vacuumedTo chronon.Chronon // see Vacuum; MinChronon when never vacuumed
 	stamped    chronon.Chronon // the newest transaction time stamp issued; MinChronon before the first
 
@@ -119,10 +114,9 @@ type Relation struct {
 	closing *closing
 }
 
-// closing is a sealed version staged for a close, in one allocation: the
-// open version staging hands out, with its lists, and the closed copy the
-// commit returns, which shares them. A close into a sealed chunk so
-// allocates once, as one into an element chunk does (its copy).
+// closing is a version staged for a close, in one allocation: the open
+// version staging hands out, materialized with its lists, and the closed
+// copy the commit returns, which shares them.
 type closing struct {
 	open   storage.Version
 	closed element.Element
@@ -144,7 +138,6 @@ func New(schema Schema, clock tx.Clock) *Relation {
 		esGen:      surrogate.NewGenerator(),
 		osGen:      surrogate.NewGenerator(),
 		versions:   storage.NewHeap(),
-		adopted:    math.MaxInt,
 		vacuumedTo: chronon.MinChronon,
 		stamped:    chronon.MinChronon,
 	}
@@ -233,15 +226,48 @@ func (r *Relation) buildElement(ins Insertion) (*element.Element, error) {
 	if os.IsNone() {
 		os = r.osGen.Next()
 	}
+	// PackValues and the append leave an empty list nil: the store keeps a
+	// list's length, not whether it was nil (normalize).
 	inv, vary := element.PackValues(ins.Invariant, ins.Varying)
-	return &element.Element{
-		ES:        r.esGen.Next(),
+	e := &element.Element{
 		OS:        os,
 		VT:        r.quantize(ins.VT),
 		Invariant: inv,
 		Varying:   vary,
 		UserTimes: append([]chronon.Chronon(nil), ins.UserTimes...),
-	}, nil
+	}
+	if err := r.checkSize(e); err != nil {
+		return nil, err
+	}
+	e.ES = r.esGen.Next()
+	return e, nil
+}
+
+// checkSize refuses a version whose string values hold more bytes than one
+// write-ahead-log frame may: what bounds every journaled mutation, and what
+// keeps a chunk's string arena inside its offsets (storage.MaxStringBytes).
+func (r *Relation) checkSize(e *element.Element) error {
+	if n := storage.StringBytes(e); n > storage.MaxStringBytes {
+		return fmt.Errorf("relation %s: %w: %d bytes of strings, at most %d", r.schema.Name, ErrVersionTooLarge, n, storage.MaxStringBytes)
+	}
+	return nil
+}
+
+// normalize leaves each empty list of e nil. The store keeps a list's
+// length and nothing else, as the wire and the disk do (an encoder writes a
+// list only when it has an entry; a log record stores counts), so a version
+// reads back with nil where it had an empty list, and one normalized before
+// it is stored is read back as it was.
+func normalize(e *element.Element) {
+	if len(e.Invariant) == 0 {
+		e.Invariant = nil
+	}
+	if len(e.Varying) == 0 {
+		e.Varying = nil
+	}
+	if len(e.UserTimes) == 0 {
+		e.UserTimes = nil
+	}
 }
 
 // quantize truncates the valid time-stamp to the schema granularity.
@@ -285,10 +311,10 @@ func (r *Relation) reindex() {
 	}
 }
 
-// applyInsert stores e itself: the relation owns it from here on and never
-// mutates it. A committed element is never refused: when it breaks the
-// promise of the store's label, the label drops one promise at a time until
-// the store admits it — the heap admits anything.
+// applyInsert stores e: the store copies it into its columns, and the
+// relation never mutates it. A committed element is never refused: when it
+// breaks the promise of the store's label, the label drops one promise at a
+// time until the store admits it — the heap admits anything.
 func (r *Relation) applyInsert(e *element.Element) {
 	n := r.versions.Len()
 	if r.byES == nil && n > 0 && e.ES <= r.versions.ESAt(n-1) {
@@ -305,37 +331,32 @@ func (r *Relation) applyInsert(e *element.Element) {
 	}
 }
 
-// staged returns the version at position i for a close to stage: an element
-// chunk's element as stored, or a sealed version materialized into a closing
-// the relation keeps until the commit.
+// staged returns the version at position i for a close to stage,
+// materialized into a closing the relation keeps until the commit.
 func (r *Relation) staged(i int) *element.Element {
-	sp := storage.ChunkOf(r.versions, i/storage.ChunkSize)
-	if !sp.Sealed() {
-		return r.versions.At(i)
-	}
 	c := new(closing)
 	r.closing = c
-	return sp.Load(i%storage.ChunkSize, &c.open)
+	return storage.LoadAt(r.versions, i, &c.open)
 }
 
 // applyDelete closes the existence interval of the version at position i,
 // which e holds, by copy-on-close: the element itself is never mutated. A
-// copy with TTEnd finalized takes its place (ReplaceAt: in a sealed chunk,
-// its tt⊣ in a copied column) and is returned; the open original stays
-// exactly as any previously published read snapshot saw it, which is what
-// lets the catalog serve lock-free epoch-stamped reads. The copy is shallow
-// — stored elements are immutable, so the two may share their values — and
-// for a version staged from a sealed chunk it is the closing's. The closed
-// version is the backlog's insert record from here on as well as its delete
-// record, so Declare's warm replay observes the close.
+// copy with TTEnd finalized takes its place (ReplaceAt: its tt⊣ in a copied
+// column) and is returned; the open original stays exactly as any
+// previously published read snapshot saw it, which is what lets the catalog
+// serve lock-free epoch-stamped reads. The copy is shallow — the two share
+// their values — and it is the closing's when e is the version staging
+// handed out. The closed version is the backlog's insert record from here
+// on as well as its delete record, so Declare's warm replay observes the
+// close.
 func (r *Relation) applyDelete(i int, e *element.Element, tt chronon.Chronon) *element.Element {
 	var closed *element.Element
 	if c := r.closing; c != nil && e == c.open.Element() {
-		c.closed = *e
 		closed = &c.closed
 	} else {
-		closed = r.versions.Copy(i)
+		closed = new(element.Element)
 	}
+	*closed = *e
 	r.closing = nil
 	closed.TTEnd = tt
 	r.versions.ReplaceAt(i, closed)

@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chronon"
@@ -18,8 +19,8 @@ func newEventRelation() *Relation {
 
 // sameVersion reports whether a and b are one stored version: named by the
 // same surrogate and tt⊣, and equal field for field, nil lists told from
-// empty ones. A sealed chunk hands out materialized copies, not the elements
-// it was given, so identity is the version's, not the pointer's.
+// empty ones. The store hands out materialized copies, not the elements it
+// was given, so identity is the version's, not the pointer's.
 func sameVersion(a, b *element.Element) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -217,7 +218,7 @@ func TestCurrentAndRollback(t *testing.T) {
 	e1, _ = r.ByES(e1.ES)                 // the closed clone the relation now holds
 
 	cur := r.Current()
-	if len(cur) != 2 || cur[0] != e2 || cur[1] != e3 {
+	if len(cur) != 2 || !sameVersion(cur[0], e2) || !sameVersion(cur[1], e3) {
 		t.Errorf("Current = %v", cur)
 	}
 
@@ -240,7 +241,7 @@ func TestCurrentAndRollback(t *testing.T) {
 			continue
 		}
 		for i := range got {
-			if got[i] != c.want[i] {
+			if !sameVersion(got[i], c.want[i]) {
 				t.Errorf("Rollback(%v)[%d] = %v, want %v", c.tt, i, got[i], c.want[i])
 			}
 		}
@@ -264,11 +265,11 @@ func TestTimeslice(t *testing.T) {
 	e2 := mk(100, 200, "ann", "p2")
 	_ = e2
 	got := r.Timeslice(50)
-	if len(got) != 1 || got[0] != e1 {
+	if len(got) != 1 || !sameVersion(got[0], e1) {
 		t.Errorf("Timeslice(50) = %v", got)
 	}
 	got = r.Timeslice(100)
-	if len(got) != 1 || got[0] != e2 {
+	if len(got) != 1 || !sameVersion(got[0], e2) {
 		t.Errorf("Timeslice(100) = %v", got)
 	}
 	if got := r.Timeslice(250); len(got) != 0 {
@@ -285,7 +286,7 @@ func TestTimeslice(t *testing.T) {
 	// (answered by the closed clone that replaced e1 on delete).
 	e1, _ = r.ByES(e1.ES)
 	got = r.TimesliceAsOf(50, e1.TTStart)
-	if len(got) != 1 || got[0] != e1 {
+	if len(got) != 1 || !sameVersion(got[0], e1) {
 		t.Errorf("TimesliceAsOf = %v", got)
 	}
 }
@@ -365,7 +366,7 @@ func TestPartitions(t *testing.T) {
 	if len(parts) != 2 {
 		t.Fatalf("got %d partitions, want 2", len(parts))
 	}
-	if got := parts[a.OS]; len(got) != 2 || got[0] != a || got[1] != b {
+	if got := parts[a.OS]; len(got) != 2 || !sameVersion(got[0], a) || !sameVersion(got[1], b) {
 		t.Errorf("partition of %v = %v", a.OS, got)
 	}
 }
@@ -373,7 +374,7 @@ func TestPartitions(t *testing.T) {
 func TestByES(t *testing.T) {
 	r := newEventRelation()
 	e := insertReading(t, r, 1, "s1", 1)
-	if got, ok := r.ByES(e.ES); !ok || got != e {
+	if got, ok := r.ByES(e.ES); !ok || !sameVersion(got, e) {
 		t.Error("ByES failed")
 	}
 	if _, ok := r.ByES(surrogate.Surrogate(999)); ok {
@@ -463,10 +464,74 @@ func TestCommitDropsTheLabelItBreaks(t *testing.T) {
 	if k := r.Store().Kind(); k != storage.TTOrdered {
 		t.Fatalf("label %v after an out-of-vt-order commit, want %v", k, storage.TTOrdered)
 	}
-	if r.Len() != 3 || r.Store().At(2) != e {
+	if r.Len() != 3 || !sameVersion(r.Store().At(2), e) {
 		t.Fatalf("the element is not stored last: %d versions", r.Len())
 	}
-	if got, ok := r.ByES(e.ES); !ok || got != e {
+	if got, ok := r.ByES(e.ES); !ok || !sameVersion(got, e) {
 		t.Fatalf("ByES(%v) = %v, %v", e.ES, got, ok)
+	}
+}
+
+// TestEmptyListsReadBackNil: the store keeps a list's length and nothing
+// else, as the wire and the disk do, so the relation normalizes an empty
+// list to nil where a version enters it — a live insert, a modify's
+// replacement values, a replayed record — and every way of reading the
+// versions back, from one chunk, gives the normalized versions.
+func TestEmptyListsReadBackNil(t *testing.T) {
+	r := New(Schema{Name: "bare", ValidTime: element.EventStamp, Granularity: chronon.Second}, tx.NewLogicalClock(0, 10))
+	var want []*element.Element
+	add := func(e *element.Element, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Invariant != nil || e.Varying != nil || e.UserTimes != nil {
+			t.Fatalf("version %v kept an empty list: %#v %#v %#v", e.ES, e.Invariant, e.Varying, e.UserTimes)
+		}
+		want = append(want, e)
+	}
+	add(r.Insert(Insertion{VT: element.EventAt(1), Invariant: []element.Value{}, Varying: []element.Value{}, UserTimes: []chronon.Chronon{}}))
+	add(r.Insert(Insertion{VT: element.EventAt(2)}))
+	es, _ := r.ReservedSurrogates()
+	_, now, err := r.ApplyLog(LogRecord{Op: OpInsert, TT: r.Clock().Next(), Elem: &element.Element{ES: es + 1, OS: 1, VT: element.EventAt(3),
+		Invariant: []element.Value{}, Varying: []element.Value{}, UserTimes: []chronon.Chronon{}}})
+	add(now, err)
+	add(r.Modify(want[1].ES, element.EventAt(4), []element.Value{}))
+	want[1], _ = r.ByES(want[1].ES) // closed by the modify
+	if r.Len() != len(want) || r.Len() > storage.ChunkSize {
+		t.Fatalf("%d versions, want %d in one chunk", r.Len(), len(want))
+	}
+	for i, got := range r.Versions() {
+		if !sameVersion(got, want[i]) {
+			t.Errorf("version %d reads %#v, want %#v", i, got, want[i])
+		}
+		if e, ok := r.ByES(got.ES); !ok || !sameVersion(e, want[i]) {
+			t.Errorf("ByES(%v) = %#v, want %#v", got.ES, e, want[i])
+		}
+	}
+}
+
+// TestVersionTooLargeIsRefused: a version whose strings hold more than
+// storage.MaxStringBytes — what one write-ahead-log frame may hold — is
+// refused with ErrVersionTooLarge, insert and modify alike, before anything
+// is stamped; one at the bound is stored.
+func TestVersionTooLargeIsRefused(t *testing.T) {
+	r := New(Schema{Name: "docs", ValidTime: element.EventStamp, Granularity: chronon.Second,
+		Invariant: []Column{{Name: "title", Type: element.KindString}},
+		Varying:   []Column{{Name: "body", Type: element.KindString}}}, tx.NewLogicalClock(0, 10))
+	big := strings.Repeat("x", storage.MaxStringBytes-1)
+	e, err := r.Insert(Insertion{VT: element.EventAt(1), Invariant: []element.Value{element.String_("t")}, Varying: []element.Value{element.String_(big)}})
+	if err != nil {
+		t.Fatalf("a version of %d string bytes: %v", storage.MaxStringBytes, err)
+	}
+	stamped := r.Clock().Now()
+	if _, err := r.Insert(Insertion{VT: element.EventAt(2), Invariant: []element.Value{element.String_("tt")}, Varying: []element.Value{element.String_(big)}}); !errors.Is(err, ErrVersionTooLarge) {
+		t.Fatalf("insert of %d string bytes: %v", storage.MaxStringBytes+1, err)
+	}
+	if _, err := r.Modify(e.ES, element.EventAt(3), []element.Value{element.String_(big + "yy")}); !errors.Is(err, ErrVersionTooLarge) {
+		t.Fatalf("modify to %d string bytes: %v", storage.MaxStringBytes+2, err)
+	}
+	if r.Len() != 1 || r.Clock().Now() != stamped || len(r.Current()) != 1 {
+		t.Fatalf("the refusals changed the relation: %d versions, clock %v (was %v)", r.Len(), r.Clock().Now(), stamped)
 	}
 }

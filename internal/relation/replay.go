@@ -33,9 +33,9 @@ func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, erro
 }
 
 // Restore is Replay over records the caller has just decoded and hands
-// over (a snapshot's, backlog.Load): each inserted element becomes the
-// stored version, as ApplyLog adopts one, and is stamped with its record's
-// transaction times. The caller must neither keep a writable reference to
+// over (a snapshot's, backlog.Load): each inserted element is stamped with
+// its record's transaction times and normalized in place, as ApplyLog
+// does, not copied first. The caller must neither keep a writable reference to
 // the elements nor restore them twice.
 func Restore(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, error) {
 	return replay(schema, clock, records, false)
@@ -65,13 +65,13 @@ func replay(schema Schema, clock tx.Clock, records []LogRecord, clone bool) (*Re
 // the record and an AdvanceTo-capable clock is advanced, exactly as Replay
 // does in bulk.
 //
-// An inserted element is adopted, not copied: rec.Elem becomes the stored
-// version, so the caller must have just built it (decoded it off the log)
-// and must neither retain a writable reference nor apply it twice. It may
-// share arrays with the elements decoded beside it, so Vacuum may move it
-// as a copy (vacuum.go). now is the version the relation holds after the
-// record — rec.Elem for an insert, the closed copy for a delete — and was
-// the open version a delete closed.
+// An inserted element is stamped in place and copied into the store's
+// columns: rec.Elem is what the relation stores, with its transaction times
+// and its empty lists nil, so the caller must have just built it (decoded it
+// off the log) and must neither retain a writable reference nor apply it
+// twice. now is the version the relation holds after the record — rec.Elem
+// for an insert, the closed copy for a delete — and was the open version a
+// delete closed.
 //
 // Guards are not re-checked (the history was validated when first stored)
 // but they do observe the application through Applied, so enforcers
@@ -80,15 +80,12 @@ func (r *Relation) ApplyLog(rec LogRecord) (was, now *element.Element, err error
 	if was, now, err = r.redo(rec); err != nil {
 		return nil, nil, fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
 	}
-	if rec.Op == OpInsert {
-		r.adopted = min(r.adopted, r.versions.Len()-1)
-	}
 	r.advanceClock(rec.TT)
 	return was, now, nil
 }
 
 // redo validates one backlog record against the relation and applies it,
-// storing an inserted rec.Elem itself.
+// storing an inserted rec.Elem, normalized (normalize).
 func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
 	if err := r.admitTT(rec.TT); err != nil {
 		return nil, nil, err
@@ -114,6 +111,13 @@ func (r *Relation) redo(rec LogRecord) (was, now *element.Element, err error) {
 		if err := checkValues(r.schema.Name, "time-varying", r.schema.Varying, e.Varying); err != nil {
 			return nil, nil, err
 		}
+		if len(e.UserTimes) != len(r.schema.UserTimes) {
+			return nil, nil, fmt.Errorf("%d user-defined times for %d columns", len(e.UserTimes), len(r.schema.UserTimes))
+		}
+		if err := r.checkSize(e); err != nil {
+			return nil, nil, err
+		}
+		normalize(e)
 		e.TTStart, e.TTEnd = rec.TT, chronon.Forever
 		r.applyInsert(e)
 		r.esGen.Reserve(uint64(e.ES))

@@ -2,11 +2,11 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/chronon"
+	"repro/internal/element"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
@@ -38,58 +38,30 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 
 	// A version goes with its delete record, and the delete records are in
 	// tt order: the first removed of them hold the versions at or before the
-	// horizon. The survivors move to a fresh heap, in surrogate order still,
-	// which the caller re-labels; each kept delete record is recounted
-	// against the insert records kept before it.
-	//
-	// A version ApplyLog adopted off a batch frame shares its element and
-	// value arrays with the frame's other versions (backlog.Slab): one
-	// survivor keeps its discarded neighbours alive. Once the adopted
-	// versions vacuumed away since the last copy are at least as many as
-	// the adopted survivors, the survivors move as copies. So what a
-	// survivor pins never outweighs the adopted survivors themselves, and
-	// each copy is paid for by a discarded version. Every version from the first one
-	// ApplyLog adopted since the last copy on counts as adopted (positions
-	// from r.adopted); a relation written only live never copies.
+	// horizon. The survivors are pushed into a fresh heap, in surrogate order
+	// still, which the caller re-labels — each read out of the old store's
+	// columns a chunk at a time into one scratch and copied into the new
+	// one's — and each kept delete record is recounted against the insert
+	// records kept before it.
 	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].tt > horizon })
 	if removed == 0 {
 		return 0, nil
 	}
-	n, from, dead := r.versions.Len(), min(r.adopted, r.versions.Len()), 0
-	if from < n {
-		// The adopted versions among the removed ones. Versions ascend in
-		// ES unless the relation has degraded to byES.
-		first := r.versions.ESAt(from)
-		for _, cl := range r.closes[:removed] {
-			adopted := cl.es >= first
-			if r.byES != nil {
-				adopted = r.byES[cl.es] >= from
+	fresh, kept, c, i := storage.NewHeap(), r.closes[removed:], 0, 0
+	storage.ScanRuns(r.versions)(func(run []*element.Element) bool {
+		for _, v := range run {
+			for ; c < len(kept) && kept[c].inserts <= i; c++ {
+				kept[c].inserts = fresh.Len()
 			}
-			if adopted {
-				dead++
+			if v.TTEnd > horizon {
+				_ = fresh.Insert(v) // the heap refuses nothing
 			}
+			i++
 		}
-	}
-	shed, alive := r.shed+dead, n-from-dead
-	copying := alive > 0 && shed >= alive
-	fresh, kept, c := storage.NewHeap(), r.closes[removed:], 0
-	r.adopted, r.shed = math.MaxInt, 0
-	for i := 0; i <= n; i++ {
-		for ; c < len(kept) && kept[c].inserts <= i; c++ {
-			kept[c].inserts = fresh.Len()
-		}
-		if i == from && alive > 0 && !copying {
-			r.adopted, r.shed = fresh.Len(), shed
-		}
-		if i == n {
-			break
-		}
-		if v := r.versions.At(i); v.TTEnd > horizon {
-			if copying && i >= from {
-				v = v.Clone()
-			}
-			_ = fresh.Insert(v) // the heap refuses nothing
-		}
+		return true
+	})
+	for ; c < len(kept); c++ {
+		kept[c].inserts = fresh.Len()
 	}
 	r.versions, r.closes = fresh, slices.Delete(r.closes, 0, removed)
 	if r.byES != nil {

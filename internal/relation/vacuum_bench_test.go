@@ -11,7 +11,7 @@ import (
 )
 
 // vacuumRelation stores n event versions of one value each, surrogates
-// 1..n — inserted live, or adopted off a log through ApplyLog as boot
+// 1..n — inserted live, or applied off a log through ApplyLog as boot
 // replay and follower apply store them — and closes the first closed of
 // them. It returns the relation and the tt of the last close.
 func vacuumRelation(b *testing.B, n, closed int, adopted bool) (*Relation, chronon.Chronon) {
@@ -40,9 +40,9 @@ func vacuumRelation(b *testing.B, n, closed int, adopted bool) (*Relation, chron
 }
 
 // BenchmarkVacuum times a vacuum of a relation of 524,288 versions: the
-// exclusive section a vacuum holds. Removing 16 versions, survivors inserted
-// live or adopted off a log move as they are; removing half of the adopted
-// versions, the other half move as copies (vacuum.go).
+// exclusive section a vacuum holds. Every survivor, inserted live or applied
+// off a log, is read out of the old store's columns and pushed into the new
+// one's (vacuum.go); the legs remove 16 versions and half of them.
 func BenchmarkVacuum(b *testing.B) {
 	const n = 1 << 19
 	for _, leg := range []struct {

@@ -1,16 +1,16 @@
 package storage
 
 // Columnar batch reading: stream a store's extension a chunk at a time, in
-// arrival order. Every full chunk, sealed or not, is pruned on its zone map
-// (seq.go) before an element is visited, and reports its lifetime close
-// count, which is what lets the aggregate path keep a chunk's contribution
-// across writes elsewhere. A unit the reader stops at is folded where it
-// lies: a sealed chunk from its columns (Cols), any other chunk from its
-// elements (Rows). Load gathers a unit into the int64 columns of a vec.Batch
-// instead. Where the store's order bounds a query (SeekVT, SeekTT), the
-// reader starts at the chunk a binary search finds and stops where the order
-// says nothing further can match, so the chunks outside cost not even a
-// probe.
+// arrival order. Every full chunk is pruned on its zone map (seq.go) before
+// an element is visited, and reports its lifetime close count, which is what
+// lets the aggregate path keep a chunk's contribution across writes
+// elsewhere. A unit the reader stops at — a full chunk or the tail still
+// filling — is folded where it lies, from its columns (Cols). Load gathers a
+// unit into the int64 columns of a vec.Batch instead, and Rows materializes
+// it, for the folds that need rows. Where the store's order bounds a query
+// (SeekVT, SeekTT), the reader starts at the chunk a binary search finds and
+// stops where the order says nothing further can match, so the chunks
+// outside cost not even a probe.
 
 import (
 	"repro/internal/chronon"
@@ -22,10 +22,9 @@ import (
 // (ES) order — the same order Elements returns, so consumers see the exact
 // row order the reference engine does. Construct with NewBatchReader,
 // optionally narrow with the Set* and Seek* methods, then call Advance
-// until it reports false and fold each unit where it lies: its Cols when it
-// is sealed, its Rows otherwise. Load and Next gather a unit into a columnar
-// batch instead; outside tests only the benchmark module's per-layer mirror
-// calls them.
+// until it reports false and fold each unit where it lies, from its Cols.
+// Load and Next gather a unit into a columnar batch instead; outside tests
+// only the benchmark module's per-layer mirror calls them.
 type BatchReader struct {
 	s     seq
 	kind  Kind
@@ -48,15 +47,14 @@ type BatchReader struct {
 	load    func(int) *element.Element
 	scratch slab
 
-	// The unit Rows gathers a sealed chunk into for Load, reused from unit
-	// to unit.
+	// The unit Rows materializes a chunk into, reused from unit to unit.
 	rows    slab
 	rowPtrs []*element.Element
 }
 
-// Unit is what Advance stopped at: one chunk of the sequence — a full chunk,
-// sealed or not, or the tail still filling — exactly what the next Load
-// gathers into a batch and Rows yields.
+// Unit is what Advance stopped at: one chunk of the sequence — a full chunk
+// or the tail still filling — exactly what the next Load gathers into a
+// batch and Rows yields.
 type Unit struct {
 	// Run is the chunk's ordinal in the store, -1 for the partial tail.
 	Run int
@@ -161,7 +159,8 @@ func (r *BatchReader) skipRun(c *chunk) bool {
 // Advance moves to the next unit the zone maps did not prune, without
 // gathering it, and reports whether there was one. A caller that already
 // knows a full chunk's contribution (Unit.Stable) advances past it for the
-// price of this metadata probe; otherwise Load or Rows produces its rows.
+// price of this metadata probe; otherwise Cols, Load or Rows produces its
+// rows.
 func (r *BatchReader) Advance() (Unit, bool) {
 	for r.next < r.end {
 		k := r.next
@@ -221,66 +220,46 @@ func (r *BatchReader) Pass(units []Unit) {
 }
 
 // Cols returns the unit the last Advance stopped at as a view of its
-// columns when it is a sealed chunk, and nil when its versions are elements
-// (Rows). The view is the reader's own: the next Cols overwrites it, and its
-// Load reads the unit the last Advance stopped at. Nothing is copied, and
-// nothing allocated but Load's binding and its one scratch version, once a
-// reader.
+// columns. The view is the reader's own: the next Cols overwrites it, and
+// its Load reads the unit the last Advance stopped at. Nothing is copied,
+// and nothing allocated but Load's binding and its one scratch version, once
+// a reader.
 func (r *BatchReader) Cols() *vec.Cols {
-	c := r.s.chunk(r.next - 1)
-	if c.col == nil {
-		return nil
-	}
+	k := r.next - 1
 	if r.load == nil {
 		r.load = r.slot
 	}
-	r.view = c.view(r.load)
+	r.view = r.s.chunk(k).view(r.s.slots(k), r.load)
 	return &r.view
 }
 
-// slot materializes slot j of the sealed chunk the last Advance stopped at
-// into the reader's scratch version, which the next call overwrites: the
-// view's Load.
+// slot materializes slot j of the chunk the last Advance stopped at into the
+// reader's scratch version, which the next call overwrites: the view's Load.
 func (r *BatchReader) slot(j int) *element.Element {
 	return r.scratch.one(r.s.chunk(r.next-1), j)
 }
 
-// Rows returns the elements of the unit the last Advance stopped at: an
-// element chunk's where they lie, what a row-at-a-time consumer folds. A
-// sealed chunk's are gathered from its columns into the reader's one scratch
-// unit, which the next Rows overwrites; only Load asks for that, as a fold
-// reads a sealed chunk's Cols.
+// Rows returns the elements of the unit the last Advance stopped at,
+// materialized into the reader's one scratch unit, which the next Rows
+// overwrites: what a row-at-a-time fold reads, and what Load hands a batch.
 func (r *BatchReader) Rows() []*element.Element {
 	return r.s.materialized(r.next-1, &r.rows, &r.rowPtrs)
 }
 
-// Load fills b with the unit the last Advance stopped at, gathering its
-// timestamp columns from the sealed columns or from the elements.
+// Load fills b with the unit the last Advance stopped at: its rows, and its
+// timestamp columns gathered from the chunk's.
 func (r *BatchReader) Load(b *vec.Batch) error {
 	els := r.Rows()
 	b.N, b.Elems = len(els), els
-	if c := r.s.chunk(r.next - 1); c.col != nil {
-		for j := range els {
-			b.TTStart[j] = int64(c.col.ttStart[j])
-			b.TTEnd[j] = int64(c.ttEnd[j])
-			b.VTStart[j] = int64(c.col.vtLo[j])
-			if r.event {
-				b.VTEnd[j] = b.VTStart[j] + 1
-			} else {
-				b.VTEnd[j] = int64(c.col.end(j))
-			}
-		}
-		return nil
-	}
-	for i, e := range els {
-		b.TTStart[i] = int64(e.TTStart)
-		b.TTEnd[i] = int64(e.TTEnd)
-		vts := int64(e.VT.Start())
-		b.VTStart[i] = vts
+	c := r.s.chunk(r.next - 1)
+	for j := range els {
+		b.TTStart[j] = int64(c.col.ttStart[j])
+		b.TTEnd[j] = int64(c.ttEnd[j])
+		b.VTStart[j] = int64(c.col.vtLo[j])
 		if r.event {
-			b.VTEnd[i] = vts + 1
+			b.VTEnd[j] = b.VTStart[j] + 1
 		} else {
-			b.VTEnd[i] = int64(e.VT.End())
+			b.VTEnd[j] = int64(c.col.end(j))
 		}
 	}
 	return nil

@@ -5,14 +5,13 @@ import (
 	"encoding/binary"
 
 	"repro/internal/chronon"
-	"repro/internal/element"
 )
 
 // Class-scheduled compaction measures what a sealed layout would cost. A
-// chunk answers from its elements whether or not it is sealed: every full
+// chunk answers from its columns whether or not it is measured: every full
 // chunk carries its zone map from the moment it fills (seq.go) — the
 // valid-time envelope, the liveness count and the transaction-time facts
-// the rollback and as-of skips read — so sealing writes nothing any query
+// the rollback and as-of skips read — so measuring writes nothing any query
 // reads. What Compact does is count: it advances the sealed prefix over the
 // full chunks and adds to the store's packed total the byte size the
 // chunk's timestamps take delta-encoded column by column, the
@@ -23,35 +22,28 @@ import (
 //
 // Compaction is scheduled by class: the catalog's advisor loop measures only
 // relations whose live organization is the vt-ordered log — the append-only
-// designs of §3.1/§3.2, where the prefix is stable by promise. Turning a full
-// chunk into columns is another matter, done on every label as the chunk
-// fills (columns.go).
+// designs of §3.1/§3.2, where the prefix is stable by promise. A chunk's
+// columns are another matter: every chunk on every label is columns from its
+// first slot (columns.go).
 
 // packedSize is the byte size of the (tt⊢, tt⊣, vt⊢, vt⊣) columns of the
-// first n slots of c, in either form, delta-encoded: per column, the first
-// value is absolute and the rest are zigzag-varint deltas from their
-// predecessor. Columnar order keeps each delta stream homogeneous — the tt
-// column of a log is sorted, so its deltas are small and positive.
+// first n slots of c, delta-encoded: per column, the first value is absolute
+// and the rest are zigzag-varint deltas from their predecessor. Columnar
+// order keeps each delta stream homogeneous — the tt column of a log is
+// sorted, so its deltas are small and positive.
 func (c *chunk) packedSize(n int) int {
-	cols := [4]func(j int) chronon.Chronon{
-		c.ttStartAt,
-		c.ttEndAt,
-		c.vtStartAt,
-		func(j int) chronon.Chronon {
-			if c.col != nil {
-				return c.col.end(j)
-			}
-			return c.elems[j].VT.End()
-		},
+	col := c.col
+	vtEnd := col.vtHi
+	if col.event {
+		vtEnd = col.vtLo[:]
 	}
 	var tmp [binary.MaxVarintLen64]byte
 	size := 0
-	for _, col := range cols {
+	for _, stamps := range [4][]chronon.Chronon{col.ttStart[:n], c.ttEnd[:n], col.vtLo[:n], vtEnd[:n]} {
 		prev := int64(0)
-		for j := range n {
-			v := int64(col(j))
-			size += binary.PutVarint(tmp[:], v-prev)
-			prev = v
+		for _, v := range stamps {
+			size += binary.PutVarint(tmp[:], int64(v)-prev)
+			prev = int64(v)
 		}
 	}
 	return size
@@ -75,27 +67,12 @@ func (s *seq) seal() int {
 
 // Compact seals full runs over the stable prefix of a log and returns how
 // many elements it newly measured. The heap measures nothing. Runs measured
-// before a Retype dropped the promise stay counted. On every label it also
-// turns into columns every full chunk still elements (sealFull).
+// before a Retype dropped the promise stay counted.
 func (s *RunStore) Compact() int {
-	s.sealFull()
 	if s.kind == Heap {
 		return 0
 	}
 	return s.seal()
-}
-
-// sealFull turns every full element chunk from the first one not yet
-// sealed on into columns: what Insert does to a chunk as it fills, for the
-// chunks a sealing refused or that filled before there was sealing. A frozen
-// snapshot refuses.
-func (s *seq) sealFull() {
-	if s.frozen {
-		return
-	}
-	for ; s.full(s.cols); s.cols++ {
-		s.sealChunk(s.cols)
-	}
 }
 
 // rollback is the log organizations' rollback: binary search for the prefix
@@ -104,10 +81,10 @@ func (s *seq) rollback(tt chronon.Chronon) (Answer, int) {
 	return s.presentIn(s.SearchTT(tt, false), tt)
 }
 
-// presentIn filters the first n elements, run by run, for those present at
-// tt. A full chunk whose zone map says nothing in it is present at tt — none
-// of its elements had begun by tt, or every one had been closed by it — is
-// skipped for one probe.
+// presentIn filters the first n elements, chunk by chunk, for those present
+// at tt. A full chunk whose zone map says nothing in it is present at tt —
+// none of its elements had begun by tt, or every one had been closed by it —
+// is skipped for one probe.
 func (s *seq) presentIn(n int, tt chronon.Chronon) (Answer, int) {
 	var a Answer
 	touched := 0
@@ -117,37 +94,13 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) (Answer, int) {
 			touched++
 			continue
 		}
-		end := min(n-k*runSize, s.n-k*runSize, runSize)
+		end := min(n-k*runSize, s.slots(k))
 		touched += end
-		if c.col != nil {
-			a.open(c, k).presentCols(c, end, tt)
-			a.shut()
-		} else {
-			from := len(a.els)
-			a.els = appendPresent(a.els, c.elems[:end], tt)
-			a.took(from)
-		}
+		sp := s.span(k)
+		sp.presentCols(c, end, tt)
+		a.keep(&sp)
 	}
-	return a.done(), touched
-}
-
-// appendPresent appends the elements of run present at tt. The four walks
-// (this, appendValid, appendAsOf, appendCurrent) keep their per-element loops
-// in functions of their own, called once a visited chunk and never inlined:
-// the loop then has a handful of live values whatever the walk around it
-// carries. Inlined into a walk that also records spans, the time-slice of a
-// 20 k-element relation read +14 % against the walk before spans; out of
-// line it reads −15 % (BenchmarkScanGeneral, alternated). A sealed chunk's
-// loops are the column filters (columns.go), out of line the same way.
-//
-//go:noinline
-func appendPresent(out, run []*element.Element, tt chronon.Chronon) []*element.Element {
-	for _, e := range run {
-		if e.PresentAt(tt) {
-			out = append(out, e)
-		}
-	}
-	return out
+	return a, touched
 }
 
 // vtScan is the valid-time scan for stores with no useful vt order (the
@@ -163,31 +116,13 @@ func (s *seq) vtScan(lo, hi chronon.Chronon) (Answer, int) {
 			touched++
 			continue
 		}
-		if c.col != nil {
-			touched += runSize
-			a.open(c, k).validCols(c, 0, runSize, lo, hi)
-			a.shut()
-		} else {
-			run := s.run(k)
-			touched += len(run)
-			from := len(a.els)
-			a.els = appendValid(a.els, run, lo, hi)
-			a.took(from)
-		}
+		m := s.slots(k)
+		touched += m
+		sp := s.span(k)
+		sp.validCols(c, 0, m, lo, hi)
+		a.keep(&sp)
 	}
-	return a.done(), touched
-}
-
-// appendValid appends the current elements of run valid during [lo, hi).
-//
-//go:noinline
-func appendValid(out, run []*element.Element, lo, hi chronon.Chronon) []*element.Element {
-	for _, e := range run {
-		if e.Current() && ValidDuring(e, lo, hi) {
-			out = append(out, e)
-		}
-	}
-	return out
+	return a, touched
 }
 
 // vtRangeOrdered is the valid-time search of the vt-ordered log. It
@@ -205,48 +140,33 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
 		c := s.chunk(k)
 		if s.full(k) {
 			if c.vtLo >= hi {
-				return a.done(), touched
+				return a, touched
 			}
 			if !c.live() {
 				touched++
 				continue
 			}
 		}
-		from := max(start-k*runSize, 0)
-		if c.col != nil {
-			// The walk's stop: the first slot from `from` that starts at or
-			// past hi, found in the column; every slot before it is touched,
-			// and it is too.
-			to := from
-			for to < runSize && c.col.vtLo[to] < hi {
-				to++
-			}
-			touched += to - from
-			if to < runSize {
-				touched++
-			}
-			a.open(c, k).validCols(c, from, to, lo, hi)
-			a.shut()
-			if to < runSize {
-				return a.done(), touched
-			}
-			continue
+		// The walk's stop: the first slot from `from` that starts at or past
+		// hi, found in the column; every slot before it is touched, and it is
+		// too.
+		from, m := max(start-k*runSize, 0), s.slots(k)
+		to := from
+		for to < m && c.col.vtLo[to] < hi {
+			to++
 		}
-		run := s.run(k)[from:]
-		at := len(a.els)
-		for _, e := range run {
+		touched += to - from
+		if to < m {
 			touched++
-			if e.VT.Start() >= hi {
-				a.took(at)
-				return a.done(), touched
-			}
-			if e.Current() && ValidDuring(e, lo, hi) {
-				a.els = append(a.els, e)
-			}
 		}
-		a.took(at)
+		sp := s.span(k)
+		sp.validCols(c, from, to, lo, hi)
+		a.keep(&sp)
+		if to < m {
+			return a, touched
+		}
 	}
-	return a.done(), touched
+	return a, touched
 }
 
 // AsOf answers the bitemporal query over st: the elements present at tt and
@@ -262,43 +182,28 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) (Answer, int, e
 	var a Answer
 	touched := 0
 	for k := range s.chunks() {
-		c := s.chunk(k)
-		if ttOrdered && c.ttStartAt(0) > tt {
+		// Where arrival order is tt⊢ order a chunk's first tt⊢ is its
+		// least: a full chunk's zone map has it, so a pruned chunk costs
+		// no read of its columns.
+		c, full := s.chunk(k), s.full(k)
+		if ttOrdered && (full && c.ttLo > tt || !full && c.col.ttStart[0] > tt) {
 			touched++
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			return Answer{}, touched, err
 		}
-		if s.full(k) && (c.vtMissesAt(vt) || c.deadAt(tt)) {
+		if full && (c.vtMissesAt(vt) || c.deadAt(tt)) {
 			touched++
 			continue
 		}
-		if c.col != nil {
-			touched += runSize
-			a.open(c, k).asOfCols(c, vt, tt)
-			a.shut()
-		} else {
-			run := s.run(k)
-			touched += len(run)
-			from := len(a.els)
-			a.els = appendAsOf(a.els, run, vt, tt)
-			a.took(from)
-		}
+		m := s.slots(k)
+		touched += m
+		sp := s.span(k)
+		sp.asOfCols(c, m, vt, tt)
+		a.keep(&sp)
 	}
-	return a.done(), touched, nil
-}
-
-// appendAsOf appends the elements of run present at tt and valid at vt.
-//
-//go:noinline
-func appendAsOf(out, run []*element.Element, vt, tt chronon.Chronon) []*element.Element {
-	for _, e := range run {
-		if e.PresentAt(tt) && e.ValidAt(vt) {
-			out = append(out, e)
-		}
-	}
-	return out
+	return a, touched, nil
 }
 
 // Compacter is implemented by stores that can seal runs.

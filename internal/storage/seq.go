@@ -21,21 +21,21 @@ const blockSize = 64
 
 // seq is the persistent element sequence under every organization: arrival
 // order, cut into fixed chunks that hang, blockSize at a time, off the blocks
-// of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize). A chunk
-// holds element pointers while it fills and, on every label, sealed columns
-// once it is full (columns.go); a full chunk stays elements only when its
-// versions' shapes differ. Apart from that, once Compact has measured it, it is
-// also sealed run k of the packed-size count; measured chunks form a prefix,
-// and measuring writes nothing into them (compact.go).
+// of a spine. Chunk k holds elements [k·runSize, (k+1)·runSize), on every
+// label as columns (columns.go): push writes each version into them as it
+// arrives, so a chunk that fills is already sealed. Once Compact has measured
+// it, a full chunk is also sealed run k of the packed-size count; measured
+// chunks form a prefix, and measuring writes nothing into them (compact.go).
 //
 // The copy-on-write contract: a snapshot is a copy of this header with the
 // spine capped at its length, and reads only slots [0, n) and, of the full
 // chunks inside n, the lifetime close count and the zone map — never the
 // tail's, which the live side is still widening. Whatever lies past those
-// bounds belongs to the live side, so an insert fills the tail chunk and
-// widens its zone map (or hangs a new chunk in the next slot of the last
-// block, or appends a block to the spine), none of it touching anything a
-// snapshot can see. Everything inside
+// bounds belongs to the live side, so an insert fills the tail chunk's
+// columns and widens its zone map (or hangs a new chunk in the next slot of
+// the last block, or appends a block to the spine), none of it touching
+// anything a snapshot can see; the arena, the one column that moves, moves in
+// a chunk header the live side owns (push). Everything inside
 // the bounds is written only through own, which copies the touched chunk,
 // the block it hangs off and the spine — each at most once per snapshot —
 // when a snapshot has been taken since they were last copied. A close after
@@ -45,10 +45,8 @@ type seq struct {
 	spine  []*block
 	n      int
 	sealed int // leading chunks that are sealed runs: measured by Compact
-	// cols is how many leading chunks are sealed columns, or were left
-	// elements by a sealing that refused their mixed shapes: Compact seals
-	// from there.
-	cols int
+	// arena is the live side's state for the tail chunk's strings (push).
+	arena arena
 	// kind is the organization's label (RunStore).
 	kind Kind
 	// packedBytes totals the sealed runs' delta-encoded sizes, measured by
@@ -118,19 +116,15 @@ func (z *zone) closedAt(tt chronon.Chronon) {
 }
 
 // zoneOf is the zone map push and Replace would have left over full chunk
-// c had c.closes of its versions closed since they arrived, read off either
-// form of the chunk.
+// c had c.closes of its versions closed since they arrived, read off its
+// columns.
 func (c *chunk) zoneOf() zone {
 	z := emptyZone()
 	z.opened = c.closes
 	var e element.Element
 	for j := range runSize {
-		if c.col != nil {
-			c.col.stamp(j, c.ttEnd[j], &e)
-			z.widen(&e)
-		} else {
-			z.widen(c.elems[j])
-		}
+		c.stamp(j, &e)
+		z.widen(&e)
 	}
 	return z
 }
@@ -142,15 +136,13 @@ func (z *zone) vtMisses(lo, hi chronon.Chronon) bool { return z.vtLo >= hi || z.
 func (z *zone) vtMissesAt(vt chronon.Chronon) bool   { return vt < z.vtLo || z.vtLast < vt }
 func (z *zone) vtWithin(lo, hi chronon.Chronon) bool { return lo <= z.vtLo && z.vtLast < hi }
 
-// chunk is runSize version slots and the zone map over them: element
-// pointers while the chunk fills, and once it is full sealed columns
-// (columns.go) — col and its tt⊣ column, elems nil.
+// chunk is runSize version slots and the zone map over them: a columns
+// block (columns.go), the chunk's tt⊣ column and its string arena.
 type chunk struct {
 	edit uint64
-	// slotsEdit stamps the slot array — elems, or the tt⊣ column of a
-	// sealed chunk — as edit stamps the chunk: a close writes into an array
-	// stamped with an older value only after copying it. A new array is
-	// stamped with the edit it was made under.
+	// slotsEdit stamps the tt⊣ column as edit stamps the chunk: a close
+	// writes into a column stamped with an older value only after copying
+	// it. A new column is stamped with the edit it was made under.
 	slotsEdit uint64
 	// closes counts every open→closed Replace that ever landed in the chunk,
 	// sealed or not: closes are monotone and arrive in one sequence, so among
@@ -158,9 +150,12 @@ type chunk struct {
 	// which of its elements are current.
 	closes int
 	zone
-	elems *[runSize]*element.Element
 	col   *columns
 	ttEnd *[runSize]chronon.Chronon
+	// strs is the arena the words of col's strings point into. The tail
+	// chunk's reads the whole capacity of the buffer push appends to; a full
+	// chunk's is cut to its size.
+	strs string
 }
 
 // live reports whether any element of the full chunk is still current.
@@ -172,45 +167,12 @@ func (c *chunk) deadAt(tt chronon.Chronon) bool {
 	return c.ttLo > tt || !c.live() && c.ttClosed <= tt
 }
 
-// The slot readers: one field of slot j, from whichever form the chunk has.
-
-func (c *chunk) esAt(j int) surrogate.Surrogate {
-	if c.col != nil {
-		return c.col.es[j]
-	}
-	return c.elems[j].ES
-}
-
-func (c *chunk) ttStartAt(j int) chronon.Chronon {
-	if c.col != nil {
-		return c.col.ttStart[j]
-	}
-	return c.elems[j].TTStart
-}
-
-func (c *chunk) ttEndAt(j int) chronon.Chronon {
-	if c.col != nil {
-		return c.ttEnd[j]
-	}
-	return c.elems[j].TTEnd
-}
-
-func (c *chunk) vtStartAt(j int) chronon.Chronon {
-	if c.col != nil {
-		return c.col.vtLo[j]
-	}
-	return c.elems[j].VT.Start()
-}
-
 // vtEndAt is slot j's exclusive valid-time end (exclusiveEnd).
 func (c *chunk) vtEndAt(j int) chronon.Chronon {
-	if c.col != nil {
-		if c.col.event {
-			return c.col.vtLo[j].Add(1)
-		}
-		return c.col.vtHi[j]
+	if c.col.event {
+		return c.col.vtLo[j].Add(1)
 	}
-	return exclusiveEnd(c.elems[j])
+	return c.col.vtHi[j]
 }
 
 // Len reports the number of stored elements.
@@ -227,100 +189,28 @@ func (s *seq) chunk(k int) *chunk {
 	return s.spine[uint(k)/blockSize].chunks[uint(k)%blockSize]
 }
 
-// At returns the element at position i of the arrival order; i must lie in
-// [0, Len()). A sealed version is materialized, into memory of its own.
-func (s *seq) At(i int) *element.Element {
-	c := s.chunk(i / runSize)
-	if c.col == nil {
-		return c.elems[uint(i)%runSize]
-	}
-	return fresh(c, i%runSize)
-}
-
-// Copy returns a copy of the version at position i in memory of its own,
-// the caller's to modify: an element chunk's element copied shallowly —
-// stored elements are immutable, so the two may share their values — and a
-// sealed chunk's materialized. What a close swaps in (ReplaceAt) starts as
-// one.
-func (s *seq) Copy(i int) *element.Element {
-	c := s.chunk(i / runSize)
-	if c.col == nil {
-		cp := *c.elems[uint(i)%runSize]
-		return &cp
-	}
-	return fresh(c, i%runSize)
-}
+// At returns the element at position i of the arrival order, materialized
+// into memory of its own; i must lie in [0, Len()).
+func (s *seq) At(i int) *element.Element { return fresh(s.chunk(i/runSize), i%runSize) }
 
 // StampAt writes the surrogates and timestamps of the version at position
 // i into dst, lists left nil, allocating nothing.
-func (s *seq) StampAt(i int, dst *element.Element) {
-	c, j := s.chunk(i/runSize), i%runSize
-	if c.col != nil {
-		c.col.stamp(j, c.ttEnd[j], dst)
-		return
-	}
-	e := c.elems[j]
-	*dst = element.Element{ES: e.ES, OS: e.OS, TTStart: e.TTStart, TTEnd: e.TTEnd, VT: e.VT}
-}
+func (s *seq) StampAt(i int, dst *element.Element) { s.chunk(i/runSize).stamp(i%runSize, dst) }
 
 // ESAt, TTStartAt and TTEndAt read one field of the version at position i.
-func (s *seq) ESAt(i int) surrogate.Surrogate  { return s.chunk(i / runSize).esAt(i % runSize) }
-func (s *seq) TTStartAt(i int) chronon.Chronon { return s.chunk(i / runSize).ttStartAt(i % runSize) }
-func (s *seq) TTEndAt(i int) chronon.Chronon   { return s.chunk(i / runSize).ttEndAt(i % runSize) }
+func (s *seq) ESAt(i int) surrogate.Surrogate  { return s.chunk(i / runSize).col.es[i%runSize] }
+func (s *seq) TTStartAt(i int) chronon.Chronon { return s.chunk(i / runSize).col.ttStart[i%runSize] }
+func (s *seq) TTEndAt(i int) chronon.Chronon   { return s.chunk(i / runSize).ttEnd[i%runSize] }
 
-// run returns element chunk k's elements, the tail chunk cut at n. A
-// sealed chunk has none: its readers go through its columns or
-// materialize.
-func (s *seq) run(k int) []*element.Element {
-	c := s.chunk(k)
-	if end := s.n - k*runSize; end < runSize {
-		return c.elems[:end]
-	}
-	return c.elems[:]
-}
-
-// push appends e and widens the tail chunk's zone map over it. The slot lies
-// past every snapshot's n, and no snapshot reads the zone map of a chunk its
-// n cuts; a new chunk hangs in a block slot no snapshot's n reaches, and a
-// new block lands past every snapshot's capped spine.
-func (s *seq) push(e *element.Element) {
-	k := s.n / runSize
-	if s.n%runSize == 0 {
-		if k%blockSize == 0 {
-			s.spine = append(s.spine, &block{edit: s.edit})
-		}
-		s.spine[k/blockSize].chunks[k%blockSize] = &chunk{edit: s.edit, slotsEdit: s.edit, zone: emptyZone(),
-			elems: new([runSize]*element.Element)}
-	}
-	c := s.chunk(k)
-	c.elems[s.n%runSize] = e
-	c.widen(e)
-	s.n++
-}
-
-// sealChunk turns full element chunk k into columns, in a chunk the live
-// side owns, so a view pinned before keeps the elements it saw. It reports
-// whether the chunk is columns now; versions of mixed shapes stay elements.
-func (s *seq) sealChunk(k int) bool {
-	if c := s.chunk(k); c.col != nil {
-		return true
-	}
-	col, tte := sealColumns(s.chunk(k).elems)
-	if col == nil {
-		return false
-	}
-	c := s.own(k)
-	c.col, c.ttEnd, c.elems, c.slotsEdit = col, tte, nil, s.edit
-	return true
-}
-
-// snapshot returns the frozen view, O(1).
+// snapshot returns the frozen view, O(1). It leaves the live side's arena
+// state behind: a snapshot pushes nothing.
 func (s *seq) snapshot() seq {
 	if !s.frozen {
 		s.edit++
 	}
 	snap := *s
 	snap.spine = s.spine[:len(s.spine):len(s.spine)]
+	snap.arena = arena{}
 	snap.frozen = true
 	return snap
 }
@@ -355,18 +245,13 @@ func (s *seq) own(k int) *chunk {
 	return &cp
 }
 
-// ownSlots is own that also copies the chunk's slot array — its element
-// pointers, or a sealed chunk's tt⊣ column — when a snapshot may share it.
+// ownSlots is own that also copies the chunk's tt⊣ column when a snapshot
+// may share it.
 func (s *seq) ownSlots(k int) *chunk {
 	c := s.own(k)
 	if c.slotsEdit != s.edit {
-		if c.col != nil {
-			tte := *c.ttEnd
-			c.ttEnd = &tte
-		} else {
-			els := *c.elems
-			c.elems = &els
-		}
+		tte := *c.ttEnd
+		c.ttEnd = &tte
 		c.slotsEdit = s.edit
 	}
 	return c
@@ -406,16 +291,16 @@ func (s *seq) search(pred func(c *chunk, j int) bool) int {
 // SearchES returns the first position whose element surrogate is at least
 // es, on a sequence that ascends in surrogates.
 func (s *seq) SearchES(es surrogate.Surrogate) int {
-	return s.search(func(c *chunk, j int) bool { return c.esAt(j) >= es })
+	return s.search(func(c *chunk, j int) bool { return c.col.es[j] >= es })
 }
 
 // SearchTT returns the first position whose tt⊢ is past tt — at or past it
 // when inclusive — on a sequence in tt⊢ order.
 func (s *seq) SearchTT(tt chronon.Chronon, inclusive bool) int {
 	if inclusive {
-		return s.search(func(c *chunk, j int) bool { return c.ttStartAt(j) >= tt })
+		return s.search(func(c *chunk, j int) bool { return c.col.ttStart[j] >= tt })
 	}
-	return s.search(func(c *chunk, j int) bool { return c.ttStartAt(j) > tt })
+	return s.search(func(c *chunk, j int) bool { return c.col.ttStart[j] > tt })
 }
 
 // searchVTEnd returns the first position whose valid time reaches past lo,
@@ -426,18 +311,14 @@ func (s *seq) searchVTEnd(lo chronon.Chronon) int {
 }
 
 func (s *seq) searchVTStart(hi chronon.Chronon) int {
-	return s.search(func(c *chunk, j int) bool { return c.vtStartAt(j) >= hi })
+	return s.search(func(c *chunk, j int) bool { return c.col.vtLo[j] >= hi })
 }
 
-// holds reports whether slot j of c holds the version old: the pointer
-// itself in an element chunk; in a sealed one, which holds no pointer, the
-// version with old's surrogate and tt⊣ — a version differs from its
-// successors in its slot only in its tt⊣.
+// holds reports whether slot j of c holds the version old: the version with
+// old's surrogate and tt⊣ — a version differs from its successors in its
+// slot only in its tt⊣.
 func (c *chunk) holds(j int, old *element.Element) bool {
-	if c.col != nil {
-		return c.col.es[j] == old.ES && c.ttEnd[j] == old.TTEnd
-	}
-	return c.elems[j] == old
+	return c.col.es[j] == old.ES && c.ttEnd[j] == old.TTEnd
 }
 
 // index finds the version old, -1 when it is not stored. Elements arrive in
@@ -449,7 +330,7 @@ func (s *seq) index(old *element.Element) int {
 		c, j := s.chunk(i/runSize), i%runSize
 		if c.holds(j, old) {
 			return i
-		} else if c.ttStartAt(j) != old.TTStart {
+		} else if c.col.ttStart[j] != old.TTStart {
 			break
 		}
 	}
@@ -476,21 +357,16 @@ func (s *seq) Replace(old, repl *element.Element) {
 // ReplaceAt puts repl in position i — the version there with its tt⊣
 // finalized, nothing else changed — and books a close against the chunk:
 // its close count and the greatest tt⊣ of its zone map, copying only that
-// chunk and its slot array. An element chunk takes repl itself; a sealed
-// chunk writes repl's tt⊣ into its tt⊣ column, and repl stays the caller's.
-// Both orders are unchanged: a closed clone keeps its TTStart and valid
-// time.
+// chunk and its tt⊣ column. The chunk writes repl's tt⊣ into its tt⊣
+// column, and repl stays the caller's. Both orders are unchanged: a closed
+// clone keeps its TTStart and valid time.
 func (s *seq) ReplaceAt(i int, repl *element.Element) {
 	if s.frozen {
 		panic("storage: replace in a frozen snapshot")
 	}
 	c, j := s.ownSlots(i/runSize), i%runSize
-	was := c.ttEndAt(j)
-	if c.col != nil {
-		c.ttEnd[j] = repl.TTEnd
-	} else {
-		c.elems[j] = repl
-	}
+	was := c.ttEnd[j]
+	c.ttEnd[j] = repl.TTEnd
 	if !repl.Current() {
 		if was == chronon.Forever {
 			c.closes++
@@ -500,7 +376,7 @@ func (s *seq) ReplaceAt(i int, repl *element.Element) {
 }
 
 // Scan visits every element in arrival order; it returns the number
-// touched. A sealed chunk is materialized for the visit, into memory the
+// touched. Each chunk is materialized for the visit, into memory the
 // visitor may keep.
 func (s *seq) Scan(visit func(*element.Element) bool) int {
 	for k := range s.chunks() {
@@ -525,11 +401,10 @@ func seqOf(st Store) *seq {
 }
 
 // Runs yields st's elements in arrival order one run at a time: runSize
-// elements each, the last one shorter. An element chunk's run is the
-// store's own slots, read-only, which is exactly the contract a Snapshot
-// provides; a sealed chunk's is materialized into fresh memory, so Runs is
-// for the cold paths that keep what they read — snapshot, classify,
-// rebuild, verify. A scan that keeps nothing takes ScanRuns.
+// elements each, the last one shorter, each run materialized into fresh
+// memory, so Runs is for the cold paths that keep what they read —
+// snapshot, classify, rebuild, verify. A scan that keeps nothing takes
+// ScanRuns.
 func Runs(st Store) element.Runs {
 	s := seqOf(st)
 	return func(yield func([]*element.Element) bool) {
@@ -542,8 +417,8 @@ func Runs(st Store) element.Runs {
 }
 
 // ScanRuns is Runs for a reader that keeps no element it is handed — only
-// values copied out of them: every sealed chunk is materialized into the
-// same scratch, which the next run overwrites, so a scan costs one chunk's
+// values copied out of them: every chunk is materialized into the same
+// scratch, which the next run overwrites, so a scan costs one chunk's
 // memory however long the store.
 func ScanRuns(st Store) element.Runs {
 	s := seqOf(st)
@@ -559,18 +434,14 @@ func ScanRuns(st Store) element.Runs {
 	}
 }
 
-// materialized is chunk k's elements: its own slots, or the sealed chunk
-// loaded into sl, pointed at by *ptrs.
+// materialized is chunk k's elements loaded into sl, pointed at by *ptrs.
 func (s *seq) materialized(k int, sl *slab, ptrs *[]*element.Element) []*element.Element {
-	c := s.chunk(k)
-	if c.col == nil {
-		return s.run(k)
-	}
 	if *ptrs == nil {
 		*ptrs = make([]*element.Element, runSize)
 	}
-	sl.fill(c, 0, runSize, *ptrs)
-	return *ptrs
+	out := (*ptrs)[:s.slots(k)]
+	sl.fill(s.chunk(k), out)
+	return out
 }
 
 // Elements flattens the store into one freshly allocated slice in arrival

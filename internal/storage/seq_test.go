@@ -57,10 +57,9 @@ func (m seqModel) checkCounts(t *testing.T, what string, s *seq) {
 }
 
 // check holds one store, live or frozen, to a model: the same versions in
-// the same order through every way of reading them — the same pointers
-// where a chunk holds elements — the same sealed runs
-// and close counts, the footprint totals measured at each seal, and zone
-// maps that still verify.
+// the same order through every way of reading them — each materialized
+// from the chunks' columns — the same sealed runs and close counts, the
+// footprint totals measured at each seal, and zone maps that still verify.
 func (m seqModel) check(t *testing.T, what string, st Store) {
 	t.Helper()
 	s := seqOf(st)
@@ -70,13 +69,7 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 	flat := Elements(st)
 	i := 0
 	st.Scan(func(e *element.Element) bool {
-		// An element chunk hands out its own elements, a sealed one
-		// materialized copies of the versions it holds.
-		same := sameVersion
-		if s.chunk(i/runSize).col == nil {
-			same = func(a, b *element.Element) bool { return a == b }
-		}
-		if !same(e, m.elems[i]) || !same(flat[i], e) || !same(s.At(i), e) {
+		if !sameVersion(e, m.elems[i]) || !sameVersion(flat[i], e) || !sameVersion(s.At(i), e) {
 			t.Fatalf("%s: slot %d holds ES %v (flattened ES %v), model ES %v", what, i, e.ES, flat[i].ES, m.elems[i].ES)
 		}
 		i++
@@ -97,7 +90,7 @@ func (m seqModel) check(t *testing.T, what string, st Store) {
 // checkQueries holds every access method of the store — whichever its label
 // lets it take — to the definitions evaluated over the model's flat list, at
 // the stamps of a few stored elements. Every method walks forward, so the
-// answers must be the same pointers in the same order.
+// answers must be the same versions in the same order.
 func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
 	t.Helper()
 	same := func(query string, got, want []*element.Element) {
@@ -145,6 +138,23 @@ func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
 	}
 }
 
+// stepping is held shared by each model test that runs beside the others,
+// given up and taken back between its steps, and held alone by a
+// measurement of allocations, which counts every goroutine's
+// (measureAlone).
+var stepping sync.RWMutex
+
+// measureAlone is testing.AllocsPerRun(1, f) taken while every other model
+// test waits between two steps: the caller, holding its share, gives it up
+// and takes it back.
+func measureAlone(f func()) float64 {
+	stepping.RUnlock()
+	defer stepping.RLock()
+	stepping.Lock()
+	defer stepping.Unlock()
+	return testing.AllocsPerRun(1, f)
+}
+
 // TestSeqAgainstFlatModel drives random interleavings of insert, close,
 // re-replace, snapshot, compact, corrupt+repair, reseal and retype against
 // the model, starting from each of the three organizations (the heap seals
@@ -168,6 +178,9 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 	for _, kind := range []Kind{Heap, TTOrdered, VTOrdered} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
+				t.Parallel()
+				stepping.RLock()
+				defer stepping.RUnlock()
 				rng := rand.New(rand.NewSource(seed))
 				st := Advice{Store: kind}.New().(*RunStore)
 				var m seqModel
@@ -218,6 +231,8 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 					}
 				}
 				for step := 0; step < 6000; step++ {
+					stepping.RUnlock() // let a measurement in (measureAlone)
+					stepping.RLock()
 					switch op := rng.Intn(100); {
 					case op < 52 || len(m.elems) == 0:
 						// Seed 1 keeps both orders throughout, seed 2 loses
@@ -245,7 +260,7 @@ func TestSeqAgainstFlatModel(t *testing.T) {
 							t.Fatalf("step %d: Retype %v → %v: %v, store now %v", step, was, to, err, st.Kind())
 						}
 						if err == nil && to > was && step%10 == 0 { // the measurement stops the world
-							if allocs := testing.AllocsPerRun(1, func() { _, _ = st.Retype(was), st.Retype(to) }); allocs != 0 {
+							if allocs := measureAlone(func() { _, _ = st.Retype(was), st.Retype(to) }); allocs != 0 {
 								t.Fatalf("step %d: lowering to %v and raising to %v again allocated %v times", step, was, to, allocs)
 							}
 						}
@@ -482,13 +497,14 @@ func sameVersion(a, b *element.Element) bool {
 		sameList(a.Invariant, b.Invariant) && sameList(a.Varying, b.Varying) && sameList(a.UserTimes, b.UserTimes)
 }
 
-func sameList[T comparable](a, b []T) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
+// sameList compares two lists by their values: a chunk keeps a list's
+// length, not whether an empty one was nil (relation normalizes them).
+func sameList[T comparable](a, b []T) bool { return slices.Equal(a, b) }
 
 // TestSealOnFillKeepsPinnedViews: on the vt-ordered log the element that
-// fills a chunk seals it into columns, and a close into a sealed chunk
-// writes a copied tt⊣ column. A view pinned before the fill keeps reading
-// the chunk's elements where they lie, and one pinned before the close keeps
-// the version open; the live store answers from the columns. Every answer
+// fills a chunk cuts its arena to size, and a close into a chunk writes a
+// copied tt⊣ column. A view pinned before the fill keeps reading the arena it
+// read, and one pinned before the close keeps the version open. Every answer
 // is held to a filter over the view's own list.
 func TestSealOnFillKeepsPinnedViews(t *testing.T) {
 	st := NewVTLog()
@@ -527,11 +543,12 @@ func TestSealOnFillKeepsPinnedViews(t *testing.T) {
 	add(runSize - 1)
 	beforeFill := pin{"pinned before the fill", st.Snapshot(), slices.Clone(flat)}
 	add(1)
-	if c := st.chunk(0); c.col == nil || c.elems != nil {
-		t.Fatal("the element that filled chunk 0 did not seal it")
+	// Four distinct strings of two bytes, each stored once.
+	if c := st.chunk(0); len(c.strs) != 8 {
+		t.Fatalf("the element that filled chunk 0 left an arena of %d bytes, want 8", len(c.strs))
 	}
-	if c := beforeFill.st.(*RunStore).chunk(0); c.col != nil || c.elems == nil {
-		t.Fatal("the view pinned before the fill lost chunk 0's elements")
+	if c := beforeFill.st.(*RunStore).chunk(0); len(c.strs) == 8 {
+		t.Fatal("the fill cut the arena of the chunk header the pinned view reads")
 	}
 	add(40)
 	beforeClose := pin{"pinned before the close", st.Snapshot(), slices.Clone(flat)}
@@ -558,9 +575,6 @@ func TestSealEmptyStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.chunk(0).col == nil {
-		t.Fatal("the full chunk was not sealed")
-	}
 	if e := st.At(7); !sameList(e.Varying, []element.Value{element.String_(""), element.Int(8)}) {
 		t.Fatalf("slot 7 reads %v", e.Varying)
 	}
@@ -569,8 +583,9 @@ func TestSealEmptyStrings(t *testing.T) {
 // packedSize is the packed size of run, the elements of one chunk in slot
 // order: what seal measures, computed from the model's own list.
 func packedSize(run []*element.Element) int {
-	var elems [runSize]*element.Element
-	copy(elems[:], run)
-	c := chunk{elems: &elems}
-	return c.packedSize(len(run))
+	var s seq
+	for _, e := range run {
+		s.push(e)
+	}
+	return s.chunk(0).packedSize(len(run))
 }

@@ -10,33 +10,33 @@ import (
 )
 
 // Answer is a read's result as the view it was read on holds it: spans, in
-// answer order, each either the slots of one sealed chunk that the answer
-// takes or elements of element chunks as they lie. Nothing is copied out of
-// a sealed chunk: a span names the chunk — the chunk struct the view held,
-// whose columns are immutable — and a set of its slots. An answer is stable
-// only when read on a snapshot (Snapshot): the live store's first close
-// into a chunk after a snapshot copies its tt⊣ column before it writes
-// (seq.ownSlots), so the snapshot keeps the old one, but later closes write
-// the live store's own column in place, so an answer read on the live store
-// changes under a close made before it is encoded or materialized. So an answer costs a
-// span header per chunk it draws on and a pointer per element of an element
-// chunk (the head, or one whose mixed shapes sealColumns refused), however
-// many versions it holds; a result cache that keeps it keeps that. Elements
-// materializes it, for the consumers that need rows; an encoder reads the
-// spans (wire.QueryBody).
+// answer order, each the slots of one chunk that the answer takes. Nothing
+// is copied out of a chunk: a span names the chunk — the chunk struct the
+// view held, whose columns are written once, past every view's n — and a
+// set of its slots. The one exception is the index seek, whose answer is
+// its elements as they lie (ElementAnswer). An answer is stable only when
+// read on a snapshot (Snapshot): the live store's first close into a chunk
+// after a snapshot copies its tt⊣ column before it writes (seq.ownSlots),
+// so the snapshot keeps the old one, but later closes write the live
+// store's own column in place, so an answer read on the live store changes
+// under a close made before it is encoded or materialized. So an answer
+// costs a span header per chunk it draws on, however many versions it
+// holds, and a result cache that keeps it keeps that and what the spans pin
+// (Span.Pins). Elements materializes it, for the consumers that need rows;
+// an encoder reads the spans (wire.QueryBody).
 type Answer struct {
 	spans []Span
-	els   []*element.Element // the element spans' elements, in answer order
 	n     int
 }
 
-// Span is one stretch of an answer: Len slots of one sealed chunk, or
-// elements of element chunks.
+// Span is one stretch of an answer: Len slots of one chunk, or the elements
+// of an index seek.
 type Span struct {
-	c      *chunk // the sealed chunk as the answer's view holds it; nil for elements
+	c      *chunk // the chunk as the answer's view holds it; nil for elements
 	chunk  int
 	closes int
 	n      int
+	sealed bool // the chunk was full in the answer's view
 	slots  Slots
 	els    []*element.Element
 }
@@ -44,11 +44,11 @@ type Span struct {
 // ChunkSize is how many version slots a chunk has.
 const ChunkSize = runSize
 
-// SealedSpanPins is what a sealed span can keep alive that the store no
-// longer holds: its chunk's header and tt⊣ column as the answer's view held
+// chunkPins is what a span over a chunk can keep alive that the store no
+// longer holds: the chunk's header and tt⊣ column as the answer's view held
 // them, which the live store copies at its next close into the chunk
 // (seq.ownSlots) while the span keeps the old ones.
-const SealedSpanPins = int(unsafe.Sizeof(chunk{})) + ChunkSize*int(unsafe.Sizeof(chronon.Chronon(0)))
+const chunkPins = int(unsafe.Sizeof(chunk{})) + ChunkSize*int(unsafe.Sizeof(chronon.Chronon(0)))
 
 // Slots is a set of one chunk's slots, a bit a slot.
 type Slots [runSize / 64]uint64
@@ -120,8 +120,26 @@ func (a *Answer) Len() int { return a.n }
 // answer's.
 func (a *Answer) Spans() []Span { return a.spans }
 
-// Sealed reports whether the span is slots of a sealed chunk.
-func (sp *Span) Sealed() bool { return sp.c != nil }
+// Sealed reports whether the span is slots of a full chunk — every chunk is
+// sealed once it fills — and so whether Chunk and Closes name its chunk's
+// runSize versions. A span over the tail chunk, which was still filling in
+// the answer's view, is columns and not sealed; so is an element span.
+func (sp *Span) Sealed() bool { return sp.sealed }
+
+// Pins is what the span can keep alive that the store may let go of: nothing
+// for an element span, whose elements are the index's; for one over a
+// chunk, the chunk's header and tt⊣ column as the answer's view held them;
+// and for one over the tail chunk also its arena, which the live side moves
+// as strings arrive and cuts to size when the chunk fills (seq.push).
+func (sp *Span) Pins() int {
+	switch {
+	case sp.c == nil:
+		return 0
+	case sp.sealed:
+		return chunkPins
+	}
+	return chunkPins + len(sp.c.strs)
+}
 
 // Len reports how many versions the span holds.
 func (sp *Span) Len() int { return sp.n }
@@ -136,24 +154,26 @@ func (sp *Span) Len() int { return sp.n }
 func (sp *Span) Chunk() int  { return sp.chunk }
 func (sp *Span) Closes() int { return sp.closes }
 
-// Slots is a sealed span's slot set.
+// Slots is a chunk span's slot set.
 func (sp *Span) Slots() *Slots { return &sp.slots }
 
-// Elements is an element span's elements, read-only; nil for a sealed span.
+// Elements is an element span's elements, read-only; nil for a span over a
+// chunk.
 func (sp *Span) Elements() []*element.Element { return sp.els }
 
-// Key is the version in slot j of a sealed span's chunk: its surrogate and
+// Key is the version in slot j of a chunk span's chunk: its surrogate and
 // tt⊣, which within a store tell one version from every other.
 func (sp *Span) Key(j int) (surrogate.Surrogate, chronon.Chronon) {
 	return sp.c.col.es[j], sp.c.ttEnd[j]
 }
 
-// Load materializes slot j of a sealed span's chunk — any slot, in the set or
-// not — into v, which the next Load into v overwrites, and returns it.
+// Load materializes slot j of a chunk span's chunk — any slot inside the
+// answer's view, in the set or not — into v, which the next Load into v
+// overwrites, and returns it.
 func (sp *Span) Load(j int, v *Version) *element.Element { return v.load(sp.c, j) }
 
 // Version is memory for one materialized version, reused from load to load:
-// what an encoder reads a sealed slot through. The version is written in
+// what an encoder reads a chunk's slot through. The version is written in
 // place, and a version of a few values and user times keeps them in the
 // Version itself; a larger one in a slab it grows once. Its lists point into
 // it, so a Version lives where its owner keeps it — on the heap, reused —
@@ -169,7 +189,7 @@ type Version struct {
 // Element is the version the last Load into v wrote.
 func (v *Version) Element() *element.Element { return &v.e }
 
-// load materializes slot j of sealed chunk c into v. The lists are laid out
+// load materializes slot j of chunk c into v. The lists are laid out
 // when c's columns are not the ones v last loaded from — in v's arrays when
 // they are large enough, else in its slab — and a load from the same chunk
 // as the one before writes only the slot.
@@ -184,23 +204,25 @@ func (v *Version) load(c *chunk, j int) *element.Element {
 		col.lists(vals[:nv], users[:nu], &v.e)
 		v.col = col
 	}
-	c.col.slot(j, c.ttEnd[j], &v.e)
+	c.slot(j, &v.e)
 	return &v.e
 }
 
-// fresh materializes slot j of sealed chunk c into memory of its own: the
-// element and its lists, one allocation.
+// LoadAt materializes the version at position i of st into v, which the
+// next load into v overwrites, and returns it.
+func LoadAt(st Store, i int, v *Version) *element.Element {
+	return v.load(seqOf(st).chunk(i/runSize), i%runSize)
+}
+
+// fresh materializes slot j of chunk c into memory of its own: the element
+// and its lists, one allocation.
 func fresh(c *chunk, j int) *element.Element { return new(Version).load(c, j) }
 
-// ChunkOf returns full chunk k of st as a span of all its slots: a sealed
-// chunk's columns, or an element chunk's elements.
+// ChunkOf returns full chunk k of st as a span of all its slots.
 func ChunkOf(st Store, k int) Span {
 	s := seqOf(st)
 	c := s.chunk(k)
-	if c.col == nil {
-		return Span{chunk: k, closes: c.closes, n: runSize, els: c.elems[:]}
-	}
-	sp := Span{c: c, chunk: k, closes: c.closes, n: runSize}
+	sp := Span{c: c, chunk: k, closes: c.closes, n: runSize, sealed: true}
 	for w := range sp.slots {
 		sp.slots[w] = ^uint64(0)
 	}
@@ -218,24 +240,28 @@ func ElementAnswer(els []*element.Element) Answer {
 	if len(els) == 0 {
 		return Answer{}
 	}
-	return Answer{spans: []Span{{n: len(els), els: els}}, els: els, n: len(els)}
+	return Answer{spans: []Span{{n: len(els), els: els}}, n: len(els)}
 }
 
-// Elements materializes the answer: an element span's elements as they lie,
-// and every sealed slot into one slab, so that it costs one allocation of
-// each kind however many sealed chunks the answer draws on. An answer of
-// element spans alone is returned as it lies. The slice and the versions are
-// the caller's to read, not to modify.
+// Elements materializes the answer: every chunk's slot into one slab, so
+// that it costs one allocation of each kind however many chunks the answer
+// draws on, and an element span's elements as they lie. An answer of one
+// element span is returned as it lies, and an empty answer as nil. The
+// slice and the versions are the caller's to read, not to modify.
 func (a *Answer) Elements() []*element.Element {
+	if a.n == 0 {
+		return nil
+	}
+	if len(a.spans) == 1 && a.spans[0].c == nil {
+		els := a.spans[0].els
+		return els[:len(els):len(els)]
+	}
 	n, nv, nu := 0, 0, 0
 	for i := range a.spans {
 		if sp := &a.spans[i]; sp.c != nil {
 			col := sp.c.col
 			n, nv, nu = n+sp.n, nv+sp.n*(col.nInv+col.nVar), nu+sp.n*col.nUser
 		}
-	}
-	if n == 0 {
-		return a.els[:len(a.els):len(a.els)]
 	}
 	out := make([]*element.Element, 0, a.n)
 	var sl slab
@@ -248,12 +274,11 @@ func (a *Answer) Elements() []*element.Element {
 			continue
 		}
 		c := sp.c
-		col := c.col
-		cv, cu := col.nInv+col.nVar, col.nUser
+		cv, cu := c.col.nInv+c.col.nVar, c.col.nUser
 		it := sp.slots.Stretches()
 		for a, b := it.Next(); a < runSize; a, b = it.Next() {
 			for j := a; j < b; j++ {
-				col.load(j, c.ttEnd[j], sl.vals[v:v+cv], sl.users[u:u+cu], &sl.els[t])
+				c.load(j, sl.vals[v:v+cv], sl.users[u:u+cu], &sl.els[t])
 				out = append(out, &sl.els[t])
 				t, v, u = t+1, v+cv, u+cu
 			}
@@ -262,53 +287,22 @@ func (a *Answer) Elements() []*element.Element {
 	return out
 }
 
-// The walks build an answer chunk by chunk: a sealed chunk through open, a
-// column filter and shut, an element chunk by appending to els and took.
+// The walks build an answer chunk by chunk: a span over the chunk (span), a
+// column filter into it, and keep — on the walk's stack, so that a chunk
+// that gives nothing costs the answer nothing.
 
-// open appends a span over sealed chunk c, ordinal k, for a column filter to
-// fill.
-func (a *Answer) open(c *chunk, k int) *Span {
-	a.spans = append(a.spans, Span{c: c, chunk: k, closes: c.closes})
-	return &a.spans[len(a.spans)-1]
+// span is a span over chunk k of s, no slot taken yet.
+func (s *seq) span(k int) Span {
+	c := s.chunk(k)
+	return Span{c: c, chunk: k, closes: c.closes, sealed: s.full(k)}
 }
 
-// shut keeps the span open appended when its filter took a slot, and drops
-// it when it took none.
-func (a *Answer) shut() {
-	last := len(a.spans) - 1
-	if n := a.spans[last].n; n > 0 {
-		a.n += n
-	} else {
-		a.spans = a.spans[:last]
+// keep appends sp to the answer when its filter took a slot.
+func (a *Answer) keep(sp *Span) {
+	if sp.n > 0 {
+		a.spans = append(a.spans, *sp)
+		a.n += sp.n
 	}
-}
-
-// took books els[from:] as the answer's next elements: an element span, or
-// the growth of the one before when that is an element span too.
-func (a *Answer) took(from int) {
-	n := len(a.els) - from
-	if n == 0 {
-		return
-	}
-	a.n += n
-	if last := len(a.spans) - 1; last >= 0 && a.spans[last].c == nil {
-		a.spans[last].n += n
-		return
-	}
-	a.spans = append(a.spans, Span{n: n})
-}
-
-// done points the element spans at their elements, once els has stopped
-// growing.
-func (a *Answer) done() Answer {
-	at := 0
-	for i := range a.spans {
-		if sp := &a.spans[i]; sp.c == nil {
-			sp.els = a.els[at : at+sp.n : at+sp.n]
-			at += sp.n
-		}
-	}
-	return *a
 }
 
 // take adds slot j to the span.
@@ -323,29 +317,11 @@ func Current(st Store) (Answer, int) {
 	s := seqOf(st)
 	var a Answer
 	for k := range s.chunks() {
-		c := s.chunk(k)
-		if c.col != nil {
-			a.open(c, k).currentCols(c)
-			a.shut()
-		} else {
-			from := len(a.els)
-			a.els = appendCurrent(a.els, s.run(k))
-			a.took(from)
-		}
+		sp := s.span(k)
+		sp.currentCols(sp.c, s.slots(k))
+		a.keep(&sp)
 	}
-	return a.done(), s.n
-}
-
-// appendCurrent appends the current elements of run.
-//
-//go:noinline
-func appendCurrent(out, run []*element.Element) []*element.Element {
-	for _, e := range run {
-		if e.Current() {
-			out = append(out, e)
-		}
-	}
-	return out
+	return a, s.n
 }
 
 // RollbackAnswer answers st.Rollback(tt).
@@ -378,20 +354,11 @@ func AnswerAt(st Store, pos []int) Answer {
 	var a Answer
 	for o := 0; o < len(pos); {
 		k := pos[o] / runSize
-		c := s.chunk(k)
-		if c.col != nil {
-			sp := a.open(c, k)
-			for ; o < len(pos) && pos[o]/runSize == k; o++ {
-				sp.take(pos[o] % runSize)
-			}
-			a.shut()
-			continue
-		}
-		from := len(a.els)
+		sp := s.span(k)
 		for ; o < len(pos) && pos[o]/runSize == k; o++ {
-			a.els = append(a.els, c.elems[pos[o]%runSize])
+			sp.take(pos[o] % runSize)
 		}
-		a.took(from)
+		a.keep(&sp)
 	}
-	return a.done()
+	return a
 }

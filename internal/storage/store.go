@@ -112,7 +112,7 @@ type Store interface {
 	// touch first, so the snapshot never observes a mutation. Inserting
 	// into a snapshot is an error; Replacing in one panics.
 	Snapshot() Store
-	// Replace substitutes repl for old (matched by pointer identity). The
+	// Replace substitutes repl for old (matched by surrogate and tt⊣). The
 	// engine uses it to publish copied-on-close elements: a logical delete
 	// clones the element, finalizes TTEnd on the clone, and swaps the clone
 	// in, leaving the original — still open — for any pinned snapshot. Its
@@ -206,20 +206,14 @@ func (s *RunStore) Admits(e *element.Element) error {
 	return nil
 }
 
-// Insert appends the element, verifying the orders the kind promises and
-// failing loudly when a declaration was wrong. The element that fills a
-// chunk seals it into columns (columns.go), on every label.
+// Insert appends a copy of the element into the columns of the tail chunk
+// (columns.go), verifying the orders the kind promises and failing loudly
+// when a declaration was wrong. The store keeps nothing of e itself.
 func (s *RunStore) Insert(e *element.Element) error {
 	if err := s.Admits(e); err != nil {
 		return err
 	}
 	s.push(e)
-	if k := s.n/runSize - 1; s.n%runSize == 0 {
-		s.sealChunk(k)
-		if s.cols == k {
-			s.cols++
-		}
-	}
 	return nil
 }
 
@@ -227,8 +221,7 @@ func (s *RunStore) Insert(e *element.Element) error {
 var errFrozenRetype = fmt.Errorf("storage: retype of a frozen snapshot")
 
 // Retype re-labels the store in place: same chunks, same sealed runs, same
-// close counts, and every full chunk still elements sealed into columns
-// (sealFull). Dropping a promise is O(1) and cannot fail. Adding one
+// close counts. Dropping a promise is O(1) and cannot fail. Adding one
 // verifies, in one pass that allocates nothing, exactly the order Insert
 // would have enforced had the store carried the label all along, and refuses
 // with the error that Insert would have returned — store unchanged — when the
@@ -251,7 +244,6 @@ func (s *RunStore) Retype(k Kind) error {
 		}
 	}
 	s.kind = k
-	s.sealFull()
 	return nil
 }
 
@@ -311,28 +303,26 @@ func (s *RunStore) ttWindow(lo, hi chronon.Chronon, valid bool, vtLo, vtHi chron
 	for i := from; i < to; {
 		k := i / runSize
 		c, end := s.chunk(k), min(to, (k+1)*runSize)
-		var sp *Span
-		at := len(a.els)
-		if c.col != nil {
-			sp = a.open(c, k)
-		}
-		for ; i < end; i++ {
-			j := i % runSize
-			if tts := c.ttStartAt(j); tts < lo || tts > hi ||
-				valid && (c.ttEndAt(j) != chronon.Forever || c.vtStartAt(j) >= vtHi || vtLo >= c.vtEndAt(j)) {
-				continue
-			}
-			if sp != nil {
-				sp.take(j)
-			} else {
-				a.els = append(a.els, c.elems[j])
-			}
-		}
-		if sp != nil {
-			a.shut()
-		} else {
-			a.took(at)
-		}
+		sp := s.span(k)
+		sp.windowCols(c, i%runSize, end-k*runSize, lo, hi, valid, vtLo, vtHi)
+		a.keep(&sp)
+		i = end
 	}
-	return a.done(), touched
+	return a, touched
+}
+
+// windowCols is ttWindow's column filter (columns.go): the slots of
+// [from, to) with lo ≤ tt⊢ ≤ hi and, when valid is set, current and valid
+// during [vtLo, vtHi).
+//
+//go:noinline
+func (sp *Span) windowCols(c *chunk, from, to int, lo, hi chronon.Chronon, valid bool, vtLo, vtHi chronon.Chronon) {
+	col := c.col
+	for j := from; j < to; j++ {
+		if tts := col.ttStart[j]; tts < lo || tts > hi ||
+			valid && (c.ttEnd[j] != chronon.Forever || col.vtLo[j] >= vtHi || vtLo >= c.vtEndAt(j)) {
+			continue
+		}
+		sp.take(j)
+	}
 }

@@ -738,7 +738,7 @@ func RowAggregate(ctx context.Context, spec *Spec, elems []*element.Element) (*A
 // arrival order, taken a run at a time so a store is folded where it lies,
 // using the elements' own predicate methods; it polls for cancellation
 // between runs. The differential harness holds the query engine's fold
-// (ColAgg.ConsumeRows) to its answers.
+// (ColAgg.ConsumeCols) to its answers.
 func RowAggregateRuns(ctx context.Context, spec *Spec, runs element.Runs) (*AggResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -855,8 +855,8 @@ func NewColAgg(spec *Spec) (*ColAgg, error) {
 }
 
 // Consume folds one batch into the aggregation state. The query engine
-// folds columns and rows (ConsumeCols, ConsumeRows); Consume stays for the
-// benchmark module's per-layer mirror of the batch kernel.
+// folds columns (ConsumeCols); Consume stays for the benchmark module's
+// per-layer mirror of the batch kernel.
 func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 	stats.Batches++
 	stats.Rows += int64(b.N)
@@ -885,14 +885,14 @@ func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 
 // ConsumeRows folds one chunk's elements into the same state row at a time,
 // where they lie, with RowAggregateRuns' filter and the hot-window memo
-// Consume uses: the fold of an element chunk the caller has no partial for.
-// The cells are bit-identical to the reference engine's.
+// Consume uses: the row fold ConsumeCols is held to (the fold tests). The
+// cells are bit-identical to the reference engine's.
 func (a *ColAgg) ConsumeRows(rows []*element.Element, stats *ExecStats) error {
 	stats.Rows += int64(len(rows))
 	return a.ac.addRows(rows, true)
 }
 
-// ConsumeCols folds one sealed chunk into the state from its columns, slot
+// ConsumeCols folds one chunk into the state from its columns, slot
 // by slot in arrival order, with ConsumeRows' filter, window split, span
 // guard and cell arithmetic: the cells, and the first error, are those
 // ConsumeRows computes over the chunk materialized. A residual predicate is

@@ -349,12 +349,14 @@ func appendPlanNode(dst []byte, n *PlanNode) []byte {
 // *Response structs.
 
 // QueryBody encodes as QueryResponse. Its elements are Answer's, read where
-// the store holds them (storage.ElementAnswer wraps a slice). Images,
-// in Span order, names the sealed spans of Answer whose chunk's bytes some
-// earlier answer already made (image.go): the slots they hold are copied,
-// and every other version is encoded — a sealed slot through one reused
-// scratch version. The body is the same bytes with or without them, and with
-// the answer or its materialized elements.
+// the store holds them: a chunk's slots through one reused scratch version,
+// an index seek's elements as they lie (storage.ElementAnswer). Images, in
+// Span order, names the sealed spans of Answer — spans over full chunks —
+// whose chunk's bytes some earlier answer already made (image.go): the
+// slots they hold are copied, and every other version is encoded. A span
+// over the tail chunk, still filling, is never imaged. The body is the same
+// bytes with or without images, and with the answer or its materialized
+// elements.
 type QueryBody struct {
 	Answer   storage.Answer
 	Images   []ImageSpan
@@ -378,10 +380,10 @@ type sink struct {
 	n     int              // bytes that have left buf: written, or counted
 	err   error            // w's first error; nothing is written after it
 	lead  bool             // no element has gone out yet: the next one drops its comma
-	slot  *storage.Version // where a sealed slot is loaded to be encoded, taken when first needed
+	slot  *storage.Version // where a chunk's slot is loaded to be encoded, taken when first needed
 }
 
-// versions keeps the versions sinks load sealed slots into: a Version's lists
+// versions keeps the versions sinks load chunks' slots into: a Version's lists
 // point into it, so it lives on the heap, and is reused — from a list, so
 // that an encode allocates the same whatever the collector or the race
 // detector did to a pool. A third concurrent encode makes its own.
@@ -492,8 +494,8 @@ func (s *sink) answer(a *storage.Answer, images []ImageSpan) error {
 	spans := a.Spans()
 	for i := range spans {
 		sp := &spans[i]
-		if !sp.Sealed() {
-			if err := s.elements(sp.Elements()); err != nil {
+		if els := sp.Elements(); els != nil {
+			if err := s.elements(els); err != nil {
 				return err
 			}
 			continue
@@ -509,7 +511,7 @@ func (s *sink) answer(a *storage.Answer, images []ImageSpan) error {
 	return nil
 }
 
-// sealed encodes the slots of a sealed span, stretch of adjacent slots by
+// sealed encodes the slots of a chunk's span, stretch of adjacent slots by
 // stretch: what img, when not nil, holds of a stretch is copied, and every
 // other slot is loaded into the sink's version and encoded. The slot set is
 // read a word at a time (Slots.Stretches), once.
@@ -534,7 +536,7 @@ func (s *sink) sealed(sp *storage.Span, img *ChunkImage) error {
 	return nil
 }
 
-// slots encodes every slot of a sealed span, each behind its comma, each
+// slots encodes every slot of a chunk's span, each behind its comma, each
 // loaded in place into the sink's version, over the set bits of its slot
 // set a word at a time. Gathering, it is the tight loop elements is, on a
 // local; streaming or counting, it is element's.
@@ -612,15 +614,14 @@ func (b *QueryBody) covered() (n, bytes int) {
 }
 
 // edge is the body's first element, or its last: an element span's as
-// stored, a sealed one's loaded into s's version.
+// stored, a chunk span's loaded into s's version.
 func (b *QueryBody) edge(last bool, s *sink) *element.Element {
 	spans := b.Answer.Spans()
 	sp := &spans[0]
 	if last {
 		sp = &spans[len(spans)-1]
 	}
-	if !sp.Sealed() {
-		els := sp.Elements()
+	if els := sp.Elements(); els != nil {
 		if last {
 			return els[len(els)-1]
 		}

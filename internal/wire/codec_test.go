@@ -414,8 +414,8 @@ func checkSplice(t *testing.T, g *gen) {
 	sameAsPlain(t, "generated chunk after closes, stale image", body(img))
 }
 
-// sameShape reports whether a and b have one shape: what a sealed chunk's
-// versions share (storage's sealColumns).
+// sameShape reports whether a and b have one shape — what one chunk's
+// versions share (storage's columns) — and lists equally nil.
 func sameShape(a, b *element.Element) bool {
 	return len(a.Invariant) == len(b.Invariant) && len(a.Varying) == len(b.Varying) && len(a.UserTimes) == len(b.UserTimes) &&
 		a.VT.IsEvent() == b.VT.IsEvent() && (a.Invariant == nil) == (b.Invariant == nil) &&
@@ -863,7 +863,7 @@ func TestParserFallsBack(t *testing.T) {
 	// end, it is another element, parsed.
 	m := &ElementMemo{Max: 1 << 20}
 	var warm QueryResponse
-	if err := warm.ParseJSONMemo([]byte(query), m); err != nil {
+	if err := warm.ParseJSONMemo([]byte(query), m, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, doc := range []string{
@@ -877,7 +877,7 @@ func TestParserFallsBack(t *testing.T) {
 		pretty(query),
 	} {
 		var got QueryResponse
-		if err := got.ParseJSONMemo([]byte(doc), m); err == nil || !reflect.DeepEqual(got, QueryResponse{}) {
+		if err := got.ParseJSONMemo([]byte(doc), m, ""); err == nil || !reflect.DeepEqual(got, QueryResponse{}) {
 			t.Errorf("through a warm memo %s was taken as %+v (%v)", doc, got, err)
 		}
 	}
@@ -1118,14 +1118,14 @@ func BenchmarkWireCodec(b *testing.B) {
 		els := ledgerElements(1000)
 		doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
 		m := &ElementMemo{Max: 8 << 20}
-		if err := new(QueryResponse).ParseJSONMemo(doc, m); err != nil {
+		if err := new(QueryResponse).ParseJSONMemo(doc, m, ""); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var out QueryResponse
-			if err := out.ParseJSONMemo(doc, m); err != nil {
+			if err := out.ParseJSONMemo(doc, m, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1142,14 +1142,14 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		doc, _ := QueryBody{Answer: storage.ElementAnswer(half), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
 		m := &ElementMemo{Max: 32 << 20}
-		if err := new(QueryResponse).ParseJSONMemo(current, m); err != nil {
+		if err := new(QueryResponse).ParseJSONMemo(current, m, ""); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var out QueryResponse
-			if err := out.ParseJSONMemo(doc, m); err != nil {
+			if err := out.ParseJSONMemo(doc, m, ""); err != nil {
 				b.Fatal(err)
 			}
 		}

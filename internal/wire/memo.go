@@ -16,14 +16,16 @@ import (
 // the parse instead of parsing, but only when the element's encoding is the
 // remembered bytes byte for byte. A parse is a function of those bytes and
 // nothing else, so a copy is what parsing them again would have given; an
-// element whose bytes changed (closed since, or another relation's element
-// under the same surrogate) is parsed and remembered in their place.
+// element whose bytes changed (closed since) is parsed and remembered in
+// their place. Each relation's elements are indexed apart, under the one
+// budget: two relations' elements that share surrogate numbers do not
+// displace each other.
 //
 // What the memo holds it holds privately and without pointers: the elements
 // one answer taught it are a batch of integer records, in the order the
 // answer carried them, with offsets into one string of the batch's bytes (its
-// elements' encodings and their values' strings) and an index from surrogate
-// to record by number — so the collector marks a batch's few headers, not
+// elements' encodings and their values' strings) and an index, per relation,
+// from surrogate to record by number — so the collector marks a batch's few headers, not
 // its thousands of elements. A hit hands out a copy in the answer's own
 // slabs — time-stamp pointers, attribute lists and user times are fresh,
 // only strings, being immutable, are shared with the batch. A hit is looked
@@ -107,12 +109,12 @@ type memoValue struct {
 
 const memoOtherKind = 255
 
-// memoGen is one generation: its batches, the index into them by element
-// surrogate — what an element's encoding starts with; a hint, the bytes
-// decide — to batch<<32 | entry, and the bytes it keeps alive.
+// memoGen is one generation: its batches, the index into them by relation
+// and element surrogate — what an element's encoding starts with; a hint,
+// the bytes decide — to batch<<32 | entry, and the bytes it keeps alive.
 type memoGen struct {
 	batches []*memoBatch
-	index   map[uint64]uint64
+	index   map[string]map[uint64]uint64
 	bytes   int
 	id      uint64
 }
@@ -133,11 +135,11 @@ type memoSpan struct{ start, end, idx int }
 
 func (b *memoBatch) raw(e *memoEntry) string { return b.text[e.raw:e.rawEnd] }
 
-// find returns the batch and entry for surrogate es whose bytes src begins
-// with, whether it is in the old generation, and whether it was found after
-// the element before's entry, hint, without the index. The caller holds the
-// read lock.
-func (m *ElementMemo) find(es uint64, src []byte, hint *memoBatch, after int) (b *memoBatch, e int, old, hinted bool) {
+// find returns the batch and entry for surrogate es of the relation whose
+// indexes, young and old, idx holds whose bytes src begins with, whether it
+// is in the old generation, and whether it was found after the element
+// before's entry, hint, without the index. The caller holds the read lock.
+func (m *ElementMemo) find(idx *[2]map[uint64]uint64, es uint64, src []byte, hint *memoBatch, after int) (b *memoBatch, e int, old, hinted bool) {
 	if hint != nil {
 		for k := after + 1; k < len(hint.ents) && k <= after+memoLookahead; k++ {
 			if ent := &hint.ents[k]; ent.es == es {
@@ -148,11 +150,11 @@ func (m *ElementMemo) find(es uint64, src []byte, hint *memoBatch, after int) (b
 			}
 		}
 	}
-	for _, g := range [2]*memoGen{&m.young, &m.old} {
-		if at, ok := g.index[es]; ok {
+	for i, g := range [2]*memoGen{&m.young, &m.old} {
+		if at, ok := idx[i][es]; ok {
 			b, e := g.batches[at>>32], int(uint32(at))
 			if hasPrefix(src, b.raw(&b.ents[e])) {
-				return b, e, g != &m.young, false
+				return b, e, i == 1, false
 			}
 		}
 	}
@@ -163,18 +165,20 @@ func hasPrefix(src []byte, raw string) bool {
 	return len(src) >= len(raw) && string(src[:len(raw)]) == raw
 }
 
-// ParseJSONMemo is ParseJSON through m: an element whose encoding m holds is
-// copied from it, and an element parsed is remembered once the whole answer
-// has been accepted. The answer is the one ParseJSON gives, byte-checked
-// hits and all; a refused body leaves r untouched and teaches m nothing. A
-// nil m, or one without a budget, is ParseJSON.
-func (r *QueryResponse) ParseJSONMemo(src []byte, m *ElementMemo) error {
+// ParseJSONMemo is ParseJSON through m, for an answer over relation rel: an
+// element of rel whose encoding m holds is copied from it, and an element
+// parsed is remembered under rel once the whole answer has been accepted.
+// The answer is the one ParseJSON gives, byte-checked hits and all; a
+// refused body leaves r untouched and teaches m nothing. A nil m, or one
+// without a budget, is ParseJSON.
+func (r *QueryResponse) ParseJSONMemo(src []byte, m *ElementMemo, rel string) error {
 	if m == nil || m.Max <= 0 {
 		return r.ParseJSON(src)
 	}
 	p := newParser(src)
 	p.memo = m
 	m.mu.RLock()
+	p.memoIdx = [2]map[uint64]uint64{m.young.index[rel], m.old.index[rel]}
 	err := parseIn(p, r, (*parser).queryResponse)
 	m.mu.RUnlock()
 	if err != nil {
@@ -183,7 +187,7 @@ func (r *QueryResponse) ParseJSONMemo(src []byte, m *ElementMemo) error {
 	m.reused.Add(uint64(p.reused))
 	m.parsed.Add(uint64(p.seen - p.reused))
 	m.hinted.Add(uint64(p.hinted))
-	m.learn(src, r.Elements, p.pending)
+	m.learn(rel, src, r.Elements, p.pending)
 	return nil
 }
 
@@ -198,10 +202,10 @@ func kindCode(k string) uint8 {
 }
 
 // learn records the spans' elements in one batch and enters them in the
-// young generation. A batch is as many spans, from the first, as half the
-// budget holds; a young generation it would take past that becomes the old
-// one first.
-func (m *ElementMemo) learn(src []byte, els []Element, spans []memoSpan) {
+// young generation's index of relation rel. A batch is as many spans, from
+// the first, as half the budget holds; a young generation it would take past
+// that becomes the old one first.
+func (m *ElementMemo) learn(rel string, src []byte, els []Element, spans []memoSpan) {
 	half := m.Max / 2
 	size, text, vals, ints, n := 0, 0, 0, 0, 0
 	for ; n < len(spans); n++ {
@@ -279,13 +283,18 @@ func (m *ElementMemo) learn(src []byte, els []Element, spans []memoSpan) {
 		m.old, m.young = m.young, memoGen{id: m.young.id + 1}
 	}
 	if m.young.index == nil {
-		m.young.index = make(map[uint64]uint64, n)
+		m.young.index = make(map[string]map[uint64]uint64)
+	}
+	idx := m.young.index[rel]
+	if idx == nil {
+		idx = make(map[uint64]uint64, n)
+		m.young.index[rel] = idx
 	}
 	b.gen = m.young.id
 	at := uint64(len(m.young.batches)) << 32
 	m.young.batches = append(m.young.batches, b)
 	for i := range b.ents {
-		m.young.index[b.ents[i].es] = at | uint64(i)
+		idx[b.ents[i].es] = at | uint64(i)
 	}
 	m.young.bytes += size
 }

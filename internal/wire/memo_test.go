@@ -28,7 +28,7 @@ func sameThroughMemo(t *testing.T, what string, src []byte, m *ElementMemo) {
 	coldErr := cold.ParseJSON(src)
 	for i := 0; i < 3; i++ {
 		var warm QueryResponse
-		err := warm.ParseJSONMemo(src, m)
+		err := warm.ParseJSONMemo(src, m, "")
 		if (err == nil) != (coldErr == nil) || !errors.Is(err, coldErr) {
 			t.Fatalf("%s, memo pass %d: error %v, without the memo %v\n%q", what, i, err, coldErr, src)
 		}
@@ -239,10 +239,10 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 		}
 		doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Touched: len(els)}.AppendJSON(nil)
 		var r QueryResponse
-		if err := r.ParseJSONMemo(doc, m); err != nil {
+		if err := r.ParseJSONMemo(doc, m, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ParseJSONMemo(hotDoc, m); err != nil {
+		if err := r.ParseJSONMemo(hotDoc, m, ""); err != nil {
 			t.Fatal(err)
 		}
 		if s := m.Stats(); s.Bytes > max {
@@ -274,7 +274,7 @@ func TestMemoAllocationBudget(t *testing.T) {
 	doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
 	m := &ElementMemo{Max: 8 << 20}
 	var cold QueryResponse
-	if err := cold.ParseJSONMemo(doc, m); err != nil {
+	if err := cold.ParseJSONMemo(doc, m, ""); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 10
@@ -282,7 +282,7 @@ func TestMemoAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() {
 		var r QueryResponse
-		if err := r.ParseJSONMemo(doc, m); err != nil {
+		if err := r.ParseJSONMemo(doc, m, ""); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -342,5 +342,48 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 	if (QueryResponse{}).Clone().Elements != nil || (SelectResponse{Rows: [][]Value{}}).Clone().Rows == nil {
 		t.Fatalf("a clone keeps nil nil and empty empty")
+	}
+}
+
+// TestMemoKeepsRelationsApart: two relations whose elements share surrogate
+// numbers — each relation issues its own from 1 — answered in turn through
+// one memo. Each relation's elements are indexed apart, so from the second
+// round on every element of either answer is copied, none parsed, and the
+// memo holds what the first round taught it: its bytes stay where they are.
+func TestMemoKeepsRelationsApart(t *testing.T) {
+	const n = 1000
+	m := &ElementMemo{Max: 32 << 20}
+	a, b := ledgerElements(n), ledgerElements(n)
+	for _, e := range b {
+		e.OS += 7 // same surrogates, other bytes
+	}
+	docs := map[string][]byte{}
+	for rel, els := range map[string][]*element.Element{"a": a, "b": b} {
+		docs[rel], _ = QueryBody{Answer: storage.ElementAnswer(els), Touched: n}.AppendJSON(nil)
+	}
+	var bytes int
+	for round := 0; round < 4; round++ {
+		before := m.Stats()
+		for _, rel := range []string{"a", "b"} {
+			var r QueryResponse
+			if err := r.ParseJSONMemo(docs[rel], m, rel); err != nil {
+				t.Fatal(err)
+			}
+			var cold QueryResponse
+			if err := cold.ParseJSON(docs[rel]); err != nil || !reflect.DeepEqual(r, cold) {
+				t.Fatalf("round %d, relation %s: the memo's answer is not the parse (%v)", round, rel, err)
+			}
+		}
+		s := m.Stats()
+		if round == 0 {
+			bytes = s.Bytes
+			continue
+		}
+		if parsed, reused := s.Parsed-before.Parsed, s.Reused-before.Reused; parsed != 0 || reused != 2*n {
+			t.Fatalf("round %d: %d parsed and %d copied of two answers of %d", round, parsed, reused, n)
+		}
+		if s.Bytes != bytes {
+			t.Fatalf("round %d: the memo holds %d bytes, %d after the first round", round, s.Bytes, bytes)
+		}
 	}
 }

@@ -133,15 +133,18 @@ type parser struct {
 	plans0 [2]PlanNode
 	plans  int
 
-	// An answer parsed through an ElementMemo (ParseJSONMemo): the elements
+	// An answer parsed through an ElementMemo (ParseJSONMemo): the
+	// relation's indexes in its young and old generation; the elements
 	// seen and copied from it so far, and how many of those were found
 	// after the one before; the batch and entry the last copy came from
-	// (nil before the first); and the elements the memo should learn.
-	memo                 *ElementMemo
-	seen, reused, hinted int
-	last                 *memoBatch
-	lastEnt              int
-	pending              []memoSpan
+	// (nil before the first); and the elements the memo should learn. The
+	// counts are 32 bits wide, so that the parser, which every body is
+	// read with, stays in the 1 KiB size class.
+	memo                          *ElementMemo
+	memoIdx                       [2]map[uint64]uint64
+	seen, reused, hinted, lastEnt int32
+	last                          *memoBatch
+	pending                       []memoSpan
 }
 
 func newParser(src []byte) *parser {
@@ -671,7 +674,7 @@ func (p *parser) element(e *Element) {
 	p.timestamp(&e.VT)
 	p.attributes(&e.Invariant, &e.Varying, &e.UserTimes)
 	if p.memo != nil && !p.bad {
-		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
+		p.pending = append(p.pending, memoSpan{start, p.i, int(p.seen)})
 		p.seen++
 	}
 }
@@ -682,15 +685,15 @@ func (p *parser) element(e *Element) {
 // the answer's slabs and the bytes are skipped. One found in the old
 // generation is learnt again, into the young one.
 func (p *parser) recall(e *Element, start int) bool {
-	b, k, old, hinted := p.memo.find(e.ES, p.src[start:], p.last, p.lastEnt)
+	b, k, old, hinted := p.memo.find(&p.memoIdx, e.ES, p.src[start:], p.last, int(p.lastEnt))
 	if b == nil {
 		return false
 	}
-	p.last, p.lastEnt = b, k
+	p.last, p.lastEnt = b, int32(k)
 	p.recallEntry(e, b, k)
 	p.i = start + int(b.ents[k].rawEnd-b.ents[k].raw)
 	if old {
-		p.pending = append(p.pending, memoSpan{start, p.i, p.seen})
+		p.pending = append(p.pending, memoSpan{start, p.i, int(p.seen)})
 	}
 	if hinted {
 		p.hinted++

@@ -142,10 +142,10 @@ func TestRefusalIsCheap(t *testing.T) {
 	// copy from it, before the commas, is an accepted first item.
 	const el2 = `{"es":2,"os":1,"tt_start":1,"tt_end":9223372036854775807,"current":true,"vt":{}`
 	warm := &ElementMemo{Max: 1 << 20}
-	if err := new(QueryResponse).ParseJSONMemo([]byte(`{"elements":[`+el+`},`+el2+`,"invariant":[{"kind":"null"}]}],"touched":0}`), warm); err != nil {
+	if err := new(QueryResponse).ParseJSONMemo([]byte(`{"elements":[`+el+`},`+el2+`,"invariant":[{"kind":"null"}]}],"touched":0}`), warm, ""); err != nil {
 		t.Fatal(err)
 	}
-	parse["query response (warm memo)"] = func(b []byte) error { return new(QueryResponse).ParseJSONMemo(b, warm) }
+	parse["query response (warm memo)"] = func(b []byte) error { return new(QueryResponse).ParseJSONMemo(b, warm, "") }
 	for _, c := range []struct {
 		shape, head string
 		first       bool // an item is accepted before the commas: extrapolate has sized the slabs
