@@ -57,7 +57,7 @@ func autoSpecTimeslices(b *testing.B, e *Entry, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vt := chronon.Chronon(10 * ((i*7919)%n + 1))
-		res, err := e.TimesliceCtx(ctx, vt)
+		res, err := timesliceCtx(ctx, e, vt)
 		if err != nil {
 			b.Fatalf("Timeslice: %v", err)
 		}

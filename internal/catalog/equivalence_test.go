@@ -9,7 +9,9 @@ package catalog
 // order and degrade the store — against a primary. A second primary then
 // boots from nothing but the first one's log, and a follower is fed the
 // same frames in random chunkings (re-shipping some). All three must
-// agree on everything a client or operator can observe.
+// agree on everything a client or operator can observe, and each must
+// answer the paper's queries as the definition (refmodel) does over the
+// live relation's versions.
 
 import (
 	"context"
@@ -24,6 +26,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
 	"repro/internal/surrogate"
 	"repro/internal/tsql"
@@ -53,8 +56,11 @@ func classNames(cs []core.Class) []string {
 }
 
 // eqCapture snapshots e. Query probes span the relation's whole valid-
-// and transaction-time range so every version takes part in some answer.
-func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
+// and transaction-time range so every version takes part in some answer,
+// and each probe of the four query kinds must answer, version for version
+// and in order, what the definition does over flat: the live relation's
+// versions, so that no route is held only to the others.
+func eqCapture(t *testing.T, e *Entry, flat []*element.Element, vtHi, ttHi int64) eqState {
 	t.Helper()
 	ctx := context.Background()
 	p := e.Physical()
@@ -80,22 +86,32 @@ func eqCapture(t *testing.T, e *Entry, vtHi, ttHi int64) eqState {
 		}
 		return nil
 	})
-	answer := func(label string, res QueryResult, err error) {
+	versions := func(els []*element.Element) string {
+		var b strings.Builder
+		for _, el := range els {
+			fmt.Fprintf(&b, " %v|%v|%v|%v", el.ES, el.VT, el.TTStart, el.TTEnd)
+		}
+		return b.String()
+	}
+	answer := func(label string, res answered, err error, defined []*element.Element) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", e.Name(), label, err)
 		}
+		if got, want := versions(res.Elements), versions(defined); got != want {
+			t.Errorf("%s %s answers%s\nthe definition over the live versions%s", e.Name(), label, got, want)
+		}
 		s.Answers[label] = resultKey(res)
 	}
-	res, err := e.CurrentCtx(ctx)
-	answer("current", res, err)
+	res, err := currentCtx(ctx, e)
+	answer("current", res, err, refmodel.Current(flat))
 	for i := int64(0); i <= 4; i++ {
-		vt, tt := chronon.Chronon(vtHi*i/4), chronon.Chronon(ttHi*i/4)
-		res, err = e.TimesliceCtx(ctx, vt)
-		answer(fmt.Sprintf("timeslice %d", vt), res, err)
-		res, err = e.RollbackCtx(ctx, tt)
-		answer(fmt.Sprintf("rollback %d", tt), res, err)
-		res, err = e.TimesliceAsOfCtx(ctx, vt, chronon.Chronon(ttHi*(4-i)/4))
-		answer(fmt.Sprintf("asof %d", vt), res, err)
+		vt, tt, asOf := chronon.Chronon(vtHi*i/4), chronon.Chronon(ttHi*i/4), chronon.Chronon(ttHi*(4-i)/4)
+		res, err = timesliceCtx(ctx, e, vt)
+		answer(fmt.Sprintf("timeslice %d", vt), res, err, refmodel.Timeslice(flat, vt))
+		res, err = rollbackCtx(ctx, e, tt)
+		answer(fmt.Sprintf("rollback %d", tt), res, err, refmodel.Rollback(flat, tt))
+		res, err = timesliceAsOfCtx(ctx, e, vt, asOf)
+		answer(fmt.Sprintf("asof %d", vt), res, err, refmodel.AsOf(flat, vt, asOf))
 	}
 	for _, src := range []string{
 		fmt.Sprintf("select es, vt, v from %s", e.Name()),
@@ -423,7 +439,9 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 			for _, d := range drivers {
 				replays, refusals = replays+d.replays, refusals+d.refusals
 				name := d.e.Name()
-				want := eqCapture(t, d.e, d.lastVT+5, ttHi)
+				var flat []*element.Element
+				_ = d.e.Locked().View(func(r *relation.Relation) error { flat = r.Versions(); return nil })
+				want := eqCapture(t, d.e, flat, d.lastVT+5, ttHi)
 				for _, reason := range d.e.Physical().Reasons {
 					if strings.Contains(reason, "committed element violates the store order") {
 						degraded++
@@ -434,7 +452,7 @@ func TestLiveBootFollowerEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", route, err)
 					}
-					got := eqCapture(t, e, d.lastVT+5, ttHi)
+					got := eqCapture(t, e, flat, d.lastVT+5, ttHi)
 					if reflect.DeepEqual(got, want) {
 						continue
 					}

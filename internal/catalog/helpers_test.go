@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -28,23 +29,53 @@ func modify(e *Entry, es surrogate.Surrogate, vt element.Timestamp, varying []el
 	return e.ModifyKeyed(context.Background(), es, vt, varying, "")
 }
 
-func current(e *Entry) QueryResult {
-	out, _ := e.CurrentCtx(context.Background())
+// answered is a query's result as the server gets it (AnswerCtx), with the
+// answer read out of the store for the test to compare: its Elements hides
+// the result's own field, which AnswerCtx leaves nil.
+type answered struct {
+	QueryResult
+	Elements []*element.Element
+}
+
+// answerCtx answers pq as the server does and reads the answer out.
+func answerCtx(ctx context.Context, e *Entry, pq plan.Query) (answered, error) {
+	qr, err := e.AnswerCtx(ctx, pq)
+	return answered{qr, qr.Answer().Elements()}, err
+}
+
+func currentCtx(ctx context.Context, e *Entry) (answered, error) {
+	return answerCtx(ctx, e, plan.Query{Kind: plan.QCurrent})
+}
+
+func timesliceCtx(ctx context.Context, e *Entry, vt chronon.Chronon) (answered, error) {
+	return answerCtx(ctx, e, plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
+}
+
+func rollbackCtx(ctx context.Context, e *Entry, tt chronon.Chronon) (answered, error) {
+	return answerCtx(ctx, e, plan.Query{Kind: plan.QRollback, TT: int64(tt)})
+}
+
+func timesliceAsOfCtx(ctx context.Context, e *Entry, vt, tt chronon.Chronon) (answered, error) {
+	return answerCtx(ctx, e, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
+}
+
+func current(e *Entry) answered {
+	out, _ := currentCtx(context.Background(), e)
 	return out
 }
 
-func timeslice(e *Entry, vt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceCtx(context.Background(), vt)
+func timeslice(e *Entry, vt chronon.Chronon) answered {
+	out, _ := timesliceCtx(context.Background(), e, vt)
 	return out
 }
 
-func rollback(e *Entry, tt chronon.Chronon) QueryResult {
-	out, _ := e.RollbackCtx(context.Background(), tt)
+func rollback(e *Entry, tt chronon.Chronon) answered {
+	out, _ := rollbackCtx(context.Background(), e, tt)
 	return out
 }
 
-func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceAsOfCtx(context.Background(), vt, tt)
+func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) answered {
+	out, _ := timesliceAsOfCtx(context.Background(), e, vt, tt)
 	return out
 }
 

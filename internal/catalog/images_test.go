@@ -96,8 +96,8 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 	const readAfterWriteAllocs = 60 // reads 38: the scan's result and spans as they grow, the cached result, one image and its entry
 	e, live := ledgerOf(t, storage.TTOrdered, n, 32<<20, denseLedger)
 	ctx := context.Background()
-	read := func() QueryResult {
-		res, err := e.TimesliceCtx(ctx, 200_000)
+	read := func() answered {
+		res, err := timesliceCtx(ctx, e, 200_000)
 		if err != nil || len(res.Elements) < 1900 {
 			t.Fatalf("time-slice: %d elements, %v", len(res.Elements), err)
 		}
@@ -121,7 +121,7 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := e.ImageStats()
-		var res QueryResult
+		var res answered
 		worst = max(worst, mallocs(func() { res = read() }))
 		after := e.ImageStats()
 		if after.Built-before.Built != 1 || after.Hits-before.Hits != 15 || after.SpansSpliced-before.SpansSpliced != 16 {
@@ -142,8 +142,8 @@ func TestReadAfterWriteEncodesTheChunksWrittenInto(t *testing.T) {
 // a chunk — every read on a specialized organization, the small time-slices
 // and as-of reads on a general one — reports no dense span, looks nothing up,
 // builds nothing, and allocates no more than it did before there were
-// images: on the read path the server takes (AnswerCtx), and materialized
-// (TimesliceCtx).
+// images: on the read path the server takes (AnswerCtx), and with the
+// answer read out into elements.
 func TestSmallAnswersBuildNoImages(t *testing.T) {
 	// Read 10 (11 under -race) before there were images: the result slice as
 	// it grew, the plan, its rendering, the cached result. Now 8 unmaterialized
@@ -156,12 +156,13 @@ func TestSmallAnswersBuildNoImages(t *testing.T) {
 	read := func(rows bool) func() {
 		return func() {
 			vt += 50 // a new fingerprint each time: never the result cache
-			var res QueryResult
+			pq := plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1}
+			var res answered
 			var err error
 			if rows {
-				res, err = e.TimesliceCtx(ctx, vt)
+				res, err = answerCtx(ctx, e, pq)
 			} else {
-				res, err = e.AnswerCtx(ctx, plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
+				res.QueryResult, err = e.AnswerCtx(ctx, pq)
 			}
 			if a := res.Answer(); err != nil || a.Len() == 0 || a.Len() > 8 || denseSpans(a) != 0 || res.Images != nil || rows != (res.Elements != nil) {
 				t.Fatalf("time-slice at %d: %d elements, %d dense spans, %v", vt, a.Len(), denseSpans(a), err)
@@ -357,12 +358,13 @@ func TestNonFiniteRelationBuildsNoImages(t *testing.T) {
 // TestHeadSpansAreTheEncodedScan: an answer that draws on the tail chunk —
 // columns, but still filling — with 1, imageMin−1, imageMin and
 // ChunkSize−1 of its slots is encoded, gathered and streamed, to the bytes
-// of the naive query's elements encoded one by one, on its first read and
-// served again from the result cache, before and after a close into the
-// tail and more inserts into it. Only the full chunks are imaged: a tail
-// span, however dense, is never imaged or spliced — an image names a full
-// chunk's runSize versions by (ordinal, closes), and the tail's next insert
-// changes what its slots hold under the same name.
+// of the definition's elements (the relation's queries: refmodel over its
+// versions, sharing no search with the engine) encoded one by one, on its
+// first read and served again from the result cache, before and after a
+// close into the tail and more inserts into it. Only the full chunks are
+// imaged: a tail span, however dense, is never imaged or spliced — an image
+// names a full chunk's runSize versions by (ordinal, closes), and the tail's
+// next insert changes what its slots hold under the same name.
 func TestHeadSpansAreTheEncodedScan(t *testing.T) {
 	ctx := context.Background()
 	for _, h := range []int{1, imageMin - 1, imageMin, storage.ChunkSize - 1} {
@@ -408,6 +410,7 @@ func TestHeadSpansAreTheEncodedScan(t *testing.T) {
 				{plan.Query{Kind: plan.QCurrent}, (*relation.Relation).Current},
 				{plan.Query{Kind: plan.QTimeslice, VTLo: 500_000, VTHi: 500_001}, func(r *relation.Relation) []*element.Element { return r.Timeslice(500_000) }},
 				{plan.Query{Kind: plan.QRollback, TT: 1 << 40}, func(r *relation.Relation) []*element.Element { return r.Rollback(1 << 40) }},
+				{plan.Query{Kind: plan.QRollback, TT: int64(mid)}, func(r *relation.Relation) []*element.Element { return r.Rollback(mid) }}, // at a stored tt⊢: the strict search's edge
 				{plan.Query{Kind: plan.QAsOf, VTLo: 500_000, TT: int64(mid)}, func(r *relation.Relation) []*element.Element { return r.TimesliceAsOf(500_000, mid) }},
 			}
 			check := func(state string) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/integrity"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tx"
@@ -240,7 +241,7 @@ func TestIntegrityRepairRuns(t *testing.T) {
 // rows from the time-slice and the bitemporal read; the scrub path lists the
 // relation although it has sealed nothing, detects the chunk, quarantines,
 // rewrites the envelope from the elements and lifts the quarantine; and both
-// reads equal the brute-force filter over the view again.
+// reads equal the definition over the view again.
 func TestIntegrityRepairZoneMap(t *testing.T) {
 	root := t.TempDir()
 	w, c := integOpen(t, root)
@@ -256,20 +257,13 @@ func TestIntegrityRepairZoneMap(t *testing.T) {
 	const vt, tt = 100 + 256 + 40, 1 << 40 // an element of chunk 1, as stored now
 	answers := func(what string) {
 		t.Helper()
-		var slice, asOf []*element.Element
-		for _, el := range e.view.Load().elems() {
-			if el.ValidAt(vt) && el.Current() {
-				slice = append(slice, el)
-			}
-			if el.ValidAt(vt) && el.PresentAt(tt) {
-				asOf = append(asOf, el)
-			}
-		}
+		flat := e.view.Load().elems()
+		slice, asOf := refmodel.Timeslice(flat, vt), refmodel.AsOf(flat, vt, tt)
 		if got := timeslice(e, vt).Elements; len(slice) != 1 || !reflect.DeepEqual(got, slice) {
-			t.Fatalf("%s: time-slice returned %d elements, the filter %d", what, len(got), len(slice))
+			t.Fatalf("%s: time-slice returned %d elements, the definition %d", what, len(got), len(slice))
 		}
 		if got := timesliceAsOf(e, vt, tt).Elements; !reflect.DeepEqual(got, asOf) {
-			t.Fatalf("%s: as-of returned %d elements, the filter %d", what, len(got), len(asOf))
+			t.Fatalf("%s: as-of returned %d elements, the definition %d", what, len(got), len(asOf))
 		}
 	}
 	answers("before the damage")

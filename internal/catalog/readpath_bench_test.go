@@ -40,7 +40,7 @@ func benchTimeslices(b *testing.B, e *Entry, elements int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vt := chronon.Chronon((i * 7919) % elements)
-		res, err := e.TimesliceCtx(ctx, vt)
+		res, err := timesliceCtx(ctx, e, vt)
 		if err != nil {
 			b.Fatalf("Timeslice: %v", err)
 		}
@@ -61,23 +61,23 @@ func BenchmarkReadPathSnapshot(b *testing.B) {
 // head insert it cannot see, so every hit walks the change log one epoch and
 // records the answer again (the insert runs outside the timer);
 // "current-ledger-40k" the current state of a 40,000-element ledger — ≈ 7 MB
-// of chunk images, more than one cache entry holds — read through CurrentCtx,
-// which materializes it, and encoded; "answer-ledger-40k" the same read as the
-// server makes it, AnswerCtx's answer encoded without materializing. Every
-// full chunk is one image entry, so from the second read on each is spliced
-// and none encoded (spliced/op: the ledger's 156 full chunks).
+// of chunk images, more than one cache entry holds — read with its answer
+// materialized into elements, and encoded; "answer-ledger-40k" the same read
+// as the server makes it, AnswerCtx's answer encoded without materializing.
+// Every full chunk is one image entry, so from the second read on each is
+// spliced and none encoded (spliced/op: the ledger's 156 full chunks).
 func BenchmarkReadPathCacheHit(b *testing.B) {
 	ctx := context.Background()
 	b.Run("timeslice", func(b *testing.B) {
 		const elements = 4096
 		e := benchEntry(b, Config{CacheBytes: 1 << 20}, elements)
 		fixed := chronon.Chronon(elements / 2)
-		if _, err := e.TimesliceCtx(ctx, fixed); err != nil { // fill the cache
+		if _, err := timesliceCtx(ctx, e, fixed); err != nil { // fill the cache
 			b.Fatalf("warm: %v", err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := e.TimesliceCtx(ctx, fixed)
+			res, err := timesliceCtx(ctx, e, fixed)
 			if err != nil {
 				b.Fatalf("Timeslice: %v", err)
 			}
@@ -90,7 +90,7 @@ func BenchmarkReadPathCacheHit(b *testing.B) {
 		const elements = 4096
 		e := benchEntry(b, Config{CacheBytes: 1 << 20}, elements)
 		fixed := chronon.Chronon(elements / 2)
-		if _, err := e.TimesliceCtx(ctx, fixed); err != nil { // fill the cache
+		if _, err := timesliceCtx(ctx, e, fixed); err != nil { // fill the cache
 			b.Fatalf("warm: %v", err)
 		}
 		before := e.cache.Stats()
@@ -101,7 +101,7 @@ func BenchmarkReadPathCacheHit(b *testing.B) {
 				b.Fatalf("Insert: %v", err)
 			}
 			b.StartTimer()
-			res, err := e.TimesliceCtx(ctx, fixed)
+			res, err := timesliceCtx(ctx, e, fixed)
 			if err != nil {
 				b.Fatalf("Timeslice: %v", err)
 			}
@@ -124,21 +124,22 @@ func BenchmarkReadPathCacheHit(b *testing.B) {
 }
 
 // benchLedgerCurrent times a cache hit on the current state of a
-// 40,000-element ledger, encoded; rows reads it through CurrentCtx.
+// 40,000-element ledger, encoded; rows also reads the answer out into
+// elements.
 func benchLedgerCurrent(b *testing.B, rows bool) {
 	ctx := context.Background()
 	const n = 40_000
 	e, _ := ledgerOf(b, storage.TTOrdered, n, 32<<20, denseLedger)
 	var body []byte
 	read := func() {
-		var res QueryResult
+		var res answered
 		var err error
 		if rows {
-			if res, err = e.CurrentCtx(ctx); len(res.Elements) != n {
+			if res, err = currentCtx(ctx, e); len(res.Elements) != n {
 				b.Fatalf("current: %d elements, %v", len(res.Elements), err)
 			}
 		} else {
-			res, err = e.AnswerCtx(ctx, plan.Query{Kind: plan.QCurrent})
+			res.QueryResult, err = e.AnswerCtx(ctx, plan.Query{Kind: plan.QCurrent})
 		}
 		if a := res.Answer(); err != nil || a.Len() != n {
 			b.Fatalf("current: %d versions, %v", a.Len(), err)

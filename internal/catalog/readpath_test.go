@@ -100,12 +100,12 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	mustInsert(t, e, 5)
 	ctx := context.Background()
 
-	r1, err := e.TimesliceCtx(ctx, 5)
+	r1, err := timesliceCtx(ctx, e, 5)
 	if err != nil {
 		t.Fatalf("timeslice: %v", err)
 	}
 	st0 := c.Cache().Stats()
-	r2, err := e.TimesliceCtx(ctx, 5)
+	r2, err := timesliceCtx(ctx, e, 5)
 	if err != nil {
 		t.Fatalf("timeslice: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	// A write the time-slice cannot see — valid elsewhere — leaves its
 	// answer standing: a hit at the new epoch, counted revalidated.
 	mustInsert(t, e, 9)
-	rv, err := e.TimesliceCtx(ctx, 5)
+	rv, err := timesliceCtx(ctx, e, 5)
 	if err != nil {
 		t.Fatalf("timeslice: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	// A write valid at the instant meets it: the same query misses and
 	// recomputes against the new view.
 	mustInsert(t, e, 5)
-	r3, err := e.TimesliceCtx(ctx, 5)
+	r3, err := timesliceCtx(ctx, e, 5)
 	if err != nil {
 		t.Fatalf("timeslice: %v", err)
 	}
@@ -174,12 +174,12 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 			return err
 		}},
 	} {
-		before, _ := e.TimesliceCtx(ctx, 5)
+		before, _ := timesliceCtx(ctx, e, 5)
 		if err := step.run(); err != nil {
 			t.Fatalf("%s: %v", step.op, err)
 		}
 		misses := c.Cache().Stats().Misses
-		after, err := e.TimesliceCtx(ctx, 5)
+		after, err := timesliceCtx(ctx, e, 5)
 		if err != nil {
 			t.Fatalf("%s timeslice: %v", step.op, err)
 		}
@@ -233,7 +233,7 @@ func TestWALReplayPublishesFreshView(t *testing.T) {
 	if e2.Epoch() == 0 {
 		t.Fatal("replayed entry has epoch 0")
 	}
-	res, err := e2.CurrentCtx(context.Background())
+	res, err := currentCtx(context.Background(), e2)
 	if err != nil {
 		t.Fatalf("current: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestTimesliceAsOfReportsWhatItVisited(t *testing.T) {
 		{"as of before chunk 1", els[256].TTStart - 1, 1 + 1, false},
 	} {
 		before := e.PlanStats()["full-scan"]
-		res, err := e.TimesliceAsOfCtx(context.Background(), at.VT.Start(), tc.tt)
+		res, err := timesliceAsOfCtx(context.Background(), e, at.VT.Start(), tc.tt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.what, err)
 		}
@@ -286,7 +286,7 @@ func TestTimesliceAsOfReportsWhatItVisited(t *testing.T) {
 		if found := len(res.Elements) == 1 && res.Elements[0].ES == at.ES && res.Elements[0].TTEnd == at.TTEnd && reflect.DeepEqual(*res.Elements[0], *at); found != tc.found || len(res.Elements) > 1 || res.Touched != tc.touched {
 			t.Fatalf("%s: %d elements, touched %d; want found %v, touched %d", tc.what, len(res.Elements), res.Touched, tc.found, tc.touched)
 		}
-		again, _ := e.TimesliceAsOfCtx(context.Background(), at.VT.Start(), tc.tt)
+		again, _ := timesliceAsOfCtx(context.Background(), e, at.VT.Start(), tc.tt)
 		after := e.PlanStats()["full-scan"]
 		if again.Touched != tc.touched || after.Queries != before.Queries+2 || after.Touched != before.Touched+int64(tc.touched) {
 			t.Fatalf("%s: books moved %+v -> %+v over a scan touching %d and a cache hit", tc.what, before, after, tc.touched)
@@ -367,7 +367,7 @@ func TestSnapshotReadStress(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 6 {
 				case 0:
-					res, err := e.CurrentCtx(ctx)
+					res, err := currentCtx(ctx, e)
 					if err != nil {
 						t.Errorf("current: %v", err)
 						return
@@ -379,17 +379,17 @@ func TestSnapshotReadStress(t *testing.T) {
 						}
 					}
 				case 1:
-					if _, err := e.TimesliceCtx(ctx, chronon.Chronon(i%7)); err != nil {
+					if _, err := timesliceCtx(ctx, e, chronon.Chronon(i%7)); err != nil {
 						t.Errorf("timeslice: %v", err)
 						return
 					}
 				case 2:
-					if _, err := e.RollbackCtx(ctx, chronon.Chronon(10*i)); err != nil {
+					if _, err := rollbackCtx(ctx, e, chronon.Chronon(10*i)); err != nil {
 						t.Errorf("rollback: %v", err)
 						return
 					}
 				case 3:
-					if _, err := e.TimesliceAsOfCtx(ctx, chronon.Chronon(i%7), chronon.Chronon(10*i)); err != nil {
+					if _, err := timesliceAsOfCtx(ctx, e, chronon.Chronon(i%7), chronon.Chronon(10*i)); err != nil {
 						t.Errorf("asof: %v", err)
 						return
 					}
@@ -431,7 +431,7 @@ func TestSnapshotReadStress(t *testing.T) {
 	wg.Wait()
 
 	// The final view reconciles: live count equals inserts minus deletes.
-	res, err := e.CurrentCtx(ctx)
+	res, err := currentCtx(ctx, e)
 	if err != nil {
 		t.Fatalf("final current: %v", err)
 	}
@@ -554,7 +554,7 @@ func TestOlderViewNeverDisplacesAFresherResult(t *testing.T) {
 					t.Errorf("%q on epoch %d: not the definition's answer (%v)", src, v.epoch, err)
 					return
 				}
-				ts, err := e.TimesliceCtx(ctx, chronon.Chronon(10*(i%40)))
+				ts, err := timesliceCtx(ctx, e, chronon.Chronon(10*(i%40)))
 				if err != nil {
 					t.Error(err)
 					return

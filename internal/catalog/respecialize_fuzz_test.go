@@ -83,7 +83,7 @@ func FuzzRespecializeReplay(f *testing.F) {
 		}
 
 		want := e.Physical()
-		curWant, err := e.CurrentCtx(context.Background())
+		curWant, err := currentCtx(context.Background(), e)
 		if err != nil {
 			t.Fatalf("current: %v", err)
 		}
@@ -119,7 +119,7 @@ func FuzzRespecializeReplay(f *testing.F) {
 		if len(got.Adopted) != len(want.Adopted) {
 			t.Fatalf("replayed adopted %v, want %v", got.Adopted, want.Adopted)
 		}
-		cur, err := e2.CurrentCtx(context.Background())
+		cur, err := currentCtx(context.Background(), e2)
 		if err != nil {
 			t.Fatalf("replayed current: %v", err)
 		}
@@ -127,7 +127,7 @@ func FuzzRespecializeReplay(f *testing.F) {
 	})
 }
 
-func sameElementsFuzz(t *testing.T, a, b QueryResult) {
+func sameElementsFuzz(t *testing.T, a, b answered) {
 	t.Helper()
 	ka, kb := resultKey(a), resultKey(b)
 	if len(ka) != len(kb) {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/plan"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tx"
@@ -43,7 +44,7 @@ func degenerateInserts(t testing.TB, e *Entry, n int) {
 
 // resultKey flattens a query result into a canonical, order-independent
 // form so pre- and post-migration answers can be compared byte for byte.
-func resultKey(res QueryResult) []string {
+func resultKey(res answered) []string {
 	keys := make([]string, len(res.Elements))
 	for i, el := range res.Elements {
 		keys[i] = fmt.Sprintf("%v|%v|%v|%v", el.ES, el.VT, el.TTStart, el.TTEnd)
@@ -52,7 +53,7 @@ func resultKey(res QueryResult) []string {
 	return keys
 }
 
-func sameElements(t *testing.T, what string, a, b QueryResult) {
+func sameElements(t *testing.T, what string, a, b answered) {
 	t.Helper()
 	ka, kb := resultKey(a), resultKey(b)
 	if len(ka) != len(kb) {
@@ -83,9 +84,9 @@ func TestRespecializeInferredMigration(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	tsBefore, _ := e.TimesliceCtx(ctx, 250)
-	rbBefore, _ := e.RollbackCtx(ctx, 250)
-	curBefore, _ := e.CurrentCtx(ctx)
+	tsBefore, _ := timesliceCtx(ctx, e, 250)
+	rbBefore, _ := rollbackCtx(ctx, e, 250)
+	curBefore, _ := currentCtx(ctx, e)
 
 	rep, err := c.AdvisePass(DefaultAdvisorConfig())
 	if err != nil {
@@ -118,9 +119,9 @@ func TestRespecializeInferredMigration(t *testing.T) {
 		t.Fatalf("adopted classes %v lack Degenerate", after.Adopted)
 	}
 
-	tsAfter, _ := e.TimesliceCtx(ctx, 250)
-	rbAfter, _ := e.RollbackCtx(ctx, 250)
-	curAfter, _ := e.CurrentCtx(ctx)
+	tsAfter, _ := timesliceCtx(ctx, e, 250)
+	rbAfter, _ := rollbackCtx(ctx, e, 250)
+	curAfter, _ := currentCtx(ctx, e)
 	sameElements(t, "timeslice", tsBefore, tsAfter)
 	sameElements(t, "rollback", rbBefore, rbAfter)
 	sameElements(t, "current", curBefore, curAfter)
@@ -188,8 +189,8 @@ func TestRespecializeCompactionSealsRuns(t *testing.T) {
 
 	ctx := context.Background()
 	probeVT := chronon.Chronon(10 * (n / 3))
-	tsBefore, _ := e.TimesliceCtx(ctx, probeVT)
-	rbBefore, _ := e.RollbackCtx(ctx, probeVT)
+	tsBefore, _ := timesliceCtx(ctx, e, probeVT)
+	rbBefore, _ := rollbackCtx(ctx, e, probeVT)
 
 	rep, err := c.AdvisePass(DefaultAdvisorConfig())
 	if err != nil {
@@ -209,14 +210,14 @@ func TestRespecializeCompactionSealsRuns(t *testing.T) {
 		t.Fatalf("sealed runs report no packed bytes: %+v", phys.Compaction)
 	}
 
-	tsAfter, _ := e.TimesliceCtx(ctx, probeVT)
-	rbAfter, _ := e.RollbackCtx(ctx, probeVT)
+	tsAfter, _ := timesliceCtx(ctx, e, probeVT)
+	rbAfter, _ := rollbackCtx(ctx, e, probeVT)
 	sameElements(t, "timeslice over sealed runs", tsBefore, tsAfter)
 	sameElements(t, "rollback over sealed runs", rbBefore, rbAfter)
 
 	// Inserts after sealing land in the mutable tail and stay queryable.
 	degenerateInserts(t, e, 5)
-	cur, _ := e.CurrentCtx(ctx)
+	cur, _ := currentCtx(ctx, e)
 	if len(cur.Elements) != n+5 {
 		t.Fatalf("current after post-seal inserts = %d, want %d", len(cur.Elements), n+5)
 	}
@@ -248,7 +249,7 @@ func TestRespecializeAdoptionRevokedByViolatingInsert(t *testing.T) {
 	if phys.Org == storage.VTOrdered {
 		t.Fatalf("org still %v after the observed order was violated", phys.Org)
 	}
-	cur, _ := e.CurrentCtx(context.Background())
+	cur, _ := currentCtx(context.Background(), e)
 	found := false
 	for _, got := range cur.Elements {
 		if got.ES == el.ES {
@@ -312,12 +313,7 @@ func TestOverlappingIntervalDegradesTheVTOrderedLabel(t *testing.T) {
 		span(6030+10*i, 6035+10*i)
 	}
 	for _, at := range []chronon.Chronon{7000, 8999} {
-		want := 0
-		for _, el := range current(e).Elements {
-			if el.ValidAt(at) {
-				want++
-			}
-		}
+		want := len(refmodel.Timeslice(e.view.Load().elems(), at))
 		if got := timeslice(e, at); len(got.Elements) != want || want == 0 {
 			t.Fatalf("timeslice at %d: %d elements, %d valid there", at, len(got.Elements), want)
 		}
@@ -348,7 +344,7 @@ func TestRespecializeSurvivesWALReplay(t *testing.T) {
 	}
 	degenerateInserts(t, e, 4) // mutations after the migration frame
 	want := e.Physical()
-	curWant, _ := e.CurrentCtx(context.Background())
+	curWant, _ := currentCtx(context.Background(), e)
 	if err := wlog.Close(); err != nil {
 		t.Fatalf("wal close: %v", err)
 	}
@@ -380,7 +376,7 @@ func TestRespecializeSurvivesWALReplay(t *testing.T) {
 	if len(got.Adopted) != len(want.Adopted) {
 		t.Fatalf("replayed adopted %v, want %v", got.Adopted, want.Adopted)
 	}
-	cur, _ := e2.CurrentCtx(context.Background())
+	cur, _ := currentCtx(context.Background(), e2)
 	sameElements(t, "current across replay", curWant, cur)
 }
 
@@ -458,7 +454,7 @@ func TestFollowerAdoptsReplicatedRespecialize(t *testing.T) {
 	}
 	degenerateInserts(t, e, 4)
 	want := e.Physical()
-	curWant, _ := e.CurrentCtx(context.Background())
+	curWant, _ := currentCtx(context.Background(), e)
 
 	recs, _, err := wlog.IterateFrom(1, 100_000)
 	if err != nil {
@@ -493,7 +489,7 @@ func TestFollowerAdoptsReplicatedRespecialize(t *testing.T) {
 		t.Fatalf("follower design org %v (%s) migrations %d, want %v (%s) %d",
 			got.Org, got.Source, got.Migrations, want.Org, want.Source, want.Migrations)
 	}
-	cur, _ := fe.CurrentCtx(context.Background())
+	cur, _ := currentCtx(context.Background(), fe)
 	sameElements(t, "follower current", curWant, cur)
 }
 
@@ -549,17 +545,17 @@ func TestRespecializeConcurrentStress(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					if _, err := e.TimesliceCtx(ctx, chronon.Chronon(10*(i%seed+1))); err != nil {
+					if _, err := timesliceCtx(ctx, e, chronon.Chronon(10*(i%seed+1))); err != nil {
 						t.Errorf("reader %d timeslice: %v", r, err)
 						return
 					}
 				case 1:
-					if _, err := e.RollbackCtx(ctx, chronon.Chronon(10*(i%seed+1))); err != nil {
+					if _, err := rollbackCtx(ctx, e, chronon.Chronon(10*(i%seed+1))); err != nil {
 						t.Errorf("reader %d rollback: %v", r, err)
 						return
 					}
 				default:
-					if _, err := e.CurrentCtx(ctx); err != nil {
+					if _, err := currentCtx(ctx, e); err != nil {
 						t.Errorf("reader %d current: %v", r, err)
 						return
 					}
@@ -594,7 +590,7 @@ func TestRespecializeConcurrentStress(t *testing.T) {
 	close(stop)     // then release the readers
 	observers.Wait()
 
-	cur, err := e.CurrentCtx(ctx)
+	cur, err := currentCtx(ctx, e)
 	if err != nil {
 		t.Fatalf("final current: %v", err)
 	}
@@ -705,20 +701,12 @@ func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
 			t.Fatalf("version %d stamped %v after %v", i, acked[i].TTStart, acked[i-1].TTStart)
 		}
 	}
-	model := func(keep func(*element.Element) bool) []string {
-		var out QueryResult
-		for _, v := range acked {
-			if keep(v) {
-				out.Elements = append(out.Elements, v)
-			}
-		}
-		return resultKey(out)
-	}
+	model := func(els []*element.Element) []string { return resultKey(answered{Elements: els}) }
 	cut := el.TTStart - 1 // just before the restart
 	want := map[string][]string{
-		"current":   model(func(v *element.Element) bool { return v.Current() }),
-		"timeslice": model(func(v *element.Element) bool { return v.Current() && v.ValidAt(5) }),
-		"rollback":  model(func(v *element.Element) bool { return v.PresentAt(cut) }),
+		"current":   model(refmodel.Current(acked)),
+		"timeslice": model(refmodel.Timeslice(acked, 5)),
+		"rollback":  model(refmodel.Rollback(acked, cut)),
 	}
 
 	// A crash, a reboot over the snapshot and the log, and a follower fed the
@@ -817,10 +805,8 @@ func TestBackwardClockUnderDeclaredBoundKeepsThePushdown(t *testing.T) {
 	})
 	for _, span := range [][2]chronon.Chronon{{5, 6}, {0, 11}, {10, 11}, {7, 8}, {0, 1 << 20}, {150, 190}, {200, 201}} {
 		var want []string
-		for _, el := range versions {
-			if c, _ := el.VT.Event(); el.Current() && span[0] <= c && c < span[1] {
-				want = append(want, fmt.Sprint(el.ES))
-			}
+		for _, el := range refmodel.VTRange(versions, span[0], span[1]) {
+			want = append(want, fmt.Sprint(el.ES))
 		}
 		var got []string
 		for _, el := range v.engine.VTRange(span[0], span[1]).Elements {

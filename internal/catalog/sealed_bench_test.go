@@ -64,7 +64,7 @@ func BenchmarkSealedPaths(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			vt := chronon.Chronon(10 * ((i * 7919) % n))
-			if res, err := e.TimesliceCtx(ctx, vt); err != nil || len(res.Elements) != 1 {
+			if res, err := timesliceCtx(ctx, e, vt); err != nil || len(res.Elements) != 1 {
 				b.Fatalf("time-slice at %v: %d elements, %v", vt, len(res.Elements), err)
 			}
 		}
@@ -76,7 +76,7 @@ func BenchmarkSealedPaths(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The first 1–512 versions: a stretch of the two first chunks.
 			tt := chronon.Chronon(10 * (3 + i%512))
-			if _, err := e.RollbackCtx(ctx, tt); err != nil {
+			if _, err := rollbackCtx(ctx, e, tt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -95,11 +95,11 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	reads := func() map[surrogate.Surrogate]bool {
 		t.Helper()
 		named := make(map[surrogate.Surrogate]bool)
-		for _, read := range []func() (QueryResult, error){
-			func() (QueryResult, error) { return e.CurrentCtx(ctx) },
-			func() (QueryResult, error) { return e.TimesliceCtx(ctx, 100) },
-			func() (QueryResult, error) { return e.RollbackCtx(ctx, chronon.Chronon(1<<40)) },
-			func() (QueryResult, error) { return e.TimesliceAsOfCtx(ctx, 150, chronon.Chronon(1<<40)) },
+		for _, read := range []func() (answered, error){
+			func() (answered, error) { return currentCtx(ctx, e) },
+			func() (answered, error) { return timesliceCtx(ctx, e, 100) },
+			func() (answered, error) { return rollbackCtx(ctx, e, chronon.Chronon(1<<40)) },
+			func() (answered, error) { return timesliceAsOfCtx(ctx, e, 150, chronon.Chronon(1<<40)) },
 		} {
 			res, err := read()
 			if err != nil {

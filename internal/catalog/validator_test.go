@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/plan"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
@@ -142,14 +143,10 @@ func elementKeys(t testing.TB, els []*element.Element) string {
 	return strings.Join(keys, ";")
 }
 
-func filterView(t testing.TB, v *readView, keep func(*element.Element) bool) string {
-	var out []*element.Element
-	for _, el := range storage.Elements(v.engine.Store()) {
-		if keep(el) {
-			out = append(out, el)
-		}
-	}
-	return elementKeys(t, out)
+// defineView answers a query by its definition over a plain scan of the
+// pinned view's store.
+func defineView(t testing.TB, v *readView, defined func([]*element.Element) []*element.Element) string {
+	return elementKeys(t, defined(storage.Elements(v.engine.Store())))
 }
 
 // probesFor builds the query palette of one relation: the four query kinds,
@@ -164,10 +161,10 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 	pick := func(from []int64) int64 { return from[rng.Intn(len(from))] }
 	ctx := context.Background()
 	var ps []probe
-	kind := func(name string, fp plan.Query, run func(e *Entry) QueryResult, keep func(*element.Element) bool) {
+	kind := func(name string, fp plan.Query, defined func([]*element.Element) []*element.Element) {
 		ps = append(ps, probe{name: name, fp: fp,
 			answer: func(e *Entry) (string, uint64) {
-				r := run(e)
+				r, _ := answerCtx(ctx, e, fp)
 				// The body as the server sends it — spliced from chunk images
 				// named at the view the answer is served on — is the body the
 				// elements encode to.
@@ -180,21 +177,18 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 				}
 				return elementKeys(t, r.Elements), r.Epoch
 			},
-			oracle: func(v *readView) string { return filterView(t, v, keep) }})
+			oracle: func(v *readView) string { return defineView(t, v, defined) }})
 	}
-	kind("current", plan.Query{Kind: plan.QCurrent}, current, (*element.Element).Current)
+	kind("current", plan.Query{Kind: plan.QCurrent}, refmodel.Current)
 	for range 3 {
 		vt := chronon.Chronon(pick(vts))
 		kind(fmt.Sprintf("timeslice %d", vt), plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1},
-			func(e *Entry) QueryResult { return timeslice(e, vt) },
-			func(el *element.Element) bool { return el.Current() && el.ValidAt(vt) })
+			func(els []*element.Element) []*element.Element { return refmodel.Timeslice(els, vt) })
 		tt := chronon.Chronon(pick(tts))
 		kind(fmt.Sprintf("rollback %d", tt), plan.Query{Kind: plan.QRollback, TT: int64(tt)},
-			func(e *Entry) QueryResult { return rollback(e, tt) },
-			func(el *element.Element) bool { return el.PresentAt(tt) })
+			func(els []*element.Element) []*element.Element { return refmodel.Rollback(els, tt) })
 		kind(fmt.Sprintf("asof %d %d", vt, tt), plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)},
-			func(e *Entry) QueryResult { return timesliceAsOf(e, vt, tt) },
-			func(el *element.Element) bool { return el.PresentAt(tt) && el.ValidAt(vt) })
+			func(els []*element.Element) []*element.Element { return refmodel.AsOf(els, vt, tt) })
 	}
 	stmt := func(src string) {
 		q, err := tsql.Parse(src)

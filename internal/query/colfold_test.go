@@ -18,12 +18,12 @@ import (
 )
 
 // colFoldCase is one random history on the vt-ordered log and one statement
-// over it, for the column fold's oracle: full chunks sealed, the tail left
-// elements, some versions closed; event or interval stamps; invariant,
-// varying and user-time columns of one kind each — int, float (NaN and −0
-// among them), string (a few distinct ones, so the arena shares them),
-// bool or time — with nulls and, in some histories, values of a second
-// kind, so that sums meet floats and extremes meet other kinds.
+// over it, for the column fold's oracle: full chunks and a partial tail,
+// all of them columns, some versions closed; event or interval stamps;
+// invariant, varying and user-time columns of one kind each — int, float
+// (NaN and −0 among them), string (a few distinct ones, so the arena shares
+// them), bool or time — with nulls and, in some histories, values of a
+// second kind, so that sums meet floats and extremes meet other kinds.
 type colFoldCase struct {
 	st    *storage.RunStore
 	event bool
@@ -214,12 +214,12 @@ func newColFoldCase(rng *rand.Rand) colFoldCase {
 	return colFoldCase{st: st, event: event, spec: spec}
 }
 
-// checkColumnFold folds c's store chunk by chunk twice — sealed chunks from
-// their columns (ConsumeCols), and every chunk from its elements, the sealed
-// ones materialized (ConsumeRows) — and requires the same error text, the
-// same rows visited and the same cells bit for bit after every chunk; then
-// the engine's fold, with no memo and with a cold and a warm one, to equal
-// the definition. It reports how many sealed chunks it folded, and the
+// checkColumnFold folds c's store chunk by chunk twice — every chunk, the
+// partial tail included, from its columns (ConsumeCols), and from its
+// elements materialized (ConsumeRows) — and requires the same error text,
+// the same rows visited and the same cells bit for bit after every chunk;
+// then the engine's fold, with no memo and with a cold and a warm one, to
+// equal the definition. It reports how many full chunks it folded, and the
 // error both folds stopped at.
 func checkColumnFold(t testing.TB, c colFoldCase) (sealed int, stop error) {
 	t.Helper()
@@ -244,21 +244,16 @@ func checkColumnFold(t testing.TB, c colFoldCase) (sealed int, stop error) {
 	}
 	r := storage.NewBatchReader(c.st, c.event)
 	for stop == nil {
-		if _, ok := r.Advance(); !ok {
+		u, ok := r.Advance()
+		if !ok {
 			break
 		}
-		view := r.Cols()
-		if view != nil {
+		if u.Run >= 0 {
 			sealed++
 		}
 		for i := range pairs {
 			p := &pairs[i]
-			var cerr error
-			if view != nil {
-				cerr = p.cols.ConsumeCols(view, &p.cs)
-			} else {
-				cerr = p.cols.ConsumeRows(r.Rows(), &p.cs)
-			}
+			cerr := p.cols.ConsumeCols(r.Cols(), &p.cs)
 			rerr := p.rows.ConsumeRows(r.Rows(), &p.rs)
 			if fmt.Sprint(cerr) != fmt.Sprint(rerr) {
 				t.Fatalf("column fold's error %v, row fold's %v", cerr, rerr)
@@ -313,11 +308,11 @@ func TestColumnFoldIsTheRowFold(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d sealed chunks folded; stopped at errors %v", sealed, stops)
-	// The histories reach what they are for: sealed chunks, and each kind
-	// of error the folds must agree on.
+	t.Logf("%d full chunks folded; stopped at errors %v", sealed, stops)
+	// The histories reach what they are for: full chunks, and each kind of
+	// error the folds must agree on.
 	if sealed < 150 || stops["mixed"] == 0 || stops["mixed int and float"] == 0 || stops["windows"] == 0 || stops["residual"] == 0 {
-		t.Fatalf("%d sealed chunks folded; stopped at errors %v", sealed, stops)
+		t.Fatalf("%d full chunks folded; stopped at errors %v", sealed, stops)
 	}
 }
 

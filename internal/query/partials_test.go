@@ -9,6 +9,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/qcache"
+	"repro/internal/refmodel"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/vec"
@@ -391,11 +392,9 @@ func TestGroupPartials(t *testing.T) {
 	// every chunk's content: the catalog keys the memo by store generation,
 	// so the rebuilt store starts from nothing and learns its groups anew.
 	vacuumed := storage.NewVTLog()
-	for _, e := range storage.Elements(st) {
-		if e.Current() {
-			if err := vacuumed.Insert(e); err != nil {
-				t.Fatal(err)
-			}
+	for _, e := range refmodel.Current(storage.Elements(st)) {
+		if err := vacuumed.Insert(e); err != nil {
+			t.Fatal(err)
 		}
 	}
 	vacuumed.Compact()

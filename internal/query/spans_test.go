@@ -10,6 +10,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/element"
 	"repro/internal/plan"
+	"repro/internal/refmodel"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/wire"
@@ -116,7 +117,7 @@ func TestSpansAcrossTheOrganizations(t *testing.T) {
 // columns under each label, the chunks that fill under the lower labels seal
 // as they fill, and every query kind — the current state, time-slices,
 // valid-time ranges, rollbacks, as-of reads and the bounded pushdown —
-// answers what a filter over the flat list of versions does, version for
+// answers what the definition (refmodel) does over the flat list of versions, version for
 // version. Every version lies within −2000 ≤ vt − tt⊢ ≤ 0, the bound the
 // pushdown is given.
 func TestRelabelDownKeepsColumns(t *testing.T) {
@@ -154,22 +155,14 @@ func TestRelabelDownKeepsColumns(t *testing.T) {
 				t.Fatalf("%s: full chunk %d is elements", label, k)
 			}
 		}
-		filter := func(keep func(e *element.Element) bool) (out []*element.Element) {
-			for _, e := range flat {
-				if keep(e) {
-					out = append(out, e)
-				}
-			}
-			return out
-		}
 		same := func(what string, got, want []*element.Element) {
 			t.Helper()
 			if len(got) != len(want) {
-				t.Fatalf("%s, %s: %d versions, the filter %d", label, what, len(got), len(want))
+				t.Fatalf("%s, %s: %d versions, the definition %d", label, what, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].ES != want[i].ES || got[i].TTEnd != want[i].TTEnd || !reflect.DeepEqual(*got[i], *want[i]) {
-					t.Fatalf("%s, %s: version %d is %v, the filter's %v", label, what, i, got[i], want[i])
+					t.Fatalf("%s, %s: version %d is %v, the definition's %v", label, what, i, got[i], want[i])
 				}
 			}
 		}
@@ -177,32 +170,27 @@ func TestRelabelDownKeepsColumns(t *testing.T) {
 		if err := en.UseVTOffsetBounds(-2000, 0); err != nil {
 			t.Fatal(err)
 		}
-		same("current", en.Current().Elements, filter((*element.Element).Current))
+		same("current", en.Current().Elements, refmodel.Current(flat))
 		found := 0
 		for _, i := range []int{0, 100, len(flat) / 3, len(flat) / 2, len(flat) - 5} {
 			vt := flat[i].VT.Start()
 			found += len(en.Timeslice(vt).Elements)
-			same(fmt.Sprint("time-slice at ", vt), en.Timeslice(vt).Elements,
-				filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(vt) }))
-			same(fmt.Sprint("vt-range from ", vt), en.VTRange(vt, vt+700).Elements,
-				filter(func(e *element.Element) bool { return e.Current() && storage.ValidDuring(e, vt, vt+700) }))
+			same(fmt.Sprint("time-slice at ", vt), en.Timeslice(vt).Elements, refmodel.Timeslice(flat, vt))
+			same(fmt.Sprint("vt-range from ", vt), en.VTRange(vt, vt+700).Elements, refmodel.VTRange(flat, vt, vt+700))
 			a, _ := st.Pushdown(vt, vt+699+2000, vt, vt+700)
-			same(fmt.Sprint("pushdown from ", vt), a.Elements(),
-				filter(func(e *element.Element) bool { return e.Current() && storage.ValidDuring(e, vt, vt+700) }))
+			same(fmt.Sprint("pushdown from ", vt), a.Elements(), refmodel.VTRange(flat, vt, vt+700))
 		}
 		if found == 0 {
 			t.Fatalf("%s: no time-slice found a version; the check compares empty answers", label)
 		}
 		for _, at := range []chronon.Chronon{5, tt / 3, tt / 2, tt} {
-			same(fmt.Sprint("rollback to ", at), en.Rollback(at).Elements,
-				filter(func(e *element.Element) bool { return e.PresentAt(at) }))
+			same(fmt.Sprint("rollback to ", at), en.Rollback(at).Elements, refmodel.Rollback(flat, at))
 			vt := flat[len(flat)/3].VT.Start()
 			a, _, err := storage.AsOf(context.Background(), st, vt, at)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprint("as of ", at), a.Elements(),
-				filter(func(e *element.Element) bool { return e.PresentAt(at) && e.ValidAt(vt) }))
+			same(fmt.Sprint("as of ", at), a.Elements(), refmodel.AsOf(flat, vt, at))
 		}
 	}
 	for i := 0; i < 3*storage.ChunkSize+50; i++ {

@@ -1,12 +1,12 @@
 package relation
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/tx"
@@ -458,76 +458,27 @@ func (r *Relation) Inserted(es []surrogate.Surrogate) []*element.Element {
 // Current returns the current historical state: all elements that have not
 // been logically deleted, in insertion order. This is the paper's "current
 // query" — the only query a conventional database system supports.
-func (r *Relation) Current() []*element.Element { return r.filter((*element.Element).Current) }
-
-// filter returns the versions keep accepts, in insertion order; nil when
-// none does.
-func (r *Relation) filter(keep func(*element.Element) bool) []*element.Element {
-	var out []*element.Element
-	r.versions.Scan(func(e *element.Element) bool {
-		if keep(e) {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
+func (r *Relation) Current() []*element.Element { return refmodel.Current(r.Versions()) }
 
 // Rollback reconstructs the historical state at transaction time tt: the
 // elements whose existence interval contains tt. This is the rollback
-// operator of [BZ82, Sch77] cited in §2. The backlog is in tt order, so the
-// reconstruction scans only the prefix of insertions with tt⊢ <= tt.
+// operator of [BZ82, Sch77] cited in §2.
 func (r *Relation) Rollback(tt chronon.Chronon) []*element.Element {
-	// versions is sorted by TTStart; binary search for the prefix end.
-	n := r.versions.SearchTT(tt, false)
-	var out []*element.Element
-	for i := range n {
-		if tt < r.versions.TTEndAt(i) {
-			out = append(out, r.versions.At(i))
-		}
-	}
-	return out
+	return refmodel.Rollback(r.Versions(), tt)
 }
 
 // Timeslice answers the paper's "historical query": the elements of the
 // current state whose facts are valid at vt (the time-slice operator of
 // [BZ82, JMS79]).
 func (r *Relation) Timeslice(vt chronon.Chronon) []*element.Element {
-	return r.filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(vt) })
+	return refmodel.Timeslice(r.Versions(), vt)
 }
 
 // TimesliceAsOf is the combined bitemporal query: the elements of the
 // historical state as stored at transaction time tt whose facts are valid
 // at vt.
 func (r *Relation) TimesliceAsOf(vt, tt chronon.Chronon) []*element.Element {
-	out, _ := r.TimesliceAsOfCtx(context.Background(), vt, tt)
-	return out
-}
-
-// cancelCheckEvery is how many elements a cooperative scan examines
-// between context checks — frequent enough that a cancelled caller stops
-// burning CPU promptly, rare enough to cost nothing per element.
-const cancelCheckEvery = 1024
-
-// TimesliceAsOfCtx is TimesliceAsOf with cooperative cancellation: the
-// scan re-checks ctx every cancelCheckEvery elements and returns ctx's
-// error mid-scan when the caller has given up. It is the two-dimension
-// full scan no physical organization indexes, hence the catalog's most
-// expensive read and the one worth interrupting.
-func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) ([]*element.Element, error) {
-	var out []*element.Element
-	var e element.Element
-	for i := range r.versions.Len() {
-		if i%cancelCheckEvery == cancelCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if r.versions.StampAt(i, &e); e.PresentAt(tt) && e.ValidAt(vt) {
-			out = append(out, r.versions.At(i))
-		}
-	}
-	return out, nil
+	return refmodel.AsOf(r.Versions(), vt, tt)
 }
 
 // History returns the life-line of an object: every element version with
@@ -535,7 +486,7 @@ func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon)
 // of [SK86] cited in §2). It is read off the versions on demand:
 // O(versions), and the slice is the caller's.
 func (r *Relation) History(os surrogate.Surrogate) []*element.Element {
-	return r.filter(func(e *element.Element) bool { return e.OS == os })
+	return refmodel.History(r.Versions(), os)
 }
 
 // Objects returns the object surrogates present in the relation, in

@@ -14,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/repl"
 	"repro/internal/tx"
@@ -240,10 +241,10 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 		t.Fatalf("follower Get: %v", err)
 	}
 	pe, _ := pcat.Get("emp")
-	want, _ := pe.CurrentCtx(context.Background())
-	got, _ := fe.CurrentCtx(context.Background())
-	if len(got.Elements) != len(want.Elements) {
-		t.Fatalf("follower holds %d current elements, want %d", len(got.Elements), len(want.Elements))
+	want, _ := pe.AnswerCtx(context.Background(), plan.Query{Kind: plan.QCurrent})
+	got, _ := fe.AnswerCtx(context.Background(), plan.Query{Kind: plan.QCurrent})
+	if len(got.Answer().Elements()) != len(want.Answer().Elements()) {
+		t.Fatalf("follower holds %d current elements, want %d", len(got.Answer().Elements()), len(want.Answer().Elements()))
 	}
 	if !fe.HasIdemKey(idemKey) {
 		t.Fatal("follower dedup window is missing the shipped idempotency key")

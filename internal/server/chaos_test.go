@@ -38,6 +38,7 @@ import (
 
 	"repro/client"
 	"repro/internal/catalog"
+	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/tx"
 	"repro/internal/wal"
@@ -293,11 +294,11 @@ func TestChaosIdempotentRetryPoisonAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after recovery: %v", err)
 	}
-	res, err := e2.CurrentCtx(context.Background())
+	res, err := e2.AnswerCtx(context.Background(), plan.Query{Kind: plan.QCurrent})
 	if err != nil {
 		t.Fatalf("current after recovery: %v", err)
 	}
-	cur := res.Elements
+	cur := res.Answer().Elements()
 	if len(cur) != len(acked) {
 		t.Fatalf("recovered %d current elements, want %d acked", len(cur), len(acked))
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/client"
 	"repro/internal/catalog"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/tx"
@@ -147,11 +148,11 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after reopen: %v", err)
 	}
-	res, err := e2.CurrentCtx(context.Background())
+	res, err := e2.AnswerCtx(context.Background(), plan.Query{Kind: plan.QCurrent})
 	if err != nil {
 		t.Fatalf("current after reopen: %v", err)
 	}
-	if got := len(res.Elements); got != 2 {
+	if got := len(res.Answer().Elements()); got != 2 {
 		t.Fatalf("recovered %d current elements, want 2 acked", got)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -113,13 +114,13 @@ func bootImagesNodes(t *testing.T, clock func() tx.Clock) (primary, follower ima
 	}
 }
 
-// plainQueryBody is the oracle: the response res must go out as, with every
-// element written by AppendElement and the rest of the document by
-// encoding/json.
-func plainQueryBody(t *testing.T, res catalog.QueryResult) []byte {
+// plainQueryBody is the oracle: the response to the query res answered
+// must go out as els — the definition's answer — with every element written
+// by AppendElement and the rest of the document, from res, by encoding/json.
+func plainQueryBody(t *testing.T, els []*element.Element, res catalog.QueryResult) []byte {
 	t.Helper()
 	out := []byte(`{"elements":[`)
-	for i, e := range res.Elements {
+	for i, e := range els {
 		if i > 0 {
 			out = append(out, ',')
 		}
@@ -143,20 +144,36 @@ type imagesQuery struct {
 }
 
 func (q imagesQuery) run(ctx context.Context, e *catalog.Entry) (catalog.QueryResult, error) {
+	pq := plan.Query{Kind: plan.QAsOf, VTLo: q.vt, TT: q.tt}
 	switch q.kind {
 	case wire.QueryCurrent:
-		return e.CurrentCtx(ctx)
+		pq = plan.Query{Kind: plan.QCurrent}
 	case wire.QueryTimeslice:
-		return e.TimesliceCtx(ctx, chronon.Chronon(q.vt))
+		pq = plan.Query{Kind: plan.QTimeslice, VTLo: q.vt, VTHi: q.vt + 1}
 	case wire.QueryRollback:
-		return e.RollbackCtx(ctx, chronon.Chronon(q.tt))
+		pq = plan.Query{Kind: plan.QRollback, TT: q.tt}
 	}
-	return e.TimesliceAsOfCtx(ctx, chronon.Chronon(q.vt), chronon.Chronon(q.tt))
+	return e.AnswerCtx(ctx, pq)
+}
+
+// defined is the definition's answer to q: the relation's own query, which
+// is refmodel's over its versions and shares no search with the engine.
+func (q imagesQuery) defined(e *catalog.Entry) []*element.Element {
+	l, vt, tt := e.Locked(), chronon.Chronon(q.vt), chronon.Chronon(q.tt)
+	switch q.kind {
+	case wire.QueryCurrent:
+		return l.Current()
+	case wire.QueryTimeslice:
+		return l.Timeslice(vt)
+	case wire.QueryRollback:
+		return l.Rollback(tt)
+	}
+	return l.TimesliceAsOf(vt, tt)
 }
 
 // checkSplicedBytes asks node every query twice over HTTP — the second
 // answer comes from the result cache and resolves its images anew — and
-// holds both bodies to the oracle over the catalog's own result.
+// holds both bodies to the definition's answer, encoded.
 func checkSplicedBytes(t *testing.T, state string, node imagesNode, queries []imagesQuery) {
 	t.Helper()
 	ctx := context.Background()
@@ -182,7 +199,7 @@ func checkSplicedBytes(t *testing.T, state string, node imagesNode, queries []im
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := plainQueryBody(t, res)
+		want := plainQueryBody(t, q.defined(e), res)
 		for i, got := range bodies {
 			if !bytes.Equal(got, want) {
 				at := 0
@@ -396,11 +413,11 @@ func TestLargeSplicedAnswerIsStreamed(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ { // cold, from the result cache, and again
 		rec := read()
-		res, err := e.CurrentCtx(context.Background())
+		res, err := e.AnswerCtx(context.Background(), plan.Query{Kind: plan.QCurrent})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := plainQueryBody(t, res)
+		want := plainQueryBody(t, e.Locked().Current(), res)
 		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != fmt.Sprint(len(want)) || len(want) < 1<<20 {
 			t.Fatalf("round %d: status %d, %d bytes under Content-Length %s; the encoded scan is %d bytes",
 				round, rec.Code, rec.Body.Len(), rec.Header().Get("Content-Length"), len(want))

@@ -204,9 +204,10 @@ func (errInterval) Error() string {
 	return "storage: indexed event store cannot hold interval-stamped elements"
 }
 
-// Timeslice answers via the index.
+// Timeslice answers via the index, over [vt, vt+1) unsaturated as
+// RunStore.Timeslice does.
 func (s *IndexedEventStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt.Add(1))
+	return s.VTRange(vt, vt+1)
 }
 
 // VTRange answers via the index.

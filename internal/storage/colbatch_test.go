@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/surrogate"
 	"repro/internal/vec"
 )
@@ -154,8 +155,8 @@ func TestBatchReaderZoneMapSkips(t *testing.T) {
 			if r.Skipped() != tc.skipped {
 				t.Errorf("as of %v: skipped %d chunks, want %d", tc.tt, r.Skipped(), tc.skipped)
 			}
-			for _, e := range Elements(st) {
-				if e.PresentAt(tc.tt) && !slices.ContainsFunc(got, func(g *element.Element) bool { return sameVersion(g, e) }) {
+			for _, e := range refmodel.Rollback(Elements(st), tc.tt) {
+				if !slices.ContainsFunc(got, func(g *element.Element) bool { return sameVersion(g, e) }) {
 					t.Fatalf("as of %v: element %d is present but was pruned", tc.tt, e.ES)
 				}
 			}
@@ -564,7 +565,9 @@ func TestSeekBounds(t *testing.T) {
 			}
 			a, b := seek(st, func(r *BatchReader) { r.SeekVT(chronon.Chronon(lo), chronon.Chronon(hi)) })
 			check(fmt.Sprintf("%s vt [%d, %d)", c.name, lo, hi), st, a, b,
-				func(e *element.Element) bool { return ValidDuring(e, chronon.Chronon(lo), chronon.Chronon(hi)) },
+				func(e *element.Element) bool {
+					return refmodel.ValidDuring(e, chronon.Chronon(lo), chronon.Chronon(hi))
+				},
 				func(e *element.Element) bool { return int64(exclusiveEnd(e)) <= lo },
 				func(e *element.Element) bool { return int64(e.VT.Start()) >= hi })
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/surrogate"
 	"repro/internal/vec"
 )
@@ -110,28 +111,19 @@ func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
 		}
 		vt, tt := m.elems[i].VT.Start(), m.elems[i].TTStart
 		hi, ttLo := vt.Add(970), tt-2
-		var slice, span, present, window []*element.Element
-		for _, e := range m.elems {
-			if e.Current() && e.ValidAt(vt) {
-				slice = append(slice, e)
-			}
-			if e.Current() && ValidDuring(e, vt, hi) {
-				span = append(span, e)
-			}
-			if e.PresentAt(tt) {
-				present = append(present, e)
-			}
-			if ttLo <= e.TTStart && e.TTStart <= tt {
-				window = append(window, e)
-			}
-		}
 		got, _ := st.Timeslice(vt)
-		same(fmt.Sprintf("Timeslice(%v)", vt), got, slice)
+		same(fmt.Sprintf("Timeslice(%v)", vt), got, refmodel.Timeslice(m.elems, vt))
 		got, _ = st.VTRange(vt, hi)
-		same(fmt.Sprintf("VTRange(%v, %v)", vt, hi), got, span)
+		same(fmt.Sprintf("VTRange(%v, %v)", vt, hi), got, refmodel.VTRange(m.elems, vt, hi))
 		got, _ = st.Rollback(tt)
-		same(fmt.Sprintf("Rollback(%v)", tt), got, present)
+		same(fmt.Sprintf("Rollback(%v)", tt), got, refmodel.Rollback(m.elems, tt))
 		if rs, ok := st.(*RunStore); ok {
+			var window []*element.Element // the transaction-time window is an access method's, not a query's
+			for _, e := range m.elems {
+				if ttLo <= e.TTStart && e.TTStart <= tt {
+					window = append(window, e)
+				}
+			}
 			a, _ := rs.ttWindow(ttLo, tt, false, 0, 0)
 			same(fmt.Sprintf("ttWindow(%v, %v)", ttLo, tt), a.Elements(), window)
 		}

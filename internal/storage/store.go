@@ -134,15 +134,6 @@ func exclusiveEnd(e *element.Element) chronon.Chronon {
 	return e.VT.End()
 }
 
-// ValidDuring reports whether the element's valid time intersects [lo, hi).
-func ValidDuring(e *element.Element, lo, hi chronon.Chronon) bool {
-	if c, ok := e.VT.Event(); ok {
-		return lo <= c && c < hi
-	}
-	iv, _ := e.VT.Interval()
-	return iv.Start < hi && lo < iv.End
-}
-
 // RunStore is the one sequence-backed store: the chunked element sequence
 // (seq.go) under a label. The kind says which orders every stored element is
 // known to keep — Heap none, TTOrdered arrival order = tt⊢ order, VTOrdered
@@ -252,9 +243,10 @@ func (s *RunStore) Retype(k Kind) error {
 func (s *RunStore) Snapshot() Store { return &RunStore{s.snapshot()} }
 
 // Timeslice binary-searches the valid-time order where it holds and scans
-// otherwise.
+// otherwise. Its window is [vt, vt+1) unsaturated, as the engine's is, so an
+// event stamped at MaxChronon or past it is found at its own chronon.
 func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt.Add(1))
+	return s.VTRange(vt, vt+1)
 }
 
 // VTRange on the vt-ordered log binary-searches for the first element that

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/surrogate"
 )
 
@@ -52,14 +53,12 @@ func BenchmarkScanGeneral(b *testing.B) {
 				}
 			}
 			small, large, tt := chronon.Chronon(50*n*3/4), chronon.Chronon(300_000), els[n*9/10].TTStart
-			filter := func(keep func(*element.Element) bool) int {
+			// filter runs a definition over each run in turn: a filter of the
+			// runs' concatenation is the concatenation of their filters.
+			filter := func(query func([]*element.Element) []*element.Element) int {
 				found := 0
 				Runs(st)(func(run []*element.Element) bool {
-					for _, e := range run {
-						if keep(e) {
-							found++
-						}
-					}
+					found += len(query(run))
 					return true
 				})
 				return found
@@ -70,14 +69,18 @@ func BenchmarkScanGeneral(b *testing.B) {
 			}{
 				{"slice-small",
 					func() int { got, _ := st.Timeslice(small); return len(got) },
-					func() int { return filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(small) }) }},
+					func() int {
+						return filter(func(run []*element.Element) []*element.Element { return refmodel.Timeslice(run, small) })
+					}},
 				{"slice-1000",
 					func() int { got, _ := st.Timeslice(large); return len(got) },
-					func() int { return filter(func(e *element.Element) bool { return e.Current() && e.ValidAt(large) }) }},
+					func() int {
+						return filter(func(run []*element.Element) []*element.Element { return refmodel.Timeslice(run, large) })
+					}},
 				{"as-of",
 					func() int { got, _, _ := AsOf(context.Background(), st, small, tt); return len(got.Elements()) },
 					func() int {
-						return filter(func(e *element.Element) bool { return e.PresentAt(tt) && e.ValidAt(small) })
+						return filter(func(run []*element.Element) []*element.Element { return refmodel.AsOf(run, small, tt) })
 					}},
 			} {
 				if p, f := q.pruned(), q.filter(); p != f {

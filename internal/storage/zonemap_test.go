@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/refmodel"
 	"repro/internal/surrogate"
 )
 
@@ -49,14 +50,14 @@ type zonePin struct {
 	step int
 }
 
-// zoneDiff compares an answer to the filter's, version for version.
+// zoneDiff compares an answer to the definition's, version for version.
 func zoneDiff(query string, got, want []*element.Element) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("%s returned %d elements, the filter %d", query, len(got), len(want))
+		return fmt.Errorf("%s returned %d elements, the definition %d", query, len(got), len(want))
 	}
 	for i := range got {
 		if !sameVersion(got[i], want[i]) {
-			return fmt.Errorf("%s answer %d is ES %v, the filter's ES %v", query, i, got[i].ES, want[i].ES)
+			return fmt.Errorf("%s answer %d is ES %v, the definition's ES %v", query, i, got[i].ES, want[i].ES)
 		}
 	}
 	return nil
@@ -137,19 +138,11 @@ func (n *spanNames) check(query string, st *RunStore, a Answer, got []*element.E
 
 // checkZoneMaps holds every scan of st that prunes on a chunk's zone map —
 // time-slice, valid-time range, as-of, and the batch reader under a window
-// with and without AS OF — to a filter over flat, at query points drawn from
-// the stored stamps (small windows, wide ones, and the far end of the time
-// line), and the spans of every chunk walk (those, the current state and the
-// rollback) to names. It returns the first disagreement.
+// with and without AS OF — to the definitions over flat, at query points
+// drawn from the stored stamps (small windows, wide ones, and the far end of
+// the time line), and the spans of every chunk walk (those, the current state
+// and the rollback) to names. It returns the first disagreement.
 func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names *spanNames) error {
-	filter := func(keep func(*element.Element) bool) (out []*element.Element) {
-		for _, e := range flat {
-			if keep(e) {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
 	for q := 0; q < 4 && len(flat) > 0; q++ {
 		at := flat[rng.Intn(len(flat))]
 		vt := at.VT.Start() + chronon.Chronon(rng.Intn(61)-30)
@@ -162,7 +155,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		}
 
 		got, touched := st.Timeslice(vt)
-		want := filter(func(e *element.Element) bool { return e.Current() && ValidDuring(e, vt, vt.Add(1)) })
+		want := refmodel.Timeslice(flat, vt)
 		if err := zoneDiff(fmt.Sprintf("Timeslice(%d)", vt), got, want); err != nil {
 			return err
 		}
@@ -171,7 +164,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		}
 		ans, _ := VTRangeAnswer(st, lo, hi)
 		got = ans.Elements()
-		current := filter(func(e *element.Element) bool { return e.Current() && ValidDuring(e, lo, hi) })
+		current := refmodel.VTRange(flat, lo, hi)
 		query := fmt.Sprintf("VTRange(%d, %d)", lo, hi)
 		if err := zoneDiff(query, got, current); err != nil {
 			return err
@@ -181,7 +174,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		}
 		ans, _ = Current(st)
 		got = ans.Elements()
-		if err := zoneDiff("Current", got, filter((*element.Element).Current)); err != nil {
+		if err := zoneDiff("Current", got, refmodel.Current(flat)); err != nil {
 			return err
 		}
 		if err := names.check("Current", st, ans, got); err != nil {
@@ -190,7 +183,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		ans, _ = RollbackAnswer(st, tt)
 		got = ans.Elements()
 		query = fmt.Sprintf("Rollback(%d)", tt)
-		if err := zoneDiff(query, got, filter(func(e *element.Element) bool { return e.PresentAt(tt) })); err != nil {
+		if err := zoneDiff(query, got, refmodel.Rollback(flat, tt)); err != nil {
 			return err
 		}
 		if err := names.check(query, st, ans, got); err != nil {
@@ -198,7 +191,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		}
 		ans, touched, err := AsOf(context.Background(), st, vt, tt)
 		got = ans.Elements()
-		want = filter(func(e *element.Element) bool { return e.PresentAt(tt) && e.ValidAt(vt) })
+		want = refmodel.AsOf(flat, vt, tt)
 		query = fmt.Sprintf("AsOf(%d, %d)", vt, tt)
 		if err == nil {
 			err = zoneDiff(query, got, want)
@@ -213,38 +206,34 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 			return fmt.Errorf("AsOf(%d, %d) touched %d for %d results of %d elements", vt, tt, touched, len(got), len(flat))
 		}
 
-		// The reader yields whole chunks; its consumer applies the row
-		// predicate. What the zone maps pruned must hold no row that passes,
-		// and a chunk reported stable none the window cuts.
+		// The reader yields whole chunks; its consumer applies the query.
+		// What the zone maps pruned must hold no row the query admits, and a
+		// chunk reported stable none the window cuts.
 		for _, asOf := range []bool{false, true} {
 			r := NewBatchReader(st, at.VT.IsEvent())
 			r.SetVTWindow(lo, hi)
-			keep := func(e *element.Element) bool { return e.Current() && ValidDuring(e, lo, hi) }
-			want := current
+			answer := func(els []*element.Element) []*element.Element { return refmodel.VTRange(els, lo, hi) }
 			if asOf {
 				r.SetAsOf(tt)
-				keep = func(e *element.Element) bool { return e.PresentAt(tt) && ValidDuring(e, lo, hi) }
-				want = filter(keep)
+				answer = func(els []*element.Element) []*element.Element { return refmodel.VTRangeAsOf(els, lo, hi, tt) }
 			} else {
 				r.SetCurrentOnly()
 			}
-			got = got[:0]
+			var rows []*element.Element
 			for {
 				u, ok := r.Advance()
 				if !ok {
 					break
 				}
 				for _, e := range r.Rows() {
-					if keep(e) {
-						cp := *e // a sealed unit's rows are the reader's scratch
-						got = append(got, &cp)
-					}
+					cp := *e // a sealed unit's rows are the reader's scratch
+					rows = append(rows, &cp)
 					if u.Stable && (e.VT.Start() < lo || e.VT.End() > hi || e.VT.IsEvent() && e.VT.Start() >= hi) {
 						return fmt.Errorf("chunk %d is stable under [%d, %d) but holds %v", u.Run, lo, hi, e.VT)
 					}
 				}
 			}
-			if err := zoneDiff(fmt.Sprintf("BatchReader([%d, %d), as of %v)", lo, hi, asOf), got, want); err != nil {
+			if err := zoneDiff(fmt.Sprintf("BatchReader([%d, %d), as of %v)", lo, hi, asOf), answer(rows), answer(flat)); err != nil {
 				return err
 			}
 		}
@@ -253,8 +242,8 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 }
 
 // TestZoneMapsAgainstTheFilter is the oracle for pruning: whatever a scan
-// skips on a chunk's zone map, its answer must be, pointer for pointer, what
-// the unpruned filter returns (snapshot reducibility: a pruned read of a
+// skips on a chunk's zone map, its answer must be, version for version, what
+// the definition returns over the flat list (snapshot reducibility: a pruned read of a
 // snapshot is the read of the snapshot). A seeded writer interleaves inserts,
 // closes, modifies that land old valid times in new chunks, Compact, and
 // Retype up and down from each of the three labels, over event and interval
