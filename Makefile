@@ -121,9 +121,10 @@ bench:
 # tt-ordered and a vt-ordered log (folded/op must stay ≈ 1), the request paths over 100 k sealed
 # versions (a time-slice, a rollback, a delete, a memo-off clamped USING ROW sum, the batch that
 # fills a chunk, and sensor-append's COUNT(*) over the newest 4,096 chronons after a head insert,
-# memo on), the batch scan the benchmark module's mirror gathers, the engine's two folds of 64
-# sealed chunks (from their columns, and row at a time over the same chunks materialized), the
-# general organizations' zone-map scans beside the unpruned filter (20 k and
+# memo on), SELECT without an aggregate over a 20 k ledger (SELECT es, the recovery check's
+# statement; WHEN VALID AT on the vt-ordered log; AS OF on the tt-ordered log), the batch scan
+# the benchmark module's mirror gathers, the engine's two folds of 64 sealed chunks (from their
+# columns, and row at a time over the same chunks materialized), the general organizations' zone-map scans beside the unpruned filter (20 k and
 # 200 k ledger-shaped elements; pruned must stay far below filter) and the insert that keeps the
 # zone map, a relation's lookups by surrogate on 1,048,576 versions in its store's chunked
 # sequence (a hit, a miss past the end, a staged and committed delete, and Backlog),
@@ -140,7 +141,7 @@ bench:
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkRecoverCoveredLog|BenchmarkApplyReplicatedFrames|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite|BenchmarkSealedPaths)' -benchtime=100ms -benchmem ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkDedupWindow|BenchmarkReplayCloses|BenchmarkRecoverIngestLog|BenchmarkRecoverCoveredLog|BenchmarkApplyReplicatedFrames|BenchmarkCloseAfterPublish|BenchmarkAggregateAfterAppend|BenchmarkAggregateAfterWrite|BenchmarkSealedPaths|BenchmarkSelect)' -benchtime=100ms -benchmem ./internal/catalog
 	$(GO) test -run=NONE -bench='^BenchmarkLoadSnapshot$$' -benchtime=100ms -benchmem ./internal/backlog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate|BenchmarkScanGeneral|BenchmarkPush)' -benchtime=100ms -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench='^BenchmarkPosition$$' -benchtime=100ms -benchmem ./internal/relation

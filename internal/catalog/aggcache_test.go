@@ -775,14 +775,14 @@ func TestChunkPartialsOnTheGeneralOrganizations(t *testing.T) {
 			// chunks are the very arrays from before, so neither can cost what
 			// the relation holds.
 			gen = e.view.Load().gen
-			chunks := func() (arrays []**element.Element) {
-				storage.Runs(e.view.Load().engine.Store())(func(run []*element.Element) bool {
-					arrays = append(arrays, &run[0])
-					return true
-				})
-				return arrays
+			chunks := func() (firsts []*element.Element) {
+				st := e.view.Load().engine.Store()
+				for i := 0; i < st.Len(); i += storage.ChunkSize {
+					firsts = append(firsts, storage.LoadAt(st, i, new(storage.Version)))
+				}
+				return firsts
 			}
-			relabelled := func(what string, org storage.Kind, before []**element.Element) {
+			relabelled := func(what string, org storage.Kind, before []*element.Element) {
 				t.Helper()
 				if got := e.Physical().Org; got != org || e.view.Load().gen != gen {
 					t.Fatalf("%s: on %v at generation %d, want %v at %d", what, got, e.view.Load().gen, org, gen)

@@ -1226,7 +1226,7 @@ func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResul
 // caller is gone. Like the other reads it memoizes in the result cache,
 // where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
-	return e.rowsCtx(ctx, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
+	return e.rowsCtx(ctx, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), VTHi: int64(vt) + 1, TT: int64(tt)})
 }
 
 // rowsCtx is AnswerCtx with the answer materialized into Elements.
@@ -1237,11 +1237,11 @@ func (e *Entry) rowsCtx(ctx context.Context, pq plan.Query) (QueryResult, error)
 }
 
 // AnswerCtx answers one of the engine's query kinds — pq.Kind is QCurrent,
-// QTimeslice (at VTLo), QRollback (at TT) or QAsOf (valid at VTLo, as of
-// TT) — against the published read view, leaving the answer where the store
-// holds it: the result's Answer names the stored versions, Elements stays
-// nil, and nothing of a sealed chunk is materialized. It is what the server
-// encodes; the exported reads above are it, materialized.
+// QTimeslice, QRollback or QAsOf — against the published read view as
+// query.Engine.Answer does, leaving the answer where the store holds it: the
+// result's Answer names the stored versions, Elements stays nil, and nothing
+// of a sealed chunk is materialized. It is what the server encodes; the
+// exported reads above are it, materialized.
 //
 // Readers pin the view with a single atomic load and never touch the
 // relation lock, so a steady writer cannot convoy them. Results are memoized
@@ -1260,7 +1260,7 @@ func (e *Entry) AnswerCtx(ctx context.Context, pq plan.Query) (QueryResult, erro
 	case plan.QRollback:
 		fp = "rb:" + strconv.FormatInt(pq.TT, 10)
 	case plan.QAsOf:
-		fp = "asof:" + strconv.FormatInt(pq.VTLo, 10) + ":" + strconv.FormatInt(pq.TT, 10)
+		fp = "asof:" + strconv.FormatInt(pq.VTLo, 10) + ":" + strconv.FormatInt(pq.VTHi, 10) + ":" + strconv.FormatInt(pq.TT, 10)
 	default:
 		return QueryResult{}, fmt.Errorf("catalog: %v is not an element read", pq.Kind)
 	}
@@ -1276,14 +1276,9 @@ func (e *Entry) AnswerCtx(ctx context.Context, pq plan.Query) (QueryResult, erro
 		return qr, nil
 	}
 	out := QueryResult{Epoch: v.epoch}
-	if pq.Kind == plan.QAsOf {
-		out.Node = v.engine.Plan(pq)
-		var err error
-		if out.answer, out.Touched, err = storage.AsOf(ctx, v.engine.Store(), chronon.Chronon(pq.VTLo), chronon.Chronon(pq.TT)); err != nil {
-			return QueryResult{}, err
-		}
-	} else {
-		out.answer, out.Node, out.Touched = v.engine.Answer(pq)
+	var err error
+	if out.answer, out.Node, out.Touched, err = v.engine.Answer(ctx, pq); err != nil {
+		return QueryResult{}, err
 	}
 	e.plans.Record(out.Node.Leaf().Kind, out.Touched)
 	out.Plan = out.Node.String()
@@ -1317,13 +1312,11 @@ const spanBytes = int64(unsafe.Sizeof(storage.Span{}))
 
 // SelectCtx evaluates a parsed tsql query against the pinned view,
 // lock-free like the engine reads. The query's Rel must name this entry.
-// The statement is compiled onto the engine's planned access path: when
-// the plan's leaf is a specialized strategy (vt binary search, tt-window
-// pushdown), the engine produces the candidate set — in arrival order, as
-// the scan would, since both searches return a stretch of a log — and only
-// it is evaluated; otherwise the view's elements are scanned — that path
-// is cooperative, re-checking the context periodically mid-scan. The
-// returned node is the executed plan; touched is its access-path cost.
+// A SELECT without an aggregate takes the engine's answer to its selection
+// by time (tsql.PlanQuery) under whichever leaf the planner picked — in
+// arrival order on every path — and tsql evaluates the residual over it in
+// place, re-checking the context as it goes. The returned node is the
+// executed plan; touched is its access-path cost.
 func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	return e.selectOn(ctx, e.view.Load(), q)
 }
@@ -1344,24 +1337,15 @@ func (e *Entry) selectOn(ctx context.Context, v *readView, q *tsql.Query) (*tsql
 	if q.Group != nil {
 		return e.selectAggregate(ctx, v, q)
 	}
-	node := tsql.Compile(q, v.engine.Access())
-	var res *tsql.Result
-	var err error
-	touched := 0
-	switch node.Leaf().Kind {
-	case plan.VTBinarySearch, plan.TTWindowPushdown:
-		pq := tsql.PlanQuery(q)
-		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
-		touched = qres.Touched
-		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, element.Slice(qres.Elements))
-	default:
-		st := v.engine.Store()
-		res, err = tsql.EvalRunsCtx(ctx, q, v.schema, storage.ScanRuns(st)) // rows copy values out
-		touched = st.Len()
-	}
+	a, node, touched, err := v.engine.Answer(ctx, tsql.PlanQuery(q))
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	res, err := tsql.EvalAnswer(ctx, q, v.schema, &a)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	node = tsql.Residual(q, node)
 	e.plans.Record(node.Leaf().Kind, touched)
 	return res, node, touched, nil
 }

@@ -2,7 +2,7 @@ package catalog
 
 // Differential equivalence harness for the window-aggregate chunk loop:
 // every generated (history, query) pair is evaluated by the definition —
-// vec.RowAggregateRuns over the pinned view's elements, which no reader,
+// vec.RowAggregate over the pinned view's elements, which no reader,
 // plan or partial ever touches — and on three legs: through the public read
 // path, its run partials in whatever state the earlier statements left
 // them, and below the result cache on the pinned view cold (nothing
@@ -856,7 +856,7 @@ func differentialUnderConcurrentMutation(t *testing.T, declared bool) {
 		// churn stops, off the loop the mutators run beside.
 		if i%25 == 0 {
 			owed = append(owed, func() {
-				dRes, dErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(v.engine.Store()))
+				dRes, dErr := vec.RowAggregate(ctx, spec, v.elems())
 				if (dErr != nil) != (rErr != nil) || (dErr != nil && dErr.Error() != rErr.Error()) || (dErr == nil && !reflect.DeepEqual(dRes, rRes)) {
 					t.Fatalf("iteration %d %q: the fold diverged from the definition on a pinned view\ndefinition: %+v (%v)\nfold:       %+v (%v)",
 						i, base, dRes, dErr, rRes, rErr)
@@ -876,7 +876,7 @@ func differentialUnderConcurrentMutation(t *testing.T, declared bool) {
 			if i%16 == 0 {
 				pq = plan.Query{Kind: plan.QRollback, TT: int64(horizonOf(v))}
 			}
-			res, _, _ := v.engine.Answer(pq)
+			res, _, _, _ := v.engine.Answer(context.Background(), pq)
 			if spliced, plain := e.bothEncodings(t, v, &res); !bytes.Equal(spliced, plain) {
 				t.Fatalf("iteration %d: the spliced answer of a pinned view is not its encoded scan", i)
 			}

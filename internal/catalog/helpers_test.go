@@ -8,6 +8,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
@@ -56,7 +57,7 @@ func rollbackCtx(ctx context.Context, e *Entry, tt chronon.Chronon) (answered, e
 }
 
 func timesliceAsOfCtx(ctx context.Context, e *Entry, vt, tt chronon.Chronon) (answered, error) {
-	return answerCtx(ctx, e, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
+	return answerCtx(ctx, e, plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), VTHi: int64(vt) + 1, TT: int64(tt)})
 }
 
 func current(e *Entry) answered {
@@ -83,12 +84,39 @@ func timesliceAsOf(e *Entry, vt, tt chronon.Chronon) answered {
 // arrival position.
 func (v *readView) elems() []*element.Element { return storage.Elements(v.engine.Store()) }
 
-// defined answers a window aggregate by the definition: vec.RowAggregateRuns
+// defined answers a window aggregate by the definition: vec.RowAggregate
 // (inside tsql.EvalAggregate) over every element of the pinned view, below
 // the catalog — no planner, no reader, no cache, no partial. It is the
 // oracle the aggregate path is held to.
 func (v *readView) defined(q *tsql.Query) (*tsql.Result, error) {
-	return tsql.EvalAggregate(context.Background(), q, v.schema, storage.Runs(v.engine.Store()))
+	return tsql.EvalAggregate(context.Background(), q, v.schema, v.elems())
+}
+
+// selected answers a SELECT by the definition over the pinned view's
+// versions: a window aggregate as defined does, any other statement by
+// refmodel's selection by time (selection), then tsql's residual over
+// exactly those versions — no engine, no planner, no store walk.
+func (v *readView) selected(q *tsql.Query) (*tsql.Result, error) {
+	if q.Group != nil {
+		return v.defined(q)
+	}
+	a := storage.ElementAnswer(selection(q, v.elems()))
+	return tsql.EvalAnswer(context.Background(), q, v.schema, &a)
+}
+
+// selection is a SELECT's selection by time as refmodel defines it: AS OF
+// is the state stored at its tt, a WHEN VALID AT or DURING the current
+// elements valid then, anything else the current state.
+func selection(q *tsql.Query, els []*element.Element) []*element.Element {
+	switch {
+	case q.HasAsOf:
+		return refmodel.Rollback(els, q.AsOf)
+	case q.When != nil && q.When.Kind == tsql.WhenValidAt:
+		return refmodel.Timeslice(els, q.When.At)
+	case q.When != nil && q.When.Kind == tsql.WhenValidDuring:
+		return refmodel.VTRange(els, q.When.Window.Start, q.When.Window.End)
+	}
+	return refmodel.Current(els)
 }
 
 // onTheHeap re-labels e's store as the heap. No history reaches that label

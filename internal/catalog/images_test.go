@@ -60,7 +60,7 @@ func (e *Entry) bothEncodings(t testing.TB, v *readView, a *storage.Answer) (spl
 
 // currentOf is the current state as v's engine answers it, unmaterialized.
 func currentOf(v *readView) *storage.Answer {
-	a, _, _ := v.engine.Answer(plan.Query{Kind: plan.QCurrent})
+	a, _, _, _ := v.engine.Answer(context.Background(), plan.Query{Kind: plan.QCurrent})
 	return &a
 }
 

@@ -187,7 +187,7 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 		tt := chronon.Chronon(pick(tts))
 		kind(fmt.Sprintf("rollback %d", tt), plan.Query{Kind: plan.QRollback, TT: int64(tt)},
 			func(els []*element.Element) []*element.Element { return refmodel.Rollback(els, tt) })
-		kind(fmt.Sprintf("asof %d %d", vt, tt), plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)},
+		kind(fmt.Sprintf("asof %d %d", vt, tt), plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), VTHi: int64(vt) + 1, TT: int64(tt)},
 			func(els []*element.Element) []*element.Element { return refmodel.AsOf(els, vt, tt) })
 	}
 	stmt := func(src string) {
@@ -206,7 +206,7 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 				return fmt.Sprint(res.Rows), ep
 			},
 			oracle: func(v *readView) string {
-				res, err := tsql.EvalRunsCtx(ctx, q, v.schema, storage.Runs(v.engine.Store()))
+				res, err := v.selected(q)
 				if err != nil {
 					return "error: " + err.Error()
 				}

@@ -1,7 +1,6 @@
 package element
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -89,41 +88,4 @@ func (e *Element) String() string {
 		fmt.Fprintf(&b, " var=%v", e.Varying)
 	}
 	return b.String()
-}
-
-// Runs is a sequence of elements handed out one contiguous run at a time,
-// in the sequence's order; yield returning false stops it. It is what a
-// full scan takes in place of a slice, so a store cut into runs is read
-// where it lies. The runs are the producer's own memory: read-only. No run
-// is longer than MaxRun, so a consumer that polls for cancellation between
-// runs keeps its inner loop free of bookkeeping.
-type Runs func(yield func(run []*Element) bool)
-
-// MaxRun bounds the length of one run.
-const MaxRun = 1024
-
-// Do hands each run to fn until fn fails or ctx is done, which it polls
-// between runs, and returns that error.
-func (r Runs) Do(ctx context.Context, fn func(run []*Element) error) error {
-	var err error
-	r(func(run []*Element) bool {
-		if err = ctx.Err(); err == nil {
-			err = fn(run)
-		}
-		return err == nil
-	})
-	return err
-}
-
-// Slice is the sequence over elems, cut at MaxRun.
-func Slice(elems []*Element) Runs {
-	return func(yield func([]*Element) bool) {
-		for len(elems) > MaxRun {
-			if !yield(elems[:MaxRun]) {
-				return
-			}
-			elems = elems[MaxRun:]
-		}
-		yield(elems)
-	}
 }

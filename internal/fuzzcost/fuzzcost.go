@@ -64,6 +64,15 @@ var (
 	// byte each, decoded into 32-byte element.Values and then cloned by the
 	// replay.
 	Snapshot = Limit{A: 95, B: 19 << 10}
+	// Statement bounds tsql.Parse of a statement and tsql.Eval of what
+	// parsed over FuzzParse's eight-version fixture (FuzzParse). Measured
+	// (with -race, where it differs): at most 13.7 (14.0) KB for any seed;
+	// 16 B a byte for a string, a number or a run of spaces, 73–132 for a
+	// run of one-byte operator tokens, 98 for a select list of pseudo-columns
+	// and 53–56 for WHERE conjuncts; and 834 (835) for a list of eight-byte
+	// aggregate calls, min(es), each a row of cells in every window the
+	// fixture populates, measured over a cumulative window of one chronon.
+	Statement = Limit{A: 1170, B: 20 << 10}
 )
 
 // Bound runs decode, which reads n bytes of input, and fails tb when it

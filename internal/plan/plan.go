@@ -17,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -76,8 +77,9 @@ const (
 	QVTRange
 	// QRollback is the rollback query at one transaction-time instant.
 	QRollback
-	// QAsOf is the bitemporal query: valid at vt as stored at tt. No
-	// single-dimension organization serves it; it always scans.
+	// QAsOf is the bitemporal query: as stored at tt, valid at an instant or
+	// during a window (Query.VTWindow), or at any valid time for a plain AS
+	// OF. No single-dimension organization serves it; it always scans.
 	QAsOf
 )
 
@@ -98,12 +100,32 @@ func (k QueryKind) String() string {
 }
 
 // Query is the logical query the planner chooses an access path for.
-// Valid-time predicates are the half-open chronon window [VTLo, VTHi);
-// QTimeslice at instant t is the window [t, t+1).
+// Valid-time predicates are the half-open chronon window [VTLo, VTHi), read
+// as VTWindow says; a query at instant t carries [t, t+1).
 type Query struct {
 	Kind       QueryKind
 	VTLo, VTHi int64
 	TT         int64 // QRollback and QAsOf
+}
+
+// VTWindow is the valid time a time-slice, vt-range or as-of query selects
+// as the inclusive window [lo, last], which reaches every instant of the
+// line: an element is valid in it when its valid time starts at or before
+// last and ends past lo. A time-slice's is its instant VTLo, whose window's
+// end wraps at math.MaxInt64; a vt-range's is [VTLo, VTHi−1], empty when
+// VTHi is math.MinInt64; an as-of query's is the vt-range's when VTLo < VTHi,
+// the instant VTLo when VTHi < VTLo, and the whole line for a plain AS OF,
+// VTLo = VTHi.
+func (q Query) VTWindow() (lo, last int64) {
+	switch {
+	case q.Kind == QTimeslice || q.Kind == QAsOf && q.VTHi < q.VTLo:
+		return q.VTLo, q.VTLo
+	case q.Kind == QAsOf && q.VTLo == q.VTHi:
+		return math.MinInt64, math.MaxInt64
+	case q.VTHi == math.MinInt64:
+		return math.MaxInt64, math.MinInt64
+	}
+	return q.VTLo, q.VTHi - 1
 }
 
 // Meets reports whether a change can alter the query's answer, the query
@@ -305,17 +327,29 @@ func bsearchCost(n int) int {
 	return c
 }
 
+// minus is a − b saturated at the ends of the int64 line, so that a tt
+// window converted from an instant near either end keeps its side.
+func minus(a, b int64) int64 {
+	if d := a - b; (d < a) == (b > 0) {
+		return d
+	}
+	if b > 0 {
+		return math.MinInt64
+	}
+	return math.MaxInt64
+}
+
 // pushdownCost estimates a tt-window access: the window span plus the
-// probe, never worse than a scan.
+// probe, never worse than a scan. The span is counted unsigned, so a window
+// over most of the line does not wrap to a small one.
 func pushdownCost(n int, lo, hi int64) int {
 	if hi < lo {
 		return 0
 	}
-	span := hi - lo + 1
-	if span >= int64(n) {
-		return n
+	if span := uint64(hi-lo) + 1; span != 0 && span < uint64(n) {
+		return int(span) + 1
 	}
-	return int(span) + 1
+	return n
 }
 
 // NewCurrentState wraps a node in the current-state restriction.
@@ -357,7 +391,8 @@ func Build(a Access, q Query) *Node {
 		return &Node{Kind: FullScan, Bitemporal: true, Est: a.N}
 	case QTimeslice, QVTRange:
 		if a.Org == OrgTTLog && a.HasOffsetBounds {
-			lo, hi := q.VTLo-a.OffsetHi, q.VTHi-1-a.OffsetLo
+			vlo, vlast := q.VTWindow()
+			lo, hi := minus(vlo, a.OffsetHi), minus(vlast, a.OffsetLo)
 			consider(&Node{
 				Kind: TTWindowPushdown, Org: a.Org,
 				WinLo: lo, WinHi: hi,

@@ -31,7 +31,7 @@ const batchCheckEvery = 8
 //
 // A unit — a full chunk or the tail — is folded where it lies, in arrival
 // (ES) order, from its columns (ColAgg.ConsumeCols), slot by slot, so
-// floating-point accumulation is bit-identical to vec.RowAggregateRuns, the
+// floating-point accumulation is bit-identical to vec.RowAggregate, the
 // definition the differential harness asserts against. event says whether the relation is
 // event-stamped, and the returned stats feed the batch counters. memo, when
 // not nil, lets the loop merge the partials of full chunks folded before

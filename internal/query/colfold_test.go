@@ -278,7 +278,7 @@ func checkColumnFold(t testing.TB, c colFoldCase) (sealed int, stop error) {
 	}
 
 	ctx := context.Background()
-	want, wantErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(c.st))
+	want, wantErr := vec.RowAggregate(ctx, spec, storage.Elements(c.st))
 	en := New(c.st, nil)
 	node := plan.Build(en.Access(), plan.Query{Kind: plan.QCurrent})
 	mc := newMemo(bigCache)

@@ -74,7 +74,7 @@ func threeWay(t *testing.T, en *Engine, spec *vec.Spec, memo *PartialMemo) vec.E
 	if spec.Filter.HasVT {
 		pq = plan.Query{Kind: plan.QVTRange, VTLo: spec.Filter.VTLo, VTHi: spec.Filter.VTHi}
 	}
-	want, wantErr := vec.RowAggregateRuns(ctx, spec, storage.Runs(en.Store()))
+	want, wantErr := vec.RowAggregate(ctx, spec, storage.Elements(en.Store()))
 	node := plan.Build(en.Access(), pq)
 	rowRes, _, rowErr := en.AggregateCtx(ctx, node, spec, true, nil)
 	memRes, stats, memErr := en.AggregateCtx(ctx, node, spec, true, memo)
@@ -298,7 +298,7 @@ func TestRunPartialsInexactAndFailingRuns(t *testing.T) {
 	iv := New(st, nil)
 	ctx := context.Background()
 	node := plan.Build(iv.Access(), plan.Query{})
-	_, rowErr := vec.RowAggregateRuns(ctx, guard, storage.Runs(st))
+	_, rowErr := vec.RowAggregate(ctx, guard, storage.Elements(st))
 	mc = newMemo(bigCache)
 	for i := 0; i < 4; i++ {
 		_, _, err := iv.AggregateCtx(ctx, node, guard, false, mc.exec())
@@ -322,7 +322,7 @@ func groupStats(t *testing.T, leg string, s vec.ExecStats, groups, merged, folde
 // of them are known, re-learned after a close moves the group's sum, left
 // alone by an older pinned view, never built from inexact chunks, merged
 // but not kept when it is larger than a cache entry, built over an entirely
-// closed chunk, and bounded by a clamp. threeWay holds every answer to vec.RowAggregateRuns.
+// closed chunk, and bounded by a clamp. threeWay holds every answer to vec.RowAggregate.
 func TestGroupPartials(t *testing.T) {
 	const runs = 2*groupRuns + 3
 	st := partialsFixture(t, runs, 40, intVals)

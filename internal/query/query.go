@@ -11,6 +11,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chronon"
@@ -113,49 +114,49 @@ func (en *Engine) Access() plan.Access {
 func (en *Engine) Plan(q plan.Query) *plan.Node { return plan.Build(en.Access(), q) }
 
 // run plans the query, executes the chosen access path and materializes
-// the answer.
+// the answer; none of the facade's kinds polls a context.
 func (en *Engine) run(q plan.Query) Result {
-	a, node, touched := en.Answer(q)
+	a, node, touched, _ := en.Answer(context.Background(), q)
 	return Result{Elements: a.Elements(), Node: node, Touched: touched}
 }
 
-// Answer plans q and executes the chosen access path, returning the answer
-// as the store holds it (storage.Answer) — nothing of a sealed chunk is
-// materialized — with the plan and the number of stored elements touched.
-// The answer is stable only over an engine on a snapshot, as the catalog's
-// pinned views are: over a live store a close made before the answer is
-// encoded or materialized changes it.
-func (en *Engine) Answer(q plan.Query) (storage.Answer, *plan.Node, int) {
+// Answer is the one place a query selects by time: it plans q, executes the
+// chosen access path and returns the answer as the store holds it
+// (storage.Answer, nothing of a sealed chunk materialized), the plan and the
+// number of stored elements touched. Every kind is answered as
+// internal/refmodel defines it, over plan.Query.VTWindow; only the as-of scan
+// (storage.AsOf) polls ctx. The answer is stable only over an engine on a
+// snapshot, as the catalog's pinned views are: over a live store a close
+// made before the answer is encoded or materialized changes it.
+func (en *Engine) Answer(ctx context.Context, q plan.Query) (storage.Answer, *plan.Node, int, error) {
 	node := plan.Build(en.Access(), q)
-	a, touched := en.execute(node, q)
-	return a, node, touched
+	a, touched, err := en.execute(ctx, node.Leaf(), q)
+	return a, node, touched, err
 }
 
-// execute runs the plan's access-path leaf against the store. The leaf's
-// result already satisfies the query's temporal predicates (the stores
-// filter as they read), so decorators need no separate pass here.
-func (en *Engine) execute(node *plan.Node, q plan.Query) (storage.Answer, int) {
-	leaf := node.Leaf()
-	switch leaf.Kind {
-	case plan.TTWindowPushdown:
-		// Any other store answers the predicate itself, below.
-		if rs, ok := en.store.(*storage.RunStore); ok {
-			return rs.Pushdown(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi), chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
-		}
-	case plan.TTBinarySearch:
-		return storage.RollbackAnswer(en.store, chronon.Chronon(q.TT))
-	case plan.VTBinarySearch, plan.BTreeIndexSeek:
-		return storage.VTRangeAnswer(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
-	}
-	// Full scan, shaped by the query kind.
+// execute runs the plan's access-path leaf against the store, which filters
+// by the query's temporal predicates as it reads.
+func (en *Engine) execute(ctx context.Context, leaf *plan.Node, q plan.Query) (storage.Answer, int, error) {
 	switch q.Kind {
 	case plan.QCurrent:
-		return storage.Current(en.store)
+		a, touched := storage.Current(en.store)
+		return a, touched, nil
 	case plan.QRollback:
-		return storage.RollbackAnswer(en.store, chronon.Chronon(q.TT))
-	default:
-		return storage.VTRangeAnswer(en.store, chronon.Chronon(q.VTLo), chronon.Chronon(q.VTHi))
+		a, touched := storage.RollbackAnswer(en.store, chronon.Chronon(q.TT))
+		return a, touched, nil
 	}
+	lo, last := q.VTWindow()
+	if q.Kind == plan.QAsOf {
+		return storage.AsOf(ctx, en.store, chronon.Chronon(lo), chronon.Chronon(last), chronon.Chronon(q.TT))
+	}
+	if rs, ok := en.store.(*storage.RunStore); ok && leaf.Kind == plan.TTWindowPushdown {
+		a, touched := rs.Pushdown(chronon.Chronon(leaf.WinLo), chronon.Chronon(leaf.WinHi), chronon.Chronon(lo), chronon.Chronon(last))
+		return a, touched, nil
+	}
+	// The vt-ordered search, the index seek or the zone-map scan: the one
+	// the store's label and type allow, which is the one the leaf names.
+	a, touched := storage.ValidAnswer(en.store, chronon.Chronon(lo), chronon.Chronon(last))
+	return a, touched, nil
 }
 
 // Timeslice answers the historical query: current elements valid at vt.

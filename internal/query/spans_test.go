@@ -65,7 +65,7 @@ func TestSpansAcrossTheOrganizations(t *testing.T) {
 			{"time-slice", plan.Query{Kind: plan.QTimeslice, VTLo: 1020, VTHi: 1021}, sliceSealed},
 			{"vt-range", plan.Query{Kind: plan.QVTRange, VTLo: 1000, VTHi: 1000 + n}, rangeSealed},
 		} {
-			a, _, _ := en.Answer(q.q)
+			a, _, _, _ := en.Answer(context.Background(), q.q)
 			els := a.Elements()
 			if len(els) == 0 || len(els) != a.Len() {
 				t.Fatalf("%s, %s: %d elements, the answer says %d", name, q.name, len(els), a.Len())
@@ -177,7 +177,7 @@ func TestRelabelDownKeepsColumns(t *testing.T) {
 			found += len(en.Timeslice(vt).Elements)
 			same(fmt.Sprint("time-slice at ", vt), en.Timeslice(vt).Elements, refmodel.Timeslice(flat, vt))
 			same(fmt.Sprint("vt-range from ", vt), en.VTRange(vt, vt+700).Elements, refmodel.VTRange(flat, vt, vt+700))
-			a, _ := st.Pushdown(vt, vt+699+2000, vt, vt+700)
+			a, _ := st.Pushdown(vt, vt+699+2000, vt, vt+699)
 			same(fmt.Sprint("pushdown from ", vt), a.Elements(), refmodel.VTRange(flat, vt, vt+700))
 		}
 		if found == 0 {
@@ -186,7 +186,7 @@ func TestRelabelDownKeepsColumns(t *testing.T) {
 		for _, at := range []chronon.Chronon{5, tt / 3, tt / 2, tt} {
 			same(fmt.Sprint("rollback to ", at), en.Rollback(at).Elements, refmodel.Rollback(flat, at))
 			vt := flat[len(flat)/3].VT.Start()
-			a, _, err := storage.AsOf(context.Background(), st, vt, at)
+			a, _, err := storage.AsOf(context.Background(), st, vt, vt, at)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,10 +17,14 @@
 // passes; the slice is the caller's.
 //
 // Window aggregates are not defined here. Their definition is
-// vec.RowAggregateRuns: the engine's folds are held to its arrival-order
-// float sums and error texts bit for bit, and the benchmark module imports
-// vec.RowAggregate, so a second definition here would be a copy to keep in
-// step with it.
+// vec.RowAggregate: the engine's folds are held to its arrival-order float
+// sums and error texts bit for bit, and the benchmark module imports it, so
+// a second definition here would be a copy to keep in step with it.
+//
+// A SELECT is held to this package too: its selection by time is one of the
+// filters here — AS OF tt the rollback to tt, WHEN VALID AT the time-slice,
+// WHEN VALID DURING the valid-time range, else the current state — and the
+// rest of the statement is tsql's residual over exactly that list.
 package refmodel
 
 import (

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/chronon"
-	"repro/internal/element"
 	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
@@ -39,27 +38,23 @@ func (r *Relation) Vacuum(horizon chronon.Chronon) (int, error) {
 	// A version goes with its delete record, and the delete records are in
 	// tt order: the first removed of them hold the versions at or before the
 	// horizon. The survivors are pushed into a fresh heap, in surrogate order
-	// still, which the caller re-labels — each read out of the old store's
-	// columns a chunk at a time into one scratch and copied into the new
-	// one's — and each kept delete record is recounted against the insert
-	// records kept before it.
+	// still, which the caller re-labels — each found by its tt⊣ column, read
+	// out of the old store's columns in place into one scratch version and
+	// copied into the new one's — and each kept delete record is recounted
+	// against the insert records kept before it.
 	removed := sort.Search(len(r.closes), func(c int) bool { return r.closes[c].tt > horizon })
 	if removed == 0 {
 		return 0, nil
 	}
-	fresh, kept, c, i := storage.NewHeap(), r.closes[removed:], 0, 0
-	storage.ScanRuns(r.versions)(func(run []*element.Element) bool {
-		for _, v := range run {
-			for ; c < len(kept) && kept[c].inserts <= i; c++ {
-				kept[c].inserts = fresh.Len()
-			}
-			if v.TTEnd > horizon {
-				_ = fresh.Insert(v) // the heap refuses nothing
-			}
-			i++
+	fresh, kept, c, v := storage.NewHeap(), r.closes[removed:], 0, new(storage.Version)
+	for i := range r.versions.Len() {
+		for ; c < len(kept) && kept[c].inserts <= i; c++ {
+			kept[c].inserts = fresh.Len()
 		}
-		return true
-	})
+		if r.versions.TTEndAt(i) > horizon {
+			_ = fresh.Insert(storage.LoadAt(r.versions, i, v)) // the heap refuses nothing
+		}
+	}
 	for ; c < len(kept); c++ {
 		kept[c].inserts = fresh.Len()
 	}

@@ -555,7 +555,7 @@ func kindQuery(kind string, vt, tt int64) (plan.Query, bool) {
 	case wire.QueryRollback:
 		return plan.Query{Kind: plan.QRollback, TT: tt}, true
 	case wire.QueryAsOf:
-		return plan.Query{Kind: plan.QAsOf, VTLo: vt, TT: tt}, true
+		return plan.Query{Kind: plan.QAsOf, VTLo: vt, VTHi: vt + 1, TT: tt}, true
 	}
 	return plan.Query{}, false
 }

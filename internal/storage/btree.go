@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/chronon"
@@ -126,10 +127,10 @@ func (t *btree) replace(k bkey, e *element.Element) {
 	}
 }
 
-// scanRange visits entries with lo ≤ vt < hi in key order, calling visit
+// scanRange visits entries with lo ≤ vt ≤ last in key order, calling visit
 // for each; it returns the number of keys examined (the query's cost). The
 // visit function returns false to stop early.
-func (t *btree) scanRange(lo, hi chronon.Chronon, visit func(*element.Element) bool) int {
+func (t *btree) scanRange(lo, last chronon.Chronon, visit func(*element.Element) bool) int {
 	touched := 0
 	var walk func(n *bnode) bool
 	walk = func(n *bnode) bool {
@@ -149,7 +150,7 @@ func (t *btree) scanRange(lo, hi chronon.Chronon, visit func(*element.Element) b
 				break
 			}
 			touched++
-			if n.keys[i].vt >= hi {
+			if n.keys[i].vt > last {
 				return false
 			}
 			if !visit(n.vals[i]) {
@@ -204,22 +205,20 @@ func (errInterval) Error() string {
 	return "storage: indexed event store cannot hold interval-stamped elements"
 }
 
-// Timeslice answers via the index, over [vt, vt+1) unsaturated as
+// Timeslice answers via the index (ValidAnswer), by its instant alone as
 // RunStore.Timeslice does.
 func (s *IndexedEventStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt+1)
+	a, touched := ValidAnswer(s, vt, vt)
+	return a.Elements(), touched
 }
 
-// VTRange answers via the index.
+// VTRange answers via the index (ValidAnswer).
 func (s *IndexedEventStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	var out []*element.Element
-	touched := s.index.scanRange(lo, hi, func(e *element.Element) bool {
-		if e.Current() {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out, touched
+	if hi == math.MinInt64 { // no chronon lies before it, and hi−1 would wrap
+		return nil, 0
+	}
+	a, touched := ValidAnswer(s, lo, hi-1)
+	return a.Elements(), touched
 }
 
 // Snapshot shares the heap's chunks O(1) and rebuilds a private B-tree

@@ -40,7 +40,7 @@ func TestBtreeDuplicateVTs(t *testing.T) {
 		tr.insert(42, ev(int64(i), 42))
 	}
 	count := 0
-	tr.scanRange(42, 43, func(*element.Element) bool {
+	tr.scanRange(42, 42, func(*element.Element) bool {
 		count++
 		return true
 	})
@@ -69,7 +69,7 @@ func TestBtreeRangeAgainstReference(t *testing.T) {
 			}
 		}
 		got := 0
-		touched := tr.scanRange(chronon.Chronon(lo), chronon.Chronon(hi), func(*element.Element) bool {
+		touched := tr.scanRange(chronon.Chronon(lo), chronon.Chronon(hi-1), func(*element.Element) bool {
 			got++
 			return true
 		})
@@ -88,7 +88,7 @@ func TestBtreeScanEarlyStop(t *testing.T) {
 		tr.insert(chronon.Chronon(i), ev(int64(i), int64(i)))
 	}
 	count := 0
-	tr.scanRange(0, 200, func(*element.Element) bool {
+	tr.scanRange(0, 199, func(*element.Element) bool {
 		count++
 		return count < 5
 	})

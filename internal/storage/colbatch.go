@@ -243,7 +243,13 @@ func (r *BatchReader) slot(j int) *element.Element {
 // materialized into the reader's one scratch unit, which the next Rows
 // overwrites: what a row-at-a-time fold reads, and what Load hands a batch.
 func (r *BatchReader) Rows() []*element.Element {
-	return r.s.materialized(r.next-1, &r.rows, &r.rowPtrs)
+	k := r.next - 1
+	if r.rowPtrs == nil {
+		r.rowPtrs = make([]*element.Element, runSize)
+	}
+	out := r.rowPtrs[:r.s.slots(k)]
+	r.rows.fill(r.s.chunk(k), out)
+	return out
 }
 
 // Load fills b with the unit the last Advance stopped at: its rows, and its

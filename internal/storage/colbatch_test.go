@@ -245,7 +245,9 @@ func benchAggregate(b *testing.B, columnar bool) {
 		{Kind: vec.AggSum, Col: "v", Ref: vec.ColRef{Src: vec.ColVarying}},
 	}}
 	var chunks [][]*element.Element
-	Runs(st)(func(run []*element.Element) bool { chunks = append(chunks, run); return true })
+	for els := Elements(st); len(els) > 0; els = els[min(runSize, len(els)):] {
+		chunks = append(chunks, els[:min(runSize, len(els))])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

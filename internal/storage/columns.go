@@ -30,7 +30,7 @@ import (
 // pinned view keeps the arena it read (push). Reads filter on the columns
 // and name the slots they take (Answer): nothing is materialized until a
 // consumer that needs rows asks (Answer.Elements), and then into one slab
-// per answer; the cold paths — Scan, Runs, Elements, At — materialize whole
+// per answer; the cold paths — Scan, Elements, At — materialize whole
 // chunks, each into fresh memory.
 
 // columns is one chunk's versions, shaped by the first version pushed into
@@ -400,30 +400,33 @@ func (sp *Span) currentCols(c *chunk, to int) {
 	}
 }
 
+// validCols and asOfCols read a valid-time window as the inclusive
+// [lo, last] (plan.Query.VTWindow).
+//
 //go:noinline
-func (sp *Span) validCols(c *chunk, from, to int, lo, hi chronon.Chronon) {
+func (sp *Span) validCols(c *chunk, from, to int, lo, last chronon.Chronon) {
 	col, tte := c.col, c.ttEnd
 	if col.event {
 		for j := from; j < to; j++ {
-			if tte[j] == chronon.Forever && lo <= col.vtLo[j] && col.vtLo[j] < hi {
+			if tte[j] == chronon.Forever && lo <= col.vtLo[j] && col.vtLo[j] <= last {
 				sp.take(j)
 			}
 		}
 		return
 	}
 	for j := from; j < to; j++ {
-		if tte[j] == chronon.Forever && col.vtLo[j] < hi && lo < col.vtHi[j] {
+		if tte[j] == chronon.Forever && col.vtLo[j] <= last && lo < col.vtHi[j] {
 			sp.take(j)
 		}
 	}
 }
 
 //go:noinline
-func (sp *Span) asOfCols(c *chunk, to int, vt, tt chronon.Chronon) {
+func (sp *Span) asOfCols(c *chunk, to int, lo, last, tt chronon.Chronon) {
 	col, tte := c.col, c.ttEnd
 	for j := range to {
-		if col.ttStart[j] <= tt && tt < tte[j] && col.vtLo[j] <= vt &&
-			(col.event && vt == col.vtLo[j] || !col.event && vt < col.vtHi[j]) {
+		if col.ttStart[j] <= tt && tt < tte[j] && col.vtLo[j] <= last &&
+			(col.event && lo <= col.vtLo[j] || !col.event && lo < col.vtHi[j]) {
 			sp.take(j)
 		}
 	}

@@ -104,42 +104,43 @@ func (s *seq) presentIn(n int, tt chronon.Chronon) (Answer, int) {
 }
 
 // vtScan is the valid-time scan for stores with no useful vt order (the
-// heap and the tt log): full chunks whose valid-time envelope misses
-// [lo, hi), or that hold no current element, are skipped for one probe;
-// everything else is visited.
-func (s *seq) vtScan(lo, hi chronon.Chronon) (Answer, int) {
+// heap and the tt log): full chunks whose valid-time envelope misses the
+// inclusive [lo, last], or that hold no current element, are skipped for one
+// probe; everything else is visited.
+func (s *seq) vtScan(lo, last chronon.Chronon) (Answer, int) {
 	var a Answer
 	touched := 0
 	for k := range s.chunks() {
 		c := s.chunk(k)
-		if s.full(k) && (!c.live() || c.vtMisses(lo, hi)) {
+		if s.full(k) && (!c.live() || c.vtOutside(lo, last)) {
 			touched++
 			continue
 		}
 		m := s.slots(k)
 		touched += m
 		sp := s.span(k)
-		sp.validCols(c, 0, m, lo, hi)
+		sp.validCols(c, 0, m, lo, last)
 		a.keep(&sp)
 	}
 	return a, touched
 }
 
-// vtRangeOrdered is the valid-time search of the vt-ordered log. It
-// binary-searches for the first element whose valid time may reach past lo
-// — an event at c covers [c, c+1), an interval's end is already exclusive,
-// and for sequential intervals ends are non-decreasing, so the predicate is
-// monotone — then walks forward until starts pass hi, skipping any full
-// chunk that holds no current element and stopping early when a chunk's
-// minimum start already passes hi. The probe counts as one touch.
-func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
+// vtRangeOrdered is the valid-time search of the vt-ordered log over the
+// inclusive [lo, last]. It binary-searches for the first element whose
+// valid time reaches lo — an event's last chronon is itself, an interval's
+// its end less one, and for sequential intervals ends are non-decreasing, so
+// the predicate is monotone — then walks forward until starts pass last,
+// skipping any full chunk that holds no current element and stopping early
+// when a chunk's minimum start already passes last. The probe counts as one
+// touch.
+func (s *seq) vtRangeOrdered(lo, last chronon.Chronon) (Answer, int) {
 	start := s.searchVTEnd(lo)
 	var a Answer
 	touched := 1
 	for k := start / runSize; k < s.chunks(); k++ {
 		c := s.chunk(k)
 		if s.full(k) {
-			if c.vtLo >= hi {
+			if c.vtLo > last {
 				return a, touched
 			}
 			if !c.live() {
@@ -147,12 +148,12 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
 				continue
 			}
 		}
-		// The walk's stop: the first slot from `from` that starts at or past
-		// hi, found in the column; every slot before it is touched, and it is
+		// The walk's stop: the first slot from `from` that starts past last,
+		// found in the column; every slot before it is touched, and it is
 		// too.
 		from, m := max(start-k*runSize, 0), s.slots(k)
 		to := from
-		for to < m && c.col.vtLo[to] < hi {
+		for to < m && c.col.vtLo[to] <= last {
 			to++
 		}
 		touched += to - from
@@ -160,7 +161,7 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
 			touched++
 		}
 		sp := s.span(k)
-		sp.validCols(c, from, to, lo, hi)
+		sp.validCols(c, from, to, lo, last)
 		a.keep(&sp)
 		if to < m {
 			return a, touched
@@ -170,14 +171,15 @@ func (s *seq) vtRangeOrdered(lo, hi chronon.Chronon) (Answer, int) {
 }
 
 // AsOf answers the bitemporal query over st: the elements present at tt and
-// valid at vt, in arrival order, and the number touched — elements visited
+// valid at some chronon of the inclusive [lo, last] — an instant vt is
+// [vt, vt] — in arrival order, and the number touched: elements visited
 // plus one probe per pruned chunk. No organization orders both dimensions,
 // so it scans, but only the chunks the query can touch: a full chunk whose
-// valid-time envelope misses vt, or that holds nothing present at tt, is
-// skipped on every organization, and where arrival order is tt⊢ order the
-// scan ends at the first chunk that begins after tt. It is cooperative: it
-// polls ctx once a chunk.
-func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) (Answer, int, error) {
+// valid-time envelope misses the window, or that holds nothing present at
+// tt, is skipped on every organization, and where arrival order is tt⊢
+// order the scan ends at the first chunk that begins after tt. It is
+// cooperative: it polls ctx once a chunk.
+func AsOf(ctx context.Context, st Store, lo, last, tt chronon.Chronon) (Answer, int, error) {
 	s, ttOrdered := seqOf(st), st.Kind() != Heap
 	var a Answer
 	touched := 0
@@ -193,14 +195,14 @@ func AsOf(ctx context.Context, st Store, vt, tt chronon.Chronon) (Answer, int, e
 		if err := ctx.Err(); err != nil {
 			return Answer{}, touched, err
 		}
-		if full && (c.vtMissesAt(vt) || c.deadAt(tt)) {
+		if full && (c.vtOutside(lo, last) || c.deadAt(tt)) {
 			touched++
 			continue
 		}
 		m := s.slots(k)
 		touched += m
 		sp := s.span(k)
-		sp.asOfCols(c, m, vt, tt)
+		sp.asOfCols(c, m, lo, last, tt)
 		a.keep(&sp)
 	}
 	return a, touched, nil

@@ -130,11 +130,11 @@ func (c *chunk) zoneOf() zone {
 }
 
 // vtMisses reports whether no element is valid anywhere in [lo, hi),
-// vtMissesAt whether none is valid at vt, and vtWithin whether every element
-// has its whole valid time inside [lo, hi).
-func (z *zone) vtMisses(lo, hi chronon.Chronon) bool { return z.vtLo >= hi || z.vtLast < lo }
-func (z *zone) vtMissesAt(vt chronon.Chronon) bool   { return vt < z.vtLo || z.vtLast < vt }
-func (z *zone) vtWithin(lo, hi chronon.Chronon) bool { return lo <= z.vtLo && z.vtLast < hi }
+// vtOutside whether none is valid anywhere in the inclusive [lo, last], and
+// vtWithin whether every element has its whole valid time inside [lo, hi).
+func (z *zone) vtMisses(lo, hi chronon.Chronon) bool    { return z.vtLo >= hi || z.vtLast < lo }
+func (z *zone) vtOutside(lo, last chronon.Chronon) bool { return last < z.vtLo || z.vtLast < lo }
+func (z *zone) vtWithin(lo, hi chronon.Chronon) bool    { return lo <= z.vtLo && z.vtLast < hi }
 
 // chunk is runSize version slots and the zone map over them: a columns
 // block (columns.go), the chunk's tt⊣ column and its string arena.
@@ -167,12 +167,14 @@ func (c *chunk) deadAt(tt chronon.Chronon) bool {
 	return c.ttLo > tt || !c.live() && c.ttClosed <= tt
 }
 
-// vtEndAt is slot j's exclusive valid-time end (exclusiveEnd).
-func (c *chunk) vtEndAt(j int) chronon.Chronon {
+// vtLastAt is slot j's last valid chronon: an event's own, an interval's
+// end less one. Unlike an exclusive end it does not saturate, so an event
+// at or past MaxChronon keeps its place.
+func (c *chunk) vtLastAt(j int) chronon.Chronon {
 	if c.col.event {
-		return c.col.vtLo[j].Add(1)
+		return c.col.vtLo[j]
 	}
-	return c.col.vtHi[j]
+	return c.col.vtHi[j] - 1
 }
 
 // Len reports the number of stored elements.
@@ -303,11 +305,10 @@ func (s *seq) SearchTT(tt chronon.Chronon, inclusive bool) int {
 	return s.search(func(c *chunk, j int) bool { return c.col.ttStart[j] > tt })
 }
 
-// searchVTEnd returns the first position whose valid time reaches past lo,
-// and searchVTStart the first that starts at or past hi, on the vt-ordered
-// log.
+// searchVTEnd returns the first position whose valid time reaches lo, and
+// searchVTStart the first that starts at or past hi, on the vt-ordered log.
 func (s *seq) searchVTEnd(lo chronon.Chronon) int {
-	return s.search(func(c *chunk, j int) bool { return c.vtEndAt(j) > lo })
+	return s.search(func(c *chunk, j int) bool { return c.vtLastAt(j) >= lo })
 }
 
 func (s *seq) searchVTStart(hi chronon.Chronon) int {
@@ -400,55 +401,16 @@ func seqOf(st Store) *seq {
 	panic(fmt.Sprintf("storage: %T is not a sequence-backed store", st))
 }
 
-// Runs yields st's elements in arrival order one run at a time: runSize
-// elements each, the last one shorter, each run materialized into fresh
-// memory, so Runs is for the cold paths that keep what they read —
-// snapshot, classify, rebuild, verify. A scan that keeps nothing takes
-// ScanRuns.
-func Runs(st Store) element.Runs {
-	s := seqOf(st)
-	return func(yield func([]*element.Element) bool) {
-		for k := range s.chunks() {
-			if !yield(s.materialize(k)) {
-				return
-			}
-		}
-	}
-}
-
-// ScanRuns is Runs for a reader that keeps no element it is handed — only
-// values copied out of them: every chunk is materialized into the same
-// scratch, which the next run overwrites, so a scan costs one chunk's
-// memory however long the store.
-func ScanRuns(st Store) element.Runs {
-	s := seqOf(st)
-	return func(yield func([]*element.Element) bool) {
-		var sl slab
-		var ptrs []*element.Element
-		for k := range s.chunks() {
-			run := s.materialized(k, &sl, &ptrs)
-			if !yield(run) {
-				return
-			}
-		}
-	}
-}
-
-// materialized is chunk k's elements loaded into sl, pointed at by *ptrs.
-func (s *seq) materialized(k int, sl *slab, ptrs *[]*element.Element) []*element.Element {
-	if *ptrs == nil {
-		*ptrs = make([]*element.Element, runSize)
-	}
-	out := (*ptrs)[:s.slots(k)]
-	sl.fill(s.chunk(k), out)
-	return out
-}
-
-// Elements flattens the store into one freshly allocated slice in arrival
-// order. It costs a copy of every pointer; readers that can take the
-// elements a run at a time use Runs.
+// Elements materializes the store into one freshly allocated slice in
+// arrival order, a chunk at a time into memory of its own: what the cold
+// paths that keep what they read take — snapshot, classify, rebuild,
+// verify. A reader that keeps nothing loads slots in place (LoadAt,
+// Span.Load).
 func Elements(st Store) []*element.Element {
-	out := make([]*element.Element, 0, st.Len())
-	Runs(st)(func(run []*element.Element) bool { out = append(out, run...); return true })
+	s := seqOf(st)
+	out := make([]*element.Element, 0, s.n)
+	for k := range s.chunks() {
+		out = append(out, s.materialize(k)...)
+	}
 	return out
 }

@@ -124,8 +124,8 @@ func (m seqModel) checkQueries(t *testing.T, what string, st Store) {
 					window = append(window, e)
 				}
 			}
-			a, _ := rs.ttWindow(ttLo, tt, false, 0, 0)
-			same(fmt.Sprintf("ttWindow(%v, %v)", ttLo, tt), a.Elements(), window)
+			a, _ := rs.Pushdown(ttLo, tt, vt, hi-1)
+			same(fmt.Sprintf("Pushdown(%v, %v, %v, %v)", ttLo, tt, vt, hi-1), a.Elements(), refmodel.VTRange(window, vt, hi))
 		}
 	}
 }

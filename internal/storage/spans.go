@@ -333,18 +333,28 @@ func RollbackAnswer(st Store, tt chronon.Chronon) (Answer, int) {
 	return s.rollback(tt)
 }
 
-// VTRangeAnswer answers st.VTRange(lo, hi): a search on the vt-ordered log, a
-// zone-map scan on the heap and the tt-ordered log, and the index seek of an
-// indexed store.
-func VTRangeAnswer(st Store, lo, hi chronon.Chronon) (Answer, int) {
-	if rs, ok := st.(*RunStore); ok {
-		if rs.kind == VTOrdered {
-			return rs.vtRangeOrdered(lo, hi)
+// ValidAnswer answers the current versions of st valid at some chronon of
+// the inclusive [lo, last] — a time-slice at vt is [vt, vt], so no instant
+// of the line is out of reach: a search on the vt-ordered log, a zone-map
+// scan on the heap and the tt-ordered log, and the index seek of an indexed
+// store.
+func ValidAnswer(st Store, lo, last chronon.Chronon) (Answer, int) {
+	switch s := st.(type) {
+	case *IndexedEventStore: // the current elements keyed inside the window
+		var out []*element.Element
+		touched := s.index.scanRange(lo, last, func(e *element.Element) bool {
+			if e.Current() {
+				out = append(out, e)
+			}
+			return true
+		})
+		return ElementAnswer(out), touched
+	case *RunStore:
+		if s.kind == VTOrdered {
+			return s.vtRangeOrdered(lo, last)
 		}
-		return rs.vtScan(lo, hi)
 	}
-	out, touched := st.VTRange(lo, hi)
-	return ElementAnswer(out), touched
+	return seqOf(st).vtScan(lo, last)
 }
 
 // AnswerAt is the answer made of the versions at positions pos of st, which

@@ -20,6 +20,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
@@ -243,10 +244,11 @@ func (s *RunStore) Retype(k Kind) error {
 func (s *RunStore) Snapshot() Store { return &RunStore{s.snapshot()} }
 
 // Timeslice binary-searches the valid-time order where it holds and scans
-// otherwise. Its window is [vt, vt+1) unsaturated, as the engine's is, so an
-// event stamped at MaxChronon or past it is found at its own chronon.
+// otherwise. It reads its instant alone, so an event stamped at any chronon
+// up to math.MaxInt64 is found at its own.
 func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
-	return s.VTRange(vt, vt+1)
+	a, touched := ValidAnswer(s, vt, vt)
+	return a.Elements(), touched
 }
 
 // VTRange on the vt-ordered log binary-searches for the first element that
@@ -258,7 +260,10 @@ func (s *RunStore) Timeslice(vt chronon.Chronon) ([]*element.Element, int) {
 // chunk whose valid-time envelope misses [lo, hi), or that holds no current
 // element, is skipped at the cost of one metadata probe.
 func (s *RunStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element, int) {
-	a, touched := VTRangeAnswer(s, lo, hi)
+	if hi == math.MinInt64 { // no chronon lies before it, and hi−1 would wrap
+		return nil, 0
+	}
+	a, touched := ValidAnswer(s, lo, hi-1)
 	return a.Elements(), touched
 }
 
@@ -271,21 +276,15 @@ func (s *RunStore) Rollback(tt chronon.Chronon) ([]*element.Element, int) {
 	return a.Elements(), touched
 }
 
-// Pushdown answers the valid-time range [vtLo, vtHi) of a relation whose
-// declared bounds confine it to the transaction-time window [lo, hi]: the
-// current elements with lo ≤ tt⊢ ≤ hi valid during [vtLo, vtHi) (ttWindow).
-func (s *RunStore) Pushdown(lo, hi, vtLo, vtHi chronon.Chronon) (Answer, int) {
-	return s.ttWindow(lo, hi, true, vtLo, vtHi)
-}
-
-// ttWindow walks the elements with lo ≤ tt⊢ ≤ hi, found on the logs by
+// Pushdown answers the valid-time window [vtLo, vtLast], inclusive, of a
+// relation whose declared bounds confine it to the transaction-time window
+// [lo, hi]: it walks the elements with lo ≤ tt⊢ ≤ hi, found on the logs by
 // binary search on the insertion order — the touched count is the window
-// size plus the probe — and on the heap by filtering everything, keeping,
-// when valid is set, only the current ones valid during [vtLo, vtHi). This
-// is the access path that bounded specializations unlock: a declared
-// lo ≤ vt − tt ≤ hi turns a valid-time predicate into exactly such a
-// transaction-time window.
-func (s *RunStore) ttWindow(lo, hi chronon.Chronon, valid bool, vtLo, vtHi chronon.Chronon) (Answer, int) {
+// size plus the probe — and on the heap by filtering everything, keeping
+// the current ones valid in [vtLo, vtLast]. This is the access path that
+// bounded specializations unlock: a declared lo ≤ vt − tt ≤ hi turns a
+// valid-time predicate into exactly such a transaction-time window.
+func (s *RunStore) Pushdown(lo, hi, vtLo, vtLast chronon.Chronon) (Answer, int) {
 	from, to, touched := 0, s.n, s.n
 	if s.kind != Heap {
 		from, to = s.SearchTT(lo, true), s.SearchTT(hi, false)
@@ -296,23 +295,22 @@ func (s *RunStore) ttWindow(lo, hi chronon.Chronon, valid bool, vtLo, vtHi chron
 		k := i / runSize
 		c, end := s.chunk(k), min(to, (k+1)*runSize)
 		sp := s.span(k)
-		sp.windowCols(c, i%runSize, end-k*runSize, lo, hi, valid, vtLo, vtHi)
+		sp.windowCols(c, i%runSize, end-k*runSize, lo, hi, vtLo, vtLast)
 		a.keep(&sp)
 		i = end
 	}
 	return a, touched
 }
 
-// windowCols is ttWindow's column filter (columns.go): the slots of
-// [from, to) with lo ≤ tt⊢ ≤ hi and, when valid is set, current and valid
-// during [vtLo, vtHi).
+// windowCols is Pushdown's column filter (columns.go): the slots of
+// [from, to) with lo ≤ tt⊢ ≤ hi, current and valid in [vtLo, vtLast].
 //
 //go:noinline
-func (sp *Span) windowCols(c *chunk, from, to int, lo, hi chronon.Chronon, valid bool, vtLo, vtHi chronon.Chronon) {
+func (sp *Span) windowCols(c *chunk, from, to int, lo, hi, vtLo, vtLast chronon.Chronon) {
 	col := c.col
 	for j := from; j < to; j++ {
 		if tts := col.ttStart[j]; tts < lo || tts > hi ||
-			valid && (c.ttEnd[j] != chronon.Forever || col.vtLo[j] >= vtHi || vtLo >= c.vtEndAt(j)) {
+			c.ttEnd[j] != chronon.Forever || col.vtLo[j] > vtLast || c.vtLastAt(j) < vtLo {
 			continue
 		}
 		sp.take(j)

@@ -79,7 +79,7 @@ func TestVerifyRunsPostRepairAnswers(t *testing.T) {
 	twin := sealedTTLog(t, 2*runSize)
 	vt, tt := chronon.Chronon(10*(runSize+5)), chronon.Chronon(10*2*runSize)
 	asOf := func(s Store) []*element.Element {
-		got, _, err := AsOf(context.Background(), s, vt, tt)
+		got, _, err := AsOf(context.Background(), s, vt, vt, tt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,14 +53,14 @@ func BenchmarkScanGeneral(b *testing.B) {
 				}
 			}
 			small, large, tt := chronon.Chronon(50*n*3/4), chronon.Chronon(300_000), els[n*9/10].TTStart
-			// filter runs a definition over each run in turn: a filter of the
-			// runs' concatenation is the concatenation of their filters.
+			// filter runs a definition over each chunk in turn, materialized:
+			// a filter of the chunks' concatenation is the concatenation of
+			// their filters.
 			filter := func(query func([]*element.Element) []*element.Element) int {
 				found := 0
-				Runs(st)(func(run []*element.Element) bool {
-					found += len(query(run))
-					return true
-				})
+				for k := 0; k*runSize < st.Len(); k++ {
+					found += len(query(seqOf(st).materialize(k)))
+				}
 				return found
 			}
 			for _, q := range []struct {
@@ -78,7 +78,7 @@ func BenchmarkScanGeneral(b *testing.B) {
 						return filter(func(run []*element.Element) []*element.Element { return refmodel.Timeslice(run, large) })
 					}},
 				{"as-of",
-					func() int { got, _, _ := AsOf(context.Background(), st, small, tt); return len(got.Elements()) },
+					func() int { got, _, _ := AsOf(context.Background(), st, small, small, tt); return len(got.Elements()) },
 					func() int {
 						return filter(func(run []*element.Element) []*element.Element { return refmodel.AsOf(run, small, tt) })
 					}},

@@ -162,7 +162,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		if touched < len(got) || touched > len(flat)+1 {
 			return fmt.Errorf("Timeslice(%d) touched %d for %d results of %d elements", vt, touched, len(got), len(flat))
 		}
-		ans, _ := VTRangeAnswer(st, lo, hi)
+		ans, _ := ValidAnswer(st, lo, hi-1)
 		got = ans.Elements()
 		current := refmodel.VTRange(flat, lo, hi)
 		query := fmt.Sprintf("VTRange(%d, %d)", lo, hi)
@@ -189,7 +189,7 @@ func checkZoneMaps(st *RunStore, flat []*element.Element, rng *rand.Rand, names 
 		if err := names.check(query, st, ans, got); err != nil {
 			return err
 		}
-		ans, touched, err := AsOf(context.Background(), st, vt, tt)
+		ans, touched, err := AsOf(context.Background(), st, vt, vt, tt)
 		got = ans.Elements()
 		want = refmodel.AsOf(flat, vt, tt)
 		query = fmt.Sprintf("AsOf(%d, %d)", vt, tt)
@@ -434,11 +434,11 @@ func TestAsOfStopsWhenTheCallerIsGone(t *testing.T) {
 		}
 	}
 	// Every chunk holds vt 7, so none is pruned: three polls, three visits.
-	got, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 1<<40)
+	got, touched, err := AsOf(&pollsThenGone{context.Background(), 3}, st, 7, 7, 1<<40)
 	if err != context.Canceled || got.Len() != 0 || touched != 3*runSize {
 		t.Fatalf("AsOf under a caller gone at the fourth poll: %d elements, touched %d, %v", got.Len(), touched, err)
 	}
-	if got, _, err := AsOf(context.Background(), st, 7, 1<<40); err != nil || got.Len() != 6 {
+	if got, _, err := AsOf(context.Background(), st, 7, 7, 1<<40); err != nil || got.Len() != 6 {
 		t.Fatalf("AsOf with the caller waiting: %d elements, %v", got.Len(), err)
 	}
 }

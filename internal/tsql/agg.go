@@ -131,15 +131,15 @@ func AggToResult(q *Query, r *vec.AggResult) *Result {
 	return res
 }
 
-// EvalAggregate is the standalone aggregate evaluation: the row
-// reference engine over a version list (the shell's local mode and Eval
-// both land here).
-func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
+// EvalAggregate is the standalone aggregate evaluation: the definition,
+// vec.RowAggregate, over a version list in arrival order (the shell's local
+// mode and Eval both land here).
+func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
 	spec, err := BuildAggSpec(q, schema)
 	if err != nil {
 		return nil, err
 	}
-	agg, err := vec.RowAggregateRuns(ctx, spec, versions)
+	agg, err := vec.RowAggregate(ctx, spec, versions)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,11 @@ import (
 )
 
 // PlanQuery maps the statement's temporal clauses onto the planner's
-// query shapes. AS OF selects on both time dimensions at once, which no
-// single-dimension organization serves; Allen WHEN clauses need whole
-// intervals, so they evaluate as residual filters over the current state.
+// query shapes, which the engine answers (query.Engine.Answer). AS OF is a
+// plain as-of query, the zero window (plan.Query.VTWindow), and a WHEN under
+// it is residual; no single-dimension organization serves it. Allen WHEN
+// clauses need whole intervals, so they evaluate as residual filters over
+// the current state.
 // The shape is also the statement's footprint (plan.Query.Meets): WHERE,
 // LIMIT and the window aggregate only ever narrow what its clauses select,
 // and a valid-time clamp of an aggregate drops every element outside it.
@@ -35,10 +37,14 @@ func Compile(q *Query, a plan.Access) *plan.Node {
 	if q.Group != nil {
 		return compileAggregate(q, a)
 	}
-	n := plan.Build(a, PlanQuery(q))
-	if q.HasAsOf && q.When != nil {
-		n = plan.NewFilter(n, fmt.Sprintf("when %s", describeWhen(q.When)))
-	} else if q.When != nil && q.When.Kind == WhenAllen {
+	return Residual(q, plan.Build(a, PlanQuery(q)))
+}
+
+// Residual wraps n, the plan the engine runs for PlanQuery(q), in what is
+// left of a SELECT without an aggregate — the WHEN that is not the
+// engine's, WHERE and LIMIT — as EvalAnswer evaluates it.
+func Residual(q *Query, n *plan.Node) *plan.Node {
+	if residualWhen(q) {
 		n = plan.NewFilter(n, fmt.Sprintf("when %s", describeWhen(q.When)))
 	}
 	if len(q.Where) > 0 {

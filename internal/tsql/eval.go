@@ -10,6 +10,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/interval"
 	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -25,22 +26,29 @@ type Result struct {
 var pseudoColumns = []string{"es", "os", "tt_start", "tt_end", "vt", "vt_start", "vt_end"}
 
 // Eval runs the query against the relation. The caller resolves the
-// relation by name (the query's Rel field) before calling.
+// relation by name (the query's Rel field) before calling. A SELECT without
+// an aggregate selects by time as the catalog's does, through the engine
+// over the relation's own store (query.Engine.Answer), and EvalAnswer
+// evaluates the rest; an aggregate is the definition, vec.RowAggregate,
+// over the relation's versions.
 func Eval(q *Query, r *relation.Relation) (*Result, error) {
-	return EvalRunsCtx(context.Background(), q, r.Schema(), storage.Runs(r.Store()))
+	ctx := context.Background()
+	if q.Group != nil {
+		return EvalAggregate(ctx, q, r.Schema(), r.Versions())
+	}
+	a, _, _, _ := query.New(r.Store(), nil).Answer(ctx, PlanQuery(q)) // fails only when ctx is done
+	return EvalAnswer(ctx, q, r.Schema(), &a)
 }
 
-// EvalRunsCtx runs the query over versions taken a run at a time — a
-// relation's whole store, read where its runs lie, or the candidate set a
-// planned access path produced. Every clause is (re-)applied, so a caller may
-// pass a superset of the answer; the predicates are idempotent. The version
-// loop re-checks ctx between runs of at most element.MaxRun versions, so a
-// caller that has timed out or hung up stops consuming CPU mid-scan instead
-// of computing a result no one will read.
-func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions element.Runs) (*Result, error) {
-	if q.Group != nil {
-		return EvalAggregate(ctx, q, schema, versions)
-	}
+// EvalAnswer evaluates a SELECT without an aggregate over a, the engine's
+// answer to its selection by time (PlanQuery): what is left is the residual
+// Residual prints — an Allen WHEN, a WHEN under AS OF, WHERE — then the
+// projection, ORDER BY and LIMIT. Versions are read where the answer holds
+// them, one at a time into one scratch version (storage.Span.Load), and
+// never materialized; the rows copy their values out. The loop re-checks ctx
+// once a span, so a caller that has timed out or hung up stops consuming CPU
+// mid-answer instead of computing a result no one will read.
+func EvalAnswer(ctx context.Context, q *Query, schema relation.Schema, a *storage.Answer) (*Result, error) {
 	cols := q.Columns
 	if len(cols) == 0 {
 		// SELECT *: surrogates, stamps, then attributes in schema order.
@@ -68,13 +76,16 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 		}
 		refs[i] = ref
 	}
-	preds := make([]func(*element.Element) (bool, error), len(q.Where))
-	for i, p := range q.Where {
+	var preds []func(*element.Element) (bool, error)
+	if residualWhen(q) {
+		preds = append(preds, func(e *element.Element) (bool, error) { return matchWhen(q.When, e) })
+	}
+	for _, p := range q.Where {
 		f, err := predicate(schema, p)
 		if err != nil {
 			return nil, err
 		}
-		preds[i] = f
+		preds = append(preds, f)
 	}
 
 	var orderKey vec.ColRef
@@ -89,46 +100,41 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 
 	res := &Result{Columns: cols}
 	var keys []element.Value
-	err := versions.Do(ctx, func(run []*element.Element) error {
-	next:
-		for _, e := range run {
-			// Transaction-time selection: AS OF tt, else the current state.
-			if q.HasAsOf {
-				if !e.PresentAt(q.AsOf) {
-					continue
-				}
-			} else if !e.Current() {
-				continue
-			}
-			// Valid-time selection.
-			if q.When != nil {
-				if ok, err := matchWhen(q.When, e); err != nil {
-					return err
-				} else if !ok {
-					continue
-				}
-			}
-			// Attribute selection.
-			for _, p := range preds {
-				if ok, err := p(e); err != nil {
-					return err
-				} else if !ok {
-					continue next
-				}
-			}
-			row := make([]element.Value, len(refs))
-			for i, ref := range refs {
-				row[i] = ref.Of(e)
-			}
-			res.Rows = append(res.Rows, row)
-			if ordered {
-				keys = append(keys, orderKey.Of(e))
+	add := func(e *element.Element) error {
+		for _, p := range preds {
+			if ok, err := p(e); err != nil || !ok {
+				return err
 			}
 		}
+		row := make([]element.Value, len(refs))
+		for i, ref := range refs {
+			row[i] = ref.Of(e)
+		}
+		res.Rows = append(res.Rows, row)
+		if ordered {
+			keys = append(keys, orderKey.Of(e))
+		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	v := new(storage.Version)
+	for i := range a.Spans() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sp := &a.Spans()[i]
+		for _, e := range sp.Elements() { // an index seek's
+			if err := add(e); err != nil {
+				return nil, err
+			}
+		}
+		it := sp.Slots().Stretches()
+		for lo, hi := it.Next(); lo < storage.ChunkSize; lo, hi = it.Next() {
+			for j := lo; j < hi; j++ {
+				if err := add(sp.Load(j, v)); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 	if ordered {
 		// Sort rows and their keys together; keys are computed from the
@@ -153,6 +159,14 @@ func EvalRunsCtx(ctx context.Context, q *Query, schema relation.Schema, versions
 		res.Rows = res.Rows[:q.Limit]
 	}
 	return res, nil
+}
+
+// residualWhen reports whether the WHEN clause is left to the residual: an
+// Allen relation, which needs whole intervals, or any WHEN under AS OF,
+// whose selection is the one at tt (PlanQuery). A WHEN VALID AT or DURING
+// otherwise is the engine's selection.
+func residualWhen(q *Query) bool {
+	return q.When != nil && (q.HasAsOf || q.When.Kind == WhenAllen)
 }
 
 // valueLess orders two values of one column: nulls first, then the natural
@@ -337,7 +351,8 @@ func cmpFloat(a, b float64) int {
 // through the lookup function. An EXPLAIN statement returns the rendered
 // plan as a one-column result instead of executing. Standalone relations
 // carry no advisor-chosen store, so the plan is built for a heap of the
-// relation's size — evaluation here is always a scan of the backlog.
+// relation's size; Eval takes whichever path the relation's own store's
+// label allows, with the same answer.
 func Run(src string, lookup func(name string) (*relation.Relation, bool)) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {

@@ -1,13 +1,19 @@
 package tsql
 
 import (
+	"context"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
+	"repro/internal/fuzzcost"
 	"repro/internal/plan"
+	"repro/internal/refmodel"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/tx"
 	"repro/internal/vec"
 )
@@ -27,6 +33,10 @@ var (
 		"select * from emp when overlapped-by [5, 1)",
 		"'",
 		"select * from emp where v == -3.5",
+		"select es, vt from emp when valid at 9223372036854775807",
+		"select name, tt_end from emp as of 30 when valid during [0, 25) order by salary desc limit 2",
+		"select es from emp when valid during [-4611686018427387904, 4611686018427387904) where salary >= 1",
+		"select sum(salary) from emp group by window(1, cumulative)",
 	}
 	aggregateSeeds = []string{
 		"select count(*) from emp group by window(100)",
@@ -44,8 +54,11 @@ var (
 	}
 )
 
-// FuzzParse checks the query parser never panics and that parsed queries
-// evaluate without panicking against a small fixture relation.
+// FuzzParse checks that the query parser never panics and that whatever
+// parses evaluates as defined (defined): Eval's rows, in order, or its
+// error, against a small fixture relation with versions at the ends of the
+// line and a closed one. Parse and Eval together stay inside the statement
+// cost bound (fuzzcost.Statement).
 func FuzzParse(f *testing.F) {
 	for _, seed := range parseSeeds {
 		f.Add(seed)
@@ -55,24 +68,68 @@ func FuzzParse(f *testing.F) {
 		Invariant: []relation.Column{{Name: "name", Type: element.KindString}},
 		Varying:   []relation.Column{{Name: "salary", Type: element.KindFloat}},
 	}, tx.NewLogicalClock(0, 10))
-	for i := 0; i < 5; i++ {
-		if _, err := r.Insert(relation.Insertion{
-			VT:        element.EventAt(chronon.Chronon(i * 10)),
+	for i, vt := range []chronon.Chronon{0, 10, 20, 30, 40, chronon.MinChronon, chronon.MaxChronon, math.MaxInt64} {
+		el, err := r.Insert(relation.Insertion{
+			VT:        element.EventAt(vt),
 			Invariant: []element.Value{element.String_("x")},
 			Varying:   []element.Value{element.Float(float64(i))},
-		}); err != nil {
+		})
+		if err != nil {
 			f.Fatal(err)
+		}
+		if i == 2 {
+			if err := r.Delete(el.ES); err != nil {
+				f.Fatal(err)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		q, err := Parse(src)
-		if err != nil {
+		var (
+			q   *Query
+			res *Result
+			err error
+		)
+		fuzzcost.Statement.Bound(t, len(src), func() {
+			if q, err = Parse(src); err == nil {
+				res, err = Eval(q, r)
+			}
+		})
+		if q == nil {
 			return
 		}
 		sameFingerprints(t, src, q)
-		// Whatever parses must evaluate or fail cleanly — never panic.
-		_, _ = Eval(q, r)
+		want, wantErr := defined(q, r)
+		switch {
+		case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("%q: Eval fails with %v, the definition with %v", src, err, wantErr)
+		case err == nil && !reflect.DeepEqual(res.Rows, want.Rows):
+			t.Fatalf("%q: Eval has rows %v, the definition %v", src, res.Rows, want.Rows)
+		}
 	})
+}
+
+// defined answers q over r as defined: a window aggregate by
+// vec.RowAggregate (EvalAggregate) over r's versions, anything else by
+// refmodel's selection by time over them — AS OF the state stored at its
+// tt, WHEN VALID AT or DURING the current elements valid then, else the
+// current state — and then the residual over exactly that list.
+func defined(q *Query, r *relation.Relation) (*Result, error) {
+	ctx, els := context.Background(), r.Versions()
+	if q.Group != nil {
+		return EvalAggregate(ctx, q, r.Schema(), els)
+	}
+	switch {
+	case q.HasAsOf:
+		els = refmodel.Rollback(els, q.AsOf)
+	case q.When != nil && q.When.Kind == WhenValidAt:
+		els = refmodel.Timeslice(els, q.When.At)
+	case q.When != nil && q.When.Kind == WhenValidDuring:
+		els = refmodel.VTRange(els, q.When.Window.Start, q.When.Window.End)
+	default:
+		els = refmodel.Current(els)
+	}
+	a := storage.ElementAnswer(els)
+	return EvalAnswer(ctx, q, r.Schema(), &a)
 }
 
 // FuzzParseAggregate drives the aggregate grammar: parsing never panics,

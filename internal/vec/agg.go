@@ -130,7 +130,9 @@ func (k WindowKind) String() string {
 // window range. Valid-time intervals may extend to Forever; without the
 // bound a single open interval would fan out into 2^56 windows. Both
 // engines enforce the identical bound so a guard trip is itself a
-// deterministic, differential-testable answer.
+// deterministic, differential-testable answer. A span of windows lo..hi is
+// counted unsigned, uint64(hi−lo)+1: between windows near the two ends of
+// the int64 line hi−lo+1 wraps to a negative number.
 const MaxWindows = 1 << 16
 
 // MaxWidth bounds window widths; MaxRolling bounds the rolling extent.
@@ -436,9 +438,9 @@ func (ac *accum) add(vtStart, vtEnd int64, e *element.Element) error {
 	w := ac.spec.Width
 	wLo := floorDiv(s, w)
 	wHi := floorDiv(en-1, w)
-	if wHi-wLo+1 > MaxWindows {
+	if uint64(wHi-wLo) >= MaxWindows {
 		return fmt.Errorf("vec: element spans %d windows (max %d); narrow the window or add a WHEN clamp",
-			wHi-wLo+1, MaxWindows)
+			uint64(wHi-wLo)+1, MaxWindows)
 	}
 	for wi := wLo; wi <= wHi; wi++ {
 		if err := updateCells(ac.row(wi), ac.spec.Aggs, e); err != nil {
@@ -448,9 +450,10 @@ func (ac *accum) add(vtStart, vtEnd int64, e *element.Element) error {
 	return nil
 }
 
-// emitCheckEvery is how many rows emit produces between cancellation
-// checks: a rolling or cumulative result may span MaxWindows rows.
-const emitCheckEvery = 1024
+// checkEvery is how many rows emit produces, or elements RowAggregate
+// folds, between two polls of the context: a rolling or cumulative result
+// may span MaxWindows rows.
+const checkEvery = 1024
 
 // emit materializes the populated windows into the result, applying the
 // window mode (emitRows).
@@ -477,16 +480,16 @@ func (ac *accum) emit(ctx context.Context) (*AggResult, error) {
 // merge that defines it for the reference). Its allocations do not grow with
 // the number of windows: each window is finalized straight into its output
 // row — bounds, then values — of one slab, and rolling and cumulative rows
-// are merged into one scratch row. It polls ctx every emitCheckEvery rows.
+// are merged into one scratch row. It polls ctx every checkEvery rows.
 func emitRows(ctx context.Context, spec *Spec, idxs []int64, rows [][]cell, slide bool) (*AggResult, error) {
 	res := &AggResult{}
 	if len(idxs) == 0 {
 		return res, nil
 	}
 	first, last := idxs[0], idxs[len(idxs)-1]
-	if last-first+1 > MaxWindows {
+	if uint64(last-first) >= MaxWindows {
 		return nil, fmt.Errorf("vec: result spans %d windows (max %d); narrow the window or add a WHEN clamp",
-			last-first+1, MaxWindows)
+			uint64(last-first)+1, MaxWindows)
 	}
 	n := len(idxs)
 	if spec.WKind != Tumbling {
@@ -500,7 +503,7 @@ func emitRows(ctx context.Context, spec *Spec, idxs []int64, rows [][]cell, slid
 	res.Rows = make([][]element.Value, 0, n)
 	push := func(start, end int64, cells []cell) error {
 		i := len(res.Rows)
-		if i%emitCheckEvery == emitCheckEvery-1 {
+		if i%checkEvery == checkEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -728,24 +731,25 @@ func slideRolling(spec *Spec, idxs []int64, rows [][]cell, push func(start, end 
 	return true, nil
 }
 
-// RowAggregate is the reference engine over one materialized slice of
-// elements in arrival order; see RowAggregateRuns.
+// RowAggregate is the definition of a window aggregate: row at a time over
+// elements in arrival order, using the elements' own predicate methods; it
+// polls for cancellation once every checkEvery elements. The
+// differential harness holds the query engine's fold (ColAgg.ConsumeCols)
+// to its answers.
 func RowAggregate(ctx context.Context, spec *Spec, elems []*element.Element) (*AggResult, error) {
-	return RowAggregateRuns(ctx, spec, element.Slice(elems))
-}
-
-// RowAggregateRuns is the reference engine: row-at-a-time over elements in
-// arrival order, taken a run at a time so a store is folded where it lies,
-// using the elements' own predicate methods; it polls for cancellation
-// between runs. The differential harness holds the query engine's fold
-// (ColAgg.ConsumeCols) to its answers.
-func RowAggregateRuns(ctx context.Context, spec *Spec, runs element.Runs) (*AggResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	ac := newAccum(spec)
-	if err := runs.Do(ctx, func(run []*element.Element) error { return ac.addRows(run, false) }); err != nil {
-		return nil, err
+	for len(elems) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		n := min(len(elems), checkEvery)
+		if err := ac.addRows(elems[:n], false); err != nil {
+			return nil, err
+		}
+		elems = elems[n:]
 	}
 	return ac.emit(ctx)
 }
@@ -808,9 +812,9 @@ func (ac *accum) addUnmemoized(vtStart, vtEnd int64, e *element.Element) error {
 	w := ac.spec.Width
 	wLo := floorDiv(s, w)
 	wHi := floorDiv(en-1, w)
-	if wHi-wLo+1 > MaxWindows {
+	if uint64(wHi-wLo) >= MaxWindows {
 		return fmt.Errorf("vec: element spans %d windows (max %d); narrow the window or add a WHEN clamp",
-			wHi-wLo+1, MaxWindows)
+			uint64(wHi-wLo)+1, MaxWindows)
 	}
 	for wi := wLo; wi <= wHi; wi++ {
 		row, ok := ac.cells[wi]
@@ -884,7 +888,7 @@ func (a *ColAgg) Consume(b *Batch, stats *ExecStats) error {
 }
 
 // ConsumeRows folds one chunk's elements into the same state row at a time,
-// where they lie, with RowAggregateRuns' filter and the hot-window memo
+// where they lie, with RowAggregate's filter and the hot-window memo
 // Consume uses: the row fold ConsumeCols is held to (the fold tests). The
 // cells are bit-identical to the reference engine's.
 func (a *ColAgg) ConsumeRows(rows []*element.Element, stats *ExecStats) error {
