@@ -136,7 +136,10 @@ bench:
 # 20 k ledger with a write before each one — the read the result cache
 # cannot help — and a cached time-slice and clamped aggregate revalidated
 # to 304 after a head insert, and POSTed, served by the result cache across
-# it), at -benchtime=100ms with -benchmem, so B/op and allocs/op print
+# it), and A1's two halves in the root package (the heap, the heap with its
+# B-tree valid-time index and the vt-ordered log loaded, then time-sliced;
+# the index seek answers in slots of the heap's chunks, in arrival order),
+# at -benchtime=100ms with -benchmem, so B/op and allocs/op print
 # beside ns/op. Fast enough for ci; the end-to-end numbers for the same dimensions are tsbench's
 # (read_*_rel on dashboard-hot, agg_*_rel on firehose-analytics,
 # ingest_batch_p50_rel and recovery_s everywhere).
@@ -147,6 +150,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='^BenchmarkPosition$$' -benchtime=100ms -benchmem ./internal/relation
 	$(GO) test -run=NONE -bench='^BenchmarkWireCodec' -benchtime=100ms -benchmem ./internal/wire
 	$(GO) test -run=NONE -bench='^BenchmarkServeRoundTrip' -benchtime=100ms -benchmem ./internal/server
+	$(GO) test -run=NONE -bench='^(BenchmarkAblationIndexMaintenance|BenchmarkAblationIndexedQuery)$$' -benchtime=100ms -benchmem .
 
 # The benchmark is its own module with a replace directive onto this
 # one, so tier-1's `./...` never builds it; an internal API change can

@@ -14,7 +14,6 @@ import (
 	"repro/client"
 	"repro/internal/chronon"
 	"repro/internal/element"
-	"repro/internal/storage"
 	"repro/internal/surrogate"
 	"repro/internal/wire"
 )
@@ -201,7 +200,7 @@ func TestElementMemoIsBounded(t *testing.T) {
 				TTEnd: chronon.Forever, VT: element.SpanOf(0, 1000),
 				Invariant: []element.Value{element.String_("ledger entry " + strconv.Itoa(i))}, Varying: []element.Value{element.Int(int64(i))}}
 		}
-		b, err := wire.QueryBody{Answer: storage.ElementAnswer(els), Touched: n}.AppendJSON(nil)
+		b, err := json.Marshal(wire.QueryResponse{Elements: wire.FromElements(els), Touched: n})
 		if err != nil {
 			t.Fatal(err)
 		}

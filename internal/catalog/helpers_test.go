@@ -100,8 +100,21 @@ func (v *readView) selected(q *tsql.Query) (*tsql.Result, error) {
 	if q.Group != nil {
 		return v.defined(q)
 	}
-	a := storage.ElementAnswer(selection(q, v.elems()))
+	a := heapAnswer(selection(q, v.elems()))
 	return tsql.EvalAnswer(context.Background(), q, v.schema, &a)
+}
+
+// heapAnswer is the answer that takes every version of a heap holding els,
+// in order: what a read of exactly them gives.
+func heapAnswer(els []*element.Element) storage.Answer {
+	st, pos := storage.NewHeap(), make([]int, len(els))
+	for i, e := range els {
+		if err := st.Insert(e); err != nil {
+			panic(err)
+		}
+		pos[i] = i
+	}
+	return storage.AnswerAt(st, pos)
 }
 
 // selection is a SELECT's selection by time as refmodel defines it: AS OF

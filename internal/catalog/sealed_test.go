@@ -90,28 +90,20 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	declareNonDecreasing(t, e)
-	// reads answers the four element reads and returns the surrogates their
-	// answers name as elements, not as slots of a sealed chunk.
-	reads := func() map[surrogate.Surrogate]bool {
+	// reads answers the four element reads, which the result cache keeps:
+	// spans over the columns' slots, which name no element.
+	reads := func() {
 		t.Helper()
-		named := make(map[surrogate.Surrogate]bool)
 		for _, read := range []func() (answered, error){
 			func() (answered, error) { return currentCtx(ctx, e) },
 			func() (answered, error) { return timesliceCtx(ctx, e, 100) },
 			func() (answered, error) { return rollbackCtx(ctx, e, chronon.Chronon(1<<40)) },
 			func() (answered, error) { return timesliceAsOfCtx(ctx, e, 150, chronon.Chronon(1<<40)) },
 		} {
-			res, err := read()
-			if err != nil {
+			if _, err := read(); err != nil {
 				t.Fatal(err)
 			}
-			for _, sp := range res.Answer().Spans() {
-				for _, el := range sp.Elements() {
-					named[el.ES] = true
-				}
-			}
 		}
-		return named
 	}
 
 	// 255 elements under one key: the head chunk, one short of full (a
@@ -130,9 +122,7 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 		runtime.SetFinalizer(it.Elem, func(el *element.Element) { gone.Store(el.ES, true); freed.Add(1) })
 	}
 	first = BatchResult{}
-	if named := reads(); len(named) != 0 {
-		t.Fatalf("answers over the chunk still filling name %d elements", len(named))
-	}
+	reads()
 	collect := func(want int32) {
 		for i := 0; i < 20 && freed.Load() < want; i++ {
 			runtime.GC()
@@ -152,7 +142,7 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	if err := remove(e, 3); err != nil {
 		t.Fatal(err)
 	}
-	pinned := reads()
+	reads()
 	if st := e.ImageStats(); st.Built == 0 || st.SpansSpliced == 0 {
 		t.Fatalf("no image of the sealed chunk built and spliced: %+v", st)
 	}
@@ -165,24 +155,13 @@ func TestSealedChunkLetsGoOfItsElements(t *testing.T) {
 	}
 	replay = BatchResult{}
 
-	// What is left is what the cached answers from before the seal name.
-	collect(int32(vec.BatchSize - 1 - len(pinned)))
-	for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
-		if _, ok := gone.Load(es); !ok && !pinned[es] {
-			t.Fatalf("element %d of the sealed chunk is kept, and no cached answer names it (%d collected, %d named)", es, freed.Load(), len(pinned))
-		}
-	}
-	// A close of each supersedes the answers that name them; then nothing
-	// is left.
-	for es := range pinned {
-		if err := remove(e, es); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if again := reads(); len(again) != 0 {
-		t.Fatalf("answers after the seal name %d elements", len(again))
-	}
+	// Nothing is left: no cached answer, image or window names an element.
 	collect(int32(vec.BatchSize - 1))
+	for es := surrogate.Surrogate(1); es < surrogate.Surrogate(vec.BatchSize); es++ {
+		if _, ok := gone.Load(es); !ok {
+			t.Fatalf("element %d of the sealed chunk is kept (%d collected)", es, freed.Load())
+		}
+	}
 	if n := freed.Load(); n != int32(vec.BatchSize-1) {
 		t.Fatalf("%d of the sealed chunk's %d old elements were collected", n, vec.BatchSize-1)
 	}

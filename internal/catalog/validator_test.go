@@ -14,6 +14,7 @@ package catalog
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -172,7 +173,7 @@ func probesFor(t testing.TB, e *Entry, rng *rand.Rand, vts, tts []int64) []probe
 				if err != nil {
 					t.Fatal(err)
 				}
-				if plain, _ := (wire.QueryBody{Answer: storage.ElementAnswer(r.Elements)}).AppendJSON(nil); !bytes.Equal(spliced, plain) {
+				if plain, _ := json.Marshal(wire.QueryResponse{Elements: wire.FromElements(r.Elements)}); !bytes.Equal(spliced, plain) {
 					t.Fatalf("%s at epoch %d: the spliced body is not the encoded one", name, r.Epoch)
 				}
 				return elementKeys(t, r.Elements), r.Epoch

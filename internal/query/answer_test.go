@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chronon"
@@ -119,4 +121,105 @@ func TestTimesliceAtTheEndOfTheLine(t *testing.T) {
 			sameAnswer(t, fmt.Sprintf("%s: as-of at %d", name, vt), a.Elements(), refmodel.AsOf(flat, vt, 100))
 		}
 	}
+}
+
+// TestIndexSeekIsTheDefinition holds the indexed store's seek, through the
+// engine, to refmodel.Timeslice and VTRange over the stored versions, in
+// arrival order: over shuffled and repeated valid times and stamps at both
+// ends of the time line, after closes through Replace and through ReplaceAt,
+// with a caller that hands every insert the same element struct, on the live
+// store and on a snapshot pinned between two rounds of writes.
+func TestIndexSeekIsTheDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	ends := []chronon.Chronon{chronon.MinChronon, chronon.MaxChronon, math.MaxInt64}
+	st := storage.NewIndexedEvent()
+	var flat []*element.Element // what was stored, in arrival order, as the test records it
+	var e element.Element       // the caller's one struct, written over for every insert
+	e.Invariant = make([]element.Value, 1)
+	insert := func(n int) {
+		for range n {
+			i := len(flat)
+			vt := chronon.Chronon(rng.Intn(300) - 50)
+			if rng.Intn(16) == 0 {
+				vt = ends[rng.Intn(len(ends))]
+			}
+			e.ES, e.OS, e.TTStart, e.TTEnd, e.VT = surrogate.Surrogate(i+1), surrogate.Surrogate(i%7+1), chronon.Chronon(10*(i+1)), chronon.Forever, element.EventAt(vt)
+			e.Invariant[0] = element.Int(int64(i))
+			if err := st.Insert(&e); err != nil {
+				t.Fatal(err)
+			}
+			flat = append(flat, e.Clone())
+		}
+	}
+	closeSome := func(n int) {
+		for range n {
+			i := rng.Intn(len(flat))
+			if !flat[i].Current() {
+				continue
+			}
+			closed := flat[i].Clone()
+			closed.TTEnd = chronon.Chronon(10*len(flat) + 5)
+			if i%2 == 0 {
+				st.Replace(flat[i], closed)
+			} else {
+				st.ReplaceAt(i, closed)
+			}
+			flat[i] = closed
+		}
+	}
+	same := func(what string, got, want []*element.Element) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d elements, the definition %d", what, len(got), len(want))
+		}
+		for i, g := range got {
+			if w := want[i]; g.ES != w.ES || g.TTEnd != w.TTEnd || g.VT != w.VT || !g.Invariant[0].Equal(w.Invariant[0]) {
+				t.Fatalf("%s: answer %d is ES %v vt %v tt⊣ %v, the definition's ES %v vt %v tt⊣ %v", what, i, g.ES, g.VT, g.TTEnd, w.ES, w.VT, w.TTEnd)
+			}
+		}
+	}
+	check := func(name string, view storage.Store, record []*element.Element) {
+		t.Helper()
+		stored := storage.Elements(view)
+		same(name+": stored versions", stored, record)
+		en := New(view, nil)
+		answer := func(q plan.Query) []*element.Element {
+			t.Helper()
+			a, node, _, err := en.Answer(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if leaf := node.Leaf().Kind; leaf != plan.BTreeIndexSeek {
+				t.Fatalf("%s: %v planned %v", name, q, leaf)
+			}
+			return a.Elements()
+		}
+		probes := append([]chronon.Chronon{-51, 250}, ends...)
+		for range 40 {
+			probes = append(probes, record[rng.Intn(len(record))].VT.Start())
+		}
+		for _, vt := range probes {
+			same(fmt.Sprintf("%s: time-slice at %d", name, vt),
+				answer(plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1}), refmodel.Timeslice(stored, vt))
+		}
+		windows := [][2]chronon.Chronon{{chronon.MinChronon, 0}, {0, chronon.MaxChronon}, {chronon.MaxChronon, math.MaxInt64}, {chronon.MinChronon, math.MaxInt64}}
+		for range 40 {
+			lo := chronon.Chronon(rng.Intn(350) - 60)
+			windows = append(windows, [2]chronon.Chronon{lo, lo + chronon.Chronon(rng.Intn(120))})
+		}
+		for _, w := range windows {
+			same(fmt.Sprintf("%s: range [%d, %d)", name, w[0], w[1]),
+				answer(plan.Query{Kind: plan.QVTRange, VTLo: int64(w[0]), VTHi: int64(w[1])}), refmodel.VTRange(stored, w[0], w[1]))
+		}
+	}
+
+	insert(600)
+	closeSome(80)
+	check("live", st, flat)
+	snap, pinned := st.Snapshot(), slices.Clone(flat)
+	check("snapshot", snap, pinned)
+	insert(300)
+	closeSome(120)
+	check("live after more writes", st, flat)
+	check("snapshot after more writes", snap, pinned)
 }

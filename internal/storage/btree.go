@@ -2,18 +2,20 @@ package storage
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/chronon"
 	"repro/internal/element"
 )
 
-// btree is an in-memory B-tree over (valid time, element surrogate) keys —
-// the secondary valid-time index a *general* temporal relation must
-// maintain to answer historical queries in logarithmic time. Specialized
-// relations get the same access path for free from their arrival order
-// (see RunStore); the B-tree exists to price the alternative honestly:
-// every insert pays tree maintenance, every query pays tree descent.
+// btree is an in-memory B-tree over (valid time, position) keys — the
+// secondary valid-time index a *general* temporal relation must maintain to
+// answer historical queries in logarithmic time. Specialized relations get
+// the same access path for free from their arrival order (see RunStore); the
+// B-tree exists to price the alternative honestly: every insert pays tree
+// maintenance, every query pays tree descent. It holds keys alone: a
+// position names a version in the store's arrival order, which never moves,
+// so the store's columns are the one copy of every version and a close edits
+// nothing here.
 type btree struct {
 	root *bnode
 	size int
@@ -24,20 +26,19 @@ type btree struct {
 const degree = 16
 
 type bkey struct {
-	vt chronon.Chronon
-	es uint64 // tiebreaker: surrogates are unique
+	vt  chronon.Chronon
+	pos int // tiebreaker: positions are unique
 }
 
 func (a bkey) less(b bkey) bool {
 	if a.vt != b.vt {
 		return a.vt < b.vt
 	}
-	return a.es < b.es
+	return a.pos < b.pos
 }
 
 type bnode struct {
 	keys     []bkey
-	vals     []*element.Element
 	children []*bnode // nil for leaves
 }
 
@@ -48,16 +49,16 @@ func newBtree() *btree { return &btree{root: &bnode{}} }
 // Len reports the number of stored entries.
 func (t *btree) Len() int { return t.size }
 
-// insert adds an entry. Keys are unique by construction (the surrogate
-// tiebreaker), so duplicates cannot arise.
-func (t *btree) insert(vt chronon.Chronon, e *element.Element) {
-	k := bkey{vt: vt, es: uint64(e.ES)}
+// insert adds the key (vt, pos). Keys are unique by construction (the
+// position tiebreaker), so duplicates cannot arise.
+func (t *btree) insert(vt chronon.Chronon, pos int) {
+	k := bkey{vt: vt, pos: pos}
 	if len(t.root.keys) == 2*degree-1 {
 		old := t.root
 		t.root = &bnode{children: []*bnode{old}}
 		t.root.splitChild(0)
 	}
-	t.root.insertNonFull(k, e)
+	t.root.insertNonFull(k)
 	t.size++
 }
 
@@ -65,30 +66,23 @@ func (t *btree) insert(vt chronon.Chronon, e *element.Element) {
 func (n *bnode) splitChild(i int) {
 	child := n.children[i]
 	mid := degree - 1
-	right := &bnode{
-		keys: append([]bkey(nil), child.keys[mid+1:]...),
-		vals: append([]*element.Element(nil), child.vals[mid+1:]...),
-	}
+	right := &bnode{keys: append([]bkey(nil), child.keys[mid+1:]...)}
 	if !child.leaf() {
 		right.children = append([]*bnode(nil), child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
 	}
-	upKey, upVal := child.keys[mid], child.vals[mid]
+	up := child.keys[mid]
 	child.keys = child.keys[:mid]
-	child.vals = child.vals[:mid]
 
 	n.keys = append(n.keys, bkey{})
 	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = upKey
-	n.vals = append(n.vals, nil)
-	copy(n.vals[i+1:], n.vals[i:])
-	n.vals[i] = upVal
+	n.keys[i] = up
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
 }
 
-func (n *bnode) insertNonFull(k bkey, e *element.Element) {
+func (n *bnode) insertNonFull(k bkey) {
 	i := len(n.keys)
 	for i > 0 && k.less(n.keys[i-1]) {
 		i--
@@ -97,9 +91,6 @@ func (n *bnode) insertNonFull(k bkey, e *element.Element) {
 		n.keys = append(n.keys, bkey{})
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = k
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = e
 		return
 	}
 	if len(n.children[i].keys) == 2*degree-1 {
@@ -108,29 +99,13 @@ func (n *bnode) insertNonFull(k bkey, e *element.Element) {
 			i++
 		}
 	}
-	n.children[i].insertNonFull(k, e)
+	n.children[i].insertNonFull(k)
 }
 
-// replace swaps the value stored under k for e. Keys are unique (surrogate
-// tiebreaker) so at most one slot changes; a missing key is a no-op.
-func (t *btree) replace(k bkey, e *element.Element) {
-	for n := t.root; n != nil; {
-		i := sort.Search(len(n.keys), func(j int) bool { return !n.keys[j].less(k) })
-		if i < len(n.keys) && n.keys[i] == k {
-			n.vals[i] = e
-			return
-		}
-		if n.leaf() {
-			return
-		}
-		n = n.children[i]
-	}
-}
-
-// scanRange visits entries with lo ≤ vt ≤ last in key order, calling visit
-// for each; it returns the number of keys examined (the query's cost). The
-// visit function returns false to stop early.
-func (t *btree) scanRange(lo, last chronon.Chronon, visit func(*element.Element) bool) int {
+// scanRange visits the positions keyed lo ≤ vt ≤ last in key order, calling
+// visit for each; it returns the number of keys examined (the query's cost).
+// The visit function returns false to stop early.
+func (t *btree) scanRange(lo, last chronon.Chronon, visit func(pos int) bool) int {
 	touched := 0
 	var walk func(n *bnode) bool
 	walk = func(n *bnode) bool {
@@ -153,7 +128,7 @@ func (t *btree) scanRange(lo, last chronon.Chronon, visit func(*element.Element)
 			if n.keys[i].vt > last {
 				return false
 			}
-			if !visit(n.vals[i]) {
+			if !visit(n.keys[i].pos) {
 				return false
 			}
 		}
@@ -167,10 +142,14 @@ func (t *btree) scanRange(lo, last chronon.Chronon, visit func(*element.Element)
 // valid-time index — the physical design a general relation needs to make
 // historical queries fast. It answers time-slice and range queries in
 // O(log n + answer) like the vt-ordered log, but pays index maintenance on
-// every insert and stores the index alongside the data. Everything the index
-// does not answer is the embedded store's, labelled Heap: logically the data
-// sits in a heap, and a rollback filters all of it (arrival order is tt order,
-// so the log's prefix trick would apply; the heap keeps this baseline honest).
+// every insert and stores the index alongside the data. The index keys
+// positions of the embedded store, so its seek answers in slots of the
+// store's chunks, in arrival order, like every other organization
+// (ValidAnswer), and a close — the heap's own Replace or ReplaceAt — needs no
+// index edit. Everything the index does not answer is the embedded store's,
+// labelled Heap: logically the data sits in a heap, and a rollback filters
+// all of it (arrival order is tt order, so the log's prefix trick would
+// apply; the heap keeps this baseline honest).
 type IndexedEventStore struct {
 	RunStore
 	index *btree
@@ -181,19 +160,20 @@ func NewIndexedEvent() *IndexedEventStore {
 	return &IndexedEventStore{index: newBtree()}
 }
 
-// Insert appends the element and maintains the index. Interval-stamped
-// elements are rejected: a start-keyed index cannot answer interval
-// stabbing queries (that would need an augmented structure), and the
-// advisor never pairs this store with interval relations.
+// Insert appends the element and keys its position in the index.
+// Interval-stamped elements are rejected: a start-keyed index cannot answer
+// interval stabbing queries (that would need an augmented structure), and
+// the advisor never pairs this store with interval relations.
 func (s *IndexedEventStore) Insert(e *element.Element) error {
 	vt, ok := e.VT.Event()
 	if !ok {
 		return errIntervalIndexed
 	}
+	pos := s.n
 	if err := s.RunStore.Insert(e); err != nil {
 		return err
 	}
-	s.index.insert(vt, e)
+	s.index.insert(vt, pos)
 	return nil
 }
 
@@ -221,27 +201,15 @@ func (s *IndexedEventStore) VTRange(lo, hi chronon.Chronon) ([]*element.Element,
 	return a.Elements(), touched
 }
 
-// Snapshot shares the heap's chunks O(1) and rebuilds a private B-tree
-// over them. The rebuild is O(n log n), acceptable because the advisor
-// never selects this organization (it exists to price the
-// general-relation alternative); only explicit engine overrides pay it.
+// Snapshot shares the heap's chunks O(1) and rebuilds a private B-tree over
+// them from their valid-time column, materializing no version. The rebuild
+// is O(n log n), acceptable because the advisor never selects this
+// organization (it exists to price the general-relation alternative); only
+// explicit engine overrides pay it.
 func (s *IndexedEventStore) Snapshot() Store {
 	cp := &IndexedEventStore{RunStore: RunStore{seq: s.snapshot()}, index: newBtree()}
-	cp.Scan(func(e *element.Element) bool {
-		if vt, ok := e.VT.Event(); ok {
-			cp.index.insert(vt, e)
-		}
-		return true
-	})
-	return cp
-}
-
-// Replace swaps repl for old in the heap and repoints the index slot in
-// place. Snapshots carry private B-trees, so the in-place index edit is
-// invisible to any pinned view.
-func (s *IndexedEventStore) Replace(old, repl *element.Element) {
-	s.RunStore.Replace(old, repl)
-	if vt, ok := old.VT.Event(); ok {
-		s.index.replace(bkey{vt: vt, es: uint64(old.ES)}, repl)
+	for i := range cp.n {
+		cp.index.insert(cp.chunk(i / runSize).col.vtLo[i%runSize], i)
 	}
+	return cp
 }

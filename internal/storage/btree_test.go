@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -14,16 +17,15 @@ func TestBtreeInsertAndScanAll(t *testing.T) {
 	tr := newBtree()
 	const n = 1000
 	perm := rand.New(rand.NewSource(3)).Perm(n)
-	for _, v := range perm {
-		e := ev(int64(v), int64(v))
-		tr.insert(chronon.Chronon(v), e)
+	for i, v := range perm {
+		tr.insert(chronon.Chronon(v), i)
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	var got []int64
-	tr.scanRange(chronon.MinChronon, chronon.MaxChronon, func(e *element.Element) bool {
-		got = append(got, int64(e.VT.Start()))
+	var got []int
+	tr.scanRange(chronon.MinChronon, chronon.MaxChronon, func(pos int) bool {
+		got = append(got, perm[pos])
 		return true
 	})
 	if len(got) != n {
@@ -37,15 +39,15 @@ func TestBtreeInsertAndScanAll(t *testing.T) {
 func TestBtreeDuplicateVTs(t *testing.T) {
 	tr := newBtree()
 	for i := 0; i < 100; i++ {
-		tr.insert(42, ev(int64(i), 42))
+		tr.insert(42, i)
 	}
-	count := 0
-	tr.scanRange(42, 42, func(*element.Element) bool {
-		count++
+	var got []int
+	tr.scanRange(42, 42, func(pos int) bool {
+		got = append(got, pos)
 		return true
 	})
-	if count != 100 {
-		t.Fatalf("found %d of 100 duplicates", count)
+	if len(got) != 100 || !sort.IntsAreSorted(got) {
+		t.Fatalf("found %d of 100 duplicates, in position order %v", len(got), sort.IntsAreSorted(got))
 	}
 }
 
@@ -55,7 +57,7 @@ func TestBtreeRangeAgainstReference(t *testing.T) {
 	var ref []int64
 	for i := 0; i < 3000; i++ {
 		v := int64(rng.Intn(500))
-		tr.insert(chronon.Chronon(v), ev(int64(i), v))
+		tr.insert(chronon.Chronon(v), i)
 		ref = append(ref, v)
 	}
 	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
@@ -69,7 +71,7 @@ func TestBtreeRangeAgainstReference(t *testing.T) {
 			}
 		}
 		got := 0
-		touched := tr.scanRange(chronon.Chronon(lo), chronon.Chronon(hi-1), func(*element.Element) bool {
+		touched := tr.scanRange(chronon.Chronon(lo), chronon.Chronon(hi-1), func(int) bool {
 			got++
 			return true
 		})
@@ -85,10 +87,10 @@ func TestBtreeRangeAgainstReference(t *testing.T) {
 func TestBtreeScanEarlyStop(t *testing.T) {
 	tr := newBtree()
 	for i := 0; i < 200; i++ {
-		tr.insert(chronon.Chronon(i), ev(int64(i), int64(i)))
+		tr.insert(chronon.Chronon(i), i)
 	}
 	count := 0
-	tr.scanRange(0, 199, func(*element.Element) bool {
+	tr.scanRange(0, 199, func(int) bool {
 		count++
 		return count < 5
 	})
@@ -156,18 +158,62 @@ func TestIndexedEventStoreRejectsIntervals(t *testing.T) {
 
 func TestIndexedStoreSeesDeletions(t *testing.T) {
 	idx := NewIndexedEvent()
-	e := ev(10, 100)
-	if err := idx.Insert(e); err != nil {
-		t.Fatal(err)
+	a, b := ev(10, 100), ev(11, 100)
+	fill(t, idx, a, b)
+	if got, _ := idx.Timeslice(100); len(got) != 2 {
+		t.Fatal("elements not found")
 	}
-	if got, _ := idx.Timeslice(100); len(got) != 1 {
-		t.Fatal("element not found")
+	// A logical deletion is a close through the heap's own Replace or
+	// ReplaceAt; the index keys positions, so neither edits it.
+	closed := a.Clone()
+	closed.TTEnd = 20
+	idx.Replace(a, closed)
+	if got, _ := idx.Timeslice(100); len(got) != 1 || got[0].ES != b.ES {
+		t.Fatal("element closed through Replace still visible in timeslice")
 	}
-	e.TTEnd = 20 // logical deletion
+	closed = b.Clone()
+	closed.TTEnd = 30
+	idx.ReplaceAt(1, closed)
 	if got, _ := idx.Timeslice(100); len(got) != 0 {
-		t.Fatal("deleted element still visible in timeslice")
+		t.Fatal("element closed through ReplaceAt still visible in timeslice")
 	}
-	if got, _ := idx.Rollback(15); len(got) != 1 {
-		t.Fatal("rollback before deletion lost the element")
+	if got, _ := idx.Rollback(15); len(got) != 2 {
+		t.Fatal("rollback before deletion lost an element")
+	}
+	if got, _ := idx.Rollback(25); len(got) != 1 || got[0].ES != b.ES {
+		t.Fatal("rollback between the deletions is wrong")
+	}
+}
+
+// TestIndexedSnapshotMaterializesNothing: a snapshot of the indexed store
+// rebuilds its index from the valid-time column alone, so what it allocates
+// is the same for versions that carry eight string values each as for
+// versions that carry none.
+func TestIndexedSnapshotMaterializesNothing(t *testing.T) {
+	const n = 20000
+	snapshotBytes := func(values int) uint64 {
+		idx := NewIndexedEvent()
+		for i := range n {
+			e := ev(int64(i), int64(i*7919%10007))
+			for v := range values {
+				e.Invariant = append(e.Invariant, element.String_(fmt.Sprintf("value %d of version %d", v, i)))
+			}
+			if err := idx.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The least of a few runs: whatever else allocates meanwhile only adds.
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			idx.Snapshot()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if bare, carrying := snapshotBytes(0), snapshotBytes(8); bare != carrying {
+		t.Errorf("snapshot of %d versions: %d bytes allocated with eight string values each, %d with none", n, carrying, bare)
 	}
 }

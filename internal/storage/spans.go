@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/chronon"
@@ -13,13 +14,13 @@ import (
 // answer order, each the slots of one chunk that the answer takes. Nothing
 // is copied out of a chunk: a span names the chunk — the chunk struct the
 // view held, whose columns are written once, past every view's n — and a
-// set of its slots. The one exception is the index seek, whose answer is
-// its elements as they lie (ElementAnswer). An answer is stable only when
-// read on a snapshot (Snapshot): the live store's first close into a chunk
-// after a snapshot copies its tt⊣ column before it writes (seq.ownSlots),
-// so the snapshot keeps the old one, but later closes write the live
-// store's own column in place, so an answer read on the live store changes
-// under a close made before it is encoded or materialized. So an answer
+// set of its slots. Every access path answers in this one form, the index
+// seek included (ValidAnswer). An answer is stable only when read on a
+// snapshot (Snapshot): the live store's first close into a chunk after a
+// snapshot copies its tt⊣ column before it writes (seq.ownSlots), so the
+// snapshot keeps the old one, but later closes write the live store's own
+// column in place, so an answer read on the live store changes under a
+// close made before it is encoded or materialized. So an answer
 // costs a span header per chunk it draws on, however many versions it
 // holds, and a result cache that keeps it keeps that and what the spans pin
 // (Span.Pins). Elements materializes it, for the consumers that need rows;
@@ -29,16 +30,14 @@ type Answer struct {
 	n     int
 }
 
-// Span is one stretch of an answer: Len slots of one chunk, or the elements
-// of an index seek.
+// Span is one stretch of an answer: Len slots of one chunk.
 type Span struct {
-	c      *chunk // the chunk as the answer's view holds it; nil for elements
+	c      *chunk // the chunk as the answer's view holds it
 	chunk  int
 	closes int
 	n      int
 	sealed bool // the chunk was full in the answer's view
 	slots  Slots
-	els    []*element.Element
 }
 
 // ChunkSize is how many version slots a chunk has.
@@ -123,19 +122,15 @@ func (a *Answer) Spans() []Span { return a.spans }
 // Sealed reports whether the span is slots of a full chunk — every chunk is
 // sealed once it fills — and so whether Chunk and Closes name its chunk's
 // runSize versions. A span over the tail chunk, which was still filling in
-// the answer's view, is columns and not sealed; so is an element span.
+// the answer's view, is columns and not sealed.
 func (sp *Span) Sealed() bool { return sp.sealed }
 
-// Pins is what the span can keep alive that the store may let go of: nothing
-// for an element span, whose elements are the index's; for one over a
-// chunk, the chunk's header and tt⊣ column as the answer's view held them;
-// and for one over the tail chunk also its arena, which the live side moves
-// as strings arrive and cuts to size when the chunk fills (seq.push).
+// Pins is what the span can keep alive that the store may let go of: the
+// chunk's header and tt⊣ column as the answer's view held them, and for a
+// span over the tail chunk also its arena, which the live side moves as
+// strings arrive and cuts to size when the chunk fills (seq.push).
 func (sp *Span) Pins() int {
-	switch {
-	case sp.c == nil:
-		return 0
-	case sp.sealed:
+	if sp.sealed {
 		return chunkPins
 	}
 	return chunkPins + len(sp.c.strs)
@@ -154,20 +149,16 @@ func (sp *Span) Len() int { return sp.n }
 func (sp *Span) Chunk() int  { return sp.chunk }
 func (sp *Span) Closes() int { return sp.closes }
 
-// Slots is a chunk span's slot set.
+// Slots is the span's slot set.
 func (sp *Span) Slots() *Slots { return &sp.slots }
 
-// Elements is an element span's elements, read-only; nil for a span over a
-// chunk.
-func (sp *Span) Elements() []*element.Element { return sp.els }
-
-// Key is the version in slot j of a chunk span's chunk: its surrogate and
+// Key is the version in slot j of the span's chunk: its surrogate and
 // tt⊣, which within a store tell one version from every other.
 func (sp *Span) Key(j int) (surrogate.Surrogate, chronon.Chronon) {
 	return sp.c.col.es[j], sp.c.ttEnd[j]
 }
 
-// Load materializes slot j of a chunk span's chunk — any slot inside the
+// Load materializes slot j of the span's chunk — any slot inside the
 // answer's view, in the set or not — into v, which the next Load into v
 // overwrites, and returns it.
 func (sp *Span) Load(j int, v *Version) *element.Element { return v.load(sp.c, j) }
@@ -234,45 +225,25 @@ func ChunkCloses(st Store, k int) int {
 	return seqOf(st).chunk(k).closes
 }
 
-// ElementAnswer is the answer made of els as they are: what a read that
-// finds its versions otherwise than by a chunk walk — an index seek — gives.
-func ElementAnswer(els []*element.Element) Answer {
-	if len(els) == 0 {
-		return Answer{}
-	}
-	return Answer{spans: []Span{{n: len(els), els: els}}, n: len(els)}
-}
-
 // Elements materializes the answer: every chunk's slot into one slab, so
 // that it costs one allocation of each kind however many chunks the answer
-// draws on, and an element span's elements as they lie. An answer of one
-// element span is returned as it lies, and an empty answer as nil. The
-// slice and the versions are the caller's to read, not to modify.
+// draws on. An empty answer is returned as nil. The slice and the versions
+// are the caller's to read, not to modify.
 func (a *Answer) Elements() []*element.Element {
 	if a.n == 0 {
 		return nil
 	}
-	if len(a.spans) == 1 && a.spans[0].c == nil {
-		els := a.spans[0].els
-		return els[:len(els):len(els)]
-	}
-	n, nv, nu := 0, 0, 0
+	nv, nu := 0, 0
 	for i := range a.spans {
-		if sp := &a.spans[i]; sp.c != nil {
-			col := sp.c.col
-			n, nv, nu = n+sp.n, nv+sp.n*(col.nInv+col.nVar), nu+sp.n*col.nUser
-		}
+		sp := &a.spans[i]
+		nv, nu = nv+sp.n*(sp.c.col.nInv+sp.c.col.nVar), nu+sp.n*sp.c.col.nUser
 	}
 	out := make([]*element.Element, 0, a.n)
 	var sl slab
-	sl.grow(n, nv, nu)
+	sl.grow(a.n, nv, nu)
 	t, v, u := 0, 0, 0
 	for i := range a.spans {
 		sp := &a.spans[i]
-		if sp.c == nil {
-			out = append(out, sp.els...)
-			continue
-		}
 		c := sp.c
 		cv, cu := c.col.nInv+c.col.nVar, c.col.nUser
 		it := sp.slots.Stretches()
@@ -337,18 +308,19 @@ func RollbackAnswer(st Store, tt chronon.Chronon) (Answer, int) {
 // the inclusive [lo, last] — a time-slice at vt is [vt, vt], so no instant
 // of the line is out of reach: a search on the vt-ordered log, a zone-map
 // scan on the heap and the tt-ordered log, and the index seek of an indexed
-// store.
+// store. Every path answers in arrival order.
 func ValidAnswer(st Store, lo, last chronon.Chronon) (Answer, int) {
 	switch s := st.(type) {
-	case *IndexedEventStore: // the current elements keyed inside the window
-		var out []*element.Element
-		touched := s.index.scanRange(lo, last, func(e *element.Element) bool {
-			if e.Current() {
-				out = append(out, e)
+	case *IndexedEventStore: // the positions keyed inside the window whose tt⊣ says current
+		var pos []int
+		touched := s.index.scanRange(lo, last, func(i int) bool {
+			if s.TTEndAt(i) == chronon.Forever {
+				pos = append(pos, i)
 			}
 			return true
 		})
-		return ElementAnswer(out), touched
+		slices.Sort(pos)
+		return AnswerAt(s, pos), touched
 	case *RunStore:
 		if s.kind == VTOrdered {
 			return s.vtRangeOrdered(lo, last)

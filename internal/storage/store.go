@@ -87,7 +87,9 @@ func ParseKind(s string) (Kind, error) {
 type Store interface {
 	Kind() Kind
 	Len() int
-	// Insert appends a newly stored element. Elements must arrive in
+	// Insert appends a copy of a newly stored element: the store keeps
+	// nothing of the element it is handed, which stays the caller's to
+	// edit or reuse. Elements must arrive in
 	// non-decreasing tt⊢ order (the engine's natural order); VTOrdered
 	// additionally requires non-decreasing valid-time order and returns an
 	// error, storing nothing, when the assumption its specialization

@@ -81,9 +81,8 @@ type slotName struct {
 func newSpanNames() *spanNames { return &spanNames{seen: make(map[[2]int][]slotName)} }
 
 // check holds the spans of an answer a walk of st gave to the definition:
-// read in order they are the answer's elements, got — an element span its
-// elements pointer for pointer, a sealed span the slots of its chunk, in slot
-// order, whose versions got holds there — every sealed span carries its
+// read in order they are the answer's elements, got — a span the slots of
+// its chunk, in slot order, whose versions got holds there — every sealed span carries its
 // chunk's close count as st holds it, and (chunk, closes) names the elements
 // it has always named.
 func (n *spanNames) check(query string, st *RunStore, a Answer, got []*element.Element) error {
@@ -91,15 +90,6 @@ func (n *spanNames) check(query string, st *RunStore, a Answer, got []*element.E
 	for _, sp := range a.Spans() {
 		if sp.Len() == 0 || i+sp.Len() > len(got) {
 			return fmt.Errorf("%s: a span of %d past %d of %d elements", query, sp.Len(), i, len(got))
-		}
-		if els := sp.Elements(); els != nil {
-			for _, e := range els {
-				if e != got[i] {
-					return fmt.Errorf("%s: element span holds ES %v where the answer has ES %v", query, e.ES, got[i].ES)
-				}
-				i++
-			}
-			continue
 		}
 		k := sp.Chunk()
 		if full := st.full(k); sp.Sealed() != full || full && sp.Closes() != st.chunk(k).closes {

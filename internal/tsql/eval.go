@@ -122,11 +122,6 @@ func EvalAnswer(ctx context.Context, q *Query, schema relation.Schema, a *storag
 			return nil, err
 		}
 		sp := &a.Spans()[i]
-		for _, e := range sp.Elements() { // an index seek's
-			if err := add(e); err != nil {
-				return nil, err
-			}
-		}
 		it := sp.Slots().Stretches()
 		for lo, hi := it.Next(); lo < storage.ChunkSize; lo, hi = it.Next() {
 			for j := lo; j < hi; j++ {

@@ -128,7 +128,15 @@ func defined(q *Query, r *relation.Relation) (*Result, error) {
 	default:
 		els = refmodel.Current(els)
 	}
-	a := storage.ElementAnswer(els)
+	// The answer over a heap of exactly those versions, in their order.
+	st, pos := storage.NewHeap(), make([]int, len(els))
+	for i, e := range els {
+		if err := st.Insert(e); err != nil {
+			return nil, err
+		}
+		pos[i] = i
+	}
+	a := storage.AnswerAt(st, pos)
 	return EvalAnswer(ctx, q, r.Schema(), &a)
 }
 

@@ -349,14 +349,14 @@ func appendPlanNode(dst []byte, n *PlanNode) []byte {
 // *Response structs.
 
 // QueryBody encodes as QueryResponse. Its elements are Answer's, read where
-// the store holds them: a chunk's slots through one reused scratch version,
-// an index seek's elements as they lie (storage.ElementAnswer). Images, in
-// Span order, names the sealed spans of Answer — spans over full chunks —
-// whose chunk's bytes some earlier answer already made (image.go): the
-// slots they hold are copied, and every other version is encoded. A span
-// over the tail chunk, still filling, is never imaged. The body is the same
-// bytes with or without images, and with the answer or its materialized
-// elements.
+// the store holds them: every span's slots through one reused scratch
+// version, whichever access path found them. Images, in Span order, names
+// the sealed spans of Answer — spans over full chunks — whose chunk's bytes
+// some earlier answer already made (image.go): the slots they hold are
+// copied, and every other version is encoded. A span over the tail chunk,
+// still filling, is never imaged. The body is the same bytes with or
+// without images, and the same as encoding/json's over the answer's
+// materialized elements (QueryResponse).
 type QueryBody struct {
 	Answer   storage.Answer
 	Images   []ImageSpan
@@ -461,50 +461,15 @@ func (s *sink) element(e *element.Element) (err error) {
 	return err
 }
 
-// elements encodes els, each behind its comma. Gathering, it is the tight
-// loop the encoder always was, on a local; streaming or counting, it is
-// element's.
-func (s *sink) elements(els []*element.Element) (err error) {
-	if len(els) == 0 {
-		return nil
-	}
-	if s.w == nil && !s.count {
-		buf := s.buf
-		if s.lead {
-			s.lead = false
-			buf, err = AppendElement(buf, els[0])
-			els = els[1:]
-		}
-		for i := 0; i < len(els) && err == nil; i++ {
-			buf, err = AppendElement(append(buf, ','), els[i])
-		}
-		s.buf = buf
-		return err
-	}
-	for _, e := range els {
-		if err := s.element(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // answer encodes a's spans in order, copying from images what they hold.
 func (s *sink) answer(a *storage.Answer, images []ImageSpan) error {
 	spans := a.Spans()
 	for i := range spans {
-		sp := &spans[i]
-		if els := sp.Elements(); els != nil {
-			if err := s.elements(els); err != nil {
-				return err
-			}
-			continue
-		}
 		var img *ChunkImage
 		if len(images) > 0 && images[0].Span == i {
 			img, images = images[0].Image, images[1:]
 		}
-		if err := s.sealed(sp, img); err != nil {
+		if err := s.sealed(&spans[i], img); err != nil {
 			return err
 		}
 	}
@@ -538,8 +503,8 @@ func (s *sink) sealed(sp *storage.Span, img *ChunkImage) error {
 
 // slots encodes every slot of a chunk's span, each behind its comma, each
 // loaded in place into the sink's version, over the set bits of its slot
-// set a word at a time. Gathering, it is the tight loop elements is, on a
-// local; streaming or counting, it is element's.
+// set a word at a time. Gathering, it is a tight loop on a local; streaming
+// or counting, it is element's.
 func (s *sink) slots(sp *storage.Span) (err error) {
 	v := s.version()
 	gather := s.w == nil && !s.count
@@ -613,19 +578,12 @@ func (b *QueryBody) covered() (n, bytes int) {
 	return n, bytes
 }
 
-// edge is the body's first element, or its last: an element span's as
-// stored, a chunk span's loaded into s's version.
+// edge is the body's first element, or its last, loaded into s's version.
 func (b *QueryBody) edge(last bool, s *sink) *element.Element {
 	spans := b.Answer.Spans()
 	sp := &spans[0]
 	if last {
 		sp = &spans[len(spans)-1]
-	}
-	if els := sp.Elements(); els != nil {
-		if last {
-			return els[len(els)-1]
-		}
-		return els[0]
 	}
 	it := sp.Slots().Stretches()
 	a, end := it.Next()

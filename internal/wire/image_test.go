@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
@@ -25,6 +26,18 @@ func storeOf(tb testing.TB, els []*element.Element) storage.Store {
 	return st
 }
 
+// answerOf is the answer that takes every version of a heap holding els, in
+// order: what a read of them all gives. els share one shape, as the versions
+// of a chunk do.
+func answerOf(tb testing.TB, els []*element.Element) storage.Answer {
+	tb.Helper()
+	pos := make([]int, len(els))
+	for i := range pos {
+		pos[i] = i
+	}
+	return storage.AnswerAt(storeOf(tb, els), pos)
+}
+
 // closeOf is the clone a logical delete swaps into an element's slot.
 func closeOf(e *element.Element, tt chronon.Chronon) *element.Element {
 	c := *e
@@ -34,7 +47,7 @@ func closeOf(e *element.Element, tt chronon.Chronon) *element.Element {
 
 // sameAsPlain holds a body with images to the same body without, appended
 // whole and streamed through a buffer far smaller than it, and to the body
-// of the answer's materialized elements.
+// of the answer's materialized elements as encoding/json writes it.
 func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	t.Helper()
 	got, gotErr := body.AppendJSON(nil)
@@ -46,9 +59,7 @@ func sameAsPlain(t *testing.T, name string, body QueryBody) {
 	if (gotErr != nil) != (wantErr != nil) || (gotErr == nil && !bytes.Equal(got, want)) {
 		t.Fatalf("%s: the spliced body (%d bytes, %v) is not the encoded one (%d bytes, %v)", name, len(got), gotErr, len(want), wantErr)
 	}
-	rowsBody := body
-	rowsBody.Answer = storage.ElementAnswer(body.Answer.Elements())
-	rows, rowsErr := rowsBody.AppendJSON(nil)
+	rows, rowsErr := json.Marshal(QueryResponse{Elements: FromElements(body.Answer.Elements()), Plan: body.Plan, PlanNode: body.PlanNode, Touched: body.Touched, Epoch: body.Epoch})
 	if (rowsErr != nil) != (wantErr != nil) || (wantErr == nil && !bytes.Equal(rows, want)) {
 		t.Fatalf("%s: the body encoded from the answer (%d bytes, %v) is not the one from its elements (%d bytes, %v)", name, len(want), wantErr, len(rows), rowsErr)
 	}
@@ -151,11 +162,11 @@ func TestImageRebuildAfterACloseAllocatesTheImage(t *testing.T) {
 func TestReservationFitsTheBody(t *testing.T) {
 	stored := benchElements(20_000, true)
 	for name, body := range map[string]QueryBody{
-		"encoded":  {Answer: storage.ElementAnswer(stored), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9},
+		"encoded":  {Answer: answerOf(t, stored), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(stored), Epoch: 9},
 		"spliced":  splicedBody(t, storeOf(t, stored), 1),
 		"halfway":  splicedBody(t, storeOf(t, stored), 2),
-		"no plan":  {Answer: storage.ElementAnswer(stored[:2000])},
-		"one only": {Answer: storage.ElementAnswer(stored[:1])},
+		"no plan":  {Answer: answerOf(t, stored[:2000])},
+		"one only": {Answer: answerOf(t, stored[:1])},
 	} {
 		out, err := body.AppendJSON(nil)
 		if err != nil {
@@ -195,7 +206,7 @@ func TestNonFiniteChunkBuildsNoImage(t *testing.T) {
 		t.Fatal("a chunk with one non-finite float was given an image")
 	}
 
-	out, err := QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}.AppendJSON(nil)
+	out, err := QueryBody{Answer: answerOf(t, stored), Touched: len(stored)}.AppendJSON(nil)
 	if err == nil {
 		t.Fatal("an answer of non-finite floats was encoded")
 	}
@@ -238,7 +249,7 @@ func TestLargeSplicedBodiesStream(t *testing.T) {
 		}
 	}
 	render("20k, every chunk imaged", dense, true)
-	render("20k, nothing imaged", QueryBody{Answer: storage.ElementAnswer(stored), Touched: len(stored)}, false)
+	render("20k, nothing imaged", QueryBody{Answer: answerOf(t, stored), Touched: len(stored)}, false)
 	render("20k, every second chunk", QueryBody{Answer: dense.Answer, Images: everyOther(dense.Images)}, false)
 	render("2k of one chunk in two: small", splicedBody(t, storeOf(t, stored[:4000]), 2), false)
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/element"
-	"repro/internal/storage"
 	"repro/internal/surrogate"
 )
 
@@ -116,7 +116,7 @@ func memoElements() []*element.Element {
 func TestMemoIsTheParse(t *testing.T) {
 	els := memoElements()
 	encode := func(els []*element.Element) []byte {
-		b, err := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3}.AppendJSON(nil)
+		b, err := json.Marshal(QueryResponse{Elements: FromElements(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestMemoHintFollowsTheAnswer(t *testing.T) {
 		return out
 	}
 	encode := func(els []*element.Element) []byte {
-		b, err := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3}.AppendJSON(nil)
+		b, err := json.Marshal(QueryResponse{Elements: FromElements(els), Plan: "p", PlanNode: benchPlan(), Touched: len(els), Epoch: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 	const max = 1 << 20
 	m := &ElementMemo{Max: max}
 	hot := ledgerElements(200)
-	hotDoc, _ := QueryBody{Answer: storage.ElementAnswer(hot), Touched: len(hot)}.AppendJSON(nil)
+	hotDoc, _ := json.Marshal(QueryResponse{Elements: FromElements(hot), Touched: len(hot)})
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -237,7 +237,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 		for _, e := range els {
 			e.ES += surrogate.Surrogate(1000 * (k + 1))
 		}
-		doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Touched: len(els)}.AppendJSON(nil)
+		doc, _ := json.Marshal(QueryResponse{Elements: FromElements(els), Touched: len(els)})
 		var r QueryResponse
 		if err := r.ParseJSONMemo(doc, m, ""); err != nil {
 			t.Fatal(err)
@@ -271,7 +271,7 @@ func TestMemoStaysWithinItsBudget(t *testing.T) {
 // nothing per element.
 func TestMemoAllocationBudget(t *testing.T) {
 	els := ledgerElements(2000)
-	doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9}.AppendJSON(nil)
+	doc, _ := json.Marshal(QueryResponse{Elements: FromElements(els), Plan: "full scan (heap)", PlanNode: benchPlan(), Touched: len(els), Epoch: 9})
 	m := &ElementMemo{Max: 8 << 20}
 	var cold QueryResponse
 	if err := cold.ParseJSONMemo(doc, m, ""); err != nil {
@@ -303,7 +303,7 @@ func TestMemoAllocationBudget(t *testing.T) {
 // over the clone leaves the source as it was.
 func TestCloneSharesNothing(t *testing.T) {
 	els := memoElements()
-	doc, _ := QueryBody{Answer: storage.ElementAnswer(els), Plan: "p", PlanNode: &PlanNode{Kind: "k", WinLo: new(int64), WinHi: new(int64), Input: benchPlan()}, Touched: 1}.AppendJSON(nil)
+	doc, _ := json.Marshal(QueryResponse{Elements: FromElements(els), Plan: "p", PlanNode: &PlanNode{Kind: "k", WinLo: new(int64), WinHi: new(int64), Input: benchPlan()}, Touched: 1})
 	var r, want QueryResponse
 	if err := r.ParseJSON(doc); err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func TestMemoKeepsRelationsApart(t *testing.T) {
 	}
 	docs := map[string][]byte{}
 	for rel, els := range map[string][]*element.Element{"a": a, "b": b} {
-		docs[rel], _ = QueryBody{Answer: storage.ElementAnswer(els), Touched: n}.AppendJSON(nil)
+		docs[rel], _ = json.Marshal(QueryResponse{Elements: FromElements(els), Touched: n})
 	}
 	var bytes int
 	for round := 0; round < 4; round++ {
